@@ -36,7 +36,7 @@ fn bench_cache(c: &mut Criterion) {
             |mut cache| {
                 for i in 0..512usize {
                     if cache.is_full() {
-                        let victim = cache.lru_key().unwrap();
+                        let victim = cache.lru_key_excluding(|_| false).unwrap();
                         cache.remove(&victim);
                     }
                     cache.insert(

@@ -16,6 +16,8 @@
 //! * [`manager`] — metadata: allocation, striping, health, linking;
 //! * [`store`] — the timed client-facing facade charging RPC, network and
 //!   SSD costs;
+//! * [`segments`] — the one chunk-boundary splitting iterator every layer
+//!   above shares;
 //! * [`loc_cache`] — client-side chunk-location cache (epoch-invalidated)
 //!   feeding the batched, pipelined data path;
 //! * [`crc`] — CRC-64/XZ chunk digests backing verified reads and the
@@ -38,6 +40,7 @@ pub mod journal;
 pub mod loc_cache;
 pub mod manager;
 pub mod rs;
+pub mod segments;
 pub mod shardmgr;
 pub mod store;
 
@@ -52,5 +55,6 @@ pub use manager::{
     ChunkMeta, FileMeta, GroupRef, Manager, PlacementPolicy, Slot, StripeSpec, StripeWidth,
 };
 pub use rs::RsCode;
+pub use segments::{segments, Segment, Segments};
 pub use shardmgr::{HashRing, ShardSet, DEFAULT_RING_SEED};
 pub use store::{AggregateStore, BatchWrite, ChunkPayload, RepairReport, ScrubConfig, StoreConfig};

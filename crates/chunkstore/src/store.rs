@@ -11,13 +11,14 @@ use crate::crc::{self, crc64};
 use crate::error::{Result, StoreError};
 use crate::ids::{BenefactorId, ChunkId, FileId};
 use crate::loc_cache::{CachedLoc, LocationCache};
-use crate::manager::{GroupRef, Manager, PlacementPolicy, Slot, StripeSpec};
+use crate::manager::{FileMeta, GroupRef, Manager, PlacementPolicy, Slot, StripeSpec};
 use crate::rs::RsCode;
+use crate::segments::segments;
 use crate::shardmgr::{HashRing, LeaseCounters, ShardSet, DEFAULT_RING_SEED, DEFAULT_VNODES};
 use devices::WearReport;
 use faults::{FaultEvent, FaultPlan};
 use netsim::{LinkFault, Network};
-use obs::{Layer, MetricsSampler, TraceRecorder, SHARD_LANE_BASE};
+use obs::{Layer, MetricsSampler, SpanGuard, TraceRecorder, SHARD_LANE_BASE};
 use parking_lot::{Mutex, MutexGuard};
 use simcore::rng::child_seed;
 use simcore::{Counter, StatsRegistry, VTime};
@@ -161,6 +162,16 @@ pub enum ChunkPayload {
     Zeros,
     /// Chunk bytes shipped from its benefactor.
     Data(Box<[u8]>),
+}
+
+impl ChunkPayload {
+    /// The chunk's bytes, materializing a hole as `chunk_size` zeros.
+    pub fn into_boxed(self, chunk_size: u64) -> Box<[u8]> {
+        match self {
+            ChunkPayload::Zeros => vec![0u8; chunk_size as usize].into_boxed_slice(),
+            ChunkPayload::Data(d) => d,
+        }
+    }
 }
 
 /// What `fetch_verified` hands back: the verified bytes plus the copy
@@ -971,37 +982,109 @@ impl AggregateStore {
         }
     }
 
-    /// Charge one metadata round-trip to the serial manager. A crashed
-    /// manager is retried on the same backoff schedule as benefactor and
-    /// shard failover — a standby takeover or scheduled reboot may land
-    /// in between — before the op fails with [`StoreError::ManagerDown`].
-    /// The fault-free path is unchanged: one rank-table len-check.
-    fn mgr_rpc(&self, t: VTime, client_node: usize, op: MgrOp) -> Result<VTime> {
+    /// Charge one metadata round-trip: to placement shard `shard`, or to
+    /// the serial manager when `None`. The request and response are
+    /// control-sized messages to the rank's node (a shard's registered
+    /// endpoint). A shard operation occupies the shard's FIFO metadata
+    /// CPU — which is where client fan-in queues, and what extra shards
+    /// relieve — and its response piggybacks a lease grant/renewal for
+    /// the calling client; the serial manager charges `mgr_cpu` without
+    /// queueing. A dead shard or crashed manager rank is retried on the
+    /// same backoff schedule as benefactor failover — a scheduled
+    /// recovery or standby takeover may land in between — before the op
+    /// fails with [`StoreError::ShardDown`] / [`StoreError::ManagerDown`].
+    /// The fault-free serial path is one rank-table len-check.
+    fn meta_rpc(
+        &self,
+        t: VTime,
+        client_node: usize,
+        shard: Option<usize>,
+        op: MgrOp,
+    ) -> Result<VTime> {
+        let rank = shard.unwrap_or(0);
         let mut t = t;
         let mut attempts = 0;
         loop {
-            if !self.manager_rank_ready(0, t) {
+            let alive = shard.is_none_or(|k| self.shard_alive(k));
+            // The shard process may be up while the manager rank hosting
+            // it has crashed (DESIGN.md §16) — probe both; the probe also
+            // performs a due standby takeover.
+            let rank_ready = self.manager_rank_ready(rank, t);
+            if !alive || !rank_ready {
                 if attempts >= self.cfg.fetch_retries {
-                    return Err(StoreError::ManagerDown(0));
+                    return Err(if alive {
+                        StoreError::ManagerDown(rank)
+                    } else {
+                        StoreError::ShardDown(rank)
+                    });
                 }
                 attempts += 1;
                 t += self.cfg.retry_backoff;
                 self.poll_faults(t);
                 continue;
             }
+            let node = match shard {
+                Some(k) => self
+                    .net
+                    .endpoint_node(&shard_endpoint(k))
+                    .expect("shard endpoint registered at install"),
+                None => self.cfg.manager_node,
+            };
             self.count_mgr_rpc(op);
             let sp = self.trace.span(Layer::Store, "store.mgr_rpc", t);
             sp.arg("client", client_node as u64);
-            let req =
-                self.net
-                    .transfer_at(t, client_node, self.cfg.manager_node, self.cfg.rpc_bytes);
-            let done = req.arrived + self.cfg.mgr_cpu;
-            let resp =
-                self.net
-                    .transfer_at(done, self.cfg.manager_node, client_node, self.cfg.rpc_bytes);
+            if let Some(k) = shard {
+                sp.arg("shard", k as u64);
+            }
+            let req = self
+                .net
+                .transfer_at(t, client_node, node, self.cfg.rpc_bytes);
+            let done = match shard {
+                Some(k) => self.shard_cpu(k, req.arrived),
+                None => req.arrived + self.cfg.mgr_cpu,
+            };
+            let resp = self
+                .net
+                .transfer_at(done, node, client_node, self.cfg.rpc_bytes);
+            if let Some(k) = shard {
+                self.shards
+                    .lock()
+                    .as_mut()
+                    .expect("shard set installed")
+                    .grant_lease(k, client_node, resp.arrived);
+            }
             sp.finish(resp.arrived);
             return Ok(resp.arrived);
         }
+    }
+
+    /// Queue one metadata operation arriving at `arrived` on shard
+    /// `shard`'s FIFO CPU; returns when it has been served.
+    fn shard_cpu(&self, shard: usize, arrived: VTime) -> VTime {
+        let grant = {
+            let shards = self.shards.lock();
+            let ss = shards.as_ref().expect("shard set installed");
+            ss.count_rpc(shard);
+            ss.cpu_grant(shard, arrived, self.cfg.mgr_cpu)
+        };
+        // Causal mode: the shard's CPU occupancy (queue wait + service)
+        // is *remote* work — record it detached on the shard's lane,
+        // linked back to this RPC span, so the trace DAG and critical
+        // path attribute it to the manager tier.
+        if self.trace.causal_enabled() {
+            let cpu_sp = self.trace.causal_span(
+                Layer::Store,
+                "shardmgr.cpu",
+                arrived,
+                SHARD_LANE_BASE + shard as u32,
+                self.trace.ctx(),
+            );
+            cpu_sp
+                .arg("shard", shard as u64)
+                .arg("queue_ns", grant.queued(arrived).as_nanos());
+            cpu_sp.finish(grant.end);
+        }
+        grant.end
     }
 
     // ----- sharded placement manager (DESIGN.md §12) ------------------------
@@ -1079,99 +1162,13 @@ impl AggregateStore {
         (0..ss.len()).map(|k| ss.cpu_queue_stats(k)).collect()
     }
 
-    /// Charge one metadata round-trip to placement shard `shard`. The
-    /// request and response are control-sized messages to the shard's
-    /// registered endpoint; the operation occupies the shard's FIFO
-    /// metadata CPU — which is where client fan-in queues, and what extra
-    /// shards relieve. The response piggybacks a lease grant/renewal for
-    /// the calling client. A dead shard is retried on the same backoff
-    /// schedule as benefactor failover (a scheduled recovery may land in
-    /// between) before the op fails with [`StoreError::ShardDown`].
-    fn shard_rpc(&self, t: VTime, client_node: usize, shard: usize, op: MgrOp) -> Result<VTime> {
-        let mut t = t;
-        let mut attempts = 0;
-        loop {
-            let alive = self
-                .shards
-                .lock()
-                .as_ref()
-                .expect("shard RPC without an installed shard set")
-                .is_alive(shard);
-            // The shard process may be up while the manager rank hosting
-            // it has crashed (DESIGN.md §16) — probe both; the probe also
-            // performs a due standby takeover.
-            let rank_ready = self.manager_rank_ready(shard, t);
-            if !alive || !rank_ready {
-                if attempts >= self.cfg.fetch_retries {
-                    return Err(if alive {
-                        StoreError::ManagerDown(shard)
-                    } else {
-                        StoreError::ShardDown(shard)
-                    });
-                }
-                attempts += 1;
-                t += self.cfg.retry_backoff;
-                self.poll_faults(t);
-                continue;
-            }
-            let node = self
-                .net
-                .endpoint_node(&shard_endpoint(shard))
-                .expect("shard endpoint registered at install");
-            self.count_mgr_rpc(op);
-            let sp = self.trace.span(Layer::Store, "store.mgr_rpc", t);
-            sp.arg("client", client_node as u64)
-                .arg("shard", shard as u64);
-            let req = self
-                .net
-                .transfer_at(t, client_node, node, self.cfg.rpc_bytes);
-            let grant = {
-                let shards = self.shards.lock();
-                let ss = shards.as_ref().expect("shard set installed");
-                ss.count_rpc(shard);
-                ss.cpu_grant(shard, req.arrived, self.cfg.mgr_cpu)
-            };
-            // Causal mode: the shard's CPU occupancy (queue wait +
-            // service) is *remote* work — record it detached on the
-            // shard's lane, linked back to this RPC span, so the trace
-            // DAG and critical path attribute it to the manager tier.
-            if self.trace.causal_enabled() {
-                let cpu_sp = self.trace.causal_span(
-                    Layer::Store,
-                    "shardmgr.cpu",
-                    req.arrived,
-                    SHARD_LANE_BASE + shard as u32,
-                    self.trace.ctx(),
-                );
-                cpu_sp
-                    .arg("shard", shard as u64)
-                    .arg("queue_ns", grant.queued(req.arrived).as_nanos());
-                cpu_sp.finish(grant.end);
-            }
-            let done = grant.end;
-            let resp = self
-                .net
-                .transfer_at(done, node, client_node, self.cfg.rpc_bytes);
-            self.shards
-                .lock()
-                .as_mut()
-                .expect("shard set installed")
-                .grant_lease(shard, client_node, resp.arrived);
-            sp.finish(resp.arrived);
-            return Ok(resp.arrived);
-        }
-    }
-
     /// Metadata round-trip for a namespace (control-plane) operation. The
     /// namespace has no per-chunk key to hash, so in shard mode it lives
     /// on shard 0 — the *root shard*; with no shard set this is the
     /// serial manager RPC.
     fn namespace_rpc(&self, t: VTime, client_node: usize) -> Result<VTime> {
-        if self.shards_installed() > 0 {
-            self.shard_rpc(t, client_node, 0, MgrOp::Place)
-        } else {
-            self.mgr_rpc(t, client_node, MgrOp::Place)
-        }
+        let root = (self.shards_installed() > 0).then_some(0);
+        self.meta_rpc(t, client_node, root, MgrOp::Place)
     }
 
     /// Metadata round-trip resolving slot `(file, idx)`: routed to the
@@ -1184,10 +1181,7 @@ impl AggregateStore {
         idx: usize,
         op: MgrOp,
     ) -> Result<VTime> {
-        match self.shard_of_slot(file, idx) {
-            Some(shard) => self.shard_rpc(t, client_node, shard, op),
-            None => self.mgr_rpc(t, client_node, op),
-        }
+        self.meta_rpc(t, client_node, self.shard_of_slot(file, idx), op)
     }
 
     // ----- control plane ---------------------------------------------------
@@ -1286,35 +1280,44 @@ impl AggregateStore {
         sp.arg("file", file.0).arg("idx", idx as u64);
         let t = self.slot_rpc(t, client_node, file, idx, MgrOp::Fetch)?;
         self.chunk_fetches.inc();
-        let chunk = {
-            let mgr = self.mgr.lock();
-            let meta = mgr.file(file)?;
-            if idx >= meta.slots.len() {
-                return Err(StoreError::OutOfBounds {
-                    file,
-                    offset: idx as u64 * self.cfg.chunk_size,
-                    len: self.cfg.chunk_size,
-                    size: meta.size,
-                });
-            }
-            match meta.slots[idx] {
-                Slot::Unmaterialized | Slot::Hole => None,
-                Slot::Chunk(c) => Some(c),
-            }
-        };
-
-        let c = match chunk {
-            None => {
-                // Hole: the manager's reply says "no data"; zeros are
-                // materialized client-side for free.
+        let slot = self.slot_in(&self.mgr.lock(), file, idx)?.slots[idx];
+        match slot {
+            // Hole: the manager's reply says "no data"; zeros are
+            // materialized client-side for free.
+            Slot::Unmaterialized | Slot::Hole => {
                 self.zero_fills.inc();
                 sp.finish(t);
-                return Ok((t, ChunkPayload::Zeros));
+                Ok((t, ChunkPayload::Zeros))
             }
-            Some(c) => c,
-        };
+            Slot::Chunk(c) => self.fetch_spanned(sp, t, client_node, c, false),
+        }
+    }
 
-        let out = self.fetch_verified(t, client_node, c, false)?;
+    /// The file owning slot `idx`, or `OutOfBounds` past its last chunk.
+    fn slot_in<'m>(&self, mgr: &'m Manager, file: FileId, idx: usize) -> Result<&'m FileMeta> {
+        let meta = mgr.file(file)?;
+        if idx >= meta.slots.len() {
+            return Err(StoreError::OutOfBounds {
+                file,
+                offset: idx as u64 * self.cfg.chunk_size,
+                len: self.cfg.chunk_size,
+                size: meta.size,
+            });
+        }
+        Ok(meta)
+    }
+
+    /// Pull chunk `c` through [`Self::fetch_verified`] from `t` and close
+    /// `sp` — the entry's `store.chunk_fetch` span — over the outcome.
+    fn fetch_spanned(
+        &self,
+        sp: SpanGuard,
+        t: VTime,
+        client_node: usize,
+        c: ChunkId,
+        degraded: bool,
+    ) -> Result<(VTime, ChunkPayload)> {
+        let out = self.fetch_verified(t, client_node, c, degraded)?;
         sp.arg("benefactor", out.home.0 as u64)
             .arg("node", out.node as u64);
         if out.degraded {
@@ -1678,40 +1681,26 @@ impl AggregateStore {
         // (DESIGN.md §12) — an unleased target is forced to the shard
         // even when cached. With one shard and a held lease the gate
         // never fires, so counters stay identical to the serial manager.
-        let shard_mode = self.shards_installed() > 0;
-        let owners: Vec<usize> = if shard_mode {
-            let shards = self.shards.lock();
-            let ss = shards.as_ref().expect("shard set installed");
-            targets
-                .iter()
-                .map(|&(f, i)| ss.ring().owner_of_slot(f, i))
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let owners = self.owners_of(targets.iter().copied());
         let mut resolved: Vec<Option<CachedLoc>> = {
             let epoch = self.mgr.lock().placement_epoch();
-            if !shard_mode {
-                targets
-                    .iter()
-                    .map(|&key| cache.and_then(|c| c.lookup(epoch, key)))
-                    .collect()
-            } else {
-                let mut shards = self.shards.lock();
-                let ss = shards.as_mut().expect("shard set installed");
-                targets
-                    .iter()
-                    .zip(&owners)
-                    .map(|(&key, &owner)| match cache {
-                        Some(c) if ss.check_lease(owner, client_node, t) => c.lookup(epoch, key),
-                        Some(c) => {
-                            c.note_unleased_miss(epoch, key);
-                            None
-                        }
-                        None => None,
-                    })
-                    .collect()
-            }
+            let mut shards = self.shards.lock();
+            targets
+                .iter()
+                .zip(&owners)
+                .map(|(&key, &owner)| {
+                    let cache = cache?;
+                    let leased = owner.is_none_or(|o| {
+                        let ss = shards.as_mut().expect("shard set installed");
+                        ss.check_lease(o, client_node, t)
+                    });
+                    if !leased {
+                        cache.note_unleased_miss(epoch, key);
+                        return None;
+                    }
+                    cache.lookup(epoch, key)
+                })
+                .collect()
         };
 
         // One shared RPC covers every unresolved target — per owning
@@ -1721,45 +1710,17 @@ impl AggregateStore {
         // owner's response arrival, or `t` when its shard was never
         // consulted (a leased cache hit). A fully cached batch skips
         // every manager round-trip.
-        let any_miss = resolved.iter().any(|r| r.is_none());
-        let ready: Vec<VTime> = if !shard_mode {
-            let t0 = if any_miss {
-                self.mgr_rpc(t, client_node, MgrOp::Fetch)?
-            } else {
-                t
-            };
-            vec![t0; targets.len()]
-        } else {
-            let mut contacted: BTreeMap<usize, VTime> = BTreeMap::new();
-            for (i, r) in resolved.iter().enumerate() {
-                if r.is_none() {
-                    contacted.entry(owners[i]).or_insert(VTime::ZERO);
-                }
-            }
-            for (&shard, end) in contacted.iter_mut() {
-                *end = self.shard_rpc(t, client_node, shard, MgrOp::Fetch)?;
-            }
-            (0..targets.len())
-                .map(|i| contacted.get(&owners[i]).copied().unwrap_or(t))
-                .collect()
-        };
-        if any_miss {
+        let ready = self.resolve_fan_out(t, client_node, MgrOp::Fetch, &owners, |i| {
+            resolved[i].is_none()
+        })?;
+        if resolved.iter().any(|r| r.is_none()) {
             let mgr = self.mgr.lock();
             let epoch = mgr.placement_epoch();
             for (i, &(file, idx)) in targets.iter().enumerate() {
                 if resolved[i].is_some() {
                     continue;
                 }
-                let meta = mgr.file(file)?;
-                if idx >= meta.slots.len() {
-                    return Err(StoreError::OutOfBounds {
-                        file,
-                        offset: idx as u64 * self.cfg.chunk_size,
-                        len: self.cfg.chunk_size,
-                        size: meta.size,
-                    });
-                }
-                let loc = match meta.slots[idx] {
+                let loc = match self.slot_in(&mgr, file, idx)?.slots[idx] {
                     Slot::Unmaterialized | Slot::Hole => CachedLoc::Zeros,
                     Slot::Chunk(c) => CachedLoc::Chunk {
                         chunk: c,
@@ -1831,56 +1792,41 @@ impl AggregateStore {
         }
         let mut out: Vec<Option<(VTime, ChunkPayload)>> = Vec::new();
         out.resize_with(targets.len(), || None);
-        while let Some((home, i, start)) = scratch.pop_min(&ready) {
-            let Plan::Chain {
-                chunk, degraded, ..
-            } = plan[i]
-            else {
-                unreachable!("grouped entries are chains")
+        // Chains first, then the degraded fallbacks in input order, all
+        // through the retry loop the serial path uses (the chain's re-pick
+        // scans the same live home list that planned it and, under
+        // `verify_reads`, fails over when the arrived bytes don't match
+        // the recorded CRC). A fallback starts from its entry's resolution
+        // time — no second manager RPC — so a degraded batched fetch
+        // completes at exactly the serial fetch's time and counts under
+        // the same `degraded_reads` counter.
+        let mut fallbacks = (0..plan.len()).filter(|&i| matches!(plan[i], Plan::Fallback { .. }));
+        while let Some((home, i, start)) = scratch
+            .pop_min(&ready)
+            .map(|(home, i, start)| (Some(home), i, start))
+            .or_else(|| fallbacks.next().map(|i| (None, i, ready[i])))
+        {
+            let (chunk, degraded) = match plan[i] {
+                Plan::Chain {
+                    chunk, degraded, ..
+                } => (chunk, degraded),
+                Plan::Fallback { chunk } => (chunk, false),
+                Plan::Zeros => unreachable!("zeros are never queued"),
             };
             self.chunk_fetches.inc();
             let csp = self.trace.span(Layer::Store, "store.chunk_fetch", start);
-            // The shared retry loop re-picks from the live home list (the
-            // same scan that planned this chain) and, under
-            // `verify_reads`, fails the entry over to a replica when the
-            // arrived bytes don't match the recorded CRC.
-            let res = self.fetch_verified(start, client_node, chunk, degraded)?;
-            csp.arg("benefactor", res.home.0 as u64)
-                .arg("node", res.node as u64);
-            if res.degraded {
-                csp.arg("degraded", 1);
+            let fetched = self.fetch_spanned(csp, start, client_node, chunk, degraded)?;
+            if let Some(home) = home {
+                scratch.set_cursor(home, fetched.0);
             }
-            csp.finish(res.end);
-            scratch.set_cursor(home, res.end);
-            out[i] = Some((res.end, ChunkPayload::Data(res.data)));
+            out[i] = Some(fetched);
         }
         *self.chain_scratch.lock() = scratch;
-
-        // Zeros and degraded fallbacks fill in the gaps. A fallback runs
-        // the same retry loop the serial path would, from its entry's
-        // resolution time — no second manager RPC — so a degraded
-        // batched fetch completes at exactly the serial fetch's time and
-        // counts under the same `degraded_reads` counter.
         for (i, p) in plan.iter().enumerate() {
-            match p {
-                Plan::Zeros => {
-                    self.chunk_fetches.inc();
-                    self.zero_fills.inc();
-                    out[i] = Some((ready[i], ChunkPayload::Zeros));
-                }
-                Plan::Fallback { chunk } => {
-                    self.chunk_fetches.inc();
-                    let csp = self.trace.span(Layer::Store, "store.chunk_fetch", ready[i]);
-                    let res = self.fetch_verified(ready[i], client_node, *chunk, false)?;
-                    csp.arg("benefactor", res.home.0 as u64)
-                        .arg("node", res.node as u64);
-                    if res.degraded {
-                        csp.arg("degraded", 1);
-                    }
-                    csp.finish(res.end);
-                    out[i] = Some((res.end, ChunkPayload::Data(res.data)));
-                }
-                Plan::Chain { .. } => {}
+            if matches!(p, Plan::Zeros) {
+                self.chunk_fetches.inc();
+                self.zero_fills.inc();
+                out[i] = Some((ready[i], ChunkPayload::Zeros));
             }
         }
         let out: Vec<(VTime, ChunkPayload)> = out
@@ -1922,7 +1868,7 @@ impl AggregateStore {
         let sp = self.trace.span(Layer::Store, "store.write_pages", t);
         sp.arg("file", file.0).arg("idx", idx as u64);
         let t = self.slot_rpc(t, client_node, file, idx, MgrOp::Write)?;
-        let end = self.write_pages_resolved(t, client_node, file, idx, updates)?;
+        let end = self.write_pages_inner(t, client_node, file, idx, updates, None)?;
         sp.finish(end);
         Ok(end)
     }
@@ -1963,31 +1909,12 @@ impl AggregateStore {
         // shard, no lease shortcut — issued concurrently from `t`; one
         // serial manager RPC otherwise. `ready[i]` is when entry `i`'s
         // resolution reply is in hand.
-        let ready: Vec<VTime> = if self.shards_installed() == 0 {
-            let t0 = self.mgr_rpc(t, client_node, MgrOp::Write)?;
-            vec![t0; entries.len()]
-        } else {
-            let owners: Vec<usize> = {
-                let shards = self.shards.lock();
-                let ss = shards.as_ref().expect("shard set installed");
-                entries
-                    .iter()
-                    .map(|e| ss.ring().owner_of_slot(e.file, e.idx))
-                    .collect()
-            };
-            let mut contacted: BTreeMap<usize, VTime> = BTreeMap::new();
-            for &owner in &owners {
-                contacted.entry(owner).or_insert(VTime::ZERO);
-            }
-            for (&shard, end) in contacted.iter_mut() {
-                *end = self.shard_rpc(t, client_node, shard, MgrOp::Write)?;
-            }
-            owners.iter().map(|o| contacted[o]).collect()
-        };
+        let owners = self.owners_of(entries.iter().map(|e| (e.file, e.idx)));
+        let ready = self.resolve_fan_out(t, client_node, MgrOp::Write, &owners, |_| true)?;
 
         // Group entries by the benefactor their bytes land on first (the
         // primary live home). Resolution here is advisory — it only
-        // shapes chains; `write_pages_resolved` re-resolves
+        // shapes chains; `write_pages_inner` re-resolves
         // authoritatively per entry. Cursors start at ZERO and each entry
         // starts at `max(cursor, ready[i])`, so a uniform `ready` yields
         // exactly the original shared-`t0` schedule.
@@ -2008,7 +1935,15 @@ impl AggregateStore {
         }
         let mut pbatch = ParityBatch::default();
         let mut ends: Vec<VTime> = ready.clone();
-        while let Some((home, i, start)) = scratch.pop_min(&ready) {
+        // Entries with no live home at batch time (they error, or — for
+        // holes — allocate wherever space remains) run unchained from
+        // their resolution time, after the chains.
+        let mut unchained = (0..keys.len()).filter(|&i| keys[i].is_none());
+        while let Some((home, i, start)) = scratch
+            .pop_min(&ready)
+            .map(|(home, i, start)| (Some(home), i, start))
+            .or_else(|| unchained.next().map(|i| (None, i, ready[i])))
+        {
             let e = &entries[i];
             let esp = self.trace.span(Layer::Store, "store.write_pages", start);
             esp.arg("file", e.file.0).arg("idx", e.idx as u64);
@@ -2021,31 +1956,12 @@ impl AggregateStore {
                 Some((i, &mut pbatch)),
             )?;
             esp.finish(end);
-            scratch.set_cursor(home, end);
+            if let Some(home) = home {
+                scratch.set_cursor(home, end);
+            }
             ends[i] = end;
         }
         *self.chain_scratch.lock() = scratch;
-        // Entries with no live home at batch time (they error, or — for
-        // holes — allocate wherever space remains) run unchained from
-        // their resolution time.
-        for (i, k) in keys.iter().enumerate() {
-            if k.is_some() {
-                continue;
-            }
-            let e = &entries[i];
-            let esp = self.trace.span(Layer::Store, "store.write_pages", ready[i]);
-            esp.arg("file", e.file.0).arg("idx", e.idx as u64);
-            let end = self.write_pages_inner(
-                ready[i],
-                client_node,
-                e.file,
-                e.idx,
-                e.updates,
-                Some((i, &mut pbatch)),
-            )?;
-            esp.finish(end);
-            ends[i] = end;
-        }
         // Ship each touched group's XOR-merged parity once, after every
         // contributing data write has landed: one delta per parity member
         // per batch, not per entry. A full-group RS(4, 2) batch therefore
@@ -2075,6 +1991,42 @@ impl AggregateStore {
         }
         sp.finish(ends.iter().copied().max().unwrap_or(t));
         Ok(ends)
+    }
+
+    /// The ring owner of each slot key; all `None` with the serial manager
+    /// (one owner: the manager itself).
+    fn owners_of(&self, keys: impl Iterator<Item = (FileId, usize)>) -> Vec<Option<usize>> {
+        let shards = self.shards.lock();
+        keys.map(|(f, i)| shards.as_ref().map(|ss| ss.ring().owner_of_slot(f, i)))
+            .collect()
+    }
+
+    /// The resolution fan-out shared by the batched fetch and write
+    /// paths: one metadata RPC per distinct owner of the entries `needs`
+    /// flags, all issued concurrently from `t`. Returns per entry when its
+    /// resolution reply is in hand — its owner's response arrival, or `t`
+    /// when that owner was never consulted.
+    fn resolve_fan_out(
+        &self,
+        t: VTime,
+        client_node: usize,
+        op: MgrOp,
+        owners: &[Option<usize>],
+        needs: impl Fn(usize) -> bool,
+    ) -> Result<Vec<VTime>> {
+        let mut contacted: BTreeMap<Option<usize>, VTime> = BTreeMap::new();
+        for (i, &owner) in owners.iter().enumerate() {
+            if needs(i) {
+                contacted.entry(owner).or_insert(VTime::ZERO);
+            }
+        }
+        for (&owner, end) in contacted.iter_mut() {
+            *end = self.meta_rpc(t, client_node, owner, op)?;
+        }
+        Ok(owners
+            .iter()
+            .map(|o| contacted.get(o).copied().unwrap_or(t))
+            .collect())
     }
 
     /// The benefactor a write to `(file, idx)` primarily lands on — the
@@ -2114,22 +2066,11 @@ impl AggregateStore {
     }
 
     /// The post-RPC body of a page write-back: `t` is the time the
-    /// manager's resolution reply arrived.
-    fn write_pages_resolved(
-        &self,
-        t: VTime,
-        client_node: usize,
-        file: FileId,
-        idx: usize,
-        updates: &[(u64, &[u8])],
-    ) -> Result<VTime> {
-        self.write_pages_inner(t, client_node, file, idx, updates, None)
-    }
-
-    /// [`Self::write_pages_resolved`] with an optional parity-deferral
-    /// sink: the batched path passes `Some((entry_index, batch))` so an
-    /// erasure-coded write contributes its parity deltas to the batch's
-    /// per-group accumulator instead of shipping them itself.
+    /// manager's resolution reply arrived. `defer` is an optional
+    /// parity-deferral sink: the batched path passes
+    /// `Some((entry_index, batch))` so an erasure-coded write contributes
+    /// its parity deltas to the batch's per-group accumulator instead of
+    /// shipping them itself.
     fn write_pages_inner(
         &self,
         t: VTime,
@@ -2141,15 +2082,7 @@ impl AggregateStore {
     ) -> Result<VTime> {
         let dirty_bytes: u64 = updates.iter().map(|(_, d)| d.len() as u64).sum();
         let mut mgr = self.mgr.lock();
-        let meta = mgr.file(file)?;
-        if idx >= meta.slots.len() {
-            return Err(StoreError::OutOfBounds {
-                file,
-                offset: idx as u64 * self.cfg.chunk_size,
-                len: self.cfg.chunk_size,
-                size: meta.size,
-            });
-        }
+        let meta = self.slot_in(&mgr, file, idx)?;
         let slot = meta.slots[idx];
         let replicas = meta.replicas.max(1);
         // (k, m, group) when this slot belongs to a parity group. Note
@@ -2550,6 +2483,20 @@ impl AggregateStore {
         Ok(end)
     }
 
+    /// `OutOfBounds` unless `[offset, offset + len)` lies inside `file`.
+    pub fn check_range(&self, file: FileId, offset: u64, len: u64) -> Result<()> {
+        let size = self.file_size(file)?;
+        if offset + len > size {
+            return Err(StoreError::OutOfBounds {
+                file,
+                offset,
+                len,
+                size,
+            });
+        }
+        Ok(())
+    }
+
     /// Bulk sequential write (checkpoint DRAM dumps, workload loads):
     /// splits `data` into per-chunk updates.
     pub fn write_span(
@@ -2560,30 +2507,10 @@ impl AggregateStore {
         offset: u64,
         data: &[u8],
     ) -> Result<VTime> {
-        let size = self.file_size(file)?;
-        if offset + data.len() as u64 > size {
-            return Err(StoreError::OutOfBounds {
-                file,
-                offset,
-                len: data.len() as u64,
-                size,
-            });
-        }
-        let cs = self.cfg.chunk_size;
-        let mut pos = 0usize;
-        while pos < data.len() {
-            let abs = offset + pos as u64;
-            let idx = (abs / cs) as usize;
-            let within = abs % cs;
-            let take = ((cs - within) as usize).min(data.len() - pos);
-            t = self.write_pages(
-                t,
-                client_node,
-                file,
-                idx,
-                &[(within, &data[pos..pos + take])],
-            )?;
-            pos += take;
+        self.check_range(file, offset, data.len() as u64)?;
+        for s in segments(offset, data.len() as u64, self.cfg.chunk_size) {
+            let run = (s.within as u64, &data[s.pos..s.pos + s.take]);
+            t = self.write_pages(t, client_node, file, s.idx, &[run])?;
         }
         Ok(t)
     }
@@ -2597,31 +2524,16 @@ impl AggregateStore {
         offset: u64,
         buf: &mut [u8],
     ) -> Result<VTime> {
-        let size = self.file_size(file)?;
-        if offset + buf.len() as u64 > size {
-            return Err(StoreError::OutOfBounds {
-                file,
-                offset,
-                len: buf.len() as u64,
-                size,
-            });
-        }
-        let cs = self.cfg.chunk_size;
-        let mut pos = 0usize;
-        while pos < buf.len() {
-            let abs = offset + pos as u64;
-            let idx = (abs / cs) as usize;
-            let within = (abs % cs) as usize;
-            let take = (cs as usize - within).min(buf.len() - pos);
-            let (t2, payload) = self.fetch_chunk(t, client_node, file, idx)?;
+        self.check_range(file, offset, buf.len() as u64)?;
+        for s in segments(offset, buf.len() as u64, self.cfg.chunk_size) {
+            let (t2, payload) = self.fetch_chunk(t, client_node, file, s.idx)?;
             t = t2;
             match payload {
-                ChunkPayload::Zeros => buf[pos..pos + take].fill(0),
+                ChunkPayload::Zeros => buf[s.pos..s.pos + s.take].fill(0),
                 ChunkPayload::Data(chunk) => {
-                    buf[pos..pos + take].copy_from_slice(&chunk[within..within + take])
+                    buf[s.pos..s.pos + s.take].copy_from_slice(&chunk[s.within..s.within + s.take])
                 }
             }
-            pos += take;
         }
         Ok(t)
     }
@@ -4015,7 +3927,7 @@ mod tests {
     }
 
     #[test]
-    fn shard_rpcs_route_by_slot_owner_and_count_per_shard() {
+    fn rpcs_route_by_slot_owner_and_count_per_shard() {
         let (store, stats) = store_sharded(2, 2);
         let client = 3;
         let (t, f) = store.create_file(VTime::ZERO, client, "/m").unwrap();

@@ -5,14 +5,18 @@
 //! drives it and charges virtual time. Capacity is counted in chunks
 //! (64 MiB / 256 KiB = 256 entries at the paper's defaults).
 //!
-//! Two replacement modes (DESIGN.md §10):
+//! One replacement structure, two sizings (DESIGN.md §10): a segmented
+//! LRU of probation/protected lists — a chunk enters on probation and is
+//! promoted on its first re-reference, so a one-touch streaming scan
+//! churns probation while the re-referenced working set survives in the
+//! protected segment.
 //!
-//! * **plain LRU** (default) — one recency list, victim = least recently
-//!   used, byte-identical to the paper-fidelity configuration;
-//! * **segmented LRU** (`FuseConfig::seg_cache`) — probation/protected
-//!   lists: a chunk enters on probation and is promoted on its first
-//!   re-reference, so a one-touch streaming scan churns probation while
-//!   the re-referenced working set survives in the protected segment.
+//! * **plain LRU** (default) — the protected segment is empty
+//!   (`protected_cap == 0`): nothing is ever promoted, probation is the
+//!   one recency list and the victim is the least recently used,
+//!   byte-identical to the paper-fidelity configuration;
+//! * **segmented LRU** (`FuseConfig::seg_cache`) — the protected segment
+//!   holds up to 4/5 of capacity.
 //!
 //! Victim selection is O(log n): recency is kept in ordered tick indexes
 //! (`BTreeSet<(tick, key)>`), never by scanning the whole entry map. The
@@ -57,8 +61,7 @@ pub struct ChunkCache {
     capacity: usize,
     tick: u64,
     pages_per_chunk: usize,
-    segmented: bool,
-    /// Max entries the protected segment may hold (segmented mode).
+    /// Max entries the protected segment may hold; `0` = plain LRU.
     protected_cap: usize,
     protected_len: usize,
     /// Recency index of probationary entries — every entry when the
@@ -77,28 +80,24 @@ pub struct ChunkCache {
 
 impl ChunkCache {
     pub fn new(capacity_chunks: usize, pages_per_chunk: usize) -> Self {
-        Self::build(capacity_chunks, pages_per_chunk, false)
+        Self::build(capacity_chunks, pages_per_chunk, 0)
     }
 
     /// A segmented (probation/protected) cache; the protected segment
     /// holds up to 4/5 of capacity, probation always keeps >= 1 slot.
     pub fn new_segmented(capacity_chunks: usize, pages_per_chunk: usize) -> Self {
-        Self::build(capacity_chunks, pages_per_chunk, true)
+        let protected_cap = (capacity_chunks * 4 / 5).min(capacity_chunks.saturating_sub(1));
+        Self::build(capacity_chunks, pages_per_chunk, protected_cap)
     }
 
-    fn build(capacity_chunks: usize, pages_per_chunk: usize, segmented: bool) -> Self {
+    fn build(capacity_chunks: usize, pages_per_chunk: usize, protected_cap: usize) -> Self {
         assert!(capacity_chunks > 0, "cache needs at least one chunk");
         ChunkCache {
             entries: HashMap::with_capacity(capacity_chunks),
             capacity: capacity_chunks,
             tick: 0,
             pages_per_chunk,
-            segmented,
-            protected_cap: if segmented {
-                (capacity_chunks * 4 / 5).min(capacity_chunks - 1)
-            } else {
-                0
-            },
+            protected_cap,
             protected_len: 0,
             probation: BTreeSet::new(),
             protected: BTreeSet::new(),
@@ -126,10 +125,6 @@ impl ChunkCache {
 
     pub fn contains(&self, key: &ChunkKey) -> bool {
         self.entries.contains_key(key)
-    }
-
-    pub fn is_segmented(&self) -> bool {
-        self.segmented
     }
 
     /// Is the entry in the protected segment? (false when missing or
@@ -166,7 +161,7 @@ impl ChunkCache {
         let tick = self.tick;
         let entry = self.entries.get_mut(key)?;
         let was_protected = entry.protected;
-        let promote = self.segmented && !was_protected && self.protected_cap > 0;
+        let promote = !was_protected && self.protected_cap > 0;
         if was_protected {
             self.protected.remove(&(entry.last_use, *key));
         } else {
@@ -272,19 +267,10 @@ impl ChunkCache {
         }
     }
 
-    /// The least-recently-used key (eviction victim), if any. Probation
-    /// is drained before the protected segment in segmented mode.
-    pub fn lru_key(&mut self) -> Option<ChunkKey> {
-        self.victim_scan_steps += 1;
-        self.probation
-            .first()
-            .or_else(|| self.protected.first())
-            .map(|&(_, k)| k)
-    }
-
-    /// The LRU key among entries for which `exclude` is false — victim
-    /// selection that must not evict the working set currently being
-    /// ensured (the batched data path's protection rule).
+    /// The least-recently-used key among entries for which `exclude` is
+    /// false — victim selection that must not evict the working set
+    /// currently being ensured (the data path's protection rule).
+    /// Probation is drained before the protected segment.
     pub fn lru_key_excluding(
         &mut self,
         mut exclude: impl FnMut(&ChunkKey) -> bool,
@@ -403,9 +389,9 @@ mod tests {
         c.insert(key(2), data(), VTime::ZERO);
         // Touch 0: now 1 is the LRU.
         c.get_mut(&key(0));
-        assert_eq!(c.lru_key(), Some(key(1)));
+        assert_eq!(c.lru_key_excluding(|_| false), Some(key(1)));
         c.get_mut(&key(1));
-        assert_eq!(c.lru_key(), Some(key(2)));
+        assert_eq!(c.lru_key_excluding(|_| false), Some(key(2)));
     }
 
     #[test]
@@ -492,7 +478,7 @@ mod tests {
         // probation, so the protected pair survives the whole scan.
         for i in 2..102 {
             if c.is_full() {
-                let v = c.lru_key().unwrap();
+                let v = c.lru_key_excluding(|_| false).unwrap();
                 assert!(v != key(0) && v != key(1), "scan evicted working set");
                 c.remove(&v);
             }
@@ -529,7 +515,7 @@ mod tests {
         }
         let evictions = cap / 2;
         for _ in 0..evictions {
-            let v = c.lru_key().unwrap();
+            let v = c.lru_key_excluding(|_| false).unwrap();
             c.remove(&v);
         }
         let steps = c.victim_scan_steps();

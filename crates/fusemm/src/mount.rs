@@ -13,14 +13,27 @@
 //!   benefactor — the write optimization of Table VII — or the whole
 //!   chunk when `dirty_page_writeback` is disabled for the ablation.
 //!
+//! There is **one** data path. Every access runs the same span loop,
+//! `ensure`, `make_room`, `read_ahead` and `flush_keys`; the paper's
+//! serial path and the overlapped path of DESIGN.md §8 are two settings
+//! of the private `DataPath` policy, derived once from
+//! `FuseConfig::pipelined_io` and consulted only at these four leaves:
+//!
+//! | policy leaf | paper (§III-D) | pipelined (§8) |
+//! |---|---|---|
+//! | window of one step | one segment / one dirty chunk | every segment whose chunks fit the cache / every dirty chunk |
+//! | dirty eviction victims | written synchronously on the caller's clock, one store call each | one batched write the caller never waits for |
+//! | store calls | `fetch_chunk` / `write_pages`: a manager resolution per chunk | `fetch_chunks` / `write_pages_batch`: one resolution per batch, `LocationCache`, per-benefactor chains overlapped |
+//! | read-ahead | fixed `read_ahead_chunks`, never evicts a dirty chunk | depth ramps 1→`read_ahead_chunks` with the stream's streak |
+//!
 //! Requests reaching this layer are counted at OS-page granularity, the
 //! same units the paper's Table IV/VII report for "requests to FUSE":
 //! mmap faults and page-cache write-backs arrive page-sized.
 
 use crate::cache::{CacheEntry, ChunkCache, ChunkKey};
 use chunkstore::{
-    AggregateStore, BatchWrite, ChunkPayload, FileId, LocationCache, PlacementPolicy, Result,
-    StoreError, StripeSpec,
+    segments, AggregateStore, BatchWrite, ChunkPayload, FileId, LocationCache, PlacementPolicy,
+    Result, Segment, StripeSpec,
 };
 use obs::{Layer, TraceRecorder};
 use parking_lot::Mutex;
@@ -149,40 +162,58 @@ impl MountState {
     }
 }
 
-/// One chunk-aligned piece of a byte span: where it sits in the chunk and
-/// where it sits in the caller's buffer.
+/// The data-path policy: the four leaves at which the paper's serial
+/// §III-D path and the overlapped path (DESIGN.md §8) differ. Everything
+/// else — the span loop, `ensure`, `make_room`, `read_ahead`,
+/// `flush_keys`, the write-back builder — is shared.
 #[derive(Clone, Copy, Debug)]
-struct Seg {
-    idx: usize,
-    within: usize,
-    pos: usize,
-    take: usize,
+struct DataPath {
+    /// How much one step covers — segments of an ensure, dirty chunks of a
+    /// flush, chunks of a prefetch (cache capacity bounds it further).
+    /// The paper path's `1` is one *segment*, not one chunk: N strided
+    /// runs inside one cached chunk are N lookups, N hits.
+    window: usize,
+    /// Dirty eviction victims go out as one write-back the caller never
+    /// waits for; otherwise each is written synchronously on the caller's
+    /// clock — which is why read-ahead then refuses to evict a dirty chunk.
+    async_evict: bool,
+    /// Store calls go through `fetch_chunks` / `write_pages_batch` (one
+    /// manager resolution per batch, the location cache, per-benefactor
+    /// chains overlapped); otherwise through per-chunk `fetch_chunk` /
+    /// `write_pages`, each paying its own resolution.
+    batched_store: bool,
+    /// Read-ahead depth ramps 1→`read_ahead_chunks` with the stream's
+    /// streak (a one-off continuation prefetches one chunk, a sustained
+    /// stream earns the full depth); otherwise the depth is fixed.
+    ramped_read_ahead: bool,
 }
 
-/// Split `[offset, offset+len)` into chunk-aligned segments, with caller
-/// buffer positions starting at `pos_base`.
-fn segments_of(offset: u64, len: u64, cs: u64, pos_base: usize, out: &mut Vec<Seg>) {
-    let mut pos = 0u64;
-    while pos < len {
-        let abs = offset + pos;
-        let idx = (abs / cs) as usize;
-        let within = (abs % cs) as usize;
-        let take = ((cs - abs % cs).min(len - pos)) as usize;
-        out.push(Seg {
-            idx,
-            within,
-            pos: pos_base + pos as usize,
-            take,
-        });
-        pos += take as u64;
+impl DataPath {
+    fn new(pipelined: bool) -> Self {
+        DataPath {
+            window: if pipelined { usize::MAX } else { 1 },
+            async_evict: pipelined,
+            batched_store: pipelined,
+            ramped_read_ahead: pipelined,
+        }
     }
 }
 
-/// Direction of a pipelined span: fill the caller's buffer from cache, or
-/// apply the caller's data to cache (marking dirty pages).
+/// Direction of a span: fill the caller's buffer from cache, or apply the
+/// caller's data to cache (marking dirty pages).
 enum SpanIo<'a> {
     Read(&'a mut [u8]),
     Write(&'a [u8]),
+}
+
+/// One chunk's `(offset within chunk, bytes)` write-back runs, borrowed
+/// from its cache entry — no intermediate copy.
+type Runs<'a> = Vec<(u64, &'a [u8])>;
+
+/// What a set of cached chunks ships at write-back.
+struct Writeback<'a> {
+    chunks: Vec<(ChunkKey, Runs<'a>)>,
+    bytes: u64,
 }
 
 /// A node's view of the aggregate store. Shared by all processes on the
@@ -193,9 +224,12 @@ pub struct Mount {
     store: AggregateStore,
     node: usize,
     cfg: FuseConfig,
+    path: DataPath,
+    /// Cache capacity in chunks.
+    capacity: usize,
     state: Arc<Mutex<MountState>>,
     /// Client-side chunk-location cache feeding the batched fetch path
-    /// (only consulted when `pipelined_io` is on).
+    /// (only consulted when the policy's store calls are batched).
     loc_cache: LocationCache,
     trace: TraceRecorder,
     read_req_bytes: Counter,
@@ -237,6 +271,8 @@ impl Mount {
             store,
             node,
             cfg,
+            path: DataPath::new(cfg.pipelined_io),
+            capacity,
             state: Arc::new(Mutex::new(MountState {
                 cache,
                 seq: HashMap::new(),
@@ -375,11 +411,11 @@ impl Mount {
         if buf.is_empty() {
             return Ok(t);
         }
-        self.bounds_check(file, offset, buf.len() as u64)?;
-        self.read_req_bytes
-            .add(self.page_rounded(offset, buf.len() as u64));
+        let len = buf.len() as u64;
+        self.store.check_range(file, offset, len)?;
+        self.read_req_bytes.add(self.page_rounded(offset, len));
         let sp = self.trace.span(Layer::Fuse, "fuse.read", t);
-        sp.arg("file", file.0).arg("bytes", buf.len() as u64);
+        sp.arg("file", file.0).arg("bytes", len);
         t += self.cfg.op_overhead;
 
         // Foreground reads give the flusher a chance to clean concurrently
@@ -389,43 +425,18 @@ impl Mount {
             self.kick_bg_flush(&mut st, t);
         }
 
-        let cs = self.chunk_size();
-        if self.cfg.pipelined_io {
-            let mut segs = Vec::new();
-            segments_of(offset, buf.len() as u64, cs, 0, &mut segs);
-            t = self.pipelined_span(t, file, &segs, SpanIo::Read(buf))?;
-        } else {
-            let mut pos = 0usize;
-            while pos < buf.len() {
-                let abs = offset + pos as u64;
-                let idx = (abs / cs) as usize;
-                let within = (abs % cs) as usize;
-                let take = (cs as usize - within).min(buf.len() - pos);
-                t = self.ensure_chunk(t, file, idx)?;
-                {
-                    let mut st = self.state.lock();
-                    let entry = st.cache.peek_mut(&(file, idx)).expect("just ensured");
-                    buf[pos..pos + take].copy_from_slice(&entry.data[within..within + take]);
-                }
-                pos += take;
-            }
-        }
+        let segs = segments(offset, len, self.chunk_size());
+        t = self.span_io(t, file, segs, SpanIo::Read(buf))?;
 
-        // Sequential stream detection → asynchronous read-ahead. In
-        // pipelined mode the depth ramps with the streak (a one-off
-        // continuation prefetches one chunk; a sustained stream earns the
-        // full configured depth); the serial path keeps the fixed depth.
-        let streak = {
-            let mut st = self.state.lock();
-            st.note_read(file, offset, offset + buf.len() as u64)
-        };
+        // Sequential stream detection → asynchronous read-ahead.
+        let streak = self.state.lock().note_read(file, offset, offset + len);
         if streak > 0 && self.cfg.read_ahead_chunks > 0 {
-            let depth = if self.cfg.pipelined_io {
+            let depth = if self.path.ramped_read_ahead {
                 (streak as usize).min(self.cfg.read_ahead_chunks)
             } else {
                 self.cfg.read_ahead_chunks
             };
-            self.read_ahead(t, file, offset + buf.len() as u64, depth)?;
+            self.read_ahead(t, file, offset + len, depth)?;
         }
         self.push_gauges();
         sp.finish(t);
@@ -454,42 +465,25 @@ impl Mount {
         assert!(stride >= run_len, "overlapping strided runs");
         assert_eq!(out.len() as u64, run_len * count, "output size mismatch");
         let last_end = offset + (count - 1) * stride + run_len;
-        self.bounds_check(file, offset, last_end - offset)?;
+        self.store.check_range(file, offset, last_end - offset)?;
         let sp = self.trace.span(Layer::Fuse, "fuse.read_strided", t);
         sp.arg("file", file.0)
             .arg("runs", count)
             .arg("bytes", run_len * count);
         t += self.cfg.op_overhead;
 
-        let cs = self.chunk_size();
-        if self.cfg.pipelined_io {
-            let mut segs = Vec::new();
-            for r in 0..count {
-                let start = offset + r * stride;
-                self.read_req_bytes.add(self.page_rounded(start, run_len));
-                segments_of(start, run_len, cs, (r * run_len) as usize, &mut segs);
-            }
-            t = self.pipelined_span(t, file, &segs, SpanIo::Read(out))?;
-        } else {
-            for r in 0..count {
-                let start = offset + r * stride;
-                self.read_req_bytes.add(self.page_rounded(start, run_len));
-                let out_base = (r * run_len) as usize;
-                let mut pos = 0usize;
-                while (pos as u64) < run_len {
-                    let abs = start + pos as u64;
-                    let idx = (abs / cs) as usize;
-                    let within = (abs % cs) as usize;
-                    let take = (cs as usize - within).min((run_len as usize) - pos);
-                    t = self.ensure_chunk(t, file, idx)?;
-                    let mut st = self.state.lock();
-                    let entry = st.cache.peek_mut(&(file, idx)).expect("just ensured");
-                    out[out_base + pos..out_base + pos + take]
-                        .copy_from_slice(&entry.data[within..within + take]);
-                    pos += take;
-                }
-            }
+        for r in 0..count {
+            self.read_req_bytes
+                .add(self.page_rounded(offset + r * stride, run_len));
         }
+        let cs = self.chunk_size();
+        let segs = (0..count).flat_map(move |r| {
+            segments(offset + r * stride, run_len, cs).map(move |s| Segment {
+                pos: s.pos + (r * run_len) as usize,
+                ..s
+            })
+        });
+        t = self.span_io(t, file, segs, SpanIo::Read(out))?;
         // A strided burst is not a sequential stream — but it must only
         // disturb streams it actually collided with: drop the cursors whose
         // expected next offset falls inside the strided range, and leave
@@ -513,62 +507,35 @@ impl Mount {
         if data.is_empty() {
             return Ok(t);
         }
-        self.bounds_check(file, offset, data.len() as u64)?;
-        self.write_req_bytes
-            .add(self.page_rounded(offset, data.len() as u64));
+        let len = data.len() as u64;
+        self.store.check_range(file, offset, len)?;
+        self.write_req_bytes.add(self.page_rounded(offset, len));
         let sp = self.trace.span(Layer::Fuse, "fuse.write", t);
-        sp.arg("file", file.0).arg("bytes", data.len() as u64);
+        sp.arg("file", file.0).arg("bytes", len);
         t += self.cfg.op_overhead;
 
-        let cs = self.chunk_size();
-        if self.cfg.pipelined_io {
-            let mut segs = Vec::new();
-            segments_of(offset, data.len() as u64, cs, 0, &mut segs);
-            let end = self.pipelined_span(t, file, &segs, SpanIo::Write(data))?;
-            self.push_gauges();
-            sp.finish(end);
-            return Ok(end);
-        }
-        let mut pos = 0usize;
-        while pos < data.len() {
-            let abs = offset + pos as u64;
-            let idx = (abs / cs) as usize;
-            let within = abs % cs;
-            let take = ((cs - within) as usize).min(data.len() - pos);
-            // Read-modify-write: a miss pulls the chunk first (§III-D).
-            t = self.ensure_chunk(t, file, idx)?;
-            {
-                let mut st = self.state.lock();
-                let entry = st.cache.peek_mut(&(file, idx)).expect("just ensured");
-                entry.data[within as usize..within as usize + take]
-                    .copy_from_slice(&data[pos..pos + take]);
-                t = self.note_write(&mut st, t, (file, idx), within, within + take as u64)?;
-            }
-            pos += take;
-        }
+        // Read-modify-write: a miss pulls the chunk first (§III-D).
+        let segs = segments(offset, len, self.chunk_size());
+        t = self.span_io(t, file, segs, SpanIo::Write(data))?;
         self.push_gauges();
         sp.finish(t);
         Ok(t)
     }
 
+    /// The largest span one `read`/`write` call should carry. On the
+    /// paper path callers split at chunk boundaries and yield to the
+    /// engine per piece, so concurrent processes' requests reach shared
+    /// resources in virtual-time order; a batched mount takes the whole
+    /// span at once (`u64::MAX`) and overlaps it below.
+    pub fn span_granule(&self) -> u64 {
+        (self.path.window as u64).saturating_mul(self.chunk_size())
+    }
+
     /// Write back every dirty page of `file`, keeping chunks cached clean.
     /// Used by `ssdcheckpoint()` before chunk linking and by close paths.
-    pub fn flush_file(&self, mut t: VTime, file: FileId) -> Result<VTime> {
+    pub fn flush_file(&self, t: VTime, file: FileId) -> Result<VTime> {
         let keys = { self.state.lock().cache.keys_of_file(file) };
-        let sp = self.trace.span(Layer::Fuse, "fuse.flush", t);
-        sp.arg("file", file.0).arg("chunks", keys.len() as u64);
-        if self.cfg.pipelined_io {
-            let end = self.flush_keys_batched(t, &keys)?;
-            self.push_gauges();
-            sp.finish(end);
-            return Ok(end);
-        }
-        for key in keys {
-            t = self.flush_entry(t, key)?;
-        }
-        self.push_gauges();
-        sp.finish(t);
-        Ok(t)
+        self.flush(t, Some(file), &keys)
     }
 
     /// The dirty cached chunk indices of `file` (for callers that flush
@@ -583,118 +550,133 @@ impl Mount {
             .collect()
     }
 
+    /// The steps an incremental flush of `file` takes, one engine yield
+    /// each: `Some(idx)` is a [`Self::flush_chunk`] — one per dirty chunk
+    /// on the paper path, so concurrent flushers interleave correctly —
+    /// and `None` a whole-file [`Self::flush_file`], the single step of a
+    /// batched mount (overlapped per-benefactor chains under one yield).
+    pub fn flush_steps(&self, file: FileId) -> Vec<Option<usize>> {
+        match self.path.window {
+            1 => self.dirty_chunks_of(file).into_iter().map(Some).collect(),
+            _ => vec![None],
+        }
+    }
+
     /// Write back one chunk's dirty pages.
     pub fn flush_chunk(&self, t: VTime, file: FileId, idx: usize) -> Result<VTime> {
-        self.flush_entry(t, (file, idx))
+        self.flush_keys(t, &[(file, idx)])
     }
 
     /// Write back every dirty chunk of every file on this mount.
-    pub fn flush_all(&self, mut t: VTime) -> Result<VTime> {
+    pub fn flush_all(&self, t: VTime) -> Result<VTime> {
         let keys = { self.state.lock().cache.dirty_keys() };
+        self.flush(t, None, &keys)
+    }
+
+    fn flush(&self, t: VTime, file: Option<FileId>, keys: &[ChunkKey]) -> Result<VTime> {
         let sp = self.trace.span(Layer::Fuse, "fuse.flush", t);
+        if let Some(file) = file {
+            sp.arg("file", file.0);
+        }
         sp.arg("chunks", keys.len() as u64);
-        if self.cfg.pipelined_io {
-            let end = self.flush_keys_batched(t, &keys)?;
-            self.push_gauges();
-            sp.finish(end);
-            return Ok(end);
-        }
-        for key in keys {
-            t = self.flush_entry(t, key)?;
-        }
+        let end = self.flush_keys(t, keys)?;
         self.push_gauges();
-        sp.finish(t);
+        sp.finish(end);
+        Ok(end)
+    }
+
+    /// Write back the dirty chunks among `keys`, a window at a time: each
+    /// window is one `fuse.writeback` shipped by [`Self::ship`] from the
+    /// previous window's completion — per chunk on the paper path, the
+    /// whole set as one batch (one manager RPC, per-benefactor write
+    /// chains overlapped) when pipelined. Slices are borrowed from the
+    /// cache entries under the state lock; the dirty bits are cleared only
+    /// after the store accepts the write, so a failed flush leaves the
+    /// pages dirty for a retry. Returns the last completion (the flush
+    /// barrier).
+    fn flush_keys(&self, mut t: VTime, keys: &[ChunkKey]) -> Result<VTime> {
+        let dirty: Vec<ChunkKey> = {
+            let st = self.state.lock();
+            let is_dirty = |k: &ChunkKey| st.cache.peek(k).is_some_and(|e| e.dirty.any());
+            keys.iter().copied().filter(is_dirty).collect()
+        };
+        for window in dirty.chunks(self.path.window) {
+            {
+                let mut st = self.state.lock();
+                let wb = self.writeback(window.iter().map(|k| {
+                    let e = st.cache.peek(k).expect("collected above");
+                    (*k, e)
+                }));
+                self.writeback_bytes.add(wb.bytes);
+                let sp = self.trace.span(Layer::Fuse, "fuse.writeback", t);
+                sp.arg("bytes", wb.bytes);
+                if self.path.batched_store {
+                    sp.arg("chunks", window.len() as u64);
+                }
+                t = self.ship(t, &wb, self.path.batched_store)?;
+                sp.finish(t);
+                for key in window {
+                    st.cache.clear_dirty(key);
+                }
+            }
+            self.push_gauges();
+        }
         Ok(t)
     }
 
-    /// Write back one chunk's dirty pages, shipping slices borrowed from
-    /// the cache entry under the state lock — no intermediate copy. The
-    /// dirty bits are cleared only after the store accepts the write, so a
-    /// failed flush leaves the pages dirty for a retry.
-    fn flush_entry(&self, t: VTime, key: ChunkKey) -> Result<VTime> {
-        let mut st = self.state.lock();
-        let Some(entry) = st.cache.peek(&key) else {
-            return Ok(t);
-        };
-        if !entry.dirty.any() {
-            return Ok(t);
-        }
-        let runs = entry.dirty.runs(self.page_size());
-        let updates: Vec<(u64, &[u8])> = runs
-            .iter()
-            .map(|&(off, len)| (off, &entry.data[off as usize..(off + len) as usize]))
+    /// The one write-back builder: what `entries` ship — each chunk's
+    /// dirty-page runs (the write optimization of Table VII), or the
+    /// whole chunk when `dirty_page_writeback` is off (the ablation
+    /// baseline). Eviction, flush and the background flusher all ship
+    /// what this returns.
+    fn writeback<'a>(
+        &self,
+        entries: impl Iterator<Item = (ChunkKey, &'a CacheEntry)>,
+    ) -> Writeback<'a> {
+        let ps = self.page_size();
+        let chunks: Vec<(ChunkKey, Runs<'a>)> = entries
+            .map(|(key, e)| {
+                let runs = if self.cfg.dirty_page_writeback {
+                    e.dirty
+                        .runs(ps)
+                        .into_iter()
+                        .map(|(off, len)| (off, &e.data[off as usize..(off + len) as usize]))
+                        .collect()
+                } else {
+                    vec![(0, &e.data[..])]
+                };
+                (key, runs)
+            })
             .collect();
-        let bytes: u64 = updates.iter().map(|(_, d)| d.len() as u64).sum();
-        self.writeback_bytes.add(bytes);
-        let sp = self.trace.span(Layer::Fuse, "fuse.writeback", t);
-        sp.arg("bytes", bytes);
-        let end = self
-            .store
-            .write_pages(t, self.node, key.0, key.1, &updates)?;
-        sp.finish(end);
-        drop(updates);
-        st.cache.clear_dirty(&key);
-        drop(st);
-        self.push_gauges();
-        Ok(end)
+        let bytes = chunks
+            .iter()
+            .flat_map(|(_, runs)| runs)
+            .map(|(_, d)| d.len() as u64)
+            .sum();
+        Writeback { chunks, bytes }
     }
 
-    /// Batched flush (pipelined mode): one manager RPC for the whole set,
-    /// per-benefactor write chains overlapped across benefactors. Slices
-    /// are borrowed from the cache entries under the state lock; dirty
-    /// bits clear only after the store accepts the batch. Returns the
-    /// latest per-entry completion (the flush barrier).
-    fn flush_keys_batched(&self, t: VTime, keys: &[ChunkKey]) -> Result<VTime> {
-        let ps = self.page_size();
-        let mut st = self.state.lock();
-        let dirty: Vec<(ChunkKey, Vec<(u64, u64)>)> = keys
-            .iter()
-            .filter_map(|key| {
-                let e = st.cache.peek(key)?;
-                if e.dirty.any() {
-                    Some((*key, e.dirty.runs(ps)))
-                } else {
-                    None
-                }
-            })
-            .collect();
-        if dirty.is_empty() {
-            return Ok(t);
+    /// Hand `wb` to the store from `t`: as one `write_pages_batch` (one
+    /// manager RPC, per-benefactor chains overlapped) completing when its
+    /// slowest entry does, or as per-chunk `write_pages` calls chained one
+    /// after the other. Returns the completion time.
+    fn ship(&self, t: VTime, wb: &Writeback<'_>, batched: bool) -> Result<VTime> {
+        if batched {
+            let entries: Vec<BatchWrite<'_>> = wb
+                .chunks
+                .iter()
+                .map(|(key, runs)| BatchWrite {
+                    file: key.0,
+                    idx: key.1,
+                    updates: runs,
+                })
+                .collect();
+            let times = self.store.write_pages_batch(t, self.node, &entries)?;
+            return Ok(times.into_iter().fold(t, VTime::max));
         }
-        let updates: Vec<Vec<(u64, &[u8])>> = dirty
-            .iter()
-            .map(|(key, runs)| {
-                let e = st.cache.peek(key).expect("collected above");
-                runs.iter()
-                    .map(|&(off, len)| (off, &e.data[off as usize..(off + len) as usize]))
-                    .collect()
-            })
-            .collect();
-        let entries: Vec<BatchWrite<'_>> = dirty
-            .iter()
-            .zip(&updates)
-            .map(|((key, _), u)| BatchWrite {
-                file: key.0,
-                idx: key.1,
-                updates: u,
-            })
-            .collect();
-        let bytes: u64 = updates.iter().flatten().map(|(_, d)| d.len() as u64).sum();
-        self.writeback_bytes.add(bytes);
-        let sp = self.trace.span(Layer::Fuse, "fuse.writeback", t);
-        sp.arg("bytes", bytes).arg("chunks", dirty.len() as u64);
-        let times = self.store.write_pages_batch(t, self.node, &entries)?;
-        drop(entries);
-        drop(updates);
-        for (key, _) in &dirty {
-            st.cache.clear_dirty(key);
-        }
-        let mut end = t;
-        for tt in times {
-            end = end.max(tt);
-        }
-        sp.finish(end);
-        Ok(end)
+        wb.chunks.iter().try_fold(t, |t, (key, runs)| {
+            self.store.write_pages(t, self.node, key.0, key.1, runs)
+        })
     }
 
     // ----- write-back daemon (DESIGN.md §10) ---------------------------------
@@ -745,59 +727,25 @@ impl Mount {
         }
         let take = dirty.len().saturating_sub(low).max(1).min(dirty.len());
         let batch = &dirty[..take];
+        let wb = self.writeback(batch.iter().map(|key| {
+            let e = st.cache.peek(key).expect("dirty key cached");
+            (*key, e)
+        }));
         // A dirty chunk may itself still be in flight (prefetched, then
         // written): the flush can only start once its data has arrived.
-        let mut start = start;
-        for key in batch {
-            start = start.max(st.cache.peek(key).expect("dirty key cached").ready_at);
-        }
-        let ps = self.page_size();
-        let runs: Vec<Vec<(u64, u64)>> = batch
-            .iter()
-            .map(|key| {
-                let e = st.cache.peek(key).expect("dirty key cached");
-                if self.cfg.dirty_page_writeback {
-                    e.dirty.runs(ps)
-                } else {
-                    vec![(0, e.data.len() as u64)]
-                }
-            })
-            .collect();
-        let updates: Vec<Vec<(u64, &[u8])>> = batch
-            .iter()
-            .zip(&runs)
-            .map(|(key, rs)| {
-                let e = st.cache.peek(key).expect("dirty key cached");
-                rs.iter()
-                    .map(|&(off, len)| (off, &e.data[off as usize..(off + len) as usize]))
-                    .collect()
-            })
-            .collect();
-        let entries: Vec<BatchWrite<'_>> = batch
-            .iter()
-            .zip(&updates)
-            .map(|(key, u)| BatchWrite {
-                file: key.0,
-                idx: key.1,
-                updates: u,
-            })
-            .collect();
-        let bytes: u64 = updates.iter().flatten().map(|(_, d)| d.len() as u64).sum();
+        let start = batch.iter().fold(start, |s, key| {
+            s.max(st.cache.peek(key).expect("dirty key cached").ready_at)
+        });
+        let bytes = wb.bytes;
         let sp = self.trace.span(Layer::Fuse, "fuse.bg_flush", start);
         sp.arg("chunks", batch.len() as u64).arg("bytes", bytes);
-        let times = self.store.write_pages_batch(start, self.node, &entries)?;
-        drop(entries);
-        drop(updates);
+        let end = self.ship(start, &wb, true)?;
         for key in batch {
             st.cache.clear_dirty(key);
         }
         self.bg_flushes.inc();
         self.bg_writeback_bytes.add(bytes);
         self.writeback_bytes.add(bytes);
-        let mut end = start;
-        for tt in times {
-            end = end.max(tt);
-        }
         sp.finish(end);
         Ok(end)
     }
@@ -819,12 +767,12 @@ impl Mount {
         }
     }
 
-    /// The per-write dirty bookkeeping shared by the serial and pipelined
-    /// write paths: throttle the writer while one more dirty chunk would
-    /// break the hard limit (each stall runs a flusher batch and advances
-    /// the writer's clock to its completion — `balance_dirty_pages`), then
-    /// mark the pages dirty, then wake the background flusher. Returns the
-    /// possibly-throttled clock.
+    /// The per-write dirty bookkeeping of the span loop: throttle the
+    /// writer while one more dirty chunk would break the hard limit (each
+    /// stall runs a flusher batch and advances the writer's clock to its
+    /// completion — `balance_dirty_pages`), then mark the pages dirty,
+    /// then wake the background flusher. Returns the possibly-throttled
+    /// clock.
     fn note_write(
         &self,
         st: &mut MountState,
@@ -856,271 +804,71 @@ impl Mount {
 
     // ----- internals ----------------------------------------------------------
 
-    fn bounds_check(&self, file: FileId, offset: u64, len: u64) -> Result<()> {
-        let size = self.store.file_size(file)?;
-        if offset + len > size {
-            return Err(StoreError::OutOfBounds {
-                file,
-                offset,
-                len,
-                size,
-            });
-        }
-        Ok(())
-    }
-
-    /// Make `(file, idx)` resident; returns the time the data is usable.
-    fn ensure_chunk(&self, mut t: VTime, file: FileId, idx: usize) -> Result<VTime> {
-        {
-            let mut st = self.state.lock();
-            if st.cache.is_protected(&(file, idx)) {
-                self.scan_protected_hits.inc();
-            }
-            if let Some(entry) = st.cache.get_mut(&(file, idx)) {
-                self.hits.inc();
-                // Prefetched data may still be in flight.
-                return Ok(t.max(entry.ready_at));
-            }
-        }
-        self.misses.inc();
-        let sp = self.trace.span(Layer::Fuse, "fuse.miss_fill", t);
-        sp.arg("file", file.0).arg("chunks", 1);
-        t = self.make_room(t)?;
-        let (t2, payload) = self.store.fetch_chunk(t, self.node, file, idx)?;
-        sp.finish(t2);
-        let data = match payload {
-            ChunkPayload::Zeros => vec![0u8; self.chunk_size() as usize].into_boxed_slice(),
-            ChunkPayload::Data(d) => d,
-        };
-        let mut st = self.state.lock();
-        st.cache.insert((file, idx), data, t2);
-        Ok(t2)
-    }
-
-    /// The eviction victim under the configured policy: plain LRU, or —
-    /// with the segmented cache — the coldest *clean* entry first, so
-    /// eviction almost never pays a synchronous write-back.
-    fn pick_victim(
-        &self,
-        cache: &mut ChunkCache,
-        exclude: impl FnMut(&ChunkKey) -> bool,
-    ) -> Option<ChunkKey> {
-        if self.cfg.seg_cache {
-            cache.victim_clean_first(exclude)
-        } else {
-            cache.lru_key_excluding(exclude)
-        }
-    }
-
-    /// Evict until one slot is free, writing back dirty pages (or whole
-    /// chunks when the optimization is off).
-    fn make_room(&self, mut t: VTime) -> Result<VTime> {
-        loop {
-            let victim = {
-                let mut st = self.state.lock();
-                if !st.cache.is_full() {
-                    return Ok(t);
-                }
-                self.pick_victim(&mut st.cache, |_| false)
-                    .expect("full cache has a victim")
-            };
-            t = self.evict(t, victim)?;
-        }
-    }
-
-    fn evict(&self, t: VTime, key: ChunkKey) -> Result<VTime> {
-        let entry = {
-            let mut st = self.state.lock();
-            match st.cache.remove(&key) {
-                Some(e) => e,
-                None => return Ok(t),
-            }
-        };
-        self.evictions.inc();
-        if !entry.dirty.any() {
-            self.clean_evictions.inc();
-            return Ok(t);
-        }
-        let updates: Vec<(u64, &[u8])> = if self.cfg.dirty_page_writeback {
-            entry
-                .dirty
-                .runs(self.page_size())
-                .into_iter()
-                .map(|(off, len)| (off, &entry.data[off as usize..(off + len) as usize]))
-                .collect()
-        } else {
-            // Ablation baseline: ship the entire chunk.
-            vec![(0, &entry.data[..])]
-        };
-        let bytes: u64 = updates.iter().map(|(_, d)| d.len() as u64).sum();
-        self.writeback_bytes.add(bytes);
-        let sp = self.trace.span(Layer::Fuse, "fuse.evict", t);
-        sp.arg("bytes", bytes);
-        let end = self
-            .store
-            .write_pages(t, self.node, key.0, key.1, &updates)?;
-        sp.finish(end);
-        Ok(end)
-    }
-
-    /// Asynchronous prefetch of up to `depth` chunks following
-    /// `from_offset`. Charges the store-side resources but not the
-    /// caller's clock; a later hit waits on `ready_at` if the data has not
-    /// "arrived" yet. In pipelined mode the whole prefetch window goes
-    /// through the batched fetch path (one manager RPC, overlapped
-    /// chains) and dirty victims are written back asynchronously; the
-    /// serial path keeps the conservative never-evict-dirty rule.
-    fn read_ahead(&self, t: VTime, file: FileId, from_offset: u64, depth: usize) -> Result<()> {
-        let cs = self.chunk_size();
-        let n_chunks = self.store.chunk_count(file)?;
-        let first = (from_offset / cs) as usize + usize::from(!from_offset.is_multiple_of(cs));
-        let last = (first + depth).min(n_chunks);
-        if first >= last {
-            return Ok(());
-        }
-        if self.cfg.pipelined_io {
-            let (missing, cap) = {
-                let st = self.state.lock();
-                let missing: Vec<usize> = (first..last)
-                    .filter(|&i| !st.cache.contains(&(file, i)))
-                    .collect();
-                (missing, st.cache.capacity())
-            };
-            if missing.is_empty() {
-                return Ok(());
-            }
-            let missing = &missing[..missing.len().min(cap)];
-            let sp = self.trace.span(Layer::Fuse, "fuse.read_ahead", t);
-            sp.arg("file", file.0).arg("chunks", missing.len() as u64);
-            let t0 = self.make_room_n(t, file, missing, missing.len())?;
-            debug_assert_eq!(t0, t); // async write-back: caller clock untouched
-            let targets: Vec<(FileId, usize)> = missing.iter().map(|&i| (file, i)).collect();
-            let results = self
-                .store
-                .fetch_chunks(t, self.node, &targets, Some(&self.loc_cache))?;
-            self.readahead_fetches.add(missing.len() as u64);
-            let mut done = t;
-            let mut st = self.state.lock();
-            for ((ready, payload), &idx) in results.into_iter().zip(missing) {
-                let data = match payload {
-                    ChunkPayload::Zeros => vec![0u8; cs as usize].into_boxed_slice(),
-                    ChunkPayload::Data(d) => d,
-                };
-                done = done.max(ready);
-                st.cache.insert((file, idx), data, ready);
-            }
-            drop(st);
-            sp.finish(done);
-            return Ok(());
-        }
-        for idx in first..last {
-            {
-                let mut st = self.state.lock();
-                if st.cache.contains(&(file, idx)) {
-                    continue;
-                }
-                // Only prefetch into free-or-clean space: prefetching must
-                // never force synchronous dirty write-back.
-                if st.cache.is_full() {
-                    let victim = self.pick_victim(&mut st.cache, |_| false).expect("full");
-                    let dirty = st
-                        .cache
-                        .peek(&victim)
-                        .map(|e| e.dirty.any())
-                        .unwrap_or(false);
-                    if dirty {
-                        return Ok(());
-                    }
-                }
-            }
-            let t0 = self.make_room(t)?; // clean eviction: t unchanged
-            debug_assert_eq!(t0, t);
-            let sp = self.trace.span(Layer::Fuse, "fuse.read_ahead", t);
-            sp.arg("file", file.0).arg("chunks", 1);
-            let (ready, payload) = self.store.fetch_chunk(t, self.node, file, idx)?;
-            sp.finish(ready);
-            self.readahead_fetches.inc();
-            let data = match payload {
-                ChunkPayload::Zeros => vec![0u8; cs as usize].into_boxed_slice(),
-                ChunkPayload::Data(d) => d,
-            };
-            let mut st = self.state.lock();
-            st.cache.insert((file, idx), data, ready);
-        }
-        Ok(())
-    }
-
-    // ----- pipelined data path (DESIGN.md §8) --------------------------------
-
-    /// Run a chunk-segmented span through the batched data path, windowed
-    /// by cache capacity so arbitrarily large spans still fit: ensure each
-    /// window's chunks with one batched fetch, then copy every segment of
-    /// the window under a single lock. Returns the time the last chunk of
-    /// the span is usable.
-    fn pipelined_span(
+    /// Run a chunk-segmented span through the cache, a window at a time:
+    /// make the window's chunks resident, then copy every segment of the
+    /// window under a single lock. A window grows while its segment count
+    /// fits the policy and its unique chunk count fits the cache, so
+    /// arbitrarily large spans still fit. Returns the time the last chunk
+    /// of the span is usable.
+    fn span_io(
         &self,
         mut t: VTime,
         file: FileId,
-        segs: &[Seg],
+        segs: impl Iterator<Item = Segment> + Clone,
         mut io: SpanIo<'_>,
     ) -> Result<VTime> {
-        let cap = { self.state.lock().cache.capacity() };
-        let mut start = 0usize;
-        while start < segs.len() {
-            // Grow the window while its unique chunk count fits the cache.
+        let mut segs = segs.peekable();
+        while segs.peek().is_some() {
             // Segment chunk indices are non-decreasing (byte positions only
-            // move forward), so consecutive dedup counts unique chunks.
-            let mut end = start;
-            let mut idxs: Vec<usize> = Vec::new();
-            while end < segs.len() {
-                let idx = segs[end].idx;
-                if idxs.last() != Some(&idx) {
-                    if idxs.len() == cap {
-                        break;
-                    }
-                    idxs.push(idx);
+            // move forward), so counting index changes counts unique chunks.
+            let window = segs.clone();
+            let (mut n, mut chunks, mut last) = (0usize, 0usize, None);
+            while let Some(s) = segs.next_if(|s| {
+                n < self.path.window && (last == Some(s.idx) || chunks < self.capacity)
+            }) {
+                if last != Some(s.idx) {
+                    chunks += 1;
+                    last = Some(s.idx);
                 }
-                end += 1;
+                n += 1;
             }
-            t = self.ensure_chunks_list(t, file, &idxs)?;
-            {
-                let mut st = self.state.lock();
-                for s in &segs[start..end] {
-                    let entry = st.cache.peek_mut(&(file, s.idx)).expect("just ensured");
-                    match &mut io {
-                        SpanIo::Read(buf) => {
-                            buf[s.pos..s.pos + s.take]
-                                .copy_from_slice(&entry.data[s.within..s.within + s.take]);
-                        }
-                        SpanIo::Write(data) => {
-                            entry.data[s.within..s.within + s.take]
-                                .copy_from_slice(&data[s.pos..s.pos + s.take]);
-                            t = self.note_write(
-                                &mut st,
-                                t,
-                                (file, s.idx),
-                                s.within as u64,
-                                (s.within + s.take) as u64,
-                            )?;
-                        }
+            let window = window.take(n);
+            t = self.ensure(t, file, window.clone().map(|s| s.idx))?;
+            let mut st = self.state.lock();
+            for s in window {
+                let entry = st.cache.peek_mut(&(file, s.idx)).expect("just ensured");
+                match &mut io {
+                    SpanIo::Read(buf) => buf[s.pos..s.pos + s.take]
+                        .copy_from_slice(&entry.data[s.within..s.within + s.take]),
+                    SpanIo::Write(data) => {
+                        entry.data[s.within..s.within + s.take]
+                            .copy_from_slice(&data[s.pos..s.pos + s.take]);
+                        let (from, to) = (s.within as u64, (s.within + s.take) as u64);
+                        t = self.note_write(&mut st, t, (file, s.idx), from, to)?;
                     }
                 }
             }
-            start = end;
         }
         Ok(t)
     }
 
-    /// Make every chunk in `idxs` resident with ONE batched store fetch
-    /// for the misses; returns the time all of them are usable. Hits that
-    /// are still in flight contribute their `ready_at`; the working set
-    /// (`idxs`) is protected from eviction while room is made.
-    fn ensure_chunks_list(&self, t: VTime, file: FileId, idxs: &[usize]) -> Result<VTime> {
+    /// Make every chunk of `idxs` (non-decreasing; repeats are one lookup)
+    /// resident with one [`Self::fetch`] for the misses; returns the time
+    /// all of them are usable. Hits that are still in flight (prefetched)
+    /// contribute their `ready_at`; the working set (`idxs`) is protected
+    /// from eviction while room is made.
+    fn ensure(
+        &self,
+        t: VTime,
+        file: FileId,
+        idxs: impl Iterator<Item = usize> + Clone,
+    ) -> Result<VTime> {
         let mut ready = t;
         let mut missing: Vec<usize> = Vec::new();
         {
             let mut st = self.state.lock();
-            for &idx in idxs {
+            let mut last = None;
+            for idx in idxs.clone().filter(|&i| last.replace(i) != Some(i)) {
                 if st.cache.is_protected(&(file, idx)) {
                     self.scan_protected_hits.inc();
                 }
@@ -1138,17 +886,13 @@ impl Mount {
         self.misses.add(missing.len() as u64);
         let sp = self.trace.span(Layer::Fuse, "fuse.miss_fill", t);
         sp.arg("file", file.0).arg("chunks", missing.len() as u64);
-        let t = self.make_room_n(t, file, idxs, missing.len())?;
-        let targets: Vec<(FileId, usize)> = missing.iter().map(|&i| (file, i)).collect();
-        let results = self
-            .store
-            .fetch_chunks(t, self.node, &targets, Some(&self.loc_cache))?;
+        let t = self.make_room(t, missing.len(), |k| {
+            k.0 == file && idxs.clone().any(|i| i == k.1)
+        })?;
+        let fetched = self.fetch(t, file, &missing)?;
         let mut st = self.state.lock();
-        for ((ready_at, payload), &idx) in results.into_iter().zip(&missing) {
-            let data = match payload {
-                ChunkPayload::Zeros => vec![0u8; self.chunk_size() as usize].into_boxed_slice(),
-                ChunkPayload::Data(d) => d,
-            };
+        for ((ready_at, payload), &idx) in fetched.into_iter().zip(&missing) {
+            let data = payload.into_boxed(self.chunk_size());
             st.cache.insert((file, idx), data, ready_at);
             ready = ready.max(ready_at);
         }
@@ -1157,82 +901,144 @@ impl Mount {
         Ok(ready)
     }
 
-    /// Evict until `need` slots are free, never touching the protected
-    /// working set of `file`. Dirty victims are written back with ONE
-    /// batched store write charged at the time the victims' data is
-    /// available — but the caller's clock is NOT advanced: the write-back
-    /// proceeds in the background while the incoming fetch (whose own
-    /// completion time covers any queueing behind the write on shared
-    /// resources) overlaps it. The reader never blocks on eviction.
-    fn make_room_n(&self, t: VTime, file: FileId, protect: &[usize], need: usize) -> Result<VTime> {
-        let mut dirty_victims: Vec<(ChunkKey, CacheEntry)> = Vec::new();
+    /// Pull chunks `idxs` of `file` from the store at `t`: one batched
+    /// fetch through the location cache, or per-chunk fetches chained one
+    /// after the other. Returns `(usable at, payload)` in input order.
+    fn fetch(&self, t: VTime, file: FileId, idxs: &[usize]) -> Result<Vec<(VTime, ChunkPayload)>> {
+        if self.path.batched_store {
+            let targets: Vec<(FileId, usize)> = idxs.iter().map(|&i| (file, i)).collect();
+            return self
+                .store
+                .fetch_chunks(t, self.node, &targets, Some(&self.loc_cache));
+        }
+        let mut t = t;
+        idxs.iter()
+            .map(|&idx| {
+                let fetched = self.store.fetch_chunk(t, self.node, file, idx)?;
+                t = fetched.0;
+                Ok(fetched)
+            })
+            .collect()
+    }
+
+    /// The eviction victim under the configured policy: plain LRU, or —
+    /// with the segmented cache — the coldest *clean* entry first, so
+    /// eviction almost never pays a synchronous write-back.
+    fn pick_victim(
+        &self,
+        cache: &mut ChunkCache,
+        exclude: impl FnMut(&ChunkKey) -> bool,
+    ) -> Option<ChunkKey> {
+        if self.cfg.seg_cache {
+            cache.victim_clean_first(exclude)
+        } else {
+            cache.lru_key_excluding(exclude)
+        }
+    }
+
+    /// Evict until `need` slots are free, never touching the working set
+    /// `protect` matches, and write back the dirty victims' pages (or
+    /// whole chunks when the optimization is off). Synchronously, the
+    /// write starts at `t` and the returned time is its completion.
+    /// Asynchronously, it is charged from the time the victims' own data
+    /// is available but the caller's clock is NOT advanced: the
+    /// write-back proceeds in the background while the incoming fetch
+    /// (whose own completion time covers any queueing behind the write on
+    /// shared resources) overlaps it, and the reader never blocks on
+    /// eviction.
+    fn make_room(
+        &self,
+        t: VTime,
+        need: usize,
+        protect: impl Fn(&ChunkKey) -> bool,
+    ) -> Result<VTime> {
+        let mut dirty: Vec<(ChunkKey, CacheEntry)> = Vec::new();
         {
             let mut st = self.state.lock();
             while st.cache.capacity() - st.cache.len() < need {
                 let victim = self
-                    .pick_victim(&mut st.cache, |k| k.0 == file && protect.contains(&k.1))
+                    .pick_victim(&mut st.cache, &protect)
                     .expect("window sized within cache capacity");
                 let entry = st.cache.remove(&victim).expect("victim is cached");
                 self.evictions.inc();
                 if entry.dirty.any() {
-                    dirty_victims.push((victim, entry));
+                    dirty.push((victim, entry));
                 } else {
                     self.clean_evictions.inc();
                 }
             }
         }
-        if dirty_victims.is_empty() {
+        if dirty.is_empty() {
             return Ok(t);
+        }
+        let wb = self.writeback(dirty.iter().map(|(key, e)| (*key, e)));
+        self.writeback_bytes.add(wb.bytes);
+        if !self.path.async_evict {
+            let sp = self.trace.span(Layer::Fuse, "fuse.evict", t);
+            sp.arg("bytes", wb.bytes);
+            let end = self.ship(t, &wb, self.path.batched_store)?;
+            sp.finish(end);
+            return Ok(end);
         }
         // The write-back can only start once the victims' own data has
         // arrived (a dirty chunk may itself still be in flight).
-        let mut start = t;
-        for (_, e) in &dirty_victims {
-            start = start.max(e.ready_at);
-        }
-        let ps = self.page_size();
-        let runs: Vec<Vec<(u64, u64)>> = dirty_victims
-            .iter()
-            .map(|(_, e)| {
-                if self.cfg.dirty_page_writeback {
-                    e.dirty.runs(ps)
-                } else {
-                    vec![(0, e.data.len() as u64)]
-                }
-            })
-            .collect();
-        let updates: Vec<Vec<(u64, &[u8])>> = dirty_victims
-            .iter()
-            .zip(&runs)
-            .map(|((_, e), rs)| {
-                rs.iter()
-                    .map(|&(off, len)| (off, &e.data[off as usize..(off + len) as usize]))
-                    .collect()
-            })
-            .collect();
-        let entries: Vec<BatchWrite<'_>> = dirty_victims
-            .iter()
-            .zip(&updates)
-            .map(|((key, _), u)| BatchWrite {
-                file: key.0,
-                idx: key.1,
-                updates: u,
-            })
-            .collect();
-        let bytes: u64 = updates.iter().flatten().map(|(_, d)| d.len() as u64).sum();
-        self.writeback_bytes.add(bytes);
-        self.async_writebacks.add(dirty_victims.len() as u64);
+        let start = dirty.iter().fold(t, |s, (_, e)| s.max(e.ready_at));
+        self.async_writebacks.add(dirty.len() as u64);
         let sp = self.trace.span(Layer::Fuse, "fuse.async_writeback", start);
-        sp.arg("bytes", bytes)
-            .arg("chunks", dirty_victims.len() as u64);
-        // Completion times intentionally dropped (asynchronous write-back);
-        // the span still records when the background writes land.
-        let times = self.store.write_pages_batch(start, self.node, &entries)?;
-        let mut done = start;
-        for tt in times {
-            done = done.max(tt);
-        }
+        sp.arg("bytes", wb.bytes).arg("chunks", dirty.len() as u64);
+        // The completion time is dropped (asynchronous write-back); the
+        // span still records when the background writes land.
+        let done = self.ship(start, &wb, self.path.batched_store)?;
         sp.finish(done);
         Ok(t)
+    }
+
+    /// Asynchronous prefetch of up to `depth` chunks following
+    /// `from_offset`, a window of uncached chunks at a time. Charges the
+    /// store-side resources but not the caller's clock; a later hit waits
+    /// on `ready_at` if the data has not "arrived" yet.
+    fn read_ahead(&self, t: VTime, file: FileId, from_offset: u64, depth: usize) -> Result<()> {
+        let cs = self.chunk_size();
+        let n_chunks = self.store.chunk_count(file)?;
+        let mut next = (from_offset / cs) as usize + usize::from(!from_offset.is_multiple_of(cs));
+        let last = (next + depth).min(n_chunks);
+        while next < last {
+            let mut missing: Vec<usize> = Vec::new();
+            {
+                let mut st = self.state.lock();
+                while next < last && missing.len() < self.path.window.min(self.capacity) {
+                    if !st.cache.contains(&(file, next)) {
+                        missing.push(next);
+                    }
+                    next += 1;
+                }
+                if missing.is_empty() {
+                    return Ok(());
+                }
+                // Only prefetch into free-or-clean space: prefetching must
+                // never force synchronous dirty write-back.
+                if !self.path.async_evict && st.cache.is_full() {
+                    let victim = self.pick_victim(&mut st.cache, |_| false).expect("full");
+                    if st.cache.peek(&victim).is_some_and(|e| e.dirty.any()) {
+                        return Ok(());
+                    }
+                }
+            }
+            let sp = self.trace.span(Layer::Fuse, "fuse.read_ahead", t);
+            sp.arg("file", file.0).arg("chunks", missing.len() as u64);
+            let t0 = self.make_room(t, missing.len(), |k| k.0 == file && missing.contains(&k.1))?;
+            debug_assert_eq!(t0, t); // clean or asynchronous eviction: caller clock untouched
+            let fetched = self.fetch(t, file, &missing)?;
+            self.readahead_fetches.add(missing.len() as u64);
+            let mut done = t;
+            let mut st = self.state.lock();
+            for ((ready, payload), &idx) in fetched.into_iter().zip(&missing) {
+                done = done.max(ready);
+                st.cache.insert((file, idx), payload.into_boxed(cs), ready);
+            }
+            drop(st);
+            sp.finish(done);
+        }
+        Ok(())
     }
 }

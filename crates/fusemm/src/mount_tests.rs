@@ -353,3 +353,178 @@ fn local_benefactor_faster_than_remote() {
         "remote {t_remote} should exceed local {t_local}"
     );
 }
+
+// ----- one data path, two policies (DESIGN.md §8) ----------------------------
+
+fn pipelined(cfg: FuseConfig) -> FuseConfig {
+    FuseConfig {
+        pipelined_io: true,
+        ..cfg
+    }
+}
+
+#[test]
+fn flush_ships_whole_chunks_without_the_write_optimization() {
+    // Table VII's "w/o optimization" run: with `dirty_page_writeback` off
+    // a flush ships the whole chunk, exactly as eviction does — in both
+    // policies (flush used to ship dirty-page runs regardless).
+    for cfg in [small_cache(), pipelined(small_cache())] {
+        let (m, stats) = world(FuseConfig {
+            dirty_page_writeback: false,
+            ..cfg
+        });
+        let f = mk_file(&m, "/v", 2 * CHUNK);
+        let t = m.write(VTime::ZERO, f, 0, &vec![1u8; 4096]).unwrap();
+        m.flush_file(t, f).unwrap();
+        assert_eq!(stats.get("fuse.writeback_bytes"), CHUNK);
+        assert_eq!(stats.get("store.bytes_from_clients"), CHUNK);
+    }
+}
+
+#[test]
+fn paper_window_is_one_segment_not_one_chunk() {
+    // 16 strided runs inside one cached chunk: the paper path looks the
+    // chunk up once per run (16 hits); the pipelined window covers all 16
+    // segments with one lookup.
+    for (cfg, lookups) in [(small_cache(), 16), (pipelined(small_cache()), 1)] {
+        let (m, stats) = world(cfg);
+        let f = mk_file(&m, "/v", 2 * CHUNK);
+        let data: Vec<u8> = (0..CHUNK as usize).map(|i| (i % 253) as u8).collect();
+        let t = m.write(VTime::ZERO, f, 0, &data).unwrap();
+        let (hits, misses) = (stats.get("fuse.hits"), stats.get("fuse.misses"));
+        let mut out = vec![0u8; 16 * 64];
+        m.read_strided(t, f, 100, 64, 8192, 16, &mut out).unwrap();
+        assert_eq!(stats.get("fuse.hits") - hits, lookups);
+        assert_eq!(stats.get("fuse.misses"), misses);
+        for r in 0..16 {
+            let at = 100 + r * 8192;
+            assert_eq!(out[r * 64..(r + 1) * 64], data[at..at + 64]);
+        }
+    }
+}
+
+#[test]
+fn paper_span_larger_than_the_cache_walks_it_chunk_by_chunk() {
+    // A 4-chunk span through a 2-chunk cache on the paper path: four
+    // single-chunk miss fills, each evicting (and synchronously writing
+    // back) the chunk two behind it, and every byte survives.
+    let (m, stats) = world(small_cache());
+    let f = mk_file(&m, "/v", 4 * CHUNK);
+    let data: Vec<u8> = (0..(4 * CHUNK) as usize - 200)
+        .map(|i| (i % 241) as u8)
+        .collect();
+    let t = m.write(VTime::ZERO, f, 100, &data).unwrap();
+    assert_eq!(stats.get("fuse.misses"), 4);
+    assert_eq!(stats.get("fuse.evictions"), 2);
+    assert_eq!(stats.get("fuse.async_writebacks"), 0);
+    assert_eq!(stats.get("store.batched_fetches"), 0);
+    assert_eq!(stats.get("store.batched_writes"), 0);
+    let mut out = vec![0u8; data.len()];
+    m.read(t, f, 100, &mut out).unwrap();
+    assert_eq!(out, data);
+    assert_eq!(stats.get("fuse.misses"), 8);
+}
+
+mod oracle {
+    use super::*;
+    use proptest::prelude::*;
+
+    const FILE: u64 = 6 * CHUNK;
+
+    #[derive(Clone, Debug)]
+    enum Op {
+        Read {
+            at: u64,
+            len: u64,
+        },
+        Strided {
+            at: u64,
+            run: u64,
+            stride: u64,
+            count: u64,
+        },
+        Write {
+            at: u64,
+            len: u64,
+            tag: u8,
+        },
+        Flush,
+    }
+
+    /// A non-empty span of up to three chunks inside the file.
+    fn span() -> impl Strategy<Value = (u64, u64)> {
+        (0..FILE - 1, 1..3 * CHUNK).prop_map(|(at, len)| (at, len.min(FILE - at)))
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            span().prop_map(|(at, len)| Op::Read { at, len }),
+            (span(), any::<u8>()).prop_map(|((at, len), tag)| Op::Write { at, len, tag }),
+            (0..FILE / 2, 1..600u64, 0..CHUNK, 1..40u64).prop_map(|(at, run, gap, count)| {
+                // Clamp the burst inside the file.
+                let stride = run + gap;
+                let count = count.min((FILE - at - run) / stride + 1);
+                Op::Strided {
+                    at,
+                    run,
+                    stride,
+                    count,
+                }
+            }),
+            Just(Op::Flush),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+        /// Random `read`/`read_strided`/`write`/`flush_file` sequences
+        /// through a paper mount and a pipelined mount (3-chunk caches, so
+        /// windows split and evictions fire) return exactly the bytes of a
+        /// flat in-memory oracle — and a cold mount reads the same bytes
+        /// back from the store after a final flush.
+        #[test]
+        fn both_policies_match_a_flat_oracle(ops in proptest::collection::vec(op(), 1..24)) {
+            let base = FuseConfig { cache_bytes: 3 * CHUNK, read_ahead_chunks: 2, ..FuseConfig::default() };
+            for cfg in [base, pipelined(base)] {
+                let (m, stats) = world(cfg);
+                let f = mk_file(&m, "/v", FILE);
+                let mut flat = vec![0u8; FILE as usize];
+                let mut t = VTime::ZERO;
+                for op in &ops {
+                    match *op {
+                        Op::Read { at, len } => {
+                            let mut out = vec![0xAAu8; len as usize];
+                            t = m.read(t, f, at, &mut out).unwrap();
+                            prop_assert_eq!(&out[..], &flat[at as usize..(at + len) as usize]);
+                        }
+                        Op::Strided { at, run, stride, count } => {
+                            let mut out = vec![0xAAu8; (run * count) as usize];
+                            t = m.read_strided(t, f, at, run, stride, count, &mut out).unwrap();
+                            for r in 0..count {
+                                let src = (at + r * stride) as usize;
+                                let dst = (r * run) as usize;
+                                prop_assert_eq!(
+                                    &out[dst..dst + run as usize],
+                                    &flat[src..src + run as usize]
+                                );
+                            }
+                        }
+                        Op::Write { at, len, tag } => {
+                            let data: Vec<u8> = (0..len).map(|i| tag ^ i as u8).collect();
+                            t = m.write(t, f, at, &data).unwrap();
+                            flat[at as usize..(at + len) as usize].copy_from_slice(&data);
+                        }
+                        Op::Flush => t = m.flush_file(t, f).unwrap(),
+                    }
+                }
+                t = m.flush_all(t).unwrap();
+                prop_assert_eq!(m.dirty_chunk_count(), 0);
+                let cold = Mount::new(m.store().clone(), 2, cfg, &stats);
+                let mut back = vec![0u8; FILE as usize];
+                cold.read(t, f, 0, &mut back).unwrap();
+                prop_assert_eq!(back, flat);
+            }
+        }
+    }
+}

@@ -8,7 +8,7 @@
 //! clock.
 
 use crate::pod::{bytes_of, bytes_of_mut, Pod};
-use chunkstore::{FileId, Result};
+use chunkstore::{segments, FileId, Result};
 use fusemm::Mount;
 use obs::Layer;
 use simcore::{Counter, ProcCtx, VTime};
@@ -93,25 +93,27 @@ impl<T: Pod> NvmVec<T> {
         self.write_slice(ctx, i, &[value])
     }
 
-    /// Iterate chunk-aligned byte segments of `[byte_start, byte_start+len)`.
-    /// Large slice accesses are split at chunk boundaries with an engine
-    /// yield per segment, so concurrent processes' requests reach shared
-    /// resources in virtual-time order (one huge atomic charge would
-    /// reserve far-future device slots ahead of other ranks' earlier
-    /// accesses).
+    /// Run `f(now, absolute offset, buffer position, length)` over the
+    /// pieces of `[byte_start, byte_start+len)`, one engine yield each, and
+    /// advance the clock to each piece's completion. The mount sets the
+    /// granule. On the paper path it is one chunk: large slice accesses
+    /// are split at chunk boundaries so concurrent processes' requests
+    /// reach shared resources in virtual-time order (one huge atomic
+    /// charge would reserve far-future device slots ahead of other ranks'
+    /// earlier accesses). A pipelined mount (DESIGN.md §8) takes the whole
+    /// span as one batched call — a single yield, one manager RPC for the
+    /// misses, per-benefactor chains overlapped below.
     fn for_each_segment(
         &self,
+        ctx: &mut ProcCtx,
         byte_start: u64,
         len: u64,
-        mut f: impl FnMut(u64, usize, usize) -> Result<()>,
+        mut f: impl FnMut(VTime, u64, usize, usize) -> Result<VTime>,
     ) -> Result<()> {
-        let chunk = self.mount.store().config().chunk_size;
-        let mut pos = 0u64;
-        while pos < len {
-            let abs = byte_start + pos;
-            let take = (chunk - abs % chunk).min(len - pos);
-            f(abs, pos as usize, take as usize)?;
-            pos += take;
+        for s in segments(byte_start, len, self.mount.span_granule()) {
+            ctx.yield_until_min();
+            let t = f(ctx.now(), byte_start + s.pos as u64, s.pos, s.take)?;
+            ctx.advance_to(t);
         }
         Ok(())
     }
@@ -128,23 +130,9 @@ impl<T: Pod> NvmVec<T> {
         let byte_start = start as u64 * Self::elem_size();
         let sp = self.mount.tracer().span(Layer::Nvm, "nvm.read", ctx.now());
         sp.arg("file", self.file.0).arg("bytes", bytes.len() as u64);
-        if self.mount.config().pipelined_io {
-            // Pipelined data path (DESIGN.md §8): issue the whole span as
-            // one batched mount call — a single yield, one manager RPC for
-            // the misses, per-benefactor chains overlapped below.
-            ctx.yield_until_min();
-            let t = self.mount.read(ctx.now(), self.file, byte_start, bytes)?;
-            ctx.advance_to(t);
-            sp.finish(t);
-            return Ok(());
-        }
-        self.for_each_segment(byte_start, bytes.len() as u64, |abs, pos, take| {
-            ctx.yield_until_min();
-            let t = self
-                .mount
-                .read(ctx.now(), self.file, abs, &mut bytes[pos..pos + take])?;
-            ctx.advance_to(t);
-            Ok(())
+        self.for_each_segment(ctx, byte_start, bytes.len() as u64, |t, abs, pos, take| {
+            self.mount
+                .read(t, self.file, abs, &mut bytes[pos..pos + take])
         })?;
         sp.finish(ctx.now());
         Ok(())
@@ -203,43 +191,27 @@ impl<T: Pod> NvmVec<T> {
         let byte_start = start as u64 * Self::elem_size();
         let sp = self.mount.tracer().span(Layer::Nvm, "nvm.write", ctx.now());
         sp.arg("file", self.file.0).arg("bytes", bytes.len() as u64);
-        if self.mount.config().pipelined_io {
-            ctx.yield_until_min();
-            let t = self.mount.write(ctx.now(), self.file, byte_start, bytes)?;
-            ctx.advance_to(t);
-            sp.finish(t);
-            return Ok(());
-        }
-        self.for_each_segment(byte_start, bytes.len() as u64, |abs, pos, take| {
-            ctx.yield_until_min();
-            let t = self
-                .mount
-                .write(ctx.now(), self.file, abs, &bytes[pos..pos + take])?;
-            ctx.advance_to(t);
-            Ok(())
+        self.for_each_segment(ctx, byte_start, bytes.len() as u64, |t, abs, pos, take| {
+            self.mount.write(t, self.file, abs, &bytes[pos..pos + take])
         })?;
         sp.finish(ctx.now());
         Ok(())
     }
 
     /// Push all dirty cached pages of this variable to the store (used by
-    /// checkpointing and before hand-off to other nodes). Flushes one
-    /// chunk per engine yield so concurrent flushers interleave correctly;
-    /// in pipelined mode the whole file flushes as one batched write
-    /// (overlapped per-benefactor chains) under a single yield.
+    /// checkpointing and before hand-off to other nodes), one engine yield
+    /// per step of the mount's flush plan: a chunk at a time on the paper
+    /// path so concurrent flushers interleave correctly, the whole file
+    /// as one batched write when pipelined.
     pub fn flush(&self, ctx: &mut ProcCtx) -> Result<()> {
         let sp = self.mount.tracer().span(Layer::Nvm, "nvm.flush", ctx.now());
         sp.arg("file", self.file.0);
-        if self.mount.config().pipelined_io {
+        for step in self.mount.flush_steps(self.file) {
             ctx.yield_until_min();
-            let t = self.mount.flush_file(ctx.now(), self.file)?;
-            ctx.advance_to(t);
-            sp.finish(t);
-            return Ok(());
-        }
-        for idx in self.mount.dirty_chunks_of(self.file) {
-            ctx.yield_until_min();
-            let t = self.mount.flush_chunk(ctx.now(), self.file, idx)?;
+            let t = match step {
+                Some(idx) => self.mount.flush_chunk(ctx.now(), self.file, idx)?,
+                None => self.mount.flush_file(ctx.now(), self.file)?,
+            };
             ctx.advance_to(t);
         }
         sp.finish(ctx.now());

@@ -5,6 +5,15 @@
 #
 #   scripts/check.sh          # fmt + clippy + full workspace test suite
 #   scripts/check.sh --quick  # skip clippy (fmt + tests only)
+#
+# A PR that claims "no behaviour change" additionally runs
+#
+#   scripts/vt_identity.sh [base-ref]   # default HEAD~1
+#
+# which replays the two-clock benchmark (examples/benchmark --all) at the
+# base commit and at the working tree and fails on any virtual-clock row
+# that moved. It is not part of this gate: it takes minutes, and a PR that
+# means to move virtual time must be allowed through here.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
