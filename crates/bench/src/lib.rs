@@ -285,19 +285,10 @@ impl Json {
         self
     }
 
-    fn escape(s: &str, out: &mut String) {
+    /// `s` as a quoted JSON string literal (the one escaper: `obs::json`).
+    fn quote(s: &str, out: &mut String) {
         out.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\t' => out.push_str("\\t"),
-                '\r' => out.push_str("\\r"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
+        obs::json::escape_into(out, s);
         out.push('"');
     }
 
@@ -313,7 +304,7 @@ impl Json {
             // per build but uglier to diff; 6 decimals is plenty for
             // virtual times (micro precision at second scale).
             Json::Num(x) => out.push_str(&format!("{x:.6}")),
-            Json::Str(s) => Json::escape(s, out),
+            Json::Str(s) => Json::quote(s, out),
             Json::Arr(items) => {
                 if items.is_empty() {
                     out.push_str("[]");
@@ -336,7 +327,7 @@ impl Json {
                 out.push_str("{\n");
                 for (i, (k, v)) in fields.iter().enumerate() {
                     out.push_str(&pad1);
-                    Json::escape(k, out);
+                    Json::quote(k, out);
                     out.push_str(": ");
                     v.render_into(out, indent + 1);
                     out.push_str(if i + 1 < fields.len() { ",\n" } else { "\n" });

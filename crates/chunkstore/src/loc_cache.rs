@@ -26,11 +26,11 @@ use std::sync::Arc;
 pub(crate) enum CachedLoc {
     /// The slot was a hole / unmaterialized: reads materialize zeros.
     Zeros,
-    /// A materialized chunk and its authoritative home list (benefactor
-    /// id + cluster node), in manager preference order.
+    /// A materialized chunk and its authoritative home list, in manager
+    /// preference order.
     Chunk {
         chunk: ChunkId,
-        homes: Vec<(BenefactorId, usize)>,
+        homes: Vec<BenefactorId>,
     },
 }
 

@@ -1,0 +1,473 @@
+//! The read data plane: serial and batched chunk fetches over one
+//! failover / verify / reconstruct retry loop (DESIGN.md §7, §8, §11, §15).
+
+use super::meta::MgrOp;
+use super::{copies, AggregateStore, ChunkPayload, RETRY_BACKOFF, RPC_BYTES};
+use crate::crc::crc64;
+use crate::error::{Result, StoreError};
+use crate::ids::{BenefactorId, ChunkId, FileId};
+use crate::loc_cache::{CachedLoc, LocationCache};
+use crate::manager::{FileMeta, GroupRef, Manager, Slot};
+use crate::segments::segments;
+use obs::{Layer, SpanGuard};
+use simcore::VTime;
+
+/// What `fetch_verified` hands back: the verified bytes plus the copy
+/// they came from, for span labelling and degraded accounting.
+struct FetchOutcome {
+    end: VTime,
+    data: Box<[u8]>,
+    home: BenefactorId,
+    node: usize,
+    degraded: bool,
+}
+
+impl AggregateStore {
+    /// Fetch chunk `idx` of `file` to `client_node`.
+    ///
+    /// Cost model (paper §III-D): a manager RPC resolves the chunk to a
+    /// benefactor, then the client pulls the chunk directly from that
+    /// benefactor — request message, SSD read, data transfer back.
+    ///
+    /// With replication, the replica list is scanned in order and the
+    /// read fails over to the first copy that is alive and reachable
+    /// (counted in `store.failovers` / `store.degraded_reads`). When no
+    /// copy is serviceable the read backs off `RETRY_BACKOFF` of virtual
+    /// time, re-polls the fault plan (a scheduled recovery may land in
+    /// between) and retries up to `fetch_retries` times before failing
+    /// with [`StoreError::BenefactorDown`] for the primary copy.
+    pub fn fetch_chunk(
+        &self,
+        t: VTime,
+        client_node: usize,
+        file: FileId,
+        idx: usize,
+    ) -> Result<(VTime, ChunkPayload)> {
+        self.poll_faults(t);
+        let sp = self.trace.span(Layer::Store, "store.chunk_fetch", t);
+        sp.arg("file", file.0).arg("idx", idx as u64);
+        let t = self.slot_rpc(t, client_node, file, idx, MgrOp::Fetch)?;
+        self.chunk_fetches.inc();
+        let slot = self.slot_in(&self.mgr.lock(), file, idx)?.slots[idx];
+        match slot {
+            // Hole: the manager's reply says "no data"; zeros are
+            // materialized client-side for free.
+            Slot::Unmaterialized | Slot::Hole => {
+                self.zero_fills.inc();
+                sp.finish(t);
+                Ok((t, ChunkPayload::Zeros))
+            }
+            Slot::Chunk(c) => self.fetch_spanned(sp, t, client_node, c, false),
+        }
+    }
+
+    /// The file owning slot `idx`, or `OutOfBounds` past its last chunk.
+    pub(super) fn slot_in<'m>(
+        &self,
+        mgr: &'m Manager,
+        file: FileId,
+        idx: usize,
+    ) -> Result<&'m FileMeta> {
+        let meta = mgr.file(file)?;
+        if idx >= meta.slots.len() {
+            return Err(StoreError::OutOfBounds {
+                file,
+                offset: idx as u64 * self.cfg.chunk_size,
+                len: self.cfg.chunk_size,
+                size: meta.size,
+            });
+        }
+        Ok(meta)
+    }
+
+    /// Pull chunk `c` through [`Self::fetch_verified`] from `t` and close
+    /// `sp` — the entry's `store.chunk_fetch` span — over the outcome.
+    fn fetch_spanned(
+        &self,
+        sp: SpanGuard,
+        t: VTime,
+        client_node: usize,
+        c: ChunkId,
+        degraded: bool,
+    ) -> Result<(VTime, ChunkPayload)> {
+        let out = self.fetch_verified(t, client_node, c, degraded)?;
+        sp.arg("benefactor", out.home.0 as u64)
+            .arg("node", out.node as u64);
+        if out.degraded {
+            sp.arg("degraded", 1);
+        }
+        sp.finish(out.end);
+        Ok((out.end, ChunkPayload::Data(out.data)))
+    }
+
+    /// One chunk pull: request message to the benefactor, SSD read there,
+    /// chunk shipped back. Returns the response arrival and the bytes.
+    fn pull_chunk(
+        &self,
+        t: VTime,
+        client_node: usize,
+        home: BenefactorId,
+        c: ChunkId,
+    ) -> (VTime, Box<[u8]>) {
+        let mgr = self.mgr.lock();
+        let node = mgr.benefactor(home).node;
+        let req = self.net.transfer_at(t, client_node, node, RPC_BYTES);
+        let (grant, data) = mgr.benefactor(home).read_chunk(req.arrived, c);
+        let resp = self
+            .net
+            .transfer_at(grant.end, node, client_node, self.cfg.chunk_size);
+        self.bytes_to_clients.add(self.cfg.chunk_size);
+        (resp.arrived, data)
+    }
+
+    /// The replica-scan / failover / backoff retry loop shared by the
+    /// serial and batched fetch paths. `t` is when the caller is ready to
+    /// issue the first benefactor request (post-resolution).
+    ///
+    /// Every attempt rescans the replica list: writes may have re-homed
+    /// the chunk and recoveries may have revived a copy. With
+    /// `verify_reads` set, arrived bytes are checked against the
+    /// manager's CRC64; a mismatching copy is counted, dropped
+    /// (`copies::drop_bad_copy`) and the scan continues from the moment
+    /// the bad bytes arrived. When no serviceable copy is left the read
+    /// backs off `RETRY_BACKOFF`, re-polls the fault plan and retries up
+    /// to `fetch_retries` times; the final error is
+    /// [`StoreError::ChunkCorrupt`] if any copy failed verification,
+    /// [`StoreError::BenefactorDown`] otherwise. With verification off,
+    /// timing and counters are identical to the pre-integrity retry loop.
+    ///
+    /// `degraded` marks a read the caller already knows is degraded (the
+    /// batched path's non-primary picks) so `store.failovers` /
+    /// `store.degraded_reads` count it even at rank 0.
+    fn fetch_verified(
+        &self,
+        mut t: VTime,
+        client_node: usize,
+        c: ChunkId,
+        degraded: bool,
+    ) -> Result<FetchOutcome> {
+        let mut attempts = 0;
+        let mut known_bad: Vec<BenefactorId> = Vec::new();
+        loop {
+            let pick = {
+                let mgr = self.mgr.lock();
+                let homes = mgr.chunk_homes(c).expect("chunk without home");
+                self.serviceable(&mgr, client_node, homes.iter().copied(), &known_bad)
+                    .map(|(rank, h)| (rank, h, mgr.benefactor(h).node))
+                    .ok_or(homes[0])
+            };
+            match pick {
+                Ok((rank, home, home_node)) => {
+                    let (arrived, data) = self.pull_chunk(t, client_node, home, c);
+                    if self.cfg.verify_reads {
+                        let expected = self.mgr.lock().chunk_crc(c).expect("chunk without crc");
+                        if crc64(&data) != expected {
+                            self.stats.counter("store.crc_mismatches").inc();
+                            self.trace.instant(
+                                Layer::Store,
+                                format!("store.crc_mismatch c={} b={}", c.0, home.0),
+                                arrived,
+                            );
+                            copies::drop_bad_copy(&mut self.mgr.lock(), c, home);
+                            known_bad.push(home);
+                            t = arrived;
+                            continue;
+                        }
+                    }
+                    let was_degraded =
+                        degraded || rank > 0 || attempts > 0 || !known_bad.is_empty();
+                    if was_degraded {
+                        self.failovers.inc();
+                        self.degraded_reads.inc();
+                    }
+                    return Ok(FetchOutcome {
+                        end: arrived,
+                        data,
+                        home,
+                        node: home_node,
+                        degraded: was_degraded,
+                    });
+                }
+                Err(primary) => {
+                    // An erasure-coded member with no serviceable copy is
+                    // reconstructed from its group's survivors right here
+                    // in the retry loop — reconstruction *is* the
+                    // failover (DESIGN.md §15). Only if too few members
+                    // survive does the read fall back to backing off (a
+                    // scheduled recovery may revive a survivor) and
+                    // finally report `InsufficientSurvivors`.
+                    let gref = self.mgr.lock().group_of_chunk(c);
+                    if let Some(gref) = gref {
+                        match self.reconstruct_member(t, client_node, gref, c) {
+                            Ok(out) => return Ok(out),
+                            Err(e) => {
+                                if attempts >= self.cfg.fetch_retries {
+                                    return Err(e);
+                                }
+                            }
+                        }
+                    } else if attempts >= self.cfg.fetch_retries {
+                        return Err(match known_bad.last() {
+                            Some(&b) => StoreError::ChunkCorrupt {
+                                chunk: c,
+                                benefactor: b,
+                            },
+                            None => StoreError::BenefactorDown(primary),
+                        });
+                    }
+                    attempts += 1;
+                    t += RETRY_BACKOFF;
+                    self.poll_faults(t);
+                }
+            }
+        }
+    }
+
+    /// The first of `homes` a read from `client_node` can be served by:
+    /// alive, reachable and not in `skip` (copies that already failed
+    /// verification), with its rank in the list.
+    fn serviceable(
+        &self,
+        mgr: &Manager,
+        client_node: usize,
+        homes: impl IntoIterator<Item = BenefactorId>,
+        skip: &[BenefactorId],
+    ) -> Option<(usize, BenefactorId)> {
+        copies::first_live(mgr, homes, |h| {
+            !skip.contains(&h) && self.net.reachable(mgr.benefactor(h).node, client_node)
+        })
+    }
+
+    /// Serve a read of group member `gref.member` (chunk `lost`) by
+    /// pulling any `k` surviving members to the client and decoding
+    /// (DESIGN.md §15). The `k` survivor reads run concurrently — the
+    /// group invariant puts every member on a distinct benefactor — so
+    /// degraded-read latency is one chunk fetch plus the client's fan-in,
+    /// not `k` serial fetches. The decoded bytes are verified against the
+    /// lost chunk's recorded CRC before they are served.
+    fn reconstruct_member(
+        &self,
+        t: VTime,
+        client_node: usize,
+        gref: GroupRef,
+        lost: ChunkId,
+    ) -> Result<FetchOutcome> {
+        let (survivors, primary, primary_node, expected) = {
+            let mgr = self.mgr.lock();
+            let survivors = copies::survivors_for(&mgr, gref)?;
+            let primary = mgr.chunk_home(lost).expect("chunk without home");
+            let expected = mgr.chunk_crc(lost).expect("chunk without crc");
+            (survivors, primary, mgr.benefactor(primary).node, expected)
+        };
+        let mut end = t;
+        let chunk_size = self.cfg.chunk_size;
+        let data = copies::decode_member(&survivors, chunk_size, gref.member, |chunk, home| {
+            let (arrived, data) = self.pull_chunk(t, client_node, home, chunk);
+            end = end.max(arrived);
+            data
+        });
+        // The decode must land exactly on the recorded digest; anything
+        // else means a survivor lied and the store refuses to serve it.
+        if crc64(&data) != expected {
+            return Err(StoreError::ChunkCorrupt {
+                chunk: lost,
+                benefactor: primary,
+            });
+        }
+
+        self.stats.counter("store.degraded_reconstructs").inc();
+        self.failovers.inc();
+        self.degraded_reads.inc();
+        self.trace.instant(
+            Layer::Store,
+            format!("store.reconstruct c={} g={}", lost.0, gref.group),
+            end,
+        );
+        Ok(FetchOutcome {
+            end,
+            data,
+            home: primary,
+            node: primary_node,
+            degraded: true,
+        })
+    }
+
+    /// Batched multi-benefactor fetch: resolve *all* targets with one
+    /// manager RPC (or none, when a [`LocationCache`] still holds valid
+    /// resolutions), then pull the chunks with per-benefactor pipelining.
+    ///
+    /// Cost model (DESIGN.md §8): each benefactor's chain — request →
+    /// SSD read → transfer back — runs *serially* on that benefactor
+    /// (chunk `i+1`'s request leaves when chunk `i`'s response arrives),
+    /// but chains on distinct benefactors proceed concurrently from the
+    /// shared resolution time. Shared resources (the client's NIC, each
+    /// benefactor's SSD/NIC) still queue correctly because chains are
+    /// issued in non-decreasing virtual-time order against the FIFO
+    /// `Resource` registers. Per-chunk completion is its own response
+    /// arrival, returned in input order.
+    ///
+    /// Fault semantics match the serial path per entry: every entry runs
+    /// the same failover/verify/backoff retry loop (`fetch_verified`) the
+    /// serial path uses. A degraded pick counts a failover; a target with
+    /// *no* serviceable copy at batch time runs the loop unchained from
+    /// the shared resolution time, independently of its batch-mates, and
+    /// completes at exactly the time the serial fetch would.
+    pub fn fetch_chunks(
+        &self,
+        t: VTime,
+        client_node: usize,
+        targets: &[(FileId, usize)],
+        cache: Option<&LocationCache>,
+    ) -> Result<Vec<(VTime, ChunkPayload)>> {
+        if targets.is_empty() {
+            return Ok(Vec::new());
+        }
+        self.poll_faults(t);
+        self.batched_fetches.inc();
+        let sp = self.trace.span(Layer::Store, "store.fetch_batch", t);
+        sp.arg("targets", targets.len() as u64)
+            .arg("client", client_node as u64);
+
+        // Resolve from the location cache where the epoch allows. In
+        // shard mode a cached entry may only be used while the client
+        // holds a live lease from the shard owning that target
+        // (DESIGN.md §12) — an unleased target is forced to the shard
+        // even when cached. With one shard and a held lease the gate
+        // never fires, so counters stay identical to the serial manager.
+        let owners = self.owners_of(targets.iter().copied());
+        let mut resolved: Vec<Option<CachedLoc>> = {
+            let epoch = self.mgr.lock().placement_epoch();
+            let mut shards = self.shards.lock();
+            targets
+                .iter()
+                .zip(&owners)
+                .map(|(&key, &owner)| {
+                    let cache = cache?;
+                    let leased = owner.is_none_or(|o| {
+                        let ss = shards.as_mut().expect("shard set installed");
+                        ss.check_lease(o, client_node, t)
+                    });
+                    if !leased {
+                        cache.note_unleased_miss(epoch, key);
+                        return None;
+                    }
+                    cache.lookup(epoch, key)
+                })
+                .collect()
+        };
+
+        // One shared RPC covers every unresolved target — per owning
+        // shard in shard mode, each issued concurrently from `t` (they
+        // queue on *different* shard CPUs, which is the whole point).
+        // Entry `i` may start its benefactor chain at `ready[i]`: its
+        // owner's response arrival, or `t` when its shard was never
+        // consulted (a leased cache hit). A fully cached batch skips
+        // every manager round-trip.
+        let ready = self.resolve_fan_out(t, client_node, MgrOp::Fetch, &owners, |i| {
+            resolved[i].is_none()
+        })?;
+        if resolved.iter().any(|r| r.is_none()) {
+            let mgr = self.mgr.lock();
+            let epoch = mgr.placement_epoch();
+            for (i, &(file, idx)) in targets.iter().enumerate() {
+                if resolved[i].is_some() {
+                    continue;
+                }
+                let loc = match self.slot_in(&mgr, file, idx)?.slots[idx] {
+                    Slot::Unmaterialized | Slot::Hole => CachedLoc::Zeros,
+                    Slot::Chunk(c) => CachedLoc::Chunk {
+                        chunk: c,
+                        homes: mgr.chunk_homes(c).expect("chunk without home").to_vec(),
+                    },
+                };
+                if let Some(cache) = cache {
+                    cache.insert(epoch, (file, idx), loc.clone());
+                }
+                resolved[i] = Some(loc);
+            }
+        }
+
+        // Plan each target: zeros (`None`), or a chunk pull — chained on
+        // the benefactor serving it, or through the unchained retry loop
+        // when no listed copy is serviceable right now.
+        #[derive(Clone, Copy)]
+        struct Pull {
+            chunk: ChunkId,
+            chain: Option<BenefactorId>,
+            /// The pick is already a failover (not the primary copy).
+            degraded: bool,
+        }
+        let (plan, fleet): (Vec<Option<Pull>>, usize) = {
+            let mgr = self.mgr.lock();
+            let plan = resolved
+                .iter()
+                .map(|loc| match loc.as_ref().expect("all targets resolved") {
+                    CachedLoc::Zeros => None,
+                    CachedLoc::Chunk { chunk, homes } => {
+                        let pick = self.serviceable(&mgr, client_node, homes.iter().copied(), &[]);
+                        Some(Pull {
+                            chunk: *chunk,
+                            chain: pick.map(|(_, home)| home),
+                            degraded: pick.is_some_and(|(rank, _)| rank > 0),
+                        })
+                    }
+                })
+                .collect();
+            (plan, mgr.benefactor_count())
+        };
+
+        // Chains first, then the degraded fallbacks in input order, all
+        // through the retry loop the serial path uses (the chain's re-pick
+        // scans the same live home list that planned it and, under
+        // `verify_reads`, fails over when the arrived bytes don't match
+        // the recorded CRC). A fallback starts from its entry's resolution
+        // time — no second manager RPC — so a degraded batched fetch
+        // completes at exactly the serial fetch's time and counts under
+        // the same `degraded_reads` counter.
+        let mut out: Vec<(VTime, ChunkPayload)> = ready
+            .iter()
+            .map(|&resolved_at| (resolved_at, ChunkPayload::Zeros))
+            .collect();
+        let queued = plan
+            .iter()
+            .enumerate()
+            .filter_map(|(i, p)| p.map(|pull| (i, pull.chain)));
+        self.drain_chains(fleet, &ready, queued, |i, start| {
+            let pull = plan[i].expect("zeros are never queued");
+            self.chunk_fetches.inc();
+            let csp = self.trace.span(Layer::Store, "store.chunk_fetch", start);
+            out[i] = self.fetch_spanned(csp, start, client_node, pull.chunk, pull.degraded)?;
+            Ok(out[i].0)
+        })?;
+        for _ in plan.iter().filter(|p| p.is_none()) {
+            self.chunk_fetches.inc();
+            self.zero_fills.inc();
+        }
+        // The batch completes when its slowest entry does.
+        sp.finish(out.iter().map(|&(end, _)| end).max().unwrap_or(t));
+        Ok(out)
+    }
+
+    /// Bulk sequential read into `buf` (restart path).
+    pub fn read_span(
+        &self,
+        mut t: VTime,
+        client_node: usize,
+        file: FileId,
+        offset: u64,
+        buf: &mut [u8],
+    ) -> Result<VTime> {
+        self.check_range(file, offset, buf.len() as u64)?;
+        for s in segments(offset, buf.len() as u64, self.cfg.chunk_size) {
+            let (t2, payload) = self.fetch_chunk(t, client_node, file, s.idx)?;
+            t = t2;
+            match payload {
+                ChunkPayload::Zeros => buf[s.pos..s.pos + s.take].fill(0),
+                ChunkPayload::Data(chunk) => {
+                    buf[s.pos..s.pos + s.take].copy_from_slice(&chunk[s.within..s.within + s.take])
+                }
+            }
+        }
+        Ok(t)
+    }
+}

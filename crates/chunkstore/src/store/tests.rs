@@ -1,0 +1,1596 @@
+use super::*;
+use crate::ids::ChunkId;
+use crate::loc_cache::LocationCache;
+use crate::manager::Slot;
+use crate::rs::RsCode;
+use ::faults;
+use devices::{Ssd, INTEL_X25E};
+use netsim::NetConfig;
+use simcore::time::bytes::mib;
+
+const CHUNK: u64 = 256 * 1024;
+
+/// A 4-node store: manager on node 0, benefactors on nodes 1 and 2,
+/// client drives from node 3.
+fn store() -> (AggregateStore, StatsRegistry) {
+    let stats = StatsRegistry::new();
+    let net = Network::new(4, NetConfig::default(), &stats);
+    let store = AggregateStore::new(StoreConfig::default(), net, &stats);
+    for (i, node) in [1usize, 2].iter().enumerate() {
+        let ssd = Ssd::new(&format!("b{i}.ssd"), INTEL_X25E, &stats);
+        store.add_benefactor(Benefactor::new(*node, ssd, mib(64), CHUNK));
+    }
+    (store, stats)
+}
+
+fn make_file(store: &AggregateStore, name: &str, size: u64) -> FileId {
+    let (t, f) = store.create_file(VTime::ZERO, 3, name).unwrap();
+    store
+        .fallocate(
+            t,
+            3,
+            f,
+            size,
+            StripeSpec::all(),
+            PlacementPolicy::RoundRobin,
+        )
+        .unwrap();
+    f
+}
+
+#[test]
+fn hole_read_is_zeros_without_data_traffic() {
+    let (store, stats) = store();
+    let f = make_file(&store, "/m", 2 * CHUNK);
+    let before = stats.get("net.bytes");
+    let (_, payload) = store.fetch_chunk(VTime::ZERO, 3, f, 0).unwrap();
+    assert_eq!(payload, ChunkPayload::Zeros);
+    // Only RPC bytes moved (2 × 256).
+    assert_eq!(stats.get("net.bytes") - before, 512);
+    assert_eq!(stats.get("store.zero_fills"), 1);
+}
+
+#[test]
+fn write_then_read_roundtrip() {
+    let (store, _) = store();
+    let f = make_file(&store, "/m", 2 * CHUNK);
+    let page = vec![7u8; 4096];
+    let t = store
+        .write_pages(VTime::ZERO, 3, f, 0, &[(8192, &page)])
+        .unwrap();
+    let (_, payload) = store.fetch_chunk(t, 3, f, 0).unwrap();
+    match payload {
+        ChunkPayload::Data(data) => {
+            assert_eq!(data[8192], 7);
+            assert_eq!(data[8192 + 4095], 7);
+            assert_eq!(data[0], 0);
+        }
+        _ => panic!("expected data"),
+    }
+}
+
+#[test]
+fn remote_fetch_costs_network_plus_ssd() {
+    let (store, _) = store();
+    let f = make_file(&store, "/m", CHUNK);
+    let page = vec![1u8; 4096];
+    let t0 = store
+        .write_pages(VTime::ZERO, 3, f, 0, &[(0, &page)])
+        .unwrap();
+    let (t1, _) = store.fetch_chunk(t0, 3, f, 0).unwrap();
+    let elapsed = t1 - t0;
+    // Lower bound: SSD latency + chunk/ssd_read_bw + chunk/net_bw.
+    let ssd = VTime::from_micros(75) + simcore::Bandwidth::mb_per_sec(250.0).time_for(CHUNK);
+    let net = simcore::Bandwidth::gbit_per_sec(2.0).time_for(CHUNK);
+    assert!(elapsed >= ssd + net, "elapsed {elapsed}");
+    // And not wildly more (RPCs and latencies only).
+    assert!(
+        elapsed < ssd + net + VTime::from_millis(2),
+        "elapsed {elapsed}"
+    );
+}
+
+#[test]
+fn write_span_and_read_span_roundtrip() {
+    let (store, _) = store();
+    let f = make_file(&store, "/m", 3 * CHUNK);
+    // Unaligned span crossing chunk boundaries.
+    let data: Vec<u8> = (0..(CHUNK as usize + 9000))
+        .map(|i| (i % 251) as u8)
+        .collect();
+    let t = store.write_span(VTime::ZERO, 3, f, 5000, &data).unwrap();
+    let mut out = vec![0u8; data.len()];
+    store.read_span(t, 3, f, 5000, &mut out).unwrap();
+    assert_eq!(out, data);
+    // Outside the written span everything is still zero.
+    let mut head = vec![0xAAu8; 5000];
+    store.read_span(t, 3, f, 0, &mut head).unwrap();
+    assert!(head.iter().all(|&b| b == 0));
+}
+
+#[test]
+fn out_of_bounds_rejected() {
+    let (store, _) = store();
+    let f = make_file(&store, "/m", CHUNK);
+    let err = store.fetch_chunk(VTime::ZERO, 3, f, 1).unwrap_err();
+    assert!(matches!(err, StoreError::OutOfBounds { .. }));
+    let err = store
+        .write_span(VTime::ZERO, 3, f, CHUNK - 1, &[0, 0])
+        .unwrap_err();
+    assert!(matches!(err, StoreError::OutOfBounds { .. }));
+}
+
+#[test]
+fn cow_preserves_checkpoint_content() {
+    let (store, stats) = store();
+    let f = make_file(&store, "/var", CHUNK);
+    let page_a = vec![0xAu8; 4096];
+    let mut t = store
+        .write_pages(VTime::ZERO, 3, f, 0, &[(0, &page_a)])
+        .unwrap();
+
+    // Checkpoint: link the variable's chunks into /ckpt.
+    let (t2, ckpt) = store.create_file(t, 3, "/ckpt").unwrap();
+    t = store.link_file(t2, 3, ckpt, f).unwrap();
+
+    // Modify the variable after the checkpoint.
+    let page_b = vec![0xBu8; 4096];
+    t = store.write_pages(t, 3, f, 0, &[(0, &page_b)]).unwrap();
+    assert_eq!(stats.get("store.cow_clones"), 1);
+
+    // Variable sees new data; checkpoint still has the old bytes.
+    let (_, var_data) = store.fetch_chunk(t, 3, f, 0).unwrap();
+    let (_, ckpt_data) = store.fetch_chunk(t, 3, ckpt, 0).unwrap();
+    match (var_data, ckpt_data) {
+        (ChunkPayload::Data(v), ChunkPayload::Data(c)) => {
+            assert_eq!(v[0], 0xB);
+            assert_eq!(c[0], 0xA);
+        }
+        _ => panic!("expected data"),
+    }
+}
+
+#[test]
+fn second_write_after_cow_is_in_place() {
+    let (store, stats) = store();
+    let f = make_file(&store, "/var", CHUNK);
+    let page = vec![1u8; 4096];
+    let mut t = store
+        .write_pages(VTime::ZERO, 3, f, 0, &[(0, &page)])
+        .unwrap();
+    let (t2, ckpt) = store.create_file(t, 3, "/ckpt").unwrap();
+    t = store.link_file(t2, 3, ckpt, f).unwrap();
+    t = store.write_pages(t, 3, f, 0, &[(0, &page)]).unwrap();
+    assert_eq!(stats.get("store.cow_clones"), 1);
+    // Refcount is back to 1: next write must not clone again.
+    store.write_pages(t, 3, f, 0, &[(4096, &page)]).unwrap();
+    assert_eq!(stats.get("store.cow_clones"), 1);
+}
+
+#[test]
+fn dead_benefactor_fails_fetch() {
+    let (store, _) = store();
+    let f = make_file(&store, "/m", 2 * CHUNK);
+    let page = vec![1u8; 4096];
+    let t = store
+        .write_pages(VTime::ZERO, 3, f, 0, &[(0, &page)])
+        .unwrap();
+    store.set_benefactor_alive(BenefactorId(0), false);
+    let err = store.fetch_chunk(t, 3, f, 0).unwrap_err();
+    assert_eq!(err, StoreError::BenefactorDown(BenefactorId(0)));
+}
+
+#[test]
+fn dirty_page_traffic_is_page_sized_not_chunk_sized() {
+    let (store, stats) = store();
+    let f = make_file(&store, "/m", CHUNK);
+    let page = vec![1u8; 4096];
+    store
+        .write_pages(VTime::ZERO, 3, f, 0, &[(0, &page)])
+        .unwrap();
+    assert_eq!(stats.get("store.bytes_from_clients"), 4096);
+}
+
+/// `n` benefactors on nodes `1..=n`; the client drives from node `n+1`.
+fn store_n(n: usize) -> (AggregateStore, StatsRegistry) {
+    let stats = StatsRegistry::new();
+    let net = Network::new(n + 2, NetConfig::default(), &stats);
+    let store = AggregateStore::new(StoreConfig::default(), net, &stats);
+    for i in 0..n {
+        let ssd = Ssd::new(&format!("b{i}.ssd"), INTEL_X25E, &stats);
+        store.add_benefactor(Benefactor::new(i + 1, ssd, mib(64), CHUNK));
+    }
+    (store, stats)
+}
+
+fn make_file_replicated(
+    store: &AggregateStore,
+    node: usize,
+    name: &str,
+    size: u64,
+    k: usize,
+) -> FileId {
+    let (t, f) = store.create_file(VTime::ZERO, node, name).unwrap();
+    store
+        .fallocate(
+            t,
+            node,
+            f,
+            size,
+            StripeSpec::all().with_replicas(k),
+            PlacementPolicy::RoundRobin,
+        )
+        .unwrap();
+    f
+}
+
+#[test]
+fn replicated_write_lands_on_every_replica() {
+    let (store, stats) = store_n(3);
+    let client = 4;
+    let f = make_file_replicated(&store, client, "/m", CHUNK, 2);
+    let page = vec![9u8; 4096];
+    store
+        .write_pages(VTime::ZERO, client, f, 0, &[(0, &page)])
+        .unwrap();
+    // Dirty bytes shipped once per replica.
+    assert_eq!(stats.get("store.bytes_from_clients"), 2 * 4096);
+    let mgr = store.manager();
+    let meta = mgr.file(f).unwrap();
+    let c = match meta.slots[0] {
+        Slot::Chunk(c) => c,
+        _ => panic!("chunk not materialized"),
+    };
+    let homes = mgr.chunk_homes(c).unwrap().to_vec();
+    assert_eq!(homes.len(), 2);
+    assert_ne!(homes[0], homes[1], "replicas on distinct benefactors");
+    for h in homes {
+        assert!(mgr.benefactor(h).has_chunk(c));
+    }
+}
+
+#[test]
+fn replication_needs_enough_benefactors() {
+    let (store, _) = store_n(2);
+    let (t, f) = store.create_file(VTime::ZERO, 3, "/m").unwrap();
+    let err = store
+        .fallocate(
+            t,
+            3,
+            f,
+            CHUNK,
+            StripeSpec::all().with_replicas(3),
+            PlacementPolicy::RoundRobin,
+        )
+        .unwrap_err();
+    assert!(matches!(
+        err,
+        StoreError::NotEnoughBenefactors {
+            requested: 3,
+            alive: 2
+        }
+    ));
+}
+
+#[test]
+fn read_fails_over_to_surviving_replica() {
+    let (store, stats) = store_n(2);
+    let client = 3;
+    let f = make_file_replicated(&store, client, "/m", CHUNK, 2);
+    let page = vec![7u8; 4096];
+    let t = store
+        .write_pages(VTime::ZERO, client, f, 0, &[(0, &page)])
+        .unwrap();
+    store.set_benefactor_alive(BenefactorId(0), false);
+    let (_, payload) = store.fetch_chunk(t, client, f, 0).unwrap();
+    match payload {
+        ChunkPayload::Data(data) => assert_eq!(data[0], 7),
+        _ => panic!("expected data"),
+    }
+    assert_eq!(stats.get("store.failovers"), 1);
+    assert_eq!(stats.get("store.degraded_reads"), 1);
+}
+
+#[test]
+fn write_during_outage_drops_dead_copy_and_recovery_reconciles() {
+    let (store, _) = store_n(2);
+    let client = 3;
+    let f = make_file_replicated(&store, client, "/m", CHUNK, 2);
+    let page_a = vec![0xAu8; 4096];
+    let mut t = store
+        .write_pages(VTime::ZERO, client, f, 0, &[(0, &page_a)])
+        .unwrap();
+    let c = match store.manager().file(f).unwrap().slots[0] {
+        Slot::Chunk(c) => c,
+        _ => unreachable!(),
+    };
+    // Primary dies; the next write lands only on the survivor and the
+    // dead copy is dropped from the home list (it is stale now).
+    store.set_benefactor_alive(BenefactorId(0), false);
+    let page_b = vec![0xBu8; 4096];
+    t = store.write_pages(t, client, f, 0, &[(0, &page_b)]).unwrap();
+    assert_eq!(
+        store.manager().chunk_homes(c).unwrap(),
+        &[BenefactorId(1)],
+        "dead copy dropped"
+    );
+    // Recovery reconciles: the stale physical copy is deleted, so no
+    // read can ever observe the pre-outage bytes.
+    store.set_benefactor_alive(BenefactorId(0), true);
+    assert!(!store.manager().benefactor(BenefactorId(0)).has_chunk(c));
+    let (_, payload) = store.fetch_chunk(t, client, f, 0).unwrap();
+    match payload {
+        ChunkPayload::Data(data) => assert_eq!(data[0], 0xB),
+        _ => panic!("expected data"),
+    }
+}
+
+#[test]
+fn repair_restores_replica_degree() {
+    let (store, stats) = store_n(3);
+    let client = 4;
+    let f = make_file_replicated(&store, client, "/m", 2 * CHUNK, 2);
+    let page = vec![5u8; 4096];
+    let mut t = VTime::ZERO;
+    for idx in 0..2 {
+        t = store.write_pages(t, client, f, idx, &[(0, &page)]).unwrap();
+    }
+    // b1 hosts one copy of both chunks (slot 0 → {b0,b1}, slot 1 →
+    // {b1,b2}); killing it degrades both.
+    store.set_benefactor_alive(BenefactorId(1), false);
+    // Touch the chunks so the dead copies are dropped from metadata.
+    for idx in 0..2 {
+        t = store.write_pages(t, client, f, idx, &[(0, &page)]).unwrap();
+    }
+    assert_eq!(store.manager().under_replicated().len(), 2);
+
+    let (t_done, report) = store.repair_under_replicated(t);
+    assert_eq!(report.chunks_repaired, 2);
+    assert_eq!(report.bytes_copied, 2 * CHUNK);
+    assert_eq!(report.chunks_unrepairable, 0);
+    assert!(t_done > t, "repair consumes virtual time");
+    assert!(store.manager().under_replicated().is_empty());
+    assert_eq!(stats.get("store.repairs_bytes"), 2 * CHUNK);
+    // Every chunk is back on two live benefactors.
+    let mgr = store.manager();
+    for idx in 0..2 {
+        let c = match mgr.file(f).unwrap().slots[idx] {
+            Slot::Chunk(c) => c,
+            _ => unreachable!(),
+        };
+        let homes = mgr.chunk_homes(c).unwrap();
+        assert_eq!(homes.len(), 2);
+        assert!(homes.iter().all(|&h| mgr.benefactor(h).is_alive()));
+    }
+}
+
+#[test]
+fn fault_plan_crash_is_survived_with_replicas() {
+    let (store, stats) = store_n(2);
+    let client = 3;
+    let f = make_file_replicated(&store, client, "/m", CHUNK, 2);
+    let page = vec![3u8; 4096];
+    let t = store
+        .write_pages(VTime::ZERO, client, f, 0, &[(0, &page)])
+        .unwrap();
+    store.attach_faults(
+        faults::FaultPlanBuilder::new(42)
+            .crash(t + VTime::from_millis(1), 0)
+            .build(),
+    );
+    // Before the scheduled crash: clean read from the primary.
+    let (_, p1) = store.fetch_chunk(t, client, f, 0).unwrap();
+    assert_eq!(stats.get("store.failovers"), 0);
+    // After it: the poll applies the crash and the read fails over.
+    let (_, p2) = store
+        .fetch_chunk(t + VTime::from_millis(2), client, f, 0)
+        .unwrap();
+    assert_eq!(p1, p2, "failover returns identical bytes");
+    assert_eq!(stats.get("store.benefactor_crashes"), 1);
+    assert!(stats.get("store.failovers") > 0);
+}
+
+#[test]
+fn fetch_retry_waits_out_a_scheduled_recovery() {
+    let (store, stats) = store_n(1);
+    let client = 2;
+    let f = make_file_replicated(&store, client, "/m", CHUNK, 1);
+    let page = vec![1u8; 4096];
+    let t = store
+        .write_pages(VTime::ZERO, client, f, 0, &[(0, &page)])
+        .unwrap();
+    store.set_benefactor_alive(BenefactorId(0), false);
+    // A recovery lands within the retry window (default 2 × 5 ms).
+    store.attach_faults(
+        faults::FaultPlanBuilder::new(7)
+            .recover(t + VTime::from_millis(8), 0)
+            .build(),
+    );
+    let (_, payload) = store.fetch_chunk(t, client, f, 0).unwrap();
+    assert!(matches!(payload, ChunkPayload::Data(_)));
+    assert_eq!(stats.get("store.benefactor_recoveries"), 1);
+    assert!(stats.get("store.degraded_reads") > 0);
+}
+
+/// Like `store_n` but with read verification switched on.
+fn store_verify(n: usize) -> (AggregateStore, StatsRegistry) {
+    let stats = StatsRegistry::new();
+    let net = Network::new(n + 2, NetConfig::default(), &stats);
+    let cfg = StoreConfig {
+        verify_reads: true,
+        ..StoreConfig::default()
+    };
+    let store = AggregateStore::new(cfg, net, &stats);
+    for i in 0..n {
+        let ssd = Ssd::new(&format!("b{i}.ssd"), INTEL_X25E, &stats);
+        store.add_benefactor(Benefactor::new(i + 1, ssd, mib(64), CHUNK));
+    }
+    (store, stats)
+}
+
+fn chunk_of(store: &AggregateStore, f: FileId, idx: usize) -> ChunkId {
+    match store.manager().file(f).unwrap().slots[idx] {
+        Slot::Chunk(c) => c,
+        _ => panic!("slot {idx} not materialized"),
+    }
+}
+
+#[test]
+fn verified_read_fails_over_on_corrupt_replica_and_repairs() {
+    let (store, stats) = store_verify(3);
+    let client = 4;
+    let f = make_file_replicated(&store, client, "/m", CHUNK, 2);
+    let page = vec![7u8; 4096];
+    let t = store
+        .write_pages(VTime::ZERO, client, f, 0, &[(0, &page)])
+        .unwrap();
+    let c = chunk_of(&store, f, 0);
+    let primary = store.manager().chunk_homes(c).unwrap()[0];
+    store.manager().benefactor_mut(primary).corrupt_chunk(c, 5);
+    assert_eq!(store.count_corrupt_copies(), 1);
+
+    // The read detects the rot, fails over to the replica and returns
+    // the right bytes — never the corrupt ones.
+    let (t2, payload) = store.fetch_chunk(t, client, f, 0).unwrap();
+    match payload {
+        ChunkPayload::Data(data) => {
+            assert_eq!(data[0], 7);
+            assert_eq!(data[5], 7, "served bytes are the intact copy's");
+        }
+        _ => panic!("expected data"),
+    }
+    assert_eq!(stats.get("store.crc_mismatches"), 1);
+    assert_eq!(stats.get("store.degraded_reads"), 1);
+    // The bad copy was quarantined: dropped from the home list and
+    // reclaimed, leaving the chunk under-replicated for repair.
+    let homes = store.manager().chunk_homes(c).unwrap().to_vec();
+    assert_eq!(homes.len(), 1);
+    assert!(!homes.contains(&primary));
+    assert!(!store.manager().benefactor(primary).has_chunk(c));
+    assert_eq!(store.manager().under_replicated().len(), 1);
+    let (_, report) = store.repair_under_replicated(t2);
+    assert_eq!(report.chunks_repaired, 1);
+    assert_eq!(store.count_corrupt_copies(), 0);
+    assert_eq!(store.manager().chunk_homes(c).unwrap().len(), 2);
+}
+
+#[test]
+fn corrupt_sole_copy_is_a_deterministic_error_not_wrong_data() {
+    let (store, stats) = store_verify(1);
+    let client = 2;
+    let f = make_file_replicated(&store, client, "/m", CHUNK, 1);
+    let page = vec![9u8; 4096];
+    let t = store
+        .write_pages(VTime::ZERO, client, f, 0, &[(0, &page)])
+        .unwrap();
+    let c = chunk_of(&store, f, 0);
+    store
+        .manager()
+        .benefactor_mut(BenefactorId(0))
+        .corrupt_chunk(c, 100);
+    let err = store.fetch_chunk(t, client, f, 0).unwrap_err();
+    assert_eq!(
+        err,
+        StoreError::ChunkCorrupt {
+            chunk: c,
+            benefactor: BenefactorId(0)
+        }
+    );
+    // The bad copy is read (and counted) exactly once; retries skip it.
+    assert_eq!(stats.get("store.crc_mismatches"), 1);
+    // The sole copy stays listed: the metadata invariant holds and a
+    // later restore-from-elsewhere can still find the slot.
+    assert_eq!(store.manager().chunk_homes(c).unwrap(), &[BenefactorId(0)]);
+    // Identical on retry: deterministic, never silent.
+    let err2 = store.fetch_chunk(t, client, f, 0).unwrap_err();
+    assert!(matches!(err2, StoreError::ChunkCorrupt { .. }));
+}
+
+#[test]
+fn partial_overwrite_of_a_rotten_sole_copy_is_refused_not_laundered() {
+    let (store, _) = store_verify(1);
+    let client = 2;
+    let f = make_file_replicated(&store, client, "/m", CHUNK, 1);
+    let fives = vec![5u8; CHUNK as usize];
+    let t = store.write_span(VTime::ZERO, client, f, 0, &fives).unwrap();
+    let c = chunk_of(&store, f, 0);
+    store
+        .manager()
+        .benefactor_mut(BenefactorId(0))
+        .corrupt_chunk(c, 245_583);
+    assert_eq!(store.count_corrupt_copies(), 1);
+    // A one-page overwrite elsewhere in the chunk would have to splice
+    // the new digest from the rotten bytes: refused with the declared
+    // error, and nothing changes — the rot stays detectable.
+    let page = vec![9u8; 4096];
+    let corrupt = StoreError::ChunkCorrupt {
+        chunk: c,
+        benefactor: BenefactorId(0),
+    };
+    let err = store
+        .write_pages(t, client, f, 0, &[(8192, &page)])
+        .unwrap_err();
+    assert_eq!(err, corrupt);
+    let batch = [BatchWrite {
+        file: f,
+        idx: 0,
+        updates: &[(8192, &page)],
+    }];
+    assert_eq!(
+        store.write_pages_batch(t, client, &batch).unwrap_err(),
+        corrupt
+    );
+    assert_eq!(store.count_corrupt_copies(), 1, "rot must not be laundered");
+    assert_eq!(store.fetch_chunk(t, client, f, 0).unwrap_err(), corrupt);
+}
+
+#[test]
+fn whole_chunk_overwrite_of_a_rotten_sole_copy_heals_it() {
+    let (store, _) = store_verify(1);
+    let client = 2;
+    let f = make_file_replicated(&store, client, "/m", CHUNK, 1);
+    let fives = vec![5u8; CHUNK as usize];
+    let t = store.write_span(VTime::ZERO, client, f, 0, &fives).unwrap();
+    let c = chunk_of(&store, f, 0);
+    store
+        .manager()
+        .benefactor_mut(BenefactorId(0))
+        .corrupt_chunk(c, 245_583);
+    // Runs covering the whole chunk need no base: the write goes ahead
+    // and the recorded digest is that of the new content.
+    let sevens = vec![7u8; CHUNK as usize];
+    let t = store.write_span(t, client, f, 0, &sevens).unwrap();
+    assert_eq!(store.count_corrupt_copies(), 0);
+    let (_, payload) = store.fetch_chunk(t, client, f, 0).unwrap();
+    assert_eq!(payload, ChunkPayload::Data(sevens.into_boxed_slice()));
+}
+
+#[test]
+fn torn_write_is_detected_by_verified_read() {
+    let (store, _) = store_verify(1);
+    let client = 2;
+    let f = make_file_replicated(&store, client, "/m", CHUNK, 1);
+    store.attach_faults(
+        faults::FaultPlanBuilder::new(11)
+            .torn_write(VTime::from_micros(1), 0)
+            .build(),
+    );
+    // The write happens after the tear is armed: only the first half
+    // of the chunk lands, but the manager recorded the intended CRC.
+    let data = vec![3u8; CHUNK as usize];
+    let t = store
+        .write_span(VTime::from_micros(2), client, f, 0, &data)
+        .unwrap();
+    assert_eq!(store.count_corrupt_copies(), 1);
+    let err = store.fetch_chunk(t, client, f, 0).unwrap_err();
+    assert!(matches!(err, StoreError::ChunkCorrupt { .. }));
+}
+
+#[test]
+fn scrub_daemon_finds_and_repairs_bit_rot() {
+    let (store, stats) = store_verify(3);
+    let client = 4;
+    let f = make_file_replicated(&store, client, "/m", 4 * CHUNK, 2);
+    let page = vec![5u8; 4096];
+    let mut t = VTime::ZERO;
+    for idx in 0..4 {
+        t = store.write_pages(t, client, f, idx, &[(0, &page)]).unwrap();
+    }
+    // Rot every copy on benefactor 0 (rate 10000 bp = certain).
+    store.attach_faults(
+        faults::FaultPlanBuilder::new(21)
+            .bit_rot(t + VTime::from_micros(1), 0, 10_000)
+            .build(),
+    );
+    store.attach_scrub(
+        ScrubConfig {
+            interval: VTime::from_millis(1),
+            chunks_per_pass: 16,
+            ..ScrubConfig::default()
+        },
+        t + VTime::from_micros(2),
+    );
+    store.poll_faults(t + VTime::from_millis(1));
+    assert!(stats.get("store.crc_mismatches") > 0, "rot detected");
+    assert!(stats.get("store.scrub_repairs") > 0, "replicas restored");
+    assert_eq!(stats.get("store.scrub_passes"), 1);
+    assert_eq!(store.count_corrupt_copies(), 0, "no rot left behind");
+    // Every chunk is back at full degree on intact copies.
+    let mgr = store.manager();
+    for idx in 0..4 {
+        let c = match mgr.file(f).unwrap().slots[idx] {
+            Slot::Chunk(c) => c,
+            _ => unreachable!(),
+        };
+        assert_eq!(mgr.chunk_homes(c).unwrap().len(), 2);
+    }
+}
+
+#[test]
+fn scrub_never_replicates_a_copy_it_just_found_corrupt() {
+    let (store, stats) = store_verify(3);
+    let client = 4;
+    let f = make_file_replicated(&store, client, "/m", CHUNK, 2);
+    let page = vec![5u8; 4096];
+    let t = store
+        .write_pages(VTime::ZERO, client, f, 0, &[(0, &page)])
+        .unwrap();
+    let c = chunk_of(&store, f, 0);
+    let homes = store.manager().chunk_homes(c).unwrap().to_vec();
+    // One home dies and a write drops it: a sole copy, target still 2.
+    store.set_benefactor_alive(homes[0], false);
+    let t = store
+        .write_pages(t, client, f, 0, &[(4096, &page)])
+        .unwrap();
+    assert_eq!(store.manager().chunk_homes(c).unwrap(), &[homes[1]]);
+    // The survivor rots; the scrub pass that finds it must not use it
+    // as the donor of the missing replica.
+    store
+        .manager()
+        .benefactor_mut(homes[1])
+        .corrupt_chunk(c, 77);
+    store.attach_scrub(ScrubConfig::default(), t);
+    store.poll_faults(t);
+    assert_eq!(stats.get("store.scrub_passes"), 1);
+    assert_eq!(stats.get("store.crc_mismatches"), 1);
+    assert_eq!(store.count_corrupt_copies(), 1, "rot must not spread");
+    assert_eq!(
+        stats.get("store.scrub_repairs"),
+        0,
+        "a bad copy is no repair"
+    );
+    assert_eq!(store.manager().chunk_homes(c).unwrap(), &[homes[1]]);
+    let err = store.fetch_chunk(t, client, f, 0).unwrap_err();
+    assert!(matches!(err, StoreError::ChunkCorrupt { .. }));
+}
+
+#[test]
+fn scrub_quarantines_rotten_benefactor_and_placement_avoids_it() {
+    let (store, stats) = store_verify(3);
+    let client = 4;
+    // Benefactor 0's media corrupts every write it takes.
+    store.attach_faults(
+        faults::FaultPlanBuilder::new(31)
+            .corruption_rate(VTime::from_micros(1), 0, 10_000)
+            .build(),
+    );
+    let f = make_file_replicated(&store, client, "/m", 4 * CHUNK, 2);
+    let page = vec![1u8; 4096];
+    let mut t = VTime::from_micros(2);
+    for idx in 0..4 {
+        t = store.write_pages(t, client, f, idx, &[(0, &page)]).unwrap();
+    }
+    store.attach_scrub(
+        ScrubConfig {
+            interval: VTime::from_millis(1),
+            chunks_per_pass: 16,
+            quarantine_rate: 0.5,
+            quarantine_min_samples: 2,
+        },
+        t,
+    );
+    store.poll_faults(t + VTime::from_millis(1));
+    assert!(
+        store.manager().benefactor(BenefactorId(0)).is_quarantined(),
+        "persistent corrupter crosses the quarantine threshold"
+    );
+    assert_eq!(stats.get("store.quarantined"), 1);
+    assert!(store.manager().benefactor(BenefactorId(0)).is_alive());
+    // New placements avoid it.
+    let g = make_file_replicated(&store, client, "/n", 2 * CHUNK, 2);
+    assert!(
+        !store
+            .manager()
+            .file(g)
+            .unwrap()
+            .stripe
+            .contains(&BenefactorId(0)),
+        "quarantined benefactor excluded from new stripes"
+    );
+}
+
+#[test]
+fn integrity_knobs_off_changes_nothing() {
+    // Same workload, verification on vs off, no corruption anywhere:
+    // identical virtual times, and the knobs-off run registers none
+    // of the integrity counters (committed bench expectations must
+    // not grow keys).
+    let run = |verify: bool| -> (VTime, bool) {
+        let stats = StatsRegistry::new();
+        let net = Network::new(4, NetConfig::default(), &stats);
+        let cfg = StoreConfig {
+            verify_reads: verify,
+            ..StoreConfig::default()
+        };
+        let store = AggregateStore::new(cfg, net, &stats);
+        for (i, node) in [1usize, 2].iter().enumerate() {
+            let ssd = Ssd::new(&format!("b{i}.ssd"), INTEL_X25E, &stats);
+            store.add_benefactor(Benefactor::new(*node, ssd, mib(64), CHUNK));
+        }
+        let f = make_file(&store, "/m", 4 * CHUNK);
+        let data: Vec<u8> = (0..2 * CHUNK as usize + 777)
+            .map(|i| (i % 249) as u8)
+            .collect();
+        let mut t = store.write_span(VTime::ZERO, 3, f, 100, &data).unwrap();
+        let mut buf = vec![0u8; data.len()];
+        t = store.read_span(t, 3, f, 100, &mut buf).unwrap();
+        assert_eq!(buf, data);
+        t = store.write_span(t, 3, f, 0, &data[..4096]).unwrap();
+        let has_keys = stats.snapshot().values.contains_key("store.crc_mismatches");
+        (t, has_keys)
+    };
+    let (t_off, keys_off) = run(false);
+    let (t_on, keys_on) = run(true);
+    assert_eq!(t_off, t_on, "verification is timing-neutral when clean");
+    assert!(!keys_off, "knobs off: no integrity counters registered");
+    assert!(keys_on, "verify on: integrity counters present");
+}
+
+// ----- sharded placement manager (DESIGN.md §12) ------------------------
+
+/// `n` benefactors on nodes `1..=n` with `shards` placement-shard
+/// ranks round-robin on those same nodes; client drives from `n+1`.
+fn store_sharded(n: usize, shards: usize) -> (AggregateStore, StatsRegistry) {
+    let (store, stats) = store_n(n);
+    let nodes: Vec<usize> = (0..shards).map(|k| (k % n) + 1).collect();
+    store.install_shards(&nodes, 77);
+    (store, stats)
+}
+
+#[test]
+fn per_op_rpc_counters_split_the_aggregate() {
+    let (store, stats) = store();
+    let f = make_file(&store, "/m", 2 * CHUNK); // create + fallocate
+    let page = vec![8u8; 4096];
+    let t = store
+        .write_pages(VTime::ZERO, 3, f, 0, &[(0, &page)])
+        .unwrap();
+    let (t, _) = store.fetch_chunk(t, 3, f, 0).unwrap();
+    let (_, found) = store.open(t, 3, "/m").unwrap();
+    assert_eq!(found, Some(f));
+    assert_eq!(stats.get("store.mgr_rpc_place"), 3);
+    assert_eq!(stats.get("store.mgr_rpc_write"), 1);
+    assert_eq!(stats.get("store.mgr_rpc_fetch"), 1);
+    assert_eq!(
+        stats.get("store.mgr_rpc_fetch")
+            + stats.get("store.mgr_rpc_write")
+            + stats.get("store.mgr_rpc_place"),
+        stats.get("store.mgr_rpcs"),
+        "the per-op split always totals the aggregate"
+    );
+}
+
+/// ISSUE 6 acceptance: with one shard co-located with the serial
+/// manager's node, a mixed workload (batched writes, batched + serial
+/// fetches through a `LocationCache`, namespace ops) is bit-identical
+/// to the serial manager — same per-op virtual times, same shared
+/// counters — and the lease counters only exist in shard mode.
+#[test]
+fn single_shard_matches_serial_manager_exactly() {
+    const SHARED: &[&str] = &[
+        "store.mgr_rpcs",
+        "store.mgr_rpc_fetch",
+        "store.mgr_rpc_write",
+        "store.mgr_rpc_place",
+        "store.loc_cache_hits",
+        "store.loc_cache_misses",
+        "store.loc_cache_invalidations",
+        "store.chunk_fetches",
+        "store.batched_fetches",
+        "store.batched_writes",
+        "store.zero_fills",
+        "net.bytes",
+        "net.messages",
+    ];
+    let run = |sharded: bool| -> (Vec<VTime>, Vec<u64>, bool) {
+        let stats = StatsRegistry::new();
+        let net = Network::new(4, NetConfig::default(), &stats);
+        let store = AggregateStore::new(StoreConfig::default(), net, &stats);
+        for (i, node) in [1usize, 2].iter().enumerate() {
+            let ssd = Ssd::new(&format!("b{i}.ssd"), INTEL_X25E, &stats);
+            store.add_benefactor(Benefactor::new(*node, ssd, mib(64), CHUNK));
+        }
+        if sharded {
+            store.install_shards(&[0], 77);
+        }
+        let cache = LocationCache::new(&stats);
+        let (t, f) = store.create_file(VTime::ZERO, 3, "/m").unwrap();
+        let t = store
+            .fallocate(
+                t,
+                3,
+                f,
+                4 * CHUNK,
+                StripeSpec::all(),
+                PlacementPolicy::RoundRobin,
+            )
+            .unwrap();
+        let page = vec![5u8; 4096];
+        let upd = [(0u64, page.as_slice())];
+        let batch = [
+            BatchWrite {
+                file: f,
+                idx: 0,
+                updates: &upd,
+            },
+            BatchWrite {
+                file: f,
+                idx: 1,
+                updates: &upd,
+            },
+            BatchWrite {
+                file: f,
+                idx: 2,
+                updates: &upd,
+            },
+        ];
+        let mut times = Vec::new();
+        let ends = store.write_pages_batch(t, 3, &batch).unwrap();
+        let mut t = ends.iter().copied().max().unwrap();
+        times.extend(ends);
+        // Cold cache: one resolution RPC, then benefactor chains.
+        let r = store
+            .fetch_chunks(t, 3, &[(f, 0), (f, 1), (f, 2), (f, 3)], Some(&cache))
+            .unwrap();
+        t = r.iter().map(|&(e, _)| e).max().unwrap();
+        times.extend(r.iter().map(|&(e, _)| e));
+        // Warm cache (and, in shard mode, a held lease): no RPC.
+        let rpcs_before = stats.get("store.mgr_rpcs");
+        let r = store
+            .fetch_chunks(t, 3, &[(f, 0), (f, 2)], Some(&cache))
+            .unwrap();
+        assert_eq!(
+            stats.get("store.mgr_rpcs"),
+            rpcs_before,
+            "hot path skips the manager"
+        );
+        t = r.iter().map(|&(e, _)| e).max().unwrap();
+        times.extend(r.iter().map(|&(e, _)| e));
+        // Serial data + control plane for good measure.
+        let (t2, _) = store.fetch_chunk(t, 3, f, 1).unwrap();
+        let t3 = store.write_pages(t2, 3, f, 3, &[(0, &page)]).unwrap();
+        let (t4, found) = store.open(t3, 3, "/m").unwrap();
+        assert!(found.is_some());
+        times.extend([t2, t3, t4]);
+        let snap = stats.snapshot().values;
+        let shared: Vec<u64> = SHARED
+            .iter()
+            .map(|k| snap.get(*k).copied().unwrap_or(0))
+            .collect();
+        (times, shared, snap.contains_key("store.lease_grants"))
+    };
+    let (t_serial, c_serial, keys_serial) = run(false);
+    let (t_sharded, c_sharded, keys_sharded) = run(true);
+    assert_eq!(t_serial, t_sharded, "shards=1 is bit-identical");
+    assert_eq!(c_serial, c_sharded, "shared counters agree");
+    assert!(!keys_serial, "serial run registers no lease counters");
+    assert!(keys_sharded, "shard run exposes the lease counters");
+}
+
+#[test]
+fn rpcs_route_by_slot_owner_and_count_per_shard() {
+    let (store, stats) = store_sharded(2, 2);
+    let client = 3;
+    let (t, f) = store.create_file(VTime::ZERO, client, "/m").unwrap();
+    let mut t = store
+        .fallocate(
+            t,
+            client,
+            f,
+            8 * CHUNK,
+            StripeSpec::all(),
+            PlacementPolicy::RoundRobin,
+        )
+        .unwrap();
+    // Namespace ops went to the root shard.
+    assert_eq!(stats.get("store.shard_rpcs.s0"), 2);
+    assert_eq!(stats.get("store.mgr_rpc_place"), 2);
+    let before = [
+        stats.get("store.shard_rpcs.s0"),
+        stats.get("store.shard_rpcs.s1"),
+    ];
+    let mut expect = [0u64, 0u64];
+    let page = vec![9u8; 4096];
+    for idx in 0..8 {
+        expect[store.shard_of_slot(f, idx).unwrap()] += 2; // write + fetch
+        t = store.write_pages(t, client, f, idx, &[(0, &page)]).unwrap();
+        let (t2, _) = store.fetch_chunk(t, client, f, idx).unwrap();
+        t = t2;
+    }
+    assert!(
+        expect[0] > 0 && expect[1] > 0,
+        "both shards own some of the keyspace"
+    );
+    assert_eq!(stats.get("store.shard_rpcs.s0") - before[0], expect[0]);
+    assert_eq!(stats.get("store.shard_rpcs.s1") - before[1], expect[1]);
+    assert_eq!(stats.get("store.mgr_rpc_fetch"), 8);
+    assert_eq!(stats.get("store.mgr_rpc_write"), 8);
+    assert_eq!(stats.get("store.mgr_rpcs"), 2 + 16);
+}
+
+#[test]
+fn shard_crash_quarantines_only_its_keyspace() {
+    let (store, stats) = store_sharded(2, 2);
+    let client = 3;
+    let (t, f) = store.create_file(VTime::ZERO, client, "/m").unwrap();
+    let mut t = store
+        .fallocate(
+            t,
+            client,
+            f,
+            16 * CHUNK,
+            StripeSpec::all(),
+            PlacementPolicy::RoundRobin,
+        )
+        .unwrap();
+    let page = vec![2u8; 4096];
+    for idx in 0..16 {
+        t = store.write_pages(t, client, f, idx, &[(0, &page)]).unwrap();
+    }
+    let owned_by = |s: usize| {
+        (0..16)
+            .find(|&i| store.shard_of_slot(f, i) == Some(s))
+            .expect("shard owns a slot")
+    };
+    let dead_slot = owned_by(1);
+    let live_slot = owned_by(0);
+    store.set_shard_alive(1, false);
+    // The dead shard's keyspace errors once the retry window runs out…
+    let err = store.fetch_chunk(t, client, f, dead_slot).unwrap_err();
+    assert_eq!(err, StoreError::ShardDown(1));
+    let err = store
+        .write_pages(t, client, f, dead_slot, &[(0, &page)])
+        .unwrap_err();
+    assert_eq!(err, StoreError::ShardDown(1));
+    // …while the other shard and the namespace keep serving.
+    let (t2, _) = store.fetch_chunk(t, client, f, live_slot).unwrap();
+    let (t3, found) = store.open(t2, client, "/m").unwrap();
+    assert_eq!(found, Some(f));
+    // The crash alone revokes nothing: delegations ride through.
+    assert_eq!(stats.get("store.lease_revokes"), 0);
+    // Recovery restores service and revokes the shard's delegations.
+    store.set_shard_alive(1, true);
+    assert!(stats.get("store.lease_revokes") > 0);
+    store.fetch_chunk(t3, client, f, dead_slot).unwrap();
+}
+
+#[test]
+fn leased_clients_ride_through_a_shard_crash() {
+    let (store, stats) = store_sharded(2, 2);
+    let client = 3;
+    let (t, f) = store.create_file(VTime::ZERO, client, "/m").unwrap();
+    let t = store
+        .fallocate(
+            t,
+            client,
+            f,
+            8 * CHUNK,
+            StripeSpec::all(),
+            PlacementPolicy::RoundRobin,
+        )
+        .unwrap();
+    let cache = LocationCache::new(&stats);
+    let page = vec![4u8; 4096];
+    let upd = [(0u64, page.as_slice())];
+    let batch: Vec<BatchWrite> = (0..8)
+        .map(|idx| BatchWrite {
+            file: f,
+            idx,
+            updates: &upd,
+        })
+        .collect();
+    let ends = store.write_pages_batch(t, client, &batch).unwrap();
+    let t = ends.iter().copied().max().unwrap();
+    let targets: Vec<(FileId, usize)> = (0..8).map(|i| (f, i)).collect();
+    let r = store
+        .fetch_chunks(t, client, &targets, Some(&cache))
+        .unwrap();
+    let t = r.iter().map(|&(e, _)| e).max().unwrap();
+    // Both shards have delegated to this client.
+    assert_eq!(store.shard_leases(0), 1);
+    assert_eq!(store.shard_leases(1), 1);
+    // Kill a shard. The leased client keeps resolving placement
+    // locally: the same batch re-fetches without a single manager
+    // round-trip, dead shard or not.
+    store.set_shard_alive(1, false);
+    let rpcs = stats.get("store.mgr_rpcs");
+    let hits = stats.get("store.loc_cache_hits");
+    let r = store
+        .fetch_chunks(t, client, &targets, Some(&cache))
+        .unwrap();
+    let t = r.iter().map(|&(e, _)| e).max().unwrap();
+    assert_eq!(
+        stats.get("store.mgr_rpcs"),
+        rpcs,
+        "no RPC on the leased hot path"
+    );
+    assert_eq!(stats.get("store.loc_cache_hits"), hits + 8);
+    // Recovery revokes: the epoch bump drops the cache, and the
+    // re-resolution goes back to the (now live) shards.
+    store.set_shard_alive(1, true);
+    assert!(stats.get("store.lease_revokes") > 0);
+    let inv = stats.get("store.loc_cache_invalidations");
+    let r = store
+        .fetch_chunks(t, client, &targets, Some(&cache))
+        .unwrap();
+    assert!(r.iter().all(|(_, p)| matches!(p, ChunkPayload::Data(_))));
+    assert_eq!(stats.get("store.loc_cache_invalidations"), inv + 1);
+    assert!(
+        stats.get("store.mgr_rpcs") > rpcs,
+        "revocation forces re-resolution"
+    );
+}
+
+#[test]
+fn shard_down_retry_waits_out_a_scheduled_recovery() {
+    let (store, stats) = store_sharded(2, 2);
+    let client = 3;
+    let (t, f) = store.create_file(VTime::ZERO, client, "/m").unwrap();
+    let mut t = store
+        .fallocate(
+            t,
+            client,
+            f,
+            8 * CHUNK,
+            StripeSpec::all(),
+            PlacementPolicy::RoundRobin,
+        )
+        .unwrap();
+    let page = vec![6u8; 4096];
+    for idx in 0..8 {
+        t = store.write_pages(t, client, f, idx, &[(0, &page)]).unwrap();
+    }
+    let slot = (0..8)
+        .find(|&i| store.shard_of_slot(f, i) == Some(1))
+        .expect("shard 1 owns a slot");
+    store.set_shard_alive(1, false);
+    store.attach_faults(
+        faults::FaultPlanBuilder::new(7)
+            .shard_recover(t + RETRY_BACKOFF, 1)
+            .build(),
+    );
+    let (t2, payload) = store.fetch_chunk(t, client, f, slot).unwrap();
+    assert!(matches!(payload, ChunkPayload::Data(_)));
+    assert!(t2 >= t + RETRY_BACKOFF, "the read waited out the outage");
+    assert!(store.shard_alive(1));
+    assert_eq!(
+        stats.get("store.lease_revokes"),
+        1,
+        "recovery revoked the stale delegation"
+    );
+}
+
+#[test]
+fn wear_reports_cover_benefactors() {
+    let (store, _) = store();
+    let f = make_file(&store, "/m", CHUNK);
+    let page = vec![1u8; 4096];
+    store
+        .write_pages(VTime::ZERO, 3, f, 0, &[(0, &page)])
+        .unwrap();
+    let wear = store.wear_reports();
+    assert_eq!(wear.len(), 2);
+    let total: u64 = wear.iter().map(|(_, w)| w.bytes_written).sum();
+    assert_eq!(total, 4096);
+}
+
+// ----- erasure-coded redundancy tier (DESIGN.md §15) --------------------
+
+fn make_file_parity(
+    store: &AggregateStore,
+    node: usize,
+    name: &str,
+    size: u64,
+    k: usize,
+    m: usize,
+) -> FileId {
+    let (t, f) = store.create_file(VTime::ZERO, node, name).unwrap();
+    store
+        .fallocate(
+            t,
+            node,
+            f,
+            size,
+            StripeSpec::all().with_parity(k, m),
+            PlacementPolicy::RoundRobin,
+        )
+        .unwrap();
+    f
+}
+
+fn pattern(tag: u8) -> Vec<u8> {
+    (0..CHUNK as usize)
+        .map(|i| (i as u8).wrapping_mul(31) ^ tag)
+        .collect()
+}
+
+#[test]
+fn parity_write_materializes_parity_and_reads_back() {
+    let (store, stats) = store_n(3);
+    let client = 4;
+    let f = make_file_parity(&store, client, "/m", 2 * CHUNK, 2, 1);
+    let (a, b) = (pattern(0x11), pattern(0x22));
+    let mut t = store
+        .write_pages(VTime::ZERO, client, f, 0, &[(0, &a)])
+        .unwrap();
+    t = store.write_pages(t, client, f, 1, &[(0, &b)]).unwrap();
+    // Both data members plus the parity member are materialized, on
+    // three distinct benefactors.
+    let (c0, c1) = (chunk_of(&store, f, 0), chunk_of(&store, f, 1));
+    let mgr = store.manager();
+    let pc = match mgr.file(f).unwrap().parity_slot(0, 0) {
+        Slot::Chunk(c) => c,
+        _ => panic!("parity not materialized"),
+    };
+    let mut homes = vec![
+        mgr.chunk_home(c0).unwrap(),
+        mgr.chunk_home(c1).unwrap(),
+        mgr.chunk_home(pc).unwrap(),
+    ];
+    homes.sort();
+    homes.dedup();
+    assert_eq!(homes.len(), 3, "group members on distinct benefactors");
+    // Stored parity is the RS encode of the data members.
+    let code = RsCode::new(2, 1);
+    let mut want = vec![0u8; CHUNK as usize];
+    code.encode_parity(0, &[&a, &b], &mut want);
+    let home = mgr.chunk_home(pc).unwrap();
+    assert_eq!(mgr.benefactor(home).peek_chunk(pc).unwrap(), &want[..]);
+    drop(mgr);
+    assert_eq!(stats.get("store.parity_encodes"), 2);
+    assert_eq!(stats.get("store.parity_bytes"), 2 * CHUNK);
+    // Reads are undegraded and roundtrip.
+    let (_, payload) = store.fetch_chunk(t, client, f, 0).unwrap();
+    assert_eq!(payload, ChunkPayload::Data(a.clone().into_boxed_slice()));
+}
+
+#[test]
+fn parity_updates_are_o_dirty_not_full_group() {
+    let (store, stats) = store_n(3);
+    let client = 4;
+    let f = make_file_parity(&store, client, "/m", 2 * CHUNK, 2, 1);
+    let (a, b) = (pattern(0x31), pattern(0x42));
+    let mut t = store
+        .write_pages(VTime::ZERO, client, f, 0, &[(0, &a)])
+        .unwrap();
+    t = store.write_pages(t, client, f, 1, &[(0, &b)]).unwrap();
+    let before = stats.get("store.parity_bytes");
+    // One 4 KiB page: the parity member absorbs a 4 KiB delta, not a
+    // full-chunk re-encode.
+    let page = vec![0x5Au8; 4096];
+    t = store
+        .write_pages(t, client, f, 0, &[(8192, &page)])
+        .unwrap();
+    assert_eq!(stats.get("store.parity_bytes") - before, 4096);
+    // And the parity still decodes: read member 0 degraded.
+    store.set_benefactor_alive(BenefactorId(0), false);
+    let (_, payload) = store.fetch_chunk(t, client, f, 0).unwrap();
+    let mut want = a;
+    want[8192..8192 + 4096].copy_from_slice(&page);
+    assert_eq!(payload, ChunkPayload::Data(want.into_boxed_slice()));
+    assert_eq!(stats.get("store.degraded_reconstructs"), 1);
+}
+
+#[test]
+fn degraded_read_reconstructs_after_crash_with_zero_wrong_bytes() {
+    let (store, stats) = store_n(3);
+    let client = 4;
+    let f = make_file_parity(&store, client, "/m", 2 * CHUNK, 2, 1);
+    let (a, b) = (pattern(0x07), pattern(0x70));
+    let mut t = store
+        .write_pages(VTime::ZERO, client, f, 0, &[(0, &a)])
+        .unwrap();
+    t = store.write_pages(t, client, f, 1, &[(0, &b)]).unwrap();
+    store.set_benefactor_alive(BenefactorId(0), false);
+    let (_, payload) = store.fetch_chunk(t, client, f, 0).unwrap();
+    assert_eq!(
+        payload,
+        ChunkPayload::Data(a.into_boxed_slice()),
+        "reconstructed bytes are exactly the lost member"
+    );
+    assert_eq!(stats.get("store.degraded_reconstructs"), 1);
+    assert_eq!(stats.get("store.failovers"), 1);
+    assert_eq!(stats.get("store.degraded_reads"), 1);
+}
+
+#[test]
+fn losing_more_than_m_members_is_a_deterministic_error() {
+    let (store, _) = store_n(3);
+    let client = 4;
+    let f = make_file_parity(&store, client, "/m", 2 * CHUNK, 2, 1);
+    let (a, b) = (pattern(0x01), pattern(0x02));
+    let mut t = store
+        .write_pages(VTime::ZERO, client, f, 0, &[(0, &a)])
+        .unwrap();
+    t = store.write_pages(t, client, f, 1, &[(0, &b)]).unwrap();
+    // RS(2,1) tolerates one loss; kill two members' homes.
+    store.set_benefactor_alive(BenefactorId(0), false);
+    store.set_benefactor_alive(BenefactorId(1), false);
+    let err = store.fetch_chunk(t, client, f, 0).unwrap_err();
+    assert_eq!(
+        err,
+        StoreError::InsufficientSurvivors {
+            file: f,
+            group: 0,
+            have: 1,
+            need: 2
+        }
+    );
+    // Identical on retry: deterministic, never silent.
+    assert_eq!(store.fetch_chunk(t, client, f, 0).unwrap_err(), err);
+}
+
+#[test]
+fn batched_parity_group_write_ships_fewer_bytes_than_replicas() {
+    let full = |spec: StripeSpec| -> u64 {
+        let (store, stats) = store_n(6);
+        let client = 7;
+        let (t, f) = store.create_file(VTime::ZERO, client, "/m").unwrap();
+        let t = store
+            .fallocate(t, client, f, 4 * CHUNK, spec, PlacementPolicy::RoundRobin)
+            .unwrap();
+        let data = pattern(0x55);
+        let updates: Vec<(u64, &[u8])> = vec![(0, &data)];
+        let batch: Vec<BatchWrite<'_>> = (0..4)
+            .map(|idx| BatchWrite {
+                file: f,
+                idx,
+                updates: &updates,
+            })
+            .collect();
+        store.write_pages_batch(t, client, &batch).unwrap();
+        stats.get("store.bytes_from_clients")
+    };
+    let rs = full(StripeSpec::all().with_parity(4, 2));
+    let rep = full(StripeSpec::all().with_replicas(2));
+    // One full RS(4,2) group: 4 data + 2 parity chunks on the wire
+    // versus 2 × 4 replica copies — same one-loss-and-more tolerance,
+    // 25% fewer bytes.
+    assert_eq!(rs, 6 * CHUNK);
+    assert_eq!(rep, 8 * CHUNK);
+}
+
+#[test]
+fn parity_knobs_off_is_bit_identical_to_plain_striping() {
+    // The same workload through `with_parity(4, 0)` and through the
+    // default spec must produce identical virtual times and register
+    // no parity counters: m = 0 *is* plain striping.
+    let run = |spec: StripeSpec| -> (VTime, bool) {
+        let (store, stats) = store_n(4);
+        let client = 5;
+        let (t, f) = store.create_file(VTime::ZERO, client, "/m").unwrap();
+        let mut t = store
+            .fallocate(t, client, f, 6 * CHUNK, spec, PlacementPolicy::RoundRobin)
+            .unwrap();
+        let data: Vec<u8> = (0..3 * CHUNK as usize + 999)
+            .map(|i| (i % 253) as u8)
+            .collect();
+        t = store.write_span(t, client, f, 512, &data).unwrap();
+        let mut buf = vec![0u8; data.len()];
+        t = store.read_span(t, client, f, 512, &mut buf).unwrap();
+        assert_eq!(buf, data);
+        let keys = stats.snapshot().values.contains_key("store.parity_encodes");
+        (t, keys)
+    };
+    let (t_plain, keys_plain) = run(StripeSpec::all());
+    let (t_m0, keys_m0) = run(StripeSpec::all().with_parity(4, 0));
+    assert_eq!(t_plain, t_m0, "m = 0 is timing-identical");
+    assert!(!keys_plain && !keys_m0, "no parity counters registered");
+}
+
+#[test]
+fn scrub_rebuilds_corrupt_sole_copy_group_member_in_place() {
+    let (store, stats) = store_verify(3);
+    let client = 4;
+    let f = make_file_parity(&store, client, "/m", 2 * CHUNK, 2, 1);
+    let (a, b) = (pattern(0x0F), pattern(0xF0));
+    let mut t = store
+        .write_pages(VTime::ZERO, client, f, 0, &[(0, &a)])
+        .unwrap();
+    t = store.write_pages(t, client, f, 1, &[(0, &b)]).unwrap();
+    // Rot the sole copy of data member 0 (benefactor 0 holds it).
+    store.attach_faults(
+        faults::FaultPlanBuilder::new(21)
+            .bit_rot(t + VTime::from_micros(1), 0, 10_000)
+            .build(),
+    );
+    store.attach_scrub(
+        ScrubConfig {
+            interval: VTime::from_millis(1),
+            chunks_per_pass: 16,
+            ..ScrubConfig::default()
+        },
+        t + VTime::from_micros(2),
+    );
+    store.poll_faults(t + VTime::from_millis(1));
+    assert!(stats.get("store.parity_repairs") > 0, "group rebuild ran");
+    assert_eq!(store.count_corrupt_copies(), 0, "no rot left behind");
+    let (_, payload) = store
+        .fetch_chunk(t + VTime::from_millis(2), client, f, 0)
+        .unwrap();
+    assert_eq!(payload, ChunkPayload::Data(a.into_boxed_slice()));
+}
+
+#[test]
+fn repair_parity_groups_rehomes_dead_members() {
+    let (store, stats) = store_n(4);
+    let client = 5;
+    let f = make_file_parity(&store, client, "/m", 2 * CHUNK, 2, 1);
+    let (a, b) = (pattern(0x21), pattern(0x12));
+    let mut t = store
+        .write_pages(VTime::ZERO, client, f, 0, &[(0, &a)])
+        .unwrap();
+    t = store.write_pages(t, client, f, 1, &[(0, &b)]).unwrap();
+    let c0 = chunk_of(&store, f, 0);
+    assert_eq!(store.manager().chunk_homes(c0).unwrap(), &[BenefactorId(0)]);
+    store.set_benefactor_alive(BenefactorId(0), false);
+    let (t2, report) = store.repair_parity_groups(t);
+    assert_eq!(report.chunks_repaired, 1);
+    assert_eq!(report.chunks_unrepairable, 0);
+    assert!(t2 > t, "repair took simulated time");
+    // The lost member now lives on the only benefactor outside the
+    // group (b3) — the placement invariant still holds.
+    assert_eq!(store.manager().chunk_homes(c0).unwrap(), &[BenefactorId(3)]);
+    assert_eq!(stats.get("store.parity_repairs"), 1);
+    // And it reads back cleanly (no degraded path) with b0 still dead.
+    let before = stats.get("store.degraded_reads");
+    let (_, payload) = store.fetch_chunk(t2, client, f, 0).unwrap();
+    assert_eq!(payload, ChunkPayload::Data(a.into_boxed_slice()));
+    assert_eq!(stats.get("store.degraded_reads"), before);
+}
+
+#[test]
+fn stale_parity_is_flagged_and_reencoded_by_repair() {
+    let (store, stats) = store_n(4);
+    let client = 5;
+    let f = make_file_parity(&store, client, "/m", 2 * CHUNK, 2, 1);
+    let (a, b) = (pattern(0x61), pattern(0x16));
+    let mut t = store
+        .write_pages(VTime::ZERO, client, f, 0, &[(0, &a)])
+        .unwrap();
+    t = store.write_pages(t, client, f, 1, &[(0, &b)]).unwrap();
+    // Kill the parity home; the next data write can't ship its delta,
+    // so the parity member goes stale rather than silently rotting.
+    let pc = match store.manager().file(f).unwrap().parity_slot(0, 0) {
+        Slot::Chunk(c) => c,
+        _ => panic!("parity not materialized"),
+    };
+    let phome = store.manager().chunk_home(pc).unwrap();
+    store.set_benefactor_alive(phome, false);
+    let page = vec![0x77u8; 4096];
+    t = store.write_pages(t, client, f, 0, &[(0, &page)]).unwrap();
+    assert!(store.manager().file(f).unwrap().parity_is_stale(0, 0));
+    // Stale parity is not a survivor: lose a data member too and the
+    // group is short.
+    store.set_benefactor_alive(BenefactorId(0), false);
+    let err = store.fetch_chunk(t, client, f, 0).unwrap_err();
+    assert!(matches!(err, StoreError::InsufficientSurvivors { .. }));
+    store.set_benefactor_alive(BenefactorId(0), true);
+    // The repair sweep re-homes and re-encodes the parity member from
+    // the (live) data members, clearing the stale flag.
+    let (t3, report) = store.repair_parity_groups(t);
+    assert_eq!(report.chunks_repaired, 1);
+    let mgr = store.manager();
+    let meta = mgr.file(f).unwrap();
+    assert!(!meta.parity_is_stale(0, 0));
+    let pc2 = match meta.parity_slot(0, 0) {
+        Slot::Chunk(c) => c,
+        _ => panic!("parity gone"),
+    };
+    let home = mgr.chunk_home(pc2).unwrap();
+    assert!(mgr.benefactor(home).is_alive());
+    let mut want_a = a.clone();
+    want_a[..4096].copy_from_slice(&page);
+    let code = RsCode::new(2, 1);
+    let mut want = vec![0u8; CHUNK as usize];
+    code.encode_parity(0, &[&want_a, &b], &mut want);
+    assert_eq!(
+        mgr.benefactor(home).peek_chunk(pc2).unwrap(),
+        &want[..],
+        "re-encoded parity reflects the post-outage data"
+    );
+    drop(mgr);
+    assert_eq!(stats.get("store.parity_repairs"), 1);
+    // With parity healthy again the degraded read works once more.
+    store.set_benefactor_alive(BenefactorId(0), false);
+    let (_, payload) = store.fetch_chunk(t3, client, f, 0).unwrap();
+    assert_eq!(payload, ChunkPayload::Data(want_a.into_boxed_slice()));
+}
+
+// ----- manager HA (DESIGN.md §16) ----------------------------------------
+
+/// Like `store()` but with HA knobs: a fatter retry window (the
+/// default 2 × 5 ms cannot outlast the 25 ms failover timeout) and
+/// `ha_standby` as given.
+fn store_ha(standby: bool) -> (AggregateStore, StatsRegistry) {
+    let stats = StatsRegistry::new();
+    let net = Network::new(4, NetConfig::default(), &stats);
+    let cfg = StoreConfig {
+        ha_standby: standby,
+        fetch_retries: 12,
+        ..StoreConfig::default()
+    };
+    let store = AggregateStore::new(cfg, net, &stats);
+    for (i, node) in [1usize, 2].iter().enumerate() {
+        let ssd = Ssd::new(&format!("b{i}.ssd"), INTEL_X25E, &stats);
+        store.add_benefactor(Benefactor::new(*node, ssd, mib(64), CHUNK));
+    }
+    (store, stats)
+}
+
+#[test]
+fn ha_knobs_off_changes_nothing() {
+    // Same workload, journaling + standby on vs off, no faults:
+    // identical virtual times, and the knobs-off run registers none
+    // of the HA counters (committed bench expectations must not grow
+    // keys). Mirrors `integrity_knobs_off_changes_nothing`.
+    let run = |ha: bool| -> (VTime, bool) {
+        let stats = StatsRegistry::new();
+        let net = Network::new(4, NetConfig::default(), &stats);
+        let cfg = StoreConfig {
+            ha_standby: ha,
+            ..StoreConfig::default()
+        };
+        let store = AggregateStore::new(cfg, net, &stats);
+        for (i, node) in [1usize, 2].iter().enumerate() {
+            let ssd = Ssd::new(&format!("b{i}.ssd"), INTEL_X25E, &stats);
+            store.add_benefactor(Benefactor::new(*node, ssd, mib(64), CHUNK));
+        }
+        let f = make_file(&store, "/m", 4 * CHUNK);
+        let data: Vec<u8> = (0..2 * CHUNK as usize + 777)
+            .map(|i| (i % 251) as u8)
+            .collect();
+        let mut t = store.write_span(VTime::ZERO, 3, f, 100, &data).unwrap();
+        let mut buf = vec![0u8; data.len()];
+        t = store.read_span(t, 3, f, 100, &mut buf).unwrap();
+        assert_eq!(buf, data);
+        t = store.delete(t, 3, f).unwrap();
+        let has_keys = stats
+            .snapshot()
+            .values
+            .contains_key("store.journal_records");
+        (t, has_keys)
+    };
+    let (t_off, keys_off) = run(false);
+    let (t_on, keys_on) = run(true);
+    assert_eq!(t_off, t_on, "journaling is timing-neutral");
+    assert!(!keys_off, "knobs off: no HA counters registered");
+    assert!(keys_on, "HA on: journal/failover counters present");
+}
+
+#[test]
+fn manager_crash_without_standby_waits_for_reboot() {
+    let (store, _) = store_ha(false);
+    let f = make_file(&store, "/m", 2 * CHUNK);
+    let page = vec![9u8; 4096];
+    let t = store
+        .write_pages(VTime::ZERO, 3, f, 0, &[(0, &page)])
+        .unwrap();
+    let crash = t + VTime::from_micros(1);
+    let reboot = crash + VTime::from_millis(20);
+    store.attach_faults(
+        faults::FaultPlanBuilder::new(7)
+            .mgr_crash(crash, 0)
+            .mgr_recover(reboot, 0)
+            .build(),
+    );
+    let epoch_before = store.manager().placement_epoch();
+    // The fetch lands mid-outage: it sits in the retry/backoff loop
+    // until the scheduled reboot, then completes.
+    let (t2, payload) = store.fetch_chunk(crash, 3, f, 0).unwrap();
+    assert!(t2 >= reboot, "served only after the reboot");
+    match payload {
+        ChunkPayload::Data(d) => assert_eq!(d[0], 9),
+        _ => panic!("expected data"),
+    }
+    assert!(!store.manager_rank_down(0));
+    // A cold reboot is a placement-epoch event: caches must re-fetch.
+    assert!(store.manager().placement_epoch() > epoch_before);
+    // A second crash with no recovery scheduled exhausts the window.
+    let t3 = t2 + VTime::from_secs(1);
+    store.attach_faults(faults::FaultPlanBuilder::new(8).mgr_crash(t3, 0).build());
+    let err = store.fetch_chunk(t3, 3, f, 0).unwrap_err();
+    assert_eq!(err, StoreError::ManagerDown(0));
+}
+
+#[test]
+fn standby_takeover_replays_journal_and_loses_nothing() {
+    let (store, stats) = store_ha(true);
+    let f = make_file(&store, "/m", 2 * CHUNK);
+    let data = pattern(0x5A);
+    let mut t = store
+        .write_pages(VTime::ZERO, 3, f, 0, &[(0, &data)])
+        .unwrap();
+    t = store.write_pages(t, 3, f, 1, &[(0, &data)]).unwrap();
+    assert!(stats.get("store.journal_records") > 0, "mutations journal");
+    let crash = t + VTime::from_micros(1);
+    store.attach_faults(faults::FaultPlanBuilder::new(9).mgr_crash(crash, 0).build());
+    let epoch_before = store.manager().placement_epoch();
+    // No reboot is scheduled: only the standby takeover can serve
+    // this — journal replay, verification, epoch bump.
+    let (t2, payload) = store.fetch_chunk(crash, 3, f, 0).unwrap();
+    assert!(
+        t2 >= crash + FAILOVER_TIMEOUT,
+        "takeover waits out the crash-detection window"
+    );
+    assert_eq!(payload, ChunkPayload::Data(data.clone().into_boxed_slice()));
+    assert_eq!(stats.get("store.mgr_failovers"), 1);
+    assert_eq!(stats.get("store.journal_replays"), 1);
+    assert!(
+        stats.get("store.mgr_failover_us") >= 25_000,
+        "time-to-failover includes the detection window"
+    );
+    assert!(store.manager().placement_epoch() > epoch_before);
+    // Acked writes survived: both chunks read back post-takeover.
+    let (_, p1) = store.fetch_chunk(t2, 3, f, 1).unwrap();
+    assert_eq!(p1, ChunkPayload::Data(data.into_boxed_slice()));
+}
+
+#[test]
+fn sharded_standby_promotion_repoints_endpoint_and_revokes_leases() {
+    let stats = StatsRegistry::new();
+    let net = Network::new(4, NetConfig::default(), &stats);
+    let cfg = StoreConfig {
+        ha_standby: true,
+        manager_shards: 2,
+        fetch_retries: 12,
+        ..StoreConfig::default()
+    };
+    let store = AggregateStore::new(cfg, net.clone(), &stats);
+    for (i, node) in [1usize, 2].iter().enumerate() {
+        let ssd = Ssd::new(&format!("b{i}.ssd"), INTEL_X25E, &stats);
+        store.add_benefactor(Benefactor::new(*node, ssd, mib(64), CHUNK));
+    }
+    store.install_shards(&[1, 2], 77);
+    store.set_standby_nodes(&[2, 1]);
+    let f = make_file(&store, "/m", 4 * CHUNK);
+    let data = pattern(0x3C);
+    let mut t = VTime::ZERO;
+    for idx in 0..4 {
+        t = store.write_pages(t, 3, f, idx, &[(0, &data)]).unwrap();
+    }
+    let granted = stats.get("store.lease_grants");
+    assert!(granted > 0, "shard RPCs granted leases");
+    assert_eq!(net.endpoint_node("shardmgr/0"), Some(1));
+    let crash = t + VTime::from_micros(1);
+    store.attach_faults(
+        faults::FaultPlanBuilder::new(11)
+            .mgr_crash(crash, 0)
+            .build(),
+    );
+    let revokes_before = stats.get("store.lease_revokes");
+    // Every acked write reads back across the outage…
+    for idx in 0..4 {
+        let (_, p) = store.fetch_chunk(crash, 3, f, idx).unwrap();
+        assert_eq!(p, ChunkPayload::Data(data.clone().into_boxed_slice()));
+    }
+    // …and a namespace op (always rank 0, the root shard) guarantees
+    // the crashed rank was probed even if slot hashing dodged it.
+    let (_, found) = store.open(crash, 3, "/m").unwrap();
+    assert_eq!(found, Some(f));
+    assert_eq!(stats.get("store.mgr_failovers"), 1);
+    // The standby's node now answers rank 0's endpoint…
+    assert_eq!(net.endpoint_node("shardmgr/0"), Some(2));
+    // …and every pre-crash delegation from rank 0 was revoked.
+    assert!(stats.get("store.lease_revokes") > revokes_before);
+}

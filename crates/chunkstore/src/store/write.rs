@@ -1,0 +1,613 @@
+//! The write data plane: page write-back — serial, and batched with one
+//! merged parity ship per touched group — over one post-RPC body
+//! (DESIGN.md §7, §8, §11, §15).
+
+use super::meta::MgrOp;
+use super::{copies, AggregateStore, BatchWrite};
+use crate::benefactor::Benefactor;
+use crate::crc;
+use crate::error::{Result, StoreError};
+use crate::ids::{BenefactorId, FileId};
+use crate::manager::{Manager, Slot};
+use crate::rs::RsCode;
+use crate::segments::segments;
+use obs::Layer;
+use simcore::VTime;
+use std::collections::BTreeMap;
+
+/// Deferred parity work for one `write_pages_batch` call: per touched
+/// (file, group), the XOR-merged parity deltas of every contributing
+/// entry. Linearity of RS over GF(2^8) makes the merge exact — parity
+/// for the whole group ships once per batch instead of once per member,
+/// which is where RS(4, 2)'s 1.5× wire cost (vs 2× for `replicas = 2`)
+/// comes from.
+#[derive(Default)]
+struct ParityBatch {
+    groups: BTreeMap<(FileId, usize), GroupDeltas>,
+}
+
+/// Dirty runs `(chunk offset, delta bytes)` for one parity member,
+/// produced by one write's incremental encode.
+type DeltaRuns = Vec<(u64, Box<[u8]>)>;
+
+/// Merged parity deltas for one (file, group) within a batch.
+struct GroupDeltas {
+    /// One full-chunk accumulation buffer per parity member.
+    bufs: Vec<Box<[u8]>>,
+    /// Raw dirty intervals `[start, end)` as contributed (merged at
+    /// flush time).
+    spans: Vec<(u64, u64)>,
+    /// Batch-entry indices that contributed: their reported completion
+    /// folds in the parity ship (a write is durable when its redundancy
+    /// is).
+    contributors: Vec<usize>,
+}
+
+impl ParityBatch {
+    /// XOR entry `i`'s per-parity delta runs into the group accumulator.
+    fn absorb(
+        &mut self,
+        file: FileId,
+        group: usize,
+        m: usize,
+        chunk_len: u64,
+        i: usize,
+        deltas: &[DeltaRuns],
+    ) {
+        let gd = self
+            .groups
+            .entry((file, group))
+            .or_insert_with(|| GroupDeltas {
+                bufs: (0..m)
+                    .map(|_| vec![0u8; chunk_len as usize].into_boxed_slice())
+                    .collect(),
+                spans: Vec::new(),
+                contributors: Vec::new(),
+            });
+        for (p, runs) in deltas.iter().enumerate() {
+            for (off, d) in runs {
+                let at = *off as usize;
+                for (dst, src) in gd.bufs[p][at..at + d.len()].iter_mut().zip(d.iter()) {
+                    *dst ^= *src;
+                }
+            }
+        }
+        for (off, d) in &deltas[0] {
+            gd.spans.push((*off, off + d.len() as u64));
+        }
+        gd.contributors.push(i);
+    }
+}
+
+/// Sort + coalesce raw `[start, end)` intervals into disjoint runs.
+fn merge_spans(mut spans: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
+    spans.sort_unstable();
+    let mut out: Vec<(u64, u64)> = Vec::with_capacity(spans.len());
+    for (s, e) in spans {
+        match out.last_mut() {
+            Some((_, last_e)) if s <= *last_e => *last_e = (*last_e).max(e),
+            _ => out.push((s, e)),
+        }
+    }
+    out
+}
+
+/// A zero chunk with `runs` applied, and its digest — computed without
+/// scanning the composed buffer: start from the all-zeros digest and
+/// splice each dirty run in, O(dirty bytes) not O(chunk). Dirty runs
+/// never overlap (they come from a page bitmap), which the splice algebra
+/// relies on.
+fn compose(chunk_len: u64, runs: &[(u64, &[u8])]) -> (Box<[u8]>, u64) {
+    let mut data = vec![0u8; chunk_len as usize].into_boxed_slice();
+    let mut crc = crc::crc64_zeros(chunk_len);
+    for (off, d) in runs {
+        data[*off as usize..*off as usize + d.len()].copy_from_slice(d);
+        crc = crc::crc64_splice_fresh(crc, chunk_len, *off, d);
+    }
+    (data, crc)
+}
+
+impl AggregateStore {
+    /// Write back dirty pages of chunk `idx` (the FUSE eviction path).
+    ///
+    /// `updates` are `(offset_within_chunk, bytes)` runs. Handles all
+    /// three slot states:
+    ///
+    /// * unmaterialized → materialize a fresh chunk (zeros + updates);
+    /// * exclusive chunk → in-place page update;
+    /// * shared chunk (checkpoint-linked) → copy-on-write: the benefactor
+    ///   clones the chunk locally, the updates land on the clone, and the
+    ///   file's slot is switched while the checkpoint keeps the original.
+    ///
+    /// Replication: the dirty bytes ship to **every** live copy (each
+    /// transfer and SSD write is charged; completion is the slowest
+    /// replica). A copy whose benefactor is dead is dropped from the
+    /// chunk's home list — its on-disk bytes are stale from now on and
+    /// are reclaimed when the benefactor reconciles on recovery. The
+    /// write only fails if *no* copy is on a live benefactor — or, under
+    /// `verify_reads`, if it needs the chunk's current bytes (a partial
+    /// overwrite, or any overwrite of a parity-group member) and no live
+    /// copy still matches the recorded CRC ([`StoreError::ChunkCorrupt`]:
+    /// the write would otherwise launder the rot into the new digest).
+    pub fn write_pages(
+        &self,
+        t: VTime,
+        client_node: usize,
+        file: FileId,
+        idx: usize,
+        updates: &[(u64, &[u8])],
+    ) -> Result<VTime> {
+        self.validate_updates(updates);
+        self.poll_faults(t);
+        let sp = self.trace.span(Layer::Store, "store.write_pages", t);
+        sp.arg("file", file.0).arg("idx", idx as u64);
+        let t = self.slot_rpc(t, client_node, file, idx, MgrOp::Write)?;
+        let end = self.write_pages_inner(t, client_node, file, idx, updates, None)?;
+        sp.finish(end);
+        Ok(end)
+    }
+
+    /// Batched write-back: one manager RPC covers every entry, then the
+    /// entries run as per-benefactor chains exactly like
+    /// [`Self::fetch_chunks`] — entries bound for the same primary home
+    /// chain serially (entry `i+1` ships when entry `i`'s replicas have
+    /// all acknowledged), chains on distinct benefactors proceed
+    /// concurrently from the shared resolution time, so a background
+    /// flush scales with stripe width. Chains are drained min-cursor
+    /// first, keeping resource requests in non-decreasing virtual time.
+    /// Returns per-entry completion times in input order (a flush's
+    /// completion is their max). Replication semantics per entry are
+    /// identical to [`Self::write_pages`]: each entry independently ships
+    /// to every live home and drops dead ones; an entry with no live home
+    /// runs unchained from the resolution time and surfaces the same
+    /// error the serial path would.
+    pub fn write_pages_batch(
+        &self,
+        t: VTime,
+        client_node: usize,
+        entries: &[BatchWrite<'_>],
+    ) -> Result<Vec<VTime>> {
+        if entries.is_empty() {
+            return Ok(Vec::new());
+        }
+        for e in entries {
+            self.validate_updates(e.updates);
+        }
+        self.poll_faults(t);
+        self.batched_writes.inc();
+        let sp = self.trace.span(Layer::Store, "store.write_batch", t);
+        sp.arg("entries", entries.len() as u64);
+
+        // Resolution RPC(s): one per owning shard in shard mode — writes
+        // are placement mutations and always reach the authoritative
+        // shard, no lease shortcut — issued concurrently from `t`; one
+        // serial manager RPC otherwise. `ready[i]` is when entry `i`'s
+        // resolution reply is in hand.
+        let owners = self.owners_of(entries.iter().map(|e| (e.file, e.idx)));
+        let ready = self.resolve_fan_out(t, client_node, MgrOp::Write, &owners, |_| true)?;
+
+        // Group entries by the benefactor their bytes land on first (the
+        // primary live home). Resolution here is advisory — it only
+        // shapes chains; `write_pages_inner` re-resolves authoritatively
+        // per entry. Entries with no live home at batch time (they error,
+        // or — for holes — allocate wherever space remains) run
+        // unchained from their resolution time, after the chains.
+        let (keys, fleet): (Vec<Option<BenefactorId>>, usize) = {
+            let mgr = self.mgr.lock();
+            let keys = entries
+                .iter()
+                .map(|e| Self::primary_live_home(&mgr, e.file, e.idx))
+                .collect();
+            (keys, mgr.benefactor_count())
+        };
+        let mut pbatch = ParityBatch::default();
+        let mut ends: Vec<VTime> = ready.clone();
+        self.drain_chains(fleet, &ready, keys.into_iter().enumerate(), |i, start| {
+            let e = &entries[i];
+            let esp = self.trace.span(Layer::Store, "store.write_pages", start);
+            esp.arg("file", e.file.0).arg("idx", e.idx as u64);
+            let defer = Some((i, &mut pbatch));
+            ends[i] =
+                self.write_pages_inner(start, client_node, e.file, e.idx, e.updates, defer)?;
+            esp.finish(ends[i]);
+            Ok(ends[i])
+        })?;
+        // Ship each touched group's XOR-merged parity once, after every
+        // contributing data write has landed: one delta per parity member
+        // per batch, not per entry. A full-group RS(4, 2) batch therefore
+        // puts k + m = 6 chunk transfers on the wire where replicas = 2
+        // puts 2k = 8.
+        if !pbatch.groups.is_empty() {
+            let flush_at = ends.iter().copied().max().unwrap_or(t);
+            let mut mgr = self.mgr.lock();
+            for ((file, group), gd) in std::mem::take(&mut pbatch.groups) {
+                let spans = merge_spans(gd.spans);
+                let deltas: Vec<Vec<(u64, &[u8])>> = gd
+                    .bufs
+                    .iter()
+                    .map(|buf| {
+                        spans
+                            .iter()
+                            .map(|&(s, e)| (s, &buf[s as usize..e as usize]))
+                            .collect()
+                    })
+                    .collect();
+                let pend =
+                    self.ship_parity_deltas(&mut mgr, flush_at, client_node, file, group, &deltas)?;
+                for &i in &gd.contributors {
+                    ends[i] = ends[i].max(pend);
+                }
+            }
+        }
+        sp.finish(ends.iter().copied().max().unwrap_or(t));
+        Ok(ends)
+    }
+
+    /// The benefactor a write to `(file, idx)` primarily lands on — the
+    /// chain-grouping key for [`Self::write_pages_batch`]. `None` when no
+    /// listed home is alive or the slot does not resolve; such entries
+    /// run unchained and reproduce the serial path's outcome.
+    fn primary_live_home(mgr: &Manager, file: FileId, idx: usize) -> Option<BenefactorId> {
+        let meta = mgr.file(file).ok()?;
+        match *meta.slots.get(idx)? {
+            Slot::Unmaterialized => {
+                copies::first_live(mgr, meta.homes_iter(idx), |_| true).map(|(_, h)| h)
+            }
+            Slot::Hole => copies::pick_destination(mgr, &[]),
+            Slot::Chunk(c) => copies::trusted_copy(mgr, c, |_| true),
+        }
+    }
+
+    fn validate_updates(&self, updates: &[(u64, &[u8])]) {
+        let dirty_bytes: u64 = updates.iter().map(|(_, d)| d.len() as u64).sum();
+        assert!(dirty_bytes > 0, "write_pages with no updates");
+        for (off, data) in updates {
+            assert!(
+                off + data.len() as u64 <= self.cfg.chunk_size,
+                "update outside chunk"
+            );
+        }
+    }
+
+    /// The post-RPC body of a page write-back: `t` is the time the
+    /// manager's resolution reply arrived. `defer` is an optional
+    /// parity-deferral sink: the batched path passes
+    /// `Some((entry_index, batch))` so an erasure-coded write contributes
+    /// its parity deltas to the batch's per-group accumulator instead of
+    /// shipping them itself.
+    fn write_pages_inner(
+        &self,
+        t: VTime,
+        client_node: usize,
+        file: FileId,
+        idx: usize,
+        updates: &[(u64, &[u8])],
+        defer: Option<(usize, &mut ParityBatch)>,
+    ) -> Result<VTime> {
+        let dirty_bytes: u64 = updates.iter().map(|(_, d)| d.len() as u64).sum();
+        let chunk_len = self.cfg.chunk_size;
+        let mut mgr = self.mgr.lock();
+        let meta = self.slot_in(&mgr, file, idx)?;
+        let slot = meta.slots[idx];
+        let replicas = meta.replicas.max(1);
+        // (k, m, group) when this slot belongs to a parity group. Note
+        // this keys off the *owning* file: a checkpoint file holding a
+        // linked reference to an encoded chunk has `parity = 0` and its
+        // COW write produces a plain chunk, leaving the source group
+        // untouched.
+        let parity_cfg = (meta.parity > 0).then(|| {
+            (
+                meta.group_data,
+                meta.parity,
+                meta.group_of_slot(idx),
+                idx % meta.group_data,
+            )
+        });
+
+        // Resolve the live home set for this write and, for an overwrite,
+        // the trusted copy its splice base is read from.
+        let mut base = None;
+        let (live_homes, target) = match slot {
+            Slot::Unmaterialized => {
+                let homes = meta.homes_of_slot(idx);
+                let (live, dead): (Vec<BenefactorId>, Vec<BenefactorId>) =
+                    homes.iter().partition(|&&h| mgr.benefactor(h).is_alive());
+                if live.is_empty() {
+                    return Err(StoreError::BenefactorDown(homes[0]));
+                }
+                // The dead homes' reservations move off their books: the
+                // chunk materializes on the live subset only, and repair
+                // re-replicates it elsewhere later.
+                for h in dead {
+                    mgr.benefactor_mut(h).release_slots(1);
+                }
+                (live, replicas)
+            }
+            Slot::Hole => {
+                // Holes (zero regions inside linked checkpoint files)
+                // carry no reservation and may sit in a file with no
+                // stripe of its own; writing one allocates fresh space
+                // wherever it fits — up to `replicas` distinct placeable
+                // (non-quarantined) hosts.
+                let mut picked = Vec::new();
+                while picked.len() < replicas {
+                    let Some(b) = copies::pick_destination(&mgr, &picked) else {
+                        break;
+                    };
+                    picked.push(b);
+                }
+                if picked.is_empty() {
+                    return Err(StoreError::OutOfSpace {
+                        requested: chunk_len,
+                        available: 0,
+                    });
+                }
+                (picked, replicas)
+            }
+            // A materialized chunk's authoritative homes are the chunk
+            // map (a linked slot's position in *this* file says nothing
+            // about where the shared chunk actually lives).
+            Slot::Chunk(c) => {
+                let homes: Vec<BenefactorId> =
+                    mgr.chunk_homes(c).expect("chunk has a home").to_vec();
+                let (live, dead): (Vec<BenefactorId>, Vec<BenefactorId>) =
+                    homes.iter().partition(|&&h| mgr.benefactor(h).is_alive());
+                if live.is_empty() {
+                    return Err(StoreError::BenefactorDown(homes[0]));
+                }
+                // The new digest — and an encoded write's parity deltas —
+                // are spliced from the intended *current* bytes under
+                // each dirty run, so those must come from a copy that can
+                // be trusted: under `verify_reads`, one whose bytes still
+                // match the recorded CRC. When none does, the write is
+                // refused — before any state changes — rather than
+                // launder the rot into the digest or the parity. Only an
+                // unencoded overwrite of the whole chunk needs no base
+                // and goes ahead (it heals the chunk).
+                let verify = self.cfg.verify_reads;
+                let trusted =
+                    copies::trusted_copy(&mgr, c, |h| !verify || copies::is_clean(&mgr, c, h));
+                if trusted.is_none() && (parity_cfg.is_some() || dirty_bytes < chunk_len) {
+                    return Err(StoreError::ChunkCorrupt {
+                        chunk: c,
+                        benefactor: live[0],
+                    });
+                }
+                base = trusted.map(|h| (c, h));
+                for h in dead {
+                    mgr.remove_chunk_home(c, h);
+                }
+                let target = mgr.chunk_target(c).expect("chunk has a target");
+                (live, target)
+            }
+        };
+
+        // COW space check happens before any time is charged.
+        if let Slot::Chunk(c) = slot {
+            if mgr.chunk_refcount(c) > 1 {
+                for &h in &live_homes {
+                    if !mgr.benefactor(h).can_allocate_chunk(false) {
+                        return Err(StoreError::OutOfSpace {
+                            requested: chunk_len,
+                            available: mgr.benefactor(h).free(),
+                        });
+                    }
+                }
+            }
+        }
+
+        // Digest of the *intended* post-write content, recorded in
+        // metadata before any benefactor write lands — a torn write or
+        // silent corruption on the media then disagrees with it. With a
+        // base, the recorded digest is spliced run by run (O(dirty bytes
+        // + log chunk), no full-chunk copy or rescan); without one the
+        // old content is zeros, or fully overwritten, and content and
+        // digest are composed from the runs alone. The same old bytes,
+        // captured before the write lands anywhere, feed the parity
+        // deltas.
+        let (fresh, new_crc, old_runs) = {
+            let base = base.map(|(c, h)| {
+                let bytes = mgr.benefactor(h).peek_chunk(c).expect("live copy present");
+                (mgr.chunk_crc(c).expect("chunk without crc"), bytes)
+            });
+            let old_runs: Vec<Box<[u8]>> = match parity_cfg {
+                None => Vec::new(),
+                Some(_) => updates
+                    .iter()
+                    .map(|(off, d)| match base {
+                        Some((_, bytes)) => bytes[*off as usize..*off as usize + d.len()].into(),
+                        None => vec![0u8; d.len()].into_boxed_slice(),
+                    })
+                    .collect(),
+            };
+            match base {
+                Some((recorded, bytes)) => {
+                    let crc = updates.iter().fold(recorded, |crc, (off, d)| {
+                        let old = &bytes[*off as usize..*off as usize + d.len()];
+                        crc::crc64_splice(crc, chunk_len, *off, old, d)
+                    });
+                    (None, crc, old_runs)
+                }
+                None => {
+                    let (data, crc) = compose(chunk_len, updates);
+                    (Some(data), crc, old_runs)
+                }
+            }
+        };
+
+        let mut end = match slot {
+            Slot::Unmaterialized | Slot::Hole => {
+                // First write: compose zeros + updates on every live copy.
+                // Unmaterialized slots consume their fallocate reservation;
+                // hole writes allocate unreserved space (checked above).
+                let consumes_reservation = matches!(slot, Slot::Unmaterialized);
+                let data = fresh.expect("no base: composed above");
+                let c = mgr.new_chunk_id(live_homes.clone(), target, new_crc);
+                let ship = |b: &mut Benefactor, at| {
+                    b.store_chunk(at, c, data.clone(), dirty_bytes, consumes_reservation)
+                        .end
+                };
+                let end =
+                    self.ship_to_homes(&mut mgr, t, client_node, &live_homes, dirty_bytes, ship);
+                mgr.set_slot(file, idx, Slot::Chunk(c));
+                end
+            }
+            Slot::Chunk(c) if mgr.chunk_refcount(c) > 1 => {
+                // COW: clone on each live copy's benefactor, then land the
+                // updates on the clones.
+                self.cow_clones.inc();
+                let c_new = mgr.new_chunk_id(live_homes.clone(), target, new_crc);
+                let ship = |b: &mut Benefactor, at| {
+                    let cloned = b.clone_chunk(at, c, c_new);
+                    b.update_chunk(cloned.end, c_new, updates).end
+                };
+                let end =
+                    self.ship_to_homes(&mut mgr, t, client_node, &live_homes, dirty_bytes, ship);
+                mgr.set_slot(file, idx, Slot::Chunk(c_new));
+                mgr.decref_chunk(c);
+                end
+            }
+            Slot::Chunk(c) => {
+                mgr.set_chunk_crc(c, new_crc);
+                let ship = |b: &mut Benefactor, at| b.update_chunk(at, c, updates).end;
+                self.ship_to_homes(&mut mgr, t, client_node, &live_homes, dirty_bytes, ship)
+            }
+        };
+
+        // Erasure-coded write: every parity member of this slot's group
+        // absorbs coef(p, member) · (old ⊕ new) over exactly the dirty
+        // runs — O(dirty) parity work per write, never a group re-encode
+        // (DESIGN.md §15). The serial path ships the deltas now; the
+        // batched path defers them to a per-group, per-batch merge.
+        if let Some((k, m, group, member)) = parity_cfg {
+            let code = RsCode::new(k, m);
+            let deltas: Vec<DeltaRuns> = (0..m)
+                .map(|p| {
+                    updates
+                        .iter()
+                        .zip(&old_runs)
+                        .map(|((off, new), old)| {
+                            let mut out = vec![0u8; new.len()].into_boxed_slice();
+                            code.parity_delta(p, member, old, new, &mut out);
+                            (*off, out)
+                        })
+                        .collect()
+                })
+                .collect();
+            match defer {
+                Some((i, batch)) => batch.absorb(file, group, m, chunk_len, i, &deltas),
+                None => {
+                    let runs: Vec<Vec<(u64, &[u8])>> = deltas
+                        .iter()
+                        .map(|rs| rs.iter().map(|(o, d)| (*o, &d[..])).collect())
+                        .collect();
+                    let pend =
+                        self.ship_parity_deltas(&mut mgr, t, client_node, file, group, &runs)?;
+                    end = end.max(pend);
+                }
+            }
+        }
+        Ok(end)
+    }
+
+    /// Apply per-parity-member delta runs to group `group` of `file`:
+    /// ship each member's delta to its parity benefactor and XOR it into
+    /// the stored content (read-modify-write at the benefactor), splicing
+    /// the recorded CRC with the GF(2) machinery so the digest update is
+    /// O(dirty) too. An unmaterialized parity slot materializes here —
+    /// its old content is implicitly zeros, so the delta *is* the new
+    /// content. A parity member whose home is dead is flagged stale and
+    /// skipped: its content no longer reflects the data, and the repair
+    /// sweep re-encodes it rather than trust it ever again.
+    fn ship_parity_deltas(
+        &self,
+        mgr: &mut Manager,
+        t: VTime,
+        client_node: usize,
+        file: FileId,
+        group: usize,
+        deltas: &[Vec<(u64, &[u8])>],
+    ) -> Result<VTime> {
+        let chunk_len = self.cfg.chunk_size;
+        let mut end = t;
+        let tasks: Vec<(usize, Slot, bool, BenefactorId)> = {
+            let meta = mgr.file(file)?;
+            (0..meta.parity)
+                .map(|p| {
+                    (
+                        p,
+                        meta.parity_slot(group, p),
+                        meta.parity_is_stale(group, p),
+                        meta.parity_home(group, p),
+                    )
+                })
+                .collect()
+        };
+        for (p, slot, stale, reserve) in tasks {
+            if stale {
+                // Already invalid; applying more deltas cannot fix it.
+                continue;
+            }
+            let runs = &deltas[p];
+            let dirty: u64 = runs.iter().map(|(_, d)| d.len() as u64).sum();
+            let home = match slot {
+                Slot::Unmaterialized => Some(reserve).filter(|&h| mgr.benefactor(h).is_alive()),
+                Slot::Chunk(pc) => copies::trusted_copy(mgr, pc, |_| true),
+                Slot::Hole => unreachable!("parity slots are never holes"),
+            };
+            let Some(home) = home else {
+                mgr.set_parity_stale(file, group, p, true);
+                continue;
+            };
+            let shipped = if let Slot::Chunk(pc) = slot {
+                let base = mgr.benefactor(home).peek_chunk(pc).expect("live copy");
+                let mut crc = mgr.chunk_crc(pc).expect("chunk without crc");
+                let mut new_runs: DeltaRuns = Vec::with_capacity(runs.len());
+                for (off, d) in runs {
+                    let old = &base[*off as usize..*off as usize + d.len()];
+                    let nb: Box<[u8]> = old.iter().zip(d.iter()).map(|(o, x)| o ^ x).collect();
+                    crc = crc::crc64_splice(crc, chunk_len, *off, old, &nb);
+                    new_runs.push((*off, nb));
+                }
+                mgr.set_chunk_crc(pc, crc);
+                let upd: Vec<(u64, &[u8])> = new_runs.iter().map(|(o, d)| (*o, &d[..])).collect();
+                let ship = |b: &mut Benefactor, at| b.update_chunk(at, pc, &upd).end;
+                self.ship_to_homes(mgr, t, client_node, &[home], dirty, ship)
+            } else {
+                // First delta materializes the member: old content is
+                // zeros, so the delta is the content.
+                let (mut data, crc) = compose(chunk_len, runs);
+                let c = mgr.new_chunk_id(vec![home], 1, crc);
+                let ship = |b: &mut Benefactor, at| {
+                    b.store_chunk(at, c, std::mem::take(&mut data), dirty, true)
+                        .end
+                };
+                let stored = self.ship_to_homes(mgr, t, client_node, &[home], dirty, ship);
+                mgr.set_parity_slot(file, group, p, Slot::Chunk(c));
+                stored
+            };
+            end = end.max(shipped);
+            self.stats.counter("store.parity_encodes").inc();
+            self.stats.counter("store.parity_bytes").add(dirty);
+        }
+        Ok(end)
+    }
+
+    /// Bulk sequential write (checkpoint DRAM dumps, workload loads):
+    /// splits `data` into per-chunk updates.
+    pub fn write_span(
+        &self,
+        mut t: VTime,
+        client_node: usize,
+        file: FileId,
+        offset: u64,
+        data: &[u8],
+    ) -> Result<VTime> {
+        self.check_range(file, offset, data.len() as u64)?;
+        for s in segments(offset, data.len() as u64, self.cfg.chunk_size) {
+            let run = (s.within as u64, &data[s.pos..s.pos + s.take]);
+            t = self.write_pages(t, client_node, file, s.idx, &[run])?;
+        }
+        Ok(t)
+    }
+}

@@ -22,18 +22,9 @@ quick=0
 
 # Every BENCH_*.json carries a "host" wall-clock block (host_seconds and
 # friends) that varies run to run; expectation diffs compare everything
-# *except* it. Brace-depth aware so nested blocks (micro's "detail")
-# strip cleanly too.
+# *except* it (scripts/strip_host.awk, shared with vt_identity.sh).
 strip_host() {
-    awk '
-        /^  "host": \{$/ { depth = 1; next }
-        depth > 0 {
-            if (/\{$/) depth++
-            else if (/^[[:space:]]*\},?$/) depth--
-            next
-        }
-        { print }
-    ' "$1"
+    awk -f scripts/strip_host.awk "$1"
 }
 
 echo "==> cargo fmt --check"
@@ -80,9 +71,6 @@ for c in fuse.bg_flushes fuse.bg_writeback_bytes fuse.throttled_writes \
     grep -q "\"$c\"" "$smoke_dir/BENCH_writeback_daemon.json" \
         || { echo "FAIL: counter $c missing from the obs footer"; exit 1; }
 done
-grep -q '"daemon: background flusher and clean-first eviction were exercised": true' \
-    "$smoke_dir/BENCH_writeback_daemon.json" \
-    || { echo "FAIL: daemon shape check did not pass"; exit 1; }
 
 echo "==> scrub smoke (knobs-off baseline must match committed expectations)"
 BENCH_JSON_DIR="$smoke_dir" cargo bench -q -p bench --bench scrub -- --smoke
@@ -96,13 +84,6 @@ for c in rotted_crc_mismatches rotted_scrub_repairs scrub_repairs; do
         exit 1
     fi
 done
-for shape in \
-    "zero wrong reads: rotted k=2 STREAM completes and verifies" \
-    "scrub daemon repairs every rotted copy from replicas" \
-    "k=1 rot surfaces as ChunkCorrupt naming the bad copy"; do
-    grep -q "\"$shape\": true" "$smoke_dir/BENCH_scrub.json" \
-        || { echo "FAIL: integrity shape check did not pass: $shape"; exit 1; }
-done
 
 echo "==> integrity counters must appear in the obs footer"
 for c in store.crc_mismatches store.scrub_passes store.scrub_repairs; do
@@ -114,9 +95,6 @@ echo "==> fan_in smoke (shards=1 must be bit-identical to the serial manager)"
 BENCH_JSON_DIR="$smoke_dir" cargo bench -q -p bench --bench fan_in -- --smoke
 diff -u crates/bench/expected/BENCH_fan_in_serial.json \
     <(strip_host "$smoke_dir/BENCH_fan_in_serial.json")
-grep -q '"shards=1 bit-identical to the serial manager": true' \
-    "$smoke_dir/BENCH_fan_in_serial.json" \
-    || { echo "FAIL: sharded manager diverged from the serial baseline"; exit 1; }
 if ! grep -Eq '"store.loc_cache_hits": [1-9]' "$smoke_dir/BENCH_fan_in_serial.json"; then
     echo "FAIL: leased hot path never hit the location cache"
     exit 1
@@ -135,18 +113,6 @@ for c in ec_parity_encodes ec_parity_bytes ec_degraded_reconstructs ec_parity_re
         exit 1
     fi
 done
-for shape in \
-    "parity groups place every member on a distinct benefactor" \
-    "RS(4,2) stores at most 1.55x the logical bytes" \
-    "RS(4,2) ships strictly fewer write bytes than replicas=2" \
-    "mid-sweep crash over RS(4,2) yields zero wrong bytes" \
-    "repair closes the degraded window for both redundancy schemes"; do
-    grep -q "\"$shape\": true" "$smoke_dir/BENCH_degraded_mode.json" \
-        || { echo "FAIL: erasure-coding shape check did not pass: $shape"; exit 1; }
-done
-grep -q '"m=0 is bit-identical to plain striping": true' \
-    "$smoke_dir/BENCH_degraded_mode_serial.json" \
-    || { echo "FAIL: m=0 diverged from plain striping"; exit 1; }
 
 echo "==> mgr_failover smoke (knobs-off baseline must match committed expectations)"
 BENCH_JSON_DIR="$smoke_dir" cargo bench -q -p bench --bench mgr_failover -- --smoke
@@ -154,20 +120,26 @@ diff -u crates/bench/expected/BENCH_mgr_failover_serial.json \
     <(strip_host "$smoke_dir/BENCH_mgr_failover_serial.json")
 
 echo "==> manager failover must lose zero acked writes and report its takeover"
-for shape in \
-    "journaling is timing-neutral: ha-on run is bit-identical to knobs-off" \
-    "seeded mid-run manager crash loses zero acknowledged writes" \
-    "takeover replayed the journal exactly once" \
-    "time-to-failover covers the 25 ms detection timeout" \
-    "same seed reproduces the identical failover" \
-    "promotion re-points shardmgr/0 at the standby node" \
-    "takeover revokes the crashed shard's leases"; do
-    grep -q "\"$shape\": true" "$smoke_dir/BENCH_mgr_failover.json" \
-        || { echo "FAIL: manager-failover shape check did not pass: $shape"; exit 1; }
-done
 for c in mgr_failovers journal_replays time_to_failover_us idle_journal_records; do
     if ! grep -Eq "\"$c\": [1-9]" "$smoke_dir/BENCH_mgr_failover.json"; then
         echo "FAIL: counter $c is zero or missing from BENCH_mgr_failover.json"
+        exit 1
+    fi
+done
+
+echo "==> no shape check of any emitted bench JSON may be false"
+# One gate for every check a bench records (zero lost writes, m=0 and
+# shards=1 identities, repair closes the degraded window, ...): a check
+# added to a bench is gated here without being listed.
+for f in "$smoke_dir"/BENCH_*.json; do
+    failed="$(awk '
+        /^  "checks": \{$/ { inside = 1; next }
+        inside && /^  \},?$/ { inside = 0 }
+        inside && /: false,?$/ { print }
+    ' "$f")"
+    if [ -n "$failed" ]; then
+        echo "FAIL: shape checks of $(basename "$f") did not pass:"
+        echo "$failed"
         exit 1
     fi
 done
