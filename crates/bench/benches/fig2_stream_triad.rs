@@ -58,7 +58,8 @@ fn main() {
     report
         .config("scale", SCALE)
         .config("elems_per_array", elems)
-        .value("dram_mb_s", dram.bandwidth_mb_s);
+        .value("dram_mb_s", dram.bandwidth_mb_s)
+        .host_events(dram.handoffs);
     let mut worst_local = f64::MAX;
     let mut worst_remote = f64::MAX;
     let mut last_cluster = None;
@@ -96,7 +97,8 @@ fn main() {
         let label = scfg.placement_label();
         report
             .value(&format!("local_mb_s_{label}"), local.bandwidth_mb_s)
-            .value(&format!("remote_mb_s_{label}"), remote.bandwidth_mb_s);
+            .value(&format!("remote_mb_s_{label}"), remote.bandwidth_mb_s)
+            .host_events(local.handoffs + remote.handoffs);
         bench::store_health(&format!("L {label}"), &lcluster);
         bench::store_health(&format!("R {label}"), &rcluster);
         last_cluster = Some(rcluster);

@@ -52,7 +52,9 @@ fn main() {
     let mut last_cluster = None;
     for (cfg, place) in configs() {
         let (r, cluster) = run_one(&cfg, place);
-        report.value(&format!("total_s_{}", r.label), r.stages.total());
+        report
+            .value(&format!("total_s_{}", r.label), r.stages.total())
+            .host_events(r.handoffs);
         last_cluster = Some(cluster);
         t.row(&[
             r.label.clone(),

@@ -62,7 +62,8 @@ fn main() {
     report
         .config("scale", SCALE)
         .config("n", N)
-        .value("dram_total_s", dram.stages.total());
+        .value("dram_total_s", dram.stages.total())
+        .host_events(dram.handoffs);
     let mut pairs: Vec<(f64, f64)> = Vec::new(); // (shared total, individual total)
     let mut worst_penalty: f64 = 0.0;
     let mut last_cluster = None;
@@ -98,7 +99,9 @@ fn main() {
                 secs(r.stages.total()),
             ]);
             bench::store_health(&format!("{}-{tag}", r.label), &cluster);
-            report.value(&format!("total_s_{}-{tag}", r.label), r.stages.total());
+            report
+                .value(&format!("total_s_{}-{tag}", r.label), r.stages.total())
+                .host_events(r.handoffs);
             last_cluster = Some(cluster);
         }
         let penalty = totals[0] / totals[1] - 1.0;

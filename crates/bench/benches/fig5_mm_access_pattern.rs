@@ -65,10 +65,12 @@ fn main() {
             .unwrap();
             comp[slot] = r.stages.computing.as_secs_f64();
             bench::store_health(&format!("{} {order:?}", cfg.label()), &cluster);
-            report.value(
-                &format!("computing_s_{}_{order:?}", cfg.label()),
-                comp[slot],
-            );
+            report
+                .value(
+                    &format!("computing_s_{}_{order:?}", cfg.label()),
+                    comp[slot],
+                )
+                .host_events(r.handoffs);
             last_cluster = Some(cluster);
         }
         t.row(&[

@@ -77,7 +77,8 @@ fn main() {
         .config("scale", SCALE)
         .config("n_2gb", N_2GB)
         .config("n_8gb", N_8GB)
-        .value("ref_2gb_computing_s", r2.stages.computing);
+        .value("ref_2gb_computing_s", r2.stages.computing)
+        .host_events(r2.handoffs);
     let mut computing = Vec::new();
     let mut last_cluster = None;
     for cfg in [
@@ -99,7 +100,9 @@ fn main() {
             secs(r.stages.total()),
         ]);
         computing.push(r.stages.computing.as_secs_f64());
-        report.value(&format!("computing_s_{}", r.label), r.stages.computing);
+        report
+            .value(&format!("computing_s_{}", r.label), r.stages.computing)
+            .host_events(r.handoffs);
         last_cluster = Some(cluster);
     }
     println!();

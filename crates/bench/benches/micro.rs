@@ -71,25 +71,39 @@ fn bench_engine_baton(c: &mut Criterion) {
     });
 }
 
-fn bench_rendezvous(c: &mut Criterion) {
-    c.bench_function("rendezvous_4proc_100_barriers", |b| {
-        b.iter(|| {
-            let rv = Rendezvous::new(4);
-            Engine::run(
-                (0..4usize)
-                    .map(|i| {
-                        let rv = rv.clone();
-                        move |ctx: &mut ProcCtx| {
-                            for _ in 0..100 {
-                                ctx.advance(VTime::from_nanos(7 * (i as u64 + 1)));
-                                rv.barrier(ctx, i, VTime::ZERO);
-                            }
+/// `procs` processes running `rounds` rounds of `yields` phased yields and
+/// then, with `barrier`, one rendezvous: the engine's baton and nothing else.
+fn engine_storm(procs: usize, rounds: usize, yields: u64, barrier: bool) -> simcore::EngineReport {
+    let rv = Rendezvous::new(procs);
+    Engine::run(
+        (0..procs)
+            .map(|i| {
+                let rv = rv.clone();
+                move |ctx: &mut ProcCtx| {
+                    for _ in 0..rounds {
+                        for k in 0..yields {
+                            ctx.advance(VTime::from_nanos(10 + (i as u64 + k) % 7));
+                            ctx.yield_until_min();
                         }
-                    })
-                    .collect(),
-            )
+                        if barrier {
+                            ctx.advance(VTime::from_nanos(7 * (i as u64 + 1)));
+                            rv.barrier(ctx, i, VTime::ZERO);
+                        }
+                    }
+                }
+            })
+            .collect(),
+    )
+}
+
+fn bench_rendezvous(c: &mut Criterion) {
+    // 4 ranks, and the paper's full machine (128): the cost of one
+    // hand-off must not depend on how many processes are asleep.
+    for (procs, rounds) in [(4, 100), (128, 20)] {
+        c.bench_function(&format!("rendezvous_{procs}proc_{rounds}_barriers"), |b| {
+            b.iter(|| engine_storm(procs, rounds, 0, true));
         });
-    });
+    }
 }
 
 fn bench_store_write(c: &mut Criterion) {
@@ -156,8 +170,6 @@ fn run_host_speed() -> bench::Json {
     const STREAM_PASSES: usize = 4;
     const PAGE_PASSES: usize = 6;
     const READ_PASSES: usize = 12;
-    const PROCS: usize = 16;
-    const YIELDS: u64 = 500;
 
     let stats = StatsRegistry::new();
     let net = Network::new(5, NetConfig::default(), &stats);
@@ -222,27 +234,21 @@ fn run_host_speed() -> bench::Json {
     }
     let read_s = started.elapsed().as_secs_f64();
 
-    // 4. scheduler storm: events/host-second of the engine itself
+    // 4. scheduler storms: hand-offs/host-second of the engine itself, at
+    //    16 processes (yields only) and at the paper's 128 (yields and
+    //    barriers) — the second floor check.sh gates
     let started = Instant::now();
-    let report = Engine::run(
-        (0..PROCS)
-            .map(|i| {
-                move |ctx: &mut ProcCtx| {
-                    for k in 0..YIELDS {
-                        ctx.advance(VTime::from_nanos(10 + (i as u64 + k) % 7));
-                        ctx.yield_until_min();
-                    }
-                }
-            })
-            .collect(),
-    );
+    let report = engine_storm(16, 1, 500, false);
     let engine_s = started.elapsed().as_secs_f64();
+    let started = Instant::now();
+    let report_128 = engine_storm(128, 10, 8, true);
+    let engine_128_s = started.elapsed().as_secs_f64();
 
     // simulated volume is exact: the store's own counters
     let sim_bytes = stats.get("store.bytes_from_clients") + stats.get("store.bytes_to_clients");
     let mut host = host;
     host.add_bytes(sim_bytes);
-    host.add_events(report.context_switches);
+    host.add_events(report.context_switches + report_128.context_switches);
     let total_s = host.elapsed_seconds();
 
     let mut footer = host.footer();
@@ -251,13 +257,23 @@ fn run_host_speed() -> bench::Json {
     detail.set("page_update_s", page_s);
     detail.set("read_s", read_s);
     detail.set("engine_storm_s", engine_s);
+    let per_host_second =
+        |r: &simcore::EngineReport, secs: f64| r.context_switches as f64 / secs.max(1e-9);
+    let rate_16 = per_host_second(&report, engine_s);
+    let rate_128 = per_host_second(&report_128, engine_128_s);
+    detail.set("engine_handoff_ns_16", (1e9 / rate_16) as u64);
+    detail.set("engine_handoff_ns_128", (1e9 / rate_128) as u64);
+    detail.set("engine_handoffs_per_host_second", rate_128 as u64);
     footer.set("detail", detail);
     println!(
         "  [host-speed] {sim_bytes} sim bytes in {total_s:.3}s host \
-         ({:.0} MiB/host-s); {} engine events in {engine_s:.3}s ({:.0} kev/host-s)",
+         ({:.0} MiB/host-s); {} engine events in {engine_s:.3}s ({:.0} kev/host-s) \
+         at 16 processes, {} in {engine_128_s:.3}s ({:.0} kev/host-s) at 128",
         sim_bytes as f64 / total_s.max(1e-9) / (1 << 20) as f64,
         report.context_switches,
-        report.context_switches as f64 / engine_s.max(1e-9) / 1e3
+        rate_16 / 1e3,
+        report_128.context_switches,
+        rate_128 / 1e3
     );
     footer
 }
@@ -285,6 +301,7 @@ fn main() {
                 "chunk_cache_get_insert_evict",
                 "engine_2proc_1000_yields",
                 "rendezvous_4proc_100_barriers",
+                "rendezvous_128proc_20_barriers",
                 "store_write_pages_4k",
             ]
             .into_iter()

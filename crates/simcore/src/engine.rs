@@ -16,9 +16,31 @@
 //! ready set at the virtual time chosen by its resumer, which is never in
 //! the causal past because the resumer itself only acts while holding the
 //! minimum clock.
+//!
+//! # Wake protocol
+//!
+//! All scheduler state sits behind one mutex; beside it every process has
+//! its own wake slot (a `Condvar` only that process ever sleeps on). A
+//! hand-off is one critical section on the yielding side: publish the new
+//! state, `Shared::dispatch`, then sleep on its own slot under the same
+//! guard. `dispatch` is the only place that wakes, and it wakes exactly
+//! the process it just claimed, so a hand-off costs one wake and one sleep
+//! however many processes exist. The wake cannot be lost: the sleeper
+//! checks for `Running` under the mutex before every wait, and the claim
+//! that makes it `Running` happens under the same mutex.
+//!
+//! `resume_other` wakes nobody. Invariant: *whenever the ready set is
+//! non-empty, some process is `Running`.* Only the baton holder can make
+//! another process `Ready`, and every path that gives the baton up (yield,
+//! suspend, finish) goes through `dispatch`, which claims the ready set's
+//! head — so the resumee is reached by a later `dispatch` and needs no
+//! wake of its own. When a `dispatch` finds nothing ready while a process
+//! is still suspended nothing could ever run again: that is a deadlock,
+//! reported by a panic. Only a panicking process broadcasts — to every
+//! slot, so that no peer stays asleep.
 
 use crate::time::VTime;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -43,12 +65,15 @@ struct Sched {
     /// Mirror of every `Ready` entry in `states`, ordered by
     /// `(clock, id)`: min-ready and min-active queries are O(log n)
     /// `first()` reads instead of O(n) state sweeps, which is the
-    /// per-yield hot path (ISSUE 7 host-speed pass). `states` stays the
-    /// source of truth; every Ready transition updates both.
+    /// per-yield hot path (ISSUE 7 host-speed pass; ISSUE 15's one wake
+    /// per hand-off is its second half). `states` stays the source of
+    /// truth; every Ready transition updates both.
     ready: BTreeSet<(VTime, ProcId)>,
     /// The process currently holding the baton, if any.
     running: Option<ProcId>,
     switches: u64,
+    /// Slot wakes issued by `dispatch` (one per claim).
+    wakeups: u64,
     poisoned: bool,
 }
 
@@ -86,28 +111,52 @@ impl Sched {
             .filter(|&(t, id)| (t, id) < (my_clock, me))
     }
 
-    fn all_parked(&self) -> bool {
-        self.states
-            .iter()
-            .all(|s| matches!(s, State::Suspended(_) | State::Done(_)))
+    fn any_suspended(&self) -> bool {
+        self.states.iter().any(|s| matches!(s, State::Suspended(_)))
     }
 }
 
 struct Shared {
     sched: Mutex<Sched>,
-    cv: Condvar,
+    /// One wake slot per process, indexed by `ProcId`.
+    slots: Vec<Condvar>,
 }
 
 impl Shared {
-    /// Hand the baton to the best ready process (caller must NOT be Running).
-    /// Returns false when nothing is ready (everyone parked or done).
-    fn dispatch(sched: &mut Sched) -> bool {
+    /// Hand the baton to the best ready process and wake it (caller must
+    /// NOT be Running). Nothing ready with a process still suspended means
+    /// nothing can ever run again: panic, which poisons the engine.
+    fn dispatch(&self, sched: &mut Sched) {
         sched.running = None;
         if let Some((next, t)) = sched.min_ready() {
             sched.claim(next, t);
-            true
+            sched.wakeups += 1;
+            self.slots[next].notify_one();
         } else {
-            false
+            assert!(
+                !sched.any_suspended(),
+                "virtual-time deadlock: every unfinished process is suspended \
+                 (unmatched collective or rendezvous?)"
+            );
+        }
+    }
+
+    /// Sleep on `id`'s slot until a `dispatch` has claimed it; returns the
+    /// clock it was granted at.
+    fn wait_for_baton(&self, sched: &mut MutexGuard<'_, Sched>, id: ProcId) -> VTime {
+        loop {
+            assert!(!sched.poisoned, "engine poisoned by a panicking process");
+            match sched.states[id] {
+                State::Running(t) => return t,
+                State::Ready(_) | State::Suspended(_) => {
+                    assert!(
+                        sched.running.is_some() || sched.ready.is_empty(),
+                        "lost wake-up: processes are ready but nobody holds the baton"
+                    );
+                    self.slots[id].wait(sched);
+                }
+                State::Done(_) => unreachable!("done process rescheduled"),
+            }
         }
     }
 }
@@ -130,9 +179,10 @@ impl ProcCtx {
         self.clock
     }
 
-    /// Advance the local clock by `dt` (local computation: no shared state
-    /// involved, so no yield is necessary for correctness; we still yield
-    /// when we are far ahead so other processes interleave).
+    /// Advance the local clock by `dt`. Local computation touches no shared
+    /// state, so this never yields and never takes the scheduler lock; the
+    /// process is ordered against the others at its next
+    /// [`ProcCtx::yield_until_min`].
     pub fn advance(&mut self, dt: VTime) {
         self.clock += dt;
     }
@@ -148,46 +198,34 @@ impl ProcCtx {
     /// state (resources, caches, stores) so mutations occur in virtual-time
     /// order.
     pub fn yield_until_min(&mut self) {
-        loop {
-            let shared = Arc::clone(&self.shared);
-            {
-                let mut sched = shared.sched.lock();
-                assert!(!sched.poisoned, "engine poisoned by a panicking process");
-                if sched
-                    .min_active_clock_excluding(self.id, self.clock)
-                    .is_none()
-                {
-                    return; // we are the minimum; keep the baton
-                }
-                // Someone is strictly behind us: hand over and wait.
-                sched.make_ready(self.id, self.clock);
-                let ok = Shared::dispatch(&mut sched);
-                debug_assert!(ok, "a ready process must exist: ourselves");
-                shared.cv.notify_all();
-            }
-            self.wait_until_running();
+        let mut sched = self.shared.sched.lock();
+        assert!(!sched.poisoned, "engine poisoned by a panicking process");
+        if sched
+            .min_active_clock_excluding(self.id, self.clock)
+            .is_none()
+        {
+            return; // we are the minimum; keep the baton
         }
+        // Someone is strictly behind us: hand over and wait. Whoever hands
+        // the baton back claims the ready set's head, so we wake up as the
+        // minimum and need not look again.
+        sched.make_ready(self.id, self.clock);
+        self.shared.dispatch(&mut sched);
+        self.clock = self.shared.wait_for_baton(&mut sched, self.id);
+        debug_assert!(sched
+            .min_active_clock_excluding(self.id, self.clock)
+            .is_none());
     }
 
     /// Park this process; returns once another process calls
     /// [`ProcCtx::resume_other`] for it, with the clock set by the resumer.
     pub fn suspend_self(&mut self) {
-        let shared = Arc::clone(&self.shared);
-        {
-            let mut sched = shared.sched.lock();
-            sched.states[self.id] = State::Suspended(self.clock);
-            if !Shared::dispatch(&mut sched) {
-                assert!(
-                    !sched.all_parked(),
-                    "virtual-time deadlock: every process is suspended \
-                     (unmatched collective or rendezvous?)"
-                );
-            }
-            shared.cv.notify_all();
-        }
-        self.wait_until_running();
-        // Our resumer stored the release clock in our state before flipping
-        // us to Ready; wait_until_running picked it up.
+        let mut sched = self.shared.sched.lock();
+        sched.states[self.id] = State::Suspended(self.clock);
+        self.shared.dispatch(&mut sched);
+        // Our resumer stores the release clock in our state when it flips
+        // us to Ready; the claim carries it over.
+        self.clock = self.shared.wait_for_baton(&mut sched, self.id);
     }
 
     /// Make a suspended process ready again at virtual time `at`.
@@ -208,46 +246,13 @@ impl ProcCtx {
             }
             ref s => panic!("resume_other({other}): process is {s:?}, not Suspended"),
         }
-        self.shared.cv.notify_all();
-    }
-
-    fn wait_until_running(&mut self) {
-        let shared = Arc::clone(&self.shared);
-        let mut sched = shared.sched.lock();
-        loop {
-            assert!(!sched.poisoned, "engine poisoned by a panicking process");
-            match sched.states[self.id] {
-                State::Running(t) => {
-                    // A resumer may have advanced our clock while we waited.
-                    if t > self.clock {
-                        self.clock = t;
-                    }
-                    break;
-                }
-                State::Ready(_) | State::Suspended(_) => {
-                    // Belt and braces: if nothing is running (a dispatch
-                    // found no ready process before we became ready), claim
-                    // the baton ourselves when we are the minimum.
-                    if matches!(sched.states[self.id], State::Ready(_)) && sched.running.is_none() {
-                        if let Some((next, t)) = sched.min_ready() {
-                            if next == self.id {
-                                sched.claim(self.id, t);
-                                continue;
-                            }
-                        }
-                    }
-                    shared.cv.wait(&mut sched);
-                }
-                State::Done(_) => unreachable!("done process rescheduled"),
-            }
-        }
+        // No wake: we still hold the baton; the next dispatch reaches it.
     }
 
     fn finish(&mut self) {
         let mut sched = self.shared.sched.lock();
         sched.states[self.id] = State::Done(self.clock);
-        Shared::dispatch(&mut sched);
-        self.shared.cv.notify_all();
+        self.shared.dispatch(&mut sched);
     }
 }
 
@@ -271,6 +276,8 @@ pub struct EngineReport {
     pub makespan: VTime,
     /// Number of baton hand-offs (scheduling overhead metric).
     pub context_switches: u64,
+    /// Host-thread wakes issued for them: one per hand-off, never a herd.
+    pub wakeups: u64,
 }
 
 /// The simulation engine. Construct process bodies, run them to completion
@@ -310,16 +317,13 @@ impl Engine {
                 ready: (0..n).map(|id| (VTime::ZERO, id)).collect(),
                 running: None,
                 switches: 0,
+                wakeups: 0,
                 poisoned: false,
             }),
-            cv: Condvar::new(),
+            slots: (0..n).map(|_| Condvar::new()).collect(),
         });
         // Kick off: lowest id starts running.
-        {
-            let mut sched = shared.sched.lock();
-            let ok = Shared::dispatch(&mut sched);
-            assert!(ok);
-        }
+        shared.dispatch(&mut shared.sched.lock());
 
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(n);
@@ -333,7 +337,7 @@ impl Engine {
                         shared,
                     };
                     // Wait for the baton before the first action.
-                    ctx.wait_until_running();
+                    ctx.clock = ctx.shared.wait_for_baton(&mut ctx.shared.sched.lock(), id);
                     let guard = PoisonGuard {
                         shared: Arc::clone(&ctx.shared),
                     };
@@ -344,8 +348,10 @@ impl Engine {
                     if let Some(obs) = &observer {
                         obs.proc_finished(id, ctx.now());
                     }
-                    std::mem::forget(guard);
+                    // Still armed: finishing last beside a suspended peer
+                    // is a deadlock, and its panic must wake that peer.
                     ctx.finish();
+                    std::mem::forget(guard);
                 }));
             }
             // Join manually so an original panic payload (not the generic
@@ -386,6 +392,7 @@ impl Engine {
         EngineReport {
             makespan,
             context_switches: sched.switches,
+            wakeups: sched.wakeups,
             finish_times,
         }
     }
@@ -402,7 +409,7 @@ impl Drop for PoisonGuard {
     fn drop(&mut self) {
         let mut sched = self.shared.sched.lock();
         sched.poisoned = true;
-        self.shared.cv.notify_all();
+        self.shared.slots.iter().for_each(Condvar::notify_all);
     }
 }
 
@@ -498,6 +505,32 @@ mod tests {
                 as Box<dyn FnOnce(&mut ProcCtx) + Send>,
             Box::new(|ctx: &mut ProcCtx| ctx.suspend_self()),
         ]);
+    }
+
+    #[test]
+    #[should_panic(expected = "deadlock")]
+    fn finish_with_suspended_peer_is_deadlock() {
+        // The last runnable process finishes while its peer is still
+        // suspended. The engine runs on a helper thread so that a hang is
+        // a failing test here, not a stuck test binary.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let helper = std::thread::spawn(move || {
+            let outcome = std::panic::catch_unwind(|| {
+                Engine::run(vec![
+                    Box::new(|ctx: &mut ProcCtx| ctx.suspend_self())
+                        as Box<dyn FnOnce(&mut ProcCtx) + Send>,
+                    Box::new(|ctx: &mut ProcCtx| ctx.advance(VTime::from_secs(1))),
+                ])
+            });
+            let _ = tx.send(outcome);
+        });
+        let outcome = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("engine hung instead of reporting the unmatched suspend");
+        helper.join().unwrap();
+        if let Err(payload) = outcome {
+            std::panic::resume_unwind(payload);
+        }
     }
 
     #[test]

@@ -147,3 +147,79 @@ fn context_switch_count_is_reported() {
     );
     assert!(report.context_switches > 0);
 }
+
+/// 128 processes (the paper's full machine): per round, `yields` phased
+/// yields and then, with `barrier`, one rendezvous. Returns the report and
+/// an FNV-1a over the `(ProcId, VTime)` sequence in which the processes
+/// came back holding the baton — the dispatch order, which no host-side
+/// change to the engine may move.
+fn storm_128(rounds: usize, yields: u64, barrier: bool) -> (simcore::EngineReport, u64) {
+    const N: usize = 128;
+    let rv = Rendezvous::new(N);
+    let order = Arc::new(Mutex::new(0xcbf2_9ce4_8422_2325u64));
+    let report = Engine::run(
+        (0..N)
+            .map(|i| {
+                let (rv, order) = (rv.clone(), Arc::clone(&order));
+                move |ctx: &mut ProcCtx| {
+                    let record = |ctx: &ProcCtx| {
+                        let mut h = order.lock();
+                        for word in [ctx.id() as u64, ctx.now().as_nanos()] {
+                            for byte in word.to_le_bytes() {
+                                *h = (*h ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+                            }
+                        }
+                    };
+                    for _ in 0..rounds {
+                        for k in 0..yields {
+                            ctx.advance(VTime::from_nanos(10 + (i as u64 + k) % 7));
+                            ctx.yield_until_min();
+                            record(ctx);
+                        }
+                        if barrier {
+                            ctx.advance(VTime::from_nanos(7 * (i as u64 + 1)));
+                            rv.barrier(ctx, i, VTime::from_micros(1));
+                            record(ctx);
+                        }
+                    }
+                }
+            })
+            .collect(),
+    );
+    let hash = *order.lock();
+    (report, hash)
+}
+
+// The constants below were recorded at the parent of ISSUE 15 (the
+// `notify_all` engine), where `wakeups` did not exist: a schedule change
+// fails here before it reaches the benchmark.
+
+#[test]
+fn yield_storm_128_wakes_once_per_handoff() {
+    let (report, order) = storm_128(1, 40, false);
+    assert!(report.wakeups <= report.context_switches);
+    assert_eq!(
+        (report.context_switches, order),
+        (5248, 15_102_535_234_243_523_257)
+    );
+}
+
+#[test]
+fn barrier_rounds_128_wake_once_per_handoff() {
+    let (report, order) = storm_128(20, 0, true);
+    assert!(report.wakeups <= report.context_switches);
+    assert_eq!(
+        (report.context_switches, order),
+        (5228, 5_791_552_117_292_989_349)
+    );
+}
+
+#[test]
+fn mixed_storm_128_wakes_once_per_handoff() {
+    let (report, order) = storm_128(10, 4, true);
+    assert!(report.wakeups <= report.context_switches);
+    assert_eq!(
+        (report.context_switches, order),
+        (7798, 12_812_632_645_234_431_941)
+    );
+}

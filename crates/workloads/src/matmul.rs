@@ -121,6 +121,8 @@ pub struct MmReport {
     pub stages: MmStages,
     pub traffic: ComputeTraffic,
     pub verified: Option<bool>,
+    /// Engine baton hand-offs of the run (host-side cost, not a result).
+    pub handoffs: u64,
 }
 
 /// Run failure: the configuration does not fit in node DRAM (this is the
@@ -248,6 +250,7 @@ pub fn run_mm(cluster: &Cluster, cfg: &JobConfig, mm: &MmConfig) -> Result<MmRep
         stages,
         traffic,
         verified,
+        handoffs: result.report.context_switches,
     })
 }
 

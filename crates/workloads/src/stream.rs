@@ -125,6 +125,8 @@ pub struct StreamReport {
     /// Sustained bandwidth in MB/s (10^6), STREAM's native unit.
     pub bandwidth_mb_s: f64,
     pub verified: bool,
+    /// Engine baton hand-offs of the run (host-side cost, not a result).
+    pub handoffs: u64,
 }
 
 /// One array as seen by one thread: either a DRAM-resident slice (host
@@ -267,6 +269,7 @@ pub fn run_stream(
         time,
         bandwidth_mb_s: total_bytes as f64 / time.as_secs_f64() / 1e6,
         verified,
+        handoffs: result.report.context_switches,
     }
 }
 
@@ -386,5 +389,6 @@ pub fn run_stream_raw_ssd(
         time,
         bandwidth_mb_s: total_bytes as f64 / time.as_secs_f64() / 1e6,
         verified,
+        handoffs: result.report.context_switches,
     }
 }
