@@ -12,6 +12,31 @@ use devices::Ssd;
 use simcore::rng::child_seed;
 use simcore::{Grant, VTime};
 use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
+
+/// A chunk's bytes as every layer holds them: one immutable,
+/// reference-counted buffer shared from the benefactor's chunk map through
+/// a fetch to the client's cache. Handing a payload on is a count bump,
+/// never a copy; whoever writes goes through [`Arc::make_mut`], which
+/// copies first if anyone else still holds the buffer — so a fetched
+/// payload is a snapshot and bit rot on one replica cannot reach another.
+/// `Arc<Box<[u8]>>` rather than `Arc<[u8]>`: the payload allocation stays
+/// exactly one chunk (DESIGN.md §13 "Payload ownership").
+pub type ChunkBuf = Arc<Box<[u8]>>;
+
+/// The shared all-zero chunk of `len` bytes: what a hole reads as, and
+/// what an implicit-zero parity-group member decodes from. One buffer per
+/// length for the life of the process.
+pub fn zero_chunk(len: u64) -> ChunkBuf {
+    static ZEROS: Mutex<Vec<ChunkBuf>> = Mutex::new(Vec::new());
+    let mut zeros = ZEROS.lock().expect("zero-chunk table poisoned");
+    if let Some(z) = zeros.iter().find(|z| z.len() as u64 == len) {
+        return Arc::clone(z);
+    }
+    let z: ChunkBuf = Arc::new(vec![0u8; len as usize].into_boxed_slice());
+    zeros.push(Arc::clone(&z));
+    z
+}
 
 /// One benefactor's state: its SSD, its chunk objects and its space books.
 ///
@@ -33,7 +58,7 @@ pub struct Benefactor {
     /// Slots reserved by fallocate but not yet materialized (LIFO).
     reserved: Vec<usize>,
     /// Materialized chunks currently stored, each bound to its slot.
-    chunks: HashMap<ChunkId, (usize, Box<[u8]>)>,
+    chunks: HashMap<ChunkId, (usize, ChunkBuf)>,
     alive: bool,
     /// Excluded from placement by the scrub daemon (DESIGN.md §11):
     /// existing copies stay readable and repairable-from, but no new
@@ -122,7 +147,7 @@ impl Benefactor {
         match self.chunks.get_mut(&id) {
             Some((_, data)) => {
                 let at = (offset % self.chunk_size) as usize;
-                data[at] ^= 0xFF;
+                Arc::make_mut(data)[at] ^= 0xFF;
                 true
             }
             None => false,
@@ -201,7 +226,7 @@ impl Benefactor {
         &mut self,
         t: VTime,
         id: ChunkId,
-        mut data: Box<[u8]>,
+        mut data: ChunkBuf,
         payload_bytes: u64,
         consumes_reservation: bool,
     ) -> Grant {
@@ -218,7 +243,7 @@ impl Benefactor {
             // never reaches the media, leaving the pre-image (zeros).
             self.torn_armed = false;
             let half = data.len() / 2;
-            data[half..].fill(0);
+            Arc::make_mut(&mut data)[half..].fill(0);
         }
         let prev = self.chunks.insert(id, (slot, data));
         assert!(prev.is_none(), "chunk {id} stored twice");
@@ -236,6 +261,7 @@ impl Benefactor {
         let torn = self.torn_armed;
         self.torn_armed = false;
         let (_, chunk) = self.chunks.get_mut(&id).expect("update of missing chunk");
+        let chunk = Arc::make_mut(chunk);
         let mut bytes = 0u64;
         for (off, data) in updates {
             let off = *off as usize;
@@ -250,12 +276,11 @@ impl Benefactor {
         self.ssd.write_at(t, bytes)
     }
 
-    /// Read a whole chunk, charging the SSD.
-    pub(crate) fn read_chunk(&self, t: VTime, id: ChunkId) -> (Grant, Box<[u8]>) {
+    /// Read a whole chunk, charging the SSD. The payload shares the stored
+    /// buffer; a later write here copies first, so it stays a snapshot.
+    pub(crate) fn read_chunk(&self, t: VTime, id: ChunkId) -> (Grant, ChunkBuf) {
         let (_, data) = self.chunks.get(&id).expect("read of missing chunk");
-        let data = data.clone();
-        let g = self.ssd.read_at(t, self.chunk_size);
-        (g, data)
+        (self.ssd.read_at(t, self.chunk_size), Arc::clone(data))
     }
 
     /// Read a chunk without charging time (debugging/inspection).
@@ -292,10 +317,11 @@ impl Benefactor {
     /// Duplicate a chunk's bytes into a new chunk id on this benefactor,
     /// charging a local SSD read + write (the server-side COW path used
     /// when a shared chunk is modified without the client holding all of
-    /// its clean bytes).
+    /// its clean bytes). Host-side the two ids share one buffer until the
+    /// first write to either.
     pub(crate) fn clone_chunk(&mut self, t: VTime, src: ChunkId, dst: ChunkId) -> Grant {
         let (_, data) = self.chunks.get(&src).expect("clone of missing chunk");
-        let data = data.clone();
+        let data = Arc::clone(data);
         let slot = self.slots.alloc().expect("chunk store over capacity");
         let g_read = self.ssd.read_at(t, self.chunk_size);
         let prev = self.chunks.insert(dst, (slot, data));
@@ -317,8 +343,8 @@ mod tests {
         Benefactor::new(0, ssd, cap_chunks * CHUNK, CHUNK)
     }
 
-    fn zero_chunk() -> Box<[u8]> {
-        vec![0u8; CHUNK as usize].into_boxed_slice()
+    fn zero_chunk() -> ChunkBuf {
+        super::zero_chunk(CHUNK)
     }
 
     #[test]
@@ -337,7 +363,7 @@ mod tests {
         let mut b = bene(4);
         b.reserve_slots(1);
         let mut data = zero_chunk();
-        data[7] = 42;
+        Arc::make_mut(&mut data)[7] = 42;
         b.store_chunk(VTime::ZERO, ChunkId(9), data, CHUNK, true);
         let (_, read) = b.read_chunk(VTime::ZERO, ChunkId(9));
         assert_eq!(read[7], 42);
@@ -363,13 +389,20 @@ mod tests {
         let mut b = bene(4);
         b.reserve_slots(1);
         let mut data = zero_chunk();
-        data[100] = 5;
+        Arc::make_mut(&mut data)[100] = 5;
         b.store_chunk(VTime::ZERO, ChunkId(1), data, CHUNK, true);
         b.clone_chunk(VTime::ZERO, ChunkId(1), ChunkId(2));
         let (_, read) = b.read_chunk(VTime::ZERO, ChunkId(2));
         assert_eq!(read[100], 5);
         assert!(b.has_chunk(ChunkId(1)));
         assert_eq!(b.chunk_count(), 2);
+        // Source and clone share one buffer only until the first write to
+        // either: the COW update and rot each stay on their own chunk.
+        b.update_chunk(VTime::ZERO, ChunkId(2), &[(100, &[6u8])]);
+        b.corrupt_chunk(ChunkId(1), 7);
+        let (src, dst) = (b.peek_chunk(ChunkId(1)), b.peek_chunk(ChunkId(2)));
+        assert_eq!((src.unwrap()[100], src.unwrap()[7]), (5, 0xFF));
+        assert_eq!((dst.unwrap()[100], dst.unwrap()[7]), (6, 0));
     }
 
     #[test]
@@ -450,7 +483,7 @@ mod tests {
         let mut b = bene(2);
         b.reserve_slots(1);
         b.arm_torn_write();
-        let data = vec![7u8; CHUNK as usize].into_boxed_slice();
+        let data = Arc::new(vec![7u8; CHUNK as usize].into_boxed_slice());
         b.store_chunk(VTime::ZERO, ChunkId(1), data, CHUNK, true);
         let stored = b.peek_chunk(ChunkId(1)).unwrap();
         let half = CHUNK as usize / 2;
@@ -459,7 +492,7 @@ mod tests {
         assert_eq!(stored[CHUNK as usize - 1], 0);
         // One-shot: the next write is whole.
         b.reserve_slots(1);
-        let data = vec![9u8; CHUNK as usize].into_boxed_slice();
+        let data = Arc::new(vec![9u8; CHUNK as usize].into_boxed_slice());
         b.store_chunk(VTime::ZERO, ChunkId(2), data, CHUNK, true);
         assert_eq!(b.peek_chunk(ChunkId(2)).unwrap()[CHUNK as usize - 1], 9);
     }

@@ -5,10 +5,25 @@
 //! ECMA-182 polynomial is the same one `xz` and the Linux kernel use, so
 //! digests computed here are directly comparable with standard tooling.
 //!
-//! The implementation is table-driven slice-by-8 with tables generated at
-//! compile time — the store checksums whole chunks on every write-back, so
-//! this sits on the data path and needs to run at memory-ish speed without
-//! pulling in an external crate.
+//! The implementation is table-driven with tables generated at compile
+//! time — the store checksums whole chunks on every write-back, so this
+//! sits on the data path and needs to run at memory-ish speed without
+//! pulling in an external crate or `unsafe`. One kernel serves every
+//! entry point:
+//!
+//! * **lane split** — a slice-by-8 register is latency-bound (each step's
+//!   eight table loads wait on the previous step's result, ~1.3 GiB/s), so
+//!   an input of 2 KiB or more is cut into four equal 8-byte-aligned lanes
+//!   whose four independent registers advance in one loop; the loads of
+//!   one lane hide the latency of the others (~3.9 GiB/s);
+//! * **fold** — CRC is linear, `raw(s, A‖B) = advance(raw(s, A), |B|) ⊕
+//!   raw(0, B)`, so the lane registers combine with three
+//!   [`crc64_advance_zeros`] steps of one lane length each (O(log lane),
+//!   ~35 ns per set bit of the length);
+//! * **short-input path** — what is left after the lanes, and any input
+//!   under 2 KiB (journal records, sub-page runs), runs through the same
+//!   function's one-register loop: at those sizes the fold would cost
+//!   more than the overlap saves.
 //!
 //! ## Incremental updates
 //!
@@ -66,31 +81,100 @@ pub fn crc64(data: &[u8]) -> u64 {
 
 /// Absorb `data` into a raw CRC register (no init inversion, no final
 /// xor). `crc64(data) == !crc64_absorb_raw(!0, data)`.
-pub fn crc64_absorb_raw(mut crc: u64, data: &[u8]) -> u64 {
-    let mut chunks = data.chunks_exact(8);
-    for w in &mut chunks {
-        crc ^= u64::from_le_bytes(w.try_into().expect("8-byte window"));
-        crc = fold8(crc);
-    }
-    for &b in chunks.remainder() {
-        crc = TABLES[0][((crc ^ b as u64) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    crc
+pub fn crc64_absorb_raw(crc: u64, data: &[u8]) -> u64 {
+    absorb(crc, data)
 }
 
 /// Absorb the byte-wise XOR of two equal-length slices into a raw CRC
 /// register without materializing the XOR-ed buffer.
-pub fn crc64_absorb_raw_xor(mut crc: u64, a: &[u8], b: &[u8]) -> u64 {
+pub fn crc64_absorb_raw_xor(crc: u64, a: &[u8], b: &[u8]) -> u64 {
     assert_eq!(a.len(), b.len(), "xor absorb needs equal lengths");
-    let mut aw = a.chunks_exact(8);
-    let mut bw = b.chunks_exact(8);
-    for (x, y) in (&mut aw).zip(&mut bw) {
-        crc ^= u64::from_le_bytes(x.try_into().expect("8-byte window"))
-            ^ u64::from_le_bytes(y.try_into().expect("8-byte window"));
-        crc = fold8(crc);
+    absorb(crc, (a, b))
+}
+
+/// Registers run side by side over a long input.
+const LANES: usize = 4;
+
+/// Shortest lane worth splitting for: below `LANES * LANE_MIN` bytes
+/// (journal records, sub-2 KiB runs) the register fold costs more than
+/// the overlap saves and the one-register loop runs alone.
+const LANE_MIN: usize = 512;
+
+/// What the kernel absorbs: a byte string it can cut and read as
+/// little-endian words — a slice, or the XOR of two equal-length slices.
+trait Input: Copy {
+    fn len(self) -> usize;
+    fn split_at(self, mid: usize) -> (Self, Self);
+    /// The leading whole 8-byte words.
+    fn words(self) -> impl Iterator<Item = u64>;
+    /// The `len % 8` bytes after the last whole word.
+    fn tail(self) -> impl Iterator<Item = u8>;
+}
+
+#[inline]
+fn word(w: &[u8]) -> u64 {
+    u64::from_le_bytes(w.try_into().expect("8-byte window"))
+}
+
+impl Input for &[u8] {
+    fn len(self) -> usize {
+        <[u8]>::len(self)
     }
-    for (&x, &y) in aw.remainder().iter().zip(bw.remainder()) {
-        crc = TABLES[0][((crc ^ (x ^ y) as u64) & 0xFF) as usize] ^ (crc >> 8);
+    fn split_at(self, mid: usize) -> (Self, Self) {
+        <[u8]>::split_at(self, mid)
+    }
+    fn words(self) -> impl Iterator<Item = u64> {
+        self.chunks_exact(8).map(word)
+    }
+    fn tail(self) -> impl Iterator<Item = u8> {
+        self.chunks_exact(8).remainder().iter().copied()
+    }
+}
+
+impl Input for (&[u8], &[u8]) {
+    fn len(self) -> usize {
+        self.0.len()
+    }
+    fn split_at(self, mid: usize) -> (Self, Self) {
+        let ((a, a_rest), (b, b_rest)) = (self.0.split_at(mid), self.1.split_at(mid));
+        ((a, b), (a_rest, b_rest))
+    }
+    fn words(self) -> impl Iterator<Item = u64> {
+        self.0.words().zip(self.1.words()).map(|(x, y)| x ^ y)
+    }
+    fn tail(self) -> impl Iterator<Item = u8> {
+        self.0.tail().zip(self.1.tail()).map(|(x, y)| x ^ y)
+    }
+}
+
+/// The one kernel behind every entry point: lane split, fold and the
+/// one-register path for the remainder and for short inputs (module doc).
+#[inline]
+fn absorb<I: Input>(mut crc: u64, data: I) -> u64 {
+    let mut rest = data;
+    let lane = (data.len() / LANES) & !7;
+    if lane >= LANE_MIN {
+        let (l0, r) = data.split_at(lane);
+        let (l1, r) = r.split_at(lane);
+        let (l2, r) = r.split_at(lane);
+        let (l3, r) = r.split_at(lane);
+        rest = r;
+        let mut regs = [crc, 0, 0, 0];
+        let words = l0.words().zip(l1.words()).zip(l2.words().zip(l3.words()));
+        for ((w0, w1), (w2, w3)) in words {
+            regs[0] = fold8(regs[0] ^ w0);
+            regs[1] = fold8(regs[1] ^ w1);
+            regs[2] = fold8(regs[2] ^ w2);
+            regs[3] = fold8(regs[3] ^ w3);
+        }
+        let seam = |acc, r| crc64_advance_zeros(acc, lane as u64) ^ r;
+        crc = regs.into_iter().reduce(seam).expect("LANES > 0");
+    }
+    for w in rest.words() {
+        crc = fold8(crc ^ w);
+    }
+    for b in rest.tail() {
+        crc = TABLES[0][((crc ^ b as u64) & 0xFF) as usize] ^ (crc >> 8);
     }
     crc
 }
@@ -196,21 +280,24 @@ pub fn crc64_splice_fresh(old: u64, len: u64, off: u64, new_bytes: &[u8]) -> u64
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    /// Bitwise reference implementation, for cross-checking the tables.
-    fn crc64_bitwise(data: &[u8]) -> u64 {
-        let mut crc = !0u64;
-        for &b in data {
-            crc ^= b as u64;
-            for _ in 0..8 {
-                crc = if crc & 1 != 0 {
-                    (crc >> 1) ^ POLY
-                } else {
-                    crc >> 1
-                };
-            }
+    /// One byte through the bitwise reference register, for cross-checking
+    /// the tables and the lane split.
+    fn bitwise_step(mut crc: u64, b: u8) -> u64 {
+        crc ^= b as u64;
+        for _ in 0..8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ POLY
+            } else {
+                crc >> 1
+            };
         }
-        !crc
+        crc
+    }
+
+    fn bitwise_raw(crc: u64, data: &[u8]) -> u64 {
+        data.iter().fold(crc, |crc, &b| bitwise_step(crc, b))
     }
 
     fn pattern(len: usize, seed: u32) -> Vec<u8> {
@@ -227,13 +314,42 @@ mod tests {
     }
 
     #[test]
-    fn slice_by_8_matches_bitwise_reference() {
-        // Cover every alignment of head/tail around the 8-byte windows.
-        let data: Vec<u8> = pattern(1021, 0);
-        for len in [0, 1, 7, 8, 9, 63, 64, 65, 1021] {
+    fn every_length_and_alignment_across_the_lane_seams_matches_bitwise() {
+        // From the one-register path through the first splits: every
+        // length up to past four minimal lanes, at every slice alignment,
+        // for the digest, a non-zero starting register and the XOR form.
+        // The reference registers grow one byte per length.
+        const SEED: u64 = 0x0123_4567_89AB_CDEF;
+        let max = LANES * LANE_MIN + 17;
+        let (a, b) = (pattern(max + 8, 1), pattern(max + 8, 2));
+        for start in 0..8 {
+            let (mut plain, mut seeded, mut xored) = (!0u64, SEED, SEED);
+            for len in 0..=max {
+                let (x, y) = (&a[start..start + len], &b[start..start + len]);
+                assert_eq!(crc64(x), !plain, "start {start} len {len}");
+                assert_eq!(crc64_absorb_raw(SEED, x), seeded, "start {start} len {len}");
+                assert_eq!(
+                    crc64_absorb_raw_xor(SEED, x, y),
+                    xored,
+                    "start {start} len {len}"
+                );
+                plain = bitwise_step(plain, a[start + len]);
+                seeded = bitwise_step(seeded, a[start + len]);
+                xored = bitwise_step(xored, a[start + len] ^ b[start + len]);
+            }
+        }
+        // Lane lengths with one set bit (a chunk) and with many.
+        for len in [256 * 1024, 100_003] {
+            let (x, y) = (pattern(len, 3), pattern(len, 4));
+            let xor: Vec<u8> = x.iter().zip(&y).map(|(p, q)| p ^ q).collect();
             assert_eq!(
-                crc64(&data[..len]),
-                crc64_bitwise(&data[..len]),
+                crc64_absorb_raw(SEED, &x),
+                bitwise_raw(SEED, &x),
+                "len {len}"
+            );
+            assert_eq!(
+                crc64_absorb_raw_xor(SEED, &x, &y),
+                bitwise_raw(SEED, &xor),
                 "len {len}"
             );
         }
@@ -271,29 +387,36 @@ mod tests {
         }
     }
 
-    #[test]
-    fn splice_matches_full_recompute() {
-        let len = 8192usize;
-        let mut buf = pattern(len, 3);
-        let mut digest = crc64(&buf);
-        // a spread of offsets/lengths incl. unaligned and boundary runs
-        for (off, run) in [
-            (0usize, 100usize),
-            (1, 7),
-            (4000, 4096),
-            (8191, 1),
-            (0, 8192),
-        ] {
-            let new_bytes = pattern(run, off as u32 + 11);
-            digest = crc64_splice(
-                digest,
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn splice_matches_full_recompute(
+            len in 1usize..(256 * 1024 + 1),
+            off in any::<u32>(),
+            run in any::<u32>(),
+            seed in any::<u32>(),
+        ) {
+            let off = off as usize % len;
+            let run = run as usize % (len - off + 1);
+            let new_bytes = pattern(run, seed);
+            // over arbitrary old content ...
+            let mut buf = pattern(len, seed ^ 0x5A5A);
+            let spliced = crc64_splice(
+                crc64(&buf),
                 len as u64,
                 off as u64,
                 &buf[off..off + run],
                 &new_bytes,
             );
             buf[off..off + run].copy_from_slice(&new_bytes);
-            assert_eq!(digest, crc64(&buf), "off {off} run {run}");
+            prop_assert_eq!(spliced, crc64(&buf), "len {} off {} run {}", len, off, run);
+            // ... and over zeros, as freshly composed chunks are
+            let mut fresh = vec![0u8; len];
+            let spliced =
+                crc64_splice_fresh(crc64_zeros(len as u64), len as u64, off as u64, &new_bytes);
+            fresh[off..off + run].copy_from_slice(&new_bytes);
+            prop_assert_eq!(spliced, crc64(&fresh), "fresh len {} off {} run {}", len, off, run);
         }
     }
 

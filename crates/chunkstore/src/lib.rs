@@ -44,7 +44,7 @@ pub mod segments;
 pub mod shardmgr;
 pub mod store;
 
-pub use benefactor::Benefactor;
+pub use benefactor::{zero_chunk, Benefactor, ChunkBuf};
 pub use bitalloc::{BitAlloc, BitSet};
 pub use crc::crc64;
 pub use error::{Result, StoreError};

@@ -1164,7 +1164,7 @@ mod tests {
 
     fn materialize(m: &mut Manager, f: FileId, idx: usize) -> ChunkId {
         let home = m.file(f).unwrap().home_of_slot(idx);
-        let data = vec![0u8; CHUNK as usize].into_boxed_slice();
+        let data = crate::benefactor::zero_chunk(CHUNK);
         let c = m.new_chunk_id(vec![home], 1, crate::crc::crc64(&data));
         m.benefactor_mut(home)
             .store_chunk(VTime::ZERO, c, data, CHUNK, true);

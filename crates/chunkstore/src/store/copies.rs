@@ -12,7 +12,7 @@
 //! takes it per step.
 
 use super::AggregateStore;
-use crate::benefactor::Benefactor;
+use crate::benefactor::{zero_chunk, Benefactor, ChunkBuf};
 use crate::crc::crc64;
 use crate::error::{Result, StoreError};
 use crate::ids::{BenefactorId, ChunkId};
@@ -216,35 +216,32 @@ pub(super) fn survivors_for(mgr: &Manager, gref: GroupRef) -> Result<Survivors> 
 /// order — `read(chunk, home)` fetches one stored copy on whatever
 /// schedule the caller charges (concurrent pulls to a client, sequential
 /// benefactor-to-benefactor copies) — and solve for member `want`.
+/// Implicit-zero members are read from the shared zero chunk.
 pub(super) fn decode_member(
     from: &Survivors,
     chunk_size: u64,
     want: usize,
-    mut read: impl FnMut(ChunkId, BenefactorId) -> Box<[u8]>,
-) -> Box<[u8]> {
-    let gathered: Vec<(usize, Option<Box<[u8]>>)> = from
+    mut read: impl FnMut(ChunkId, BenefactorId) -> ChunkBuf,
+) -> ChunkBuf {
+    let mut gathered: Vec<(usize, ChunkBuf)> = from
         .picks
         .iter()
         .map(|s| match *s {
-            Survivor::Zeros(member) => (member, None),
+            Survivor::Zeros(member) => (member, zero_chunk(chunk_size)),
             Survivor::Copy {
                 member,
                 chunk,
                 home,
-            } => (member, Some(read(chunk, home))),
+            } => (member, read(chunk, home)),
         })
         .collect();
-    let zeros = vec![0u8; chunk_size as usize];
-    let mut present: Vec<(usize, &[u8])> = gathered
-        .iter()
-        .map(|(member, data)| (*member, data.as_deref().unwrap_or(&zeros)))
-        .collect();
-    present.sort_unstable_by_key(|(member, _)| *member);
-    RsCode::new(from.k, from.m)
+    gathered.sort_unstable_by_key(|(member, _)| *member);
+    let present: Vec<(usize, &[u8])> = gathered.iter().map(|(m, data)| (*m, &data[..])).collect();
+    let decoded = RsCode::new(from.k, from.m)
         .reconstruct(&present, &[want])
         .pop()
-        .expect("one wanted member")
-        .into_boxed_slice()
+        .expect("one wanted member");
+    ChunkBuf::new(decoded.into_boxed_slice())
 }
 
 /// Where the decoded content of a rebuilt group member lands.

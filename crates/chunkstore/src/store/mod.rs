@@ -24,7 +24,7 @@ mod read;
 mod repair;
 mod write;
 
-use crate::benefactor::Benefactor;
+use crate::benefactor::{zero_chunk, Benefactor, ChunkBuf};
 use crate::error::{Result, StoreError};
 use crate::ids::{BenefactorId, FileId};
 use crate::manager::{Manager, PlacementPolicy, StripeSpec};
@@ -156,15 +156,16 @@ pub enum ChunkPayload {
     /// The chunk was never written: the client materializes zeros locally
     /// (a file-hole read — no data crosses the network).
     Zeros,
-    /// Chunk bytes shipped from its benefactor.
-    Data(Box<[u8]>),
+    /// Chunk bytes shipped from its benefactor: a snapshot sharing the
+    /// stored buffer (see [`ChunkBuf`]).
+    Data(ChunkBuf),
 }
 
 impl ChunkPayload {
-    /// The chunk's bytes, materializing a hole as `chunk_size` zeros.
-    pub fn into_boxed(self, chunk_size: u64) -> Box<[u8]> {
+    /// The chunk's bytes, a hole being the shared `chunk_size` zero chunk.
+    pub fn into_buf(self, chunk_size: u64) -> ChunkBuf {
         match self {
-            ChunkPayload::Zeros => vec![0u8; chunk_size as usize].into_boxed_slice(),
+            ChunkPayload::Zeros => zero_chunk(chunk_size),
             ChunkPayload::Data(d) => d,
         }
     }

@@ -3,6 +3,7 @@
 
 use super::meta::MgrOp;
 use super::{copies, AggregateStore, ChunkPayload, RETRY_BACKOFF, RPC_BYTES};
+use crate::benefactor::ChunkBuf;
 use crate::crc::crc64;
 use crate::error::{Result, StoreError};
 use crate::ids::{BenefactorId, ChunkId, FileId};
@@ -16,7 +17,7 @@ use simcore::VTime;
 /// they came from, for span labelling and degraded accounting.
 struct FetchOutcome {
     end: VTime,
-    data: Box<[u8]>,
+    data: ChunkBuf,
     home: BenefactorId,
     node: usize,
     degraded: bool,
@@ -108,7 +109,7 @@ impl AggregateStore {
         client_node: usize,
         home: BenefactorId,
         c: ChunkId,
-    ) -> (VTime, Box<[u8]>) {
+    ) -> (VTime, ChunkBuf) {
         let mgr = self.mgr.lock();
         let node = mgr.benefactor(home).node;
         let req = self.net.transfer_at(t, client_node, node, RPC_BYTES);

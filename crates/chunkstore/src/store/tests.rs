@@ -445,8 +445,16 @@ fn verified_read_fails_over_on_corrupt_replica_and_repairs() {
         .write_pages(VTime::ZERO, client, f, 0, &[(0, &page)])
         .unwrap();
     let c = chunk_of(&store, f, 0);
-    let primary = store.manager().chunk_homes(c).unwrap()[0];
+    let (primary, replica) = {
+        let mgr = store.manager();
+        let homes = mgr.chunk_homes(c).unwrap();
+        (homes[0], homes[1])
+    };
     store.manager().benefactor_mut(primary).corrupt_chunk(c, 5);
+    // Both homes were handed the one composed buffer; the rot takes a
+    // private copy and stays on the home it hit.
+    assert!(!copies::is_clean(&store.manager(), c, primary));
+    assert!(copies::is_clean(&store.manager(), c, replica));
     assert_eq!(store.count_corrupt_copies(), 1);
 
     // The read detects the rot, fails over to the replica and returns
@@ -546,23 +554,33 @@ fn partial_overwrite_of_a_rotten_sole_copy_is_refused_not_laundered() {
 
 #[test]
 fn whole_chunk_overwrite_of_a_rotten_sole_copy_heals_it() {
-    let (store, _) = store_verify(1);
-    let client = 2;
-    let f = make_file_replicated(&store, client, "/m", CHUNK, 1);
-    let fives = vec![5u8; CHUNK as usize];
-    let t = store.write_span(VTime::ZERO, client, f, 0, &fives).unwrap();
-    let c = chunk_of(&store, f, 0);
-    store
-        .manager()
-        .benefactor_mut(BenefactorId(0))
-        .corrupt_chunk(c, 245_583);
-    // Runs covering the whole chunk need no base: the write goes ahead
-    // and the recorded digest is that of the new content.
-    let sevens = vec![7u8; CHUNK as usize];
-    let t = store.write_span(t, client, f, 0, &sevens).unwrap();
-    assert_eq!(store.count_corrupt_copies(), 0);
-    let (_, payload) = store.fetch_chunk(t, client, f, 0).unwrap();
-    assert_eq!(payload, ChunkPayload::Data(sevens.into_boxed_slice()));
+    // With and without `verify_reads`: runs covering the whole chunk need
+    // no base, so no stored byte — rotten or not — reaches the new digest.
+    for (store, _) in [store_verify(1), store_n(1)] {
+        let client = 2;
+        let f = make_file_replicated(&store, client, "/m", CHUNK, 1);
+        let fives = vec![5u8; CHUNK as usize];
+        let t = store.write_span(VTime::ZERO, client, f, 0, &fives).unwrap();
+        let c = chunk_of(&store, f, 0);
+        store
+            .manager()
+            .benefactor_mut(BenefactorId(0))
+            .corrupt_chunk(c, 245_583);
+        // The write goes ahead and the recorded digest is that of the new
+        // content, composed from the (here two) runs alone.
+        let sevens = vec![7u8; CHUNK as usize];
+        let (head, tail) = sevens.split_at(12_288);
+        let t = store
+            .write_pages(t, client, f, 0, &[(0, head), (12_288, tail)])
+            .unwrap();
+        assert_eq!(
+            store.manager().chunk_crc(c),
+            Some(crate::crc::crc64(&sevens))
+        );
+        assert_eq!(store.count_corrupt_copies(), 0);
+        let (_, payload) = store.fetch_chunk(t, client, f, 0).unwrap();
+        assert_eq!(payload.into_buf(CHUNK)[..], sevens[..]);
+    }
 }
 
 #[test]
@@ -584,6 +602,54 @@ fn torn_write_is_detected_by_verified_read() {
     assert_eq!(store.count_corrupt_copies(), 1);
     let err = store.fetch_chunk(t, client, f, 0).unwrap_err();
     assert!(matches!(err, StoreError::ChunkCorrupt { .. }));
+}
+
+#[test]
+fn torn_write_tears_only_the_armed_home() {
+    let (store, _) = store_verify(2);
+    let client = 3;
+    let f = make_file_replicated(&store, client, "/m", CHUNK, 2);
+    store
+        .manager()
+        .benefactor_mut(BenefactorId(1))
+        .arm_torn_write();
+    let data = vec![3u8; CHUNK as usize];
+    let t = store.write_span(VTime::ZERO, client, f, 0, &data).unwrap();
+    let c = chunk_of(&store, f, 0);
+    // The fresh write handed both homes the same buffer; the tear
+    // truncated a private copy of it.
+    assert!(copies::is_clean(&store.manager(), c, BenefactorId(0)));
+    assert!(!copies::is_clean(&store.manager(), c, BenefactorId(1)));
+    let (_, payload) = store.fetch_chunk(t, client, f, 0).unwrap();
+    assert_eq!(payload.into_buf(CHUNK)[..], data[..]);
+}
+
+#[test]
+fn fetched_payload_is_a_snapshot_of_the_serving_copy() {
+    let (store, _) = store_n(1);
+    let client = 2;
+    let f = make_file_replicated(&store, client, "/m", CHUNK, 1);
+    let fives = vec![5u8; CHUNK as usize];
+    let t = store.write_span(VTime::ZERO, client, f, 0, &fives).unwrap();
+    let (t, payload) = store.fetch_chunk(t, client, f, 0).unwrap();
+    // The payload shares the stored buffer; rot and an in-place update on
+    // the benefactor that served it must each copy first.
+    let c = chunk_of(&store, f, 0);
+    store
+        .manager()
+        .benefactor_mut(BenefactorId(0))
+        .corrupt_chunk(c, 100);
+    store
+        .write_pages(t, client, f, 0, &[(8192, &[9u8; 4096])])
+        .unwrap();
+    assert_eq!(payload.into_buf(CHUNK)[..], fives[..]);
+    let stored = store
+        .manager()
+        .benefactor(BenefactorId(0))
+        .peek_chunk(c)
+        .unwrap()
+        .to_vec();
+    assert_eq!((stored[100], stored[8192]), (5 ^ 0xFF, 9));
 }
 
 #[test]
@@ -1161,7 +1227,10 @@ fn parity_write_materializes_parity_and_reads_back() {
     assert_eq!(stats.get("store.parity_bytes"), 2 * CHUNK);
     // Reads are undegraded and roundtrip.
     let (_, payload) = store.fetch_chunk(t, client, f, 0).unwrap();
-    assert_eq!(payload, ChunkPayload::Data(a.clone().into_boxed_slice()));
+    assert_eq!(
+        payload,
+        ChunkPayload::Data(ChunkBuf::new(a.clone().into_boxed_slice()))
+    );
 }
 
 #[test]
@@ -1187,7 +1256,10 @@ fn parity_updates_are_o_dirty_not_full_group() {
     let (_, payload) = store.fetch_chunk(t, client, f, 0).unwrap();
     let mut want = a;
     want[8192..8192 + 4096].copy_from_slice(&page);
-    assert_eq!(payload, ChunkPayload::Data(want.into_boxed_slice()));
+    assert_eq!(
+        payload,
+        ChunkPayload::Data(ChunkBuf::new(want.into_boxed_slice()))
+    );
     assert_eq!(stats.get("store.degraded_reconstructs"), 1);
 }
 
@@ -1205,7 +1277,7 @@ fn degraded_read_reconstructs_after_crash_with_zero_wrong_bytes() {
     let (_, payload) = store.fetch_chunk(t, client, f, 0).unwrap();
     assert_eq!(
         payload,
-        ChunkPayload::Data(a.into_boxed_slice()),
+        ChunkPayload::Data(ChunkBuf::new(a.into_boxed_slice())),
         "reconstructed bytes are exactly the lost member"
     );
     assert_eq!(stats.get("store.degraded_reconstructs"), 1);
@@ -1328,7 +1400,10 @@ fn scrub_rebuilds_corrupt_sole_copy_group_member_in_place() {
     let (_, payload) = store
         .fetch_chunk(t + VTime::from_millis(2), client, f, 0)
         .unwrap();
-    assert_eq!(payload, ChunkPayload::Data(a.into_boxed_slice()));
+    assert_eq!(
+        payload,
+        ChunkPayload::Data(ChunkBuf::new(a.into_boxed_slice()))
+    );
 }
 
 #[test]
@@ -1355,7 +1430,10 @@ fn repair_parity_groups_rehomes_dead_members() {
     // And it reads back cleanly (no degraded path) with b0 still dead.
     let before = stats.get("store.degraded_reads");
     let (_, payload) = store.fetch_chunk(t2, client, f, 0).unwrap();
-    assert_eq!(payload, ChunkPayload::Data(a.into_boxed_slice()));
+    assert_eq!(
+        payload,
+        ChunkPayload::Data(ChunkBuf::new(a.into_boxed_slice()))
+    );
     assert_eq!(stats.get("store.degraded_reads"), before);
 }
 
@@ -1414,7 +1492,10 @@ fn stale_parity_is_flagged_and_reencoded_by_repair() {
     // With parity healthy again the degraded read works once more.
     store.set_benefactor_alive(BenefactorId(0), false);
     let (_, payload) = store.fetch_chunk(t3, client, f, 0).unwrap();
-    assert_eq!(payload, ChunkPayload::Data(want_a.into_boxed_slice()));
+    assert_eq!(
+        payload,
+        ChunkPayload::Data(ChunkBuf::new(want_a.into_boxed_slice()))
+    );
 }
 
 // ----- manager HA (DESIGN.md §16) ----------------------------------------
@@ -1533,7 +1614,10 @@ fn standby_takeover_replays_journal_and_loses_nothing() {
         t2 >= crash + FAILOVER_TIMEOUT,
         "takeover waits out the crash-detection window"
     );
-    assert_eq!(payload, ChunkPayload::Data(data.clone().into_boxed_slice()));
+    assert_eq!(
+        payload,
+        ChunkPayload::Data(ChunkBuf::new(data.clone().into_boxed_slice()))
+    );
     assert_eq!(stats.get("store.mgr_failovers"), 1);
     assert_eq!(stats.get("store.journal_replays"), 1);
     assert!(
@@ -1543,7 +1627,10 @@ fn standby_takeover_replays_journal_and_loses_nothing() {
     assert!(store.manager().placement_epoch() > epoch_before);
     // Acked writes survived: both chunks read back post-takeover.
     let (_, p1) = store.fetch_chunk(t2, 3, f, 1).unwrap();
-    assert_eq!(p1, ChunkPayload::Data(data.into_boxed_slice()));
+    assert_eq!(
+        p1,
+        ChunkPayload::Data(ChunkBuf::new(data.into_boxed_slice()))
+    );
 }
 
 #[test]
@@ -1582,7 +1669,10 @@ fn sharded_standby_promotion_repoints_endpoint_and_revokes_leases() {
     // Every acked write reads back across the outage…
     for idx in 0..4 {
         let (_, p) = store.fetch_chunk(crash, 3, f, idx).unwrap();
-        assert_eq!(p, ChunkPayload::Data(data.clone().into_boxed_slice()));
+        assert_eq!(
+            p,
+            ChunkPayload::Data(ChunkBuf::new(data.clone().into_boxed_slice()))
+        );
     }
     // …and a namespace op (always rank 0, the root shard) guarantees
     // the crashed rank was probed even if slot hashing dodged it.

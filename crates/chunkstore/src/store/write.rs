@@ -4,7 +4,7 @@
 
 use super::meta::MgrOp;
 use super::{copies, AggregateStore, BatchWrite};
-use crate::benefactor::Benefactor;
+use crate::benefactor::{Benefactor, ChunkBuf};
 use crate::crc;
 use crate::error::{Result, StoreError};
 use crate::ids::{BenefactorId, FileId};
@@ -92,19 +92,25 @@ fn merge_spans(mut spans: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
     out
 }
 
-/// A zero chunk with `runs` applied, and its digest — computed without
-/// scanning the composed buffer: start from the all-zeros digest and
-/// splice each dirty run in, O(dirty bytes) not O(chunk). Dirty runs
-/// never overlap (they come from a page bitmap), which the splice algebra
+/// Digest of a zero chunk with `runs` applied, computed without scanning
+/// (or building) the chunk: start from the all-zeros digest and splice
+/// each dirty run in, O(dirty bytes) not O(chunk). Dirty runs never
+/// overlap (they come from a page bitmap), which the splice algebra
 /// relies on.
-fn compose(chunk_len: u64, runs: &[(u64, &[u8])]) -> (Box<[u8]>, u64) {
+fn digest_of_runs(chunk_len: u64, runs: &[(u64, &[u8])]) -> u64 {
+    runs.iter()
+        .fold(crc::crc64_zeros(chunk_len), |crc, (off, d)| {
+            crc::crc64_splice_fresh(crc, chunk_len, *off, d)
+        })
+}
+
+/// A zero chunk with `runs` applied.
+fn compose(chunk_len: u64, runs: &[(u64, &[u8])]) -> ChunkBuf {
     let mut data = vec![0u8; chunk_len as usize].into_boxed_slice();
-    let mut crc = crc::crc64_zeros(chunk_len);
     for (off, d) in runs {
         data[*off as usize..*off as usize + d.len()].copy_from_slice(d);
-        crc = crc::crc64_splice_fresh(crc, chunk_len, *off, d);
     }
-    (data, crc)
+    ChunkBuf::new(data)
 }
 
 impl AggregateStore {
@@ -362,18 +368,21 @@ impl AggregateStore {
                 // match the recorded CRC. When none does, the write is
                 // refused — before any state changes — rather than
                 // launder the rot into the digest or the parity. Only an
-                // unencoded overwrite of the whole chunk needs no base
-                // and goes ahead (it heals the chunk).
-                let verify = self.cfg.verify_reads;
-                let trusted =
-                    copies::trusted_copy(&mgr, c, |h| !verify || copies::is_clean(&mgr, c, h));
-                if trusted.is_none() && (parity_cfg.is_some() || dirty_bytes < chunk_len) {
-                    return Err(StoreError::ChunkCorrupt {
-                        chunk: c,
-                        benefactor: live[0],
-                    });
+                // unencoded overwrite of the whole chunk needs no base:
+                // its digest is composed from the runs alone, no stored
+                // byte is read, and it goes ahead whatever the copies
+                // hold (it heals the chunk).
+                if parity_cfg.is_some() || dirty_bytes < chunk_len {
+                    let verify = self.cfg.verify_reads;
+                    let clean = |h| !verify || copies::is_clean(&mgr, c, h);
+                    let Some(trusted) = copies::trusted_copy(&mgr, c, clean) else {
+                        return Err(StoreError::ChunkCorrupt {
+                            chunk: c,
+                            benefactor: live[0],
+                        });
+                    };
+                    base = Some((c, trusted));
                 }
-                base = trusted.map(|h| (c, h));
                 for h in dead {
                     mgr.remove_chunk_home(c, h);
                 }
@@ -401,11 +410,10 @@ impl AggregateStore {
         // silent corruption on the media then disagrees with it. With a
         // base, the recorded digest is spliced run by run (O(dirty bytes
         // + log chunk), no full-chunk copy or rescan); without one the
-        // old content is zeros, or fully overwritten, and content and
-        // digest are composed from the runs alone. The same old bytes,
-        // captured before the write lands anywhere, feed the parity
-        // deltas.
-        let (fresh, new_crc, old_runs) = {
+        // old content is zeros, or fully overwritten, and the digest is
+        // composed from the runs alone. The same old bytes, captured
+        // before the write lands anywhere, feed the parity deltas.
+        let (new_crc, old_runs) = {
             let base = base.map(|(c, h)| {
                 let bytes = mgr.benefactor(h).peek_chunk(c).expect("live copy present");
                 (mgr.chunk_crc(c).expect("chunk without crc"), bytes)
@@ -420,19 +428,14 @@ impl AggregateStore {
                     })
                     .collect(),
             };
-            match base {
-                Some((recorded, bytes)) => {
-                    let crc = updates.iter().fold(recorded, |crc, (off, d)| {
-                        let old = &bytes[*off as usize..*off as usize + d.len()];
-                        crc::crc64_splice(crc, chunk_len, *off, old, d)
-                    });
-                    (None, crc, old_runs)
-                }
-                None => {
-                    let (data, crc) = compose(chunk_len, updates);
-                    (Some(data), crc, old_runs)
-                }
-            }
+            let new_crc = match base {
+                Some((recorded, bytes)) => updates.iter().fold(recorded, |crc, (off, d)| {
+                    let old = &bytes[*off as usize..*off as usize + d.len()];
+                    crc::crc64_splice(crc, chunk_len, *off, old, d)
+                }),
+                None => digest_of_runs(chunk_len, updates),
+            };
+            (new_crc, old_runs)
         };
 
         let mut end = match slot {
@@ -440,11 +443,15 @@ impl AggregateStore {
                 // First write: compose zeros + updates on every live copy.
                 // Unmaterialized slots consume their fallocate reservation;
                 // hole writes allocate unreserved space (checked above).
+                // Every home holds the one composed buffer: a count bump
+                // per extra replica, a move for the last.
                 let consumes_reservation = matches!(slot, Slot::Unmaterialized);
-                let data = fresh.expect("no base: composed above");
+                let mut handles =
+                    std::iter::repeat_n(compose(chunk_len, updates), live_homes.len());
                 let c = mgr.new_chunk_id(live_homes.clone(), target, new_crc);
                 let ship = |b: &mut Benefactor, at| {
-                    b.store_chunk(at, c, data.clone(), dirty_bytes, consumes_reservation)
+                    let data = handles.next().expect("one handle per home");
+                    b.store_chunk(at, c, data, dirty_bytes, consumes_reservation)
                         .end
                 };
                 let end =
@@ -576,11 +583,11 @@ impl AggregateStore {
             } else {
                 // First delta materializes the member: old content is
                 // zeros, so the delta is the content.
-                let (mut data, crc) = compose(chunk_len, runs);
-                let c = mgr.new_chunk_id(vec![home], 1, crc);
+                let mut data = Some(compose(chunk_len, runs));
+                let c = mgr.new_chunk_id(vec![home], 1, digest_of_runs(chunk_len, runs));
                 let ship = |b: &mut Benefactor, at| {
-                    b.store_chunk(at, c, std::mem::take(&mut data), dirty, true)
-                        .end
+                    let data = data.take().expect("one home");
+                    b.store_chunk(at, c, data, dirty, true).end
                 };
                 let stored = self.ship_to_homes(mgr, t, client_node, &[home], dirty, ship);
                 mgr.set_parity_slot(file, group, p, Slot::Chunk(c));

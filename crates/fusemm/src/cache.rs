@@ -26,14 +26,17 @@
 //! [`ChunkCache::clear_dirty`].
 
 use crate::dirty::DirtyPages;
-use chunkstore::FileId;
+use chunkstore::{ChunkBuf, FileId};
 use simcore::VTime;
 use std::collections::{BTreeSet, HashMap};
 
 /// One cached chunk.
 #[derive(Debug)]
 pub struct CacheEntry {
-    pub data: Box<[u8]>,
+    /// The chunk as fetched, shared with wherever it came from (a
+    /// benefactor's stored copy, the zero chunk) until the first write
+    /// through `Arc::make_mut` takes a private copy.
+    pub data: ChunkBuf,
     pub dirty: DirtyPages,
     /// LRU tick of the last touch.
     pub last_use: u64,
@@ -211,7 +214,7 @@ impl ChunkCache {
 
     /// Insert a chunk; the caller must have made room first. New entries
     /// start clean and (in segmented mode) on probation.
-    pub fn insert(&mut self, key: ChunkKey, data: Box<[u8]>, ready_at: VTime) {
+    pub fn insert(&mut self, key: ChunkKey, data: ChunkBuf, ready_at: VTime) {
         assert!(!self.is_full(), "insert into a full cache");
         self.tick += 1;
         let prev = self.entries.insert(
@@ -367,8 +370,8 @@ mod tests {
         ChunkCache::new(cap, 64)
     }
 
-    fn data() -> Box<[u8]> {
-        vec![0u8; 256].into_boxed_slice()
+    fn data() -> ChunkBuf {
+        chunkstore::zero_chunk(256)
     }
 
     #[test]

@@ -841,7 +841,7 @@ impl Mount {
                     SpanIo::Read(buf) => buf[s.pos..s.pos + s.take]
                         .copy_from_slice(&entry.data[s.within..s.within + s.take]),
                     SpanIo::Write(data) => {
-                        entry.data[s.within..s.within + s.take]
+                        Arc::make_mut(&mut entry.data)[s.within..s.within + s.take]
                             .copy_from_slice(&data[s.pos..s.pos + s.take]);
                         let (from, to) = (s.within as u64, (s.within + s.take) as u64);
                         t = self.note_write(&mut st, t, (file, s.idx), from, to)?;
@@ -892,7 +892,7 @@ impl Mount {
         let fetched = self.fetch(t, file, &missing)?;
         let mut st = self.state.lock();
         for ((ready_at, payload), &idx) in fetched.into_iter().zip(&missing) {
-            let data = payload.into_boxed(self.chunk_size());
+            let data = payload.into_buf(self.chunk_size());
             st.cache.insert((file, idx), data, ready_at);
             ready = ready.max(ready_at);
         }
@@ -1034,7 +1034,7 @@ impl Mount {
             let mut st = self.state.lock();
             for ((ready, payload), &idx) in fetched.into_iter().zip(&missing) {
                 done = done.max(ready);
-                st.cache.insert((file, idx), payload.into_boxed(cs), ready);
+                st.cache.insert((file, idx), payload.into_buf(cs), ready);
             }
             drop(st);
             sp.finish(done);

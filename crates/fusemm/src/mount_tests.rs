@@ -183,6 +183,57 @@ fn o_rdwr_visibility_across_mounts() {
 }
 
 #[test]
+fn cached_chunk_is_a_snapshot_of_the_benefactor_copy() {
+    // The cache entry shares the buffer the benefactor stores. Rot on the
+    // benefactor, and a write that reaches it from elsewhere, must copy
+    // first: what this mount fetched is what its hits keep returning.
+    let (m, stats) = world(small_cache());
+    let f = mk_file(&m, "/v", CHUNK);
+    let data = vec![7u8; CHUNK as usize];
+    let t = m.write(VTime::ZERO, f, 0, &data).unwrap();
+    let t = m.flush_file(t, f).unwrap();
+    let cold = Mount::new(m.store().clone(), 2, small_cache(), &stats);
+    let mut out = vec![0u8; CHUNK as usize];
+    let t = cold.read(t, f, 0, &mut out).unwrap();
+
+    let store = m.store();
+    let c = match store.manager().file(f).unwrap().slots[0] {
+        chunkstore::Slot::Chunk(c) => c,
+        slot => panic!("not materialized: {slot:?}"),
+    };
+    let home = store.manager().chunk_home(c).unwrap();
+    store.manager().benefactor_mut(home).corrupt_chunk(c, 100);
+    store
+        .write_pages(t, 2, f, 0, &[(8192, &[9u8; 4096])])
+        .unwrap();
+
+    let hits = stats.get("fuse.hits");
+    cold.read(t, f, 0, &mut out).unwrap();
+    assert_eq!(stats.get("fuse.hits"), hits + 1, "served from the cache");
+    assert_eq!(out, data);
+}
+
+#[test]
+fn hole_written_through_one_mount_stays_zero_in_the_other() {
+    // Both mounts cache the same shared zero chunk for the hole; the
+    // write through one takes a private copy of it.
+    let (m1, stats) = world(small_cache());
+    let m2 = Mount::new(m1.store().clone(), 2, small_cache(), &stats);
+    let f = mk_file(&m1, "/v", CHUNK);
+    let mut out = vec![0xFFu8; 64];
+    let t = m1.read(VTime::ZERO, f, 0, &mut out).unwrap();
+    let t = m2.read(t, f, 0, &mut out).unwrap();
+    let t = m1.write(t, f, 0, &[3u8; 64]).unwrap();
+    let hits = stats.get("fuse.hits");
+    m2.read(t, f, 0, &mut out).unwrap();
+    assert_eq!(stats.get("fuse.hits"), hits + 1, "served from m2's cache");
+    assert_eq!(out, [0u8; 64]);
+    assert!(chunkstore::zero_chunk(CHUNK).iter().all(|&b| b == 0));
+    m1.read(t, f, 0, &mut out).unwrap();
+    assert_eq!(out, [3u8; 64]);
+}
+
+#[test]
 fn flush_clears_dirty_but_keeps_cached() {
     let (m, stats) = world(small_cache());
     let f = mk_file(&m, "/v", 2 * CHUNK);

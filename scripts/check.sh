@@ -150,7 +150,7 @@ for f in "$smoke_dir"/BENCH_*.json; do
         || { echo "FAIL: $(basename "$f") is missing its host footer"; exit 1; }
 done
 
-echo "==> micro host-speed floors (simulated bytes and engine hand-offs per host second)"
+echo "==> micro host-speed floors (simulated bytes, engine hand-offs, stream writes and fetches per host second)"
 # On one CPU, like examples/benchmark: only one engine thread runs at a
 # time, and unpinned every hand-off is a cross-core wake whose cost on a
 # small VM swings 5x with what the other core has just been doing.
@@ -180,5 +180,14 @@ micro_floor bytes_per_host_second 140000000 "simulated bytes"
 # herd it replaced, so a wake that scales with the number of sleeping
 # processes fails here.
 micro_floor engine_handoffs_per_host_second 100000 "engine hand-offs"
+# The payload path (ISSUE 16, EXPERIMENTS.md "Host speed"). Full-chunk
+# stream writes: 1.5 GB per host second, between the 1.06 GB/hs of the
+# one-register digest and the 2.3 GB/hs measured with four lanes — the
+# digest is ~60 % of that phase, so the usual 3x margin would sit below
+# the rate this floor exists to rule out. Whole-chunk fetches: 150 GB/hs,
+# ~3.5x below the 550 GB/hs of a shared payload (a count bump per fetch)
+# and 7x above the 19.5 GB/hs of a 256 KiB copy per fetch.
+micro_floor stream_write_bytes_per_host_second 1500000000 "stream-written bytes"
+micro_floor read_bytes_per_host_second 150000000000 "fetched bytes"
 
 echo "All checks passed."
