@@ -19,7 +19,7 @@
 //! * time-to-repair — re-replication and parity-group-rebuild sweeps
 //!   after a loss, restoring every chunk to target redundancy.
 //!
-//! Run with `-- --smoke` for the CI-sized variant; scripts/check.sh diffs
+//! Run with `-- --smoke` for the CI-sized variant; scripts/ledger.sh diffs
 //! its knobs-off JSON against a committed expectation, pinning that the
 //! parity machinery changes nothing while switched off (and that m=0 is
 //! bit-identical to plain striping).
@@ -478,7 +478,7 @@ fn demonstrate_rs_crash_sweep(report: &mut JsonReport, size: u64) {
 
 /// m=0 must be byte-for-byte plain striping: identical virtual times and
 /// no parity counters ever registered. Recorded in the knobs-off serial
-/// report that scripts/check.sh diffs against a committed expectation.
+/// report that scripts/ledger.sh diffs against a committed expectation.
 fn m0_identity(serial: &mut JsonReport, size: u64) {
     let run = |spec: StripeSpec| -> (VTime, bool) {
         let cluster = mm_cluster(&JobConfig::local(8, 8, 8));
@@ -549,7 +549,7 @@ fn main() {
         .config("victim", VICTIM)
         .config("mm_n", n as u64)
         .config("ec_bytes", ec_size);
-    // Knobs-off sub-report: scripts/check.sh diffs this against a
+    // Knobs-off sub-report: scripts/ledger.sh diffs this against a
     // committed expectation — the parity machinery must not move a single
     // virtual nanosecond while switched off.
     let mut serial = JsonReport::new("degraded_mode_serial");
@@ -705,12 +705,13 @@ fn measure_repair(report: &mut JsonReport) {
     let pages_per_chunk = CHUNK / 4096;
     for c in 0..(size as usize / CHUNK) {
         let writes: Vec<(u64, &[u8])> = (0..pages_per_chunk)
-            .map(|p| (p as u64, page.as_slice()))
+            .map(|p| (p as u64 * 4096, page.as_slice()))
             .collect();
         t = store.write_pages(t, 0, f, c, &writes).unwrap();
     }
     store.set_benefactor_alive(chunkstore::BenefactorId(3), false);
     let degraded = store.manager().under_replicated().len();
+    let clean_before = store.count_corrupt_copies() == 0;
     let (t_done, repair) = store.repair_under_replicated(t);
     println!(
         "  repair sweep over {} ({degraded} degraded chunks): {} chunks ({}) \
@@ -730,5 +731,9 @@ fn measure_repair(report: &mut JsonReport) {
             && repair.chunks_repaired == degraded as u64
             && repair.chunks_unrepairable == 0
             && store.manager().under_replicated().is_empty(),
+    );
+    report.check(
+        "repair dataset is CRC-clean before and after the sweep",
+        clean_before && store.count_corrupt_copies() == 0,
     );
 }

@@ -18,7 +18,7 @@
 //!
 //! Run with `-- --smoke` for the CI-sized variant: a strictly serial
 //! single-rank workload run against both managers, whose virtual times,
-//! outputs and counters must be *bit-identical* (scripts/check.sh diffs
+//! outputs and counters must be *bit-identical* (scripts/ledger.sh diffs
 //! the emitted serial JSON against a committed expectation).
 
 use bench::{check, header, secs, store_for, store_health, JsonReport, Table, SCALE};

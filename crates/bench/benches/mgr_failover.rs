@@ -17,7 +17,7 @@
 //!   the crashed shard's endpoint at its standby node and revokes the
 //!   shard's outstanding leases (placement-epoch bump).
 //!
-//! Run with `-- --smoke` for the CI-sized variant; scripts/check.sh diffs
+//! Run with `-- --smoke` for the CI-sized variant; scripts/ledger.sh diffs
 //! the knobs-off JSON against a committed expectation, pinning that the
 //! HA machinery changes nothing while switched off.
 
@@ -145,7 +145,7 @@ fn main() {
         .config("chunks", nchunks as u64)
         .config("chunk_bytes", CHUNK as u64)
         .config("seed", SEED);
-    // Knobs-off sub-report: scripts/check.sh diffs this against a
+    // Knobs-off sub-report: scripts/ledger.sh diffs this against a
     // committed expectation — the journaling and failover machinery must
     // not move a single virtual nanosecond while switched off.
     let mut serial = JsonReport::new("mgr_failover_serial");

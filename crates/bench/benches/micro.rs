@@ -1,71 +1,12 @@
-//! Criterion micro-benchmarks of the reproduction stack itself: host-side
-//! performance of the simulation substrate (not virtual-time results).
+//! Host-side performance of the simulation substrate itself (not
+//! virtual-time results): `BENCH_micro.json` is all `host` block, and
+//! scripts/check.sh gates four of its rates against committed floors.
 
-use criterion::{criterion_group, BatchSize, Criterion};
-use simcore::{Engine, ProcCtx, Rendezvous, Resource, VTime};
-use std::hint::black_box;
-
-fn bench_resource(c: &mut Criterion) {
-    c.bench_function("resource_acquire", |b| {
-        let r = Resource::new("dev");
-        let mut t = VTime::ZERO;
-        b.iter(|| {
-            t += VTime::from_nanos(10);
-            black_box(r.acquire_at(t, VTime::from_nanos(5)));
-        });
-    });
-}
-
-fn bench_dirty_bitmap(c: &mut Criterion) {
-    use fusemm::DirtyPages;
-    c.bench_function("dirty_runs_64pages", |b| {
-        let mut d = DirtyPages::new(64);
-        for p in (0..64).step_by(3) {
-            d.mark(p);
-        }
-        b.iter(|| black_box(d.runs(4096)));
-    });
-}
-
-fn bench_cache(c: &mut Criterion) {
-    use chunkstore::FileId;
-    use fusemm::ChunkCache;
-    c.bench_function("chunk_cache_get_insert_evict", |b| {
-        b.iter_batched(
-            || ChunkCache::new(256, 64),
-            |mut cache| {
-                for i in 0..512usize {
-                    if cache.is_full() {
-                        let victim = cache.lru_key_excluding(|_| false).unwrap();
-                        cache.remove(&victim);
-                    }
-                    cache.insert((FileId(0), i), chunkstore::zero_chunk(64), VTime::ZERO);
-                    black_box(cache.get_mut(&(FileId(0), i.saturating_sub(7))));
-                }
-            },
-            BatchSize::SmallInput,
-        );
-    });
-}
-
-fn bench_engine_baton(c: &mut Criterion) {
-    c.bench_function("engine_2proc_1000_yields", |b| {
-        b.iter(|| {
-            Engine::run(
-                (0..2usize)
-                    .map(|i| {
-                        move |ctx: &mut ProcCtx| {
-                            for k in 0..1000u64 {
-                                ctx.advance(VTime::from_nanos(10 + (i as u64 + k) % 3));
-                                ctx.yield_until_min();
-                            }
-                        }
-                    })
-                    .collect(),
-            )
-        });
-    });
-}
+use chunkstore::{AggregateStore, Benefactor, PlacementPolicy, StoreConfig, StripeSpec};
+use devices::{Ssd, INTEL_X25E};
+use netsim::{NetConfig, Network};
+use simcore::{Engine, ProcCtx, Rendezvous, StatsRegistry, VTime};
+use std::time::Instant;
 
 /// `procs` processes running `rounds` rounds of `yields` phased yields and
 /// then, with `barrier`, one rendezvous: the engine's baton and nothing else.
@@ -92,74 +33,12 @@ fn engine_storm(procs: usize, rounds: usize, yields: u64, barrier: bool) -> simc
     )
 }
 
-fn bench_rendezvous(c: &mut Criterion) {
-    // 4 ranks, and the paper's full machine (128): the cost of one
-    // hand-off must not depend on how many processes are asleep.
-    for (procs, rounds) in [(4, 100), (128, 20)] {
-        c.bench_function(&format!("rendezvous_{procs}proc_{rounds}_barriers"), |b| {
-            b.iter(|| engine_storm(procs, rounds, 0, true));
-        });
-    }
-}
-
-fn bench_store_write(c: &mut Criterion) {
-    use chunkstore::{AggregateStore, Benefactor, PlacementPolicy, StoreConfig, StripeSpec};
-    use devices::{Ssd, INTEL_X25E};
-    use netsim::{NetConfig, Network};
-    use simcore::StatsRegistry;
-
-    c.bench_function("store_write_pages_4k", |b| {
-        let stats = StatsRegistry::new();
-        let net = Network::new(2, NetConfig::default(), &stats);
-        let store = AggregateStore::new(StoreConfig::default(), net, &stats);
-        let ssd = Ssd::new("b.ssd", INTEL_X25E, &stats);
-        store.add_benefactor(Benefactor::new(0, ssd, 1 << 30, 256 * 1024));
-        let (t, f) = store.create_file(VTime::ZERO, 1, "/bench").unwrap();
-        store
-            .fallocate(
-                t,
-                1,
-                f,
-                16 << 20,
-                StripeSpec::all(),
-                PlacementPolicy::RoundRobin,
-            )
-            .unwrap();
-        let page = vec![1u8; 4096];
-        let mut t = VTime::ZERO;
-        let mut i = 0u64;
-        b.iter(|| {
-            t += VTime::from_micros(1);
-            let off = (i * 4096) % (256 * 1024 - 4096);
-            i += 1;
-            black_box(
-                store
-                    .write_pages(t, 1, f, (i % 64) as usize, &[(off, &page)])
-                    .unwrap(),
-            );
-        });
-    });
-}
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(3)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_resource, bench_dirty_bitmap, bench_cache, bench_engine_baton, bench_rendezvous, bench_store_write
-}
-
 /// The committed host-speed workload (ISSUE 7): a fixed, deterministic
 /// amount of simulated work — stream writes, per-page in-place updates
 /// (the digest-heavy path), chunk reads, and a scheduler yield storm —
 /// with the simulated byte volume read back from the store's own
-/// counters, timed in host wall-clock. check.sh gates the resulting
-/// bytes/host-second against a committed floor.
+/// counters, timed in host wall-clock.
 fn run_host_speed() -> bench::Json {
-    use chunkstore::{AggregateStore, Benefactor, PlacementPolicy, StoreConfig, StripeSpec};
-    use devices::{Ssd, INTEL_X25E};
-    use netsim::{NetConfig, Network};
-    use simcore::StatsRegistry;
-    use std::time::Instant;
-
     const CHUNK: u64 = 256 * 1024;
     const CHUNKS: usize = 64;
     const PAGE: usize = 4096;
@@ -201,8 +80,7 @@ fn run_host_speed() -> bench::Json {
     let stream_s = started.elapsed().as_secs_f64();
 
     // 2. page updates: 4 KiB in-place writes, one page per call — the
-    //    per-chunk digest/copy path this PR takes from O(chunk) to
-    //    O(dirty bytes)
+    //    O(dirty bytes) digest-splice path
     let page_buf = vec![0xA5u8; PAGE];
     let started = Instant::now();
     for _ in 0..PAGE_PASSES {
@@ -286,37 +164,9 @@ fn run_host_speed() -> bench::Json {
     footer
 }
 
-// Expanded `criterion_main!` plus the repo-wide JSON footprint: criterion
-// owns the timing data (host-side, non-deterministic), so the emitted file
-// records only what ran. `--host-speed` skips the criterion targets and
-// runs only the gated wall-clock workload (scripts/check.sh).
 fn main() {
-    let host_only = std::env::args().any(|a| a == "--host-speed");
-    if !host_only {
-        benches();
-    }
-    let host = run_host_speed();
     let mut json = bench::Json::obj();
     json.set("name", "micro");
-    json.set("host", host);
-    json.set("harness", "criterion");
-    json.set(
-        "targets",
-        bench::Json::Arr(
-            [
-                "resource_acquire",
-                "dirty_runs_64pages",
-                "chunk_cache_get_insert_evict",
-                "engine_2proc_1000_yields",
-                "rendezvous_4proc_100_barriers",
-                "rendezvous_128proc_20_barriers",
-                "store_write_pages_4k",
-            ]
-            .into_iter()
-            .map(bench::Json::from)
-            .collect(),
-        ),
-    );
-    json.set("note", "host-side timings live in criterion's own output");
+    json.set("host", run_host_speed());
     bench::emit_json("micro", &json);
 }

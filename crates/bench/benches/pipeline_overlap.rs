@@ -12,7 +12,7 @@
 //! one benefactor's chain is serial either way and only the elided
 //! per-chunk manager RPCs remain (a few percent).
 //!
-//! Run with `-- --smoke` for the CI-sized variant (scripts/check.sh diffs
+//! Run with `-- --smoke` for the CI-sized variant (scripts/ledger.sh diffs
 //! its serial-path JSON against a committed expectation).
 
 use bench::{arg_value, header, JsonReport, Table, SCALE};
@@ -191,7 +191,7 @@ fn main() {
         .config("mm_n", if smoke { 0 } else { mm_n })
         .config("sort_total", if smoke { 0 } else { sort_total })
         .config("cache_bytes", 16u64 * 1024 * 1024);
-    // The serial-only sub-report: scripts/check.sh diffs this against a
+    // The serial-only sub-report: scripts/ledger.sh diffs this against a
     // committed expectation, pinning the default-path cost model.
     let mut serial = JsonReport::new("pipeline_overlap_serial");
     serial.config("smoke", smoke).config("scale", SCALE);
@@ -258,7 +258,7 @@ fn main() {
 /// export the Chrome trace with flow arrows and gauge counter tracks (to
 /// `--trace <path>` when given), append the obs footer + trace shape
 /// checks to the report, and emit the standalone critical-path report
-/// (`BENCH_pipeline_overlap_critpath.json`) that scripts/check.sh diffs
+/// (`BENCH_pipeline_overlap_critpath.json`) that scripts/ledger.sh diffs
 /// against a committed expectation — the causal attribution itself is
 /// part of the pinned cost model.
 fn traced_demo(report: &mut JsonReport) {
@@ -358,8 +358,8 @@ fn traced_demo(report: &mut JsonReport) {
 
     // The standalone critical-path report. The traced demo's workload is
     // fixed (independent of --smoke), so this file is byte-stable across
-    // runs and hosts — check.sh diffs it (host footer stripped) against
-    // crates/bench/expected/BENCH_pipeline_overlap_critpath.json.
+    // runs and hosts — scripts/ledger.sh diffs it (host footer stripped) against
+    // the committed BENCH_pipeline_overlap_critpath.json.
     let cp = critical_path(&cluster.trace, None).expect("causal cluster records spans");
     let mut cp_report = JsonReport::new("pipeline_overlap_critpath");
     cp_report

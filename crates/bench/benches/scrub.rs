@@ -16,7 +16,7 @@
 //!   store cost the foreground clock nothing (exact equality), and
 //!   traced runs stay bit-identical to untraced ones.
 //!
-//! Run with `-- --smoke` for the CI-sized variant; scripts/check.sh diffs
+//! Run with `-- --smoke` for the CI-sized variant; scripts/ledger.sh diffs
 //! its knobs-off JSON against a committed expectation, pinning that the
 //! integrity machinery changes nothing while switched off.
 
@@ -358,7 +358,7 @@ fn main() {
         .config("elems", elems as u64)
         .config("rot_benefactor", ROT as u64)
         .config("rot_rate_bp", ROT_RATE_BP as u64);
-    // Knobs-off sub-report: scripts/check.sh diffs this against a
+    // Knobs-off sub-report: scripts/ledger.sh diffs this against a
     // committed expectation — checksum bookkeeping must not move a single
     // virtual nanosecond while verification and scrubbing are off.
     let mut serial = JsonReport::new("scrub_serial");

@@ -13,9 +13,8 @@
 //! knobs x cache segmentation, and read-dominated guardrails (STREAM B&C,
 //! hybrid qsort) that the daemon must not regress.
 //!
-//! Run with `-- --smoke` for the CI-sized variant (scripts/check.sh diffs
-//! its defaults-off JSON against a committed expectation and gates on the
-//! daemon counters in the obs footer).
+//! Run with `-- --smoke` for the CI-sized variant (scripts/ledger.sh diffs
+//! both its JSONs against the committed ledger, daemon counters included).
 
 use bench::{arg_value, header, JsonReport, Table, SCALE};
 use chunkstore::StoreConfig;
@@ -220,7 +219,7 @@ fn main() {
         .config("rw_region_bytes", rw.region_bytes)
         .config("rw_writes", rw.writes as u64)
         .config("sort_total", if smoke { 0 } else { sort_total });
-    // Defaults-off sub-report: scripts/check.sh diffs this against a
+    // Defaults-off sub-report: scripts/ledger.sh diffs this against a
     // committed expectation, pinning the demand-eviction cost model.
     let mut serial = JsonReport::new("writeback_daemon_serial");
     serial.config("smoke", smoke).config("scale", SCALE);

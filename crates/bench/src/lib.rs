@@ -1,8 +1,8 @@
 //! # bench — the paper-reproduction harness
 //!
 //! One `harness = false` bench target per table and figure of the paper's
-//! evaluation (run them all with `cargo bench`), plus Criterion
-//! micro-benchmarks of the stack itself (`--bench micro`).
+//! evaluation (run them all with `cargo bench`), plus the host-speed
+//! workload of the stack itself (`--bench micro`).
 //!
 //! Common policy: every experiment runs on the HAL cluster preset scaled
 //! by [`SCALE`] (capacities ÷ 64, bandwidths/latencies unchanged) with the
@@ -84,123 +84,145 @@ pub fn secs(t: VTime) -> String {
     format!("{:.3}", t.as_secs_f64())
 }
 
-/// Print the store-health line for a finished run: SSD wear per
-/// benefactor (total + worst) plus the fault-injection / replication
-/// counters. Every bench target that touches the NVM store prints this so
-/// failovers, repairs and wear imbalance are visible next to the numbers
-/// they influenced.
-pub fn store_health(label: &str, cluster: &Cluster) {
+/// Every counter of the health report, one row per printed line; row by
+/// row, the key order of the JSON `health` object. Only counters the run
+/// registered are reported: the first two rows exist in every store, the
+/// others are registered lazily with their feature (integrity, parity,
+/// manager HA, leases), so knobs-off reports carry no extra keys.
+const HEALTH_COUNTERS: [&[&str]; 6] = [
+    &[
+        "store.benefactor_crashes",
+        "store.benefactor_recoveries",
+        "store.failovers",
+        "store.degraded_reads",
+        "store.repairs_chunks",
+        "store.repairs_bytes",
+    ],
+    &[
+        "store.mgr_rpcs",
+        "store.mgr_rpc_fetch",
+        "store.mgr_rpc_write",
+        "store.mgr_rpc_place",
+    ],
+    &[
+        "store.crc_mismatches",
+        "store.scrub_passes",
+        "store.scrub_repairs",
+        "store.quarantined",
+    ],
+    &[
+        "store.parity_encodes",
+        "store.parity_bytes",
+        "store.degraded_reconstructs",
+        "store.parity_repairs",
+    ],
+    &[
+        "store.journal_records",
+        "store.journal_replays",
+        "store.mgr_failovers",
+        "store.mgr_failover_us",
+    ],
+    &[
+        "store.lease_grants",
+        "store.lease_renewals",
+        "store.lease_revokes",
+        "store.lease_expiries",
+    ],
+];
+
+/// The health report of a finished run: SSD wear (total + worst
+/// benefactor), then every registered counter of [`HEALTH_COUNTERS`]. The
+/// integrity and lease rows end with what only the store can tell: how
+/// many benefactors sit in quarantine, and whether delegation is doing its
+/// job — a high lease hit ratio with short shard queues is the design
+/// working, long queues with a low ratio is fan-in the leases failed to
+/// absorb.
+fn health(cluster: &Cluster) -> Vec<(String, Json)> {
     let wear = cluster.store.wear_reports();
-    if wear.is_empty() {
+    let total: u64 = wear.iter().map(|(_, w)| w.bytes_written).sum();
+    let worst: u64 = wear.iter().map(|(_, w)| w.bytes_written).max().unwrap_or(0);
+    let mut h = vec![
+        ("wear_total_bytes".to_string(), Json::UInt(total)),
+        ("wear_worst_bytes".to_string(), Json::UInt(worst)),
+    ];
+    let snap = cluster.stats.snapshot().values;
+    for &key in HEALTH_COUNTERS.into_iter().flatten() {
+        let Some(&v) = snap.get(key) else { continue };
+        h.push((key.to_string(), Json::UInt(v)));
+        let mut derived = |name: &str, v: Json| h.push((name.to_string(), v));
+        match key {
+            "store.quarantined" => derived(
+                "quarantined_benefactors",
+                cluster.store.manager().quarantined_count().into(),
+            ),
+            "store.lease_expiries" => {
+                derived("manager_shards", cluster.store.shards_installed().into());
+                // Per-shard CPU queueing + the lease hit ratio (permille,
+                // so the section stays integer-only).
+                let mut shards = Vec::new();
+                for (k, (queued, grants)) in cluster.store.shard_cpu_stats().iter().enumerate() {
+                    let mut sj = Json::obj();
+                    sj.set("shard", k);
+                    sj.set("rpcs", *grants);
+                    sj.set("queued_ns_total", queued.as_nanos());
+                    sj.set(
+                        "mean_queue_ns",
+                        queued.as_nanos().checked_div(*grants).unwrap_or(0),
+                    );
+                    shards.push(sj);
+                }
+                derived("shard_queues", Json::Arr(shards));
+                let hits = cluster.stats.get("store.loc_cache_hits");
+                let lookups = hits + cluster.stats.get("store.loc_cache_misses");
+                derived(
+                    "lease_hit_permille",
+                    (hits * 1000).checked_div(lookups).unwrap_or(0).into(),
+                );
+            }
+            _ => {}
+        }
+    }
+    h
+}
+
+/// One value of the health report as footer text: byte counts humanised,
+/// nested values (the per-shard queue rows) as `[{key=value ...} ...]`.
+fn health_text(key: &str, value: &Json) -> String {
+    match value {
+        Json::UInt(v) if key.ends_with("_bytes") => simcore::bytes::human(*v),
+        Json::Arr(items) => {
+            let items: Vec<String> = items.iter().map(|v| health_text("", v)).collect();
+            format!("[{}]", items.join(" "))
+        }
+        Json::Obj(fields) => {
+            let fields: Vec<String> = fields
+                .iter()
+                .map(|(k, v)| format!("{k}={}", health_text(k, v)))
+                .collect();
+            format!("{{{}}}", fields.join(" "))
+        }
+        scalar => scalar.render().trim_end().to_string(),
+    }
+}
+
+/// Print the `[health <label>]` footer of a finished run: the [`health`]
+/// report, one line per row of [`HEALTH_COUNTERS`]. Every bench target
+/// that touches the NVM store prints this so failovers, repairs and wear
+/// imbalance are visible next to the numbers they influenced.
+pub fn store_health(label: &str, cluster: &Cluster) {
+    if cluster.store.wear_reports().is_empty() {
         return; // DRAM-only configuration: no store to report on
     }
-    let total: u64 = wear.iter().map(|(_, w)| w.bytes_written).sum();
-    let (worst_node, worst) = wear
-        .iter()
-        .map(|(n, w)| (*n, w.bytes_written))
-        .max_by_key(|&(_, b)| b)
-        .unwrap();
-    let s = &cluster.stats;
-    println!(
-        "  [health {label}] wear {} total, worst n{worst_node} {} | crashes={} recoveries={} \
-         failovers={} degraded_reads={} repairs={} ({})",
-        simcore::bytes::human(total),
-        simcore::bytes::human(worst),
-        s.get("store.benefactor_crashes"),
-        s.get("store.benefactor_recoveries"),
-        s.get("store.failovers"),
-        s.get("store.degraded_reads"),
-        s.get("store.repairs_chunks"),
-        simcore::bytes::human(s.get("store.repairs_bytes")),
-    );
-    // Manager RPC mix: the aggregate plus the per-op split (ISSUE 6).
-    println!(
-        "  [health {label}] manager: rpcs={} (fetch={} write={} place={})",
-        s.get("store.mgr_rpcs"),
-        s.get("store.mgr_rpc_fetch"),
-        s.get("store.mgr_rpc_write"),
-        s.get("store.mgr_rpc_place"),
-    );
-    // Shardmgr line, only when the sharded placement manager is installed
-    // (its counters are registered lazily, like the integrity ones).
-    if s.snapshot().values.contains_key("store.lease_grants") {
-        println!(
-            "  [health {label}] shardmgr: shards={} lease_grants={} renewals={} revokes={} \
-             expiries={}",
-            cluster.store.shards_installed(),
-            s.get("store.lease_grants"),
-            s.get("store.lease_renewals"),
-            s.get("store.lease_revokes"),
-            s.get("store.lease_expiries"),
-        );
-        // Per-shard CPU queueing (mean delay per served RPC) and the
-        // lease hit ratio: together they say whether delegation is doing
-        // its job — a high hit ratio with short queues is the design
-        // working, long queues with a low ratio is fan-in the leases
-        // failed to absorb.
-        let hits = s.get("store.loc_cache_hits");
-        let lookups = hits + s.get("store.loc_cache_misses");
-        let queues: Vec<String> = cluster
-            .store
-            .shard_cpu_stats()
-            .iter()
-            .enumerate()
-            .map(|(k, (queued, grants))| {
-                let mean_us = if *grants > 0 {
-                    queued.as_nanos() / grants / 1_000
-                } else {
-                    0
-                };
-                format!("s{k}={mean_us}us/{grants}")
-            })
-            .collect();
-        println!(
-            "  [health {label}] shardmgr queues (mean wait/rpcs): {} | lease_hit_ratio={}",
-            queues.join(" "),
-            if lookups > 0 {
-                format!("{:.1}%", hits as f64 * 100.0 / lookups as f64)
-            } else {
-                "n/a".to_string()
-            },
-        );
+    let mut line = String::new();
+    for (key, value) in &health(cluster) {
+        if HEALTH_COUNTERS.iter().skip(1).any(|row| row[0] == key) {
+            println!("  [health {label}]{line}");
+            line.clear();
+        }
+        let name = key.strip_prefix("store.").unwrap_or(key);
+        line.push_str(&format!(" {name}={}", health_text(name, value)));
     }
-    // Integrity line, only for runs that had verification or scrubbing
-    // switched on (the counters are registered lazily so knobs-off bench
-    // output is unchanged).
-    if s.snapshot().values.contains_key("store.crc_mismatches") {
-        println!(
-            "  [health {label}] integrity: crc_mismatches={} scrub_passes={} scrub_repairs={} \
-             quarantined={}",
-            s.get("store.crc_mismatches"),
-            s.get("store.scrub_passes"),
-            s.get("store.scrub_repairs"),
-            cluster.store.manager().quarantined_count(),
-        );
-    }
-    // Erasure-coding line, only for runs that wrote through an RS(k, m)
-    // stripe (same lazy-registration policy — m=0 stays byte-identical).
-    if s.snapshot().values.contains_key("store.parity_encodes") {
-        println!(
-            "  [health {label}] parity: encodes={} bytes={} degraded_reconstructs={} \
-             parity_repairs={}",
-            s.get("store.parity_encodes"),
-            simcore::bytes::human(s.get("store.parity_bytes")),
-            s.get("store.degraded_reconstructs"),
-            s.get("store.parity_repairs"),
-        );
-    }
-    // Manager-HA line, only for runs with `ha_standby` on (DESIGN.md
-    // §16; same lazy-registration policy).
-    if s.snapshot().values.contains_key("store.mgr_failovers") {
-        println!(
-            "  [health {label}] manager-ha: journal_records={} replays={} failovers={} \
-             failover_us={}",
-            s.get("store.journal_records"),
-            s.get("store.journal_replays"),
-            s.get("store.mgr_failovers"),
-            s.get("store.mgr_failover_us"),
-        );
-    }
+    println!("  [health {label}]{line}");
 }
 
 /// Simple fixed-width table printer.
@@ -253,14 +275,13 @@ pub fn check(name: &str, ok: bool) {
 // ----- machine-readable reports (BENCH_<name>.json) --------------------------
 
 /// A JSON value with insertion-ordered objects, so emitted reports are
-/// byte-stable across runs (the CI smoke diff in scripts/check.sh relies
+/// byte-stable across runs (the ledger diff in scripts/ledger.sh relies
 /// on that). Hand-rolled: the workspace deliberately has no serde.
 #[derive(Clone, Debug)]
 pub enum Json {
     Null,
     Bool(bool),
     UInt(u64),
-    Int(i64),
     Num(f64),
     Str(String),
     Arr(Vec<Json>),
@@ -299,7 +320,6 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::UInt(n) => out.push_str(&n.to_string()),
-            Json::Int(n) => out.push_str(&n.to_string()),
             // Fixed decimals: shortest-roundtrip float printing is stable
             // per build but uglier to diff; 6 decimals is plenty for
             // virtual times (micro precision at second scale).
@@ -366,11 +386,6 @@ impl From<u32> for Json {
         Json::UInt(v as u64)
     }
 }
-impl From<i64> for Json {
-    fn from(v: i64) -> Json {
-        Json::Int(v)
-    }
-}
 impl From<f64> for Json {
     fn from(v: f64) -> Json {
         Json::Num(v)
@@ -395,13 +410,13 @@ impl From<VTime> for Json {
 /// Wall-clock throughput instrumentation (ISSUE 7): how many simulated
 /// bytes and events the simulator itself pushes per *host* second. Every
 /// [`JsonReport`] carries one from construction to `emit()`, so each
-/// `BENCH_<name>.json` gets a `host` footer; `bench micro --host-speed`
-/// runs a dedicated workload over a known simulated volume and check.sh
-/// gates its rate against a committed floor.
+/// `BENCH_<name>.json` gets a `host` footer; `bench micro` runs a
+/// dedicated workload over a known simulated volume and check.sh gates
+/// its rates against committed floors.
 ///
 /// Host wall-clock is inherently nondeterministic, so the footer is
-/// emitted as a self-contained flat block that the expectation diffs in
-/// check.sh strip before comparing.
+/// emitted as a self-contained block that scripts/ledger.sh strips
+/// (`strip_host.awk`) before comparing.
 pub struct HostSpeed {
     started: std::time::Instant,
     sim_bytes: u64,
@@ -417,7 +432,7 @@ fn process_epoch() -> std::time::Instant {
 }
 
 impl HostSpeed {
-    /// Measure from this call (scoped workloads, e.g. `micro --host-speed`).
+    /// Measure from this call (scoped workloads, e.g. `micro`).
     pub fn start() -> Self {
         HostSpeed {
             started: std::time::Instant::now(),
@@ -556,118 +571,13 @@ impl JsonReport {
         self
     }
 
-    /// The health footer: SSD wear plus fault/replication counters
-    /// (mirrors [`store_health`]).
+    /// The health footer: the [`health`] report of `cluster`.
     pub fn health_from(&mut self, cluster: &Cluster) -> &mut Self {
-        let wear = cluster.store.wear_reports();
-        let mut h = Json::obj();
-        let total: u64 = wear.iter().map(|(_, w)| w.bytes_written).sum();
-        let worst: u64 = wear.iter().map(|(_, w)| w.bytes_written).max().unwrap_or(0);
-        h.set("wear_total_bytes", total);
-        h.set("wear_worst_bytes", worst);
-        let s = &cluster.stats;
-        for key in [
-            "store.benefactor_crashes",
-            "store.benefactor_recoveries",
-            "store.failovers",
-            "store.degraded_reads",
-            "store.repairs_chunks",
-            "store.repairs_bytes",
-            "store.mgr_rpcs",
-            "store.mgr_rpc_fetch",
-            "store.mgr_rpc_write",
-            "store.mgr_rpc_place",
-        ] {
-            h.set(key, s.get(key));
-        }
-        // Integrity counters exist only when verification/scrubbing was
-        // on; keep knobs-off reports byte-identical by skipping them.
-        let snap = s.snapshot().values;
-        for key in [
-            "store.crc_mismatches",
-            "store.scrub_passes",
-            "store.scrub_repairs",
-            "store.quarantined",
-        ] {
-            if snap.contains_key(key) {
-                h.set(key, s.get(key));
-            }
-        }
-        if snap.contains_key("store.crc_mismatches") {
-            h.set(
-                "quarantined_benefactors",
-                cluster.store.manager().quarantined_count() as u64,
-            );
-        }
-        // Parity counters exist only when a file was striped with
-        // RS(k, m>0); same lazy-registration policy (DESIGN.md §15).
-        for key in [
-            "store.parity_encodes",
-            "store.parity_bytes",
-            "store.degraded_reconstructs",
-            "store.parity_repairs",
-        ] {
-            if snap.contains_key(key) {
-                h.set(key, s.get(key));
-            }
-        }
-        // Manager-HA counters exist only when `ha_standby` is on
-        // (DESIGN.md §16); same lazy-registration policy.
-        for key in [
-            "store.journal_records",
-            "store.journal_replays",
-            "store.mgr_failovers",
-            "store.mgr_failover_us",
-        ] {
-            if snap.contains_key(key) {
-                h.set(key, s.get(key));
-            }
-        }
-        // Lease counters exist only when the sharded placement manager is
-        // installed; same lazy-registration policy.
-        for key in [
-            "store.lease_grants",
-            "store.lease_renewals",
-            "store.lease_revokes",
-            "store.lease_expiries",
-        ] {
-            if snap.contains_key(key) {
-                h.set(key, s.get(key));
-            }
-        }
-        if snap.contains_key("store.lease_grants") {
-            h.set("manager_shards", cluster.store.shards_installed() as u64);
-            // Per-shard CPU queueing + the lease hit ratio (permille, so
-            // the section stays integer-only): the delegation health pair.
-            let mut shards = Vec::new();
-            for (k, (queued, grants)) in cluster.store.shard_cpu_stats().iter().enumerate() {
-                let mut sj = Json::obj();
-                sj.set("shard", k);
-                sj.set("rpcs", *grants);
-                sj.set("queued_ns_total", queued.as_nanos());
-                sj.set(
-                    "mean_queue_ns",
-                    if *grants > 0 {
-                        queued.as_nanos() / grants
-                    } else {
-                        0
-                    },
-                );
-                shards.push(sj);
-            }
-            h.set("shard_queues", Json::Arr(shards));
-            let hits = s.get("store.loc_cache_hits");
-            let lookups = hits + s.get("store.loc_cache_misses");
-            h.set(
-                "lease_hit_permille",
-                (hits * 1000).checked_div(lookups).unwrap_or(0),
-            );
-        }
         // Approximate simulated volume for the host footer: total network
         // payload this cluster moved (accumulates across clusters for
         // multi-run ablations).
-        self.host.add_bytes(s.get("net.bytes"));
-        self.health = h;
+        self.host.add_bytes(cluster.stats.get("net.bytes"));
+        self.health = Json::Obj(health(cluster));
         self
     }
 
@@ -752,18 +662,8 @@ impl JsonReport {
     /// CI smoke diff can compare it against a committed expectation.
     /// Prints the per-category shares next to the tables.
     pub fn critical_path_from(&mut self, cp: &CritPath) -> &mut Self {
-        println!(
-            "  [critpath] {:.3} ms across {} segments",
-            cp.path_ns as f64 / 1e6,
-            cp.segments
-        );
-        for (cat, ns) in &cp.by_category {
-            println!(
-                "  [critpath]   {:<10} {:>9.3} ms  ({:>4.1}%)",
-                cat,
-                *ns as f64 / 1e6,
-                cp.share_permille(cat) as f64 / 10.0
-            );
+        for line in cp.render_text().lines() {
+            println!("  [critpath] {line}");
         }
         let mut o = Json::obj();
         o.set(
@@ -824,22 +724,22 @@ impl JsonReport {
         let mut root = Json::obj();
         root.set("experiment", self.name.as_str());
         // Host wall-clock footer right after the experiment key, as a
-        // flat block, so expectation diffs can strip exactly these lines
-        // (scripts/check.sh `strip_host`).
+        // flat block, so the ledger diff can strip exactly these lines
+        // (scripts/strip_host.awk).
         root.set("host", self.host.footer());
         root.set("config", self.config.clone());
         root.set("times", self.times.clone());
         root.set("counters", self.counters.clone());
         root.set("checks", self.checks.clone());
         root.set("health", self.health.clone());
-        if !matches!(self.obs, Json::Null) {
-            root.set("obs", self.obs.clone());
-        }
-        if !matches!(self.critpath, Json::Null) {
-            root.set("critical_path", self.critpath.clone());
-        }
-        if !matches!(self.series, Json::Null) {
-            root.set("series", self.series.clone());
+        for (key, footer) in [
+            ("obs", &self.obs),
+            ("critical_path", &self.critpath),
+            ("series", &self.series),
+        ] {
+            if !matches!(footer, Json::Null) {
+                root.set(key, footer.clone());
+            }
         }
         emit_json(&self.name, &root);
     }
@@ -874,5 +774,67 @@ pub fn emit_json(name: &str, report: &Json) {
     match std::fs::write(&path, report.render()) {
         Ok(()) => println!("  [json] wrote {}", path.display()),
         Err(e) => eprintln!("  [json] cannot write {}: {e}", path.display()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use chunkstore::{PlacementPolicy, StoreConfig, StripeSpec};
+
+    fn health_keys(store_cfg: StoreConfig, stripe: StripeSpec) -> Vec<String> {
+        let cfg = JobConfig::local(1, 4, 4);
+        let cluster = Cluster::with_configs(
+            ClusterSpec::hal().scaled(SCALE),
+            &cfg.benefactor_nodes(),
+            scaled_fuse(SCALE),
+            store_cfg,
+        );
+        let store = &cluster.store;
+        let (t, f) = store.create_file(VTime::ZERO, 0, "/health").unwrap();
+        store
+            .fallocate(t, 0, f, 1 << 20, stripe, PlacementPolicy::RoundRobin)
+            .unwrap();
+        health(&cluster).into_iter().map(|(k, _)| k).collect()
+    }
+
+    /// The committed ledger pins the health values; this pins the rule that
+    /// orders them: wear, the ten counters every store registers, then each
+    /// lazily registered section only where its feature ran, its derived
+    /// entries last.
+    #[test]
+    fn health_keys_follow_the_registered_sections_in_order() {
+        let always: Vec<&str> = "\
+            wear_total_bytes wear_worst_bytes \
+            store.benefactor_crashes store.benefactor_recoveries store.failovers \
+            store.degraded_reads store.repairs_chunks store.repairs_bytes \
+            store.mgr_rpcs store.mgr_rpc_fetch store.mgr_rpc_write store.mgr_rpc_place"
+            .split(' ')
+            .collect();
+        assert_eq!(
+            health_keys(StoreConfig::default(), StripeSpec::all()),
+            always
+        );
+
+        let knobs_on = StoreConfig {
+            verify_reads: true,
+            ha_standby: true,
+            manager_shards: 2,
+            ..StoreConfig::default()
+        };
+        let sections: Vec<&str> = "\
+            store.crc_mismatches store.scrub_passes store.scrub_repairs store.quarantined \
+            quarantined_benefactors \
+            store.parity_encodes store.parity_bytes store.degraded_reconstructs \
+            store.parity_repairs \
+            store.journal_records store.journal_replays store.mgr_failovers store.mgr_failover_us \
+            store.lease_grants store.lease_renewals store.lease_revokes store.lease_expiries \
+            manager_shards shard_queues lease_hit_permille"
+            .split(' ')
+            .collect();
+        assert_eq!(
+            health_keys(knobs_on, StripeSpec::all().with_parity(2, 1)),
+            [always, sections].concat()
+        );
     }
 }

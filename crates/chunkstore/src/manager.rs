@@ -1128,14 +1128,17 @@ impl Manager {
     }
 
     /// Reclaim every file whose lifetime has passed; returns how many
-    /// were deleted. The manager's periodic housekeeping sweep.
+    /// were deleted, in `FileId` order so slot release and journal `Free`
+    /// records do not depend on the file map's hash order. The manager's
+    /// periodic housekeeping sweep.
     pub fn expire_files(&mut self, now: simcore::VTime) -> usize {
-        let expired: Vec<FileId> = self
+        let mut expired: Vec<FileId> = self
             .files
             .iter()
             .filter(|(_, m)| m.expires_at.is_some_and(|t| t <= now))
             .map(|(&id, _)| id)
             .collect();
+        expired.sort_unstable_by_key(|f| f.0);
         let n = expired.len();
         for id in expired {
             self.delete_file(id).expect("expired file exists");

@@ -69,6 +69,48 @@ fn write_then_read_roundtrip() {
     }
 }
 
+/// Runs that overlap would be spliced into a digest the stored bytes do
+/// not have (a healthy store would count a corrupt copy): rejected at
+/// both entry points, whatever order they arrive in.
+#[test]
+#[should_panic(expected = "overlapping updates")]
+fn write_pages_rejects_overlapping_runs() {
+    let (store, _) = store();
+    let f = make_file(&store, "/m", CHUNK);
+    let page = vec![7u8; 4096];
+    let runs: Vec<(u64, &[u8])> = (0..64).map(|p| (p, &page[..])).collect();
+    let _ = store.write_pages(VTime::ZERO, 3, f, 0, &runs);
+}
+
+#[test]
+#[should_panic(expected = "overlapping updates")]
+fn write_pages_batch_rejects_overlapping_runs() {
+    let (store, _) = store();
+    let f = make_file(&store, "/m", CHUNK);
+    let page = vec![7u8; 4096];
+    // descending, so only the sorted check can see the overlap
+    let batch = [BatchWrite {
+        file: f,
+        idx: 0,
+        updates: &[(8192, &page), (4096 + 1, &page)],
+    }];
+    let _ = store.write_pages_batch(VTime::ZERO, 3, &batch);
+}
+
+#[test]
+fn write_pages_accepts_disjoint_runs_in_any_order() {
+    let (store, _) = store();
+    let f = make_file(&store, "/m", CHUNK);
+    let (a, b) = (vec![1u8; 4096], vec![2u8; 4096]);
+    let t = store
+        .write_pages(VTime::ZERO, 3, f, 0, &[(8192, &a), (0, &b), (4096, &a)])
+        .unwrap();
+    assert_eq!(store.count_corrupt_copies(), 0);
+    let (_, payload) = store.fetch_chunk(t, 3, f, 0).unwrap();
+    let data = payload.into_buf(CHUNK);
+    assert_eq!((data[0], data[4096], data[8192], data[12288]), (2, 1, 1, 0));
+}
+
 #[test]
 fn remote_fetch_costs_network_plus_ssd() {
     let (store, _) = store();

@@ -95,8 +95,8 @@ fn merge_spans(mut spans: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
 /// Digest of a zero chunk with `runs` applied, computed without scanning
 /// (or building) the chunk: start from the all-zeros digest and splice
 /// each dirty run in, O(dirty bytes) not O(chunk). Dirty runs never
-/// overlap (they come from a page bitmap), which the splice algebra
-/// relies on.
+/// overlap (`validate_updates` rejects any that do), which the splice
+/// algebra relies on.
 fn digest_of_runs(chunk_len: u64, runs: &[(u64, &[u8])]) -> u64 {
     runs.iter()
         .fold(crc::crc64_zeros(chunk_len), |crc, (off, d)| {
@@ -267,10 +267,27 @@ impl AggregateStore {
     fn validate_updates(&self, updates: &[(u64, &[u8])]) {
         let dirty_bytes: u64 = updates.iter().map(|(_, d)| d.len() as u64).sum();
         assert!(dirty_bytes > 0, "write_pages with no updates");
+        // The digest splice and the parity deltas take the runs to be
+        // disjoint: an overlap would record a CRC the stored bytes do not
+        // have. Runs that arrive ascending (every fusemm caller's) are
+        // vetted in this pass; any other order is sorted first.
+        let mut ascending = true;
+        let mut prev_end = 0;
         for (off, data) in updates {
+            let end = off + data.len() as u64;
+            assert!(end <= self.cfg.chunk_size, "update outside chunk");
+            ascending &= *off >= prev_end;
+            prev_end = end;
+        }
+        if !ascending {
+            let mut spans: Vec<(u64, u64)> = updates
+                .iter()
+                .map(|(off, d)| (*off, off + d.len() as u64))
+                .collect();
+            spans.sort_unstable();
             assert!(
-                off + data.len() as u64 <= self.cfg.chunk_size,
-                "update outside chunk"
+                spans.windows(2).all(|w| w[0].1 <= w[1].0),
+                "overlapping updates"
             );
         }
     }

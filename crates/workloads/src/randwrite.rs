@@ -59,8 +59,10 @@ pub fn run_randwrite(
         }
         v.flush(ctx).expect("final flush");
         let elapsed = ctx.now() - t0;
-        // The last writes to each probed address must be readable back.
-        let mut seen = std::collections::HashMap::new();
+        // The last writes to each probed address must be readable back —
+        // in address order: the probe reads move counters, so a hashed
+        // order would leak host randomness into every bench that prints them.
+        let mut seen = std::collections::BTreeMap::new();
         for (addr, value) in probes {
             seen.insert(addr, value); // later writes win
         }

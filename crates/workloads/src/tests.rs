@@ -263,29 +263,38 @@ fn mm_nvm_individual_verifies_and_costs_more_store_traffic() {
 
 #[test]
 fn mm_col_major_slower_than_row_major() {
-    // B must span many chunks (n=512 → 2 MiB = 8 chunks) with a cache far
-    // smaller than B, so the strip traversal's chunk re-fetches show.
+    // B must span many chunks with a cache far smaller than B, so the
+    // strip traversal's chunk re-fetches show: 8 chunks against a 2-chunk
+    // cache. 64 KiB chunks get there at n=256 (512 KiB of B), an eighth of
+    // the arithmetic n=512 over 256 KiB chunks costs a debug build; 32
+    // strips of 8 columns still put col-major 4x behind in time and 64x
+    // in store traffic.
     let scale = 1024;
     let cfg = JobConfig::local(2, 2, 2);
+    let chunk_size = 64 * 1024;
     let mk = || {
-        Cluster::with_fuse(
+        Cluster::with_configs(
             ClusterSpec::hal().scaled(scale),
             &cfg.benefactor_nodes(),
             FuseConfig {
-                cache_bytes: 512 * 1024, // 2 chunks: tiny vs the 2 MiB B
+                cache_bytes: 2 * chunk_size,
                 ..FuseConfig::default()
+            },
+            chunkstore::StoreConfig {
+                chunk_size,
+                ..chunkstore::StoreConfig::default()
             },
         )
     };
     let row_mm = MmConfig {
-        tile: 4,
-        ..mm_cfg(512)
+        tile: 8,
+        ..mm_cfg(256)
     };
     let row = run_mm(&mk(), &cfg, &row_mm).unwrap();
     let col_mm = MmConfig {
         order: AccessOrder::ColMajor,
-        tile: 4,
-        ..mm_cfg(512)
+        tile: 8,
+        ..mm_cfg(256)
     };
     let col = run_mm(&mk(), &cfg, &col_mm).unwrap();
     assert_eq!(row.verified, Some(true));

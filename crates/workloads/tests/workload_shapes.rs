@@ -226,3 +226,25 @@ fn randwrite_volume_scales_with_writes() {
     assert!(many.data_to_fuse > few.data_to_fuse);
     assert_eq!(many.data_to_fuse, 1024 * 4096, "one page per byte write");
 }
+
+/// The probe read-back after the timed section moves counters too (cache
+/// hits, fetches, evictions), so it must not run in a hashed order: fresh
+/// clusters given the same seed end with the same full counter snapshot.
+#[test]
+fn randwrite_counters_are_deterministic() {
+    let run = || {
+        let cfg = JobConfig::local(1, 1, 1);
+        let cluster = cluster_for(&cfg, 1024, 1024 * 1024);
+        let rw = RandWriteConfig {
+            region_bytes: 8 << 20,
+            writes: 256,
+            seed: 5,
+        };
+        assert!(run_randwrite(&cluster, &cfg, &rw, true).verified);
+        cluster.stats.snapshot().values
+    };
+    let first = run();
+    for _ in 0..3 {
+        assert_eq!(run(), first);
+    }
+}
