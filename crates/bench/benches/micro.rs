@@ -1,6 +1,6 @@
 //! Host-side performance of the simulation substrate itself (not
 //! virtual-time results): `BENCH_micro.json` is all `host` block, and
-//! scripts/check.sh gates four of its rates against committed floors.
+//! scripts/check.sh gates six of its rates against committed floors.
 
 use chunkstore::{AggregateStore, Benefactor, PlacementPolicy, StoreConfig, StripeSpec};
 use devices::{Ssd, INTEL_X25E};
@@ -108,7 +108,24 @@ fn run_host_speed() -> bench::Json {
     }
     let read_s = started.elapsed().as_secs_f64();
 
-    // 4. scheduler storms: hand-offs/host-second of the engine itself, at
+    // 4. the two payload kernels alone, over one hot chunk: the CRC-64
+    //    digest and the GF(2^8) multiply-accumulate every parity byte
+    //    passes through
+    let mut acc_buf = vec![0u8; CHUNK as usize];
+    const KERNEL_PASSES: usize = 2048;
+    let started = Instant::now();
+    for _ in 0..KERNEL_PASSES {
+        std::hint::black_box(chunkstore::crc64(std::hint::black_box(&chunk_buf)));
+    }
+    let crc_s = started.elapsed().as_secs_f64();
+    let started = Instant::now();
+    for _ in 0..KERNEL_PASSES {
+        chunkstore::rs::gf_mul_acc(&mut acc_buf, std::hint::black_box(&chunk_buf), 0x1D);
+        std::hint::black_box(&acc_buf);
+    }
+    let gf_s = started.elapsed().as_secs_f64();
+
+    // 5. scheduler storms: hand-offs/host-second of the engine itself, at
     //    16 processes (yields only) and at the paper's 128 (yields and
     //    barriers) — the second floor check.sh gates
     let started = Instant::now();
@@ -142,6 +159,12 @@ fn run_host_speed() -> bench::Json {
         "read_bytes_per_host_second",
         per_second(READ_PASSES, read_s) as u64,
     );
+    // the two kernel floors check.sh gates where the vector kernel ran
+    let kernel_rate = |secs: f64| ((KERNEL_PASSES as u64 * CHUNK) as f64 / secs.max(1e-9)) as u64;
+    detail.set("crc64_bytes_per_host_second", kernel_rate(crc_s));
+    detail.set("gf_mul_acc_bytes_per_host_second", kernel_rate(gf_s));
+    detail.set("crc_kernel", chunkstore::crc::crc_kernel());
+    detail.set("gf_kernel", chunkstore::rs::gf_kernel());
     detail.set("engine_storm_s", engine_s);
     let per_host_second =
         |r: &simcore::EngineReport, secs: f64| r.context_switches as f64 / secs.max(1e-9);

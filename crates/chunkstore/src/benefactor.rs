@@ -8,6 +8,7 @@
 
 use crate::bitalloc::BitAlloc;
 use crate::ids::ChunkId;
+use crate::rs::gf_mul_acc;
 use devices::Ssd;
 use simcore::rng::child_seed;
 use simcore::{Grant, VTime};
@@ -258,18 +259,37 @@ impl Benefactor {
         id: ChunkId,
         updates: &[(u64, &[u8])],
     ) -> Grant {
+        self.land_runs(t, id, updates, <[u8]>::copy_from_slice)
+    }
+
+    /// XOR runs into an existing chunk — a parity delta applied where the
+    /// parity lives. Charged, torn and degraded exactly like
+    /// [`Self::update_chunk`] writing `old ⊕ delta`.
+    pub(crate) fn xor_chunk(&mut self, t: VTime, id: ChunkId, deltas: &[(u64, &[u8])]) -> Grant {
+        // · 1: a plain XOR, at the kernel's width.
+        self.land_runs(t, id, deltas, |stored, delta| gf_mul_acc(stored, delta, 1))
+    }
+
+    /// Land dirty runs on a stored chunk through `land(stored, run)`.
+    fn land_runs(
+        &mut self,
+        t: VTime,
+        id: ChunkId,
+        runs: &[(u64, &[u8])],
+        land: impl Fn(&mut [u8], &[u8]),
+    ) -> Grant {
         let torn = self.torn_armed;
         self.torn_armed = false;
         let (_, chunk) = self.chunks.get_mut(&id).expect("update of missing chunk");
         let chunk = Arc::make_mut(chunk);
         let mut bytes = 0u64;
-        for (off, data) in updates {
+        for (off, data) in runs {
             let off = *off as usize;
             // Torn write: only the first half of each dirty run reaches the
             // media; the tail keeps the old bytes. The SSD is still charged
             // for the intended write — the failure is in durability, not time.
             let persisted = if torn { data.len() / 2 } else { data.len() };
-            chunk[off..off + persisted].copy_from_slice(&data[..persisted]);
+            land(&mut chunk[off..off + persisted], &data[..persisted]);
             bytes += data.len() as u64;
         }
         self.degrade_after_write(id);

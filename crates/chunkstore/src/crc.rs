@@ -5,25 +5,36 @@
 //! ECMA-182 polynomial is the same one `xz` and the Linux kernel use, so
 //! digests computed here are directly comparable with standard tooling.
 //!
-//! The implementation is table-driven with tables generated at compile
-//! time — the store checksums whole chunks on every write-back, so this
-//! sits on the data path and needs to run at memory-ish speed without
-//! pulling in an external crate or `unsafe`. One kernel serves every
-//! entry point:
+//! The store checksums whole chunks on every write-back and vets a whole
+//! chunk before every partial overwrite under `verify_reads`, so this sits
+//! on the data path and needs to run at memory-ish speed without pulling
+//! in an external crate. Two kernels sit behind every entry point, picked
+//! by what the code can observe — the CPU and the input length:
 //!
-//! * **lane split** — a slice-by-8 register is latency-bound (each step's
-//!   eight table loads wait on the previous step's result, ~1.3 GiB/s), so
-//!   an input of 2 KiB or more is cut into four equal 8-byte-aligned lanes
-//!   whose four independent registers advance in one loop; the loads of
-//!   one lane hide the latency of the others (~3.9 GiB/s);
-//! * **fold** — CRC is linear, `raw(s, A‖B) = advance(raw(s, A), |B|) ⊕
-//!   raw(0, B)`, so the lane registers combine with three
+//! * **carry-less-multiply fold** — on an `x86_64` with `pclmulqdq`
+//!   (detected at run time), an input of two 128-byte blocks or more is
+//!   folded 128 bytes per step: eight 16-byte accumulators, each moved
+//!   1024 bits up the message by two multiplies with the constants
+//!   `x^(1024+63) mod P` and `x^(1024−1) mod P` (derived from `POLY` at
+//!   compile time) and XOR-ed with the next block. The incoming register
+//!   rides in on the first 8 bytes. What is left — 128 bytes of fold
+//!   state, congruent to everything folded so far, and the unfolded
+//!   tail — is **finished by the table kernel from a zero register**: no
+//!   Barrett reduction and no second set of constants. Its unaligned
+//!   vector loads make it one of the crate's two functions outside safe
+//!   Rust (the other is the GF(2^8) multiply in `rs.rs`; DESIGN.md §13).
+//! * **table kernel** — compile-time slice-by-8 tables, in safe Rust: the
+//!   portable kernel, the finisher of every fold, and the reference the
+//!   tests hold the fold against. A slice-by-8 register is latency-bound
+//!   (each step's eight table loads wait on the previous step's result,
+//!   ~1.3 GiB/s), so an input of 2 KiB or more is cut into four equal
+//!   8-byte-aligned **lanes** whose four independent registers advance in
+//!   one loop (~3.9 GiB/s) and combine by linearity, `raw(s, A‖B) =
+//!   advance(raw(s, A), |B|) ⊕ raw(0, B)`, with three
 //!   [`crc64_advance_zeros`] steps of one lane length each (O(log lane),
-//!   ~35 ns per set bit of the length);
-//! * **short-input path** — what is left after the lanes, and any input
-//!   under 2 KiB (journal records, sub-page runs), runs through the same
-//!   function's one-register loop: at those sizes the fold would cost
-//!   more than the overlap saves.
+//!   ~35 ns per set bit of the length). What is left after the lanes, and
+//!   any input under 2 KiB (journal records, sub-page runs, a fold's
+//!   finish), runs through the same function's one-register loop.
 //!
 //! ## Incremental updates
 //!
@@ -82,25 +93,128 @@ pub fn crc64(data: &[u8]) -> u64 {
 /// Absorb `data` into a raw CRC register (no init inversion, no final
 /// xor). `crc64(data) == !crc64_absorb_raw(!0, data)`.
 pub fn crc64_absorb_raw(crc: u64, data: &[u8]) -> u64 {
-    absorb(crc, data)
+    absorb(crc, data, None)
 }
 
 /// Absorb the byte-wise XOR of two equal-length slices into a raw CRC
 /// register without materializing the XOR-ed buffer.
 pub fn crc64_absorb_raw_xor(crc: u64, a: &[u8], b: &[u8]) -> u64 {
     assert_eq!(a.len(), b.len(), "xor absorb needs equal lengths");
-    absorb(crc, (a, b))
+    absorb(crc, a, Some(b))
 }
 
-/// Registers run side by side over a long input.
-const LANES: usize = 4;
+/// Name of the kernel long inputs run through on this machine: the
+/// carry-less-multiply fold, or the table kernel alone.
+pub fn crc_kernel() -> &'static str {
+    match fold_prefix(0, &[0; 2 * 128], None) {
+        (_, 0) => "table",
+        _ => "pclmulqdq",
+    }
+}
 
-/// Shortest lane worth splitting for: below `LANES * LANE_MIN` bytes
-/// (journal records, sub-2 KiB runs) the register fold costs more than
-/// the overlap saves and the one-register loop runs alone.
-const LANE_MIN: usize = 512;
+/// The dispatch behind every entry point (module doc): fold what the
+/// vector kernel can, finish — or do everything — with the table kernel.
+#[inline]
+fn absorb(crc: u64, a: &[u8], b: Option<&[u8]>) -> u64 {
+    let (crc, done) = fold_prefix(crc, a, b);
+    match b {
+        Some(b) => absorb_table(crc, (&a[done..], &b[done..])),
+        None => absorb_table(crc, &a[done..]),
+    }
+}
 
-/// What the kernel absorbs: a byte string it can cut and read as
+/// Run the fold kernel over the whole blocks of `a` (XOR the equally long
+/// `b`) if this CPU has it and the input is worth it: the register after
+/// that prefix and the prefix's length — `(crc, 0)` otherwise.
+#[cfg(target_arch = "x86_64")]
+fn fold_prefix(crc: u64, a: &[u8], b: Option<&[u8]>) -> (u64, usize) {
+    if a.len() < 2 * clmul::BLOCK || !std::arch::is_x86_feature_detected!("pclmulqdq") {
+        return (crc, 0);
+    }
+    // SAFETY: `pclmulqdq` was detected just above; the kernel bounds
+    // itself by the whole blocks `a` and `b` both hold.
+    let (state, folded) = unsafe { clmul::fold(crc, a, b) };
+    (absorb_table(0, &state[..]), folded)
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn fold_prefix(crc: u64, _: &[u8], _: Option<&[u8]>) -> (u64, usize) {
+    (crc, 0)
+}
+
+/// The carry-less-multiply fold (module doc).
+#[cfg(target_arch = "x86_64")]
+mod clmul {
+    use super::POLY;
+    use std::arch::x86_64::*;
+
+    /// Bytes folded per step: eight 16-byte accumulators.
+    pub(super) const BLOCK: usize = 128;
+
+    /// `x^n mod P` as a reflected register (bit 63 is `x^0`): `n` rounds
+    /// of the shift-and-reduce step the tables are built from.
+    const fn x_pow_mod_p(n: usize) -> u64 {
+        let mut r = 1u64 << 63;
+        let mut i = 0;
+        while i < n {
+            r = if r & 1 != 0 { (r >> 1) ^ POLY } else { r >> 1 };
+            i += 1;
+        }
+        r
+    }
+
+    /// The fold constants. A 16-byte accumulator is `lo · x^64 + hi` (the
+    /// low qword holds the earlier bytes), and a reflected carry-less
+    /// product of two 64-bit values comes out one degree high, so moving
+    /// it `8 · BLOCK` bits up the message multiplies `lo` by
+    /// `x^(1024+64−1)` and `hi` by `x^(1024−1)`.
+    pub(super) const FOLD_LO: u64 = x_pow_mod_p(8 * BLOCK + 63);
+    pub(super) const FOLD_HI: u64 = x_pow_mod_p(8 * BLOCK - 1);
+
+    /// Fold the whole [`BLOCK`]s of `a` (XOR `b`), with `crc` XOR-ed into
+    /// the first 8 bytes, down to one block of state: 128 bytes whose raw
+    /// CRC from a zero register equals the raw CRC of the folded prefix
+    /// from `crc`. Returns the state and the prefix's length; panics if
+    /// the slices do not both hold one whole block.
+    ///
+    /// # Safety
+    /// The CPU must support `pclmulqdq`.
+    #[target_feature(enable = "pclmulqdq")]
+    pub(super) unsafe fn fold(crc: u64, a: &[u8], b: Option<&[u8]>) -> ([u8; BLOCK], usize) {
+        let blocks = a.len().min(b.map_or(usize::MAX, <[u8]>::len)) / BLOCK;
+        assert!(blocks > 0, "fold needs one whole block");
+        let load = |at: usize| {
+            // SAFETY: every call below passes `at + 16 <= blocks * BLOCK`,
+            // which is no longer than `a` or `b`: both unaligned 16-byte
+            // loads stay inside their slices.
+            unsafe {
+                let x = _mm_loadu_si128(a.as_ptr().add(at).cast());
+                match b {
+                    Some(b) => _mm_xor_si128(x, _mm_loadu_si128(b.as_ptr().add(at).cast())),
+                    None => x,
+                }
+            }
+        };
+        let k = _mm_set_epi64x(FOLD_HI as i64, FOLD_LO as i64);
+        let mut acc: [__m128i; 8] = std::array::from_fn(|i| load(16 * i));
+        acc[0] = _mm_xor_si128(acc[0], _mm_set_epi64x(0, crc as i64));
+        for block in 1..blocks {
+            for (i, x) in acc.iter_mut().enumerate() {
+                let lo = _mm_clmulepi64_si128(*x, k, 0x00);
+                let hi = _mm_clmulepi64_si128(*x, k, 0x11);
+                *x = _mm_xor_si128(_mm_xor_si128(lo, hi), load(block * BLOCK + 16 * i));
+            }
+        }
+        let mut state = [0u8; BLOCK];
+        for (x, out) in acc.iter().zip(state.chunks_exact_mut(16)) {
+            // SAFETY: `out` is exactly 16 bytes, one unaligned store.
+            unsafe { _mm_storeu_si128(out.as_mut_ptr().cast(), *x) };
+        }
+        (state, blocks * BLOCK)
+    }
+}
+
+/// What the table kernel absorbs: a byte string it can cut and read as
 /// little-endian words — a slice, or the XOR of two equal-length slices.
 trait Input: Copy {
     fn len(self) -> usize;
@@ -147,10 +261,19 @@ impl Input for (&[u8], &[u8]) {
     }
 }
 
-/// The one kernel behind every entry point: lane split, fold and the
-/// one-register path for the remainder and for short inputs (module doc).
+/// Registers run side by side over a long input.
+const LANES: usize = 4;
+
+/// Shortest lane worth splitting for: below `LANES * LANE_MIN` bytes
+/// (journal records, sub-2 KiB runs, a fold's finish) the register fold
+/// costs more than the overlap saves and the one-register loop runs
+/// alone.
+const LANE_MIN: usize = 512;
+
+/// The table kernel: lane split, fold and the one-register path for the
+/// remainder and for short inputs (module doc).
 #[inline]
-fn absorb<I: Input>(mut crc: u64, data: I) -> u64 {
+fn absorb_table<I: Input>(mut crc: u64, data: I) -> u64 {
     let mut rest = data;
     let lane = (data.len() / LANES) & !7;
     if lane >= LANE_MIN {
@@ -315,24 +438,27 @@ mod tests {
 
     #[test]
     fn every_length_and_alignment_across_the_lane_seams_matches_bitwise() {
-        // From the one-register path through the first splits: every
-        // length up to past four minimal lanes, at every slice alignment,
-        // for the digest, a non-zero starting register and the XOR form.
-        // The reference registers grow one byte per length.
+        // From the one-register path through the first fold blocks and the
+        // first lane splits: every length up to past four minimal lanes
+        // (and so past three fold blocks), at every slice alignment, for
+        // the digest, a non-zero starting register and the XOR form —
+        // through the dispatching entry points and through the table
+        // kernel called directly, which is the whole kernel where there
+        // is no fold. The reference registers grow one byte per length.
         const SEED: u64 = 0x0123_4567_89AB_CDEF;
-        let max = LANES * LANE_MIN + 17;
+        let max = (LANES * LANE_MIN).max(3 * 128) + 17;
         let (a, b) = (pattern(max + 8, 1), pattern(max + 8, 2));
         for start in 0..8 {
             let (mut plain, mut seeded, mut xored) = (!0u64, SEED, SEED);
             for len in 0..=max {
                 let (x, y) = (&a[start..start + len], &b[start..start + len]);
-                assert_eq!(crc64(x), !plain, "start {start} len {len}");
-                assert_eq!(crc64_absorb_raw(SEED, x), seeded, "start {start} len {len}");
-                assert_eq!(
-                    crc64_absorb_raw_xor(SEED, x, y),
-                    xored,
-                    "start {start} len {len}"
-                );
+                let at = format!("start {start} len {len}");
+                assert_eq!(crc64(x), !plain, "{at}");
+                assert_eq!(absorb_table(!0, x), plain, "table, {at}");
+                assert_eq!(crc64_absorb_raw(SEED, x), seeded, "{at}");
+                assert_eq!(absorb_table(SEED, x), seeded, "table, {at}");
+                assert_eq!(crc64_absorb_raw_xor(SEED, x, y), xored, "{at}");
+                assert_eq!(absorb_table(SEED, (x, y)), xored, "table, {at}");
                 plain = bitwise_step(plain, a[start + len]);
                 seeded = bitwise_step(seeded, a[start + len]);
                 xored = bitwise_step(xored, a[start + len] ^ b[start + len]);
@@ -342,17 +468,25 @@ mod tests {
         for len in [256 * 1024, 100_003] {
             let (x, y) = (pattern(len, 3), pattern(len, 4));
             let xor: Vec<u8> = x.iter().zip(&y).map(|(p, q)| p ^ q).collect();
+            let (want, want_xor) = (bitwise_raw(SEED, &x), bitwise_raw(SEED, &xor));
+            assert_eq!(crc64_absorb_raw(SEED, &x), want, "len {len}");
+            assert_eq!(absorb_table(SEED, &x[..]), want, "table, len {len}");
+            assert_eq!(crc64_absorb_raw_xor(SEED, &x, &y), want_xor, "len {len}");
             assert_eq!(
-                crc64_absorb_raw(SEED, &x),
-                bitwise_raw(SEED, &x),
-                "len {len}"
-            );
-            assert_eq!(
-                crc64_absorb_raw_xor(SEED, &x, &y),
-                bitwise_raw(SEED, &xor),
-                "len {len}"
+                absorb_table(SEED, (&x[..], &y[..])),
+                want_xor,
+                "table, len {len}"
             );
         }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn fold_constants_are_the_zero_advance_of_their_unit_registers() {
+        // Register 1 is x^63, and crossing n zero bytes multiplies by
+        // x^(8n): x^(1024+63) and x^(1024−1) = x^(960+63).
+        assert_eq!(clmul::FOLD_LO, crc64_advance_zeros(1, 128));
+        assert_eq!(clmul::FOLD_HI, crc64_advance_zeros(1, 120));
     }
 
     #[test]

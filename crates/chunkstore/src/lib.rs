@@ -31,6 +31,8 @@
 //!   CRC-64-protected superblock plus an append-only, self-checksummed
 //!   journal per manager rank, replayed by the standby on takeover.
 
+#![deny(unsafe_op_in_unsafe_fn)]
+
 pub mod benefactor;
 pub mod bitalloc;
 pub mod crc;

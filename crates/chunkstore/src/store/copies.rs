@@ -237,7 +237,7 @@ pub(super) fn decode_member(
         .collect();
     gathered.sort_unstable_by_key(|(member, _)| *member);
     let present: Vec<(usize, &[u8])> = gathered.iter().map(|(m, data)| (*m, &data[..])).collect();
-    let decoded = RsCode::new(from.k, from.m)
+    let decoded = RsCode::shared(from.k, from.m)
         .reconstruct(&present, &[want])
         .pop()
         .expect("one wanted member");

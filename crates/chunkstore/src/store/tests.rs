@@ -1385,6 +1385,119 @@ fn batched_parity_group_write_ships_fewer_bytes_than_replicas() {
 }
 
 #[test]
+fn batched_parity_merge_of_meeting_runs_equals_a_full_encode() {
+    // One batch dirties a group four ways at once: the same offsets in
+    // two members, touching runs of two members, partially overlapping
+    // runs, and a run nobody else touches (shipped as contributed).
+    let (store, stats) = store_verify(6);
+    let client = 7;
+    let f = make_file_parity(&store, client, "/m", 4 * CHUNK, 4, 2);
+    let mut want: Vec<Vec<u8>> = (0..4u8).map(|j| pattern(0x10 + j)).collect();
+    let write = |t: VTime, runs: &[Vec<(u64, Vec<u8>)>]| -> VTime {
+        let views: Vec<Vec<(u64, &[u8])>> = runs
+            .iter()
+            .map(|rs| rs.iter().map(|(off, d)| (*off, &d[..])).collect())
+            .collect();
+        let batch: Vec<BatchWrite<'_>> = views
+            .iter()
+            .enumerate()
+            .filter(|(_, updates)| !updates.is_empty())
+            .map(|(idx, updates)| BatchWrite {
+                file: f,
+                idx,
+                updates,
+            })
+            .collect();
+        let ends = store.write_pages_batch(t, client, &batch).unwrap();
+        ends.into_iter().max().unwrap()
+    };
+    let assert_parity_is_the_encode = |want: &[Vec<u8>]| {
+        let code = RsCode::new(4, 2);
+        let data: Vec<&[u8]> = want.iter().map(|d| &d[..]).collect();
+        let mgr = store.manager();
+        for p in 0..2 {
+            let Slot::Chunk(pc) = mgr.file(f).unwrap().parity_slot(0, p) else {
+                panic!("parity {p} not materialized");
+            };
+            let mut encoded = vec![0u8; CHUNK as usize];
+            code.encode_parity(p, &data, &mut encoded);
+            let home = mgr.chunk_home(pc).unwrap();
+            let stored = mgr.benefactor(home).peek_chunk(pc).unwrap();
+            assert!(stored == &encoded[..], "parity {p} is not the encode");
+        }
+    };
+    let fill = |len: usize, tag: u8| -> Vec<u8> {
+        (0..len).map(|i| (i as u8).wrapping_mul(7) ^ tag).collect()
+    };
+    let whole: Vec<Vec<(u64, Vec<u8>)>> = want.iter().map(|d| vec![(0, d.clone())]).collect();
+    let mut t = write(VTime::ZERO, &whole);
+    assert_parity_is_the_encode(&want);
+    let (encodes, bytes) = (
+        stats.get("store.parity_encodes"),
+        stats.get("store.parity_bytes"),
+    );
+    let dirty = vec![
+        // member 0: meets member 1 at [0, 4096), touches it at 12288,
+        // half-overlaps member 2 from 20000
+        vec![
+            (0, fill(4096, 0xA0)),
+            (8192, fill(4096, 0xA1)),
+            (20_000, fill(3000, 0xA2)),
+        ],
+        vec![(0, fill(4096, 0xB0)), (12_288, fill(4096, 0xB1))],
+        vec![(21_000, fill(5000, 0xC0))],
+        // member 3: alone at its offsets
+        vec![(100_000, fill(4096, 0xD0))],
+    ];
+    for (member, runs) in dirty.iter().enumerate() {
+        for (off, d) in runs {
+            want[member][*off as usize..*off as usize + d.len()].copy_from_slice(d);
+        }
+    }
+    t = write(t, &dirty);
+    assert_parity_is_the_encode(&want);
+    assert_eq!(
+        store.count_corrupt_copies(),
+        0,
+        "every digest was spliced right"
+    );
+    // One ship per parity member for the whole batch, carrying the four
+    // coalesced intervals [0, 4096), [8192, 16384), [20000, 26000) and
+    // [100000, 104096) — the volumes the chunk-sized accumulators shipped.
+    assert_eq!(stats.get("store.parity_encodes") - encodes, 2);
+    assert_eq!(
+        stats.get("store.parity_bytes") - bytes,
+        2 * (4096 + 8192 + 6000 + 4096)
+    );
+
+    // A parity update torn on its home: the digest, spliced from the
+    // intended delta, disagrees with the half that landed, and scrub
+    // rebuilds the member from the data.
+    let Slot::Chunk(pc) = store.manager().file(f).unwrap().parity_slot(0, 0) else {
+        panic!("parity 0 not materialized");
+    };
+    let phome = store.manager().chunk_home(pc).unwrap();
+    store.manager().benefactor_mut(phome).arm_torn_write();
+    let torn = vec![vec![(40_000, fill(8192, 0xE0))], vec![], vec![], vec![]];
+    want[0][40_000..48_192].copy_from_slice(&torn[0][0].1);
+    t = write(t, &torn);
+    assert!(!copies::is_clean(&store.manager(), pc, phome));
+    assert_eq!(store.count_corrupt_copies(), 1, "only the armed home tore");
+    store.attach_scrub(
+        ScrubConfig {
+            interval: VTime::from_millis(1),
+            chunks_per_pass: 16,
+            ..ScrubConfig::default()
+        },
+        t + VTime::from_micros(1),
+    );
+    store.poll_faults(t + VTime::from_millis(1));
+    assert!(stats.get("store.parity_repairs") > 0, "scrub rebuilt it");
+    assert_eq!(store.count_corrupt_copies(), 0);
+    assert_parity_is_the_encode(&want);
+}
+
+#[test]
 fn parity_knobs_off_is_bit_identical_to_plain_striping() {
     // The same workload through `with_parity(4, 0)` and through the
     // default spec must produce identical virtual times and register

@@ -4,23 +4,25 @@
 
 use super::meta::MgrOp;
 use super::{copies, AggregateStore, BatchWrite};
-use crate::benefactor::{Benefactor, ChunkBuf};
+use crate::benefactor::{zero_chunk, Benefactor, ChunkBuf};
 use crate::crc;
 use crate::error::{Result, StoreError};
 use crate::ids::{BenefactorId, FileId};
 use crate::manager::{Manager, Slot};
-use crate::rs::RsCode;
+use crate::rs::{gf_mul_acc, RsCode};
 use crate::segments::segments;
 use obs::Layer;
 use simcore::VTime;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
+use std::ops::Deref;
 
 /// Deferred parity work for one `write_pages_batch` call: per touched
-/// (file, group), the XOR-merged parity deltas of every contributing
-/// entry. Linearity of RS over GF(2^8) makes the merge exact — parity
-/// for the whole group ships once per batch instead of once per member,
-/// which is where RS(4, 2)'s 1.5× wire cost (vs 2× for `replicas = 2`)
-/// comes from.
+/// (file, group), the parity deltas of every contributing entry, merged
+/// by XOR when the group ships. Linearity of RS over GF(2^8) makes the
+/// merge exact — parity for the whole group ships once per batch instead
+/// of once per member, which is where RS(4, 2)'s 1.5× wire cost (vs 2×
+/// for `replicas = 2`) comes from.
 #[derive(Default)]
 struct ParityBatch {
     groups: BTreeMap<(FileId, usize), GroupDeltas>,
@@ -30,13 +32,12 @@ struct ParityBatch {
 /// produced by one write's incremental encode.
 type DeltaRuns = Vec<(u64, Box<[u8]>)>;
 
-/// Merged parity deltas for one (file, group) within a batch.
+/// The parity deltas contributed to one (file, group) within a batch.
+#[derive(Default)]
 struct GroupDeltas {
-    /// One full-chunk accumulation buffer per parity member.
-    bufs: Vec<Box<[u8]>>,
-    /// Raw dirty intervals `[start, end)` as contributed (merged at
-    /// flush time).
-    spans: Vec<(u64, u64)>,
+    /// Per parity member, every contributed run as it arrived: the batch
+    /// costs what was dirtied, never a chunk-sized accumulator.
+    runs: Vec<DeltaRuns>,
     /// Batch-entry indices that contributed: their reported completion
     /// folds in the parity ship (a write is durable when its redundancy
     /// is).
@@ -44,64 +45,71 @@ struct GroupDeltas {
 }
 
 impl ParityBatch {
-    /// XOR entry `i`'s per-parity delta runs into the group accumulator.
-    fn absorb(
-        &mut self,
-        file: FileId,
-        group: usize,
-        m: usize,
-        chunk_len: u64,
-        i: usize,
-        deltas: &[DeltaRuns],
-    ) {
-        let gd = self
-            .groups
-            .entry((file, group))
-            .or_insert_with(|| GroupDeltas {
-                bufs: (0..m)
-                    .map(|_| vec![0u8; chunk_len as usize].into_boxed_slice())
-                    .collect(),
-                spans: Vec::new(),
-                contributors: Vec::new(),
-            });
-        for (p, runs) in deltas.iter().enumerate() {
-            for (off, d) in runs {
-                let at = *off as usize;
-                for (dst, src) in gd.bufs[p][at..at + d.len()].iter_mut().zip(d.iter()) {
-                    *dst ^= *src;
-                }
-            }
-        }
-        for (off, d) in &deltas[0] {
-            gd.spans.push((*off, off + d.len() as u64));
+    /// Keep entry `i`'s per-parity delta runs for the group's one ship.
+    fn absorb(&mut self, file: FileId, group: usize, i: usize, deltas: Vec<DeltaRuns>) {
+        let gd = self.groups.entry((file, group)).or_default();
+        gd.runs.resize_with(deltas.len(), Vec::new);
+        for (kept, runs) in gd.runs.iter_mut().zip(deltas) {
+            kept.extend(runs);
         }
         gd.contributors.push(i);
     }
 }
 
-/// Sort + coalesce raw `[start, end)` intervals into disjoint runs.
-fn merge_spans(mut spans: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
-    spans.sort_unstable();
-    let mut out: Vec<(u64, u64)> = Vec::with_capacity(spans.len());
-    for (s, e) in spans {
-        match out.last_mut() {
-            Some((_, last_e)) if s <= *last_e => *last_e = (*last_e).max(e),
-            _ => out.push((s, e)),
+/// Coalesce one parity member's contributed runs into disjoint ones, one
+/// per maximal interval of overlapping or touching runs. An interval one
+/// run covers alone ships that run's buffer as it is; only where several
+/// contributions meet (two members dirty at the same offsets) are they
+/// XOR-merged, into a buffer the size of the interval.
+fn merge_runs(runs: &[(u64, Box<[u8]>)]) -> Vec<(u64, Cow<'_, [u8]>)> {
+    let mut order: Vec<&(u64, Box<[u8]>)> = runs.iter().collect();
+    order.sort_by_key(|(off, _)| *off);
+    let mut merged = Vec::with_capacity(order.len());
+    let mut i = 0;
+    while i < order.len() {
+        let (start, first) = (order[i].0, &order[i].1);
+        let mut end = start + first.len() as u64;
+        let mut j = i + 1;
+        while j < order.len() && order[j].0 <= end {
+            end = end.max(order[j].0 + order[j].1.len() as u64);
+            j += 1;
         }
+        let bytes = if j == i + 1 {
+            Cow::Borrowed(&first[..])
+        } else {
+            let mut buf = vec![0u8; (end - start) as usize];
+            for (off, d) in &order[i..j] {
+                // · 1: a plain XOR, at the kernel's width.
+                gf_mul_acc(&mut buf[(off - start) as usize..][..d.len()], d, 1);
+            }
+            Cow::Owned(buf)
+        };
+        merged.push((start, bytes));
+        i = j;
     }
-    out
+    merged
+}
+
+/// Borrowed `(offset, bytes)` views of owned runs.
+fn views<D: Deref<Target = [u8]>>(runs: &[(u64, D)]) -> Vec<(u64, &[u8])> {
+    runs.iter().map(|(off, d)| (*off, &d[..])).collect()
+}
+
+/// `crc` — the digest of a `chunk_len`-byte chunk — after `runs` are
+/// XOR-ed into it: `crc(M ⊕ D) = crc(M) ⊕ raw(D)`, one O(run + log chunk)
+/// splice per run, no byte of the chunk read. Over the all-zeros chunk the
+/// XOR *is* the write; runs never overlap (`validate_updates` rejects any
+/// that do, `merge_runs` coalesces them), which the algebra relies on.
+fn splice_runs(crc: u64, chunk_len: u64, runs: &[(u64, &[u8])]) -> u64 {
+    runs.iter().fold(crc, |crc, (off, d)| {
+        crc::crc64_splice_fresh(crc, chunk_len, *off, d)
+    })
 }
 
 /// Digest of a zero chunk with `runs` applied, computed without scanning
-/// (or building) the chunk: start from the all-zeros digest and splice
-/// each dirty run in, O(dirty bytes) not O(chunk). Dirty runs never
-/// overlap (`validate_updates` rejects any that do), which the splice
-/// algebra relies on.
+/// (or building) the chunk.
 fn digest_of_runs(chunk_len: u64, runs: &[(u64, &[u8])]) -> u64 {
-    runs.iter()
-        .fold(crc::crc64_zeros(chunk_len), |crc, (off, d)| {
-            crc::crc64_splice_fresh(crc, chunk_len, *off, d)
-        })
+    splice_runs(crc::crc64_zeros(chunk_len), chunk_len, runs)
 }
 
 /// A zero chunk with `runs` applied.
@@ -227,17 +235,8 @@ impl AggregateStore {
             let flush_at = ends.iter().copied().max().unwrap_or(t);
             let mut mgr = self.mgr.lock();
             for ((file, group), gd) in std::mem::take(&mut pbatch.groups) {
-                let spans = merge_spans(gd.spans);
-                let deltas: Vec<Vec<(u64, &[u8])>> = gd
-                    .bufs
-                    .iter()
-                    .map(|buf| {
-                        spans
-                            .iter()
-                            .map(|&(s, e)| (s, &buf[s as usize..e as usize]))
-                            .collect()
-                    })
-                    .collect();
+                let merged: Vec<_> = gd.runs.iter().map(|runs| merge_runs(runs)).collect();
+                let deltas: Vec<_> = merged.iter().map(|runs| views(runs)).collect();
                 let pend =
                     self.ship_parity_deltas(&mut mgr, flush_at, client_node, file, group, &deltas)?;
                 for &i in &gd.contributors {
@@ -428,23 +427,18 @@ impl AggregateStore {
         // base, the recorded digest is spliced run by run (O(dirty bytes
         // + log chunk), no full-chunk copy or rescan); without one the
         // old content is zeros, or fully overwritten, and the digest is
-        // composed from the runs alone. The same old bytes, captured
-        // before the write lands anywhere, feed the parity deltas.
-        let (new_crc, old_runs) = {
+        // composed from the runs alone.
+        //
+        // Erasure-coded write: every parity member of this slot's group
+        // will absorb coef(p, member) · (old ⊕ new) over exactly the dirty
+        // runs — O(dirty) parity work per write, never a group re-encode
+        // (DESIGN.md §15). The products are taken here, straight from the
+        // vetted base and before the write lands on it.
+        let (new_crc, deltas) = {
             let base = base.map(|(c, h)| {
                 let bytes = mgr.benefactor(h).peek_chunk(c).expect("live copy present");
                 (mgr.chunk_crc(c).expect("chunk without crc"), bytes)
             });
-            let old_runs: Vec<Box<[u8]>> = match parity_cfg {
-                None => Vec::new(),
-                Some(_) => updates
-                    .iter()
-                    .map(|(off, d)| match base {
-                        Some((_, bytes)) => bytes[*off as usize..*off as usize + d.len()].into(),
-                        None => vec![0u8; d.len()].into_boxed_slice(),
-                    })
-                    .collect(),
-            };
             let new_crc = match base {
                 Some((recorded, bytes)) => updates.iter().fold(recorded, |crc, (off, d)| {
                     let old = &bytes[*off as usize..*off as usize + d.len()];
@@ -452,7 +446,28 @@ impl AggregateStore {
                 }),
                 None => digest_of_runs(chunk_len, updates),
             };
-            (new_crc, old_runs)
+            let deltas = parity_cfg.map(|(k, m, group, member)| {
+                let code = RsCode::shared(k, m);
+                let zeros;
+                let old = match base {
+                    Some((_, bytes)) => bytes,
+                    None => {
+                        zeros = zero_chunk(chunk_len);
+                        &zeros[..]
+                    }
+                };
+                let delta_of = |p, (off, new): &(u64, &[u8])| {
+                    let mut out = vec![0u8; new.len()].into_boxed_slice();
+                    let old = &old[*off as usize..*off as usize + new.len()];
+                    code.parity_delta(p, member, old, new, &mut out);
+                    (*off, out)
+                };
+                let deltas: Vec<DeltaRuns> = (0..m)
+                    .map(|p| updates.iter().map(|run| delta_of(p, run)).collect())
+                    .collect();
+                (group, deltas)
+            });
+            (new_crc, deltas)
         };
 
         let mut end = match slot {
@@ -498,33 +513,13 @@ impl AggregateStore {
             }
         };
 
-        // Erasure-coded write: every parity member of this slot's group
-        // absorbs coef(p, member) · (old ⊕ new) over exactly the dirty
-        // runs — O(dirty) parity work per write, never a group re-encode
-        // (DESIGN.md §15). The serial path ships the deltas now; the
-        // batched path defers them to a per-group, per-batch merge.
-        if let Some((k, m, group, member)) = parity_cfg {
-            let code = RsCode::new(k, m);
-            let deltas: Vec<DeltaRuns> = (0..m)
-                .map(|p| {
-                    updates
-                        .iter()
-                        .zip(&old_runs)
-                        .map(|((off, new), old)| {
-                            let mut out = vec![0u8; new.len()].into_boxed_slice();
-                            code.parity_delta(p, member, old, new, &mut out);
-                            (*off, out)
-                        })
-                        .collect()
-                })
-                .collect();
+        // The serial path ships the parity deltas now; the batched path
+        // defers them to a per-group, per-batch merge.
+        if let Some((group, deltas)) = deltas {
             match defer {
-                Some((i, batch)) => batch.absorb(file, group, m, chunk_len, i, &deltas),
+                Some((i, batch)) => batch.absorb(file, group, i, deltas),
                 None => {
-                    let runs: Vec<Vec<(u64, &[u8])>> = deltas
-                        .iter()
-                        .map(|rs| rs.iter().map(|(o, d)| (*o, &d[..])).collect())
-                        .collect();
+                    let runs: Vec<_> = deltas.iter().map(|runs| views(runs)).collect();
                     let pend =
                         self.ship_parity_deltas(&mut mgr, t, client_node, file, group, &runs)?;
                     end = end.max(pend);
@@ -535,14 +530,16 @@ impl AggregateStore {
     }
 
     /// Apply per-parity-member delta runs to group `group` of `file`:
-    /// ship each member's delta to its parity benefactor and XOR it into
-    /// the stored content (read-modify-write at the benefactor), splicing
-    /// the recorded CRC with the GF(2) machinery so the digest update is
-    /// O(dirty) too. An unmaterialized parity slot materializes here —
-    /// its old content is implicitly zeros, so the delta *is* the new
-    /// content. A parity member whose home is dead is flagged stale and
-    /// skipped: its content no longer reflects the data, and the repair
-    /// sweep re-encodes it rather than trust it ever again.
+    /// ship each member's delta to its parity benefactor, which XORs it
+    /// into the stored content in place. Since `old ⊕ new` *is* the delta,
+    /// the recorded CRC is spliced from the delta alone (`splice_runs`):
+    /// no stored parity byte is read on the client side, and the digest
+    /// is recorded before the bytes land, as for data. An unmaterialized
+    /// parity slot materializes here — its old content is implicitly
+    /// zeros, so the delta *is* the new content. A parity member whose
+    /// home is dead is flagged stale and skipped: its content no longer
+    /// reflects the data, and the repair sweep re-encodes it rather than
+    /// trust it ever again.
     fn ship_parity_deltas(
         &self,
         mgr: &mut Manager,
@@ -584,18 +581,9 @@ impl AggregateStore {
                 continue;
             };
             let shipped = if let Slot::Chunk(pc) = slot {
-                let base = mgr.benefactor(home).peek_chunk(pc).expect("live copy");
-                let mut crc = mgr.chunk_crc(pc).expect("chunk without crc");
-                let mut new_runs: DeltaRuns = Vec::with_capacity(runs.len());
-                for (off, d) in runs {
-                    let old = &base[*off as usize..*off as usize + d.len()];
-                    let nb: Box<[u8]> = old.iter().zip(d.iter()).map(|(o, x)| o ^ x).collect();
-                    crc = crc::crc64_splice(crc, chunk_len, *off, old, &nb);
-                    new_runs.push((*off, nb));
-                }
-                mgr.set_chunk_crc(pc, crc);
-                let upd: Vec<(u64, &[u8])> = new_runs.iter().map(|(o, d)| (*o, &d[..])).collect();
-                let ship = |b: &mut Benefactor, at| b.update_chunk(at, pc, &upd).end;
+                let crc = mgr.chunk_crc(pc).expect("chunk without crc");
+                mgr.set_chunk_crc(pc, splice_runs(crc, chunk_len, runs));
+                let ship = |b: &mut Benefactor, at| b.xor_chunk(at, pc, runs).end;
                 self.ship_to_homes(mgr, t, client_node, &[home], dirty, ship)
             } else {
                 // First delta materializes the member: old content is

@@ -42,7 +42,7 @@ cargo run -q --release --example trace_report -- target/ledger/trace_smoke.json
 echo "==> the frozen benchmark package must build and run against the workspace (all five workloads correct)"
 cargo run --release --quiet --manifest-path examples/benchmark/Cargo.toml -- --smoke
 
-echo "==> micro host-speed floors (simulated bytes, engine hand-offs, stream writes and fetches per host second)"
+echo "==> micro host-speed floors (simulated bytes, engine hand-offs, stream writes, fetches and the two payload kernels per host second)"
 # On one CPU, like examples/benchmark: only one engine thread runs at a
 # time, and unpinned every hand-off is a cross-core wake whose cost on a
 # small VM swings 5x with what the other core has just been doing.
@@ -82,5 +82,21 @@ micro_floor engine_handoffs_per_host_second 100000 "engine hand-offs"
 # and 7x above the 19.5 GB/hs of a 256 KiB copy per fetch.
 micro_floor stream_write_bytes_per_host_second 1500000000 "stream-written bytes"
 micro_floor read_bytes_per_host_second 150000000000 "fetched bytes"
+# The two payload kernels over one hot chunk (ISSUE 20, EXPERIMENTS.md
+# "Parity and digest kernels"), each floor between what the table kernel
+# it replaced does and what the vector kernel measured: CRC-64 8 GB/hs
+# (four-lane tables 2.3-4.1, carry-less-multiply fold 19.6-22), GF(2^8)
+# multiply-accumulate 3 GB/hs (log/exp loop 0.8-1.3, split-nibble pshufb
+# 10-21). Gated only where the vector kernel ran: a CPU without it runs
+# the portable kernel, which these floors exist to tell apart from it.
+kernel_floor() { # <kernel-name key> <rate key> <floor> <what it counts>
+    if grep -q "\"$1\": \"table\"" "$micro_dir/BENCH_micro.json"; then
+        echo "    micro: $4: portable kernel, floor skipped"
+    else
+        micro_floor "$2" "$3" "$4"
+    fi
+}
+kernel_floor crc_kernel crc64_bytes_per_host_second 8000000000 "CRC-64 digested bytes"
+kernel_floor gf_kernel gf_mul_acc_bytes_per_host_second 3000000000 "GF(2^8) multiplied bytes"
 
 echo "All checks passed."
