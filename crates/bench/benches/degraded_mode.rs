@@ -227,15 +227,14 @@ fn ec_dataset(mode: EcMode, size: u64) -> EcRun {
     // same read with its home dead.
     let t0 = write_end + VTime::from_millis(1);
     let (t1, payload) = store.fetch_chunk(t0, 0, f, victim_idx).unwrap();
-    assert!(matches!(payload, ChunkPayload::Data(ref d) if d[..] == bufs[victim_idx][..]));
+    assert!(matches!(payload, ChunkPayload::Data(ref d) if *d == bufs[victim_idx][..]));
     let healthy_read = t1 - t0;
     store.set_benefactor_alive(BenefactorId(VICTIM), false);
     let t2 = t1 + VTime::from_millis(1);
     let degraded_read = match store.fetch_chunk(t2, 0, f, victim_idx) {
         Ok((t3, ChunkPayload::Data(d))) => {
-            assert_eq!(
-                &d[..],
-                &bufs[victim_idx][..],
+            assert!(
+                d == bufs[victim_idx][..],
                 "degraded read returned wrong bytes"
             );
             Some(t3 - t2)
@@ -262,7 +261,7 @@ fn ec_dataset(mode: EcMode, size: u64) -> EcRun {
             let (_, payload) = store
                 .fetch_chunk(done + VTime::from_millis(1), 0, f, victim_idx)
                 .unwrap();
-            assert!(matches!(payload, ChunkPayload::Data(ref d) if d[..] == bufs[victim_idx][..]));
+            assert!(matches!(payload, ChunkPayload::Data(ref d) if *d == bufs[victim_idx][..]));
             assert_eq!(
                 cluster.stats.get("store.degraded_reconstructs"),
                 before,
@@ -432,7 +431,12 @@ fn demonstrate_rs_crash_sweep(report: &mut JsonReport, size: u64) {
             now = t2;
             match payload {
                 ChunkPayload::Data(d) => {
-                    wrong += d.iter().zip(expect).filter(|(a, b)| a != b).count() as u64;
+                    wrong += d
+                        .to_vec()
+                        .iter()
+                        .zip(expect)
+                        .filter(|(a, b)| a != b)
+                        .count() as u64;
                 }
                 ChunkPayload::Zeros => wrong += expect.len() as u64,
             }

@@ -113,7 +113,12 @@ fn failover_sweep(ha: bool, shards: usize, crash: bool, nchunks: usize) -> Run {
         now = t2;
         match payload {
             ChunkPayload::Data(d) => {
-                wrong += d.iter().zip(expect).filter(|(a, b)| a != b).count() as u64;
+                wrong += d
+                    .to_vec()
+                    .iter()
+                    .zip(expect)
+                    .filter(|(a, b)| a != b)
+                    .count() as u64;
             }
             ChunkPayload::Zeros => wrong += expect.len() as u64,
         }

@@ -8,36 +8,11 @@
 
 use crate::bitalloc::BitAlloc;
 use crate::ids::ChunkId;
-use crate::rs::gf_mul_acc;
+use crate::payload::{run_len, ChunkBuf, PageRun};
 use devices::Ssd;
 use simcore::rng::child_seed;
 use simcore::{Grant, VTime};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
-
-/// A chunk's bytes as every layer holds them: one immutable,
-/// reference-counted buffer shared from the benefactor's chunk map through
-/// a fetch to the client's cache. Handing a payload on is a count bump,
-/// never a copy; whoever writes goes through [`Arc::make_mut`], which
-/// copies first if anyone else still holds the buffer — so a fetched
-/// payload is a snapshot and bit rot on one replica cannot reach another.
-/// `Arc<Box<[u8]>>` rather than `Arc<[u8]>`: the payload allocation stays
-/// exactly one chunk (DESIGN.md §13 "Payload ownership").
-pub type ChunkBuf = Arc<Box<[u8]>>;
-
-/// The shared all-zero chunk of `len` bytes: what a hole reads as, and
-/// what an implicit-zero parity-group member decodes from. One buffer per
-/// length for the life of the process.
-pub fn zero_chunk(len: u64) -> ChunkBuf {
-    static ZEROS: Mutex<Vec<ChunkBuf>> = Mutex::new(Vec::new());
-    let mut zeros = ZEROS.lock().expect("zero-chunk table poisoned");
-    if let Some(z) = zeros.iter().find(|z| z.len() as u64 == len) {
-        return Arc::clone(z);
-    }
-    let z: ChunkBuf = Arc::new(vec![0u8; len as usize].into_boxed_slice());
-    zeros.push(Arc::clone(&z));
-    z
-}
 
 /// One benefactor's state: its SSD, its chunk objects and its space books.
 ///
@@ -74,6 +49,10 @@ pub struct Benefactor {
     corrupt_seed: u64,
     corrupt_stream: u64,
     chunk_size: u64,
+    /// Leaf size of every payload stored here: the store's
+    /// `StoreConfig::page_size`, stamped when the benefactor joins a
+    /// manager. Until then a chunk is one leaf.
+    page_size: u64,
 }
 
 impl Benefactor {
@@ -92,7 +71,18 @@ impl Benefactor {
             corrupt_seed: 0,
             corrupt_stream: 0,
             chunk_size,
+            page_size: chunk_size,
         }
+    }
+
+    /// Crate-internal: `Manager::register_benefactor` stamps its store's
+    /// page size before the first chunk lands.
+    pub(crate) fn set_page_size(&mut self, page_size: u64) {
+        assert!(
+            self.chunks.is_empty(),
+            "page size changed under stored chunks"
+        );
+        self.page_size = page_size;
     }
 
     pub fn ssd(&self) -> &Ssd {
@@ -147,8 +137,7 @@ impl Benefactor {
     pub fn corrupt_chunk(&mut self, id: ChunkId, offset: u64) -> bool {
         match self.chunks.get_mut(&id) {
             Some((_, data)) => {
-                let at = (offset % self.chunk_size) as usize;
-                Arc::make_mut(data)[at] ^= 0xFF;
+                data.flip((offset % self.chunk_size) as usize);
                 true
             }
             None => false,
@@ -231,7 +220,11 @@ impl Benefactor {
         payload_bytes: u64,
         consumes_reservation: bool,
     ) -> Grant {
-        debug_assert_eq!(data.len() as u64, self.chunk_size);
+        // Release-mode checks: a payload of the wrong shape would land its
+        // later page runs on the wrong leaves without a trace. (That the
+        // leaves cover the length at that size, `ChunkBuf` guarantees.)
+        assert_eq!(data.len() as u64, self.chunk_size, "payload length");
+        assert_eq!(data.page() as u64, self.page_size, "payload leaf size");
         // A materialized chunk owns one slot bit: either the reservation's
         // (handed over here) or a freshly allocated one.
         let slot = if consumes_reservation {
@@ -243,8 +236,7 @@ impl Benefactor {
             // Torn write on a fresh materialization: the tail of the chunk
             // never reaches the media, leaving the pre-image (zeros).
             self.torn_armed = false;
-            let half = data.len() / 2;
-            Arc::make_mut(&mut data)[half..].fill(0);
+            data.zero_from(data.len() / 2);
         }
         let prev = self.chunks.insert(id, (slot, data));
         assert!(prev.is_none(), "chunk {id} stored twice");
@@ -253,59 +245,55 @@ impl Benefactor {
     }
 
     /// Overwrite pages of an existing chunk, charging only the dirty bytes.
-    pub(crate) fn update_chunk(
-        &mut self,
-        t: VTime,
-        id: ChunkId,
-        updates: &[(u64, &[u8])],
-    ) -> Grant {
-        self.land_runs(t, id, updates, <[u8]>::copy_from_slice)
+    /// Whole-page pieces are handed over, not copied ([`ChunkBuf::write_run`]).
+    pub(crate) fn update_chunk(&mut self, t: VTime, id: ChunkId, updates: &[PageRun<'_>]) -> Grant {
+        self.land_runs(t, id, updates, ChunkBuf::write_run)
     }
 
     /// XOR runs into an existing chunk — a parity delta applied where the
     /// parity lives. Charged, torn and degraded exactly like
     /// [`Self::update_chunk`] writing `old ⊕ delta`.
-    pub(crate) fn xor_chunk(&mut self, t: VTime, id: ChunkId, deltas: &[(u64, &[u8])]) -> Grant {
-        // · 1: a plain XOR, at the kernel's width.
-        self.land_runs(t, id, deltas, |stored, delta| gf_mul_acc(stored, delta, 1))
+    pub(crate) fn xor_chunk(&mut self, t: VTime, id: ChunkId, deltas: &[PageRun<'_>]) -> Grant {
+        self.land_runs(t, id, deltas, ChunkBuf::xor_run)
     }
 
-    /// Land dirty runs on a stored chunk through `land(stored, run)`.
+    /// Land dirty runs on a stored chunk through `land(chunk, run, bytes
+    /// that persist)`.
     fn land_runs(
         &mut self,
         t: VTime,
         id: ChunkId,
-        runs: &[(u64, &[u8])],
-        land: impl Fn(&mut [u8], &[u8]),
+        runs: &[PageRun<'_>],
+        land: impl Fn(&mut ChunkBuf, PageRun<'_>, usize),
     ) -> Grant {
         let torn = self.torn_armed;
         self.torn_armed = false;
         let (_, chunk) = self.chunks.get_mut(&id).expect("update of missing chunk");
-        let chunk = Arc::make_mut(chunk);
         let mut bytes = 0u64;
-        for (off, data) in runs {
-            let off = *off as usize;
+        for &(off, pieces) in runs {
+            let len = run_len(pieces) as usize;
             // Torn write: only the first half of each dirty run reaches the
             // media; the tail keeps the old bytes. The SSD is still charged
             // for the intended write — the failure is in durability, not time.
-            let persisted = if torn { data.len() / 2 } else { data.len() };
-            land(&mut chunk[off..off + persisted], &data[..persisted]);
-            bytes += data.len() as u64;
+            let persisted = if torn { len / 2 } else { len };
+            land(chunk, (off, pieces), persisted);
+            bytes += len as u64;
         }
         self.degrade_after_write(id);
         self.ssd.write_at(t, bytes)
     }
 
     /// Read a whole chunk, charging the SSD. The payload shares the stored
-    /// buffer; a later write here copies first, so it stays a snapshot.
+    /// leaves; a later write here un-shares what it touches first, so it
+    /// stays a snapshot.
     pub(crate) fn read_chunk(&self, t: VTime, id: ChunkId) -> (Grant, ChunkBuf) {
         let (_, data) = self.chunks.get(&id).expect("read of missing chunk");
-        (self.ssd.read_at(t, self.chunk_size), Arc::clone(data))
+        (self.ssd.read_at(t, self.chunk_size), data.clone())
     }
 
     /// Read a chunk without charging time (debugging/inspection).
-    pub fn peek_chunk(&self, id: ChunkId) -> Option<&[u8]> {
-        self.chunks.get(&id).map(|(_, b)| &b[..])
+    pub fn peek_chunk(&self, id: ChunkId) -> Option<&ChunkBuf> {
+        self.chunks.get(&id).map(|(_, b)| b)
     }
 
     /// Drop a chunk and free its slot.
@@ -337,11 +325,11 @@ impl Benefactor {
     /// Duplicate a chunk's bytes into a new chunk id on this benefactor,
     /// charging a local SSD read + write (the server-side COW path used
     /// when a shared chunk is modified without the client holding all of
-    /// its clean bytes). Host-side the two ids share one buffer until the
-    /// first write to either.
+    /// its clean bytes). Host-side the two ids share every leaf until a
+    /// write to either replaces it.
     pub(crate) fn clone_chunk(&mut self, t: VTime, src: ChunkId, dst: ChunkId) -> Grant {
         let (_, data) = self.chunks.get(&src).expect("clone of missing chunk");
-        let data = Arc::clone(data);
+        let data = data.clone();
         let slot = self.slots.alloc().expect("chunk store over capacity");
         let g_read = self.ssd.read_at(t, self.chunk_size);
         let prev = self.chunks.insert(dst, (slot, data));
@@ -353,18 +341,29 @@ impl Benefactor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::payload::{cut_runs, run_views};
     use devices::INTEL_X25E;
     use simcore::StatsRegistry;
+    use std::sync::Arc;
 
     const CHUNK: u64 = 256 * 1024;
+    const PAGE: u64 = 4096;
 
     fn bene(cap_chunks: u64) -> Benefactor {
         let ssd = Ssd::new("b0.ssd", INTEL_X25E, &StatsRegistry::new());
-        Benefactor::new(0, ssd, cap_chunks * CHUNK, CHUNK)
+        let mut b = Benefactor::new(0, ssd, cap_chunks * CHUNK, CHUNK);
+        b.set_page_size(PAGE);
+        b
     }
 
     fn zero_chunk() -> ChunkBuf {
-        super::zero_chunk(CHUNK)
+        crate::payload::zero_chunk(CHUNK, PAGE)
+    }
+
+    /// `update_chunk` with byte runs, cut the way `write_pages` cuts them.
+    fn update(b: &mut Benefactor, id: ChunkId, runs: &[(u64, &[u8])]) {
+        let cut = cut_runs(PAGE, runs);
+        b.update_chunk(VTime::ZERO, id, &run_views(&cut));
     }
 
     #[test]
@@ -383,10 +382,26 @@ mod tests {
         let mut b = bene(4);
         b.reserve_slots(1);
         let mut data = zero_chunk();
-        Arc::make_mut(&mut data)[7] = 42;
+        data.write(7, &[42]);
         b.store_chunk(VTime::ZERO, ChunkId(9), data, CHUNK, true);
         let (_, read) = b.read_chunk(VTime::ZERO, ChunkId(9));
         assert_eq!(read[7], 42);
+    }
+
+    #[test]
+    #[should_panic(expected = "payload length")]
+    fn store_chunk_rejects_a_short_payload() {
+        let mut b = bene(2);
+        let half = crate::payload::zero_chunk(CHUNK / 2, PAGE);
+        b.store_chunk(VTime::ZERO, ChunkId(1), half, CHUNK, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "payload leaf size")]
+    fn store_chunk_rejects_leaves_of_another_page_size() {
+        let mut b = bene(2);
+        let coarse = crate::payload::zero_chunk(CHUNK, 2 * PAGE);
+        b.store_chunk(VTime::ZERO, ChunkId(1), coarse, CHUNK, false);
     }
 
     #[test]
@@ -395,13 +410,19 @@ mod tests {
         b.reserve_slots(1);
         b.store_chunk(VTime::ZERO, ChunkId(1), zero_chunk(), CHUNK, true);
         let before = b.ssd().bytes_written();
-        let page = vec![1u8; 4096];
-        b.update_chunk(VTime::ZERO, ChunkId(1), &[(4096, &page)]);
+        let (_, snapshot) = b.read_chunk(VTime::ZERO, ChunkId(1));
+        let page = cut_runs(PAGE, &[(4096, &[1u8; 4096][..])]);
+        b.update_chunk(VTime::ZERO, ChunkId(1), &run_views(&page));
         assert_eq!(b.ssd().bytes_written() - before, 4096);
         let (_, read) = b.read_chunk(VTime::ZERO, ChunkId(1));
         assert_eq!(read[4096], 1);
         assert_eq!(read[0], 0);
         assert_eq!(read[8192], 0);
+        // The whole page was handed over, not copied; the earlier read is
+        // a snapshot that still shares the 63 leaves nobody wrote.
+        assert!(Arc::ptr_eq(&read.leaves()[1], &page[0].1[0]));
+        assert!(snapshot == vec![0u8; CHUNK as usize][..]);
+        assert_eq!(snapshot.shared_leaves(&read), 63);
     }
 
     #[test]
@@ -409,20 +430,24 @@ mod tests {
         let mut b = bene(4);
         b.reserve_slots(1);
         let mut data = zero_chunk();
-        Arc::make_mut(&mut data)[100] = 5;
+        data.write(100, &[5]);
         b.store_chunk(VTime::ZERO, ChunkId(1), data, CHUNK, true);
         b.clone_chunk(VTime::ZERO, ChunkId(1), ChunkId(2));
         let (_, read) = b.read_chunk(VTime::ZERO, ChunkId(2));
         assert_eq!(read[100], 5);
         assert!(b.has_chunk(ChunkId(1)));
         assert_eq!(b.chunk_count(), 2);
-        // Source and clone share one buffer only until the first write to
+        // Source and clone share every leaf only until a write to
         // either: the COW update and rot each stay on their own chunk.
-        b.update_chunk(VTime::ZERO, ChunkId(2), &[(100, &[6u8])]);
+        update(&mut b, ChunkId(2), &[(100, &[6u8])]);
         b.corrupt_chunk(ChunkId(1), 7);
         let (src, dst) = (b.peek_chunk(ChunkId(1)), b.peek_chunk(ChunkId(2)));
-        assert_eq!((src.unwrap()[100], src.unwrap()[7]), (5, 0xFF));
-        assert_eq!((dst.unwrap()[100], dst.unwrap()[7]), (6, 0));
+        let (src, dst) = (src.unwrap(), dst.unwrap());
+        assert_eq!((src[100], src[7]), (5, 0xFF));
+        assert_eq!((dst[100], dst[7]), (6, 0));
+        // Both landed in leaf 0: each side has its own, the other 63 are
+        // still one allocation each.
+        assert_eq!(src.shared_leaves(dst), 63);
     }
 
     #[test]
@@ -495,6 +520,10 @@ mod tests {
         assert_eq!(data[4096], 0xFF);
         assert_eq!(data[4095], 0);
         assert_eq!(data[4097], 0);
+        // The rot took a private copy of the one leaf it hit: the shared
+        // zero chunk (and every other holder of it) is untouched.
+        assert!(zero_chunk() == vec![0u8; CHUNK as usize][..]);
+        assert_eq!(zero_chunk().shared_leaves(data), 63);
         assert!(!b.corrupt_chunk(ChunkId(99), 0), "missing chunk untouched");
     }
 
@@ -503,16 +532,20 @@ mod tests {
         let mut b = bene(2);
         b.reserve_slots(1);
         b.arm_torn_write();
-        let data = Arc::new(vec![7u8; CHUNK as usize].into_boxed_slice());
-        b.store_chunk(VTime::ZERO, ChunkId(1), data, CHUNK, true);
+        let data = ChunkBuf::from_bytes(&vec![7u8; CHUNK as usize], PAGE);
+        b.store_chunk(VTime::ZERO, ChunkId(1), data.clone(), CHUNK, true);
         let stored = b.peek_chunk(ChunkId(1)).unwrap();
         let half = CHUNK as usize / 2;
         assert_eq!(stored[half - 1], 7, "head persisted");
         assert_eq!(stored[half], 0, "tail torn back to the pre-image");
         assert_eq!(stored[CHUNK as usize - 1], 0);
+        // The tear is on the stored copy alone: the writer's handle keeps
+        // its bytes and still shares the half that landed.
+        assert!(data == vec![7u8; CHUNK as usize][..]);
+        assert_eq!(data.shared_leaves(stored), 32);
         // One-shot: the next write is whole.
         b.reserve_slots(1);
-        let data = Arc::new(vec![9u8; CHUNK as usize].into_boxed_slice());
+        let data = ChunkBuf::from_bytes(&vec![9u8; CHUNK as usize], PAGE);
         b.store_chunk(VTime::ZERO, ChunkId(2), data, CHUNK, true);
         assert_eq!(b.peek_chunk(ChunkId(2)).unwrap()[CHUNK as usize - 1], 9);
     }
@@ -525,7 +558,7 @@ mod tests {
         b.arm_torn_write();
         let before = b.ssd().bytes_written();
         let run = vec![3u8; 8192];
-        b.update_chunk(VTime::ZERO, ChunkId(1), &[(0, &run)]);
+        update(&mut b, ChunkId(1), &[(0, &run)]);
         assert_eq!(
             b.ssd().bytes_written() - before,
             8192,
@@ -534,6 +567,9 @@ mod tests {
         let data = b.peek_chunk(ChunkId(1)).unwrap();
         assert_eq!(data[4095], 3, "first half of the run landed");
         assert_eq!(data[4096], 0, "second half kept the old bytes");
+        // ... in the leaf it had: only the page that landed left the
+        // shared zero chunk.
+        assert_eq!(zero_chunk().shared_leaves(data), 63);
     }
 
     #[test]

@@ -375,29 +375,42 @@ pub fn crc64_zeros(n: u64) -> u64 {
     !crc64_advance_zeros(!0u64, n)
 }
 
-/// Update the digest of a `len`-byte buffer after the bytes at
-/// `[off, off + new.len())` change from `old_bytes` to `new_bytes`:
-/// O(dirty + log len) instead of re-scanning the buffer. `old` must be
-/// the digest of the buffer *with* `old_bytes` in place.
-pub fn crc64_splice(old: u64, len: u64, off: u64, old_bytes: &[u8], new_bytes: &[u8]) -> u64 {
-    assert_eq!(old_bytes.len(), new_bytes.len(), "splice run lengths");
-    assert!(
-        off + new_bytes.len() as u64 <= len,
-        "splice run out of range"
-    );
-    let delta = crc64_absorb_raw_xor(0, old_bytes, new_bytes);
-    old ^ crc64_advance_zeros(delta, len - off - new_bytes.len() as u64)
+/// Update the digest of a `len`-byte buffer after the run of bytes at
+/// `off` changes: O(dirty + log len) instead of re-scanning the buffer.
+/// The run arrives as its consecutive `(old bytes, new bytes)` pieces — a
+/// leaf-held chunk yields one per page it crosses — absorbed into one
+/// register that is advanced over the trailing zeros once per run. `old`
+/// must be the digest of the buffer *with* the old bytes in place.
+pub fn crc64_splice<'a>(
+    old: u64,
+    len: u64,
+    off: u64,
+    pieces: impl IntoIterator<Item = (&'a [u8], &'a [u8])>,
+) -> u64 {
+    let (mut delta, mut run) = (0, 0);
+    for (was, now) in pieces {
+        delta = crc64_absorb_raw_xor(delta, was, now);
+        run += now.len() as u64;
+    }
+    assert!(off + run <= len, "splice run out of range");
+    old ^ crc64_advance_zeros(delta, len - off - run)
 }
 
 /// [`crc64_splice`] for the case where the old bytes are all zero
 /// (freshly composed chunks): skips the XOR stream.
-pub fn crc64_splice_fresh(old: u64, len: u64, off: u64, new_bytes: &[u8]) -> u64 {
-    assert!(
-        off + new_bytes.len() as u64 <= len,
-        "splice run out of range"
-    );
-    let delta = crc64_absorb_raw(0, new_bytes);
-    old ^ crc64_advance_zeros(delta, len - off - new_bytes.len() as u64)
+pub fn crc64_splice_fresh<'a>(
+    old: u64,
+    len: u64,
+    off: u64,
+    pieces: impl IntoIterator<Item = &'a [u8]>,
+) -> u64 {
+    let (mut delta, mut run) = (0, 0);
+    for now in pieces {
+        delta = crc64_absorb_raw(delta, now);
+        run += now.len() as u64;
+    }
+    assert!(off + run <= len, "splice run out of range");
+    old ^ crc64_advance_zeros(delta, len - off - run)
 }
 
 #[cfg(test)]
@@ -536,19 +549,21 @@ mod tests {
             let new_bytes = pattern(run, seed);
             // over arbitrary old content ...
             let mut buf = pattern(len, seed ^ 0x5A5A);
-            let spliced = crc64_splice(
-                crc64(&buf),
-                len as u64,
-                off as u64,
-                &buf[off..off + run],
-                &new_bytes,
-            );
+            // ... the run whole, and cut where a 4 KiB page grid cuts it
+            let whole = [(&buf[off..off + run], &new_bytes[..])];
+            let cut = crate::segments(off as u64, run as u64, 4096)
+                .map(|s| (&buf[off + s.pos..][..s.take], &new_bytes[s.pos..][..s.take]));
+            let (digest, len64, off64) = (crc64(&buf), len as u64, off as u64);
+            let spliced = crc64_splice(digest, len64, off64, whole);
+            prop_assert_eq!(spliced, crc64_splice(digest, len64, off64, cut));
             buf[off..off + run].copy_from_slice(&new_bytes);
             prop_assert_eq!(spliced, crc64(&buf), "len {} off {} run {}", len, off, run);
             // ... and over zeros, as freshly composed chunks are
             let mut fresh = vec![0u8; len];
-            let spliced =
-                crc64_splice_fresh(crc64_zeros(len as u64), len as u64, off as u64, &new_bytes);
+            let cut = crate::segments(off as u64, run as u64, 4096)
+                .map(|s| &new_bytes[s.pos..][..s.take]);
+            let spliced = crc64_splice_fresh(crc64_zeros(len64), len64, off64, [&new_bytes[..]]);
+            prop_assert_eq!(spliced, crc64_splice_fresh(crc64_zeros(len64), len64, off64, cut));
             fresh[off..off + run].copy_from_slice(&new_bytes);
             prop_assert_eq!(spliced, crc64(&fresh), "fresh len {} off {} run {}", len, off, run);
         }
@@ -561,7 +576,7 @@ mod tests {
         let mut digest = crc64_zeros(len as u64);
         for (off, run) in [(512usize, 1000usize), (9000, 4096), (16000, 384)] {
             let new_bytes = pattern(run, off as u32);
-            digest = crc64_splice_fresh(digest, len as u64, off as u64, &new_bytes);
+            digest = crc64_splice_fresh(digest, len as u64, off as u64, [&new_bytes[..]]);
             buf[off..off + run].copy_from_slice(&new_bytes);
         }
         assert_eq!(digest, crc64(&buf));

@@ -13,6 +13,8 @@
 //! * [`bitalloc`] — llfree-style bitmap-tree slot allocator backing the
 //!   benefactor/manager allocation path (DESIGN.md §13);
 //! * [`benefactor`] — the SSD-backed chunk server;
+//! * [`payload`] — a chunk's bytes as every layer holds them: a shared
+//!   table of shared 4 KiB leaves (DESIGN.md §13);
 //! * [`manager`] — metadata: allocation, striping, health, linking;
 //! * [`store`] — the timed client-facing facade charging RPC, network and
 //!   SSD costs;
@@ -41,12 +43,13 @@ pub mod ids;
 pub mod journal;
 pub mod loc_cache;
 pub mod manager;
+pub mod payload;
 pub mod rs;
 pub mod segments;
 pub mod shardmgr;
 pub mod store;
 
-pub use benefactor::{zero_chunk, Benefactor, ChunkBuf};
+pub use benefactor::Benefactor;
 pub use bitalloc::{BitAlloc, BitSet};
 pub use crc::crc64;
 pub use error::{Result, StoreError};
@@ -56,7 +59,10 @@ pub use loc_cache::LocationCache;
 pub use manager::{
     ChunkMeta, FileMeta, GroupRef, Manager, PlacementPolicy, Slot, StripeSpec, StripeWidth,
 };
+pub use payload::{zero_chunk, ChunkBuf, Leaf, PageRun};
 pub use rs::RsCode;
 pub use segments::{segments, Segment, Segments};
 pub use shardmgr::{HashRing, ShardSet, DEFAULT_RING_SEED};
-pub use store::{AggregateStore, BatchWrite, ChunkPayload, RepairReport, ScrubConfig, StoreConfig};
+pub use store::{
+    AggregateStore, BatchRuns, BatchWrite, ChunkPayload, RepairReport, ScrubConfig, StoreConfig,
+};

@@ -276,6 +276,7 @@ pub struct ChunkMeta {
 #[derive(Debug)]
 pub struct Manager {
     chunk_size: u64,
+    page_size: u64,
     benefactors: Vec<Benefactor>,
     files: HashMap<FileId, FileMeta>,
     by_name: HashMap<String, FileId>,
@@ -313,10 +314,12 @@ pub struct Manager {
 }
 
 impl Manager {
-    pub fn new(chunk_size: u64) -> Self {
+    pub fn new(chunk_size: u64, page_size: u64) -> Self {
         assert!(chunk_size > 0 && chunk_size.is_power_of_two());
+        assert!(page_size > 0, "zero page size");
         Manager {
             chunk_size,
+            page_size,
             benefactors: Vec::new(),
             files: HashMap::new(),
             by_name: HashMap::new(),
@@ -336,6 +339,11 @@ impl Manager {
 
     pub fn chunk_size(&self) -> u64 {
         self.chunk_size
+    }
+
+    /// Leaf size of every chunk payload in this store.
+    pub fn page_size(&self) -> u64 {
+        self.page_size
     }
 
     /// Current placement epoch (see the field doc).
@@ -505,7 +513,8 @@ impl Manager {
 
     // ----- benefactor fleet -------------------------------------------------
 
-    pub fn register_benefactor(&mut self, b: Benefactor) -> BenefactorId {
+    pub fn register_benefactor(&mut self, mut b: Benefactor) -> BenefactorId {
+        b.set_page_size(self.page_size);
         let id = BenefactorId(self.benefactors.len());
         // Ids are handed out in ascending order, so pushing keeps the
         // incremental sets sorted.
@@ -824,10 +833,13 @@ impl Manager {
                 }
                 Slot::Hole => {}
                 Slot::Chunk(c) => {
-                    // The group dies with its file; shared checkpoint
-                    // references to the chunk may outlive it, but they
-                    // are no longer reconstructible.
-                    if self.group_of.remove(c).is_some() {
+                    // The group dies with the file that owns it — not with
+                    // a checkpoint that merely links the chunk: the live
+                    // file's reads still reconstruct through it. Shared
+                    // checkpoint references may outlive the owner, but
+                    // they are no longer reconstructible.
+                    if self.group_of.get(c).is_some_and(|g| g.file == id) {
+                        self.group_of.remove(c);
                         self.journal_group_unlink(*c);
                     }
                     self.decref_chunk(*c);
@@ -1154,10 +1166,11 @@ mod tests {
     use simcore::{StatsRegistry, VTime};
 
     const CHUNK: u64 = 256 * 1024;
+    const PAGE: u64 = 4096;
 
     fn mgr(benefactors: usize, cap_chunks: u64) -> Manager {
         let stats = StatsRegistry::new();
-        let mut m = Manager::new(CHUNK);
+        let mut m = Manager::new(CHUNK, PAGE);
         for i in 0..benefactors {
             let ssd = Ssd::new(&format!("b{i}.ssd"), INTEL_X25E, &stats);
             m.register_benefactor(Benefactor::new(i, ssd, cap_chunks * CHUNK, CHUNK));
@@ -1167,8 +1180,8 @@ mod tests {
 
     fn materialize(m: &mut Manager, f: FileId, idx: usize) -> ChunkId {
         let home = m.file(f).unwrap().home_of_slot(idx);
-        let data = crate::benefactor::zero_chunk(CHUNK);
-        let c = m.new_chunk_id(vec![home], 1, crate::crc::crc64(&data));
+        let data = crate::payload::zero_chunk(CHUNK, PAGE);
+        let c = m.new_chunk_id(vec![home], 1, data.digest());
         m.benefactor_mut(home)
             .store_chunk(VTime::ZERO, c, data, CHUNK, true);
         m.set_slot(f, idx, Slot::Chunk(c));

@@ -12,12 +12,12 @@
 //! takes it per step.
 
 use super::AggregateStore;
-use crate::benefactor::{zero_chunk, Benefactor, ChunkBuf};
-use crate::crc::crc64;
+use crate::benefactor::Benefactor;
 use crate::error::{Result, StoreError};
 use crate::ids::{BenefactorId, ChunkId};
 use crate::manager::{GroupRef, Manager, Slot};
-use crate::rs::RsCode;
+use crate::payload::{leaf_with, zero_chunk, ChunkBuf};
+use crate::rs::{gf_mul_acc, RsCode};
 use crate::shardmgr::ShardSet;
 use netsim::Network;
 use simcore::VTime;
@@ -50,7 +50,7 @@ pub(super) fn trusted_copy(
 /// Do the bytes `home` stores for `c` still match the recorded CRC?
 pub(super) fn is_clean(mgr: &Manager, c: ChunkId, home: BenefactorId) -> bool {
     let stored = mgr.benefactor(home).peek_chunk(c);
-    stored.is_some_and(|bytes| Some(crc64(bytes)) == mgr.chunk_crc(c))
+    stored.is_some_and(|chunk| Some(chunk.digest()) == mgr.chunk_crc(c))
 }
 
 /// Drop a CRC-mismatching copy: while a replica remains, the bad copy
@@ -212,14 +212,16 @@ pub(super) fn survivors_for(mgr: &Manager, gref: GroupRef) -> Result<Survivors> 
     Ok(Survivors { k, m, picks })
 }
 
-/// How a lost member is decoded: gather the survivors' bytes in member
+/// How a lost member is decoded: gather the survivors' payloads in member
 /// order — `read(chunk, home)` fetches one stored copy on whatever
 /// schedule the caller charges (concurrent pulls to a client, sequential
-/// benefactor-to-benefactor copies) — and solve for member `want`.
-/// Implicit-zero members are read from the shared zero chunk.
+/// benefactor-to-benefactor copies) — and solve for member `want`, one
+/// leaf at a time with the coefficients of one inversion. Implicit-zero
+/// members are read from `zeros`, the store's shared zero chunk, which
+/// also gives the decoded payload its geometry.
 pub(super) fn decode_member(
     from: &Survivors,
-    chunk_size: u64,
+    zeros: &ChunkBuf,
     want: usize,
     mut read: impl FnMut(ChunkId, BenefactorId) -> ChunkBuf,
 ) -> ChunkBuf {
@@ -227,7 +229,7 @@ pub(super) fn decode_member(
         .picks
         .iter()
         .map(|s| match *s {
-            Survivor::Zeros(member) => (member, zero_chunk(chunk_size)),
+            Survivor::Zeros(member) => (member, zeros.clone()),
             Survivor::Copy {
                 member,
                 chunk,
@@ -236,12 +238,19 @@ pub(super) fn decode_member(
         })
         .collect();
     gathered.sort_unstable_by_key(|(member, _)| *member);
-    let present: Vec<(usize, &[u8])> = gathered.iter().map(|(m, data)| (*m, &data[..])).collect();
-    let decoded = RsCode::shared(from.k, from.m)
-        .reconstruct(&present, &[want])
+    let members: Vec<usize> = gathered.iter().map(|(m, _)| *m).collect();
+    let coefs = RsCode::shared(from.k, from.m)
+        .decode_rows(&members, &[want])
         .pop()
         .expect("one wanted member");
-    ChunkBuf::new(decoded.into_boxed_slice())
+    let leaves = zeros.leaves().iter().enumerate().map(|(i, zero)| {
+        leaf_with(zero.len(), |out| {
+            for ((_, survivor), &c) in gathered.iter().zip(&coefs) {
+                gf_mul_acc(out, &survivor.leaves()[i], c);
+            }
+        })
+    });
+    ChunkBuf::from_leaves(leaves.collect(), zeros.len() as u64, zeros.page() as u64)
 }
 
 /// Where the decoded content of a rebuilt group member lands.
@@ -280,6 +289,7 @@ pub(super) fn install_rebuilt(
     trust_decode: bool,
 ) -> Option<(VTime, u64)> {
     let chunk_size = mgr.chunk_size();
+    let zeros = zero_chunk(chunk_size, mgr.page_size());
     let at = match landing {
         Landing::InPlace { home, .. } => home,
         Landing::Rehome { dest, .. } | Landing::Materialize { dest, .. } => dest,
@@ -287,7 +297,7 @@ pub(super) fn install_rebuilt(
     let dest_node = mgr.benefactor(at).node;
     let survivors = survivors_for(mgr, gref).ok()?;
     let (mut now, mut moved) = (t, chunk_size);
-    let content = decode_member(&survivors, chunk_size, gref.member, |chunk, home| {
+    let content = decode_member(&survivors, &zeros, gref.member, |chunk, home| {
         let (read, data) = mgr.benefactor(home).read_chunk(now, chunk);
         let from = mgr.benefactor(home).node;
         now = net
@@ -296,7 +306,7 @@ pub(super) fn install_rebuilt(
         moved += chunk_size;
         data
     });
-    let crc = crc64(&content);
+    let crc = content.digest();
     // Only parity goes stale or waits for its first delta.
     let parity_index = gref.member.checked_sub(survivors.k);
     if let Landing::InPlace { chunk, .. } | Landing::Rehome { chunk, .. } = landing {
@@ -310,7 +320,7 @@ pub(super) fn install_rebuilt(
     }
     let written = match landing {
         Landing::InPlace { chunk, home } => {
-            let whole = [(0u64, &content[..])];
+            let whole = [(0u64, content.leaves())];
             mgr.benefactor_mut(home).update_chunk(now, chunk, &whole)
         }
         Landing::Rehome { chunk, dest } => {

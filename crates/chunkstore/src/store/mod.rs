@@ -24,10 +24,11 @@ mod read;
 mod repair;
 mod write;
 
-use crate::benefactor::{zero_chunk, Benefactor, ChunkBuf};
+use crate::benefactor::Benefactor;
 use crate::error::{Result, StoreError};
 use crate::ids::{BenefactorId, FileId};
 use crate::manager::{Manager, PlacementPolicy, StripeSpec};
+use crate::payload::{zero_chunk, ChunkBuf, PageRun};
 use crate::shardmgr::{ShardSet, DEFAULT_RING_SEED, DEFAULT_VNODES};
 use ::faults::FaultPlan;
 use chain::ChainScratch;
@@ -150,6 +151,18 @@ pub struct BatchWrite<'a> {
     pub updates: &'a [(u64, &'a [u8])],
 }
 
+/// [`BatchWrite`] with the runs already cut into leaves (see
+/// [`AggregateStore::write_runs_batch`]): what a client cache, which holds
+/// its chunks as leaves, hands over.
+#[derive(Clone, Copy, Debug)]
+pub struct BatchRuns<'a> {
+    pub file: FileId,
+    pub idx: usize,
+    /// `(offset_within_chunk, leaves)` runs, same contract as
+    /// [`AggregateStore::write_runs`].
+    pub updates: &'a [PageRun<'a>],
+}
+
 /// What a chunk fetch returns.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ChunkPayload {
@@ -157,15 +170,15 @@ pub enum ChunkPayload {
     /// (a file-hole read — no data crosses the network).
     Zeros,
     /// Chunk bytes shipped from its benefactor: a snapshot sharing the
-    /// stored buffer (see [`ChunkBuf`]).
+    /// stored leaves (see [`ChunkBuf`]).
     Data(ChunkBuf),
 }
 
 impl ChunkPayload {
-    /// The chunk's bytes, a hole being the shared `chunk_size` zero chunk.
-    pub fn into_buf(self, chunk_size: u64) -> ChunkBuf {
+    /// The chunk's bytes, a hole being the store's shared zero chunk.
+    pub fn into_buf(self, cfg: &StoreConfig) -> ChunkBuf {
         match self {
-            ChunkPayload::Zeros => zero_chunk(chunk_size),
+            ChunkPayload::Zeros => zero_chunk(cfg.chunk_size, cfg.page_size),
             ChunkPayload::Data(d) => d,
         }
     }
@@ -186,7 +199,7 @@ pub struct RepairReport {
 #[derive(Clone)]
 pub struct AggregateStore {
     mgr: Arc<Mutex<Manager>>,
-    /// Recycled grouping scratch for `fetch_chunks`/`write_pages_batch`.
+    /// Recycled grouping scratch for `fetch_chunks`/`write_runs_batch`.
     chain_scratch: Arc<Mutex<ChainScratch>>,
     net: Network,
     cfg: StoreConfig,
@@ -257,7 +270,7 @@ const HA_COUNTERS: &[&str] = &[
 impl AggregateStore {
     pub fn new(cfg: StoreConfig, net: Network, stats: &StatsRegistry) -> Self {
         let store = AggregateStore {
-            mgr: Arc::new(Mutex::new(Manager::new(cfg.chunk_size))),
+            mgr: Arc::new(Mutex::new(Manager::new(cfg.chunk_size, cfg.page_size))),
             chain_scratch: Arc::new(Mutex::new(ChainScratch::default())),
             net,
             cfg,

@@ -3,12 +3,11 @@
 
 use super::meta::MgrOp;
 use super::{copies, AggregateStore, ChunkPayload, RETRY_BACKOFF, RPC_BYTES};
-use crate::benefactor::ChunkBuf;
-use crate::crc::crc64;
 use crate::error::{Result, StoreError};
 use crate::ids::{BenefactorId, ChunkId, FileId};
 use crate::loc_cache::{CachedLoc, LocationCache};
 use crate::manager::{FileMeta, GroupRef, Manager, Slot};
+use crate::payload::{zero_chunk, ChunkBuf};
 use crate::segments::segments;
 use obs::{Layer, SpanGuard};
 use simcore::VTime;
@@ -162,7 +161,7 @@ impl AggregateStore {
                     let (arrived, data) = self.pull_chunk(t, client_node, home, c);
                     if self.cfg.verify_reads {
                         let expected = self.mgr.lock().chunk_crc(c).expect("chunk without crc");
-                        if crc64(&data) != expected {
+                        if data.digest() != expected {
                             self.stats.counter("store.crc_mismatches").inc();
                             self.trace.instant(
                                 Layer::Store,
@@ -261,15 +260,15 @@ impl AggregateStore {
             (survivors, primary, mgr.benefactor(primary).node, expected)
         };
         let mut end = t;
-        let chunk_size = self.cfg.chunk_size;
-        let data = copies::decode_member(&survivors, chunk_size, gref.member, |chunk, home| {
+        let zeros = zero_chunk(self.cfg.chunk_size, self.cfg.page_size);
+        let data = copies::decode_member(&survivors, &zeros, gref.member, |chunk, home| {
             let (arrived, data) = self.pull_chunk(t, client_node, home, chunk);
             end = end.max(arrived);
             data
         });
         // The decode must land exactly on the recorded digest; anything
         // else means a survivor lied and the store refuses to serve it.
-        if crc64(&data) != expected {
+        if data.digest() != expected {
             return Err(StoreError::ChunkCorrupt {
                 chunk: lost,
                 benefactor: primary,
@@ -464,9 +463,7 @@ impl AggregateStore {
             t = t2;
             match payload {
                 ChunkPayload::Zeros => buf[s.pos..s.pos + s.take].fill(0),
-                ChunkPayload::Data(chunk) => {
-                    buf[s.pos..s.pos + s.take].copy_from_slice(&chunk[s.within..s.within + s.take])
-                }
+                ChunkPayload::Data(chunk) => chunk.read(s.within, &mut buf[s.pos..s.pos + s.take]),
             }
         }
         Ok(t)

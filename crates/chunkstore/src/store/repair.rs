@@ -6,7 +6,6 @@
 
 use super::copies::{self, Landing};
 use super::{AggregateStore, RepairReport, ScrubConfig, INTEGRITY_COUNTERS};
-use crate::crc::crc64;
 use crate::ids::{BenefactorId, ChunkId, FileId};
 use crate::manager::{GroupRef, Manager, Slot};
 use obs::Layer;
@@ -166,7 +165,7 @@ impl AggregateStore {
             now = g.end;
             st.scrubbed[h.0] += 1;
             *verified += 1;
-            if crc64(&data) != expected {
+            if data.digest() != expected {
                 st.bad[h.0] += 1;
                 self.stats.counter("store.crc_mismatches").inc();
                 self.trace.instant(

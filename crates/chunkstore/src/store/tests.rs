@@ -9,6 +9,7 @@ use netsim::NetConfig;
 use simcore::time::bytes::mib;
 
 const CHUNK: u64 = 256 * 1024;
+const PAGE: u64 = 4096;
 
 /// A 4-node store: manager on node 0, benefactors on nodes 1 and 2,
 /// client drives from node 3.
@@ -107,7 +108,7 @@ fn write_pages_accepts_disjoint_runs_in_any_order() {
         .unwrap();
     assert_eq!(store.count_corrupt_copies(), 0);
     let (_, payload) = store.fetch_chunk(t, 3, f, 0).unwrap();
-    let data = payload.into_buf(CHUNK);
+    let data = payload.into_buf(store.config());
     assert_eq!((data[0], data[4096], data[8192], data[12288]), (2, 1, 1, 0));
 }
 
@@ -187,6 +188,8 @@ fn cow_preserves_checkpoint_content() {
         (ChunkPayload::Data(v), ChunkPayload::Data(c)) => {
             assert_eq!(v[0], 0xB);
             assert_eq!(c[0], 0xA);
+            // The clone shares every page the variable did not rewrite.
+            assert_eq!(v.shared_leaves(&c), 63);
         }
         _ => panic!("expected data"),
     }
@@ -493,10 +496,16 @@ fn verified_read_fails_over_on_corrupt_replica_and_repairs() {
         (homes[0], homes[1])
     };
     store.manager().benefactor_mut(primary).corrupt_chunk(c, 5);
-    // Both homes were handed the one composed buffer; the rot takes a
-    // private copy and stays on the home it hit.
+    // Both homes were handed the one fresh table; the rot takes a private
+    // copy of the leaf it hit and stays on that home.
     assert!(!copies::is_clean(&store.manager(), c, primary));
     assert!(copies::is_clean(&store.manager(), c, replica));
+    {
+        let mgr = store.manager();
+        let (bad, good) = (mgr.benefactor(primary), mgr.benefactor(replica));
+        let (bad, good) = (bad.peek_chunk(c).unwrap(), good.peek_chunk(c).unwrap());
+        assert_eq!(bad.shared_leaves(good), 63);
+    }
     assert_eq!(store.count_corrupt_copies(), 1);
 
     // The read detects the rot, fails over to the replica and returns
@@ -621,7 +630,7 @@ fn whole_chunk_overwrite_of_a_rotten_sole_copy_heals_it() {
         );
         assert_eq!(store.count_corrupt_copies(), 0);
         let (_, payload) = store.fetch_chunk(t, client, f, 0).unwrap();
-        assert_eq!(payload.into_buf(CHUNK)[..], sevens[..]);
+        assert!(payload.into_buf(store.config()) == sevens[..]);
     }
 }
 
@@ -658,12 +667,19 @@ fn torn_write_tears_only_the_armed_home() {
     let data = vec![3u8; CHUNK as usize];
     let t = store.write_span(VTime::ZERO, client, f, 0, &data).unwrap();
     let c = chunk_of(&store, f, 0);
-    // The fresh write handed both homes the same buffer; the tear
-    // truncated a private copy of it.
+    // The fresh write handed both homes the same table; the tear
+    // truncated a private copy of it, which still shares the half that
+    // landed.
     assert!(copies::is_clean(&store.manager(), c, BenefactorId(0)));
     assert!(!copies::is_clean(&store.manager(), c, BenefactorId(1)));
+    {
+        let mgr = store.manager();
+        let whole = mgr.benefactor(BenefactorId(0)).peek_chunk(c).unwrap();
+        let torn = mgr.benefactor(BenefactorId(1)).peek_chunk(c).unwrap();
+        assert_eq!(whole.shared_leaves(torn), 32);
+    }
     let (_, payload) = store.fetch_chunk(t, client, f, 0).unwrap();
-    assert_eq!(payload.into_buf(CHUNK)[..], data[..]);
+    assert!(payload.into_buf(store.config()) == data[..]);
 }
 
 #[test]
@@ -674,8 +690,8 @@ fn fetched_payload_is_a_snapshot_of_the_serving_copy() {
     let fives = vec![5u8; CHUNK as usize];
     let t = store.write_span(VTime::ZERO, client, f, 0, &fives).unwrap();
     let (t, payload) = store.fetch_chunk(t, client, f, 0).unwrap();
-    // The payload shares the stored buffer; rot and an in-place update on
-    // the benefactor that served it must each copy first.
+    // The payload shares the stored leaves; rot and an in-place update on
+    // the benefactor that served it must each un-share what they touch.
     let c = chunk_of(&store, f, 0);
     store
         .manager()
@@ -684,14 +700,14 @@ fn fetched_payload_is_a_snapshot_of_the_serving_copy() {
     store
         .write_pages(t, client, f, 0, &[(8192, &[9u8; 4096])])
         .unwrap();
-    assert_eq!(payload.into_buf(CHUNK)[..], fives[..]);
-    let stored = store
-        .manager()
-        .benefactor(BenefactorId(0))
-        .peek_chunk(c)
-        .unwrap()
-        .to_vec();
+    let payload = payload.into_buf(store.config());
+    assert!(payload == fives[..]);
+    let mgr = store.manager();
+    let stored = mgr.benefactor(BenefactorId(0)).peek_chunk(c).unwrap();
     assert_eq!((stored[100], stored[8192]), (5 ^ 0xFF, 9));
+    // Leaf 0 rotted and leaf 2 was rewritten; the other 62 are still the
+    // allocations the payload holds.
+    assert_eq!(payload.shared_leaves(stored), 62);
 }
 
 #[test]
@@ -1269,10 +1285,7 @@ fn parity_write_materializes_parity_and_reads_back() {
     assert_eq!(stats.get("store.parity_bytes"), 2 * CHUNK);
     // Reads are undegraded and roundtrip.
     let (_, payload) = store.fetch_chunk(t, client, f, 0).unwrap();
-    assert_eq!(
-        payload,
-        ChunkPayload::Data(ChunkBuf::new(a.clone().into_boxed_slice()))
-    );
+    assert_eq!(payload, ChunkPayload::Data(ChunkBuf::from_bytes(&a, PAGE)));
 }
 
 #[test]
@@ -1300,7 +1313,7 @@ fn parity_updates_are_o_dirty_not_full_group() {
     want[8192..8192 + 4096].copy_from_slice(&page);
     assert_eq!(
         payload,
-        ChunkPayload::Data(ChunkBuf::new(want.into_boxed_slice()))
+        ChunkPayload::Data(ChunkBuf::from_bytes(&want, PAGE))
     );
     assert_eq!(stats.get("store.degraded_reconstructs"), 1);
 }
@@ -1319,7 +1332,7 @@ fn degraded_read_reconstructs_after_crash_with_zero_wrong_bytes() {
     let (_, payload) = store.fetch_chunk(t, client, f, 0).unwrap();
     assert_eq!(
         payload,
-        ChunkPayload::Data(ChunkBuf::new(a.into_boxed_slice())),
+        ChunkPayload::Data(ChunkBuf::from_bytes(&a, PAGE)),
         "reconstructed bytes are exactly the lost member"
     );
     assert_eq!(stats.get("store.degraded_reconstructs"), 1);
@@ -1352,6 +1365,61 @@ fn losing_more_than_m_members_is_a_deterministic_error() {
     );
     // Identical on retry: deterministic, never silent.
     assert_eq!(store.fetch_chunk(t, client, f, 0).unwrap_err(), err);
+}
+
+/// RS(2, 1) file with both members written, linked into a checkpoint
+/// which is then deleted: the scenario of ROADMAP item 1a.
+fn deleted_checkpoint_of_an_rs_file(store: &AggregateStore, client: usize) -> (VTime, FileId) {
+    let f = make_file_parity(store, client, "/m", 2 * CHUNK, 2, 1);
+    let mut t = store
+        .write_pages(VTime::ZERO, client, f, 0, &[(0, &pattern(0x11))])
+        .unwrap();
+    t = store
+        .write_pages(t, client, f, 1, &[(0, &pattern(0x22))])
+        .unwrap();
+    let (t2, ckpt) = store.create_file(t, client, "/ckpt").unwrap();
+    t = store.link_file(t2, client, ckpt, f).unwrap();
+    (store.delete(t, client, ckpt).unwrap(), f)
+}
+
+#[test]
+fn deleting_a_checkpoint_leaves_the_live_file_reconstructible() {
+    // The checkpoint only links the chunks; the parity group is the RS
+    // file's, and one lost home (≤ m) must still decode.
+    let (store, stats) = store_n(3);
+    let client = 4;
+    let (t, f) = deleted_checkpoint_of_an_rs_file(&store, client);
+    let c = chunk_of(&store, f, 0);
+    let home = store.manager().chunk_home(c).unwrap();
+    store.set_benefactor_alive(home, false);
+    let (_, payload) = store.fetch_chunk(t, client, f, 0).unwrap();
+    assert!(payload.into_buf(store.config()) == pattern(0x11)[..]);
+    assert_eq!(stats.get("store.degraded_reconstructs"), 1);
+}
+
+#[test]
+fn deleting_a_checkpoint_journals_no_unlink_of_the_live_files_groups() {
+    // The journal-replay twin: a standby that takes over after the delete
+    // replays a log in which the RS file's members are still grouped.
+    let (store, _) = store_ha(true);
+    let ssd = Ssd::new("b2.ssd", INTEL_X25E, &StatsRegistry::new());
+    store.add_benefactor(Benefactor::new(3, ssd, mib(64), CHUNK));
+    let (_, f) = deleted_checkpoint_of_an_rs_file(&store, 3);
+    let mgr = store.manager();
+    let image = mgr.unload_journal(0).expect("journaling is on");
+    let (_, replayed, _) = crate::journal::load_image(&image).expect("image decodes");
+    mgr.verify_replayed(&replayed);
+    for (member, idx) in [0usize, 1].into_iter().enumerate() {
+        let Slot::Chunk(c) = mgr.file(f).unwrap().slots[idx] else {
+            panic!("slot {idx} not materialized");
+        };
+        assert_eq!(
+            replayed.groups.get(&c),
+            Some(&(f.0, 0, member as u32)),
+            "member {member} lost its group in the journal"
+        );
+        assert!(mgr.group_of_chunk(c).is_some());
+    }
 }
 
 #[test]
@@ -1555,10 +1623,7 @@ fn scrub_rebuilds_corrupt_sole_copy_group_member_in_place() {
     let (_, payload) = store
         .fetch_chunk(t + VTime::from_millis(2), client, f, 0)
         .unwrap();
-    assert_eq!(
-        payload,
-        ChunkPayload::Data(ChunkBuf::new(a.into_boxed_slice()))
-    );
+    assert_eq!(payload, ChunkPayload::Data(ChunkBuf::from_bytes(&a, PAGE)));
 }
 
 #[test]
@@ -1585,10 +1650,7 @@ fn repair_parity_groups_rehomes_dead_members() {
     // And it reads back cleanly (no degraded path) with b0 still dead.
     let before = stats.get("store.degraded_reads");
     let (_, payload) = store.fetch_chunk(t2, client, f, 0).unwrap();
-    assert_eq!(
-        payload,
-        ChunkPayload::Data(ChunkBuf::new(a.into_boxed_slice()))
-    );
+    assert_eq!(payload, ChunkPayload::Data(ChunkBuf::from_bytes(&a, PAGE)));
     assert_eq!(stats.get("store.degraded_reads"), before);
 }
 
@@ -1649,7 +1711,7 @@ fn stale_parity_is_flagged_and_reencoded_by_repair() {
     let (_, payload) = store.fetch_chunk(t3, client, f, 0).unwrap();
     assert_eq!(
         payload,
-        ChunkPayload::Data(ChunkBuf::new(want_a.into_boxed_slice()))
+        ChunkPayload::Data(ChunkBuf::from_bytes(&want_a, PAGE))
     );
 }
 
@@ -1771,7 +1833,7 @@ fn standby_takeover_replays_journal_and_loses_nothing() {
     );
     assert_eq!(
         payload,
-        ChunkPayload::Data(ChunkBuf::new(data.clone().into_boxed_slice()))
+        ChunkPayload::Data(ChunkBuf::from_bytes(&data, PAGE))
     );
     assert_eq!(stats.get("store.mgr_failovers"), 1);
     assert_eq!(stats.get("store.journal_replays"), 1);
@@ -1782,10 +1844,7 @@ fn standby_takeover_replays_journal_and_loses_nothing() {
     assert!(store.manager().placement_epoch() > epoch_before);
     // Acked writes survived: both chunks read back post-takeover.
     let (_, p1) = store.fetch_chunk(t2, 3, f, 1).unwrap();
-    assert_eq!(
-        p1,
-        ChunkPayload::Data(ChunkBuf::new(data.into_boxed_slice()))
-    );
+    assert_eq!(p1, ChunkPayload::Data(ChunkBuf::from_bytes(&data, PAGE)));
 }
 
 #[test]
@@ -1824,10 +1883,7 @@ fn sharded_standby_promotion_repoints_endpoint_and_revokes_leases() {
     // Every acked write reads back across the outage…
     for idx in 0..4 {
         let (_, p) = store.fetch_chunk(crash, 3, f, idx).unwrap();
-        assert_eq!(
-            p,
-            ChunkPayload::Data(ChunkBuf::new(data.clone().into_boxed_slice()))
-        );
+        assert_eq!(p, ChunkPayload::Data(ChunkBuf::from_bytes(&data, PAGE)));
     }
     // …and a namespace op (always rank 0, the root shard) guarantees
     // the crashed rank was probed even if slot hashing dodged it.

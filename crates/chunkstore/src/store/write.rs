@@ -3,21 +3,23 @@
 //! (DESIGN.md §7, §8, §11, §15).
 
 use super::meta::MgrOp;
-use super::{copies, AggregateStore, BatchWrite};
-use crate::benefactor::{zero_chunk, Benefactor, ChunkBuf};
+use super::{copies, AggregateStore, BatchRuns, BatchWrite};
+use crate::benefactor::Benefactor;
 use crate::crc;
 use crate::error::{Result, StoreError};
 use crate::ids::{BenefactorId, FileId};
 use crate::manager::{Manager, Slot};
+use crate::payload::{
+    cut_runs, leaf_with, run_len, run_views, zero_chunk, ChunkBuf, Leaf, PageRun,
+};
 use crate::rs::{gf_mul_acc, RsCode};
 use crate::segments::segments;
 use obs::Layer;
 use simcore::VTime;
-use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::ops::Deref;
+use std::sync::Arc;
 
-/// Deferred parity work for one `write_pages_batch` call: per touched
+/// Deferred parity work for one `write_runs_batch` call: per touched
 /// (file, group), the parity deltas of every contributing entry, merged
 /// by XOR when the group ships. Linearity of RS over GF(2^8) makes the
 /// merge exact — parity for the whole group ships once per batch instead
@@ -28,9 +30,10 @@ struct ParityBatch {
     groups: BTreeMap<(FileId, usize), GroupDeltas>,
 }
 
-/// Dirty runs `(chunk offset, delta bytes)` for one parity member,
-/// produced by one write's incremental encode.
-type DeltaRuns = Vec<(u64, Box<[u8]>)>;
+/// Dirty runs `(chunk offset, delta leaves)` for one parity member,
+/// produced by one write's incremental encode: the owned form of a
+/// [`PageRun`], cut on the same page grid as the write it came from.
+type DeltaRuns = Vec<(u64, Vec<Leaf>)>;
 
 /// The parity deltas contributed to one (file, group) within a batch.
 #[derive(Default)]
@@ -56,43 +59,56 @@ impl ParityBatch {
     }
 }
 
+/// A run's pieces with the chunk offset each starts at.
+fn placed<'a>((off, pieces): PageRun<'a>) -> impl Iterator<Item = (u64, &'a Leaf)> {
+    pieces.iter().scan(off, |pos, piece| {
+        let at = *pos;
+        *pos += piece.len() as u64;
+        Some((at, piece))
+    })
+}
+
 /// Coalesce one parity member's contributed runs into disjoint ones, one
 /// per maximal interval of overlapping or touching runs. An interval one
-/// run covers alone ships that run's buffer as it is; only where several
+/// run covers alone ships that run's leaves as they are; only where several
 /// contributions meet (two members dirty at the same offsets) are they
-/// XOR-merged, into a buffer the size of the interval.
-fn merge_runs(runs: &[(u64, Box<[u8]>)]) -> Vec<(u64, Cow<'_, [u8]>)> {
-    let mut order: Vec<&(u64, Box<[u8]>)> = runs.iter().collect();
+/// XOR-merged, leaf by leaf, into pieces cut on the same `page` grid.
+fn merge_runs(runs: &[(u64, Vec<Leaf>)], page: u64) -> DeltaRuns {
+    let mut order: Vec<&(u64, Vec<Leaf>)> = runs.iter().collect();
     order.sort_by_key(|(off, _)| *off);
     let mut merged = Vec::with_capacity(order.len());
     let mut i = 0;
     while i < order.len() {
         let (start, first) = (order[i].0, &order[i].1);
-        let mut end = start + first.len() as u64;
+        let mut end = start + run_len(first);
         let mut j = i + 1;
         while j < order.len() && order[j].0 <= end {
-            end = end.max(order[j].0 + order[j].1.len() as u64);
+            end = end.max(order[j].0 + run_len(&order[j].1));
             j += 1;
         }
-        let bytes = if j == i + 1 {
-            Cow::Borrowed(&first[..])
+        let pieces = if j == i + 1 {
+            first.clone()
         } else {
-            let mut buf = vec![0u8; (end - start) as usize];
-            for (off, d) in &order[i..j] {
-                // · 1: a plain XOR, at the kernel's width.
-                gf_mul_acc(&mut buf[(off - start) as usize..][..d.len()], d, 1);
+            let mut cells: Vec<Leaf> = segments(start, end - start, page)
+                .map(|cell| leaf_with(cell.take, |_| ()))
+                .collect();
+            for &&(off, ref run) in &order[i..j] {
+                for (pos, piece) in placed((off, run)) {
+                    // A contributed piece never straddles a page, so it
+                    // falls inside one cell.
+                    let cell = (pos / page - start / page) as usize;
+                    let at = (pos - start.max(pos / page * page)) as usize;
+                    let out = Arc::get_mut(&mut cells[cell]).expect("a fresh leaf is unshared");
+                    // · 1: a plain XOR, at the kernel's width.
+                    gf_mul_acc(&mut out[at..at + piece.len()], piece, 1);
+                }
             }
-            Cow::Owned(buf)
+            cells
         };
-        merged.push((start, bytes));
+        merged.push((start, pieces));
         i = j;
     }
     merged
-}
-
-/// Borrowed `(offset, bytes)` views of owned runs.
-fn views<D: Deref<Target = [u8]>>(runs: &[(u64, D)]) -> Vec<(u64, &[u8])> {
-    runs.iter().map(|(off, d)| (*off, &d[..])).collect()
 }
 
 /// `crc` — the digest of a `chunk_len`-byte chunk — after `runs` are
@@ -100,32 +116,34 @@ fn views<D: Deref<Target = [u8]>>(runs: &[(u64, D)]) -> Vec<(u64, &[u8])> {
 /// splice per run, no byte of the chunk read. Over the all-zeros chunk the
 /// XOR *is* the write; runs never overlap (`validate_updates` rejects any
 /// that do, `merge_runs` coalesces them), which the algebra relies on.
-fn splice_runs(crc: u64, chunk_len: u64, runs: &[(u64, &[u8])]) -> u64 {
-    runs.iter().fold(crc, |crc, (off, d)| {
-        crc::crc64_splice_fresh(crc, chunk_len, *off, d)
+fn splice_runs(crc: u64, chunk_len: u64, runs: &[PageRun<'_>]) -> u64 {
+    runs.iter().fold(crc, |crc, &(off, pieces)| {
+        crc::crc64_splice_fresh(crc, chunk_len, off, pieces.iter().map(|p| &p[..]))
     })
 }
 
 /// Digest of a zero chunk with `runs` applied, computed without scanning
 /// (or building) the chunk.
-fn digest_of_runs(chunk_len: u64, runs: &[(u64, &[u8])]) -> u64 {
+fn digest_of_runs(chunk_len: u64, runs: &[PageRun<'_>]) -> u64 {
     splice_runs(crc::crc64_zeros(chunk_len), chunk_len, runs)
 }
 
-/// A zero chunk with `runs` applied.
-fn compose(chunk_len: u64, runs: &[(u64, &[u8])]) -> ChunkBuf {
-    let mut data = vec![0u8; chunk_len as usize].into_boxed_slice();
-    for (off, d) in runs {
-        data[*off as usize..*off as usize + d.len()].copy_from_slice(d);
+/// A zero chunk with `runs` applied: the shared zero table un-shared, the
+/// written leaves replaced — an unwritten page stays the one zero leaf.
+fn fresh_chunk(chunk_len: u64, page: u64, runs: &[PageRun<'_>]) -> ChunkBuf {
+    let mut chunk = zero_chunk(chunk_len, page);
+    for &run in runs {
+        chunk.write_run(run, usize::MAX);
     }
-    ChunkBuf::new(data)
+    chunk
 }
 
 impl AggregateStore {
     /// Write back dirty pages of chunk `idx` (the FUSE eviction path).
     ///
-    /// `updates` are `(offset_within_chunk, bytes)` runs. Handles all
-    /// three slot states:
+    /// `updates` are `(offset_within_chunk, leaves)` runs ([`PageRun`]):
+    /// whole-page pieces are handed to the benefactors, never copied.
+    /// Handles all three slot states:
     ///
     /// * unmaterialized → materialize a fresh chunk (zeros + updates);
     /// * exclusive chunk → in-place page update;
@@ -143,13 +161,13 @@ impl AggregateStore {
     /// overwrite, or any overwrite of a parity-group member) and no live
     /// copy still matches the recorded CRC ([`StoreError::ChunkCorrupt`]:
     /// the write would otherwise launder the rot into the new digest).
-    pub fn write_pages(
+    pub fn write_runs(
         &self,
         t: VTime,
         client_node: usize,
         file: FileId,
         idx: usize,
-        updates: &[(u64, &[u8])],
+        updates: &[PageRun<'_>],
     ) -> Result<VTime> {
         self.validate_updates(updates);
         self.poll_faults(t);
@@ -159,6 +177,21 @@ impl AggregateStore {
         let end = self.write_pages_inner(t, client_node, file, idx, updates, None)?;
         sp.finish(end);
         Ok(end)
+    }
+
+    /// [`Self::write_runs`] for a caller holding plain bytes: the
+    /// `(offset_within_chunk, bytes)` runs are cut into leaves on the page
+    /// grid (the one copy they get) and take the same path.
+    pub fn write_pages(
+        &self,
+        t: VTime,
+        client_node: usize,
+        file: FileId,
+        idx: usize,
+        updates: &[(u64, &[u8])],
+    ) -> Result<VTime> {
+        let cut = cut_runs(self.cfg.page_size, updates);
+        self.write_runs(t, client_node, file, idx, &run_views(&cut))
     }
 
     /// Batched write-back: one manager RPC covers every entry, then the
@@ -171,15 +204,15 @@ impl AggregateStore {
     /// first, keeping resource requests in non-decreasing virtual time.
     /// Returns per-entry completion times in input order (a flush's
     /// completion is their max). Replication semantics per entry are
-    /// identical to [`Self::write_pages`]: each entry independently ships
+    /// identical to [`Self::write_runs`]: each entry independently ships
     /// to every live home and drops dead ones; an entry with no live home
     /// runs unchained from the resolution time and surfaces the same
     /// error the serial path would.
-    pub fn write_pages_batch(
+    pub fn write_runs_batch(
         &self,
         t: VTime,
         client_node: usize,
-        entries: &[BatchWrite<'_>],
+        entries: &[BatchRuns<'_>],
     ) -> Result<Vec<VTime>> {
         if entries.is_empty() {
             return Ok(Vec::new());
@@ -235,8 +268,9 @@ impl AggregateStore {
             let flush_at = ends.iter().copied().max().unwrap_or(t);
             let mut mgr = self.mgr.lock();
             for ((file, group), gd) in std::mem::take(&mut pbatch.groups) {
-                let merged: Vec<_> = gd.runs.iter().map(|runs| merge_runs(runs)).collect();
-                let deltas: Vec<_> = merged.iter().map(|runs| views(runs)).collect();
+                let page = self.cfg.page_size;
+                let merged: Vec<_> = gd.runs.iter().map(|runs| merge_runs(runs, page)).collect();
+                let deltas: Vec<_> = merged.iter().map(|runs| run_views(runs)).collect();
                 let pend =
                     self.ship_parity_deltas(&mut mgr, flush_at, client_node, file, group, &deltas)?;
                 for &i in &gd.contributors {
@@ -248,8 +282,27 @@ impl AggregateStore {
         Ok(ends)
     }
 
+    /// [`Self::write_runs_batch`] for a caller holding plain bytes, cut
+    /// into leaves like [`Self::write_pages`] cuts them.
+    pub fn write_pages_batch(
+        &self,
+        t: VTime,
+        client_node: usize,
+        entries: &[BatchWrite<'_>],
+    ) -> Result<Vec<VTime>> {
+        let page = self.cfg.page_size;
+        let cut: Vec<_> = entries.iter().map(|e| cut_runs(page, e.updates)).collect();
+        let views: Vec<_> = cut.iter().map(|runs| run_views(runs)).collect();
+        let runs = entries.iter().zip(&views).map(|(e, updates)| BatchRuns {
+            file: e.file,
+            idx: e.idx,
+            updates,
+        });
+        self.write_runs_batch(t, client_node, &runs.collect::<Vec<_>>())
+    }
+
     /// The benefactor a write to `(file, idx)` primarily lands on — the
-    /// chain-grouping key for [`Self::write_pages_batch`]. `None` when no
+    /// chain-grouping key for [`Self::write_runs_batch`]. `None` when no
     /// listed home is alive or the slot does not resolve; such entries
     /// run unchained and reproduce the serial path's outcome.
     fn primary_live_home(mgr: &Manager, file: FileId, idx: usize) -> Option<BenefactorId> {
@@ -263,8 +316,8 @@ impl AggregateStore {
         }
     }
 
-    fn validate_updates(&self, updates: &[(u64, &[u8])]) {
-        let dirty_bytes: u64 = updates.iter().map(|(_, d)| d.len() as u64).sum();
+    fn validate_updates(&self, updates: &[PageRun<'_>]) {
+        let dirty_bytes: u64 = updates.iter().map(|(_, d)| run_len(d)).sum();
         assert!(dirty_bytes > 0, "write_pages with no updates");
         // The digest splice and the parity deltas take the runs to be
         // disjoint: an overlap would record a CRC the stored bytes do not
@@ -272,16 +325,24 @@ impl AggregateStore {
         // vetted in this pass; any other order is sorted first.
         let mut ascending = true;
         let mut prev_end = 0;
-        for (off, data) in updates {
-            let end = off + data.len() as u64;
+        let page = self.cfg.page_size;
+        for &(off, pieces) in updates {
+            let end = off + run_len(pieces);
             assert!(end <= self.cfg.chunk_size, "update outside chunk");
-            ascending &= *off >= prev_end;
+            // Landing, splicing and the deltas all walk a run piece by
+            // piece against the stored leaves: each piece inside one page.
+            let fits = |(pos, piece): (u64, &Leaf)| pos % page + piece.len() as u64 <= page;
+            assert!(
+                placed((off, pieces)).all(fits),
+                "run not cut on the page grid"
+            );
+            ascending &= off >= prev_end;
             prev_end = end;
         }
         if !ascending {
             let mut spans: Vec<(u64, u64)> = updates
                 .iter()
-                .map(|(off, d)| (*off, off + d.len() as u64))
+                .map(|(off, d)| (*off, off + run_len(d)))
                 .collect();
             spans.sort_unstable();
             assert!(
@@ -303,11 +364,11 @@ impl AggregateStore {
         client_node: usize,
         file: FileId,
         idx: usize,
-        updates: &[(u64, &[u8])],
+        updates: &[PageRun<'_>],
         defer: Option<(usize, &mut ParityBatch)>,
     ) -> Result<VTime> {
-        let dirty_bytes: u64 = updates.iter().map(|(_, d)| d.len() as u64).sum();
-        let chunk_len = self.cfg.chunk_size;
+        let dirty_bytes: u64 = updates.iter().map(|(_, d)| run_len(d)).sum();
+        let (chunk_len, page) = (self.cfg.chunk_size, self.cfg.page_size);
         let mut mgr = self.mgr.lock();
         let meta = self.slot_in(&mgr, file, idx)?;
         let slot = meta.slots[idx];
@@ -436,13 +497,14 @@ impl AggregateStore {
         // vetted base and before the write lands on it.
         let (new_crc, deltas) = {
             let base = base.map(|(c, h)| {
-                let bytes = mgr.benefactor(h).peek_chunk(c).expect("live copy present");
-                (mgr.chunk_crc(c).expect("chunk without crc"), bytes)
+                let stored = mgr.benefactor(h).peek_chunk(c).expect("live copy present");
+                (mgr.chunk_crc(c).expect("chunk without crc"), stored)
             });
             let new_crc = match base {
-                Some((recorded, bytes)) => updates.iter().fold(recorded, |crc, (off, d)| {
-                    let old = &bytes[*off as usize..*off as usize + d.len()];
-                    crc::crc64_splice(crc, chunk_len, *off, old, d)
+                Some((recorded, stored)) => updates.iter().fold(recorded, |crc, &run| {
+                    let pieces =
+                        placed(run).map(|(pos, new)| (stored.piece(pos, new.len()), &new[..]));
+                    crc::crc64_splice(crc, chunk_len, run.0, pieces)
                 }),
                 None => digest_of_runs(chunk_len, updates),
             };
@@ -450,17 +512,18 @@ impl AggregateStore {
                 let code = RsCode::shared(k, m);
                 let zeros;
                 let old = match base {
-                    Some((_, bytes)) => bytes,
+                    Some((_, stored)) => stored,
                     None => {
-                        zeros = zero_chunk(chunk_len);
-                        &zeros[..]
+                        zeros = zero_chunk(chunk_len, page);
+                        &zeros
                     }
                 };
-                let delta_of = |p, (off, new): &(u64, &[u8])| {
-                    let mut out = vec![0u8; new.len()].into_boxed_slice();
-                    let old = &old[*off as usize..*off as usize + new.len()];
-                    code.parity_delta(p, member, old, new, &mut out);
-                    (*off, out)
+                let delta_of = |p, run: &PageRun<'_>| {
+                    let delta = |(pos, new): (u64, &Leaf)| {
+                        let old = old.piece(pos, new.len());
+                        leaf_with(new.len(), |out| code.parity_delta(p, member, old, new, out))
+                    };
+                    (run.0, placed(*run).map(delta).collect())
                 };
                 let deltas: Vec<DeltaRuns> = (0..m)
                     .map(|p| updates.iter().map(|run| delta_of(p, run)).collect())
@@ -472,14 +535,15 @@ impl AggregateStore {
 
         let mut end = match slot {
             Slot::Unmaterialized | Slot::Hole => {
-                // First write: compose zeros + updates on every live copy.
-                // Unmaterialized slots consume their fallocate reservation;
-                // hole writes allocate unreserved space (checked above).
-                // Every home holds the one composed buffer: a count bump
-                // per extra replica, a move for the last.
+                // First write: the zero chunk with the written leaves
+                // replaced, on every live copy. Unmaterialized slots
+                // consume their fallocate reservation; hole writes
+                // allocate unreserved space (checked above). Every home
+                // holds the one table: a count bump per extra replica, a
+                // move for the last.
                 let consumes_reservation = matches!(slot, Slot::Unmaterialized);
                 let mut handles =
-                    std::iter::repeat_n(compose(chunk_len, updates), live_homes.len());
+                    std::iter::repeat_n(fresh_chunk(chunk_len, page, updates), live_homes.len());
                 let c = mgr.new_chunk_id(live_homes.clone(), target, new_crc);
                 let ship = |b: &mut Benefactor, at| {
                     let data = handles.next().expect("one handle per home");
@@ -519,7 +583,7 @@ impl AggregateStore {
             match defer {
                 Some((i, batch)) => batch.absorb(file, group, i, deltas),
                 None => {
-                    let runs: Vec<_> = deltas.iter().map(|runs| views(runs)).collect();
+                    let runs: Vec<_> = deltas.iter().map(|runs| run_views(runs)).collect();
                     let pend =
                         self.ship_parity_deltas(&mut mgr, t, client_node, file, group, &runs)?;
                     end = end.max(pend);
@@ -547,9 +611,9 @@ impl AggregateStore {
         client_node: usize,
         file: FileId,
         group: usize,
-        deltas: &[Vec<(u64, &[u8])>],
+        deltas: &[Vec<PageRun<'_>>],
     ) -> Result<VTime> {
-        let chunk_len = self.cfg.chunk_size;
+        let (chunk_len, page) = (self.cfg.chunk_size, self.cfg.page_size);
         let mut end = t;
         let tasks: Vec<(usize, Slot, bool, BenefactorId)> = {
             let meta = mgr.file(file)?;
@@ -570,7 +634,7 @@ impl AggregateStore {
                 continue;
             }
             let runs = &deltas[p];
-            let dirty: u64 = runs.iter().map(|(_, d)| d.len() as u64).sum();
+            let dirty: u64 = runs.iter().map(|(_, d)| run_len(d)).sum();
             let home = match slot {
                 Slot::Unmaterialized => Some(reserve).filter(|&h| mgr.benefactor(h).is_alive()),
                 Slot::Chunk(pc) => copies::trusted_copy(mgr, pc, |_| true),
@@ -588,7 +652,7 @@ impl AggregateStore {
             } else {
                 // First delta materializes the member: old content is
                 // zeros, so the delta is the content.
-                let mut data = Some(compose(chunk_len, runs));
+                let mut data = Some(fresh_chunk(chunk_len, page, runs));
                 let c = mgr.new_chunk_id(vec![home], 1, digest_of_runs(chunk_len, runs));
                 let ship = |b: &mut Benefactor, at| {
                     let data = data.take().expect("one home");

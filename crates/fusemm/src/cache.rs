@@ -33,9 +33,9 @@ use std::collections::{BTreeSet, HashMap};
 /// One cached chunk.
 #[derive(Debug)]
 pub struct CacheEntry {
-    /// The chunk as fetched, shared with wherever it came from (a
-    /// benefactor's stored copy, the zero chunk) until the first write
-    /// through `Arc::make_mut` takes a private copy.
+    /// The chunk as fetched, sharing its leaves with wherever it came
+    /// from (a benefactor's stored copy, the zero chunk): a write copies
+    /// the pages it dirties, and a write-back hands those pages on.
     pub data: ChunkBuf,
     pub dirty: DirtyPages,
     /// LRU tick of the last touch.
@@ -371,7 +371,7 @@ mod tests {
     }
 
     fn data() -> ChunkBuf {
-        chunkstore::zero_chunk(256)
+        chunkstore::zero_chunk(256, 256)
     }
 
     #[test]

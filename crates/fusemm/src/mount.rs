@@ -23,7 +23,7 @@
 //! |---|---|---|
 //! | window of one step | one segment / one dirty chunk | every segment whose chunks fit the cache / every dirty chunk |
 //! | dirty eviction victims | written synchronously on the caller's clock, one store call each | one batched write the caller never waits for |
-//! | store calls | `fetch_chunk` / `write_pages`: a manager resolution per chunk | `fetch_chunks` / `write_pages_batch`: one resolution per batch, `LocationCache`, per-benefactor chains overlapped |
+//! | store calls | `fetch_chunk` / `write_runs`: a manager resolution per chunk | `fetch_chunks` / `write_runs_batch`: one resolution per batch, `LocationCache`, per-benefactor chains overlapped |
 //! | read-ahead | fixed `read_ahead_chunks`, never evicts a dirty chunk | depth ramps 1→`read_ahead_chunks` with the stream's streak |
 //!
 //! Requests reaching this layer are counted at OS-page granularity, the
@@ -32,8 +32,8 @@
 
 use crate::cache::{CacheEntry, ChunkCache, ChunkKey};
 use chunkstore::{
-    segments, AggregateStore, BatchWrite, ChunkPayload, FileId, LocationCache, PlacementPolicy,
-    Result, Segment, StripeSpec,
+    segments, AggregateStore, BatchRuns, ChunkPayload, FileId, LocationCache, PageRun,
+    PlacementPolicy, Result, Segment, StripeSpec,
 };
 use obs::{Layer, TraceRecorder};
 use parking_lot::Mutex;
@@ -177,10 +177,10 @@ struct DataPath {
     /// waits for; otherwise each is written synchronously on the caller's
     /// clock — which is why read-ahead then refuses to evict a dirty chunk.
     async_evict: bool,
-    /// Store calls go through `fetch_chunks` / `write_pages_batch` (one
+    /// Store calls go through `fetch_chunks` / `write_runs_batch` (one
     /// manager resolution per batch, the location cache, per-benefactor
     /// chains overlapped); otherwise through per-chunk `fetch_chunk` /
-    /// `write_pages`, each paying its own resolution.
+    /// `write_runs`, each paying its own resolution.
     batched_store: bool,
     /// Read-ahead depth ramps 1→`read_ahead_chunks` with the stream's
     /// streak (a one-off continuation prefetches one chunk, a sustained
@@ -206,9 +206,10 @@ enum SpanIo<'a> {
     Write(&'a [u8]),
 }
 
-/// One chunk's `(offset within chunk, bytes)` write-back runs, borrowed
-/// from its cache entry — no intermediate copy.
-type Runs<'a> = Vec<(u64, &'a [u8])>;
+/// One chunk's `(offset within chunk, leaves)` write-back runs, borrowed
+/// from its cache entry: the store hands those leaves to the benefactors,
+/// so the dirty bytes move from cache to media without being copied.
+type Runs<'a> = Vec<PageRun<'a>>;
 
 /// What a set of cached chunks ships at write-back.
 struct Writeback<'a> {
@@ -402,6 +403,13 @@ impl Mount {
 
     pub fn file_size(&self, file: FileId) -> Result<u64> {
         self.store.file_size(file)
+    }
+
+    /// A handle on the cached payload of chunk `idx`, if resident.
+    #[cfg(test)]
+    pub(crate) fn cached(&self, file: FileId, idx: usize) -> Option<chunkstore::ChunkBuf> {
+        let st = self.state.lock();
+        st.cache.peek(&(file, idx)).map(|e| e.data.clone())
     }
 
     // ----- data path ---------------------------------------------------------
@@ -634,48 +642,44 @@ impl Mount {
         entries: impl Iterator<Item = (ChunkKey, &'a CacheEntry)>,
     ) -> Writeback<'a> {
         let ps = self.page_size();
+        let mut bytes = 0;
         let chunks: Vec<(ChunkKey, Runs<'a>)> = entries
             .map(|(key, e)| {
                 let runs = if self.cfg.dirty_page_writeback {
-                    e.dirty
-                        .runs(ps)
-                        .into_iter()
-                        .map(|(off, len)| (off, &e.data[off as usize..(off + len) as usize]))
-                        .collect()
+                    e.dirty.runs(ps)
                 } else {
-                    vec![(0, &e.data[..])]
+                    vec![(0, e.data.len() as u64)]
                 };
-                (key, runs)
+                bytes += runs.iter().map(|(_, len)| len).sum::<u64>();
+                let runs = runs
+                    .into_iter()
+                    .map(|(off, len)| (off, e.data.leaves_of(off, len)));
+                (key, runs.collect())
             })
             .collect();
-        let bytes = chunks
-            .iter()
-            .flat_map(|(_, runs)| runs)
-            .map(|(_, d)| d.len() as u64)
-            .sum();
         Writeback { chunks, bytes }
     }
 
-    /// Hand `wb` to the store from `t`: as one `write_pages_batch` (one
+    /// Hand `wb` to the store from `t`: as one `write_runs_batch` (one
     /// manager RPC, per-benefactor chains overlapped) completing when its
-    /// slowest entry does, or as per-chunk `write_pages` calls chained one
+    /// slowest entry does, or as per-chunk `write_runs` calls chained one
     /// after the other. Returns the completion time.
     fn ship(&self, t: VTime, wb: &Writeback<'_>, batched: bool) -> Result<VTime> {
         if batched {
-            let entries: Vec<BatchWrite<'_>> = wb
+            let entries: Vec<BatchRuns<'_>> = wb
                 .chunks
                 .iter()
-                .map(|(key, runs)| BatchWrite {
+                .map(|(key, runs)| BatchRuns {
                     file: key.0,
                     idx: key.1,
                     updates: runs,
                 })
                 .collect();
-            let times = self.store.write_pages_batch(t, self.node, &entries)?;
+            let times = self.store.write_runs_batch(t, self.node, &entries)?;
             return Ok(times.into_iter().fold(t, VTime::max));
         }
         wb.chunks.iter().try_fold(t, |t, (key, runs)| {
-            self.store.write_pages(t, self.node, key.0, key.1, runs)
+            self.store.write_runs(t, self.node, key.0, key.1, runs)
         })
     }
 
@@ -838,11 +842,9 @@ impl Mount {
             for s in window {
                 let entry = st.cache.peek_mut(&(file, s.idx)).expect("just ensured");
                 match &mut io {
-                    SpanIo::Read(buf) => buf[s.pos..s.pos + s.take]
-                        .copy_from_slice(&entry.data[s.within..s.within + s.take]),
+                    SpanIo::Read(buf) => entry.data.read(s.within, &mut buf[s.pos..s.pos + s.take]),
                     SpanIo::Write(data) => {
-                        Arc::make_mut(&mut entry.data)[s.within..s.within + s.take]
-                            .copy_from_slice(&data[s.pos..s.pos + s.take]);
+                        entry.data.write(s.within, &data[s.pos..s.pos + s.take]);
                         let (from, to) = (s.within as u64, (s.within + s.take) as u64);
                         t = self.note_write(&mut st, t, (file, s.idx), from, to)?;
                     }
@@ -892,7 +894,7 @@ impl Mount {
         let fetched = self.fetch(t, file, &missing)?;
         let mut st = self.state.lock();
         for ((ready_at, payload), &idx) in fetched.into_iter().zip(&missing) {
-            let data = payload.into_buf(self.chunk_size());
+            let data = payload.into_buf(self.store.config());
             st.cache.insert((file, idx), data, ready_at);
             ready = ready.max(ready_at);
         }
@@ -1034,7 +1036,8 @@ impl Mount {
             let mut st = self.state.lock();
             for ((ready, payload), &idx) in fetched.into_iter().zip(&missing) {
                 done = done.max(ready);
-                st.cache.insert((file, idx), payload.into_buf(cs), ready);
+                st.cache
+                    .insert((file, idx), payload.into_buf(self.store.config()), ready);
             }
             drop(st);
             sp.finish(done);

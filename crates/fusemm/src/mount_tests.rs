@@ -2,7 +2,8 @@
 
 use crate::mount::{FuseConfig, Mount};
 use chunkstore::{
-    AggregateStore, Benefactor, FileId, PlacementPolicy, StoreConfig, StoreError, StripeSpec,
+    AggregateStore, Benefactor, ChunkBuf, FileId, PlacementPolicy, StoreConfig, StoreError,
+    StripeSpec,
 };
 use devices::{Ssd, INTEL_X25E};
 use netsim::{NetConfig, Network};
@@ -10,6 +11,7 @@ use simcore::time::bytes::mib;
 use simcore::{StatsRegistry, VTime};
 
 const CHUNK: u64 = 256 * 1024;
+const PAGE: u64 = 4096;
 
 /// 3-node world: manager+benefactor on node 0, benefactor on node 1,
 /// client mount on node 2.
@@ -42,6 +44,17 @@ fn mk_file(m: &Mount, name: &str, size: u64) -> FileId {
     )
     .unwrap()
     .1
+}
+
+/// The payload chunk `idx` of `f` is stored as, on its (first) home.
+fn stored(m: &Mount, f: FileId, idx: usize) -> ChunkBuf {
+    let mgr = m.store().manager();
+    let c = match mgr.file(f).unwrap().slots[idx] {
+        chunkstore::Slot::Chunk(c) => c,
+        slot => panic!("not materialized: {slot:?}"),
+    };
+    let home = mgr.chunk_home(c).unwrap();
+    mgr.benefactor(home).peek_chunk(c).unwrap().clone()
 }
 
 #[test]
@@ -184,9 +197,10 @@ fn o_rdwr_visibility_across_mounts() {
 
 #[test]
 fn cached_chunk_is_a_snapshot_of_the_benefactor_copy() {
-    // The cache entry shares the buffer the benefactor stores. Rot on the
-    // benefactor, and a write that reaches it from elsewhere, must copy
-    // first: what this mount fetched is what its hits keep returning.
+    // The cache entry shares the leaves the benefactor stores. Rot on the
+    // benefactor, and a write that reaches it from elsewhere, must un-share
+    // what they touch: what this mount fetched is what its hits keep
+    // returning.
     let (m, stats) = world(small_cache());
     let f = mk_file(&m, "/v", CHUNK);
     let data = vec![7u8; CHUNK as usize];
@@ -211,12 +225,15 @@ fn cached_chunk_is_a_snapshot_of_the_benefactor_copy() {
     cold.read(t, f, 0, &mut out).unwrap();
     assert_eq!(stats.get("fuse.hits"), hits + 1, "served from the cache");
     assert_eq!(out, data);
+    // Leaf 0 rotted, leaf 2 was rewritten: the other 62 are still shared.
+    let cached = cold.cached(f, 0).unwrap();
+    assert_eq!(cached.shared_leaves(&stored(&m, f, 0)), 62);
 }
 
 #[test]
 fn hole_written_through_one_mount_stays_zero_in_the_other() {
     // Both mounts cache the same shared zero chunk for the hole; the
-    // write through one takes a private copy of it.
+    // write through one takes a private copy of the one leaf it touches.
     let (m1, stats) = world(small_cache());
     let m2 = Mount::new(m1.store().clone(), 2, small_cache(), &stats);
     let f = mk_file(&m1, "/v", CHUNK);
@@ -228,9 +245,60 @@ fn hole_written_through_one_mount_stays_zero_in_the_other() {
     m2.read(t, f, 0, &mut out).unwrap();
     assert_eq!(stats.get("fuse.hits"), hits + 1, "served from m2's cache");
     assert_eq!(out, [0u8; 64]);
-    assert!(chunkstore::zero_chunk(CHUNK).iter().all(|&b| b == 0));
+    let zeros = chunkstore::zero_chunk(CHUNK, PAGE);
+    assert!(zeros == [0u8; CHUNK as usize][..]);
+    assert_eq!(m2.cached(f, 0).unwrap().shared_leaves(&zeros), 64);
+    assert_eq!(m1.cached(f, 0).unwrap().shared_leaves(&zeros), 63);
     m1.read(t, f, 0, &mut out).unwrap();
     assert_eq!(out, [3u8; 64]);
+}
+
+#[test]
+fn write_back_hands_dirty_pages_over_without_copying_them() {
+    let (m, _) = world(small_cache());
+    let f = mk_file(&m, "/v", 8 * CHUNK);
+    let shared = |idx: usize| m.cached(f, idx).unwrap().shared_leaves(&stored(&m, f, idx));
+    // A fresh chunk: every written page reaches the benefactor as the
+    // allocation the cache holds.
+    let t = m
+        .write(VTime::ZERO, f, 0, &vec![7u8; CHUNK as usize])
+        .unwrap();
+    let t = m.flush_all(t).unwrap();
+    assert_eq!(shared(0), 64);
+    // Dirtying a whole page and part of another un-shares exactly those
+    // two; the flush hands both over again.
+    let t = m.write(t, f, 4096, &[1u8; 4096]).unwrap();
+    let t = m.write(t, f, 3 * 4096 + 10, &[2u8; 5]).unwrap();
+    assert_eq!(shared(0), 62);
+    let t = m.flush_all(t).unwrap();
+    assert_eq!(shared(0), 64);
+    let on_media = stored(&m, f, 0);
+    assert_eq!((on_media[4096], on_media[3 * 4096 + 10]), (1, 2));
+    // From here either side diverges one leaf at a time: a cache write…
+    let t = m.write(t, f, 5 * 4096, &[3u8; 8]).unwrap();
+    assert_eq!(shared(0), 63);
+    // …or rot on the benefactor.
+    {
+        let mut mgr = m.store().manager();
+        let c = match mgr.file(f).unwrap().slots[0] {
+            chunkstore::Slot::Chunk(c) => c,
+            slot => panic!("not materialized: {slot:?}"),
+        };
+        let home = mgr.chunk_home(c).unwrap();
+        mgr.benefactor_mut(home).corrupt_chunk(c, 9 * 4096);
+    }
+    assert_eq!(shared(0), 62);
+    // Eviction moves the dirty page from cache to benefactor: the
+    // benefactor ends up holding the very leaf the cache entry held.
+    let dirty_leaf = std::sync::Arc::clone(&m.cached(f, 0).unwrap().leaves()[5]);
+    let mut buf = [0u8; 8];
+    let t = m.read(t, f, CHUNK, &mut buf).unwrap();
+    m.read(t, f, 2 * CHUNK, &mut buf).unwrap();
+    assert!(m.cached(f, 0).is_none(), "chunk 0 was evicted");
+    assert!(std::sync::Arc::ptr_eq(
+        &stored(&m, f, 0).leaves()[5],
+        &dirty_leaf
+    ));
 }
 
 #[test]

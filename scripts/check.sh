@@ -42,7 +42,7 @@ cargo run -q --release --example trace_report -- target/ledger/trace_smoke.json
 echo "==> the frozen benchmark package must build and run against the workspace (all five workloads correct)"
 cargo run --release --quiet --manifest-path examples/benchmark/Cargo.toml -- --smoke
 
-echo "==> micro host-speed floors (simulated bytes, engine hand-offs, stream writes, fetches and the two payload kernels per host second)"
+echo "==> micro host-speed floors (simulated bytes, engine hand-offs, stream writes, fetches, the two payload kernels and the two small-write shapes of the mount per host second)"
 # On one CPU, like examples/benchmark: only one engine thread runs at a
 # time, and unpinned every hand-off is a cross-core wake whose cost on a
 # small VM swings 5x with what the other core has just been doing.
@@ -98,5 +98,16 @@ kernel_floor() { # <kernel-name key> <rate key> <floor> <what it counts>
 }
 kernel_floor crc_kernel crc64_bytes_per_host_second 8000000000 "CRC-64 digested bytes"
 kernel_floor gf_kernel gf_mul_acc_bytes_per_host_second 3000000000 "GF(2^8) multiplied bytes"
+# The two mount shapes the frozen benchmark's layer drives never reach —
+# they only read misses (ISSUE 21, EXPERIMENTS.md "Page-grain payloads").
+# An 8-byte set to a just-fetched chunk (miss + copy-on-write + one-page
+# eviction write-back, rand_page_rw's loop): 80 000 per host second,
+# between the 43-53 k of copying the whole 256 KiB chunk per set and the
+# 170-285 k of copying the one page it dirties. An 8-byte set to a
+# never-written chunk plus a flush (meta_fan_in's burst): 40 000, between
+# the 11-12 k of zero-filling and then copying a chunk to hold 8 bytes and
+# the 110-130 k of a zero table with one leaf replaced.
+micro_floor cow_sets_per_host_second 80000 "8-byte sets to fetched chunks"
+micro_floor fresh_sets_per_host_second 40000 "8-byte sets to fresh chunks"
 
 echo "All checks passed."

@@ -14,8 +14,9 @@
 #   scripts/vt_identity.sh <base-ref>  # any commit-ish
 #   scripts/vt_identity.sh <base-ref> --reps 3   # extra args go to --all
 #
-# The base is checked out into a git worktree under target/ (removed on
-# exit); both result sets stay in target/vt_identity/ for inspection.
+# The base is checked out into a git worktree under target/ — or, where
+# `git worktree` is not available, into a shared clone there — removed on
+# exit; both result sets stay in target/vt_identity/ for inspection.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -27,8 +28,13 @@ tree="$root/base-tree"
 git worktree remove --force "$tree" 2>/dev/null || true
 rm -rf "$root"
 mkdir -p "$root"
-git worktree add --quiet --detach "$tree" "$base"
-trap 'git worktree remove --force "$tree"' EXIT
+if git worktree add --quiet --detach "$tree" "$base" 2>/dev/null; then
+    trap 'git worktree remove --force "$tree"' EXIT
+else
+    git clone --quiet --shared . "$tree"
+    git -C "$tree" checkout --quiet --detach "$(git rev-parse "$base")"
+    trap 'rm -rf "$tree"' EXIT
+fi
 
 bench() { # <checkout> <args...>
     (cd "$1" && shift &&

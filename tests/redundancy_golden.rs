@@ -188,7 +188,7 @@ fn read_all_batched(
 fn check_payload(payload: &ChunkPayload, want: &Option<Vec<u8>>, idx: usize) {
     match (payload, want) {
         (ChunkPayload::Zeros, None) => {}
-        (ChunkPayload::Data(d), Some(w)) => assert!(d[..] == w[..], "slot {idx}: wrong bytes"),
+        (ChunkPayload::Data(d), Some(w)) => assert!(*d == w[..], "slot {idx}: wrong bytes"),
         (ChunkPayload::Data(_), None) => panic!("slot {idx}: data where a hole was expected"),
         (ChunkPayload::Zeros, Some(_)) => panic!("slot {idx}: hole where data was expected"),
     }
