@@ -8,11 +8,73 @@
 //!   (no data copied, no extra NVM wear) vs a naive full copy;
 //! * **copy-on-write** preserves the frozen image across later writes;
 //! * **incremental** checkpoints pay only for chunks dirtied since the
-//!   previous one.
+//!   previous one;
+//! * **concurrent restart**: four ranks on four nodes restoring at once
+//!   overlap on the store instead of queueing end to end — the restart
+//!   path runs in data-path windows with an engine yield per step
+//!   (DESIGN.md §4b), on the paper path and on a pipelined mount.
 
 use bench::{header, mib, scaled_fuse, JsonReport, Table, SCALE};
 use cluster::{run_job, Calibration, Cluster, ClusterSpec, JobConfig};
+use fusemm::FuseConfig;
 use simcore::VTime;
+
+/// One cell of the concurrent-restart block.
+struct RestartCell {
+    /// Slowest `restore_var` call.
+    restore: VTime,
+    /// Payload bytes between clients and benefactors during the restores.
+    store_bytes: u64,
+    /// Manager RPCs during the restores.
+    mgr_rpcs: u64,
+}
+
+/// R-SSD(4:1:8): every rank checkpoints an 8 MiB variable; after a barrier
+/// the first `restorers` ranks `restore_var` theirs at the same instant.
+fn restart_cell(pipelined: bool, restorers: usize) -> RestartCell {
+    const VAR_BYTES: usize = 8 << 20;
+    let cfg = JobConfig::remote(4, 1, 8);
+    let cluster = Cluster::with_fuse(
+        ClusterSpec::hal().scaled(SCALE),
+        &cfg.benefactor_nodes(),
+        FuseConfig {
+            pipelined_io: pipelined,
+            ..scaled_fuse(SCALE)
+        },
+    );
+    let restart_counters = || {
+        let moved = ["store.bytes_to_clients", "store.bytes_from_clients"];
+        (
+            moved.iter().map(|c| cluster.stats.get(c)).sum::<u64>(),
+            cluster.stats.get("store.mgr_rpcs"),
+        )
+    };
+    let result = run_job(&cluster, &cfg, Calibration::default(), |ctx, env| {
+        let v = env.client.ssdmalloc::<u8>(ctx, VAR_BYTES).unwrap();
+        v.write_slice(ctx, 0, &vec![0x40 + env.rank as u8; VAR_BYTES])
+            .unwrap();
+        let ck = env
+            .client
+            .ssdcheckpoint(ctx, "restart", &[7], &[&v])
+            .unwrap();
+        env.comm.barrier(ctx, env.rank);
+        // Everything before the barrier has been counted by now.
+        let before = restart_counters();
+        let t0 = ctx.now();
+        if env.rank < restorers {
+            let r = env.client.restore_var::<u8>(ctx, &ck, 0).unwrap();
+            assert_eq!(r.len(), VAR_BYTES);
+        }
+        (ctx.now() - t0, before)
+    });
+    let before = result.outputs[0].1;
+    let after = restart_counters();
+    RestartCell {
+        restore: result.outputs.iter().map(|o| o.0).max().unwrap(),
+        store_bytes: after.0 - before.0,
+        mgr_rpcs: after.1 - before.1,
+    }
+}
 
 fn main() {
     header(
@@ -116,6 +178,44 @@ fn main() {
     let copy = &rows[1];
     let incr = &rows[2];
     let mut report = JsonReport::new("ckpt_linking");
+
+    // Concurrent restart, R-SSD(4:1:8): {paper, pipelined} x {1 rank
+    // alone, 4 ranks together}. Recorded ahead of the older entries so the
+    // committed file only gains lines.
+    println!();
+    println!("Concurrent restart, R-SSD(4:1:8), 8 MiB restore_var per rank");
+    let t = Table::new(&[
+        ("Data path", 10),
+        ("Ranks", 6),
+        ("restore_var (s)", 16),
+        ("Store (MiB)", 12),
+        ("Mgr RPCs", 9),
+    ]);
+    let mut overlapped = true;
+    for (path, pipelined) in [("paper", false), ("pipelined", true)] {
+        let alone = restart_cell(pipelined, 1);
+        let together = restart_cell(pipelined, 4);
+        overlapped &= together.restore.as_nanos() * 2 <= alone.restore.as_nanos() * 5;
+        for (ranks, cell) in [(1, &alone), (4, &together)] {
+            t.row(&[
+                path.into(),
+                ranks.to_string(),
+                format!("{:.3}", cell.restore.as_secs_f64()),
+                mib(cell.store_bytes),
+                cell.mgr_rpcs.to_string(),
+            ]);
+            let key = format!("restart_{path}_{ranks}rank");
+            report
+                .time(&format!("{key}_restore_var_s"), cell.restore)
+                .counter(&format!("{key}_store_bytes"), cell.store_bytes)
+                .counter(&format!("{key}_mgr_rpcs"), cell.mgr_rpcs);
+        }
+    }
+    report.check(
+        "four concurrent restores finish within 2.5x of one alone",
+        overlapped,
+    );
+
     report
         .config("scale", SCALE)
         .config("config", cfg.label())
@@ -146,6 +246,4 @@ fn main() {
         rows[3].1 == 1.0,
     );
     report.counters_from(&cluster).health_from(&cluster).emit();
-    let vt = VTime::ZERO;
-    let _ = vt;
 }

@@ -146,6 +146,23 @@ impl ChunkBuf {
         &self.leaves[off / self.page..end.div_ceil(self.page)]
     }
 
+    /// The first `len` bytes as a payload of their own: the whole leaves
+    /// shared, a leaf `len` cuts copied short — the run a ragged last
+    /// chunk of a file is written from.
+    pub fn head(&self, len: usize) -> ChunkBuf {
+        assert!(len > 0 && len <= self.len, "head outside the chunk");
+        if len == self.len {
+            return self.clone();
+        }
+        let mut leaves = self.leaves[..len.div_ceil(self.page)].to_vec();
+        let keep = len - (leaves.len() - 1) * self.page;
+        let cut = leaves.last_mut().expect("len > 0");
+        if cut.len() != keep {
+            *cut = Leaf::from(&cut[..keep]);
+        }
+        Self::from_leaves(leaves, len as u64, self.page as u64)
+    }
+
     /// How many leaves this payload and `other` hold as the same
     /// allocation (inspection: what a write, rot or a tear left shared).
     pub fn shared_leaves(&self, other: &ChunkBuf) -> usize {
@@ -363,6 +380,28 @@ mod tests {
         assert!(Arc::ptr_eq(&torn.leaves()[1], &run[0].1[0]));
         assert!(!Arc::ptr_eq(&torn.leaves()[2], &run[0].1[1]));
         assert_eq!((torn[8192 + 99], torn[8192 + 100]), (9, 0));
+    }
+
+    #[test]
+    fn head_shares_whole_leaves_and_copies_the_cut_one() {
+        let bytes: Vec<u8> = (0..10_000u32).map(|i| (i * 7) as u8).collect();
+        let base = ChunkBuf::from_bytes(&bytes, PAGE);
+        for len in [1, 100, 4096, 4097, 8192, 9_999, 10_000] {
+            let head = base.head(len);
+            assert!(head == bytes[..len], "head({len})");
+            assert_eq!(head.leaves().len(), len.div_ceil(4096));
+            // Every leaf `len` does not cut is the base's own allocation.
+            assert_eq!(
+                head.shared_leaves(&base),
+                len / 4096 + usize::from(len == 10_000)
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "head outside")]
+    fn head_rejects_a_length_past_the_chunk() {
+        ChunkBuf::from_bytes(&[1u8; 100], PAGE).head(101);
     }
 
     #[test]

@@ -452,6 +452,24 @@ impl AggregateStore {
         Ok(self.mgr.lock().file(file)?.slots.len())
     }
 
+    /// Chunks in one stripe row of `file`, rounded up to whole parity
+    /// groups: the widest window of consecutive chunks whose per-benefactor
+    /// chains are each one chunk long and whose parity groups are complete
+    /// — what a batched client sizes a bulk step by. A file with no stripe
+    /// of its own (a checkpoint that only links) counts the fleet.
+    pub fn stripe_row(&self, file: FileId) -> Result<usize> {
+        let mgr = self.mgr.lock();
+        let meta = mgr.file(file)?;
+        let width = match meta.stripe.len() {
+            0 => mgr.benefactor_count().max(1),
+            n => n,
+        };
+        Ok(match meta.parity {
+            0 => width,
+            _ => width.next_multiple_of(meta.group_data),
+        })
+    }
+
     /// `OutOfBounds` unless `[offset, offset + len)` lies inside `file`.
     pub fn check_range(&self, file: FileId, offset: u64, len: u64) -> Result<()> {
         let size = self.file_size(file)?;

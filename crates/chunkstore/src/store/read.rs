@@ -448,7 +448,9 @@ impl AggregateStore {
         Ok(out)
     }
 
-    /// Bulk sequential read into `buf` (restart path).
+    /// Bulk sequential read into `buf`: one serial [`Self::fetch_chunk`]
+    /// per chunk (a store-level convenience; clients read through their
+    /// mount's data path).
     pub fn read_span(
         &self,
         mut t: VTime,

@@ -248,6 +248,33 @@ fn store_n(n: usize) -> (AggregateStore, StatsRegistry) {
     (store, stats)
 }
 
+/// A stripe row is the stripe's width, whole parity groups of it under
+/// RS, and the fleet for a file that only links.
+#[test]
+fn stripe_row_follows_the_stripe_and_the_parity_groups() {
+    let (store, _) = store_n(7);
+    let file = |name: &str, stripe: Option<StripeSpec>| {
+        let (t, f) = store.create_file(VTime::ZERO, 0, name).unwrap();
+        if let Some(stripe) = stripe {
+            let placement = PlacementPolicy::RoundRobin;
+            store
+                .fallocate(t, 0, f, 4 * CHUNK, stripe, placement)
+                .unwrap();
+        }
+        f
+    };
+    let row = |f| store.stripe_row(f).unwrap();
+    assert_eq!(row(file("/all", Some(StripeSpec::all()))), 7);
+    assert_eq!(row(file("/two", Some(StripeSpec::count(2)))), 2);
+    // Seven wide in groups of four data members: two whole groups.
+    assert_eq!(
+        row(file("/rs", Some(StripeSpec::all().with_parity(4, 2)))),
+        8
+    );
+    assert_eq!(row(file("/links", None)), 7);
+    assert!(store.stripe_row(FileId(99)).is_err());
+}
+
 fn make_file_replicated(
     store: &AggregateStore,
     node: usize,

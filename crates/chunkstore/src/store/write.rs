@@ -669,8 +669,9 @@ impl AggregateStore {
         Ok(end)
     }
 
-    /// Bulk sequential write (checkpoint DRAM dumps, workload loads):
-    /// splits `data` into per-chunk updates.
+    /// Bulk sequential write: splits `data` into per-chunk updates, one
+    /// serial [`Self::write_pages`] each (a store-level convenience;
+    /// clients write through their mount's data path).
     pub fn write_span(
         &self,
         mut t: VTime,

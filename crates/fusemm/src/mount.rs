@@ -21,10 +21,15 @@
 //!
 //! | policy leaf | paper (§III-D) | pipelined (§8) |
 //! |---|---|---|
-//! | window of one step | one segment / one dirty chunk | every segment whose chunks fit the cache / every dirty chunk |
+//! | window of one step | one segment / one dirty chunk / one chunk of a bulk transfer | every segment whose chunks fit the cache / every dirty chunk / one stripe row of a bulk transfer |
 //! | dirty eviction victims | written synchronously on the caller's clock, one store call each | one batched write the caller never waits for |
 //! | store calls | `fetch_chunk` / `write_runs`: a manager resolution per chunk | `fetch_chunks` / `write_runs_batch`: one resolution per batch, `LocationCache`, per-benefactor chains overlapped |
 //! | read-ahead | fixed `read_ahead_chunks`, never evicts a dirty chunk | depth ramps 1→`read_ahead_chunks` with the stream's streak |
+//!
+//! Bulk transfers that have no use for the cache — the restart path of
+//! `nvmalloc`: a checkpoint's DRAM image, a restore, a drain — go past it
+//! through [`Mount::fetch_direct`] / [`Mount::write_direct`], a window of
+//! [`Mount::bulk_window`] chunks at a time, on the same store-call leaf.
 //!
 //! Requests reaching this layer are counted at OS-page granularity, the
 //! same units the paper's Table IV/VII report for "requests to FUSE":
@@ -32,7 +37,7 @@
 
 use crate::cache::{CacheEntry, ChunkCache, ChunkKey};
 use chunkstore::{
-    segments, AggregateStore, BatchRuns, ChunkPayload, FileId, LocationCache, PageRun,
+    segments, AggregateStore, BatchRuns, ChunkBuf, ChunkPayload, FileId, LocationCache, PageRun,
     PlacementPolicy, Result, Segment, StripeSpec,
 };
 use obs::{Layer, TraceRecorder};
@@ -169,7 +174,8 @@ impl MountState {
 #[derive(Clone, Copy, Debug)]
 struct DataPath {
     /// How much one step covers — segments of an ensure, dirty chunks of a
-    /// flush, chunks of a prefetch (cache capacity bounds it further).
+    /// flush, chunks of a prefetch (cache capacity bounds it further),
+    /// chunks of a bulk transfer (the file's stripe row bounds it).
     /// The paper path's `1` is one *segment*, not one chunk: N strided
     /// runs inside one cached chunk are N lookups, N hits.
     window: usize,
@@ -621,7 +627,7 @@ impl Mount {
                 if self.path.batched_store {
                     sp.arg("chunks", window.len() as u64);
                 }
-                t = self.ship(t, &wb, self.path.batched_store)?;
+                t = self.ship(t, &wb.chunks, self.path.batched_store)?;
                 sp.finish(t);
                 for key in window {
                     st.cache.clear_dirty(key);
@@ -660,14 +666,13 @@ impl Mount {
         Writeback { chunks, bytes }
     }
 
-    /// Hand `wb` to the store from `t`: as one `write_runs_batch` (one
+    /// Hand `chunks` to the store from `t`: as one `write_runs_batch` (one
     /// manager RPC, per-benefactor chains overlapped) completing when its
     /// slowest entry does, or as per-chunk `write_runs` calls chained one
     /// after the other. Returns the completion time.
-    fn ship(&self, t: VTime, wb: &Writeback<'_>, batched: bool) -> Result<VTime> {
+    fn ship(&self, t: VTime, chunks: &[(ChunkKey, Runs<'_>)], batched: bool) -> Result<VTime> {
         if batched {
-            let entries: Vec<BatchRuns<'_>> = wb
-                .chunks
+            let entries: Vec<BatchRuns<'_>> = chunks
                 .iter()
                 .map(|(key, runs)| BatchRuns {
                     file: key.0,
@@ -678,9 +683,61 @@ impl Mount {
             let times = self.store.write_runs_batch(t, self.node, &entries)?;
             return Ok(times.into_iter().fold(t, VTime::max));
         }
-        wb.chunks.iter().try_fold(t, |t, (key, runs)| {
+        chunks.iter().try_fold(t, |t, (key, runs)| {
             self.store.write_runs(t, self.node, key.0, key.1, runs)
         })
+    }
+
+    // ----- bulk transfers past the cache (the restart path) ------------------
+
+    /// How many chunks of `file` one bulk step ([`Self::fetch_direct`],
+    /// [`Self::write_direct`]) carries. One on the paper path: the caller
+    /// yields to the engine per chunk, so concurrent processes' transfers
+    /// interleave in virtual-time order. One stripe row of the file, in
+    /// whole parity groups, on a batched mount: every per-benefactor chain
+    /// of the window is one chunk long and each parity group ships once,
+    /// and a wider window would only book shared resources further ahead
+    /// of the other ranks.
+    pub fn bulk_window(&self, file: FileId) -> Result<usize> {
+        Ok(self.path.window.min(self.store.stripe_row(file)?))
+    }
+
+    /// Fetch chunks `[first, first + n)` of `file` straight from the store
+    /// at `t`, past the cache (nothing is looked up, inserted or evicted):
+    /// per-chunk or batched as the policy's store calls are. Returns
+    /// `(in hand at, payload)` per chunk, in order. For files this mount
+    /// holds no dirty pages of — a checkpoint's restart file.
+    pub fn fetch_direct(
+        &self,
+        t: VTime,
+        file: FileId,
+        first: usize,
+        n: usize,
+    ) -> Result<Vec<(VTime, ChunkPayload)>> {
+        let idxs: Vec<usize> = (first..first + n).collect();
+        self.fetch(t, file, &idxs)
+    }
+
+    /// Write `chunks` — `(chunk index, payload)`, each payload landing at
+    /// the start of its chunk with its leaves handed over — straight to
+    /// the store at `t`, past the cache; returns the completion time. For
+    /// files this mount has cached no chunk of: a fresh restart file, a
+    /// variable being restored.
+    pub fn write_direct(
+        &self,
+        t: VTime,
+        file: FileId,
+        chunks: &[(usize, ChunkBuf)],
+    ) -> Result<VTime> {
+        debug_assert!(
+            self.state.lock().cache.keys_of_file(file).is_empty(),
+            "direct write under cached chunks"
+        );
+        let whole: Vec<(ChunkKey, Runs<'_>)> = chunks
+            .iter()
+            .map(|(idx, data)| ((file, *idx), vec![(0, data.leaves())]))
+            .collect();
+        self.ship(t, &whole, self.path.batched_store)
     }
 
     // ----- write-back daemon (DESIGN.md §10) ---------------------------------
@@ -743,7 +800,7 @@ impl Mount {
         let bytes = wb.bytes;
         let sp = self.trace.span(Layer::Fuse, "fuse.bg_flush", start);
         sp.arg("chunks", batch.len() as u64).arg("bytes", bytes);
-        let end = self.ship(start, &wb, true)?;
+        let end = self.ship(start, &wb.chunks, true)?;
         for key in batch {
             st.cache.clear_dirty(key);
         }
@@ -978,7 +1035,7 @@ impl Mount {
         if !self.path.async_evict {
             let sp = self.trace.span(Layer::Fuse, "fuse.evict", t);
             sp.arg("bytes", wb.bytes);
-            let end = self.ship(t, &wb, self.path.batched_store)?;
+            let end = self.ship(t, &wb.chunks, self.path.batched_store)?;
             sp.finish(end);
             return Ok(end);
         }
@@ -990,7 +1047,7 @@ impl Mount {
         sp.arg("bytes", wb.bytes).arg("chunks", dirty.len() as u64);
         // The completion time is dropped (asynchronous write-back); the
         // span still records when the background writes land.
-        let done = self.ship(start, &wb, self.path.batched_store)?;
+        let done = self.ship(start, &wb.chunks, self.path.batched_store)?;
         sp.finish(done);
         Ok(t)
     }

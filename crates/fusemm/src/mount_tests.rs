@@ -482,6 +482,47 @@ fn pipelined(cfg: FuseConfig) -> FuseConfig {
     }
 }
 
+/// The restart path's leaves: a bulk window is one chunk on the paper
+/// path and one stripe row when batched, and direct transfers move whole
+/// chunks between caller and store without touching the cache.
+#[test]
+fn direct_transfers_go_past_the_cache_a_policy_window_at_a_time() {
+    for (cfg, window, rpcs) in [(small_cache(), 1, 5), (pipelined(small_cache()), 2, 2)] {
+        let (m, stats) = world(cfg);
+        let f = mk_file(&m, "/v", 3 * CHUNK);
+        assert_eq!(m.bulk_window(f).unwrap(), window);
+
+        let page = m.store().config().page_size;
+        let body = |idx: usize| ChunkBuf::from_bytes(&vec![idx as u8 + 1; CHUNK as usize], page);
+        // Chunk 1 stays a hole; chunk 2 is written short.
+        let chunks = [(0, body(0)), (2, body(2).head(5000))];
+        let before = stats.get("store.mgr_rpcs");
+        let t = m.write_direct(VTime::ZERO, f, &chunks).unwrap();
+        let fetched = m.fetch_direct(t, f, 0, 3).unwrap();
+        assert_eq!(stats.get("store.mgr_rpcs") - before, rpcs);
+        assert!(fetched.iter().all(|(ready, _)| *ready > t));
+        let bytes: Vec<ChunkBuf> = fetched
+            .into_iter()
+            .map(|(_, p)| p.into_buf(m.store().config()))
+            .collect();
+        assert!(bytes[0] == body(0).to_vec()[..]);
+        assert!(bytes[1] == vec![0u8; CHUNK as usize][..]);
+        assert!(bytes[2].to_vec()[..5000] == body(2).to_vec()[..5000]);
+        assert!(bytes[2].to_vec()[5000..].iter().all(|&b| b == 0));
+        // The written leaves were handed over, not copied.
+        assert_eq!(stored(&m, f, 0).shared_leaves(&chunks[0].1), 64);
+
+        let untouched = [
+            "fuse.hits",
+            "fuse.misses",
+            "fuse.evictions",
+            "fuse.read_req_bytes",
+        ];
+        assert!(untouched.iter().all(|c| stats.get(c) == 0));
+        assert!(m.cached(f, 0).is_none());
+    }
+}
+
 #[test]
 fn flush_ships_whole_chunks_without_the_write_optimization() {
     // Table VII's "w/o optimization" run: with `dirty_page_writeback` off

@@ -29,8 +29,35 @@ fn world(benefactors: usize) -> World {
 }
 
 fn client(w: &World, node: usize, id: u64) -> NvmClient {
-    let mount = Mount::new(w.store.clone(), node, FuseConfig::default(), &w.stats);
-    NvmClient::new(mount, id, AllocOptions::default(), &w.stats)
+    client_with(w, node, id, false, StripeSpec::all())
+}
+
+/// A client on the paper or the pipelined data path whose variables (and
+/// DRAM images) stripe as `stripe` says.
+fn client_with(w: &World, node: usize, id: u64, pipelined: bool, stripe: StripeSpec) -> NvmClient {
+    let fuse = FuseConfig {
+        pipelined_io: pipelined,
+        ..FuseConfig::default()
+    };
+    let mount = Mount::new(w.store.clone(), node, fuse, &w.stats);
+    let opts = AllocOptions {
+        stripe,
+        ..AllocOptions::default()
+    };
+    NvmClient::new(mount, id, opts, &w.stats)
+}
+
+/// The stored bytes of chunk `idx` of `file` (on its first home), or
+/// `None` while the slot is unmaterialized.
+fn stored(c: &NvmClient, file: chunkstore::FileId, idx: usize) -> Option<Vec<u8>> {
+    let mgr = c.mount().store().manager();
+    match mgr.file(file).unwrap().slots[idx] {
+        chunkstore::Slot::Chunk(chunk) => {
+            let home = mgr.chunk_home(chunk).unwrap();
+            Some(mgr.benefactor(home).peek_chunk(chunk).unwrap().to_vec())
+        }
+        _ => None,
+    }
 }
 
 /// Run a single simulated process to completion.
@@ -162,6 +189,112 @@ fn checkpoint_and_restore() {
         // The live variable kept the mutation.
         assert_eq!(v.get(ctx, 0).unwrap(), u32::MAX);
     });
+}
+
+#[test]
+fn restoring_a_sparse_variable_keeps_its_holes() {
+    for pipelined in [false, true] {
+        let w = world(4);
+        let c = client_with(&w, 4, 0, pipelined, StripeSpec::all());
+        run1(move |ctx| {
+            let len = (8 * CHUNK) as usize;
+            let v: NvmVec<u8> = c.ssdmalloc(ctx, len).unwrap();
+            // Two of eight chunks are ever written.
+            let mut flat = vec![0u8; len];
+            for chunk in [1usize, 5] {
+                let at = chunk * CHUNK as usize + 1000;
+                v.write_slice(ctx, at, &[0xC3; 5000]).unwrap();
+                flat[at..at + 5000].fill(0xC3);
+            }
+            v.flush(ctx).unwrap();
+            let ckpt = c.ssdcheckpoint(ctx, "sparse", &[], &[&v]).unwrap();
+
+            let physical = || c.mount().store().manager().physical_bytes();
+            let before = physical();
+            let r: NvmVec<u8> = c.restore_var(ctx, &ckpt, 0).unwrap();
+            assert_eq!(
+                physical() - before,
+                2 * CHUNK,
+                "a never-written chunk was materialized (pipelined={pipelined})"
+            );
+            for idx in 0..8 {
+                assert_eq!(stored(&c, r.file_id(), idx).is_some(), idx == 1 || idx == 5);
+            }
+            let mut out = vec![0xFFu8; len];
+            r.read_slice(ctx, 0, &mut out).unwrap();
+            assert!(out == flat, "holes must read zeros (pipelined={pipelined})");
+        });
+    }
+}
+
+mod ragged {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// 1 byte … 3 chunks + 5 bytes, the edges drawn as often as the bulk.
+    fn ragged_len() -> impl Strategy<Value = usize> {
+        let c = CHUNK as usize;
+        prop_oneof![
+            1usize..3 * c + 6,
+            (0usize..4, 0usize..6)
+                .prop_map(move |(chunks, over)| (chunks * c + over).clamp(1, 3 * c + 5)),
+            (1usize..4, 1usize..4097).prop_map(move |(chunks, under)| chunks * c - under),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
+
+        /// A variable and a DRAM image of any length restore to exactly
+        /// their bytes — against a flat `Vec<u8>`, on both data paths,
+        /// unreplicated and over RS(2,1) — and the restored file holds
+        /// nothing past `byte_len`.
+        #[test]
+        fn ragged_lengths_restore_exactly(var_len in ragged_len(), dram_len in ragged_len(), tag in any::<u8>()) {
+            for pipelined in [false, true] {
+                for stripe in [StripeSpec::all(), StripeSpec::all().with_parity(2, 1)] {
+                    let w = world(4);
+                    let c = client_with(&w, 4, 0, pipelined, stripe);
+                    let flat: Vec<u8> = (0..var_len).map(|i| tag ^ (i as u8) ^ ((i >> 12) as u8) | 1).collect();
+                    let dram: Vec<u8> = (0..dram_len).map(|i| !tag ^ (i as u8) | 1).collect();
+                    let ok = std::sync::Mutex::new(Ok(()));
+                    run1(|ctx| {
+                        *ok.lock().unwrap() = (|| {
+                            let v: NvmVec<u8> = c.ssdmalloc(ctx, var_len).unwrap();
+                            v.write_slice(ctx, 0, &flat).unwrap();
+                            let ckpt = c.ssdcheckpoint(ctx, "ragged", &dram, &[&v]).unwrap();
+
+                            // The DRAM image landed as written, zeros after it.
+                            let tail = dram_len % CHUNK as usize;
+                            if tail != 0 {
+                                let last = stored(&c, ckpt.file, dram_len / CHUNK as usize).unwrap();
+                                prop_assert!(last[..tail] == dram[dram_len - tail..]);
+                                prop_assert!(last[tail..].iter().all(|&b| b == 0));
+                            }
+                            prop_assert!(c.restore_dram(ctx, &ckpt).unwrap() == dram);
+
+                            let r: NvmVec<u8> = c.restore_var(ctx, &ckpt, 0).unwrap();
+                            prop_assert_eq!(r.len(), var_len);
+                            let tail = var_len % CHUNK as usize;
+                            if tail != 0 {
+                                let last = stored(&c, r.file_id(), var_len / CHUNK as usize).unwrap();
+                                prop_assert!(last[..tail] == flat[var_len - tail..]);
+                                prop_assert!(
+                                    last[tail..].iter().all(|&b| b == 0),
+                                    "bytes written past byte_len"
+                                );
+                            }
+                            let mut out = vec![0u8; var_len];
+                            r.read_slice(ctx, 0, &mut out).unwrap();
+                            prop_assert!(out == flat);
+                            Ok(())
+                        })();
+                    });
+                    ok.into_inner().unwrap()?;
+                }
+            }
+        }
+    }
 }
 
 #[test]

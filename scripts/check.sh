@@ -18,6 +18,10 @@ quick=0
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
+echo "==> nvmalloc reaches the store's bulk data through its mount's data path, never read_span/write_span"
+# (`! grep ...` alone would not stop a `set -e` script: errexit ignores a negated status.)
+! grep -rnE '\b(read|write)_span\(' crates/nvmalloc/src || exit 1
+
 if [ "$quick" -eq 0 ]; then
     echo "==> cargo clippy (warnings are errors)"
     cargo clippy --workspace --all-targets -- -D warnings
