@@ -1,6 +1,6 @@
 //! Host-side performance of the simulation substrate itself (not
 //! virtual-time results): `BENCH_micro.json` is all `host` block, and
-//! scripts/check.sh gates eight of its rates against committed floors.
+//! scripts/check.sh gates ten of its rates against committed floors.
 
 use chunkstore::{AggregateStore, Benefactor, PlacementPolicy, StoreConfig, StripeSpec};
 use devices::{Ssd, INTEL_X25E};
@@ -34,6 +34,17 @@ fn engine_storm(procs: usize, rounds: usize, yields: u64, barrier: bool) -> simc
     )
 }
 
+/// A mount over `store` whose cache holds four chunks and reads nothing
+/// ahead: over a file 16x that size, every access below is a miss.
+fn thrashing_mount(store: &AggregateStore, stats: &StatsRegistry) -> Mount {
+    let cfg = FuseConfig {
+        cache_bytes: 4 * 256 * 1024,
+        read_ahead_chunks: 0,
+        ..FuseConfig::default()
+    };
+    Mount::new(store.clone(), 0, cfg, stats)
+}
+
 /// The two small-write shapes of the mount that the frozen benchmark's
 /// layer drives never reach (they only *read* misses): sets per host
 /// second of (a) an 8-byte write to a just-fetched chunk of the
@@ -49,12 +60,7 @@ fn mount_sets(
     const CHUNK: u64 = 256 * 1024;
     const COW_SETS: u64 = 8192;
     const FRESH_SETS: u64 = 1024;
-    let cfg = FuseConfig {
-        cache_bytes: 4 * CHUNK,
-        read_ahead_chunks: 0,
-        ..FuseConfig::default()
-    };
-    let mount = Mount::new(store.clone(), 0, cfg, stats);
+    let mount = thrashing_mount(store, stats);
     let chunks = store.chunk_count(file).unwrap() as u64;
     let mut t = VTime::from_secs(3600);
 
@@ -87,6 +93,61 @@ fn mount_sets(
     let fresh_s = started.elapsed().as_secs_f64();
     let rate = |sets: u64, secs: f64| (sets as f64 / secs.max(1e-9)) as u64;
     (rate(COW_SETS, cow_s), rate(FRESH_SETS, fresh_s))
+}
+
+/// The two shapes a memoised page sum serves, on an RS(4, 2) file under
+/// `verify_reads` (`ckpt_resilient`'s configuration): per host second,
+/// (a) verified fetches of unchanged chunks through a mount whose cache is
+/// 16x too small, so every 8-byte read is a miss whose arriving copy is
+/// checked against the recorded digest; (b) one-page `write_pages` to a
+/// materialised chunk, each of which vets its base (`copies::is_clean`)
+/// before splicing the digest and encoding the parity deltas.
+fn verified_rs_rates(stats: &StatsRegistry) -> (u64, u64) {
+    const CHUNK: u64 = 256 * 1024;
+    const CHUNKS: u64 = 64;
+    const FETCHES: u64 = 8192;
+    const OVERWRITES: u64 = 4096;
+    let net = Network::new(7, NetConfig::default(), stats);
+    let cfg = StoreConfig {
+        verify_reads: true,
+        ..StoreConfig::default()
+    };
+    let store = AggregateStore::new(cfg, net, stats);
+    for node in 1..=6usize {
+        let ssd = Ssd::new(&format!("rs{node}.ssd"), INTEL_X25E, stats);
+        store.add_benefactor(Benefactor::new(node, ssd, 1 << 30, CHUNK));
+    }
+    let (t, f) = store.create_file(VTime::ZERO, 0, "/host-speed-rs").unwrap();
+    let spec = StripeSpec::all().with_parity(4, 2);
+    let mut t = store
+        .fallocate(t, 0, f, CHUNKS * CHUNK, spec, PlacementPolicy::RoundRobin)
+        .unwrap();
+    let body: Vec<u8> = (0..CHUNK).map(|i| (i * 31 / 8) as u8).collect();
+    for idx in 0..CHUNKS as usize {
+        t = store.write_pages(t, 0, f, idx, &[(0, &body)]).unwrap();
+    }
+
+    let mount = thrashing_mount(&store, stats);
+    let mut word = [0u8; 8];
+    let started = Instant::now();
+    for i in 0..FETCHES {
+        // 7 is coprime to the chunk count: no read finds its chunk cached.
+        t = mount
+            .read(t, f, (i * 7 % CHUNKS) * CHUNK + 8, &mut word)
+            .unwrap();
+    }
+    let fetch_s = started.elapsed().as_secs_f64();
+    std::hint::black_box(word);
+
+    let page = vec![0xC3u8; 4096];
+    let started = Instant::now();
+    for i in 0..OVERWRITES {
+        let (idx, off) = ((i * 7 % CHUNKS) as usize, (i % 64) * 4096);
+        t = store.write_pages(t, 0, f, idx, &[(off, &page)]).unwrap();
+    }
+    let write_s = started.elapsed().as_secs_f64();
+    let rate = |n: u64, secs: f64| (n as f64 / secs.max(1e-9)) as u64;
+    (rate(FETCHES, fetch_s), rate(OVERWRITES, write_s))
 }
 
 /// The committed host-speed workload (ISSUE 7): a fixed, deterministic
@@ -202,9 +263,12 @@ fn run_host_speed() -> bench::Json {
     // after the footer: the mount phases add neither bytes nor seconds to
     // the aggregate rate the first floor gates
     let (cow_sets, fresh_sets) = mount_sets(&store, &stats, f);
+    let (verified_fetches, vetted_overwrites) = verified_rs_rates(&stats);
     let mut detail = bench::Json::obj();
     detail.set("cow_sets_per_host_second", cow_sets);
     detail.set("fresh_sets_per_host_second", fresh_sets);
+    detail.set("verified_fetches_per_host_second", verified_fetches);
+    detail.set("vetted_overwrites_per_host_second", vetted_overwrites);
     detail.set("stream_write_s", stream_s);
     detail.set("page_update_s", page_s);
     detail.set("read_s", read_s);

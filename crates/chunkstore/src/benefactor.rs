@@ -49,10 +49,6 @@ pub struct Benefactor {
     corrupt_seed: u64,
     corrupt_stream: u64,
     chunk_size: u64,
-    /// Leaf size of every payload stored here: the store's
-    /// `StoreConfig::page_size`, stamped when the benefactor joins a
-    /// manager. Until then a chunk is one leaf.
-    page_size: u64,
 }
 
 impl Benefactor {
@@ -71,18 +67,7 @@ impl Benefactor {
             corrupt_seed: 0,
             corrupt_stream: 0,
             chunk_size,
-            page_size: chunk_size,
         }
-    }
-
-    /// Crate-internal: `Manager::register_benefactor` stamps its store's
-    /// page size before the first chunk lands.
-    pub(crate) fn set_page_size(&mut self, page_size: u64) {
-        assert!(
-            self.chunks.is_empty(),
-            "page size changed under stored chunks"
-        );
-        self.page_size = page_size;
     }
 
     pub fn ssd(&self) -> &Ssd {
@@ -220,11 +205,10 @@ impl Benefactor {
         payload_bytes: u64,
         consumes_reservation: bool,
     ) -> Grant {
-        // Release-mode checks: a payload of the wrong shape would land its
-        // later page runs on the wrong leaves without a trace. (That the
-        // leaves cover the length at that size, `ChunkBuf` guarantees.)
+        // Release-mode check: a payload of the wrong length would land its
+        // later page runs past the end without a trace. (That its leaves
+        // cover the length on the one page grid, `ChunkBuf` guarantees.)
         assert_eq!(data.len() as u64, self.chunk_size, "payload length");
-        assert_eq!(data.page() as u64, self.page_size, "payload leaf size");
         // A materialized chunk owns one slot bit: either the reservation's
         // (handed over here) or a freshly allocated one.
         let slot = if consumes_reservation {
@@ -341,28 +325,24 @@ impl Benefactor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::payload::{cut_runs, run_views};
+    use crate::payload::{cut_runs, run_views, Leaf};
     use devices::INTEL_X25E;
     use simcore::StatsRegistry;
-    use std::sync::Arc;
 
     const CHUNK: u64 = 256 * 1024;
-    const PAGE: u64 = 4096;
 
     fn bene(cap_chunks: u64) -> Benefactor {
         let ssd = Ssd::new("b0.ssd", INTEL_X25E, &StatsRegistry::new());
-        let mut b = Benefactor::new(0, ssd, cap_chunks * CHUNK, CHUNK);
-        b.set_page_size(PAGE);
-        b
+        Benefactor::new(0, ssd, cap_chunks * CHUNK, CHUNK)
     }
 
     fn zero_chunk() -> ChunkBuf {
-        crate::payload::zero_chunk(CHUNK, PAGE)
+        crate::payload::zero_chunk(CHUNK)
     }
 
     /// `update_chunk` with byte runs, cut the way `write_pages` cuts them.
     fn update(b: &mut Benefactor, id: ChunkId, runs: &[(u64, &[u8])]) {
-        let cut = cut_runs(PAGE, runs);
+        let cut = cut_runs(runs);
         b.update_chunk(VTime::ZERO, id, &run_views(&cut));
     }
 
@@ -392,16 +372,8 @@ mod tests {
     #[should_panic(expected = "payload length")]
     fn store_chunk_rejects_a_short_payload() {
         let mut b = bene(2);
-        let half = crate::payload::zero_chunk(CHUNK / 2, PAGE);
+        let half = crate::payload::zero_chunk(CHUNK / 2);
         b.store_chunk(VTime::ZERO, ChunkId(1), half, CHUNK, false);
-    }
-
-    #[test]
-    #[should_panic(expected = "payload leaf size")]
-    fn store_chunk_rejects_leaves_of_another_page_size() {
-        let mut b = bene(2);
-        let coarse = crate::payload::zero_chunk(CHUNK, 2 * PAGE);
-        b.store_chunk(VTime::ZERO, ChunkId(1), coarse, CHUNK, false);
     }
 
     #[test]
@@ -411,7 +383,7 @@ mod tests {
         b.store_chunk(VTime::ZERO, ChunkId(1), zero_chunk(), CHUNK, true);
         let before = b.ssd().bytes_written();
         let (_, snapshot) = b.read_chunk(VTime::ZERO, ChunkId(1));
-        let page = cut_runs(PAGE, &[(4096, &[1u8; 4096][..])]);
+        let page = cut_runs(&[(4096, &[1u8; 4096][..])]);
         b.update_chunk(VTime::ZERO, ChunkId(1), &run_views(&page));
         assert_eq!(b.ssd().bytes_written() - before, 4096);
         let (_, read) = b.read_chunk(VTime::ZERO, ChunkId(1));
@@ -420,7 +392,7 @@ mod tests {
         assert_eq!(read[8192], 0);
         // The whole page was handed over, not copied; the earlier read is
         // a snapshot that still shares the 63 leaves nobody wrote.
-        assert!(Arc::ptr_eq(&read.leaves()[1], &page[0].1[0]));
+        assert!(Leaf::ptr_eq(&read.leaves()[1], &page[0].1[0]));
         assert!(snapshot == vec![0u8; CHUNK as usize][..]);
         assert_eq!(snapshot.shared_leaves(&read), 63);
     }
@@ -532,7 +504,7 @@ mod tests {
         let mut b = bene(2);
         b.reserve_slots(1);
         b.arm_torn_write();
-        let data = ChunkBuf::from_bytes(&vec![7u8; CHUNK as usize], PAGE);
+        let data = ChunkBuf::from_bytes(&vec![7u8; CHUNK as usize]);
         b.store_chunk(VTime::ZERO, ChunkId(1), data.clone(), CHUNK, true);
         let stored = b.peek_chunk(ChunkId(1)).unwrap();
         let half = CHUNK as usize / 2;
@@ -545,7 +517,7 @@ mod tests {
         assert_eq!(data.shared_leaves(stored), 32);
         // One-shot: the next write is whole.
         b.reserve_slots(1);
-        let data = ChunkBuf::from_bytes(&vec![9u8; CHUNK as usize], PAGE);
+        let data = ChunkBuf::from_bytes(&vec![9u8; CHUNK as usize]);
         b.store_chunk(VTime::ZERO, ChunkId(2), data, CHUNK, true);
         assert_eq!(b.peek_chunk(ChunkId(2)).unwrap()[CHUNK as usize - 1], 9);
     }

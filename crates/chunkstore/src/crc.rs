@@ -5,11 +5,14 @@
 //! ECMA-182 polynomial is the same one `xz` and the Linux kernel use, so
 //! digests computed here are directly comparable with standard tooling.
 //!
-//! The store checksums whole chunks on every write-back and vets a whole
-//! chunk before every partial overwrite under `verify_reads`, so this sits
-//! on the data path and needs to run at memory-ish speed without pulling
-//! in an external crate. Two kernels sit behind every entry point, picked
-//! by what the code can observe — the CPU and the input length:
+//! The store checksums every page it is handed and vets a whole chunk
+//! before every partial overwrite under `verify_reads`, so this sits on
+//! the data path and needs to run at memory-ish speed without pulling in
+//! an external crate. (A page is run through it once: `payload.rs` keeps
+//! each leaf's register beside its bytes and composes chunk digests from
+//! those — "Incremental updates" below.) Two kernels sit behind every
+//! entry point, picked by what the code can observe — the CPU and the
+//! input length:
 //!
 //! * **carry-less-multiply fold** — on an `x86_64` with `pclmulqdq`
 //!   (detected at run time), an input of two 128-byte blocks or more is
@@ -49,6 +52,14 @@
 //! the recorded digest. This turns the per-page write-back digest from
 //! O(chunk) to O(dirty bytes) — the dominant host-time cost of the
 //! simulator's write path (EXPERIMENTS.md, host-speed table).
+//!
+//! The same identity composes a digest from parts: `raw(0, A‖B) =
+//! advance(raw(0, A), |B|) ⊕ raw(0, B)`, so the register of a chunk is a
+//! Horner fold of its pages' registers, one advance-by-a-page per step
+//! ([`ZeroAdvance`]: the O(log n) operator product for one fixed `n`
+//! flattened into eight byte-indexed lookups), and
+//! `crc64(M) = crc64_zeros(|M|) ⊕ raw(0, M)` puts the init and final
+//! inversions back. `payload.rs` owns that fold.
 
 /// Reflected ECMA-182 polynomial (CRC-64/XZ).
 const POLY: u64 = 0xC96C_5795_D787_0F42;
@@ -112,10 +123,20 @@ pub fn crc_kernel() -> &'static str {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Payload bytes this thread's tests have run through either kernel:
+    /// what "a second vet of an untouched chunk reads nothing" is
+    /// counted in.
+    pub(crate) static ABSORBED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// The dispatch behind every entry point (module doc): fold what the
 /// vector kernel can, finish — or do everything — with the table kernel.
 #[inline]
 fn absorb(crc: u64, a: &[u8], b: Option<&[u8]>) -> u64 {
+    #[cfg(test)]
+    ABSORBED.with(|n| n.set(n.get() + a.len() as u64));
     let (crc, done) = fold_prefix(crc, a, b);
     match b {
         Some(b) => absorb_table(crc, (&a[done..], &b[done..])),
@@ -370,45 +391,54 @@ pub fn crc64_advance_zeros(mut crc: u64, mut n: u64) -> u64 {
     crc
 }
 
+/// [`crc64_advance_zeros`] for one fixed `n` as eight byte-indexed table
+/// lookups (16 KiB): the step of a fold that crosses the same distance
+/// once per operand — a chunk digest composed from its pages' registers —
+/// where a `mat_vec` per step would cost what absorbing the page does.
+pub(crate) struct ZeroAdvance(Box<[[u64; 256]; 8]>);
+
+impl ZeroAdvance {
+    pub(crate) fn new(n: u64) -> Self {
+        let mut t = Box::new([[0u64; 256]; 8]);
+        for (i, lane) in t.iter_mut().enumerate() {
+            for byte in 1..256usize {
+                // Linear: a byte is the XOR of its lowest set bit and the rest.
+                let low = byte & byte.wrapping_neg();
+                lane[byte] = match byte ^ low {
+                    0 => crc64_advance_zeros((byte as u64) << (8 * i), n),
+                    rest => lane[rest] ^ lane[low],
+                };
+            }
+        }
+        ZeroAdvance(t)
+    }
+
+    #[inline]
+    pub(crate) fn apply(&self, crc: u64) -> u64 {
+        let t = &*self.0;
+        t[0][(crc & 0xFF) as usize]
+            ^ t[1][((crc >> 8) & 0xFF) as usize]
+            ^ t[2][((crc >> 16) & 0xFF) as usize]
+            ^ t[3][((crc >> 24) & 0xFF) as usize]
+            ^ t[4][((crc >> 32) & 0xFF) as usize]
+            ^ t[5][((crc >> 40) & 0xFF) as usize]
+            ^ t[6][((crc >> 48) & 0xFF) as usize]
+            ^ t[7][(crc >> 56) as usize]
+    }
+}
+
 /// CRC-64/XZ of `n` zero bytes, in O(log n).
 pub fn crc64_zeros(n: u64) -> u64 {
     !crc64_advance_zeros(!0u64, n)
 }
 
-/// Update the digest of a `len`-byte buffer after the run of bytes at
-/// `off` changes: O(dirty + log len) instead of re-scanning the buffer.
-/// The run arrives as its consecutive `(old bytes, new bytes)` pieces — a
-/// leaf-held chunk yields one per page it crosses — absorbed into one
-/// register that is advanced over the trailing zeros once per run. `old`
-/// must be the digest of the buffer *with* the old bytes in place.
-pub fn crc64_splice<'a>(
-    old: u64,
-    len: u64,
-    off: u64,
-    pieces: impl IntoIterator<Item = (&'a [u8], &'a [u8])>,
-) -> u64 {
-    let (mut delta, mut run) = (0, 0);
-    for (was, now) in pieces {
-        delta = crc64_absorb_raw_xor(delta, was, now);
-        run += now.len() as u64;
-    }
-    assert!(off + run <= len, "splice run out of range");
-    old ^ crc64_advance_zeros(delta, len - off - run)
-}
-
-/// [`crc64_splice`] for the case where the old bytes are all zero
-/// (freshly composed chunks): skips the XOR stream.
-pub fn crc64_splice_fresh<'a>(
-    old: u64,
-    len: u64,
-    off: u64,
-    pieces: impl IntoIterator<Item = &'a [u8]>,
-) -> u64 {
-    let (mut delta, mut run) = (0, 0);
-    for now in pieces {
-        delta = crc64_absorb_raw(delta, now);
-        run += now.len() as u64;
-    }
+/// The digest of a `len`-byte buffer after the `run` bytes at `off`
+/// change, from the old digest and `delta` — the zero-init raw register of
+/// `old bytes ⊕ new bytes` over the run — in O(log len): the register is
+/// advanced over the trailing zeros of a delta that is zero outside the
+/// run. `old` must be the digest of the buffer *with* the old bytes in
+/// place.
+pub fn crc64_splice(old: u64, len: u64, off: u64, run: u64, delta: u64) -> u64 {
     assert!(off + run <= len, "splice run out of range");
     old ^ crc64_advance_zeros(delta, len - off - run)
 }
@@ -534,6 +564,16 @@ mod tests {
         }
     }
 
+    #[test]
+    fn a_table_advance_is_the_matrix_advance() {
+        for n in [1u64, 100, 4096, 262_144] {
+            let table = ZeroAdvance::new(n);
+            for crc in [0u64, 1, 0x80, !0, 0x0123_4567_89AB_CDEF, 1 << 63] {
+                assert_eq!(table.apply(crc), crc64_advance_zeros(crc, n), "n {n}");
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -547,36 +587,31 @@ mod tests {
             let off = off as usize % len;
             let run = run as usize % (len - off + 1);
             let new_bytes = pattern(run, seed);
+            let (len64, off64, run64) = (len as u64, off as u64, run as u64);
             // over arbitrary old content ...
             let mut buf = pattern(len, seed ^ 0x5A5A);
-            // ... the run whole, and cut where a 4 KiB page grid cuts it
-            let whole = [(&buf[off..off + run], &new_bytes[..])];
-            let cut = crate::segments(off as u64, run as u64, 4096)
-                .map(|s| (&buf[off + s.pos..][..s.take], &new_bytes[s.pos..][..s.take]));
-            let (digest, len64, off64) = (crc64(&buf), len as u64, off as u64);
-            let spliced = crc64_splice(digest, len64, off64, whole);
-            prop_assert_eq!(spliced, crc64_splice(digest, len64, off64, cut));
+            let delta = crc64_absorb_raw_xor(0, &buf[off..off + run], &new_bytes);
+            let spliced = crc64_splice(crc64(&buf), len64, off64, run64, delta);
             buf[off..off + run].copy_from_slice(&new_bytes);
             prop_assert_eq!(spliced, crc64(&buf), "len {} off {} run {}", len, off, run);
             // ... and over zeros, as freshly composed chunks are
             let mut fresh = vec![0u8; len];
-            let cut = crate::segments(off as u64, run as u64, 4096)
-                .map(|s| &new_bytes[s.pos..][..s.take]);
-            let spliced = crc64_splice_fresh(crc64_zeros(len64), len64, off64, [&new_bytes[..]]);
-            prop_assert_eq!(spliced, crc64_splice_fresh(crc64_zeros(len64), len64, off64, cut));
+            let delta = crc64_absorb_raw(0, &new_bytes);
+            let spliced = crc64_splice(crc64_zeros(len64), len64, off64, run64, delta);
             fresh[off..off + run].copy_from_slice(&new_bytes);
             prop_assert_eq!(spliced, crc64(&fresh), "fresh len {} off {} run {}", len, off, run);
         }
     }
 
     #[test]
-    fn splice_fresh_composes_zero_based_chunks() {
+    fn successive_splices_compose_a_zero_based_chunk() {
         let len = 16384usize;
         let mut buf = vec![0u8; len];
         let mut digest = crc64_zeros(len as u64);
         for (off, run) in [(512usize, 1000usize), (9000, 4096), (16000, 384)] {
             let new_bytes = pattern(run, off as u32);
-            digest = crc64_splice_fresh(digest, len as u64, off as u64, [&new_bytes[..]]);
+            let delta = crc64_absorb_raw(0, &new_bytes);
+            digest = crc64_splice(digest, len as u64, off as u64, run as u64, delta);
             buf[off..off + run].copy_from_slice(&new_bytes);
         }
         assert_eq!(digest, crc64(&buf));

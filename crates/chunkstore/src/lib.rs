@@ -65,4 +65,5 @@ pub use segments::{segments, Segment, Segments};
 pub use shardmgr::{HashRing, ShardSet, DEFAULT_RING_SEED};
 pub use store::{
     AggregateStore, BatchRuns, BatchWrite, ChunkPayload, RepairReport, ScrubConfig, StoreConfig,
+    PAGE_BYTES,
 };

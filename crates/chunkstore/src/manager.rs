@@ -276,7 +276,6 @@ pub struct ChunkMeta {
 #[derive(Debug)]
 pub struct Manager {
     chunk_size: u64,
-    page_size: u64,
     benefactors: Vec<Benefactor>,
     files: HashMap<FileId, FileMeta>,
     by_name: HashMap<String, FileId>,
@@ -314,12 +313,10 @@ pub struct Manager {
 }
 
 impl Manager {
-    pub fn new(chunk_size: u64, page_size: u64) -> Self {
+    pub fn new(chunk_size: u64) -> Self {
         assert!(chunk_size > 0 && chunk_size.is_power_of_two());
-        assert!(page_size > 0, "zero page size");
         Manager {
             chunk_size,
-            page_size,
             benefactors: Vec::new(),
             files: HashMap::new(),
             by_name: HashMap::new(),
@@ -339,11 +336,6 @@ impl Manager {
 
     pub fn chunk_size(&self) -> u64 {
         self.chunk_size
-    }
-
-    /// Leaf size of every chunk payload in this store.
-    pub fn page_size(&self) -> u64 {
-        self.page_size
     }
 
     /// Current placement epoch (see the field doc).
@@ -513,8 +505,7 @@ impl Manager {
 
     // ----- benefactor fleet -------------------------------------------------
 
-    pub fn register_benefactor(&mut self, mut b: Benefactor) -> BenefactorId {
-        b.set_page_size(self.page_size);
+    pub fn register_benefactor(&mut self, b: Benefactor) -> BenefactorId {
         let id = BenefactorId(self.benefactors.len());
         // Ids are handed out in ascending order, so pushing keeps the
         // incremental sets sorted.
@@ -1166,11 +1157,10 @@ mod tests {
     use simcore::{StatsRegistry, VTime};
 
     const CHUNK: u64 = 256 * 1024;
-    const PAGE: u64 = 4096;
 
     fn mgr(benefactors: usize, cap_chunks: u64) -> Manager {
         let stats = StatsRegistry::new();
-        let mut m = Manager::new(CHUNK, PAGE);
+        let mut m = Manager::new(CHUNK);
         for i in 0..benefactors {
             let ssd = Ssd::new(&format!("b{i}.ssd"), INTEL_X25E, &stats);
             m.register_benefactor(Benefactor::new(i, ssd, cap_chunks * CHUNK, CHUNK));
@@ -1180,7 +1170,7 @@ mod tests {
 
     fn materialize(m: &mut Manager, f: FileId, idx: usize) -> ChunkId {
         let home = m.file(f).unwrap().home_of_slot(idx);
-        let data = crate::payload::zero_chunk(CHUNK, PAGE);
+        let data = crate::payload::zero_chunk(CHUNK);
         let c = m.new_chunk_id(vec![home], 1, data.digest());
         m.benefactor_mut(home)
             .store_chunk(VTime::ZERO, c, data, CHUNK, true);

@@ -250,7 +250,7 @@ pub(super) fn decode_member(
             }
         })
     });
-    ChunkBuf::from_leaves(leaves.collect(), zeros.len() as u64, zeros.page() as u64)
+    ChunkBuf::from_leaves(leaves.collect(), zeros.len() as u64)
 }
 
 /// Where the decoded content of a rebuilt group member lands.
@@ -289,7 +289,7 @@ pub(super) fn install_rebuilt(
     trust_decode: bool,
 ) -> Option<(VTime, u64)> {
     let chunk_size = mgr.chunk_size();
-    let zeros = zero_chunk(chunk_size, mgr.page_size());
+    let zeros = zero_chunk(chunk_size);
     let at = match landing {
         Landing::InPlace { home, .. } => home,
         Landing::Rehome { dest, .. } | Landing::Materialize { dest, .. } => dest,

@@ -46,7 +46,10 @@ use std::sync::Arc;
 pub struct StoreConfig {
     /// Striping unit; the paper uses 256 KiB.
     pub chunk_size: u64,
-    /// Dirty-tracking granularity; the paper uses the 4 KiB OS page.
+    /// Dirty-tracking granularity: always [`PAGE_BYTES`], the paper's
+    /// 4 KiB OS page ([`AggregateStore::new`] refuses any other value).
+    /// Not a knob — the page is a model constant — but still a field
+    /// because the frozen `examples/benchmark` reads it (DESIGN.md §13).
     pub page_size: u64,
     /// Cluster node hosting the manager process.
     pub manager_node: usize,
@@ -80,7 +83,7 @@ impl Default for StoreConfig {
     fn default() -> Self {
         StoreConfig {
             chunk_size: 256 * 1024,
-            page_size: 4096,
+            page_size: PAGE_BYTES,
             manager_node: 0,
             mgr_cpu: VTime::from_micros(10),
             fetch_retries: 2,
@@ -94,6 +97,10 @@ impl Default for StoreConfig {
 // Model constants rather than `StoreConfig` fields: no configuration in the
 // workspace needs a second value for any of them.
 
+/// The page: the unit a client's dirty bitmap counts in, a payload is
+/// copied in and a digest is composed from (one leaf of a
+/// [`ChunkBuf`]).
+pub const PAGE_BYTES: u64 = 4096;
 /// Size of a manager-RPC (and benefactor request) message.
 pub(crate) const RPC_BYTES: u64 = 256;
 /// Virtual-time backoff between failover retries.
@@ -178,7 +185,7 @@ impl ChunkPayload {
     /// The chunk's bytes, a hole being the store's shared zero chunk.
     pub fn into_buf(self, cfg: &StoreConfig) -> ChunkBuf {
         match self {
-            ChunkPayload::Zeros => zero_chunk(cfg.chunk_size, cfg.page_size),
+            ChunkPayload::Zeros => zero_chunk(cfg.chunk_size),
             ChunkPayload::Data(d) => d,
         }
     }
@@ -269,8 +276,9 @@ const HA_COUNTERS: &[&str] = &[
 
 impl AggregateStore {
     pub fn new(cfg: StoreConfig, net: Network, stats: &StatsRegistry) -> Self {
+        assert_eq!(cfg.page_size, PAGE_BYTES, "the page is a model constant");
         let store = AggregateStore {
-            mgr: Arc::new(Mutex::new(Manager::new(cfg.chunk_size, cfg.page_size))),
+            mgr: Arc::new(Mutex::new(Manager::new(cfg.chunk_size))),
             chain_scratch: Arc::new(Mutex::new(ChainScratch::default())),
             net,
             cfg,

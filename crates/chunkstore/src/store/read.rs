@@ -260,7 +260,7 @@ impl AggregateStore {
             (survivors, primary, mgr.benefactor(primary).node, expected)
         };
         let mut end = t;
-        let zeros = zero_chunk(self.cfg.chunk_size, self.cfg.page_size);
+        let zeros = zero_chunk(self.cfg.chunk_size);
         let data = copies::decode_member(&survivors, &zeros, gref.member, |chunk, home| {
             let (arrived, data) = self.pull_chunk(t, client_node, home, chunk);
             end = end.max(arrived);

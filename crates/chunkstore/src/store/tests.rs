@@ -9,7 +9,6 @@ use netsim::NetConfig;
 use simcore::time::bytes::mib;
 
 const CHUNK: u64 = 256 * 1024;
-const PAGE: u64 = 4096;
 
 /// A 4-node store: manager on node 0, benefactors on nodes 1 and 2,
 /// client drives from node 3.
@@ -600,6 +599,10 @@ fn partial_overwrite_of_a_rotten_sole_copy_is_refused_not_laundered() {
     let fives = vec![5u8; CHUNK as usize];
     let t = store.write_span(VTime::ZERO, client, f, 0, &fives).unwrap();
     let c = chunk_of(&store, f, 0);
+    // The base has been vetted and served before the rot lands: whatever
+    // a digest remembers about the stored pages, it remembers from now.
+    assert!(copies::is_clean(&store.manager(), c, BenefactorId(0)));
+    let (t, _) = store.fetch_chunk(t, client, f, 0).unwrap();
     store
         .manager()
         .benefactor_mut(BenefactorId(0))
@@ -680,6 +683,111 @@ fn torn_write_is_detected_by_verified_read() {
     assert_eq!(store.count_corrupt_copies(), 1);
     let err = store.fetch_chunk(t, client, f, 0).unwrap_err();
     assert!(matches!(err, StoreError::ChunkCorrupt { .. }));
+}
+
+/// The shape of `torn_write_is_detected_by_verified_read`, on an
+/// *overwrite* whose two sides have both been digested already: the stored
+/// pages by a verified fetch, the new ones when they were cut. The tear
+/// keeps the first new page and the second old one; the recorded digest is
+/// of two new pages, and nothing either side remembers hides that.
+#[test]
+fn torn_overwrite_of_a_fetched_chunk_is_detected_by_verified_read() {
+    let (store, _) = store_verify(1);
+    let client = 2;
+    let f = make_file_replicated(&store, client, "/m", CHUNK, 1);
+    let threes = vec![3u8; CHUNK as usize];
+    let t = store
+        .write_span(VTime::ZERO, client, f, 0, &threes)
+        .unwrap();
+    let (t, _) = store.fetch_chunk(t, client, f, 0).unwrap();
+    let c = chunk_of(&store, f, 0);
+    store
+        .manager()
+        .benefactor_mut(BenefactorId(0))
+        .arm_torn_write();
+    let t = store
+        .write_pages(t, client, f, 0, &[(4096, &[8u8; 8192])])
+        .unwrap();
+    {
+        let mgr = store.manager();
+        let stored = mgr.benefactor(BenefactorId(0)).peek_chunk(c).unwrap();
+        assert_eq!((stored[4096], stored[8191], stored[8192]), (8, 8, 3));
+    }
+    assert!(!copies::is_clean(&store.manager(), c, BenefactorId(0)));
+    assert_eq!(store.count_corrupt_copies(), 1);
+    let err = store.fetch_chunk(t, client, f, 0).unwrap_err();
+    assert!(matches!(err, StoreError::ChunkCorrupt { .. }));
+}
+
+/// Rot that lands *after* a verified fetch has digested every stored page
+/// is caught by the next one: the vet mismatches, the read fails over to
+/// the replica and the bad copy is dropped.
+#[test]
+fn rot_after_a_verified_fetch_is_caught_by_the_next_one() {
+    let (store, stats) = store_verify(2);
+    let client = 3;
+    let f = make_file_replicated(&store, client, "/m", CHUNK, 2);
+    let data: Vec<u8> = (0..CHUNK).map(|i| (i / 4096 + i % 251) as u8).collect();
+    let t = store.write_span(VTime::ZERO, client, f, 0, &data).unwrap();
+    let c = chunk_of(&store, f, 0);
+    let (t, first) = store.fetch_chunk(t, client, f, 0).unwrap();
+    assert_eq!(stats.get("store.crc_mismatches"), 0);
+    let primary = store.manager().chunk_homes(c).unwrap()[0];
+    store
+        .manager()
+        .benefactor_mut(primary)
+        .corrupt_chunk(c, 17 * 4096 + 5);
+    assert!(!copies::is_clean(&store.manager(), c, primary));
+    assert_eq!(store.count_corrupt_copies(), 1);
+    let (_, second) = store.fetch_chunk(t, client, f, 0).unwrap();
+    assert_eq!(stats.get("store.crc_mismatches"), 1);
+    assert_eq!(stats.get("store.failovers"), 1);
+    assert_eq!(store.manager().chunk_homes(c).unwrap().len(), 1);
+    // Neither payload ever held the rotten byte.
+    assert!(first.into_buf(store.config()) == data[..]);
+    assert!(second.into_buf(store.config()) == data[..]);
+}
+
+/// What a vet reads: the pages nobody has digested since they last
+/// changed, and on a second look nothing at all.
+#[test]
+fn a_second_vet_of_an_untouched_chunk_reads_no_payload_byte() {
+    let absorbed = || crate::crc::ABSORBED.with(|n| n.get());
+    let (store, _) = store_verify(1);
+    let client = 2;
+    let f = make_file_replicated(&store, client, "/m", CHUNK, 1);
+    let data: Vec<u8> = (0..CHUNK).map(|i| (i * 7 / 4) as u8).collect();
+    let t = store.write_span(VTime::ZERO, client, f, 0, &data).unwrap();
+    let c = chunk_of(&store, f, 0);
+    let standing = |store: &AggregateStore| {
+        let mgr = store.manager();
+        let stored = mgr.benefactor(BenefactorId(0)).peek_chunk(c).unwrap();
+        stored.standing_sums()
+    };
+    // Every page arrived cut from caller bytes, digested while hot.
+    assert_eq!(standing(&store), 64);
+    // An 8-byte overwrite lands by copy into page 3: that page's sum is
+    // gone, the recorded digest was spliced from the bytes themselves.
+    let t = store
+        .write_pages(t, client, f, 0, &[(3 * 4096 + 16, &[0xEEu8; 8])])
+        .unwrap();
+    assert_eq!(standing(&store), 63);
+    let before = absorbed();
+    assert!(copies::is_clean(&store.manager(), c, BenefactorId(0)));
+    assert_eq!(
+        absorbed() - before,
+        4096,
+        "the one page nobody had digested"
+    );
+    assert_eq!(standing(&store), 64);
+    let before = absorbed();
+    assert!(copies::is_clean(&store.manager(), c, BenefactorId(0)));
+    store.fetch_chunk(t, client, f, 0).unwrap();
+    assert_eq!(
+        absorbed() - before,
+        0,
+        "a vet and a verified fetch of 64 pages"
+    );
 }
 
 #[test]
@@ -1312,7 +1420,7 @@ fn parity_write_materializes_parity_and_reads_back() {
     assert_eq!(stats.get("store.parity_bytes"), 2 * CHUNK);
     // Reads are undegraded and roundtrip.
     let (_, payload) = store.fetch_chunk(t, client, f, 0).unwrap();
-    assert_eq!(payload, ChunkPayload::Data(ChunkBuf::from_bytes(&a, PAGE)));
+    assert_eq!(payload, ChunkPayload::Data(ChunkBuf::from_bytes(&a)));
 }
 
 #[test]
@@ -1338,10 +1446,7 @@ fn parity_updates_are_o_dirty_not_full_group() {
     let (_, payload) = store.fetch_chunk(t, client, f, 0).unwrap();
     let mut want = a;
     want[8192..8192 + 4096].copy_from_slice(&page);
-    assert_eq!(
-        payload,
-        ChunkPayload::Data(ChunkBuf::from_bytes(&want, PAGE))
-    );
+    assert_eq!(payload, ChunkPayload::Data(ChunkBuf::from_bytes(&want)));
     assert_eq!(stats.get("store.degraded_reconstructs"), 1);
 }
 
@@ -1359,7 +1464,7 @@ fn degraded_read_reconstructs_after_crash_with_zero_wrong_bytes() {
     let (_, payload) = store.fetch_chunk(t, client, f, 0).unwrap();
     assert_eq!(
         payload,
-        ChunkPayload::Data(ChunkBuf::from_bytes(&a, PAGE)),
+        ChunkPayload::Data(ChunkBuf::from_bytes(&a)),
         "reconstructed bytes are exactly the lost member"
     );
     assert_eq!(stats.get("store.degraded_reconstructs"), 1);
@@ -1650,7 +1755,7 @@ fn scrub_rebuilds_corrupt_sole_copy_group_member_in_place() {
     let (_, payload) = store
         .fetch_chunk(t + VTime::from_millis(2), client, f, 0)
         .unwrap();
-    assert_eq!(payload, ChunkPayload::Data(ChunkBuf::from_bytes(&a, PAGE)));
+    assert_eq!(payload, ChunkPayload::Data(ChunkBuf::from_bytes(&a)));
 }
 
 #[test]
@@ -1677,7 +1782,7 @@ fn repair_parity_groups_rehomes_dead_members() {
     // And it reads back cleanly (no degraded path) with b0 still dead.
     let before = stats.get("store.degraded_reads");
     let (_, payload) = store.fetch_chunk(t2, client, f, 0).unwrap();
-    assert_eq!(payload, ChunkPayload::Data(ChunkBuf::from_bytes(&a, PAGE)));
+    assert_eq!(payload, ChunkPayload::Data(ChunkBuf::from_bytes(&a)));
     assert_eq!(stats.get("store.degraded_reads"), before);
 }
 
@@ -1736,10 +1841,7 @@ fn stale_parity_is_flagged_and_reencoded_by_repair() {
     // With parity healthy again the degraded read works once more.
     store.set_benefactor_alive(BenefactorId(0), false);
     let (_, payload) = store.fetch_chunk(t3, client, f, 0).unwrap();
-    assert_eq!(
-        payload,
-        ChunkPayload::Data(ChunkBuf::from_bytes(&want_a, PAGE))
-    );
+    assert_eq!(payload, ChunkPayload::Data(ChunkBuf::from_bytes(&want_a)));
 }
 
 // ----- manager HA (DESIGN.md §16) ----------------------------------------
@@ -1858,10 +1960,7 @@ fn standby_takeover_replays_journal_and_loses_nothing() {
         t2 >= crash + FAILOVER_TIMEOUT,
         "takeover waits out the crash-detection window"
     );
-    assert_eq!(
-        payload,
-        ChunkPayload::Data(ChunkBuf::from_bytes(&data, PAGE))
-    );
+    assert_eq!(payload, ChunkPayload::Data(ChunkBuf::from_bytes(&data)));
     assert_eq!(stats.get("store.mgr_failovers"), 1);
     assert_eq!(stats.get("store.journal_replays"), 1);
     assert!(
@@ -1871,7 +1970,7 @@ fn standby_takeover_replays_journal_and_loses_nothing() {
     assert!(store.manager().placement_epoch() > epoch_before);
     // Acked writes survived: both chunks read back post-takeover.
     let (_, p1) = store.fetch_chunk(t2, 3, f, 1).unwrap();
-    assert_eq!(p1, ChunkPayload::Data(ChunkBuf::from_bytes(&data, PAGE)));
+    assert_eq!(p1, ChunkPayload::Data(ChunkBuf::from_bytes(&data)));
 }
 
 #[test]
@@ -1910,7 +2009,7 @@ fn sharded_standby_promotion_repoints_endpoint_and_revokes_leases() {
     // Every acked write reads back across the outage…
     for idx in 0..4 {
         let (_, p) = store.fetch_chunk(crash, 3, f, idx).unwrap();
-        assert_eq!(p, ChunkPayload::Data(ChunkBuf::from_bytes(&data, PAGE)));
+        assert_eq!(p, ChunkPayload::Data(ChunkBuf::from_bytes(&data)));
     }
     // …and a namespace op (always rank 0, the root shard) guarantees
     // the crashed rank was probed even if slot hashing dodged it.

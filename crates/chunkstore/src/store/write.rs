@@ -3,21 +3,20 @@
 //! (DESIGN.md §7, §8, §11, §15).
 
 use super::meta::MgrOp;
-use super::{copies, AggregateStore, BatchRuns, BatchWrite};
+use super::{copies, AggregateStore, BatchRuns, BatchWrite, PAGE_BYTES};
 use crate::benefactor::Benefactor;
 use crate::crc;
 use crate::error::{Result, StoreError};
 use crate::ids::{BenefactorId, FileId};
 use crate::manager::{Manager, Slot};
 use crate::payload::{
-    cut_runs, leaf_with, run_len, run_views, zero_chunk, ChunkBuf, Leaf, PageRun,
+    cut_runs, fold_sums, leaf_with, run_len, run_views, sum_of, zero_chunk, ChunkBuf, Leaf, PageRun,
 };
 use crate::rs::{gf_mul_acc, RsCode};
 use crate::segments::segments;
 use obs::Layer;
 use simcore::VTime;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// Deferred parity work for one `write_runs_batch` call: per touched
 /// (file, group), the parity deltas of every contributing entry, merged
@@ -72,8 +71,9 @@ fn placed<'a>((off, pieces): PageRun<'a>) -> impl Iterator<Item = (u64, &'a Leaf
 /// per maximal interval of overlapping or touching runs. An interval one
 /// run covers alone ships that run's leaves as they are; only where several
 /// contributions meet (two members dirty at the same offsets) are they
-/// XOR-merged, leaf by leaf, into pieces cut on the same `page` grid.
-fn merge_runs(runs: &[(u64, Vec<Leaf>)], page: u64) -> DeltaRuns {
+/// XOR-merged, leaf by leaf, into pieces cut on the same page grid.
+fn merge_runs(runs: &[(u64, Vec<Leaf>)]) -> DeltaRuns {
+    let page = PAGE_BYTES;
     let mut order: Vec<&(u64, Vec<Leaf>)> = runs.iter().collect();
     order.sort_by_key(|(off, _)| *off);
     let mut merged = Vec::with_capacity(order.len());
@@ -98,7 +98,7 @@ fn merge_runs(runs: &[(u64, Vec<Leaf>)], page: u64) -> DeltaRuns {
                     // falls inside one cell.
                     let cell = (pos / page - start / page) as usize;
                     let at = (pos - start.max(pos / page * page)) as usize;
-                    let out = Arc::get_mut(&mut cells[cell]).expect("a fresh leaf is unshared");
+                    let out = cells[cell].bytes_mut();
                     // · 1: a plain XOR, at the kernel's width.
                     gf_mul_acc(&mut out[at..at + piece.len()], piece, 1);
                 }
@@ -112,13 +112,15 @@ fn merge_runs(runs: &[(u64, Vec<Leaf>)], page: u64) -> DeltaRuns {
 }
 
 /// `crc` — the digest of a `chunk_len`-byte chunk — after `runs` are
-/// XOR-ed into it: `crc(M ⊕ D) = crc(M) ⊕ raw(D)`, one O(run + log chunk)
-/// splice per run, no byte of the chunk read. Over the all-zeros chunk the
-/// XOR *is* the write; runs never overlap (`validate_updates` rejects any
-/// that do, `merge_runs` coalesces them), which the algebra relies on.
+/// XOR-ed into it: `crc(M ⊕ D) = crc(M) ⊕ raw(D)`, one O(log chunk) splice
+/// per run of the pieces' own sums — no byte of the chunk read, and a
+/// piece's bytes only if nobody has digested them yet. Over the all-zeros
+/// chunk the XOR *is* the write; runs never overlap (`validate_updates`
+/// rejects any that do, `merge_runs` coalesces them), which the algebra
+/// relies on.
 fn splice_runs(crc: u64, chunk_len: u64, runs: &[PageRun<'_>]) -> u64 {
     runs.iter().fold(crc, |crc, &(off, pieces)| {
-        crc::crc64_splice_fresh(crc, chunk_len, off, pieces.iter().map(|p| &p[..]))
+        crc::crc64_splice(crc, chunk_len, off, run_len(pieces), sum_of(pieces))
     })
 }
 
@@ -130,8 +132,8 @@ fn digest_of_runs(chunk_len: u64, runs: &[PageRun<'_>]) -> u64 {
 
 /// A zero chunk with `runs` applied: the shared zero table un-shared, the
 /// written leaves replaced — an unwritten page stays the one zero leaf.
-fn fresh_chunk(chunk_len: u64, page: u64, runs: &[PageRun<'_>]) -> ChunkBuf {
-    let mut chunk = zero_chunk(chunk_len, page);
+fn fresh_chunk(chunk_len: u64, runs: &[PageRun<'_>]) -> ChunkBuf {
+    let mut chunk = zero_chunk(chunk_len);
     for &run in runs {
         chunk.write_run(run, usize::MAX);
     }
@@ -190,7 +192,7 @@ impl AggregateStore {
         idx: usize,
         updates: &[(u64, &[u8])],
     ) -> Result<VTime> {
-        let cut = cut_runs(self.cfg.page_size, updates);
+        let cut = cut_runs(updates);
         self.write_runs(t, client_node, file, idx, &run_views(&cut))
     }
 
@@ -268,8 +270,7 @@ impl AggregateStore {
             let flush_at = ends.iter().copied().max().unwrap_or(t);
             let mut mgr = self.mgr.lock();
             for ((file, group), gd) in std::mem::take(&mut pbatch.groups) {
-                let page = self.cfg.page_size;
-                let merged: Vec<_> = gd.runs.iter().map(|runs| merge_runs(runs, page)).collect();
+                let merged: Vec<_> = gd.runs.iter().map(|runs| merge_runs(runs)).collect();
                 let deltas: Vec<_> = merged.iter().map(|runs| run_views(runs)).collect();
                 let pend =
                     self.ship_parity_deltas(&mut mgr, flush_at, client_node, file, group, &deltas)?;
@@ -290,8 +291,7 @@ impl AggregateStore {
         client_node: usize,
         entries: &[BatchWrite<'_>],
     ) -> Result<Vec<VTime>> {
-        let page = self.cfg.page_size;
-        let cut: Vec<_> = entries.iter().map(|e| cut_runs(page, e.updates)).collect();
+        let cut: Vec<_> = entries.iter().map(|e| cut_runs(e.updates)).collect();
         let views: Vec<_> = cut.iter().map(|runs| run_views(runs)).collect();
         let runs = entries.iter().zip(&views).map(|(e, updates)| BatchRuns {
             file: e.file,
@@ -325,7 +325,7 @@ impl AggregateStore {
         // vetted in this pass; any other order is sorted first.
         let mut ascending = true;
         let mut prev_end = 0;
-        let page = self.cfg.page_size;
+        let page = PAGE_BYTES;
         for &(off, pieces) in updates {
             let end = off + run_len(pieces);
             assert!(end <= self.cfg.chunk_size, "update outside chunk");
@@ -368,7 +368,7 @@ impl AggregateStore {
         defer: Option<(usize, &mut ParityBatch)>,
     ) -> Result<VTime> {
         let dirty_bytes: u64 = updates.iter().map(|(_, d)| run_len(d)).sum();
-        let (chunk_len, page) = (self.cfg.chunk_size, self.cfg.page_size);
+        let chunk_len = self.cfg.chunk_size;
         let mut mgr = self.mgr.lock();
         let meta = self.slot_in(&mgr, file, idx)?;
         let slot = meta.slots[idx];
@@ -486,9 +486,10 @@ impl AggregateStore {
         // metadata before any benefactor write lands — a torn write or
         // silent corruption on the media then disagrees with it. With a
         // base, the recorded digest is spliced run by run (O(dirty bytes
-        // + log chunk), no full-chunk copy or rescan); without one the
-        // old content is zeros, or fully overwritten, and the digest is
-        // composed from the runs alone.
+        // + log chunk), no full-chunk copy or rescan — and for a piece
+        // that covers its page, the XOR of the two leaves' sums, no stored
+        // byte read); without one the old content is zeros, or fully
+        // overwritten, and the digest is composed from the runs alone.
         //
         // Erasure-coded write: every parity member of this slot's group
         // will absorb coef(p, member) · (old ⊕ new) over exactly the dirty
@@ -502,9 +503,9 @@ impl AggregateStore {
             });
             let new_crc = match base {
                 Some((recorded, stored)) => updates.iter().fold(recorded, |crc, &run| {
-                    let pieces =
-                        placed(run).map(|(pos, new)| (stored.piece(pos, new.len()), &new[..]));
-                    crc::crc64_splice(crc, chunk_len, run.0, pieces)
+                    let deltas =
+                        placed(run).map(|(pos, new)| (new.len(), stored.delta_sum(pos, new)));
+                    crc::crc64_splice(crc, chunk_len, run.0, run_len(run.1), fold_sums(deltas))
                 }),
                 None => digest_of_runs(chunk_len, updates),
             };
@@ -514,7 +515,7 @@ impl AggregateStore {
                 let old = match base {
                     Some((_, stored)) => stored,
                     None => {
-                        zeros = zero_chunk(chunk_len, page);
+                        zeros = zero_chunk(chunk_len);
                         &zeros
                     }
                 };
@@ -543,7 +544,7 @@ impl AggregateStore {
                 // move for the last.
                 let consumes_reservation = matches!(slot, Slot::Unmaterialized);
                 let mut handles =
-                    std::iter::repeat_n(fresh_chunk(chunk_len, page, updates), live_homes.len());
+                    std::iter::repeat_n(fresh_chunk(chunk_len, updates), live_homes.len());
                 let c = mgr.new_chunk_id(live_homes.clone(), target, new_crc);
                 let ship = |b: &mut Benefactor, at| {
                     let data = handles.next().expect("one handle per home");
@@ -613,7 +614,7 @@ impl AggregateStore {
         group: usize,
         deltas: &[Vec<PageRun<'_>>],
     ) -> Result<VTime> {
-        let (chunk_len, page) = (self.cfg.chunk_size, self.cfg.page_size);
+        let chunk_len = self.cfg.chunk_size;
         let mut end = t;
         let tasks: Vec<(usize, Slot, bool, BenefactorId)> = {
             let meta = mgr.file(file)?;
@@ -652,7 +653,7 @@ impl AggregateStore {
             } else {
                 // First delta materializes the member: old content is
                 // zeros, so the delta is the content.
-                let mut data = Some(fresh_chunk(chunk_len, page, runs));
+                let mut data = Some(fresh_chunk(chunk_len, runs));
                 let c = mgr.new_chunk_id(vec![home], 1, digest_of_runs(chunk_len, runs));
                 let ship = |b: &mut Benefactor, at| {
                     let data = data.take().expect("one home");

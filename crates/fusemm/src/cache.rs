@@ -371,7 +371,7 @@ mod tests {
     }
 
     fn data() -> ChunkBuf {
-        chunkstore::zero_chunk(256, 256)
+        chunkstore::zero_chunk(256)
     }
 
     #[test]

@@ -38,7 +38,7 @@
 use crate::cache::{CacheEntry, ChunkCache, ChunkKey};
 use chunkstore::{
     segments, AggregateStore, BatchRuns, ChunkBuf, ChunkPayload, FileId, LocationCache, PageRun,
-    PlacementPolicy, Result, Segment, StripeSpec,
+    PlacementPolicy, Result, Segment, StripeSpec, PAGE_BYTES,
 };
 use obs::{Layer, TraceRecorder};
 use parking_lot::Mutex;
@@ -258,7 +258,6 @@ pub struct Mount {
 impl Mount {
     pub fn new(store: AggregateStore, node: usize, cfg: FuseConfig, stats: &StatsRegistry) -> Self {
         let chunk = store.config().chunk_size;
-        let page = store.config().page_size;
         let capacity = (cfg.cache_bytes / chunk).max(1) as usize;
         assert!(
             cfg.dirty_background_ratio > 0.0 && cfg.dirty_background_ratio <= 1.0,
@@ -268,7 +267,7 @@ impl Mount {
             cfg.dirty_hard_ratio >= cfg.dirty_background_ratio && cfg.dirty_hard_ratio <= 1.0,
             "dirty_hard_ratio must be within [dirty_background_ratio, 1]"
         );
-        let pages = (chunk / page) as usize;
+        let pages = (chunk / PAGE_BYTES) as usize;
         let cache = if cfg.seg_cache {
             ChunkCache::new_segmented(capacity, pages)
         } else {
@@ -355,13 +354,9 @@ impl Mount {
         self.store.config().chunk_size
     }
 
-    fn page_size(&self) -> u64 {
-        self.store.config().page_size
-    }
-
     /// Bytes rounded to whole OS pages (how requests arrive at FUSE).
     fn page_rounded(&self, offset: u64, len: u64) -> u64 {
-        let ps = self.page_size();
+        let ps = PAGE_BYTES;
         let first = offset / ps;
         let last = (offset + len - 1) / ps;
         (last - first + 1) * ps
@@ -647,12 +642,11 @@ impl Mount {
         &self,
         entries: impl Iterator<Item = (ChunkKey, &'a CacheEntry)>,
     ) -> Writeback<'a> {
-        let ps = self.page_size();
         let mut bytes = 0;
         let chunks: Vec<(ChunkKey, Runs<'a>)> = entries
             .map(|(key, e)| {
                 let runs = if self.cfg.dirty_page_writeback {
-                    e.dirty.runs(ps)
+                    e.dirty.runs(PAGE_BYTES)
                 } else {
                     vec![(0, e.data.len() as u64)]
                 };
@@ -842,7 +836,7 @@ impl Mount {
         start: u64,
         end: u64,
     ) -> Result<VTime> {
-        let ps = self.page_size();
+        let ps = PAGE_BYTES;
         if !self.writeback_daemon_on() && self.cfg.dirty_hard_ratio >= 1.0 {
             st.cache.mark_dirty_range(&key, start, end, ps);
             return Ok(t);

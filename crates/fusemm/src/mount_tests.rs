@@ -11,7 +11,6 @@ use simcore::time::bytes::mib;
 use simcore::{StatsRegistry, VTime};
 
 const CHUNK: u64 = 256 * 1024;
-const PAGE: u64 = 4096;
 
 /// 3-node world: manager+benefactor on node 0, benefactor on node 1,
 /// client mount on node 2.
@@ -245,7 +244,7 @@ fn hole_written_through_one_mount_stays_zero_in_the_other() {
     m2.read(t, f, 0, &mut out).unwrap();
     assert_eq!(stats.get("fuse.hits"), hits + 1, "served from m2's cache");
     assert_eq!(out, [0u8; 64]);
-    let zeros = chunkstore::zero_chunk(CHUNK, PAGE);
+    let zeros = chunkstore::zero_chunk(CHUNK);
     assert!(zeros == [0u8; CHUNK as usize][..]);
     assert_eq!(m2.cached(f, 0).unwrap().shared_leaves(&zeros), 64);
     assert_eq!(m1.cached(f, 0).unwrap().shared_leaves(&zeros), 63);
@@ -290,12 +289,12 @@ fn write_back_hands_dirty_pages_over_without_copying_them() {
     assert_eq!(shared(0), 62);
     // Eviction moves the dirty page from cache to benefactor: the
     // benefactor ends up holding the very leaf the cache entry held.
-    let dirty_leaf = std::sync::Arc::clone(&m.cached(f, 0).unwrap().leaves()[5]);
+    let dirty_leaf = m.cached(f, 0).unwrap().leaves()[5].clone();
     let mut buf = [0u8; 8];
     let t = m.read(t, f, CHUNK, &mut buf).unwrap();
     m.read(t, f, 2 * CHUNK, &mut buf).unwrap();
     assert!(m.cached(f, 0).is_none(), "chunk 0 was evicted");
-    assert!(std::sync::Arc::ptr_eq(
+    assert!(chunkstore::Leaf::ptr_eq(
         &stored(&m, f, 0).leaves()[5],
         &dirty_leaf
     ));
@@ -492,8 +491,7 @@ fn direct_transfers_go_past_the_cache_a_policy_window_at_a_time() {
         let f = mk_file(&m, "/v", 3 * CHUNK);
         assert_eq!(m.bulk_window(f).unwrap(), window);
 
-        let page = m.store().config().page_size;
-        let body = |idx: usize| ChunkBuf::from_bytes(&vec![idx as u8 + 1; CHUNK as usize], page);
+        let body = |idx: usize| ChunkBuf::from_bytes(&vec![idx as u8 + 1; CHUNK as usize]);
         // Chunk 1 stays a hole; chunk 2 is written short.
         let chunks = [(0, body(0)), (2, body(2).head(5000))];
         let before = stats.get("store.mgr_rpcs");

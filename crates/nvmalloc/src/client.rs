@@ -351,7 +351,7 @@ impl NvmClient {
         let name = format!("/ckpt/{app}/c{}/t{timestep}", self.client_id);
         let store = self.mount.store();
         let node = self.mount.node();
-        let (chunk, page) = (store.config().chunk_size, store.config().page_size);
+        let chunk = store.config().chunk_size;
 
         let sp = self
             .mount
@@ -379,7 +379,7 @@ impl NvmClient {
         for (w, slab) in dram_state.chunks(chunk as usize * window).enumerate() {
             let image: Vec<(usize, ChunkBuf)> = (w * window..)
                 .zip(slab.chunks(chunk as usize))
-                .map(|(idx, bytes)| (idx, ChunkBuf::from_bytes(bytes, page)))
+                .map(|(idx, bytes)| (idx, ChunkBuf::from_bytes(bytes)))
                 .collect();
             let write = |t| Ok((self.mount.write_direct(t, ckpt_file, &image)?, ()));
             match w {

@@ -18,6 +18,9 @@ quick=0
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
+echo "==> scripts parse"
+for script in pairs.sh base_tree.sh vt_identity.sh; do bash -n "scripts/$script"; done
+
 echo "==> nvmalloc reaches the store's bulk data through its mount's data path, never read_span/write_span"
 # (`! grep ...` alone would not stop a `set -e` script: errexit ignores a negated status.)
 ! grep -rnE '\b(read|write)_span\(' crates/nvmalloc/src || exit 1
@@ -46,7 +49,7 @@ cargo run -q --release --example trace_report -- target/ledger/trace_smoke.json
 echo "==> the frozen benchmark package must build and run against the workspace (all five workloads correct)"
 cargo run --release --quiet --manifest-path examples/benchmark/Cargo.toml -- --smoke
 
-echo "==> micro host-speed floors (simulated bytes, engine hand-offs, stream writes, fetches, the two payload kernels and the two small-write shapes of the mount per host second)"
+echo "==> micro host-speed floors (simulated bytes, engine hand-offs, stream writes, fetches, the two payload kernels, the two small-write shapes of the mount and the two verified RS shapes per host second)"
 # On one CPU, like examples/benchmark: only one engine thread runs at a
 # time, and unpinned every hand-off is a cross-core wake whose cost on a
 # small VM swings 5x with what the other core has just been doing.
@@ -113,5 +116,15 @@ kernel_floor gf_kernel gf_mul_acc_bytes_per_host_second 3000000000 "GF(2^8) mult
 # the 110-130 k of a zero table with one leaf replaced.
 micro_floor cow_sets_per_host_second 80000 "8-byte sets to fetched chunks"
 micro_floor fresh_sets_per_host_second 40000 "8-byte sets to fresh chunks"
+# The two shapes a page's memoised CRC-64 sum serves (ISSUE 23,
+# EXPERIMENTS.md "A page is digested once"), on an RS(4, 2) file under
+# verify_reads. A verified fetch of an unchanged chunk through a thrashing
+# mount: 300 000 per host second, between the 36-40 k of re-digesting
+# 256 KiB per fetch and the 630-920 k of folding 64 standing sums. A
+# one-page overwrite of a materialised chunk, which vets its base first:
+# 80 000, between the 29-34 k of digesting the whole base per write and
+# the 170-240 k of digesting the one new page.
+micro_floor verified_fetches_per_host_second 300000 "verified fetches of unchanged chunks"
+micro_floor vetted_overwrites_per_host_second 80000 "one-page overwrites of vetted RS chunks"
 
 echo "All checks passed."

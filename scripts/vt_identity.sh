@@ -23,18 +23,8 @@ cd "$(dirname "$0")/.."
 base="${1:-HEAD~1}"
 shift || true
 root="$(pwd)/target/vt_identity"
-tree="$root/base-tree"
-
-git worktree remove --force "$tree" 2>/dev/null || true
-rm -rf "$root"
-mkdir -p "$root"
-if git worktree add --quiet --detach "$tree" "$base" 2>/dev/null; then
-    trap 'git worktree remove --force "$tree"' EXIT
-else
-    git clone --quiet --shared . "$tree"
-    git -C "$tree" checkout --quiet --detach "$(git rev-parse "$base")"
-    trap 'rm -rf "$tree"' EXIT
-fi
+. scripts/base_tree.sh
+checkout_base "$root" "$base"
 
 bench() { # <checkout> <args...>
     (cd "$1" && shift &&
