@@ -1,7 +1,7 @@
 //! Client-side chunk-location cache.
 //!
-//! A serial `fetch_chunk` pays a manager RPC per chunk just to learn where
-//! the chunk lives. Placement is almost always stable in steady state, so
+//! A fetch without one pays a manager RPC just to learn where its chunks
+//! live. Placement is almost always stable in steady state, so
 //! a client can remember the resolution — `(file, chunk index)` → slot
 //! state + home list — and skip the RPC on later fetches.
 //!
@@ -11,7 +11,7 @@
 //! live — chunk materialization/COW, crash/recovery liveness flips,
 //! failover re-homing, repair, reconcile, file deletion/linking. A lookup
 //! whose stamp is older than the current epoch misses, and the next
-//! batched resolution refreshes it. This models lease/epoch invalidation
+//! resolution refreshes it. This models lease/epoch invalidation
 //! piggybacked on the manager's heartbeat, which is why checking the
 //! epoch itself is not charged as an RPC.
 

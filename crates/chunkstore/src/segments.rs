@@ -1,6 +1,6 @@
 //! The one chunk-splitting loop: every layer that cuts a byte span at
-//! chunk boundaries (`AggregateStore::{read_span, write_span}`, the
-//! mount's span loop, `NvmVec`'s per-segment yields) iterates this.
+//! chunk boundaries (the mount's span loop, `NvmVec`'s per-segment yields,
+//! the store tests' span helpers) iterates this.
 
 /// One granule-aligned piece of a byte span.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -2,6 +2,7 @@
 //! placement manager with its leases (DESIGN.md §12), and manager high
 //! availability — crash, cold reboot, standby takeover (DESIGN.md §16).
 
+use super::chain::ChainScratch;
 use super::{
     copies, AggregateStore, FAILOVER_TIMEOUT, LEASE_TTL, REPLAY_RECORD_CPU, RETRY_BACKOFF,
     RPC_BYTES,
@@ -11,7 +12,6 @@ use crate::ids::FileId;
 use crate::shardmgr::{HashRing, LeaseCounters, ShardSet, DEFAULT_VNODES};
 use obs::{Layer, SHARD_LANE_BASE};
 use simcore::VTime;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// The three metadata-RPC flavours, split out per ISSUE 6 so bench
@@ -273,56 +273,50 @@ impl AggregateStore {
         self.meta_rpc(t, client_node, root, MgrOp::Place)
     }
 
-    /// Metadata round-trip resolving slot `(file, idx)`: routed to the
-    /// ring owner in shard mode, the serial manager otherwise.
-    pub(super) fn slot_rpc(
-        &self,
-        t: VTime,
-        client_node: usize,
-        file: FileId,
-        idx: usize,
-        op: MgrOp,
-    ) -> Result<VTime> {
-        self.meta_rpc(t, client_node, self.shard_of_slot(file, idx), op)
-    }
-
-    /// The ring owner of each slot key; all `None` with the serial manager
-    /// (one owner: the manager itself).
+    /// The ring owner of each slot key, into `owners`; all `None` with the
+    /// serial manager (one owner: the manager itself).
     pub(super) fn owners_of(
         &self,
         keys: impl Iterator<Item = (FileId, usize)>,
-    ) -> Vec<Option<usize>> {
+        owners: &mut Vec<Option<usize>>,
+    ) {
         let shards = self.shards.lock();
-        keys.map(|(f, i)| shards.as_ref().map(|ss| ss.ring().owner_of_slot(f, i)))
-            .collect()
+        owners.clear();
+        owners.extend(keys.map(|(f, i)| shards.as_ref().map(|ss| ss.ring().owner_of_slot(f, i))));
     }
 
-    /// The resolution fan-out shared by the batched fetch and write
-    /// paths: one metadata RPC per distinct owner of the entries `needs`
-    /// flags, all issued concurrently from `t`. Returns per entry when its
-    /// resolution reply is in hand — its owner's response arrival, or `t`
-    /// when that owner was never consulted.
+    /// The resolution fan-out shared by the fetch and write paths: one
+    /// metadata RPC per distinct owner of the entries `needs` flags, in
+    /// owner order, all issued concurrently from `t`. Fills `sc.ready`:
+    /// per entry, when its resolution reply is in hand — its owner's
+    /// response arrival, or `t` when that owner was never consulted.
     pub(super) fn resolve_fan_out(
         &self,
         t: VTime,
         client_node: usize,
         op: MgrOp,
-        owners: &[Option<usize>],
+        sc: &mut ChainScratch,
         needs: impl Fn(usize) -> bool,
-    ) -> Result<Vec<VTime>> {
-        let mut contacted: BTreeMap<Option<usize>, VTime> = BTreeMap::new();
-        for (i, &owner) in owners.iter().enumerate() {
-            if needs(i) {
-                contacted.entry(owner).or_insert(VTime::ZERO);
+    ) -> Result<()> {
+        let ChainScratch { owners, ready, .. } = sc;
+        ready.clear();
+        ready.resize(owners.len(), t);
+        // The least owner of a flagged entry past `done` (`None` sorts
+        // first): a handful of owners at most, so the rescan beats a map
+        // built per call.
+        let next = |done: Option<Option<usize>>| {
+            let flagged = (0..owners.len()).filter(|&i| needs(i)).map(|i| owners[i]);
+            flagged.filter(|&o| Some(o) > done).min()
+        };
+        let mut owner = next(None);
+        while let Some(o) = owner {
+            let replied = self.meta_rpc(t, client_node, o, op)?;
+            for (at, _) in ready.iter_mut().zip(owners.iter()).filter(|(_, &e)| e == o) {
+                *at = replied;
             }
+            owner = next(Some(o));
         }
-        for (&owner, end) in contacted.iter_mut() {
-            *end = self.meta_rpc(t, client_node, owner, op)?;
-        }
-        Ok(owners
-            .iter()
-            .map(|o| contacted.get(o).copied().unwrap_or(t))
-            .collect())
+        Ok(())
     }
 
     /// Simulate a placement-shard failure or recovery (DESIGN.md §12).

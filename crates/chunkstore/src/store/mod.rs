@@ -10,7 +10,7 @@
 //! map"): this file holds configuration, construction and the control
 //! plane; `meta` the metadata RPC, shards, leases and manager HA;
 //! `faults` fault injection; `read` and `write` the data plane;
-//! `chain` the per-benefactor chain drain both batched paths share;
+//! `chain` the per-benefactor chain drain both directions share;
 //! `repair` the scrub daemon and the two repair sweeps. Every decision
 //! about a stored *copy* — which one may be trusted, what happens to a bad
 //! one, where a new one goes, how one is moved, rebuilt or written — is
@@ -31,7 +31,6 @@ use crate::manager::{Manager, PlacementPolicy, StripeSpec};
 use crate::payload::{zero_chunk, ChunkBuf, PageRun};
 use crate::shardmgr::{ShardSet, DEFAULT_RING_SEED, DEFAULT_VNODES};
 use ::faults::FaultPlan;
-use chain::ChainScratch;
 use devices::WearReport;
 use meta::MgrHa;
 use netsim::Network;
@@ -147,27 +146,27 @@ impl Default for ScrubConfig {
     }
 }
 
-/// One chunk's worth of dirty-page runs in a batched write-back (see
+/// One chunk's worth of dirty-page runs: an entry of a write-back (see
 /// [`AggregateStore::write_pages_batch`]).
 #[derive(Clone, Copy, Debug)]
 pub struct BatchWrite<'a> {
     pub file: FileId,
     pub idx: usize,
-    /// `(offset_within_chunk, bytes)` runs, same contract as
-    /// [`AggregateStore::write_pages`].
+    /// `(offset_within_chunk, bytes)` runs, cut into leaves on the page
+    /// grid (the one copy they get).
     pub updates: &'a [(u64, &'a [u8])],
 }
 
 /// [`BatchWrite`] with the runs already cut into leaves (see
 /// [`AggregateStore::write_runs_batch`]): what a client cache, which holds
-/// its chunks as leaves, hands over.
-#[derive(Clone, Copy, Debug)]
+/// its chunks as leaves, builds and hands over.
+#[derive(Clone, Debug)]
 pub struct BatchRuns<'a> {
     pub file: FileId,
     pub idx: usize,
-    /// `(offset_within_chunk, leaves)` runs, same contract as
-    /// [`AggregateStore::write_runs`].
-    pub updates: &'a [PageRun<'a>],
+    /// `(offset_within_chunk, leaves)` runs: disjoint, each piece inside
+    /// one page.
+    pub updates: Vec<PageRun<'a>>,
 }
 
 /// What a chunk fetch returns.
@@ -206,8 +205,6 @@ pub struct RepairReport {
 #[derive(Clone)]
 pub struct AggregateStore {
     mgr: Arc<Mutex<Manager>>,
-    /// Recycled grouping scratch for `fetch_chunks`/`write_runs_batch`.
-    chain_scratch: Arc<Mutex<ChainScratch>>,
     net: Network,
     cfg: StoreConfig,
     faults: Arc<Mutex<Option<FaultPlan>>>,
@@ -279,7 +276,6 @@ impl AggregateStore {
         assert_eq!(cfg.page_size, PAGE_BYTES, "the page is a model constant");
         let store = AggregateStore {
             mgr: Arc::new(Mutex::new(Manager::new(cfg.chunk_size))),
-            chain_scratch: Arc::new(Mutex::new(ChainScratch::default())),
             net,
             cfg,
             faults: Arc::new(Mutex::new(None)),

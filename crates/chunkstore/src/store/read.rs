@@ -1,6 +1,8 @@
-//! The read data plane: serial and batched chunk fetches over one
-//! failover / verify / reconstruct retry loop (DESIGN.md §7, §8, §11, §15).
+//! The read data plane: chunk fetches as one batch implementation — the
+//! paper's per-chunk fetch is the batch of one — over one failover /
+//! verify / reconstruct retry loop (DESIGN.md §7, §8, §11, §15).
 
+use super::chain::ChainScratch;
 use super::meta::MgrOp;
 use super::{copies, AggregateStore, ChunkPayload, RETRY_BACKOFF, RPC_BYTES};
 use crate::error::{Result, StoreError};
@@ -8,7 +10,6 @@ use crate::ids::{BenefactorId, ChunkId, FileId};
 use crate::loc_cache::{CachedLoc, LocationCache};
 use crate::manager::{FileMeta, GroupRef, Manager, Slot};
 use crate::payload::{zero_chunk, ChunkBuf};
-use crate::segments::segments;
 use obs::{Layer, SpanGuard};
 use simcore::VTime;
 
@@ -23,19 +24,8 @@ struct FetchOutcome {
 }
 
 impl AggregateStore {
-    /// Fetch chunk `idx` of `file` to `client_node`.
-    ///
-    /// Cost model (paper §III-D): a manager RPC resolves the chunk to a
-    /// benefactor, then the client pulls the chunk directly from that
-    /// benefactor — request message, SSD read, data transfer back.
-    ///
-    /// With replication, the replica list is scanned in order and the
-    /// read fails over to the first copy that is alive and reachable
-    /// (counted in `store.failovers` / `store.degraded_reads`). When no
-    /// copy is serviceable the read backs off `RETRY_BACKOFF` of virtual
-    /// time, re-polls the fault plan (a scheduled recovery may land in
-    /// between) and retries up to `fetch_retries` times before failing
-    /// with [`StoreError::BenefactorDown`] for the primary copy.
+    /// Fetch chunk `idx` of `file` to `client_node` (the paper's per-chunk
+    /// fetch, §III-D): the one-entry, uncached [`Self::fetch_chunks`].
     pub fn fetch_chunk(
         &self,
         t: VTime,
@@ -43,22 +33,8 @@ impl AggregateStore {
         file: FileId,
         idx: usize,
     ) -> Result<(VTime, ChunkPayload)> {
-        self.poll_faults(t);
-        let sp = self.trace.span(Layer::Store, "store.chunk_fetch", t);
-        sp.arg("file", file.0).arg("idx", idx as u64);
-        let t = self.slot_rpc(t, client_node, file, idx, MgrOp::Fetch)?;
-        self.chunk_fetches.inc();
-        let slot = self.slot_in(&self.mgr.lock(), file, idx)?.slots[idx];
-        match slot {
-            // Hole: the manager's reply says "no data"; zeros are
-            // materialized client-side for free.
-            Slot::Unmaterialized | Slot::Hole => {
-                self.zero_fills.inc();
-                sp.finish(t);
-                Ok((t, ChunkPayload::Zeros))
-            }
-            Slot::Chunk(c) => self.fetch_spanned(sp, t, client_node, c, false),
-        }
+        let mut fetched = self.fetch_chunks(t, client_node, &[(file, idx)], None)?;
+        Ok(fetched.pop().expect("one target, one payload"))
     }
 
     /// The file owning slot `idx`, or `OutOfBounds` past its last chunk.
@@ -120,12 +96,15 @@ impl AggregateStore {
         (resp.arrived, data)
     }
 
-    /// The replica-scan / failover / backoff retry loop shared by the
-    /// serial and batched fetch paths. `t` is when the caller is ready to
-    /// issue the first benefactor request (post-resolution).
+    /// The replica-scan / failover / backoff retry loop every fetched
+    /// entry runs. `t` is when the caller is ready to issue the first
+    /// benefactor request (post-resolution).
     ///
-    /// Every attempt rescans the replica list: writes may have re-homed
-    /// the chunk and recoveries may have revived a copy. With
+    /// The replica list is scanned in order and the read fails over to the
+    /// first copy that is alive and reachable (counted in
+    /// `store.failovers` / `store.degraded_reads`). Every attempt rescans
+    /// the list: writes may have re-homed the chunk and recoveries may
+    /// have revived a copy. With
     /// `verify_reads` set, arrived bytes are checked against the
     /// manager's CRC64; a mismatching copy is counted, dropped
     /// (`copies::drop_bad_copy`) and the scan continues from the moment
@@ -136,8 +115,8 @@ impl AggregateStore {
     /// [`StoreError::BenefactorDown`] otherwise. With verification off,
     /// timing and counters are identical to the pre-integrity retry loop.
     ///
-    /// `degraded` marks a read the caller already knows is degraded (the
-    /// batched path's non-primary picks) so `store.failovers` /
+    /// `degraded` marks a read the caller already knows is degraded (a
+    /// non-primary pick at planning time) so `store.failovers` /
     /// `store.degraded_reads` count it even at rank 0.
     fn fetch_verified(
         &self,
@@ -292,26 +271,30 @@ impl AggregateStore {
         })
     }
 
-    /// Batched multi-benefactor fetch: resolve *all* targets with one
-    /// manager RPC (or none, when a [`LocationCache`] still holds valid
-    /// resolutions), then pull the chunks with per-benefactor pipelining.
+    /// Fetch every target chunk to `client_node`: *the* read path — the
+    /// paper's per-chunk fetch is the batch of one. *All* targets resolve
+    /// with one manager RPC (or none, when a [`LocationCache`] still holds
+    /// valid resolutions), then the chunks are pulled with per-benefactor
+    /// pipelining.
     ///
-    /// Cost model (DESIGN.md §8): each benefactor's chain — request →
-    /// SSD read → transfer back — runs *serially* on that benefactor
-    /// (chunk `i+1`'s request leaves when chunk `i`'s response arrives),
-    /// but chains on distinct benefactors proceed concurrently from the
-    /// shared resolution time. Shared resources (the client's NIC, each
+    /// Cost model (paper §III-D, DESIGN.md §8): a manager RPC resolves a
+    /// chunk to a benefactor, then the client pulls it directly from that
+    /// benefactor — request message, SSD read, data transfer back. Each
+    /// benefactor's chain runs *serially* on that benefactor (chunk
+    /// `i+1`'s request leaves when chunk `i`'s response arrives), but
+    /// chains on distinct benefactors proceed concurrently from the
+    /// resolution time. Shared resources (the client's NIC, each
     /// benefactor's SSD/NIC) still queue correctly because chains are
     /// issued in non-decreasing virtual-time order against the FIFO
     /// `Resource` registers. Per-chunk completion is its own response
     /// arrival, returned in input order.
     ///
-    /// Fault semantics match the serial path per entry: every entry runs
-    /// the same failover/verify/backoff retry loop (`fetch_verified`) the
-    /// serial path uses. A degraded pick counts a failover; a target with
-    /// *no* serviceable copy at batch time runs the loop unchained from
-    /// the shared resolution time, independently of its batch-mates, and
-    /// completes at exactly the time the serial fetch would.
+    /// Fault semantics: every entry runs the same
+    /// failover/verify/backoff retry loop (`fetch_verified`). A degraded
+    /// pick counts a failover; a target with *no* serviceable copy at
+    /// planning time runs the loop unchained from its resolution time,
+    /// independently of its batch-mates, and completes when a call for it
+    /// alone would.
     pub fn fetch_chunks(
         &self,
         t: VTime,
@@ -323,73 +306,60 @@ impl AggregateStore {
             return Ok(Vec::new());
         }
         self.poll_faults(t);
-        self.batched_fetches.inc();
-        let sp = self.trace.span(Layer::Store, "store.fetch_batch", t);
-        sp.arg("targets", targets.len() as u64)
-            .arg("client", client_node as u64);
+        // The batch's own span and count are for a call of more than one
+        // entry (DESIGN.md §9): a one-entry call is its entry's span alone.
+        let sp = (targets.len() > 1).then(|| {
+            self.batched_fetches.inc();
+            self.trace.span(Layer::Store, "store.fetch_batch", t)
+        });
+        if let Some(sp) = &sp {
+            sp.arg("targets", targets.len() as u64)
+                .arg("client", client_node as u64);
+        }
 
         // Resolve from the location cache where the epoch allows. In
         // shard mode a cached entry may only be used while the client
         // holds a live lease from the shard owning that target
         // (DESIGN.md §12) — an unleased target is forced to the shard
-        // even when cached. With one shard and a held lease the gate
-        // never fires, so counters stay identical to the serial manager.
-        let owners = self.owners_of(targets.iter().copied());
-        let mut resolved: Vec<Option<CachedLoc>> = {
+        // even when cached. A call without a cache (the paper path) has
+        // nothing cached, asks the manager for every target and touches
+        // no lease.
+        let mut sc = ChainScratch::take();
+        self.owners_of(targets.iter().copied(), &mut sc.owners);
+        let cached: Vec<Option<CachedLoc>> = cache.map_or_else(Vec::new, |cache| {
             let epoch = self.mgr.lock().placement_epoch();
             let mut shards = self.shards.lock();
-            targets
-                .iter()
-                .zip(&owners)
-                .map(|(&key, &owner)| {
-                    let cache = cache?;
-                    let leased = owner.is_none_or(|o| {
-                        let ss = shards.as_mut().expect("shard set installed");
-                        ss.check_lease(o, client_node, t)
-                    });
-                    if !leased {
-                        cache.note_unleased_miss(epoch, key);
-                        return None;
-                    }
-                    cache.lookup(epoch, key)
-                })
-                .collect()
-        };
+            let lookup = |(&key, &owner): (&(FileId, usize), &Option<usize>)| {
+                let leased = owner.is_none_or(|o| {
+                    let ss = shards.as_mut().expect("shard set installed");
+                    ss.check_lease(o, client_node, t)
+                });
+                if !leased {
+                    cache.note_unleased_miss(epoch, key);
+                    return None;
+                }
+                cache.lookup(epoch, key)
+            };
+            targets.iter().zip(&sc.owners).map(lookup).collect()
+        });
+        let cached = |i: usize| cached.get(i).and_then(Option::as_ref);
 
         // One shared RPC covers every unresolved target — per owning
         // shard in shard mode, each issued concurrently from `t` (they
         // queue on *different* shard CPUs, which is the whole point).
         // Entry `i` may start its benefactor chain at `ready[i]`: its
         // owner's response arrival, or `t` when its shard was never
-        // consulted (a leased cache hit). A fully cached batch skips
+        // consulted (a leased cache hit). A fully cached call skips
         // every manager round-trip.
-        let ready = self.resolve_fan_out(t, client_node, MgrOp::Fetch, &owners, |i| {
-            resolved[i].is_none()
+        self.resolve_fan_out(t, client_node, MgrOp::Fetch, &mut sc, |i| {
+            cached(i).is_none()
         })?;
-        if resolved.iter().any(|r| r.is_none()) {
-            let mgr = self.mgr.lock();
-            let epoch = mgr.placement_epoch();
-            for (i, &(file, idx)) in targets.iter().enumerate() {
-                if resolved[i].is_some() {
-                    continue;
-                }
-                let loc = match self.slot_in(&mgr, file, idx)?.slots[idx] {
-                    Slot::Unmaterialized | Slot::Hole => CachedLoc::Zeros,
-                    Slot::Chunk(c) => CachedLoc::Chunk {
-                        chunk: c,
-                        homes: mgr.chunk_homes(c).expect("chunk without home").to_vec(),
-                    },
-                };
-                if let Some(cache) = cache {
-                    cache.insert(epoch, (file, idx), loc.clone());
-                }
-                resolved[i] = Some(loc);
-            }
-        }
 
         // Plan each target: zeros (`None`), or a chunk pull — chained on
         // the benefactor serving it, or through the unchained retry loop
-        // when no listed copy is serviceable right now.
+        // when no listed copy is serviceable right now. A target the
+        // cache did not resolve reads the manager's answer (and leaves it
+        // in the cache, if there is one).
         #[derive(Clone, Copy)]
         struct Pull {
             chunk: ChunkId,
@@ -397,77 +367,84 @@ impl AggregateStore {
             /// The pick is already a failover (not the primary copy).
             degraded: bool,
         }
-        let (plan, fleet): (Vec<Option<Pull>>, usize) = {
+        let plan: Vec<Option<Pull>> = {
             let mgr = self.mgr.lock();
-            let plan = resolved
-                .iter()
-                .map(|loc| match loc.as_ref().expect("all targets resolved") {
-                    CachedLoc::Zeros => None,
-                    CachedLoc::Chunk { chunk, homes } => {
-                        let pick = self.serviceable(&mgr, client_node, homes.iter().copied(), &[]);
-                        Some(Pull {
-                            chunk: *chunk,
-                            chain: pick.map(|(_, home)| home),
-                            degraded: pick.is_some_and(|(rank, _)| rank > 0),
-                        })
-                    }
+            let epoch = mgr.placement_epoch();
+            let pull = |chunk, homes: &[BenefactorId]| {
+                let pick = self.serviceable(&mgr, client_node, homes.iter().copied(), &[]);
+                Some(Pull {
+                    chunk,
+                    chain: pick.map(|(_, home)| home),
+                    degraded: pick.is_some_and(|(rank, _)| rank > 0),
                 })
-                .collect();
-            (plan, mgr.benefactor_count())
+            };
+            let plan = targets.iter().enumerate().map(|(i, &(file, idx))| {
+                Ok(match cached(i) {
+                    Some(CachedLoc::Zeros) => None,
+                    Some(CachedLoc::Chunk { chunk, homes }) => pull(*chunk, homes),
+                    None => match self.slot_in(&mgr, file, idx)?.slots[idx] {
+                        Slot::Unmaterialized | Slot::Hole => {
+                            if let Some(cache) = cache {
+                                cache.insert(epoch, (file, idx), CachedLoc::Zeros);
+                            }
+                            None
+                        }
+                        Slot::Chunk(chunk) => {
+                            let homes = mgr.chunk_homes(chunk).expect("chunk without home");
+                            if let Some(cache) = cache {
+                                let homes = homes.to_vec();
+                                cache.insert(epoch, (file, idx), CachedLoc::Chunk { chunk, homes });
+                            }
+                            pull(chunk, homes)
+                        }
+                    },
+                })
+            });
+            let plan: Vec<Option<Pull>> = plan.collect::<Result<_>>()?;
+            let queued = |(i, p): (usize, &Option<Pull>)| p.map(|pull| (i, pull.chain));
+            sc.plan(
+                mgr.benefactor_count(),
+                plan.iter().enumerate().filter_map(queued),
+            );
+            plan
         };
 
         // Chains first, then the degraded fallbacks in input order, all
-        // through the retry loop the serial path uses (the chain's re-pick
-        // scans the same live home list that planned it and, under
-        // `verify_reads`, fails over when the arrived bytes don't match
-        // the recorded CRC). A fallback starts from its entry's resolution
-        // time — no second manager RPC — so a degraded batched fetch
-        // completes at exactly the serial fetch's time and counts under
-        // the same `degraded_reads` counter.
-        let mut out: Vec<(VTime, ChunkPayload)> = ready
+        // through the one retry loop (the chain's re-pick scans the same
+        // live home list that planned it and, under `verify_reads`, fails
+        // over when the arrived bytes don't match the recorded CRC). A
+        // fallback starts from its entry's resolution time — no second
+        // manager RPC — so a degraded entry completes when a call for it
+        // alone would and counts under the same `degraded_reads` counter.
+        let mut out: Vec<(VTime, ChunkPayload)> = sc
+            .ready
             .iter()
             .map(|&resolved_at| (resolved_at, ChunkPayload::Zeros))
             .collect();
-        let queued = plan
-            .iter()
-            .enumerate()
-            .filter_map(|(i, p)| p.map(|pull| (i, pull.chain)));
-        self.drain_chains(fleet, &ready, queued, |i, start| {
-            let pull = plan[i].expect("zeros are never queued");
+        let entry_span = |i: usize, start| {
             self.chunk_fetches.inc();
-            let csp = self.trace.span(Layer::Store, "store.chunk_fetch", start);
-            out[i] = self.fetch_spanned(csp, start, client_node, pull.chunk, pull.degraded)?;
+            let sp = self.trace.span(Layer::Store, "store.chunk_fetch", start);
+            sp.arg("file", targets[i].0 .0)
+                .arg("idx", targets[i].1 as u64);
+            sp
+        };
+        sc.drain(|i, start| {
+            let pull = plan[i].expect("zeros are never queued");
+            let sp = entry_span(i, start);
+            out[i] = self.fetch_spanned(sp, start, client_node, pull.chunk, pull.degraded)?;
             Ok(out[i].0)
         })?;
-        for _ in plan.iter().filter(|p| p.is_none()) {
-            self.chunk_fetches.inc();
+        // A hole: the manager's reply says "no data"; zeros are
+        // materialized client-side for free, the moment it arrives.
+        for (i, _) in plan.iter().enumerate().filter(|(_, p)| p.is_none()) {
             self.zero_fills.inc();
+            entry_span(i, out[i].0).finish(out[i].0);
         }
-        // The batch completes when its slowest entry does.
-        sp.finish(out.iter().map(|&(end, _)| end).max().unwrap_or(t));
+        sc.recycle();
+        if let Some(sp) = sp {
+            // The batch completes when its slowest entry does.
+            sp.finish(out.iter().map(|&(end, _)| end).max().unwrap_or(t));
+        }
         Ok(out)
-    }
-
-    /// Bulk sequential read into `buf`: one serial [`Self::fetch_chunk`]
-    /// per chunk (a store-level convenience; clients read through their
-    /// mount's data path).
-    pub fn read_span(
-        &self,
-        mut t: VTime,
-        client_node: usize,
-        file: FileId,
-        offset: u64,
-        buf: &mut [u8],
-    ) -> Result<VTime> {
-        self.check_range(file, offset, buf.len() as u64)?;
-        for s in segments(offset, buf.len() as u64, self.cfg.chunk_size) {
-            let (t2, payload) = self.fetch_chunk(t, client_node, file, s.idx)?;
-            t = t2;
-            match payload {
-                ChunkPayload::Zeros => buf[s.pos..s.pos + s.take].fill(0),
-                ChunkPayload::Data(chunk) => chunk.read(s.within, &mut buf[s.pos..s.pos + s.take]),
-            }
-        }
-        Ok(t)
     }
 }

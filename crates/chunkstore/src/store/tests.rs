@@ -23,6 +23,65 @@ fn store() -> (AggregateStore, StatsRegistry) {
     (store, stats)
 }
 
+/// Bulk sequential I/O for these tests, one chunk per store call (clients
+/// reach the store through their mount's data path instead).
+trait SpanIo {
+    fn write_span(
+        &self,
+        t: VTime,
+        node: usize,
+        file: FileId,
+        offset: u64,
+        data: &[u8],
+    ) -> Result<VTime>;
+    fn read_span(
+        &self,
+        t: VTime,
+        node: usize,
+        file: FileId,
+        offset: u64,
+        buf: &mut [u8],
+    ) -> Result<VTime>;
+}
+
+impl SpanIo for AggregateStore {
+    fn write_span(
+        &self,
+        mut t: VTime,
+        node: usize,
+        file: FileId,
+        offset: u64,
+        data: &[u8],
+    ) -> Result<VTime> {
+        self.check_range(file, offset, data.len() as u64)?;
+        for s in crate::segments(offset, data.len() as u64, CHUNK) {
+            let run = (s.within as u64, &data[s.pos..s.pos + s.take]);
+            t = self.write_pages(t, node, file, s.idx, &[run])?;
+        }
+        Ok(t)
+    }
+
+    fn read_span(
+        &self,
+        mut t: VTime,
+        node: usize,
+        file: FileId,
+        offset: u64,
+        buf: &mut [u8],
+    ) -> Result<VTime> {
+        self.check_range(file, offset, buf.len() as u64)?;
+        for s in crate::segments(offset, buf.len() as u64, CHUNK) {
+            let (at, payload) = self.fetch_chunk(t, node, file, s.idx)?;
+            t = at;
+            match payload {
+                ChunkPayload::Zeros => buf[s.pos..s.pos + s.take].fill(0),
+                ChunkPayload::Data(chunk) => chunk.read(s.within, &mut buf[s.pos..s.pos + s.take]),
+            }
+        }
+        Ok(t)
+    }
+}
+
 fn make_file(store: &AggregateStore, name: &str, size: u64) -> FileId {
     let (t, f) = store.create_file(VTime::ZERO, 3, name).unwrap();
     store
@@ -1582,6 +1641,47 @@ fn batched_parity_group_write_ships_fewer_bytes_than_replicas() {
     // 25% fewer bytes.
     assert_eq!(rs, 6 * CHUNK);
     assert_eq!(rep, 8 * CHUNK);
+}
+
+/// A call that fails at one entry has still landed the entries before
+/// it, digests recorded: their parity must leave with them, not be
+/// skipped on the way to the error — a retry's deltas for those entries
+/// are new ⊕ new = 0, so the group would otherwise stay behind its data
+/// with nothing flagged stale, and the next loss ≤ m would read corrupt.
+#[test]
+fn a_failed_batch_ships_the_parity_of_the_entries_that_landed() {
+    let (store, stats) = store_n(3);
+    let client = 4;
+    let f = make_file_parity(&store, client, "/m", 2 * CHUNK, 2, 1);
+    let (a, b) = (pattern(0x3C), pattern(0xC3));
+    let ua: [(u64, &[u8]); 1] = [(0, &a)];
+    let ub: [(u64, &[u8]); 1] = [(0, &b)];
+    let entry = |idx, updates| BatchWrite {
+        file: f,
+        idx,
+        updates,
+    };
+    let batch = [entry(0, &ua[..]), entry(1, &ub[..])];
+    // Member 1's home is down: member 0 lands, then the call fails.
+    store.set_benefactor_alive(BenefactorId(1), false);
+    let err = store
+        .write_pages_batch(VTime::ZERO, client, &batch)
+        .unwrap_err();
+    assert_eq!(err, StoreError::BenefactorDown(BenefactorId(1)));
+    assert_eq!(chunk_of(&store, f, 0), ChunkId(0), "member 0 landed");
+    // The home returns and the caller retries the call as it stands (what
+    // a mount does with pages a failed flush left dirty).
+    store.set_benefactor_alive(BenefactorId(1), true);
+    let t = VTime::from_millis(10);
+    let ends = store.write_pages_batch(t, client, &batch).unwrap();
+    let t = ends.into_iter().fold(t, VTime::max);
+    let (t, report) = store.repair_parity_groups(t);
+    assert_eq!(report.chunks_repaired, 0, "nothing was left to repair");
+    // One loss (≤ m) later, the group still yields the acknowledged bytes.
+    store.set_benefactor_alive(BenefactorId(0), false);
+    let (_, payload) = store.fetch_chunk(t, client, f, 0).unwrap();
+    assert_eq!(payload, ChunkPayload::Data(ChunkBuf::from_bytes(&a)));
+    assert_eq!(stats.get("store.degraded_reconstructs"), 1);
 }
 
 #[test]

@@ -1,14 +1,15 @@
-//! The write data plane: page write-back — serial, and batched with one
-//! merged parity ship per touched group — over one post-RPC body
-//! (DESIGN.md §7, §8, §11, §15).
+//! The write data plane: page write-back as one batch implementation —
+//! the paper's per-chunk write is the batch of one — with one merged
+//! parity ship per touched group (DESIGN.md §7, §8, §11, §15).
 
+use super::chain::ChainScratch;
 use super::meta::MgrOp;
 use super::{copies, AggregateStore, BatchRuns, BatchWrite, PAGE_BYTES};
 use crate::benefactor::Benefactor;
 use crate::crc;
 use crate::error::{Result, StoreError};
 use crate::ids::{BenefactorId, FileId};
-use crate::manager::{Manager, Slot};
+use crate::manager::{FileMeta, Manager, Slot};
 use crate::payload::{
     cut_runs, fold_sums, leaf_with, run_len, run_views, sum_of, zero_chunk, ChunkBuf, Leaf, PageRun,
 };
@@ -18,43 +19,48 @@ use obs::Layer;
 use simcore::VTime;
 use std::collections::BTreeMap;
 
-/// Deferred parity work for one `write_runs_batch` call: per touched
-/// (file, group), the parity deltas of every contributing entry, merged
-/// by XOR when the group ships. Linearity of RS over GF(2^8) makes the
-/// merge exact — parity for the whole group ships once per batch instead
-/// of once per member, which is where RS(4, 2)'s 1.5× wire cost (vs 2×
-/// for `replicas = 2`) comes from.
-#[derive(Default)]
-struct ParityBatch {
-    groups: BTreeMap<(FileId, usize), GroupDeltas>,
-}
-
 /// Dirty runs `(chunk offset, delta leaves)` for one parity member,
 /// produced by one write's incremental encode: the owned form of a
 /// [`PageRun`], cut on the same page grid as the write it came from.
 type DeltaRuns = Vec<(u64, Vec<Leaf>)>;
 
-/// The parity deltas contributed to one (file, group) within a batch.
+/// What one erasure-coded entry contributes: its group's index in the
+/// file and, per parity member, the delta runs of its dirty pages.
+type EntryDeltas = (usize, Vec<DeltaRuns>);
+
+/// The parity work of one `write_runs_batch` call, per touched (file,
+/// group): the deltas of every contributing entry, merged by XOR when the
+/// group ships. Linearity of RS over GF(2^8) makes the merge exact —
+/// parity for the whole group ships once per call instead of once per
+/// member, which is where RS(4, 2)'s 1.5× wire cost (vs 2× for
+/// `replicas = 2`) comes from.
 #[derive(Default)]
 struct GroupDeltas {
     /// Per parity member, every contributed run as it arrived: the batch
     /// costs what was dirtied, never a chunk-sized accumulator.
     runs: Vec<DeltaRuns>,
-    /// Batch-entry indices that contributed: their reported completion
-    /// folds in the parity ship (a write is durable when its redundancy
-    /// is).
+    /// Entry indices that contributed: their reported completion folds in
+    /// the parity ship (a write is durable when its redundancy is).
     contributors: Vec<usize>,
+    /// Entries of the call that belong to the group and have not run yet.
+    pending: usize,
+    /// When the latest contributor was issued: the merged delta leaves the
+    /// client then (DESIGN.md §15 — the deltas come from the vetted base,
+    /// before the data lands, so nothing is waited for).
+    issued: VTime,
 }
 
-impl ParityBatch {
-    /// Keep entry `i`'s per-parity delta runs for the group's one ship.
-    fn absorb(&mut self, file: FileId, group: usize, i: usize, deltas: Vec<DeltaRuns>) {
-        let gd = self.groups.entry((file, group)).or_default();
-        gd.runs.resize_with(deltas.len(), Vec::new);
-        for (kept, runs) in gd.runs.iter_mut().zip(deltas) {
+impl GroupDeltas {
+    /// Keep the per-parity delta runs of entry `i`, issued at `start`, for
+    /// the group's one ship.
+    fn absorb(&mut self, i: usize, start: VTime, deltas: Vec<DeltaRuns>) {
+        self.runs.resize_with(deltas.len(), Vec::new);
+        for (kept, runs) in self.runs.iter_mut().zip(deltas) {
             kept.extend(runs);
         }
-        gd.contributors.push(i);
+        self.contributors.push(i);
+        self.pending = self.pending.saturating_sub(1);
+        self.issued = self.issued.max(start);
     }
 }
 
@@ -72,41 +78,37 @@ fn placed<'a>((off, pieces): PageRun<'a>) -> impl Iterator<Item = (u64, &'a Leaf
 /// run covers alone ships that run's leaves as they are; only where several
 /// contributions meet (two members dirty at the same offsets) are they
 /// XOR-merged, leaf by leaf, into pieces cut on the same page grid.
-fn merge_runs(runs: &[(u64, Vec<Leaf>)]) -> DeltaRuns {
+fn merge_runs(mut runs: DeltaRuns) -> DeltaRuns {
     let page = PAGE_BYTES;
-    let mut order: Vec<&(u64, Vec<Leaf>)> = runs.iter().collect();
-    order.sort_by_key(|(off, _)| *off);
-    let mut merged = Vec::with_capacity(order.len());
-    let mut i = 0;
-    while i < order.len() {
-        let (start, first) = (order[i].0, &order[i].1);
-        let mut end = start + run_len(first);
-        let mut j = i + 1;
-        while j < order.len() && order[j].0 <= end {
-            end = end.max(order[j].0 + run_len(&order[j].1));
-            j += 1;
+    runs.sort_by_key(|(off, _)| *off);
+    let mut merged = Vec::with_capacity(runs.len());
+    let mut runs = runs.into_iter().peekable();
+    while let Some((start, first)) = runs.next() {
+        let mut end = start + run_len(&first);
+        let mut met = Vec::new();
+        while let Some(run) = runs.next_if(|(off, _)| *off <= end) {
+            end = end.max(run.0 + run_len(&run.1));
+            met.push(run);
         }
-        let pieces = if j == i + 1 {
-            first.clone()
-        } else {
-            let mut cells: Vec<Leaf> = segments(start, end - start, page)
-                .map(|cell| leaf_with(cell.take, |_| ()))
-                .collect();
-            for &&(off, ref run) in &order[i..j] {
-                for (pos, piece) in placed((off, run)) {
-                    // A contributed piece never straddles a page, so it
-                    // falls inside one cell.
-                    let cell = (pos / page - start / page) as usize;
-                    let at = (pos - start.max(pos / page * page)) as usize;
-                    let out = cells[cell].bytes_mut();
-                    // · 1: a plain XOR, at the kernel's width.
-                    gf_mul_acc(&mut out[at..at + piece.len()], piece, 1);
-                }
+        if met.is_empty() {
+            merged.push((start, first));
+            continue;
+        }
+        let mut cells: Vec<Leaf> = segments(start, end - start, page)
+            .map(|cell| leaf_with(cell.take, |_| ()))
+            .collect();
+        for (off, run) in std::iter::once(&(start, first)).chain(&met) {
+            for (pos, piece) in placed((*off, run)) {
+                // A contributed piece never straddles a page, so it falls
+                // inside one cell.
+                let cell = (pos / page - start / page) as usize;
+                let at = (pos - start.max(pos / page * page)) as usize;
+                let out = cells[cell].bytes_mut();
+                // · 1: a plain XOR, at the kernel's width.
+                gf_mul_acc(&mut out[at..at + piece.len()], piece, 1);
             }
-            cells
-        };
-        merged.push((start, pieces));
-        i = j;
+        }
+        merged.push((start, cells));
     }
     merged
 }
@@ -141,11 +143,41 @@ fn fresh_chunk(chunk_len: u64, runs: &[PageRun<'_>]) -> ChunkBuf {
 }
 
 impl AggregateStore {
-    /// Write back dirty pages of chunk `idx` (the FUSE eviction path).
+    /// Write back dirty pages of chunk `idx` (the paper's FUSE eviction
+    /// path, §III-D): the one-entry [`Self::write_runs_batch`].
+    pub fn write_runs(
+        &self,
+        t: VTime,
+        client_node: usize,
+        file: FileId,
+        idx: usize,
+        updates: &[PageRun<'_>],
+    ) -> Result<VTime> {
+        let updates = updates.to_vec();
+        let entry = BatchRuns { file, idx, updates };
+        Ok(self.write_runs_batch(t, client_node, &[entry])?[0])
+    }
+
+    /// [`Self::write_runs`] for a caller holding plain bytes: the one-entry
+    /// [`Self::write_pages_batch`].
+    pub fn write_pages(
+        &self,
+        t: VTime,
+        client_node: usize,
+        file: FileId,
+        idx: usize,
+        updates: &[(u64, &[u8])],
+    ) -> Result<VTime> {
+        let entry = BatchWrite { file, idx, updates };
+        Ok(self.write_pages_batch(t, client_node, &[entry])?[0])
+    }
+
+    /// Write back dirty pages of every entry's chunk: *the* write path —
+    /// the paper's per-chunk write-back is the batch of one.
     ///
-    /// `updates` are `(offset_within_chunk, leaves)` runs ([`PageRun`]):
-    /// whole-page pieces are handed to the benefactors, never copied.
-    /// Handles all three slot states:
+    /// An entry's `updates` are `(offset_within_chunk, leaves)` runs
+    /// ([`PageRun`]): whole-page pieces are handed to the benefactors,
+    /// never copied. All three slot states are handled:
     ///
     /// * unmaterialized → materialize a fresh chunk (zeros + updates);
     /// * exclusive chunk → in-place page update;
@@ -157,59 +189,31 @@ impl AggregateStore {
     /// transfer and SSD write is charged; completion is the slowest
     /// replica). A copy whose benefactor is dead is dropped from the
     /// chunk's home list — its on-disk bytes are stale from now on and
-    /// are reclaimed when the benefactor reconciles on recovery. The
-    /// write only fails if *no* copy is on a live benefactor — or, under
+    /// are reclaimed when the benefactor reconciles on recovery. An entry
+    /// only fails if *no* copy is on a live benefactor — or, under
     /// `verify_reads`, if it needs the chunk's current bytes (a partial
     /// overwrite, or any overwrite of a parity-group member) and no live
     /// copy still matches the recorded CRC ([`StoreError::ChunkCorrupt`]:
     /// the write would otherwise launder the rot into the new digest).
-    pub fn write_runs(
-        &self,
-        t: VTime,
-        client_node: usize,
-        file: FileId,
-        idx: usize,
-        updates: &[PageRun<'_>],
-    ) -> Result<VTime> {
-        self.validate_updates(updates);
-        self.poll_faults(t);
-        let sp = self.trace.span(Layer::Store, "store.write_pages", t);
-        sp.arg("file", file.0).arg("idx", idx as u64);
-        let t = self.slot_rpc(t, client_node, file, idx, MgrOp::Write)?;
-        let end = self.write_pages_inner(t, client_node, file, idx, updates, None)?;
-        sp.finish(end);
-        Ok(end)
-    }
-
-    /// [`Self::write_runs`] for a caller holding plain bytes: the
-    /// `(offset_within_chunk, bytes)` runs are cut into leaves on the page
-    /// grid (the one copy they get) and take the same path.
-    pub fn write_pages(
-        &self,
-        t: VTime,
-        client_node: usize,
-        file: FileId,
-        idx: usize,
-        updates: &[(u64, &[u8])],
-    ) -> Result<VTime> {
-        let cut = cut_runs(updates);
-        self.write_runs(t, client_node, file, idx, &run_views(&cut))
-    }
-
-    /// Batched write-back: one manager RPC covers every entry, then the
+    ///
+    /// Scheduling: one manager resolution covers the call, then the
     /// entries run as per-benefactor chains exactly like
     /// [`Self::fetch_chunks`] — entries bound for the same primary home
     /// chain serially (entry `i+1` ships when entry `i`'s replicas have
     /// all acknowledged), chains on distinct benefactors proceed
-    /// concurrently from the shared resolution time, so a background
-    /// flush scales with stripe width. Chains are drained min-cursor
-    /// first, keeping resource requests in non-decreasing virtual time.
-    /// Returns per-entry completion times in input order (a flush's
-    /// completion is their max). Replication semantics per entry are
-    /// identical to [`Self::write_runs`]: each entry independently ships
-    /// to every live home and drops dead ones; an entry with no live home
-    /// runs unchained from the resolution time and surfaces the same
-    /// error the serial path would.
+    /// concurrently from the resolution time, so a background flush
+    /// scales with stripe width. Chains are drained min-cursor first,
+    /// keeping resource requests in non-decreasing virtual time; an entry
+    /// with no live home runs unchained from the resolution time. A
+    /// parity group's merged delta ships once, when the last of its
+    /// entries has been issued. Returns per-entry completion times in
+    /// input order (a flush's completion is their max).
+    ///
+    /// Failure (DESIGN.md §15): the drain stops at the first entry that
+    /// fails, and the parity of every entry that did land still ships —
+    /// the error is returned after, not instead, so a retry of the call
+    /// (whose deltas for the landed entries are zero) leaves no group
+    /// behind its data.
     pub fn write_runs_batch(
         &self,
         t: VTime,
@@ -220,71 +224,109 @@ impl AggregateStore {
             return Ok(Vec::new());
         }
         for e in entries {
-            self.validate_updates(e.updates);
+            self.validate_updates(&e.updates);
         }
         self.poll_faults(t);
-        self.batched_writes.inc();
-        let sp = self.trace.span(Layer::Store, "store.write_batch", t);
-        sp.arg("entries", entries.len() as u64);
+        // The batch's own span and count are for a call of more than one
+        // entry (DESIGN.md §9): a one-entry call is its entry's span alone.
+        let sp = (entries.len() > 1).then(|| {
+            self.batched_writes.inc();
+            self.trace.span(Layer::Store, "store.write_batch", t)
+        });
+        if let Some(sp) = &sp {
+            sp.arg("entries", entries.len() as u64);
+        }
 
         // Resolution RPC(s): one per owning shard in shard mode — writes
         // are placement mutations and always reach the authoritative
         // shard, no lease shortcut — issued concurrently from `t`; one
-        // serial manager RPC otherwise. `ready[i]` is when entry `i`'s
+        // serial manager RPC otherwise. `sc.ready[i]` is when entry `i`'s
         // resolution reply is in hand.
-        let owners = self.owners_of(entries.iter().map(|e| (e.file, e.idx)));
-        let ready = self.resolve_fan_out(t, client_node, MgrOp::Write, &owners, |_| true)?;
+        let mut sc = ChainScratch::take();
+        self.owners_of(entries.iter().map(|e| (e.file, e.idx)), &mut sc.owners);
+        self.resolve_fan_out(t, client_node, MgrOp::Write, &mut sc, |_| true)?;
 
         // Group entries by the benefactor their bytes land on first (the
-        // primary live home). Resolution here is advisory — it only
-        // shapes chains; `write_pages_inner` re-resolves authoritatively
-        // per entry. Entries with no live home at batch time (they error,
-        // or — for holes — allocate wherever space remains) run
+        // primary live home) and count each parity group's members.
+        // Resolution here is advisory — it only shapes chains and the
+        // parity moment; `write_pages_inner` re-resolves authoritatively
+        // per entry. Entries with no live home at planning time (they
+        // error, or — for holes — allocate wherever space remains) run
         // unchained from their resolution time, after the chains.
-        let (keys, fleet): (Vec<Option<BenefactorId>>, usize) = {
+        let mut groups: BTreeMap<(FileId, usize), GroupDeltas> = BTreeMap::new();
+        {
             let mgr = self.mgr.lock();
-            let keys = entries
-                .iter()
-                .map(|e| Self::primary_live_home(&mgr, e.file, e.idx))
-                .collect();
-            (keys, mgr.benefactor_count())
-        };
-        let mut pbatch = ParityBatch::default();
-        let mut ends: Vec<VTime> = ready.clone();
-        self.drain_chains(fleet, &ready, keys.into_iter().enumerate(), |i, start| {
+            let keys = entries.iter().enumerate().map(|(i, e)| {
+                let meta = mgr.file(e.file).ok().filter(|m| e.idx < m.slots.len());
+                if let Some(meta) = meta.filter(|m| m.parity > 0) {
+                    let group = (e.file, meta.group_of_slot(e.idx));
+                    groups.entry(group).or_default().pending += 1;
+                }
+                let home = meta.and_then(|meta| Self::primary_live_home(&mgr, meta, e.idx));
+                (i, home)
+            });
+            sc.plan(mgr.benefactor_count(), keys);
+        }
+        let mut ends: Vec<VTime> = sc.ready.clone();
+        let drained = sc.drain(|i, start| {
             let e = &entries[i];
             let esp = self.trace.span(Layer::Store, "store.write_pages", start);
             esp.arg("file", e.file.0).arg("idx", e.idx as u64);
-            let defer = Some((i, &mut pbatch));
-            ends[i] =
-                self.write_pages_inner(start, client_node, e.file, e.idx, e.updates, defer)?;
-            esp.finish(ends[i]);
-            Ok(ends[i])
-        })?;
-        // Ship each touched group's XOR-merged parity once, after every
-        // contributing data write has landed: one delta per parity member
-        // per batch, not per entry. A full-group RS(4, 2) batch therefore
-        // puts k + m = 6 chunk transfers on the wire where replicas = 2
-        // puts 2k = 8.
-        if !pbatch.groups.is_empty() {
-            let flush_at = ends.iter().copied().max().unwrap_or(t);
-            let mut mgr = self.mgr.lock();
-            for ((file, group), gd) in std::mem::take(&mut pbatch.groups) {
-                let merged: Vec<_> = gd.runs.iter().map(|runs| merge_runs(runs)).collect();
-                let deltas: Vec<_> = merged.iter().map(|runs| run_views(runs)).collect();
-                let pend =
-                    self.ship_parity_deltas(&mut mgr, flush_at, client_node, file, group, &deltas)?;
-                for &i in &gd.contributors {
-                    ends[i] = ends[i].max(pend);
+            let (landed, deltas) =
+                self.write_pages_inner(start, client_node, e.file, e.idx, &e.updates)?;
+            ends[i] = landed;
+            if let Some((group, deltas)) = deltas {
+                let gd = groups.entry((e.file, group)).or_default();
+                gd.absorb(i, start, deltas);
+                if gd.pending == 0 {
+                    let gd = std::mem::take(gd);
+                    self.ship_group(client_node, e.file, group, gd, &mut ends)?;
                 }
             }
+            esp.finish(ends[i]);
+            Ok(landed)
+        });
+        sc.recycle();
+        // Whatever stopped the drain, the parity of every entry that
+        // landed leaves before the error does.
+        for ((file, group), gd) in groups {
+            self.ship_group(client_node, file, group, gd, &mut ends)?;
         }
-        sp.finish(ends.iter().copied().max().unwrap_or(t));
+        drained?;
+        if let Some(sp) = sp {
+            sp.finish(ends.iter().copied().max().unwrap_or(t));
+        }
         Ok(ends)
     }
 
-    /// [`Self::write_runs_batch`] for a caller holding plain bytes, cut
-    /// into leaves like [`Self::write_pages`] cuts them.
+    /// Ship `gd`'s XOR-merged parity — one delta per parity member for the
+    /// whole group, so a full-group RS(4, 2) call puts k + m = 6 chunk
+    /// transfers on the wire where `replicas = 2` puts 2k = 8 — from the
+    /// moment its last contributor was issued, and fold the completion
+    /// into every contributor's.
+    fn ship_group(
+        &self,
+        client_node: usize,
+        file: FileId,
+        group: usize,
+        gd: GroupDeltas,
+        ends: &mut [VTime],
+    ) -> Result<()> {
+        if gd.contributors.is_empty() {
+            return Ok(());
+        }
+        let merged: Vec<_> = gd.runs.into_iter().map(merge_runs).collect();
+        let deltas: Vec<_> = merged.iter().map(|runs| run_views(runs)).collect();
+        let pend = self.ship_parity_deltas(gd.issued, client_node, file, group, &deltas)?;
+        for i in gd.contributors {
+            ends[i] = ends[i].max(pend);
+        }
+        Ok(())
+    }
+
+    /// [`Self::write_runs_batch`] for a caller holding plain bytes: each
+    /// entry's `(offset_within_chunk, bytes)` runs are cut into leaves on
+    /// the page grid (the one copy they get) and take the same path.
     pub fn write_pages_batch(
         &self,
         t: VTime,
@@ -292,22 +334,19 @@ impl AggregateStore {
         entries: &[BatchWrite<'_>],
     ) -> Result<Vec<VTime>> {
         let cut: Vec<_> = entries.iter().map(|e| cut_runs(e.updates)).collect();
-        let views: Vec<_> = cut.iter().map(|runs| run_views(runs)).collect();
-        let runs = entries.iter().zip(&views).map(|(e, updates)| BatchRuns {
+        let runs = entries.iter().zip(&cut).map(|(e, cut)| BatchRuns {
             file: e.file,
             idx: e.idx,
-            updates,
+            updates: run_views(cut),
         });
         self.write_runs_batch(t, client_node, &runs.collect::<Vec<_>>())
     }
 
-    /// The benefactor a write to `(file, idx)` primarily lands on — the
-    /// chain-grouping key for [`Self::write_runs_batch`]. `None` when no
-    /// listed home is alive or the slot does not resolve; such entries
-    /// run unchained and reproduce the serial path's outcome.
-    fn primary_live_home(mgr: &Manager, file: FileId, idx: usize) -> Option<BenefactorId> {
-        let meta = mgr.file(file).ok()?;
-        match *meta.slots.get(idx)? {
+    /// The benefactor a write to slot `idx` of `meta`'s file primarily
+    /// lands on — the chain-grouping key for [`Self::write_runs_batch`].
+    /// `None` when no listed home is alive; such entries run unchained.
+    fn primary_live_home(mgr: &Manager, meta: &FileMeta, idx: usize) -> Option<BenefactorId> {
+        match meta.slots[idx] {
             Slot::Unmaterialized => {
                 copies::first_live(mgr, meta.homes_iter(idx), |_| true).map(|(_, h)| h)
             }
@@ -352,12 +391,10 @@ impl AggregateStore {
         }
     }
 
-    /// The post-RPC body of a page write-back: `t` is the time the
-    /// manager's resolution reply arrived. `defer` is an optional
-    /// parity-deferral sink: the batched path passes
-    /// `Some((entry_index, batch))` so an erasure-coded write contributes
-    /// its parity deltas to the batch's per-group accumulator instead of
-    /// shipping them itself.
+    /// One entry's write-back, post-resolution: `t` is its chain start.
+    /// Returns when the data has landed on every live home and, for an
+    /// erasure-coded slot, `(group, per-parity delta runs)` for the
+    /// group's one merged ship.
     fn write_pages_inner(
         &self,
         t: VTime,
@@ -365,8 +402,7 @@ impl AggregateStore {
         file: FileId,
         idx: usize,
         updates: &[PageRun<'_>],
-        defer: Option<(usize, &mut ParityBatch)>,
-    ) -> Result<VTime> {
+    ) -> Result<(VTime, Option<EntryDeltas>)> {
         let dirty_bytes: u64 = updates.iter().map(|(_, d)| run_len(d)).sum();
         let chunk_len = self.cfg.chunk_size;
         let mut mgr = self.mgr.lock();
@@ -534,7 +570,7 @@ impl AggregateStore {
             (new_crc, deltas)
         };
 
-        let mut end = match slot {
+        let end = match slot {
             Slot::Unmaterialized | Slot::Hole => {
                 // First write: the zero chunk with the written leaves
                 // replaced, on every live copy. Unmaterialized slots
@@ -578,20 +614,7 @@ impl AggregateStore {
             }
         };
 
-        // The serial path ships the parity deltas now; the batched path
-        // defers them to a per-group, per-batch merge.
-        if let Some((group, deltas)) = deltas {
-            match defer {
-                Some((i, batch)) => batch.absorb(file, group, i, deltas),
-                None => {
-                    let runs: Vec<_> = deltas.iter().map(|runs| run_views(runs)).collect();
-                    let pend =
-                        self.ship_parity_deltas(&mut mgr, t, client_node, file, group, &runs)?;
-                    end = end.max(pend);
-                }
-            }
-        }
-        Ok(end)
+        Ok((end, deltas))
     }
 
     /// Apply per-parity-member delta runs to group `group` of `file`:
@@ -607,7 +630,6 @@ impl AggregateStore {
     /// trust it ever again.
     fn ship_parity_deltas(
         &self,
-        mgr: &mut Manager,
         t: VTime,
         client_node: usize,
         file: FileId,
@@ -615,6 +637,7 @@ impl AggregateStore {
         deltas: &[Vec<PageRun<'_>>],
     ) -> Result<VTime> {
         let chunk_len = self.cfg.chunk_size;
+        let mgr = &mut *self.mgr.lock();
         let mut end = t;
         let tasks: Vec<(usize, Slot, bool, BenefactorId)> = {
             let meta = mgr.file(file)?;
@@ -668,24 +691,5 @@ impl AggregateStore {
             self.stats.counter("store.parity_bytes").add(dirty);
         }
         Ok(end)
-    }
-
-    /// Bulk sequential write: splits `data` into per-chunk updates, one
-    /// serial [`Self::write_pages`] each (a store-level convenience;
-    /// clients write through their mount's data path).
-    pub fn write_span(
-        &self,
-        mut t: VTime,
-        client_node: usize,
-        file: FileId,
-        offset: u64,
-        data: &[u8],
-    ) -> Result<VTime> {
-        self.check_range(file, offset, data.len() as u64)?;
-        for s in segments(offset, data.len() as u64, self.cfg.chunk_size) {
-            let run = (s.within as u64, &data[s.pos..s.pos + s.take]);
-            t = self.write_pages(t, client_node, file, s.idx, &[run])?;
-        }
-        Ok(t)
     }
 }

@@ -14,22 +14,24 @@
 //!   chunk when `dirty_page_writeback` is disabled for the ablation.
 //!
 //! There is **one** data path. Every access runs the same span loop,
-//! `ensure`, `make_room`, `read_ahead` and `flush_keys`; the paper's
-//! serial path and the overlapped path of DESIGN.md §8 are two settings
-//! of the private `DataPath` policy, derived once from
-//! `FuseConfig::pipelined_io` and consulted only at these four leaves:
+//! `ensure`, `make_room`, `read_ahead` and `flush_keys`, and reaches the
+//! store through one call per direction — `fetch_chunks` /
+//! `write_runs_batch`, of as many entries as the step's window holds. The
+//! paper's serial path and the overlapped path of DESIGN.md §8 are two
+//! settings of the private `DataPath` policy, derived once from
+//! `FuseConfig::pipelined_io` and consulted only at these leaves:
 //!
 //! | policy leaf | paper (§III-D) | pipelined (§8) |
 //! |---|---|---|
-//! | window of one step | one segment / one dirty chunk / one chunk of a bulk transfer | every segment whose chunks fit the cache / every dirty chunk / one stripe row of a bulk transfer |
-//! | dirty eviction victims | written synchronously on the caller's clock, one store call each | one batched write the caller never waits for |
-//! | store calls | `fetch_chunk` / `write_runs`: a manager resolution per chunk | `fetch_chunks` / `write_runs_batch`: one resolution per batch, `LocationCache`, per-benefactor chains overlapped |
+//! | window of one step | one segment / one dirty chunk / one chunk of a bulk transfer: every store call is the batch of one, a manager resolution per chunk | every segment whose chunks fit the cache / every dirty chunk / one stripe row of a bulk transfer: one resolution per call, per-benefactor chains overlapped |
+//! | location cache | none: every fetch asks the manager | the mount holds a `LocationCache` |
+//! | dirty eviction victims | written synchronously on the caller's clock | one write the caller never waits for |
 //! | read-ahead | fixed `read_ahead_chunks`, never evicts a dirty chunk | depth ramps 1→`read_ahead_chunks` with the stream's streak |
 //!
 //! Bulk transfers that have no use for the cache — the restart path of
 //! `nvmalloc`: a checkpoint's DRAM image, a restore, a drain — go past it
 //! through [`Mount::fetch_direct`] / [`Mount::write_direct`], a window of
-//! [`Mount::bulk_window`] chunks at a time, on the same store-call leaf.
+//! [`Mount::bulk_window`] chunks at a time, on the same two store calls.
 //!
 //! Requests reaching this layer are counted at OS-page granularity, the
 //! same units the paper's Table IV/VII report for "requests to FUSE":
@@ -37,7 +39,7 @@
 
 use crate::cache::{CacheEntry, ChunkCache, ChunkKey};
 use chunkstore::{
-    segments, AggregateStore, BatchRuns, ChunkBuf, ChunkPayload, FileId, LocationCache, PageRun,
+    segments, AggregateStore, BatchRuns, ChunkBuf, ChunkPayload, FileId, LocationCache,
     PlacementPolicy, Result, Segment, StripeSpec, PAGE_BYTES,
 };
 use obs::{Layer, TraceRecorder};
@@ -167,15 +169,17 @@ impl MountState {
     }
 }
 
-/// The data-path policy: the four leaves at which the paper's serial
-/// §III-D path and the overlapped path (DESIGN.md §8) differ. Everything
+/// The data-path policy: the leaves at which the paper's serial §III-D
+/// path and the overlapped path (DESIGN.md §8) differ (the fourth, the
+/// location cache, is `Mount::loc_cache` being there or not). Everything
 /// else — the span loop, `ensure`, `make_room`, `read_ahead`,
-/// `flush_keys`, the write-back builder — is shared.
+/// `flush_keys`, the write-back builder, the two store calls — is shared.
 #[derive(Clone, Copy, Debug)]
 struct DataPath {
     /// How much one step covers — segments of an ensure, dirty chunks of a
     /// flush, chunks of a prefetch (cache capacity bounds it further),
-    /// chunks of a bulk transfer (the file's stripe row bounds it).
+    /// chunks of a bulk transfer (the file's stripe row bounds it) — and
+    /// so how many entries one store call carries.
     /// The paper path's `1` is one *segment*, not one chunk: N strided
     /// runs inside one cached chunk are N lookups, N hits.
     window: usize,
@@ -183,11 +187,6 @@ struct DataPath {
     /// waits for; otherwise each is written synchronously on the caller's
     /// clock — which is why read-ahead then refuses to evict a dirty chunk.
     async_evict: bool,
-    /// Store calls go through `fetch_chunks` / `write_runs_batch` (one
-    /// manager resolution per batch, the location cache, per-benefactor
-    /// chains overlapped); otherwise through per-chunk `fetch_chunk` /
-    /// `write_runs`, each paying its own resolution.
-    batched_store: bool,
     /// Read-ahead depth ramps 1→`read_ahead_chunks` with the stream's
     /// streak (a one-off continuation prefetches one chunk, a sustained
     /// stream earns the full depth); otherwise the depth is fixed.
@@ -199,7 +198,6 @@ impl DataPath {
         DataPath {
             window: if pipelined { usize::MAX } else { 1 },
             async_evict: pipelined,
-            batched_store: pipelined,
             ramped_read_ahead: pipelined,
         }
     }
@@ -212,14 +210,12 @@ enum SpanIo<'a> {
     Write(&'a [u8]),
 }
 
-/// One chunk's `(offset within chunk, leaves)` write-back runs, borrowed
-/// from its cache entry: the store hands those leaves to the benefactors,
-/// so the dirty bytes move from cache to media without being copied.
-type Runs<'a> = Vec<PageRun<'a>>;
-
-/// What a set of cached chunks ships at write-back.
+/// What a set of cached chunks ships at write-back: per chunk, its
+/// `(offset within chunk, leaves)` runs, borrowed from the cache entry —
+/// the store hands those leaves to the benefactors, so the dirty bytes
+/// move from cache to media without being copied.
 struct Writeback<'a> {
-    chunks: Vec<(ChunkKey, Runs<'a>)>,
+    entries: Vec<BatchRuns<'a>>,
     bytes: u64,
 }
 
@@ -235,9 +231,10 @@ pub struct Mount {
     /// Cache capacity in chunks.
     capacity: usize,
     state: Arc<Mutex<MountState>>,
-    /// Client-side chunk-location cache feeding the batched fetch path
-    /// (only consulted when the policy's store calls are batched).
-    loc_cache: LocationCache,
+    /// Client-side chunk-location cache: fetches may reuse a resolution
+    /// while it holds one. `None` on the paper path — every fetch asks the
+    /// manager.
+    loc_cache: Option<LocationCache>,
     trace: TraceRecorder,
     read_req_bytes: Counter,
     write_req_bytes: Counter,
@@ -284,7 +281,9 @@ impl Mount {
                 seq: HashMap::new(),
                 flusher_busy_until: VTime::ZERO,
             })),
-            loc_cache: LocationCache::new(stats),
+            // Built either way: its counters are part of every mount's
+            // stats snapshot, at zero where no resolution is ever cached.
+            loc_cache: Some(LocationCache::new(stats)).filter(|_| cfg.pipelined_io),
             trace: TraceRecorder::disabled(),
             read_req_bytes: stats.counter("fuse.read_req_bytes"),
             write_req_bytes: stats.counter("fuse.write_req_bytes"),
@@ -597,7 +596,7 @@ impl Mount {
     /// Write back the dirty chunks among `keys`, a window at a time: each
     /// window is one `fuse.writeback` shipped by [`Self::ship`] from the
     /// previous window's completion — per chunk on the paper path, the
-    /// whole set as one batch (one manager RPC, per-benefactor write
+    /// whole set as one store call (one manager RPC, per-benefactor write
     /// chains overlapped) when pipelined. Slices are borrowed from the
     /// cache entries under the state lock; the dirty bits are cleared only
     /// after the store accepts the write, so a failed flush leaves the
@@ -618,11 +617,8 @@ impl Mount {
                 }));
                 self.writeback_bytes.add(wb.bytes);
                 let sp = self.trace.span(Layer::Fuse, "fuse.writeback", t);
-                sp.arg("bytes", wb.bytes);
-                if self.path.batched_store {
-                    sp.arg("chunks", window.len() as u64);
-                }
-                t = self.ship(t, &wb.chunks, self.path.batched_store)?;
+                sp.arg("bytes", wb.bytes).arg("chunks", window.len() as u64);
+                t = self.ship(t, &wb.entries)?;
                 sp.finish(t);
                 for key in window {
                     st.cache.clear_dirty(key);
@@ -643,8 +639,8 @@ impl Mount {
         entries: impl Iterator<Item = (ChunkKey, &'a CacheEntry)>,
     ) -> Writeback<'a> {
         let mut bytes = 0;
-        let chunks: Vec<(ChunkKey, Runs<'a>)> = entries
-            .map(|(key, e)| {
+        let entries = entries
+            .map(|((file, idx), e)| {
                 let runs = if self.cfg.dirty_page_writeback {
                     e.dirty.runs(PAGE_BYTES)
                 } else {
@@ -654,32 +650,20 @@ impl Mount {
                 let runs = runs
                     .into_iter()
                     .map(|(off, len)| (off, e.data.leaves_of(off, len)));
-                (key, runs.collect())
+                let updates = runs.collect();
+                BatchRuns { file, idx, updates }
             })
             .collect();
-        Writeback { chunks, bytes }
+        Writeback { entries, bytes }
     }
 
-    /// Hand `chunks` to the store from `t`: as one `write_runs_batch` (one
-    /// manager RPC, per-benefactor chains overlapped) completing when its
-    /// slowest entry does, or as per-chunk `write_runs` calls chained one
-    /// after the other. Returns the completion time.
-    fn ship(&self, t: VTime, chunks: &[(ChunkKey, Runs<'_>)], batched: bool) -> Result<VTime> {
-        if batched {
-            let entries: Vec<BatchRuns<'_>> = chunks
-                .iter()
-                .map(|(key, runs)| BatchRuns {
-                    file: key.0,
-                    idx: key.1,
-                    updates: runs,
-                })
-                .collect();
-            let times = self.store.write_runs_batch(t, self.node, &entries)?;
-            return Ok(times.into_iter().fold(t, VTime::max));
-        }
-        chunks.iter().try_fold(t, |t, (key, runs)| {
-            self.store.write_runs(t, self.node, key.0, key.1, runs)
-        })
+    /// Hand `entries` to the store from `t` as one `write_runs_batch` — one
+    /// manager RPC, per-benefactor chains overlapped; the paper path's
+    /// windows make it the batch of one. Returns when its slowest entry
+    /// has completed.
+    fn ship(&self, t: VTime, entries: &[BatchRuns<'_>]) -> Result<VTime> {
+        let times = self.store.write_runs_batch(t, self.node, entries)?;
+        Ok(times.into_iter().fold(t, VTime::max))
     }
 
     // ----- bulk transfers past the cache (the restart path) ------------------
@@ -697,8 +681,8 @@ impl Mount {
     }
 
     /// Fetch chunks `[first, first + n)` of `file` straight from the store
-    /// at `t`, past the cache (nothing is looked up, inserted or evicted):
-    /// per-chunk or batched as the policy's store calls are. Returns
+    /// at `t`, past the cache (nothing is looked up, inserted or evicted),
+    /// a policy window per store call, each from the one before. Returns
     /// `(in hand at, payload)` per chunk, in order. For files this mount
     /// holds no dirty pages of — a checkpoint's restart file.
     pub fn fetch_direct(
@@ -708,15 +692,21 @@ impl Mount {
         first: usize,
         n: usize,
     ) -> Result<Vec<(VTime, ChunkPayload)>> {
-        let idxs: Vec<usize> = (first..first + n).collect();
-        self.fetch(t, file, &idxs)
+        let targets: Vec<ChunkKey> = (first..first + n).map(|idx| (file, idx)).collect();
+        let (mut fetched, mut from) = (Vec::with_capacity(n), t);
+        for window in targets.chunks(self.path.window) {
+            let got = self.fetch(from, window)?;
+            from = got.iter().fold(from, |t, &(at, _)| t.max(at));
+            fetched.extend(got);
+        }
+        Ok(fetched)
     }
 
     /// Write `chunks` — `(chunk index, payload)`, each payload landing at
     /// the start of its chunk with its leaves handed over — straight to
-    /// the store at `t`, past the cache; returns the completion time. For
-    /// files this mount has cached no chunk of: a fresh restart file, a
-    /// variable being restored.
+    /// the store at `t`, past the cache, a policy window per store call;
+    /// returns the completion time. For files this mount has cached no
+    /// chunk of: a fresh restart file, a variable being restored.
     pub fn write_direct(
         &self,
         t: VTime,
@@ -727,11 +717,16 @@ impl Mount {
             self.state.lock().cache.keys_of_file(file).is_empty(),
             "direct write under cached chunks"
         );
-        let whole: Vec<(ChunkKey, Runs<'_>)> = chunks
+        let whole: Vec<BatchRuns<'_>> = chunks
             .iter()
-            .map(|(idx, data)| ((file, *idx), vec![(0, data.leaves())]))
+            .map(|&(idx, ref data)| BatchRuns {
+                file,
+                idx,
+                updates: vec![(0, data.leaves())],
+            })
             .collect();
-        self.ship(t, &whole, self.path.batched_store)
+        let mut windows = whole.chunks(self.path.window);
+        windows.try_fold(t, |t, window| self.ship(t, window))
     }
 
     // ----- write-back daemon (DESIGN.md §10) ---------------------------------
@@ -767,12 +762,12 @@ impl Mount {
 
     /// One background flusher batch, issued at `start`: take the oldest
     /// dirty chunks (enough to drain back to the background threshold, at
-    /// least one), coalesce them into a single batched store write — one
-    /// manager RPC, per-benefactor chains overlapped — and mark them
-    /// clean. The batch's virtual time is paced by `flusher_busy_until`,
-    /// never by the foreground clock. Dirty bits clear only after the
-    /// store accepts the batch, so a failed flush (benefactor down) leaves
-    /// the pages dirty for a later retry.
+    /// least one), coalesce them into a single store write whatever the
+    /// policy's window — one manager RPC, per-benefactor chains overlapped
+    /// — and mark them clean. The batch's virtual time is paced by
+    /// `flusher_busy_until`, never by the foreground clock. Dirty bits
+    /// clear only after the store accepts the batch, so a failed flush
+    /// (benefactor down) leaves the pages dirty for a later retry.
     fn bg_flush_batch(&self, st: &mut MountState, start: VTime) -> Result<VTime> {
         let cap = st.cache.capacity();
         let low = self.bg_threshold(cap).min(self.hard_limit(cap) - 1);
@@ -794,7 +789,7 @@ impl Mount {
         let bytes = wb.bytes;
         let sp = self.trace.span(Layer::Fuse, "fuse.bg_flush", start);
         sp.arg("chunks", batch.len() as u64).arg("bytes", bytes);
-        let end = self.ship(start, &wb.chunks, true)?;
+        let end = self.ship(start, &wb.entries)?;
         for key in batch {
             st.cache.clear_dirty(key);
         }
@@ -917,7 +912,7 @@ impl Mount {
         idxs: impl Iterator<Item = usize> + Clone,
     ) -> Result<VTime> {
         let mut ready = t;
-        let mut missing: Vec<usize> = Vec::new();
+        let mut missing: Vec<ChunkKey> = Vec::new();
         {
             let mut st = self.state.lock();
             let mut last = None;
@@ -929,7 +924,7 @@ impl Mount {
                     self.hits.inc();
                     ready = ready.max(entry.ready_at);
                 } else {
-                    missing.push(idx);
+                    missing.push((file, idx));
                 }
             }
         }
@@ -942,11 +937,11 @@ impl Mount {
         let t = self.make_room(t, missing.len(), |k| {
             k.0 == file && idxs.clone().any(|i| i == k.1)
         })?;
-        let fetched = self.fetch(t, file, &missing)?;
+        let fetched = self.fetch(t, &missing)?;
         let mut st = self.state.lock();
-        for ((ready_at, payload), &idx) in fetched.into_iter().zip(&missing) {
+        for ((ready_at, payload), &key) in fetched.into_iter().zip(&missing) {
             let data = payload.into_buf(self.store.config());
-            st.cache.insert((file, idx), data, ready_at);
+            st.cache.insert(key, data, ready_at);
             ready = ready.max(ready_at);
         }
         drop(st);
@@ -954,24 +949,13 @@ impl Mount {
         Ok(ready)
     }
 
-    /// Pull chunks `idxs` of `file` from the store at `t`: one batched
-    /// fetch through the location cache, or per-chunk fetches chained one
-    /// after the other. Returns `(usable at, payload)` in input order.
-    fn fetch(&self, t: VTime, file: FileId, idxs: &[usize]) -> Result<Vec<(VTime, ChunkPayload)>> {
-        if self.path.batched_store {
-            let targets: Vec<(FileId, usize)> = idxs.iter().map(|&i| (file, i)).collect();
-            return self
-                .store
-                .fetch_chunks(t, self.node, &targets, Some(&self.loc_cache));
-        }
-        let mut t = t;
-        idxs.iter()
-            .map(|&idx| {
-                let fetched = self.store.fetch_chunk(t, self.node, file, idx)?;
-                t = fetched.0;
-                Ok(fetched)
-            })
-            .collect()
+    /// Pull `targets` from the store at `t` as one `fetch_chunks`, through
+    /// the location cache if the mount holds one; the paper path's windows
+    /// make it the batch of one. Returns `(usable at, payload)` in input
+    /// order.
+    fn fetch(&self, t: VTime, targets: &[ChunkKey]) -> Result<Vec<(VTime, ChunkPayload)>> {
+        self.store
+            .fetch_chunks(t, self.node, targets, self.loc_cache.as_ref())
     }
 
     /// The eviction victim under the configured policy: plain LRU, or —
@@ -991,7 +975,8 @@ impl Mount {
 
     /// Evict until `need` slots are free, never touching the working set
     /// `protect` matches, and write back the dirty victims' pages (or
-    /// whole chunks when the optimization is off). Synchronously, the
+    /// whole chunks when the optimization is off) as one store call — at
+    /// most `need` of them, so one on the paper path. Synchronously, the
     /// write starts at `t` and the returned time is its completion.
     /// Asynchronously, it is charged from the time the victims' own data
     /// is available but the caller's clock is NOT advanced: the
@@ -1029,7 +1014,7 @@ impl Mount {
         if !self.path.async_evict {
             let sp = self.trace.span(Layer::Fuse, "fuse.evict", t);
             sp.arg("bytes", wb.bytes);
-            let end = self.ship(t, &wb.chunks, self.path.batched_store)?;
+            let end = self.ship(t, &wb.entries)?;
             sp.finish(end);
             return Ok(end);
         }
@@ -1041,7 +1026,7 @@ impl Mount {
         sp.arg("bytes", wb.bytes).arg("chunks", dirty.len() as u64);
         // The completion time is dropped (asynchronous write-back); the
         // span still records when the background writes land.
-        let done = self.ship(start, &wb.chunks, self.path.batched_store)?;
+        let done = self.ship(start, &wb.entries)?;
         sp.finish(done);
         Ok(t)
     }
@@ -1056,12 +1041,12 @@ impl Mount {
         let mut next = (from_offset / cs) as usize + usize::from(!from_offset.is_multiple_of(cs));
         let last = (next + depth).min(n_chunks);
         while next < last {
-            let mut missing: Vec<usize> = Vec::new();
+            let mut missing: Vec<ChunkKey> = Vec::new();
             {
                 let mut st = self.state.lock();
                 while next < last && missing.len() < self.path.window.min(self.capacity) {
                     if !st.cache.contains(&(file, next)) {
-                        missing.push(next);
+                        missing.push((file, next));
                     }
                     next += 1;
                 }
@@ -1079,16 +1064,16 @@ impl Mount {
             }
             let sp = self.trace.span(Layer::Fuse, "fuse.read_ahead", t);
             sp.arg("file", file.0).arg("chunks", missing.len() as u64);
-            let t0 = self.make_room(t, missing.len(), |k| k.0 == file && missing.contains(&k.1))?;
+            let t0 = self.make_room(t, missing.len(), |k| missing.contains(k))?;
             debug_assert_eq!(t0, t); // clean or asynchronous eviction: caller clock untouched
-            let fetched = self.fetch(t, file, &missing)?;
+            let fetched = self.fetch(t, &missing)?;
             self.readahead_fetches.add(missing.len() as u64);
             let mut done = t;
             let mut st = self.state.lock();
-            for ((ready, payload), &idx) in fetched.into_iter().zip(&missing) {
+            for ((ready, payload), &key) in fetched.into_iter().zip(&missing) {
                 done = done.max(ready);
                 st.cache
-                    .insert((file, idx), payload.into_buf(self.store.config()), ready);
+                    .insert(key, payload.into_buf(self.store.config()), ready);
             }
             drop(st);
             sp.finish(done);

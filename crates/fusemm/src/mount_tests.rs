@@ -583,6 +583,99 @@ fn paper_span_larger_than_the_cache_walks_it_chunk_by_chunk() {
     assert_eq!(stats.get("fuse.misses"), 8);
 }
 
+/// RS(2, 1) world: benefactors on nodes 0 (with the manager), 1 and 2,
+/// client mount on node 3, one two-chunk file — one parity group, member
+/// `i` on benefactor `i`, parity on benefactor 2.
+fn rs_world(cfg: FuseConfig) -> (Mount, StatsRegistry, FileId) {
+    let stats = StatsRegistry::new();
+    let net = Network::new(4, NetConfig::default(), &stats);
+    let store = AggregateStore::new(StoreConfig::default(), net, &stats);
+    for node in 0..3 {
+        let ssd = Ssd::new(&format!("b{node}.ssd"), INTEL_X25E, &stats);
+        store.add_benefactor(Benefactor::new(node, ssd, mib(256), CHUNK));
+    }
+    let m = Mount::new(store, 3, cfg, &stats);
+    let spec = StripeSpec::all().with_parity(2, 1);
+    let (_, f) = m
+        .create(
+            VTime::ZERO,
+            "/v",
+            2 * CHUNK,
+            spec,
+            PlacementPolicy::RoundRobin,
+        )
+        .unwrap();
+    (m, stats, f)
+}
+
+/// The store's partial-failure rule seen from a mount: a flush that fails
+/// leaves its pages dirty, the retry lands them, and the group is never
+/// left behind the data a failed attempt did land — so one loss ≤ m later
+/// the flushed bytes still read back.
+#[test]
+fn a_failed_flush_leaves_no_parity_group_behind_its_data() {
+    let cfg = FuseConfig {
+        cache_bytes: 4 * CHUNK,
+        ..pipelined(small_cache())
+    };
+    let (m, stats, f) = rs_world(cfg);
+    let data: Vec<u8> = (0..2 * CHUNK as usize).map(|i| (i % 239) as u8).collect();
+    let t = m.write(VTime::ZERO, f, 0, &data).unwrap();
+
+    // Member 1's home is down: the flush lands member 0, then fails.
+    let down = chunkstore::BenefactorId(1);
+    m.store().set_benefactor_alive(down, false);
+    assert_eq!(m.flush_file(t, f), Err(StoreError::BenefactorDown(down)));
+    assert_eq!(m.dirty_chunk_count(), 2, "a failed flush cleans nothing");
+    m.store().set_benefactor_alive(down, true);
+    let t = m.flush_file(t + VTime::from_millis(10), f).unwrap();
+    assert_eq!(m.dirty_chunk_count(), 0);
+
+    // Lose member 0's home; a cold mount reads through the degraded store.
+    m.store()
+        .set_benefactor_alive(chunkstore::BenefactorId(0), false);
+    let cold = Mount::new(m.store().clone(), 3, cfg, &stats);
+    let mut out = vec![0u8; data.len()];
+    cold.read(t, f, 0, &mut out).unwrap();
+    assert!(out == data, "the flushed bytes read back");
+    assert_eq!(stats.get("store.degraded_reconstructs"), 1);
+}
+
+/// When the flush of the test below ended on the per-chunk `write_runs`
+/// path of the commit before the store's two paths were folded.
+const PAPER_RS_FLUSH_END_NS: u64 = 7_984_544;
+
+/// The paper path is the window of one, nothing else: over an RS file it
+/// issues only one-entry store calls, never consults a location cache, and
+/// a chunk's parity leaves with its data — the flush ends where the
+/// per-chunk `write_runs` of the commit before the store's paths were
+/// folded ended it (constants recorded there, unedited since).
+#[test]
+fn paper_mount_issues_one_entry_calls_and_ships_parity_with_the_data() {
+    let (m, stats, f) = rs_world(small_cache());
+    let data: Vec<u8> = (0..2 * CHUNK as usize).map(|i| (i % 233) as u8).collect();
+    let t = m.write(VTime::ZERO, f, 0, &data).unwrap();
+    let page = vec![0xA5u8; 4096];
+    let t = m.write(t, f, CHUNK + 8192, &page).unwrap();
+    let t = m.flush_file(t, f).unwrap();
+    assert_eq!(t.as_nanos(), PAPER_RS_FLUSH_END_NS);
+    let mut out = vec![0u8; 2 * CHUNK as usize];
+    m.read(t, f, 0, &mut out).unwrap();
+    assert!(out[..CHUNK as usize + 8192] == data[..CHUNK as usize + 8192]);
+    assert!(out[CHUNK as usize + 8192..][..4096] == page[..]);
+
+    assert_eq!(stats.get("store.parity_encodes"), 2, "one ship per call");
+    for name in [
+        "store.batched_fetches",
+        "store.batched_writes",
+        "store.loc_cache_hits",
+        "store.loc_cache_misses",
+        "store.loc_cache_invalidations",
+    ] {
+        assert_eq!(stats.get(name), 0, "{name}");
+    }
+}
+
 mod oracle {
     use super::*;
     use proptest::prelude::*;

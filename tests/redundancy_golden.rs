@@ -25,6 +25,19 @@
 //! t)`. The constants were recorded at the commit before `store.rs` was
 //! carved into `store/` (PR 14); a "no behaviour change" refactor leaves
 //! them unedited, and a failing run prints the new values.
+//!
+//! Re-recorded once since, when the store's per-chunk and batched calls
+//! became one implementation (DESIGN.md §15, "the parity moment"). By span
+//! stream only — every returned time and report unedited: `REPLICAS`,
+//! `HA_SHARDED`, `HA_SERIAL` (a one-entry call emits no batch span and is
+//! not a `store.batched_*` call: 3 -> 2 writes on the two HA ones; entry
+//! spans carry `file`/`idx` and open at the resolution reply). By the
+//! parity moment — a group's merged delta leaves when its last entry is
+//! issued instead of after every entry has landed: `RS` (the four-entry
+//! fill ends at 8 294 624 instead of 14 155 952 ns, its second batch
+//! 1 667 024 ns earlier, and everything downstream by those amounts) and
+//! `SCRUB` (its one RS batch, the same 1 667 024 ns); no report and no
+//! counter of either moved.
 
 use chunkstore::{
     AggregateStore, BatchWrite, Benefactor, BenefactorId, ChunkPayload, FileId, LocationCache,
@@ -583,7 +596,7 @@ fn ha_serial_takeover() {
     check("ha_serial_takeover", &rig, &run, &HA_SERIAL);
 }
 
-// ----- constants recorded at the parent commit (f06271e) ---------------------
+// ----- constants recorded at f06271e, re-recorded once (see the header) ------
 
 const REPLICAS: Golden = Golden {
     times_ns: &[
@@ -632,7 +645,7 @@ const REPLICAS: Golden = Golden {
         2_035_653_976,
     ],
     reports: &[(4, 1_048_576, 0), (0, 0, 0)],
-    span_hash: 0xDDEA03C0B6686295,
+    span_hash: 0xD7E0429186CA59BA,
     counters: "\
 b0.ssd.read_bytes=3145728
 b0.ssd.reads=12
@@ -679,73 +692,73 @@ const RS: Golden = Golden {
     times_ns: &[
         112_048,
         224_096,
-        14_155_952,
-        14_155_952,
-        14_155_952,
-        14_155_952,
-        16_253_104,
-        16_253_104,
-        16_253_104,
-        16_253_104,
-        18_639_328,
-        24_170_280,
-        26_555_504,
-        28_940_728,
-        34_471_680,
-        36_856_904,
-        39_242_128,
-        41_627_352,
-        41_739_400,
-        41_851_448,
-        41_963_496,
-        42_075_544,
-        44_460_768,
-        53_897_952,
-        45_509_344,
-        46_557_920,
-        58_092_256,
-        47_606_496,
-        48_655_072,
-        49_703_648,
-        42_187_592,
-        42_187_592,
-        42_187_592,
-        42_187_592,
-        58_369_782,
-        61_568_864,
-        61_568_864,
-        61_528_386,
-        64_111_276,
-        64_111_276,
-        101_689_500,
-        101_689_500,
-        104_074_724,
-        106_459_948,
-        108_845_172,
-        111_230_396,
-        113_615_620,
-        116_000_844,
-        118_386_068,
-        120_771_292,
-        123_156_516,
-        123_268_564,
-        125_653_788,
-        125_765_836,
-        128_151_060,
-        129_199_636,
-        130_248_212,
-        131_296_788,
-        136_539_668,
-        132_345_364,
-        133_393_940,
-        134_442_516,
-        135_491_092,
-        125_877_884,
-        138_812_844,
-        125_877_884,
+        8_294_624,
+        8_294_624,
+        8_294_624,
+        8_294_624,
+        14_586_080,
+        14_586_080,
+        14_586_080,
+        14_586_080,
+        16_972_304,
+        22_503_256,
+        24_888_480,
+        27_273_704,
+        32_804_656,
+        35_189_880,
+        37_575_104,
+        39_960_328,
+        40_072_376,
+        40_184_424,
+        40_296_472,
+        40_408_520,
+        42_793_744,
+        52_230_928,
+        43_842_320,
+        44_890_896,
+        56_425_232,
+        45_939_472,
+        46_988_048,
+        48_036_624,
+        40_520_568,
+        40_520_568,
+        40_520_568,
+        40_520_568,
+        56_702_758,
+        57_020_762,
+        57_020_762,
+        57_119_856,
+        60_744_460,
+        60_744_460,
+        98_322_684,
+        98_322_684,
+        100_707_908,
+        103_093_132,
+        105_478_356,
+        107_863_580,
+        110_248_804,
+        112_634_028,
+        115_019_252,
+        117_404_476,
+        119_789_700,
+        119_901_748,
+        122_286_972,
+        122_399_020,
+        124_784_244,
+        125_832_820,
+        126_881_396,
+        127_929_972,
+        133_172_852,
+        128_978_548,
+        130_027_124,
+        131_075_700,
+        132_124_276,
+        122_511_068,
+        135_446_028,
+        122_511_068,
     ],
     reports: &[(4, 4_718_592, 0), (0, 0, 0)],
-    span_hash: 0xCB976E747D7FDAAF,
+    span_hash: 0x04FD37F1F1B34798,
     counters: "\
 b0.ssd.read_bytes=3407872
 b0.ssd.reads=13
@@ -822,23 +835,23 @@ const SCRUB: Golden = Golden {
         10_391_776,
         10_503_824,
         10_615_872,
-        17_207_696,
-        17_207_696,
+        15_540_672,
+        15_540_672,
         1,
         0,
         0,
         0,
         0,
         0,
-        146_171_304,
-        150_640_608,
-        153_025_832,
-        161_989_440,
-        167_582_320,
-        169_967_544,
+        144_504_280,
+        148_973_584,
+        151_358_808,
+        160_322_416,
+        165_915_296,
+        168_300_520,
     ],
     reports: &[],
-    span_hash: 0x061C346E26CFD5BC,
+    span_hash: 0xD31C2E7E5C67FE93,
     counters: "\
 b0.ssd.read_bytes=3407872
 b0.ssd.reads=13
@@ -960,7 +973,7 @@ const HA_SHARDED: Golden = Golden {
         269_899_036,
     ],
     reports: &[],
-    span_hash: 0x1CE09F10DAABAB92,
+    span_hash: 0x8E2C8408F8016B5B,
     counters: "\
 b0.ssd.read_bytes=4718592
 b0.ssd.reads=18
@@ -977,7 +990,7 @@ b2.ssd.written_bytes=528384
 net.bytes=14987264
 net.messages=173
 store.batched_fetches=5
-store.batched_writes=3
+store.batched_writes=2
 store.benefactor_crashes=0
 store.benefactor_recoveries=0
 store.bytes_from_clients=1851392
@@ -1083,7 +1096,7 @@ const HA_SERIAL: Golden = Golden {
         269_899_036,
     ],
     reports: &[],
-    span_hash: 0x6CF59BA685AA0940,
+    span_hash: 0x55F08FE6D0D06B87,
     counters: "\
 b0.ssd.read_bytes=4718592
 b0.ssd.reads=18
@@ -1100,7 +1113,7 @@ b2.ssd.written_bytes=528384
 net.bytes=14984704
 net.messages=163
 store.batched_fetches=5
-store.batched_writes=3
+store.batched_writes=2
 store.benefactor_crashes=0
 store.benefactor_recoveries=0
 store.bytes_from_clients=1851392

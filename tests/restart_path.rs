@@ -255,7 +255,9 @@ const DEGRADED_VAR_LEN: usize = 24 * CHUNK + 777;
 const FAULTS_AT: VTime = VTime::from_secs(2);
 
 /// One rank over RS(4,2) + `verify_reads`: checkpoint, lose benefactor 5,
-/// rot benefactor 2, restore. Returns the restored bytes and the
+/// rot every chunk on benefactor 2 (the rot draw is per chunk id, and the
+/// two paths number parity chunks in different orders: anything short of
+/// all of them compares two different fault sets), restore. Returns the restored bytes and the
 /// `(degraded_reconstructs, crc_mismatches)` the restore counted.
 fn degraded_restore(pipelined: bool) -> (Vec<u8>, (u64, u64)) {
     let job = JobConfig::remote(1, 1, 8).with_parity(4, 2);
@@ -271,7 +273,7 @@ fn degraded_restore(pipelined: bool) -> (Vec<u8>, (u64, u64)) {
     let cluster = cluster_for(&job, fuse, store);
     cluster.attach_faults(
         FaultPlanBuilder::new(0xD15EA5E)
-            .bit_rot(FAULTS_AT, 2, 5000)
+            .bit_rot(FAULTS_AT, 2, 10_000)
             .crash(FAULTS_AT, 5)
             .build(),
     );
