@@ -40,7 +40,6 @@ fn stream_scrub() -> ScrubConfig {
     ScrubConfig {
         interval: VTime::from_millis(250),
         chunks_per_pass: 8,
-        ..ScrubConfig::default()
     }
 }
 
@@ -68,7 +67,7 @@ fn stream_once(
     };
     let spec = ClusterSpec::hal().scaled(SCALE);
     let cluster = if traced {
-        Cluster::with_obs(
+        Cluster::with_obs_causal(
             spec,
             &cfg.benefactor_nodes(),
             stream_fuse(SCALE, 8),
@@ -211,7 +210,6 @@ fn measure_scrub_repair(report: &mut JsonReport) {
     let scrub = ScrubConfig {
         interval: VTime::from_millis(1),
         chunks_per_pass: 64,
-        ..ScrubConfig::default()
     };
     cluster.attach_faults(
         FaultPlanBuilder::new(7)
@@ -295,7 +293,6 @@ fn demonstrate_quarantine(report: &mut JsonReport) {
         ScrubConfig {
             interval: VTime::from_millis(1),
             chunks_per_pass: 128,
-            ..ScrubConfig::default()
         },
         t,
     );

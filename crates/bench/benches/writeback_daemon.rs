@@ -69,7 +69,7 @@ fn dirty_stream(
 ) -> (StreamRun, Cluster) {
     let jcfg = JobConfig::remote(1, 1, 4);
     let cluster = if traced {
-        Cluster::with_obs(
+        Cluster::with_obs_causal(
             ClusterSpec::hal().scaled(SCALE),
             &jcfg.benefactor_nodes(),
             fuse,

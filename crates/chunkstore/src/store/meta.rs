@@ -151,23 +151,21 @@ impl AggregateStore {
             ss.count_rpc(shard);
             ss.cpu_grant(shard, arrived, self.cfg.mgr_cpu)
         };
-        // Causal mode: the shard's CPU occupancy (queue wait + service)
-        // is *remote* work — record it detached on the shard's lane,
-        // linked back to this RPC span, so the trace DAG and critical
-        // path attribute it to the manager tier.
-        if self.trace.causal_enabled() {
-            let cpu_sp = self.trace.causal_span(
-                Layer::Store,
-                "shardmgr.cpu",
-                arrived,
-                SHARD_LANE_BASE + shard as u32,
-                self.trace.ctx(),
-            );
-            cpu_sp
-                .arg("shard", shard as u64)
-                .arg("queue_ns", grant.queued(arrived).as_nanos());
-            cpu_sp.finish(grant.end);
-        }
+        // The shard's CPU occupancy (queue wait + service) is *remote*
+        // work — record it detached on the shard's lane, linked back to
+        // this RPC span, so the trace DAG and critical path attribute it
+        // to the manager tier.
+        let cpu_sp = self.trace.causal_span(
+            Layer::Store,
+            "shardmgr.cpu",
+            arrived,
+            SHARD_LANE_BASE + shard as u32,
+            self.trace.ctx(),
+        );
+        cpu_sp
+            .arg("shard", shard as u64)
+            .arg("queue_ns", grant.queued(arrived).as_nanos());
+        cpu_sp.finish(grant.end);
         grant.end
     }
 

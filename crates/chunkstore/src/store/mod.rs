@@ -114,6 +114,12 @@ pub(crate) const FAILOVER_TIMEOUT: VTime = VTime::from_millis(25);
 /// time-to-failover scales with the metadata mutation history.
 pub(crate) const REPLAY_RECORD_CPU: VTime = VTime::from_micros(1);
 
+/// The scrub daemon quarantines a benefactor once its observed corruption
+/// rate (bad copies / copies scrubbed there) exceeds this fraction…
+pub const QUARANTINE_RATE: f64 = 0.5;
+/// …with at least this many copies scrubbed there as evidence.
+pub const QUARANTINE_MIN_SAMPLES: u64 = 8;
+
 /// Background scrub daemon configuration (DESIGN.md §11). The daemon only
 /// runs once [`AggregateStore::attach_scrub`] installs it; like PR 4's
 /// write-back flusher it is paced in virtual time off the foreground
@@ -126,11 +132,6 @@ pub struct ScrubConfig {
     /// Chunk ids verified per pass; the walk cursor persists across
     /// passes and wraps, so every chunk is eventually visited.
     pub chunks_per_pass: usize,
-    /// Quarantine a benefactor once its observed corruption rate
-    /// (bad copies / copies scrubbed there) exceeds this fraction…
-    pub quarantine_rate: f64,
-    /// …with at least this many copies scrubbed as evidence.
-    pub quarantine_min_samples: u64,
 }
 
 impl Default for ScrubConfig {
@@ -140,8 +141,6 @@ impl Default for ScrubConfig {
             // ~8 SSD chunk reads per pass (~10 ms): a low duty cycle, so
             // scrubbing steals little bandwidth from foreground I/O.
             chunks_per_pass: 8,
-            quarantine_rate: 0.5,
-            quarantine_min_samples: 8,
         }
     }
 }

@@ -5,7 +5,10 @@
 //! and counters; what it does to a copy is decided in `copies`.
 
 use super::copies::{self, Landing};
-use super::{AggregateStore, RepairReport, ScrubConfig, INTEGRITY_COUNTERS};
+use super::{
+    AggregateStore, RepairReport, ScrubConfig, INTEGRITY_COUNTERS, QUARANTINE_MIN_SAMPLES,
+    QUARANTINE_RATE,
+};
 use crate::ids::{BenefactorId, ChunkId, FileId};
 use crate::manager::{GroupRef, Manager, Slot};
 use obs::Layer;
@@ -113,11 +116,10 @@ impl AggregateStore {
         // bytes land there).
         for i in 0..mgr.benefactor_count() {
             let b = BenefactorId(i);
-            if mgr.benefactor(b).is_quarantined() || st.scrubbed[i] < st.cfg.quarantine_min_samples
-            {
+            if mgr.benefactor(b).is_quarantined() || st.scrubbed[i] < QUARANTINE_MIN_SAMPLES {
                 continue;
             }
-            if st.bad[i] as f64 > st.cfg.quarantine_rate * st.scrubbed[i] as f64 {
+            if st.bad[i] as f64 > QUARANTINE_RATE * st.scrubbed[i] as f64 {
                 mgr.set_quarantined(b, true);
                 mgr.bump_placement_epoch();
                 self.stats.counter("store.quarantined").inc();

@@ -924,7 +924,6 @@ fn scrub_daemon_finds_and_repairs_bit_rot() {
         ScrubConfig {
             interval: VTime::from_millis(1),
             chunks_per_pass: 16,
-            ..ScrubConfig::default()
         },
         t + VTime::from_micros(2),
     );
@@ -992,18 +991,19 @@ fn scrub_quarantines_rotten_benefactor_and_placement_avoids_it() {
             .corruption_rate(VTime::from_micros(1), 0, 10_000)
             .build(),
     );
-    let f = make_file_replicated(&store, client, "/m", 4 * CHUNK, 2);
+    // 16 chunks x 2 replicas round-robin over 3 benefactors: benefactor
+    // 0 holds more than the QUARANTINE_MIN_SAMPLES copies one pass needs.
+    let chunks = 16;
+    let f = make_file_replicated(&store, client, "/m", chunks as u64 * CHUNK, 2);
     let page = vec![1u8; 4096];
     let mut t = VTime::from_micros(2);
-    for idx in 0..4 {
+    for idx in 0..chunks {
         t = store.write_pages(t, client, f, idx, &[(0, &page)]).unwrap();
     }
     store.attach_scrub(
         ScrubConfig {
             interval: VTime::from_millis(1),
-            chunks_per_pass: 16,
-            quarantine_rate: 0.5,
-            quarantine_min_samples: 2,
+            chunks_per_pass: chunks,
         },
         t,
     );
@@ -1787,7 +1787,6 @@ fn batched_parity_merge_of_meeting_runs_equals_a_full_encode() {
         ScrubConfig {
             interval: VTime::from_millis(1),
             chunks_per_pass: 16,
-            ..ScrubConfig::default()
         },
         t + VTime::from_micros(1),
     );
@@ -1845,7 +1844,6 @@ fn scrub_rebuilds_corrupt_sole_copy_group_member_in_place() {
         ScrubConfig {
             interval: VTime::from_millis(1),
             chunks_per_pass: 16,
-            ..ScrubConfig::default()
         },
         t + VTime::from_micros(2),
     );

@@ -11,19 +11,7 @@ use obs::{MetricsSampler, TraceRecorder, DEV_LANE_BASE, SHARD_LANE_BASE};
 use simcore::{StatsRegistry, VTime};
 use std::sync::atomic::Ordering;
 
-/// Observability mode a cluster is built in.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum ObsMode {
-    /// No recorder, no sampler: the production configuration.
-    Off,
-    /// Lexical span tracing ([`Cluster::with_obs`]).
-    Spans,
-    /// Spans + cross-rank causal links + the virtual-time metrics
-    /// sampler ([`Cluster::with_obs_causal`]).
-    Causal,
-}
-
-/// Virtual-time cadence of the metrics sampler in causal mode. 50 ms of
+/// Virtual-time cadence of the metrics sampler. 50 ms of
 /// virtual time keeps even second-scale runs under a few dozen points
 /// per series — cheap to store, dense enough to see phase structure.
 const SAMPLER_INTERVAL: VTime = VTime::from_millis(50);
@@ -33,8 +21,8 @@ pub struct Cluster {
     pub spec: ClusterSpec,
     pub stats: StatsRegistry,
     /// Cluster-wide trace recorder: disabled unless the cluster was built
-    /// via [`Cluster::with_obs`], in which case every layer (mounts, store,
-    /// network, SSDs) records virtual-time spans into it.
+    /// via [`Cluster::with_obs_causal`], in which case every layer (mounts,
+    /// store, network, SSDs) records virtual-time spans into it.
     pub trace: TraceRecorder,
     /// Virtual-time gauge sampler: disabled unless the cluster was built
     /// via [`Cluster::with_obs_causal`]. Polled from the store's fault
@@ -69,38 +57,26 @@ impl Cluster {
         fuse: FuseConfig,
         store_cfg: StoreConfig,
     ) -> Self {
-        Self::build(spec, benefactor_nodes, fuse, store_cfg, ObsMode::Off)
+        Self::build(spec, benefactor_nodes, fuse, store_cfg, false)
     }
 
-    /// Fully custom build with span tracing enabled: every layer records
-    /// virtual-time spans into [`Cluster::trace`], and `run_job` binds each
-    /// rank to its own trace lane. Virtual-time results are bit-identical
-    /// to an untraced build — instrumentation only observes the computed
-    /// times, it never participates in them.
-    pub fn with_obs(
-        spec: ClusterSpec,
-        benefactor_nodes: &[usize],
-        fuse: FuseConfig,
-        store_cfg: StoreConfig,
-    ) -> Self {
-        Self::build(spec, benefactor_nodes, fuse, store_cfg, ObsMode::Spans)
-    }
-
-    /// Like [`Cluster::with_obs`], but additionally turns on **causal
-    /// mode**: shard-manager CPU occupancy and benefactor SSD service
-    /// record as *detached* spans on their own rank lanes, linked back to
-    /// the client span that caused them (flow arrows in the Chrome
-    /// export, dependency edges for the critical-path analyzer), and the
-    /// virtual-time [`MetricsSampler`] records gauge series at a fixed
-    /// 50 ms virtual cadence. Still timing-neutral: makespans are
-    /// bit-identical to `Cluster::new` builds.
+    /// Fully custom build with tracing on: every layer records
+    /// virtual-time spans into [`Cluster::trace`] and `run_job` binds each
+    /// rank to its own trace lane; shard-manager CPU occupancy and
+    /// benefactor SSD service record as *detached* spans on their own
+    /// lanes, linked back to the client span that caused them (flow
+    /// arrows in the Chrome export, dependency edges for the
+    /// critical-path analyzer); and the virtual-time [`MetricsSampler`]
+    /// records gauge series at a fixed 50 ms virtual cadence.
+    /// Timing-neutral: makespans are bit-identical to `Cluster::new`
+    /// builds — instrumentation only observes the computed times.
     pub fn with_obs_causal(
         spec: ClusterSpec,
         benefactor_nodes: &[usize],
         fuse: FuseConfig,
         store_cfg: StoreConfig,
     ) -> Self {
-        Self::build(spec, benefactor_nodes, fuse, store_cfg, ObsMode::Causal)
+        Self::build(spec, benefactor_nodes, fuse, store_cfg, true)
     }
 
     fn build(
@@ -108,21 +84,19 @@ impl Cluster {
         benefactor_nodes: &[usize],
         fuse: FuseConfig,
         mut store_cfg: StoreConfig,
-        mode: ObsMode,
+        traced: bool,
     ) -> Self {
         let stats = StatsRegistry::new();
         // The recorder must exist before any layer is constructed: clones
         // (the store's network handle, each mount's store handle) share
         // whatever recorder their original carried at clone time.
-        let trace = match mode {
-            ObsMode::Off => TraceRecorder::disabled(),
-            ObsMode::Spans => TraceRecorder::enabled(&stats),
-            ObsMode::Causal => TraceRecorder::enabled_causal(&stats),
-        };
-        let sampler = if mode == ObsMode::Causal {
-            MetricsSampler::enabled(SAMPLER_INTERVAL)
+        let (trace, sampler) = if traced {
+            (
+                TraceRecorder::enabled(&stats),
+                MetricsSampler::enabled(SAMPLER_INTERVAL),
+            )
         } else {
-            MetricsSampler::disabled()
+            (TraceRecorder::disabled(), MetricsSampler::disabled())
         };
         let net = Network::new(spec.nodes, spec.net, &stats).with_tracer(trace.clone());
         let pfs = Pfs::new(spec.pfs, &stats);
@@ -136,7 +110,7 @@ impl Cluster {
             assert!(node < spec.nodes, "benefactor node out of range");
             let mut ssd = Ssd::new(&format!("n{node}.ssd"), spec.ssd_profile, &stats)
                 .with_tracer(trace.clone());
-            if mode == ObsMode::Causal {
+            if traced {
                 let lane = DEV_LANE_BASE + node as u32;
                 ssd = ssd.with_causal_lane(lane);
                 trace.label_lane(lane, format!("ssd/n{node}"));
@@ -171,7 +145,7 @@ impl Cluster {
                     .collect();
                 store.set_standby_nodes(&standby_nodes);
             }
-            if mode == ObsMode::Causal {
+            if traced {
                 for k in 0..store_cfg.manager_shards {
                     trace.label_lane(SHARD_LANE_BASE + k as u32, format!("shardmgr/{k}"));
                 }

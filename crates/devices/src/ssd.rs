@@ -44,10 +44,10 @@ pub struct Ssd {
     /// out exactly and an unfaulted device keeps bit-identical timing.
     slowdown_milli: Arc<AtomicU64>,
     trace: TraceRecorder,
-    /// When set and the recorder runs in causal mode, device accesses are
-    /// recorded as *detached* spans on this lane (the benefactor node's
-    /// SSD lane), causally linked to the client span that triggered them,
-    /// instead of nesting inside the client's lane.
+    /// When set, device accesses are recorded as *detached* spans on this
+    /// lane (the benefactor node's SSD lane), causally linked to the client
+    /// span that triggered them, instead of nesting inside the client's
+    /// lane.
     causal_lane: Option<u32>,
 }
 
@@ -80,23 +80,21 @@ impl Ssd {
     }
 
     /// Pin this device's spans to a dedicated causal lane (builder
-    /// style). Only takes effect when the attached recorder runs in
-    /// causal mode; otherwise spans keep nesting in the caller's lane.
+    /// style); without one they nest in the caller's lane.
     pub fn with_causal_lane(mut self, lane: u32) -> Self {
         self.causal_lane = Some(lane);
         self
     }
 
     /// Open the span for one device access: detached on the device's
-    /// causal lane (linked to the innermost client span) in causal mode,
+    /// causal lane (linked to the innermost client span) when it has one,
     /// lexically nested otherwise.
     fn dev_span(&self, name: &'static str, t: VTime) -> obs::SpanGuard {
         match self.causal_lane {
-            Some(lane) if self.trace.causal_enabled() => {
-                self.trace
-                    .causal_span(Layer::Dev, name, t, lane, self.trace.ctx())
-            }
-            _ => self.trace.span(Layer::Dev, name, t),
+            Some(lane) => self
+                .trace
+                .causal_span(Layer::Dev, name, t, lane, self.trace.ctx()),
+            None => self.trace.span(Layer::Dev, name, t),
         }
     }
 
@@ -291,7 +289,7 @@ mod tests {
     #[test]
     fn causal_lane_detaches_dev_spans_without_timing_change() {
         let stats = StatsRegistry::new();
-        let rec = TraceRecorder::enabled_causal(&stats);
+        let rec = TraceRecorder::enabled(&stats);
         let d = Ssd::new("ssd0", INTEL_X25E, &stats)
             .with_tracer(rec.clone())
             .with_causal_lane(obs::DEV_LANE_BASE + 4);
@@ -303,15 +301,16 @@ mod tests {
         assert_eq!(spans[1].lane, obs::DEV_LANE_BASE + 4);
         assert_eq!(spans[1].link, Some(0));
         assert_eq!(spans[1].parent, None);
-        // Same access without causal mode: identical grant, nested span.
+        // Same access without a lane: identical grant, nested span.
         let stats2 = StatsRegistry::new();
         let rec2 = TraceRecorder::enabled(&stats2);
-        let d2 = Ssd::new("ssd0", INTEL_X25E, &stats2)
-            .with_tracer(rec2.clone())
-            .with_causal_lane(obs::DEV_LANE_BASE + 4);
+        let d2 = Ssd::new("ssd0", INTEL_X25E, &stats2).with_tracer(rec2.clone());
+        let client2 = rec2.span(Layer::Store, "store.chunk_fetch", VTime::ZERO);
         let g2 = d2.read_at(VTime::from_micros(1), 4096);
+        client2.finish(g2.end);
         assert_eq!(g2, g, "causal lane must not perturb timing");
-        assert_eq!(rec2.spans()[0].link, None);
+        assert_eq!(rec2.spans()[1].link, None);
+        assert_eq!(rec2.spans()[1].parent, Some(0));
     }
 
     #[test]

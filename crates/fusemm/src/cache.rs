@@ -18,6 +18,9 @@
 //! * **segmented LRU** (`FuseConfig::seg_cache`) — the protected segment
 //!   holds up to 4/5 of capacity.
 //!
+//! One victim rule serves both ([`ChunkCache::victim`]); the plain cache
+//! scans 0 deep for a clean entry, so its victim is always the LRU one.
+//!
 //! Victim selection is O(log n): recency is kept in ordered tick indexes
 //! (`BTreeSet<(tick, key)>`), never by scanning the whole entry map. The
 //! cache also tracks its dirty-chunk count (and high-water mark) so the
@@ -79,21 +82,35 @@ pub struct ChunkCache {
     /// Entries examined across all victim selections (the quadratic-path
     /// regression guard in tests).
     victim_scan_steps: u64,
+    /// How deep [`Self::victim`] looks for a clean entry in each list:
+    /// [`CLEAN_SCAN_DEPTH`] when segmented, 0 for the plain LRU.
+    clean_scan_depth: usize,
 }
 
 impl ChunkCache {
     pub fn new(capacity_chunks: usize, pages_per_chunk: usize) -> Self {
-        Self::build(capacity_chunks, pages_per_chunk, 0)
+        Self::build(capacity_chunks, pages_per_chunk, 0, 0)
     }
 
-    /// A segmented (probation/protected) cache; the protected segment
-    /// holds up to 4/5 of capacity, probation always keeps >= 1 slot.
+    /// A segmented (probation/protected) cache with clean-first victims;
+    /// the protected segment holds up to 4/5 of capacity, probation always
+    /// keeps >= 1 slot.
     pub fn new_segmented(capacity_chunks: usize, pages_per_chunk: usize) -> Self {
         let protected_cap = (capacity_chunks * 4 / 5).min(capacity_chunks.saturating_sub(1));
-        Self::build(capacity_chunks, pages_per_chunk, protected_cap)
+        Self::build(
+            capacity_chunks,
+            pages_per_chunk,
+            protected_cap,
+            CLEAN_SCAN_DEPTH,
+        )
     }
 
-    fn build(capacity_chunks: usize, pages_per_chunk: usize, protected_cap: usize) -> Self {
+    fn build(
+        capacity_chunks: usize,
+        pages_per_chunk: usize,
+        protected_cap: usize,
+        clean_scan_depth: usize,
+    ) -> Self {
         assert!(capacity_chunks > 0, "cache needs at least one chunk");
         ChunkCache {
             entries: HashMap::with_capacity(capacity_chunks),
@@ -107,6 +124,7 @@ impl ChunkCache {
             dirty_count: 0,
             max_dirty: 0,
             victim_scan_steps: 0,
+            clean_scan_depth,
         }
     }
 
@@ -271,10 +289,8 @@ impl ChunkCache {
     }
 
     /// The least-recently-used key among entries for which `exclude` is
-    /// false — victim selection that must not evict the working set
-    /// currently being ensured (the data path's protection rule).
-    /// Probation is drained before the protected segment.
-    pub fn lru_key_excluding(
+    /// false. Probation is drained before the protected segment.
+    fn lru_key_excluding(
         &mut self,
         mut exclude: impl FnMut(&ChunkKey) -> bool,
     ) -> Option<ChunkKey> {
@@ -290,19 +306,17 @@ impl ChunkCache {
         found
     }
 
-    /// Clean-first victim selection (segmented mode): prefer a *clean*
-    /// entry near the cold end of probation, then of the protected
-    /// segment, scanning at most [`CLEAN_SCAN_DEPTH`] entries per list;
-    /// fall back to the plain LRU victim when everything cold is dirty.
-    /// A clean victim means eviction ships nothing synchronously.
-    pub fn victim_clean_first(
-        &mut self,
-        mut exclude: impl FnMut(&ChunkKey) -> bool,
-    ) -> Option<ChunkKey> {
+    /// The eviction victim among entries for which `exclude` is false
+    /// (the working set currently being ensured is never evicted): a
+    /// *clean* entry near the cold end of probation, then of the protected
+    /// segment, scanning at most `clean_scan_depth` entries per list, else
+    /// the LRU victim. A clean victim means eviction ships nothing
+    /// synchronously; the plain cache scans 0 deep and takes the LRU.
+    pub fn victim(&mut self, mut exclude: impl FnMut(&ChunkKey) -> bool) -> Option<ChunkKey> {
         let mut steps = 0u64;
         let mut clean = None;
         'lists: for list in [&self.probation, &self.protected] {
-            for &(_, k) in list.iter().take(CLEAN_SCAN_DEPTH) {
+            for &(_, k) in list.iter().take(self.clean_scan_depth) {
                 steps += 1;
                 if exclude(&k) {
                     continue;
@@ -499,11 +513,28 @@ mod tests {
         // Coldest two are dirty; 2 is the coldest *clean* entry.
         c.mark_dirty_page(&key(0), 0);
         c.mark_dirty_page(&key(1), 0);
-        assert_eq!(c.victim_clean_first(|_| false), Some(key(2)));
+        assert_eq!(c.victim(|_| false), Some(key(2)));
         // All dirty: falls back to the true LRU.
         c.mark_dirty_page(&key(2), 0);
         c.mark_dirty_page(&key(3), 0);
-        assert_eq!(c.victim_clean_first(|_| false), Some(key(0)));
+        assert_eq!(c.victim(|_| false), Some(key(0)));
+    }
+
+    #[test]
+    fn one_victim_rule_scans_for_clean_only_when_segmented() {
+        // A dirty LRU entry and a newer clean one: the plain cache evicts
+        // the dirty one (its one step is the LRU pick, no clean scan), the
+        // segmented cache scans past it to the clean one.
+        for (mut c, want, steps) in [
+            (cache(2), key(0), 1),
+            (ChunkCache::new_segmented(2, 64), key(1), 2),
+        ] {
+            c.insert(key(0), data(), VTime::ZERO);
+            c.insert(key(1), data(), VTime::ZERO);
+            c.mark_dirty_page(&key(0), 0);
+            assert_eq!(c.victim(|_| false), Some(want));
+            assert_eq!(c.victim_scan_steps(), steps);
+        }
     }
 
     #[test]

@@ -65,6 +65,9 @@ pub struct MountGauges {
     pub protected_chunks: Arc<AtomicU64>,
 }
 
+/// User/kernel crossing cost charged per FUSE operation.
+pub const OP_OVERHEAD: VTime = VTime::from_micros(4);
+
 /// Mount configuration (per compute node).
 #[derive(Clone, Copy, Debug)]
 pub struct FuseConfig {
@@ -75,8 +78,6 @@ pub struct FuseConfig {
     /// Ship only dirty pages at eviction (true = the paper's optimization;
     /// false = whole-chunk write-back, the Table VII baseline).
     pub dirty_page_writeback: bool,
-    /// User/kernel crossing cost charged per FUSE operation.
-    pub op_overhead: VTime,
     /// Overlapped data path (DESIGN.md §8): multi-chunk spans fetch and
     /// flush through the store's batched APIs (one manager RPC per batch,
     /// per-benefactor chains overlapped, chunk-location cache), dirty
@@ -107,7 +108,6 @@ impl Default for FuseConfig {
             cache_bytes: 64 * 1024 * 1024,
             read_ahead_chunks: 1,
             dirty_page_writeback: true,
-            op_overhead: VTime::from_micros(4),
             pipelined_io: false,
             dirty_background_ratio: 1.0,
             dirty_hard_ratio: 1.0,
@@ -424,7 +424,7 @@ impl Mount {
         self.read_req_bytes.add(self.page_rounded(offset, len));
         let sp = self.trace.span(Layer::Fuse, "fuse.read", t);
         sp.arg("file", file.0).arg("bytes", len);
-        t += self.cfg.op_overhead;
+        t += OP_OVERHEAD;
 
         // Foreground reads give the flusher a chance to clean concurrently
         // (the daemon is driven from mount operations, like fault polling).
@@ -478,7 +478,7 @@ impl Mount {
         sp.arg("file", file.0)
             .arg("runs", count)
             .arg("bytes", run_len * count);
-        t += self.cfg.op_overhead;
+        t += OP_OVERHEAD;
 
         for r in 0..count {
             self.read_req_bytes
@@ -520,7 +520,7 @@ impl Mount {
         self.write_req_bytes.add(self.page_rounded(offset, len));
         let sp = self.trace.span(Layer::Fuse, "fuse.write", t);
         sp.arg("file", file.0).arg("bytes", len);
-        t += self.cfg.op_overhead;
+        t += OP_OVERHEAD;
 
         // Read-modify-write: a miss pulls the chunk first (§III-D).
         let segs = segments(offset, len, self.chunk_size());
@@ -958,21 +958,6 @@ impl Mount {
             .fetch_chunks(t, self.node, targets, self.loc_cache.as_ref())
     }
 
-    /// The eviction victim under the configured policy: plain LRU, or —
-    /// with the segmented cache — the coldest *clean* entry first, so
-    /// eviction almost never pays a synchronous write-back.
-    fn pick_victim(
-        &self,
-        cache: &mut ChunkCache,
-        exclude: impl FnMut(&ChunkKey) -> bool,
-    ) -> Option<ChunkKey> {
-        if self.cfg.seg_cache {
-            cache.victim_clean_first(exclude)
-        } else {
-            cache.lru_key_excluding(exclude)
-        }
-    }
-
     /// Evict until `need` slots are free, never touching the working set
     /// `protect` matches, and write back the dirty victims' pages (or
     /// whole chunks when the optimization is off) as one store call — at
@@ -994,8 +979,9 @@ impl Mount {
         {
             let mut st = self.state.lock();
             while st.cache.capacity() - st.cache.len() < need {
-                let victim = self
-                    .pick_victim(&mut st.cache, &protect)
+                let victim = st
+                    .cache
+                    .victim(&protect)
                     .expect("window sized within cache capacity");
                 let entry = st.cache.remove(&victim).expect("victim is cached");
                 self.evictions.inc();
@@ -1056,7 +1042,7 @@ impl Mount {
                 // Only prefetch into free-or-clean space: prefetching must
                 // never force synchronous dirty write-back.
                 if !self.path.async_evict && st.cache.is_full() {
-                    let victim = self.pick_victim(&mut st.cache, |_| false).expect("full");
+                    let victim = st.cache.victim(|_| false).expect("full");
                     if st.cache.peek(&victim).is_some_and(|e| e.dirty.any()) {
                         return Ok(());
                     }

@@ -1,6 +1,6 @@
 //! Unit tests for the mount data path.
 
-use crate::mount::{FuseConfig, Mount};
+use crate::mount::{FuseConfig, Mount, OP_OVERHEAD};
 use chunkstore::{
     AggregateStore, Benefactor, ChunkBuf, FileId, PlacementPolicy, StoreConfig, StoreError,
     StripeSpec,
@@ -87,7 +87,7 @@ fn cache_hit_avoids_store_traffic() {
     assert_eq!(stats.get("store.chunk_fetches"), fetches, "hit: no fetch");
     assert_eq!(stats.get("fuse.hits"), 1);
     // A hit costs only the FUSE op overhead.
-    assert_eq!(t2 - t, FuseConfig::default().op_overhead);
+    assert_eq!(t2 - t, OP_OVERHEAD);
 }
 
 #[test]

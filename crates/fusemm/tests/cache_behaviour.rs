@@ -5,7 +5,7 @@ use chunkstore::{
     AggregateStore, Benefactor, FileId, PlacementPolicy, StoreConfig, StoreError, StripeSpec,
 };
 use devices::{Ssd, INTEL_X25E};
-use fusemm::{FuseConfig, Mount};
+use fusemm::{FuseConfig, Mount, OP_OVERHEAD};
 use netsim::{NetConfig, Network};
 use simcore::{StatsRegistry, VTime};
 
@@ -205,9 +205,9 @@ fn lru_eviction_order_is_strict() {
     let t3 = m2.read(t2, f, 0, &mut buf).unwrap();
     let t4 = m2.read(t3, f, 2 * CHUNK, &mut buf).unwrap();
     // Hits cost only op overhead.
-    assert_eq!(t3 - t2, m.config().op_overhead);
-    assert_eq!(t4 - t3, m.config().op_overhead);
+    assert_eq!(t3 - t2, OP_OVERHEAD);
+    assert_eq!(t4 - t3, OP_OVERHEAD);
     // Chunk 1 was evicted: reading it costs a real fetch.
     let t5 = m2.read(t4, f, CHUNK, &mut buf).unwrap();
-    assert!(t5 - t4 > m.config().op_overhead * 10);
+    assert!(t5 - t4 > OP_OVERHEAD * 10);
 }

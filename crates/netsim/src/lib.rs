@@ -19,6 +19,14 @@ use simcore::{Bandwidth, Counter, Resource, StatsRegistry, VTime};
 use std::collections::HashMap;
 use std::sync::Arc;
 
+/// Messages at or below this size are *control traffic*: they are
+/// charged serialization + latency but do not occupy the NIC queues.
+/// A 256-byte RPC cannot meaningfully contend with bulk flows on a
+/// GigE link, and modelling it as a queue occupant would let tiny
+/// out-of-order metadata messages inflate the FIFO's `next_free`
+/// unboundedly (the single-register resource cannot backfill gaps).
+pub const CTRL_THRESHOLD: u64 = 4096;
+
 /// Interconnect parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct NetConfig {
@@ -26,13 +34,6 @@ pub struct NetConfig {
     pub link_bw: Bandwidth,
     /// One-way message latency (propagation + stack).
     pub latency: VTime,
-    /// Messages at or below this size are *control traffic*: they are
-    /// charged serialization + latency but do not occupy the NIC queues.
-    /// A 256-byte RPC cannot meaningfully contend with bulk flows on a
-    /// GigE link, and modelling it as a queue occupant would let tiny
-    /// out-of-order metadata messages inflate the FIFO's `next_free`
-    /// unboundedly (the single-register resource cannot backfill gaps).
-    pub ctrl_threshold: u64,
 }
 
 impl Default for NetConfig {
@@ -42,7 +43,6 @@ impl Default for NetConfig {
         NetConfig {
             link_bw: Bandwidth::gbit_per_sec(2.0),
             latency: VTime::from_micros(50),
-            ctrl_threshold: 4096,
         }
     }
 }
@@ -213,7 +213,7 @@ impl Network {
             .arg("to", to as u64)
             .arg("bytes", bytes);
         let (bw, latency) = self.effective(from, to);
-        let d = if bytes <= self.cfg.ctrl_threshold {
+        let d = if bytes <= CTRL_THRESHOLD {
             let ser = bw.time_for(bytes);
             Delivery {
                 sent: t + ser,

@@ -1,7 +1,7 @@
 //! Network-model behaviour tests: control-message policy, utilization
 //! reporting, and direct NIC charging.
 
-use netsim::{NetConfig, Network};
+use netsim::{NetConfig, Network, CTRL_THRESHOLD};
 use simcore::{Bandwidth, StatsRegistry, VTime};
 
 fn net(n: usize) -> Network {
@@ -31,8 +31,8 @@ fn control_threshold_boundary() {
     let cfg = NetConfig::default();
     let net = Network::new(2, cfg, &StatsRegistry::new());
     net.transfer_at(VTime::ZERO, 0, 1, 250_000_000); // occupy tx
-    let at = net.transfer_at(VTime::ZERO, 0, 1, cfg.ctrl_threshold);
-    let over = net.transfer_at(VTime::ZERO, 0, 1, cfg.ctrl_threshold + 1);
+    let at = net.transfer_at(VTime::ZERO, 0, 1, CTRL_THRESHOLD);
+    let over = net.transfer_at(VTime::ZERO, 0, 1, CTRL_THRESHOLD + 1);
     assert!(at.arrived < VTime::from_millis(1), "at-threshold bypasses");
     assert!(over.sent >= VTime::from_secs(1), "over-threshold queues");
 }
@@ -77,14 +77,13 @@ fn custom_bandwidth_config() {
     let cfg = NetConfig {
         link_bw: Bandwidth::gbit_per_sec(10.0),
         latency: VTime::from_micros(5),
-        ctrl_threshold: 0, // everything queues
     };
     let net = Network::new(2, cfg, &StatsRegistry::new());
     let d = net.transfer_at(VTime::ZERO, 0, 1, 1_250_000_000);
     assert_eq!(d.sent, VTime::from_secs(1));
     assert_eq!(d.arrived, VTime::from_secs(1) + VTime::from_micros(5));
-    // With threshold 0, even tiny messages queue.
-    let d2 = net.transfer_at(VTime::ZERO, 0, 1, 1);
+    // A message just over the control threshold queues behind the bulk one.
+    let d2 = net.transfer_at(VTime::ZERO, 0, 1, CTRL_THRESHOLD + 1);
     assert!(d2.sent >= VTime::from_secs(1));
 }
 

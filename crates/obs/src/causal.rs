@@ -1,15 +1,13 @@
 //! Causal cross-rank trace edges (DESIGN.md §14).
 //!
-//! The base recorder derives span parentage from lexical call nesting on
-//! one host thread, which is exactly right for the synchronous client data
-//! path (mount → store → net → device) but collapses *remote* work onto
-//! the client's lane: the shard-manager CPU occupancy a client RPC queues
-//! behind, and the benefactor-side SSD service a fetch triggers, are
-//! conceptually other ranks' time. Causal mode (opt-in via
-//! [`crate::TraceRecorder::enabled_causal`], off by default so every
-//! committed expectation is unchanged) records such work as *detached*
-//! spans pinned to dedicated lanes, each carrying a causal `link` back to
-//! the client span that enqueued it. The Chrome exporter turns every link
+//! The recorder derives span parentage from lexical call nesting on one
+//! host thread, which is exactly right for the synchronous client data
+//! path (mount → store → net → device) but would collapse *remote* work
+//! onto the client's lane: the shard-manager CPU occupancy a client RPC
+//! queues behind, and the benefactor-side SSD service a fetch triggers,
+//! are conceptually other ranks' time. The recorder therefore takes such
+//! work as *detached* spans pinned to dedicated lanes, each carrying a
+//! causal `link` back to the client span that enqueued it. The Chrome exporter turns every link
 //! into a flow-event pair (`ph:"s"` in the source slice, `ph:"f"` with
 //! `bp:"e"` in the destination slice), so Perfetto draws the cross-lane
 //! arrows; the critical-path analyzer ([`crate::critpath`]) treats links
@@ -33,9 +31,8 @@ pub const METRICS_LANE: u32 = 4_000_000;
 /// work is being recorded. Obtained from [`crate::TraceRecorder::ctx`]
 /// (the innermost open span on the calling host thread) and passed to
 /// [`crate::TraceRecorder::causal_span`], which stores it as the new
-/// span's `link`. Empty when the recorder is disabled, causal mode is
-/// off, or no span is open — linking is always best-effort and never
-/// affects timing.
+/// span's `link`. Empty when the recorder is disabled or no span is open
+/// — linking is always best-effort and never affects timing.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CausalCtx(pub(crate) Option<u32>);
 

@@ -118,9 +118,9 @@ impl TraceRecorder {
 
     /// Like [`TraceRecorder::chrome_trace`], additionally rendering each
     /// gauge series as a Chrome counter track (`ph:"C"`, one `value` arg
-    /// per sample) on a dedicated "metrics" thread. Causal links, when
-    /// present, are rendered as flow-event pairs so Perfetto draws the
-    /// cross-lane arrows.
+    /// per sample) on a dedicated "metrics" thread. Causal links are
+    /// rendered as flow-event pairs so Perfetto draws the cross-lane
+    /// arrows.
     pub fn chrome_trace_with_series(&self, series: &[GaugeSeries]) -> String {
         let spans = self.spans();
         let instants = self.instants();
@@ -525,7 +525,7 @@ mod tests {
     #[test]
     fn causal_links_export_paired_flow_events() {
         let stats = StatsRegistry::new();
-        let rec = TraceRecorder::enabled_causal(&stats);
+        let rec = TraceRecorder::enabled(&stats);
         rec.bind_lane(0, "rank 0");
         rec.label_lane(crate::causal::SHARD_LANE_BASE, "shardmgr/0");
         let client = rec.span(Layer::Store, "store.mgr_rpc", nanos(100));

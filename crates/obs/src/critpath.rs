@@ -2,8 +2,8 @@
 //!
 //! The question every bench ultimately asks is *which layer bounds the
 //! makespan*: the paper's thesis holds only while manager CPU, benefactor
-//! SSDs, and network fan-in stay off the critical path. With causal mode
-//! on, the trace is a dependency forest — every span has at most one
+//! SSDs, and network fan-in stay off the critical path. The trace is a
+//! dependency forest — every span has at most one
 //! outgoing edge (`parent` for lexical nesting, `link` for cross-rank
 //! causal edges), both meaning "the pointed-to span's completion depended
 //! on mine". The analyzer walks that forest backward from the makespan:
@@ -27,8 +27,7 @@
 //! they are the paper's headline contention point — and gaps, which are
 //! `untraced` (client think time, engine idle).
 
-use crate::json::{self, Value};
-use crate::trace::TraceRecorder;
+use crate::trace::{Layer, TraceRecorder};
 use simcore::VTime;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -36,17 +35,16 @@ use std::fmt::Write as _;
 /// One span as the analyzer sees it: a half-open interval plus at most
 /// one outgoing dependency edge. `id`s must be dense (`0..len`, in
 /// vector order).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CpSpan {
-    pub id: u32,
+struct CpSpan {
+    id: u32,
     /// The span whose completion depended on this one (`parent` or
     /// causal `link`); `None` for roots.
-    pub dep_of: Option<u32>,
+    dep_of: Option<u32>,
     /// Attribution bucket (layer name, `mgr_cpu`, ...).
-    pub category: String,
-    pub name: String,
-    pub start_ns: u64,
-    pub end_ns: u64,
+    category: &'static str,
+    name: &'static str,
+    start_ns: u64,
+    end_ns: u64,
 }
 
 /// Critical-path attribution result. All durations are virtual
@@ -81,7 +79,7 @@ impl CritPath {
         self.category_ns(cat) * 1000 / self.path_ns
     }
 
-    /// Human-readable report (the `trace_report` tool's output body).
+    /// Human-readable report (the bench footers print it).
     pub fn render_text(&self) -> String {
         let mut out = String::new();
         let (w0, w1) = self.window_ns;
@@ -116,18 +114,18 @@ impl CritPath {
 }
 
 struct Acc {
-    by_cat: BTreeMap<String, u64>,
-    by_name: BTreeMap<String, u64>,
+    by_cat: BTreeMap<&'static str, u64>,
+    by_name: BTreeMap<&'static str, u64>,
     segments: usize,
 }
 
 impl Acc {
-    fn attr(&mut self, cat: &str, name: &str, lo: u64, hi: u64) {
+    fn attr(&mut self, cat: &'static str, name: &'static str, lo: u64, hi: u64) {
         if hi <= lo {
             return;
         }
-        *self.by_cat.entry(cat.to_string()).or_default() += hi - lo;
-        *self.by_name.entry(name.to_string()).or_default() += hi - lo;
+        *self.by_cat.entry(cat).or_default() += hi - lo;
+        *self.by_name.entry(name).or_default() += hi - lo;
         self.segments += 1;
     }
 }
@@ -140,8 +138,8 @@ fn walk(
     spans: &[CpSpan],
     deps: &[Vec<u32>],
     acc: &mut Acc,
-    cat: &str,
-    name: &str,
+    cat: &'static str,
+    name: &'static str,
     start: u64,
     end: u64,
     my_deps: &[u32],
@@ -159,8 +157,8 @@ fn walk(
             spans,
             deps,
             acc,
-            &ds.category,
-            &ds.name,
+            ds.category,
+            ds.name,
             ds.start_ns,
             ds.end_ns,
             &deps[d as usize],
@@ -173,7 +171,7 @@ fn walk(
 
 /// Attribute the window `[min span start, window_end]` (or the spans'
 /// extent when `window_end_ns` is `None`) across the dependency forest.
-pub fn analyze(spans: &[CpSpan], window_end_ns: Option<u64>) -> CritPath {
+fn analyze(spans: &[CpSpan], window_end_ns: Option<u64>) -> CritPath {
     for (i, s) in spans.iter().enumerate() {
         assert_eq!(s.id as usize, i, "CpSpan ids must be dense and in order");
     }
@@ -228,24 +226,25 @@ pub fn analyze(spans: &[CpSpan], window_end_ns: Option<u64>) -> CritPath {
         path_ns,
         "attribution must cover the window exactly once"
     );
-    let mut top_spans: Vec<(String, u64)> = acc.by_name.into_iter().collect();
-    top_spans.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    let mut top_spans: Vec<(&str, u64)> = acc.by_name.into_iter().collect();
+    top_spans.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
     top_spans.truncate(8);
+    let owned = |(s, ns): (&str, u64)| (s.to_string(), ns);
     CritPath {
         window_ns: (window_start, window_end),
         path_ns,
-        by_category: acc.by_cat.into_iter().collect(),
-        top_spans,
+        by_category: acc.by_cat.into_iter().map(owned).collect(),
+        top_spans: top_spans.into_iter().map(owned).collect(),
         segments: acc.segments,
     }
 }
 
 /// Attribution bucket for a span (see module doc).
-fn category_of(layer: &str, name: &str) -> String {
+fn category_of(layer: Layer, name: &str) -> &'static str {
     if name == "shardmgr.cpu" {
-        "mgr_cpu".to_string()
+        "mgr_cpu"
     } else {
-        layer.to_string()
+        layer.as_str()
     }
 }
 
@@ -262,8 +261,8 @@ pub fn critical_path(rec: &TraceRecorder, window_end: Option<VTime>) -> Option<C
         .map(|s| CpSpan {
             id: s.id,
             dep_of: s.parent.or(s.link),
-            category: category_of(s.layer.as_str(), s.name),
-            name: s.name.to_string(),
+            category: category_of(s.layer, s.name),
+            name: s.name,
             start_ns: s.start.as_nanos(),
             end_ns: s.end.as_nanos(),
         })
@@ -271,115 +270,25 @@ pub fn critical_path(rec: &TraceRecorder, window_end: Option<VTime>) -> Option<C
     Some(analyze(&spans, window_end.map(|t| t.as_nanos())))
 }
 
-/// Reconstruct analyzer spans from an exported Chrome trace document
-/// (the `trace_report` tool's input): `B`/`E` nesting per `(pid, tid)`
-/// rebuilds lexical parents, flow `s`/`f` pairs rebuild causal links
-/// (each half names its span as the innermost slice open on its track).
-/// Returns the spans plus the latest span end (the window end).
-pub fn spans_from_chrome(text: &str) -> Result<(Vec<CpSpan>, u64), String> {
-    let doc = json::parse(text).map_err(|e| e.to_string())?;
-    let events = doc
-        .get("traceEvents")
-        .and_then(Value::as_arr)
-        .ok_or("no traceEvents array")?;
-
-    let ns_of = |ts: f64| (ts * 1000.0).round() as u64;
-    let mut spans: Vec<CpSpan> = Vec::new();
-    // (pid, tid) -> stack of open span indices
-    let mut stacks: BTreeMap<(u64, u64), Vec<usize>> = BTreeMap::new();
-    // flow id -> (source span, destination span)
-    let mut flow_src: BTreeMap<String, usize> = BTreeMap::new();
-    let mut flow_dst: BTreeMap<String, usize> = BTreeMap::new();
-
-    for (idx, ev) in events.iter().enumerate() {
-        let ph = ev
-            .get("ph")
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("event {idx}: missing ph"))?;
-        if matches!(ph, "M" | "i" | "C" | "t") {
-            continue;
-        }
-        let num = |k: &str| {
-            ev.get(k)
-                .and_then(Value::as_num)
-                .ok_or_else(|| format!("event {idx}: missing numeric {k}"))
-        };
-        let key = (num("pid")? as u64, num("tid")? as u64);
-        let stack = stacks.entry(key).or_default();
-        match ph {
-            "B" => {
-                let name = ev
-                    .get("name")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| format!("event {idx}: missing name"))?;
-                let cat = ev.get("cat").and_then(Value::as_str).unwrap_or("untraced");
-                let start_ns = ns_of(num("ts")?);
-                let id = spans.len() as u32;
-                let dep_of = stack.last().map(|&i| i as u32);
-                stack.push(spans.len());
-                spans.push(CpSpan {
-                    id,
-                    dep_of,
-                    category: category_of(cat, name),
-                    name: name.to_string(),
-                    start_ns,
-                    end_ns: start_ns,
-                });
-            }
-            "E" => {
-                let i = stack
-                    .pop()
-                    .ok_or_else(|| format!("event {idx}: E with no open B"))?;
-                spans[i].end_ns = ns_of(num("ts")?);
-            }
-            "s" | "f" => {
-                let fid = match ev.get("id") {
-                    Some(Value::Num(n)) => format!("{n}"),
-                    Some(Value::Str(s)) => s.clone(),
-                    _ => return Err(format!("event {idx}: flow event missing id")),
-                };
-                let &cur = stack
-                    .last()
-                    .ok_or_else(|| format!("event {idx}: flow half outside any slice"))?;
-                if ph == "s" {
-                    flow_src.insert(fid, cur);
-                } else {
-                    flow_dst.insert(fid, cur);
-                }
-            }
-            other => return Err(format!("event {idx}: unsupported phase \"{other}\"")),
-        }
-    }
-    for (key, stack) in &stacks {
-        if !stack.is_empty() {
-            return Err(format!("unbalanced trace on pid/tid {key:?}"));
-        }
-    }
-    for (fid, dst) in &flow_dst {
-        let Some(&src) = flow_src.get(fid) else {
-            return Err(format!("flow id {fid} has a finish but no start"));
-        };
-        if spans[*dst].dep_of.is_none() {
-            spans[*dst].dep_of = Some(src as u32);
-        }
-    }
-    let window_end = spans.iter().map(|s| s.end_ns).max().unwrap_or(0);
-    Ok((spans, window_end))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::causal::{DEV_LANE_BASE, SHARD_LANE_BASE};
-    use crate::trace::Layer;
+    use crate::causal::SHARD_LANE_BASE;
     use simcore::StatsRegistry;
 
-    fn span(id: u32, dep_of: Option<u32>, cat: &str, name: &str, s: u64, e: u64) -> CpSpan {
+    fn span(
+        id: u32,
+        dep_of: Option<u32>,
+        cat: &'static str,
+        name: &'static str,
+        s: u64,
+        e: u64,
+    ) -> CpSpan {
         CpSpan {
             id,
             dep_of,
-            category: cat.into(),
-            name: name.into(),
+            category: cat,
+            name,
             start_ns: s,
             end_ns: e,
         }
@@ -432,7 +341,7 @@ mod tests {
     #[test]
     fn shardmgr_cpu_gets_its_own_category() {
         let stats = StatsRegistry::new();
-        let rec = TraceRecorder::enabled_causal(&stats);
+        let rec = TraceRecorder::enabled(&stats);
         rec.bind_lane(0, "rank 0");
         let client = rec.span(Layer::Store, "store.mgr_rpc", VTime::from_nanos(0));
         let cpu = rec.causal_span(
@@ -448,43 +357,5 @@ mod tests {
         assert_eq!(cp.category_ns("mgr_cpu"), 50);
         assert_eq!(cp.category_ns("store"), 50);
         assert_eq!(cp.share_permille("mgr_cpu"), 500);
-    }
-
-    #[test]
-    fn chrome_roundtrip_matches_live_analysis() {
-        let stats = StatsRegistry::new();
-        let rec = TraceRecorder::enabled_causal(&stats);
-        rec.bind_lane(0, "rank 0");
-        let read = rec.span(Layer::Fuse, "fuse.read", VTime::from_nanos(0));
-        let rpc = rec.span(Layer::Store, "store.mgr_rpc", VTime::from_nanos(10));
-        let cpu = rec.causal_span(
-            Layer::Store,
-            "shardmgr.cpu",
-            VTime::from_nanos(20),
-            SHARD_LANE_BASE + 1,
-            rec.ctx(),
-        );
-        cpu.finish(VTime::from_nanos(60));
-        rpc.finish(VTime::from_nanos(70));
-        let dev = rec.causal_span(
-            Layer::Dev,
-            "dev.read",
-            VTime::from_nanos(80),
-            DEV_LANE_BASE + 2,
-            rec.ctx(),
-        );
-        dev.finish(VTime::from_nanos(140));
-        read.finish(VTime::from_nanos(150));
-
-        let live = critical_path(&rec, Some(VTime::from_nanos(150))).unwrap();
-        assert_eq!(live.category_ns("mgr_cpu"), 40);
-        assert_eq!(live.category_ns("dev"), 60);
-
-        let text = rec.chrome_trace();
-        let (spans, window_end) = spans_from_chrome(&text).expect("parse");
-        assert_eq!(window_end, 150);
-        let parsed = analyze(&spans, Some(150));
-        assert_eq!(parsed.by_category, live.by_category);
-        assert_eq!(parsed.top_spans, live.top_spans);
     }
 }

@@ -32,7 +32,7 @@ pub mod trace;
 
 pub use causal::{CausalCtx, DEV_LANE_BASE, METRICS_LANE, SHARD_LANE_BASE};
 pub use chrome::{validate_chrome_trace, ValidationError};
-pub use critpath::{critical_path, spans_from_chrome, CpSpan, CritPath};
+pub use critpath::{critical_path, CritPath};
 pub use footer::{HistLine, LayerBreakdown, ObsFooter, TopSpan};
 pub use sampler::{GaugeProbe, GaugeSeries, MetricsSampler};
 pub use trace::{InstantRecord, Layer, SpanGuard, SpanRecord, TraceRecorder};

@@ -107,10 +107,6 @@ const MAX_SPANS: usize = 1 << 21;
 struct Inner {
     stats: StatsRegistry,
     baseline: Snapshot,
-    /// Causal mode: record detached remote-lane spans and cross-lane
-    /// links. Off by default so base-mode traces (and the expectations
-    /// committed against them) are byte-identical to PR 3 behavior.
-    causal: bool,
     spans: Mutex<Vec<SpanRecord>>,
     instants: Mutex<Vec<InstantRecord>>,
     /// Per-host-thread stack of open span ids (lexical nesting).
@@ -140,27 +136,15 @@ impl TraceRecorder {
 
     /// A live recorder. `stats` is snapshotted now so the footer can report
     /// counter deltas over the traced window, and receives the latency
-    /// histograms (`lat.<span name>`).
+    /// histograms (`lat.<span name>`). Layers record lexical spans on the
+    /// calling thread's lane and detached spans on remote lanes (shard
+    /// CPUs, benefactor SSDs) linked to the client spans that enqueued
+    /// them (DESIGN.md §14).
     pub fn enabled(stats: &StatsRegistry) -> Self {
-        Self::enabled_with(stats, false)
-    }
-
-    /// A live recorder with causal cross-rank edges switched on: layers
-    /// additionally record detached spans on remote lanes (shard CPUs,
-    /// benefactor SSDs) linked to the client spans that enqueued them,
-    /// and the Chrome export gains flow events. Timing-neutral like base
-    /// tracing, but the extra spans change trace/footer contents, so the
-    /// mode is opt-in.
-    pub fn enabled_causal(stats: &StatsRegistry) -> Self {
-        Self::enabled_with(stats, true)
-    }
-
-    fn enabled_with(stats: &StatsRegistry, causal: bool) -> Self {
         TraceRecorder {
             inner: Some(Arc::new(Inner {
                 stats: stats.clone(),
                 baseline: stats.snapshot(),
-                causal,
                 spans: Mutex::new(Vec::new()),
                 instants: Mutex::new(Vec::new()),
                 open: Mutex::new(HashMap::new()),
@@ -177,23 +161,14 @@ impl TraceRecorder {
         self.inner.is_some()
     }
 
-    /// Is causal cross-rank recording on? Layers consult this before
-    /// paying for remote-lane spans.
-    pub fn causal_enabled(&self) -> bool {
-        self.inner.as_ref().is_some_and(|i| i.causal)
-    }
-
     /// The current causal context: the innermost span open on the calling
-    /// host thread, or an empty context when disabled / causal mode off /
-    /// nothing open. Pass it to [`TraceRecorder::causal_span`] to link
-    /// remote work back to its enqueuer.
+    /// host thread, or an empty context when disabled or nothing is open.
+    /// Pass it to [`TraceRecorder::causal_span`] to link remote work back
+    /// to its enqueuer.
     pub fn ctx(&self) -> CausalCtx {
         let Some(inner) = &self.inner else {
             return CausalCtx(None);
         };
-        if !inner.causal {
-            return CausalCtx(None);
-        }
         let tid = std::thread::current().id();
         CausalCtx(
             inner
@@ -263,8 +238,7 @@ impl TraceRecorder {
     /// service — that the client thread computes synchronously but that
     /// conceptually runs on another rank: they never join the calling
     /// thread's open-span stack (so lexical nesting is undisturbed and
-    /// any close order is fine) and carry no lexical parent. Inert unless
-    /// causal mode is on, so base-mode traces are byte-identical.
+    /// any close order is fine) and carry no lexical parent.
     pub fn causal_span(
         &self,
         layer: Layer,
@@ -276,9 +250,6 @@ impl TraceRecorder {
         let Some(inner) = &self.inner else {
             return SpanGuard::inert();
         };
-        if !inner.causal {
-            return SpanGuard::inert();
-        }
         let mut spans = inner.spans.lock();
         if spans.len() >= MAX_SPANS {
             inner.dropped.fetch_add(1, Ordering::Relaxed);
@@ -501,6 +472,15 @@ mod tests {
         let sp = rec.span(Layer::Fuse, "fuse.read", VTime::from_nanos(5));
         sp.arg("bytes", 100);
         sp.finish(VTime::from_nanos(9));
+        assert!(!rec.ctx().is_linked());
+        rec.causal_span(
+            Layer::Store,
+            "shardmgr.cpu",
+            VTime::from_nanos(6),
+            crate::causal::SHARD_LANE_BASE,
+            rec.ctx(),
+        )
+        .finish(VTime::from_nanos(8));
         rec.instant(Layer::Fault, "crash", VTime::ZERO);
         assert!(rec.spans().is_empty());
         assert!(rec.instants().is_empty());
@@ -554,8 +534,7 @@ mod tests {
     #[test]
     fn causal_span_is_detached_and_linked() {
         let stats = StatsRegistry::new();
-        let rec = TraceRecorder::enabled_causal(&stats);
-        assert!(rec.causal_enabled());
+        let rec = TraceRecorder::enabled(&stats);
         let client = rec.span(Layer::Store, "store.mgr_rpc", VTime::from_nanos(10));
         let ctx = rec.ctx();
         assert!(ctx.is_linked());
@@ -580,25 +559,6 @@ mod tests {
         assert_eq!(spans[1].lane, crate::causal::SHARD_LANE_BASE + 3);
         assert_eq!(spans[2].parent, Some(0), "detached span must not nest");
         assert_eq!(spans[2].link, None);
-    }
-
-    #[test]
-    fn causal_span_inert_without_causal_mode() {
-        let stats = StatsRegistry::new();
-        let rec = TraceRecorder::enabled(&stats);
-        assert!(!rec.causal_enabled());
-        let client = rec.span(Layer::Store, "store.mgr_rpc", VTime::from_nanos(10));
-        assert!(!rec.ctx().is_linked(), "ctx is empty outside causal mode");
-        let remote = rec.causal_span(
-            Layer::Store,
-            "shardmgr.cpu",
-            VTime::from_nanos(12),
-            crate::causal::SHARD_LANE_BASE,
-            rec.ctx(),
-        );
-        remote.finish(VTime::from_nanos(20));
-        client.finish(VTime::from_nanos(25));
-        assert_eq!(rec.spans().len(), 1, "no detached span recorded");
     }
 
     #[test]

@@ -28,6 +28,12 @@ echo "==> fusemm and nvmalloc reach the store's data plane only through fetch_ch
 ! grep -rnE --exclude='*tests.rs' '\.(fetch_chunk|write_runs|write_pages|write_pages_batch)\(' \
     crates/fusemm/src crates/nvmalloc/src || exit 1
 
+echo "==> one recorder mode and one critical path (a traced run is a causal run)"
+# A second recorder mode, a lexical-only cluster build or a critical path
+# re-derived from Chrome exports would each re-fork the observability path.
+! grep -rnE 'enabled_causal|causal_enabled|ObsMode::Spans|spans_from_chrome|Cluster::with_obs\(' \
+    crates src tests examples/*.rs || exit 1
+
 if [ "$quick" -eq 0 ]; then
     echo "==> cargo clippy (warnings are errors)"
     cargo clippy --workspace --all-targets -- -D warnings
@@ -45,9 +51,6 @@ scripts/ledger.sh
 echo "==> exported trace must satisfy the Chrome trace-event schema (with causal flows + counter tracks)"
 cargo run -q --release --example validate_trace -- --require-flows --require-counters \
     target/ledger/trace_smoke.json
-
-echo "==> offline critical-path report must parse the exported trace"
-cargo run -q --release --example trace_report -- target/ledger/trace_smoke.json
 
 echo "==> the frozen benchmark package must build and run against the workspace (all five workloads correct)"
 cargo run --release --quiet --manifest-path examples/benchmark/Cargo.toml -- --smoke

@@ -35,7 +35,7 @@ fn fill(rank: usize, len: usize) -> Vec<u8> {
 fn cluster_for(job: &JobConfig, fuse: FuseConfig, store: StoreConfig) -> Cluster {
     let mut spec = ClusterSpec::hal().scaled(64);
     spec.nodes = job.nodes_needed();
-    Cluster::with_obs(spec, &job.benefactor_nodes(), fuse, store)
+    Cluster::with_obs_causal(spec, &job.benefactor_nodes(), fuse, store)
 }
 
 // ----- (b) the single-rank paper-path pin -----------------------------------

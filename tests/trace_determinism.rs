@@ -5,9 +5,9 @@
 //! `(virtual clock, ProcId)` order). Two identical runs must therefore
 //! produce **byte-identical** Chrome-trace exports and identical latency
 //! percentiles — and tracing must not perturb virtual time at all: the
-//! traced makespan equals the untraced one exactly. Causal mode (flow
-//! links, detached shard/device lanes, the virtual-time metrics sampler)
-//! is held to the same bar: it only *observes* computed times.
+//! traced makespan equals the untraced one exactly. A traced run carries
+//! flow links, detached shard/device lanes and the virtual-time metrics
+//! sampler, and all of it only *observes* computed times.
 
 use chunkstore::StoreConfig;
 use cluster::{run_job, Calibration, Cluster, ClusterSpec, JobConfig};
@@ -19,14 +19,7 @@ use simcore::VTime;
 
 const LEN: usize = 1 << 20; // 1 MiB shared variable (4 chunks)
 
-#[derive(Clone, Copy, PartialEq)]
-enum Obs {
-    Off,
-    Spans,
-    Causal,
-}
-
-fn build(pipelined: bool, obs: Obs) -> (Cluster, JobConfig) {
+fn build(pipelined: bool, traced: bool) -> (Cluster, JobConfig) {
     let cfg = JobConfig::local(1, 2, 2);
     let fuse = FuseConfig {
         cache_bytes: 768 * 1024, // 3 chunks: eviction and write-back fire
@@ -34,25 +27,20 @@ fn build(pipelined: bool, obs: Obs) -> (Cluster, JobConfig) {
         ..FuseConfig::default()
     };
     let spec = ClusterSpec::hal().scaled(256);
-    let cluster = match obs {
-        Obs::Off => {
-            Cluster::with_configs(spec, &cfg.benefactor_nodes(), fuse, StoreConfig::default())
-        }
-        Obs::Spans => {
-            Cluster::with_obs(spec, &cfg.benefactor_nodes(), fuse, StoreConfig::default())
-        }
-        Obs::Causal => {
-            Cluster::with_obs_causal(spec, &cfg.benefactor_nodes(), fuse, StoreConfig::default())
-        }
+    let make = if traced {
+        Cluster::with_obs_causal
+    } else {
+        Cluster::with_configs
     };
+    let cluster = make(spec, &cfg.benefactor_nodes(), fuse, StoreConfig::default());
     (cluster, cfg)
 }
 
 /// Run the op schedule; return the Chrome-trace export (with gauge
 /// counter tracks when the sampler ran), the percentile lines of every
 /// latency histogram, and the job makespan.
-fn run_once(ops: &[(usize, usize)], pipelined: bool, obs: Obs) -> (String, Vec<String>, VTime) {
-    let (cluster, cfg) = build(pipelined, obs);
+fn run_once(ops: &[(usize, usize)], pipelined: bool, traced: bool) -> (String, Vec<String>, VTime) {
+    let (cluster, cfg) = build(pipelined, traced);
     let ops2 = ops.to_vec();
     let result = run_job(&cluster, &cfg, Calibration::default(), move |ctx, env| {
         let v: NvmVec<u8> = env.client.ssdmalloc_shared(ctx, "t", LEN).expect("alloc");
@@ -98,49 +86,32 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 6, ..ProptestConfig::default() })]
 
     /// Same seed + same config → byte-identical trace export, identical
-    /// percentiles, and a makespan bit-identical to the untraced run.
+    /// percentiles, and a makespan bit-identical to the untraced run; the
+    /// export is schema-valid and carries flow links and sampler counter
+    /// tracks.
     #[test]
     fn traces_are_deterministic_and_timing_neutral(
         ops in proptest::collection::vec(op_strategy(), 1..8),
         pipelined in any::<bool>(),
     ) {
-        let (trace_a, hists_a, span_a) = run_once(&ops, pipelined, Obs::Spans);
-        let (trace_b, hists_b, span_b) = run_once(&ops, pipelined, Obs::Spans);
+        let (trace_a, hists_a, span_a) = run_once(&ops, pipelined, true);
+        let (trace_b, hists_b, span_b) = run_once(&ops, pipelined, true);
         prop_assert!(trace_a == trace_b, "chrome exports differ between identical runs");
         prop_assert_eq!(&hists_a, &hists_b, "latency percentiles differ between identical runs");
         prop_assert_eq!(span_a, span_b);
         prop_assert!(!hists_a.is_empty(), "traced run recorded no latency histograms");
-        validate_chrome_trace(&trace_a).expect("export must satisfy the trace-event schema");
-
-        // Tracing off: virtual time must be bit-identical to the traced run.
-        let (empty, no_hists, span_off) = run_once(&ops, pipelined, Obs::Off);
-        prop_assert_eq!(span_off, span_a, "tracing perturbed virtual time");
-        prop_assert!(no_hists.is_empty());
-        validate_chrome_trace(&empty).expect("disabled recorder exports an empty valid trace");
-    }
-
-    /// Causal mode is held to the same bar: byte-identical exports across
-    /// identical runs, a makespan bit-identical to the untraced run, and
-    /// the extra machinery (flow links, sampler counter tracks) actually
-    /// present and schema-valid.
-    #[test]
-    fn causal_mode_is_deterministic_and_timing_neutral(
-        ops in proptest::collection::vec(op_strategy(), 1..6),
-        pipelined in any::<bool>(),
-    ) {
-        let (trace_a, _, span_a) = run_once(&ops, pipelined, Obs::Causal);
-        let (trace_b, _, span_b) = run_once(&ops, pipelined, Obs::Causal);
-        prop_assert!(trace_a == trace_b, "causal exports differ between identical runs");
-        prop_assert_eq!(span_a, span_b);
         let summary =
-            validate_chrome_trace(&trace_a).expect("causal export must satisfy the schema");
-        prop_assert!(summary.flows > 0, "causal run recorded no flow links");
+            validate_chrome_trace(&trace_a).expect("export must satisfy the trace-event schema");
+        prop_assert!(summary.flows > 0, "traced run recorded no flow links");
         prop_assert!(
             summary.counter_samples > 0,
             "metrics sampler recorded no counter samples"
         );
 
-        let (_, _, span_off) = run_once(&ops, pipelined, Obs::Off);
-        prop_assert_eq!(span_off, span_a, "causal tracing perturbed virtual time");
+        // Tracing off: virtual time must be bit-identical to the traced run.
+        let (empty, no_hists, span_off) = run_once(&ops, pipelined, false);
+        prop_assert_eq!(span_off, span_a, "tracing perturbed virtual time");
+        prop_assert!(no_hists.is_empty());
+        validate_chrome_trace(&empty).expect("disabled recorder exports an empty valid trace");
     }
 }
