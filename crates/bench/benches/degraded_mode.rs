@@ -20,9 +20,9 @@
 //!   after a loss, restoring every chunk to target redundancy.
 //!
 //! Run with `-- --smoke` for the CI-sized variant; scripts/ledger.sh diffs
-//! its knobs-off JSON against a committed expectation, pinning that the
-//! parity machinery changes nothing while switched off (and that m=0 is
-//! bit-identical to plain striping).
+//! its JSON against a committed expectation, knobs-off baselines included,
+//! pinning that the parity machinery changes nothing while switched off
+//! (and that m=0 is bit-identical to plain striping).
 
 use bench::{header, secs, store_health, stream_fuse, JsonReport, Table, SCALE};
 use chunkstore::{
@@ -481,9 +481,8 @@ fn demonstrate_rs_crash_sweep(report: &mut JsonReport, size: u64) {
 }
 
 /// m=0 must be byte-for-byte plain striping: identical virtual times and
-/// no parity counters ever registered. Recorded in the knobs-off serial
-/// report that scripts/ledger.sh diffs against a committed expectation.
-fn m0_identity(serial: &mut JsonReport, size: u64) {
+/// no parity counters ever registered.
+fn m0_identity(report: &mut JsonReport, size: u64) {
     let run = |spec: StripeSpec| -> (VTime, bool) {
         let cluster = mm_cluster(&JobConfig::local(8, 8, 8));
         let store = &cluster.store;
@@ -516,10 +515,8 @@ fn m0_identity(serial: &mut JsonReport, size: u64) {
     };
     let (t_plain, keys_plain) = run(StripeSpec::all());
     let (t_m0, keys_m0) = run(StripeSpec::all().with_parity(RS_K, 0));
-    serial
-        .value("plain_write_read_s", t_plain)
-        .value("m0_write_read_s", t_m0);
-    serial.check(
+    report.value("m0_write_read_s", t_m0);
+    report.check(
         "m=0 is bit-identical to plain striping",
         t_plain == t_m0 && !keys_plain && !keys_m0,
     );
@@ -553,11 +550,6 @@ fn main() {
         .config("victim", VICTIM)
         .config("mm_n", n as u64)
         .config("ec_bytes", ec_size);
-    // Knobs-off sub-report: scripts/ledger.sh diffs this against a
-    // committed expectation — the parity machinery must not move a single
-    // virtual nanosecond while switched off.
-    let mut serial = JsonReport::new("degraded_mode_serial");
-    serial.config("smoke", smoke).config("scale", SCALE);
 
     // ---- redundancy overhead on a healthy store ---------------------------
     let (mm_k1, c1) = run_mm_once(n, JobConfig::local(8, 8, 8), None);
@@ -570,7 +562,6 @@ fn main() {
         100.0 * (mm_k2.stages.total().as_secs_f64() / mm_k1.stages.total().as_secs_f64() - 1.0);
     let mm_rs_overhead =
         100.0 * (mm_rs.stages.total().as_secs_f64() / mm_k1.stages.total().as_secs_f64() - 1.0);
-    serial.value("mm_total_s_k1", mm_k1.stages.total());
 
     let (bw_k1, ok_s1, _, cs1) = run_stream_once(1, None, elems);
     store_health("STREAM k=1", &cs1);
@@ -685,9 +676,8 @@ fn main() {
     measure_repair(&mut report);
 
     demonstrate_k1_failure(&mut report);
-    m0_identity(&mut serial, ec_size);
+    m0_identity(&mut report, ec_size);
     report.counters_from(&cf).health_from(&cf).emit();
-    serial.emit();
 }
 
 fn measure_repair(report: &mut JsonReport) {

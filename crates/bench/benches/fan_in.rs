@@ -19,7 +19,8 @@
 //! Run with `-- --smoke` for the CI-sized variant: a strictly serial
 //! single-rank workload run against both managers, whose virtual times,
 //! outputs and counters must be *bit-identical* (scripts/ledger.sh diffs
-//! the emitted serial JSON against a committed expectation).
+//! the emitted JSON, smoke counters included, against a committed
+//! expectation).
 
 use bench::{check, header, secs, store_for, store_health, JsonReport, Table, SCALE};
 use cluster::{run_job, Calibration, Cluster, ClusterSpec, JobConfig, JobEnv};
@@ -206,35 +207,25 @@ fn main() {
     let (out1, span1, counters1, vol1) = smoke_run(1);
     let identical = out0 == out1 && span0 == span1 && counters0 == counters1;
 
-    let mut serial = JsonReport::new("fan_in_serial");
-    serial.host_bytes(vol0 + vol1); // client-facing payload, both runs
-    serial
-        .config("scale", SCALE)
-        .config("ranks", 1usize)
-        .config("chunks_per_rank", CHUNKS_PER_RANK);
-    serial.time("serial_makespan_s", span0);
-    serial.value("serial_sum", out0.iter().sum::<u64>());
-    for (k, v) in SMOKE_COUNTERS.iter().zip(&counters0) {
-        serial.counter(k, *v);
-    }
-    serial.check("shards=1 bit-identical to the serial manager", identical);
-    serial.check(
-        "leased hot path hit the location cache",
-        counters0[4] >= 1, // store.loc_cache_hits
-    );
+    // Leased hot path hit the location cache.
+    let leased = counters0[4] >= 1; // store.loc_cache_hits
 
     if smoke {
         println!("  [smoke] serial bit-identity gate only (1 rank, 1 benefactor)\n");
         let mut report = JsonReport::new("fan_in");
-        report.host_bytes(vol0 + vol1);
+        report.host_bytes(vol0 + vol1); // client-facing payload, both runs
         report
             .config("smoke", true)
             .config("scale", SCALE)
             .config("chunks_per_rank", CHUNKS_PER_RANK);
         report.time("serial_makespan_s", span0);
+        report.value("serial_sum", out0.iter().sum::<u64>());
+        for (k, v) in SMOKE_COUNTERS.iter().zip(&counters0) {
+            report.counter(k, *v);
+        }
         report.check("shards=1 bit-identical to the serial manager", identical);
+        report.check("leased hot path hit the location cache", leased);
         report.emit();
-        serial.emit();
         return;
     }
 
@@ -352,7 +343,7 @@ fn main() {
     );
     check(
         "smoke serial gate also passed inside the full run",
-        identical,
+        identical && leased,
     );
 
     // The 8-shard run's critical path and gauge series go into the
@@ -364,5 +355,4 @@ fn main() {
     report.series_from(&s8.series);
 
     report.emit();
-    serial.emit();
 }

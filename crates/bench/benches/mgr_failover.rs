@@ -18,8 +18,8 @@
 //!   shard's outstanding leases (placement-epoch bump).
 //!
 //! Run with `-- --smoke` for the CI-sized variant; scripts/ledger.sh diffs
-//! the knobs-off JSON against a committed expectation, pinning that the
-//! HA machinery changes nothing while switched off.
+//! its JSON against a committed expectation, knobs-off baseline included,
+//! pinning that the HA machinery changes nothing while switched off.
 
 use bench::{header, secs, store_health, JsonReport, Table, SCALE};
 use chunkstore::{BatchWrite, ChunkPayload, PlacementPolicy, StoreConfig, StripeSpec};
@@ -150,23 +150,14 @@ fn main() {
         .config("chunks", nchunks as u64)
         .config("chunk_bytes", CHUNK as u64)
         .config("seed", SEED);
-    // Knobs-off sub-report: scripts/ledger.sh diffs this against a
-    // committed expectation — the journaling and failover machinery must
-    // not move a single virtual nanosecond while switched off.
-    let mut serial = JsonReport::new("mgr_failover_serial");
-    serial
-        .config("smoke", smoke)
-        .config("scale", SCALE)
-        .config("chunks", nchunks as u64);
 
-    // ---- knobs-off baseline (the committed expectation) -------------------
+    // ---- knobs-off baseline: the journaling and failover machinery must
+    // not move a single virtual nanosecond while switched off -----------
     let a = failover_sweep(false, 0, false, nchunks);
     store_health("knobs off", &a.cluster);
-    serial
-        .value("write_s", a.write2_end)
-        .value("makespan_s", a.makespan);
-    serial.check("knobs-off sweep verifies every byte", a.wrong == 0);
-    serial.check(
+    report.value("write_s", a.write2_end);
+    report.check("knobs-off sweep verifies every byte", a.wrong == 0);
+    report.check(
         "ha off registers no journal or failover counters",
         !a.cluster
             .stats
@@ -297,5 +288,4 @@ fn main() {
         .counters_from(&c.cluster)
         .health_from(&c.cluster)
         .emit();
-    serial.emit();
 }

@@ -13,7 +13,7 @@
 //! per-chunk manager RPCs remain (a few percent).
 //!
 //! Run with `-- --smoke` for the CI-sized variant (scripts/ledger.sh diffs
-//! its serial-path JSON against a committed expectation).
+//! its JSON, serial-path times included, against a committed expectation).
 
 use bench::{arg_value, header, JsonReport, Table, SCALE};
 use chunkstore::StoreConfig;
@@ -191,16 +191,11 @@ fn main() {
         .config("mm_n", if smoke { 0 } else { mm_n })
         .config("sort_total", if smoke { 0 } else { sort_total })
         .config("cache_bytes", 16u64 * 1024 * 1024);
-    // The serial-only sub-report: scripts/ledger.sh diffs this against a
-    // committed expectation, pinning the default-path cost model.
-    let mut serial = JsonReport::new("pipeline_overlap_serial");
-    serial.config("smoke", smoke).config("scale", SCALE);
     for r in &rows {
         let key = format!("{}_z{}", r.workload, r.width);
         report.value(&format!("{key}_serial_s"), r.serial);
         report.value(&format!("{key}_pipelined_s"), r.pipelined);
         report.value(&format!("{key}_gain"), r.gain());
-        serial.value(&format!("{key}_serial_s"), r.serial);
     }
 
     let find = |workload: &str, width: usize| {
@@ -247,11 +242,10 @@ fn main() {
     }
 
     // ----- traced demo run (separate cluster; the sweep above stays
-    // untraced so the serial JSON diff pins tracing-off timing) ----------
+    // untraced so the ledger diff pins tracing-off timing) ---------------
     traced_demo(&mut report);
 
     report.emit();
-    serial.emit();
 }
 
 /// Re-run the 4-benefactor pipelined STREAM with causal tracing enabled,

@@ -17,8 +17,8 @@
 //!   traced runs stay bit-identical to untraced ones.
 //!
 //! Run with `-- --smoke` for the CI-sized variant; scripts/ledger.sh diffs
-//! its knobs-off JSON against a committed expectation, pinning that the
-//! integrity machinery changes nothing while switched off.
+//! its JSON against a committed expectation, knobs-off baselines included,
+//! pinning that the integrity machinery changes nothing while switched off.
 
 use bench::{header, scaled_fuse, secs, store_health, stream_fuse, JsonReport, Table, SCALE};
 use chunkstore::{
@@ -355,17 +355,9 @@ fn main() {
         .config("elems", elems as u64)
         .config("rot_benefactor", ROT as u64)
         .config("rot_rate_bp", ROT_RATE_BP as u64);
-    // Knobs-off sub-report: scripts/ledger.sh diffs this against a
-    // committed expectation — checksum bookkeeping must not move a single
-    // virtual nanosecond while verification and scrubbing are off.
-    let mut serial = JsonReport::new("scrub_serial");
-    serial.config("smoke", smoke).config("scale", SCALE);
-
     // ----- baselines: knobs off vs verification on (healthy store) -----
     let base_k1 = stream_once(1, false, None, false, false, elems);
     let base_k2 = stream_once(2, false, None, false, false, elems);
-    serial.value("stream_k1_s", base_k1.time.as_secs_f64());
-    serial.value("stream_k2_s", base_k2.time.as_secs_f64());
     let verif_k2 = stream_once(2, true, None, false, false, elems);
     let scrubbed_k2 = stream_once(2, true, None, true, false, elems);
     report
@@ -503,5 +495,4 @@ fn main() {
         .counters_from(&rotted_scrubbed.cluster)
         .health_from(&rotted_scrubbed.cluster)
         .emit();
-    serial.emit();
 }

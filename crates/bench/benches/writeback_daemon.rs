@@ -14,7 +14,7 @@
 //! hybrid qsort) that the daemon must not regress.
 //!
 //! Run with `-- --smoke` for the CI-sized variant (scripts/ledger.sh diffs
-//! both its JSONs against the committed ledger, daemon counters included).
+//! its JSON against the committed ledger, daemon counters included).
 
 use bench::{arg_value, header, JsonReport, Table, SCALE};
 use chunkstore::StoreConfig;
@@ -32,7 +32,7 @@ const CACHE: u64 = 16 * 1024 * 1024;
 
 /// `daemon = Some((background, hard))` enables the write-back daemon;
 /// `seg` enables the segmented scan-resistant cache. `None/false` is
-/// today's demand-eviction default (the committed serial expectation).
+/// today's demand-eviction default.
 fn fuse_cfg(daemon: Option<(f64, f64)>, seg: bool) -> FuseConfig {
     let mut cfg = FuseConfig {
         cache_bytes: CACHE,
@@ -219,11 +219,6 @@ fn main() {
         .config("rw_region_bytes", rw.region_bytes)
         .config("rw_writes", rw.writes as u64)
         .config("sort_total", if smoke { 0 } else { sort_total });
-    // Defaults-off sub-report: scripts/ledger.sh diffs this against a
-    // committed expectation, pinning the demand-eviction cost model.
-    let mut serial = JsonReport::new("writeback_daemon_serial");
-    serial.config("smoke", smoke).config("scale", SCALE);
-
     // ----- centerpiece: full-cache dirty STREAM, demand vs daemon -------
     let (demand_raw, _) = dirty_stream(fuse_cfg(None, false), stream_elems, stream_iters, false);
     let (daemon_raw, _) = dirty_stream(
@@ -262,7 +257,6 @@ fn main() {
     report.value("dirty_stream_daemon_s", daemon.time.as_secs_f64());
     report.value("dirty_stream_demand_p95_read_ns", demand.p95_read_ns as f64);
     report.value("dirty_stream_daemon_p95_read_ns", daemon.p95_read_ns as f64);
-    serial.value("dirty_stream_demand_s", demand_raw.time.as_secs_f64());
 
     let p95_gain = 1.0 - daemon.p95_read_ns as f64 / demand.p95_read_ns as f64;
     report.value("dirty_stream_p95_read_gain", p95_gain);
@@ -311,10 +305,6 @@ fn main() {
         ]);
         report.value(&format!("randwrite_{label}_s"), time);
         report.value(&format!("randwrite_{label}_to_ssd"), to_ssd as f64);
-        if daemon_cfg.is_none() && !seg {
-            serial.value("randwrite_off_s", time);
-            serial.value("randwrite_off_to_ssd", to_ssd as f64);
-        }
         rw_times.push((label, time, bg));
     }
     println!();
@@ -337,7 +327,6 @@ fn main() {
     let guard_daemon = read_stream_time(fuse_cfg(Some(DAEMON), true), stream_elems, stream_iters);
     report.value("read_stream_demand_s", guard_serial);
     report.value("read_stream_daemon_s", guard_daemon);
-    serial.value("read_stream_demand_s", guard_serial);
     report.check(
         "guardrail: read-dominated STREAM does not regress under the daemon",
         guard_daemon <= guard_serial * 1.02,
@@ -347,7 +336,6 @@ fn main() {
         let q_daemon = sort_time(fuse_cfg(Some(DAEMON), true), sort_total);
         report.value("qsort_demand_s", q_serial);
         report.value("qsort_daemon_s", q_daemon);
-        serial.value("qsort_demand_s", q_serial);
         report.check(
             "guardrail: hybrid qsort does not regress under the daemon",
             q_daemon <= q_serial * 1.02,
@@ -389,5 +377,4 @@ fn main() {
     report.obs_from(&footer);
 
     report.emit();
-    serial.emit();
 }

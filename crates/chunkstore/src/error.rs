@@ -6,9 +6,8 @@ use std::fmt;
 /// Errors surfaced by the aggregate store.
 ///
 /// Marked `#[non_exhaustive]` so downstream matchers must keep a wildcard
-/// arm: the store grows failure modes (PR 1 added `BenefactorDown`, this
-/// PR adds `ChunkCorrupt`) and mount-level callers should degrade to a
-/// generic I/O error for variants they don't know, not fail to compile.
+/// arm: as the store grows failure modes, mount-level callers degrade to a
+/// generic I/O error for variants they don't know instead of failing.
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum StoreError {
@@ -38,13 +37,10 @@ pub enum StoreError {
         chunk: ChunkId,
         benefactor: BenefactorId,
     },
-    /// The placement shard owning the requested keyspace is down and the
-    /// retry window ran out (DESIGN.md §12). Only that shard's unleased
-    /// keys are affected — leased clients and other shards keep working.
-    ShardDown(usize),
     /// The manager rank serving this request crashed and the retry
     /// window ran out before a standby takeover or reboot (DESIGN.md
-    /// §16). Mirrors `ShardDown`, but for the metadata process itself.
+    /// §16). Only that rank's unleased keys are affected — leased clients
+    /// and other ranks keep working.
     ManagerDown(usize),
     /// A parity group lost more members than its code can tolerate: fewer
     /// than k of the k+m members are readable, so the lost chunk cannot be
@@ -91,9 +87,6 @@ impl fmt::Display for StoreError {
                 f,
                 "{chunk} failed CRC verification on every reachable copy (last bad: {benefactor})"
             ),
-            StoreError::ShardDown(shard) => {
-                write!(f, "placement shard#{shard} is down")
-            }
             StoreError::ManagerDown(rank) => {
                 write!(f, "manager rank#{rank} is down")
             }
@@ -141,9 +134,6 @@ mod tests {
         let msg = e.to_string();
         assert!(msg.contains("file#3"), "{msg}");
         assert!(msg.contains("[10, 15)"), "{msg}");
-
-        let e = StoreError::ShardDown(2);
-        assert!(e.to_string().contains("shard#2"), "{e}");
 
         let e = StoreError::ManagerDown(1);
         assert!(e.to_string().contains("rank#1"), "{e}");

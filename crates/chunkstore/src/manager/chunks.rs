@@ -1,0 +1,182 @@
+//! Materialized chunks: reference counts, authoritative homes, recorded
+//! digests, and reconciling a benefactor that comes back.
+
+use super::Manager;
+use crate::ids::{BenefactorId, ChunkId};
+
+/// Manager-side record of one materialized chunk's placement.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ChunkMeta {
+    /// Benefactors currently holding an identical, authoritative copy.
+    /// The first entry is the primary (preferred read source). Invariant:
+    /// non-empty, entries distinct. A write that finds a dead home drops
+    /// it from this list — the bytes left on the dead benefactor are
+    /// stale and get reclaimed by `reconcile_recovered`.
+    pub homes: Vec<BenefactorId>,
+    /// Replica degree the chunk should have (its file's `replicas`).
+    pub target: usize,
+    /// CRC-64/XZ digest of the chunk's intended full content, recorded at
+    /// every write *before* the bytes hit any benefactor — so a torn or
+    /// bit-rotted copy disagrees with it (DESIGN.md §11).
+    pub crc: u64,
+}
+
+impl Manager {
+    pub(crate) fn incref_chunk(&mut self, c: ChunkId) {
+        *self.chunk_refs.get_mut(&c).expect("incref unknown chunk") += 1;
+    }
+
+    pub(crate) fn decref_chunk(&mut self, c: ChunkId) {
+        let refs = self.chunk_refs.get_mut(&c).expect("decref unknown chunk");
+        *refs -= 1;
+        if *refs == 0 {
+            self.chunk_refs.remove(&c);
+            let meta = self.chunk_meta.remove(&c).expect("chunk without home");
+            for home in meta.homes {
+                self.journal_home(c, home, false);
+                self.benefactors[home.0].drop_chunk(c);
+            }
+            self.bump_placement_epoch();
+        }
+    }
+
+    pub fn chunk_refcount(&self, c: ChunkId) -> u32 {
+        self.chunk_refs.get(&c).copied().unwrap_or(0)
+    }
+
+    /// The chunk's primary home (first live-listed copy).
+    pub fn chunk_home(&self, c: ChunkId) -> Option<BenefactorId> {
+        self.chunk_meta.get(&c).map(|m| m.homes[0])
+    }
+
+    /// Every benefactor holding an authoritative copy of `c`.
+    pub fn chunk_homes(&self, c: ChunkId) -> Option<&[BenefactorId]> {
+        self.chunk_meta.get(&c).map(|m| m.homes.as_slice())
+    }
+
+    /// The chunk's intended replica degree.
+    pub fn chunk_target(&self, c: ChunkId) -> Option<usize> {
+        self.chunk_meta.get(&c).map(|m| m.target)
+    }
+
+    pub(crate) fn new_chunk_id(
+        &mut self,
+        homes: Vec<BenefactorId>,
+        target: usize,
+        crc: u64,
+    ) -> ChunkId {
+        assert!(!homes.is_empty(), "chunk needs at least one home");
+        let id = ChunkId(self.next_chunk);
+        self.next_chunk += 1;
+        self.chunk_refs.insert(id, 1);
+        self.chunk_meta.insert(id, ChunkMeta { homes, target, crc });
+        self.bump_placement_epoch();
+        id
+    }
+
+    /// The digest every authoritative copy of `c` must match.
+    pub fn chunk_crc(&self, c: ChunkId) -> Option<u64> {
+        self.chunk_meta.get(&c).map(|m| m.crc)
+    }
+
+    /// Re-record `c`'s digest after an in-place page update.
+    pub(crate) fn set_chunk_crc(&mut self, c: ChunkId, crc: u64) {
+        self.chunk_meta.get_mut(&c).expect("unknown chunk").crc = crc;
+    }
+
+    /// Every materialized chunk id, sorted — the scrub daemon's walk order.
+    pub fn chunk_ids_sorted(&self) -> Vec<ChunkId> {
+        let mut ids: Vec<ChunkId> = self.chunk_meta.keys().copied().collect();
+        ids.sort_unstable_by_key(|c| c.0);
+        ids
+    }
+
+    /// Drop `home` from `c`'s authoritative copy list (the copy there is
+    /// dead or stale). The chunk must keep at least one home.
+    pub(crate) fn remove_chunk_home(&mut self, c: ChunkId, home: BenefactorId) {
+        self.journal_home(c, home, false);
+        let meta = self.chunk_meta.get_mut(&c).expect("unknown chunk");
+        meta.homes.retain(|&h| h != home);
+        assert!(!meta.homes.is_empty(), "chunk {c} lost its last home");
+        self.bump_placement_epoch();
+    }
+
+    /// Record a freshly repaired copy of `c` on `home`.
+    pub(crate) fn add_chunk_home(&mut self, c: ChunkId, home: BenefactorId) {
+        let meta = self.chunk_meta.get_mut(&c).expect("unknown chunk");
+        debug_assert!(!meta.homes.contains(&home), "duplicate home");
+        meta.homes.push(home);
+        self.bump_placement_epoch();
+        self.journal_home(c, home, true);
+    }
+
+    /// Chunks whose live copy count is below target, with a live donor.
+    /// Returns `(chunk, donor, missing_copies)` triples.
+    pub fn under_replicated(&self) -> Vec<(ChunkId, BenefactorId, usize)> {
+        let mut out: Vec<(ChunkId, BenefactorId, usize)> = self
+            .chunk_meta
+            .iter()
+            .filter_map(|(&c, m)| {
+                // First live home is the donor; count the rest in place.
+                let mut live = 0usize;
+                let mut donor = None;
+                for &h in &m.homes {
+                    if self.benefactors[h.0].is_alive() {
+                        live += 1;
+                        donor.get_or_insert(h);
+                    }
+                }
+                if live == 0 || live >= m.target {
+                    return None;
+                }
+                Some((c, donor.unwrap(), m.target - live))
+            })
+            .collect();
+        out.sort_by_key(|&(c, _, _)| c);
+        out
+    }
+
+    /// Reconcile a benefactor that came back from the dead: physically
+    /// drop every chunk it holds that the metadata no longer lists there
+    /// (writes re-homed those chunks while it was down, so its copies are
+    /// stale), and trim chunks the repair scanner re-replicated elsewhere
+    /// in the meantime (the revived copy is the redundant one). Returns
+    /// the number of chunk copies reclaimed.
+    pub fn reconcile_recovered(&mut self, b: BenefactorId) -> usize {
+        let stale: Vec<ChunkId> = self.benefactors[b.0]
+            .chunk_ids()
+            .into_iter()
+            .filter(|c| self.chunk_meta.get(c).is_none_or(|m| !m.homes.contains(&b)))
+            .collect();
+        for &c in &stale {
+            self.benefactors[b.0].drop_chunk(c);
+        }
+        let over: Vec<ChunkId> = self.benefactors[b.0]
+            .chunk_ids()
+            .into_iter()
+            .filter(|c| {
+                self.chunk_meta.get(c).is_some_and(|m| {
+                    m.homes.contains(&b)
+                        && m.homes
+                            .iter()
+                            .filter(|h| self.benefactors[h.0].is_alive())
+                            .count()
+                            > m.target
+                })
+            })
+            .collect();
+        for &c in &over {
+            // Metadata first: `remove_chunk_home` journals the free by
+            // reading the slot off the still-present physical copy.
+            self.remove_chunk_home(c, b);
+            self.benefactors[b.0].drop_chunk(c);
+        }
+        self.bump_placement_epoch();
+        stale.len() + over.len()
+    }
+
+    /// Total bytes of distinct materialized chunks (deduplicated storage).
+    pub fn physical_bytes(&self) -> u64 {
+        self.chunk_refs.len() as u64 * self.chunk_size
+    }
+}

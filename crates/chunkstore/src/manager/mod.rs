@@ -1,0 +1,324 @@
+//! The store manager: metadata, space allocation, striping, chunk→
+//! benefactor mapping, benefactor health, and the chunk-linking machinery
+//! behind `ssdcheckpoint()`.
+//!
+//! The manager is a pure metadata service — it moves no data. All methods
+//! here are untimed; [`crate::store::AggregateStore`] charges manager-RPC
+//! and data-path costs around them.
+//!
+//! One `impl Manager`, split by decision (DESIGN.md "manager module
+//! map"): the state, the fleet and the journal here; file geometry in
+//! `layout`; the namespace in `files`; chunks in `chunks`; parity-group
+//! membership in `groups`.
+
+mod chunks;
+mod files;
+mod groups;
+mod layout;
+
+pub use chunks::ChunkMeta;
+pub use groups::GroupRef;
+pub(crate) use layout::Member;
+pub use layout::{FileMeta, PlacementPolicy, Slot, StripeSpec, StripeWidth};
+
+use crate::benefactor::Benefactor;
+use crate::ids::{BenefactorId, ChunkId, FileId};
+use crate::journal::{JournalSet, Record, ShardMeta, Superblock};
+use simcore::Counter;
+use std::collections::HashMap;
+
+/// The manager's whole state, including the benefactor fleet.
+#[derive(Debug)]
+pub struct Manager {
+    chunk_size: u64,
+    benefactors: Vec<Benefactor>,
+    files: HashMap<FileId, FileMeta>,
+    by_name: HashMap<String, FileId>,
+    chunk_refs: HashMap<ChunkId, u32>,
+    chunk_meta: HashMap<ChunkId, ChunkMeta>,
+    next_file: u64,
+    next_chunk: u64,
+    stripe_cursor: usize,
+    /// Alive benefactors, ascending id — maintained incrementally by
+    /// `register_benefactor`/`set_alive` so status sweeps never rescan
+    /// the fleet.
+    alive: Vec<BenefactorId>,
+    /// Alive and not quarantined (placement-eligible), ascending id.
+    placeable: Vec<BenefactorId>,
+    /// How many benefactors are currently quarantined.
+    quarantined: usize,
+    /// Bumped on every placement-affecting mutation (chunk materialized or
+    /// re-homed, benefactor liveness change, repair, reconcile, file
+    /// deletion/linking). Client-side location caches compare their stored
+    /// epoch against this to decide whether a cached chunk → home mapping
+    /// is still authoritative (see `crate::loc_cache::LocationCache`).
+    placement_epoch: u64,
+    /// chunk → parity-group membership for erasure-coded files, so the
+    /// verified-read retry loop and the scrub daemon (which hold only a
+    /// `ChunkId`) can find the survivors to reconstruct from. Written only
+    /// in `groups`; a linked checkpoint reference never joins (the group
+    /// belongs to the source file).
+    group_of: HashMap<ChunkId, GroupRef>,
+    /// Crash-consistent metadata journal (DESIGN.md §16): one append-only
+    /// lane per manager rank, recording every placement mutation so a
+    /// standby can replay its shard's state on takeover. `None` (the
+    /// default) journals nothing and the manager behaves exactly as
+    /// without one.
+    journal: Option<JournalSet>,
+}
+
+impl Manager {
+    pub fn new(chunk_size: u64) -> Self {
+        assert!(chunk_size > 0 && chunk_size.is_power_of_two());
+        Manager {
+            chunk_size,
+            benefactors: Vec::new(),
+            files: HashMap::new(),
+            by_name: HashMap::new(),
+            chunk_refs: HashMap::new(),
+            chunk_meta: HashMap::new(),
+            next_file: 0,
+            next_chunk: 0,
+            stripe_cursor: 0,
+            alive: Vec::new(),
+            placeable: Vec::new(),
+            quarantined: 0,
+            placement_epoch: 0,
+            group_of: HashMap::new(),
+            journal: None,
+        }
+    }
+
+    pub fn chunk_size(&self) -> u64 {
+        self.chunk_size
+    }
+
+    /// Current placement epoch (see the field doc).
+    pub fn placement_epoch(&self) -> u64 {
+        self.placement_epoch
+    }
+
+    /// Invalidate every client-side location cache: any event that can
+    /// change where a chunk's authoritative copies live bumps this.
+    pub(crate) fn bump_placement_epoch(&mut self) {
+        self.placement_epoch += 1;
+    }
+
+    // ----- crash-consistent metadata journal (DESIGN.md §16) ----------------
+
+    /// Turn on metadata journaling: one append-only lane per manager
+    /// rank, chunk-keyed records routed by the same consistent-hash ring
+    /// the shard set uses (`lanes = 1` for the serial manager). Appends
+    /// bump `records` — the lazily registered `store.journal_records`
+    /// counter, so knobs-off stat snapshots never see it. Journaling is
+    /// pure host-side bookkeeping: it charges no virtual time.
+    pub fn enable_journal(&mut self, lanes: usize, vnodes: usize, seed: u64, records: Counter) {
+        assert!(self.journal.is_none(), "journal already enabled");
+        self.journal = Some(JournalSet::new(lanes, vnodes, seed, records));
+    }
+
+    pub fn journal(&self) -> Option<&JournalSet> {
+        self.journal.as_ref()
+    }
+
+    /// Serialize lane `lane` as a persisted image: superblock + journal,
+    /// with a fresh [`Record::LeafCheckpoint`] of every benefactor's live
+    /// slot bitmap appended *to a copy* (the live lane is untouched and
+    /// the shared record counter does not move), so the loader can
+    /// rebuild allocators that also cover reservations. The `unload`
+    /// half of DESIGN.md §16; `None` when journaling is off.
+    pub fn unload_journal(&self, lane: usize) -> Option<Vec<u8>> {
+        let j = self.journal.as_ref()?;
+        let mut snap = j.lane(lane).clone();
+        for (bi, b) in self.benefactors.iter().enumerate() {
+            let a = b.slot_allocator();
+            snap.append(&Record::LeafCheckpoint {
+                benefactor: bi,
+                len: a.len(),
+                leaf: a.leaf_words().to_vec(),
+            });
+        }
+        let sb = Superblock {
+            shard: lane as u32,
+            epoch: self.placement_epoch,
+            records: snap.records(),
+            journal_bytes: snap.byte_len() as u64,
+        };
+        Some(crate::journal::encode_image(&sb, &snap))
+    }
+
+    /// Cross-check a journal-replayed [`ShardMeta`] against the live
+    /// fleet: every journaled (benefactor, slot) home must be a live
+    /// allocation actually holding that chunk. One-sided by design — the
+    /// journal does not see reservations (and physical cleanup of stale
+    /// copies can lag the metadata), so the live state may hold more.
+    /// The standby's post-replay sanity gate.
+    pub fn verify_replayed(&self, meta: &ShardMeta) {
+        meta.assert_consistent();
+        for (chunk, homes) in &meta.homes {
+            for &(b, s) in homes {
+                let bene = &self.benefactors[b];
+                assert!(
+                    bene.slot_allocator().is_allocated(s),
+                    "journal places {chunk} in a free slot ({b}, {s})"
+                );
+                assert_eq!(
+                    bene.slot_of(*chunk),
+                    Some(s),
+                    "journal home ({b}, {s}) disagrees with the fleet for {chunk}"
+                );
+            }
+        }
+    }
+
+    /// The one journal append: `record` into the lane `lane` picks — the
+    /// ring owner's for a chunk-keyed record. No-op when journaling is off.
+    fn journal_to(&mut self, lane: impl FnOnce(&JournalSet) -> usize, record: Record) {
+        if let Some(j) = &mut self.journal {
+            let lane = lane(j);
+            j.append_to(lane, &record);
+        }
+    }
+
+    /// Journal `c`'s copy on `home` as placed (`Place`) or no longer
+    /// authoritative (`Free`), with its physical slot. Must run while the
+    /// copy is on the benefactor, so the slot can be read back: a copy is
+    /// stored before the metadata records it, and metadata mutations
+    /// precede physical drops everywhere in this crate.
+    fn journal_home(&mut self, c: ChunkId, home: BenefactorId, placed: bool) {
+        if self.journal.is_none() {
+            return;
+        }
+        let slot = self.benefactors[home.0]
+            .slot_of(c)
+            .expect("journaling a copy that is not stored");
+        let (chunk, benefactor) = (c, home.0);
+        let record = if placed {
+            Record::Place {
+                chunk,
+                benefactor,
+                slot,
+            }
+        } else {
+            Record::Free {
+                chunk,
+                benefactor,
+                slot,
+            }
+        };
+        self.journal_to(|j| j.lane_of_chunk(c), record);
+    }
+
+    /// A cold (re)start of manager rank `rank`: bump the placement epoch
+    /// and journal it in the rank's lane, so a replaying standby starts at
+    /// an epoch no stale client-side location cache can match.
+    pub(crate) fn revoke_epoch(&mut self, rank: usize) {
+        self.bump_placement_epoch();
+        let epoch = self.placement_epoch;
+        self.journal_to(|_| rank, Record::RevokeLeases { epoch });
+    }
+
+    // ----- benefactor fleet -------------------------------------------------
+
+    pub fn register_benefactor(&mut self, b: Benefactor) -> BenefactorId {
+        let id = BenefactorId(self.benefactors.len());
+        // Ids are handed out in ascending order, so pushing keeps the
+        // incremental sets sorted.
+        if b.is_alive() {
+            self.alive.push(id);
+        }
+        if b.is_placeable() {
+            self.placeable.push(id);
+        }
+        if b.is_quarantined() {
+            self.quarantined += 1;
+        }
+        self.benefactors.push(b);
+        id
+    }
+
+    /// Insert/remove `id` in a sorted membership Vec, keeping it sorted.
+    fn set_membership(set: &mut Vec<BenefactorId>, id: BenefactorId, member: bool) {
+        match (set.binary_search(&id), member) {
+            (Err(at), true) => set.insert(at, id),
+            (Ok(at), false) => {
+                set.remove(at);
+            }
+            _ => {}
+        }
+    }
+
+    /// Take a benefactor offline or bring it back, keeping the alive /
+    /// placeable sets current. The single mutation point for liveness:
+    /// callers outside the crate cannot reach `Benefactor::set_alive`.
+    pub fn set_alive(&mut self, id: BenefactorId, alive: bool) {
+        self.benefactors[id.0].set_alive(alive);
+        Self::set_membership(&mut self.alive, id, alive);
+        let placeable = self.benefactors[id.0].is_placeable();
+        Self::set_membership(&mut self.placeable, id, placeable);
+    }
+
+    /// Quarantine a benefactor (or lift it), keeping the placeable set and
+    /// the quarantine counter current.
+    pub fn set_quarantined(&mut self, id: BenefactorId, quarantined: bool) {
+        let b = &mut self.benefactors[id.0];
+        if b.is_quarantined() != quarantined {
+            self.quarantined = if quarantined {
+                self.quarantined + 1
+            } else {
+                self.quarantined - 1
+            };
+        }
+        b.set_quarantined(quarantined);
+        let placeable = self.benefactors[id.0].is_placeable();
+        Self::set_membership(&mut self.placeable, id, placeable);
+    }
+
+    pub fn benefactor(&self, id: BenefactorId) -> &Benefactor {
+        &self.benefactors[id.0]
+    }
+
+    pub fn benefactor_mut(&mut self, id: BenefactorId) -> &mut Benefactor {
+        &mut self.benefactors[id.0]
+    }
+
+    pub fn benefactor_count(&self) -> usize {
+        self.benefactors.len()
+    }
+
+    /// Alive benefactors, ascending id. A borrow of the incrementally
+    /// maintained set — no allocation, no fleet sweep.
+    pub fn alive_benefactors(&self) -> &[BenefactorId] {
+        &self.alive
+    }
+
+    /// Benefactors eligible for new chunk placement: alive and not
+    /// quarantined by the scrub daemon. Reads and repairs-from still use
+    /// the full alive set — quarantine only stops *new* bytes landing.
+    /// Ascending id, allocation-free.
+    pub fn placeable_benefactors(&self) -> &[BenefactorId] {
+        &self.placeable
+    }
+
+    /// How many benefactors the scrub daemon has quarantined. O(1).
+    pub fn quarantined_count(&self) -> usize {
+        self.quarantined
+    }
+
+    /// Status-monitoring report: total/free space over alive benefactors.
+    /// Walks only the alive set; each benefactor answers from its slot
+    /// allocator's O(1) folded counter.
+    pub fn space(&self) -> (u64, u64) {
+        let mut total = 0;
+        let mut free = 0;
+        for &id in &self.alive {
+            let b = &self.benefactors[id.0];
+            total += b.capacity();
+            free += b.free();
+        }
+        (total, free)
+    }
+}
+
+#[cfg(test)]
+mod tests;

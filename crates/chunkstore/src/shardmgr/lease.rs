@@ -1,5 +1,5 @@
-//! Per-shard runtime state: the shard's CPU, liveness, and the lease
-//! table backing client-side placement delegation.
+//! Per-shard runtime state: the shard's CPU and the lease table backing
+//! client-side placement delegation.
 //!
 //! A **lease** is delegation authority: while client node `c` holds an
 //! unexpired lease from shard `k`, it may answer placement questions for
@@ -12,7 +12,7 @@
 //! Revocation (`revoke_shard`) clears every lease the shard granted; the
 //! store pairs it with a global placement-epoch bump, so no stale
 //! `LocationCache` hit can survive a revoke (the `shardmgr_model`
-//! proptest pins this). A shard *crash* deliberately does **not** revoke:
+//! proptest pins this). A rank *crash* deliberately does **not** revoke:
 //! leased clients keep serving their cached resolutions for data that
 //! lives on healthy benefactors, which is what confines the outage to
 //! the dead shard's unleased keyspace.
@@ -43,7 +43,6 @@ struct ShardState {
     /// The shard's metadata CPU: RPCs queue FIFO here, which is where
     /// fan-in contention lives and what extra shards relieve.
     cpu: Resource,
-    alive: bool,
     /// Clients holding a delegation: one bit per client node, with O(1)
     /// cardinality (same substrate as the slot allocator, DESIGN.md §13).
     held: BitSet,
@@ -86,7 +85,6 @@ impl ShardSet {
                     node,
                     standby: None,
                     cpu: Resource::new(format!("shardmgr.s{k}.cpu")),
-                    alive: true,
                     held: BitSet::new(),
                     expiry: Vec::new(),
                 })
@@ -114,10 +112,6 @@ impl ShardSet {
         self.shards[shard].node
     }
 
-    pub fn is_alive(&self, shard: usize) -> bool {
-        self.shards[shard].alive
-    }
-
     /// Install a standby manager rank for `shard` on `node` (DESIGN.md
     /// §16). The standby holds no state of its own — at takeover it
     /// replays the shard's metadata journal.
@@ -140,10 +134,6 @@ impl ShardSet {
         s.standby = Some(s.node);
         s.node = standby;
         Some(standby)
-    }
-
-    pub fn set_alive(&mut self, shard: usize, alive: bool) {
-        self.shards[shard].alive = alive;
     }
 
     /// Occupy the shard's CPU for one metadata operation arriving at

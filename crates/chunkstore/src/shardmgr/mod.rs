@@ -10,7 +10,7 @@
 //!   slot-addressed keys to shards; clients compute owners locally and
 //!   route `fetch_chunks` / `write_pages_batch` resolution directly to
 //!   the owning shard's RPC endpoint (registered with `netsim`).
-//! * [`lease`] — per-shard CPU + liveness + the lease table: TTL-bounded
+//! * [`lease`] — per-shard CPU + the lease table: TTL-bounded
 //!   delegation letting a leased client answer placement from its
 //!   `LocationCache` without any manager round-trip; grants/renewals
 //!   piggyback on RPC responses, revocation bumps the placement epoch.

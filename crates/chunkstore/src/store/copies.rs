@@ -15,7 +15,7 @@ use super::AggregateStore;
 use crate::benefactor::Benefactor;
 use crate::error::{Result, StoreError};
 use crate::ids::{BenefactorId, ChunkId};
-use crate::manager::{GroupRef, Manager, Slot};
+use crate::manager::{GroupRef, Manager, Member, Slot};
 use crate::payload::{leaf_with, zero_chunk, ChunkBuf};
 use crate::rs::{gf_mul_acc, RsCode};
 use crate::shardmgr::ShardSet;
@@ -122,24 +122,24 @@ impl AggregateStore {
     }
 }
 
-/// What a cold manager (re)start invalidates, whether it is a shard
-/// recovery, a rank reboot or a standby takeover: every lease the rank
-/// granted, and — through the placement-epoch bump — every client-side
-/// `LocationCache` resolution. The pairing is load-bearing: the bump is
-/// what makes revoked clients stop trusting their caches, so no stale hit
-/// can survive a revoke (the `shardmgr_model` proptest pins this). The
-/// bump is journaled (a no-op unless HA journaling is on) so a replayed
-/// rank knows the epoch its lease table died at. With the serial manager
-/// there is no lease table, only the epoch. Returns the leases revoked.
+/// What a cold manager (re)start invalidates, whether it is a rank reboot
+/// or a standby takeover: every lease the rank granted, and — through the
+/// placement-epoch bump — every client-side `LocationCache` resolution.
+/// The pairing is load-bearing: the bump is what makes revoked clients
+/// stop trusting their caches, so no stale hit can survive a revoke (the
+/// `shardmgr_model` proptest pins this). The bump is journaled (a no-op
+/// unless HA journaling is on) so a replayed rank knows the epoch its
+/// lease table died at. With the serial manager there is no lease table,
+/// only the epoch.
 pub(super) fn cold_restart_invalidate(
     shards: Option<&mut ShardSet>,
     mgr: &mut Manager,
     rank: usize,
-) -> usize {
-    let revoked = shards.map_or(0, |ss| ss.revoke_shard(rank));
-    mgr.bump_placement_epoch();
-    mgr.journal_revoke(rank);
-    revoked
+) {
+    if let Some(ss) = shards {
+        ss.revoke_shard(rank);
+    }
+    mgr.revoke_epoch(rank);
 }
 
 // ----- erasure-coded group members (DESIGN.md §15) --------------------------
@@ -178,14 +178,9 @@ pub(super) fn survivors_for(mgr: &Manager, gref: GroupRef) -> Result<Survivors> 
     let (k, m) = (meta.group_data, meta.parity);
     let mut picks = Vec::with_capacity(k);
     for member in (0..k + m).filter(|&member| member != gref.member) {
-        let slot = if member < k {
-            // Partial last group: absent members are zeros.
-            let idx = gref.group * k + member;
-            Some(meta.slots.get(idx).copied().unwrap_or(Slot::Hole))
-        } else {
-            let p = member - k;
-            (!meta.parity_is_stale(gref.group, p)).then(|| meta.parity_slot(gref.group, p))
-        };
+        // A partial last group's absent data members are holes: zeros.
+        let stale = member >= k && meta.parity_is_stale(gref.group, member - k);
+        let slot = (!stale).then(|| meta.group_slot(gref.group, member));
         let survivor = match slot {
             None => None,
             Some(Slot::Unmaterialized | Slot::Hole) => Some(Survivor::Zeros(member)),
@@ -347,7 +342,7 @@ pub(super) fn install_rebuilt(
             let g = mgr
                 .benefactor_mut(dest)
                 .store_chunk(now, c, content, chunk_size, consumes);
-            mgr.set_parity_slot(gref.file, gref.group, p, Slot::Chunk(c));
+            mgr.set_slot(gref.file, Member::Parity(gref.group, p), Slot::Chunk(c));
             g
         }
     };

@@ -86,8 +86,6 @@ impl AggregateStore {
                     .benefactor_mut(BenefactorId(benefactor))
                     .set_corruption_rate(rate_bp, seed);
             }
-            FaultEvent::ShardCrash { shard } => self.set_shard_alive(shard, false),
-            FaultEvent::ShardRecover { shard } => self.set_shard_alive(shard, true),
             FaultEvent::ManagerCrash { shard } => self.set_manager_alive(shard, false, at),
             FaultEvent::ManagerRecover { shard } => self.set_manager_alive(shard, true, at),
         }

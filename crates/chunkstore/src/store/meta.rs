@@ -32,31 +32,19 @@ fn shard_endpoint(k: usize) -> String {
     format!("shardmgr/{k}")
 }
 
-/// Manager-HA runtime state (DESIGN.md §16), one entry per manager rank
-/// (a single rank with the serial manager). Lazily sized on the first
-/// manager fault, so fault-free runs never touch it.
-#[derive(Debug, Default)]
-pub(super) struct MgrHa {
-    /// Rank is crashed and not yet taken over / rebooted.
-    down: Vec<bool>,
-    /// Earliest virtual time the standby may complete takeover: crash
-    /// time + `FAILOVER_TIMEOUT` + journal-replay cost. `None` while the
-    /// rank is up, or when it crashed without HA (waiting for a
-    /// scheduled `ManagerRecover`).
-    takeover_at: Vec<Option<VTime>>,
-    /// When the rank crashed, for the time-to-failover counter.
-    crashed_at: Vec<Option<VTime>>,
+/// A crashed manager rank (DESIGN.md §16): when it died, and — with a
+/// standby — the earliest virtual time the standby may complete takeover
+/// (the crash, `FAILOVER_TIMEOUT`, then the journal replay).
+#[derive(Clone, Copy, Debug)]
+pub(super) struct Crashed {
+    at: VTime,
+    takeover_at: Option<VTime>,
 }
 
-impl MgrHa {
-    fn ensure(&mut self, ranks: usize) {
-        if self.down.len() < ranks {
-            self.down.resize(ranks, false);
-            self.takeover_at.resize(ranks, None);
-            self.crashed_at.resize(ranks, None);
-        }
-    }
-}
+/// Manager-HA runtime state: per manager rank (a single rank with the
+/// serial manager), `Some` while it is down. Lazily sized on the first
+/// manager fault, so fault-free runs never touch it.
+pub(super) type MgrHa = Vec<Option<Crashed>>;
 
 impl AggregateStore {
     /// Bump the aggregate RPC counter plus the per-op split (ISSUE 6
@@ -77,11 +65,11 @@ impl AggregateStore {
     /// CPU — which is where client fan-in queues, and what extra shards
     /// relieve — and its response piggybacks a lease grant/renewal for
     /// the calling client; the serial manager charges `mgr_cpu` without
-    /// queueing. A dead shard or crashed manager rank is retried on the
-    /// same backoff schedule as benefactor failover — a scheduled
-    /// recovery or standby takeover may land in between — before the op
-    /// fails with [`StoreError::ShardDown`] / [`StoreError::ManagerDown`].
-    /// The fault-free serial path is one rank-table len-check.
+    /// queueing. A crashed manager rank is retried on the same backoff
+    /// schedule as benefactor failover — a scheduled recovery or standby
+    /// takeover may land in between — before the op fails with
+    /// [`StoreError::ManagerDown`]. The fault-free path is one rank-table
+    /// len-check.
     fn meta_rpc(
         &self,
         t: VTime,
@@ -92,54 +80,43 @@ impl AggregateStore {
         let rank = shard.unwrap_or(0);
         let mut t = t;
         let mut attempts = 0;
-        loop {
-            let alive = shard.is_none_or(|k| self.shard_alive(k));
-            // The shard process may be up while the manager rank hosting
-            // it has crashed (DESIGN.md §16) — probe both; the probe also
-            // performs a due standby takeover.
-            let rank_ready = self.manager_rank_ready(rank, t);
-            if !alive || !rank_ready {
-                if attempts >= self.cfg.fetch_retries {
-                    return Err(if alive {
-                        StoreError::ManagerDown(rank)
-                    } else {
-                        StoreError::ShardDown(rank)
-                    });
-                }
-                attempts += 1;
-                t += RETRY_BACKOFF;
-                self.poll_faults(t);
-                continue;
+        // The probe also performs a due standby takeover.
+        while !self.manager_rank_ready(rank, t) {
+            if attempts >= self.cfg.fetch_retries {
+                return Err(StoreError::ManagerDown(rank));
             }
-            let node = match shard {
-                Some(k) => self
-                    .net
-                    .endpoint_node(&shard_endpoint(k))
-                    .expect("shard endpoint registered at install"),
-                None => self.cfg.manager_node,
-            };
-            self.count_mgr_rpc(op);
-            let sp = self.trace.span(Layer::Store, "store.mgr_rpc", t);
-            sp.arg("client", client_node as u64);
-            if let Some(k) = shard {
-                sp.arg("shard", k as u64);
-            }
-            let req = self.net.transfer_at(t, client_node, node, RPC_BYTES);
-            let done = match shard {
-                Some(k) => self.shard_cpu(k, req.arrived),
-                None => req.arrived + self.cfg.mgr_cpu,
-            };
-            let resp = self.net.transfer_at(done, node, client_node, RPC_BYTES);
-            if let Some(k) = shard {
-                self.shards
-                    .lock()
-                    .as_mut()
-                    .expect("shard set installed")
-                    .grant_lease(k, client_node, resp.arrived);
-            }
-            sp.finish(resp.arrived);
-            return Ok(resp.arrived);
+            attempts += 1;
+            t += RETRY_BACKOFF;
+            self.poll_faults(t);
         }
+        let node = match shard {
+            Some(k) => self
+                .net
+                .endpoint_node(&shard_endpoint(k))
+                .expect("shard endpoint registered at install"),
+            None => self.cfg.manager_node,
+        };
+        self.count_mgr_rpc(op);
+        let sp = self.trace.span(Layer::Store, "store.mgr_rpc", t);
+        sp.arg("client", client_node as u64);
+        if let Some(k) = shard {
+            sp.arg("shard", k as u64);
+        }
+        let req = self.net.transfer_at(t, client_node, node, RPC_BYTES);
+        let done = match shard {
+            Some(k) => self.shard_cpu(k, req.arrived),
+            None => req.arrived + self.cfg.mgr_cpu,
+        };
+        let resp = self.net.transfer_at(done, node, client_node, RPC_BYTES);
+        if let Some(k) = shard {
+            self.shards
+                .lock()
+                .as_mut()
+                .expect("shard set installed")
+                .grant_lease(k, client_node, resp.arrived);
+        }
+        sp.finish(resp.arrived);
+        Ok(resp.arrived)
     }
 
     /// Queue one metadata operation arriving at `arrived` on shard
@@ -235,14 +212,6 @@ impl AggregateStore {
             .map(|s| s.ring().owner_of_slot(file, idx))
     }
 
-    /// Is shard `k` currently alive? (Trivially true with no shard set.)
-    pub fn shard_alive(&self, shard: usize) -> bool {
-        self.shards
-            .lock()
-            .as_ref()
-            .is_none_or(|s| s.is_alive(shard))
-    }
-
     /// Live leases currently granted by `shard` (tests/benches).
     pub fn shard_leases(&self, shard: usize) -> usize {
         self.shards
@@ -317,55 +286,26 @@ impl AggregateStore {
         Ok(())
     }
 
-    /// Simulate a placement-shard failure or recovery (DESIGN.md §12).
-    /// A crash quarantines only the dead shard's keyspace: leases it
-    /// granted stay valid, so leased clients keep answering placement
-    /// locally, and every other shard is untouched. Recovery restarts
-    /// the shard with a cold lease table — every delegation it granted
-    /// before the crash is revoked and the placement epoch bumps, so no
-    /// client can keep serving resolutions the reborn shard no longer
-    /// vouches for. A no-op without an installed shard set.
-    pub fn set_shard_alive(&self, shard: usize, alive: bool) {
-        let mut guard = self.shards.lock();
-        let Some(ss) = guard.as_mut() else { return };
-        if ss.is_alive(shard) == alive {
-            return;
-        }
-        ss.set_alive(shard, alive);
-        drop(guard);
-        if alive {
-            self.cold_restart_invalidate(shard);
-        }
-    }
-
-    /// Revoke every lease `shard` has granted and bump the placement
-    /// epoch (see `copies::cold_restart_invalidate` for why the two are
-    /// paired). Returns the number of leases revoked; a no-op without an
-    /// installed shard set.
-    pub fn revoke_shard_leases(&self, shard: usize) -> usize {
-        if self.shards_installed() == 0 {
-            return 0;
-        }
-        self.cold_restart_invalidate(shard)
-    }
-
-    fn cold_restart_invalidate(&self, rank: usize) -> usize {
+    fn cold_restart_invalidate(&self, rank: usize) {
         let mut shards = self.shards.lock();
-        copies::cold_restart_invalidate(shards.as_mut(), &mut self.mgr.lock(), rank)
+        copies::cold_restart_invalidate(shards.as_mut(), &mut self.mgr.lock(), rank);
     }
 
     // ----- manager HA (DESIGN.md §16) ---------------------------------------
 
-    /// Simulate a manager-rank crash or reboot (DESIGN.md §16). `rank`
-    /// is the placement shard whose hosting process dies (rank 0 with
-    /// the serial manager). A crash stops that rank answering metadata
-    /// RPCs; clients sit in the retry/backoff loop. With `ha_standby`
-    /// the rank's standby schedules a takeover at crash time +
-    /// `FAILOVER_TIMEOUT` + journal-replay cost; without it the rank
-    /// stays down until a scheduled `ManagerRecover` reboots it cold —
-    /// which revokes every lease it granted and bumps the placement
-    /// epoch, exactly like a shard cold restart. A reboot after the
-    /// standby already took over just rejoins as the new standby.
+    /// Simulate a manager-rank crash or reboot (DESIGN.md §16) — the one
+    /// liveness a metadata rank has. `rank` is the placement shard whose
+    /// hosting process dies (rank 0 with the serial manager). A crash
+    /// stops that rank answering metadata RPCs — only its keyspace:
+    /// clients of other ranks, and leased clients answering placement
+    /// from their caches, never notice — and its unleased clients sit in
+    /// the retry/backoff loop. With `ha_standby` the rank's standby
+    /// schedules a takeover at crash time + `FAILOVER_TIMEOUT` +
+    /// journal-replay cost; without it the rank stays down until a
+    /// scheduled `ManagerRecover` reboots it cold, which revokes every
+    /// lease it granted and bumps the placement epoch. A reboot after the
+    /// standby already took over just rejoins as the new standby
+    /// (`promote_standby` parked its node there).
     pub fn set_manager_alive(&self, rank: usize, alive: bool, at: VTime) {
         let ranks = self.shards_installed().max(1).max(rank + 1);
         // Compute replay cost outside the HA lock (lock order: ha → mgr
@@ -376,37 +316,27 @@ impl AggregateStore {
             .journal()
             .map_or(0, |j| j.lane(rank.min(j.lanes() - 1)).records());
         let mut ha = self.ha.lock();
-        ha.ensure(ranks);
+        if ha.len() < ranks {
+            ha.resize(ranks, None);
+        }
         if alive {
-            if !ha.down[rank] {
-                // Rebooted after the standby already took over: the old
-                // primary rejoins as the new standby (promote_standby
-                // parked its node there) — nothing else to do.
-                return;
+            if ha[rank].take().is_some() {
+                drop(ha);
+                // Cold restart: no pre-crash delegation survives the reboot.
+                self.cold_restart_invalidate(rank);
             }
-            ha.down[rank] = false;
-            ha.takeover_at[rank] = None;
-            ha.crashed_at[rank] = None;
-            drop(ha);
-            // Cold restart: no pre-crash delegation survives the reboot.
-            self.cold_restart_invalidate(rank);
-        } else {
-            if ha.down[rank] {
-                return;
-            }
-            ha.down[rank] = true;
-            ha.crashed_at[rank] = Some(at);
-            ha.takeover_at[rank] = self.cfg.ha_standby.then(|| {
+        } else if ha[rank].is_none() {
+            let takeover_at = self.cfg.ha_standby.then(|| {
                 let replay = VTime::from_nanos(REPLAY_RECORD_CPU.as_nanos() * lane_records);
                 at + FAILOVER_TIMEOUT + replay
             });
+            ha[rank] = Some(Crashed { at, takeover_at });
         }
     }
 
     /// Is manager rank `rank` down right now? (Tests/benches.)
     pub fn manager_rank_down(&self, rank: usize) -> bool {
-        let ha = self.ha.lock();
-        rank < ha.down.len() && ha.down[rank]
+        self.ha.lock().get(rank).is_some_and(Option::is_some)
     }
 
     /// Is manager rank `rank` serving at `t`? Drives standby takeover:
@@ -415,15 +345,11 @@ impl AggregateStore {
     /// revocation) and reports the rank back up. Trivially true when no
     /// manager fault ever fired — the rank table stays empty.
     fn manager_rank_ready(&self, rank: usize, t: VTime) -> bool {
-        let takeover = {
-            let ha = self.ha.lock();
-            if rank >= ha.down.len() || !ha.down[rank] {
-                return true;
-            }
-            match ha.takeover_at[rank] {
-                Some(due) if t >= due => due,
-                _ => return false,
-            }
+        let crashed = self.ha.lock().get(rank).copied().flatten();
+        let takeover = match crashed.map(|c| c.takeover_at) {
+            None => return true,
+            Some(Some(due)) if t >= due => due,
+            Some(_) => return false,
         };
         self.failover_manager(rank, takeover);
         true
@@ -437,14 +363,8 @@ impl AggregateStore {
     /// pre-crash lease with a placement-epoch bump so the
     /// `LocationCache` cannot serve a stale placement.
     fn failover_manager(&self, rank: usize, at: VTime) {
-        let crashed = {
-            let mut ha = self.ha.lock();
-            if !ha.down[rank] {
-                return; // a racing probe already promoted
-            }
-            ha.down[rank] = false;
-            ha.takeover_at[rank] = None;
-            ha.crashed_at[rank].take().expect("crash time recorded")
+        let Some(crashed) = self.ha.lock()[rank].take() else {
+            return; // a racing probe already promoted
         };
         // The real recovery path, not a shortcut: serialize the lane,
         // decode it back through scan-and-repair, replay, and verify the
@@ -464,7 +384,7 @@ impl AggregateStore {
         self.stats.counter("store.mgr_failovers").inc();
         self.stats
             .counter("store.mgr_failover_us")
-            .add((at - crashed).as_nanos() / 1_000);
+            .add((at - crashed.at).as_nanos() / 1_000);
         // Sharded mode: the standby's node takes over the rank's RPC
         // endpoint. Serial mode models the standby at the manager node.
         let promoted = self

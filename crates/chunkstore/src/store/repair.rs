@@ -358,10 +358,10 @@ impl AggregateStore {
                 || copies::pick_destination(mgr, &group_homes(mgr, gref.file, gref.group));
             let rehome = |chunk| elsewhere().map(|dest| Landing::Rehome { chunk, dest });
             if gref.member < k {
-                match meta.slots.get(gref.group * k + gref.member) {
+                match meta.group_slot(gref.group, gref.member) {
                     // A chunk whose every home is dead: decode onto a
                     // fresh benefactor.
-                    Some(&Slot::Chunk(chunk)) if live(chunk).is_none() => (rehome(chunk), false),
+                    Slot::Chunk(chunk) if live(chunk).is_none() => (rehome(chunk), false),
                     _ => return now,
                 }
             } else {

@@ -1272,22 +1272,22 @@ fn shard_crash_quarantines_only_its_keyspace() {
     };
     let dead_slot = owned_by(1);
     let live_slot = owned_by(0);
-    store.set_shard_alive(1, false);
-    // The dead shard's keyspace errors once the retry window runs out…
+    store.set_manager_alive(1, false, t);
+    // The dead rank's keyspace errors once the retry window runs out…
     let err = store.fetch_chunk(t, client, f, dead_slot).unwrap_err();
-    assert_eq!(err, StoreError::ShardDown(1));
+    assert_eq!(err, StoreError::ManagerDown(1));
     let err = store
         .write_pages(t, client, f, dead_slot, &[(0, &page)])
         .unwrap_err();
-    assert_eq!(err, StoreError::ShardDown(1));
+    assert_eq!(err, StoreError::ManagerDown(1));
     // …while the other shard and the namespace keep serving.
     let (t2, _) = store.fetch_chunk(t, client, f, live_slot).unwrap();
     let (t3, found) = store.open(t2, client, "/m").unwrap();
     assert_eq!(found, Some(f));
     // The crash alone revokes nothing: delegations ride through.
     assert_eq!(stats.get("store.lease_revokes"), 0);
-    // Recovery restores service and revokes the shard's delegations.
-    store.set_shard_alive(1, true);
+    // A cold reboot restores service and revokes the rank's delegations.
+    store.set_manager_alive(1, true, t3);
     assert!(stats.get("store.lease_revokes") > 0);
     store.fetch_chunk(t3, client, f, dead_slot).unwrap();
 }
@@ -1327,10 +1327,10 @@ fn leased_clients_ride_through_a_shard_crash() {
     // Both shards have delegated to this client.
     assert_eq!(store.shard_leases(0), 1);
     assert_eq!(store.shard_leases(1), 1);
-    // Kill a shard. The leased client keeps resolving placement
+    // Kill a shard's rank. The leased client keeps resolving placement
     // locally: the same batch re-fetches without a single manager
-    // round-trip, dead shard or not.
-    store.set_shard_alive(1, false);
+    // round-trip, dead rank or not.
+    store.set_manager_alive(1, false, t);
     let rpcs = stats.get("store.mgr_rpcs");
     let hits = stats.get("store.loc_cache_hits");
     let r = store
@@ -1343,9 +1343,9 @@ fn leased_clients_ride_through_a_shard_crash() {
         "no RPC on the leased hot path"
     );
     assert_eq!(stats.get("store.loc_cache_hits"), hits + 8);
-    // Recovery revokes: the epoch bump drops the cache, and the
+    // The cold reboot revokes: the epoch bump drops the cache, and the
     // re-resolution goes back to the (now live) shards.
-    store.set_shard_alive(1, true);
+    store.set_manager_alive(1, true, t);
     assert!(stats.get("store.lease_revokes") > 0);
     let inv = stats.get("store.loc_cache_invalidations");
     let r = store
@@ -1381,16 +1381,16 @@ fn shard_down_retry_waits_out_a_scheduled_recovery() {
     let slot = (0..8)
         .find(|&i| store.shard_of_slot(f, i) == Some(1))
         .expect("shard 1 owns a slot");
-    store.set_shard_alive(1, false);
+    store.set_manager_alive(1, false, t);
     store.attach_faults(
         faults::FaultPlanBuilder::new(7)
-            .shard_recover(t + RETRY_BACKOFF, 1)
+            .mgr_recover(t + RETRY_BACKOFF, 1)
             .build(),
     );
     let (t2, payload) = store.fetch_chunk(t, client, f, slot).unwrap();
     assert!(matches!(payload, ChunkPayload::Data(_)));
     assert!(t2 >= t + RETRY_BACKOFF, "the read waited out the outage");
-    assert!(store.shard_alive(1));
+    assert!(!store.manager_rank_down(1));
     assert_eq!(
         stats.get("store.lease_revokes"),
         1,
@@ -1611,6 +1611,59 @@ fn deleting_a_checkpoint_journals_no_unlink_of_the_live_files_groups() {
         );
         assert!(mgr.group_of_chunk(c).is_some());
     }
+}
+
+/// A restart file as `ssdcheckpoint` builds one (ROADMAP item 1b): a
+/// one-chunk RS(2, 1) image with a four-chunk RS(2, 1) variable linked
+/// onto its end, under `verify_reads` on four benefactors. Returns when
+/// the link landed, the image and the variable.
+fn restart_file_linked_onto_an_rs_image(store: &AggregateStore) -> (VTime, FileId, FileId) {
+    let client = 5;
+    let image = make_file_parity(store, client, "/image", CHUNK, 2, 1);
+    let var = make_file_parity(store, client, "/var", 4 * CHUNK, 2, 1);
+    let mut t = store
+        .write_pages(VTime::ZERO, client, image, 0, &[(0, &pattern(0x1B))])
+        .unwrap();
+    for idx in 0..4 {
+        let data = pattern(0x20 + idx as u8);
+        t = store
+            .write_pages(t, client, var, idx, &[(0, &data)])
+            .unwrap();
+    }
+    (store.link_file(t, client, image, var).unwrap(), image, var)
+}
+
+#[test]
+fn linked_slots_are_not_members_of_the_files_parity_groups() {
+    let (store, _) = store_verify(4);
+    let (t, image, var) = restart_file_linked_onto_an_rs_image(&store);
+    // The sweep walks the image's one group and finds nothing to do.
+    let (_, report) = store.repair_parity_groups(t);
+    assert_eq!(report, RepairReport::default());
+    let mgr = store.manager();
+    let meta = mgr.file(image).unwrap();
+    assert_eq!(meta.slots.len(), 5);
+    assert_eq!(meta.parity_groups(), 1, "the image's own group only");
+    assert_eq!(meta.group_data_slots(0), 0..1);
+    // Each linked chunk keeps its own file's group.
+    for idx in 1..5 {
+        let Slot::Chunk(c) = meta.slots[idx] else {
+            panic!("slot {idx} is linked");
+        };
+        assert_eq!(mgr.group_of_chunk(c).map(|g| g.file), Some(var));
+    }
+}
+
+#[test]
+fn a_lost_image_chunk_decodes_against_its_own_group_not_the_linked_slots() {
+    let (store, stats) = store_verify(4);
+    let (t, image, _) = restart_file_linked_onto_an_rs_image(&store);
+    let c = chunk_of(&store, image, 0);
+    let home = store.manager().chunk_home(c).unwrap();
+    store.set_benefactor_alive(home, false);
+    let (_, payload) = store.fetch_chunk(t, 5, image, 0).unwrap();
+    assert!(payload.into_buf(store.config()) == pattern(0x1B)[..]);
+    assert_eq!(stats.get("store.degraded_reconstructs"), 1);
 }
 
 #[test]

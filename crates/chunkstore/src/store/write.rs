@@ -9,7 +9,7 @@ use crate::benefactor::Benefactor;
 use crate::crc;
 use crate::error::{Result, StoreError};
 use crate::ids::{BenefactorId, FileId};
-use crate::manager::{FileMeta, Manager, Slot};
+use crate::manager::{FileMeta, Manager, Member, Slot};
 use crate::payload::{
     cut_runs, fold_sums, leaf_with, run_len, run_views, sum_of, zero_chunk, ChunkBuf, Leaf, PageRun,
 };
@@ -258,9 +258,8 @@ impl AggregateStore {
             let mgr = self.mgr.lock();
             let keys = entries.iter().enumerate().map(|(i, e)| {
                 let meta = mgr.file(e.file).ok().filter(|m| e.idx < m.slots.len());
-                if let Some(meta) = meta.filter(|m| m.parity > 0) {
-                    let group = (e.file, meta.group_of_slot(e.idx));
-                    groups.entry(group).or_default().pending += 1;
+                if let Some((group, _)) = meta.and_then(|m| m.group_member(e.idx)) {
+                    groups.entry((e.file, group)).or_default().pending += 1;
                 }
                 let home = meta.and_then(|meta| Self::primary_live_home(&mgr, meta, e.idx));
                 (i, home)
@@ -348,7 +347,7 @@ impl AggregateStore {
     fn primary_live_home(mgr: &Manager, meta: &FileMeta, idx: usize) -> Option<BenefactorId> {
         match meta.slots[idx] {
             Slot::Unmaterialized => {
-                copies::first_live(mgr, meta.homes_iter(idx), |_| true).map(|(_, h)| h)
+                copies::first_live(mgr, meta.homes_of(Member::Data(idx)), |_| true).map(|(_, h)| h)
             }
             Slot::Hole => copies::pick_destination(mgr, &[]),
             Slot::Chunk(c) => copies::trusted_copy(mgr, c, |_| true),
@@ -409,19 +408,15 @@ impl AggregateStore {
         let meta = self.slot_in(&mgr, file, idx)?;
         let slot = meta.slots[idx];
         let replicas = meta.replicas.max(1);
-        // (k, m, group) when this slot belongs to a parity group. Note
-        // this keys off the *owning* file: a checkpoint file holding a
-        // linked reference to an encoded chunk has `parity = 0` and its
+        // (k, m, group, member) when this slot is a member of one of the
+        // file's parity groups. Note this keys off the *owning* file: a
+        // linked reference to an encoded chunk — in a plain checkpoint, or
+        // past an encoded file's covered extent — is no member, and its
         // COW write produces a plain chunk, leaving the source group
         // untouched.
-        let parity_cfg = (meta.parity > 0).then(|| {
-            (
-                meta.group_data,
-                meta.parity,
-                meta.group_of_slot(idx),
-                idx % meta.group_data,
-            )
-        });
+        let parity_cfg = meta
+            .group_member(idx)
+            .map(|(group, member)| (meta.group_data, meta.parity, group, member));
 
         // Resolve the live home set for this write and, for an overwrite,
         // the trusted copy its splice base is read from.
@@ -683,7 +678,7 @@ impl AggregateStore {
                     b.store_chunk(at, c, data, dirty, true).end
                 };
                 let stored = self.ship_to_homes(mgr, t, client_node, &[home], dirty, ship);
-                mgr.set_parity_slot(file, group, p, Slot::Chunk(c));
+                mgr.set_slot(file, Member::Parity(group, p), Slot::Chunk(c));
                 stored
             };
             end = end.max(shipped);

@@ -3,8 +3,8 @@
 //! * **Ring growth is minimal** — adding one shard to an N-shard ring
 //!   moves keys *only* to the new shard, and in aggregate no more than
 //!   roughly its fair `1/(N+1)` share of a random key population.
-//! * **Revocation is airtight** — recovering a crashed shard (which
-//!   revokes its leases) always strictly bumps the placement epoch, and
+//! * **Revocation is airtight** — cold-rebooting a crashed shard rank
+//!   (which revokes its leases) always strictly bumps the placement epoch, and
 //!   no stale `LocationCache` hit survives it: the next batched fetch
 //!   re-resolves through the shards.
 
@@ -109,13 +109,13 @@ proptest! {
         let t = r.iter().map(|&(e, _)| e).max().unwrap();
         prop_assert_eq!(stats.get("store.loc_cache_hits"), hits0 + slots as u64);
         prop_assert_eq!(stats.get("store.mgr_rpcs"), rpcs0);
-        // Crash + recover an arbitrary shard. Recovery revokes the
-        // shard's delegations: the placement epoch must strictly
-        // advance, and not one stale cache hit may survive.
+        // Crash + cold-reboot an arbitrary shard's rank. The reboot
+        // revokes the rank's delegations: the placement epoch must
+        // strictly advance, and not one stale cache hit may survive.
         let victim = victim_raw % shards;
         let epoch0 = store.manager().placement_epoch();
-        store.set_shard_alive(victim, false);
-        store.set_shard_alive(victim, true);
+        store.set_manager_alive(victim, false, t);
+        store.set_manager_alive(victim, true, t);
         prop_assert!(
             store.manager().placement_epoch() > epoch0,
             "revocation must bump the placement epoch"

@@ -74,20 +74,13 @@ pub enum FaultEvent {
         rate_bp: u32,
         seed: u64,
     },
-    /// A placement-manager shard rank dies (DESIGN.md §12). Only that
-    /// shard's keyspace is quarantined: unleased lookups routed to it
-    /// fail after retries, while leases it already granted stay valid
-    /// and every other shard keeps serving.
-    ShardCrash { shard: usize },
-    /// The shard rank comes back with a cold lease table: every lease it
-    /// granted before the crash is revoked and the placement epoch
-    /// bumps, so no stale client-side resolution survives.
-    ShardRecover { shard: usize },
     /// A placement-manager rank loses its in-memory metadata entirely
-    /// (process crash, DESIGN.md §16). With HA standby enabled the
-    /// shard's standby rank replays the journaled metadata and takes
-    /// over after the failover timeout; without it, clients retry until
-    /// a recover event or exhaust into `StoreError::ManagerDown`.
+    /// (process crash, DESIGN.md §16). Only that rank's keyspace goes
+    /// dark: leases it already granted stay valid and every other rank
+    /// keeps serving. With HA standby enabled the shard's standby rank
+    /// replays the journaled metadata and takes over after the failover
+    /// timeout; without it, clients retry until a recover event or
+    /// exhaust into `StoreError::ManagerDown`.
     ManagerCrash { shard: usize },
     /// The crashed manager rank reboots. Its pre-crash leases are
     /// revoked and the placement epoch bumps (cold state); with HA
@@ -128,8 +121,6 @@ impl FaultEvent {
                 rate_bp,
                 ..
             } => format!("fault.corruption_rate b={benefactor} rate={rate_bp}bp"),
-            FaultEvent::ShardCrash { shard } => format!("fault.shard_crash s={shard}"),
-            FaultEvent::ShardRecover { shard } => format!("fault.shard_recover s={shard}"),
             FaultEvent::ManagerCrash { shard } => format!("fault.mgr_crash m={shard}"),
             FaultEvent::ManagerRecover { shard } => format!("fault.mgr_recover m={shard}"),
         }
@@ -282,16 +273,6 @@ impl FaultPlanBuilder {
         self.at(at, FaultEvent::TornWrite { benefactor })
     }
 
-    /// Kill placement shard `shard` at `at` (see [`FaultEvent::ShardCrash`]).
-    pub fn shard_crash(self, at: VTime, shard: usize) -> Self {
-        self.at(at, FaultEvent::ShardCrash { shard })
-    }
-
-    /// Revive placement shard `shard` at `at`, revoking its leases.
-    pub fn shard_recover(self, at: VTime, shard: usize) -> Self {
-        self.at(at, FaultEvent::ShardRecover { shard })
-    }
-
     /// Crash manager rank `shard` at `at` (see [`FaultEvent::ManagerCrash`]).
     pub fn mgr_crash(self, at: VTime, shard: usize) -> Self {
         self.at(at, FaultEvent::ManagerCrash { shard })
@@ -371,19 +352,6 @@ mod tests {
         assert_eq!(plan.remaining(), 1);
         assert_eq!(plan.due(VTime::from_secs(10)).len(), 1);
         assert_eq!(plan.next_at(), None);
-    }
-
-    #[test]
-    fn shard_events_schedule_and_describe() {
-        let mut plan = FaultPlanBuilder::new(3)
-            .shard_crash(VTime::from_secs(1), 2)
-            .shard_recover(VTime::from_secs(4), 2)
-            .build();
-        let due = plan.due(VTime::from_secs(5));
-        assert_eq!(due[0].event, FaultEvent::ShardCrash { shard: 2 });
-        assert_eq!(due[1].event, FaultEvent::ShardRecover { shard: 2 });
-        assert_eq!(due[0].event.describe(), "fault.shard_crash s=2");
-        assert_eq!(due[1].event.describe(), "fault.shard_recover s=2");
     }
 
     #[test]

@@ -383,7 +383,7 @@ impl Mount {
     /// mount are immediately visible to reads through any other). The
     /// lookup is a namespace RPC — routed through the placement ring's
     /// root shard when the sharded manager is on — so it can fail with
-    /// [`chunkstore::StoreError::ShardDown`] like any other metadata op.
+    /// [`chunkstore::StoreError::ManagerDown`] like any other metadata op.
     pub fn open(&self, t: VTime, name: &str) -> Result<(VTime, Option<FileId>)> {
         self.store.open(t, self.node, name)
     }

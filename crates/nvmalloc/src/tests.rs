@@ -191,6 +191,35 @@ fn checkpoint_and_restore() {
     });
 }
 
+/// The restart file of an RS(2, 1) job is the image's own group followed
+/// by the variable's linked chunks: losing the image's home must decode it
+/// from the image's group, never from the linked slots behind it.
+#[test]
+fn restore_dram_decodes_a_lost_image_of_an_rs_checkpoint() {
+    let w = world(4);
+    let c = client_with(&w, 4, 0, false, StripeSpec::all().with_parity(2, 1));
+    run1(move |ctx| {
+        let len = (4 * CHUNK) as usize;
+        let v: NvmVec<u8> = c.ssdmalloc(ctx, len).unwrap();
+        let data: Vec<u8> = (0..len).map(|i| (i as u8) ^ 0x5A).collect();
+        v.write_slice(ctx, 0, &data).unwrap();
+        let dram: Vec<u8> = (0..CHUNK as usize)
+            .map(|i| (i as u8).wrapping_mul(13) | 1)
+            .collect();
+        let ckpt = c.ssdcheckpoint(ctx, "rs", &dram, &[&v]).unwrap();
+        let store = c.mount().store();
+        let home = {
+            let mgr = store.manager();
+            let chunkstore::Slot::Chunk(image) = mgr.file(ckpt.file).unwrap().slots[0] else {
+                panic!("the image chunk is written");
+            };
+            mgr.chunk_home(image).unwrap()
+        };
+        store.set_benefactor_alive(home, false);
+        assert!(c.restore_dram(ctx, &ckpt).unwrap() == dram);
+    });
+}
+
 #[test]
 fn restoring_a_sparse_variable_keeps_its_holes() {
     for pipelined in [false, true] {

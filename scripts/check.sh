@@ -34,6 +34,12 @@ echo "==> one recorder mode and one critical path (a traced run is a causal run)
 ! grep -rnE 'enabled_causal|causal_enabled|ObsMode::Spans|spans_from_chrome|Cluster::with_obs\(' \
     crates src tests examples/*.rs || exit 1
 
+echo "==> one member setter, one layout walk and one manager-rank liveness"
+# A parity-only slot setter, a stripe-position helper outside FileMeta or a
+# shard liveness beside the manager rank's would each re-fork the metadata tier.
+! grep -rnE 'ShardCrash|ShardRecover|ShardDown|set_shard_alive|shard_alive\(|revoke_shard_leases|fn set_parity_slot|fn stripe_pos' \
+    crates src tests examples/*.rs || exit 1
+
 if [ "$quick" -eq 0 ]; then
     echo "==> cargo clippy (warnings are errors)"
     cargo clippy --workspace --all-targets -- -D warnings

@@ -20,7 +20,7 @@ rm -rf "$out"
 mkdir -p "$out/raw"
 
 # The one list: "<bench target> [args]". The six extension benches run at
-# --smoke scale (13 files); the ten paper targets that finish in < 10 s
+# --smoke scale (7 files); the ten paper targets that finish in < 10 s
 # run at their published scale. The five MM targets (fig3-fig6, table4:
 # ~8 min together) have no smoke size yet and are not in the ledger.
 # pipeline_overlap also exports its Chrome trace for check.sh to validate.
