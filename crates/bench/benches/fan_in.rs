@@ -5,7 +5,7 @@
 //! barrier-synchronized per-rank write burst (one manager write RPC per
 //! flushed chunk) followed by a hot read phase whose first pass resolves
 //! every chunk through the manager and whose second pass rides the
-//! lease-backed `LocationCache`. The serial manager (`shards=0`) charges
+//! `LocationCache`. The serial manager (`shards=0`) charges
 //! no CPU queueing — the pre-sharding cost model — while `shards>=1` puts
 //! a FIFO CPU in front of every shard rank.
 //!
@@ -37,7 +37,7 @@ const CHUNKS_PER_RANK: usize = 8;
 /// thrash it, so the read phase actually reaches the store and exercises
 /// placement resolution instead of the node-local page cache. The
 /// pipelined data path is on — that is the path that resolves placement
-/// through the (lease-backed) `LocationCache`.
+/// through the `LocationCache`.
 fn fuse() -> FuseConfig {
     FuseConfig {
         cache_bytes: 2 * 256 * 1024,
@@ -83,7 +83,7 @@ fn fan_in_body(ctx: &mut ProcCtx, env: &JobEnv) -> u64 {
     env.comm.barrier(ctx, env.rank);
     // Hot read phase, two passes over the same chunks: pass 1 resolves
     // placement through the manager, pass 2 re-fetches evicted chunks
-    // through the leased LocationCache without a manager round-trip.
+    // through the LocationCache without a manager round-trip.
     let mut sum = 0u64;
     for pass in 0..2 {
         for c in 0..CHUNKS_PER_RANK {
@@ -106,8 +106,6 @@ struct SweepRow {
     p99_us: f64,
     mgr_rpcs: u64,
     loc_hits: u64,
-    lease_grants: u64,
-    lease_renewals: u64,
     net_bytes: u64,
     /// Share of the critical path spent in shard-manager CPU (permille).
     /// This is the tentpole acceptance signal: extra shards must shrink
@@ -149,8 +147,6 @@ fn sweep_run(shards: usize) -> SweepRow {
         p99_us,
         mgr_rpcs: s.get("store.mgr_rpcs"),
         loc_hits: s.get("store.loc_cache_hits"),
-        lease_grants: s.get("store.lease_grants"),
-        lease_renewals: s.get("store.lease_renewals"),
         net_bytes: s.get("net.bytes"),
         mgr_cpu_permille,
         critpath,
@@ -198,7 +194,7 @@ fn smoke_run(shards: usize) -> (Vec<u64>, VTime, Vec<u64>, u64) {
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     header(
-        "Fan-in placement traffic: serial vs sharded manager with leases",
+        "Fan-in placement traffic: serial vs sharded manager",
         "ISSUE 6 tentpole (no paper counterpart)",
     );
 
@@ -207,8 +203,8 @@ fn main() {
     let (out1, span1, counters1, vol1) = smoke_run(1);
     let identical = out0 == out1 && span0 == span1 && counters0 == counters1;
 
-    // Leased hot path hit the location cache.
-    let leased = counters0[4] >= 1; // store.loc_cache_hits
+    // The hot path hit the location cache.
+    let cached = counters0[4] >= 1; // store.loc_cache_hits
 
     if smoke {
         println!("  [smoke] serial bit-identity gate only (1 rank, 1 benefactor)\n");
@@ -224,7 +220,7 @@ fn main() {
             report.counter(k, *v);
         }
         report.check("shards=1 bit-identical to the serial manager", identical);
-        report.check("leased hot path hit the location cache", leased);
+        report.check("hot path hit the location cache", cached);
         report.emit();
         return;
     }
@@ -241,7 +237,6 @@ fn main() {
         ("RPC p99 (us)", 13),
         ("Mgr RPCs", 9),
         ("LocHits", 8),
-        ("Leases", 7),
         ("MgrCPU\u{2030}", 8),
     ]);
     for r in &rows {
@@ -252,7 +247,6 @@ fn main() {
             format!("{:.1}", r.p99_us),
             r.mgr_rpcs.to_string(),
             r.loc_hits.to_string(),
-            r.lease_grants.to_string(),
             r.mgr_cpu_permille.to_string(),
         ]);
     }
@@ -277,8 +271,6 @@ fn main() {
         report.value(&format!("{key}_rpc_p99_us"), r.p99_us);
         report.counter(&format!("{key}_mgr_rpcs"), r.mgr_rpcs);
         report.counter(&format!("{key}_loc_cache_hits"), r.loc_hits);
-        report.counter(&format!("{key}_lease_grants"), r.lease_grants);
-        report.counter(&format!("{key}_lease_renewals"), r.lease_renewals);
         report.value(
             &format!("{key}_critpath_mgrcpu_permille"),
             r.mgr_cpu_permille,
@@ -306,7 +298,7 @@ fn main() {
     // while underloaded shards idle, so the measured tail improvement is
     // near-linear with a predictable haircut (deterministic at this seed:
     // ~1.5x at 2 shards, ~2.4x at 4, ~4.3x at 8). Thresholds sit just
-    // under measured so a real routing or lease regression trips them.
+    // under measured so a real routing or caching regression trips them.
     report.check(
         "RPC p99 improves near-linearly at 4 shards (>= 2.2x vs 1 shard)",
         s4.p99_us > 0.0 && s1.p99_us / s4.p99_us >= 2.2,
@@ -316,16 +308,10 @@ fn main() {
         s8.p99_us > 0.0 && s1.p99_us / s8.p99_us >= 4.0,
     );
     report.check(
-        "lease delegation eliminated manager round-trips (loc hits > 0)",
+        "the location cache eliminated manager round-trips (loc hits > 0)",
         rows.iter()
             .filter(|r| r.shards >= 1)
             .all(|r| r.loc_hits > 0),
-    );
-    report.check(
-        "every sharded run granted leases",
-        rows.iter()
-            .filter(|r| r.shards >= 1)
-            .all(|r| r.lease_grants > 0),
     );
     // The tentpole acceptance signal: shard-manager CPU time *on the
     // critical path* shrinks as shards are added, 1 -> 4 -> 8, even
@@ -343,7 +329,7 @@ fn main() {
     );
     check(
         "smoke serial gate also passed inside the full run",
-        identical && leased,
+        identical && cached,
     );
 
     // The 8-shard run's critical path and gauge series go into the

@@ -5,7 +5,7 @@
 use chunkstore::{AggregateStore, Benefactor, PlacementPolicy, StoreConfig, StripeSpec};
 use devices::{Ssd, INTEL_X25E};
 use fusemm::{FuseConfig, Mount};
-use netsim::{NetConfig, Network};
+use netsim::Network;
 use simcore::{Engine, ProcCtx, Rendezvous, StatsRegistry, VTime};
 use std::time::Instant;
 
@@ -107,7 +107,7 @@ fn verified_rs_rates(stats: &StatsRegistry) -> (u64, u64) {
     const CHUNKS: u64 = 64;
     const FETCHES: u64 = 8192;
     const OVERWRITES: u64 = 4096;
-    let net = Network::new(7, NetConfig::default(), stats);
+    let net = Network::new(7, stats);
     let cfg = StoreConfig {
         verify_reads: true,
         ..StoreConfig::default()
@@ -164,7 +164,7 @@ fn run_host_speed() -> bench::Json {
     const READ_PASSES: usize = 12;
 
     let stats = StatsRegistry::new();
-    let net = Network::new(5, NetConfig::default(), &stats);
+    let net = Network::new(5, &stats);
     let store = AggregateStore::new(StoreConfig::default(), net, &stats);
     for node in 1..=4usize {
         let ssd = Ssd::new(&format!("b{node}.ssd"), INTEL_X25E, &stats);

@@ -88,8 +88,8 @@ pub fn secs(t: VTime) -> String {
 /// row, the key order of the JSON `health` object. Only counters the run
 /// registered are reported: the first two rows exist in every store, the
 /// others are registered lazily with their feature (integrity, parity,
-/// manager HA, leases), so knobs-off reports carry no extra keys.
-const HEALTH_COUNTERS: [&[&str]; 6] = [
+/// manager HA), so knobs-off reports carry no extra keys.
+const HEALTH_COUNTERS: [&[&str]; 5] = [
     &[
         "store.benefactor_crashes",
         "store.benefactor_recoveries",
@@ -122,21 +122,19 @@ const HEALTH_COUNTERS: [&[&str]; 6] = [
         "store.mgr_failovers",
         "store.mgr_failover_us",
     ],
-    &[
-        "store.lease_grants",
-        "store.lease_renewals",
-        "store.lease_revokes",
-        "store.lease_expiries",
-    ],
 ];
+
+/// First key of the shard row, which follows the counter rows whenever a
+/// shard set is installed.
+const SHARD_ROW: &str = "manager_shards";
 
 /// The health report of a finished run: SSD wear (total + worst
 /// benefactor), then every registered counter of [`HEALTH_COUNTERS`]. The
-/// integrity and lease rows end with what only the store can tell: how
-/// many benefactors sit in quarantine, and whether delegation is doing its
-/// job — a high lease hit ratio with short shard queues is the design
-/// working, long queues with a low ratio is fan-in the leases failed to
-/// absorb.
+/// integrity row ends with how many benefactors sit in quarantine. With
+/// shards installed, a last row tells whether the metadata tier absorbs
+/// the fan-in: per-shard CPU queueing and the location-cache hit ratio —
+/// a high ratio with short shard queues is the design working, long
+/// queues with a low ratio is fan-in the cache failed to absorb.
 fn health(cluster: &Cluster) -> Vec<(String, Json)> {
     let wear = cluster.store.wear_reports();
     let total: u64 = wear.iter().map(|(_, w)| w.bytes_written).sum();
@@ -149,38 +147,33 @@ fn health(cluster: &Cluster) -> Vec<(String, Json)> {
     for &key in HEALTH_COUNTERS.into_iter().flatten() {
         let Some(&v) = snap.get(key) else { continue };
         h.push((key.to_string(), Json::UInt(v)));
-        let mut derived = |name: &str, v: Json| h.push((name.to_string(), v));
-        match key {
-            "store.quarantined" => derived(
-                "quarantined_benefactors",
-                cluster.store.manager().quarantined_count().into(),
-            ),
-            "store.lease_expiries" => {
-                derived("manager_shards", cluster.store.shards_installed().into());
-                // Per-shard CPU queueing + the lease hit ratio (permille,
-                // so the section stays integer-only).
-                let mut shards = Vec::new();
-                for (k, (queued, grants)) in cluster.store.shard_cpu_stats().iter().enumerate() {
-                    let mut sj = Json::obj();
-                    sj.set("shard", k);
-                    sj.set("rpcs", *grants);
-                    sj.set("queued_ns_total", queued.as_nanos());
-                    sj.set(
-                        "mean_queue_ns",
-                        queued.as_nanos().checked_div(*grants).unwrap_or(0),
-                    );
-                    shards.push(sj);
-                }
-                derived("shard_queues", Json::Arr(shards));
-                let hits = cluster.stats.get("store.loc_cache_hits");
-                let lookups = hits + cluster.stats.get("store.loc_cache_misses");
-                derived(
-                    "lease_hit_permille",
-                    (hits * 1000).checked_div(lookups).unwrap_or(0).into(),
-                );
-            }
-            _ => {}
+        if key == "store.quarantined" {
+            let quarantined = cluster.store.manager().quarantined_count();
+            h.push(("quarantined_benefactors".to_string(), quarantined.into()));
         }
+    }
+    let shards = cluster.store.shards_installed();
+    if shards > 0 {
+        h.push((SHARD_ROW.to_string(), shards.into()));
+        // Per-shard CPU queueing + the location-cache hit ratio
+        // (permille, so the row stays integer-only).
+        let mut queues = Vec::new();
+        for (k, (queued, grants)) in cluster.store.shard_cpu_stats().iter().enumerate() {
+            let mut sj = Json::obj();
+            sj.set("shard", k);
+            sj.set("rpcs", *grants);
+            sj.set("queued_ns_total", queued.as_nanos());
+            sj.set(
+                "mean_queue_ns",
+                queued.as_nanos().checked_div(*grants).unwrap_or(0),
+            );
+            queues.push(sj);
+        }
+        h.push(("shard_queues".to_string(), Json::Arr(queues)));
+        let hits = cluster.stats.get("store.loc_cache_hits");
+        let lookups = hits + cluster.stats.get("store.loc_cache_misses");
+        let permille = (hits * 1000).checked_div(lookups).unwrap_or(0);
+        h.push(("loc_cache_hit_permille".to_string(), permille.into()));
     }
     h
 }
@@ -206,16 +199,17 @@ fn health_text(key: &str, value: &Json) -> String {
 }
 
 /// Print the `[health <label>]` footer of a finished run: the [`health`]
-/// report, one line per row of [`HEALTH_COUNTERS`]. Every bench target
-/// that touches the NVM store prints this so failovers, repairs and wear
-/// imbalance are visible next to the numbers they influenced.
+/// report, one line per row of [`HEALTH_COUNTERS`] plus the shard row.
+/// Every bench target that touches the NVM store prints this so
+/// failovers, repairs and wear imbalance are visible next to the numbers
+/// they influenced.
 pub fn store_health(label: &str, cluster: &Cluster) {
     if cluster.store.wear_reports().is_empty() {
         return; // DRAM-only configuration: no store to report on
     }
     let mut line = String::new();
     for (key, value) in &health(cluster) {
-        if HEALTH_COUNTERS.iter().skip(1).any(|row| row[0] == key) {
+        if key == SHARD_ROW || HEALTH_COUNTERS.iter().skip(1).any(|row| row[0] == key) {
             println!("  [health {label}]{line}");
             line.clear();
         }
@@ -828,8 +822,7 @@ mod tests {
             store.parity_encodes store.parity_bytes store.degraded_reconstructs \
             store.parity_repairs \
             store.journal_records store.journal_replays store.mgr_failovers store.mgr_failover_us \
-            store.lease_grants store.lease_renewals store.lease_revokes store.lease_expiries \
-            manager_shards shard_queues lease_hit_permille"
+            manager_shards shard_queues loc_cache_hit_permille"
             .split(' ')
             .collect();
         assert_eq!(

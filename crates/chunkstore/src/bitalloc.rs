@@ -195,87 +195,6 @@ fn in_range_mask(in_range: usize) -> u64 {
     }
 }
 
-/// Flat growable bitmap set with an O(1) folded cardinality — the same
-/// substrate as [`BitAlloc`] without the summary tree, for dense small-
-/// integer sets (per-shard lease membership, DESIGN.md §13).
-#[derive(Debug, Clone, Default)]
-pub struct BitSet {
-    words: Vec<u64>,
-    count: usize,
-}
-
-impl BitSet {
-    /// An empty set; storage grows on insert.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Insert `i`; returns true if it was newly inserted.
-    pub fn insert(&mut self, i: usize) -> bool {
-        let w = i / 64;
-        if w >= self.words.len() {
-            self.words.resize(w + 1, 0);
-        }
-        let bit = 1u64 << (i % 64);
-        if self.words[w] & bit != 0 {
-            return false;
-        }
-        self.words[w] |= bit;
-        self.count += 1;
-        true
-    }
-
-    /// Remove `i`; returns true if it was present.
-    pub fn remove(&mut self, i: usize) -> bool {
-        let w = i / 64;
-        if w >= self.words.len() || self.words[w] & (1 << (i % 64)) == 0 {
-            return false;
-        }
-        self.words[w] &= !(1 << (i % 64));
-        self.count -= 1;
-        true
-    }
-
-    /// Membership test.
-    pub fn contains(&self, i: usize) -> bool {
-        let w = i / 64;
-        w < self.words.len() && self.words[w] >> (i % 64) & 1 == 1
-    }
-
-    /// Cardinality — O(1) folded counter.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
-    /// True when the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Remove every member, returning how many there were.
-    pub fn clear(&mut self) -> usize {
-        let n = self.count;
-        self.words.clear();
-        self.count = 0;
-        n
-    }
-
-    /// Members in ascending order.
-    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(w, &word)| {
-            let mut rest = word;
-            std::iter::from_fn(move || {
-                if rest == 0 {
-                    return None;
-                }
-                let j = rest.trailing_zeros() as usize;
-                rest &= rest - 1;
-                Some(w * 64 + j)
-            })
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -358,21 +277,5 @@ mod tests {
         let s = a.alloc().unwrap();
         a.release(s);
         a.release(s);
-    }
-
-    #[test]
-    fn bitset_basics() {
-        let mut s = BitSet::new();
-        assert!(s.insert(5));
-        assert!(s.insert(200));
-        assert!(!s.insert(5));
-        assert!(s.contains(5) && s.contains(200) && !s.contains(6));
-        assert_eq!(s.count(), 2);
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![5, 200]);
-        assert!(s.remove(5));
-        assert!(!s.remove(5));
-        assert_eq!(s.count(), 1);
-        assert_eq!(s.clear(), 1);
-        assert!(s.is_empty() && !s.contains(200));
     }
 }

@@ -39,8 +39,8 @@ pub enum StoreError {
     },
     /// The manager rank serving this request crashed and the retry
     /// window ran out before a standby takeover or reboot (DESIGN.md
-    /// §16). Only that rank's unleased keys are affected — leased clients
-    /// and other ranks keep working.
+    /// §16). Only requests that must ask that rank fail — clients
+    /// answering from their location caches and other ranks keep working.
     ManagerDown(usize),
     /// A parity group lost more members than its code can tolerate: fewer
     /// than k of the k+m members are readable, so the lost chunk cannot be

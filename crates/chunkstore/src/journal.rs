@@ -3,7 +3,7 @@
 //! Each placement-manager rank keeps its chunk metadata recoverable: a
 //! CRC-64-protected **superblock** plus an append-only **journal** of
 //! self-checksummed, length-prefixed records describing every placement
-//! mutation (chunk placed, chunk freed, lease revocation / epoch bump,
+//! mutation (chunk placed, chunk freed, placement-epoch bump,
 //! parity-group membership). The format follows the SPDK BlobStore
 //! discipline the design doc cites: metadata is explicitly synced in
 //! record-sized units, and load-time recovery *scans and repairs* — a
@@ -65,9 +65,9 @@ pub enum Record {
         benefactor: usize,
         slot: usize,
     },
-    /// Every lease this shard granted was revoked and the placement
-    /// epoch bumped to `epoch` (shard recovery / standby takeover).
-    RevokeLeases { epoch: u64 },
+    /// The placement epoch was bumped to `epoch` by a cold restart of
+    /// this rank (reboot or standby takeover).
+    EpochBump { epoch: u64 },
     /// `chunk` joined a parity group: member `member` of group `group`
     /// of file `file` (DESIGN.md §15 reverse map).
     GroupLink {
@@ -94,7 +94,7 @@ pub enum Record {
 // an on-media format.
 const TAG_PLACE: u8 = 1;
 const TAG_FREE: u8 = 2;
-const TAG_REVOKE: u8 = 3;
+const TAG_EPOCH_BUMP: u8 = 3;
 const TAG_GROUP_LINK: u8 = 4;
 const TAG_GROUP_UNLINK: u8 = 5;
 const TAG_LEAF_CHECKPOINT: u8 = 6;
@@ -140,8 +140,8 @@ impl Record {
                 put_u32(&mut out, *benefactor as u32);
                 put_u32(&mut out, *slot as u32);
             }
-            Record::RevokeLeases { epoch } => {
-                out.push(TAG_REVOKE);
+            Record::EpochBump { epoch } => {
+                out.push(TAG_EPOCH_BUMP);
                 put_u64(&mut out, *epoch);
             }
             Record::GroupLink {
@@ -209,11 +209,11 @@ impl Record {
                     }
                 }
             }
-            TAG_REVOKE => {
+            TAG_EPOCH_BUMP => {
                 if buf.len() != 9 {
                     return None;
                 }
-                Record::RevokeLeases {
+                Record::EpochBump {
                     epoch: get_u64(buf, 1)?,
                 }
             }
@@ -453,7 +453,7 @@ pub struct ShardMeta {
     /// benefactor → journaled leaf bitmap. Grows as records mention
     /// higher slots.
     leaf: BTreeMap<usize, LaneLeaf>,
-    /// Highest placement epoch seen in a `RevokeLeases` record.
+    /// Highest placement epoch seen in an `EpochBump` record.
     pub epoch: u64,
     /// chunk → (file, group, member) parity membership.
     pub groups: BTreeMap<ChunkId, (u64, u32, u32)>,
@@ -494,7 +494,7 @@ impl ShardMeta {
                     }
                 }
             }
-            Record::RevokeLeases { epoch } => self.epoch = self.epoch.max(*epoch),
+            Record::EpochBump { epoch } => self.epoch = self.epoch.max(*epoch),
             Record::GroupLink {
                 chunk,
                 file,
@@ -666,7 +666,7 @@ impl JournalSet {
         self.records.inc();
     }
 
-    /// Append a shard-addressed record (lease revocation) to `lane`.
+    /// Append a shard-addressed record (an epoch bump) to `lane`.
     pub fn append_to(&mut self, lane: usize, r: &Record) {
         let lane = lane.min(self.lanes.len() - 1);
         self.lanes[lane].append(r);
@@ -695,7 +695,7 @@ mod tests {
                 benefactor: 2,
                 slot: 513,
             },
-            Record::RevokeLeases { epoch: 42 },
+            Record::EpochBump { epoch: 42 },
             Record::GroupLink {
                 chunk: ChunkId(9),
                 file: 3,
@@ -750,7 +750,7 @@ mod tests {
         // Append one more record, then tear its last 3 bytes off.
         let mut raw = j.bytes().to_vec();
         let mut tail = Journal::new();
-        tail.append(&Record::RevokeLeases { epoch: 99 });
+        tail.append(&Record::EpochBump { epoch: 99 });
         raw.extend_from_slice(&tail.bytes()[..tail.byte_len() - 3]);
         let (back, stats) = Journal::scan_and_repair(&raw);
         assert_eq!(back.records(), all_variants().len() as u64);
@@ -776,7 +776,7 @@ mod tests {
     #[test]
     fn garbage_length_prefix_stops_the_scan() {
         let mut j = Journal::new();
-        j.append(&Record::RevokeLeases { epoch: 1 });
+        j.append(&Record::EpochBump { epoch: 1 });
         let mut raw = j.bytes().to_vec();
         put_u32(&mut raw, (MAX_RECORD_BYTES + 1) as u32);
         put_u64(&mut raw, 0);
@@ -886,7 +886,7 @@ mod tests {
                 },
             );
         }
-        set.append_to(2, &Record::RevokeLeases { epoch: 1 });
+        set.append_to(2, &Record::EpochBump { epoch: 1 });
         assert_eq!(set.total_records(), 65);
         assert_eq!(stats.get("store.journal_records"), 65);
         // Routing is ring-stable: the same chunk always lands in the

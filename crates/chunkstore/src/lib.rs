@@ -27,8 +27,9 @@
 //! * [`rs`] — the GF(2^8) Reed-Solomon codec behind the erasure-coded
 //!   redundancy tier (DESIGN.md §15);
 //! * [`shardmgr`] — the sharded placement manager (DESIGN.md §12):
-//!   consistent-hash ring over placement keys plus lease-based client
-//!   delegation, so hot paths skip the manager entirely;
+//!   consistent-hash ring over placement keys, one FIFO CPU per shard
+//!   rank; clients cache resolutions under the one epoch rule of
+//!   [`loc_cache`], whatever the manager's shape;
 //! * [`journal`] — crash-consistent manager metadata (DESIGN.md §16): a
 //!   CRC-64-protected superblock plus an append-only, self-checksummed
 //!   journal per manager rank, replayed by the standby on takeover.
@@ -50,7 +51,7 @@ pub mod shardmgr;
 pub mod store;
 
 pub use benefactor::Benefactor;
-pub use bitalloc::{BitAlloc, BitSet};
+pub use bitalloc::BitAlloc;
 pub use crc::crc64;
 pub use error::{Result, StoreError};
 pub use ids::{BenefactorId, ChunkId, FileId};

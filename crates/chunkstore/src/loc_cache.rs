@@ -11,9 +11,10 @@
 //! live — chunk materialization/COW, crash/recovery liveness flips,
 //! failover re-homing, repair, reconcile, file deletion/linking. A lookup
 //! whose stamp is older than the current epoch misses, and the next
-//! resolution refreshes it. This models lease/epoch invalidation
-//! piggybacked on the manager's heartbeat, which is why checking the
-//! epoch itself is not charged as an RPC.
+//! resolution refreshes it. This models invalidation piggybacked on the
+//! manager's heartbeat, which is why checking the epoch itself is not
+//! charged as an RPC. It is the only rule: a sharded manager changes who
+//! resolves a miss, not which cached entry may be used (DESIGN.md §12).
 
 use crate::ids::{BenefactorId, ChunkId, FileId};
 use parking_lot::Mutex;
@@ -88,27 +89,6 @@ impl LocationCache {
                 None
             }
         }
-    }
-
-    /// The sharded manager's lease gate (DESIGN.md §12): the client has
-    /// no delegation authority from the owning shard, so a cached entry
-    /// — even a fresh one — may not be used and the target must go to
-    /// the shard. Replays `lookup`'s epoch-transition bookkeeping
-    /// (invalidation counting + clear) and counts the forced miss, then
-    /// drops the unusable entry so the shard's answer replaces it. With
-    /// one shard and a held lease this path never runs, keeping counters
-    /// bit-identical to the serial manager.
-    pub(crate) fn note_unleased_miss(&self, current_epoch: u64, key: (FileId, usize)) {
-        let mut inner = self.inner.lock();
-        if inner.epoch != current_epoch {
-            if !inner.map.is_empty() {
-                self.invalidations.inc();
-            }
-            inner.map.clear();
-            inner.epoch = current_epoch;
-        }
-        inner.map.remove(&key);
-        self.misses.inc();
     }
 
     /// Record a fresh resolution made at `epoch`.

@@ -215,7 +215,7 @@ impl Manager {
     pub(crate) fn revoke_epoch(&mut self, rank: usize) {
         self.bump_placement_epoch();
         let epoch = self.placement_epoch;
-        self.journal_to(|_| rank, Record::RevokeLeases { epoch });
+        self.journal_to(|_| rank, Record::EpochBump { epoch });
     }
 
     // ----- benefactor fleet -------------------------------------------------

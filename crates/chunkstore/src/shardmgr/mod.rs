@@ -10,10 +10,12 @@
 //!   slot-addressed keys to shards; clients compute owners locally and
 //!   route `fetch_chunks` / `write_pages_batch` resolution directly to
 //!   the owning shard's RPC endpoint (registered with `netsim`).
-//! * [`lease`] — per-shard CPU + the lease table: TTL-bounded
-//!   delegation letting a leased client answer placement from its
-//!   `LocationCache` without any manager round-trip; grants/renewals
-//!   piggyback on RPC responses, revocation bumps the placement epoch.
+//! * [`set`] — the installed fleet: per shard rank its node, standby and
+//!   FIFO metadata CPU, and its RPC counter.
+//!
+//! A client's `LocationCache` answers for both manager shapes under one
+//! rule, the placement epoch (DESIGN.md §8): sharding changes who is
+//! asked and where the RPC queues, never which cached answer is good.
 //!
 //! Everything defaults **off**: with `StoreConfig::manager_shards == 0`
 //! the store keeps its serial single-manager path, byte-identical to the
@@ -22,11 +24,11 @@
 //! diffs exactly this); extra shards split the keyspace and the RPC
 //! fan-in near-linearly.
 
-pub mod lease;
 pub mod ring;
+pub mod set;
 
-pub use lease::{LeaseCounters, ShardSet};
 pub use ring::{HashRing, DEFAULT_VNODES};
+pub use set::ShardSet;
 
 /// Ring seed used by cluster builds. Fixed (not wall-clock, not host
 /// randomness): ownership maps must be identical across runs and across

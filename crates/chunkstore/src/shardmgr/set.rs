@@ -1,0 +1,169 @@
+//! Per-shard runtime state: the ring, and per shard rank its node, its
+//! standby and its metadata CPU.
+//!
+//! Which cached placement a client may use is not decided here: a
+//! `LocationCache` entry is good while the manager's placement epoch has
+//! not moved, whatever the manager's shape (DESIGN.md §8, §12). A rank's
+//! cold restart or standby takeover bumps that epoch.
+
+use super::ring::HashRing;
+use simcore::{Counter, Resource, VTime};
+
+/// One placement-manager shard rank.
+#[derive(Debug)]
+struct ShardState {
+    /// Cluster node the shard rank runs on.
+    node: usize,
+    /// Node of this shard's standby manager rank (manager HA, DESIGN.md
+    /// §16); `None` when the shard runs without one.
+    standby: Option<usize>,
+    /// The shard's metadata CPU: RPCs queue FIFO here, which is where
+    /// fan-in contention lives and what extra shards relieve.
+    cpu: Resource,
+}
+
+/// The installed shard fleet: ring + per-shard state.
+#[derive(Debug)]
+pub struct ShardSet {
+    ring: HashRing,
+    shards: Vec<ShardState>,
+    /// `store.shard_rpcs.s{k}` — per-shard RPC attribution.
+    per_shard_rpcs: Vec<Counter>,
+}
+
+impl ShardSet {
+    pub fn new(ring: HashRing, nodes: &[usize], per_shard_rpcs: Vec<Counter>) -> Self {
+        assert_eq!(ring.shards(), nodes.len(), "one node per ring shard");
+        assert_eq!(nodes.len(), per_shard_rpcs.len(), "one counter per shard");
+        ShardSet {
+            ring,
+            shards: nodes
+                .iter()
+                .enumerate()
+                .map(|(k, &node)| ShardState {
+                    node,
+                    standby: None,
+                    cpu: Resource::new(format!("shardmgr.s{k}.cpu")),
+                })
+                .collect(),
+            per_shard_rpcs,
+        }
+    }
+
+    pub fn len(&self) -> usize {
+        self.shards.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.shards.is_empty()
+    }
+
+    pub fn ring(&self) -> &HashRing {
+        &self.ring
+    }
+
+    /// Install a standby manager rank for `shard` on `node` (DESIGN.md
+    /// §16). The standby holds no state of its own — at takeover it
+    /// replays the shard's metadata journal.
+    pub fn set_standby(&mut self, shard: usize, node: usize) {
+        self.shards[shard].standby = Some(node);
+    }
+
+    /// Promote `shard`'s standby: it becomes the serving rank (its node
+    /// is returned so the store can re-point the shard's RPC endpoint)
+    /// and the crashed ex-primary's node takes the standby slot, so a
+    /// later reboot rejoins as the new standby. `None` — and no state
+    /// change — when the shard has no standby.
+    pub fn promote_standby(&mut self, shard: usize) -> Option<usize> {
+        let s = &mut self.shards[shard];
+        let standby = s.standby?;
+        s.standby = Some(s.node);
+        s.node = standby;
+        Some(standby)
+    }
+
+    /// Occupy the shard's CPU for one metadata operation arriving at
+    /// `t_req`. The full grant is returned: the causal tracer needs the
+    /// service *start* too, to split queueing from service in the
+    /// `shardmgr.cpu` span.
+    pub fn cpu_grant(&self, shard: usize, t_req: VTime, busy: VTime) -> simcore::Grant {
+        self.shards[shard].cpu.acquire_at(t_req, busy)
+    }
+
+    /// Virtual time at which `shard`'s CPU next falls idle (gauge probe:
+    /// backlog = `next_free - now`, clamped at zero).
+    pub fn cpu_next_free(&self, shard: usize) -> VTime {
+        self.shards[shard].cpu.next_free()
+    }
+
+    /// Total time RPCs spent queued for `shard`'s CPU, and how many were
+    /// served (for mean-queue-delay reporting).
+    pub fn cpu_queue_stats(&self, shard: usize) -> (VTime, u64) {
+        let cpu = &self.shards[shard].cpu;
+        (cpu.queued_total(), cpu.grants())
+    }
+
+    pub fn count_rpc(&self, shard: usize) {
+        self.per_shard_rpcs[shard].inc();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::ring::DEFAULT_VNODES;
+    use super::*;
+    use simcore::StatsRegistry;
+
+    fn set(shards: usize) -> (ShardSet, StatsRegistry) {
+        let stats = StatsRegistry::new();
+        let rpcs = (0..shards)
+            .map(|k| stats.counter(&format!("store.shard_rpcs.s{k}")))
+            .collect();
+        let ring = HashRing::new(shards, DEFAULT_VNODES, 5);
+        let nodes: Vec<usize> = (0..shards).collect();
+        (ShardSet::new(ring, &nodes, rpcs), stats)
+    }
+
+    #[test]
+    fn rpc_counts_only_that_shard() {
+        let (s, stats) = set(3);
+        s.count_rpc(0);
+        s.count_rpc(0);
+        s.count_rpc(2);
+        assert_eq!(stats.get("store.shard_rpcs.s0"), 2);
+        assert_eq!(
+            stats.get("store.shard_rpcs.s1"),
+            0,
+            "other shards untouched"
+        );
+        assert_eq!(stats.get("store.shard_rpcs.s2"), 1);
+    }
+
+    #[test]
+    fn standby_promotion_swaps_ranks() {
+        let (mut s, _) = set(2);
+        assert_eq!(s.promote_standby(0), None, "no standby installed");
+        s.set_standby(0, 9);
+        assert_eq!(
+            s.promote_standby(0),
+            Some(9),
+            "standby now serves the shard"
+        );
+        assert_eq!(
+            s.promote_standby(0),
+            Some(0),
+            "ex-primary became the standby"
+        );
+        assert_eq!(s.promote_standby(1), None, "other shards untouched");
+    }
+
+    #[test]
+    fn cpu_queues_fifo() {
+        let (s, _) = set(1);
+        let busy = VTime::from_micros(10);
+        let a = s.cpu_grant(0, VTime::ZERO, busy).end;
+        let b = s.cpu_grant(0, VTime::ZERO, busy).end;
+        assert_eq!(a, busy);
+        assert_eq!(b, busy * 2, "second op waits behind the first");
+    }
+}

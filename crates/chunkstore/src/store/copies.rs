@@ -1,13 +1,12 @@
 //! The lifecycle of a stored chunk copy, decided once.
 //!
-//! Reads, writes, scrub, both repair sweeps and manager failover all have
-//! to answer the same questions — which stored copy may be trusted, what
-//! happens to one that fails its CRC, where a new copy goes, how a copy is
-//! moved, how a lost parity-group member is decoded and installed, how
-//! dirty bytes reach every live home, what a cold manager restart
-//! invalidates. Each answer lives here, as a plain function over the
-//! manager (and the network, when it charges time); callers wrap their own
-//! schedule, counters and spans around it. Nothing here takes a lock:
+//! Reads, writes, scrub and both repair sweeps all have to answer the
+//! same questions — which stored copy may be trusted, what happens to one
+//! that fails its CRC, where a new copy goes, how a copy is moved, how a
+//! lost parity-group member is decoded and installed, how dirty bytes
+//! reach every live home. Each answer lives here, as a plain function over
+//! the manager (and the network, when it charges time); callers wrap their
+//! own schedule, counters and spans around it. Nothing here takes a lock:
 //! scrub and the sweeps already hold the manager while the read path
 //! takes it per step.
 
@@ -18,7 +17,6 @@ use crate::ids::{BenefactorId, ChunkId};
 use crate::manager::{GroupRef, Manager, Member, Slot};
 use crate::payload::{leaf_with, zero_chunk, ChunkBuf};
 use crate::rs::{gf_mul_acc, RsCode};
-use crate::shardmgr::ShardSet;
 use netsim::Network;
 use simcore::VTime;
 
@@ -120,26 +118,6 @@ impl AggregateStore {
         }
         end
     }
-}
-
-/// What a cold manager (re)start invalidates, whether it is a rank reboot
-/// or a standby takeover: every lease the rank granted, and — through the
-/// placement-epoch bump — every client-side `LocationCache` resolution.
-/// The pairing is load-bearing: the bump is what makes revoked clients
-/// stop trusting their caches, so no stale hit can survive a revoke (the
-/// `shardmgr_model` proptest pins this). The bump is journaled (a no-op
-/// unless HA journaling is on) so a replayed rank knows the epoch its
-/// lease table died at. With the serial manager there is no lease table,
-/// only the epoch.
-pub(super) fn cold_restart_invalidate(
-    shards: Option<&mut ShardSet>,
-    mgr: &mut Manager,
-    rank: usize,
-) {
-    if let Some(ss) = shards {
-        ss.revoke_shard(rank);
-    }
-    mgr.revoke_epoch(rank);
 }
 
 // ----- erasure-coded group members (DESIGN.md §15) --------------------------

@@ -1,15 +1,12 @@
 //! The metadata plane: the manager RPC every operation pays, the sharded
-//! placement manager with its leases (DESIGN.md §12), and manager high
-//! availability — crash, cold reboot, standby takeover (DESIGN.md §16).
+//! placement manager (DESIGN.md §12), and manager high availability —
+//! crash, cold reboot, standby takeover (DESIGN.md §16).
 
 use super::chain::ChainScratch;
-use super::{
-    copies, AggregateStore, FAILOVER_TIMEOUT, LEASE_TTL, REPLAY_RECORD_CPU, RETRY_BACKOFF,
-    RPC_BYTES,
-};
+use super::{AggregateStore, FAILOVER_TIMEOUT, REPLAY_RECORD_CPU, RETRY_BACKOFF, RPC_BYTES};
 use crate::error::{Result, StoreError};
 use crate::ids::FileId;
-use crate::shardmgr::{HashRing, LeaseCounters, ShardSet, DEFAULT_VNODES};
+use crate::shardmgr::{HashRing, ShardSet, DEFAULT_VNODES};
 use obs::{Layer, SHARD_LANE_BASE};
 use simcore::VTime;
 use std::sync::Arc;
@@ -63,11 +60,10 @@ impl AggregateStore {
     /// control-sized messages to the rank's node (a shard's registered
     /// endpoint). A shard operation occupies the shard's FIFO metadata
     /// CPU — which is where client fan-in queues, and what extra shards
-    /// relieve — and its response piggybacks a lease grant/renewal for
-    /// the calling client; the serial manager charges `mgr_cpu` without
-    /// queueing. A crashed manager rank is retried on the same backoff
-    /// schedule as benefactor failover — a scheduled recovery or standby
-    /// takeover may land in between — before the op fails with
+    /// relieve; the serial manager charges `mgr_cpu` without queueing. A
+    /// crashed manager rank is retried on the same backoff schedule as
+    /// benefactor failover — a scheduled recovery or standby takeover
+    /// may land in between — before the op fails with
     /// [`StoreError::ManagerDown`]. The fault-free path is one rank-table
     /// len-check.
     fn meta_rpc(
@@ -108,13 +104,6 @@ impl AggregateStore {
             None => req.arrived + self.cfg.mgr_cpu,
         };
         let resp = self.net.transfer_at(done, node, client_node, RPC_BYTES);
-        if let Some(k) = shard {
-            self.shards
-                .lock()
-                .as_mut()
-                .expect("shard set installed")
-                .grant_lease(k, client_node, resp.arrived);
-        }
         sp.finish(resp.arrived);
         Ok(resp.arrived)
     }
@@ -150,18 +139,12 @@ impl AggregateStore {
 
     /// Install the sharded placement manager: shard `k` runs on
     /// `nodes[k]` and owns the keyspace the ring assigns it. Registers
-    /// each shard's RPC endpoint with the network fabric and the
-    /// shard/lease counters — lazily, like the integrity set, so
-    /// knobs-off stat snapshots do not grow keys. `seed` fixes the ring
-    /// layout; cluster builds pass [`crate::shardmgr::DEFAULT_RING_SEED`].
+    /// each shard's RPC endpoint with the network fabric and the per-shard
+    /// RPC counters — lazily, like the integrity set, so knobs-off stat
+    /// snapshots do not grow keys. `seed` fixes the ring layout; cluster
+    /// builds pass [`crate::shardmgr::DEFAULT_RING_SEED`].
     pub fn install_shards(&self, nodes: &[usize], seed: u64) {
         assert!(!nodes.is_empty(), "a shard set needs at least one rank");
-        let counters = LeaseCounters {
-            grants: self.stats.counter("store.lease_grants"),
-            renewals: self.stats.counter("store.lease_renewals"),
-            revokes: self.stats.counter("store.lease_revokes"),
-            expiries: self.stats.counter("store.lease_expiries"),
-        };
         let per_shard = (0..nodes.len())
             .map(|k| self.stats.counter(&format!("store.shard_rpcs.s{k}")))
             .collect();
@@ -169,9 +152,7 @@ impl AggregateStore {
             self.net.register_endpoint(&shard_endpoint(k), node);
         }
         let ring = HashRing::new(nodes.len(), DEFAULT_VNODES, seed);
-        *self.shards.lock() = Some(ShardSet::new(
-            ring, nodes, LEASE_TTL, seed, counters, per_shard,
-        ));
+        *self.shards.lock() = Some(ShardSet::new(ring, nodes, per_shard));
         self.register_shard_gauges(nodes.len());
     }
 
@@ -210,14 +191,6 @@ impl AggregateStore {
             .lock()
             .as_ref()
             .map(|s| s.ring().owner_of_slot(file, idx))
-    }
-
-    /// Live leases currently granted by `shard` (tests/benches).
-    pub fn shard_leases(&self, shard: usize) -> usize {
-        self.shards
-            .lock()
-            .as_ref()
-            .map_or(0, |s| s.leases_held(shard))
     }
 
     /// Per-shard CPU queue accounting: `(total queued time, RPCs served)`
@@ -286,26 +259,21 @@ impl AggregateStore {
         Ok(())
     }
 
-    fn cold_restart_invalidate(&self, rank: usize) {
-        let mut shards = self.shards.lock();
-        copies::cold_restart_invalidate(shards.as_mut(), &mut self.mgr.lock(), rank);
-    }
-
     // ----- manager HA (DESIGN.md §16) ---------------------------------------
 
     /// Simulate a manager-rank crash or reboot (DESIGN.md §16) — the one
     /// liveness a metadata rank has. `rank` is the placement shard whose
     /// hosting process dies (rank 0 with the serial manager). A crash
     /// stops that rank answering metadata RPCs — only its keyspace:
-    /// clients of other ranks, and leased clients answering placement
-    /// from their caches, never notice — and its unleased clients sit in
-    /// the retry/backoff loop. With `ha_standby` the rank's standby
+    /// clients of other ranks, and clients answering placement from their
+    /// location caches, never notice — and a client that must ask it sits
+    /// in the retry/backoff loop. With `ha_standby` the rank's standby
     /// schedules a takeover at crash time + `FAILOVER_TIMEOUT` +
     /// journal-replay cost; without it the rank stays down until a
-    /// scheduled `ManagerRecover` reboots it cold, which revokes every
-    /// lease it granted and bumps the placement epoch. A reboot after the
-    /// standby already took over just rejoins as the new standby
-    /// (`promote_standby` parked its node there).
+    /// scheduled `ManagerRecover` reboots it cold, which bumps the
+    /// placement epoch. A reboot after the standby already took over just
+    /// rejoins as the new standby (`promote_standby` parked its node
+    /// there).
     pub fn set_manager_alive(&self, rank: usize, alive: bool, at: VTime) {
         let ranks = self.shards_installed().max(1).max(rank + 1);
         // Compute replay cost outside the HA lock (lock order: ha → mgr
@@ -322,8 +290,8 @@ impl AggregateStore {
         if alive {
             if ha[rank].take().is_some() {
                 drop(ha);
-                // Cold restart: no pre-crash delegation survives the reboot.
-                self.cold_restart_invalidate(rank);
+                // Cold restart: no pre-crash cached placement survives.
+                self.mgr.lock().revoke_epoch(rank);
             }
         } else if ha[rank].is_none() {
             let takeover_at = self.cfg.ha_standby.then(|| {
@@ -341,9 +309,9 @@ impl AggregateStore {
 
     /// Is manager rank `rank` serving at `t`? Drives standby takeover:
     /// the first readiness probe at or past the takeover deadline
-    /// performs the failover (journal replay + promotion + lease
-    /// revocation) and reports the rank back up. Trivially true when no
-    /// manager fault ever fired — the rank table stays empty.
+    /// performs the failover (journal replay + promotion + epoch bump)
+    /// and reports the rank back up. Trivially true when no manager fault
+    /// ever fired — the rank table stays empty.
     fn manager_rank_ready(&self, rank: usize, t: VTime) -> bool {
         let crashed = self.ha.lock().get(rank).copied().flatten();
         let takeover = match crashed.map(|c| c.takeover_at) {
@@ -359,9 +327,9 @@ impl AggregateStore {
     /// unload the rank's journal lane as a superblock + log image,
     /// scan-and-repair and replay it (rebuilding slot bitmaps through
     /// `BitAlloc::from_leaf`), verify the replayed metadata against the
-    /// live fleet, promote the standby to serving rank, and revoke every
-    /// pre-crash lease with a placement-epoch bump so the
-    /// `LocationCache` cannot serve a stale placement.
+    /// live fleet, promote the standby to serving rank, and bump the
+    /// placement epoch so no `LocationCache` can serve a pre-crash
+    /// placement.
     fn failover_manager(&self, rank: usize, at: VTime) {
         let Some(crashed) = self.ha.lock()[rank].take() else {
             return; // a racing probe already promoted
@@ -395,9 +363,8 @@ impl AggregateStore {
         if let Some(node) = promoted {
             self.net.register_endpoint(&shard_endpoint(rank), node);
         }
-        // No pre-crash delegation survives the takeover: the standby's
-        // lease table is cold.
-        self.cold_restart_invalidate(rank);
+        // No pre-crash cached placement survives the takeover.
+        self.mgr.lock().revoke_epoch(rank);
         self.trace
             .instant(Layer::Fault, format!("store.mgr_failover m={rank}"), at);
     }

@@ -8,7 +8,7 @@
 //!
 //! One `impl AggregateStore`, split by concern (DESIGN.md "store module
 //! map"): this file holds configuration, construction and the control
-//! plane; `meta` the metadata RPC, shards, leases and manager HA;
+//! plane; `meta` the metadata RPC, shards and manager HA;
 //! `faults` fault injection; `read` and `write` the data plane;
 //! `chain` the per-benefactor chain drain both directions share;
 //! `repair` the scrub daemon and the two repair sweeps. Every decision
@@ -104,8 +104,6 @@ pub const PAGE_BYTES: u64 = 4096;
 pub(crate) const RPC_BYTES: u64 = 256;
 /// Virtual-time backoff between failover retries.
 pub(crate) const RETRY_BACKOFF: VTime = VTime::from_millis(5);
-/// TTL of a client's placement-delegation lease in shard mode.
-pub(crate) const LEASE_TTL: VTime = VTime::from_secs(5);
 /// Crash-detection window: how long after a manager crash the standby
 /// waits before starting takeover (models failure detection plus fencing
 /// of the dead rank).
@@ -332,8 +330,8 @@ impl AggregateStore {
     }
 
     /// Attach a metrics sampler (builder style; clones share it) and
-    /// register the store-side gauges on it: benefactor free slots, lease
-    /// hit ratio, per-shard CPU backlog. The sampler is then polled at
+    /// register the store-side gauges on it: benefactor free slots,
+    /// location-cache hit ratio, per-shard CPU backlog. The sampler is then polled at
     /// the top of every timed store operation.
     pub fn with_sampler(mut self, sampler: MetricsSampler) -> Self {
         self.sampler = sampler;
@@ -355,11 +353,11 @@ impl AggregateStore {
             "store.free_slots",
             Box::new(move |_| mgr.try_lock().map(|m| m.space().1 / chunk)),
         );
-        // Location-cache (lease-delegated placement) hit ratio, permille.
-        // No sample until the first lookup happens.
+        // Location-cache hit ratio, permille. No sample until the first
+        // lookup happens.
         let stats = self.stats.clone();
         self.sampler.register(
-            "store.lease_hit_permille",
+            "store.loc_cache_hit_permille",
             Box::new(move |_| {
                 let hits = stats.get("store.loc_cache_hits");
                 let total = hits + stats.get("store.loc_cache_misses");

@@ -317,30 +317,18 @@ impl AggregateStore {
                 .arg("client", client_node as u64);
         }
 
-        // Resolve from the location cache where the epoch allows. In
-        // shard mode a cached entry may only be used while the client
-        // holds a live lease from the shard owning that target
-        // (DESIGN.md §12) — an unleased target is forced to the shard
-        // even when cached. A call without a cache (the paper path) has
-        // nothing cached, asks the manager for every target and touches
-        // no lease.
+        // Resolve from the location cache where the placement epoch
+        // allows — the one validity rule, for the serial manager and for
+        // every shard (DESIGN.md §8). A call without a cache (the paper
+        // path) has nothing cached and asks the manager for every target.
         let mut sc = ChainScratch::take();
         self.owners_of(targets.iter().copied(), &mut sc.owners);
         let cached: Vec<Option<CachedLoc>> = cache.map_or_else(Vec::new, |cache| {
             let epoch = self.mgr.lock().placement_epoch();
-            let mut shards = self.shards.lock();
-            let lookup = |(&key, &owner): (&(FileId, usize), &Option<usize>)| {
-                let leased = owner.is_none_or(|o| {
-                    let ss = shards.as_mut().expect("shard set installed");
-                    ss.check_lease(o, client_node, t)
-                });
-                if !leased {
-                    cache.note_unleased_miss(epoch, key);
-                    return None;
-                }
-                cache.lookup(epoch, key)
-            };
-            targets.iter().zip(&sc.owners).map(lookup).collect()
+            targets
+                .iter()
+                .map(|&key| cache.lookup(epoch, key))
+                .collect()
         });
         let cached = |i: usize| cached.get(i).and_then(Option::as_ref);
 
@@ -349,7 +337,7 @@ impl AggregateStore {
         // queue on *different* shard CPUs, which is the whole point).
         // Entry `i` may start its benefactor chain at `ready[i]`: its
         // owner's response arrival, or `t` when its shard was never
-        // consulted (a leased cache hit). A fully cached call skips
+        // consulted (a cache hit). A fully cached call skips
         // every manager round-trip.
         self.resolve_fan_out(t, client_node, MgrOp::Fetch, &mut sc, |i| {
             cached(i).is_none()

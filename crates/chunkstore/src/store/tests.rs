@@ -5,7 +5,6 @@ use crate::manager::Slot;
 use crate::rs::RsCode;
 use ::faults;
 use devices::{Ssd, INTEL_X25E};
-use netsim::NetConfig;
 use simcore::time::bytes::mib;
 
 const CHUNK: u64 = 256 * 1024;
@@ -14,7 +13,7 @@ const CHUNK: u64 = 256 * 1024;
 /// client drives from node 3.
 fn store() -> (AggregateStore, StatsRegistry) {
     let stats = StatsRegistry::new();
-    let net = Network::new(4, NetConfig::default(), &stats);
+    let net = Network::new(4, &stats);
     let store = AggregateStore::new(StoreConfig::default(), net, &stats);
     for (i, node) in [1usize, 2].iter().enumerate() {
         let ssd = Ssd::new(&format!("b{i}.ssd"), INTEL_X25E, &stats);
@@ -297,7 +296,7 @@ fn dirty_page_traffic_is_page_sized_not_chunk_sized() {
 /// `n` benefactors on nodes `1..=n`; the client drives from node `n+1`.
 fn store_n(n: usize) -> (AggregateStore, StatsRegistry) {
     let stats = StatsRegistry::new();
-    let net = Network::new(n + 2, NetConfig::default(), &stats);
+    let net = Network::new(n + 2, &stats);
     let store = AggregateStore::new(StoreConfig::default(), net, &stats);
     for i in 0..n {
         let ssd = Ssd::new(&format!("b{i}.ssd"), INTEL_X25E, &stats);
@@ -545,7 +544,7 @@ fn fetch_retry_waits_out_a_scheduled_recovery() {
 /// Like `store_n` but with read verification switched on.
 fn store_verify(n: usize) -> (AggregateStore, StatsRegistry) {
     let stats = StatsRegistry::new();
-    let net = Network::new(n + 2, NetConfig::default(), &stats);
+    let net = Network::new(n + 2, &stats);
     let cfg = StoreConfig {
         verify_reads: true,
         ..StoreConfig::default()
@@ -1035,7 +1034,7 @@ fn integrity_knobs_off_changes_nothing() {
     // not grow keys).
     let run = |verify: bool| -> (VTime, bool) {
         let stats = StatsRegistry::new();
-        let net = Network::new(4, NetConfig::default(), &stats);
+        let net = Network::new(4, &stats);
         let cfg = StoreConfig {
             verify_reads: verify,
             ..StoreConfig::default()
@@ -1098,31 +1097,16 @@ fn per_op_rpc_counters_split_the_aggregate() {
     );
 }
 
-/// ISSUE 6 acceptance: with one shard co-located with the serial
-/// manager's node, a mixed workload (batched writes, batched + serial
-/// fetches through a `LocationCache`, namespace ops) is bit-identical
-/// to the serial manager — same per-op virtual times, same shared
-/// counters — and the lease counters only exist in shard mode.
+/// With one shard co-located with the serial manager's node, a mixed
+/// workload (batched writes, batched + serial fetches through a
+/// `LocationCache`, namespace ops) is bit-identical to the serial
+/// manager: same per-op virtual times, and the same counter snapshot
+/// except `store.shard_rpcs.s0`, the one counter a shard set adds.
 #[test]
 fn single_shard_matches_serial_manager_exactly() {
-    const SHARED: &[&str] = &[
-        "store.mgr_rpcs",
-        "store.mgr_rpc_fetch",
-        "store.mgr_rpc_write",
-        "store.mgr_rpc_place",
-        "store.loc_cache_hits",
-        "store.loc_cache_misses",
-        "store.loc_cache_invalidations",
-        "store.chunk_fetches",
-        "store.batched_fetches",
-        "store.batched_writes",
-        "store.zero_fills",
-        "net.bytes",
-        "net.messages",
-    ];
-    let run = |sharded: bool| -> (Vec<VTime>, Vec<u64>, bool) {
+    let run = |sharded: bool| {
         let stats = StatsRegistry::new();
-        let net = Network::new(4, NetConfig::default(), &stats);
+        let net = Network::new(4, &stats);
         let store = AggregateStore::new(StoreConfig::default(), net, &stats);
         for (i, node) in [1usize, 2].iter().enumerate() {
             let ssd = Ssd::new(&format!("b{i}.ssd"), INTEL_X25E, &stats);
@@ -1172,7 +1156,7 @@ fn single_shard_matches_serial_manager_exactly() {
             .unwrap();
         t = r.iter().map(|&(e, _)| e).max().unwrap();
         times.extend(r.iter().map(|&(e, _)| e));
-        // Warm cache (and, in shard mode, a held lease): no RPC.
+        // Warm cache: no RPC, whatever the manager's shape.
         let rpcs_before = stats.get("store.mgr_rpcs");
         let r = store
             .fetch_chunks(t, 3, &[(f, 0), (f, 2)], Some(&cache))
@@ -1190,19 +1174,14 @@ fn single_shard_matches_serial_manager_exactly() {
         let (t4, found) = store.open(t3, 3, "/m").unwrap();
         assert!(found.is_some());
         times.extend([t2, t3, t4]);
-        let snap = stats.snapshot().values;
-        let shared: Vec<u64> = SHARED
-            .iter()
-            .map(|k| snap.get(*k).copied().unwrap_or(0))
-            .collect();
-        (times, shared, snap.contains_key("store.lease_grants"))
+        (times, stats.snapshot().values)
     };
-    let (t_serial, c_serial, keys_serial) = run(false);
-    let (t_sharded, c_sharded, keys_sharded) = run(true);
+    let (t_serial, c_serial) = run(false);
+    let (t_sharded, mut c_sharded) = run(true);
     assert_eq!(t_serial, t_sharded, "shards=1 is bit-identical");
-    assert_eq!(c_serial, c_sharded, "shared counters agree");
-    assert!(!keys_serial, "serial run registers no lease counters");
-    assert!(keys_sharded, "shard run exposes the lease counters");
+    let shard_rpcs = c_sharded.remove("store.shard_rpcs.s0");
+    assert_eq!(shard_rpcs, Some(c_serial["store.mgr_rpcs"]));
+    assert_eq!(c_serial, c_sharded, "every other counter agrees");
 }
 
 #[test]
@@ -1248,7 +1227,7 @@ fn rpcs_route_by_slot_owner_and_count_per_shard() {
 
 #[test]
 fn shard_crash_quarantines_only_its_keyspace() {
-    let (store, stats) = store_sharded(2, 2);
+    let (store, _) = store_sharded(2, 2);
     let client = 3;
     let (t, f) = store.create_file(VTime::ZERO, client, "/m").unwrap();
     let mut t = store
@@ -1284,16 +1263,16 @@ fn shard_crash_quarantines_only_its_keyspace() {
     let (t2, _) = store.fetch_chunk(t, client, f, live_slot).unwrap();
     let (t3, found) = store.open(t2, client, "/m").unwrap();
     assert_eq!(found, Some(f));
-    // The crash alone revokes nothing: delegations ride through.
-    assert_eq!(stats.get("store.lease_revokes"), 0);
-    // A cold reboot restores service and revokes the rank's delegations.
+    // The crash alone moves no epoch: cached placements ride through.
+    let epoch = store.manager().placement_epoch();
+    // A cold reboot restores service and bumps the placement epoch.
     store.set_manager_alive(1, true, t3);
-    assert!(stats.get("store.lease_revokes") > 0);
+    assert!(store.manager().placement_epoch() > epoch);
     store.fetch_chunk(t3, client, f, dead_slot).unwrap();
 }
 
 #[test]
-fn leased_clients_ride_through_a_shard_crash() {
+fn cached_clients_ride_through_a_shard_crash() {
     let (store, stats) = store_sharded(2, 2);
     let client = 3;
     let (t, f) = store.create_file(VTime::ZERO, client, "/m").unwrap();
@@ -1324,11 +1303,8 @@ fn leased_clients_ride_through_a_shard_crash() {
         .fetch_chunks(t, client, &targets, Some(&cache))
         .unwrap();
     let t = r.iter().map(|&(e, _)| e).max().unwrap();
-    // Both shards have delegated to this client.
-    assert_eq!(store.shard_leases(0), 1);
-    assert_eq!(store.shard_leases(1), 1);
-    // Kill a shard's rank. The leased client keeps resolving placement
-    // locally: the same batch re-fetches without a single manager
+    // Kill a shard's rank. The client keeps resolving placement from its
+    // cache: the same batch re-fetches without a single manager
     // round-trip, dead rank or not.
     store.set_manager_alive(1, false, t);
     let rpcs = stats.get("store.mgr_rpcs");
@@ -1340,13 +1316,14 @@ fn leased_clients_ride_through_a_shard_crash() {
     assert_eq!(
         stats.get("store.mgr_rpcs"),
         rpcs,
-        "no RPC on the leased hot path"
+        "no RPC on the cached hot path"
     );
     assert_eq!(stats.get("store.loc_cache_hits"), hits + 8);
-    // The cold reboot revokes: the epoch bump drops the cache, and the
+    // The cold reboot bumps the epoch, which drops the cache, and the
     // re-resolution goes back to the (now live) shards.
+    let epoch = store.manager().placement_epoch();
     store.set_manager_alive(1, true, t);
-    assert!(stats.get("store.lease_revokes") > 0);
+    assert!(store.manager().placement_epoch() > epoch);
     let inv = stats.get("store.loc_cache_invalidations");
     let r = store
         .fetch_chunks(t, client, &targets, Some(&cache))
@@ -1355,13 +1332,13 @@ fn leased_clients_ride_through_a_shard_crash() {
     assert_eq!(stats.get("store.loc_cache_invalidations"), inv + 1);
     assert!(
         stats.get("store.mgr_rpcs") > rpcs,
-        "revocation forces re-resolution"
+        "the epoch bump forces re-resolution"
     );
 }
 
 #[test]
 fn shard_down_retry_waits_out_a_scheduled_recovery() {
-    let (store, stats) = store_sharded(2, 2);
+    let (store, _) = store_sharded(2, 2);
     let client = 3;
     let (t, f) = store.create_file(VTime::ZERO, client, "/m").unwrap();
     let mut t = store
@@ -1387,14 +1364,15 @@ fn shard_down_retry_waits_out_a_scheduled_recovery() {
             .mgr_recover(t + RETRY_BACKOFF, 1)
             .build(),
     );
+    let epoch = store.manager().placement_epoch();
     let (t2, payload) = store.fetch_chunk(t, client, f, slot).unwrap();
     assert!(matches!(payload, ChunkPayload::Data(_)));
     assert!(t2 >= t + RETRY_BACKOFF, "the read waited out the outage");
     assert!(!store.manager_rank_down(1));
     assert_eq!(
-        stats.get("store.lease_revokes"),
-        1,
-        "recovery revoked the stale delegation"
+        store.manager().placement_epoch(),
+        epoch + 1,
+        "recovery bumped the epoch once"
     );
 }
 
@@ -2002,7 +1980,7 @@ fn stale_parity_is_flagged_and_reencoded_by_repair() {
 /// `ha_standby` as given.
 fn store_ha(standby: bool) -> (AggregateStore, StatsRegistry) {
     let stats = StatsRegistry::new();
-    let net = Network::new(4, NetConfig::default(), &stats);
+    let net = Network::new(4, &stats);
     let cfg = StoreConfig {
         ha_standby: standby,
         fetch_retries: 12,
@@ -2024,7 +2002,7 @@ fn ha_knobs_off_changes_nothing() {
     // keys). Mirrors `integrity_knobs_off_changes_nothing`.
     let run = |ha: bool| -> (VTime, bool) {
         let stats = StatsRegistry::new();
-        let net = Network::new(4, NetConfig::default(), &stats);
+        let net = Network::new(4, &stats);
         let cfg = StoreConfig {
             ha_standby: ha,
             ..StoreConfig::default()
@@ -2124,10 +2102,12 @@ fn standby_takeover_replays_journal_and_loses_nothing() {
     assert_eq!(p1, ChunkPayload::Data(ChunkBuf::from_bytes(&data)));
 }
 
+/// A standby takeover re-points the crashed rank's endpoint and revokes
+/// every placement a client cached from it, by bumping the epoch.
 #[test]
 fn sharded_standby_promotion_repoints_endpoint_and_revokes_leases() {
     let stats = StatsRegistry::new();
-    let net = Network::new(4, NetConfig::default(), &stats);
+    let net = Network::new(4, &stats);
     let cfg = StoreConfig {
         ha_standby: true,
         manager_shards: 2,
@@ -2147,8 +2127,6 @@ fn sharded_standby_promotion_repoints_endpoint_and_revokes_leases() {
     for idx in 0..4 {
         t = store.write_pages(t, 3, f, idx, &[(0, &data)]).unwrap();
     }
-    let granted = stats.get("store.lease_grants");
-    assert!(granted > 0, "shard RPCs granted leases");
     assert_eq!(net.endpoint_node("shardmgr/0"), Some(1));
     let crash = t + VTime::from_micros(1);
     store.attach_faults(
@@ -2156,7 +2134,7 @@ fn sharded_standby_promotion_repoints_endpoint_and_revokes_leases() {
             .mgr_crash(crash, 0)
             .build(),
     );
-    let revokes_before = stats.get("store.lease_revokes");
+    let epoch_before = store.manager().placement_epoch();
     // Every acked write reads back across the outage…
     for idx in 0..4 {
         let (_, p) = store.fetch_chunk(crash, 3, f, idx).unwrap();
@@ -2169,6 +2147,6 @@ fn sharded_standby_promotion_repoints_endpoint_and_revokes_leases() {
     assert_eq!(stats.get("store.mgr_failovers"), 1);
     // The standby's node now answers rank 0's endpoint…
     assert_eq!(net.endpoint_node("shardmgr/0"), Some(2));
-    // …and every pre-crash delegation from rank 0 was revoked.
-    assert!(stats.get("store.lease_revokes") > revokes_before);
+    // …and no client may serve a pre-crash cached placement.
+    assert!(store.manager().placement_epoch() > epoch_before);
 }

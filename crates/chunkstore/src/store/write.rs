@@ -239,9 +239,9 @@ impl AggregateStore {
 
         // Resolution RPC(s): one per owning shard in shard mode — writes
         // are placement mutations and always reach the authoritative
-        // shard, no lease shortcut — issued concurrently from `t`; one
-        // serial manager RPC otherwise. `sc.ready[i]` is when entry `i`'s
-        // resolution reply is in hand.
+        // shard, never the location cache — issued concurrently from
+        // `t`; one serial manager RPC otherwise. `sc.ready[i]` is when
+        // entry `i`'s resolution reply is in hand.
         let mut sc = ChainScratch::take();
         self.owners_of(entries.iter().map(|e| (e.file, e.idx)), &mut sc.owners);
         self.resolve_fan_out(t, client_node, MgrOp::Write, &mut sc, |_| true)?;

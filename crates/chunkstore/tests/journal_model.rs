@@ -40,7 +40,7 @@ fn record_strategy() -> impl Strategy<Value = Record> {
             benefactor: b,
             slot: s,
         }),
-        2 => any::<u64>().prop_map(|epoch| Record::RevokeLeases { epoch }),
+        2 => any::<u64>().prop_map(|epoch| Record::EpochBump { epoch }),
         2 => (any::<u64>(), any::<u64>(), any::<u32>(), any::<u32>()).prop_map(
             |(c, file, group, member)| Record::GroupLink {
                 chunk: ChunkId(c),
@@ -163,7 +163,7 @@ fn records_of(ops: &[Op]) -> Vec<Record> {
             }
             Op::Revoke => {
                 epoch += 1;
-                out.push(Record::RevokeLeases { epoch });
+                out.push(Record::EpochBump { epoch });
             }
             Op::Link {
                 chunk,
@@ -262,7 +262,7 @@ proptest! {
                         }
                     }
                 }
-                Record::RevokeLeases { epoch: e } => epoch = epoch.max(*e),
+                Record::EpochBump { epoch: e } => epoch = epoch.max(*e),
                 _ => {}
             }
         }

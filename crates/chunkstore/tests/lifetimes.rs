@@ -3,14 +3,14 @@
 
 use chunkstore::{AggregateStore, Benefactor, PlacementPolicy, StoreConfig, StripeSpec};
 use devices::{Ssd, INTEL_X25E};
-use netsim::{NetConfig, Network};
+use netsim::Network;
 use simcore::{StatsRegistry, VTime};
 
 const CHUNK: u64 = 256 * 1024;
 
 fn store() -> AggregateStore {
     let stats = StatsRegistry::new();
-    let net = Network::new(2, NetConfig::default(), &stats);
+    let net = Network::new(2, &stats);
     let store = AggregateStore::new(StoreConfig::default(), net, &stats);
     let ssd = Ssd::new("b.ssd", INTEL_X25E, &stats);
     store.add_benefactor(Benefactor::new(0, ssd, 64 * CHUNK, CHUNK));
@@ -127,7 +127,7 @@ fn files_expiring_together_are_freed_in_file_order() {
     // them stand in for eight processes.
     for _ in 0..8 {
         let stats = StatsRegistry::new();
-        let net = Network::new(2, NetConfig::default(), &stats);
+        let net = Network::new(2, &stats);
         let cfg = StoreConfig {
             ha_standby: true,
             ..StoreConfig::default()

@@ -31,7 +31,7 @@ use chunkstore::{
     StripeSpec,
 };
 use devices::{Ssd, INTEL_X25E};
-use netsim::{NetConfig, Network};
+use netsim::Network;
 use simcore::time::bytes::mib;
 use simcore::{StatsRegistry, VTime};
 use std::fmt::Write as _;
@@ -123,7 +123,7 @@ impl Rig {
     /// client on the node after them.
     fn new() -> Rig {
         let stats = StatsRegistry::new();
-        let net = Network::new(BENEFACTORS + 2, NetConfig::default(), &stats);
+        let net = Network::new(BENEFACTORS + 2, &stats);
         let cfg = StoreConfig {
             ha_standby: true,
             manager_shards: LANES,

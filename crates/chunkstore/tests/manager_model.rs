@@ -5,7 +5,7 @@
 
 use chunkstore::{AggregateStore, Benefactor, FileId, PlacementPolicy, StoreConfig, StripeSpec};
 use devices::{Ssd, INTEL_X25E};
-use netsim::{NetConfig, Network};
+use netsim::Network;
 use proptest::prelude::*;
 use simcore::{StatsRegistry, VTime};
 
@@ -41,7 +41,7 @@ fn action_strategy() -> impl Strategy<Value = Action> {
 
 fn store() -> AggregateStore {
     let stats = StatsRegistry::new();
-    let net = Network::new(BENEFACTORS + 1, NetConfig::default(), &stats);
+    let net = Network::new(BENEFACTORS + 1, &stats);
     let store = AggregateStore::new(StoreConfig::default(), net, &stats);
     for node in 0..BENEFACTORS {
         let ssd = Ssd::new(&format!("b{node}.ssd"), INTEL_X25E, &stats);

@@ -11,7 +11,7 @@ use chunkstore::{
 };
 use devices::{Ssd, INTEL_X25E};
 use faults::FaultPlanBuilder;
-use netsim::{NetConfig, Network};
+use netsim::Network;
 use proptest::prelude::*;
 use simcore::{time::bytes::mib, StatsRegistry, VTime};
 
@@ -20,7 +20,7 @@ const SLOTS: usize = 6;
 
 fn build_store(benefactors: usize) -> (AggregateStore, StatsRegistry) {
     let stats = StatsRegistry::new();
-    let net = Network::new(benefactors + 1, NetConfig::default(), &stats);
+    let net = Network::new(benefactors + 1, &stats);
     let store = AggregateStore::new(StoreConfig::default(), net, &stats);
     for node in 0..benefactors {
         let ssd = Ssd::new(&format!("b{node}.ssd"), INTEL_X25E, &stats);

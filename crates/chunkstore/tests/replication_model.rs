@@ -16,7 +16,7 @@ use chunkstore::{
     StoreError, StripeSpec,
 };
 use devices::{Ssd, INTEL_X25E};
-use netsim::{NetConfig, Network};
+use netsim::Network;
 use proptest::prelude::*;
 use simcore::{time::bytes::mib, StatsRegistry, VTime};
 use std::collections::HashSet;
@@ -26,7 +26,7 @@ const SLOTS: usize = 4;
 
 fn build_store(benefactors: usize) -> AggregateStore {
     let stats = StatsRegistry::new();
-    let net = Network::new(benefactors + 1, NetConfig::default(), &stats);
+    let net = Network::new(benefactors + 1, &stats);
     let store = AggregateStore::new(StoreConfig::default(), net, &stats);
     for node in 0..benefactors {
         let ssd = Ssd::new(&format!("b{node}.ssd"), INTEL_X25E, &stats);

@@ -16,7 +16,7 @@ use chunkstore::{
     AggregateStore, Benefactor, PlacementPolicy, RsCode, Slot, StoreConfig, StripeSpec,
 };
 use devices::{Ssd, INTEL_X25E};
-use netsim::{NetConfig, Network};
+use netsim::Network;
 use proptest::prelude::*;
 use simcore::{time::bytes::mib, StatsRegistry, VTime};
 use std::collections::HashSet;
@@ -155,7 +155,7 @@ proptest! {
         let k = kraw.min(nbene - 1);
         let m = mraw.min(nbene - k);
         let stats = StatsRegistry::new();
-        let net = Network::new(nbene + 1, NetConfig::default(), &stats);
+        let net = Network::new(nbene + 1, &stats);
         let store = AggregateStore::new(StoreConfig::default(), net, &stats);
         for node in 0..nbene {
             let ssd = Ssd::new(&format!("b{node}.ssd"), INTEL_X25E, &stats);

@@ -3,10 +3,10 @@
 //! * **Ring growth is minimal** — adding one shard to an N-shard ring
 //!   moves keys *only* to the new shard, and in aggregate no more than
 //!   roughly its fair `1/(N+1)` share of a random key population.
-//! * **Revocation is airtight** — cold-rebooting a crashed shard rank
-//!   (which revokes its leases) always strictly bumps the placement epoch, and
-//!   no stale `LocationCache` hit survives it: the next batched fetch
-//!   re-resolves through the shards.
+//! * **A cold restart is airtight** — cold-rebooting a crashed shard rank
+//!   always strictly bumps the placement epoch, and no stale
+//!   `LocationCache` hit survives it: the next batched fetch re-resolves
+//!   through the shards.
 
 use chunkstore::shardmgr::DEFAULT_VNODES;
 use chunkstore::{
@@ -14,7 +14,7 @@ use chunkstore::{
     PlacementPolicy, StoreConfig, StripeSpec,
 };
 use devices::{Ssd, INTEL_X25E};
-use netsim::{NetConfig, Network};
+use netsim::Network;
 use proptest::prelude::*;
 use simcore::{StatsRegistry, VTime};
 
@@ -25,7 +25,7 @@ const BENEFACTORS: usize = 3;
 /// round-robin on those nodes, client driving from the last node.
 fn sharded_store(shards: usize, seed: u64) -> (AggregateStore, StatsRegistry) {
     let stats = StatsRegistry::new();
-    let net = Network::new(BENEFACTORS + 2, NetConfig::default(), &stats);
+    let net = Network::new(BENEFACTORS + 2, &stats);
     let store = AggregateStore::new(StoreConfig::default(), net, &stats);
     for node in 1..=BENEFACTORS {
         let ssd = Ssd::new(&format!("b{node}.ssd"), INTEL_X25E, &stats);
@@ -72,7 +72,7 @@ proptest! {
     }
 
     #[test]
-    fn revocation_always_bumps_the_epoch_and_kills_stale_hits(
+    fn cold_restart_always_bumps_the_epoch_and_kills_stale_hits(
         seed in any::<u64>(),
         shards in 1usize..5,
         slots in 2usize..10,
@@ -102,23 +102,23 @@ proptest! {
         let targets: Vec<(FileId, usize)> = (0..slots).map(|i| (f, i)).collect();
         let r = store.fetch_chunks(t, client, &targets, Some(&cache)).unwrap();
         let t = r.iter().map(|&(e, _)| e).max().unwrap();
-        // Warmed up: the same batch is all lease-backed cache hits.
+        // Warmed up: the same batch is all cache hits.
         let hits0 = stats.get("store.loc_cache_hits");
         let rpcs0 = stats.get("store.mgr_rpcs");
         let r = store.fetch_chunks(t, client, &targets, Some(&cache)).unwrap();
         let t = r.iter().map(|&(e, _)| e).max().unwrap();
         prop_assert_eq!(stats.get("store.loc_cache_hits"), hits0 + slots as u64);
         prop_assert_eq!(stats.get("store.mgr_rpcs"), rpcs0);
-        // Crash + cold-reboot an arbitrary shard's rank. The reboot
-        // revokes the rank's delegations: the placement epoch must
-        // strictly advance, and not one stale cache hit may survive.
+        // Crash + cold-reboot an arbitrary shard's rank: the placement
+        // epoch must strictly advance, and not one stale cache hit may
+        // survive.
         let victim = victim_raw % shards;
         let epoch0 = store.manager().placement_epoch();
         store.set_manager_alive(victim, false, t);
         store.set_manager_alive(victim, true, t);
         prop_assert!(
             store.manager().placement_epoch() > epoch0,
-            "revocation must bump the placement epoch"
+            "a cold restart must bump the placement epoch"
         );
         let hits1 = stats.get("store.loc_cache_hits");
         let rpcs1 = stats.get("store.mgr_rpcs");
@@ -127,7 +127,7 @@ proptest! {
         prop_assert_eq!(
             stats.get("store.loc_cache_hits"),
             hits1,
-            "no stale LocationCache hit survives a revoke"
+            "no stale LocationCache hit survives a cold restart"
         );
         prop_assert!(
             stats.get("store.mgr_rpcs") > rpcs1,

@@ -6,14 +6,14 @@ use chunkstore::{
     StoreError, StripeSpec,
 };
 use devices::{Ssd, INTEL_X25E};
-use netsim::{NetConfig, Network};
+use netsim::Network;
 use simcore::{StatsRegistry, VTime};
 
 const CHUNK: u64 = 256 * 1024;
 
 fn store_with(benefactors: usize, cap_chunks: u64) -> (AggregateStore, StatsRegistry) {
     let stats = StatsRegistry::new();
-    let net = Network::new(benefactors + 1, NetConfig::default(), &stats);
+    let net = Network::new(benefactors + 1, &stats);
     let store = AggregateStore::new(StoreConfig::default(), net, &stats);
     for node in 0..benefactors {
         let ssd = Ssd::new(&format!("b{node}.ssd"), INTEL_X25E, &stats);

@@ -98,7 +98,7 @@ impl Cluster {
         } else {
             (TraceRecorder::disabled(), MetricsSampler::disabled())
         };
-        let net = Network::new(spec.nodes, spec.net, &stats).with_tracer(trace.clone());
+        let net = Network::new(spec.nodes, &stats).with_tracer(trace.clone());
         let pfs = Pfs::new(spec.pfs, &stats);
         // The manager runs where the first benefactor lives (a "fat node"),
         // or node 0 when the store is unused.

@@ -84,9 +84,8 @@ impl Comm {
     /// a logarithmic synchronization overhead.
     pub fn barrier(&self, ctx: &mut ProcCtx, rank: usize) {
         let n = self.size();
-        let latency = self.net.config().latency;
         let overhead =
-            latency * (usize::BITS - (n - 1).leading_zeros().min(usize::BITS - 1)) as u64;
+            netsim::LATENCY * (usize::BITS - (n - 1).leading_zeros().min(usize::BITS - 1)) as u64;
         self.rv
             .barrier(ctx, rank, if n > 1 { overhead } else { VTime::ZERO });
     }
@@ -295,13 +294,12 @@ impl Comm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::NetConfig;
     use simcore::{Engine, StatsRegistry};
 
     fn run_ranks(nodes: Vec<usize>, body: impl Fn(&mut ProcCtx, usize, Comm) + Send + Sync) {
         let stats = StatsRegistry::new();
         let n_nodes = nodes.iter().max().unwrap() + 1;
-        let net = Network::new(n_nodes, NetConfig::default(), &stats);
+        let net = Network::new(n_nodes, &stats);
         let comm = Comm::new(net, nodes.clone(), Calibration::default());
         let body = &body;
         Engine::run(
@@ -331,7 +329,7 @@ mod tests {
     fn bcast_remote_costs_more_than_local() {
         // Rank 0 (root, node 0), rank 1 on node 0, rank 2 on node 1.
         let stats = StatsRegistry::new();
-        let net = Network::new(2, NetConfig::default(), &stats);
+        let net = Network::new(2, &stats);
         let comm = Comm::new(net, vec![0, 0, 1], Calibration::default());
         let data = vec![0u8; 25_000_000]; // 25 MB: 0.1 s on the wire
         let comm2 = comm.clone();
@@ -403,7 +401,7 @@ mod tests {
         // about twice as long as 2.
         let time_for = |receivers: usize| {
             let stats = StatsRegistry::new();
-            let net = Network::new(receivers + 1, NetConfig::default(), &stats);
+            let net = Network::new(receivers + 1, &stats);
             let nodes: Vec<usize> = std::iter::once(0).chain(1..=receivers).collect();
             let comm = Comm::new(net, nodes, Calibration::default());
             let data = vec![0u8; 25_000_000];

@@ -662,7 +662,7 @@ mod tests {
         // The sharding knobs flow from `JobConfig::with_manager_shards`
         // through `StoreConfig` into the cluster build: a shared-variable
         // job on a 2-shard store produces the same bytes as the serial
-        // manager, exercises leases, and two invocations reproduce
+        // manager, routes RPCs to shard 0, and two invocations reproduce
         // identical virtual-time numbers.
         let run = |shards: usize| {
             let cfg = JobConfig::local(2, 2, 2).with_manager_shards(shards);
@@ -694,17 +694,17 @@ mod tests {
             (
                 result.outputs.clone(),
                 result.makespan(),
-                cluster.stats.get("store.lease_grants"),
+                cluster.stats.get("store.shard_rpcs.s0"),
             )
         };
-        let (serial, _, g0) = run(0);
-        assert_eq!(g0, 0, "no shard set, no leases");
+        let (serial, _, s0) = run(0);
+        assert_eq!(s0, 0, "no shard set, no shard RPCs");
         let a = run(2);
         let b = run(2);
         assert_eq!(a, b, "sharded job reproduces exactly");
-        let (sharded, _, grants) = a;
+        let (sharded, _, s0) = a;
         assert_eq!(serial, sharded, "sharding must not change any result");
-        assert!(grants > 0, "shard RPCs granted delegation leases");
+        assert!(s0 > 0, "shard 0 served RPCs");
     }
 
     #[test]

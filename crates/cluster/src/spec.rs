@@ -3,7 +3,6 @@
 //! problems while preserving every capacity *ratio* of the evaluation.
 
 use devices::{DeviceProfile, PfsConfig, DDR3_1600, INTEL_X25E};
-use netsim::NetConfig;
 use simcore::time::bytes::gib;
 use simcore::Bandwidth;
 
@@ -23,7 +22,6 @@ pub struct ClusterSpec {
     pub ssd_profile: DeviceProfile,
     /// SSD capacity contributed by each benefactor.
     pub ssd_capacity_per_node: u64,
-    pub net: NetConfig,
     pub pfs: PfsConfig,
     /// Divisor applied by [`ClusterSpec::scaled`]; 1 = full size.
     pub scale_divisor: u64,
@@ -32,7 +30,8 @@ pub struct ClusterSpec {
 impl ClusterSpec {
     /// The HAL cluster, exactly as Table II describes it:
     /// 16 nodes × 8 cores at 2.4 GHz, 8 GB DRAM/node, Intel X25-E 32 GB
-    /// SATA SSD, bonded dual Gigabit Ethernet.
+    /// SATA SSD, bonded dual Gigabit Ethernet (`netsim::LINK_BW` and
+    /// `netsim::LATENCY`, the same for every cluster).
     pub fn hal() -> Self {
         ClusterSpec {
             name: "HAL",
@@ -43,7 +42,6 @@ impl ClusterSpec {
             dram_profile: DDR3_1600,
             ssd_profile: INTEL_X25E,
             ssd_capacity_per_node: gib(32),
-            net: NetConfig::default(),
             pfs: PfsConfig::default(),
             scale_divisor: 1,
         }

@@ -1,13 +1,13 @@
 //! Collective-timing and job-runner behaviour tests.
 
 use cluster::{run_job, Calibration, Cluster, ClusterSpec, Comm, JobConfig, Payload};
-use netsim::{NetConfig, Network};
+use netsim::Network;
 use simcore::{Engine, ProcCtx, StatsRegistry, VTime};
 
 fn run_ranks(nodes: Vec<usize>, body: impl Fn(&mut ProcCtx, usize, Comm) + Send + Sync) {
     let stats = StatsRegistry::new();
     let n_nodes = nodes.iter().max().unwrap() + 1;
-    let net = Network::new(n_nodes, NetConfig::default(), &stats);
+    let net = Network::new(n_nodes, &stats);
     let comm = Comm::new(net, nodes.clone(), Calibration::default());
     let body = &body;
     Engine::run(
@@ -111,7 +111,7 @@ fn bcast_intra_node_copies_are_cheaper_than_wire() {
     let time_for = |nodes: Vec<usize>| {
         let stats = StatsRegistry::new();
         let n_nodes = nodes.iter().max().unwrap() + 1;
-        let net = Network::new(n_nodes, NetConfig::default(), &stats);
+        let net = Network::new(n_nodes, &stats);
         let comm = Comm::new(net, nodes.clone(), Calibration::default());
         let report = Engine::run(
             (0..nodes.len())

@@ -76,15 +76,15 @@ pub enum FaultEvent {
     },
     /// A placement-manager rank loses its in-memory metadata entirely
     /// (process crash, DESIGN.md §16). Only that rank's keyspace goes
-    /// dark: leases it already granted stay valid and every other rank
-    /// keeps serving. With HA standby enabled the shard's standby rank
+    /// dark: clients' cached placements stay valid (no epoch moves) and
+    /// every other rank keeps serving. With HA standby enabled the shard's standby rank
     /// replays the journaled metadata and takes over after the failover
     /// timeout; without it, clients retry until a recover event or
     /// exhaust into `StoreError::ManagerDown`.
     ManagerCrash { shard: usize },
-    /// The crashed manager rank reboots. Its pre-crash leases are
-    /// revoked and the placement epoch bumps (cold state); with HA
-    /// standby the rebooted rank rejoins as the new standby.
+    /// The crashed manager rank reboots cold: the placement epoch bumps,
+    /// so no client serves a pre-crash cached placement; with HA standby
+    /// the rebooted rank rejoins as the new standby.
     ManagerRecover { shard: usize },
 }
 
@@ -278,7 +278,7 @@ impl FaultPlanBuilder {
         self.at(at, FaultEvent::ManagerCrash { shard })
     }
 
-    /// Reboot manager rank `shard` at `at`, revoking its pre-crash leases.
+    /// Reboot manager rank `shard` at `at`, bumping the placement epoch.
     pub fn mgr_recover(self, at: VTime, shard: usize) -> Self {
         self.at(at, FaultEvent::ManagerRecover { shard })
     }

@@ -6,7 +6,7 @@ use chunkstore::{
     StripeSpec,
 };
 use devices::{Ssd, INTEL_X25E};
-use netsim::{NetConfig, Network};
+use netsim::Network;
 use simcore::time::bytes::mib;
 use simcore::{StatsRegistry, VTime};
 
@@ -16,7 +16,7 @@ const CHUNK: u64 = 256 * 1024;
 /// client mount on node 2.
 fn world(cfg: FuseConfig) -> (Mount, StatsRegistry) {
     let stats = StatsRegistry::new();
-    let net = Network::new(3, NetConfig::default(), &stats);
+    let net = Network::new(3, &stats);
     let store = AggregateStore::new(StoreConfig::default(), net, &stats);
     for node in [0usize, 1] {
         let ssd = Ssd::new(&format!("b{node}.ssd"), INTEL_X25E, &stats);
@@ -175,7 +175,7 @@ fn o_rdwr_visibility_across_mounts() {
     // readable through the other once flushed (shared backing store) —
     // and *within* one node, immediately even without a flush.
     let stats = StatsRegistry::new();
-    let net = Network::new(3, NetConfig::default(), &stats);
+    let net = Network::new(3, &stats);
     let store = AggregateStore::new(StoreConfig::default(), net, &stats);
     let ssd = Ssd::new("b0.ssd", INTEL_X25E, &stats);
     store.add_benefactor(Benefactor::new(0, ssd, mib(256), CHUNK));
@@ -445,7 +445,7 @@ fn failover_is_transparent_to_the_mount() {
 fn local_benefactor_faster_than_remote() {
     // Mount on node 0 (co-located with benefactor 0) vs mount on node 2.
     let stats = StatsRegistry::new();
-    let net = Network::new(3, NetConfig::default(), &stats);
+    let net = Network::new(3, &stats);
     let store = AggregateStore::new(StoreConfig::default(), net, &stats);
     let ssd = Ssd::new("b0.ssd", INTEL_X25E, &stats);
     store.add_benefactor(Benefactor::new(0, ssd, mib(256), CHUNK));
@@ -588,7 +588,7 @@ fn paper_span_larger_than_the_cache_walks_it_chunk_by_chunk() {
 /// `i` on benefactor `i`, parity on benefactor 2.
 fn rs_world(cfg: FuseConfig) -> (Mount, StatsRegistry, FileId) {
     let stats = StatsRegistry::new();
-    let net = Network::new(4, NetConfig::default(), &stats);
+    let net = Network::new(4, &stats);
     let store = AggregateStore::new(StoreConfig::default(), net, &stats);
     for node in 0..3 {
         let ssd = Ssd::new(&format!("b{node}.ssd"), INTEL_X25E, &stats);

@@ -6,14 +6,14 @@ use chunkstore::{
 };
 use devices::{Ssd, INTEL_X25E};
 use fusemm::{FuseConfig, Mount, OP_OVERHEAD};
-use netsim::{NetConfig, Network};
+use netsim::Network;
 use simcore::{StatsRegistry, VTime};
 
 const CHUNK: u64 = 256 * 1024;
 
 fn world(cfg: FuseConfig) -> (Mount, StatsRegistry) {
     let stats = StatsRegistry::new();
-    let net = Network::new(2, NetConfig::default(), &stats);
+    let net = Network::new(2, &stats);
     let store = AggregateStore::new(StoreConfig::default(), net, &stats);
     let ssd = Ssd::new("b0.ssd", INTEL_X25E, &stats);
     store.add_benefactor(Benefactor::new(0, ssd, 512 * CHUNK, CHUNK));

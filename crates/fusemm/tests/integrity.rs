@@ -10,7 +10,7 @@ use chunkstore::{
 };
 use devices::{Ssd, INTEL_X25E};
 use fusemm::{FuseConfig, Mount};
-use netsim::{NetConfig, Network};
+use netsim::Network;
 use simcore::{StatsRegistry, VTime};
 
 const CHUNK: u64 = 256 * 1024;
@@ -18,7 +18,7 @@ const CHUNK: u64 = 256 * 1024;
 /// A verifying store with `n` benefactors (nodes `0..n`), mount on node `n`.
 fn world_verify(n: usize) -> (Mount, StatsRegistry) {
     let stats = StatsRegistry::new();
-    let net = Network::new(n + 1, NetConfig::default(), &stats);
+    let net = Network::new(n + 1, &stats);
     let cfg = StoreConfig {
         verify_reads: true,
         ..StoreConfig::default()

@@ -6,7 +6,7 @@ use chunkstore::{AggregateStore, Benefactor, FileId, PlacementPolicy, StoreConfi
 use devices::{Ssd, INTEL_X25E};
 use faults::FaultPlanBuilder;
 use fusemm::{FuseConfig, Mount};
-use netsim::{NetConfig, Network};
+use netsim::Network;
 use simcore::time::bytes::mib;
 use simcore::{StatsRegistry, VTime};
 
@@ -17,7 +17,7 @@ const PAGE: usize = 4096;
 /// client mount on node 2.
 fn world(cfg: FuseConfig) -> (Mount, StatsRegistry) {
     let stats = StatsRegistry::new();
-    let net = Network::new(3, NetConfig::default(), &stats);
+    let net = Network::new(3, &stats);
     let store = AggregateStore::new(StoreConfig::default(), net, &stats);
     for node in [0usize, 1] {
         let ssd = Ssd::new(&format!("b{node}.ssd"), INTEL_X25E, &stats);

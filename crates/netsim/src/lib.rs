@@ -27,25 +27,15 @@ use std::sync::Arc;
 /// unboundedly (the single-register resource cannot backfill gaps).
 pub const CTRL_THRESHOLD: u64 = 4096;
 
-/// Interconnect parameters.
-#[derive(Clone, Copy, Debug)]
-pub struct NetConfig {
-    /// Per-direction bandwidth of one node's NIC bond.
-    pub link_bw: Bandwidth,
-    /// One-way message latency (propagation + stack).
-    pub latency: VTime,
-}
+// Model constants rather than configuration: no cluster in the workspace
+// needs a second value. A degraded link is a `LinkFault`.
 
-impl Default for NetConfig {
-    fn default() -> Self {
-        // Bonded dual GigE: 2 Gbit/s = 250 MB/s each way; ~50 µs one-way
-        // latency is typical for the era's TCP-over-GigE stacks.
-        NetConfig {
-            link_bw: Bandwidth::gbit_per_sec(2.0),
-            latency: VTime::from_micros(50),
-        }
-    }
-}
+/// Per-direction bandwidth of one node's NIC bond: bonded dual GigE,
+/// 2 Gbit/s = 250 MB/s each way.
+pub const LINK_BW: Bandwidth = Bandwidth::const_mb(250.0);
+/// One-way message latency (propagation + stack): ~50 µs is typical for
+/// the era's TCP-over-GigE stacks.
+pub const LATENCY: VTime = VTime::from_micros(50);
 
 /// The ends of one node's network attachment.
 #[derive(Clone, Debug)]
@@ -97,7 +87,6 @@ pub struct Delivery {
 /// The whole fabric: one NIC pair per node.
 #[derive(Clone, Debug)]
 pub struct Network {
-    cfg: NetConfig,
     nics: Vec<Nic>,
     /// Per-node fault-injection state, shared across clones of the fabric.
     faults: Arc<Mutex<Vec<LinkFault>>>,
@@ -112,9 +101,8 @@ pub struct Network {
 }
 
 impl Network {
-    pub fn new(nodes: usize, cfg: NetConfig, stats: &StatsRegistry) -> Self {
+    pub fn new(nodes: usize, stats: &StatsRegistry) -> Self {
         Network {
-            cfg,
             nics: (0..nodes)
                 .map(|i| Nic {
                     tx: Resource::new(format!("net.n{i}.tx")),
@@ -179,17 +167,13 @@ impl Network {
         let faults = self.faults.lock();
         let (a, b) = (faults[from], faults[to]);
         if a.is_neutral() && b.is_neutral() {
-            return (self.cfg.link_bw, self.cfg.latency);
+            return (LINK_BW, LATENCY);
         }
         let div = a.bw_divisor.max(b.bw_divisor).max(1.0);
         (
-            self.cfg.link_bw.scaled(1.0 / div),
-            self.cfg.latency + a.extra_latency + b.extra_latency,
+            LINK_BW.scaled(1.0 / div),
+            LATENCY + a.extra_latency + b.extra_latency,
         )
-    }
-
-    pub fn config(&self) -> &NetConfig {
-        &self.cfg
     }
 
     pub fn nodes(&self) -> usize {
@@ -241,16 +225,12 @@ impl Network {
     /// Charge `node`'s receive direction directly (traffic from outside
     /// the modelled fabric, e.g. the PFS service network).
     pub fn rx_at(&self, t: VTime, node: usize, bytes: u64) -> simcore::Grant {
-        self.nics[node]
-            .rx
-            .transfer_at(t, bytes, self.cfg.link_bw, self.cfg.latency)
+        self.nics[node].rx.transfer_at(t, bytes, LINK_BW, LATENCY)
     }
 
     /// Charge `node`'s transmit direction directly.
     pub fn tx_at(&self, t: VTime, node: usize, bytes: u64) -> simcore::Grant {
-        self.nics[node]
-            .tx
-            .transfer_at(t, bytes, self.cfg.link_bw, self.cfg.latency)
+        self.nics[node].tx.transfer_at(t, bytes, LINK_BW, LATENCY)
     }
 
     /// Transmit backlog on `node`'s NIC at `now`: how far into the
@@ -287,7 +267,7 @@ mod tests {
     use super::*;
 
     fn net(n: usize) -> Network {
-        Network::new(n, NetConfig::default(), &StatsRegistry::new())
+        Network::new(n, &StatsRegistry::new())
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Network-model behaviour tests: control-message policy, utilization
 //! reporting, and direct NIC charging.
 
-use netsim::{NetConfig, Network, CTRL_THRESHOLD};
-use simcore::{Bandwidth, StatsRegistry, VTime};
+use netsim::{Network, CTRL_THRESHOLD, LATENCY, LINK_BW};
+use simcore::{StatsRegistry, VTime};
 
 fn net(n: usize) -> Network {
-    Network::new(n, NetConfig::default(), &StatsRegistry::new())
+    Network::new(n, &StatsRegistry::new())
 }
 
 #[test]
@@ -28,8 +28,7 @@ fn control_messages_do_not_occupy_queues() {
 
 #[test]
 fn control_threshold_boundary() {
-    let cfg = NetConfig::default();
-    let net = Network::new(2, cfg, &StatsRegistry::new());
+    let net = net(2);
     net.transfer_at(VTime::ZERO, 0, 1, 250_000_000); // occupy tx
     let at = net.transfer_at(VTime::ZERO, 0, 1, CTRL_THRESHOLD);
     let over = net.transfer_at(VTime::ZERO, 0, 1, CTRL_THRESHOLD + 1);
@@ -39,12 +38,11 @@ fn control_threshold_boundary() {
 
 #[test]
 fn control_messages_still_pay_latency_and_serialization() {
-    let cfg = NetConfig::default();
-    let net = Network::new(2, cfg, &StatsRegistry::new());
+    let net = net(2);
     let d = net.transfer_at(VTime::ZERO, 0, 1, 256);
-    let ser = cfg.link_bw.time_for(256);
+    let ser = LINK_BW.time_for(256);
     assert_eq!(d.sent, ser);
-    assert_eq!(d.arrived, ser + cfg.latency);
+    assert_eq!(d.arrived, ser + LATENCY);
 }
 
 #[test]
@@ -73,24 +71,9 @@ fn direct_rx_tx_charging() {
 }
 
 #[test]
-fn custom_bandwidth_config() {
-    let cfg = NetConfig {
-        link_bw: Bandwidth::gbit_per_sec(10.0),
-        latency: VTime::from_micros(5),
-    };
-    let net = Network::new(2, cfg, &StatsRegistry::new());
-    let d = net.transfer_at(VTime::ZERO, 0, 1, 1_250_000_000);
-    assert_eq!(d.sent, VTime::from_secs(1));
-    assert_eq!(d.arrived, VTime::from_secs(1) + VTime::from_micros(5));
-    // A message just over the control threshold queues behind the bulk one.
-    let d2 = net.transfer_at(VTime::ZERO, 0, 1, CTRL_THRESHOLD + 1);
-    assert!(d2.sent >= VTime::from_secs(1));
-}
-
-#[test]
 fn message_and_byte_counters() {
     let stats = StatsRegistry::new();
-    let net = Network::new(2, NetConfig::default(), &stats);
+    let net = Network::new(2, &stats);
     net.transfer_at(VTime::ZERO, 0, 1, 100);
     net.transfer_at(VTime::ZERO, 1, 0, 1_000_000);
     net.transfer_at(VTime::ZERO, 0, 0, 55); // loopback: not counted

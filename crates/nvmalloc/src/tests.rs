@@ -6,7 +6,7 @@ use crate::vec::NvmVec;
 use chunkstore::{AggregateStore, Benefactor, StoreConfig, StripeSpec};
 use devices::{Ssd, INTEL_X25E};
 use fusemm::{FuseConfig, Mount};
-use netsim::{NetConfig, Network};
+use netsim::Network;
 use simcore::time::bytes::mib;
 use simcore::{Engine, ProcCtx, StatsRegistry, VTime};
 
@@ -19,7 +19,7 @@ struct World {
 
 fn world(benefactors: usize) -> World {
     let stats = StatsRegistry::new();
-    let net = Network::new(benefactors + 1, NetConfig::default(), &stats);
+    let net = Network::new(benefactors + 1, &stats);
     let store = AggregateStore::new(StoreConfig::default(), net, &stats);
     for node in 0..benefactors {
         let ssd = Ssd::new(&format!("b{node}.ssd"), INTEL_X25E, &stats);

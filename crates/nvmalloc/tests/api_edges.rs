@@ -3,14 +3,14 @@
 use chunkstore::{AggregateStore, Benefactor, StoreConfig, StoreError};
 use devices::{Ssd, INTEL_X25E};
 use fusemm::{FuseConfig, Mount};
-use netsim::{NetConfig, Network};
+use netsim::Network;
 use nvmalloc::{AllocOptions, NvmClient, NvmVec};
 use simcore::time::bytes::mib;
 use simcore::{Engine, ProcCtx, StatsRegistry};
 
 fn world() -> (AggregateStore, StatsRegistry) {
     let stats = StatsRegistry::new();
-    let net = Network::new(3, NetConfig::default(), &stats);
+    let net = Network::new(3, &stats);
     let store = AggregateStore::new(StoreConfig::default(), net, &stats);
     for node in 0..2 {
         let ssd = Ssd::new(&format!("b{node}.ssd"), INTEL_X25E, &stats);

@@ -1,6 +1,6 @@
 //! Virtual-time metrics sampler (DESIGN.md §14.3).
 //!
-//! End-of-run counter totals cannot show how dirty ratio, lease hit rate,
+//! End-of-run counter totals cannot show how dirty ratio, cache hit rate,
 //! or shard queue depth *evolved* during a run. [`MetricsSampler`] closes
 //! that gap the same way the scrub and flusher daemons piggyback on the
 //! foreground clock: components call [`MetricsSampler::poll`] with the

@@ -280,6 +280,48 @@ pub struct EngineReport {
     pub wakeups: u64,
 }
 
+/// Give the process one glibc heap that it keeps: every thread allocates
+/// from the main arena, and freed memory stays in the heap instead of
+/// going back to the kernel.
+///
+/// glibc gives each new thread an arena of its own so that threads
+/// running at once do not contend on one heap lock. Engine threads never
+/// run at once, and which process landed in which arena followed the
+/// order in which the OS happened to start and retire the previous run's
+/// threads, so a repetition's blocks could land in an arena that did not
+/// yet have room for them: a process's peak resident set ratcheted up by
+/// arena-sized steps, a different number of them from one run of the
+/// same binary to the next. In one arena it follows the simulated
+/// allocation order. Trimming the heap top, in turn, gave a repetition's
+/// freed store back to the kernel for the next one to fault in again,
+/// and how much it gave back depended on where a few long-lived blocks
+/// happened to sit. Setting the trim threshold also stops glibc from
+/// raising the mmap threshold (128 KiB in a fresh process) as large
+/// mapped blocks are freed.
+///
+/// Called by every `Engine::run`, acts once per OS process, and reaches
+/// every thread that allocates for the first time after it: all engine
+/// threads.
+fn one_kept_heap() {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        static ONCE: std::sync::Once = std::sync::Once::new();
+        ONCE.call_once(|| {
+            extern "C" {
+                fn mallopt(param: i32, value: i32) -> i32;
+            }
+            const M_TRIM_THRESHOLD: i32 = -1;
+            const M_ARENA_MAX: i32 = -8;
+            // SAFETY: `mallopt` takes two plain integers and only sets
+            // allocator parameters; glibc serialises it against malloc.
+            unsafe {
+                mallopt(M_ARENA_MAX, 1);
+                mallopt(M_TRIM_THRESHOLD, i32::MAX);
+            }
+        });
+    }
+}
+
 /// The simulation engine. Construct process bodies, run them to completion
 /// in deterministic virtual-time order, and collect per-process times.
 pub struct Engine;
@@ -311,6 +353,7 @@ impl Engine {
     {
         let n = bodies.len();
         assert!(n > 0, "engine needs at least one process");
+        one_kept_heap();
         let shared = Arc::new(Shared {
             sched: Mutex::new(Sched {
                 states: vec![State::Ready(VTime::ZERO); n],

@@ -309,7 +309,7 @@ impl Snapshot {
     /// Per-counter difference `self - earlier` (missing earlier entries
     /// count as zero, so a counter lazily registered *between* the two
     /// snapshots reports its full value — required by the lazy
-    /// registration pattern used for shard/lease/integrity counters).
+    /// registration pattern used for shard/integrity counters).
     /// Saturates at zero: a `reset_all()` between the two snapshots makes
     /// the later value smaller, which must read as "no progress since",
     /// not a u64 underflow panic.
@@ -394,7 +394,7 @@ mod tests {
     }
 
     /// Regression: counters lazily registered between two snapshots (the
-    /// shard/lease/integrity pattern — `install_shards` creates its
+    /// shard/integrity pattern — `install_shards` creates its
     /// counters only when sharding is configured) appear only in the newer
     /// snapshot and must report their *full* value in the delta, not be
     /// dropped by an intersection over the earlier snapshot's keys.
@@ -404,14 +404,14 @@ mod tests {
         reg.counter("store.chunk_reads").add(4);
         let s1 = reg.snapshot();
         // Lazily registered after the baseline snapshot:
-        reg.counter("store.lease_grants").add(9);
+        reg.counter("store.shard_rpcs.s0").add(9);
         reg.counter("store.chunk_reads").add(1);
         let s2 = reg.snapshot();
         let d = s2.delta_since(&s1);
-        assert_eq!(d.get("store.lease_grants"), 9, "late key keeps its value");
+        assert_eq!(d.get("store.shard_rpcs.s0"), 9, "late key keeps its value");
         assert_eq!(d.get("store.chunk_reads"), 1);
         assert!(
-            d.values.contains_key("store.lease_grants"),
+            d.values.contains_key("store.shard_rpcs.s0"),
             "late key must be present in the delta, not silently dropped"
         );
     }

@@ -40,6 +40,13 @@ echo "==> one member setter, one layout walk and one manager-rank liveness"
 ! grep -rnE 'ShardCrash|ShardRecover|ShardDown|set_shard_alive|shard_alive\(|revoke_shard_leases|fn set_parity_slot|fn stripe_pos' \
     crates src tests examples/*.rs || exit 1
 
+echo "==> one validity rule for a cached placement (the placement epoch) and a network of two constants"
+# A lease table beside the epoch, or a network config type beside
+# netsim::LINK_BW / netsim::LATENCY, would each bring back a second rule.
+# (The frozen examples/benchmark is not among these paths.)
+! grep -rnE '\blease|Lease|LEASE|BitSet|NetConfig' \
+    crates src tests examples/*.rs || exit 1
+
 if [ "$quick" -eq 0 ]; then
     echo "==> cargo clippy (warnings are errors)"
     cargo clippy --workspace --all-targets -- -D warnings

@@ -365,10 +365,6 @@ store.crc_mismatches=0
 store.degraded_reads=0
 store.degraded_reconstructs=0
 store.failovers=0
-store.lease_expiries=0
-store.lease_grants=4
-store.lease_renewals=816
-store.lease_revokes=0
 store.loc_cache_hits=0
 store.loc_cache_invalidations=0
 store.loc_cache_misses=0
@@ -521,10 +517,6 @@ store.crc_mismatches=0
 store.degraded_reads=0
 store.degraded_reconstructs=0
 store.failovers=0
-store.lease_expiries=0
-store.lease_grants=4
-store.lease_renewals=304
-store.lease_revokes=0
 store.loc_cache_hits=207
 store.loc_cache_invalidations=41
 store.loc_cache_misses=217

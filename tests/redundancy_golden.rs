@@ -49,7 +49,7 @@ use chunkstore::{
 };
 use devices::{Ssd, INTEL_X25E};
 use faults::FaultPlanBuilder;
-use netsim::{NetConfig, Network};
+use netsim::Network;
 use obs::TraceRecorder;
 use simcore::time::bytes::mib;
 use simcore::{StatsRegistry, VTime};
@@ -108,7 +108,7 @@ struct Rig {
 fn rig(cfg: StoreConfig, n: usize) -> Rig {
     let stats = StatsRegistry::new();
     let trace = TraceRecorder::enabled(&stats);
-    let net = Network::new(n + 2, NetConfig::default(), &stats).with_tracer(trace.clone());
+    let net = Network::new(n + 2, &stats).with_tracer(trace.clone());
     let store = AggregateStore::new(cfg, net, &stats).with_tracer(trace.clone());
     for i in 0..n {
         let ssd = Ssd::new(&format!("b{i}.ssd"), INTEL_X25E, &stats).with_tracer(trace.clone());
@@ -560,7 +560,7 @@ fn ha_scenario(shards: usize) -> (Rig, Run) {
             .mgr_recover(second_crash + VTime::from_millis(20), last)
             .build(),
     );
-    // Leased batched reads ride through; serial reads and the namespace
+    // Cached batched reads ride through; serial reads and the namespace
     // op wait for the takeover.
     let t = read_all_batched(&rig, &mut run, crash, f, &oracle, &cache);
     let t = read_all_serial(&rig, &mut run, t, f, &oracle);
@@ -1004,10 +1004,6 @@ store.degraded_reads=0
 store.failovers=0
 store.journal_records=10
 store.journal_replays=1
-store.lease_expiries=0
-store.lease_grants=4
-store.lease_renewals=27
-store.lease_revokes=2
 store.loc_cache_hits=16
 store.loc_cache_invalidations=2
 store.loc_cache_misses=24
