@@ -14,8 +14,8 @@
 //! * **time-to-failover** — detection timeout + journal replay, from the
 //!   `store.mgr_failover_us` counter;
 //! * **sharded takeover** — with a sharded manager, promotion re-points
-//!   the crashed shard's endpoint at its standby node and bumps the
-//!   placement epoch, so no client serves a pre-crash cached placement.
+//!   the crashed shard at its standby node and bumps the placement
+//!   epoch, so no client serves a pre-crash cached placement.
 //!
 //! Run with `-- --smoke` for the CI-sized variant; scripts/ledger.sh diffs
 //! its JSON against a committed expectation, knobs-off baseline included,
@@ -235,10 +235,10 @@ fn main() {
             && failover_us == c2.cluster.stats.get("store.mgr_failover_us"),
     );
 
-    // ---- sharded manager: promotion re-points the endpoint ----------------
+    // ---- sharded manager: promotion re-points the shard -------------------
     // Shard 0 lives on benefactor node 0 with its standby on node 1 (the
     // cluster wires standby k to benefactor k+1); after the crash the
-    // endpoint must move and the placement epoch must bump.
+    // shard must move and the placement epoch must bump.
     let d = failover_sweep(true, 2, true, nchunks);
     store_health("sharded ha faulted", &d.cluster);
     let d_failovers = d.cluster.stats.get("store.mgr_failovers");
@@ -252,7 +252,7 @@ fn main() {
     );
     report.check(
         "promotion re-points shardmgr/0 at the standby node",
-        d.cluster.net.endpoint_node("shardmgr/0") == Some(1),
+        d.cluster.store.shard_node(0) == Some(1),
     );
     report.check(
         "takeover bumps the placement epoch",

@@ -9,9 +9,10 @@
 //! * [`ring`] — a deterministic consistent-hash ring mapping chunk- and
 //!   slot-addressed keys to shards; clients compute owners locally and
 //!   route `fetch_chunks` / `write_pages_batch` resolution directly to
-//!   the owning shard's RPC endpoint (registered with `netsim`).
-//! * [`set`] — the installed fleet: per shard rank its node, standby and
-//!   FIFO metadata CPU, and its RPC counter.
+//!   the owning shard's node.
+//! * [`set`] — the installed fleet: per shard rank its node (the one
+//!   record of where it runs), standby and FIFO metadata CPU, and its RPC
+//!   counter.
 //!
 //! A client's `LocationCache` answers for both manager shapes under one
 //! rule, the placement epoch (DESIGN.md §8): sharding changes who is

@@ -12,7 +12,8 @@ use simcore::{Counter, Resource, VTime};
 /// One placement-manager shard rank.
 #[derive(Debug)]
 struct ShardState {
-    /// Cluster node the shard rank runs on.
+    /// Cluster node the shard rank runs on: the one record of it, read
+    /// by every RPC to the shard and swapped by a standby takeover.
     node: usize,
     /// Node of this shard's standby manager rank (manager HA, DESIGN.md
     /// §16); `None` when the shard runs without one.
@@ -62,6 +63,11 @@ impl ShardSet {
         &self.ring
     }
 
+    /// The node serving `shard`.
+    pub fn node(&self, shard: usize) -> usize {
+        self.shards[shard].node
+    }
+
     /// Install a standby manager rank for `shard` on `node` (DESIGN.md
     /// §16). The standby holds no state of its own — at takeover it
     /// replays the shard's metadata journal.
@@ -69,17 +75,16 @@ impl ShardSet {
         self.shards[shard].standby = Some(node);
     }
 
-    /// Promote `shard`'s standby: it becomes the serving rank (its node
-    /// is returned so the store can re-point the shard's RPC endpoint)
-    /// and the crashed ex-primary's node takes the standby slot, so a
-    /// later reboot rejoins as the new standby. `None` — and no state
-    /// change — when the shard has no standby.
-    pub fn promote_standby(&mut self, shard: usize) -> Option<usize> {
+    /// Promote `shard`'s standby: its node becomes the serving one and
+    /// the crashed ex-primary's node takes the standby slot, so a later
+    /// reboot rejoins as the new standby. No change when the shard has
+    /// no standby.
+    pub fn promote_standby(&mut self, shard: usize) {
         let s = &mut self.shards[shard];
-        let standby = s.standby?;
-        s.standby = Some(s.node);
-        s.node = standby;
-        Some(standby)
+        if let Some(standby) = s.standby {
+            s.standby = Some(s.node);
+            s.node = standby;
+        }
     }
 
     /// Occupy the shard's CPU for one metadata operation arriving at
@@ -142,19 +147,14 @@ mod tests {
     #[test]
     fn standby_promotion_swaps_ranks() {
         let (mut s, _) = set(2);
-        assert_eq!(s.promote_standby(0), None, "no standby installed");
+        s.promote_standby(0);
+        assert_eq!(s.node(0), 0, "no standby installed: nothing moves");
         s.set_standby(0, 9);
-        assert_eq!(
-            s.promote_standby(0),
-            Some(9),
-            "standby now serves the shard"
-        );
-        assert_eq!(
-            s.promote_standby(0),
-            Some(0),
-            "ex-primary became the standby"
-        );
-        assert_eq!(s.promote_standby(1), None, "other shards untouched");
+        s.promote_standby(0);
+        assert_eq!(s.node(0), 9, "standby now serves the shard");
+        s.promote_standby(0);
+        assert_eq!(s.node(0), 0, "ex-primary became the standby");
+        assert_eq!(s.node(1), 1, "other shards untouched");
     }
 
     #[test]

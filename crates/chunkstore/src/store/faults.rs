@@ -5,7 +5,6 @@
 use super::AggregateStore;
 use crate::ids::BenefactorId;
 use ::faults::{FaultEvent, FaultPlan};
-use netsim::LinkFault;
 use obs::Layer;
 use simcore::rng::child_seed;
 use simcore::VTime;
@@ -45,26 +44,6 @@ impl AggregateStore {
             FaultEvent::BenefactorRecover { benefactor } => {
                 self.set_benefactor_alive(BenefactorId(benefactor), true);
             }
-            // Degradation and partition are independent link properties:
-            // each event edits its own and leaves the other as it was.
-            FaultEvent::LinkDegrade {
-                node,
-                bw_divisor,
-                extra_latency,
-            } => self.edit_link(node, |link| {
-                link.bw_divisor = bw_divisor;
-                link.extra_latency = extra_latency;
-            }),
-            FaultEvent::LinkRestore { node } => self.edit_link(node, |link| {
-                *link = LinkFault {
-                    partitioned: link.partitioned,
-                    ..LinkFault::default()
-                }
-            }),
-            FaultEvent::Partition { node } => self.edit_link(node, |link| link.partitioned = true),
-            FaultEvent::Heal { node } => self.edit_link(node, |link| link.partitioned = false),
-            FaultEvent::SsdSlowdown { node, factor } => self.set_node_ssd_slowdown(node, factor),
-            FaultEvent::SsdRestore { node } => self.set_node_ssd_slowdown(node, 1.0),
             FaultEvent::BitRot {
                 benefactor,
                 rate_bp,
@@ -91,13 +70,6 @@ impl AggregateStore {
         }
     }
 
-    /// Read-modify-write of `node`'s link-fault record.
-    fn edit_link(&self, node: usize, edit: impl FnOnce(&mut LinkFault)) {
-        let mut link = self.net.link_fault(node);
-        edit(&mut link);
-        self.net.set_link_fault(node, link);
-    }
-
     /// Silent bit-rot: each chunk stored on `b` is corrupted with
     /// probability `rate_bp` basis points, scaled up by the SSD's consumed
     /// life — a worn device rots faster (PAPER.md Table I wear counters).
@@ -112,16 +84,6 @@ impl AggregateStore {
             if draw % 10_000 < effective_bp {
                 let off = child_seed(draw, 1);
                 mgr.benefactor_mut(b).corrupt_chunk(c, off);
-            }
-        }
-    }
-
-    fn set_node_ssd_slowdown(&self, node: usize, factor: f64) {
-        let mgr = self.mgr.lock();
-        for i in 0..mgr.benefactor_count() {
-            let b = mgr.benefactor(BenefactorId(i));
-            if b.node == node {
-                b.ssd().set_slowdown(factor);
             }
         }
     }

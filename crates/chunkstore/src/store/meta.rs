@@ -24,11 +24,6 @@ pub(super) enum MgrOp {
     Place,
 }
 
-/// The netsim endpoint name shard `k` registers at install time.
-fn shard_endpoint(k: usize) -> String {
-    format!("shardmgr/{k}")
-}
-
 /// A crashed manager rank (DESIGN.md §16): when it died, and — with a
 /// standby — the earliest virtual time the standby may complete takeover
 /// (the crash, `FAILOVER_TIMEOUT`, then the journal replay).
@@ -57,9 +52,9 @@ impl AggregateStore {
 
     /// Charge one metadata round-trip: to placement shard `shard`, or to
     /// the serial manager when `None`. The request and response are
-    /// control-sized messages to the rank's node (a shard's registered
-    /// endpoint). A shard operation occupies the shard's FIFO metadata
-    /// CPU — which is where client fan-in queues, and what extra shards
+    /// control-sized messages to the rank's node ([`ShardSet::node`] for a
+    /// shard). A shard operation occupies the shard's FIFO metadata CPU —
+    /// which is where client fan-in queues, and what extra shards
     /// relieve; the serial manager charges `mgr_cpu` without queueing. A
     /// crashed manager rank is retried on the same backoff schedule as
     /// benefactor failover — a scheduled recovery or standby takeover
@@ -86,10 +81,7 @@ impl AggregateStore {
             self.poll_faults(t);
         }
         let node = match shard {
-            Some(k) => self
-                .net
-                .endpoint_node(&shard_endpoint(k))
-                .expect("shard endpoint registered at install"),
+            Some(k) => self.shard_node(k).expect("shard set installed"),
             None => self.cfg.manager_node,
         };
         self.count_mgr_rpc(op);
@@ -139,18 +131,14 @@ impl AggregateStore {
 
     /// Install the sharded placement manager: shard `k` runs on
     /// `nodes[k]` and owns the keyspace the ring assigns it. Registers
-    /// each shard's RPC endpoint with the network fabric and the per-shard
-    /// RPC counters — lazily, like the integrity set, so knobs-off stat
-    /// snapshots do not grow keys. `seed` fixes the ring layout; cluster
-    /// builds pass [`crate::shardmgr::DEFAULT_RING_SEED`].
+    /// the per-shard RPC counters lazily, like the integrity set, so
+    /// knobs-off stat snapshots do not grow keys. `seed` fixes the ring
+    /// layout; cluster builds pass [`crate::shardmgr::DEFAULT_RING_SEED`].
     pub fn install_shards(&self, nodes: &[usize], seed: u64) {
         assert!(!nodes.is_empty(), "a shard set needs at least one rank");
         let per_shard = (0..nodes.len())
             .map(|k| self.stats.counter(&format!("store.shard_rpcs.s{k}")))
             .collect();
-        for (k, &node) in nodes.iter().enumerate() {
-            self.net.register_endpoint(&shard_endpoint(k), node);
-        }
         let ring = HashRing::new(nodes.len(), DEFAULT_VNODES, seed);
         *self.shards.lock() = Some(ShardSet::new(ring, nodes, per_shard));
         self.register_shard_gauges(nodes.len());
@@ -182,6 +170,12 @@ impl AggregateStore {
     /// Number of installed placement shards (`0` = serial manager).
     pub fn shards_installed(&self) -> usize {
         self.shards.lock().as_ref().map_or(0, |s| s.len())
+    }
+
+    /// The node serving shard `k` — after a standby takeover, the
+    /// standby's. `None` with no shard set installed.
+    pub fn shard_node(&self, k: usize) -> Option<usize> {
+        self.shards.lock().as_ref().map(|s| s.node(k))
     }
 
     /// Ring owner of a slot key, when shards are installed. Pure local
@@ -353,15 +347,10 @@ impl AggregateStore {
         self.stats
             .counter("store.mgr_failover_us")
             .add((at - crashed.at).as_nanos() / 1_000);
-        // Sharded mode: the standby's node takes over the rank's RPC
-        // endpoint. Serial mode models the standby at the manager node.
-        let promoted = self
-            .shards
-            .lock()
-            .as_mut()
-            .and_then(|ss| ss.promote_standby(rank));
-        if let Some(node) = promoted {
-            self.net.register_endpoint(&shard_endpoint(rank), node);
+        // Sharded mode: the standby's node now serves the rank. Serial
+        // mode models the standby at the manager node.
+        if let Some(ss) = self.shards.lock().as_mut() {
+            ss.promote_standby(rank);
         }
         // No pre-crash cached placement survives the takeover.
         self.mgr.lock().revoke_epoch(rank);

@@ -101,7 +101,7 @@ impl AggregateStore {
     /// benefactor request (post-resolution).
     ///
     /// The replica list is scanned in order and the read fails over to the
-    /// first copy that is alive and reachable (counted in
+    /// first copy that is alive (counted in
     /// `store.failovers` / `store.degraded_reads`). Every attempt rescans
     /// the list: writes may have re-homed the chunk and recoveries may
     /// have revived a copy. With
@@ -131,7 +131,7 @@ impl AggregateStore {
             let pick = {
                 let mgr = self.mgr.lock();
                 let homes = mgr.chunk_homes(c).expect("chunk without home");
-                self.serviceable(&mgr, client_node, homes.iter().copied(), &known_bad)
+                Self::serviceable(&mgr, homes.iter().copied(), &known_bad)
                     .map(|(rank, h)| (rank, h, mgr.benefactor(h).node))
                     .ok_or(homes[0])
             };
@@ -202,19 +202,14 @@ impl AggregateStore {
         }
     }
 
-    /// The first of `homes` a read from `client_node` can be served by:
-    /// alive, reachable and not in `skip` (copies that already failed
-    /// verification), with its rank in the list.
+    /// The first of `homes` that is alive and not in `skip` (copies that
+    /// already failed verification), with its rank in the list.
     fn serviceable(
-        &self,
         mgr: &Manager,
-        client_node: usize,
         homes: impl IntoIterator<Item = BenefactorId>,
         skip: &[BenefactorId],
     ) -> Option<(usize, BenefactorId)> {
-        copies::first_live(mgr, homes, |h| {
-            !skip.contains(&h) && self.net.reachable(mgr.benefactor(h).node, client_node)
-        })
+        copies::first_live(mgr, homes, |h| !skip.contains(&h))
     }
 
     /// Serve a read of group member `gref.member` (chunk `lost`) by
@@ -359,7 +354,7 @@ impl AggregateStore {
             let mgr = self.mgr.lock();
             let epoch = mgr.placement_epoch();
             let pull = |chunk, homes: &[BenefactorId]| {
-                let pick = self.serviceable(&mgr, client_node, homes.iter().copied(), &[]);
+                let pick = Self::serviceable(&mgr, homes.iter().copied(), &[]);
                 Some(Pull {
                     chunk,
                     chain: pick.map(|(_, home)| home),

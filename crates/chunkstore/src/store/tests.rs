@@ -2102,19 +2102,18 @@ fn standby_takeover_replays_journal_and_loses_nothing() {
     assert_eq!(p1, ChunkPayload::Data(ChunkBuf::from_bytes(&data)));
 }
 
-/// A standby takeover re-points the crashed rank's endpoint and revokes
-/// every placement a client cached from it, by bumping the epoch.
+/// A standby takeover moves the crashed rank to its standby's node and
+/// revokes every placement a client cached from it, by bumping the epoch.
 #[test]
-fn sharded_standby_promotion_repoints_endpoint_and_revokes_leases() {
+fn sharded_standby_promotion_repoints_the_shard_and_bumps_the_epoch() {
     let stats = StatsRegistry::new();
-    let net = Network::new(4, &stats);
     let cfg = StoreConfig {
         ha_standby: true,
         manager_shards: 2,
         fetch_retries: 12,
         ..StoreConfig::default()
     };
-    let store = AggregateStore::new(cfg, net.clone(), &stats);
+    let store = AggregateStore::new(cfg, Network::new(4, &stats), &stats);
     for (i, node) in [1usize, 2].iter().enumerate() {
         let ssd = Ssd::new(&format!("b{i}.ssd"), INTEL_X25E, &stats);
         store.add_benefactor(Benefactor::new(*node, ssd, mib(64), CHUNK));
@@ -2127,7 +2126,7 @@ fn sharded_standby_promotion_repoints_endpoint_and_revokes_leases() {
     for idx in 0..4 {
         t = store.write_pages(t, 3, f, idx, &[(0, &data)]).unwrap();
     }
-    assert_eq!(net.endpoint_node("shardmgr/0"), Some(1));
+    assert_eq!(store.shard_node(0), Some(1));
     let crash = t + VTime::from_micros(1);
     store.attach_faults(
         faults::FaultPlanBuilder::new(11)
@@ -2145,8 +2144,8 @@ fn sharded_standby_promotion_repoints_endpoint_and_revokes_leases() {
     let (_, found) = store.open(crash, 3, "/m").unwrap();
     assert_eq!(found, Some(f));
     assert_eq!(stats.get("store.mgr_failovers"), 1);
-    // The standby's node now answers rank 0's endpoint…
-    assert_eq!(net.endpoint_node("shardmgr/0"), Some(2));
+    // The standby's node now serves rank 0…
+    assert_eq!(store.shard_node(0), Some(2));
     // …and no client may serve a pre-crash cached placement.
     assert!(store.manager().placement_epoch() > epoch_before);
 }

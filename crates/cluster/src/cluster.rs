@@ -138,7 +138,7 @@ impl Cluster {
             store.install_shards(&shard_nodes, chunkstore::DEFAULT_RING_SEED);
             // Manager HA (DESIGN.md §16): each shard's standby rank lives
             // on the *next* benefactor node, so a takeover always moves
-            // the endpoint off the crashed host.
+            // the shard off the crashed host.
             if store_cfg.ha_standby {
                 let standby_nodes: Vec<usize> = (0..store_cfg.manager_shards)
                     .map(|k| benefactor_nodes[(k + 1) % benefactor_nodes.len()])
@@ -235,16 +235,10 @@ impl Cluster {
     }
 
     /// Install a [`faults::FaultPlan`] on the aggregate store: benefactor
-    /// crashes/recoveries, link faults and SSD slowdowns fire as the jobs'
-    /// virtual clocks pass the scheduled times.
+    /// and manager-rank crashes/recoveries and media corruption fire as
+    /// the jobs' virtual clocks pass the scheduled times.
     pub fn attach_faults(&self, plan: faults::FaultPlan) {
         self.store.attach_faults(plan);
-    }
-
-    /// Map a benefactor index (`BenefactorId.0`, the order of
-    /// `benefactor_nodes`) back to its cluster node.
-    pub fn benefactor_node(&self, benefactor: usize) -> usize {
-        self.benefactor_nodes[benefactor]
     }
 
     /// Sum of SSD wear across the store's benefactors.
@@ -295,10 +289,8 @@ mod tests {
         assert_eq!(c.store.shards_installed(), 4);
         // Round-robin over the benefactor nodes; shard 0 shares the
         // serial manager's node.
-        assert_eq!(c.net.endpoint_node("shardmgr/0"), Some(0));
-        assert_eq!(c.net.endpoint_node("shardmgr/1"), Some(1));
-        assert_eq!(c.net.endpoint_node("shardmgr/2"), Some(0));
-        assert_eq!(c.net.endpoint_node("shardmgr/3"), Some(1));
+        let nodes: Vec<_> = (0..4).map(|k| c.store.shard_node(k)).collect();
+        assert_eq!(nodes, [Some(0), Some(1), Some(0), Some(1)]);
         // Defaults-off: a plain build installs nothing.
         let plain = Cluster::new(ClusterSpec::hal().scaled(64), &[0, 1]);
         assert_eq!(plain.store.shards_installed(), 0);
@@ -321,8 +313,8 @@ mod tests {
             cfg,
         );
         // Primaries round-robin 0,1; standbys are offset by one node so
-        // a takeover always moves the endpoint off the crashed host.
-        assert_eq!(c.net.endpoint_node("shardmgr/0"), Some(0));
+        // a takeover always moves the shard off the crashed host.
+        assert_eq!(c.store.shard_node(0), Some(0));
         c.store.attach_faults(
             faults::FaultPlanBuilder::new(3)
                 .mgr_crash(simcore::VTime::from_millis(1), 0)
@@ -336,7 +328,7 @@ mod tests {
             .open(simcore::VTime::from_millis(2), 2, "/nope")
             .unwrap();
         assert_eq!(found, None);
-        assert_eq!(c.net.endpoint_node("shardmgr/0"), Some(1));
+        assert_eq!(c.store.shard_node(0), Some(1));
     }
 
     #[test]

@@ -76,10 +76,6 @@ impl Comm {
         self.node_of_rank.len()
     }
 
-    pub fn node_of(&self, rank: usize) -> usize {
-        self.node_of_rank[rank]
-    }
-
     /// Synchronize all ranks; everyone leaves at the max arrival time plus
     /// a logarithmic synchronization overhead.
     pub fn barrier(&self, ctx: &mut ProcCtx, rank: usize) {

@@ -245,10 +245,6 @@ impl JobEnv {
     pub fn release_dram(&self, bytes: u64) {
         self.dram.release(bytes)
     }
-
-    pub fn dram_free(&self) -> u64 {
-        self.dram.free()
-    }
 }
 
 /// Result of a job run.

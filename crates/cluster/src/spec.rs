@@ -4,7 +4,6 @@
 
 use devices::{DeviceProfile, PfsConfig, DDR3_1600, INTEL_X25E};
 use simcore::time::bytes::gib;
-use simcore::Bandwidth;
 
 /// Hardware description of a cluster.
 #[derive(Clone, Debug)]
@@ -94,11 +93,6 @@ impl ClusterSpec {
             simcore::bytes::human(self.ssd_capacity_per_node),
             self.scale_divisor,
         )
-    }
-
-    /// Aggregate DRAM bandwidth of one node.
-    pub fn dram_bw(&self) -> Bandwidth {
-        self.dram_profile.read_bw
     }
 }
 

@@ -15,9 +15,7 @@
 
 use crate::profiles::DeviceProfile;
 use obs::{Layer, TraceRecorder};
-use simcore::{Bandwidth, Counter, Grant, Resource, StatsRegistry, VTime};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use simcore::{Counter, Grant, Resource, StatsRegistry, VTime};
 
 /// Wear summary for one flash device.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -39,10 +37,6 @@ pub struct Ssd {
     written_bytes: Counter,
     reads: Counter,
     writes: Counter,
-    /// Fault-injection derating in thousandths: 1000 = nominal speed,
-    /// 4000 = 4× slower. Stored fixed-point so the neutral value divides
-    /// out exactly and an unfaulted device keeps bit-identical timing.
-    slowdown_milli: Arc<AtomicU64>,
     trace: TraceRecorder,
     /// When set, device accesses are recorded as *detached* spans on this
     /// lane (the benefactor node's SSD lane), causally linked to the client
@@ -50,9 +44,6 @@ pub struct Ssd {
     /// lane.
     causal_lane: Option<u32>,
 }
-
-/// Neutral value of the slowdown knob (no derating).
-const SLOWDOWN_NEUTRAL: u64 = 1000;
 
 impl Ssd {
     /// Create a device; counters are registered under `name.*` so
@@ -65,7 +56,6 @@ impl Ssd {
             written_bytes: stats.counter(&format!("{name}.written_bytes")),
             reads: stats.counter(&format!("{name}.reads")),
             writes: stats.counter(&format!("{name}.writes")),
-            slowdown_milli: Arc::new(AtomicU64::new(SLOWDOWN_NEUTRAL)),
             trace: TraceRecorder::disabled(),
             causal_lane: None,
         }
@@ -98,30 +88,6 @@ impl Ssd {
         }
     }
 
-    /// Derate the device by `factor` (≥ 1.0): subsequent accesses take
-    /// `factor` times longer. `1.0` restores nominal speed. Shared across
-    /// clones, so fault injectors can throttle a live device in place.
-    pub fn set_slowdown(&self, factor: f64) {
-        assert!(factor >= 1.0 && factor.is_finite(), "slowdown must be >= 1");
-        self.slowdown_milli.store(
-            (factor * SLOWDOWN_NEUTRAL as f64).round() as u64,
-            Ordering::Relaxed,
-        );
-    }
-
-    /// Current slowdown factor (1.0 = nominal).
-    pub fn slowdown(&self) -> f64 {
-        self.slowdown_milli.load(Ordering::Relaxed) as f64 / SLOWDOWN_NEUTRAL as f64
-    }
-
-    /// Apply the current derating to a nominal transfer rate.
-    fn derated(&self, bw: Bandwidth) -> Bandwidth {
-        match self.slowdown_milli.load(Ordering::Relaxed) {
-            SLOWDOWN_NEUTRAL => bw,
-            m => bw.scaled(SLOWDOWN_NEUTRAL as f64 / m as f64),
-        }
-    }
-
     pub fn profile(&self) -> &DeviceProfile {
         &self.profile
     }
@@ -143,12 +109,9 @@ impl Ssd {
         self.reads.inc();
         let sp = self.dev_span("dev.read", t);
         sp.arg("bytes", moved);
-        let g = self.resource.transfer_at(
-            t,
-            moved,
-            self.derated(self.profile.read_bw),
-            self.profile.latency,
-        );
+        let g = self
+            .resource
+            .transfer_at(t, moved, self.profile.read_bw, self.profile.latency);
         sp.finish(g.end);
         g
     }
@@ -160,12 +123,9 @@ impl Ssd {
         self.writes.inc();
         let sp = self.dev_span("dev.write", t);
         sp.arg("bytes", moved);
-        let g = self.resource.transfer_at(
-            t,
-            moved,
-            self.derated(self.profile.write_bw),
-            self.profile.latency,
-        );
+        let g = self
+            .resource
+            .transfer_at(t, moved, self.profile.write_bw, self.profile.latency);
         sp.finish(g.end);
         g
     }
@@ -257,24 +217,6 @@ mod tests {
         assert!((w.mean_pe_cycles - 1.0).abs() < 1e-9);
         assert!((w.life_consumed - 1.0 / 100_000.0).abs() < 1e-12);
         assert_eq!(w.erase_ops, INTEL_X25E.capacity / INTEL_X25E.erase_block);
-    }
-
-    #[test]
-    fn slowdown_derates_transfers_and_restores_exactly() {
-        let d = x25e();
-        let nominal = d.read_at(VTime::ZERO, 256 * 1024);
-        let nominal_span = nominal.end - nominal.start;
-        d.set_slowdown(4.0);
-        let slow = d.read_at(nominal.end, 256 * 1024);
-        let slow_xfer = Bandwidth::mb_per_sec(250.0 / 4.0).time_for(256 * 1024);
-        assert_eq!(slow.end - slow.start, VTime::from_micros(75) + slow_xfer);
-        d.set_slowdown(1.0);
-        let back = d.read_at(slow.end, 256 * 1024);
-        assert_eq!(back.end - back.start, nominal_span, "neutral is exact");
-        // The knob is shared across clones (live fault injection).
-        let clone = d.clone();
-        clone.set_slowdown(2.0);
-        assert_eq!(d.slowdown(), 2.0);
     }
 
     #[test]

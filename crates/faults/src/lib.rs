@@ -14,8 +14,15 @@
 //!
 //! The plan itself is pure data. The aggregate store polls it at the top
 //! of each timed operation (`AggregateStore::poll_faults`) and applies
-//! due events to the fleet: benefactor liveness, `netsim` link faults,
-//! and `devices` SSD derating.
+//! due events to the fleet: benefactor and manager-rank liveness, and
+//! media corruption.
+//!
+//! Every event is one the store applies in full. There is no link or
+//! partition event: to the store, a partitioned benefactor is a crashed
+//! one whose media are intact, which is exactly `crash` + `recover` (the
+//! recovery reconciles whatever was re-homed meanwhile). A slow link or
+//! SSD would only stretch virtual time, and no experiment asks for one,
+//! so the plan has no event for it either.
 
 use simcore::rng::child_seed;
 use simcore::VTime;
@@ -23,7 +30,7 @@ use simcore::VTime;
 /// One thing that goes wrong (or recovers) in the cluster.
 ///
 /// Benefactors are addressed by their registration index (the store's
-/// `BenefactorId` order); link and SSD faults by cluster node.
+/// `BenefactorId` order); manager ranks by shard.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum FaultEvent {
     /// Benefactor process dies: its chunks become unreachable.
@@ -31,23 +38,6 @@ pub enum FaultEvent {
     /// The benefactor comes back with its SSD contents intact; the store
     /// reconciles any chunks that were re-homed while it was down.
     BenefactorRecover { benefactor: usize },
-    /// Derate a node's network attachment.
-    LinkDegrade {
-        node: usize,
-        bw_divisor: f64,
-        extra_latency: VTime,
-    },
-    /// Restore a node's network attachment to nominal.
-    LinkRestore { node: usize },
-    /// Cut a node off the fabric entirely.
-    Partition { node: usize },
-    /// Reconnect a partitioned node.
-    Heal { node: usize },
-    /// A node's SSD serves `factor`× slower (write-amplification storms,
-    /// background GC, failing media).
-    SsdSlowdown { node: usize, factor: f64 },
-    /// The node's SSD returns to nominal speed.
-    SsdRestore { node: usize },
     /// Silent bit-rot on a benefactor: each chunk stored there flips a
     /// byte with probability `rate_bp` basis points (1/10000), scaled up
     /// by the device's accumulated wear (worn flash rots faster — the
@@ -98,16 +88,6 @@ impl FaultEvent {
             FaultEvent::BenefactorRecover { benefactor } => {
                 format!("fault.benefactor_recover b={benefactor}")
             }
-            FaultEvent::LinkDegrade {
-                node, bw_divisor, ..
-            } => format!("fault.link_degrade node={node} /{bw_divisor}"),
-            FaultEvent::LinkRestore { node } => format!("fault.link_restore node={node}"),
-            FaultEvent::Partition { node } => format!("fault.partition node={node}"),
-            FaultEvent::Heal { node } => format!("fault.heal node={node}"),
-            FaultEvent::SsdSlowdown { node, factor } => {
-                format!("fault.ssd_slowdown node={node} x{factor}")
-            }
-            FaultEvent::SsdRestore { node } => format!("fault.ssd_restore node={node}"),
             FaultEvent::BitRot {
                 benefactor,
                 rate_bp,
@@ -213,43 +193,6 @@ impl FaultPlanBuilder {
 
     pub fn recover(self, at: VTime, benefactor: usize) -> Self {
         self.at(at, FaultEvent::BenefactorRecover { benefactor })
-    }
-
-    pub fn degrade_link(
-        self,
-        at: VTime,
-        node: usize,
-        bw_divisor: f64,
-        extra_latency: VTime,
-    ) -> Self {
-        self.at(
-            at,
-            FaultEvent::LinkDegrade {
-                node,
-                bw_divisor,
-                extra_latency,
-            },
-        )
-    }
-
-    pub fn restore_link(self, at: VTime, node: usize) -> Self {
-        self.at(at, FaultEvent::LinkRestore { node })
-    }
-
-    pub fn partition(self, at: VTime, node: usize) -> Self {
-        self.at(at, FaultEvent::Partition { node })
-    }
-
-    pub fn heal(self, at: VTime, node: usize) -> Self {
-        self.at(at, FaultEvent::Heal { node })
-    }
-
-    pub fn slow_ssd(self, at: VTime, node: usize, factor: f64) -> Self {
-        self.at(at, FaultEvent::SsdSlowdown { node, factor })
-    }
-
-    pub fn restore_ssd(self, at: VTime, node: usize) -> Self {
-        self.at(at, FaultEvent::SsdRestore { node })
     }
 
     /// Schedule a bit-rot event: at `at`, every chunk on `benefactor`

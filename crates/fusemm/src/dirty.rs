@@ -29,10 +29,6 @@ impl DirtyPages {
         }
     }
 
-    pub fn page_count(&self) -> usize {
-        self.pages
-    }
-
     pub fn mark(&mut self, page: usize) {
         assert!(page < self.pages, "page index out of range");
         self.words[page / 64] |= 1 << (page % 64);

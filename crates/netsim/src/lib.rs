@@ -14,10 +14,7 @@
 //! cost one memcpy at DRAM speed, which the caller charges separately.
 
 use obs::{Layer, TraceRecorder};
-use parking_lot::Mutex;
 use simcore::{Bandwidth, Counter, Resource, StatsRegistry, VTime};
-use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Messages at or below this size are *control traffic*: they are
 /// charged serialization + latency but do not occupy the NIC queues.
@@ -28,7 +25,8 @@ use std::sync::Arc;
 pub const CTRL_THRESHOLD: u64 = 4096;
 
 // Model constants rather than configuration: no cluster in the workspace
-// needs a second value. A degraded link is a `LinkFault`.
+// needs a second value, and no fault changes them (a partitioned node is,
+// to the store, a crashed benefactor whose media are intact).
 
 /// Per-direction bandwidth of one node's NIC bond: bonded dual GigE,
 /// 2 Gbit/s = 250 MB/s each way.
@@ -42,36 +40,6 @@ pub const LATENCY: VTime = VTime::from_micros(50);
 struct Nic {
     tx: Resource,
     rx: Resource,
-}
-
-/// Fault-injection state of one node's network attachment. Degradation
-/// applies to every message the node sends or receives; a partitioned
-/// node is unreachable (callers check [`Network::reachable`] before
-/// attempting delivery — the fabric itself cannot refuse a message).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct LinkFault {
-    /// Divide the node's link bandwidth by this factor (≥ 1.0).
-    pub bw_divisor: f64,
-    /// Extra one-way latency added to the node's messages.
-    pub extra_latency: VTime,
-    /// The node is cut off from the fabric entirely.
-    pub partitioned: bool,
-}
-
-impl Default for LinkFault {
-    fn default() -> Self {
-        LinkFault {
-            bw_divisor: 1.0,
-            extra_latency: VTime::ZERO,
-            partitioned: false,
-        }
-    }
-}
-
-impl LinkFault {
-    fn is_neutral(&self) -> bool {
-        self.bw_divisor == 1.0 && self.extra_latency == VTime::ZERO && !self.partitioned
-    }
 }
 
 /// Result of a simulated message.
@@ -88,13 +56,6 @@ pub struct Delivery {
 #[derive(Clone, Debug)]
 pub struct Network {
     nics: Vec<Nic>,
-    /// Per-node fault-injection state, shared across clones of the fabric.
-    faults: Arc<Mutex<Vec<LinkFault>>>,
-    /// Named RPC endpoints (service name → hosting node), shared across
-    /// clones. Services that can live on *any* node — the placement
-    /// shards, for one — register here so clients address them by name
-    /// instead of baking node numbers into their configuration.
-    endpoints: Arc<Mutex<HashMap<String, usize>>>,
     bytes: Counter,
     messages: Counter,
     trace: TraceRecorder,
@@ -109,8 +70,6 @@ impl Network {
                     rx: Resource::new(format!("net.n{i}.rx")),
                 })
                 .collect(),
-            faults: Arc::new(Mutex::new(vec![LinkFault::default(); nodes])),
-            endpoints: Arc::new(Mutex::new(HashMap::new())),
             bytes: stats.counter("net.bytes"),
             messages: stats.counter("net.messages"),
             trace: TraceRecorder::disabled(),
@@ -122,58 +81,6 @@ impl Network {
     pub fn with_tracer(mut self, trace: TraceRecorder) -> Self {
         self.trace = trace;
         self
-    }
-
-    /// Register (or re-home) a named RPC endpoint on `node`.
-    pub fn register_endpoint(&self, name: &str, node: usize) {
-        assert!(node < self.nics.len(), "endpoint on unknown node {node}");
-        self.endpoints.lock().insert(name.to_string(), node);
-    }
-
-    /// The node hosting a named endpoint, if registered.
-    pub fn endpoint_node(&self, name: &str) -> Option<usize> {
-        self.endpoints.lock().get(name).copied()
-    }
-
-    /// Install a fault on `node`'s attachment (replaces any prior fault).
-    pub fn set_link_fault(&self, node: usize, fault: LinkFault) {
-        self.faults.lock()[node] = fault;
-    }
-
-    /// Restore `node`'s attachment to nominal behavior.
-    pub fn clear_link_fault(&self, node: usize) {
-        self.faults.lock()[node] = LinkFault::default();
-    }
-
-    /// Current fault state of `node`'s attachment.
-    pub fn link_fault(&self, node: usize) -> LinkFault {
-        self.faults.lock()[node]
-    }
-
-    /// Whether a message from `from` can reach `to` at all. Loopback is
-    /// always reachable; otherwise both endpoints must be un-partitioned.
-    pub fn reachable(&self, from: usize, to: usize) -> bool {
-        if from == to {
-            return true;
-        }
-        let faults = self.faults.lock();
-        !faults[from].partitioned && !faults[to].partitioned
-    }
-
-    /// Effective (bandwidth, one-way latency) between two endpoints under
-    /// the current faults. Exact nominal values when both are healthy, so
-    /// fault-free runs keep bit-identical timing.
-    fn effective(&self, from: usize, to: usize) -> (Bandwidth, VTime) {
-        let faults = self.faults.lock();
-        let (a, b) = (faults[from], faults[to]);
-        if a.is_neutral() && b.is_neutral() {
-            return (LINK_BW, LATENCY);
-        }
-        let div = a.bw_divisor.max(b.bw_divisor).max(1.0);
-        (
-            LINK_BW.scaled(1.0 / div),
-            LATENCY + a.extra_latency + b.extra_latency,
-        )
     }
 
     pub fn nodes(&self) -> usize {
@@ -196,21 +103,22 @@ impl Network {
         sp.arg("from", from as u64)
             .arg("to", to as u64)
             .arg("bytes", bytes);
-        let (bw, latency) = self.effective(from, to);
         let d = if bytes <= CTRL_THRESHOLD {
-            let ser = bw.time_for(bytes);
+            let ser = LINK_BW.time_for(bytes);
             Delivery {
                 sent: t + ser,
-                arrived: t + ser + latency,
+                arrived: t + ser + LATENCY,
             }
         } else {
-            let tx = self.nics[from].tx.transfer_at(t, bytes, bw, VTime::ZERO);
+            let tx = self.nics[from]
+                .tx
+                .transfer_at(t, bytes, LINK_BW, VTime::ZERO);
             // Cut-through delivery: the receive side starts draining as soon
             // as the first bytes arrive; at equal rates the RX busy period
             // equals the TX one shifted by the latency, and queues if the RX
             // NIC is still busy with an earlier message.
             let rx = self.nics[to].rx.acquire_at(
-                tx.start + latency,
+                tx.start + LATENCY,
                 tx.end - tx.start, // same serialization time at equal link rates
             );
             Delivery {
@@ -280,17 +188,6 @@ mod tests {
     }
 
     #[test]
-    fn endpoints_register_and_rehome_across_clones() {
-        let net = net(3);
-        assert_eq!(net.endpoint_node("shardmgr/0"), None);
-        net.register_endpoint("shardmgr/0", 1);
-        let clone = net.clone();
-        assert_eq!(clone.endpoint_node("shardmgr/0"), Some(1));
-        clone.register_endpoint("shardmgr/0", 2);
-        assert_eq!(net.endpoint_node("shardmgr/0"), Some(2));
-    }
-
-    #[test]
     fn loopback_is_free() {
         let net = net(2);
         let d = net.transfer_at(VTime::from_secs(3), 1, 1, 1 << 30);
@@ -333,49 +230,6 @@ mod tests {
         let d2 = net.transfer_at(VTime::ZERO, 1, 0, 250_000_000);
         // Opposite directions do not contend.
         assert_eq!(d1.arrived, d2.arrived);
-    }
-
-    #[test]
-    fn degraded_link_slows_and_restores_exactly() {
-        let net = net(2);
-        let d0 = net.transfer_at(VTime::ZERO, 0, 1, 250_000_000);
-        let span0 = d0.arrived - VTime::ZERO;
-        net.set_link_fault(
-            1,
-            LinkFault {
-                bw_divisor: 2.0,
-                extra_latency: VTime::from_micros(100),
-                partitioned: false,
-            },
-        );
-        let d1 = net.transfer_at(d0.arrived, 0, 1, 250_000_000);
-        // Half bandwidth: 2 s serialize; +100 µs extra latency.
-        assert_eq!(
-            d1.arrived - d0.arrived,
-            VTime::from_secs(2) + VTime::from_micros(150)
-        );
-        net.clear_link_fault(1);
-        let d2 = net.transfer_at(d1.arrived, 0, 1, 250_000_000);
-        assert_eq!(d2.arrived - d1.arrived, span0, "nominal timing restored");
-    }
-
-    #[test]
-    fn partition_observed_via_reachable() {
-        let net = net(3);
-        assert!(net.reachable(0, 1));
-        net.set_link_fault(
-            1,
-            LinkFault {
-                partitioned: true,
-                ..LinkFault::default()
-            },
-        );
-        assert!(!net.reachable(0, 1));
-        assert!(!net.reachable(1, 2));
-        assert!(net.reachable(0, 2));
-        assert!(net.reachable(1, 1), "loopback survives partition");
-        net.clear_link_fault(1);
-        assert!(net.reachable(0, 1));
     }
 
     #[test]

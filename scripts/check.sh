@@ -47,6 +47,13 @@ echo "==> one validity rule for a cached placement (the placement epoch) and a n
 ! grep -rnE '\blease|Lease|LEASE|BitSet|NetConfig' \
     crates src tests examples/*.rs || exit 1
 
+echo "==> the fabric is only the wire, and a shard's node lives in ShardSet alone"
+# A link or SSD-speed fault, a reachability check or a named-endpoint
+# registry would each bring back a half-modelled fault or a second record
+# of where a shard runs.
+! grep -rnE 'LinkFault|link_fault|reachable\(|SsdSlowdown|set_slowdown|slow_ssd|degrade_link|register_endpoint|endpoint_node|shard_endpoint' \
+    crates src tests examples/*.rs || exit 1
+
 if [ "$quick" -eq 0 ]; then
     echo "==> cargo clippy (warnings are errors)"
     cargo clippy --workspace --all-targets -- -D warnings

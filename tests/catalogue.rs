@@ -3,13 +3,13 @@
 //! One traced full-knobs run — the hardened `datapath_golden` job
 //! (pipelined mount, segmented cache + write-back daemon, 2 manager shards
 //! over RS(2,1) with verified reads) plus a standby manager, the scrub
-//! daemon and a fault plan with a benefactor crash, bit rot and a manager
-//! crash — and every span name, instant prefix (the name up to its first
-//! space), counter name and gauge series name it emits must appear in §9.
-//! Per-shard and per-device names match the catalogue's `<k>` / `<X>`
-//! patterns, and every `lat.<span>` histogram must follow a catalogued
-//! span. The other direction — every catalogued name is emitted by some
-//! test — is not checked here.
+//! daemon and a fault plan with every `FaultEvent` kind — and every span
+//! name, instant prefix (the name up to its first space), counter name and
+//! gauge series name it emits must appear in §9. Per-shard and per-device
+//! names match the catalogue's `<k>` / `<X>` patterns, and every
+//! `lat.<span>` histogram must follow a catalogued span. The other
+//! direction is checked for the `fault.*` instants: every one §9 lists is
+//! emitted by this run.
 
 use chunkstore::{ScrubConfig, StoreConfig};
 use cluster::{run_job, Calibration, Cluster, ClusterSpec, JobConfig};
@@ -94,9 +94,13 @@ fn full_knobs_run() -> [BTreeSet<String>; 5] {
     let cluster = Cluster::with_obs_causal(spec, &job.benefactor_nodes(), fuse, store);
     cluster.attach_faults(
         FaultPlanBuilder::new(9)
+            .corruption_rate(VTime::from_millis(10), 0, 100)
+            .torn_write(VTime::from_millis(15), 1)
             .bit_rot(VTime::from_millis(20), 1, 5_000)
             .mgr_crash(VTime::from_millis(60), 0)
             .crash(VTime::from_millis(120), 2)
+            .mgr_recover(VTime::from_millis(130), 0)
+            .recover(VTime::from_millis(140), 2)
             .build(),
     );
     cluster.store.attach_scrub(
@@ -202,6 +206,18 @@ fn every_emitted_name_is_catalogued() {
     ] {
         assert!(set.contains(name), "the run emitted no {name}");
     }
+
+    // Reverse direction for the fault plan: every catalogued `fault.*`
+    // instant is one this run emits, so a fault kind nothing can schedule
+    // shows up here instead of lingering in §9.
+    let unemitted: Vec<&String> = catalogue
+        .iter()
+        .filter(|n| n.starts_with("fault.") && !instants.contains(*n))
+        .collect();
+    assert!(
+        unemitted.is_empty(),
+        "catalogued in DESIGN.md §9 but not emitted: {unemitted:?}"
+    );
 
     let mut missing: Vec<String> = Vec::new();
     for (kind, set) in [
