@@ -20,14 +20,21 @@
 //! # Wake protocol
 //!
 //! All scheduler state sits behind one mutex; beside it every process has
-//! its own wake slot (a `Condvar` only that process ever sleeps on). A
-//! hand-off is one critical section on the yielding side: publish the new
-//! state, `Shared::dispatch`, then sleep on its own slot under the same
-//! guard. `dispatch` is the only place that wakes, and it wakes exactly
-//! the process it just claimed, so a hand-off costs one wake and one sleep
-//! however many processes exist. The wake cannot be lost: the sleeper
-//! checks for `Running` under the mutex before every wait, and the claim
-//! that makes it `Running` happens under the same mutex.
+//! its own grant flag (an `AtomicBool` only that process ever clears) and
+//! its host thread's handle. A hand-off is one critical section on the
+//! yielding side: publish the new state, then `Shared::dispatch` claims
+//! the ready set's head and sets its grant flag. Only after dropping the
+//! guard does `dispatch` `unpark` that one thread; the yielder then parks
+//! itself outside the lock until its own flag is set. The woken
+//! process finds the lock free, so a hand-off costs one futex wake and
+//! one futex sleep however many processes exist; a wake issued while the
+//! lock is held would put the woken thread to sleep again on the mutex
+//! until its waker let go. The wake cannot be lost: the flag
+//! is set before the `unpark`, and a thread's park token outlives an
+//! `unpark` that arrives before the `park` — the grantee finds the flag
+//! already set or returns from `park` at once. A `park` that returns
+//! without a grant (a stale token) re-checks the scheduler invariant below
+//! under the lock and parks again.
 //!
 //! `resume_other` wakes nobody. Invariant: *whenever the ready set is
 //! non-empty, some process is `Running`.* Only the baton holder can make
@@ -36,13 +43,16 @@
 //! head — so the resumee is reached by a later `dispatch` and needs no
 //! wake of its own. When a `dispatch` finds nothing ready while a process
 //! is still suspended nothing could ever run again: that is a deadlock,
-//! reported by a panic. Only a panicking process broadcasts — to every
-//! slot, so that no peer stays asleep.
+//! reported by a panic. Only a panicking process wakes more than one
+//! thread: it raises the poison flag and unparks every thread, so that no
+//! peer stays asleep.
 
 use crate::time::VTime;
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use parking_lot::{Mutex, MutexGuard};
 use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::thread::Thread;
 
 /// Identifies a process within one [`Engine`] run.
 pub type ProcId = usize;
@@ -72,9 +82,8 @@ struct Sched {
     /// The process currently holding the baton, if any.
     running: Option<ProcId>,
     switches: u64,
-    /// Slot wakes issued by `dispatch` (one per claim).
+    /// Thread wakes issued for `dispatch`'s claims (one per claim).
     wakeups: u64,
-    poisoned: bool,
 }
 
 impl Sched {
@@ -118,45 +127,77 @@ impl Sched {
 
 struct Shared {
     sched: Mutex<Sched>,
-    /// One wake slot per process, indexed by `ProcId`.
-    slots: Vec<Condvar>,
+    /// One grant flag per process, indexed by `ProcId`: set by the
+    /// `dispatch` that claims the process, cleared by its own
+    /// `wait_for_baton`.
+    grants: Vec<AtomicBool>,
+    /// Every process's host thread, indexed by `ProcId`; published before
+    /// the kick-off dispatch, so every wake finds it.
+    threads: OnceLock<Vec<Thread>>,
+    /// Raised by a panicking process; every waiter then unwinds.
+    poisoned: AtomicBool,
 }
 
 impl Shared {
-    /// Hand the baton to the best ready process and wake it (caller must
-    /// NOT be Running). Nothing ready with a process still suspended means
-    /// nothing can ever run again: panic, which poisons the engine.
-    fn dispatch(&self, sched: &mut Sched) {
+    /// Give the baton up (caller must NOT be Running): claim the best
+    /// ready process and set its grant flag under the lock, release the
+    /// lock, then wake that one thread. Nothing ready with a process still
+    /// suspended means nothing can ever run again: panic, which poisons
+    /// the engine.
+    fn dispatch(&self, mut sched: MutexGuard<'_, Sched>) {
         sched.running = None;
-        if let Some((next, t)) = sched.min_ready() {
-            sched.claim(next, t);
-            sched.wakeups += 1;
-            self.slots[next].notify_one();
-        } else {
+        let Some((next, t)) = sched.min_ready() else {
             assert!(
                 !sched.any_suspended(),
                 "virtual-time deadlock: every unfinished process is suspended \
                  (unmatched collective or rendezvous?)"
             );
-        }
+            return;
+        };
+        sched.claim(next, t);
+        sched.wakeups += 1;
+        self.grants[next].store(true, Ordering::Release);
+        drop(sched);
+        self.threads()[next].unpark();
     }
 
-    /// Sleep on `id`'s slot until a `dispatch` has claimed it; returns the
+    fn threads(&self) -> &[Thread] {
+        self.threads
+            .get()
+            .expect("threads are published before kick-off")
+    }
+
+    fn check_poison(&self) {
+        assert!(
+            !self.poisoned.load(Ordering::Acquire),
+            "engine poisoned by a panicking process"
+        );
+    }
+
+    /// Park until a `dispatch` has granted `id` the baton; returns the
     /// clock it was granted at.
-    fn wait_for_baton(&self, sched: &mut MutexGuard<'_, Sched>, id: ProcId) -> VTime {
+    fn wait_for_baton(&self, id: ProcId) -> VTime {
         loop {
-            assert!(!sched.poisoned, "engine poisoned by a panicking process");
-            match sched.states[id] {
-                State::Running(t) => return t,
-                State::Ready(_) | State::Suspended(_) => {
-                    assert!(
-                        sched.running.is_some() || sched.ready.is_empty(),
-                        "lost wake-up: processes are ready but nobody holds the baton"
-                    );
-                    self.slots[id].wait(sched);
-                }
-                State::Done(_) => unreachable!("done process rescheduled"),
+            self.check_poison();
+            if self.grants[id].swap(false, Ordering::Acquire) {
+                break;
             }
+            std::thread::park();
+            if !self.grants[id].load(Ordering::Acquire) {
+                let sched = self.sched.lock();
+                assert!(
+                    sched.running.is_some() || sched.ready.is_empty(),
+                    "lost wake-up: processes are ready but nobody holds the baton"
+                );
+            }
+        }
+        let sched = self.sched.lock();
+        match sched.states[id] {
+            State::Running(t) => {
+                debug_assert!(sched.min_active_clock_excluding(id, t).is_none());
+                t
+            }
+            s => unreachable!("granted process {id} is {s:?}"),
         }
     }
 }
@@ -198,8 +239,8 @@ impl ProcCtx {
     /// state (resources, caches, stores) so mutations occur in virtual-time
     /// order.
     pub fn yield_until_min(&mut self) {
+        self.shared.check_poison();
         let mut sched = self.shared.sched.lock();
-        assert!(!sched.poisoned, "engine poisoned by a panicking process");
         if sched
             .min_active_clock_excluding(self.id, self.clock)
             .is_none()
@@ -210,11 +251,8 @@ impl ProcCtx {
         // the baton back claims the ready set's head, so we wake up as the
         // minimum and need not look again.
         sched.make_ready(self.id, self.clock);
-        self.shared.dispatch(&mut sched);
-        self.clock = self.shared.wait_for_baton(&mut sched, self.id);
-        debug_assert!(sched
-            .min_active_clock_excluding(self.id, self.clock)
-            .is_none());
+        self.shared.dispatch(sched);
+        self.clock = self.shared.wait_for_baton(self.id);
     }
 
     /// Park this process; returns once another process calls
@@ -222,10 +260,10 @@ impl ProcCtx {
     pub fn suspend_self(&mut self) {
         let mut sched = self.shared.sched.lock();
         sched.states[self.id] = State::Suspended(self.clock);
-        self.shared.dispatch(&mut sched);
+        self.shared.dispatch(sched);
         // Our resumer stores the release clock in our state when it flips
         // us to Ready; the claim carries it over.
-        self.clock = self.shared.wait_for_baton(&mut sched, self.id);
+        self.clock = self.shared.wait_for_baton(self.id);
     }
 
     /// Make a suspended process ready again at virtual time `at`.
@@ -252,7 +290,7 @@ impl ProcCtx {
     fn finish(&mut self) {
         let mut sched = self.shared.sched.lock();
         sched.states[self.id] = State::Done(self.clock);
-        self.shared.dispatch(&mut sched);
+        self.shared.dispatch(sched);
     }
 }
 
@@ -361,12 +399,11 @@ impl Engine {
                 running: None,
                 switches: 0,
                 wakeups: 0,
-                poisoned: false,
             }),
-            slots: (0..n).map(|_| Condvar::new()).collect(),
+            grants: (0..n).map(|_| AtomicBool::new(false)).collect(),
+            threads: OnceLock::new(),
+            poisoned: AtomicBool::new(false),
         });
-        // Kick off: lowest id starts running.
-        shared.dispatch(&mut shared.sched.lock());
 
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(n);
@@ -377,13 +414,11 @@ impl Engine {
                     let mut ctx = ProcCtx {
                         id,
                         clock: VTime::ZERO,
-                        shared,
+                        shared: Arc::clone(&shared),
                     };
                     // Wait for the baton before the first action.
-                    ctx.clock = ctx.shared.wait_for_baton(&mut ctx.shared.sched.lock(), id);
-                    let guard = PoisonGuard {
-                        shared: Arc::clone(&ctx.shared),
-                    };
+                    ctx.clock = shared.wait_for_baton(id);
+                    let guard = PoisonGuard(&shared);
                     if let Some(obs) = &observer {
                         obs.proc_started(id, ctx.now());
                     }
@@ -397,6 +432,13 @@ impl Engine {
                     std::mem::forget(guard);
                 }));
             }
+            // Kick off once every thread can be woken: lowest id runs first.
+            let threads = handles.iter().map(|h| h.thread().clone()).collect();
+            shared
+                .threads
+                .set(threads)
+                .expect("threads are published once");
+            shared.dispatch(shared.sched.lock());
             // Join manually so an original panic payload (not the generic
             // "a scoped thread panicked") reaches the caller. Secondary
             // "engine poisoned" panics from bystander processes are the
@@ -443,16 +485,14 @@ impl Engine {
 
 /// Panic guard: if a process body panics, poison the engine so every other
 /// thread wakes up and unwinds instead of hanging. Forgotten on the normal
-/// return path.
-struct PoisonGuard {
-    shared: Arc<Shared>,
-}
+/// return path; it borrows the `Arc` its thread's closure owns, so
+/// forgetting it keeps nothing alive.
+struct PoisonGuard<'a>(&'a Shared);
 
-impl Drop for PoisonGuard {
+impl Drop for PoisonGuard<'_> {
     fn drop(&mut self) {
-        let mut sched = self.shared.sched.lock();
-        sched.poisoned = true;
-        self.shared.slots.iter().for_each(Condvar::notify_all);
+        self.0.poisoned.store(true, Ordering::Release);
+        self.0.threads().iter().for_each(Thread::unpark);
     }
 }
 
@@ -550,30 +590,128 @@ mod tests {
         ]);
     }
 
+    /// Run `f` on a helper thread and wait at most `secs` for it, so that a
+    /// hung engine is a failing test here, not a stuck test binary.
+    fn within<R: Send + 'static>(
+        secs: u64,
+        f: impl FnOnce() -> R + Send + 'static,
+    ) -> std::thread::Result<R> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let helper = std::thread::spawn(move || {
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
+            let _ = tx.send(outcome);
+        });
+        let outcome = rx
+            .recv_timeout(std::time::Duration::from_secs(secs))
+            .expect("engine hung");
+        helper.join().unwrap();
+        outcome
+    }
+
     #[test]
     #[should_panic(expected = "deadlock")]
     fn finish_with_suspended_peer_is_deadlock() {
         // The last runnable process finishes while its peer is still
-        // suspended. The engine runs on a helper thread so that a hang is
-        // a failing test here, not a stuck test binary.
-        let (tx, rx) = std::sync::mpsc::channel();
-        let helper = std::thread::spawn(move || {
-            let outcome = std::panic::catch_unwind(|| {
-                Engine::run(vec![
-                    Box::new(|ctx: &mut ProcCtx| ctx.suspend_self())
-                        as Box<dyn FnOnce(&mut ProcCtx) + Send>,
-                    Box::new(|ctx: &mut ProcCtx| ctx.advance(VTime::from_secs(1))),
-                ])
-            });
-            let _ = tx.send(outcome);
+        // suspended.
+        let outcome = within(10, || {
+            Engine::run(vec![
+                Box::new(|ctx: &mut ProcCtx| ctx.suspend_self())
+                    as Box<dyn FnOnce(&mut ProcCtx) + Send>,
+                Box::new(|ctx: &mut ProcCtx| ctx.advance(VTime::from_secs(1))),
+            ])
         });
-        let outcome = rx
-            .recv_timeout(std::time::Duration::from_secs(10))
-            .expect("engine hung instead of reporting the unmatched suspend");
-        helper.join().unwrap();
         if let Err(payload) = outcome {
             std::panic::resume_unwind(payload);
         }
+    }
+
+    #[test]
+    fn ping_pong_survives_grants_issued_before_park() {
+        // Two processes a nanosecond apart hand the baton back and forth
+        // 100 000 times. The grantee is often still on its way to `park`
+        // when its grant and its unpark arrive.
+        const ROUNDS: u64 = 50_000;
+        let report = within(120, || {
+            let mk = |start: u64| {
+                move |ctx: &mut ProcCtx| {
+                    ctx.advance(VTime::from_nanos(start));
+                    for _ in 0..ROUNDS {
+                        ctx.advance(VTime::from_nanos(2));
+                        ctx.yield_until_min();
+                    }
+                }
+            };
+            Engine::run(vec![mk(0), mk(1)])
+        })
+        .expect("ping-pong panicked");
+        assert!(report.context_switches >= 2 * ROUNDS, "{report:?}");
+        assert_eq!(
+            report.finish_times,
+            vec![
+                VTime::from_nanos(2 * ROUNDS),
+                VTime::from_nanos(2 * ROUNDS + 1)
+            ]
+        );
+    }
+
+    #[test]
+    fn panic_with_127_parked_peers_unwinds_every_thread() {
+        // Odd processes suspend for good, even ones park Ready at 2 s, and
+        // process 0 panics at 1 s: every peer must unwind, and the caller
+        // must see process 0's payload, not a bystander's "poisoned".
+        const N: usize = 128;
+        let unwound = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let counter = Arc::clone(&unwound);
+        let outcome = within(60, move || {
+            struct Exit(Arc<std::sync::atomic::AtomicUsize>);
+            impl Drop for Exit {
+                fn drop(&mut self) {
+                    self.0.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+            let bodies = (0..N)
+                .map(|id| {
+                    let exit = Exit(Arc::clone(&counter));
+                    move |ctx: &mut ProcCtx| {
+                        let _exit = exit;
+                        if id == 0 {
+                            ctx.advance(VTime::from_secs(1));
+                            ctx.yield_until_min();
+                            panic!("process 0 exploded");
+                        } else if id % 2 == 1 {
+                            ctx.suspend_self();
+                        } else {
+                            ctx.advance(VTime::from_secs(2));
+                            ctx.yield_until_min();
+                        }
+                        unreachable!("process {id} ran past the panic");
+                    }
+                })
+                .collect();
+            Engine::run(bodies)
+        });
+        let payload = outcome.expect_err("the panic must reach the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"process 0 exploded"));
+        assert_eq!(unwound.load(Ordering::Relaxed), N);
+    }
+
+    #[test]
+    fn run_releases_its_scheduler() {
+        let shared: Arc<PMutex<Option<std::sync::Weak<Shared>>>> = Arc::default();
+        let slot = Arc::clone(&shared);
+        Engine::run(vec![
+            Box::new(move |ctx: &mut ProcCtx| {
+                *slot.lock() = Some(Arc::downgrade(&ctx.shared));
+                ctx.yield_until_min();
+            }) as Box<dyn FnOnce(&mut ProcCtx) + Send>,
+            Box::new(|ctx: &mut ProcCtx| ctx.suspend_self()),
+            Box::new(|ctx: &mut ProcCtx| {
+                ctx.yield_until_min();
+                ctx.resume_other(1, ctx.now());
+            }),
+        ]);
+        let weak = shared.lock().take().expect("body ran");
+        assert!(weak.upgrade().is_none(), "Engine::run leaked its scheduler");
     }
 
     #[test]

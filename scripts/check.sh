@@ -106,6 +106,13 @@ micro_floor bytes_per_host_second 140000000 "simulated bytes"
 # herd it replaced, so a wake that scales with the number of sleeping
 # processes fails here.
 micro_floor engine_handoffs_per_host_second 100000 "engine hand-offs"
+# 200 000 hand-offs per host second in the 16-process yield storm, which
+# spawns 16 threads once and then only hands the baton on (EXPERIMENTS.md
+# "Engine hand-off: one futex per hand-off"): above the
+# ~137 k of waking the grantee while the scheduler lock is held, which
+# made it sleep again on that lock, and 1.5x below the ~300 k of one
+# futex wake and one futex sleep per hand-off.
+micro_floor engine_handoffs_per_host_second_16 200000 "engine hand-offs at 16 processes"
 # The payload path (ISSUE 16, EXPERIMENTS.md "Host speed"). Full-chunk
 # stream writes: 1.5 GB per host second, between the 1.06 GB/hs of the
 # one-register digest and the 2.3 GB/hs measured with four lanes — the

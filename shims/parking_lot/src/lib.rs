@@ -1,26 +1,22 @@
 //! Offline stand-in for the `parking_lot` API, backed by `std::sync`.
 //!
 //! The workspace builds in environments with no crates.io access, so the
-//! small slice of `parking_lot` the simulation kernel uses (panic-free
-//! `lock()`, `Condvar::wait(&mut guard)`) is provided here over the
+//! small slice of `parking_lot` the simulation kernel uses (a `Mutex`
+//! whose `lock()` cannot fail) is provided here over the
 //! standard-library primitives. Poisoning is deliberately ignored: a
 //! panicking simulation process already aborts the test, and the paper
 //! reproduction's locks protect plain data, not invariants that survive
 //! unwinding.
 
 use std::fmt;
-use std::ops::{Deref, DerefMut};
 use std::sync::{self, PoisonError};
 
 /// A mutex whose `lock()` returns the guard directly (no `Result`).
 #[derive(Default)]
 pub struct Mutex<T: ?Sized>(sync::Mutex<T>);
 
-/// RAII guard for [`Mutex`].
-///
-/// Internally holds an `Option` so [`Condvar::wait`] can move the std
-/// guard out and back without consuming the caller's binding.
-pub struct MutexGuard<'a, T: ?Sized>(Option<sync::MutexGuard<'a, T>>);
+/// RAII guard for [`Mutex`]: the standard library's.
+pub use std::sync::MutexGuard;
 
 impl<T> Mutex<T> {
     pub const fn new(value: T) -> Self {
@@ -34,19 +30,15 @@ impl<T> Mutex<T> {
 
 impl<T: ?Sized> Mutex<T> {
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        MutexGuard(Some(self.0.lock().unwrap_or_else(PoisonError::into_inner)))
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
         match self.0.try_lock() {
-            Ok(g) => Some(MutexGuard(Some(g))),
-            Err(sync::TryLockError::Poisoned(p)) => Some(MutexGuard(Some(p.into_inner()))),
+            Ok(g) => Some(g),
+            Err(sync::TryLockError::Poisoned(p)) => Some(p.into_inner()),
             Err(sync::TryLockError::WouldBlock) => None,
         }
-    }
-
-    pub fn get_mut(&mut self) -> &mut T {
-        self.0.get_mut().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -59,91 +51,9 @@ impl<T: ?Sized + fmt::Debug> fmt::Debug for Mutex<T> {
     }
 }
 
-impl<T: ?Sized> Deref for MutexGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        self.0.as_ref().expect("guard taken during wait")
-    }
-}
-
-impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        self.0.as_mut().expect("guard taken during wait")
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for MutexGuard<'_, T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&**self, f)
-    }
-}
-
-/// Condition variable with `parking_lot`'s by-reference wait API.
-#[derive(Default)]
-pub struct Condvar(sync::Condvar);
-
-impl Condvar {
-    pub const fn new() -> Self {
-        Condvar(sync::Condvar::new())
-    }
-
-    /// Atomically release the guard's lock, wait, and re-acquire.
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        let inner = guard.0.take().expect("guard already waiting");
-        let inner = self.0.wait(inner).unwrap_or_else(PoisonError::into_inner);
-        guard.0 = Some(inner);
-    }
-
-    pub fn notify_one(&self) {
-        self.0.notify_one();
-    }
-
-    pub fn notify_all(&self) {
-        self.0.notify_all();
-    }
-}
-
-impl fmt::Debug for Condvar {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("Condvar")
-    }
-}
-
-/// Reader–writer lock with `parking_lot`'s panic-free API.
-#[derive(Default)]
-pub struct RwLock<T: ?Sized>(sync::RwLock<T>);
-
-impl<T> RwLock<T> {
-    pub const fn new(value: T) -> Self {
-        RwLock(sync::RwLock::new(value))
-    }
-
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    pub fn read(&self) -> sync::RwLockReadGuard<'_, T> {
-        self.0.read().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    pub fn write(&self) -> sync::RwLockWriteGuard<'_, T> {
-        self.0.write().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLock<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("RwLock(..)")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-    use std::thread;
 
     #[test]
     fn mutex_roundtrip() {
@@ -151,21 +61,5 @@ mod tests {
         *m.lock() += 1;
         assert_eq!(*m.lock(), 2);
         assert_eq!(m.into_inner(), 2);
-    }
-
-    #[test]
-    fn condvar_wakes_waiter() {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let pair2 = Arc::clone(&pair);
-        let h = thread::spawn(move || {
-            let (lock, cv) = &*pair2;
-            let mut started = lock.lock();
-            while !*started {
-                cv.wait(&mut started);
-            }
-        });
-        *pair.0.lock() = true;
-        pair.1.notify_one();
-        h.join().unwrap();
     }
 }
