@@ -244,7 +244,7 @@ fn run_host_speed() -> bench::Json {
 
     // 5. scheduler storms: hand-offs/host-second of the engine itself, at
     //    16 processes (yields only: the pure hand-off rate) and at the
-    //    paper's 128 (yields and barriers, spawning included) — check.sh
+    //    paper's 128 (yields and barriers, start-up included) — check.sh
     //    gates both
     let started = Instant::now();
     let report = engine_storm(16, 1, 500, false);

@@ -13,11 +13,11 @@ use std::cell::RefCell;
 /// entry, who resolves it and when that reply is in hand; per benefactor,
 /// its chain. Flat Vecs recycled across the calling thread's calls
 /// ([`ChainScratch::take`] / [`ChainScratch::recycle`]), so a steady-state
-/// call allocates only what it returns. Per thread, not per store: the
-/// paper path issues one call per chunk from every rank, and a block one
-/// rank's call grew, kept alive in that rank's heap until the store goes,
-/// is enough to stop glibc trimming that heap behind it (EXPERIMENTS.md
-/// "One store call per direction").
+/// call allocates only what it returns. Per thread, not per store: every
+/// rank of an engine run runs on the thread that called `Engine::run`, so
+/// the ranks take turns with one scratch, and no store keeps a block a
+/// call grew alive until the store goes (EXPERIMENTS.md "One store call
+/// per direction").
 #[derive(Debug, Default)]
 pub(super) struct ChainScratch {
     /// Per entry: the ring owner of its slot key (`None`: the serial

@@ -1,7 +1,7 @@
 //! Causal cross-rank trace edges (DESIGN.md §14).
 //!
-//! The recorder derives span parentage from lexical call nesting on one
-//! host thread, which is exactly right for the synchronous client data
+//! The recorder derives span parentage from lexical call nesting in one
+//! engine process, which is exactly right for the synchronous client data
 //! path (mount → store → net → device) but would collapse *remote* work
 //! onto the client's lane: the shard-manager CPU occupancy a client RPC
 //! queues behind, and the benefactor-side SSD service a fetch triggers,
@@ -29,7 +29,7 @@ pub const METRICS_LANE: u32 = 4_000_000;
 
 /// A copyable causal context: the span (if any) on whose behalf remote
 /// work is being recorded. Obtained from [`crate::TraceRecorder::ctx`]
-/// (the innermost open span on the calling host thread) and passed to
+/// (the innermost open span in the calling engine process) and passed to
 /// [`crate::TraceRecorder::causal_span`], which stores it as the new
 /// span's `link`. Empty when the recorder is disabled or no span is open
 /// — linking is always best-effort and never affects timing.

@@ -4,11 +4,12 @@
 //! instrumented operation opens a [`SpanGuard`] with its virtual start time
 //! and closes it with the virtual completion time the layer computed —
 //! tracing never participates in the time arithmetic, so enabling it cannot
-//! perturb results. Parent/child links come from a per-host-thread open-span
-//! stack: layer calls are synchronous (mount → store → net → device), and
-//! the engine's baton (one simulated process executes at a time, in
-//! `(virtual clock, id)` order) makes the shared append order — and thus the
-//! whole trace — deterministic.
+//! perturb results. Parent/child links come from an open-span stack per
+//! engine process (per host thread outside the engine): layer calls are
+//! synchronous (mount → store → net → device), and the engine's baton (one
+//! simulated process executes at a time, in `(virtual clock, id)` order)
+//! makes the shared append order — and thus the whole trace —
+//! deterministic.
 
 use crate::causal::CausalCtx;
 use parking_lot::Mutex;
@@ -17,6 +18,24 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::ThreadId;
+
+/// What runs the calling code: an engine process, or a host thread's own
+/// stack (a driver or a test). Engine processes share their host thread,
+/// so open-span stacks and lanes are kept per `Runner`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+enum Runner {
+    Proc(ProcId),
+    Thread(ThreadId),
+}
+
+impl Runner {
+    fn current() -> Runner {
+        match simcore::current_proc() {
+            Some(id) => Runner::Proc(id),
+            None => Runner::Thread(std::thread::current().id()),
+        }
+    }
+}
 
 /// Which layer of the stack a span or instant belongs to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -58,9 +77,10 @@ impl Layer {
 }
 
 /// One closed span. `id` is the span's index in creation order; `parent`
-/// points at the span that was open on the same host thread when this one
-/// started (lexical call nesting, which for async work — write-back,
-/// read-ahead — may *end* after the parent does).
+/// points at the span that was open in the same engine process (or host
+/// thread, outside the engine) when this one started (lexical call
+/// nesting, which for async work — write-back, read-ahead — may *end*
+/// after the parent does).
 #[derive(Clone, Debug)]
 pub struct SpanRecord {
     pub id: u32,
@@ -96,9 +116,9 @@ pub struct InstantRecord {
     pub t: VTime,
 }
 
-/// Lane number handed to host threads that are not bound to an engine
-/// process (the bench driver doing setup I/O). Engine lanes are `ProcId`s
-/// counting from zero, so the two ranges cannot collide in practice.
+/// Lane number handed to host threads outside any engine process (the
+/// bench driver doing setup I/O). Engine lanes are `ProcId`s counting from
+/// zero, so the two ranges cannot collide in practice.
 const DRIVER_LANE_BASE: u32 = 1_000_000;
 
 /// Spans kept before the recorder starts dropping (footer reports drops).
@@ -109,10 +129,11 @@ struct Inner {
     baseline: Snapshot,
     spans: Mutex<Vec<SpanRecord>>,
     instants: Mutex<Vec<InstantRecord>>,
-    /// Per-host-thread stack of open span ids (lexical nesting).
-    open: Mutex<HashMap<ThreadId, Vec<u32>>>,
-    /// Host thread → lane binding (set by the engine observer).
-    lanes: Mutex<HashMap<ThreadId, u32>>,
+    /// Per-runner stack of open span ids (lexical nesting).
+    open: Mutex<HashMap<Runner, Vec<u32>>>,
+    /// Runner → lane binding: the engine observer's, or a driver lane. An
+    /// unbound engine process draws on lane `ProcId`.
+    lanes: Mutex<HashMap<Runner, u32>>,
     lane_labels: Mutex<BTreeMap<u32, String>>,
     next_driver_lane: AtomicU64,
     dropped: AtomicU64,
@@ -137,7 +158,7 @@ impl TraceRecorder {
     /// A live recorder. `stats` is snapshotted now so the footer can report
     /// counter deltas over the traced window, and receives the latency
     /// histograms (`lat.<span name>`). Layers record lexical spans on the
-    /// calling thread's lane and detached spans on remote lanes (shard
+    /// calling process's lane and detached spans on remote lanes (shard
     /// CPUs, benefactor SSDs) linked to the client spans that enqueued
     /// them (DESIGN.md §14).
     pub fn enabled(stats: &StatsRegistry) -> Self {
@@ -161,36 +182,39 @@ impl TraceRecorder {
         self.inner.is_some()
     }
 
-    /// The current causal context: the innermost span open on the calling
-    /// host thread, or an empty context when disabled or nothing is open.
-    /// Pass it to [`TraceRecorder::causal_span`] to link remote work back
-    /// to its enqueuer.
+    /// The current causal context: the innermost span open in the calling
+    /// engine process (or host thread), or an empty context when disabled
+    /// or nothing is open. Pass it to [`TraceRecorder::causal_span`] to
+    /// link remote work back to its enqueuer.
     pub fn ctx(&self) -> CausalCtx {
         let Some(inner) = &self.inner else {
             return CausalCtx(None);
         };
-        let tid = std::thread::current().id();
         CausalCtx(
             inner
                 .open
                 .lock()
-                .get(&tid)
+                .get(&Runner::current())
                 .and_then(|stack| stack.last().copied()),
         )
     }
 
-    fn lane_of_current_thread(inner: &Inner) -> u32 {
-        let tid = std::thread::current().id();
-        if let Some(&lane) = inner.lanes.lock().get(&tid) {
+    fn lane_of(inner: &Inner, runner: Runner) -> u32 {
+        if let Some(&lane) = inner.lanes.lock().get(&runner) {
             return lane;
         }
-        let lane = inner.next_driver_lane.fetch_add(1, Ordering::Relaxed) as u32;
-        inner.lanes.lock().insert(tid, lane);
-        inner
-            .lane_labels
-            .lock()
-            .insert(lane, format!("driver {}", lane - DRIVER_LANE_BASE));
-        lane
+        match runner {
+            Runner::Proc(id) => id as u32,
+            Runner::Thread(_) => {
+                let lane = inner.next_driver_lane.fetch_add(1, Ordering::Relaxed) as u32;
+                inner.lanes.lock().insert(runner, lane);
+                inner
+                    .lane_labels
+                    .lock()
+                    .insert(lane, format!("driver {}", lane - DRIVER_LANE_BASE));
+                lane
+            }
+        }
     }
 
     /// Open a span at virtual time `start`. Close it with
@@ -207,10 +231,10 @@ impl TraceRecorder {
             return SpanGuard::inert();
         }
         let id = spans.len() as u32;
-        let tid = std::thread::current().id();
-        let lane = Self::lane_of_current_thread(inner);
+        let runner = Runner::current();
+        let lane = Self::lane_of(inner, runner);
         let mut open = inner.open.lock();
-        let stack = open.entry(tid).or_default();
+        let stack = open.entry(runner).or_default();
         let parent = stack.last().copied();
         stack.push(id);
         drop(open);
@@ -235,9 +259,9 @@ impl TraceRecorder {
     /// Open a *detached* span pinned to an explicit `lane`, causally
     /// linked back to `cause` (DESIGN.md §14). Detached spans model
     /// remote work — shard-manager CPU occupancy, benefactor-side SSD
-    /// service — that the client thread computes synchronously but that
+    /// service — that the client process computes synchronously but that
     /// conceptually runs on another rank: they never join the calling
-    /// thread's open-span stack (so lexical nesting is undisturbed and
+    /// process's open-span stack (so lexical nesting is undisturbed and
     /// any close order is fine) and carry no lexical parent.
     pub fn causal_span(
         &self,
@@ -277,7 +301,7 @@ impl TraceRecorder {
     /// Record a point event (fault injection, failover decision).
     pub fn instant(&self, layer: Layer, name: impl Into<String>, t: VTime) {
         let Some(inner) = &self.inner else { return };
-        let lane = Self::lane_of_current_thread(inner);
+        let lane = Self::lane_of(inner, Runner::current());
         inner.instants.lock().push(InstantRecord {
             lane,
             layer,
@@ -289,13 +313,12 @@ impl TraceRecorder {
     fn close(&self, id: u32, end: VTime, detached: bool) {
         let Some(inner) = &self.inner else { return };
         if !detached {
-            let tid = std::thread::current().id();
             let mut open = inner.open.lock();
-            let stack = open.entry(tid).or_default();
+            let stack = open.entry(Runner::current()).or_default();
             debug_assert_eq!(
                 stack.last().copied(),
                 Some(id),
-                "spans must close in LIFO order on a thread"
+                "spans must close in LIFO order in a process or thread"
             );
             if let Some(pos) = stack.iter().rposition(|&s| s == id) {
                 stack.truncate(pos);
@@ -322,12 +345,12 @@ impl TraceRecorder {
         inner.spans.lock()[id as usize].args.push((k, v));
     }
 
-    /// Bind the calling host thread to an engine lane and label it. Used by
-    /// the engine observer; also callable directly from tests.
+    /// Bind the calling engine process (or host thread, outside the
+    /// engine) to a lane and label it. Used by the engine observer; also
+    /// callable directly from tests.
     pub fn bind_lane(&self, lane: u32, label: impl Into<String>) {
         let Some(inner) = &self.inner else { return };
-        let tid = std::thread::current().id();
-        inner.lanes.lock().insert(tid, lane);
+        inner.lanes.lock().insert(Runner::current(), lane);
         inner.lane_labels.lock().entry(lane).or_insert(label.into());
     }
 
@@ -339,8 +362,8 @@ impl TraceRecorder {
         inner.lane_labels.lock().entry(lane).or_insert(label.into());
     }
 
-    /// An [`EngineObserver`] that binds each engine process's host thread
-    /// to trace lane `ProcId` (`None` when disabled, so `Engine::run` pays
+    /// An [`EngineObserver`] that binds each engine process to trace lane
+    /// `ProcId` and labels it (`None` when disabled, so `Engine::run` pays
     /// nothing).
     pub fn observer(&self) -> Option<Arc<dyn EngineObserver>> {
         self.inner.as_ref()?;
@@ -418,7 +441,7 @@ impl EngineObserver for LaneBinder {
 pub struct SpanGuard {
     rec: Option<TraceRecorder>,
     id: Option<u32>,
-    /// Detached (causal) spans are not on the thread's open-span stack,
+    /// Detached (causal) spans are not on the process's open-span stack,
     /// so closing must not pop it.
     detached: bool,
 }
@@ -449,7 +472,7 @@ impl SpanGuard {
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        // Early-error path: close zero-length so the thread stack stays
+        // Early-error path: close zero-length so the open-span stack stays
         // balanced and the export stays well-formed.
         if let (Some(rec), Some(id)) = (self.rec.take(), self.id.take()) {
             let start = rec
@@ -580,6 +603,30 @@ mod tests {
                 .map(String::as_str),
             Some("ssd/1")
         );
+    }
+
+    #[test]
+    fn open_spans_follow_the_engine_process_across_hand_offs() {
+        let stats = StatsRegistry::new();
+        let rec = TraceRecorder::enabled(&stats);
+        let body = |ctx: &mut simcore::ProcCtx| {
+            let outer = rec.span(Layer::Nvm, "outer", ctx.now());
+            // The peer is behind: it runs, opens its own `outer` and hands
+            // the baton back before this process opens `inner`.
+            ctx.advance(VTime::from_nanos(1));
+            ctx.yield_until_min();
+            rec.span(Layer::Fuse, "inner", ctx.now()).finish(ctx.now());
+            outer.finish(ctx.now());
+        };
+        simcore::Engine::run(vec![body, body]);
+        let spans = rec.spans();
+        let names: Vec<_> = spans.iter().map(|s| (s.name, s.lane)).collect();
+        assert_eq!(
+            names,
+            [("outer", 0), ("outer", 1), ("inner", 0), ("inner", 1)]
+        );
+        assert_eq!(spans[2].parent, Some(0));
+        assert_eq!(spans[3].parent, Some(1));
     }
 
     #[test]

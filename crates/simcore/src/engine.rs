@@ -1,7 +1,7 @@
 //! Conservative virtual-time process scheduler.
 //!
 //! Each simulated process (an MPI rank, a benefactor, a STREAM thread) runs
-//! on its own host thread but holds a *baton*: exactly one process executes
+//! on its own stack and holds a *baton*: exactly one process executes
 //! at a time, and the engine always hands the baton to the runnable process
 //! with the smallest `(virtual clock, process id)` pair. Any process that is
 //! about to touch shared simulation state first waits until it holds the
@@ -17,52 +17,57 @@
 //! the causal past because the resumer itself only acts while holding the
 //! minimum clock.
 //!
-//! # Wake protocol
+//! # Switch protocol
 //!
-//! All scheduler state sits behind one mutex; beside it every process has
-//! its own grant flag (an `AtomicBool` only that process ever clears) and
-//! its host thread's handle. A hand-off is one critical section on the
-//! yielding side: publish the new state, then `Shared::dispatch` claims
-//! the ready set's head and sets its grant flag. Only after dropping the
-//! guard does `dispatch` `unpark` that one thread; the yielder then parks
-//! itself outside the lock until its own flag is set. The woken
-//! process finds the lock free, so a hand-off costs one futex wake and
-//! one futex sleep however many processes exist; a wake issued while the
-//! lock is held would put the woken thread to sleep again on the mutex
-//! until its waker let go. The wake cannot be lost: the flag
-//! is set before the `unpark`, and a thread's park token outlives an
-//! `unpark` that arrives before the `park` — the grantee finds the flag
-//! already set or returns from `park` at once. A `park` that returns
-//! without a grant (a stale token) re-checks the scheduler invariant below
-//! under the lock and parks again.
+//! Every process runs on a stack of its own ([`stack`]) on the thread that
+//! called [`Engine::run`], and that thread's own stack runs the scheduler:
+//! one loop that claims the ready set's head, records it as
+//! [`current_proc`] and switches onto its stack. The process runs until it
+//! gives the baton up — a `yield_until_min` that finds someone strictly
+//! behind it, a `suspend_self`, or the end of its body — and switches
+//! back; the loop claims the next head. A hand-off is thus two stack
+//! switches and two ready-set operations, with no lock, no futex and no
+//! kernel. The schedule is the ready set's order, `(clock, id)`, alone.
 //!
-//! `resume_other` wakes nobody. Invariant: *whenever the ready set is
-//! non-empty, some process is `Running`.* Only the baton holder can make
-//! another process `Ready`, and every path that gives the baton up (yield,
-//! suspend, finish) goes through `dispatch`, which claims the ready set's
-//! head — so the resumee is reached by a later `dispatch` and needs no
-//! wake of its own. When a `dispatch` finds nothing ready while a process
-//! is still suspended nothing could ever run again: that is a deadlock,
-//! reported by a panic. Only a panicking process wakes more than one
-//! thread: it raises the poison flag and unparks every thread, so that no
-//! peer stays asleep.
+//! `resume_other` wakes nobody: it only puts the resumee into the ready
+//! set, where a later claim of the loop reaches it. When the loop finds
+//! nothing ready while a process is still suspended, nothing could ever run
+//! again: that is a deadlock. After a deadlock, or after a body panicked,
+//! the loop resumes every unfinished process once, whose pending yield or
+//! suspend panics "engine poisoned" and unwinds its frames, and only then
+//! does `Engine::run` panic with the deadlock or re-raise the body's
+//! payload: no path out of `Engine::run` leaves a live frame on a process
+//! stack, since bodies borrow the caller's data.
+
+mod stack;
 
 use crate::time::VTime;
-use parking_lot::{Mutex, MutexGuard};
+use stack::Fiber;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::thread::Thread;
+use std::rc::Rc;
+use std::sync::Arc;
 
 /// Identifies a process within one [`Engine`] run.
 pub type ProcId = usize;
+
+thread_local! {
+    static CURRENT: Cell<Option<ProcId>> = const { Cell::new(None) };
+}
+
+/// The engine process running on this thread: `Some` inside a process
+/// body (of the innermost [`Engine::run`], when runs nest), `None` outside
+/// every run.
+pub fn current_proc() -> Option<ProcId> {
+    CURRENT.get()
+}
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum State {
     /// Eligible to run at this clock.
     Ready(VTime),
     /// Currently holds the baton; the clock is the one it was granted at
-    /// (a resumer may have advanced it while the process was parked).
+    /// (a resumer may have advanced it while the process was suspended).
     Running(VTime),
     /// Blocked waiting for a `resume_other` (e.g. inside a collective).
     Suspended(VTime),
@@ -75,15 +80,10 @@ struct Sched {
     /// Mirror of every `Ready` entry in `states`, ordered by
     /// `(clock, id)`: min-ready and min-active queries are O(log n)
     /// `first()` reads instead of O(n) state sweeps, which is the
-    /// per-yield hot path (ISSUE 7 host-speed pass; ISSUE 15's one wake
-    /// per hand-off is its second half). `states` stays the source of
-    /// truth; every Ready transition updates both.
+    /// per-yield hot path. `states` stays the source of truth; every Ready
+    /// transition updates both.
     ready: BTreeSet<(VTime, ProcId)>,
-    /// The process currently holding the baton, if any.
-    running: Option<ProcId>,
     switches: u64,
-    /// Thread wakes issued for `dispatch`'s claims (one per claim).
-    wakeups: u64,
 }
 
 impl Sched {
@@ -94,19 +94,24 @@ impl Sched {
         debug_assert!(inserted, "process {id} was already in the ready set");
     }
 
-    /// Flip a Ready process to Running (caller got it from `min_ready`
-    /// or the ready set's head).
-    fn claim(&mut self, id: ProcId, t: VTime) {
-        let removed = self.ready.remove(&(t, id));
-        debug_assert!(removed, "claimed process {id} was not in the ready set");
+    /// Flip the ready set's head to Running and return it, if anything is
+    /// ready.
+    fn claim_head(&mut self) -> Option<ProcId> {
+        let (t, id) = self.ready.pop_first()?;
         self.states[id] = State::Running(t);
-        self.running = Some(id);
         self.switches += 1;
+        Some(id)
     }
 
-    /// The runnable process with the minimum `(clock, id)`, if any.
-    fn min_ready(&self) -> Option<(ProcId, VTime)> {
-        self.ready.first().map(|&(t, id)| (id, t))
+    /// The clock `id` was granted at by the claim that is running it.
+    fn granted(&self, id: ProcId) -> VTime {
+        match self.states[id] {
+            State::Running(t) => {
+                debug_assert!(self.min_active_clock_excluding(id, t).is_none());
+                t
+            }
+            s => unreachable!("running process {id} is {s:?}"),
+        }
     }
 
     /// Minimum clock over every *other* runnable process, when it is
@@ -119,87 +124,6 @@ impl Sched {
             .copied()
             .filter(|&(t, id)| (t, id) < (my_clock, me))
     }
-
-    fn any_suspended(&self) -> bool {
-        self.states.iter().any(|s| matches!(s, State::Suspended(_)))
-    }
-}
-
-struct Shared {
-    sched: Mutex<Sched>,
-    /// One grant flag per process, indexed by `ProcId`: set by the
-    /// `dispatch` that claims the process, cleared by its own
-    /// `wait_for_baton`.
-    grants: Vec<AtomicBool>,
-    /// Every process's host thread, indexed by `ProcId`; published before
-    /// the kick-off dispatch, so every wake finds it.
-    threads: OnceLock<Vec<Thread>>,
-    /// Raised by a panicking process; every waiter then unwinds.
-    poisoned: AtomicBool,
-}
-
-impl Shared {
-    /// Give the baton up (caller must NOT be Running): claim the best
-    /// ready process and set its grant flag under the lock, release the
-    /// lock, then wake that one thread. Nothing ready with a process still
-    /// suspended means nothing can ever run again: panic, which poisons
-    /// the engine.
-    fn dispatch(&self, mut sched: MutexGuard<'_, Sched>) {
-        sched.running = None;
-        let Some((next, t)) = sched.min_ready() else {
-            assert!(
-                !sched.any_suspended(),
-                "virtual-time deadlock: every unfinished process is suspended \
-                 (unmatched collective or rendezvous?)"
-            );
-            return;
-        };
-        sched.claim(next, t);
-        sched.wakeups += 1;
-        self.grants[next].store(true, Ordering::Release);
-        drop(sched);
-        self.threads()[next].unpark();
-    }
-
-    fn threads(&self) -> &[Thread] {
-        self.threads
-            .get()
-            .expect("threads are published before kick-off")
-    }
-
-    fn check_poison(&self) {
-        assert!(
-            !self.poisoned.load(Ordering::Acquire),
-            "engine poisoned by a panicking process"
-        );
-    }
-
-    /// Park until a `dispatch` has granted `id` the baton; returns the
-    /// clock it was granted at.
-    fn wait_for_baton(&self, id: ProcId) -> VTime {
-        loop {
-            self.check_poison();
-            if self.grants[id].swap(false, Ordering::Acquire) {
-                break;
-            }
-            std::thread::park();
-            if !self.grants[id].load(Ordering::Acquire) {
-                let sched = self.sched.lock();
-                assert!(
-                    sched.running.is_some() || sched.ready.is_empty(),
-                    "lost wake-up: processes are ready but nobody holds the baton"
-                );
-            }
-        }
-        let sched = self.sched.lock();
-        match sched.states[id] {
-            State::Running(t) => {
-                debug_assert!(sched.min_active_clock_excluding(id, t).is_none());
-                t
-            }
-            s => unreachable!("granted process {id} is {s:?}"),
-        }
-    }
 }
 
 /// Per-process handle passed to a process body; all virtual-time operations
@@ -207,7 +131,7 @@ impl Shared {
 pub struct ProcCtx {
     id: ProcId,
     clock: VTime,
-    shared: Arc<Shared>,
+    sched: Rc<RefCell<Sched>>,
 }
 
 impl ProcCtx {
@@ -221,7 +145,7 @@ impl ProcCtx {
     }
 
     /// Advance the local clock by `dt`. Local computation touches no shared
-    /// state, so this never yields and never takes the scheduler lock; the
+    /// state, so this never yields and never looks at the scheduler; the
     /// process is ordered against the others at its next
     /// [`ProcCtx::yield_until_min`].
     pub fn advance(&mut self, dt: VTime) {
@@ -239,31 +163,36 @@ impl ProcCtx {
     /// state (resources, caches, stores) so mutations occur in virtual-time
     /// order.
     pub fn yield_until_min(&mut self) {
-        self.shared.check_poison();
-        let mut sched = self.shared.sched.lock();
-        if sched
-            .min_active_clock_excluding(self.id, self.clock)
-            .is_none()
         {
-            return; // we are the minimum; keep the baton
+            let mut sched = self.sched.borrow_mut();
+            if sched
+                .min_active_clock_excluding(self.id, self.clock)
+                .is_none()
+            {
+                return; // we are the minimum; keep the baton
+            }
+            // Someone is strictly behind us: hand over. The loop claims
+            // the ready set's head, so we come back as the minimum and
+            // need not look again.
+            sched.make_ready(self.id, self.clock);
         }
-        // Someone is strictly behind us: hand over and wait. Whoever hands
-        // the baton back claims the ready set's head, so we wake up as the
-        // minimum and need not look again.
-        sched.make_ready(self.id, self.clock);
-        self.shared.dispatch(sched);
-        self.clock = self.shared.wait_for_baton(self.id);
+        self.hand_off();
     }
 
-    /// Park this process; returns once another process calls
+    /// Suspend this process; returns once another process calls
     /// [`ProcCtx::resume_other`] for it, with the clock set by the resumer.
     pub fn suspend_self(&mut self) {
-        let mut sched = self.shared.sched.lock();
-        sched.states[self.id] = State::Suspended(self.clock);
-        self.shared.dispatch(sched);
+        self.sched.borrow_mut().states[self.id] = State::Suspended(self.clock);
         // Our resumer stores the release clock in our state when it flips
         // us to Ready; the claim carries it over.
-        self.clock = self.shared.wait_for_baton(self.id);
+        self.hand_off();
+    }
+
+    /// Switch back to the scheduler loop (the state says why); returns
+    /// when a claim runs this process again, at the clock it was granted.
+    fn hand_off(&mut self) {
+        stack::suspend();
+        self.clock = self.sched.borrow().granted(self.id);
     }
 
     /// Make a suspended process ready again at virtual time `at`.
@@ -273,7 +202,7 @@ impl ProcCtx {
     /// shared rendezvous), which keeps virtual time causal.
     pub fn resume_other(&self, other: ProcId, at: VTime) {
         assert_ne!(other, self.id, "use advance_to for the current process");
-        let mut sched = self.shared.sched.lock();
+        let mut sched = self.sched.borrow_mut();
         match sched.states[other] {
             State::Suspended(t) => {
                 assert!(
@@ -284,13 +213,7 @@ impl ProcCtx {
             }
             ref s => panic!("resume_other({other}): process is {s:?}, not Suspended"),
         }
-        // No wake: we still hold the baton; the next dispatch reaches it.
-    }
-
-    fn finish(&mut self) {
-        let mut sched = self.shared.sched.lock();
-        sched.states[self.id] = State::Done(self.clock);
-        self.shared.dispatch(sched);
+        // No switch: we still hold the baton; a later claim reaches it.
     }
 }
 
@@ -299,7 +222,8 @@ impl ProcCtx {
 /// layer (`crates/obs`) implements this to bind trace lanes to engine
 /// processes; the engine itself has no tracing dependency.
 pub trait EngineObserver: Send + Sync {
-    /// The process is about to execute its body on the current host thread.
+    /// The process is about to execute its body; [`current_proc`] is
+    /// `Some(id)`.
     fn proc_started(&self, id: ProcId, t: VTime);
     /// The process body returned; `t` is its finish clock.
     fn proc_finished(&self, id: ProcId, t: VTime);
@@ -314,32 +238,21 @@ pub struct EngineReport {
     pub makespan: VTime,
     /// Number of baton hand-offs (scheduling overhead metric).
     pub context_switches: u64,
-    /// Host-thread wakes issued for them: one per hand-off, never a herd.
-    pub wakeups: u64,
 }
 
-/// Give the process one glibc heap that it keeps: every thread allocates
-/// from the main arena, and freed memory stays in the heap instead of
-/// going back to the kernel.
+/// Keep the process's freed heap memory in the heap instead of giving it
+/// back to the kernel.
 ///
-/// glibc gives each new thread an arena of its own so that threads
-/// running at once do not contend on one heap lock. Engine threads never
-/// run at once, and which process landed in which arena followed the
-/// order in which the OS happened to start and retire the previous run's
-/// threads, so a repetition's blocks could land in an arena that did not
-/// yet have room for them: a process's peak resident set ratcheted up by
-/// arena-sized steps, a different number of them from one run of the
-/// same binary to the next. In one arena it follows the simulated
-/// allocation order. Trimming the heap top, in turn, gave a repetition's
-/// freed store back to the kernel for the next one to fault in again,
-/// and how much it gave back depended on where a few long-lived blocks
-/// happened to sit. Setting the trim threshold also stops glibc from
-/// raising the mmap threshold (128 KiB in a fresh process) as large
-/// mapped blocks are freed.
+/// Trimming the heap top gave a repetition's freed store back to the
+/// kernel for the next one to fault in again, and how much it gave back
+/// depended on where a few long-lived blocks happened to sit, so a
+/// process's peak resident set moved from one run of the same binary to
+/// the next. Setting the trim threshold also stops glibc from raising the
+/// mmap threshold (128 KiB in a fresh process) as large mapped blocks are
+/// freed. Every engine process allocates on the thread that called
+/// `Engine::run`, so a run needs no arena setting to stay in one heap.
 ///
-/// Called by every `Engine::run`, acts once per OS process, and reaches
-/// every thread that allocates for the first time after it: all engine
-/// threads.
+/// Called by every `Engine::run`, acts once per OS process.
 fn one_kept_heap() {
     #[cfg(all(target_os = "linux", target_env = "gnu"))]
     {
@@ -349,14 +262,63 @@ fn one_kept_heap() {
                 fn mallopt(param: i32, value: i32) -> i32;
             }
             const M_TRIM_THRESHOLD: i32 = -1;
-            const M_ARENA_MAX: i32 = -8;
             // SAFETY: `mallopt` takes two plain integers and only sets
             // allocator parameters; glibc serialises it against malloc.
             unsafe {
-                mallopt(M_ARENA_MAX, 1);
                 mallopt(M_TRIM_THRESHOLD, i32::MAX);
             }
         });
+    }
+}
+
+/// Hands a run's processes a cache of freed blocks of their own, as the
+/// threads of their own they once ran on had.
+///
+/// glibc keeps a per-thread cache of recently freed small blocks (its
+/// tcache: up to 7 blocks of each 16-byte size class up to 1 032 bytes),
+/// which the heap counts as in use. On threads of their own, processes
+/// started with an empty cache and gave its blocks back to the heap when
+/// their threads exited. On the caller's thread a run would instead start
+/// by reusing the blocks the caller freed last, and end by leaving its own
+/// last blocks in the caller's cache for good: in-use blocks scattered
+/// through the kept heap that stop their freed neighbours from merging,
+/// so later set-ups grow the heap or map fresh memory — `ckpt_resilient`'s
+/// peak RSS went 186.8 → 210–219 MiB and `seq_stream`'s minor faults
+/// doubled. `take` allocates 7 blocks of each class, which empties the
+/// cache into blocks held for the run; `give_back` does the same to what
+/// the run left there, then frees the held blocks, which refill the cache
+/// as the caller had it, and the run's last, which find the cache full
+/// and go back to the heap. Plain `Vec` allocations do it; under another
+/// allocator it is a thousand allocations to no effect.
+struct CacheSwap {
+    _blocks: Vec<Vec<u8>>,
+}
+
+impl CacheSwap {
+    fn take() -> CacheSwap {
+        const CLASSES: usize = 64;
+        const PER_CLASS: usize = 7;
+        CacheSwap {
+            _blocks: (0..CLASSES * PER_CLASS)
+                .map(|i| Vec::with_capacity(24 + 16 * (i / PER_CLASS)))
+                .collect(),
+        }
+    }
+
+    fn give_back(self) {
+        let runs_last = CacheSwap::take();
+        drop(self);
+        drop(runs_last);
+    }
+}
+
+/// Sets [`current_proc`] back to what it was when a run started, on the
+/// way out of that run whether it returns or unwinds.
+struct RestoreCurrent(Option<ProcId>);
+
+impl Drop for RestoreCurrent {
+    fn drop(&mut self) {
+        CURRENT.set(self.0);
     }
 }
 
@@ -367,9 +329,10 @@ pub struct Engine;
 impl Engine {
     /// Run `bodies` as simulated processes starting at virtual time zero.
     ///
-    /// Bodies may borrow from the caller's stack (scoped threads). The call
-    /// returns when every process body has returned. Panics in any body are
-    /// propagated after poisoning the engine so no thread hangs.
+    /// Bodies run on the calling thread, each on a stack of its own, and
+    /// may borrow from the caller's stack. The call returns when every
+    /// process body has returned. A panic in any body, or a deadlock,
+    /// reaches the caller after every other body has been unwound.
     pub fn run<'env, F>(bodies: Vec<F>) -> EngineReport
     where
         F: FnOnce(&mut ProcCtx) + Send + 'env,
@@ -378,9 +341,9 @@ impl Engine {
     }
 
     /// Like [`Engine::run`], with observer callbacks at each process's
-    /// start and finish. The callbacks run while the process holds the
-    /// baton, so they occur in deterministic virtual-time order and on the
-    /// process's own host thread (which lets an observer key thread-local
+    /// start and finish. The callbacks run inside the process while it
+    /// holds the baton, so they occur in deterministic virtual-time order
+    /// and see [`current_proc`] set to it (which lets an observer key
     /// state, e.g. trace lanes, by `ProcId`).
     pub fn run_with_observer<'env, F>(
         bodies: Vec<F>,
@@ -392,33 +355,22 @@ impl Engine {
         let n = bodies.len();
         assert!(n > 0, "engine needs at least one process");
         one_kept_heap();
-        let shared = Arc::new(Shared {
-            sched: Mutex::new(Sched {
-                states: vec![State::Ready(VTime::ZERO); n],
-                ready: (0..n).map(|id| (VTime::ZERO, id)).collect(),
-                running: None,
-                switches: 0,
-                wakeups: 0,
-            }),
-            grants: (0..n).map(|_| AtomicBool::new(false)).collect(),
-            threads: OnceLock::new(),
-            poisoned: AtomicBool::new(false),
-        });
-
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(n);
-            for (id, body) in bodies.into_iter().enumerate() {
-                let shared = Arc::clone(&shared);
+        let sched = Rc::new(RefCell::new(Sched {
+            states: vec![State::Ready(VTime::ZERO); n],
+            ready: (0..n).map(|id| (VTime::ZERO, id)).collect(),
+            switches: 0,
+        }));
+        let _restore = RestoreCurrent(current_proc());
+        let callers_cache = CacheSwap::take();
+        let mut fibers: Vec<Fiber> = bodies
+            .into_iter()
+            .enumerate()
+            .map(|(id, body)| {
+                let sched = Rc::clone(&sched);
                 let observer = observer.clone();
-                handles.push(scope.spawn(move || {
-                    let mut ctx = ProcCtx {
-                        id,
-                        clock: VTime::ZERO,
-                        shared: Arc::clone(&shared),
-                    };
-                    // Wait for the baton before the first action.
-                    ctx.clock = shared.wait_for_baton(id);
-                    let guard = PoisonGuard(&shared);
+                Fiber::new(move || {
+                    let clock = sched.borrow().granted(id);
+                    let mut ctx = ProcCtx { id, clock, sched };
                     if let Some(obs) = &observer {
                         obs.proc_started(id, ctx.now());
                     }
@@ -426,73 +378,60 @@ impl Engine {
                     if let Some(obs) = &observer {
                         obs.proc_finished(id, ctx.now());
                     }
-                    // Still armed: finishing last beside a suspended peer
-                    // is a deadlock, and its panic must wake that peer.
-                    ctx.finish();
-                    std::mem::forget(guard);
-                }));
-            }
-            // Kick off once every thread can be woken: lowest id runs first.
-            let threads = handles.iter().map(|h| h.thread().clone()).collect();
-            shared
-                .threads
-                .set(threads)
-                .expect("threads are published once");
-            shared.dispatch(shared.sched.lock());
-            // Join manually so an original panic payload (not the generic
-            // "a scoped thread panicked") reaches the caller. Secondary
-            // "engine poisoned" panics from bystander processes are the
-            // least interesting payloads, so prefer any other.
-            let mut panics: Vec<Box<dyn std::any::Any + Send>> = Vec::new();
-            for h in handles {
-                if let Err(payload) = h.join() {
-                    panics.push(payload);
-                }
-            }
-            if !panics.is_empty() {
-                let is_secondary = |p: &Box<dyn std::any::Any + Send>| {
-                    p.downcast_ref::<String>()
-                        .map(|s| s.contains("engine poisoned"))
-                        .or_else(|| {
-                            p.downcast_ref::<&str>()
-                                .map(|s| s.contains("engine poisoned"))
-                        })
-                        .unwrap_or(false)
-                };
-                let idx = panics.iter().position(|p| !is_secondary(p)).unwrap_or(0);
-                std::panic::resume_unwind(panics.swap_remove(idx));
-            }
-        });
+                    ctx.sched.borrow_mut().states[id] = State::Done(ctx.clock);
+                })
+            })
+            .collect();
 
-        let sched = shared.sched.lock();
+        let mut panicked = None;
+        loop {
+            let Some(id) = sched.borrow_mut().claim_head() else {
+                break;
+            };
+            CURRENT.set(Some(id));
+            if let Some(Err(payload)) = fibers[id].resume() {
+                panicked = Some(payload);
+                break;
+            }
+        }
+        let deadlock = panicked.is_none()
+            && sched
+                .borrow()
+                .states
+                .iter()
+                .any(|s| !matches!(s, State::Done(_)));
+        // Unwind every unfinished body before anything reaches the caller:
+        // dropping an unfinished fiber resumes it into an "engine
+        // poisoned" panic.
+        for (id, fiber) in fibers.into_iter().enumerate() {
+            CURRENT.set(Some(id));
+            drop(fiber);
+        }
+        callers_cache.give_back();
+        if let Some(payload) = panicked {
+            std::panic::resume_unwind(payload);
+        }
+        assert!(
+            !deadlock,
+            "virtual-time deadlock: every unfinished process is suspended \
+             (unmatched collective or rendezvous?)"
+        );
+
+        let sched = sched.borrow();
         let finish_times: Vec<VTime> = sched
             .states
             .iter()
             .map(|s| match s {
                 State::Done(t) => *t,
-                other => panic!("process did not finish: {other:?}"),
+                other => unreachable!("process did not finish: {other:?}"),
             })
             .collect();
         let makespan = finish_times.iter().copied().max().unwrap_or(VTime::ZERO);
         EngineReport {
             makespan,
             context_switches: sched.switches,
-            wakeups: sched.wakeups,
             finish_times,
         }
-    }
-}
-
-/// Panic guard: if a process body panics, poison the engine so every other
-/// thread wakes up and unwinds instead of hanging. Forgotten on the normal
-/// return path; it borrows the `Arc` its thread's closure owns, so
-/// forgetting it keeps nothing alive.
-struct PoisonGuard<'a>(&'a Shared);
-
-impl Drop for PoisonGuard<'_> {
-    fn drop(&mut self) {
-        self.0.poisoned.store(true, Ordering::Release);
-        self.0.threads().iter().for_each(Thread::unpark);
     }
 }
 
@@ -500,6 +439,7 @@ impl Drop for PoisonGuard<'_> {
 mod tests {
     use super::*;
     use parking_lot::Mutex as PMutex;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
     #[test]
@@ -697,11 +637,14 @@ mod tests {
 
     #[test]
     fn run_releases_its_scheduler() {
-        let shared: Arc<PMutex<Option<std::sync::Weak<Shared>>>> = Arc::default();
-        let slot = Arc::clone(&shared);
+        thread_local! {
+            static SLOT: std::cell::RefCell<Option<std::rc::Weak<RefCell<Sched>>>> =
+                const { std::cell::RefCell::new(None) };
+        }
         Engine::run(vec![
-            Box::new(move |ctx: &mut ProcCtx| {
-                *slot.lock() = Some(Arc::downgrade(&ctx.shared));
+            Box::new(|ctx: &mut ProcCtx| {
+                // Bodies run on this thread, so its thread-locals are theirs.
+                SLOT.set(Some(Rc::downgrade(&ctx.sched)));
                 ctx.yield_until_min();
             }) as Box<dyn FnOnce(&mut ProcCtx) + Send>,
             Box::new(|ctx: &mut ProcCtx| ctx.suspend_self()),
@@ -710,8 +653,132 @@ mod tests {
                 ctx.resume_other(1, ctx.now());
             }),
         ]);
-        let weak = shared.lock().take().expect("body ran");
+        let weak = SLOT.take().expect("body ran");
         assert!(weak.upgrade().is_none(), "Engine::run leaked its scheduler");
+    }
+
+    #[test]
+    fn deadlock_reaches_the_caller_after_every_body_dropped() {
+        const N: usize = 64;
+        struct Exit(Arc<AtomicUsize>);
+        impl Drop for Exit {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        let dropped = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&dropped);
+        let outcome = within(60, move || {
+            let bodies = (0..N)
+                .map(|_| {
+                    let exit = Exit(Arc::clone(&counter));
+                    move |ctx: &mut ProcCtx| {
+                        let _exit = exit;
+                        ctx.suspend_self();
+                        unreachable!("nobody resumes a process here");
+                    }
+                })
+                .collect();
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                Engine::run(bodies);
+            }));
+            // Read when the panic reaches the caller, not after.
+            (caught, counter.load(Ordering::Relaxed))
+        })
+        .expect("the run's panic is caught inside");
+        let (caught, dropped_at_catch) = outcome;
+        let payload = caught.expect_err("every process suspended is a deadlock");
+        let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
+        assert!(msg.contains("deadlock"), "{msg:?}");
+        assert_eq!(dropped_at_catch, N);
+        assert_eq!(dropped.load(Ordering::Relaxed), N);
+    }
+
+    #[test]
+    fn nested_run_restores_the_current_process() {
+        assert_eq!(current_proc(), None);
+        let inner_order: Arc<PMutex<Vec<ProcId>>> = Arc::default();
+        let log = Arc::clone(&inner_order);
+        Engine::run(vec![
+            Box::new(|ctx: &mut ProcCtx| {
+                assert_eq!(current_proc(), Some(0));
+                ctx.advance(VTime::from_nanos(5));
+                ctx.yield_until_min();
+                assert_eq!(current_proc(), Some(0));
+            }) as Box<dyn FnOnce(&mut ProcCtx) + Send>,
+            Box::new(|ctx: &mut ProcCtx| ctx.advance(VTime::from_nanos(1))),
+            Box::new(move |ctx: &mut ProcCtx| {
+                ctx.advance(VTime::from_nanos(2));
+                ctx.yield_until_min();
+                let report = Engine::run(
+                    (0..2)
+                        .map(|id| {
+                            let log = Arc::clone(&log);
+                            move |inner: &mut ProcCtx| {
+                                for step in 0..3 {
+                                    inner.advance(VTime::from_nanos(1 + id as u64));
+                                    inner.yield_until_min();
+                                    assert_eq!(current_proc(), Some(id), "step {step}");
+                                    log.lock().push(id);
+                                }
+                            }
+                        })
+                        .collect(),
+                );
+                assert!(report.context_switches > 2, "{report:?}");
+                assert_eq!(current_proc(), Some(2));
+                ctx.advance(VTime::from_nanos(10));
+                ctx.yield_until_min();
+                assert_eq!(current_proc(), Some(2));
+            }),
+        ]);
+        assert_eq!(current_proc(), None);
+        assert_eq!(*inner_order.lock(), vec![0, 0, 1, 0, 1, 1]);
+    }
+
+    /// Recurses into the middle of the page below its 2 MiB process stack,
+    /// then returns; run only by `guard_page_stops_a_runaway_process`, in a
+    /// child process. With that page a guard, the child dies by SIGSEGV;
+    /// were it ordinary memory, the child would exit 0.
+    #[test]
+    #[ignore = "dies by SIGSEGV; run in a child by guard_page_stops_a_runaway_process"]
+    fn runaway_recursion_on_a_process_stack() {
+        fn deeper(floor: usize) -> usize {
+            let frame = std::hint::black_box([0u8; 256]);
+            let here = frame.as_ptr() as usize;
+            if here < floor {
+                return here;
+            }
+            deeper(floor) + usize::from(frame[1])
+        }
+        Engine::run(vec![|_: &mut ProcCtx| {
+            // A process's first frames take about 1 KiB, so its stack ends
+            // at the end of this page; the guard page is 2 MiB below that.
+            let first = std::hint::black_box([0u8; 1]);
+            let top = (first.as_ptr() as usize | 4095) + 1;
+            std::hint::black_box(deeper(top - (2 << 20) - 2048));
+        }]);
+    }
+
+    #[test]
+    fn guard_page_stops_a_runaway_process() {
+        use std::os::unix::process::ExitStatusExt;
+        const SIGSEGV: i32 = 11;
+        let out = std::process::Command::new(std::env::current_exe().expect("test binary"))
+            .args([
+                "--ignored",
+                "--exact",
+                "engine::tests::runaway_recursion_on_a_process_stack",
+            ])
+            .output()
+            .expect("re-run the test binary");
+        assert_eq!(
+            out.status.signal(),
+            Some(SIGSEGV),
+            "{:?}\n{}",
+            out.status,
+            String::from_utf8_lossy(&out.stdout)
+        );
     }
 
     #[test]

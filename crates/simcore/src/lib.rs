@@ -8,7 +8,8 @@
 //! * [`resource`] — FIFO-queued shared resources (an SSD, a NIC direction,
 //!   a node's DRAM bus) with utilization accounting;
 //! * [`engine`] — the conservative scheduler that runs simulated processes
-//!   on host threads, one at a time, in `(virtual clock, id)` order;
+//!   on stacks of their own on the calling thread, one at a time, in
+//!   `(virtual clock, id)` order;
 //! * [`collective`] — N-party rendezvous used to build MPI-style
 //!   collectives;
 //! * [`stats`] — named counters for the paper's traffic-volume tables;
@@ -49,7 +50,7 @@ pub mod stats;
 pub mod time;
 
 pub use collective::{Rendezvous, Resolution};
-pub use engine::{Engine, EngineObserver, EngineReport, ProcCtx, ProcId};
+pub use engine::{current_proc, Engine, EngineObserver, EngineReport, ProcCtx, ProcId};
 pub use resource::{Grant, MeteredResource, Resource};
 pub use stats::{Counter, Histogram, Percentiles, Snapshot, StatsRegistry};
 pub use time::{bytes, Bandwidth, VTime};

@@ -54,6 +54,15 @@ echo "==> the fabric is only the wire, and a shard's node lives in ShardSet alon
 ! grep -rnE 'LinkFault|link_fault|reachable\(|SsdSlowdown|set_slowdown|slow_ssd|degrade_link|register_endpoint|endpoint_node|shard_endpoint' \
     crates src tests examples/*.rs || exit 1
 
+echo "==> the engine's unsafe code is engine/stack.rs (and one_kept_heap's mallopt), and a process is a stack, not a thread"
+# Every other line of simcore stays safe Rust; a thread per process, or a
+# park/unpark baton, would bring the futex hand-off back as a fork of the
+# stack switch.
+! awk '/^fn one_kept_heap\(\)/ { heap = 1 } heap && /^}/ { heap = 0 }
+      /(^|[^A-Za-z_])unsafe([^A-Za-z_]|$)/ && !heap { print FILENAME ":" FNR ": " $0 }' \
+    $(find crates/simcore/src -name '*.rs' ! -path '*/engine/stack.rs') | grep . || exit 1
+! grep -rnE 'thread::scope|\bpark\(|\.unpark\(' crates/simcore/src || exit 1
+
 if [ "$quick" -eq 0 ]; then
     echo "==> cargo clippy (warnings are errors)"
     cargo clippy --workspace --all-targets -- -D warnings
@@ -76,9 +85,8 @@ echo "==> the frozen benchmark package must build and run against the workspace 
 cargo run --release --quiet --manifest-path examples/benchmark/Cargo.toml -- --smoke
 
 echo "==> micro host-speed floors (simulated bytes, engine hand-offs, stream writes, fetches, the two payload kernels, the two small-write shapes of the mount and the two verified RS shapes per host second)"
-# On one CPU, like examples/benchmark: only one engine thread runs at a
-# time, and unpinned every hand-off is a cross-core wake whose cost on a
-# small VM swings 5x with what the other core has just been doing.
+# On one CPU, like examples/benchmark: every rate here is host time, and
+# on a small VM it swings with what the other core has just been doing.
 pin=""
 if command -v taskset >/dev/null; then
     pin="taskset -c $(taskset -cp $$ | sed 's/.*: *//; s/[-,].*//')"
@@ -100,19 +108,16 @@ micro_floor() { # <key in the host block> <committed floor> <what it counts>
 # after the allocator/CRC-splice work, so the gate catches an
 # O(n)-per-event regression without tripping on machine variance.
 micro_floor bytes_per_host_second 140000000 "simulated bytes"
-# 100 000 baton hand-offs per host second in the 128-process barrier +
-# yield storm — 2-3x below the rate measured with one wake per hand-off
-# (ISSUE 15, EXPERIMENTS.md) and 20x above the ~5 000/s of the notify_all
-# herd it replaced, so a wake that scales with the number of sleeping
-# processes fails here.
-micro_floor engine_handoffs_per_host_second 100000 "engine hand-offs"
-# 200 000 hand-offs per host second in the 16-process yield storm, which
-# spawns 16 threads once and then only hands the baton on (EXPERIMENTS.md
-# "Engine hand-off: one futex per hand-off"): above the
-# ~137 k of waking the grantee while the scheduler lock is held, which
-# made it sleep again on that lock, and 1.5x below the ~300 k of one
-# futex wake and one futex sleep per hand-off.
-micro_floor engine_handoffs_per_host_second_16 200000 "engine hand-offs at 16 processes"
+# Engine hand-offs per host second (EXPERIMENTS.md "A hand-off is a stack
+# switch"): a hand-off is two user-space stack switches, ~0.2 µs pinned.
+# 1 000 000 in the 128-process barrier + yield storm, a third of the
+# slowest of three pinned runs (3.3-4.3 M); 1 500 000 in the 16-process
+# yield storm, a bit under a third of its slowest (5.2-5.6 M, one 1.65 M
+# straight after a build). The thread-per-process baton this replaced,
+# one futex wake and one futex sleep per hand-off, ran 340-480 k at 16
+# and 340-400 k at 128, so it fails both.
+micro_floor engine_handoffs_per_host_second 1000000 "engine hand-offs"
+micro_floor engine_handoffs_per_host_second_16 1500000 "engine hand-offs at 16 processes"
 # The payload path (ISSUE 16, EXPERIMENTS.md "Host speed"). Full-chunk
 # stream writes: 1.5 GB per host second, between the 1.06 GB/hs of the
 # one-register digest and the 2.3 GB/hs measured with four lanes — the
