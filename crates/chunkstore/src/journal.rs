@@ -26,7 +26,6 @@
 use crate::bitalloc::BitAlloc;
 use crate::crc::crc64;
 use crate::ids::ChunkId;
-use crate::shardmgr::HashRing;
 use simcore::Counter;
 use std::collections::BTreeMap;
 
@@ -620,24 +619,22 @@ impl ShardMeta {
 }
 
 /// The per-rank journal fleet a journaling manager owns: one lane per
-/// manager rank, chunk-keyed records routed by the same consistent-hash
-/// ring the shard set uses (one lane, trivially, for the serial
-/// manager). Appends bump the shared `store.journal_records` counter —
-/// registered lazily with the rest of the HA set, so knobs-off stat
-/// snapshots never see it.
+/// manager rank, each holding its rank's keyspace — a chunk-keyed record
+/// lands in the lane of the chunk's owner in the manager's rank ring (one
+/// lane, trivially, for the paper's manager). Appends bump the shared
+/// `store.journal_records` counter — registered lazily with the rest of
+/// the HA set, so knobs-off stat snapshots never see it.
 #[derive(Debug)]
 pub struct JournalSet {
     lanes: Vec<Journal>,
-    ring: HashRing,
     records: Counter,
 }
 
 impl JournalSet {
-    pub fn new(lanes: usize, vnodes: usize, seed: u64, records: Counter) -> Self {
+    pub fn new(lanes: usize, records: Counter) -> Self {
         assert!(lanes > 0, "a journal set needs at least one lane");
         JournalSet {
             lanes: (0..lanes).map(|_| Journal::new()).collect(),
-            ring: HashRing::new(lanes, vnodes, seed),
             records,
         }
     }
@@ -646,29 +643,12 @@ impl JournalSet {
         self.lanes.len()
     }
 
-    /// Which lane a chunk-keyed record lands in.
-    pub fn lane_of_chunk(&self, c: ChunkId) -> usize {
-        if self.lanes.len() == 1 {
-            0
-        } else {
-            self.ring.owner_of_chunk(c)
-        }
-    }
-
     pub fn lane(&self, k: usize) -> &Journal {
         &self.lanes[k]
     }
 
-    /// Append a chunk-keyed record to its ring owner's lane.
-    pub fn append(&mut self, chunk: ChunkId, r: &Record) {
-        let lane = self.lane_of_chunk(chunk);
-        self.lanes[lane].append(r);
-        self.records.inc();
-    }
-
-    /// Append a shard-addressed record (an epoch bump) to `lane`.
-    pub fn append_to(&mut self, lane: usize, r: &Record) {
-        let lane = lane.min(self.lanes.len() - 1);
+    /// Append a record to rank `lane`'s lane.
+    pub fn append(&mut self, lane: usize, r: &Record) {
         self.lanes[lane].append(r);
         self.records.inc();
     }
@@ -682,6 +662,7 @@ impl JournalSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shardmgr::HashRing;
 
     fn all_variants() -> Vec<Record> {
         vec![
@@ -874,11 +855,12 @@ mod tests {
     #[test]
     fn journal_set_routes_by_ring_and_counts() {
         let stats = simcore::StatsRegistry::new();
-        let mut set = JournalSet::new(4, 16, 9, stats.counter("store.journal_records"));
+        let ring = HashRing::new(4, 16, 9);
+        let mut set = JournalSet::new(4, stats.counter("store.journal_records"));
         for c in 0..64u64 {
             let chunk = ChunkId(c);
             set.append(
-                chunk,
+                ring.owner_of_chunk(chunk),
                 &Record::Place {
                     chunk,
                     benefactor: 0,
@@ -886,17 +868,20 @@ mod tests {
                 },
             );
         }
-        set.append_to(2, &Record::EpochBump { epoch: 1 });
+        set.append(2, &Record::EpochBump { epoch: 1 });
         assert_eq!(set.total_records(), 65);
         assert_eq!(stats.get("store.journal_records"), 65);
-        // Routing is ring-stable: the same chunk always lands in the
-        // same lane, and a chunk's lane actually holds its records.
+        // A lane is its rank's keyspace: every chunk's records are in its
+        // ring owner's lane, and only there.
         for c in 0..64u64 {
-            let lane = set.lane_of_chunk(ChunkId(c));
-            assert!(set
-                .lane(lane)
-                .iter()
-                .any(|r| matches!(r, Record::Place { chunk, .. } if chunk == ChunkId(c))));
+            let lane = ring.owner_of_chunk(ChunkId(c));
+            for k in 0..set.lanes() {
+                let holds = set
+                    .lane(k)
+                    .iter()
+                    .any(|r| matches!(r, Record::Place { chunk, .. } if chunk == ChunkId(c)));
+                assert_eq!(holds, k == lane, "chunk#{c} in lane {k}");
+            }
         }
     }
 }

@@ -26,13 +26,14 @@
 //!   scrub daemon (DESIGN.md §11);
 //! * [`rs`] — the GF(2^8) Reed-Solomon codec behind the erasure-coded
 //!   redundancy tier (DESIGN.md §15);
-//! * [`shardmgr`] — the sharded placement manager (DESIGN.md §12):
-//!   consistent-hash ring over placement keys, one FIFO CPU per shard
-//!   rank; clients cache resolutions under the one epoch rule of
+//! * [`shardmgr`] — the manager ranks (DESIGN.md §12): the paper's one
+//!   manager or N placement shards, one record per rank, a
+//!   consistent-hash ring over placement keys, one FIFO CPU per shard;
+//!   clients cache resolutions under the one epoch rule of
 //!   [`loc_cache`], whatever the manager's shape;
 //! * [`journal`] — crash-consistent manager metadata (DESIGN.md §16): a
 //!   CRC-64-protected superblock plus an append-only, self-checksummed
-//!   journal per manager rank, replayed by the standby on takeover.
+//!   journal lane per manager rank, replayed by the standby on takeover.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 

@@ -86,7 +86,7 @@ impl Manager {
                 Record::GroupUnlink { chunk: c }
             }
         };
-        self.journal_to(|j| j.lane_of_chunk(c), record);
+        self.journal_to(|r| r.ring().owner_of_chunk(c), record);
     }
 
     /// Flag (or clear) parity member `p` of group `g` as stale.

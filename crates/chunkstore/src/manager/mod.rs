@@ -7,9 +7,9 @@
 //! and data-path costs around them.
 //!
 //! One `impl Manager`, split by decision (DESIGN.md "manager module
-//! map"): the state, the fleet and the journal here; file geometry in
-//! `layout`; the namespace in `files`; chunks in `chunks`; parity-group
-//! membership in `groups`.
+//! map"): the state, the fleet, the ranks and the journal here; file
+//! geometry in `layout`; the namespace in `files`; chunks in `chunks`;
+//! parity-group membership in `groups`.
 
 mod chunks;
 mod files;
@@ -24,6 +24,7 @@ pub use layout::{FileMeta, PlacementPolicy, Slot, StripeSpec, StripeWidth};
 use crate::benefactor::Benefactor;
 use crate::ids::{BenefactorId, ChunkId, FileId};
 use crate::journal::{JournalSet, Record, ShardMeta, Superblock};
+use crate::shardmgr::{HashRing, ShardSet, DEFAULT_RING_SEED, DEFAULT_VNODES};
 use simcore::Counter;
 use std::collections::HashMap;
 
@@ -59,11 +60,16 @@ pub struct Manager {
     /// in `groups`; a linked checkpoint reference never joins (the group
     /// belongs to the source file).
     group_of: HashMap<ChunkId, GroupRef>,
+    /// The manager's ranks (DESIGN.md §12, §16): per rank its node,
+    /// standby, metadata CPU and crash state, and the ring that splits the
+    /// keyspace among them. The paper's manager is one rank on node 0
+    /// until the store places it; the timed store charges every RPC
+    /// against this record.
+    ranks: ShardSet,
     /// Crash-consistent metadata journal (DESIGN.md §16): one append-only
-    /// lane per manager rank, recording every placement mutation so a
-    /// standby can replay its shard's state on takeover. `None` (the
-    /// default) journals nothing and the manager behaves exactly as
-    /// without one.
+    /// lane per rank, recording every placement mutation so a standby
+    /// can replay its rank's keyspace on takeover. `None` (the default)
+    /// journals nothing and the manager behaves exactly as without one.
     journal: Option<JournalSet>,
 }
 
@@ -85,6 +91,11 @@ impl Manager {
             quarantined: 0,
             placement_epoch: 0,
             group_of: HashMap::new(),
+            ranks: ShardSet::new(
+                HashRing::new(1, DEFAULT_VNODES, DEFAULT_RING_SEED),
+                &[0],
+                Vec::new(),
+            ),
             journal: None,
         }
     }
@@ -104,17 +115,38 @@ impl Manager {
         self.placement_epoch += 1;
     }
 
+    // ----- manager ranks (DESIGN.md §12, §16) -------------------------------
+
+    pub(crate) fn ranks(&self) -> &ShardSet {
+        &self.ranks
+    }
+
+    pub(crate) fn ranks_mut(&mut self) -> &mut ShardSet {
+        &mut self.ranks
+    }
+
+    /// Replace the ranks (the store keeps their count) before anything
+    /// is journaled: a record sits in the lane the ring in place routed
+    /// it to.
+    pub(crate) fn install_ranks(&mut self, ranks: ShardSet) {
+        assert!(
+            self.journal.as_ref().is_none_or(|j| j.total_records() == 0),
+            "ranks are placed before any journaling"
+        );
+        self.ranks = ranks;
+    }
+
     // ----- crash-consistent metadata journal (DESIGN.md §16) ----------------
 
-    /// Turn on metadata journaling: one append-only lane per manager
-    /// rank, chunk-keyed records routed by the same consistent-hash ring
-    /// the shard set uses (`lanes = 1` for the serial manager). Appends
-    /// bump `records` — the lazily registered `store.journal_records`
-    /// counter, so knobs-off stat snapshots never see it. Journaling is
-    /// pure host-side bookkeeping: it charges no virtual time.
-    pub fn enable_journal(&mut self, lanes: usize, vnodes: usize, seed: u64, records: Counter) {
+    /// Turn on metadata journaling: one append-only lane per rank, each
+    /// chunk-keyed record in the lane of the chunk's owner in the ranks'
+    /// ring. Appends bump `records` — the lazily registered
+    /// `store.journal_records` counter, so knobs-off stat snapshots never
+    /// see it. Journaling is pure host-side bookkeeping: it charges no
+    /// virtual time.
+    pub fn enable_journal(&mut self, records: Counter) {
         assert!(self.journal.is_none(), "journal already enabled");
-        self.journal = Some(JournalSet::new(lanes, vnodes, seed, records));
+        self.journal = Some(JournalSet::new(self.ranks.len(), records));
     }
 
     pub fn journal(&self) -> Option<&JournalSet> {
@@ -171,12 +203,12 @@ impl Manager {
         }
     }
 
-    /// The one journal append: `record` into the lane `lane` picks — the
-    /// ring owner's for a chunk-keyed record. No-op when journaling is off.
-    fn journal_to(&mut self, lane: impl FnOnce(&JournalSet) -> usize, record: Record) {
+    /// The one journal append: `record` into the lane of the rank `lane`
+    /// picks — a chunk-keyed record's owner in the ranks' ring. No-op when
+    /// journaling is off.
+    fn journal_to(&mut self, lane: impl FnOnce(&ShardSet) -> usize, record: Record) {
         if let Some(j) = &mut self.journal {
-            let lane = lane(j);
-            j.append_to(lane, &record);
+            j.append(lane(&self.ranks), &record);
         }
     }
 
@@ -206,7 +238,7 @@ impl Manager {
                 slot,
             }
         };
-        self.journal_to(|j| j.lane_of_chunk(c), record);
+        self.journal_to(|r| r.ring().owner_of_chunk(c), record);
     }
 
     /// A cold (re)start of manager rank `rank`: bump the placement epoch

@@ -383,7 +383,7 @@ fn chunk_crc_recorded_and_updatable() {
 fn journal_unload_load_round_trip_survives_churn() {
     let stats = StatsRegistry::new();
     let mut m = mgr(2, 16);
-    m.enable_journal(1, 8, 7, stats.counter("store.journal_records"));
+    m.enable_journal(stats.counter("store.journal_records"));
     let f = m.create_file("/x").unwrap();
     m.fallocate(f, 4 * CHUNK, StripeSpec::all(), PlacementPolicy::RoundRobin)
         .unwrap();

@@ -65,19 +65,29 @@ impl HashRing {
 
     /// The shard owning a raw 64-bit key: its clockwise successor point.
     pub fn owner_of_point(&self, key: u64) -> usize {
-        let i = self.points.partition_point(|&(p, _)| p < key);
-        self.points[i % self.points.len()].1
+        self.owner(|| key)
     }
 
     /// Owner of a chunk-addressed key.
     pub fn owner_of_chunk(&self, c: ChunkId) -> usize {
-        self.owner_of_point(child_seed(CHUNK_KEYS, c.0))
+        self.owner(|| child_seed(CHUNK_KEYS, c.0))
     }
 
     /// Owner of a slot-addressed key (`fetch_chunks` / write resolution,
     /// where the client knows `(file, idx)` but not yet the chunk id).
     pub fn owner_of_slot(&self, file: FileId, idx: usize) -> usize {
-        self.owner_of_point(child_seed(child_seed(SLOT_KEYS, file.0), idx as u64))
+        self.owner(|| child_seed(child_seed(SLOT_KEYS, file.0), idx as u64))
+    }
+
+    /// A one-shard ring (the paper's manager) owns every key without
+    /// hashing it; otherwise the key's clockwise successor point does.
+    fn owner(&self, key: impl FnOnce() -> u64) -> usize {
+        if self.shards == 1 {
+            return 0;
+        }
+        let key = key();
+        let i = self.points.partition_point(|&(p, _)| p < key);
+        self.points[i % self.points.len()].1
     }
 }
 

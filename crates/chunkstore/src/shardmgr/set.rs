@@ -1,5 +1,6 @@
-//! Per-shard runtime state: the ring, and per shard rank its node, its
-//! standby and its metadata CPU.
+//! The manager ranks: the ring, and per rank its node, its standby, its
+//! metadata CPU and its crash state — the one record of a rank. The
+//! paper's manager is the set of one rank (DESIGN.md §12, §16).
 //!
 //! Which cached placement a client may use is not decided here: a
 //! `LocationCache` entry is good while the manager's placement epoch has
@@ -9,33 +10,48 @@
 use super::ring::HashRing;
 use simcore::{Counter, Resource, VTime};
 
-/// One placement-manager shard rank.
-#[derive(Debug)]
-struct ShardState {
-    /// Cluster node the shard rank runs on: the one record of it, read
-    /// by every RPC to the shard and swapped by a standby takeover.
-    node: usize,
-    /// Node of this shard's standby manager rank (manager HA, DESIGN.md
-    /// §16); `None` when the shard runs without one.
-    standby: Option<usize>,
-    /// The shard's metadata CPU: RPCs queue FIFO here, which is where
-    /// fan-in contention lives and what extra shards relieve.
-    cpu: Resource,
+/// A crashed manager rank (DESIGN.md §16): when it died, and — with a
+/// standby — the earliest virtual time the standby may complete takeover
+/// (the crash, the failover timeout, then the journal replay).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Crashed {
+    pub(crate) at: VTime,
+    pub(crate) takeover_at: Option<VTime>,
 }
 
-/// The installed shard fleet: ring + per-shard state.
+/// One manager rank.
+#[derive(Debug)]
+struct ShardState {
+    /// Cluster node the rank runs on: the one record of it, read by every
+    /// RPC to the rank and swapped by a standby takeover.
+    node: usize,
+    /// Node of this rank's standby (manager HA, DESIGN.md §16); `None`
+    /// when the rank runs without one.
+    standby: Option<usize>,
+    /// The rank's metadata CPU: a shard's RPCs queue FIFO here, which is
+    /// where fan-in contention lives and what extra shards relieve.
+    cpu: Resource,
+    /// `Some` while the rank is down.
+    crashed: Option<Crashed>,
+}
+
+/// The manager ranks: ring + per-rank state.
 #[derive(Debug)]
 pub struct ShardSet {
     ring: HashRing,
     shards: Vec<ShardState>,
-    /// `store.shard_rpcs.s{k}` — per-shard RPC attribution.
+    /// `store.shard_rpcs.s{k}` — per-shard RPC attribution; empty for the
+    /// paper's manager, which counts none.
     per_shard_rpcs: Vec<Counter>,
 }
 
 impl ShardSet {
     pub fn new(ring: HashRing, nodes: &[usize], per_shard_rpcs: Vec<Counter>) -> Self {
         assert_eq!(ring.shards(), nodes.len(), "one node per ring shard");
-        assert_eq!(nodes.len(), per_shard_rpcs.len(), "one counter per shard");
+        assert!(
+            per_shard_rpcs.is_empty() || per_shard_rpcs.len() == nodes.len(),
+            "one counter per shard, or none"
+        );
         ShardSet {
             ring,
             shards: nodes
@@ -45,6 +61,7 @@ impl ShardSet {
                     node,
                     standby: None,
                     cpu: Resource::new(format!("shardmgr.s{k}.cpu")),
+                    crashed: None,
                 })
                 .collect(),
             per_shard_rpcs,
@@ -70,7 +87,7 @@ impl ShardSet {
 
     /// Install a standby manager rank for `shard` on `node` (DESIGN.md
     /// §16). The standby holds no state of its own — at takeover it
-    /// replays the shard's metadata journal.
+    /// replays the rank's journal lane.
     pub fn set_standby(&mut self, shard: usize, node: usize) {
         self.shards[shard].standby = Some(node);
     }
@@ -110,6 +127,17 @@ impl ShardSet {
 
     pub fn count_rpc(&self, shard: usize) {
         self.per_shard_rpcs[shard].inc();
+    }
+
+    /// Rank `shard`'s crash, while it is down.
+    pub(crate) fn crashed(&self, shard: usize) -> Option<Crashed> {
+        self.shards[shard].crashed
+    }
+
+    /// Record rank `shard` down (`Some`) or serving (`None`); returns what
+    /// it replaces.
+    pub(crate) fn set_crashed(&mut self, shard: usize, c: Option<Crashed>) -> Option<Crashed> {
+        std::mem::replace(&mut self.shards[shard].crashed, c)
     }
 }
 

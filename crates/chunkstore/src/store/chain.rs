@@ -20,9 +20,9 @@ use std::cell::RefCell;
 /// per direction").
 #[derive(Debug, Default)]
 pub(super) struct ChainScratch {
-    /// Per entry: the ring owner of its slot key (`None`: the serial
-    /// manager) — `AggregateStore::owners_of`.
-    pub(super) owners: Vec<Option<usize>>,
+    /// Per entry: the manager rank owning its slot key —
+    /// `AggregateStore::owners_of`.
+    pub(super) owners: Vec<usize>,
     /// Per entry: when its resolution reply is in hand —
     /// `AggregateStore::resolve_fan_out`.
     pub(super) ready: Vec<VTime>,
@@ -109,7 +109,7 @@ impl ChainScratch {
     /// Drain the planned call. A chain's cursor starts at ZERO and entry
     /// `i` starts at `max(cursor, ready[i])` — its resolution reply in
     /// hand and its chain predecessor complete — so with a uniform `ready`
-    /// (serial manager, or shards=1 where every owner is shard 0) the
+    /// (one rank, the paper's manager or shards=1, owns every entry) the
     /// drain is exactly the original shared-`t0` schedule; an unchained
     /// entry starts at `ready[i]` and so completes when a call for it
     /// alone would. `run(i, start)` performs the entry and returns its

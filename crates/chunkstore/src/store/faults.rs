@@ -12,8 +12,20 @@ use simcore::VTime;
 impl AggregateStore {
     /// Install a fault plan. Due events are applied at the top of every
     /// timed store operation, so the fleet's state tracks the virtual
-    /// clock without a separate driver process.
+    /// clock without a separate driver process. A plan that names a
+    /// manager rank the store does not have is refused.
     pub fn attach_faults(&self, plan: FaultPlan) {
+        let ranks = self.mgr.lock().ranks().len();
+        for fault in plan.events() {
+            if let FaultEvent::ManagerCrash { shard } | FaultEvent::ManagerRecover { shard } =
+                fault.event
+            {
+                assert!(
+                    shard < ranks,
+                    "the fault plan names manager rank {shard}, but the store has {ranks} rank(s)"
+                );
+            }
+        }
         *self.faults.lock() = Some(plan);
     }
 

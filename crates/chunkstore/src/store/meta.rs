@@ -1,12 +1,14 @@
-//! The metadata plane: the manager RPC every operation pays, the sharded
-//! placement manager (DESIGN.md §12), and manager high availability —
-//! crash, cold reboot, standby takeover (DESIGN.md §16).
+//! The metadata plane: the manager RPC every operation pays, the manager
+//! ranks — the paper's one, or the sharded placement manager (DESIGN.md
+//! §12) — and manager high availability: crash, cold reboot, standby
+//! takeover (DESIGN.md §16).
 
 use super::chain::ChainScratch;
 use super::{AggregateStore, FAILOVER_TIMEOUT, REPLAY_RECORD_CPU, RETRY_BACKOFF, RPC_BYTES};
 use crate::error::{Result, StoreError};
 use crate::ids::FileId;
-use crate::shardmgr::{HashRing, ShardSet, DEFAULT_VNODES};
+use crate::manager::Manager;
+use crate::shardmgr::{Crashed, HashRing, ShardSet, DEFAULT_VNODES};
 use obs::{Layer, SHARD_LANE_BASE};
 use simcore::VTime;
 use std::sync::Arc;
@@ -24,20 +26,6 @@ pub(super) enum MgrOp {
     Place,
 }
 
-/// A crashed manager rank (DESIGN.md §16): when it died, and — with a
-/// standby — the earliest virtual time the standby may complete takeover
-/// (the crash, `FAILOVER_TIMEOUT`, then the journal replay).
-#[derive(Clone, Copy, Debug)]
-pub(super) struct Crashed {
-    at: VTime,
-    takeover_at: Option<VTime>,
-}
-
-/// Manager-HA runtime state: per manager rank (a single rank with the
-/// serial manager), `Some` while it is down. Lazily sized on the first
-/// manager fault, so fault-free runs never touch it.
-pub(super) type MgrHa = Vec<Option<Crashed>>;
-
 impl AggregateStore {
     /// Bump the aggregate RPC counter plus the per-op split (ISSUE 6
     /// satellite: `store_health` footers show fetch/write/place shares).
@@ -50,64 +38,51 @@ impl AggregateStore {
         }
     }
 
-    /// Charge one metadata round-trip: to placement shard `shard`, or to
-    /// the serial manager when `None`. The request and response are
-    /// control-sized messages to the rank's node ([`ShardSet::node`] for a
-    /// shard). A shard operation occupies the shard's FIFO metadata CPU —
-    /// which is where client fan-in queues, and what extra shards
-    /// relieve; the serial manager charges `mgr_cpu` without queueing. A
-    /// crashed manager rank is retried on the same backoff schedule as
-    /// benefactor failover — a scheduled recovery or standby takeover
-    /// may land in between — before the op fails with
-    /// [`StoreError::ManagerDown`]. The fault-free path is one rank-table
-    /// len-check.
-    fn meta_rpc(
-        &self,
-        t: VTime,
-        client_node: usize,
-        shard: Option<usize>,
-        op: MgrOp,
-    ) -> Result<VTime> {
-        let rank = shard.unwrap_or(0);
-        let mut t = t;
+    /// Charge one metadata round-trip to manager rank `rank`. The request
+    /// and response are control-sized messages to the rank's node
+    /// ([`ShardSet::node`]). A crashed rank is retried on the same backoff
+    /// schedule as benefactor failover — a scheduled recovery or standby
+    /// takeover may land in between — before the op fails with
+    /// [`StoreError::ManagerDown`].
+    fn meta_rpc(&self, mut t: VTime, client_node: usize, rank: usize, op: MgrOp) -> Result<VTime> {
         let mut attempts = 0;
         // The probe also performs a due standby takeover.
-        while !self.manager_rank_ready(rank, t) {
+        let node = loop {
+            if let Some(node) = self.serving_node(rank, t) {
+                break node;
+            }
             if attempts >= self.cfg.fetch_retries {
                 return Err(StoreError::ManagerDown(rank));
             }
             attempts += 1;
             t += RETRY_BACKOFF;
             self.poll_faults(t);
-        }
-        let node = match shard {
-            Some(k) => self.shard_node(k).expect("shard set installed"),
-            None => self.cfg.manager_node,
         };
         self.count_mgr_rpc(op);
         let sp = self.trace.span(Layer::Store, "store.mgr_rpc", t);
         sp.arg("client", client_node as u64);
-        if let Some(k) = shard {
-            sp.arg("shard", k as u64);
+        if self.sharded() {
+            sp.arg("shard", rank as u64);
         }
         let req = self.net.transfer_at(t, client_node, node, RPC_BYTES);
-        let done = match shard {
-            Some(k) => self.shard_cpu(k, req.arrived),
-            None => req.arrived + self.cfg.mgr_cpu,
-        };
+        let done = self.mgr_cpu(rank, req.arrived);
         let resp = self.net.transfer_at(done, node, client_node, RPC_BYTES);
         sp.finish(resp.arrived);
         Ok(resp.arrived)
     }
 
-    /// Queue one metadata operation arriving at `arrived` on shard
-    /// `shard`'s FIFO CPU; returns when it has been served.
-    fn shard_cpu(&self, shard: usize, arrived: VTime) -> VTime {
+    /// Serve one metadata operation arriving at `arrived` on rank `rank`'s
+    /// CPU; returns when it has been served.
+    fn mgr_cpu(&self, rank: usize, arrived: VTime) -> VTime {
+        // The paper's manager charges its CPU without queueing (DESIGN.md
+        // §12); a shard's RPCs queue FIFO on its CPU.
+        if !self.sharded() {
+            return arrived + self.cfg.mgr_cpu;
+        }
         let grant = {
-            let shards = self.shards.lock();
-            let ss = shards.as_ref().expect("shard set installed");
-            ss.count_rpc(shard);
-            ss.cpu_grant(shard, arrived, self.cfg.mgr_cpu)
+            let mgr = self.mgr.lock();
+            mgr.ranks().count_rpc(rank);
+            mgr.ranks().cpu_grant(rank, arrived, self.cfg.mgr_cpu)
         };
         // The shard's CPU occupancy (queue wait + service) is *remote*
         // work — record it detached on the shard's lane, linked back to
@@ -117,106 +92,115 @@ impl AggregateStore {
             Layer::Store,
             "shardmgr.cpu",
             arrived,
-            SHARD_LANE_BASE + shard as u32,
+            SHARD_LANE_BASE + rank as u32,
             self.trace.ctx(),
         );
         cpu_sp
-            .arg("shard", shard as u64)
+            .arg("shard", rank as u64)
             .arg("queue_ns", grant.queued(arrived).as_nanos());
         cpu_sp.finish(grant.end);
         grant.end
     }
 
-    // ----- sharded placement manager (DESIGN.md §12) ------------------------
+    // ----- manager ranks (DESIGN.md §12) -------------------------------------
 
-    /// Install the sharded placement manager: shard `k` runs on
-    /// `nodes[k]` and owns the keyspace the ring assigns it. Registers
-    /// the per-shard RPC counters lazily, like the integrity set, so
-    /// knobs-off stat snapshots do not grow keys. `seed` fixes the ring
-    /// layout; cluster builds pass [`crate::shardmgr::DEFAULT_RING_SEED`].
+    /// Is the manager sharded (`StoreConfig::manager_shards > 0`)? The
+    /// paper's manager is the one rank of an unsharded store.
+    fn sharded(&self) -> bool {
+        self.cfg.manager_shards > 0
+    }
+
+    /// Place the manager ranks: rank `k` runs on `nodes[k]` and, sharded,
+    /// owns the keyspace the ring assigns it. One node per configured
+    /// rank — `StoreConfig::manager_shards`, or the paper's one manager
+    /// when that is `0`; any other count is refused. `seed` fixes the
+    /// ring layout; cluster builds pass [`crate::shardmgr::DEFAULT_RING_SEED`].
+    /// Each shard counts its RPCs (`store.shard_rpcs.s{k}`, none for the
+    /// paper's manager), registered here like the integrity set, so
+    /// knobs-off stat snapshots do not grow keys.
     pub fn install_shards(&self, nodes: &[usize], seed: u64) {
-        assert!(!nodes.is_empty(), "a shard set needs at least one rank");
-        let per_shard = (0..nodes.len())
+        let ranks = self.cfg.manager_shards.max(1);
+        assert_eq!(
+            nodes.len(),
+            ranks,
+            "StoreConfig::manager_shards configures {ranks} manager rank(s); {} installed",
+            nodes.len()
+        );
+        let per_shard = (0..self.cfg.manager_shards)
             .map(|k| self.stats.counter(&format!("store.shard_rpcs.s{k}")))
             .collect();
-        let ring = HashRing::new(nodes.len(), DEFAULT_VNODES, seed);
-        *self.shards.lock() = Some(ShardSet::new(ring, nodes, per_shard));
-        self.register_shard_gauges(nodes.len());
+        let ring = HashRing::new(ranks, DEFAULT_VNODES, seed);
+        self.mgr
+            .lock()
+            .install_ranks(ShardSet::new(ring, nodes, per_shard));
     }
 
     /// Register per-shard queue-depth gauges (`store.shard_queue.s{k}` —
-    /// CPU backlog at sample time, in pending mgr-CPU service units).
-    /// Split from `register_gauges` because shards are installed after
-    /// construction.
-    fn register_shard_gauges(&self, nshards: usize) {
-        if !self.sampler.is_enabled() {
-            return;
-        }
-        for k in 0..nshards {
-            let shards = Arc::clone(&self.shards);
+    /// CPU backlog at sample time, in pending mgr-CPU service units; none
+    /// for the paper's manager).
+    pub(super) fn register_shard_gauges(&self) {
+        for k in 0..self.cfg.manager_shards {
+            let mgr = Arc::clone(&self.mgr);
             let mgr_cpu = self.cfg.mgr_cpu.as_nanos().max(1);
             self.sampler.register(
                 &format!("store.shard_queue.s{k}"),
                 Box::new(move |now| {
-                    let guard = shards.try_lock()?;
-                    let ss = guard.as_ref()?;
-                    let backlog = ss.cpu_next_free(k).saturating_sub(now).as_nanos();
+                    let mgr = mgr.try_lock()?;
+                    let backlog = mgr.ranks().cpu_next_free(k).saturating_sub(now).as_nanos();
                     Some(backlog.div_ceil(mgr_cpu))
                 }),
             );
         }
     }
 
-    /// Number of installed placement shards (`0` = serial manager).
+    /// Number of placement shards (`0` = the paper's manager).
     pub fn shards_installed(&self) -> usize {
-        self.shards.lock().as_ref().map_or(0, |s| s.len())
+        self.cfg.manager_shards
     }
 
-    /// The node serving shard `k` — after a standby takeover, the
-    /// standby's. `None` with no shard set installed.
+    /// The node serving manager rank `k` — after a standby takeover, the
+    /// standby's. `None` for a rank the store does not have.
     pub fn shard_node(&self, k: usize) -> Option<usize> {
-        self.shards.lock().as_ref().map(|s| s.node(k))
+        let mgr = self.mgr.lock();
+        (k < mgr.ranks().len()).then(|| mgr.ranks().node(k))
     }
 
-    /// Ring owner of a slot key, when shards are installed. Pure local
+    /// Ring owner of a slot key, when the manager is sharded. Pure local
     /// computation — routing costs no RPC.
     pub fn shard_of_slot(&self, file: FileId, idx: usize) -> Option<usize> {
-        self.shards
-            .lock()
-            .as_ref()
-            .map(|s| s.ring().owner_of_slot(file, idx))
+        let mgr = self.mgr.lock();
+        self.sharded()
+            .then(|| mgr.ranks().ring().owner_of_slot(file, idx))
     }
 
     /// Per-shard CPU queue accounting: `(total queued time, RPCs served)`
-    /// for each installed shard, in shard order. Empty with no shard set.
+    /// for each shard, in shard order. Empty for the paper's manager.
     /// Bench footers divide the pair into a mean queue delay.
     pub fn shard_cpu_stats(&self) -> Vec<(VTime, u64)> {
-        let guard = self.shards.lock();
-        let Some(ss) = guard.as_ref() else {
-            return Vec::new();
-        };
-        (0..ss.len()).map(|k| ss.cpu_queue_stats(k)).collect()
+        let mgr = self.mgr.lock();
+        (0..self.cfg.manager_shards)
+            .map(|k| mgr.ranks().cpu_queue_stats(k))
+            .collect()
     }
 
     /// Metadata round-trip for a namespace (control-plane) operation. The
-    /// namespace has no per-chunk key to hash, so in shard mode it lives
-    /// on shard 0 — the *root shard*; with no shard set this is the
-    /// serial manager RPC.
+    /// namespace has no per-chunk key to hash, so it lives on rank 0 —
+    /// the paper's manager, or the *root shard*.
     pub(super) fn namespace_rpc(&self, t: VTime, client_node: usize) -> Result<VTime> {
-        let root = (self.shards_installed() > 0).then_some(0);
-        self.meta_rpc(t, client_node, root, MgrOp::Place)
+        self.meta_rpc(t, client_node, 0, MgrOp::Place)
     }
 
-    /// The ring owner of each slot key, into `owners`; all `None` with the
-    /// serial manager (one owner: the manager itself).
+    /// The ring owner of each slot key, into `owners` (rank 0, unhashed,
+    /// for the paper's manager).
     pub(super) fn owners_of(
         &self,
         keys: impl Iterator<Item = (FileId, usize)>,
-        owners: &mut Vec<Option<usize>>,
+        owners: &mut Vec<usize>,
     ) {
-        let shards = self.shards.lock();
+        let mgr = self.mgr.lock();
+        let ring = mgr.ranks().ring();
         owners.clear();
-        owners.extend(keys.map(|(f, i)| shards.as_ref().map(|ss| ss.ring().owner_of_slot(f, i))));
+        owners.extend(keys.map(|(f, i)| ring.owner_of_slot(f, i)));
     }
 
     /// The resolution fan-out shared by the fetch and write paths: one
@@ -235,10 +219,9 @@ impl AggregateStore {
         let ChainScratch { owners, ready, .. } = sc;
         ready.clear();
         ready.resize(owners.len(), t);
-        // The least owner of a flagged entry past `done` (`None` sorts
-        // first): a handful of owners at most, so the rescan beats a map
-        // built per call.
-        let next = |done: Option<Option<usize>>| {
+        // The least owner of a flagged entry past `done`: a handful of
+        // owners at most, so the rescan beats a map built per call.
+        let next = |done: Option<usize>| {
             let flagged = (0..owners.len()).filter(|&i| needs(i)).map(|i| owners[i]);
             flagged.filter(|&o| Some(o) > done).min()
         };
@@ -256,104 +239,87 @@ impl AggregateStore {
     // ----- manager HA (DESIGN.md §16) ---------------------------------------
 
     /// Simulate a manager-rank crash or reboot (DESIGN.md §16) — the one
-    /// liveness a metadata rank has. `rank` is the placement shard whose
-    /// hosting process dies (rank 0 with the serial manager). A crash
+    /// liveness a metadata rank has, kept in its rank record. A crash
     /// stops that rank answering metadata RPCs — only its keyspace:
     /// clients of other ranks, and clients answering placement from their
     /// location caches, never notice — and a client that must ask it sits
     /// in the retry/backoff loop. With `ha_standby` the rank's standby
     /// schedules a takeover at crash time + `FAILOVER_TIMEOUT` +
-    /// journal-replay cost; without it the rank stays down until a
-    /// scheduled `ManagerRecover` reboots it cold, which bumps the
-    /// placement epoch. A reboot after the standby already took over just
-    /// rejoins as the new standby (`promote_standby` parked its node
+    /// the replay of the rank's journal lane; without it the rank stays
+    /// down until a scheduled `ManagerRecover` reboots it cold, which bumps
+    /// the placement epoch. A reboot after the standby already took over
+    /// just rejoins as the new standby (`promote_standby` parked its node
     /// there).
     pub fn set_manager_alive(&self, rank: usize, alive: bool, at: VTime) {
-        let ranks = self.shards_installed().max(1).max(rank + 1);
-        // Compute replay cost outside the HA lock (lock order: ha → mgr
-        // is never taken; mgr and shards locks come after ha drops).
-        let lane_records = self
-            .mgr
-            .lock()
-            .journal()
-            .map_or(0, |j| j.lane(rank.min(j.lanes() - 1)).records());
-        let mut ha = self.ha.lock();
-        if ha.len() < ranks {
-            ha.resize(ranks, None);
-        }
+        let mut mgr = self.mgr.lock();
         if alive {
-            if ha[rank].take().is_some() {
-                drop(ha);
+            if mgr.ranks_mut().set_crashed(rank, None).is_some() {
                 // Cold restart: no pre-crash cached placement survives.
-                self.mgr.lock().revoke_epoch(rank);
+                mgr.revoke_epoch(rank);
             }
-        } else if ha[rank].is_none() {
+        } else if mgr.ranks().crashed(rank).is_none() {
             let takeover_at = self.cfg.ha_standby.then(|| {
-                let replay = VTime::from_nanos(REPLAY_RECORD_CPU.as_nanos() * lane_records);
-                at + FAILOVER_TIMEOUT + replay
+                let records = mgr.journal().map_or(0, |j| j.lane(rank).records());
+                at + FAILOVER_TIMEOUT + VTime::from_nanos(REPLAY_RECORD_CPU.as_nanos() * records)
             });
-            ha[rank] = Some(Crashed { at, takeover_at });
+            mgr.ranks_mut()
+                .set_crashed(rank, Some(Crashed { at, takeover_at }));
         }
     }
 
     /// Is manager rank `rank` down right now? (Tests/benches.)
     pub fn manager_rank_down(&self, rank: usize) -> bool {
-        self.ha.lock().get(rank).is_some_and(Option::is_some)
+        self.mgr.lock().ranks().crashed(rank).is_some()
     }
 
-    /// Is manager rank `rank` serving at `t`? Drives standby takeover:
-    /// the first readiness probe at or past the takeover deadline
-    /// performs the failover (journal replay + promotion + epoch bump)
-    /// and reports the rank back up. Trivially true when no manager fault
-    /// ever fired — the rank table stays empty.
-    fn manager_rank_ready(&self, rank: usize, t: VTime) -> bool {
-        let crashed = self.ha.lock().get(rank).copied().flatten();
-        let takeover = match crashed.map(|c| c.takeover_at) {
-            None => return true,
-            Some(Some(due)) if t >= due => due,
-            Some(_) => return false,
-        };
-        self.failover_manager(rank, takeover);
-        true
+    /// The node serving manager rank `rank` at `t`, or `None` while it is
+    /// down. Drives standby takeover: the first probe at or past the
+    /// takeover deadline performs the failover (journal replay +
+    /// promotion + epoch bump) and finds the rank back up.
+    fn serving_node(&self, rank: usize, t: VTime) -> Option<usize> {
+        let mut mgr = self.mgr.lock();
+        match mgr.ranks().crashed(rank) {
+            None => {}
+            Some(Crashed {
+                at,
+                takeover_at: Some(due),
+            }) if t >= due => self.failover_manager(&mut mgr, rank, at, due),
+            Some(_) => return None,
+        }
+        Some(mgr.ranks().node(rank))
     }
 
-    /// Standby takeover of manager rank `rank` at `at` (DESIGN.md §16):
-    /// unload the rank's journal lane as a superblock + log image,
-    /// scan-and-repair and replay it (rebuilding slot bitmaps through
-    /// `BitAlloc::from_leaf`), verify the replayed metadata against the
-    /// live fleet, promote the standby to serving rank, and bump the
-    /// placement epoch so no `LocationCache` can serve a pre-crash
-    /// placement.
-    fn failover_manager(&self, rank: usize, at: VTime) {
-        let Some(crashed) = self.ha.lock()[rank].take() else {
-            return; // a racing probe already promoted
-        };
+    /// Standby takeover at `at` of manager rank `rank`, crashed at
+    /// `crashed_at` (DESIGN.md §16): unload the rank's journal lane as a
+    /// superblock + log image, scan-and-repair and replay it (rebuilding
+    /// slot bitmaps through `BitAlloc::from_leaf`), verify the replayed
+    /// metadata against the live fleet, promote the standby to serving
+    /// rank, and bump the placement epoch so no `LocationCache` can serve
+    /// a pre-crash placement.
+    fn failover_manager(&self, mgr: &mut Manager, rank: usize, crashed_at: VTime, at: VTime) {
         // The real recovery path, not a shortcut: serialize the lane,
         // decode it back through scan-and-repair, replay, and verify the
         // replayed metadata one-sided against the live fleet.
-        {
-            let mgr = self.mgr.lock();
-            let image = mgr
-                .unload_journal(rank)
-                .expect("HA standby requires journaling");
-            let (sb, meta, repair) =
-                crate::journal::load_image(&image).expect("self-written image decodes");
-            assert!(!repair.torn, "a just-unloaded image has no torn tail");
-            assert_eq!(sb.records, repair.records, "superblock counts its log");
-            mgr.verify_replayed(&meta);
-        }
+        let image = mgr
+            .unload_journal(rank)
+            .expect("HA standby requires journaling");
+        let (sb, meta, repair) =
+            crate::journal::load_image(&image).expect("self-written image decodes");
+        assert!(!repair.torn, "a just-unloaded image has no torn tail");
+        assert_eq!(sb.records, repair.records, "superblock counts its log");
+        mgr.verify_replayed(&meta);
         self.stats.counter("store.journal_replays").inc();
         self.stats.counter("store.mgr_failovers").inc();
         self.stats
             .counter("store.mgr_failover_us")
-            .add((at - crashed.at).as_nanos() / 1_000);
-        // Sharded mode: the standby's node now serves the rank. Serial
-        // mode models the standby at the manager node.
-        if let Some(ss) = self.shards.lock().as_mut() {
-            ss.promote_standby(rank);
-        }
+            .add((at - crashed_at).as_nanos() / 1_000);
+        // The standby's node now serves the rank. The paper's manager has
+        // no standby node: its standby is modelled at the manager's node.
+        let ranks = mgr.ranks_mut();
+        ranks.set_crashed(rank, None);
+        ranks.promote_standby(rank);
         // No pre-crash cached placement survives the takeover.
-        self.mgr.lock().revoke_epoch(rank);
+        mgr.revoke_epoch(rank);
         self.trace
             .instant(Layer::Fault, format!("store.mgr_failover m={rank}"), at);
     }
@@ -362,13 +328,11 @@ impl AggregateStore {
     /// `k`'s standby. Call after [`Self::install_shards`]; cluster
     /// builds wire this when `ha_standby` is set.
     pub fn set_standby_nodes(&self, nodes: &[usize]) {
-        let mut guard = self.shards.lock();
-        let ss = guard
-            .as_mut()
-            .expect("standbys require an installed shard set");
-        assert_eq!(nodes.len(), ss.len(), "one standby per shard");
+        let mut mgr = self.mgr.lock();
+        let ranks = mgr.ranks_mut();
+        assert_eq!(nodes.len(), ranks.len(), "one standby per shard");
         for (k, &n) in nodes.iter().enumerate() {
-            ss.set_standby(k, n);
+            ranks.set_standby(k, n);
         }
     }
 }

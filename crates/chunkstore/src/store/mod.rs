@@ -8,7 +8,7 @@
 //!
 //! One `impl AggregateStore`, split by concern (DESIGN.md "store module
 //! map"): this file holds configuration, construction and the control
-//! plane; `meta` the metadata RPC, shards and manager HA;
+//! plane; `meta` the metadata RPC, the manager ranks and manager HA;
 //! `faults` fault injection; `read` and `write` the data plane;
 //! `chain` the per-benefactor chain drain both directions share;
 //! `repair` the scrub daemon and the two repair sweeps. Every decision
@@ -29,10 +29,9 @@ use crate::error::{Result, StoreError};
 use crate::ids::{BenefactorId, FileId};
 use crate::manager::{Manager, PlacementPolicy, StripeSpec};
 use crate::payload::{zero_chunk, ChunkBuf, PageRun};
-use crate::shardmgr::{ShardSet, DEFAULT_RING_SEED, DEFAULT_VNODES};
+use crate::shardmgr::DEFAULT_RING_SEED;
 use ::faults::FaultPlan;
 use devices::WearReport;
-use meta::MgrHa;
 use netsim::Network;
 use obs::{MetricsSampler, TraceRecorder};
 use parking_lot::{Mutex, MutexGuard};
@@ -50,8 +49,6 @@ pub struct StoreConfig {
     /// Not a knob — the page is a model constant — but still a field
     /// because the frozen `examples/benchmark` reads it (DESIGN.md §13).
     pub page_size: u64,
-    /// Cluster node hosting the manager process.
-    pub manager_node: usize,
     /// Manager CPU time per metadata operation.
     pub mgr_cpu: VTime,
     /// Failover attempts per chunk read after every listed replica looks
@@ -64,10 +61,10 @@ pub struct StoreConfig {
     /// with this unset, read timing and counters are bit-identical to a
     /// build without the integrity subsystem.
     pub verify_reads: bool,
-    /// Number of placement-manager shard ranks (DESIGN.md §12). `0` (the
-    /// default) keeps the serial single-manager path untouched; cluster
-    /// builds consume this knob and call
-    /// [`AggregateStore::install_shards`] with one rank per shard.
+    /// Number of placement-manager shard ranks (DESIGN.md §12): the one
+    /// rank count. `0` (the default) is the paper's manager — one rank
+    /// whose CPU does not queue; cluster builds place the ranks with
+    /// [`AggregateStore::install_shards`], one node per rank.
     pub manager_shards: usize,
     /// Manager high availability (DESIGN.md §16): journal every metadata
     /// mutation to the rank's crash-consistent log and keep a standby
@@ -83,7 +80,6 @@ impl Default for StoreConfig {
         StoreConfig {
             chunk_size: 256 * 1024,
             page_size: PAGE_BYTES,
-            manager_node: 0,
             mgr_cpu: VTime::from_micros(10),
             fetch_retries: 2,
             verify_reads: false,
@@ -227,15 +223,6 @@ pub struct AggregateStore {
     /// so knobs-off stat snapshots stay byte-identical.
     stats: StatsRegistry,
     scrub: Arc<Mutex<Option<ScrubState>>>,
-    /// The sharded placement manager (DESIGN.md §12); `None` until
-    /// [`AggregateStore::install_shards`] runs. Like scrub, entirely
-    /// opt-in: with no shard set every path below uses the serial
-    /// manager RPC.
-    shards: Arc<Mutex<Option<ShardSet>>>,
-    /// Manager-HA rank table (DESIGN.md §16). Empty until a
-    /// `ManagerCrash` fault actually fires, so the fault-free fast path
-    /// is one len-check.
-    ha: Arc<Mutex<MgrHa>>,
     trace: TraceRecorder,
     /// Virtual-time gauge sampler (DESIGN.md §14.3), polled at the top of
     /// every timed store operation. Disabled (a single branch) unless the
@@ -295,22 +282,20 @@ impl AggregateStore {
             batched_writes: stats.counter("store.batched_writes"),
             stats: stats.clone(),
             scrub: Arc::new(Mutex::new(None)),
-            shards: Arc::new(Mutex::new(None)),
-            ha: Arc::new(Mutex::new(MgrHa::default())),
             trace: TraceRecorder::disabled(),
             sampler: MetricsSampler::disabled(),
         };
         if store.cfg.verify_reads {
             store.register_counters(INTEGRITY_COUNTERS);
         }
+        // Every configured rank on node 0 until the cluster places them.
+        store.install_shards(&vec![0; cfg.manager_shards.max(1)], DEFAULT_RING_SEED);
         if store.cfg.ha_standby {
             store.register_counters(HA_COUNTERS);
-            store.mgr.lock().enable_journal(
-                store.cfg.manager_shards.max(1),
-                DEFAULT_VNODES,
-                DEFAULT_RING_SEED,
-                store.stats.counter("store.journal_records"),
-            );
+            store
+                .mgr
+                .lock()
+                .enable_journal(store.stats.counter("store.journal_records"));
         }
         store
     }
@@ -331,8 +316,8 @@ impl AggregateStore {
 
     /// Attach a metrics sampler (builder style; clones share it) and
     /// register the store-side gauges on it: benefactor free slots,
-    /// location-cache hit ratio, per-shard CPU backlog. The sampler is then polled at
-    /// the top of every timed store operation.
+    /// location-cache hit ratio, per-shard CPU backlog. The sampler is
+    /// then polled at the top of every timed store operation.
     pub fn with_sampler(mut self, sampler: MetricsSampler) -> Self {
         self.sampler = sampler;
         self.register_gauges();
@@ -364,6 +349,7 @@ impl AggregateStore {
                 (total > 0).then(|| hits * 1000 / total)
             }),
         );
+        self.register_shard_gauges();
     }
 
     pub fn config(&self) -> &StoreConfig {

@@ -1,5 +1,6 @@
 use super::*;
 use crate::ids::ChunkId;
+use crate::journal::Record;
 use crate::loc_cache::LocationCache;
 use crate::manager::Slot;
 use crate::rs::RsCode;
@@ -295,9 +296,13 @@ fn dirty_page_traffic_is_page_sized_not_chunk_sized() {
 
 /// `n` benefactors on nodes `1..=n`; the client drives from node `n+1`.
 fn store_n(n: usize) -> (AggregateStore, StatsRegistry) {
+    store_n_with(n, StoreConfig::default())
+}
+
+fn store_n_with(n: usize, cfg: StoreConfig) -> (AggregateStore, StatsRegistry) {
     let stats = StatsRegistry::new();
     let net = Network::new(n + 2, &stats);
-    let store = AggregateStore::new(StoreConfig::default(), net, &stats);
+    let store = AggregateStore::new(cfg, net, &stats);
     for i in 0..n {
         let ssd = Ssd::new(&format!("b{i}.ssd"), INTEL_X25E, &stats);
         store.add_benefactor(Benefactor::new(i + 1, ssd, mib(64), CHUNK));
@@ -1068,7 +1073,11 @@ fn integrity_knobs_off_changes_nothing() {
 /// `n` benefactors on nodes `1..=n` with `shards` placement-shard
 /// ranks round-robin on those same nodes; client drives from `n+1`.
 fn store_sharded(n: usize, shards: usize) -> (AggregateStore, StatsRegistry) {
-    let (store, stats) = store_n(n);
+    let cfg = StoreConfig {
+        manager_shards: shards,
+        ..StoreConfig::default()
+    };
+    let (store, stats) = store_n_with(n, cfg);
     let nodes: Vec<usize> = (0..shards).map(|k| (k % n) + 1).collect();
     store.install_shards(&nodes, 77);
     (store, stats)
@@ -1099,15 +1108,20 @@ fn per_op_rpc_counters_split_the_aggregate() {
 
 /// With one shard co-located with the serial manager's node, a mixed
 /// workload (batched writes, batched + serial fetches through a
-/// `LocationCache`, namespace ops) is bit-identical to the serial
-/// manager: same per-op virtual times, and the same counter snapshot
-/// except `store.shard_rpcs.s0`, the one counter a shard set adds.
+/// `LocationCache`, namespace ops, a crash and cold reboot of rank 0) is
+/// bit-identical to the serial manager: same per-op virtual times, and
+/// the same counter snapshot except `store.shard_rpcs.s0`, the one
+/// counter a shard set adds.
 #[test]
 fn single_shard_matches_serial_manager_exactly() {
     let run = |sharded: bool| {
         let stats = StatsRegistry::new();
         let net = Network::new(4, &stats);
-        let store = AggregateStore::new(StoreConfig::default(), net, &stats);
+        let cfg = StoreConfig {
+            manager_shards: usize::from(sharded),
+            ..StoreConfig::default()
+        };
+        let store = AggregateStore::new(cfg, net, &stats);
         for (i, node) in [1usize, 2].iter().enumerate() {
             let ssd = Ssd::new(&format!("b{i}.ssd"), INTEL_X25E, &stats);
             store.add_benefactor(Benefactor::new(*node, ssd, mib(64), CHUNK));
@@ -1150,11 +1164,23 @@ fn single_shard_matches_serial_manager_exactly() {
         let ends = store.write_pages_batch(t, 3, &batch).unwrap();
         let mut t = ends.iter().copied().max().unwrap();
         times.extend(ends);
+        // Rank 0 crashes as the reads begin and, with no standby, reboots
+        // cold 7 ms later: the resolution RPC waits it out in the retry
+        // loop.
+        let reboot = t + VTime::from_millis(7);
+        store.attach_faults(
+            faults::FaultPlanBuilder::new(5)
+                .mgr_crash(t, 0)
+                .mgr_recover(reboot, 0)
+                .build(),
+        );
         // Cold cache: one resolution RPC, then benefactor chains.
         let r = store
             .fetch_chunks(t, 3, &[(f, 0), (f, 1), (f, 2), (f, 3)], Some(&cache))
             .unwrap();
         t = r.iter().map(|&(e, _)| e).max().unwrap();
+        assert!(t > reboot, "served only after the reboot");
+        assert!(!store.manager_rank_down(0));
         times.extend(r.iter().map(|&(e, _)| e));
         // Warm cache: no RPC, whatever the manager's shape.
         let rpcs_before = stats.get("store.mgr_rpcs");
@@ -2100,6 +2126,66 @@ fn standby_takeover_replays_journal_and_loses_nothing() {
     // Acked writes survived: both chunks read back post-takeover.
     let (_, p1) = store.fetch_chunk(t2, 3, f, 1).unwrap();
     assert_eq!(p1, ChunkPayload::Data(ChunkBuf::from_bytes(&data)));
+}
+
+/// A fault plan that names a manager rank the store does not have is
+/// refused, not grown into a rank that serves nothing.
+#[test]
+#[should_panic(expected = "names manager rank 2, but the store has 2 rank(s)")]
+fn fault_plan_naming_a_phantom_manager_rank_is_refused() {
+    let (store, _) = store_sharded(2, 2);
+    store.attach_faults(
+        faults::FaultPlanBuilder::new(12)
+            .mgr_crash(VTime::from_millis(1), 2)
+            .build(),
+    );
+}
+
+/// One ring: a journal lane is its rank's keyspace, so every chunk-keyed
+/// record in lane `k` names a chunk whose owner in the installed ring is
+/// `k` — whatever seed the installation chose.
+#[test]
+fn journal_lanes_follow_the_installed_ring() {
+    let stats = StatsRegistry::new();
+    let cfg = StoreConfig {
+        ha_standby: true,
+        manager_shards: 2,
+        ..StoreConfig::default()
+    };
+    let store = AggregateStore::new(cfg, Network::new(4, &stats), &stats);
+    for (i, node) in [1usize, 2].iter().enumerate() {
+        let ssd = Ssd::new(&format!("b{i}.ssd"), INTEL_X25E, &stats);
+        store.add_benefactor(Benefactor::new(*node, ssd, mib(64), CHUNK));
+    }
+    store.install_shards(&[1, 2], 77);
+    let f = make_file(&store, "/m", 8 * CHUNK);
+    let data = pattern(0x5C);
+    let mut t = VTime::ZERO;
+    for idx in 0..8 {
+        t = store.write_pages(t, 3, f, idx, &[(0, &data)]).unwrap();
+    }
+    let ring = crate::shardmgr::HashRing::new(2, crate::shardmgr::DEFAULT_VNODES, 77);
+    let mgr = store.manager();
+    let journal = mgr.journal().expect("ha_standby journals");
+    let mut checked = 0;
+    for k in 0..journal.lanes() {
+        for r in journal.lane(k).iter() {
+            let chunk = match r {
+                Record::Place { chunk, .. }
+                | Record::Free { chunk, .. }
+                | Record::GroupLink { chunk, .. }
+                | Record::GroupUnlink { chunk } => chunk,
+                Record::EpochBump { .. } | Record::LeafCheckpoint { .. } => continue,
+            };
+            assert_eq!(
+                ring.owner_of_chunk(chunk),
+                k,
+                "{chunk} journaled in lane {k}"
+            );
+            checked += 1;
+        }
+    }
+    assert!(checked >= 8, "every write journals its chunk");
 }
 
 /// A standby takeover moves the crashed rank to its standby's node and

@@ -26,7 +26,11 @@ const BENEFACTORS: usize = 3;
 fn sharded_store(shards: usize, seed: u64) -> (AggregateStore, StatsRegistry) {
     let stats = StatsRegistry::new();
     let net = Network::new(BENEFACTORS + 2, &stats);
-    let store = AggregateStore::new(StoreConfig::default(), net, &stats);
+    let cfg = StoreConfig {
+        manager_shards: shards,
+        ..StoreConfig::default()
+    };
+    let store = AggregateStore::new(cfg, net, &stats);
     for node in 1..=BENEFACTORS {
         let ssd = Ssd::new(&format!("b{node}.ssd"), INTEL_X25E, &stats);
         store.add_benefactor(Benefactor::new(node, ssd, 64 * CHUNK, CHUNK));

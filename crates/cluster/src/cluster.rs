@@ -83,7 +83,7 @@ impl Cluster {
         spec: ClusterSpec,
         benefactor_nodes: &[usize],
         fuse: FuseConfig,
-        mut store_cfg: StoreConfig,
+        store_cfg: StoreConfig,
         traced: bool,
     ) -> Self {
         let stats = StatsRegistry::new();
@@ -100,9 +100,6 @@ impl Cluster {
         };
         let net = Network::new(spec.nodes, &stats).with_tracer(trace.clone());
         let pfs = Pfs::new(spec.pfs, &stats);
-        // The manager runs where the first benefactor lives (a "fat node"),
-        // or node 0 when the store is unused.
-        store_cfg.manager_node = benefactor_nodes.first().copied().unwrap_or(0);
         let store = AggregateStore::new(store_cfg, net.clone(), &stats)
             .with_tracer(trace.clone())
             .with_sampler(sampler.clone());
@@ -122,20 +119,20 @@ impl Cluster {
                 store_cfg.chunk_size,
             ));
         }
-        // Sharded placement manager (DESIGN.md §12): shard ranks live on
-        // benefactor ("fat") nodes, round-robin, shard 0 co-located with
-        // the serial manager's node so shards=1 reproduces its transfers
-        // exactly. The ring seed is fixed — ownership must replay
-        // bit-identically.
+        // Manager ranks live on benefactor ("fat") nodes, round-robin: the
+        // paper's manager and shard 0 where the first benefactor lives, so
+        // shards=1 reproduces the paper's transfers exactly; the paper's
+        // manager on node 0 when the store has no benefactors. The ring
+        // seed is fixed — ownership must replay bit-identically.
+        let mgr_nodes: Vec<usize> = match benefactor_nodes {
+            [] => vec![0],
+            nodes => (0..store_cfg.manager_shards.max(1))
+                .map(|k| nodes[k % nodes.len()])
+                .collect(),
+        };
+        store.install_shards(&mgr_nodes, chunkstore::DEFAULT_RING_SEED);
+        // Sharded placement manager (DESIGN.md §12).
         if store_cfg.manager_shards > 0 {
-            assert!(
-                !benefactor_nodes.is_empty(),
-                "manager shards need benefactor nodes to run on"
-            );
-            let shard_nodes: Vec<usize> = (0..store_cfg.manager_shards)
-                .map(|k| benefactor_nodes[k % benefactor_nodes.len()])
-                .collect();
-            store.install_shards(&shard_nodes, chunkstore::DEFAULT_RING_SEED);
             // Manager HA (DESIGN.md §16): each shard's standby rank lives
             // on the *next* benefactor node, so a takeover always moves
             // the shard off the crashed host.
@@ -204,7 +201,7 @@ impl Cluster {
             // Transmit backlog at the manager's NIC, in µs of virtual
             // time already committed: the fan-in pressure signal.
             let net_probe = net.clone();
-            let mgr_node = store_cfg.manager_node;
+            let mgr_node = mgr_nodes[0];
             sampler.register(
                 "net.mgr_tx_backlog_us",
                 Box::new(move |now| {
@@ -336,6 +333,6 @@ mod tests {
         // 8 compute + 8 storage nodes: the R-SSD(8:8:8) layout.
         let c = Cluster::new(ClusterSpec::hal().scaled(64), &(8..16).collect::<Vec<_>>());
         assert_eq!(c.benefactor_nodes, (8..16).collect::<Vec<_>>());
-        assert_eq!(c.store.config().manager_node, 8);
+        assert_eq!(c.store.shard_node(0), Some(8));
     }
 }

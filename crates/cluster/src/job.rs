@@ -271,8 +271,7 @@ pub fn run_job<R, F>(
     body: F,
 ) -> JobResult<R>
 where
-    R: Send,
-    F: Fn(&mut ProcCtx, &JobEnv) -> R + Send + Sync,
+    F: Fn(&mut ProcCtx, &JobEnv) -> R,
 {
     assert!(
         cfg.nodes_needed() <= cluster.spec.nodes,
@@ -303,7 +302,14 @@ where
 
     let body = &body;
     let outputs_ref = &outputs;
-    let report = Engine::run_with_observer(
+    // Rank r draws on trace lane r, its engine process id.
+    if cluster.trace.is_enabled() {
+        for rank in 0..n {
+            let lane = rank as u32;
+            cluster.trace.label_lane(lane, format!("rank {rank}"));
+        }
+    }
+    let report = Engine::run(
         (0..n)
             .map(|rank| {
                 let node = node_of_rank[rank];
@@ -336,7 +342,6 @@ where
                 }
             })
             .collect(),
-        cluster.trace.observer(),
     );
     // Close out every gauge series at the makespan: the sampler only
     // fires when virtual time crosses an interval boundary, so without

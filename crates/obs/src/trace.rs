@@ -13,7 +13,7 @@
 
 use crate::causal::CausalCtx;
 use parking_lot::Mutex;
-use simcore::{EngineObserver, Histogram, ProcId, Snapshot, StatsRegistry, VTime};
+use simcore::{Histogram, ProcId, Snapshot, StatsRegistry, VTime};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -131,7 +131,7 @@ struct Inner {
     instants: Mutex<Vec<InstantRecord>>,
     /// Per-runner stack of open span ids (lexical nesting).
     open: Mutex<HashMap<Runner, Vec<u32>>>,
-    /// Runner → lane binding: the engine observer's, or a driver lane. An
+    /// Runner → lane binding: a `bind_lane`'s, or a driver lane. An
     /// unbound engine process draws on lane `ProcId`.
     lanes: Mutex<HashMap<Runner, u32>>,
     lane_labels: Mutex<BTreeMap<u32, String>>,
@@ -346,8 +346,8 @@ impl TraceRecorder {
     }
 
     /// Bind the calling engine process (or host thread, outside the
-    /// engine) to a lane and label it. Used by the engine observer; also
-    /// callable directly from tests.
+    /// engine) to a lane and label it — for driver and test threads; an
+    /// engine process is on lane `ProcId` unless it binds another.
     pub fn bind_lane(&self, lane: u32, label: impl Into<String>) {
         let Some(inner) = &self.inner else { return };
         inner.lanes.lock().insert(Runner::current(), lane);
@@ -360,14 +360,6 @@ impl TraceRecorder {
     pub fn label_lane(&self, lane: u32, label: impl Into<String>) {
         let Some(inner) = &self.inner else { return };
         inner.lane_labels.lock().entry(lane).or_insert(label.into());
-    }
-
-    /// An [`EngineObserver`] that binds each engine process to trace lane
-    /// `ProcId` and labels it (`None` when disabled, so `Engine::run` pays
-    /// nothing).
-    pub fn observer(&self) -> Option<Arc<dyn EngineObserver>> {
-        self.inner.as_ref()?;
-        Some(Arc::new(LaneBinder { rec: self.clone() }))
     }
 
     /// Closed-so-far spans, in creation order.
@@ -420,18 +412,6 @@ impl std::fmt::Debug for TraceRecorder {
             .field("spans", &self.spans().len())
             .finish()
     }
-}
-
-struct LaneBinder {
-    rec: TraceRecorder,
-}
-
-impl EngineObserver for LaneBinder {
-    fn proc_started(&self, id: ProcId, _t: VTime) {
-        self.rec.bind_lane(id as u32, format!("rank {id}"));
-    }
-
-    fn proc_finished(&self, _id: ProcId, _t: VTime) {}
 }
 
 /// Handle to an open span. `finish(end)` closes it at the operation's
@@ -507,7 +487,6 @@ mod tests {
         rec.instant(Layer::Fault, "crash", VTime::ZERO);
         assert!(rec.spans().is_empty());
         assert!(rec.instants().is_empty());
-        assert!(rec.observer().is_none());
     }
 
     #[test]

@@ -46,7 +46,6 @@ use stack::Fiber;
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeSet;
 use std::rc::Rc;
-use std::sync::Arc;
 
 /// Identifies a process within one [`Engine`] run.
 pub type ProcId = usize;
@@ -217,18 +216,6 @@ impl ProcCtx {
     }
 }
 
-/// Observer hooks invoked while a process holds the baton, so callbacks
-/// fire in deterministic `(virtual clock, ProcId)` order. The observability
-/// layer (`crates/obs`) implements this to bind trace lanes to engine
-/// processes; the engine itself has no tracing dependency.
-pub trait EngineObserver: Send + Sync {
-    /// The process is about to execute its body; [`current_proc`] is
-    /// `Some(id)`.
-    fn proc_started(&self, id: ProcId, t: VTime);
-    /// The process body returned; `t` is its finish clock.
-    fn proc_finished(&self, id: ProcId, t: VTime);
-}
-
 /// Outcome of an [`Engine::run`].
 #[derive(Clone, Debug)]
 pub struct EngineReport {
@@ -335,22 +322,7 @@ impl Engine {
     /// reaches the caller after every other body has been unwound.
     pub fn run<'env, F>(bodies: Vec<F>) -> EngineReport
     where
-        F: FnOnce(&mut ProcCtx) + Send + 'env,
-    {
-        Self::run_with_observer(bodies, None)
-    }
-
-    /// Like [`Engine::run`], with observer callbacks at each process's
-    /// start and finish. The callbacks run inside the process while it
-    /// holds the baton, so they occur in deterministic virtual-time order
-    /// and see [`current_proc`] set to it (which lets an observer key
-    /// state, e.g. trace lanes, by `ProcId`).
-    pub fn run_with_observer<'env, F>(
-        bodies: Vec<F>,
-        observer: Option<Arc<dyn EngineObserver>>,
-    ) -> EngineReport
-    where
-        F: FnOnce(&mut ProcCtx) + Send + 'env,
+        F: FnOnce(&mut ProcCtx) + 'env,
     {
         let n = bodies.len();
         assert!(n > 0, "engine needs at least one process");
@@ -367,17 +339,10 @@ impl Engine {
             .enumerate()
             .map(|(id, body)| {
                 let sched = Rc::clone(&sched);
-                let observer = observer.clone();
                 Fiber::new(move || {
                     let clock = sched.borrow().granted(id);
                     let mut ctx = ProcCtx { id, clock, sched };
-                    if let Some(obs) = &observer {
-                        obs.proc_started(id, ctx.now());
-                    }
                     body(&mut ctx);
-                    if let Some(obs) = &observer {
-                        obs.proc_finished(id, ctx.now());
-                    }
                     ctx.sched.borrow_mut().states[id] = State::Done(ctx.clock);
                 })
             })

@@ -50,7 +50,7 @@ pub mod stats;
 pub mod time;
 
 pub use collective::{Rendezvous, Resolution};
-pub use engine::{current_proc, Engine, EngineObserver, EngineReport, ProcCtx, ProcId};
+pub use engine::{current_proc, Engine, EngineReport, ProcCtx, ProcId};
 pub use resource::{Grant, MeteredResource, Resource};
 pub use stats::{Counter, Histogram, Percentiles, Snapshot, StatsRegistry};
 pub use time::{bytes, Bandwidth, VTime};

@@ -54,6 +54,13 @@ echo "==> the fabric is only the wire, and a shard's node lives in ShardSet alon
 ! grep -rnE 'LinkFault|link_fault|reachable\(|SsdSlowdown|set_slowdown|slow_ssd|degrade_link|register_endpoint|endpoint_node|shard_endpoint' \
     crates src tests examples/*.rs || exit 1
 
+echo "==> a manager rank is one record, and the engine has no observer"
+# A manager node beside the rank's record, a crash table beside the rank
+# set, a store without a rank set, or an engine observer hook beside
+# current_proc() would each bring back a second record of one thing.
+! grep -rnE 'manager_node|MgrHa|Option<ShardSet>|EngineObserver|run_with_observer|LaneBinder' \
+    crates src tests examples/*.rs || exit 1
+
 echo "==> the engine's unsafe code is engine/stack.rs (and one_kept_heap's mallopt), and a process is a stack, not a thread"
 # Every other line of simcore stays safe Rust; a thread per process, or a
 # park/unpark baton, would bring the futex hand-off back as a fork of the

@@ -976,7 +976,7 @@ const HA_SHARDED: Golden = Golden {
         269_899_036,
     ],
     reports: &[],
-    span_hash: 0x398479FE46AFD566,
+    span_hash: 0x6999CB2D55EE23B7,
     counters: "\
 b0.ssd.read_bytes=4718592
 b0.ssd.reads=18
@@ -1007,7 +1007,7 @@ store.journal_replays=1
 store.loc_cache_hits=16
 store.loc_cache_invalidations=2
 store.loc_cache_misses=24
-store.mgr_failover_us=25002
+store.mgr_failover_us=25004
 store.mgr_failovers=1
 store.mgr_rpc_fetch=22
 store.mgr_rpc_place=3
