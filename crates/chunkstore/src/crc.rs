@@ -34,10 +34,11 @@
 //!   8-byte-aligned **lanes** whose four independent registers advance in
 //!   one loop (~3.9 GiB/s) and combine by linearity, `raw(s, A‖B) =
 //!   advance(raw(s, A), |B|) ⊕ raw(0, B)`, with three
-//!   [`crc64_advance_zeros`] steps of one lane length each (O(log lane),
-//!   ~35 ns per set bit of the length). What is left after the lanes, and
-//!   any input under 2 KiB (journal records, sub-page runs, a fold's
-//!   finish), runs through the same function's one-register loop.
+//!   [`crc64_advance_zeros`] steps of one lane length each (O(log lane):
+//!   one branch-free 64-column GF(2) product per set bit of the length,
+//!   40-65 ns each on a 2.1 GHz Xeon, pinned). What is left after the
+//!   lanes, and any input under 2 KiB (journal records, sub-page runs, a
+//!   fold's finish), runs through the same function's one-register loop.
 //!
 //! ## Incremental updates
 //!
@@ -363,22 +364,29 @@ fn zero_ops() -> &'static [[u64; 64]; 64] {
     })
 }
 
+/// `m · v` over GF(2): the XOR of the columns `v` selects. Every column
+/// is folded under a mask of its bit, with no branch on the bits: a
+/// register is random, so a branch per bit would mispredict about half
+/// the time. The bit is `v`'s lowest, shifted down a column at a time:
+/// written as `(v >> k) & 1`, the compiler turns every other mask back
+/// into a branch.
 #[inline]
 fn mat_vec(m: &[u64; 64], mut v: u64) -> u64 {
-    let mut out = 0u64;
-    let mut k = 0;
-    while v != 0 {
-        if v & 1 != 0 {
-            out ^= m[k];
-        }
+    let mut out = 0;
+    for col in m {
+        out ^= col & (v & 1).wrapping_neg();
         v >>= 1;
-        k += 1;
     }
     out
 }
 
 /// Advance a raw CRC register across `n` zero bytes in O(log n).
 pub fn crc64_advance_zeros(mut crc: u64, mut n: u64) -> u64 {
+    // The advance is linear, so a zero register stays zero: the splice
+    // delta of a page rewritten with its own bytes costs nothing.
+    if crc == 0 {
+        return 0;
+    }
     let ops = zero_ops();
     let mut i = 0;
     while n != 0 {

@@ -17,10 +17,10 @@
 //! resolves a miss, not which cached entry may be used (DESIGN.md §12).
 
 use crate::ids::{BenefactorId, ChunkId, FileId};
-use parking_lot::Mutex;
 use simcore::{Counter, StatsRegistry};
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// A cached resolution for one `(file, chunk index)` target.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -46,7 +46,7 @@ struct Inner {
 /// A per-client chunk-location cache (cheap to clone, shared state).
 #[derive(Clone)]
 pub struct LocationCache {
-    inner: Arc<Mutex<Inner>>,
+    inner: Rc<RefCell<Inner>>,
     hits: Counter,
     misses: Counter,
     invalidations: Counter,
@@ -55,7 +55,7 @@ pub struct LocationCache {
 impl LocationCache {
     pub fn new(stats: &StatsRegistry) -> Self {
         LocationCache {
-            inner: Arc::new(Mutex::new(Inner {
+            inner: Rc::new(RefCell::new(Inner {
                 map: HashMap::new(),
                 epoch: 0,
             })),
@@ -71,7 +71,7 @@ impl LocationCache {
     /// argue: a hit implies *nothing* placement-affecting happened since
     /// the entry was written.
     pub(crate) fn lookup(&self, current_epoch: u64, key: (FileId, usize)) -> Option<CachedLoc> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         if inner.epoch != current_epoch {
             if !inner.map.is_empty() {
                 self.invalidations.inc();
@@ -93,7 +93,7 @@ impl LocationCache {
 
     /// Record a fresh resolution made at `epoch`.
     pub(crate) fn insert(&self, epoch: u64, key: (FileId, usize), loc: CachedLoc) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         if inner.epoch != epoch {
             inner.map.clear();
             inner.epoch = epoch;
@@ -103,7 +103,7 @@ impl LocationCache {
 
     /// Number of live entries (tests).
     pub fn len(&self) -> usize {
-        self.inner.lock().map.len()
+        self.inner.borrow().map.len()
     }
 
     pub fn is_empty(&self) -> bool {

@@ -11,10 +11,11 @@ use crate::crc::{
 use crate::rs::gf_mul_acc;
 use crate::segments::segments;
 use crate::store::PAGE_BYTES;
+use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::ops::{Deref, Index};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::rc::Rc;
+use std::sync::OnceLock;
 
 const PAGE: usize = PAGE_BYTES as usize;
 
@@ -24,7 +25,7 @@ const PAGE: usize = PAGE_BYTES as usize;
 const UNSET: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// What a leaf handle points at: one allocation, in the size class a bare
-/// 4 KiB `Arc<[u8]>` has (16 bytes of counts, the body where it always
+/// 4 KiB `Rc<[u8]>` has (16 bytes of counts, the body where it always
 /// was, the register after it — 4 120 bytes, a 4 128-byte glibc chunk
 /// either way; DESIGN.md §13 has what leaving the class costs).
 #[repr(C)]
@@ -33,17 +34,18 @@ struct Block {
     /// The zero-init raw CRC-64 register over the leaf's bytes, or
     /// [`UNSET`]. A pure function of bytes nobody can change while the
     /// block is shared, so whoever computes it first may leave it here
-    /// for every other holder (`Relaxed`: it publishes nothing else).
-    sum: AtomicU64,
+    /// for every other holder through a shared handle: a `Cell`, since
+    /// every holder is on the one thread that runs the simulation.
+    sum: Cell<u64>,
 }
 
-/// What `Arc::make_mut` runs when a shared leaf is about to be written:
+/// What `Rc::make_mut` runs when a shared leaf is about to be written:
 /// the private copy starts without a sum.
 impl Clone for Block {
     fn clone(&self) -> Block {
         Block {
             bytes: self.bytes,
-            sum: AtomicU64::new(UNSET),
+            sum: Cell::new(UNSET),
         }
     }
 }
@@ -53,7 +55,7 @@ impl Clone for Block {
 /// Every handle to one block has the same length.
 #[derive(Clone)]
 pub struct Leaf {
-    block: Arc<Block>,
+    block: Rc<Block>,
     len: usize,
 }
 
@@ -61,21 +63,21 @@ impl Leaf {
     /// A `len`-byte all-zero leaf (whose register, zero, stands).
     fn zeroed(len: usize) -> Leaf {
         assert!(len <= PAGE, "a leaf is at most one page");
-        let block = Arc::new(Block {
+        let block = Rc::new(Block {
             bytes: [0; PAGE],
-            sum: AtomicU64::new(0),
+            sum: Cell::new(0),
         });
         Leaf { block, len }
     }
 
     /// Do the two handles share one allocation?
     pub fn ptr_eq(a: &Leaf, b: &Leaf) -> bool {
-        Arc::ptr_eq(&a.block, &b.block)
+        Rc::ptr_eq(&a.block, &b.block)
     }
 
     /// The sum, if one stands.
     fn standing(&self) -> Option<u64> {
-        Some(self.block.sum.load(Ordering::Relaxed)).filter(|&sum| sum != UNSET)
+        Some(self.block.sum.get()).filter(|&sum| sum != UNSET)
     }
 
     /// The zero-init raw CRC-64 register over the leaf's bytes: read if it
@@ -91,14 +93,14 @@ impl Leaf {
     /// Leave `sum` — which must be the register of the bytes as they are
     /// now — standing.
     fn set_sum(&self, sum: u64) {
-        self.block.sum.store(sum, Ordering::Relaxed);
+        self.block.sum.set(sum);
     }
 
     /// The bytes, for writing: un-shared first if anyone else holds them,
     /// and with no sum left standing over them. The only `&mut` the type
     /// gives out, so no mutator can keep a sum its bytes have outgrown.
     pub(crate) fn bytes_mut(&mut self) -> &mut [u8] {
-        let block = Arc::make_mut(&mut self.block);
+        let block = Rc::make_mut(&mut self.block);
         *block.sum.get_mut() = UNSET;
         &mut block.bytes[..self.len]
     }
@@ -129,9 +131,9 @@ impl From<&[u8]> for Leaf {
         let leaf = match <&[u8; PAGE]>::try_from(bytes) {
             // A whole page goes straight into its block: one copy.
             Ok(page) => Leaf {
-                block: Arc::new(Block {
+                block: Rc::new(Block {
                     bytes: *page,
-                    sum: AtomicU64::new(UNSET),
+                    sum: Cell::new(UNSET),
                 }),
                 len: PAGE,
             },
@@ -208,39 +210,51 @@ pub(crate) fn sum_of(leaves: &[Leaf]) -> u64 {
 /// only the leaves it touches: a write that covers a whole leaf replaces
 /// it, a partial one copies that leaf first. So a fetched payload is a
 /// snapshot, and bit rot on one replica cannot reach another copy — per
-/// leaf.
+/// leaf. The counts are not atomic, so a payload stays on the thread that
+/// made it (DESIGN.md §13 "One thread, no atomics"):
+///
+/// ```compile_fail,E0277
+/// fn send<T: Send>() {}
+/// send::<chunkstore::ChunkBuf>();
+/// ```
 #[derive(Clone)]
 pub struct ChunkBuf {
-    leaves: Arc<[Leaf]>,
+    leaves: Rc<[Leaf]>,
     len: usize,
 }
 
 /// The shared all-zero chunk of `len` bytes: what a hole reads as, what a
 /// fresh chunk starts from and what an implicit-zero parity-group member
-/// decodes from. Every leaf of it is the one process-wide zero leaf of its
+/// decodes from. Every leaf of it is the thread's one zero leaf of its
 /// length.
 pub fn zero_chunk(len: u64) -> ChunkBuf {
-    static ZEROS: Mutex<Vec<ChunkBuf>> = Mutex::new(Vec::new());
-    let mut zeros = ZEROS.lock().expect("zero-chunk table poisoned");
-    if let Some(z) = zeros.iter().find(|z| z.len == len as usize) {
-        return z.clone();
+    thread_local! {
+        static ZEROS: RefCell<Vec<ChunkBuf>> = const { RefCell::new(Vec::new()) };
     }
-    let leaves = segments(0, len, PAGE_BYTES).map(|s| zero_leaf(s.take));
-    let z = ChunkBuf::from_leaves(leaves.collect(), len);
-    zeros.push(z.clone());
-    z
+    ZEROS.with_borrow_mut(|zeros| {
+        if let Some(z) = zeros.iter().find(|z| z.len == len as usize) {
+            return z.clone();
+        }
+        let leaves = segments(0, len, PAGE_BYTES).map(|s| zero_leaf(s.take));
+        let z = ChunkBuf::from_leaves(leaves.collect(), len);
+        zeros.push(z.clone());
+        z
+    })
 }
 
-/// The process-wide all-zero leaf of `len` bytes.
+/// The thread's all-zero leaf of `len` bytes.
 fn zero_leaf(len: usize) -> Leaf {
-    static ZEROS: Mutex<Vec<Leaf>> = Mutex::new(Vec::new());
-    let mut zeros = ZEROS.lock().expect("zero-leaf table poisoned");
-    if let Some(z) = zeros.iter().find(|z| z.len() == len) {
-        return z.clone();
+    thread_local! {
+        static ZEROS: RefCell<Vec<Leaf>> = const { RefCell::new(Vec::new()) };
     }
-    let z = Leaf::zeroed(len);
-    zeros.push(z.clone());
-    z
+    ZEROS.with_borrow_mut(|zeros| {
+        if let Some(z) = zeros.iter().find(|z| z.len() == len) {
+            return z.clone();
+        }
+        let z = Leaf::zeroed(len);
+        zeros.push(z.clone());
+        z
+    })
 }
 
 impl ChunkBuf {
@@ -372,7 +386,7 @@ impl ChunkBuf {
             *self = ChunkBuf::from_bytes(bytes);
             return;
         }
-        let table = Arc::make_mut(&mut self.leaves);
+        let table = Rc::make_mut(&mut self.leaves);
         for s in segments(off as u64, bytes.len() as u64, PAGE_BYTES) {
             let (stored, new) = (&mut table[s.idx], &bytes[s.pos..s.pos + s.take]);
             if s.take == stored.len() {
@@ -423,7 +437,7 @@ impl ChunkBuf {
         limit: usize,
         mut put: impl FnMut(&mut Leaf, usize, &Leaf, usize),
     ) {
-        let table = Arc::make_mut(&mut self.leaves);
+        let table = Rc::make_mut(&mut self.leaves);
         let (mut pos, mut left) = (off as usize, limit);
         for piece in pieces {
             if left == 0 {
@@ -444,14 +458,14 @@ impl ChunkBuf {
 
     /// Flip the byte at `at` (XOR 0xFF): bit rot.
     pub fn flip(&mut self, at: usize) {
-        let leaf = &mut Arc::make_mut(&mut self.leaves)[at / PAGE];
+        let leaf = &mut Rc::make_mut(&mut self.leaves)[at / PAGE];
         leaf.bytes_mut()[at % PAGE] ^= 0xFF;
     }
 
     /// Zero every byte from `at` on: the tail a torn fresh write never
     /// persisted. Leaves wholly past `at` become the shared zero leaf.
     pub fn zero_from(&mut self, at: usize) {
-        let table = Arc::make_mut(&mut self.leaves);
+        let table = Rc::make_mut(&mut self.leaves);
         for s in segments(at as u64, (self.len - at) as u64, PAGE_BYTES) {
             let stored = &mut table[s.idx];
             if s.take == stored.len() {
@@ -534,7 +548,7 @@ mod tests {
         // A second handle, and a chunk of another length, reuse the leaf.
         let other = zero_chunk(256 * 1024);
         assert!(Leaf::ptr_eq(&z.leaves()[0], &other.leaves()[63]));
-        assert!(Arc::ptr_eq(&z.leaves, &zero_chunk(10_000).leaves));
+        assert!(Rc::ptr_eq(&z.leaves, &zero_chunk(10_000).leaves));
         // A chunk smaller than a page is one leaf.
         assert_eq!(zero_chunk(256).leaves().len(), 1);
         // Zeros are born digested: a hole's digest reads nothing.

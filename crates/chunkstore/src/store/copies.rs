@@ -6,9 +6,9 @@
 //! lost parity-group member is decoded and installed, how dirty bytes
 //! reach every live home. Each answer lives here, as a plain function over
 //! the manager (and the network, when it charges time); callers wrap their
-//! own schedule, counters and spans around it. Nothing here takes a lock:
-//! scrub and the sweeps already hold the manager while the read path
-//! takes it per step.
+//! own schedule, counters and spans around it. Nothing here borrows the
+//! manager: scrub and the sweeps already hold it while the read path
+//! borrows it per step.
 
 use super::AggregateStore;
 use crate::benefactor::Benefactor;

@@ -15,7 +15,7 @@ impl AggregateStore {
     /// clock without a separate driver process. A plan that names a
     /// manager rank the store does not have is refused.
     pub fn attach_faults(&self, plan: FaultPlan) {
-        let ranks = self.mgr.lock().ranks().len();
+        let ranks = self.mgr.borrow().ranks().len();
         for fault in plan.events() {
             if let FaultEvent::ManagerCrash { shard } | FaultEvent::ManagerRecover { shard } =
                 fault.event
@@ -26,7 +26,7 @@ impl AggregateStore {
                 );
             }
         }
-        *self.faults.lock() = Some(plan);
+        *self.faults.borrow_mut() = Some(plan);
     }
 
     /// Apply every scheduled fault due at or before `t`, then give the
@@ -36,7 +36,7 @@ impl AggregateStore {
         // Sampler first, before any fault/scrub mutation: a sample at the
         // boundary sees the world as it was when the clock crossed it.
         self.sampler.poll(t);
-        let due = match self.faults.lock().as_mut() {
+        let due = match self.faults.borrow_mut().as_mut() {
             Some(plan) => plan.due(t),
             None => Vec::new(),
         };
@@ -63,7 +63,7 @@ impl AggregateStore {
             } => self.apply_bit_rot(BenefactorId(benefactor), rate_bp, seed),
             FaultEvent::TornWrite { benefactor } => {
                 self.mgr
-                    .lock()
+                    .borrow_mut()
                     .benefactor_mut(BenefactorId(benefactor))
                     .arm_torn_write();
             }
@@ -73,7 +73,7 @@ impl AggregateStore {
                 seed,
             } => {
                 self.mgr
-                    .lock()
+                    .borrow_mut()
                     .benefactor_mut(BenefactorId(benefactor))
                     .set_corruption_rate(rate_bp, seed);
             }
@@ -88,7 +88,7 @@ impl AggregateStore {
     /// Seed-stable per chunk id, so identical runs rot identical bytes.
     /// Data-only: no virtual time is charged.
     fn apply_bit_rot(&self, b: BenefactorId, rate_bp: u32, seed: u64) {
-        let mut mgr = self.mgr.lock();
+        let mut mgr = self.mgr.borrow_mut();
         let life = mgr.benefactor(b).ssd().wear().life_consumed;
         let effective_bp = (rate_bp as f64 * (1.0 + life)) as u64;
         for c in mgr.benefactor(b).chunk_ids() {
@@ -104,7 +104,7 @@ impl AggregateStore {
     /// reconciles the benefactor's disk against the metadata: chunks that
     /// were re-homed while it was down are stale there and get dropped.
     pub fn set_benefactor_alive(&self, id: BenefactorId, alive: bool) {
-        let mut mgr = self.mgr.lock();
+        let mut mgr = self.mgr.borrow_mut();
         if mgr.benefactor(id).is_alive() == alive {
             return;
         }

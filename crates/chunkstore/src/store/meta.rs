@@ -11,7 +11,7 @@ use crate::manager::Manager;
 use crate::shardmgr::{Crashed, HashRing, ShardSet, DEFAULT_VNODES};
 use obs::{Layer, SHARD_LANE_BASE};
 use simcore::VTime;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// The three metadata-RPC flavours, split out per ISSUE 6 so bench
 /// footers can show *what* the manager is being asked, not just how often.
@@ -80,7 +80,7 @@ impl AggregateStore {
             return arrived + self.cfg.mgr_cpu;
         }
         let grant = {
-            let mgr = self.mgr.lock();
+            let mgr = self.mgr.borrow();
             mgr.ranks().count_rpc(rank);
             mgr.ranks().cpu_grant(rank, arrived, self.cfg.mgr_cpu)
         };
@@ -131,7 +131,7 @@ impl AggregateStore {
             .collect();
         let ring = HashRing::new(ranks, DEFAULT_VNODES, seed);
         self.mgr
-            .lock()
+            .borrow_mut()
             .install_ranks(ShardSet::new(ring, nodes, per_shard));
     }
 
@@ -140,12 +140,12 @@ impl AggregateStore {
     /// for the paper's manager).
     pub(super) fn register_shard_gauges(&self) {
         for k in 0..self.cfg.manager_shards {
-            let mgr = Arc::clone(&self.mgr);
+            let mgr = Rc::clone(&self.mgr);
             let mgr_cpu = self.cfg.mgr_cpu.as_nanos().max(1);
             self.sampler.register(
                 &format!("store.shard_queue.s{k}"),
                 Box::new(move |now| {
-                    let mgr = mgr.try_lock()?;
+                    let mgr = mgr.try_borrow_mut().ok()?;
                     let backlog = mgr.ranks().cpu_next_free(k).saturating_sub(now).as_nanos();
                     Some(backlog.div_ceil(mgr_cpu))
                 }),
@@ -161,14 +161,14 @@ impl AggregateStore {
     /// The node serving manager rank `k` — after a standby takeover, the
     /// standby's. `None` for a rank the store does not have.
     pub fn shard_node(&self, k: usize) -> Option<usize> {
-        let mgr = self.mgr.lock();
+        let mgr = self.mgr.borrow();
         (k < mgr.ranks().len()).then(|| mgr.ranks().node(k))
     }
 
     /// Ring owner of a slot key, when the manager is sharded. Pure local
     /// computation — routing costs no RPC.
     pub fn shard_of_slot(&self, file: FileId, idx: usize) -> Option<usize> {
-        let mgr = self.mgr.lock();
+        let mgr = self.mgr.borrow();
         self.sharded()
             .then(|| mgr.ranks().ring().owner_of_slot(file, idx))
     }
@@ -177,7 +177,7 @@ impl AggregateStore {
     /// for each shard, in shard order. Empty for the paper's manager.
     /// Bench footers divide the pair into a mean queue delay.
     pub fn shard_cpu_stats(&self) -> Vec<(VTime, u64)> {
-        let mgr = self.mgr.lock();
+        let mgr = self.mgr.borrow();
         (0..self.cfg.manager_shards)
             .map(|k| mgr.ranks().cpu_queue_stats(k))
             .collect()
@@ -197,7 +197,7 @@ impl AggregateStore {
         keys: impl Iterator<Item = (FileId, usize)>,
         owners: &mut Vec<usize>,
     ) {
-        let mgr = self.mgr.lock();
+        let mgr = self.mgr.borrow();
         let ring = mgr.ranks().ring();
         owners.clear();
         owners.extend(keys.map(|(f, i)| ring.owner_of_slot(f, i)));
@@ -251,7 +251,7 @@ impl AggregateStore {
     /// just rejoins as the new standby (`promote_standby` parked its node
     /// there).
     pub fn set_manager_alive(&self, rank: usize, alive: bool, at: VTime) {
-        let mut mgr = self.mgr.lock();
+        let mut mgr = self.mgr.borrow_mut();
         if alive {
             if mgr.ranks_mut().set_crashed(rank, None).is_some() {
                 // Cold restart: no pre-crash cached placement survives.
@@ -269,7 +269,7 @@ impl AggregateStore {
 
     /// Is manager rank `rank` down right now? (Tests/benches.)
     pub fn manager_rank_down(&self, rank: usize) -> bool {
-        self.mgr.lock().ranks().crashed(rank).is_some()
+        self.mgr.borrow().ranks().crashed(rank).is_some()
     }
 
     /// The node serving manager rank `rank` at `t`, or `None` while it is
@@ -277,7 +277,7 @@ impl AggregateStore {
     /// takeover deadline performs the failover (journal replay +
     /// promotion + epoch bump) and finds the rank back up.
     fn serving_node(&self, rank: usize, t: VTime) -> Option<usize> {
-        let mut mgr = self.mgr.lock();
+        let mut mgr = self.mgr.borrow_mut();
         match mgr.ranks().crashed(rank) {
             None => {}
             Some(Crashed {
@@ -328,7 +328,7 @@ impl AggregateStore {
     /// `k`'s standby. Call after [`Self::install_shards`]; cluster
     /// builds wire this when `ha_standby` is set.
     pub fn set_standby_nodes(&self, nodes: &[usize]) {
-        let mut mgr = self.mgr.lock();
+        let mut mgr = self.mgr.borrow_mut();
         let ranks = mgr.ranks_mut();
         assert_eq!(nodes.len(), ranks.len(), "one standby per shard");
         for (k, &n) in nodes.iter().enumerate() {

@@ -34,10 +34,10 @@ use ::faults::FaultPlan;
 use devices::WearReport;
 use netsim::Network;
 use obs::{MetricsSampler, TraceRecorder};
-use parking_lot::{Mutex, MutexGuard};
 use repair::ScrubState;
 use simcore::{Counter, StatsRegistry, VTime};
-use std::sync::Arc;
+use std::cell::{RefCell, RefMut};
+use std::rc::Rc;
 
 /// Aggregate store configuration.
 #[derive(Clone, Copy, Debug)]
@@ -195,12 +195,21 @@ pub struct RepairReport {
 }
 
 /// The aggregate NVM store, shared by every client on the cluster.
+///
+/// Every client runs on the one thread that runs the simulation, so the
+/// store's shared state is `Rc` and `RefCell`, and the store is not
+/// `Send` (DESIGN.md §13 "One thread, no atomics"):
+///
+/// ```compile_fail,E0277
+/// fn send<T: Send>() {}
+/// send::<chunkstore::AggregateStore>();
+/// ```
 #[derive(Clone)]
 pub struct AggregateStore {
-    mgr: Arc<Mutex<Manager>>,
+    mgr: Rc<RefCell<Manager>>,
     net: Network,
     cfg: StoreConfig,
-    faults: Arc<Mutex<Option<FaultPlan>>>,
+    faults: Rc<RefCell<Option<FaultPlan>>>,
     mgr_rpcs: Counter,
     mgr_rpc_fetch: Counter,
     mgr_rpc_write: Counter,
@@ -222,7 +231,7 @@ pub struct AggregateStore {
     /// through here only once verification or scrubbing is switched on,
     /// so knobs-off stat snapshots stay byte-identical.
     stats: StatsRegistry,
-    scrub: Arc<Mutex<Option<ScrubState>>>,
+    scrub: Rc<RefCell<Option<ScrubState>>>,
     trace: TraceRecorder,
     /// Virtual-time gauge sampler (DESIGN.md §14.3), polled at the top of
     /// every timed store operation. Disabled (a single branch) unless the
@@ -259,10 +268,10 @@ impl AggregateStore {
     pub fn new(cfg: StoreConfig, net: Network, stats: &StatsRegistry) -> Self {
         assert_eq!(cfg.page_size, PAGE_BYTES, "the page is a model constant");
         let store = AggregateStore {
-            mgr: Arc::new(Mutex::new(Manager::new(cfg.chunk_size))),
+            mgr: Rc::new(RefCell::new(Manager::new(cfg.chunk_size))),
             net,
             cfg,
-            faults: Arc::new(Mutex::new(None)),
+            faults: Rc::new(RefCell::new(None)),
             mgr_rpcs: stats.counter("store.mgr_rpcs"),
             mgr_rpc_fetch: stats.counter("store.mgr_rpc_fetch"),
             mgr_rpc_write: stats.counter("store.mgr_rpc_write"),
@@ -281,7 +290,7 @@ impl AggregateStore {
             batched_fetches: stats.counter("store.batched_fetches"),
             batched_writes: stats.counter("store.batched_writes"),
             stats: stats.clone(),
-            scrub: Arc::new(Mutex::new(None)),
+            scrub: Rc::new(RefCell::new(None)),
             trace: TraceRecorder::disabled(),
             sampler: MetricsSampler::disabled(),
         };
@@ -294,7 +303,7 @@ impl AggregateStore {
             store.register_counters(HA_COUNTERS);
             store
                 .mgr
-                .lock()
+                .borrow_mut()
                 .enable_journal(store.stats.counter("store.journal_records"));
         }
         store
@@ -328,15 +337,15 @@ impl AggregateStore {
         if !self.sampler.is_enabled() {
             return;
         }
-        // Benefactor free space, in chunk slots. The manager mutex is
-        // never held across an engine yield, so under the baton model
-        // try_lock always succeeds; the fallback keeps a (hypothetical)
-        // contended read from deadlocking a probe fired inside a store op.
-        let mgr = Arc::clone(&self.mgr);
+        // Benefactor free space, in chunk slots. The manager is never
+        // borrowed across an engine yield or a poll, so try_borrow_mut
+        // always succeeds; the fallback keeps a (hypothetical) probe fired
+        // inside a manager borrow from panicking.
+        let mgr = Rc::clone(&self.mgr);
         let chunk = self.cfg.chunk_size.max(1);
         self.sampler.register(
             "store.free_slots",
-            Box::new(move |_| mgr.try_lock().map(|m| m.space().1 / chunk)),
+            Box::new(move |_| mgr.try_borrow_mut().ok().map(|m| m.space().1 / chunk)),
         );
         // Location-cache hit ratio, permille. No sample until the first
         // lookup happens.
@@ -361,13 +370,13 @@ impl AggregateStore {
     }
 
     /// Direct manager access for registration, administration and tests.
-    pub fn manager(&self) -> MutexGuard<'_, Manager> {
-        self.mgr.lock()
+    pub fn manager(&self) -> RefMut<'_, Manager> {
+        self.mgr.borrow_mut()
     }
 
     /// Register a benefactor contributing `capacity` bytes of `node`'s SSD.
     pub fn add_benefactor(&self, b: Benefactor) -> BenefactorId {
-        self.mgr.lock().register_benefactor(b)
+        self.mgr.borrow_mut().register_benefactor(b)
     }
 
     // ----- control plane ---------------------------------------------------
@@ -375,7 +384,7 @@ impl AggregateStore {
     pub fn create_file(&self, t: VTime, client_node: usize, name: &str) -> Result<(VTime, FileId)> {
         self.poll_faults(t);
         let t = self.namespace_rpc(t, client_node)?;
-        let id = self.mgr.lock().create_file(name)?;
+        let id = self.mgr.borrow_mut().create_file(name)?;
         Ok((t, id))
     }
 
@@ -394,7 +403,9 @@ impl AggregateStore {
             self.register_counters(PARITY_COUNTERS);
         }
         let t = self.namespace_rpc(t, client_node)?;
-        self.mgr.lock().fallocate(file, size, spec, placement)?;
+        self.mgr
+            .borrow_mut()
+            .fallocate(file, size, spec, placement)?;
         Ok(t)
     }
 
@@ -406,13 +417,13 @@ impl AggregateStore {
     ) -> Result<(VTime, Option<FileId>)> {
         self.poll_faults(t);
         let t = self.namespace_rpc(t, client_node)?;
-        Ok((t, self.mgr.lock().lookup(name)))
+        Ok((t, self.mgr.borrow().lookup(name)))
     }
 
     pub fn delete(&self, t: VTime, client_node: usize, file: FileId) -> Result<VTime> {
         self.poll_faults(t);
         let t = self.namespace_rpc(t, client_node)?;
-        self.mgr.lock().delete_file(file)?;
+        self.mgr.borrow_mut().delete_file(file)?;
         Ok(t)
     }
 
@@ -426,17 +437,17 @@ impl AggregateStore {
     ) -> Result<VTime> {
         self.poll_faults(t);
         let t = self.namespace_rpc(t, client_node)?;
-        self.mgr.lock().link_file(dst, src)?;
+        self.mgr.borrow_mut().link_file(dst, src)?;
         Ok(t)
     }
 
     /// Untimed metadata peek (clients cache sizes at open/malloc time).
     pub fn file_size(&self, file: FileId) -> Result<u64> {
-        Ok(self.mgr.lock().file(file)?.size)
+        Ok(self.mgr.borrow().file(file)?.size)
     }
 
     pub fn chunk_count(&self, file: FileId) -> Result<usize> {
-        Ok(self.mgr.lock().file(file)?.slots.len())
+        Ok(self.mgr.borrow().file(file)?.slots.len())
     }
 
     /// Chunks in one stripe row of `file`, rounded up to whole parity
@@ -445,7 +456,7 @@ impl AggregateStore {
     /// — what a batched client sizes a bulk step by. A file with no stripe
     /// of its own (a checkpoint that only links) counts the fleet.
     pub fn stripe_row(&self, file: FileId) -> Result<usize> {
-        let mgr = self.mgr.lock();
+        let mgr = self.mgr.borrow();
         let meta = mgr.file(file)?;
         let width = match meta.stripe.len() {
             0 => mgr.benefactor_count().max(1),
@@ -473,7 +484,7 @@ impl AggregateStore {
 
     /// Per-benefactor SSD wear, for the lifetime-optimization analyses.
     pub fn wear_reports(&self) -> Vec<(usize, WearReport)> {
-        let mgr = self.mgr.lock();
+        let mgr = self.mgr.borrow();
         (0..mgr.benefactor_count())
             .map(|i| {
                 let b = mgr.benefactor(BenefactorId(i));

@@ -85,7 +85,7 @@ impl AggregateStore {
         home: BenefactorId,
         c: ChunkId,
     ) -> (VTime, ChunkBuf) {
-        let mgr = self.mgr.lock();
+        let mgr = self.mgr.borrow();
         let node = mgr.benefactor(home).node;
         let req = self.net.transfer_at(t, client_node, node, RPC_BYTES);
         let (grant, data) = mgr.benefactor(home).read_chunk(req.arrived, c);
@@ -129,7 +129,7 @@ impl AggregateStore {
         let mut known_bad: Vec<BenefactorId> = Vec::new();
         loop {
             let pick = {
-                let mgr = self.mgr.lock();
+                let mgr = self.mgr.borrow();
                 let homes = mgr.chunk_homes(c).expect("chunk without home");
                 Self::serviceable(&mgr, homes.iter().copied(), &known_bad)
                     .map(|(rank, h)| (rank, h, mgr.benefactor(h).node))
@@ -139,7 +139,7 @@ impl AggregateStore {
                 Ok((rank, home, home_node)) => {
                     let (arrived, data) = self.pull_chunk(t, client_node, home, c);
                     if self.cfg.verify_reads {
-                        let expected = self.mgr.lock().chunk_crc(c).expect("chunk without crc");
+                        let expected = self.mgr.borrow().chunk_crc(c).expect("chunk without crc");
                         if data.digest() != expected {
                             self.stats.counter("store.crc_mismatches").inc();
                             self.trace.instant(
@@ -147,7 +147,7 @@ impl AggregateStore {
                                 format!("store.crc_mismatch c={} b={}", c.0, home.0),
                                 arrived,
                             );
-                            copies::drop_bad_copy(&mut self.mgr.lock(), c, home);
+                            copies::drop_bad_copy(&mut self.mgr.borrow_mut(), c, home);
                             known_bad.push(home);
                             t = arrived;
                             continue;
@@ -175,7 +175,7 @@ impl AggregateStore {
                     // survive does the read fall back to backing off (a
                     // scheduled recovery may revive a survivor) and
                     // finally report `InsufficientSurvivors`.
-                    let gref = self.mgr.lock().group_of_chunk(c);
+                    let gref = self.mgr.borrow().group_of_chunk(c);
                     if let Some(gref) = gref {
                         match self.reconstruct_member(t, client_node, gref, c) {
                             Ok(out) => return Ok(out),
@@ -227,7 +227,7 @@ impl AggregateStore {
         lost: ChunkId,
     ) -> Result<FetchOutcome> {
         let (survivors, primary, primary_node, expected) = {
-            let mgr = self.mgr.lock();
+            let mgr = self.mgr.borrow();
             let survivors = copies::survivors_for(&mgr, gref)?;
             let primary = mgr.chunk_home(lost).expect("chunk without home");
             let expected = mgr.chunk_crc(lost).expect("chunk without crc");
@@ -319,7 +319,7 @@ impl AggregateStore {
         let mut sc = ChainScratch::take();
         self.owners_of(targets.iter().copied(), &mut sc.owners);
         let cached: Vec<Option<CachedLoc>> = cache.map_or_else(Vec::new, |cache| {
-            let epoch = self.mgr.lock().placement_epoch();
+            let epoch = self.mgr.borrow().placement_epoch();
             targets
                 .iter()
                 .map(|&key| cache.lookup(epoch, key))
@@ -351,7 +351,7 @@ impl AggregateStore {
             degraded: bool,
         }
         let plan: Vec<Option<Pull>> = {
-            let mgr = self.mgr.lock();
+            let mgr = self.mgr.borrow();
             let epoch = mgr.placement_epoch();
             let pull = |chunk, homes: &[BenefactorId]| {
                 let pick = Self::serviceable(&mgr, homes.iter().copied(), &[]);

@@ -67,8 +67,8 @@ impl AggregateStore {
     pub fn attach_scrub(&self, cfg: ScrubConfig, start_at: VTime) {
         assert!(cfg.chunks_per_pass > 0, "scrub pass must cover chunks");
         self.register_counters(INTEGRITY_COUNTERS);
-        let n = self.mgr.lock().benefactor_count();
-        *self.scrub.lock() = Some(ScrubState {
+        let n = self.mgr.borrow().benefactor_count();
+        *self.scrub.borrow_mut() = Some(ScrubState {
             cfg,
             next_at: start_at,
             busy_until: VTime::ZERO,
@@ -84,7 +84,7 @@ impl AggregateStore {
     /// but never the foreground clock — `poll_faults` returns `()` and the
     /// caller's `t` is unchanged.
     pub(super) fn poll_scrub(&self, t: VTime) {
-        let mut guard = self.scrub.lock();
+        let mut guard = self.scrub.borrow_mut();
         let Some(st) = guard.as_mut() else { return };
         if t < st.next_at || t < st.busy_until {
             return;
@@ -93,7 +93,7 @@ impl AggregateStore {
         let mut now = t;
         let mut verified = 0u64;
         let mut repaired = 0u64;
-        let mut mgr = self.mgr.lock();
+        let mut mgr = self.mgr.borrow_mut();
         let ids = mgr.chunk_ids_sorted();
         if !ids.is_empty() {
             let start = ids.partition_point(|c| c.0 < st.cursor);
@@ -220,7 +220,7 @@ impl AggregateStore {
     /// disagree with their recorded CRC (bench/test instrumentation —
     /// time-to-repair is "first poll at which this reaches zero").
     pub fn count_corrupt_copies(&self) -> usize {
-        let mgr = self.mgr.lock();
+        let mgr = self.mgr.borrow();
         let mut n = 0;
         for c in mgr.chunk_ids_sorted() {
             for &h in mgr.chunk_homes(c).expect("chunk listed") {
@@ -246,10 +246,10 @@ impl AggregateStore {
         let sp = self.trace.span(Layer::Store, "store.repair", t);
         let mut t = t;
         let mut report = RepairReport::default();
-        let work = self.mgr.lock().under_replicated();
+        let work = self.mgr.borrow().under_replicated();
         for (c, _, missing) in work {
             for _ in 0..missing {
-                let mut mgr = self.mgr.lock();
+                let mut mgr = self.mgr.borrow_mut();
                 if mgr.chunk_homes(c).is_none() {
                     break; // chunk deleted mid-sweep
                 }
@@ -303,7 +303,7 @@ impl AggregateStore {
     pub fn repair_parity_groups(&self, t: VTime) -> (VTime, RepairReport) {
         self.poll_faults(t);
         let sp = self.trace.span(Layer::Store, "store.parity_repair", t);
-        let mut mgr = self.mgr.lock();
+        let mut mgr = self.mgr.borrow_mut();
         let (end, report) = self.repair_parity_groups_locked(&mut mgr, t);
         drop(mgr);
         sp.arg("repaired", report.chunks_repaired)
@@ -313,7 +313,7 @@ impl AggregateStore {
     }
 
     /// The sweep body, callable from inside the scrub pass (which already
-    /// holds the manager lock).
+    /// holds the manager borrow).
     fn repair_parity_groups_locked(&self, mgr: &mut Manager, t: VTime) -> (VTime, RepairReport) {
         let mut now = t;
         let mut report = RepairReport::default();

@@ -255,7 +255,7 @@ impl AggregateStore {
         // unchained from their resolution time, after the chains.
         let mut groups: BTreeMap<(FileId, usize), GroupDeltas> = BTreeMap::new();
         {
-            let mgr = self.mgr.lock();
+            let mgr = self.mgr.borrow();
             let keys = entries.iter().enumerate().map(|(i, e)| {
                 let meta = mgr.file(e.file).ok().filter(|m| e.idx < m.slots.len());
                 if let Some((group, _)) = meta.and_then(|m| m.group_member(e.idx)) {
@@ -404,7 +404,7 @@ impl AggregateStore {
     ) -> Result<(VTime, Option<EntryDeltas>)> {
         let dirty_bytes: u64 = updates.iter().map(|(_, d)| run_len(d)).sum();
         let chunk_len = self.cfg.chunk_size;
-        let mut mgr = self.mgr.lock();
+        let mut mgr = self.mgr.borrow_mut();
         let meta = self.slot_in(&mgr, file, idx)?;
         let slot = meta.slots[idx];
         let replicas = meta.replicas.max(1);
@@ -632,7 +632,7 @@ impl AggregateStore {
         deltas: &[Vec<PageRun<'_>>],
     ) -> Result<VTime> {
         let chunk_len = self.cfg.chunk_size;
-        let mgr = &mut *self.mgr.lock();
+        let mgr = &mut *self.mgr.borrow_mut();
         let mut end = t;
         let tasks: Vec<(usize, Slot, bool, BenefactorId)> = {
             let meta = mgr.file(file)?;

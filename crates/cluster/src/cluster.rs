@@ -9,7 +9,6 @@ use fusemm::{FuseConfig, Mount, MountGauges};
 use netsim::Network;
 use obs::{MetricsSampler, TraceRecorder, DEV_LANE_BASE, SHARD_LANE_BASE};
 use simcore::{StatsRegistry, VTime};
-use std::sync::atomic::Ordering;
 
 /// Virtual-time cadence of the metrics sampler. 50 ms of
 /// virtual time keeps even second-scale runs under a few dozen points
@@ -172,31 +171,19 @@ impl Cluster {
             .collect();
         if sampler.is_enabled() {
             // Mounts *push* into their gauge cells at the end of each
-            // data-path op (the mount state lock is held across store
-            // calls, so a pull probe could deadlock); the cluster-wide
+            // data-path op (the mount state is borrowed across store
+            // calls, so a pull probe would find it taken); the cluster-wide
             // probes just fold the cells — max for the dirty ratio (the
             // node closest to its write-back wall), sum for pins.
             let cells = mount_gauges.clone();
             sampler.register(
                 "fuse.dirty_permille",
-                Box::new(move |_| {
-                    cells
-                        .iter()
-                        .map(|g| g.dirty_permille.load(Ordering::Relaxed))
-                        .max()
-                }),
+                Box::new(move |_| cells.iter().map(|g| g.dirty_permille.get()).max()),
             );
             let cells = mount_gauges;
             sampler.register(
                 "fuse.protected_chunks",
-                Box::new(move |_| {
-                    Some(
-                        cells
-                            .iter()
-                            .map(|g| g.protected_chunks.load(Ordering::Relaxed))
-                            .sum(),
-                    )
-                }),
+                Box::new(move |_| Some(cells.iter().map(|g| g.protected_chunks.get()).sum())),
             );
             // Transmit backlog at the manager's NIC, in µs of virtual
             // time already committed: the fan-in pressure signal.

@@ -13,7 +13,7 @@ use crate::calib::Calibration;
 use netsim::Network;
 use nvmalloc::Pod;
 use simcore::{ProcCtx, Rendezvous, Resolution, VTime};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Message payloads must expose their wire size for time charging.
 pub trait Payload: Send + 'static {
@@ -57,7 +57,7 @@ impl<P: Payload + Send + Sync> Payload for std::sync::Arc<P> {
 pub struct Comm {
     rv: Rendezvous,
     net: Network,
-    node_of_rank: Arc<Vec<usize>>,
+    node_of_rank: Rc<Vec<usize>>,
     calib: Calibration,
 }
 
@@ -67,7 +67,7 @@ impl Comm {
         Comm {
             rv: Rendezvous::new(node_of_rank.len()),
             net,
-            node_of_rank: Arc::new(node_of_rank),
+            node_of_rank: Rc::new(node_of_rank),
             calib,
         }
     }
@@ -102,7 +102,7 @@ impl Comm {
         assert_eq!(data.is_some(), rank == root, "exactly the root passes data");
         let n = self.size();
         let net = self.net.clone();
-        let nodes = Arc::clone(&self.node_of_rank);
+        let nodes = Rc::clone(&self.node_of_rank);
         let calib = self.calib;
         self.rv.sync(ctx, rank, data, move |clocks, mut payloads| {
             let data = payloads[root].take().expect("root payload");
@@ -165,7 +165,7 @@ impl Comm {
             assert_eq!(p.len(), n, "scatter needs one part per rank");
         }
         let net = self.net.clone();
-        let nodes = Arc::clone(&self.node_of_rank);
+        let nodes = Rc::clone(&self.node_of_rank);
         let calib = self.calib;
         self.rv.sync(ctx, rank, parts, move |clocks, mut payloads| {
             let parts = payloads[root].take().expect("root payload");
@@ -206,7 +206,7 @@ impl Comm {
     ) -> Option<Vec<T>> {
         let n = self.size();
         let net = self.net.clone();
-        let nodes = Arc::clone(&self.node_of_rank);
+        let nodes = Rc::clone(&self.node_of_rank);
         let calib = self.calib;
         let out: Option<Vec<T>> = self.rv.sync(ctx, rank, part, move |clocks, payloads| {
             let root_node = nodes[root];
@@ -240,7 +240,7 @@ impl Comm {
         let n = self.size();
         assert_eq!(parts.len(), n, "all_to_all needs one part per peer");
         let net = self.net.clone();
-        let nodes = Arc::clone(&self.node_of_rank);
+        let nodes = Rc::clone(&self.node_of_rank);
         let calib = self.calib;
         self.rv.sync(ctx, rank, parts, move |clocks, payloads| {
             // payloads[i][j] = part from i to j. Charge every pair.
@@ -292,7 +292,7 @@ mod tests {
     use super::*;
     use simcore::{Engine, StatsRegistry};
 
-    fn run_ranks(nodes: Vec<usize>, body: impl Fn(&mut ProcCtx, usize, Comm) + Send + Sync) {
+    fn run_ranks(nodes: Vec<usize>, body: impl Fn(&mut ProcCtx, usize, Comm)) {
         let stats = StatsRegistry::new();
         let n_nodes = nodes.iter().max().unwrap() + 1;
         let net = Network::new(n_nodes, &stats);
@@ -334,7 +334,7 @@ mod tests {
         let report = Engine::run(vec![
             Box::new(move |ctx: &mut ProcCtx| {
                 comm.bcast(ctx, 0, 0, Some(d2));
-            }) as Box<dyn FnOnce(&mut ProcCtx) + Send>,
+            }) as Box<dyn FnOnce(&mut ProcCtx)>,
             Box::new(move |ctx: &mut ProcCtx| {
                 comm2.bcast::<Vec<u8>>(ctx, 1, 0, None);
             }),

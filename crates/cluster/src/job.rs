@@ -11,8 +11,8 @@ use crate::cluster::Cluster;
 use crate::comm::Comm;
 use devices::DramExhausted;
 use nvmalloc::{AllocOptions, NvmClient};
-use parking_lot::Mutex;
 use simcore::{Engine, EngineReport, ProcCtx, VTime};
+use std::cell::RefCell;
 
 /// Where a configuration's benefactors sit relative to its compute nodes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -298,7 +298,7 @@ where
     let n = cfg.ranks();
     let node_of_rank: Vec<usize> = (0..n).map(|r| cfg.node_of_rank(r)).collect();
     let comm = Comm::new(cluster.net.clone(), node_of_rank.clone(), calib);
-    let outputs: Mutex<Vec<Option<R>>> = Mutex::new((0..n).map(|_| None).collect());
+    let outputs: RefCell<Vec<Option<R>>> = RefCell::new((0..n).map(|_| None).collect());
 
     let body = &body;
     let outputs_ref = &outputs;
@@ -338,7 +338,7 @@ where
                 };
                 move |ctx: &mut ProcCtx| {
                     let out = body(ctx, &env);
-                    outputs_ref.lock()[rank] = Some(out);
+                    outputs_ref.borrow_mut()[rank] = Some(out);
                 }
             })
             .collect(),

@@ -4,7 +4,7 @@ use cluster::{run_job, Calibration, Cluster, ClusterSpec, Comm, JobConfig, Paylo
 use netsim::Network;
 use simcore::{Engine, ProcCtx, StatsRegistry, VTime};
 
-fn run_ranks(nodes: Vec<usize>, body: impl Fn(&mut ProcCtx, usize, Comm) + Send + Sync) {
+fn run_ranks(nodes: Vec<usize>, body: impl Fn(&mut ProcCtx, usize, Comm)) {
     let stats = StatsRegistry::new();
     let n_nodes = nodes.iter().max().unwrap() + 1;
     let net = Network::new(n_nodes, &stats);

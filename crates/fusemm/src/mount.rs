@@ -43,26 +43,25 @@ use chunkstore::{
     PlacementPolicy, Result, Segment, StripeSpec, PAGE_BYTES,
 };
 use obs::{Layer, TraceRecorder};
-use parking_lot::Mutex;
 use simcore::{Counter, StatsRegistry, VTime};
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Push-updated gauge cells for the metrics sampler (DESIGN.md §14.3).
 ///
-/// Sampler probes must not take the mount's state lock — mount operations
-/// hold it across store calls, and store calls are exactly where sampling
-/// fires. Instead the mount *pushes* fresh values into these shared
-/// atomics at the end of every data-path operation, and cluster-wide
-/// probes aggregate the cells lock-free.
+/// Sampler probes must not borrow the mount's state — mount operations
+/// hold that borrow across store calls, and store calls are exactly where
+/// sampling fires. Instead the mount *pushes* fresh values into these
+/// shared cells at the end of every data-path operation, and cluster-wide
+/// probes fold the cells.
 #[derive(Clone, Debug, Default)]
 pub struct MountGauges {
     /// Dirty cached chunks, in permille of cache capacity.
-    pub dirty_permille: Arc<AtomicU64>,
+    pub dirty_permille: Rc<Cell<u64>>,
     /// Chunks in the segmented cache's protected segment (0 when the
     /// plain LRU is in use).
-    pub protected_chunks: Arc<AtomicU64>,
+    pub protected_chunks: Rc<Cell<u64>>,
 }
 
 /// User/kernel crossing cost charged per FUSE operation.
@@ -221,7 +220,13 @@ struct Writeback<'a> {
 
 /// A node's view of the aggregate store. Shared by all processes on the
 /// node — that sharing is what makes the paper's "shared mmap file"
-/// optimization effective.
+/// optimization effective. Those processes share one thread, and the
+/// mount is not `Send` (DESIGN.md §13 "One thread, no atomics"):
+///
+/// ```compile_fail,E0277
+/// fn send<T: Send>() {}
+/// send::<fusemm::Mount>();
+/// ```
 #[derive(Clone)]
 pub struct Mount {
     store: AggregateStore,
@@ -230,7 +235,7 @@ pub struct Mount {
     path: DataPath,
     /// Cache capacity in chunks.
     capacity: usize,
-    state: Arc<Mutex<MountState>>,
+    state: Rc<RefCell<MountState>>,
     /// Client-side chunk-location cache: fetches may reuse a resolution
     /// while it holds one. `None` on the paper path — every fetch asks the
     /// manager.
@@ -276,7 +281,7 @@ impl Mount {
             cfg,
             path: DataPath::new(cfg.pipelined_io),
             capacity,
-            state: Arc::new(Mutex::new(MountState {
+            state: Rc::new(RefCell::new(MountState {
                 cache,
                 seq: HashMap::new(),
                 flusher_busy_until: VTime::ZERO,
@@ -317,7 +322,8 @@ impl Mount {
 
     /// Attach gauge cells (builder style); the mount pushes dirty-ratio
     /// and protected-segment occupancy into them after every data-path
-    /// operation, for the cluster's metrics sampler to read lock-free.
+    /// operation, for the cluster's metrics sampler to read without
+    /// borrowing the mount's state.
     pub fn with_gauges(mut self, gauges: MountGauges) -> Self {
         self.gauges = Some(gauges);
         self
@@ -327,14 +333,11 @@ impl Mount {
     /// no gauges are attached).
     fn push_gauges(&self) {
         let Some(g) = &self.gauges else { return };
-        let st = self.state.lock();
+        let st = self.state.borrow();
         let cap = st.cache.capacity().max(1) as u64;
-        g.dirty_permille.store(
-            st.cache.dirty_chunks() as u64 * 1000 / cap,
-            Ordering::Relaxed,
-        );
-        g.protected_chunks
-            .store(st.cache.protected_len() as u64, Ordering::Relaxed);
+        g.dirty_permille
+            .set(st.cache.dirty_chunks() as u64 * 1000 / cap);
+        g.protected_chunks.set(st.cache.protected_len() as u64);
     }
 
     pub fn node(&self) -> usize {
@@ -392,7 +395,7 @@ impl Mount {
     /// going away) and delete it from the store.
     pub fn delete(&self, t: VTime, file: FileId) -> Result<VTime> {
         {
-            let mut st = self.state.lock();
+            let mut st = self.state.borrow_mut();
             for key in st.cache.keys_of_file(file) {
                 st.cache.remove(&key);
             }
@@ -408,7 +411,7 @@ impl Mount {
     /// A handle on the cached payload of chunk `idx`, if resident.
     #[cfg(test)]
     pub(crate) fn cached(&self, file: FileId, idx: usize) -> Option<chunkstore::ChunkBuf> {
-        let st = self.state.lock();
+        let st = self.state.borrow();
         st.cache.peek(&(file, idx)).map(|e| e.data.clone())
     }
 
@@ -429,7 +432,7 @@ impl Mount {
         // Foreground reads give the flusher a chance to clean concurrently
         // (the daemon is driven from mount operations, like fault polling).
         if self.writeback_daemon_on() {
-            let mut st = self.state.lock();
+            let mut st = self.state.borrow_mut();
             self.kick_bg_flush(&mut st, t);
         }
 
@@ -437,7 +440,10 @@ impl Mount {
         t = self.span_io(t, file, segs, SpanIo::Read(buf))?;
 
         // Sequential stream detection → asynchronous read-ahead.
-        let streak = self.state.lock().note_read(file, offset, offset + len);
+        let streak = self
+            .state
+            .borrow_mut()
+            .note_read(file, offset, offset + len);
         if streak > 0 && self.cfg.read_ahead_chunks > 0 {
             let depth = if self.path.ramped_read_ahead {
                 (streak as usize).min(self.cfg.read_ahead_chunks)
@@ -497,7 +503,7 @@ impl Mount {
         // expected next offset falls inside the strided range, and leave
         // unrelated streams (other regions of the file) intact.
         {
-            let mut st = self.state.lock();
+            let mut st = self.state.borrow_mut();
             if let Some(cursors) = st.seq.get_mut(&file) {
                 cursors.retain(|&(c, _)| c < offset || c >= last_end);
                 if cursors.is_empty() {
@@ -542,14 +548,14 @@ impl Mount {
     /// Write back every dirty page of `file`, keeping chunks cached clean.
     /// Used by `ssdcheckpoint()` before chunk linking and by close paths.
     pub fn flush_file(&self, t: VTime, file: FileId) -> Result<VTime> {
-        let keys = { self.state.lock().cache.keys_of_file(file) };
+        let keys = { self.state.borrow().cache.keys_of_file(file) };
         self.flush(t, Some(file), &keys)
     }
 
     /// The dirty cached chunk indices of `file` (for callers that flush
     /// incrementally, yielding to a scheduler between chunks).
     pub fn dirty_chunks_of(&self, file: FileId) -> Vec<usize> {
-        let st = self.state.lock();
+        let st = self.state.borrow();
         st.cache
             .keys_of_file(file)
             .into_iter()
@@ -577,7 +583,7 @@ impl Mount {
 
     /// Write back every dirty chunk of every file on this mount.
     pub fn flush_all(&self, t: VTime) -> Result<VTime> {
-        let keys = { self.state.lock().cache.dirty_keys() };
+        let keys = { self.state.borrow().cache.dirty_keys() };
         self.flush(t, None, &keys)
     }
 
@@ -598,19 +604,19 @@ impl Mount {
     /// previous window's completion — per chunk on the paper path, the
     /// whole set as one store call (one manager RPC, per-benefactor write
     /// chains overlapped) when pipelined. Slices are borrowed from the
-    /// cache entries under the state lock; the dirty bits are cleared only
+    /// cache entries under the state borrow; the dirty bits are cleared only
     /// after the store accepts the write, so a failed flush leaves the
     /// pages dirty for a retry. Returns the last completion (the flush
     /// barrier).
     fn flush_keys(&self, mut t: VTime, keys: &[ChunkKey]) -> Result<VTime> {
         let dirty: Vec<ChunkKey> = {
-            let st = self.state.lock();
+            let st = self.state.borrow();
             let is_dirty = |k: &ChunkKey| st.cache.peek(k).is_some_and(|e| e.dirty.any());
             keys.iter().copied().filter(is_dirty).collect()
         };
         for window in dirty.chunks(self.path.window) {
             {
-                let mut st = self.state.lock();
+                let mut st = self.state.borrow_mut();
                 let wb = self.writeback(window.iter().map(|k| {
                     let e = st.cache.peek(k).expect("collected above");
                     (*k, e)
@@ -714,7 +720,7 @@ impl Mount {
         chunks: &[(usize, ChunkBuf)],
     ) -> Result<VTime> {
         debug_assert!(
-            self.state.lock().cache.keys_of_file(file).is_empty(),
+            self.state.borrow().cache.keys_of_file(file).is_empty(),
             "direct write under cached chunks"
         );
         let whole: Vec<BatchRuns<'_>> = chunks
@@ -751,13 +757,13 @@ impl Mount {
     /// throttle-invariant probe: with the daemon on this never exceeds
     /// `dirty_hard_ratio` at any virtual instant.
     pub fn max_dirty_ratio(&self) -> f64 {
-        let st = self.state.lock();
+        let st = self.state.borrow();
         st.cache.max_dirty_chunks() as f64 / st.cache.capacity() as f64
     }
 
     /// Dirty chunks currently cached (all files).
     pub fn dirty_chunk_count(&self) -> usize {
-        self.state.lock().cache.dirty_chunks()
+        self.state.borrow().cache.dirty_chunks()
     }
 
     /// One background flusher batch, issued at `start`: take the oldest
@@ -856,7 +862,7 @@ impl Mount {
 
     /// Run a chunk-segmented span through the cache, a window at a time:
     /// make the window's chunks resident, then copy every segment of the
-    /// window under a single lock. A window grows while its segment count
+    /// window under a single borrow. A window grows while its segment count
     /// fits the policy and its unique chunk count fits the cache, so
     /// arbitrarily large spans still fit. Returns the time the last chunk
     /// of the span is usable.
@@ -884,7 +890,7 @@ impl Mount {
             }
             let window = window.take(n);
             t = self.ensure(t, file, window.clone().map(|s| s.idx))?;
-            let mut st = self.state.lock();
+            let mut st = self.state.borrow_mut();
             for s in window {
                 let entry = st.cache.peek_mut(&(file, s.idx)).expect("just ensured");
                 match &mut io {
@@ -914,7 +920,7 @@ impl Mount {
         let mut ready = t;
         let mut missing: Vec<ChunkKey> = Vec::new();
         {
-            let mut st = self.state.lock();
+            let mut st = self.state.borrow_mut();
             let mut last = None;
             for idx in idxs.clone().filter(|&i| last.replace(i) != Some(i)) {
                 if st.cache.is_protected(&(file, idx)) {
@@ -938,7 +944,7 @@ impl Mount {
             k.0 == file && idxs.clone().any(|i| i == k.1)
         })?;
         let fetched = self.fetch(t, &missing)?;
-        let mut st = self.state.lock();
+        let mut st = self.state.borrow_mut();
         for ((ready_at, payload), &key) in fetched.into_iter().zip(&missing) {
             let data = payload.into_buf(self.store.config());
             st.cache.insert(key, data, ready_at);
@@ -977,7 +983,7 @@ impl Mount {
     ) -> Result<VTime> {
         let mut dirty: Vec<(ChunkKey, CacheEntry)> = Vec::new();
         {
-            let mut st = self.state.lock();
+            let mut st = self.state.borrow_mut();
             while st.cache.capacity() - st.cache.len() < need {
                 let victim = st
                     .cache
@@ -1029,7 +1035,7 @@ impl Mount {
         while next < last {
             let mut missing: Vec<ChunkKey> = Vec::new();
             {
-                let mut st = self.state.lock();
+                let mut st = self.state.borrow_mut();
                 while next < last && missing.len() < self.path.window.min(self.capacity) {
                     if !st.cache.contains(&(file, next)) {
                         missing.push((file, next));
@@ -1055,7 +1061,7 @@ impl Mount {
             let fetched = self.fetch(t, &missing)?;
             self.readahead_fetches.add(missing.len() as u64);
             let mut done = t;
-            let mut st = self.state.lock();
+            let mut st = self.state.borrow_mut();
             for ((ready, payload), &key) in fetched.into_iter().zip(&missing) {
                 done = done.max(ready);
                 st.cache

@@ -143,9 +143,9 @@ impl Network {
 
     /// Transmit backlog on `node`'s NIC at `now`: how far into the
     /// virtual future the tx FIFO is already committed. Zero when idle.
-    /// A gauge probe for the metrics sampler — cheap and lock-free from
-    /// the sampler's point of view (the NIC resource has its own lock,
-    /// never held across yields).
+    /// A gauge probe for the metrics sampler — cheap, and safe from inside
+    /// a store operation (the NIC resource's state is borrowed only for
+    /// the length of one charge).
     pub fn nic_tx_backlog(&self, node: usize, now: VTime) -> VTime {
         self.nics[node].tx.next_free().saturating_sub(now)
     }

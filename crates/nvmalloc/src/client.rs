@@ -40,7 +40,7 @@ use chunkstore::{ChunkBuf, ChunkPayload, FileId, PlacementPolicy, Result, StoreE
 use fusemm::Mount;
 use obs::Layer;
 use simcore::{Counter, ProcCtx, StatsRegistry, VTime};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 /// Placement options for an allocation.
 #[derive(Clone, Debug)]
@@ -141,8 +141,8 @@ fn in_hand(t: VTime, fetched: &[(VTime, ChunkPayload)]) -> VTime {
 pub struct NvmClient {
     mount: Mount,
     client_id: u64,
-    next_alloc: AtomicU64,
-    next_ckpt: AtomicU64,
+    next_alloc: Cell<u64>,
+    next_ckpt: Cell<u64>,
     opts: AllocOptions,
     app_read_bytes: Counter,
     app_write_bytes: Counter,
@@ -157,8 +157,8 @@ impl NvmClient {
         NvmClient {
             mount,
             client_id,
-            next_alloc: AtomicU64::new(0),
-            next_ckpt: AtomicU64::new(0),
+            next_alloc: Cell::new(0),
+            next_ckpt: Cell::new(0),
             opts,
             app_read_bytes: stats.counter("nvm.app_read_bytes"),
             app_write_bytes: stats.counter("nvm.app_write_bytes"),
@@ -173,7 +173,8 @@ impl NvmClient {
     }
 
     fn auto_name(&self) -> String {
-        let n = self.next_alloc.fetch_add(1, Ordering::Relaxed);
+        let n = self.next_alloc.get();
+        self.next_alloc.set(n + 1);
         format!("/nvmalloc/c{}/v{}", self.client_id, n)
     }
 
@@ -347,7 +348,8 @@ impl NvmClient {
         dram_state: &[u8],
         vars: &[&dyn NvmVariable],
     ) -> Result<Checkpoint> {
-        let timestep = self.next_ckpt.fetch_add(1, Ordering::Relaxed);
+        let timestep = self.next_ckpt.get();
+        self.next_ckpt.set(timestep + 1);
         let name = format!("/ckpt/{app}/c{}/t{timestep}", self.client_id);
         let store = self.mount.store();
         let node = self.mount.node();

@@ -24,7 +24,7 @@ fn client(store: &AggregateStore, stats: &StatsRegistry, id: u64) -> NvmClient {
     NvmClient::new(mount, id, AllocOptions::default(), stats)
 }
 
-fn run1(body: impl FnOnce(&mut ProcCtx) + Send) {
+fn run1(body: impl FnOnce(&mut ProcCtx)) {
     Engine::run(vec![body]);
 }
 

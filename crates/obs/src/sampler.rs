@@ -9,30 +9,30 @@
 //! sampler reads every registered gauge probe once and appends one point
 //! per series. Sampling reads state but never advances any clock or takes
 //! a grant, so it is timing-neutral by construction; with the sampler
-//! disabled (the default) `poll` is a single atomic load.
+//! disabled (the default) `poll` is a single branch.
 //!
 //! Determinism: `poll` runs under the engine baton (one process at a time
 //! in `(virtual clock, id)` order), so for a fixed seed the same process
 //! crosses each interval boundary first on every run and the sampled
 //! values are bit-identical. Probes return `Option<u64>`; `None` means
-//! "unavailable right now" (e.g. a `try_lock` miss, impossible under the
-//! baton but handled for safety) and re-reports the series' last value.
+//! "unavailable right now" (e.g. a `try_borrow_mut` miss, impossible
+//! while no borrow spans a poll, but handled for safety) and re-reports
+//! the series' last value.
 //!
 //! Cadence rule: one point per *crossed boundary*, not per elapsed
 //! interval — if the foreground clock jumps several intervals between two
 //! polls (idle ranks), the sampler emits a single point at the latest
 //! boundary rather than inventing intermediate samples it never observed.
 
-use parking_lot::Mutex;
 use simcore::VTime;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 
 /// A gauge probe: reads one instantaneous value at virtual time `t`.
-/// Probes must not block, must not take locks held across engine yields,
-/// and must capture only `Arc`s that do not (transitively) contain the
-/// sampler itself.
-pub type GaugeProbe = Box<dyn Fn(VTime) -> Option<u64> + Send + Sync>;
+/// Probes must not borrow state that stays borrowed where polls fire (a
+/// mount's state does; push it into cells instead), and must capture only
+/// `Rc`s that do not (transitively) contain the sampler itself.
+pub type GaugeProbe = Box<dyn Fn(VTime) -> Option<u64>>;
 
 /// One exported series: a gauge name plus `(t_ns, value)` points at
 /// interval boundaries (plus one forced end-of-run point).
@@ -52,15 +52,15 @@ struct SamplerState {
 struct SamplerInner {
     interval_ns: u64,
     /// Next boundary at which a sample is due. `u64::MAX` once poisoned.
-    next_at_ns: AtomicU64,
-    state: Mutex<SamplerState>,
+    next_at_ns: Cell<u64>,
+    state: RefCell<SamplerState>,
 }
 
 /// Shared-handle virtual-time gauge sampler. Cheap to clone; a disabled
 /// sampler (`MetricsSampler::disabled`) is inert and free to poll.
 #[derive(Clone, Default)]
 pub struct MetricsSampler {
-    inner: Option<Arc<SamplerInner>>,
+    inner: Option<Rc<SamplerInner>>,
 }
 
 impl MetricsSampler {
@@ -74,10 +74,10 @@ impl MetricsSampler {
     pub fn enabled(interval: VTime) -> Self {
         let interval_ns = interval.as_nanos().max(1);
         MetricsSampler {
-            inner: Some(Arc::new(SamplerInner {
+            inner: Some(Rc::new(SamplerInner {
                 interval_ns,
-                next_at_ns: AtomicU64::new(interval_ns),
-                state: Mutex::new(SamplerState {
+                next_at_ns: Cell::new(interval_ns),
+                state: RefCell::new(SamplerState {
                     names: Vec::new(),
                     probes: Vec::new(),
                     last: Vec::new(),
@@ -95,7 +95,7 @@ impl MetricsSampler {
     /// be stable dotted identifiers (see DESIGN.md §9 catalogue).
     pub fn register(&self, name: &str, probe: GaugeProbe) {
         let Some(inner) = &self.inner else { return };
-        let mut st = inner.state.lock();
+        let mut st = inner.state.borrow_mut();
         st.names.push(name.to_string());
         st.probes.push(probe);
         st.last.push(None);
@@ -104,19 +104,17 @@ impl MetricsSampler {
 
     /// Sample if `t` has crossed the next interval boundary. Called at
     /// the top of every timed store operation; the fast path (no boundary
-    /// crossed, or sampler disabled) is one atomic load.
+    /// crossed, or sampler disabled) is one comparison.
     pub fn poll(&self, t: VTime) {
         let Some(inner) = &self.inner else { return };
         let t_ns = t.as_nanos();
-        if t_ns < inner.next_at_ns.load(Ordering::Relaxed) {
+        if t_ns < inner.next_at_ns.get() {
             return;
         }
         // One point per crossing: sample at the latest boundary <= t.
         let tick = (t_ns / inner.interval_ns) * inner.interval_ns;
         self.sample_at(inner, tick);
-        inner
-            .next_at_ns
-            .store(tick + inner.interval_ns, Ordering::Relaxed);
+        inner.next_at_ns.set(tick + inner.interval_ns);
     }
 
     /// Force a final sample at `t` (end of run / makespan), regardless of
@@ -127,7 +125,7 @@ impl MetricsSampler {
     }
 
     fn sample_at(&self, inner: &SamplerInner, t_ns: u64) {
-        let mut st = inner.state.lock();
+        let mut st = inner.state.borrow_mut();
         let st = &mut *st;
         for i in 0..st.probes.len() {
             let v = match (st.probes[i])(VTime::from_nanos(t_ns)) {
@@ -157,7 +155,7 @@ impl MetricsSampler {
         let Some(inner) = &self.inner else {
             return Vec::new();
         };
-        let st = inner.state.lock();
+        let st = inner.state.borrow();
         st.names
             .iter()
             .zip(&st.series)
@@ -173,7 +171,6 @@ impl MetricsSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn disabled_sampler_is_inert() {
@@ -188,12 +185,12 @@ mod tests {
     #[test]
     fn samples_once_per_crossed_boundary() {
         let s = MetricsSampler::enabled(VTime::from_nanos(100));
-        let src = Arc::new(AtomicU64::new(7));
+        let src = Rc::new(Cell::new(7));
         let src2 = src.clone();
-        s.register("g", Box::new(move |_| Some(src2.load(Ordering::Relaxed))));
+        s.register("g", Box::new(move |_| Some(src2.get())));
         s.poll(VTime::from_nanos(50)); // before first boundary
         s.poll(VTime::from_nanos(100)); // boundary 100
-        src.store(9, Ordering::Relaxed);
+        src.set(9);
         s.poll(VTime::from_nanos(120)); // same interval, no sample
         s.poll(VTime::from_nanos(350)); // jumped two boundaries: one point at 300
         let series = s.series();
@@ -215,22 +212,16 @@ mod tests {
     #[test]
     fn none_probe_repeats_last_or_skips() {
         let s = MetricsSampler::enabled(VTime::from_nanos(10));
-        let on = Arc::new(AtomicU64::new(0));
+        let on = Rc::new(Cell::new(0));
         let on2 = on.clone();
         s.register(
             "g",
-            Box::new(move |_| {
-                if on2.load(Ordering::Relaxed) == 1 {
-                    Some(5)
-                } else {
-                    None
-                }
-            }),
+            Box::new(move |_| if on2.get() == 1 { Some(5) } else { None }),
         );
         s.poll(VTime::from_nanos(10)); // None, never observed: skipped
-        on.store(1, Ordering::Relaxed);
+        on.set(1);
         s.poll(VTime::from_nanos(20)); // Some(5)
-        on.store(0, Ordering::Relaxed);
+        on.set(0);
         s.poll(VTime::from_nanos(30)); // None: repeats 5
         assert_eq!(s.series()[0].points, vec![(20, 5), (30, 5)]);
     }

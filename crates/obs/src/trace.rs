@@ -12,11 +12,10 @@
 //! deterministic.
 
 use crate::causal::CausalCtx;
-use parking_lot::Mutex;
 use simcore::{Histogram, ProcId, Snapshot, StatsRegistry, VTime};
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::rc::Rc;
 use std::thread::ThreadId;
 
 /// What runs the calling code: an engine process, or a host thread's own
@@ -127,26 +126,26 @@ const MAX_SPANS: usize = 1 << 21;
 struct Inner {
     stats: StatsRegistry,
     baseline: Snapshot,
-    spans: Mutex<Vec<SpanRecord>>,
-    instants: Mutex<Vec<InstantRecord>>,
+    spans: RefCell<Vec<SpanRecord>>,
+    instants: RefCell<Vec<InstantRecord>>,
     /// Per-runner stack of open span ids (lexical nesting).
-    open: Mutex<HashMap<Runner, Vec<u32>>>,
+    open: RefCell<HashMap<Runner, Vec<u32>>>,
     /// Runner → lane binding: a `bind_lane`'s, or a driver lane. An
     /// unbound engine process draws on lane `ProcId`.
-    lanes: Mutex<HashMap<Runner, u32>>,
-    lane_labels: Mutex<BTreeMap<u32, String>>,
-    next_driver_lane: AtomicU64,
-    dropped: AtomicU64,
+    lanes: RefCell<HashMap<Runner, u32>>,
+    lane_labels: RefCell<BTreeMap<u32, String>>,
+    next_driver_lane: Cell<u32>,
+    dropped: Cell<u64>,
     /// Latency histograms per span name, interned once per name.
-    hists: Mutex<HashMap<&'static str, Histogram>>,
+    hists: RefCell<HashMap<&'static str, Histogram>>,
 }
 
 /// Records spans/instants when enabled; every method is a cheap no-op when
-/// disabled (one branch, no allocation, no locking). Cheap to clone —
-/// clones share the underlying trace.
+/// disabled (one branch, no allocation). Cheap to clone — clones share the
+/// underlying trace, on the one thread that runs the simulation.
 #[derive(Clone, Default)]
 pub struct TraceRecorder {
-    inner: Option<Arc<Inner>>,
+    inner: Option<Rc<Inner>>,
 }
 
 impl TraceRecorder {
@@ -163,17 +162,17 @@ impl TraceRecorder {
     /// them (DESIGN.md §14).
     pub fn enabled(stats: &StatsRegistry) -> Self {
         TraceRecorder {
-            inner: Some(Arc::new(Inner {
+            inner: Some(Rc::new(Inner {
                 stats: stats.clone(),
                 baseline: stats.snapshot(),
-                spans: Mutex::new(Vec::new()),
-                instants: Mutex::new(Vec::new()),
-                open: Mutex::new(HashMap::new()),
-                lanes: Mutex::new(HashMap::new()),
-                lane_labels: Mutex::new(BTreeMap::new()),
-                next_driver_lane: AtomicU64::new(DRIVER_LANE_BASE as u64),
-                dropped: AtomicU64::new(0),
-                hists: Mutex::new(HashMap::new()),
+                spans: RefCell::new(Vec::new()),
+                instants: RefCell::new(Vec::new()),
+                open: RefCell::new(HashMap::new()),
+                lanes: RefCell::new(HashMap::new()),
+                lane_labels: RefCell::new(BTreeMap::new()),
+                next_driver_lane: Cell::new(DRIVER_LANE_BASE),
+                dropped: Cell::new(0),
+                hists: RefCell::new(HashMap::new()),
             })),
         }
     }
@@ -193,24 +192,25 @@ impl TraceRecorder {
         CausalCtx(
             inner
                 .open
-                .lock()
+                .borrow()
                 .get(&Runner::current())
                 .and_then(|stack| stack.last().copied()),
         )
     }
 
     fn lane_of(inner: &Inner, runner: Runner) -> u32 {
-        if let Some(&lane) = inner.lanes.lock().get(&runner) {
+        if let Some(&lane) = inner.lanes.borrow().get(&runner) {
             return lane;
         }
         match runner {
             Runner::Proc(id) => id as u32,
             Runner::Thread(_) => {
-                let lane = inner.next_driver_lane.fetch_add(1, Ordering::Relaxed) as u32;
-                inner.lanes.lock().insert(runner, lane);
+                let lane = inner.next_driver_lane.get();
+                inner.next_driver_lane.set(lane + 1);
+                inner.lanes.borrow_mut().insert(runner, lane);
                 inner
                     .lane_labels
-                    .lock()
+                    .borrow_mut()
                     .insert(lane, format!("driver {}", lane - DRIVER_LANE_BASE));
                 lane
             }
@@ -225,15 +225,15 @@ impl TraceRecorder {
         let Some(inner) = &self.inner else {
             return SpanGuard::inert();
         };
-        let mut spans = inner.spans.lock();
+        let mut spans = inner.spans.borrow_mut();
         if spans.len() >= MAX_SPANS {
-            inner.dropped.fetch_add(1, Ordering::Relaxed);
+            inner.dropped.set(inner.dropped.get() + 1);
             return SpanGuard::inert();
         }
         let id = spans.len() as u32;
         let runner = Runner::current();
         let lane = Self::lane_of(inner, runner);
-        let mut open = inner.open.lock();
+        let mut open = inner.open.borrow_mut();
         let stack = open.entry(runner).or_default();
         let parent = stack.last().copied();
         stack.push(id);
@@ -274,9 +274,9 @@ impl TraceRecorder {
         let Some(inner) = &self.inner else {
             return SpanGuard::inert();
         };
-        let mut spans = inner.spans.lock();
+        let mut spans = inner.spans.borrow_mut();
         if spans.len() >= MAX_SPANS {
-            inner.dropped.fetch_add(1, Ordering::Relaxed);
+            inner.dropped.set(inner.dropped.get() + 1);
             return SpanGuard::inert();
         }
         let id = spans.len() as u32;
@@ -302,7 +302,7 @@ impl TraceRecorder {
     pub fn instant(&self, layer: Layer, name: impl Into<String>, t: VTime) {
         let Some(inner) = &self.inner else { return };
         let lane = Self::lane_of(inner, Runner::current());
-        inner.instants.lock().push(InstantRecord {
+        inner.instants.borrow_mut().push(InstantRecord {
             lane,
             layer,
             name: name.into(),
@@ -313,7 +313,7 @@ impl TraceRecorder {
     fn close(&self, id: u32, end: VTime, detached: bool) {
         let Some(inner) = &self.inner else { return };
         if !detached {
-            let mut open = inner.open.lock();
+            let mut open = inner.open.borrow_mut();
             let stack = open.entry(Runner::current()).or_default();
             debug_assert_eq!(
                 stack.last().copied(),
@@ -324,14 +324,14 @@ impl TraceRecorder {
                 stack.truncate(pos);
             }
         }
-        let mut spans = inner.spans.lock();
+        let mut spans = inner.spans.borrow_mut();
         let rec = &mut spans[id as usize];
         rec.end = rec.start.max(end);
         let dur = rec.end.saturating_sub(rec.start).as_nanos();
         let name = rec.name;
         drop(spans);
         let hist = {
-            let mut hists = inner.hists.lock();
+            let mut hists = inner.hists.borrow_mut();
             hists
                 .entry(name)
                 .or_insert_with(|| inner.stats.histogram(&format!("lat.{name}")))
@@ -342,7 +342,7 @@ impl TraceRecorder {
 
     fn add_arg(&self, id: u32, k: &'static str, v: u64) {
         let Some(inner) = &self.inner else { return };
-        inner.spans.lock()[id as usize].args.push((k, v));
+        inner.spans.borrow_mut()[id as usize].args.push((k, v));
     }
 
     /// Bind the calling engine process (or host thread, outside the
@@ -350,8 +350,12 @@ impl TraceRecorder {
     /// engine process is on lane `ProcId` unless it binds another.
     pub fn bind_lane(&self, lane: u32, label: impl Into<String>) {
         let Some(inner) = &self.inner else { return };
-        inner.lanes.lock().insert(Runner::current(), lane);
-        inner.lane_labels.lock().entry(lane).or_insert(label.into());
+        inner.lanes.borrow_mut().insert(Runner::current(), lane);
+        inner
+            .lane_labels
+            .borrow_mut()
+            .entry(lane)
+            .or_insert(label.into());
     }
 
     /// Label a lane without binding any thread to it — used for the
@@ -359,34 +363,38 @@ impl TraceRecorder {
     /// ever receive detached spans.
     pub fn label_lane(&self, lane: u32, label: impl Into<String>) {
         let Some(inner) = &self.inner else { return };
-        inner.lane_labels.lock().entry(lane).or_insert(label.into());
+        inner
+            .lane_labels
+            .borrow_mut()
+            .entry(lane)
+            .or_insert(label.into());
     }
 
     /// Closed-so-far spans, in creation order.
     pub fn spans(&self) -> Vec<SpanRecord> {
         match &self.inner {
-            Some(inner) => inner.spans.lock().clone(),
+            Some(inner) => inner.spans.borrow().clone(),
             None => Vec::new(),
         }
     }
 
     pub fn instants(&self) -> Vec<InstantRecord> {
         match &self.inner {
-            Some(inner) => inner.instants.lock().clone(),
+            Some(inner) => inner.instants.borrow().clone(),
             None => Vec::new(),
         }
     }
 
     pub fn lane_labels(&self) -> BTreeMap<u32, String> {
         match &self.inner {
-            Some(inner) => inner.lane_labels.lock().clone(),
+            Some(inner) => inner.lane_labels.borrow().clone(),
             None => BTreeMap::new(),
         }
     }
 
     pub fn dropped(&self) -> u64 {
         match &self.inner {
-            Some(inner) => inner.dropped.load(Ordering::Relaxed),
+            Some(inner) => inner.dropped.get(),
             None => 0,
         }
     }
@@ -458,7 +466,7 @@ impl Drop for SpanGuard {
             let start = rec
                 .inner
                 .as_ref()
-                .map(|i| i.spans.lock()[id as usize].start)
+                .map(|i| i.spans.borrow()[id as usize].start)
                 .unwrap_or(VTime::ZERO);
             rec.close(id, start, self.detached);
         }

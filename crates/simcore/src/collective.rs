@@ -9,9 +9,9 @@
 
 use crate::engine::{ProcCtx, ProcId};
 use crate::time::VTime;
-use parking_lot::Mutex;
 use std::any::Any;
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 type Payload = Box<dyn Any + Send>;
 
@@ -46,7 +46,7 @@ pub struct Resolution<R> {
 /// collective).
 #[derive(Clone)]
 pub struct Rendezvous {
-    state: Arc<Mutex<RvState>>,
+    state: Rc<RefCell<RvState>>,
     n: usize,
 }
 
@@ -54,7 +54,7 @@ impl Rendezvous {
     pub fn new(n: usize) -> Self {
         assert!(n > 0, "rendezvous needs at least one participant");
         Rendezvous {
-            state: Arc::new(Mutex::new(RvState {
+            state: Rc::new(RefCell::new(RvState {
                 slots: (0..n).map(|_| None).collect(),
                 arrived: 0,
                 round: 0,
@@ -84,7 +84,7 @@ impl Rendezvous {
         ctx.yield_until_min();
 
         let is_last = {
-            let mut st = self.state.lock();
+            let mut st = self.state.borrow_mut();
             assert!(
                 st.slots[index].is_none(),
                 "participant {index} arrived twice in one round"
@@ -103,7 +103,7 @@ impl Rendezvous {
             ctx.suspend_self();
             // Resumed: collect our result and clear our slot so we can
             // re-arrive for the next round.
-            let mut st = self.state.lock();
+            let mut st = self.state.borrow_mut();
             let slot = st.slots[index].take().expect("slot vanished");
             return *slot
                 .result
@@ -114,7 +114,7 @@ impl Rendezvous {
 
         // We are the last arriver: run the resolver.
         let (clocks, payloads, procs) = {
-            let mut st = self.state.lock();
+            let mut st = self.state.borrow_mut();
             let mut clocks = Vec::with_capacity(self.n);
             let mut payloads = Vec::with_capacity(self.n);
             let mut procs = Vec::with_capacity(self.n);
@@ -148,7 +148,7 @@ impl Rendezvous {
         // Distribute results; resume everyone else; take our own.
         let mut my_result: Option<R> = None;
         {
-            let mut st = self.state.lock();
+            let mut st = self.state.borrow_mut();
             for (i, result) in resolution.results.into_iter().enumerate() {
                 if i == index {
                     my_result = Some(result);

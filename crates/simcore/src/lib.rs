@@ -32,7 +32,7 @@
 //!         ctx.yield_until_min();
 //!         let g = dev.acquire_at(ctx.now(), VTime::from_millis(3));
 //!         ctx.advance_to(g.end);
-//!     }) as Box<dyn FnOnce(&mut ProcCtx) + Send>,
+//!     }) as Box<dyn FnOnce(&mut ProcCtx)>,
 //!     Box::new(move |ctx: &mut ProcCtx| {
 //!         ctx.yield_until_min();
 //!         let g = dev2.acquire_at(ctx.now(), VTime::from_millis(3));

@@ -10,8 +10,8 @@
 
 use crate::stats::Counter;
 use crate::time::{Bandwidth, VTime};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// Result of occupying a resource: when service began and ended.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -37,19 +37,19 @@ struct ResourceState {
 
 /// A FIFO-queued shared resource.
 ///
-/// Cloning shares the underlying queue (it is an `Arc` internally), so a
+/// Cloning shares the underlying queue (it is an `Rc` internally), so a
 /// device handed to several simulated processes contends correctly.
 #[derive(Clone, Debug)]
 pub struct Resource {
-    name: Arc<str>,
-    state: Arc<Mutex<ResourceState>>,
+    name: Rc<str>,
+    state: Rc<RefCell<ResourceState>>,
 }
 
 impl Resource {
     pub fn new(name: impl Into<String>) -> Self {
         Resource {
-            name: Arc::from(name.into().into_boxed_str()),
-            state: Arc::new(Mutex::new(ResourceState::default())),
+            name: Rc::from(name.into().into_boxed_str()),
+            state: Rc::new(RefCell::new(ResourceState::default())),
         }
     }
 
@@ -59,7 +59,7 @@ impl Resource {
 
     /// Occupy the resource for `busy` starting no earlier than `t_req`.
     pub fn acquire_at(&self, t_req: VTime, busy: VTime) -> Grant {
-        let mut s = self.state.lock();
+        let mut s = self.state.borrow_mut();
         let start = t_req.max(s.next_free);
         let end = start + busy;
         s.next_free = end;
@@ -78,28 +78,28 @@ impl Resource {
 
     /// Virtual time at which the resource next becomes idle.
     pub fn next_free(&self) -> VTime {
-        self.state.lock().next_free
+        self.state.borrow().next_free
     }
 
     /// Total busy time accumulated (for utilization reports).
     pub fn busy_total(&self) -> VTime {
-        self.state.lock().busy_total
+        self.state.borrow().busy_total
     }
 
     /// Total time requests spent queued before service (for mean queue
     /// delay reports: divide by [`Resource::grants`]).
     pub fn queued_total(&self) -> VTime {
-        self.state.lock().queued_total
+        self.state.borrow().queued_total
     }
 
     /// Number of grants served.
     pub fn grants(&self) -> u64 {
-        self.state.lock().grants
+        self.state.borrow().grants
     }
 
     /// Forget all queueing history (used between benchmark repetitions).
     pub fn reset(&self) {
-        *self.state.lock() = ResourceState::default();
+        *self.state.borrow_mut() = ResourceState::default();
     }
 }
 

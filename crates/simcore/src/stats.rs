@@ -8,24 +8,25 @@
 //! per layer per op kind) go into log-bucketed [`Histogram`]s with
 //! deterministic percentiles, registered in the same registry.
 
-use parking_lot::Mutex;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::rc::Rc;
 
-/// A monotonically increasing `u64` counter. Cheap to clone (shared).
+/// A monotonically increasing `u64` counter that wraps past `u64::MAX`.
+/// A clone is a second handle on the same value, for the one thread that
+/// runs the simulation: neither `Send` nor `Sync`.
 #[derive(Clone, Debug)]
 pub struct Counter {
-    name: Arc<str>,
-    value: Arc<AtomicU64>,
+    name: Rc<str>,
+    value: Rc<Cell<u64>>,
 }
 
 impl Counter {
     pub fn new(name: impl Into<String>) -> Self {
         Counter {
-            name: Arc::from(name.into().into_boxed_str()),
-            value: Arc::new(AtomicU64::new(0)),
+            name: Rc::from(name.into().into_boxed_str()),
+            value: Rc::new(Cell::new(0)),
         }
     }
 
@@ -34,7 +35,7 @@ impl Counter {
     }
 
     pub fn add(&self, n: u64) {
-        self.value.fetch_add(n, Ordering::Relaxed);
+        bump(&self.value, n);
     }
 
     pub fn inc(&self) {
@@ -42,11 +43,11 @@ impl Counter {
     }
 
     pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
+        self.value.get()
     }
 
     pub fn reset(&self) {
-        self.value.store(0, Ordering::Relaxed);
+        self.value.set(0);
     }
 }
 
@@ -89,11 +90,17 @@ fn bucket_upper(idx: usize) -> u64 {
 
 #[derive(Debug)]
 struct HistInner {
-    buckets: Vec<AtomicU64>,
-    count: AtomicU64,
-    sum: AtomicU64,
-    min: AtomicU64,
-    max: AtomicU64,
+    buckets: Vec<Cell<u64>>,
+    count: Cell<u64>,
+    /// Wraps past `u64::MAX`, as the counters do.
+    sum: Cell<u64>,
+    min: Cell<u64>,
+    max: Cell<u64>,
+}
+
+/// Add `n` to a cell, wrapping past `u64::MAX`.
+fn bump(cell: &Cell<u64>, n: u64) {
+    cell.set(cell.get().wrapping_add(n));
 }
 
 /// Deterministic percentile triple reported per histogram.
@@ -109,24 +116,24 @@ pub struct Percentiles {
 /// Power-of-two major buckets are split into 32 linear sub-buckets, so a
 /// reported quantile is within ~3% of the exact order statistic and — more
 /// importantly for this repo — is a *pure function of the recorded
-/// multiset*: identical runs report identical percentiles. Cheap to clone
-/// (shared), like [`Counter`].
+/// multiset*: identical runs report identical percentiles. A clone is a
+/// second handle on the same buckets, like [`Counter`]'s.
 #[derive(Clone, Debug)]
 pub struct Histogram {
-    name: Arc<str>,
-    inner: Arc<HistInner>,
+    name: Rc<str>,
+    inner: Rc<HistInner>,
 }
 
 impl Histogram {
     pub fn new(name: impl Into<String>) -> Self {
         Histogram {
-            name: Arc::from(name.into().into_boxed_str()),
-            inner: Arc::new(HistInner {
-                buckets: (0..HIST_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-                count: AtomicU64::new(0),
-                sum: AtomicU64::new(0),
-                min: AtomicU64::new(u64::MAX),
-                max: AtomicU64::new(0),
+            name: Rc::from(name.into().into_boxed_str()),
+            inner: Rc::new(HistInner {
+                buckets: (0..HIST_BUCKETS).map(|_| Cell::new(0)).collect(),
+                count: Cell::new(0),
+                sum: Cell::new(0),
+                min: Cell::new(u64::MAX),
+                max: Cell::new(0),
             }),
         }
     }
@@ -137,29 +144,29 @@ impl Histogram {
 
     pub fn record(&self, v: u64) {
         let i = &self.inner;
-        i.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        i.count.fetch_add(1, Ordering::Relaxed);
-        i.sum.fetch_add(v, Ordering::Relaxed);
-        i.min.fetch_min(v, Ordering::Relaxed);
-        i.max.fetch_max(v, Ordering::Relaxed);
+        bump(&i.buckets[bucket_index(v)], 1);
+        bump(&i.count, 1);
+        bump(&i.sum, v);
+        i.min.set(i.min.get().min(v));
+        i.max.set(i.max.get().max(v));
     }
 
     pub fn count(&self) -> u64 {
-        self.inner.count.load(Ordering::Relaxed)
+        self.inner.count.get()
     }
 
     pub fn sum(&self) -> u64 {
-        self.inner.sum.load(Ordering::Relaxed)
+        self.inner.sum.get()
     }
 
     /// Exact maximum recorded value (0 when empty).
     pub fn max(&self) -> u64 {
-        self.inner.max.load(Ordering::Relaxed)
+        self.inner.max.get()
     }
 
     /// Exact minimum recorded value (0 when empty).
     pub fn min(&self) -> u64 {
-        let m = self.inner.min.load(Ordering::Relaxed);
+        let m = self.inner.min.get();
         if m == u64::MAX {
             0
         } else {
@@ -181,7 +188,7 @@ impl Histogram {
         let rank = ((q * count as f64).ceil() as u64).clamp(1, count);
         let mut seen = 0u64;
         for (idx, b) in self.inner.buckets.iter().enumerate() {
-            seen += b.load(Ordering::Relaxed);
+            seen += b.get();
             if seen >= rank {
                 return bucket_upper(idx).min(self.max());
             }
@@ -200,12 +207,12 @@ impl Histogram {
     pub fn reset(&self) {
         let i = &self.inner;
         for b in &i.buckets {
-            b.store(0, Ordering::Relaxed);
+            b.set(0);
         }
-        i.count.store(0, Ordering::Relaxed);
-        i.sum.store(0, Ordering::Relaxed);
-        i.min.store(u64::MAX, Ordering::Relaxed);
-        i.max.store(0, Ordering::Relaxed);
+        i.count.set(0);
+        i.sum.set(0);
+        i.min.set(u64::MAX);
+        i.max.set(0);
     }
 }
 
@@ -229,8 +236,8 @@ impl fmt::Display for Histogram {
 /// snapshotted at once.
 #[derive(Clone, Default)]
 pub struct StatsRegistry {
-    counters: Arc<Mutex<BTreeMap<String, Counter>>>,
-    hists: Arc<Mutex<BTreeMap<String, Histogram>>>,
+    counters: Rc<RefCell<BTreeMap<String, Counter>>>,
+    hists: Rc<RefCell<BTreeMap<String, Histogram>>>,
 }
 
 impl StatsRegistry {
@@ -240,7 +247,7 @@ impl StatsRegistry {
 
     /// Get or create the counter with this name.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut map = self.counters.lock();
+        let mut map = self.counters.borrow_mut();
         map.entry(name.to_string())
             .or_insert_with(|| Counter::new(name))
             .clone()
@@ -248,7 +255,11 @@ impl StatsRegistry {
 
     /// Current value of a counter (0 if it does not exist yet).
     pub fn get(&self, name: &str) -> u64 {
-        self.counters.lock().get(name).map(|c| c.get()).unwrap_or(0)
+        self.counters
+            .borrow()
+            .get(name)
+            .map(|c| c.get())
+            .unwrap_or(0)
     }
 
     /// Point-in-time copy of every counter value.
@@ -256,7 +267,7 @@ impl StatsRegistry {
         Snapshot {
             values: self
                 .counters
-                .lock()
+                .borrow()
                 .iter()
                 .map(|(k, v)| (k.clone(), v.get()))
                 .collect(),
@@ -265,7 +276,7 @@ impl StatsRegistry {
 
     /// Get or create the histogram with this name.
     pub fn histogram(&self, name: &str) -> Histogram {
-        let mut map = self.hists.lock();
+        let mut map = self.hists.borrow_mut();
         map.entry(name.to_string())
             .or_insert_with(|| Histogram::new(name))
             .clone()
@@ -273,15 +284,15 @@ impl StatsRegistry {
 
     /// Every registered histogram, in name order.
     pub fn histograms(&self) -> Vec<Histogram> {
-        self.hists.lock().values().cloned().collect()
+        self.hists.borrow().values().cloned().collect()
     }
 
     /// Set every counter and histogram back to zero.
     pub fn reset_all(&self) {
-        for c in self.counters.lock().values() {
+        for c in self.counters.borrow().values() {
             c.reset();
         }
-        for h in self.hists.lock().values() {
+        for h in self.hists.borrow().values() {
             h.reset();
         }
     }
@@ -337,6 +348,14 @@ mod tests {
         c.reset();
         assert_eq!(c.get(), 0);
         assert_eq!(c.name(), "x");
+    }
+
+    #[test]
+    fn a_counter_wraps_past_u64_max() {
+        let c = Counter::new("x");
+        c.add(u64::MAX);
+        c.add(3);
+        assert_eq!(c.get(), 2);
     }
 
     #[test]

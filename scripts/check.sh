@@ -70,6 +70,19 @@ echo "==> the engine's unsafe code is engine/stack.rs (and one_kept_heap's mallo
     $(find crates/simcore/src -name '*.rs' ! -path '*/engine/stack.rs') | grep . || exit 1
 ! grep -rnE 'thread::scope|\bpark\(|\.unpark\(' crates/simcore/src || exit 1
 
+echo "==> one thread, no atomics: the simulator's shared state is Rc, Cell and RefCell"
+# Every simulated process runs on the thread that called Engine::run, so a
+# lock, an atomic or an Arc in what a timed repetition touches pays for a
+# second thread that does not exist (DESIGN.md §13 "One thread, no
+# atomics"). What stays thread-safe is listed, for the reason §13 records:
+# RsCode::shared's process-wide table of built codes. Comments may still
+# name the old types.
+thread_safe='^crates/chunkstore/src/rs\.rs:[0-9]+:(use std::sync::\{Arc, Mutex\};|    pub fn shared\(k: usize, m: usize\) -> Arc<RsCode> \{|        static CODES: Mutex<Vec<Arc<RsCode>>> = )'
+! grep -rnE 'Mutex|sync::atomic|Arc<' \
+    crates/{chunkstore,fusemm,netsim,devices}/src \
+    crates/simcore/src/{stats,resource,collective}.rs crates/obs/src/sampler.rs |
+    grep -vE '^[^:]+:[0-9]+: *//' | grep -vE "$thread_safe" | grep . || exit 1
+
 if [ "$quick" -eq 0 ]; then
     echo "==> cargo clippy (warnings are errors)"
     cargo clippy --workspace --all-targets -- -D warnings
@@ -91,7 +104,7 @@ cargo run -q --release --example validate_trace -- --require-flows --require-cou
 echo "==> the frozen benchmark package must build and run against the workspace (all five workloads correct)"
 cargo run --release --quiet --manifest-path examples/benchmark/Cargo.toml -- --smoke
 
-echo "==> micro host-speed floors (simulated bytes, engine hand-offs, stream writes, fetches, the two payload kernels, the two small-write shapes of the mount and the two verified RS shapes per host second)"
+echo "==> micro host-speed floors (simulated bytes, engine hand-offs, stream writes, fetches, the two payload kernels, the two small-write shapes of the mount, the two verified RS shapes and network transfers per host second)"
 # On one CPU, like examples/benchmark: every rate here is host time, and
 # on a small VM it swings with what the other core has just been doing.
 pin=""
@@ -171,5 +184,11 @@ micro_floor fresh_sets_per_host_second 40000 "8-byte sets to fresh chunks"
 # the 170-240 k of digesting the one new page.
 micro_floor verified_fetches_per_host_second 300000 "verified fetches of unchanged chunks"
 micro_floor vetted_overwrites_per_host_second 80000 "one-page overwrites of vetted RS chunks"
+# 256 KiB transfers between two nodes per host second, the shape of the
+# benchmark's net drive (EXPERIMENTS.md "One thread, no atomics"): two NIC
+# charges and two counter bumps each. 13 500 000, between the 10.1-10.8 M
+# of a mutex per charge and an atomic per bump and the 17.6-17.8 M of a
+# RefCell and a Cell, three pinned runs each.
+micro_floor transfers_per_host_second 13500000 "network transfers"
 
 echo "All checks passed."

@@ -7,6 +7,14 @@
 //! panicking simulation process already aborts the test, and the paper
 //! reproduction's locks protect plain data, not invariants that survive
 //! unwinding.
+//!
+//! The simulator itself runs on one thread and holds its shared state in
+//! `Rc`, `Cell` and `RefCell` (DESIGN.md §13 "One thread, no atomics"),
+//! so what still uses this `Mutex` is the engine's process-wide pool of
+//! process stacks (`simcore/src/engine/stack.rs`) and the engine tests'
+//! logs. Every crate keeps its `parking_lot` dependency line all the same:
+//! the frozen `examples/benchmark/Cargo.lock` records each crate's
+//! dependency list, and dropping a line would rewrite it.
 
 use std::fmt;
 use std::sync::{self, PoisonError};
