@@ -427,14 +427,12 @@ fn compute_tiles(
                     env.dram_io(ctx, ((ilen * klen + 2 * ilen * n) * 8) as u64);
                     env.compute(ctx, 2.0 * (ilen * klen * n) as f64);
                     for i in 0..ilen {
-                        let arow = &a_local[(i0 + i) * n..];
-                        let crow = &mut c_local[(i0 + i) * n..(i0 + i + 1) * n];
-                        for (k, brow) in bbuf[..klen * n].chunks_exact(n).enumerate() {
-                            let aik = arow[k0 + k];
-                            for (cj, bj) in crow.iter_mut().zip(brow) {
-                                *cj += aik * bj;
-                            }
-                        }
+                        let row = (i0 + i) * n;
+                        tile_rows(
+                            &mut c_local[row..row + n],
+                            &a_local[row + k0..row + k0 + klen],
+                            &bbuf[..klen * n],
+                        );
                     }
                 }
             }
@@ -454,15 +452,12 @@ fn compute_tiles(
                         env.dram_io(ctx, ((ilen * klen + 2 * ilen * jlen) * 8) as u64);
                         env.compute(ctx, 2.0 * (ilen * klen * jlen) as f64);
                         for i in 0..ilen {
-                            let arow = &a_local[(i0 + i) * n..];
-                            let crow = &mut c_local[(i0 + i) * n + j0..(i0 + i) * n + j0 + jlen];
-                            for (k, btile_row) in bbuf[..klen * jlen].chunks_exact(jlen).enumerate()
-                            {
-                                let aik = arow[k0 + k];
-                                for (cj, bj) in crow.iter_mut().zip(btile_row) {
-                                    *cj += aik * bj;
-                                }
-                            }
+                            let row = (i0 + i) * n;
+                            tile_rows(
+                                &mut c_local[row + j0..row + j0 + jlen],
+                                &a_local[row + k0..row + k0 + klen],
+                                &bbuf[..klen * jlen],
+                            );
                         }
                     }
                 }
@@ -472,8 +467,9 @@ fn compute_tiles(
 }
 
 fn verify_product(a: &[f64], b: &[f64], c: &[f64], n: usize) -> bool {
-    // Reference product with identical summation order (k-outer), so the
-    // floating-point results match bit for bit.
+    // The plain i-k-j loop, independent of `tile_rows`: the same
+    // summation order (k ascending, one rounding per multiply and per
+    // add), so the product must match bit for bit.
     let mut reference = vec![0f64; n * n];
     for i in 0..n {
         for k in 0..n {
@@ -484,7 +480,147 @@ fn verify_product(a: &[f64], b: &[f64], c: &[f64], n: usize) -> bool {
             }
         }
     }
-    c.iter()
-        .zip(&reference)
-        .all(|(x, y)| (x - y).abs() <= 1e-9 * y.abs().max(1.0))
+    c.len() == reference.len()
+        && c.iter()
+            .zip(&reference)
+            .all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// The tile product: `crow[j] += arow[k] · brows[k][j]` for every row `k`
+/// of `brows` (each `crow.len()` wide), k ascending. B rows go in four
+/// at a time, `c = (((c + a0·b0) + a1·b1) + a2·b2) + a3·b3`: the rounding
+/// sequence of one row at a time, with a quarter of the loads and stores
+/// of `crow`. No fused multiply-add (it rounds once where this rounds
+/// twice) and no reordering, so every product is bit-identical to the
+/// plain i-k-j loop. Runs the AVX build of the body where the CPU has it.
+pub fn tile_rows(crow: &mut [f64], arow: &[f64], brows: &[f64]) {
+    assert_eq!(
+        brows.len(),
+        arow.len() * crow.len(),
+        "tile product needs one B row of C's width per A element"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx") {
+        // SAFETY: AVX was detected just above; the body is safe Rust.
+        return unsafe { tile_rows_avx(crow, arow, brows) };
+    }
+    tile_rows_portable(crow, arow, brows)
+}
+
+/// Name of the tile-product build this machine runs.
+pub fn mm_kernel() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx") {
+        return "avx";
+    }
+    "portable"
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+fn tile_rows_avx(crow: &mut [f64], arow: &[f64], brows: &[f64]) {
+    tile_rows_body(crow, arow, brows)
+}
+
+fn tile_rows_portable(crow: &mut [f64], arow: &[f64], brows: &[f64]) {
+    tile_rows_body(crow, arow, brows)
+}
+
+/// One body for both builds; `tile_rows` checked the lengths.
+#[inline(always)]
+fn tile_rows_body(crow: &mut [f64], arow: &[f64], brows: &[f64]) {
+    let w = crow.len();
+    if w == 0 {
+        return;
+    }
+    for (a, b) in arow.chunks_exact(4).zip(brows.chunks_exact(4 * w)) {
+        let (b0, b) = b.split_at(w);
+        let (b1, b) = b.split_at(w);
+        let (b2, b3) = b.split_at(w);
+        for ((((c, x0), x1), x2), x3) in crow.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3) {
+            *c = (((*c + a[0] * x0) + a[1] * x1) + a[2] * x2) + a[3] * x3;
+        }
+    }
+    let done = arow.len() & !3;
+    for (a, b) in arow[done..].iter().zip(brows[done * w..].chunks_exact(w)) {
+        for (c, x) in crow.iter_mut().zip(b) {
+            *c += a * x;
+        }
+    }
+}
+
+#[cfg(test)]
+mod kernel_tests {
+    use super::*;
+    use rand::Rng;
+
+    /// The naive i-k-j loop over one C row: the oracle.
+    fn naive(crow: &mut [f64], arow: &[f64], brows: &[f64]) {
+        let w = crow.len();
+        for (k, a) in arow.iter().enumerate() {
+            for (j, c) in crow.iter_mut().enumerate() {
+                *c += a * brows[k * w + j];
+            }
+        }
+    }
+
+    /// Signed values spread over ~2^±30: a sum taken in any other order,
+    /// or with a fused multiply-add, rounds differently somewhere.
+    fn mixed(rng: &mut impl Rng, len: usize) -> Vec<f64> {
+        (0..len)
+            .map(|_| rng.gen_range(-1.0..1.0) * 2f64.powi(rng.gen_range(-30..30)))
+            .collect()
+    }
+
+    fn same_bits(x: &[f64], y: &[f64]) -> bool {
+        x.len() == y.len() && x.iter().zip(y).all(|(a, b)| a.to_bits() == b.to_bits())
+    }
+
+    #[test]
+    fn tile_rows_matches_the_naive_loop_bit_for_bit() {
+        type Kernel = fn(&mut [f64], &[f64], &[f64]);
+        let kernels: [(&str, Kernel); 2] =
+            [("portable", tile_rows_portable), (mm_kernel(), tile_rows)];
+        let mut rng = simcore::rng::stream_rng(2013, 37);
+        let (mut reorder_differs, mut fma_differs) = (false, false);
+        for klen in 1..=9 {
+            for width in (1..=37).chain([512]) {
+                let c0 = mixed(&mut rng, width);
+                let a = mixed(&mut rng, klen);
+                let b = mixed(&mut rng, klen * width);
+                let mut want = c0.clone();
+                naive(&mut want, &a, &b);
+                for (name, kernel) in kernels {
+                    let mut got = c0.clone();
+                    kernel(&mut got, &a, &b);
+                    assert!(same_bits(&got, &want), "{name}: klen {klen}, width {width}");
+                }
+                // The inputs have teeth: k descending, or the multiply
+                // fused into the add, moves bits on them.
+                let (mut reversed, mut fused) = (c0.clone(), c0.clone());
+                for (k, a) in a.iter().enumerate() {
+                    for (j, c) in fused.iter_mut().enumerate() {
+                        *c = a.mul_add(b[k * width + j], *c);
+                    }
+                }
+                for (k, a) in a.iter().enumerate().rev() {
+                    for (j, c) in reversed.iter_mut().enumerate() {
+                        *c += a * b[k * width + j];
+                    }
+                }
+                reorder_differs |= !same_bits(&reversed, &want);
+                fma_differs |= !same_bits(&fused, &want);
+            }
+        }
+        assert!(reorder_differs, "no input told a reordered sum apart");
+        assert!(fma_differs, "no input told a fused product apart");
+    }
+
+    #[test]
+    fn tile_rows_of_an_empty_row_or_no_b_rows_is_a_no_op() {
+        tile_rows(&mut [], &[1.0, 2.0], &[]);
+        let mut c = [1.5, -2.5];
+        tile_rows(&mut c, &[], &[]);
+        assert_eq!(c, [1.5, -2.5]);
+    }
 }

@@ -70,6 +70,13 @@ echo "==> the engine's unsafe code is engine/stack.rs (and one_kept_heap's mallo
     $(find crates/simcore/src -name '*.rs' ! -path '*/engine/stack.rs') | grep . || exit 1
 ! grep -rnE 'thread::scope|\bpark\(|\.unpark\(' crates/simcore/src || exit 1
 
+echo "==> the workloads' only unsafe code is the MM tile product's AVX dispatch"
+# The tile product is one safe body compiled twice; calling its AVX build
+# after is_x86_feature_detected! is the one place a CPU feature is taken
+# on trust. Any other unsafe under workloads would be a second kernel.
+avx_dispatch='^crates/workloads/src/matmul\.rs:[0-9]+: +return unsafe \{ tile_rows_avx\(crow, arow, brows\) \};$'
+! grep -rnE '(^|[^A-Za-z_])unsafe([^A-Za-z_]|$)' crates/workloads/src | grep -vE "$avx_dispatch" | grep . || exit 1
+
 echo "==> one thread, no atomics: the simulator's shared state is Rc, Cell and RefCell"
 # Every simulated process runs on the thread that called Engine::run, so a
 # lock, an atomic or an Arc in what a timed repetition touches pays for a
@@ -104,7 +111,7 @@ cargo run -q --release --example validate_trace -- --require-flows --require-cou
 echo "==> the frozen benchmark package must build and run against the workspace (all five workloads correct)"
 cargo run --release --quiet --manifest-path examples/benchmark/Cargo.toml -- --smoke
 
-echo "==> micro host-speed floors (simulated bytes, engine hand-offs, stream writes, fetches, the two payload kernels, the two small-write shapes of the mount, the two verified RS shapes and network transfers per host second)"
+echo "==> micro host-speed floors (simulated bytes, engine hand-offs, stream writes, fetches, the two payload kernels, the two small-write shapes of the mount, the two verified RS shapes, network transfers and MM tile multiply-adds per host second)"
 # On one CPU, like examples/benchmark: every rate here is host time, and
 # on a small VM it swings with what the other core has just been doing.
 pin=""
@@ -155,7 +162,7 @@ micro_floor read_bytes_per_host_second 150000000000 "fetched bytes"
 # 10-21). Gated only where the vector kernel ran: a CPU without it runs
 # the portable kernel, which these floors exist to tell apart from it.
 kernel_floor() { # <kernel-name key> <rate key> <floor> <what it counts>
-    if grep -q "\"$1\": \"table\"" "$micro_dir/BENCH_micro.json"; then
+    if grep -qE "\"$1\": \"(table|portable)\"" "$micro_dir/BENCH_micro.json"; then
         echo "    micro: $4: portable kernel, floor skipped"
     else
         micro_floor "$2" "$3" "$4"
@@ -190,5 +197,13 @@ micro_floor vetted_overwrites_per_host_second 80000 "one-page overwrites of vett
 # of a mutex per charge and an atomic per bump and the 17.6-17.8 M of a
 # RefCell and a Cell, three pinned runs each.
 micro_floor transfers_per_host_second 13500000 "network transfers"
+# The MM tile product alone, in mm_fanout's shape, fastest of eight rounds
+# (EXPERIMENTS.md "The MM tile product at vector width"): 6 000 000 000
+# multiply-adds per host second, between the 2.95-5.24 G of the one-row
+# SSE2 loop it replaced and the 6.96-11.2 G of the four-row AVX build,
+# eleven alternated pinned runs each (both sides read in two bands on a
+# shared machine). Gated only where the AVX build ran, like the two
+# payload kernels.
+kernel_floor mm_kernel mm_tile_fmas_per_host_second 6000000000 "MM tile multiply-adds"
 
 echo "All checks passed."
