@@ -110,29 +110,22 @@ impl Manager {
         self.journal_home(c, home, true);
     }
 
-    /// Chunks whose live copy count is below target, with a live donor.
-    /// Returns `(chunk, donor, missing_copies)` triples.
-    pub fn under_replicated(&self) -> Vec<(ChunkId, BenefactorId, usize)> {
-        let mut out: Vec<(ChunkId, BenefactorId, usize)> = self
+    /// Chunks whose live copy count is below target, with at least one
+    /// live copy to repair from. Returns `(chunk, missing_copies)` pairs.
+    pub fn under_replicated(&self) -> Vec<(ChunkId, usize)> {
+        let mut out: Vec<(ChunkId, usize)> = self
             .chunk_meta
             .iter()
             .filter_map(|(&c, m)| {
-                // First live home is the donor; count the rest in place.
-                let mut live = 0usize;
-                let mut donor = None;
-                for &h in &m.homes {
-                    if self.benefactors[h.0].is_alive() {
-                        live += 1;
-                        donor.get_or_insert(h);
-                    }
-                }
-                if live == 0 || live >= m.target {
-                    return None;
-                }
-                Some((c, donor.unwrap(), m.target - live))
+                let live = m
+                    .homes
+                    .iter()
+                    .filter(|h| self.benefactors[h.0].is_alive())
+                    .count();
+                (live > 0 && live < m.target).then(|| (c, m.target - live))
             })
             .collect();
-        out.sort_by_key(|&(c, _, _)| c);
+        out.sort_by_key(|&(c, _)| c);
         out
     }
 

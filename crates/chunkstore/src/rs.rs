@@ -28,7 +28,8 @@
 //! `x86_64` with AVX2 (detected at run time), the same tables a byte at a
 //! time for the tail of every call and on every other machine.
 
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// GF(2^8) reduction polynomial (AES-adjacent 0x11D, the classic RS choice).
 const GF_POLY: u16 = 0x11D;
@@ -298,16 +299,20 @@ impl RsCode {
     }
 
     /// The RS(k, m) code the store's write and decode paths share: built
-    /// on first use, one per `(k, m)` for the life of the process.
-    pub fn shared(k: usize, m: usize) -> Arc<RsCode> {
-        static CODES: Mutex<Vec<Arc<RsCode>>> = Mutex::new(Vec::new());
-        let mut codes = CODES.lock().expect("code table poisoned");
-        if let Some(code) = codes.iter().find(|c| (c.k, c.m) == (k, m)) {
-            return Arc::clone(code);
+    /// on first use, one per `(k, m)` for the life of the thread that runs
+    /// the simulation.
+    pub fn shared(k: usize, m: usize) -> Rc<RsCode> {
+        thread_local! {
+            static CODES: RefCell<Vec<Rc<RsCode>>> = const { RefCell::new(Vec::new()) };
         }
-        let code = Arc::new(RsCode::new(k, m));
-        codes.push(Arc::clone(&code));
-        code
+        CODES.with_borrow_mut(|codes| {
+            if let Some(code) = codes.iter().find(|c| (c.k, c.m) == (k, m)) {
+                return Rc::clone(code);
+            }
+            let code = Rc::new(RsCode::new(k, m));
+            codes.push(Rc::clone(&code));
+            code
+        })
     }
 
     pub fn k(&self) -> usize {
@@ -498,7 +503,7 @@ mod tests {
     #[test]
     fn shared_code_is_built_once_per_shape() {
         let (a, b) = (RsCode::shared(4, 2), RsCode::shared(4, 2));
-        assert!(Arc::ptr_eq(&a, &b));
+        assert!(Rc::ptr_eq(&a, &b));
         assert_eq!(a.rows, RsCode::new(4, 2).rows);
         assert_eq!(RsCode::shared(2, 1).rows, RsCode::new(2, 1).rows);
     }

@@ -63,11 +63,6 @@ impl HashRing {
         self.shards
     }
 
-    /// The shard owning a raw 64-bit key: its clockwise successor point.
-    pub fn owner_of_point(&self, key: u64) -> usize {
-        self.owner(|| key)
-    }
-
     /// Owner of a chunk-addressed key.
     pub fn owner_of_chunk(&self, c: ChunkId) -> usize {
         self.owner(|| child_seed(CHUNK_KEYS, c.0))

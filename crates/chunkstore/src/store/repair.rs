@@ -247,7 +247,7 @@ impl AggregateStore {
         let mut t = t;
         let mut report = RepairReport::default();
         let work = self.mgr.borrow().under_replicated();
-        for (c, _, missing) in work {
+        for (c, missing) in work {
             for _ in 0..missing {
                 let mut mgr = self.mgr.borrow_mut();
                 if mgr.chunk_homes(c).is_none() {

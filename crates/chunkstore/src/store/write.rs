@@ -143,22 +143,8 @@ fn fresh_chunk(chunk_len: u64, runs: &[PageRun<'_>]) -> ChunkBuf {
 }
 
 impl AggregateStore {
-    /// Write back dirty pages of chunk `idx` (the paper's FUSE eviction
-    /// path, §III-D): the one-entry [`Self::write_runs_batch`].
-    pub fn write_runs(
-        &self,
-        t: VTime,
-        client_node: usize,
-        file: FileId,
-        idx: usize,
-        updates: &[PageRun<'_>],
-    ) -> Result<VTime> {
-        let updates = updates.to_vec();
-        let entry = BatchRuns { file, idx, updates };
-        Ok(self.write_runs_batch(t, client_node, &[entry])?[0])
-    }
-
-    /// [`Self::write_runs`] for a caller holding plain bytes: the one-entry
+    /// Write back dirty pages of chunk `idx`, given as plain bytes (the
+    /// paper's FUSE eviction path, §III-D): the one-entry
     /// [`Self::write_pages_batch`].
     pub fn write_pages(
         &self,

@@ -16,7 +16,7 @@ use simcore::{ProcCtx, Rendezvous, Resolution, VTime};
 use std::rc::Rc;
 
 /// Message payloads must expose their wire size for time charging.
-pub trait Payload: Send + 'static {
+pub trait Payload: 'static {
     fn nbytes(&self) -> u64;
 }
 
@@ -44,9 +44,9 @@ impl Payload for String {
     }
 }
 
-/// Broadcasting an `Arc` charges the inner payload's wire size while
+/// Broadcasting an `Rc` charges the inner payload's wire size while
 /// sharing one host-side copy — the simulation moves real bytes once.
-impl<P: Payload + Send + Sync> Payload for std::sync::Arc<P> {
+impl<P: Payload> Payload for Rc<P> {
     fn nbytes(&self) -> u64 {
         (**self).nbytes()
     }

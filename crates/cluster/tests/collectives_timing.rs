@@ -3,6 +3,7 @@
 use cluster::{run_job, Calibration, Cluster, ClusterSpec, Comm, JobConfig, Payload};
 use netsim::Network;
 use simcore::{Engine, ProcCtx, StatsRegistry, VTime};
+use std::rc::Rc;
 
 fn run_ranks(nodes: Vec<usize>, body: impl Fn(&mut ProcCtx, usize, Comm)) {
     let stats = StatsRegistry::new();
@@ -27,7 +28,7 @@ fn payload_sizes() {
     assert_eq!(().nbytes(), 0);
     assert_eq!(7u64.nbytes(), 8);
     assert_eq!("abc".to_string().nbytes(), 3);
-    assert_eq!(std::sync::Arc::new(vec![0f64; 3]).nbytes(), 24);
+    assert_eq!(Rc::new(vec![0f64; 3]).nbytes(), 24);
 }
 
 #[test]
@@ -103,6 +104,32 @@ fn single_rank_collectives_are_trivial() {
         let a = comm.all_to_all(ctx, rank, vec![vec![5u8]]);
         assert_eq!(a, vec![vec![5]]);
     });
+}
+
+#[test]
+fn bcast_of_an_rc_shares_the_roots_allocation_and_charges_its_contents() {
+    // Three ranks on two nodes: one wire copy of B's 8 MB, one memcpy.
+    let b = Rc::new(vec![0.5f64; 1_000_000]);
+    let stats = StatsRegistry::new();
+    let net = Network::new(2, &stats);
+    let comm = Comm::new(net, vec![0, 1, 1], Calibration::default());
+    let got = std::cell::RefCell::new(Vec::new());
+    Engine::run(
+        (0..3)
+            .map(|r| {
+                let (comm, b, got) = (comm.clone(), &b, &got);
+                move |ctx: &mut ProcCtx| {
+                    let mine = comm.bcast(ctx, r, 0, (r == 0).then(|| Rc::clone(b)));
+                    got.borrow_mut().push(mine);
+                }
+            })
+            .collect(),
+    );
+    let got = got.into_inner();
+    assert_eq!(got.len(), 3);
+    assert!(got.iter().all(|mine| Rc::ptr_eq(mine, &b)));
+    assert_eq!(stats.get("net.bytes"), 8_000_000);
+    assert_eq!(stats.get("net.messages"), 1);
 }
 
 #[test]

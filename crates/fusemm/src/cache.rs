@@ -251,13 +251,13 @@ impl ChunkCache {
 
     /// Mark `[start, end)` bytes of the entry dirty, keeping the cache's
     /// dirty-chunk count (and high-water mark) consistent.
-    pub fn mark_dirty_range(&mut self, key: &ChunkKey, start: u64, end: u64, page_size: u64) {
+    pub fn mark_dirty_range(&mut self, key: &ChunkKey, start: u64, end: u64) {
         let e = self
             .entries
             .get_mut(key)
             .expect("mark_dirty_range on a missing entry");
         let was_dirty = e.dirty.any();
-        e.dirty.mark_range(start, end, page_size);
+        e.dirty.mark_range(start, end);
         if !was_dirty && e.dirty.any() {
             self.dirty_count += 1;
             self.max_dirty = self.max_dirty.max(self.dirty_count);
@@ -375,6 +375,7 @@ impl ChunkCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use chunkstore::PAGE_BYTES;
 
     fn key(i: usize) -> ChunkKey {
         (FileId(1), i)
@@ -451,8 +452,8 @@ mod tests {
         c.insert(key(0), data(), VTime::ZERO);
         c.insert(key(1), data(), VTime::ZERO);
         assert_eq!(c.dirty_chunks(), 0);
-        c.mark_dirty_range(&key(0), 0, 8, 4);
-        c.mark_dirty_range(&key(0), 16, 24, 4); // same chunk: still 1
+        c.mark_dirty_range(&key(0), 0, 2 * PAGE_BYTES);
+        c.mark_dirty_range(&key(0), 4 * PAGE_BYTES, 6 * PAGE_BYTES); // same chunk: still 1
         c.mark_dirty_page(&key(1), 2);
         assert_eq!(c.dirty_chunks(), 2);
         assert_eq!(c.max_dirty_chunks(), 2);

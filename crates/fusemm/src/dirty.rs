@@ -2,18 +2,21 @@
 //!
 //! A 256 KiB chunk holds 64 OS pages of 4 KiB ("The 256KB chunk includes
 //! 64 pages (4KB)", §III-D); the write path marks pages dirty and the
-//! eviction path ships only those pages. Sizes are configurable for the
-//! ablation sweeps, so the bitmap is a small `Vec<u64>` rather than a
-//! single word.
+//! eviction path ships only those pages. The page is always
+//! [`PAGE_BYTES`]; the chunk size is configurable for the ablation sweeps,
+//! so the bitmap is a small `Vec<u64>` rather than a single word.
 
-/// A fixed-size page bitmap.
+use chunkstore::PAGE_BYTES;
+
+/// A fixed-size bitmap of [`PAGE_BYTES`] pages.
 ///
 /// ```
+/// use chunkstore::PAGE_BYTES;
 /// use fusemm::DirtyPages;
 /// let mut d = DirtyPages::new(64);
-/// d.mark_range(0, 8192, 4096);   // bytes [0, 8K) → pages 0 and 1
+/// d.mark_range(0, 2 * PAGE_BYTES); // bytes [0, 8K) → pages 0 and 1
 /// d.mark(5);
-/// assert_eq!(d.runs(4096), vec![(0, 8192), (5 * 4096, 4096)]);
+/// assert_eq!(d.runs(), vec![(0, 2 * PAGE_BYTES), (5 * PAGE_BYTES, PAGE_BYTES)]);
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DirtyPages {
@@ -34,12 +37,11 @@ impl DirtyPages {
         self.words[page / 64] |= 1 << (page % 64);
     }
 
-    /// Mark every page overlapping the byte range `[start, end)` given the
-    /// page size.
-    pub fn mark_range(&mut self, start: u64, end: u64, page_size: u64) {
+    /// Mark every page overlapping the byte range `[start, end)`.
+    pub fn mark_range(&mut self, start: u64, end: u64) {
         assert!(start < end, "empty range");
-        let first = (start / page_size) as usize;
-        let last = ((end - 1) / page_size) as usize;
+        let first = (start / PAGE_BYTES) as usize;
+        let last = ((end - 1) / PAGE_BYTES) as usize;
         for p in first..=last {
             self.mark(p);
         }
@@ -69,7 +71,7 @@ impl DirtyPages {
 
     /// Coalesce dirty pages into maximal `(byte_offset, byte_len)` runs —
     /// the write-back messages sent to a benefactor.
-    pub fn runs(&self, page_size: u64) -> Vec<(u64, u64)> {
+    pub fn runs(&self) -> Vec<(u64, u64)> {
         let mut out = Vec::new();
         let mut run: Option<(usize, usize)> = None; // (first, last)
         for p in self.iter() {
@@ -77,8 +79,8 @@ impl DirtyPages {
                 Some((first, last)) if p == last + 1 => run = Some((first, p)),
                 Some((first, last)) => {
                     out.push((
-                        first as u64 * page_size,
-                        (last - first + 1) as u64 * page_size,
+                        first as u64 * PAGE_BYTES,
+                        (last - first + 1) as u64 * PAGE_BYTES,
                     ));
                     run = Some((p, p));
                 }
@@ -87,8 +89,8 @@ impl DirtyPages {
         }
         if let Some((first, last)) = run {
             out.push((
-                first as u64 * page_size,
-                (last - first + 1) as u64 * page_size,
+                first as u64 * PAGE_BYTES,
+                (last - first + 1) as u64 * PAGE_BYTES,
             ));
         }
         out
@@ -127,8 +129,8 @@ mod tests {
     #[test]
     fn mark_range_covers_partial_pages() {
         let mut d = DirtyPages::new(64);
-        // Bytes [4000, 4100) touch pages 0 and 1 with 4 KiB pages.
-        d.mark_range(4000, 4100, 4096);
+        // A range across the first page boundary touches pages 0 and 1.
+        d.mark_range(PAGE_BYTES - 96, PAGE_BYTES + 4);
         assert!(d.is_dirty(0));
         assert!(d.is_dirty(1));
         assert_eq!(d.count(), 2);
@@ -141,13 +143,16 @@ mod tests {
         d.mark(2);
         d.mark(3);
         d.mark(7);
-        assert_eq!(d.runs(4096), vec![(4096, 3 * 4096), (7 * 4096, 4096)]);
+        assert_eq!(
+            d.runs(),
+            vec![(PAGE_BYTES, 3 * PAGE_BYTES), (7 * PAGE_BYTES, PAGE_BYTES)]
+        );
     }
 
     #[test]
     fn runs_empty_when_clean() {
         let d = DirtyPages::new(64);
-        assert!(d.runs(4096).is_empty());
+        assert!(d.runs().is_empty());
     }
 
     #[test]

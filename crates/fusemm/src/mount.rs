@@ -648,7 +648,7 @@ impl Mount {
         let entries = entries
             .map(|((file, idx), e)| {
                 let runs = if self.cfg.dirty_page_writeback {
-                    e.dirty.runs(PAGE_BYTES)
+                    e.dirty.runs()
                 } else {
                     vec![(0, e.data.len() as u64)]
                 };
@@ -837,9 +837,8 @@ impl Mount {
         start: u64,
         end: u64,
     ) -> Result<VTime> {
-        let ps = PAGE_BYTES;
         if !self.writeback_daemon_on() && self.cfg.dirty_hard_ratio >= 1.0 {
-            st.cache.mark_dirty_range(&key, start, end, ps);
+            st.cache.mark_dirty_range(&key, start, end);
             return Ok(t);
         }
         let transitions = st.cache.peek(&key).map(|e| !e.dirty.any()).unwrap_or(false);
@@ -853,7 +852,7 @@ impl Mount {
                 self.throttled_writes.inc();
             }
         }
-        st.cache.mark_dirty_range(&key, start, end, ps);
+        st.cache.mark_dirty_range(&key, start, end);
         self.kick_bg_flush(st, t);
         Ok(t)
     }

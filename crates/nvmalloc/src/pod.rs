@@ -12,7 +12,7 @@
 ///
 /// Implementors must be `Copy`, have no invalid bit patterns, no pointers
 /// and no drop glue. All primitive number types qualify.
-pub unsafe trait Pod: Copy + Send + Sync + 'static {
+pub unsafe trait Pod: Copy + 'static {
     /// The all-zero value (what unwritten NVM reads as).
     fn zeroed() -> Self {
         // SAFETY: the trait contract says all bit patterns are valid.

@@ -13,9 +13,9 @@
 //! arrows; the critical-path analyzer ([`crate::critpath`]) treats links
 //! and lexical children uniformly as dependency edges.
 //!
-//! Lane numbering: engine ranks occupy `0..`, bench-driver threads
-//! `1_000_000..`; the causal lanes below are spaced far above both so the
-//! ranges can never collide. Labels are registered with
+//! Lane numbering: engine ranks occupy `0..`, the driver `1_000_000`; the
+//! causal lanes below are spaced far above both so the ranges can never
+//! collide. Labels are registered with
 //! [`crate::TraceRecorder::label_lane`] at cluster build.
 
 /// Lane of placement shard `k`'s metadata CPU: `SHARD_LANE_BASE + k`.

@@ -439,7 +439,6 @@ mod tests {
     fn nested_spans_export_balanced() {
         let stats = StatsRegistry::new();
         let rec = TraceRecorder::enabled(&stats);
-        rec.bind_lane(0, "rank 0");
         let a = rec.span(Layer::Fuse, "fuse.read", nanos(100));
         let b = rec.span(Layer::Store, "store.chunk_fetch", nanos(110));
         b.arg("chunk", 7).arg("benefactor", 3);
@@ -460,7 +459,6 @@ mod tests {
         // fetch shape) plus an async span outliving its parent.
         let stats = StatsRegistry::new();
         let rec = TraceRecorder::enabled(&stats);
-        rec.bind_lane(0, "rank 0");
         let parent = rec.span(Layer::Fuse, "fuse.read", nanos(0));
         let c1 = rec.span(Layer::Store, "store.chunk_fetch", nanos(10));
         c1.finish(nanos(100));
@@ -502,7 +500,6 @@ mod tests {
         let mk = || {
             let stats = StatsRegistry::new();
             let rec = TraceRecorder::enabled(&stats);
-            rec.bind_lane(1, "rank 1");
             for i in 0..50u64 {
                 let sp = rec.span(Layer::Store, "store.chunk_fetch", nanos(i * 10));
                 sp.arg("chunk", i);
@@ -526,7 +523,6 @@ mod tests {
     fn causal_links_export_paired_flow_events() {
         let stats = StatsRegistry::new();
         let rec = TraceRecorder::enabled(&stats);
-        rec.bind_lane(0, "rank 0");
         rec.label_lane(crate::causal::SHARD_LANE_BASE, "shardmgr/0");
         let client = rec.span(Layer::Store, "store.mgr_rpc", nanos(100));
         let remote = rec.causal_span(
@@ -554,7 +550,6 @@ mod tests {
     fn gauge_series_export_counter_track() {
         let stats = StatsRegistry::new();
         let rec = TraceRecorder::enabled(&stats);
-        rec.bind_lane(0, "rank 0");
         rec.span(Layer::Fuse, "fuse.read", nanos(10))
             .finish(nanos(20));
         let series = vec![

@@ -342,7 +342,6 @@ mod tests {
     fn shardmgr_cpu_gets_its_own_category() {
         let stats = StatsRegistry::new();
         let rec = TraceRecorder::enabled(&stats);
-        rec.bind_lane(0, "rank 0");
         let client = rec.span(Layer::Store, "store.mgr_rpc", VTime::from_nanos(0));
         let cpu = rec.causal_span(
             Layer::Store,

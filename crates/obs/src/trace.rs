@@ -5,10 +5,10 @@
 //! and closes it with the virtual completion time the layer computed —
 //! tracing never participates in the time arithmetic, so enabling it cannot
 //! perturb results. Parent/child links come from an open-span stack per
-//! engine process (per host thread outside the engine): layer calls are
-//! synchronous (mount → store → net → device), and the engine's baton (one
-//! simulated process executes at a time, in `(virtual clock, id)` order)
-//! makes the shared append order — and thus the whole trace —
+//! engine process, and one for the driver outside every process: layer
+//! calls are synchronous (mount → store → net → device), and the engine's
+//! baton (one simulated process executes at a time, in `(virtual clock,
+//! id)` order) makes the shared append order — and thus the whole trace —
 //! deterministic.
 
 use crate::causal::CausalCtx;
@@ -16,25 +16,6 @@ use simcore::{Histogram, ProcId, Snapshot, StatsRegistry, VTime};
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
-use std::thread::ThreadId;
-
-/// What runs the calling code: an engine process, or a host thread's own
-/// stack (a driver or a test). Engine processes share their host thread,
-/// so open-span stacks and lanes are kept per `Runner`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-enum Runner {
-    Proc(ProcId),
-    Thread(ThreadId),
-}
-
-impl Runner {
-    fn current() -> Runner {
-        match simcore::current_proc() {
-            Some(id) => Runner::Proc(id),
-            None => Runner::Thread(std::thread::current().id()),
-        }
-    }
-}
 
 /// Which layer of the stack a span or instant belongs to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -76,8 +57,8 @@ impl Layer {
 }
 
 /// One closed span. `id` is the span's index in creation order; `parent`
-/// points at the span that was open in the same engine process (or host
-/// thread, outside the engine) when this one started (lexical call
+/// points at the span that was open in the same engine process (or in the
+/// driver, outside the engine) when this one started (lexical call
 /// nesting, which for async work — write-back, read-ahead — may *end*
 /// after the parent does).
 #[derive(Clone, Debug)]
@@ -91,7 +72,7 @@ pub struct SpanRecord {
     /// treats it as a dependency edge, exactly like `parent`.
     pub link: Option<u32>,
     /// Trace lane: the engine `ProcId` for spans recorded inside a
-    /// simulated process, or a high-numbered driver lane otherwise.
+    /// simulated process, or the driver lane 1 000 000 otherwise.
     pub lane: u32,
     pub layer: Layer,
     pub name: &'static str,
@@ -115,10 +96,11 @@ pub struct InstantRecord {
     pub t: VTime,
 }
 
-/// Lane number handed to host threads outside any engine process (the
-/// bench driver doing setup I/O). Engine lanes are `ProcId`s counting from
-/// zero, so the two ranges cannot collide in practice.
-const DRIVER_LANE_BASE: u32 = 1_000_000;
+/// The lane of the code that runs outside every engine process (the bench
+/// driver doing setup I/O, a test's own body). Engine lanes are `ProcId`s
+/// counting from zero, so the two cannot collide in practice. A recorder
+/// stays on the thread that made it, so it has one driver.
+const DRIVER_LANE: u32 = 1_000_000;
 
 /// Spans kept before the recorder starts dropping (footer reports drops).
 const MAX_SPANS: usize = 1 << 21;
@@ -128,13 +110,10 @@ struct Inner {
     baseline: Snapshot,
     spans: RefCell<Vec<SpanRecord>>,
     instants: RefCell<Vec<InstantRecord>>,
-    /// Per-runner stack of open span ids (lexical nesting).
-    open: RefCell<HashMap<Runner, Vec<u32>>>,
-    /// Runner → lane binding: a `bind_lane`'s, or a driver lane. An
-    /// unbound engine process draws on lane `ProcId`.
-    lanes: RefCell<HashMap<Runner, u32>>,
+    /// Stack of open span ids (lexical nesting) per engine process, and
+    /// the driver's under `None`.
+    open: RefCell<HashMap<Option<ProcId>, Vec<u32>>>,
     lane_labels: RefCell<BTreeMap<u32, String>>,
-    next_driver_lane: Cell<u32>,
     dropped: Cell<u64>,
     /// Latency histograms per span name, interned once per name.
     hists: RefCell<HashMap<&'static str, Histogram>>,
@@ -142,7 +121,14 @@ struct Inner {
 
 /// Records spans/instants when enabled; every method is a cheap no-op when
 /// disabled (one branch, no allocation). Cheap to clone — clones share the
-/// underlying trace, on the one thread that runs the simulation.
+/// underlying trace, on the one thread that runs the simulation. A recorder
+/// never leaves that thread, so everything outside the engine's processes
+/// is one driver, on one lane (DESIGN.md §13 "One thread, no atomics"):
+///
+/// ```compile_fail,E0277
+/// fn send<T: Send>() {}
+/// send::<obs::TraceRecorder>();
+/// ```
 #[derive(Clone, Default)]
 pub struct TraceRecorder {
     inner: Option<Rc<Inner>>,
@@ -168,9 +154,7 @@ impl TraceRecorder {
                 spans: RefCell::new(Vec::new()),
                 instants: RefCell::new(Vec::new()),
                 open: RefCell::new(HashMap::new()),
-                lanes: RefCell::new(HashMap::new()),
                 lane_labels: RefCell::new(BTreeMap::new()),
-                next_driver_lane: Cell::new(DRIVER_LANE_BASE),
                 dropped: Cell::new(0),
                 hists: RefCell::new(HashMap::new()),
             })),
@@ -182,7 +166,7 @@ impl TraceRecorder {
     }
 
     /// The current causal context: the innermost span open in the calling
-    /// engine process (or host thread), or an empty context when disabled
+    /// engine process (or the driver), or an empty context when disabled
     /// or nothing is open. Pass it to [`TraceRecorder::causal_span`] to
     /// link remote work back to its enqueuer.
     pub fn ctx(&self) -> CausalCtx {
@@ -193,26 +177,23 @@ impl TraceRecorder {
             inner
                 .open
                 .borrow()
-                .get(&Runner::current())
+                .get(&simcore::current_proc())
                 .and_then(|stack| stack.last().copied()),
         )
     }
 
-    fn lane_of(inner: &Inner, runner: Runner) -> u32 {
-        if let Some(&lane) = inner.lanes.borrow().get(&runner) {
-            return lane;
-        }
+    /// A process draws on lane `ProcId`; the driver on [`DRIVER_LANE`],
+    /// labelled at its first span or instant.
+    fn lane_of(inner: &Inner, runner: Option<ProcId>) -> u32 {
         match runner {
-            Runner::Proc(id) => id as u32,
-            Runner::Thread(_) => {
-                let lane = inner.next_driver_lane.get();
-                inner.next_driver_lane.set(lane + 1);
-                inner.lanes.borrow_mut().insert(runner, lane);
+            Some(id) => id as u32,
+            None => {
                 inner
                     .lane_labels
                     .borrow_mut()
-                    .insert(lane, format!("driver {}", lane - DRIVER_LANE_BASE));
-                lane
+                    .entry(DRIVER_LANE)
+                    .or_insert_with(|| "driver 0".into());
+                DRIVER_LANE
             }
         }
     }
@@ -231,7 +212,7 @@ impl TraceRecorder {
             return SpanGuard::inert();
         }
         let id = spans.len() as u32;
-        let runner = Runner::current();
+        let runner = simcore::current_proc();
         let lane = Self::lane_of(inner, runner);
         let mut open = inner.open.borrow_mut();
         let stack = open.entry(runner).or_default();
@@ -301,7 +282,7 @@ impl TraceRecorder {
     /// Record a point event (fault injection, failover decision).
     pub fn instant(&self, layer: Layer, name: impl Into<String>, t: VTime) {
         let Some(inner) = &self.inner else { return };
-        let lane = Self::lane_of(inner, Runner::current());
+        let lane = Self::lane_of(inner, simcore::current_proc());
         inner.instants.borrow_mut().push(InstantRecord {
             lane,
             layer,
@@ -314,11 +295,11 @@ impl TraceRecorder {
         let Some(inner) = &self.inner else { return };
         if !detached {
             let mut open = inner.open.borrow_mut();
-            let stack = open.entry(Runner::current()).or_default();
+            let stack = open.entry(simcore::current_proc()).or_default();
             debug_assert_eq!(
                 stack.last().copied(),
                 Some(id),
-                "spans must close in LIFO order in a process or thread"
+                "spans must close in LIFO order in a process or the driver"
             );
             if let Some(pos) = stack.iter().rposition(|&s| s == id) {
                 stack.truncate(pos);
@@ -345,22 +326,9 @@ impl TraceRecorder {
         inner.spans.borrow_mut()[id as usize].args.push((k, v));
     }
 
-    /// Bind the calling engine process (or host thread, outside the
-    /// engine) to a lane and label it — for driver and test threads; an
-    /// engine process is on lane `ProcId` unless it binds another.
-    pub fn bind_lane(&self, lane: u32, label: impl Into<String>) {
-        let Some(inner) = &self.inner else { return };
-        inner.lanes.borrow_mut().insert(Runner::current(), lane);
-        inner
-            .lane_labels
-            .borrow_mut()
-            .entry(lane)
-            .or_insert(label.into());
-    }
-
-    /// Label a lane without binding any thread to it — used for the
-    /// causal lanes (shard CPUs, benefactor SSDs, metrics), which only
-    /// ever receive detached spans.
+    /// Label a lane: the ranks' (`run_job`) and the causal lanes (shard
+    /// CPUs, benefactor SSDs, metrics), which only ever receive detached
+    /// spans. Labelling steers no span onto the lane.
     pub fn label_lane(&self, lane: u32, label: impl Into<String>) {
         let Some(inner) = &self.inner else { return };
         inner
@@ -555,7 +523,7 @@ mod tests {
             crate::causal::SHARD_LANE_BASE + 3,
             ctx,
         );
-        // Detached: not on the thread's open stack, so a new lexical span
+        // Detached: not on the driver's open stack, so a new lexical span
         // still parents to the client span.
         let nested = rec.span(Layer::Net, "net.transfer", VTime::from_nanos(13));
         nested.finish(VTime::from_nanos(14));
@@ -579,10 +547,9 @@ mod tests {
         rec.span(Layer::Nvm, "nvm.read", VTime::ZERO)
             .finish(VTime::ZERO);
         let spans = rec.spans();
-        assert_ne!(
-            spans[0].lane,
-            crate::causal::DEV_LANE_BASE + 1,
-            "labelling must not steer the calling thread's spans"
+        assert_eq!(
+            spans[0].lane, DRIVER_LANE,
+            "labelling must not steer the driver's spans"
         );
         assert_eq!(
             rec.lane_labels()
@@ -617,17 +584,42 @@ mod tests {
     }
 
     #[test]
-    fn lanes_bind_per_thread() {
+    fn one_driver_lane_and_a_lane_per_process_across_runs() {
         let stats = StatsRegistry::new();
         let rec = TraceRecorder::enabled(&stats);
-        rec.bind_lane(2, "rank 2");
-        rec.span(Layer::Nvm, "nvm.read", VTime::ZERO)
+        let setup = rec.span(Layer::Nvm, "setup", VTime::ZERO);
+        let body = |ctx: &mut simcore::ProcCtx| {
+            let outer = rec.span(Layer::Nvm, "outer", ctx.now());
+            ctx.advance(VTime::from_nanos(1));
+            ctx.yield_until_min();
+            rec.span(Layer::Fuse, "inner", ctx.now()).finish(ctx.now());
+            outer.finish(ctx.now());
+        };
+        simcore::Engine::run(vec![body, body]);
+        rec.instant(Layer::Fault, "between", VTime::ZERO);
+        simcore::Engine::run(vec![body]);
+        rec.span(Layer::Fuse, "teardown", VTime::ZERO)
             .finish(VTime::ZERO);
+        setup.finish(VTime::ZERO);
+
         let spans = rec.spans();
-        assert_eq!(spans[0].lane, 2);
+        let shape: Vec<_> = spans.iter().map(|s| (s.name, s.lane, s.parent)).collect();
         assert_eq!(
-            rec.lane_labels().get(&2).map(String::as_str),
-            Some("rank 2")
+            shape,
+            [
+                ("setup", DRIVER_LANE, None),
+                ("outer", 0, None),
+                ("outer", 1, None),
+                ("inner", 0, Some(1)),
+                ("inner", 1, Some(2)),
+                ("outer", 0, None),
+                ("inner", 0, Some(5)),
+                ("teardown", DRIVER_LANE, Some(0)),
+            ]
         );
+        assert_eq!(rec.instants()[0].lane, DRIVER_LANE);
+        let labels = rec.lane_labels();
+        assert_eq!(labels.len(), 1, "{labels:?}");
+        assert_eq!(labels[&DRIVER_LANE], "driver 0");
     }
 }

@@ -13,7 +13,7 @@ use std::any::Any;
 use std::cell::RefCell;
 use std::rc::Rc;
 
-type Payload = Box<dyn Any + Send>;
+type Payload = Box<dyn Any>;
 
 struct Slot {
     proc: ProcId,
@@ -75,8 +75,8 @@ impl Rendezvous {
     /// global `ProcId`).
     pub fn sync<T, R, F>(&self, ctx: &mut ProcCtx, index: usize, payload: T, resolve: F) -> R
     where
-        T: Send + 'static,
-        R: Send + 'static,
+        T: 'static,
+        R: 'static,
         F: FnOnce(&[VTime], Vec<T>) -> Resolution<R>,
     {
         assert!(index < self.n, "participant index out of range");

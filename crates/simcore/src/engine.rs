@@ -403,9 +403,6 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::Mutex as PMutex;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
 
     #[test]
     fn single_process_runs() {
@@ -420,47 +417,42 @@ mod tests {
     fn processes_interleave_in_virtual_time_order() {
         // Two processes append (id, now) to a shared log at 10ns steps with
         // different phases; the log must come out sorted by (time, id).
-        let log: Arc<PMutex<Vec<(usize, VTime)>>> = Arc::new(PMutex::new(Vec::new()));
-        let mk = |id: usize, start: u64, log: Arc<PMutex<Vec<(usize, VTime)>>>| {
+        let log = RefCell::new(Vec::new());
+        let mk = |id: usize, start: u64| {
+            let log = &log;
             move |ctx: &mut ProcCtx| {
                 ctx.advance(VTime::from_nanos(start));
                 for _ in 0..50 {
                     ctx.yield_until_min();
-                    log.lock().push((id, ctx.now()));
+                    log.borrow_mut().push((id, ctx.now()));
                     ctx.advance(VTime::from_nanos(10));
                 }
             }
         };
-        Engine::run(vec![
-            Box::new(mk(0, 0, Arc::clone(&log))) as Box<dyn FnOnce(&mut ProcCtx) + Send>,
-            Box::new(mk(1, 5, Arc::clone(&log))),
-        ]);
-        let log = log.lock();
+        Engine::run(vec![mk(0, 0), mk(1, 5)]);
+        let log = log.into_inner();
         assert_eq!(log.len(), 100);
         let mut sorted = log.clone();
         sorted.sort_by_key(|&(id, t)| (t, id));
-        assert_eq!(*log, sorted, "shared accesses must occur in vtime order");
+        assert_eq!(log, sorted, "shared accesses must occur in vtime order");
     }
 
     #[test]
     fn deterministic_across_runs() {
         let run_once = || {
-            let log: Arc<PMutex<Vec<usize>>> = Arc::new(PMutex::new(Vec::new()));
-            let mk = |id: usize, step: u64, log: Arc<PMutex<Vec<usize>>>| {
+            let log = RefCell::new(Vec::new());
+            let mk = |id: usize, step: u64| {
+                let log = &log;
                 move |ctx: &mut ProcCtx| {
                     for _ in 0..20 {
                         ctx.yield_until_min();
-                        log.lock().push(id);
+                        log.borrow_mut().push(id);
                         ctx.advance(VTime::from_nanos(step));
                     }
                 }
             };
-            Engine::run(vec![
-                Box::new(mk(0, 7, Arc::clone(&log))) as Box<dyn FnOnce(&mut ProcCtx) + Send>,
-                Box::new(mk(1, 11, Arc::clone(&log))),
-                Box::new(mk(2, 13, Arc::clone(&log))),
-            ]);
-            Arc::try_unwrap(log).unwrap().into_inner()
+            Engine::run(vec![mk(0, 7), mk(1, 11), mk(2, 13)]);
+            log.into_inner()
         };
         let a = run_once();
         let b = run_once();
@@ -476,7 +468,7 @@ mod tests {
                 ctx.yield_until_min();
                 ctx.resume_other(1, VTime::from_nanos(100));
                 ctx.advance(VTime::from_nanos(1));
-            }) as Box<dyn FnOnce(&mut ProcCtx) + Send>,
+            }) as Box<dyn FnOnce(&mut ProcCtx)>,
             Box::new(|ctx: &mut ProcCtx| {
                 ctx.suspend_self();
                 assert_eq!(ctx.now(), VTime::from_nanos(100));
@@ -489,8 +481,7 @@ mod tests {
     #[should_panic(expected = "deadlock")]
     fn all_suspended_is_deadlock() {
         Engine::run(vec![
-            Box::new(|ctx: &mut ProcCtx| ctx.suspend_self())
-                as Box<dyn FnOnce(&mut ProcCtx) + Send>,
+            Box::new(|ctx: &mut ProcCtx| ctx.suspend_self()) as Box<dyn FnOnce(&mut ProcCtx)>,
             Box::new(|ctx: &mut ProcCtx| ctx.suspend_self()),
         ]);
     }
@@ -520,8 +511,7 @@ mod tests {
         // suspended.
         let outcome = within(10, || {
             Engine::run(vec![
-                Box::new(|ctx: &mut ProcCtx| ctx.suspend_self())
-                    as Box<dyn FnOnce(&mut ProcCtx) + Send>,
+                Box::new(|ctx: &mut ProcCtx| ctx.suspend_self()) as Box<dyn FnOnce(&mut ProcCtx)>,
                 Box::new(|ctx: &mut ProcCtx| ctx.advance(VTime::from_secs(1))),
             ])
         });
@@ -565,18 +555,17 @@ mod tests {
         // process 0 panics at 1 s: every peer must unwind, and the caller
         // must see process 0's payload, not a bystander's "poisoned".
         const N: usize = 128;
-        let unwound = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let counter = Arc::clone(&unwound);
-        let outcome = within(60, move || {
-            struct Exit(Arc<std::sync::atomic::AtomicUsize>);
-            impl Drop for Exit {
-                fn drop(&mut self) {
-                    self.0.fetch_add(1, Ordering::Relaxed);
-                }
+        struct Exit<'a>(&'a Cell<usize>);
+        impl Drop for Exit<'_> {
+            fn drop(&mut self) {
+                self.0.set(self.0.get() + 1);
             }
+        }
+        let outcome = within(60, || {
+            let unwound = Cell::new(0);
             let bodies = (0..N)
                 .map(|id| {
-                    let exit = Exit(Arc::clone(&counter));
+                    let exit = Exit(&unwound);
                     move |ctx: &mut ProcCtx| {
                         let _exit = exit;
                         if id == 0 {
@@ -593,11 +582,16 @@ mod tests {
                     }
                 })
                 .collect();
-            Engine::run(bodies)
-        });
-        let payload = outcome.expect_err("the panic must reach the caller");
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                Engine::run(bodies);
+            }));
+            (caught, unwound.get())
+        })
+        .expect("the run's panic is caught inside");
+        let (caught, unwound) = outcome;
+        let payload = caught.expect_err("the panic must reach the caller");
         assert_eq!(payload.downcast_ref::<&str>(), Some(&"process 0 exploded"));
-        assert_eq!(unwound.load(Ordering::Relaxed), N);
+        assert_eq!(unwound, N);
     }
 
     #[test]
@@ -611,7 +605,7 @@ mod tests {
                 // Bodies run on this thread, so its thread-locals are theirs.
                 SLOT.set(Some(Rc::downgrade(&ctx.sched)));
                 ctx.yield_until_min();
-            }) as Box<dyn FnOnce(&mut ProcCtx) + Send>,
+            }) as Box<dyn FnOnce(&mut ProcCtx)>,
             Box::new(|ctx: &mut ProcCtx| ctx.suspend_self()),
             Box::new(|ctx: &mut ProcCtx| {
                 ctx.yield_until_min();
@@ -625,18 +619,17 @@ mod tests {
     #[test]
     fn deadlock_reaches_the_caller_after_every_body_dropped() {
         const N: usize = 64;
-        struct Exit(Arc<AtomicUsize>);
-        impl Drop for Exit {
+        struct Exit<'a>(&'a Cell<usize>);
+        impl Drop for Exit<'_> {
             fn drop(&mut self) {
-                self.0.fetch_add(1, Ordering::Relaxed);
+                self.0.set(self.0.get() + 1);
             }
         }
-        let dropped = Arc::new(AtomicUsize::new(0));
-        let counter = Arc::clone(&dropped);
-        let outcome = within(60, move || {
+        let outcome = within(60, || {
+            let dropped = Cell::new(0);
             let bodies = (0..N)
                 .map(|_| {
-                    let exit = Exit(Arc::clone(&counter));
+                    let exit = Exit(&dropped);
                     move |ctx: &mut ProcCtx| {
                         let _exit = exit;
                         ctx.suspend_self();
@@ -647,8 +640,9 @@ mod tests {
             let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 Engine::run(bodies);
             }));
-            // Read when the panic reaches the caller, not after.
-            (caught, counter.load(Ordering::Relaxed))
+            // Read when the panic reaches the caller: an `Exit` borrows
+            // `dropped`, so none can be dropped later.
+            (caught, dropped.get())
         })
         .expect("the run's panic is caught inside");
         let (caught, dropped_at_catch) = outcome;
@@ -656,21 +650,20 @@ mod tests {
         let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
         assert!(msg.contains("deadlock"), "{msg:?}");
         assert_eq!(dropped_at_catch, N);
-        assert_eq!(dropped.load(Ordering::Relaxed), N);
     }
 
     #[test]
     fn nested_run_restores_the_current_process() {
         assert_eq!(current_proc(), None);
-        let inner_order: Arc<PMutex<Vec<ProcId>>> = Arc::default();
-        let log = Arc::clone(&inner_order);
+        let inner_order = RefCell::new(Vec::new());
+        let log = &inner_order;
         Engine::run(vec![
             Box::new(|ctx: &mut ProcCtx| {
                 assert_eq!(current_proc(), Some(0));
                 ctx.advance(VTime::from_nanos(5));
                 ctx.yield_until_min();
                 assert_eq!(current_proc(), Some(0));
-            }) as Box<dyn FnOnce(&mut ProcCtx) + Send>,
+            }) as Box<dyn FnOnce(&mut ProcCtx) + '_>,
             Box::new(|ctx: &mut ProcCtx| ctx.advance(VTime::from_nanos(1))),
             Box::new(move |ctx: &mut ProcCtx| {
                 ctx.advance(VTime::from_nanos(2));
@@ -678,13 +671,12 @@ mod tests {
                 let report = Engine::run(
                     (0..2)
                         .map(|id| {
-                            let log = Arc::clone(&log);
                             move |inner: &mut ProcCtx| {
                                 for step in 0..3 {
                                     inner.advance(VTime::from_nanos(1 + id as u64));
                                     inner.yield_until_min();
                                     assert_eq!(current_proc(), Some(id), "step {step}");
-                                    log.lock().push(id);
+                                    log.borrow_mut().push(id);
                                 }
                             }
                         })
@@ -698,7 +690,7 @@ mod tests {
             }),
         ]);
         assert_eq!(current_proc(), None);
-        assert_eq!(*inner_order.lock(), vec![0, 0, 1, 0, 1, 1]);
+        assert_eq!(inner_order.into_inner(), vec![0, 0, 1, 0, 1, 1]);
     }
 
     /// Recurses into the middle of the page below its 2 MiB process stack,
@@ -754,7 +746,7 @@ mod tests {
                 ctx.advance(VTime::from_secs(1));
                 ctx.yield_until_min();
                 panic!("worker exploded");
-            }) as Box<dyn FnOnce(&mut ProcCtx) + Send>,
+            }) as Box<dyn FnOnce(&mut ProcCtx)>,
             Box::new(|ctx: &mut ProcCtx| {
                 for _ in 0..1000 {
                     ctx.advance(VTime::from_millis(1));
@@ -766,27 +758,24 @@ mod tests {
 
     #[test]
     fn ties_broken_by_process_id() {
-        let log: Arc<PMutex<Vec<usize>>> = Arc::new(PMutex::new(Vec::new()));
-        let mk = |id: usize, log: Arc<PMutex<Vec<usize>>>| {
+        let log = RefCell::new(Vec::new());
+        let mk = |id: usize| {
+            let log = &log;
             move |ctx: &mut ProcCtx| {
                 ctx.yield_until_min();
-                log.lock().push(id);
+                log.borrow_mut().push(id);
             }
         };
         // All at clock 0: must run 0, 1, 2.
-        Engine::run(vec![
-            Box::new(mk(0, Arc::clone(&log))) as Box<dyn FnOnce(&mut ProcCtx) + Send>,
-            Box::new(mk(1, Arc::clone(&log))),
-            Box::new(mk(2, Arc::clone(&log))),
-        ]);
-        assert_eq!(*log.lock(), vec![0, 1, 2]);
+        Engine::run(vec![mk(0), mk(1), mk(2)]);
+        assert_eq!(log.into_inner(), vec![0, 1, 2]);
     }
 
     #[test]
     fn makespan_is_max_finish() {
         let report = Engine::run(vec![
             Box::new(|ctx: &mut ProcCtx| ctx.advance(VTime::from_secs(1)))
-                as Box<dyn FnOnce(&mut ProcCtx) + Send>,
+                as Box<dyn FnOnce(&mut ProcCtx)>,
             Box::new(|ctx: &mut ProcCtx| ctx.advance(VTime::from_secs(5))),
             Box::new(|ctx: &mut ProcCtx| ctx.advance(VTime::from_secs(2))),
         ]);

@@ -1,10 +1,9 @@
 //! Property-based engine checking: determinism and causality under
 //! arbitrary interleavings of compute, shared-resource use and barriers.
 
-use parking_lot::Mutex;
 use proptest::prelude::*;
 use simcore::{Engine, ProcCtx, Rendezvous, Resource, VTime};
-use std::sync::Arc;
+use std::cell::RefCell;
 
 #[derive(Clone, Copy, Debug)]
 enum Step {
@@ -24,13 +23,13 @@ fn step_strategy() -> impl Strategy<Value = Step> {
 fn run_schedule(n_procs: usize, steps: &[Vec<Step>]) -> (VTime, Vec<(usize, u64)>) {
     let dev = Resource::new("dev");
     let rv = Rendezvous::new(n_procs);
-    let log: Arc<Mutex<Vec<(usize, u64)>>> = Arc::new(Mutex::new(Vec::new()));
+    let log = RefCell::new(Vec::new());
     let report = Engine::run(
         (0..n_procs)
             .map(|id| {
                 let dev = dev.clone();
                 let rv = rv.clone();
-                let log = Arc::clone(&log);
+                let log = &log;
                 let my_steps = steps[id].clone();
                 move |ctx: &mut ProcCtx| {
                     for step in my_steps {
@@ -39,7 +38,7 @@ fn run_schedule(n_procs: usize, steps: &[Vec<Step>]) -> (VTime, Vec<(usize, u64)
                             Step::Device(ns) => {
                                 ctx.yield_until_min();
                                 let g = dev.acquire_at(ctx.now(), VTime::from_nanos(ns));
-                                log.lock().push((id, g.start.as_nanos()));
+                                log.borrow_mut().push((id, g.start.as_nanos()));
                                 ctx.advance_to(g.end);
                             }
                             Step::Barrier => rv.barrier(ctx, id, VTime::ZERO),
@@ -51,7 +50,7 @@ fn run_schedule(n_procs: usize, steps: &[Vec<Step>]) -> (VTime, Vec<(usize, u64)
             })
             .collect(),
     );
-    (report.makespan, Arc::try_unwrap(log).unwrap().into_inner())
+    (report.makespan, log.into_inner())
 }
 
 proptest! {

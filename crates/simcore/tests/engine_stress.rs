@@ -1,28 +1,27 @@
 //! Engine stress and edge-case tests beyond the in-crate unit tests.
 
-use parking_lot::Mutex;
 use simcore::{Engine, ProcCtx, Rendezvous, Resolution, Resource, VTime};
-use std::sync::Arc;
+use std::cell::{Cell, RefCell};
 
 #[test]
 fn hundred_processes_interleave_deterministically() {
     let run = || {
-        let log: Arc<Mutex<Vec<(usize, u64)>>> = Arc::new(Mutex::new(Vec::new()));
+        let log = RefCell::new(Vec::new());
         let report = Engine::run(
             (0..100usize)
                 .map(|id| {
-                    let log = Arc::clone(&log);
+                    let log = &log;
                     move |ctx: &mut ProcCtx| {
                         for step in 0..20u64 {
                             ctx.advance(VTime::from_nanos(((id as u64) * 7 + step * 13) % 29 + 1));
                             ctx.yield_until_min();
-                            log.lock().push((id, ctx.now().as_nanos()));
+                            log.borrow_mut().push((id, ctx.now().as_nanos()));
                         }
                     }
                 })
                 .collect(),
         );
-        (report.makespan, Arc::try_unwrap(log).unwrap().into_inner())
+        (report.makespan, log.into_inner())
     };
     let (m1, l1) = run();
     let (m2, l2) = run();
@@ -156,19 +155,20 @@ fn context_switch_count_is_reported() {
 fn storm_128(rounds: usize, yields: u64, barrier: bool) -> (simcore::EngineReport, u64) {
     const N: usize = 128;
     let rv = Rendezvous::new(N);
-    let order = Arc::new(Mutex::new(0xcbf2_9ce4_8422_2325u64));
+    let order = Cell::new(0xcbf2_9ce4_8422_2325u64);
     let report = Engine::run(
         (0..N)
             .map(|i| {
-                let (rv, order) = (rv.clone(), Arc::clone(&order));
+                let (rv, order) = (rv.clone(), &order);
                 move |ctx: &mut ProcCtx| {
                     let record = |ctx: &ProcCtx| {
-                        let mut h = order.lock();
+                        let mut h = order.get();
                         for word in [ctx.id() as u64, ctx.now().as_nanos()] {
                             for byte in word.to_le_bytes() {
-                                *h = (*h ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+                                h = (h ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
                             }
                         }
+                        order.set(h);
                     };
                     for _ in 0..rounds {
                         for k in 0..yields {
@@ -186,8 +186,7 @@ fn storm_128(rounds: usize, yields: u64, barrier: bool) -> (simcore::EngineRepor
             })
             .collect(),
     );
-    let hash = *order.lock();
-    (report, hash)
+    (report, order.get())
 }
 
 // The constants below were recorded at the parent of ISSUE 15 (the

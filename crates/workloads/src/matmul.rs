@@ -13,7 +13,7 @@
 use cluster::{run_job, Calibration, Cluster, Comm, JobConfig, JobEnv};
 use nvmalloc::NvmVec;
 use simcore::{ProcCtx, Snapshot, VTime};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Where matrix B lives during the computation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -146,7 +146,7 @@ impl std::fmt::Display for MmInfeasible {
 
 #[allow(clippy::large_enum_variant)]
 enum BSource {
-    Dram(Arc<Vec<f64>>),
+    Dram(Rc<Vec<f64>>),
     Nvm(NvmVec<f64>),
 }
 
@@ -202,10 +202,10 @@ impl BSource {
     }
 }
 
-fn gen_matrix(seed: u64, which: u64, n: usize) -> Arc<Vec<f64>> {
+fn gen_matrix(seed: u64, which: u64, n: usize) -> Rc<Vec<f64>> {
     use rand::Rng;
     let mut rng = simcore::rng::stream_rng(seed, which);
-    Arc::new((0..n * n).map(|_| rng.gen_range(-1.0..1.0)).collect())
+    Rc::new((0..n * n).map(|_| rng.gen_range(-1.0..1.0)).collect())
 }
 
 /// Run the matrix multiplication on `cluster` under job configuration
@@ -308,7 +308,7 @@ fn run_rank(
     // ---- (iii) Broadcast B ---------------------------------------------------
     let b_source: BSource = match mm.b_place {
         BPlacement::Dram => {
-            let b: Arc<Vec<f64>> = env.comm.bcast(ctx, rank, 0, b_full.clone());
+            let b: Rc<Vec<f64>> = env.comm.bcast(ctx, rank, 0, b_full.clone());
             BSource::Dram(b)
         }
         BPlacement::NvmShared => {
@@ -320,14 +320,14 @@ fn run_rank(
                 .ssdmalloc_shared::<f64>(ctx, &key, n * n)
                 .expect("ssdmalloc B");
             if is_leader {
-                let b: Arc<Vec<f64>> = leader_comm.bcast(ctx, leader_index, 0, b_full.clone());
+                let b: Rc<Vec<f64>> = leader_comm.bcast(ctx, leader_index, 0, b_full.clone());
                 v.write_slice(ctx, 0, &b).expect("store B");
                 v.flush(ctx).expect("flush B");
             }
             BSource::Nvm(v)
         }
         BPlacement::NvmIndividual => {
-            let b: Arc<Vec<f64>> = env.comm.bcast(ctx, rank, 0, b_full.clone());
+            let b: Rc<Vec<f64>> = env.comm.bcast(ctx, rank, 0, b_full.clone());
             let v = env
                 .client
                 .ssdmalloc::<f64>(ctx, n * n)

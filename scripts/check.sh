@@ -79,16 +79,17 @@ avx_dispatch='^crates/workloads/src/matmul\.rs:[0-9]+: +return unsafe \{ tile_ro
 
 echo "==> one thread, no atomics: the simulator's shared state is Rc, Cell and RefCell"
 # Every simulated process runs on the thread that called Engine::run, so a
-# lock, an atomic or an Arc in what a timed repetition touches pays for a
-# second thread that does not exist (DESIGN.md §13 "One thread, no
-# atomics"). What stays thread-safe is listed, for the reason §13 records:
-# RsCode::shared's process-wide table of built codes. Comments may still
-# name the old types.
-thread_safe='^crates/chunkstore/src/rs\.rs:[0-9]+:(use std::sync::\{Arc, Mutex\};|    pub fn shared\(k: usize, m: usize\) -> Arc<RsCode> \{|        static CODES: Mutex<Vec<Arc<RsCode>>> = )'
-! grep -rnE 'Mutex|sync::atomic|Arc<' \
-    crates/{chunkstore,fusemm,netsim,devices}/src \
-    crates/simcore/src/{stats,resource,collective}.rs crates/obs/src/sampler.rs |
-    grep -vE '^[^:]+:[0-9]+: *//' | grep -vE "$thread_safe" | grep . || exit 1
+# lock, an atomic or an Arc anywhere in a crate pays for a second thread
+# that does not exist (DESIGN.md §13 "One thread, no atomics"). The one
+# thing that stays locked is the engine's process-wide pool of mapped
+# stacks, which test-harness threads share. Comments may still name the
+# old types.
+stack_pool='^crates/simcore/src/engine/stack\.rs:[0-9]+:(use parking_lot::Mutex;|static POOL: Mutex<Vec<Stack>> = Mutex::new\(Vec::new\(\)\);)$'
+! grep -rnE 'Mutex|sync::atomic|Arc<|Arc::' crates/*/src |
+    grep -vE '^[^:]+:[0-9]+: *//' | grep -vE "$stack_pool" | grep . || exit 1
+# A trace lane is an engine process or the driver: a recorder cannot leave
+# the thread that made it, so nothing in obs is keyed by a host thread.
+! grep -rnE 'ThreadId|thread::current|bind_lane' crates/obs/src || exit 1
 
 if [ "$quick" -eq 0 ]; then
     echo "==> cargo clippy (warnings are errors)"
