@@ -365,10 +365,6 @@ impl AggregateStore {
         &self.cfg
     }
 
-    pub fn network(&self) -> &Network {
-        &self.net
-    }
-
     /// Direct manager access for registration, administration and tests.
     pub fn manager(&self) -> RefMut<'_, Manager> {
         self.mgr.borrow_mut()
@@ -468,10 +464,11 @@ impl AggregateStore {
         })
     }
 
-    /// `OutOfBounds` unless `[offset, offset + len)` lies inside `file`.
+    /// `OutOfBounds` unless `[offset, offset + len)` lies inside `file`
+    /// (a range whose end does not fit a `u64` never does).
     pub fn check_range(&self, file: FileId, offset: u64, len: u64) -> Result<()> {
         let size = self.file_size(file)?;
-        if offset + len > size {
+        if offset.checked_add(len).is_none_or(|end| end > size) {
             return Err(StoreError::OutOfBounds {
                 file,
                 offset,

@@ -222,6 +222,17 @@ fn out_of_bounds_rejected() {
 }
 
 #[test]
+fn check_range_refuses_a_range_whose_end_overflows() {
+    let (store, _) = store();
+    let f = make_file(&store, "/m", 4096);
+    assert!(store.check_range(f, 4094, 2).is_ok());
+    for (offset, len) in [(u64::MAX, 2), (2, u64::MAX), (u64::MAX, 0)] {
+        let err = store.check_range(f, offset, len).unwrap_err();
+        assert!(matches!(err, StoreError::OutOfBounds { size: 4096, .. }));
+    }
+}
+
+#[test]
 fn cow_preserves_checkpoint_content() {
     let (store, stats) = store();
     let f = make_file(&store, "/var", CHUNK);

@@ -30,8 +30,9 @@
 //!
 //! Bulk transfers that have no use for the cache — the restart path of
 //! `nvmalloc`: a checkpoint's DRAM image, a restore, a drain — go past it
-//! through [`Mount::fetch_direct`] / [`Mount::write_direct`], a window of
-//! [`Mount::bulk_window`] chunks at a time, on the same two store calls.
+//! through [`Mount::fetch_direct`] / [`Mount::write_direct`], each call one
+//! of the same two store calls. The caller cuts the transfer into windows
+//! of [`Mount::bulk_window`] chunks and yields between them.
 //!
 //! Requests reaching this layer are counted at OS-page granularity, the
 //! same units the paper's Table IV/VII report for "requests to FUSE":
@@ -87,8 +88,8 @@ pub struct FuseConfig {
     /// Write-back daemon (DESIGN.md §10): when the dirty-chunk ratio of
     /// the cache exceeds this, a background flusher batch starts cleaning
     /// the oldest dirty chunks without charging the foreground clock.
-    /// `1.0` (the default) disables the daemon — dirty chunks are only
-    /// written back at eviction, today's demand path.
+    /// `1.0` (the default) is the off value — no dirty ratio exceeds it, so
+    /// dirty chunks are only written back at eviction (§III-D).
     pub dirty_background_ratio: f64,
     /// When the dirty-chunk ratio would exceed this, foreground writers
     /// stall behind the flusher until it drains (the Linux
@@ -431,10 +432,7 @@ impl Mount {
 
         // Foreground reads give the flusher a chance to clean concurrently
         // (the daemon is driven from mount operations, like fault polling).
-        if self.writeback_daemon_on() {
-            let mut st = self.state.borrow_mut();
-            self.kick_bg_flush(&mut st, t);
-        }
+        self.kick_bg_flush(&mut self.state.borrow_mut(), t);
 
         let segs = segments(offset, len, self.chunk_size());
         t = self.span_io(t, file, segs, SpanIo::Read(buf))?;
@@ -478,8 +476,10 @@ impl Mount {
         assert!(run_len > 0 && count > 0, "empty strided read");
         assert!(stride >= run_len, "overlapping strided runs");
         assert_eq!(out.len() as u64, run_len * count, "output size mismatch");
-        let last_end = offset + (count - 1) * stride + run_len;
-        self.store.check_range(file, offset, last_end - offset)?;
+        // A span too long for a `u64` saturates, and the range check refuses it.
+        let span = (count - 1).saturating_mul(stride).saturating_add(run_len);
+        self.store.check_range(file, offset, span)?;
+        let last_end = offset + span;
         let sp = self.trace.span(Layer::Fuse, "fuse.read_strided", t);
         sp.arg("file", file.0)
             .arg("runs", count)
@@ -688,9 +688,10 @@ impl Mount {
 
     /// Fetch chunks `[first, first + n)` of `file` straight from the store
     /// at `t`, past the cache (nothing is looked up, inserted or evicted),
-    /// a policy window per store call, each from the one before. Returns
-    /// `(in hand at, payload)` per chunk, in order. For files this mount
-    /// holds no dirty pages of — a checkpoint's restart file.
+    /// as one store call: the caller cuts its transfer into windows of at
+    /// most [`Self::bulk_window`] chunks. Returns `(in hand at, payload)`
+    /// per chunk, in order. For files this mount holds no dirty pages of —
+    /// a checkpoint's restart file.
     pub fn fetch_direct(
         &self,
         t: VTime,
@@ -698,27 +699,30 @@ impl Mount {
         first: usize,
         n: usize,
     ) -> Result<Vec<(VTime, ChunkPayload)>> {
+        debug_assert!(
+            n <= self.path.window,
+            "direct fetch wider than the policy window"
+        );
         let targets: Vec<ChunkKey> = (first..first + n).map(|idx| (file, idx)).collect();
-        let (mut fetched, mut from) = (Vec::with_capacity(n), t);
-        for window in targets.chunks(self.path.window) {
-            let got = self.fetch(from, window)?;
-            from = got.iter().fold(from, |t, &(at, _)| t.max(at));
-            fetched.extend(got);
-        }
-        Ok(fetched)
+        self.fetch(t, &targets)
     }
 
     /// Write `chunks` — `(chunk index, payload)`, each payload landing at
     /// the start of its chunk with its leaves handed over — straight to
-    /// the store at `t`, past the cache, a policy window per store call;
-    /// returns the completion time. For files this mount has cached no
-    /// chunk of: a fresh restart file, a variable being restored.
+    /// the store at `t`, past the cache, as one store call (a window the
+    /// caller cut, as for [`Self::fetch_direct`]); returns the completion
+    /// time. For files this mount has cached no chunk of: a fresh restart
+    /// file, a variable being restored.
     pub fn write_direct(
         &self,
         t: VTime,
         file: FileId,
         chunks: &[(usize, ChunkBuf)],
     ) -> Result<VTime> {
+        debug_assert!(
+            chunks.len() <= self.path.window,
+            "direct write wider than the policy window"
+        );
         debug_assert!(
             self.state.borrow().cache.keys_of_file(file).is_empty(),
             "direct write under cached chunks"
@@ -731,15 +735,15 @@ impl Mount {
                 updates: vec![(0, data.leaves())],
             })
             .collect();
-        let mut windows = whole.chunks(self.path.window);
-        windows.try_fold(t, |t, window| self.ship(t, window))
+        self.ship(t, &whole)
     }
 
     // ----- write-back daemon (DESIGN.md §10) ---------------------------------
-
-    fn writeback_daemon_on(&self) -> bool {
-        self.cfg.dirty_background_ratio < 1.0
-    }
+    //
+    // A ratio of 1.0 is the daemon's off value, not a branch: the
+    // background threshold is then the cache's capacity, which no dirty
+    // count exceeds, and the hard limit is the capacity too, which only a
+    // write to an already-dirty chunk can meet.
 
     /// Dirty chunks strictly above this wake the background flusher; the
     /// flusher drains back down to it (the low watermark).
@@ -811,7 +815,7 @@ impl Mount {
     /// untouched; a flush failure leaves the dirty bits set (the next
     /// wake retries).
     fn kick_bg_flush(&self, st: &mut MountState, t: VTime) {
-        if !self.writeback_daemon_on() || t < st.flusher_busy_until {
+        if t < st.flusher_busy_until {
             return;
         }
         let cap = st.cache.capacity();
@@ -837,13 +841,11 @@ impl Mount {
         start: u64,
         end: u64,
     ) -> Result<VTime> {
-        if !self.writeback_daemon_on() && self.cfg.dirty_hard_ratio >= 1.0 {
-            st.cache.mark_dirty_range(&key, start, end);
-            return Ok(t);
-        }
-        let transitions = st.cache.peek(&key).map(|e| !e.dirty.any()).unwrap_or(false);
-        if transitions && self.cfg.dirty_hard_ratio < 1.0 {
-            let hard = self.hard_limit(st.cache.capacity());
+        let hard = self.hard_limit(st.cache.capacity());
+        // The count first: at the paper's 1.0 it passes only when every
+        // cached chunk is dirty, `key` among them, so no write pays a lookup.
+        let over = st.cache.dirty_chunks() + 1 > hard;
+        if over && st.cache.peek(&key).is_some_and(|e| !e.dirty.any()) {
             while st.cache.dirty_chunks() + 1 > hard && st.cache.dirty_chunks() > 0 {
                 let at = t.max(st.flusher_busy_until);
                 let done = self.bg_flush_batch(st, at)?;

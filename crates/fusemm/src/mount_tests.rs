@@ -68,6 +68,25 @@ fn write_read_roundtrip_through_cache() {
 }
 
 #[test]
+fn ranges_whose_end_overflows_are_out_of_bounds() {
+    let (m, stats) = world(small_cache());
+    let f = mk_file(&m, "/v", 2 * CHUNK);
+    let mut buf = [0u8; 8];
+    let err = m.read(VTime::ZERO, f, u64::MAX, &mut buf).unwrap_err();
+    assert!(matches!(err, StoreError::OutOfBounds { .. }));
+    let err = m.write(VTime::ZERO, f, u64::MAX - 3, &buf).unwrap_err();
+    assert!(matches!(err, StoreError::OutOfBounds { .. }));
+    // The second run would start at 8 + u64::MAX.
+    let mut out = [0u8; 16];
+    let err = m
+        .read_strided(VTime::ZERO, f, 8, 8, u64::MAX, 2, &mut out)
+        .unwrap_err();
+    assert!(matches!(err, StoreError::OutOfBounds { .. }));
+    assert_eq!(stats.get("fuse.read_req_bytes"), 0);
+    assert_eq!(stats.get("fuse.misses"), 0);
+}
+
+#[test]
 fn reads_of_unwritten_space_are_zero() {
     let (m, _) = world(small_cache());
     let f = mk_file(&m, "/v", 2 * CHUNK);
@@ -482,11 +501,15 @@ fn pipelined(cfg: FuseConfig) -> FuseConfig {
 }
 
 /// The restart path's leaves: a bulk window is one chunk on the paper
-/// path and one stripe row when batched, and direct transfers move whole
-/// chunks between caller and store without touching the cache.
+/// path and one stripe row when batched. The caller cuts a transfer into
+/// such windows, as `nvmalloc` does, and each direct call is one store
+/// call (one manager resolution here: the write places, and no fetch finds
+/// a cached location) that moves whole chunks between caller and store
+/// without touching the cache. A 3-chunk fetch is three windows on the
+/// paper path and two stripe rows when batched.
 #[test]
 fn direct_transfers_go_past_the_cache_a_policy_window_at_a_time() {
-    for (cfg, window, rpcs) in [(small_cache(), 1, 5), (pipelined(small_cache()), 2, 2)] {
+    for (cfg, window, rpcs) in [(small_cache(), 1, 5), (pipelined(small_cache()), 2, 3)] {
         let (m, stats) = world(cfg);
         let f = mk_file(&m, "/v", 3 * CHUNK);
         assert_eq!(m.bulk_window(f).unwrap(), window);
@@ -495,10 +518,22 @@ fn direct_transfers_go_past_the_cache_a_policy_window_at_a_time() {
         // Chunk 1 stays a hole; chunk 2 is written short.
         let chunks = [(0, body(0)), (2, body(2).head(5000))];
         let before = stats.get("store.mgr_rpcs");
-        let t = m.write_direct(VTime::ZERO, f, &chunks).unwrap();
-        let fetched = m.fetch_direct(t, f, 0, 3).unwrap();
-        assert_eq!(stats.get("store.mgr_rpcs") - before, rpcs);
-        assert!(fetched.iter().all(|(ready, _)| *ready > t));
+        let mut calls = 0;
+        let mut t = VTime::ZERO;
+        for slab in chunks.chunks(window) {
+            t = m.write_direct(t, f, slab).unwrap();
+            calls += 1;
+        }
+        let mut fetched = Vec::new();
+        for first in (0..3).step_by(window) {
+            let got = m.fetch_direct(t, f, first, window.min(3 - first)).unwrap();
+            assert!(got.iter().all(|(ready, _)| *ready > t));
+            t = got.iter().fold(t, |t, (ready, _)| t.max(*ready));
+            fetched.extend(got);
+            calls += 1;
+        }
+        assert_eq!(stats.get("store.mgr_rpcs") - before, calls);
+        assert_eq!(calls, rpcs);
         let bytes: Vec<ChunkBuf> = fetched
             .into_iter()
             .map(|(_, p)| p.into_buf(m.store().config()))

@@ -7,6 +7,7 @@ use devices::{Ssd, INTEL_X25E};
 use faults::FaultPlanBuilder;
 use fusemm::{FuseConfig, Mount};
 use netsim::Network;
+use obs::TraceRecorder;
 use simcore::time::bytes::mib;
 use simcore::{StatsRegistry, VTime};
 
@@ -159,6 +160,35 @@ fn writer_outrunning_flusher_throttles_at_the_hard_limit() {
         t2 = m2.read(t2, f, c * CHUNK, &mut out).unwrap();
         assert!(out.iter().all(|&b| b == 3), "chunk {c} readable");
     }
+}
+
+#[test]
+fn the_off_value_wakes_no_flusher_and_throttles_no_writer_with_every_slot_dirty() {
+    // 1.0 is the daemon's off value, not a branch. With every cache slot
+    // dirty both boundaries sit exactly at the capacity: that dirty count
+    // is not past the background threshold, and rewriting an
+    // already-dirty chunk adds no dirty chunk against the hard limit.
+    let cfg = FuseConfig::default();
+    let slots = cfg.cache_bytes / CHUNK;
+    let (m, stats) = world(cfg);
+    let trace = TraceRecorder::enabled(&stats);
+    let m = m.with_tracer(trace.clone());
+    let f = mk_file(&m, "/v", slots * CHUNK);
+    let t = dirty_chunks(&m, f, slots, 9);
+    assert_eq!(m.dirty_chunk_count() as u64, slots);
+
+    let t = m.write(t, f, 3 * CHUNK + PAGE as u64, &[1; PAGE]).unwrap();
+    let mut out = vec![0u8; PAGE];
+    m.read(t, f, 5 * CHUNK, &mut out).unwrap();
+    assert!(out.iter().all(|&b| b == 9));
+
+    assert_eq!(m.dirty_chunk_count() as u64, slots);
+    assert_eq!(stats.get("fuse.evictions"), 0);
+    assert_eq!(stats.get("fuse.bg_flushes"), 0);
+    assert_eq!(stats.get("fuse.throttled_writes"), 0);
+    let spans = trace.spans();
+    assert!(spans.iter().any(|s| s.name == "fuse.write"));
+    assert!(spans.iter().all(|s| s.name != "fuse.bg_flush"));
 }
 
 #[test]

@@ -18,23 +18,28 @@
 //!
 //! # What yields where
 //!
-//! Namespace calls (`ssdmalloc`, `ssdfree`, `open_var`, `delete_checkpoint`)
-//! are one store call under one [`ProcCtx::yield_until_min`]. The bulk
-//! calls — the DRAM image of [`NvmClient::ssdcheckpoint`],
-//! [`NvmClient::restore_dram`], [`NvmClient::restore_var`] and
-//! [`NvmClient::drain_checkpoint_to_pfs`] — ride the mount's data path
-//! past its cache, a window of [`Mount::bulk_window`] chunks at a time
-//! (one chunk on the paper path, one stripe row of the file on a pipelined
-//! mount), and every window is a step of the private [`Steps`]: yield
-//! until this process holds the minimum clock, run the store calls, advance
-//! the clock to their completion. Concurrent ranks' restarts therefore
-//! reach the shared manager CPUs, NICs and SSDs in virtual-time order and
-//! overlap, instead of the first caller booking every resource for its
-//! whole transfer before the second may ask (DESIGN.md §4b). The one
-//! exception is a *background* drain, which by definition runs ahead of
-//! its caller's clock.
+//! Every store call this crate makes is a step of the private `Steps`
+//! (`steps.rs`, DESIGN.md §4b): yield until this process holds the minimum
+//! clock, run the store calls, advance the clock to their completion.
+//! A namespace call (`ssdmalloc`, `ssdmalloc_shared`, `ssdfree`,
+//! `open_var`, `delete_checkpoint`) is one step and `unlink_shared` two;
+//! an element or slice access is one step per [`Mount::span_granule`]
+//! piece, a strided read one step, a flush one step per entry of
+//! [`Mount::flush_steps`]. The bulk calls — the DRAM image of
+//! [`NvmClient::ssdcheckpoint`], [`NvmClient::restore_dram`],
+//! [`NvmClient::restore_var`] and [`NvmClient::drain_checkpoint_to_pfs`] —
+//! ride the mount's data path past its cache, a window of
+//! [`Mount::bulk_window`] chunks per step (one chunk on the paper path,
+//! one stripe row of the file on a pipelined mount), which the mount sends
+//! as one store call. Concurrent ranks' restarts therefore reach the
+//! shared manager CPUs, NICs and SSDs in virtual-time order and overlap,
+//! instead of the first caller booking every resource for its whole
+//! transfer before the second may ask. The one exception is a
+//! *background* drain, which by definition runs ahead of its caller's
+//! clock.
 
 use crate::pod::Pod;
+use crate::steps::Steps;
 use crate::vec::{NvmVariable, NvmVec};
 use chunkstore::{ChunkBuf, ChunkPayload, FileId, PlacementPolicy, Result, StoreError, StripeSpec};
 use fusemm::Mount;
@@ -76,53 +81,6 @@ pub struct Checkpoint {
     pub timestep: u64,
     pub dram_len: u64,
     pub vars: Vec<VarRecord>,
-}
-
-/// The bulk calls' stepper: `yield_until_min` → step → `advance_to`, the
-/// shape of `NvmVec::for_each_segment` and `NvmVec::flush`, for a chain of
-/// store calls whose next link starts where the previous one completed.
-struct Steps<'a> {
-    ctx: &'a mut ProcCtx,
-    /// Where the chain stands: the caller's clock, or ahead of it when the
-    /// caller does not wait.
-    t: VTime,
-    /// Advance the caller's clock with the chain. Off for a background
-    /// drain only: it books its resources from the caller's present and
-    /// later yields change nothing, the daemon convention of DESIGN.md §4b.
-    wait: bool,
-    /// Steps taken (a span argument).
-    taken: u64,
-}
-
-impl<'a> Steps<'a> {
-    fn new(ctx: &'a mut ProcCtx, wait: bool) -> Self {
-        let t = ctx.now();
-        Steps {
-            ctx,
-            t,
-            wait,
-            taken: 0,
-        }
-    }
-
-    /// Run `step` from where the chain stands, once this process holds the
-    /// minimum clock; `step` returns its completion time and a result.
-    fn step<R>(&mut self, step: impl FnOnce(VTime) -> Result<(VTime, R)>) -> Result<R> {
-        self.ctx.yield_until_min();
-        self.taken += 1;
-        self.then(step)
-    }
-
-    /// Continue the step just taken with `more`, without yielding again: a
-    /// short metadata call rides with the transfer next to it.
-    fn then<R>(&mut self, more: impl FnOnce(VTime) -> Result<(VTime, R)>) -> Result<R> {
-        let (t, out) = more(self.t)?;
-        self.t = t;
-        if self.wait {
-            self.ctx.advance_to(t);
-        }
-        Ok(out)
-    }
 }
 
 /// `[0, n)` in windows of `window`: `(first, count)` each.
@@ -193,27 +151,16 @@ impl NvmClient {
     ) -> Result<NvmVec<T>> {
         let name = self.auto_name();
         let bytes = len as u64 * std::mem::size_of::<T>() as u64;
-        ctx.yield_until_min();
-        let sp = self
-            .mount
-            .tracer()
-            .span(Layer::Nvm, "nvm.malloc", ctx.now());
-        sp.arg("bytes", bytes);
-        let (t, file) =
-            self.mount
-                .create(ctx.now(), &name, bytes, opts.stripe.clone(), opts.placement)?;
-        ctx.advance_to(t);
-        sp.finish(t);
+        let file = Steps::new(ctx, true).step(|t| {
+            let sp = self.mount.tracer().span(Layer::Nvm, "nvm.malloc", t);
+            sp.arg("bytes", bytes);
+            let (stripe, placement) = (opts.stripe.clone(), opts.placement);
+            let (t, file) = self.mount.create(t, &name, bytes, stripe, placement)?;
+            sp.finish(t);
+            Ok((t, file))
+        })?;
         self.mallocs.inc();
-        Ok(NvmVec::new(
-            self.mount.clone(),
-            file,
-            name,
-            len,
-            false,
-            self.app_read_bytes.clone(),
-            self.app_write_bytes.clone(),
-        ))
+        Ok(self.handle(file, name, len, false))
     }
 
     /// Map a *shared* variable: the first caller creates the backing file
@@ -225,52 +172,25 @@ impl NvmClient {
         key: &str,
         len: usize,
     ) -> Result<NvmVec<T>> {
-        let opts = self.opts.clone();
-        self.ssdmalloc_shared_opts(ctx, key, len, &opts)
-    }
-
-    pub fn ssdmalloc_shared_opts<T: Pod>(
-        &self,
-        ctx: &mut ProcCtx,
-        key: &str,
-        len: usize,
-        opts: &AllocOptions,
-    ) -> Result<NvmVec<T>> {
         let name = format!("/shared/{key}");
         let bytes = len as u64 * std::mem::size_of::<T>() as u64;
-        ctx.yield_until_min();
-        let file =
-            match self
-                .mount
-                .create(ctx.now(), &name, bytes, opts.stripe.clone(), opts.placement)
-            {
+        let found = Steps::new(ctx, true).step(|t| {
+            let (stripe, placement) = (self.opts.stripe.clone(), self.opts.placement);
+            match self.mount.create(t, &name, bytes, stripe, placement) {
                 Ok((t, file)) => {
-                    ctx.advance_to(t);
                     self.mallocs.inc();
-                    file
+                    Ok((t, Some((file, bytes))))
                 }
-                Err(StoreError::FileExists(_)) => {
-                    let (t, found) = self.mount.open(ctx.now(), &name)?;
-                    ctx.advance_to(t);
-                    let file = found.ok_or(StoreError::NoSuchFile)?;
-                    let existing = self.mount.file_size(file)?;
-                    assert_eq!(
-                        existing, bytes,
-                        "shared variable {key} mapped with a different size"
-                    );
-                    file
-                }
-                Err(e) => return Err(e),
-            };
-        Ok(NvmVec::new(
-            self.mount.clone(),
-            file,
-            name,
-            len,
-            true,
-            self.app_read_bytes.clone(),
-            self.app_write_bytes.clone(),
-        ))
+                Err(StoreError::FileExists(_)) => self.open_shared(t, &name),
+                Err(e) => Err(e),
+            }
+        })?;
+        let (file, existing) = found.ok_or(StoreError::NoSuchFile)?;
+        assert_eq!(
+            existing, bytes,
+            "shared variable {key} mapped with a different size"
+        );
+        Ok(self.handle(file, name, len, true))
     }
 
     /// Unmap and release a variable. Shared mappings only drop the local
@@ -281,10 +201,7 @@ impl NvmClient {
         if var.is_shared() {
             return Ok(()); // munmap only
         }
-        ctx.yield_until_min();
-        let t = self.mount.delete(ctx.now(), var.file_id())?;
-        ctx.advance_to(t);
-        Ok(())
+        Steps::new(ctx, true).step(|t| Ok((self.mount.delete(t, var.file_id())?, ())))
     }
 
     /// Map an existing shared/persistent variable by key without creating
@@ -294,36 +211,42 @@ impl NvmClient {
     /// because the store, not the process, owns the chunks.
     pub fn open_var<T: Pod>(&self, ctx: &mut ProcCtx, key: &str) -> Result<NvmVec<T>> {
         let name = format!("/shared/{key}");
-        ctx.yield_until_min();
-        let (t, found) = self.mount.open(ctx.now(), &name)?;
-        ctx.advance_to(t);
-        let file = found.ok_or(StoreError::NoSuchFile)?;
-        let bytes = self.mount.file_size(file)?;
+        let found = Steps::new(ctx, true).step(|t| self.open_shared(t, &name))?;
+        let (file, bytes) = found.ok_or(StoreError::NoSuchFile)?;
         let elem = std::mem::size_of::<T>() as u64;
         assert_eq!(bytes % elem, 0, "element size does not divide {key}'s size");
-        Ok(NvmVec::new(
+        Ok(self.handle(file, name, (bytes / elem) as usize, true))
+    }
+
+    /// Open the shared file `name` at `t`: when the lookup completes, and
+    /// the file with its byte size, if there is one.
+    fn open_shared(&self, t: VTime, name: &str) -> Result<(VTime, Option<(FileId, u64)>)> {
+        let (t, found) = self.mount.open(t, name)?;
+        let found = found.map(|file| Ok((file, self.mount.file_size(file)?)));
+        Ok((t, found.transpose()?))
+    }
+
+    /// The mapped handle of `file`, `len` elements long.
+    fn handle<T: Pod>(&self, file: FileId, name: String, len: usize, shared: bool) -> NvmVec<T> {
+        NvmVec::new(
             self.mount.clone(),
             file,
             name,
-            (bytes / elem) as usize,
-            true,
+            len,
+            shared,
             self.app_read_bytes.clone(),
             self.app_write_bytes.clone(),
-        ))
+        )
     }
 
     /// Delete a shared variable's backing file (call from exactly one
     /// process after all mappers are done).
     pub fn unlink_shared(&self, ctx: &mut ProcCtx, key: &str) -> Result<()> {
         let name = format!("/shared/{key}");
-        ctx.yield_until_min();
-        let (t, found) = self.mount.open(ctx.now(), &name)?;
-        ctx.advance_to(t);
+        let mut steps = Steps::new(ctx, true);
+        let found = steps.step(|t| self.mount.open(t, &name))?;
         let file = found.ok_or(StoreError::NoSuchFile)?;
-        ctx.yield_until_min();
-        let t = self.mount.delete(ctx.now(), file)?;
-        ctx.advance_to(t);
-        Ok(())
+        steps.step(|t| Ok((self.mount.delete(t, file)?, ())))
     }
 
     /// Checkpoint `dram_state` plus every listed NVM variable into one
@@ -509,13 +432,8 @@ impl NvmClient {
 
     /// Delete a checkpoint file (releases its chunk references).
     pub fn delete_checkpoint(&self, ctx: &mut ProcCtx, ckpt: &Checkpoint) -> Result<()> {
-        ctx.yield_until_min();
-        let t = self
-            .mount
-            .store()
-            .delete(ctx.now(), self.mount.node(), ckpt.file)?;
-        ctx.advance_to(t);
-        Ok(())
+        let store = self.mount.store();
+        Steps::new(ctx, true).step(|t| Ok((store.delete(t, self.mount.node(), ckpt.file)?, ())))
     }
 
     /// Drain a checkpoint from the NVM store to the parallel file system.
@@ -561,9 +479,7 @@ impl NvmClient {
                 Ok((in_hand(t, &fetched), safe))
             })?;
         }
-        if !background {
-            steps.ctx.advance_to(done);
-        }
+        steps.then(|_| Ok((done, ())))?;
         sp.arg("steps", steps.taken);
         sp.finish(done);
         Ok(done)

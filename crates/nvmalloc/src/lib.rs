@@ -20,6 +20,7 @@
 
 pub mod client;
 pub mod pod;
+mod steps;
 pub mod vec;
 
 #[cfg(test)]

@@ -8,7 +8,8 @@
 //! clock.
 
 use crate::pod::{bytes_of, bytes_of_mut, Pod};
-use chunkstore::{segments, FileId, Result};
+use crate::steps::Steps;
+use chunkstore::{segments, FileId, Result, Segment};
 use fusemm::Mount;
 use obs::Layer;
 use simcore::{Counter, ProcCtx, VTime};
@@ -93,29 +94,17 @@ impl<T: Pod> NvmVec<T> {
         self.write_slice(ctx, i, &[value])
     }
 
-    /// Run `f(now, absolute offset, buffer position, length)` over the
-    /// pieces of `[byte_start, byte_start+len)`, one engine yield each, and
-    /// advance the clock to each piece's completion. The mount sets the
-    /// granule. On the paper path it is one chunk: large slice accesses
-    /// are split at chunk boundaries so concurrent processes' requests
-    /// reach shared resources in virtual-time order (one huge atomic
-    /// charge would reserve far-future device slots ahead of other ranks'
-    /// earlier accesses). A pipelined mount (DESIGN.md §8) takes the whole
-    /// span as one batched call — a single yield, one manager RPC for the
-    /// misses, per-benefactor chains overlapped below.
-    fn for_each_segment(
-        &self,
-        ctx: &mut ProcCtx,
-        byte_start: u64,
-        len: u64,
-        mut f: impl FnMut(VTime, u64, usize, usize) -> Result<VTime>,
-    ) -> Result<()> {
-        for s in segments(byte_start, len, self.mount.span_granule()) {
-            ctx.yield_until_min();
-            let t = f(ctx.now(), byte_start + s.pos as u64, s.pos, s.take)?;
-            ctx.advance_to(t);
-        }
-        Ok(())
+    /// The pieces a slice access of `[byte_start, byte_start+len)` takes,
+    /// one [`Steps`] step each. The mount sets the granule. On the paper
+    /// path it is one chunk: large slice accesses are split at chunk
+    /// boundaries so concurrent processes' requests reach shared resources
+    /// in virtual-time order (one huge atomic charge would reserve
+    /// far-future device slots ahead of other ranks' earlier accesses). A
+    /// pipelined mount (DESIGN.md §8) takes the whole span as one batched
+    /// call — a single yield, one manager RPC for the misses,
+    /// per-benefactor chains overlapped below.
+    fn pieces(&self, byte_start: u64, len: u64) -> impl Iterator<Item = Segment> {
+        segments(byte_start, len, self.mount.span_granule())
     }
 
     /// Read `out.len()` elements starting at `start`.
@@ -130,11 +119,13 @@ impl<T: Pod> NvmVec<T> {
         let byte_start = start as u64 * Self::elem_size();
         let sp = self.mount.tracer().span(Layer::Nvm, "nvm.read", ctx.now());
         sp.arg("file", self.file.0).arg("bytes", bytes.len() as u64);
-        self.for_each_segment(ctx, byte_start, bytes.len() as u64, |t, abs, pos, take| {
-            self.mount
-                .read(t, self.file, abs, &mut bytes[pos..pos + take])
-        })?;
-        sp.finish(ctx.now());
+        let mut steps = Steps::new(ctx, true);
+        for s in self.pieces(byte_start, bytes.len() as u64) {
+            let abs = byte_start + s.pos as u64;
+            let piece = &mut bytes[s.pos..s.pos + s.take];
+            steps.step(|t| Ok((self.mount.read(t, self.file, abs, piece)?, ())))?;
+        }
+        sp.finish(steps.t);
         Ok(())
     }
 
@@ -164,18 +155,20 @@ impl<T: Pod> NvmVec<T> {
         sp.arg("file", self.file.0)
             .arg("runs", count as u64)
             .arg("bytes", out.len() as u64 * es);
-        ctx.yield_until_min();
-        let t = self.mount.read_strided(
-            ctx.now(),
-            self.file,
-            start as u64 * es,
-            run_elems as u64 * es,
-            stride_elems as u64 * es,
-            count as u64,
-            bytes_of_mut(out),
-        )?;
-        ctx.advance_to(t);
-        sp.finish(t);
+        let mut steps = Steps::new(ctx, true);
+        steps.step(|t| {
+            let t = self.mount.read_strided(
+                t,
+                self.file,
+                start as u64 * es,
+                run_elems as u64 * es,
+                stride_elems as u64 * es,
+                count as u64,
+                bytes_of_mut(out),
+            )?;
+            Ok((t, ()))
+        })?;
+        sp.finish(steps.t);
         Ok(())
     }
 
@@ -191,10 +184,13 @@ impl<T: Pod> NvmVec<T> {
         let byte_start = start as u64 * Self::elem_size();
         let sp = self.mount.tracer().span(Layer::Nvm, "nvm.write", ctx.now());
         sp.arg("file", self.file.0).arg("bytes", bytes.len() as u64);
-        self.for_each_segment(ctx, byte_start, bytes.len() as u64, |t, abs, pos, take| {
-            self.mount.write(t, self.file, abs, &bytes[pos..pos + take])
-        })?;
-        sp.finish(ctx.now());
+        let mut steps = Steps::new(ctx, true);
+        for s in self.pieces(byte_start, bytes.len() as u64) {
+            let abs = byte_start + s.pos as u64;
+            let piece = &bytes[s.pos..s.pos + s.take];
+            steps.step(|t| Ok((self.mount.write(t, self.file, abs, piece)?, ())))?;
+        }
+        sp.finish(steps.t);
         Ok(())
     }
 
@@ -206,15 +202,17 @@ impl<T: Pod> NvmVec<T> {
     pub fn flush(&self, ctx: &mut ProcCtx) -> Result<()> {
         let sp = self.mount.tracer().span(Layer::Nvm, "nvm.flush", ctx.now());
         sp.arg("file", self.file.0);
+        let mut steps = Steps::new(ctx, true);
         for step in self.mount.flush_steps(self.file) {
-            ctx.yield_until_min();
-            let t = match step {
-                Some(idx) => self.mount.flush_chunk(ctx.now(), self.file, idx)?,
-                None => self.mount.flush_file(ctx.now(), self.file)?,
-            };
-            ctx.advance_to(t);
+            steps.step(|t| {
+                let t = match step {
+                    Some(idx) => self.mount.flush_chunk(t, self.file, idx)?,
+                    None => self.mount.flush_file(t, self.file)?,
+                };
+                Ok((t, ()))
+            })?;
         }
-        sp.finish(ctx.now());
+        sp.finish(steps.t);
         Ok(())
     }
 }

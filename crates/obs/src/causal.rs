@@ -24,9 +24,6 @@ pub const SHARD_LANE_BASE: u32 = 2_000_000;
 /// Lane of the benefactor SSD on node `n`: `DEV_LANE_BASE + n`.
 pub const DEV_LANE_BASE: u32 = 3_000_000;
 
-/// Lane carrying the metrics sampler's Chrome counter events.
-pub const METRICS_LANE: u32 = 4_000_000;
-
 /// A copyable causal context: the span (if any) on whose behalf remote
 /// work is being recorded. Obtained from [`crate::TraceRecorder::ctx`]
 /// (the innermost open span in the calling engine process) and passed to
@@ -37,11 +34,6 @@ pub const METRICS_LANE: u32 = 4_000_000;
 pub struct CausalCtx(pub(crate) Option<u32>);
 
 impl CausalCtx {
-    /// A context that links to nothing.
-    pub fn none() -> Self {
-        CausalCtx(None)
-    }
-
     /// Does this context name a source span?
     pub fn is_linked(&self) -> bool {
         self.0.is_some()

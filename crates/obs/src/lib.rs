@@ -30,7 +30,7 @@ pub mod json;
 pub mod sampler;
 pub mod trace;
 
-pub use causal::{CausalCtx, DEV_LANE_BASE, METRICS_LANE, SHARD_LANE_BASE};
+pub use causal::{CausalCtx, DEV_LANE_BASE, SHARD_LANE_BASE};
 pub use chrome::{validate_chrome_trace, ValidationError};
 pub use critpath::{critical_path, CritPath};
 pub use footer::{HistLine, LayerBreakdown, ObsFooter, TopSpan};

@@ -203,38 +203,7 @@ impl TraceRecorder {
     /// a guard dropped without `finish` (early `?` return) closes
     /// zero-length at `start`.
     pub fn span(&self, layer: Layer, name: &'static str, start: VTime) -> SpanGuard {
-        let Some(inner) = &self.inner else {
-            return SpanGuard::inert();
-        };
-        let mut spans = inner.spans.borrow_mut();
-        if spans.len() >= MAX_SPANS {
-            inner.dropped.set(inner.dropped.get() + 1);
-            return SpanGuard::inert();
-        }
-        let id = spans.len() as u32;
-        let runner = simcore::current_proc();
-        let lane = Self::lane_of(inner, runner);
-        let mut open = inner.open.borrow_mut();
-        let stack = open.entry(runner).or_default();
-        let parent = stack.last().copied();
-        stack.push(id);
-        drop(open);
-        spans.push(SpanRecord {
-            id,
-            parent,
-            link: None,
-            lane,
-            layer,
-            name,
-            start,
-            end: start,
-            args: Vec::new(),
-        });
-        SpanGuard {
-            rec: Some(self.clone()),
-            id: Some(id),
-            detached: false,
-        }
+        self.open(layer, name, start, None)
     }
 
     /// Open a *detached* span pinned to an explicit `lane`, causally
@@ -252,6 +221,19 @@ impl TraceRecorder {
         lane: u32,
         cause: CausalCtx,
     ) -> SpanGuard {
+        self.open(layer, name, start, Some((lane, cause)))
+    }
+
+    /// The one span opener: a lexical span on the calling process's lane,
+    /// nested in its innermost open span, or — given `(lane, cause)` — a
+    /// detached span on that lane, linked to `cause`.
+    fn open(
+        &self,
+        layer: Layer,
+        name: &'static str,
+        start: VTime,
+        detached: Option<(u32, CausalCtx)>,
+    ) -> SpanGuard {
         let Some(inner) = &self.inner else {
             return SpanGuard::inert();
         };
@@ -261,10 +243,22 @@ impl TraceRecorder {
             return SpanGuard::inert();
         }
         let id = spans.len() as u32;
+        let (lane, parent, link) = match detached {
+            Some((lane, cause)) => (lane, None, cause.0),
+            None => {
+                let runner = simcore::current_proc();
+                let lane = Self::lane_of(inner, runner);
+                let mut open = inner.open.borrow_mut();
+                let stack = open.entry(runner).or_default();
+                let parent = stack.last().copied();
+                stack.push(id);
+                (lane, parent, None)
+            }
+        };
         spans.push(SpanRecord {
             id,
-            parent: None,
-            link: cause.0,
+            parent,
+            link,
             lane,
             layer,
             name,
@@ -275,7 +269,7 @@ impl TraceRecorder {
         SpanGuard {
             rec: Some(self.clone()),
             id: Some(id),
-            detached: true,
+            detached: detached.is_some(),
         }
     }
 

@@ -63,10 +63,6 @@ impl Rendezvous {
         }
     }
 
-    pub fn participants(&self) -> usize {
-        self.n
-    }
-
     /// Arrive with `payload`; block until all `n` participants arrived; the
     /// last arriver runs `resolve(arrival_clocks, payloads)` and its output
     /// assigns every participant's result and release clock.

@@ -51,6 +51,6 @@ pub mod time;
 
 pub use collective::{Rendezvous, Resolution};
 pub use engine::{current_proc, Engine, EngineReport, ProcCtx, ProcId};
-pub use resource::{Grant, MeteredResource, Resource};
+pub use resource::{Grant, Resource};
 pub use stats::{Counter, Histogram, Percentiles, Snapshot, StatsRegistry};
 pub use time::{bytes, Bandwidth, VTime};

@@ -8,7 +8,6 @@
 //! [`crate::engine`]), requests reach a resource in non-decreasing request
 //! time and this single register reproduces FIFO queueing exactly.
 
-use crate::stats::Counter;
 use crate::time::{Bandwidth, VTime};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -103,29 +102,6 @@ impl Resource {
     }
 }
 
-/// A resource pool with an attached byte counter, convenient for devices
-/// that want utilization *and* traffic accounting in one place.
-#[derive(Clone, Debug)]
-pub struct MeteredResource {
-    pub resource: Resource,
-    pub bytes: Counter,
-}
-
-impl MeteredResource {
-    pub fn new(name: impl Into<String>) -> Self {
-        let name = name.into();
-        MeteredResource {
-            bytes: Counter::new(format!("{name}.bytes")),
-            resource: Resource::new(name),
-        }
-    }
-
-    pub fn transfer_at(&self, t_req: VTime, bytes: u64, rate: Bandwidth, latency: VTime) -> Grant {
-        self.bytes.add(bytes);
-        self.resource.transfer_at(t_req, bytes, rate, latency)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,13 +160,5 @@ mod tests {
         r.acquire_at(VTime::ZERO, VTime::from_secs(5));
         let g = r2.acquire_at(VTime::ZERO, VTime::from_secs(1));
         assert_eq!(g.start, VTime::from_secs(5));
-    }
-
-    #[test]
-    fn metered_resource_counts_bytes() {
-        let m = MeteredResource::new("nic");
-        m.transfer_at(VTime::ZERO, 100, Bandwidth::mb_per_sec(1.0), VTime::ZERO);
-        m.transfer_at(VTime::ZERO, 150, Bandwidth::mb_per_sec(1.0), VTime::ZERO);
-        assert_eq!(m.bytes.get(), 250);
     }
 }

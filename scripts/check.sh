@@ -91,6 +91,20 @@ stack_pool='^crates/simcore/src/engine/stack\.rs:[0-9]+:(use parking_lot::Mutex;
 # the thread that made it, so nothing in obs is keyed by a host thread.
 ! grep -rnE 'ThreadId|thread::current|bind_lane' crates/obs/src || exit 1
 
+echo "==> nvmalloc waits for its turn in one place, and the write-back daemon's off value is a value"
+# Every store call nvmalloc makes is a step of its one stepper,
+# crates/nvmalloc/src/steps.rs (DESIGN.md §4b): a yield or a clock advance
+# written anywhere else in that crate is a second copy of the rule.
+# Comments and test code may still name them.
+! awk 'FNR == 1 { test = 0 } /^#\[cfg\(test\)\]/ { test = 1 }
+      !test && !/^[[:space:]]*\/\// && /yield_until_min|advance_to/ { print FILENAME ":" FNR ": " $0 }' \
+    $(find crates/nvmalloc/src -name '*.rs' ! -name tests.rs ! -name steps.rs) | grep . || exit 1
+# A daemon on/off branch beside the 1.0 off value, the options twin of
+# ssdmalloc_shared, the byte-metered resource and a metrics lane the
+# Chrome exporter never used are gone; none comes back.
+! grep -rnE 'writeback_daemon_on|ssdmalloc_shared_opts|MeteredResource|METRICS_LANE' \
+    crates src tests examples/*.rs || exit 1
+
 if [ "$quick" -eq 0 ]; then
     echo "==> cargo clippy (warnings are errors)"
     cargo clippy --workspace --all-targets -- -D warnings
