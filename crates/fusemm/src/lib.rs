@@ -23,4 +23,4 @@ mod mount_tests;
 
 pub use cache::{CacheEntry, ChunkCache, ChunkKey};
 pub use dirty::DirtyPages;
-pub use mount::{FuseConfig, Mount, MountGauges, OP_OVERHEAD};
+pub use mount::{FuseConfig, Mount, MountGauges, Pieces, ReadView, OP_OVERHEAD};

@@ -203,11 +203,93 @@ impl DataPath {
     }
 }
 
-/// Direction of a span: fill the caller's buffer from cache, or apply the
-/// caller's data to cache (marking dirty pages).
+/// Direction of a span: hold the cached chunks in a read view, or apply
+/// the caller's data to cache (marking dirty pages).
 enum SpanIo<'a> {
-    Read(&'a mut [u8]),
+    Read(&'a mut ReadView),
     Write(&'a [u8]),
+}
+
+/// A read served in place (DESIGN.md §13 "Payload ownership"): the cached
+/// chunks a span covers, each held by a handle on its payload — a count
+/// bump, no byte copied — with the bytes of it the span takes. A
+/// snapshot: a write that reaches the cache while the view is held
+/// un-shares the chunk it lands in and leaves the view's handle as it
+/// was. The application walks the bytes where they sit, leaf by leaf, as
+/// a load through the paper's mapping reads the page cache.
+#[derive(Debug, Default)]
+pub struct ReadView {
+    /// `(payload, offset within it, bytes taken)`, in span order.
+    segs: Vec<(ChunkBuf, usize, usize)>,
+    len: usize,
+}
+
+impl ReadView {
+    /// Bytes in the view.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The bytes in span order, one piece per 4 KiB leaf they fall in.
+    pub fn pieces(&self) -> Pieces<'_> {
+        Pieces {
+            segs: self.segs.iter(),
+            at: None,
+        }
+    }
+
+    /// Copy the bytes into `out`, which must be [`Self::len`] long.
+    pub fn copy_to(&self, out: &mut [u8]) {
+        assert_eq!(out.len(), self.len, "copy_to needs the view's length");
+        let mut at = 0;
+        for (chunk, within, take) in &self.segs {
+            chunk.read(*within, &mut out[at..at + take]);
+            at += take;
+        }
+    }
+
+    /// Append `more`'s bytes after this view's.
+    pub fn append(&mut self, more: ReadView) {
+        if self.segs.is_empty() {
+            *self = more;
+        } else {
+            self.segs.extend(more.segs);
+            self.len += more.len;
+        }
+    }
+}
+
+/// The pieces of a [`ReadView`] ([`ReadView::pieces`]); the default is
+/// the pieces of an empty view.
+#[derive(Clone, Debug, Default)]
+pub struct Pieces<'a> {
+    segs: std::slice::Iter<'a, (ChunkBuf, usize, usize)>,
+    /// The segment being walked: its payload, the next offset, the end.
+    at: Option<(&'a ChunkBuf, usize, usize)>,
+}
+
+impl<'a> Iterator for Pieces<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        loop {
+            if let Some((chunk, pos, end)) = &mut self.at {
+                if pos < end {
+                    let page = PAGE_BYTES as usize;
+                    let take = (page - *pos % page).min(*end - *pos);
+                    let piece = chunk.piece(*pos as u64, take);
+                    *pos += take;
+                    return Some(piece);
+                }
+            }
+            let (chunk, within, take) = self.segs.next()?;
+            self.at = Some((chunk, *within, within + take));
+        }
+    }
 }
 
 /// What a set of cached chunks ships at write-back: per chunk, its
@@ -418,12 +500,27 @@ impl Mount {
 
     // ----- data path ---------------------------------------------------------
 
-    /// Byte-granular read: `buf` is filled from `file[offset..]`.
-    pub fn read(&self, mut t: VTime, file: FileId, offset: u64, buf: &mut [u8]) -> Result<VTime> {
-        if buf.is_empty() {
-            return Ok(t);
+    /// Byte-granular read: `buf` is filled from `file[offset..]` — a
+    /// [`Self::read_view`] copied out.
+    pub fn read(&self, t: VTime, file: FileId, offset: u64, buf: &mut [u8]) -> Result<VTime> {
+        let (t, view) = self.read_view(t, file, offset, buf.len() as u64)?;
+        view.copy_to(buf);
+        Ok(t)
+    }
+
+    /// Byte-granular read in place: `file[offset..offset + len]` as a view
+    /// of the cached chunks that hold it.
+    pub fn read_view(
+        &self,
+        mut t: VTime,
+        file: FileId,
+        offset: u64,
+        len: u64,
+    ) -> Result<(VTime, ReadView)> {
+        let mut view = ReadView::default();
+        if len == 0 {
+            return Ok((t, view));
         }
-        let len = buf.len() as u64;
         self.store.check_range(file, offset, len)?;
         self.read_req_bytes.add(self.page_rounded(offset, len));
         let sp = self.trace.span(Layer::Fuse, "fuse.read", t);
@@ -435,7 +532,7 @@ impl Mount {
         self.kick_bg_flush(&mut self.state.borrow_mut(), t);
 
         let segs = segments(offset, len, self.chunk_size());
-        t = self.span_io(t, file, segs, SpanIo::Read(buf))?;
+        t = self.span_io(t, file, segs, SpanIo::Read(&mut view))?;
 
         // Sequential stream detection → asynchronous read-ahead.
         let streak = self
@@ -452,7 +549,7 @@ impl Mount {
         }
         self.push_gauges();
         sp.finish(t);
-        Ok(t)
+        Ok((t, view))
     }
 
     /// Strided read: `count` runs of `run_len` bytes, the i-th starting at
@@ -497,7 +594,9 @@ impl Mount {
                 ..s
             })
         });
-        t = self.span_io(t, file, segs, SpanIo::Read(out))?;
+        let mut view = ReadView::default();
+        t = self.span_io(t, file, segs, SpanIo::Read(&mut view))?;
+        view.copy_to(out);
         // A strided burst is not a sequential stream — but it must only
         // disturb streams it actually collided with: drop the cursors whose
         // expected next offset falls inside the strided range, and leave
@@ -862,10 +961,11 @@ impl Mount {
     // ----- internals ----------------------------------------------------------
 
     /// Run a chunk-segmented span through the cache, a window at a time:
-    /// make the window's chunks resident, then copy every segment of the
-    /// window under a single borrow. A window grows while its segment count
-    /// fits the policy and its unique chunk count fits the cache, so
-    /// arbitrarily large spans still fit. Returns the time the last chunk
+    /// make the window's chunks resident, then take (read) or copy into
+    /// (write) every segment of the window under a single borrow. A
+    /// window grows while its segment count fits the policy and its
+    /// unique chunk count fits the cache, so arbitrarily large spans
+    /// still fit. Returns the time the last chunk
     /// of the span is usable.
     fn span_io(
         &self,
@@ -895,7 +995,11 @@ impl Mount {
             for s in window {
                 let entry = st.cache.peek_mut(&(file, s.idx)).expect("just ensured");
                 match &mut io {
-                    SpanIo::Read(buf) => entry.data.read(s.within, &mut buf[s.pos..s.pos + s.take]),
+                    SpanIo::Read(view) => {
+                        debug_assert_eq!(s.pos, view.len, "a span's segments are contiguous");
+                        view.segs.push((entry.data.clone(), s.within, s.take));
+                        view.len += s.take;
+                    }
                     SpanIo::Write(data) => {
                         entry.data.write(s.within, &data[s.pos..s.pos + s.take]);
                         let (from, to) = (s.within as u64, (s.within + s.take) as u64);

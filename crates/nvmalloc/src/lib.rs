@@ -6,7 +6,7 @@
 //! ```text
 //! nvmvar[] = ssdmalloc()   →  NvmClient::ssdmalloc  → NvmVec<T>
 //! nvmvar[i] = x            →  NvmVec::set / write_slice
-//! x = nvmvar[i]            →  NvmVec::get / read_slice
+//! x = nvmvar[i]            →  NvmVec::get / read_slice / view
 //! ssdfree(nvmvar)          →  NvmClient::ssdfree
 //! ssdcheckpoint()          →  NvmClient::ssdcheckpoint
 //! ```
@@ -28,4 +28,4 @@ mod tests;
 
 pub use client::{AllocOptions, Checkpoint, NvmClient, VarRecord};
 pub use pod::{bytes_of, bytes_of_mut, Pod};
-pub use vec::{NvmVariable, NvmVec};
+pub use vec::{NvmVariable, NvmVec, Pieces, View};

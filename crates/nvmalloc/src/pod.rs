@@ -1,9 +1,12 @@
 //! Plain-old-data marker for element types of NVM-resident variables.
 //!
 //! `ssdmalloc` hands the application a *typed* buffer over raw NVM bytes
-//! (the paper's `nvmvar[]`). Conversions only ever go `T → bytes` for
-//! writes and `bytes → T` via a zero-initialized staging value for reads,
-//! so every cast stays within the invariants the `Pod` contract states.
+//! (the paper's `nvmvar[]`). Conversions go `T → bytes` for writes, and
+//! `bytes → T` for reads in one of two ways: in place, where
+//! [`cast_slice`] finds the cached bytes aligned for `T` and a whole
+//! number of them (a [`crate::View`] over the cache's own leaves), or
+//! through a zero-initialized staging value. Every cast stays within the
+//! invariants the `Pod` contract states.
 
 /// Types that are valid for any bit pattern, contain no padding holes we
 /// rely on, and can be byte-copied.
@@ -39,6 +42,21 @@ pub fn bytes_of_mut<T: Pod>(s: &mut [T]) -> &mut [u8] {
     unsafe { std::slice::from_raw_parts_mut(s.as_mut_ptr().cast::<u8>(), std::mem::size_of_val(s)) }
 }
 
+/// View raw bytes as a slice of `T`, where they sit: `None` unless
+/// `bytes` starts at an address aligned for `T` and holds a whole number
+/// of them.
+pub(crate) fn cast_slice<T: Pod>(bytes: &[u8]) -> Option<&[T]> {
+    let size = std::mem::size_of::<T>();
+    let aligned = (bytes.as_ptr() as usize).is_multiple_of(std::mem::align_of::<T>());
+    if size == 0 || !aligned || !bytes.len().is_multiple_of(size) {
+        return None;
+    }
+    // SAFETY: the pointer is aligned for T and the length covers whole
+    // elements inside `bytes`; every bit pattern is a valid T per the Pod
+    // contract; the result borrows `bytes`, so nothing writes them meanwhile.
+    Some(unsafe { std::slice::from_raw_parts(bytes.as_ptr().cast::<T>(), bytes.len() / size) })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -68,6 +86,20 @@ mod tests {
         assert_eq!(xs[0], ys[0]);
         assert_eq!(xs[2], ys[2]);
         assert!(ys[1] == 0.0 && ys[1].is_sign_negative());
+    }
+
+    #[test]
+    fn cast_slice_needs_alignment_and_whole_elements() {
+        let xs = [1u64, 2, 3];
+        let bytes = bytes_of(&xs);
+        assert_eq!(cast_slice::<u64>(bytes), Some(&xs[..]));
+        assert_eq!(
+            cast_slice::<u32>(&bytes[4..]),
+            Some(&[0u32, 2, 0, 3, 0][..])
+        );
+        assert_eq!(cast_slice::<u64>(&bytes[4..20]), None, "misaligned");
+        assert_eq!(cast_slice::<u64>(&bytes[..12]), None, "a partial element");
+        assert_eq!(cast_slice::<u64>(&bytes[..0]), Some(&[][..]));
     }
 
     #[test]

@@ -483,3 +483,184 @@ fn two_processes_share_one_nvm_variable() {
         }),
     ]);
 }
+
+// ---------- reads in place -----------------------------------------------------
+
+/// `u64` elements per chunk.
+const PER_CHUNK: usize = CHUNK as usize / 8;
+
+/// A variable of ten chunks and 3 000 bytes: the last chunk is ragged.
+const VAR_ELEMS: usize = 10 * PER_CHUNK + 375;
+
+/// `(start, len)` ranges of that variable a view must serve as a copy does.
+const RANGES: [(usize, usize); 6] = [
+    (10, 100),                           // inside one page
+    (500, 30),                           // across a page
+    (PER_CHUNK - 10, 20),                // across a chunk
+    (6 * PER_CHUNK - 5, PER_CHUNK + 10), // over chunk 6, never written: a hole
+    (10 * PER_CHUNK + 100, 275),         // the ragged last chunk
+    (100, 6 * PER_CHUNK),                // longer than the 4-chunk cache
+];
+
+/// What element `i` of that variable holds: zero in the hole.
+fn written(i: usize) -> u64 {
+    match i / PER_CHUNK {
+        6 => 0,
+        _ => i as u64 * 3 + 1,
+    }
+}
+
+/// One traced cluster reading [`RANGES`] through `view` (its pieces
+/// concatenated) or through `read_slice`, on a 4-chunk cache: what every
+/// range read, the makespan, the counters and the span list.
+fn read_ranges(
+    pipelined: bool,
+    in_place: bool,
+) -> (Vec<Vec<u64>>, VTime, simcore::Snapshot, String) {
+    let w = world(2);
+    let fuse = FuseConfig {
+        pipelined_io: pipelined,
+        cache_bytes: 4 * CHUNK,
+        ..FuseConfig::default()
+    };
+    let trace = obs::TraceRecorder::enabled(&w.stats);
+    let mount = Mount::new(w.store.clone(), 2, fuse, &w.stats).with_tracer(trace.clone());
+    let c = NvmClient::new(mount, 0, AllocOptions::default(), &w.stats);
+    let reads = std::cell::RefCell::new(Vec::new());
+    let makespan = run1(|ctx| {
+        let v: NvmVec<u64> = c.ssdmalloc(ctx, VAR_ELEMS).unwrap();
+        for chunk in (0..=10).filter(|&k| k != 6) {
+            let from = chunk * PER_CHUNK;
+            let data: Vec<u64> = (from..VAR_ELEMS.min(from + PER_CHUNK))
+                .map(written)
+                .collect();
+            v.write_slice(ctx, from, &data).unwrap();
+        }
+        v.flush(ctx).unwrap();
+        for (start, len) in RANGES {
+            let got = if in_place {
+                let view = v.view(ctx, start, len).unwrap();
+                assert_eq!(view.len(), len);
+                view.pieces().flatten().copied().collect()
+            } else {
+                let mut out = vec![0; len];
+                v.read_slice(ctx, start, &mut out).unwrap();
+                out
+            };
+            reads.borrow_mut().push(got);
+        }
+    });
+    let spans = format!("{:?}", trace.spans());
+    (reads.into_inner(), makespan, w.stats.snapshot(), spans)
+}
+
+#[test]
+fn a_view_reads_what_a_copy_reads_on_both_clocks() {
+    for pipelined in [false, true] {
+        let (viewed, t_view, stats_view, spans_view) = read_ranges(pipelined, true);
+        let (copied, t_copy, stats_copy, spans_copy) = read_ranges(pipelined, false);
+        for ((start, len), got) in RANGES.iter().zip(&copied) {
+            let want: Vec<u64> = (*start..start + len).map(written).collect();
+            assert!(
+                *got == want,
+                "read_slice of {start}+{len} (pipelined={pipelined})"
+            );
+        }
+        assert!(
+            viewed == copied,
+            "views differ from copies (pipelined={pipelined})"
+        );
+        assert_eq!(t_view, t_copy, "pipelined={pipelined}");
+        assert_eq!(
+            stats_view.values, stats_copy.values,
+            "pipelined={pipelined}"
+        );
+        assert!(
+            spans_view == spans_copy,
+            "span lists differ (pipelined={pipelined})"
+        );
+        assert!(spans_view.contains("nvm.read"), "the runs were traced");
+    }
+}
+
+#[test]
+fn a_view_is_a_snapshot_a_later_write_leaves_alone() {
+    let w = world(2);
+    let c = client(&w, 2, 0);
+    run1(move |ctx| {
+        let v: NvmVec<u64> = c.ssdmalloc(ctx, PER_CHUNK).unwrap();
+        let data: Vec<u64> = (0..PER_CHUNK as u64).collect();
+        v.write_slice(ctx, 0, &data).unwrap();
+        let before = v.view(ctx, 0, PER_CHUNK).unwrap();
+        v.set(ctx, 1000, u64::MAX).unwrap();
+        let after = v.view(ctx, 0, PER_CHUNK).unwrap();
+        let flat = |view: &crate::View<u64>| view.pieces().flatten().copied().collect::<Vec<_>>();
+        assert!(
+            flat(&before) == data,
+            "the view kept the bytes it was taken over"
+        );
+        assert_eq!(flat(&after)[1000], u64::MAX);
+        assert_eq!(v.get(ctx, 1000).unwrap(), u64::MAX);
+        // A piece is a leaf: the written page was copied, the chunk's
+        // other 63 are still the allocation the first view holds.
+        let same = before
+            .pieces()
+            .zip(after.pieces())
+            .filter(|(a, b)| std::ptr::eq(a.as_ptr(), b.as_ptr()))
+            .count();
+        assert_eq!((before.pieces().count(), same), (64, 63));
+    });
+}
+
+/// Write a chunk and two pages of `T`s from element 3 and read them back
+/// through a view: in place (a piece per leaf) or, where `T` does not fit
+/// a leaf's alignment, as one staged piece.
+fn view_roundtrip<T: crate::Pod>(ctx: &mut ProcCtx, c: &NvmClient, staged: bool) {
+    let name = std::any::type_name::<T>();
+    let len = (CHUNK as usize + 2 * 4096) / std::mem::size_of::<T>();
+    let v: NvmVec<T> = c.ssdmalloc(ctx, 3 + len).unwrap();
+    let mut data = vec![T::zeroed(); len];
+    for (i, b) in crate::bytes_of_mut(&mut data).iter_mut().enumerate() {
+        *b = (i * 31 % 251) as u8;
+    }
+    v.write_slice(ctx, 3, &data).unwrap();
+    let view = v.view(ctx, 3, len).unwrap();
+    let mut flat = Vec::with_capacity(len);
+    for piece in view.pieces() {
+        flat.extend_from_slice(piece);
+    }
+    assert!(
+        crate::bytes_of(&flat) == crate::bytes_of(&data),
+        "{name} pieces"
+    );
+    let mut out = vec![T::zeroed(); len];
+    view.copy_to(&mut out);
+    assert!(
+        crate::bytes_of(&out) == crate::bytes_of(&data),
+        "{name} copy"
+    );
+    assert_eq!(view.pieces().count() == 1, staged, "{name} staged");
+    c.ssdfree(ctx, v).unwrap();
+}
+
+#[test]
+fn every_primitive_pod_type_round_trips_through_a_view() {
+    let w = world(2);
+    let c = client(&w, 2, 0);
+    run1(move |ctx| {
+        view_roundtrip::<u8>(ctx, &c, false);
+        view_roundtrip::<u16>(ctx, &c, false);
+        view_roundtrip::<u32>(ctx, &c, false);
+        view_roundtrip::<u64>(ctx, &c, false);
+        view_roundtrip::<usize>(ctx, &c, false);
+        view_roundtrip::<i8>(ctx, &c, false);
+        view_roundtrip::<i16>(ctx, &c, false);
+        view_roundtrip::<i32>(ctx, &c, false);
+        view_roundtrip::<i64>(ctx, &c, false);
+        view_roundtrip::<isize>(ctx, &c, false);
+        view_roundtrip::<f32>(ctx, &c, false);
+        view_roundtrip::<f64>(ctx, &c, false);
+        view_roundtrip::<u128>(ctx, &c, true);
+        view_roundtrip::<i128>(ctx, &c, true);
+    });
+}

@@ -7,12 +7,13 @@
 //! [`fusemm::Mount`] while charging virtual time on the owning process's
 //! clock.
 
-use crate::pod::{bytes_of, bytes_of_mut, Pod};
+use crate::pod::{bytes_of, bytes_of_mut, cast_slice, Pod};
 use crate::steps::Steps;
-use chunkstore::{segments, FileId, Result, Segment};
-use fusemm::Mount;
+use chunkstore::{segments, FileId, Result, Segment, PAGE_BYTES};
+use fusemm::{Mount, ReadView};
 use obs::Layer;
 use simcore::{Counter, ProcCtx, VTime};
+use std::cell::OnceCell;
 use std::marker::PhantomData;
 
 /// A typed variable allocated from the aggregate NVM store.
@@ -107,25 +108,33 @@ impl<T: Pod> NvmVec<T> {
         segments(byte_start, len, self.mount.span_granule())
     }
 
-    /// Read `out.len()` elements starting at `start`.
-    pub fn read_slice(&self, ctx: &mut ProcCtx, start: usize, out: &mut [T]) -> Result<()> {
-        if out.is_empty() {
-            return Ok(());
+    /// Read `len` elements starting at `start` in place: a [`View`] of the
+    /// cache's own pages (the paper's loads through the mapping), held
+    /// for as long as the caller keeps it.
+    pub fn view(&self, ctx: &mut ProcCtx, start: usize, len: usize) -> Result<View<T>> {
+        let mut bytes = ReadView::default();
+        if len == 0 {
+            return Ok(View::new(bytes));
         }
-        assert!(start + out.len() <= self.len, "read past end of NvmVec");
-        self.app_read_bytes
-            .add(out.len() as u64 * Self::elem_size());
-        let bytes = bytes_of_mut(out);
+        assert!(start + len <= self.len, "read past end of NvmVec");
+        let byte_len = len as u64 * Self::elem_size();
+        self.app_read_bytes.add(byte_len);
         let byte_start = start as u64 * Self::elem_size();
         let sp = self.mount.tracer().span(Layer::Nvm, "nvm.read", ctx.now());
-        sp.arg("file", self.file.0).arg("bytes", bytes.len() as u64);
+        sp.arg("file", self.file.0).arg("bytes", byte_len);
         let mut steps = Steps::new(ctx, true);
-        for s in self.pieces(byte_start, bytes.len() as u64) {
+        for s in self.pieces(byte_start, byte_len) {
             let abs = byte_start + s.pos as u64;
-            let piece = &mut bytes[s.pos..s.pos + s.take];
-            steps.step(|t| Ok((self.mount.read(t, self.file, abs, piece)?, ())))?;
+            bytes.append(steps.step(|t| self.mount.read_view(t, self.file, abs, s.take as u64))?);
         }
         sp.finish(steps.t);
+        Ok(View::new(bytes))
+    }
+
+    /// Read `out.len()` elements starting at `start`: a [`Self::view`]
+    /// copied out and dropped.
+    pub fn read_slice(&self, ctx: &mut ProcCtx, start: usize, out: &mut [T]) -> Result<()> {
+        self.view(ctx, start, out.len())?.copy_to(out);
         Ok(())
     }
 
@@ -214,6 +223,94 @@ impl<T: Pod> NvmVec<T> {
         }
         sp.finish(steps.t);
         Ok(())
+    }
+}
+
+/// Elements of a variable read in place (`NvmVec::view`): a snapshot of
+/// the cache's own 4 KiB leaves, cast to `T` where they sit. The leaves
+/// are 8-aligned, so a type of alignment at most 8 whose size divides
+/// the page is served in place; any other `Pod` type (`u128`, a 12-byte
+/// record) gets one staged copy of the whole view. Which of the two is
+/// decided when the pieces are first asked for, so a view that is only
+/// copied out (`read_slice`, `get`) decides nothing.
+pub struct View<T: Pod> {
+    bytes: ReadView,
+    /// `None`: served in place; `Some`: the staged copy.
+    staged: OnceCell<Option<Vec<T>>>,
+}
+
+impl<T: Pod> View<T> {
+    fn new(bytes: ReadView) -> Self {
+        View {
+            bytes,
+            staged: OnceCell::new(),
+        }
+    }
+
+    /// Number of `T` elements.
+    pub fn len(&self) -> usize {
+        self.bytes.len() / std::mem::size_of::<T>()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.bytes.is_empty()
+    }
+
+    /// The elements in order, one piece per leaf they sit in (or one
+    /// piece, the staged copy).
+    pub fn pieces(&self) -> Pieces<'_, T> {
+        let staged = self.staged.get_or_init(|| {
+            let fits = std::mem::align_of::<T>() <= 8
+                && PAGE_BYTES.is_multiple_of(std::mem::size_of::<T>() as u64);
+            if fits && self.bytes.pieces().all(|p| cast_slice::<T>(p).is_some()) {
+                return None;
+            }
+            let mut out = vec![T::zeroed(); self.len()];
+            self.copy_to(&mut out);
+            Some(out)
+        });
+        match staged {
+            None => Pieces {
+                leaves: self.bytes.pieces(),
+                staged: None,
+            },
+            Some(staged) => Pieces {
+                leaves: fusemm::Pieces::default(),
+                staged: Some(staged),
+            },
+        }
+    }
+
+    /// Copy the elements into `out`, which must be [`Self::len`] long.
+    pub fn copy_to(&self, out: &mut [T]) {
+        self.bytes.copy_to(bytes_of_mut(out));
+    }
+}
+
+/// The pieces of a [`View`] ([`View::pieces`]); the default is the
+/// pieces of an empty view.
+pub struct Pieces<'a, T> {
+    leaves: fusemm::Pieces<'a>,
+    staged: Option<&'a [T]>,
+}
+
+impl<T> Default for Pieces<'_, T> {
+    fn default() -> Self {
+        Pieces {
+            leaves: fusemm::Pieces::default(),
+            staged: None,
+        }
+    }
+}
+
+impl<'a, T: Pod> Iterator for Pieces<'a, T> {
+    type Item = &'a [T];
+
+    fn next(&mut self) -> Option<&'a [T]> {
+        match self.leaves.next() {
+            Some(leaf) => Some(cast_slice(leaf).expect("checked before the first piece")),
+            None => self.staged.take(),
+        }
     }
 }
 

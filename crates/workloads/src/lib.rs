@@ -31,5 +31,23 @@ pub use stream::{
     StreamReport,
 };
 
+/// An input a kernel reads in place: a borrowed DRAM slice, or a view of
+/// an NVM variable's cached pages.
+pub(crate) enum Input<'a> {
+    Dram(&'a [f64]),
+    Nvm(nvmalloc::View<f64>),
+}
+
+impl Input<'_> {
+    /// The elements in order, cut wherever the input is cut.
+    pub(crate) fn pieces(&self) -> impl Iterator<Item = &[f64]> + '_ {
+        let (dram, nvm) = match self {
+            Input::Dram(s) => (Some(*s), nvmalloc::Pieces::default()),
+            Input::Nvm(v) => (None, v.pieces()),
+        };
+        dram.into_iter().chain(nvm)
+    }
+}
+
 #[cfg(test)]
 mod tests;

@@ -10,6 +10,7 @@
 //!  (iv) every process computes its C rows with loop tiling;
 //!   (v) master gathers C and writes it to the PFS.
 
+use crate::Input;
 use cluster::{run_job, Calibration, Cluster, Comm, JobConfig, JobEnv};
 use nvmalloc::NvmVec;
 use simcore::{ProcCtx, Snapshot, VTime};
@@ -151,7 +152,8 @@ enum BSource {
 }
 
 impl BSource {
-    /// Read `rows` full rows of B starting at row `k0` into `out`.
+    /// Read `rows` full rows of B starting at row `k0`, in place: the DRAM
+    /// copy borrowed, the NVM variable viewed.
     fn read_rows(
         &self,
         ctx: &mut ProcCtx,
@@ -159,15 +161,13 @@ impl BSource {
         n: usize,
         k0: usize,
         rows: usize,
-        out: &mut [f64],
-    ) {
-        debug_assert_eq!(out.len(), rows * n);
+    ) -> Input<'_> {
         match self {
             BSource::Dram(b) => {
                 env.dram_io(ctx, (rows * n * 8) as u64);
-                out.copy_from_slice(&b[k0 * n..(k0 + rows) * n]);
+                Input::Dram(&b[k0 * n..(k0 + rows) * n])
             }
-            BSource::Nvm(v) => v.read_slice(ctx, k0 * n, out).expect("B row read"),
+            BSource::Nvm(v) => Input::Nvm(v.view(ctx, k0 * n, rows * n).expect("B row read")),
         }
     }
 
@@ -422,17 +422,32 @@ fn compute_tiles(
                 let ilen = itile.min(rows_local - i0);
                 for k0 in (0..n).step_by(tile) {
                     let klen = tile.min(n - k0);
-                    b.read_rows(ctx, env, n, k0, klen, &mut bbuf[..klen * n]);
+                    let rows = b.read_rows(ctx, env, n, k0, klen);
                     // A block in, C block in+out over the DRAM bus.
                     env.dram_io(ctx, ((ilen * klen + 2 * ilen * n) * 8) as u64);
                     env.compute(ctx, 2.0 * (ilen * klen * n) as f64);
-                    for i in 0..ilen {
-                        let row = (i0 + i) * n;
-                        tile_rows(
-                            &mut c_local[row..row + n],
-                            &a_local[row + k0..row + k0 + klen],
-                            &bbuf[..klen * n],
-                        );
+                    // In place where the pieces cut every row at the same
+                    // columns (n a multiple or a divisor of a page's 512
+                    // elements); staged into `bbuf` where they do not.
+                    let blocks = column_blocks(rows.pieces(), n, klen).unwrap_or_else(|| {
+                        let staged = &mut bbuf[..klen * n];
+                        let mut at = 0;
+                        for piece in rows.pieces() {
+                            staged[at..at + piece.len()].copy_from_slice(piece);
+                            at += piece.len();
+                        }
+                        vec![(0, staged.chunks_exact(n).collect())]
+                    });
+                    for (j0, brows) in &blocks {
+                        let w = brows[0].len();
+                        for i in 0..ilen {
+                            let row = (i0 + i) * n;
+                            tile_rows(
+                                &mut c_local[row + j0..row + j0 + w],
+                                &a_local[row + k0..row + k0 + klen],
+                                brows,
+                            );
+                        }
                     }
                 }
             }
@@ -451,12 +466,13 @@ fn compute_tiles(
                         b.read_tile(ctx, env, n, k0, klen, j0, jlen, &mut bbuf[..klen * jlen]);
                         env.dram_io(ctx, ((ilen * klen + 2 * ilen * jlen) * 8) as u64);
                         env.compute(ctx, 2.0 * (ilen * klen * jlen) as f64);
+                        let brows: Vec<&[f64]> = bbuf[..klen * jlen].chunks_exact(jlen).collect();
                         for i in 0..ilen {
                             let row = (i0 + i) * n;
                             tile_rows(
                                 &mut c_local[row + j0..row + j0 + jlen],
                                 &a_local[row + k0..row + k0 + klen],
-                                &bbuf[..klen * jlen],
+                                &brows,
                             );
                         }
                     }
@@ -464,6 +480,42 @@ fn compute_tiles(
             }
         }
     }
+}
+
+/// Column blocks of a tile of B: per block, its first column and one
+/// slice per row.
+type ColumnBlocks<'a> = Vec<(usize, Vec<&'a [f64]>)>;
+
+/// `rows` rows of `n` elements, handed over as `pieces`, cut into column
+/// blocks when the pieces cut every row at the same columns; `None` when
+/// they do not.
+fn column_blocks<'a>(
+    pieces: impl Iterator<Item = &'a [f64]>,
+    n: usize,
+    rows: usize,
+) -> Option<ColumnBlocks<'a>> {
+    let mut blocks = ColumnBlocks::new();
+    let (mut row, mut col, mut block) = (0, 0, 0);
+    for mut piece in pieces {
+        while !piece.is_empty() {
+            let (cut, rest) = piece.split_at(piece.len().min(n - col));
+            if row == 0 {
+                let mut first = Vec::with_capacity(rows);
+                first.push(cut);
+                blocks.push((col, first));
+            } else {
+                match blocks.get_mut(block) {
+                    Some((at, cuts)) if *at == col && cuts[0].len() == cut.len() => cuts.push(cut),
+                    _ => return None,
+                }
+            }
+            (piece, col, block) = (rest, col + cut.len(), block + 1);
+            if col == n {
+                (row, col, block) = (row + 1, 0, 0);
+            }
+        }
+    }
+    Some(blocks)
 }
 
 fn verify_product(a: &[f64], b: &[f64], c: &[f64], n: usize) -> bool {
@@ -487,16 +539,17 @@ fn verify_product(a: &[f64], b: &[f64], c: &[f64], n: usize) -> bool {
 }
 
 /// The tile product: `crow[j] += arow[k] · brows[k][j]` for every row `k`
-/// of `brows` (each `crow.len()` wide), k ascending. B rows go in four
-/// at a time, `c = (((c + a0·b0) + a1·b1) + a2·b2) + a3·b3`: the rounding
-/// sequence of one row at a time, with a quarter of the loads and stores
-/// of `crow`. No fused multiply-add (it rounds once where this rounds
-/// twice) and no reordering, so every product is bit-identical to the
-/// plain i-k-j loop. Runs the AVX build of the body where the CPU has it.
-pub fn tile_rows(crow: &mut [f64], arow: &[f64], brows: &[f64]) {
-    assert_eq!(
-        brows.len(),
-        arow.len() * crow.len(),
+/// of `brows` (each `crow.len()` wide, wherever it sits), k ascending. B
+/// rows go in four at a time, `c = (((c + a0·b0) + a1·b1) + a2·b2) +
+/// a3·b3`: the rounding sequence of one row at a time, with a quarter of
+/// the loads and stores of `crow`. No fused multiply-add (it rounds once
+/// where this rounds twice) and no reordering, so every product is
+/// bit-identical to the plain i-k-j loop, and a C row cut into column
+/// blocks sums each element exactly as the whole row does. Runs the AVX
+/// build of the body where the CPU has it.
+pub fn tile_rows(crow: &mut [f64], arow: &[f64], brows: &[&[f64]]) {
+    assert!(
+        brows.len() == arow.len() && brows.iter().all(|b| b.len() == crow.len()),
         "tile product needs one B row of C's width per A element"
     );
     #[cfg(target_arch = "x86_64")]
@@ -518,32 +571,27 @@ pub fn mm_kernel() -> &'static str {
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
-fn tile_rows_avx(crow: &mut [f64], arow: &[f64], brows: &[f64]) {
+fn tile_rows_avx(crow: &mut [f64], arow: &[f64], brows: &[&[f64]]) {
     tile_rows_body(crow, arow, brows)
 }
 
-fn tile_rows_portable(crow: &mut [f64], arow: &[f64], brows: &[f64]) {
+fn tile_rows_portable(crow: &mut [f64], arow: &[f64], brows: &[&[f64]]) {
     tile_rows_body(crow, arow, brows)
 }
 
 /// One body for both builds; `tile_rows` checked the lengths.
 #[inline(always)]
-fn tile_rows_body(crow: &mut [f64], arow: &[f64], brows: &[f64]) {
+fn tile_rows_body(crow: &mut [f64], arow: &[f64], brows: &[&[f64]]) {
     let w = crow.len();
-    if w == 0 {
-        return;
-    }
-    for (a, b) in arow.chunks_exact(4).zip(brows.chunks_exact(4 * w)) {
-        let (b0, b) = b.split_at(w);
-        let (b1, b) = b.split_at(w);
-        let (b2, b3) = b.split_at(w);
+    for (a, b) in arow.chunks_exact(4).zip(brows.chunks_exact(4)) {
+        let (b0, b1, b2, b3) = (&b[0][..w], &b[1][..w], &b[2][..w], &b[3][..w]);
         for ((((c, x0), x1), x2), x3) in crow.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3) {
             *c = (((*c + a[0] * x0) + a[1] * x1) + a[2] * x2) + a[3] * x3;
         }
     }
     let done = arow.len() & !3;
-    for (a, b) in arow[done..].iter().zip(brows[done * w..].chunks_exact(w)) {
-        for (c, x) in crow.iter_mut().zip(b) {
+    for (a, b) in arow[done..].iter().zip(&brows[done..]) {
+        for (c, x) in crow.iter_mut().zip(&b[..w]) {
             *c += a * x;
         }
     }
@@ -578,22 +626,37 @@ mod kernel_tests {
 
     #[test]
     fn tile_rows_matches_the_naive_loop_bit_for_bit() {
-        type Kernel = fn(&mut [f64], &[f64], &[f64]);
+        type Kernel = fn(&mut [f64], &[f64], &[&[f64]]);
         let kernels: [(&str, Kernel); 2] =
             [("portable", tile_rows_portable), (mm_kernel(), tile_rows)];
         let mut rng = simcore::rng::stream_rng(2013, 37);
         let (mut reorder_differs, mut fma_differs) = (false, false);
         for klen in 1..=9 {
-            for width in (1..=37).chain([512]) {
+            for width in (1..=37).chain([512, 1024]) {
                 let c0 = mixed(&mut rng, width);
                 let a = mixed(&mut rng, klen);
                 let b = mixed(&mut rng, klen * width);
                 let mut want = c0.clone();
                 naive(&mut want, &a, &b);
+                let rows: Vec<&[f64]> = b.chunks_exact(width).collect();
                 for (name, kernel) in kernels {
                     let mut got = c0.clone();
-                    kernel(&mut got, &a, &b);
+                    kernel(&mut got, &a, &rows);
                     assert!(same_bits(&got, &want), "{name}: klen {klen}, width {width}");
+                    // Cut into two column blocks, as the page grid cuts a
+                    // row of 1 024 read in place: the same bits.
+                    let mut got = c0.clone();
+                    let half = width / 2;
+                    let (left, right) = got.split_at_mut(half);
+                    let cut = |r: std::ops::Range<usize>| -> Vec<&[f64]> {
+                        rows.iter().map(|row| &row[r.clone()]).collect()
+                    };
+                    kernel(left, &a, &cut(0..half));
+                    kernel(right, &a, &cut(half..width));
+                    assert!(
+                        same_bits(&got, &want),
+                        "{name} in two blocks: width {width}"
+                    );
                 }
                 // The inputs have teeth: k descending, or the multiply
                 // fused into the add, moves bits on them.
@@ -617,8 +680,39 @@ mod kernel_tests {
     }
 
     #[test]
+    fn column_blocks_serve_rows_the_page_grid_cuts_alike() {
+        let b: Vec<f64> = (0..8 * 1024).map(f64::from).collect();
+        // `len` elements from `from`, cut as a view cuts them: on pages.
+        let pages = |from: usize, len: usize| {
+            let cuts = (from / 512 + 1) * 512..from + len;
+            let starts = std::iter::once(from).chain(cuts.step_by(512));
+            let starts: Vec<usize> = starts.chain([from + len]).collect();
+            let pieces: Vec<&[f64]> = starts.windows(2).map(|w| &b[w[0]..w[1]]).collect();
+            pieces.into_iter()
+        };
+        // n = 1 024: two blocks of 512 columns, four rows each, in place.
+        let blocks = column_blocks(pages(2048, 4 * 1024), 1024, 4).expect("in place");
+        assert_eq!(blocks.iter().map(|(j, _)| *j).collect::<Vec<_>>(), [0, 512]);
+        for (j0, rows) in &blocks {
+            assert_eq!(rows.len(), 4);
+            for (k, row) in rows.iter().enumerate() {
+                assert_eq!(row[0], (2048 + k * 1024 + j0) as f64);
+                assert_eq!(row.len(), 512);
+            }
+        }
+        // n = 128: four rows to a page, one block of whole rows.
+        let blocks = column_blocks(pages(384, 8 * 128), 128, 8).expect("in place");
+        assert_eq!((blocks.len(), blocks[0].0, blocks[0].1.len()), (1, 0, 8));
+        // n = 96: the grid cuts the sixth row, not the others — staged.
+        assert!(column_blocks(pages(0, 8 * 96), 96, 8).is_none());
+        // One row is cut alike with itself, wherever it is cut.
+        let blocks = column_blocks(pages(480, 96), 96, 1).expect("one row");
+        assert_eq!(blocks.iter().map(|(j, _)| *j).collect::<Vec<_>>(), [0, 32]);
+    }
+
+    #[test]
     fn tile_rows_of_an_empty_row_or_no_b_rows_is_a_no_op() {
-        tile_rows(&mut [], &[1.0, 2.0], &[]);
+        tile_rows(&mut [], &[1.0, 2.0], &[&[], &[]]);
         let mut c = [1.5, -2.5];
         tile_rows(&mut c, &[], &[]);
         assert_eq!(c, [1.5, -2.5]);

@@ -6,6 +6,7 @@
 //! The paper's TRIAD kernel is `A[i] = B[i] + 3*C[i]`, run with 8 threads
 //! on one node over 2 GB arrays for 10 iterations.
 
+use crate::Input;
 use cluster::{run_job, Calibration, Cluster, JobConfig};
 use devices::Ssd;
 use nvmalloc::NvmVec;
@@ -195,26 +196,29 @@ pub fn run_stream(
         let t0 = ctx.now();
 
         let mut a_block = vec![0f64; scfg.block_elems];
-        let mut b_block = vec![0f64; scfg.block_elems];
-        let mut c_block = vec![0f64; scfg.block_elems];
+        // What COPY and SCALE, which read no B, pass the kernel for it.
+        let no_b = vec![0f64; scfg.block_elems];
+        let (out, inputs) = arrays.split_first_mut().expect("three arrays");
         for _ in 0..scfg.iters {
             let mut off = 0usize;
             while off < my {
                 let len = scfg.block_elems.min(my - off);
-                // Load inputs.
-                if uses_b {
-                    load(ctx, env, &arrays[1], base, off, &mut b_block[..len]);
-                }
-                load(ctx, env, &arrays[2], base, off, &mut c_block[..len]);
+                // Load inputs: read in place, where they sit.
+                let b = if uses_b {
+                    load(ctx, env, &inputs[0], base, off, len)
+                } else {
+                    Input::Dram(&no_b[..len])
+                };
+                let c = load(ctx, env, &inputs[1], base, off, len);
                 // Compute.
                 if flops_per_elem > 0.0 {
                     env.compute(ctx, flops_per_elem * len as f64);
                 }
-                for i in 0..len {
-                    a_block[i] = kernel.expected(b_block[i], c_block[i]);
-                }
+                lockstep(b.pieces(), c.pieces(), &mut a_block[..len], |b, c| {
+                    kernel.expected(b, c)
+                });
                 // Store output.
-                match &mut arrays[0] {
+                match out {
                     StreamArray::Dram(v) => {
                         env.dram_io(ctx, 8 * len as u64);
                         v[off..off + len].copy_from_slice(&a_block[..len]);
@@ -273,21 +277,47 @@ pub fn run_stream(
     }
 }
 
-fn load(
+/// `len` elements of a thread's slice of `arr` from `off`, charged as
+/// read and left where they sit: a DRAM array borrowed, an NVM one viewed.
+fn load<'a>(
     ctx: &mut ProcCtx,
     env: &cluster::JobEnv,
-    arr: &StreamArray,
+    arr: &'a StreamArray,
     base: usize,
     off: usize,
-    out: &mut [f64],
-) {
+    len: usize,
+) -> Input<'a> {
     match arr {
         StreamArray::Dram(v) => {
-            env.dram_io(ctx, 8 * out.len() as u64);
-            out.copy_from_slice(&v[off..off + out.len()]);
+            env.dram_io(ctx, 8 * len as u64);
+            Input::Dram(&v[off..off + len])
         }
-        StreamArray::Nvm(v) => {
-            v.read_slice(ctx, base + off, out).expect("stream read");
+        StreamArray::Nvm(v) => Input::Nvm(v.view(ctx, base + off, len).expect("stream read")),
+    }
+}
+
+/// `out[i] = f(b[i], c[i])` over two inputs cut into pieces at different
+/// places: walk both in lock-step, a run at a time up to the nearer cut.
+pub(crate) fn lockstep<'a>(
+    mut b: impl Iterator<Item = &'a [f64]>,
+    mut c: impl Iterator<Item = &'a [f64]>,
+    out: &mut [f64],
+    f: impl Fn(f64, f64) -> f64,
+) {
+    let (mut bp, mut cp): (&[f64], &[f64]) = (&[], &[]);
+    let mut at = 0;
+    while at < out.len() {
+        if bp.is_empty() {
+            bp = b.next().expect("B covers the block");
+        } else if cp.is_empty() {
+            cp = c.next().expect("C covers the block");
+        } else {
+            let run = bp.len().min(cp.len());
+            let (x, y) = (&bp[..run], &cp[..run]);
+            for ((o, x), y) in out[at..at + run].iter_mut().zip(x).zip(y) {
+                *o = f(*x, *y);
+            }
+            (bp, cp, at) = (&bp[run..], &cp[run..], at + run);
         }
     }
 }

@@ -5,7 +5,7 @@ use crate::matmul::{run_mm, AccessOrder, BPlacement, MmConfig};
 use crate::qsort::{run_sort_dram_two_pass, run_sort_hybrid, SortConfig};
 use crate::randwrite::{run_randwrite, RandWriteConfig};
 use crate::stream::{
-    run_stream, run_stream_raw_ssd, ArrayPlace, RawMmapConfig, StreamConfig, StreamKernel,
+    lockstep, run_stream, run_stream_raw_ssd, ArrayPlace, RawMmapConfig, StreamConfig, StreamKernel,
 };
 use cluster::{Calibration, Cluster, ClusterSpec, JobConfig};
 use fusemm::FuseConfig;
@@ -190,6 +190,67 @@ fn stream_all_kernels_verify() {
     }
 }
 
+#[test]
+fn stream_every_placement_and_kernel_verifies_over_blocks_off_the_page_grid() {
+    // 1 000-element blocks (8 000 bytes): no block after the first starts
+    // on a page, so every NVM view begins and ends inside a leaf, and a
+    // DRAM input (one piece) meets an NVM one cut elsewhere.
+    let cfg = JobConfig::local(2, 1, 1);
+    let cluster = Cluster::with_fuse(
+        ClusterSpec::hal().scaled(256),
+        &cfg.benefactor_nodes(),
+        small_fuse(256),
+    );
+    let places = [ArrayPlace::Dram, ArrayPlace::Nvm];
+    for (a, b, c) in places
+        .into_iter()
+        .flat_map(|a| places.map(|b| (a, b)))
+        .flat_map(|(a, b)| places.map(|c| (a, b, c)))
+    {
+        for kernel in [
+            StreamKernel::Copy,
+            StreamKernel::Scale,
+            StreamKernel::Add,
+            StreamKernel::Triad,
+        ] {
+            let scfg = StreamConfig {
+                iters: 2,
+                block_elems: 1000,
+                ..StreamConfig::new(16 * 1024).place(a, b, c)
+            };
+            let r = run_stream(&cluster, &cfg, Calibration::default(), &scfg, kernel);
+            let label = scfg.placement_label();
+            assert!(r.verified, "{} with {label} on NVM", kernel.name());
+        }
+    }
+}
+
+#[test]
+fn stream_lockstep_matches_a_flat_loop_on_any_cuts() {
+    use rand::Rng;
+    // Random pieces, empty ones among them, covering `xs`.
+    fn cut<'a>(rng: &mut impl Rng, xs: &'a [f64]) -> Vec<&'a [f64]> {
+        let mut pieces = Vec::new();
+        let mut rest = xs;
+        while !rest.is_empty() || rng.gen_bool(0.1) {
+            let (piece, more) = rest.split_at(rng.gen_range(0..rest.len().min(40) + 1));
+            pieces.push(piece);
+            rest = more;
+        }
+        pieces
+    }
+    let mut rng = simcore::rng::stream_rng(2012, 40);
+    for len in (0..300).step_by(7) {
+        let b: Vec<f64> = (0..len).map(|i| i as f64 * 0.5).collect();
+        let c: Vec<f64> = (0..len).map(|i| (i % 9) as f64 + 1.0).collect();
+        let (bp, cp) = (cut(&mut rng, &b), cut(&mut rng, &c));
+        let mut out = vec![f64::NAN; len];
+        lockstep(bp.into_iter(), cp.into_iter(), &mut out, |x, y| x + 3.0 * y);
+        let want: Vec<f64> = b.iter().zip(&c).map(|(x, y)| x + 3.0 * y).collect();
+        assert_eq!(out, want, "{len} elements");
+    }
+}
+
 // ---------- Matrix multiplication ---------------------------------------------
 
 fn mm_cfg(n: usize) -> MmConfig {
@@ -259,6 +320,34 @@ fn mm_nvm_individual_verifies_and_costs_more_store_traffic() {
         "individual files must write more to SSD ({indiv_ssd} vs {shared_ssd})"
     );
     assert!(indiv.stages.total() >= shared.stages.total());
+}
+
+#[test]
+fn mm_row_major_in_place_and_staged_products_are_exact_for_every_b_placement() {
+    // n = 512: a B row is one page, so 8-row tiles are read in place.
+    // n = 96: a row is 768 bytes, the page grid cuts 8-row tiles at
+    // different columns, so they are staged. Either way C is bit-exact.
+    let cfg = JobConfig::local(2, 2, 2);
+    for n in [512, 96] {
+        for b_place in [
+            BPlacement::Dram,
+            BPlacement::NvmShared,
+            BPlacement::NvmIndividual,
+        ] {
+            let cluster = Cluster::with_fuse(
+                ClusterSpec::hal().scaled(256),
+                &cfg.benefactor_nodes(),
+                small_fuse(256),
+            );
+            let mm = MmConfig {
+                b_place,
+                tile: 8,
+                ..mm_cfg(n)
+            };
+            let r = run_mm(&cluster, &cfg, &mm).unwrap();
+            assert_eq!(r.verified, Some(true), "n {n}, B {b_place:?}");
+        }
+    }
 }
 
 #[test]

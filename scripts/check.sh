@@ -105,6 +105,12 @@ echo "==> nvmalloc waits for its turn in one place, and the write-back daemon's 
 ! grep -rnE 'writeback_daemon_on|ssdmalloc_shared_opts|MeteredResource|METRICS_LANE' \
     crates src tests examples/*.rs || exit 1
 
+echo "==> nvmalloc casts bytes to elements in one place"
+# A view hands the application the cache's own pages as &[T]; the one
+# byte-to-element cast (and the two element-to-byte ones) live in pod.rs,
+# next to the Pod contract that makes them sound.
+! grep -rn 'from_raw_parts' crates/nvmalloc/src | grep -v '^crates/nvmalloc/src/pod\.rs:' | grep . || exit 1
+
 if [ "$quick" -eq 0 ]; then
     echo "==> cargo clippy (warnings are errors)"
     cargo clippy --workspace --all-targets -- -D warnings
@@ -126,7 +132,7 @@ cargo run -q --release --example validate_trace -- --require-flows --require-cou
 echo "==> the frozen benchmark package must build and run against the workspace (all five workloads correct)"
 cargo run --release --quiet --manifest-path examples/benchmark/Cargo.toml -- --smoke
 
-echo "==> micro host-speed floors (simulated bytes, engine hand-offs, stream writes, fetches, the two payload kernels, the two small-write shapes of the mount, the two verified RS shapes, network transfers and MM tile multiply-adds per host second)"
+echo "==> micro host-speed floors (simulated bytes, engine hand-offs, stream writes, fetches, the two payload kernels, the two small-write shapes of the mount, the two verified RS shapes, network transfers, resident reads in place and MM tile multiply-adds per host second)"
 # On one CPU, like examples/benchmark: every rate here is host time, and
 # on a small VM it swings with what the other core has just been doing.
 pin=""
@@ -212,6 +218,12 @@ micro_floor vetted_overwrites_per_host_second 80000 "one-page overwrites of vett
 # of a mutex per charge and an atomic per bump and the 17.6-17.8 M of a
 # RefCell and a Cell, three pinned runs each.
 micro_floor transfers_per_host_second 13500000 "network transfers"
+# Whole-chunk reads of a resident chunk through NvmVec::view, the pieces
+# summed where they sit (EXPERIMENTS.md "Reading in place"): 22 000 000 000
+# bytes per host second, between the 14.5-17.7 G of read_slice, which
+# copies the chunk out before the same sum, and the 25.9-42.2 G measured
+# in place, nine pinned runs each.
+micro_floor in_place_read_bytes_per_host_second 22000000000 "bytes read in place"
 # The MM tile product alone, in mm_fanout's shape, fastest of eight rounds
 # (EXPERIMENTS.md "The MM tile product at vector width"): 6 000 000 000
 # multiply-adds per host second, between the 2.95-5.24 G of the one-row
