@@ -7,12 +7,11 @@
 //! file reserves whole chunk slots here before any data moves.
 
 use crate::bitalloc::BitAlloc;
-use crate::ids::ChunkId;
+use crate::ids::{ChunkId, IdMap};
 use crate::payload::{run_len, ChunkBuf, PageRun};
 use devices::Ssd;
 use simcore::rng::child_seed;
 use simcore::{Grant, VTime};
-use std::collections::HashMap;
 
 /// One benefactor's state: its SSD, its chunk objects and its space books.
 ///
@@ -34,7 +33,7 @@ pub struct Benefactor {
     /// Slots reserved by fallocate but not yet materialized (LIFO).
     reserved: Vec<usize>,
     /// Materialized chunks currently stored, each bound to its slot.
-    chunks: HashMap<ChunkId, (usize, ChunkBuf)>,
+    chunks: IdMap<ChunkId, (usize, ChunkBuf)>,
     alive: bool,
     /// Excluded from placement by the scrub daemon (DESIGN.md §11):
     /// existing copies stay readable and repairable-from, but no new
@@ -59,7 +58,7 @@ impl Benefactor {
             capacity,
             slots: BitAlloc::new((capacity / chunk_size) as usize),
             reserved: Vec::new(),
-            chunks: HashMap::new(),
+            chunks: IdMap::default(),
             alive: true,
             quarantined: false,
             torn_armed: false,
@@ -392,7 +391,7 @@ mod tests {
         assert_eq!(read[8192], 0);
         // The whole page was handed over, not copied; the earlier read is
         // a snapshot that still shares the 63 leaves nobody wrote.
-        assert!(Leaf::ptr_eq(&read.leaves()[1], &page[0].1[0]));
+        assert!(Leaf::ptr_eq(read.leaf(1), &page[0].1[0]));
         assert!(snapshot == vec![0u8; CHUNK as usize][..]);
         assert_eq!(snapshot.shared_leaves(&read), 63);
     }

@@ -55,7 +55,7 @@ pub use benefactor::Benefactor;
 pub use bitalloc::BitAlloc;
 pub use crc::crc64;
 pub use error::{Result, StoreError};
-pub use ids::{BenefactorId, ChunkId, FileId};
+pub use ids::{BenefactorId, ChunkId, FileId, IdMap};
 pub use journal::{Journal, JournalSet, Record, RepairStats, ShardMeta, Superblock};
 pub use loc_cache::LocationCache;
 pub use manager::{

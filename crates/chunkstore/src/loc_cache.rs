@@ -16,10 +16,9 @@
 //! charged as an RPC. It is the only rule: a sharded manager changes who
 //! resolves a miss, not which cached entry may be used (DESIGN.md §12).
 
-use crate::ids::{BenefactorId, ChunkId, FileId};
+use crate::ids::{BenefactorId, ChunkId, FileId, IdMap};
 use simcore::{Counter, StatsRegistry};
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 /// A cached resolution for one `(file, chunk index)` target.
@@ -37,7 +36,7 @@ pub(crate) enum CachedLoc {
 
 #[derive(Debug)]
 struct Inner {
-    map: HashMap<(FileId, usize), (u64, CachedLoc)>,
+    map: IdMap<(FileId, usize), (u64, CachedLoc)>,
     /// Epoch the whole cache was last validated against; entries stamped
     /// older than the manager's current epoch are dropped on access.
     epoch: u64,
@@ -56,7 +55,7 @@ impl LocationCache {
     pub fn new(stats: &StatsRegistry) -> Self {
         LocationCache {
             inner: Rc::new(RefCell::new(Inner {
-                map: HashMap::new(),
+                map: IdMap::default(),
                 epoch: 0,
             })),
             hits: stats.counter("store.loc_cache_hits"),

@@ -22,7 +22,7 @@ pub(crate) use layout::Member;
 pub use layout::{FileMeta, PlacementPolicy, Slot, StripeSpec, StripeWidth};
 
 use crate::benefactor::Benefactor;
-use crate::ids::{BenefactorId, ChunkId, FileId};
+use crate::ids::{BenefactorId, ChunkId, FileId, IdMap};
 use crate::journal::{JournalSet, Record, ShardMeta, Superblock};
 use crate::shardmgr::{HashRing, ShardSet, DEFAULT_RING_SEED, DEFAULT_VNODES};
 use simcore::Counter;
@@ -33,10 +33,10 @@ use std::collections::HashMap;
 pub struct Manager {
     chunk_size: u64,
     benefactors: Vec<Benefactor>,
-    files: HashMap<FileId, FileMeta>,
+    files: IdMap<FileId, FileMeta>,
     by_name: HashMap<String, FileId>,
-    chunk_refs: HashMap<ChunkId, u32>,
-    chunk_meta: HashMap<ChunkId, ChunkMeta>,
+    chunk_refs: IdMap<ChunkId, u32>,
+    chunk_meta: IdMap<ChunkId, ChunkMeta>,
     next_file: u64,
     next_chunk: u64,
     stripe_cursor: usize,
@@ -59,7 +59,7 @@ pub struct Manager {
     /// `ChunkId`) can find the survivors to reconstruct from. Written only
     /// in `groups`; a linked checkpoint reference never joins (the group
     /// belongs to the source file).
-    group_of: HashMap<ChunkId, GroupRef>,
+    group_of: IdMap<ChunkId, GroupRef>,
     /// The manager's ranks (DESIGN.md §12, §16): per rank its node,
     /// standby, metadata CPU and crash state, and the ring that splits the
     /// keyspace among them. The paper's manager is one rank on node 0
@@ -79,10 +79,10 @@ impl Manager {
         Manager {
             chunk_size,
             benefactors: Vec::new(),
-            files: HashMap::new(),
+            files: IdMap::default(),
             by_name: HashMap::new(),
-            chunk_refs: HashMap::new(),
-            chunk_meta: HashMap::new(),
+            chunk_refs: IdMap::default(),
+            chunk_meta: IdMap::default(),
             next_file: 0,
             next_chunk: 0,
             stripe_cursor: 0,
@@ -90,7 +90,7 @@ impl Manager {
             placeable: Vec::new(),
             quarantined: 0,
             placement_epoch: 0,
-            group_of: HashMap::new(),
+            group_of: IdMap::default(),
             ranks: ShardSet::new(
                 HashRing::new(1, DEFAULT_VNODES, DEFAULT_RING_SEED),
                 &[0],

@@ -11,6 +11,7 @@ use crate::crc::{
 use crate::rs::gf_mul_acc;
 use crate::segments::segments;
 use crate::store::PAGE_BYTES;
+use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::ops::{Deref, Index};
@@ -200,18 +201,27 @@ pub(crate) fn fold_sums(parts: impl IntoIterator<Item = (usize, u64)>) -> u64 {
 
 /// [`fold_sums`] over leaves: the register of their concatenation, every
 /// leaf digested at most once in its life.
-pub(crate) fn sum_of(leaves: &[Leaf]) -> u64 {
-    fold_sums(leaves.iter().map(|leaf| (leaf.len(), leaf.sum())))
+pub(crate) fn sum_of<'a>(leaves: impl IntoIterator<Item = &'a Leaf>) -> u64 {
+    fold_sums(leaves.into_iter().map(|leaf| (leaf.len(), leaf.sum())))
 }
 
-/// A chunk's payload. Handing one on — a fetch, a second replica, a cache
-/// insert, a COW clone — bumps the table's count and copies nothing.
-/// Whoever writes un-shares the table (one count bump per leaf) and then
-/// only the leaves it touches: a write that covers a whole leaf replaces
-/// it, a partial one copies that leaf first. So a fetched payload is a
-/// snapshot, and bit rot on one replica cannot reach another copy — per
-/// leaf. The counts are not atomic, so a payload stays on the thread that
-/// made it (DESIGN.md §13 "One thread, no atomics"):
+/// A chunk's payload: the table of leaves it was built on or handed — its
+/// *base*, shared with every payload cloned from it and never written
+/// while shared — plus the leaves it has written since, each standing in
+/// for the base's leaf at its index for this payload alone (DESIGN.md §13
+/// "Payload ownership"). Handing a payload on — a fetch, a second replica,
+/// a cache insert, a COW clone — bumps the base's count and copies
+/// nothing. A mutator copies or replaces only the leaves it touches: a
+/// write that covers a whole leaf replaces it, a partial one copies that
+/// leaf first, and no other leaf's count moves. A payload that holds its
+/// base alone folds its written leaves back in and then writes in place,
+/// so no shadowed leaf outlives its last reader; over a shared base it
+/// owns at most a quarter of the table, and a write that would own more
+/// takes a table of its own first (one count bump per leaf it does not
+/// own). So a fetched payload is a snapshot, and bit rot on one replica
+/// cannot reach another copy — per leaf. The counts are not atomic, so a
+/// payload stays on the thread that made it (DESIGN.md §13 "One thread,
+/// no atomics"):
 ///
 /// ```compile_fail,E0277
 /// fn send<T: Send>() {}
@@ -219,9 +229,20 @@ pub(crate) fn sum_of(leaves: &[Leaf]) -> u64 {
 /// ```
 #[derive(Clone)]
 pub struct ChunkBuf {
-    leaves: Rc<[Leaf]>,
+    base: Rc<[Leaf]>,
+    /// Where the written leaves stand, ascending: `owned[k]` is this
+    /// payload's leaf `at[k]`. Empty while the base is this payload's
+    /// alone — as soon as a mutator has run.
+    at: Vec<u32>,
+    owned: Vec<Leaf>,
     len: usize,
 }
+
+/// Over a shared base a payload owns at most `1 / OWNED_SHARE` of its
+/// leaves: past that it takes a table of its own, a copy amortised over
+/// the leaves already written, which keeps the owned set short to search
+/// and bounds what shadowed leaves can keep alive.
+const OWNED_SHARE: usize = 4;
 
 /// The shared all-zero chunk of `len` bytes: what a hole reads as, what a
 /// fresh chunk starts from and what an implicit-zero parity-group member
@@ -271,7 +292,9 @@ impl ChunkBuf {
             assert_eq!(leaf.len(), s.take, "leaf {} has the wrong size", s.idx);
         }
         ChunkBuf {
-            leaves: leaves.into(),
+            base: leaves.into(),
+            at: Vec::new(),
+            owned: Vec::new(),
             len: len as usize,
         }
     }
@@ -287,19 +310,54 @@ impl ChunkBuf {
         self.len
     }
 
-    pub fn leaves(&self) -> &[Leaf] {
-        &self.leaves
+    /// Leaf `i`: this payload's own if it wrote one there, else the base's.
+    pub fn leaf(&self, i: usize) -> &Leaf {
+        if !self.at.is_empty() {
+            if let Ok(k) = self.at.binary_search(&(i as u32)) {
+                return &self.owned[k];
+            }
+        }
+        &self.base[i]
+    }
+
+    /// The leaves in chunk order, as [`Self::leaf`] gives them.
+    pub fn leaves(&self) -> impl ExactSizeIterator<Item = &Leaf> + '_ {
+        let mut owned = self.at.iter().zip(&self.owned).peekable();
+        self.base.iter().enumerate().map(move |(i, base)| {
+            match owned.next_if(|&(&at, _)| at as usize == i) {
+                Some((_, leaf)) => leaf,
+                None => base,
+            }
+        })
     }
 
     /// The leaves holding `[off, off + len)`, which must start on a page
     /// boundary and end on one or at the chunk's end — a dirty-page run.
-    pub fn leaves_of(&self, off: u64, len: u64) -> &[Leaf] {
+    /// Borrowed where the run is wholly base or wholly written over it, as
+    /// a run dirtied since the base was shared is; a run that is both (a
+    /// page written in place, then the table shared by a view, then its
+    /// neighbour written) comes back as a copy of its handles.
+    pub fn leaves_of(&self, off: u64, len: u64) -> Cow<'_, [Leaf]> {
         let (off, end) = (off as usize, (off + len) as usize);
         assert!(
             off.is_multiple_of(PAGE) && (end.is_multiple_of(PAGE) || end == self.len),
             "run is not whole pages"
         );
-        &self.leaves[off / PAGE..end.div_ceil(PAGE)]
+        let (first, end) = (off / PAGE, end.div_ceil(PAGE));
+        let lo = self.at.partition_point(|&at| (at as usize) < first);
+        let hi = self.at.partition_point(|&at| (at as usize) < end);
+        match hi - lo {
+            0 => Cow::Borrowed(&self.base[first..end]),
+            n if n == end - first => Cow::Borrowed(&self.owned[lo..hi]),
+            _ => Cow::Owned((first..end).map(|i| self.leaf(i).clone()).collect()),
+        }
+    }
+
+    /// How many leaves this payload has written over a base it shares
+    /// (inspection: what a write copied, and what a fold has yet to take
+    /// back).
+    pub fn owned_leaves(&self) -> usize {
+        self.owned.len()
     }
 
     /// The first `len` bytes as a payload of their own: the whole leaves
@@ -310,7 +368,7 @@ impl ChunkBuf {
         if len == self.len {
             return self.clone();
         }
-        let mut leaves = self.leaves[..len.div_ceil(PAGE)].to_vec();
+        let mut leaves: Vec<Leaf> = self.leaves().take(len.div_ceil(PAGE)).cloned().collect();
         let keep = len - (leaves.len() - 1) * PAGE;
         let cut = leaves.last_mut().expect("len > 0");
         if cut.len() != keep {
@@ -323,21 +381,21 @@ impl ChunkBuf {
     /// allocation (inspection: what a write, rot or a tear left shared).
     pub fn shared_leaves(&self, other: &ChunkBuf) -> usize {
         let same = |(a, b): &(&Leaf, &Leaf)| Leaf::ptr_eq(a, b);
-        self.leaves.iter().zip(other.leaves()).filter(same).count()
+        self.leaves().zip(other.leaves()).filter(same).count()
     }
 
     /// How many leaves have their sum standing (inspection: what the next
     /// digest will not read).
     pub fn standing_sums(&self) -> usize {
         let standing = |leaf: &&Leaf| leaf.standing().is_some();
-        self.leaves.iter().filter(standing).count()
+        self.leaves().filter(standing).count()
     }
 
     /// `len` bytes at `pos`, which must lie inside one leaf — the stored
     /// bytes under one piece of a [`PageRun`].
     pub fn piece(&self, pos: u64, len: usize) -> &[u8] {
         let (leaf, within) = (pos as usize / PAGE, pos as usize % PAGE);
-        &self.leaves[leaf][within..within + len]
+        &self.leaf(leaf)[within..within + len]
     }
 
     /// The zero-init raw CRC-64 register of `stored ⊕ new` over the bytes
@@ -346,7 +404,7 @@ impl ChunkBuf {
     /// covers its leaf whole is the XOR of two leaf sums and reads no
     /// stored byte; a partial one absorbs both sides' bytes.
     pub(crate) fn delta_sum(&self, pos: u64, piece: &Leaf) -> u64 {
-        let stored = &self.leaves[pos as usize / PAGE];
+        let stored = self.leaf(pos as usize / PAGE);
         if piece.len() == stored.len() {
             stored.sum() ^ piece.sum()
         } else {
@@ -359,13 +417,13 @@ impl ChunkBuf {
         assert!(off + out.len() <= self.len, "read outside chunk");
         for s in segments(off as u64, out.len() as u64, PAGE_BYTES) {
             out[s.pos..s.pos + s.take]
-                .copy_from_slice(&self.leaves[s.idx][s.within..s.within + s.take]);
+                .copy_from_slice(&self.leaf(s.idx)[s.within..s.within + s.take]);
         }
     }
 
     pub fn to_vec(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.len);
-        for leaf in self.leaves.iter() {
+        for leaf in self.leaves() {
             out.extend_from_slice(leaf);
         }
         out
@@ -375,24 +433,24 @@ impl ChunkBuf {
     /// folded from the leaves' sums, so only a leaf nobody has digested
     /// since it last changed is read.
     pub fn digest(&self) -> u64 {
-        crc64_zeros(self.len as u64) ^ sum_of(&self.leaves)
+        crc64_zeros(self.len as u64) ^ sum_of(self.leaves())
     }
 
     /// Overwrite `bytes.len()` bytes at `off`.
     pub fn write(&mut self, off: usize, bytes: &[u8]) {
         assert!(off + bytes.len() <= self.len, "write outside chunk");
         if bytes.len() == self.len {
-            // Nothing of the old table survives: don't un-share it first.
+            // Nothing of the old payload survives: build a fresh one.
             *self = ChunkBuf::from_bytes(bytes);
             return;
         }
-        let table = Rc::make_mut(&mut self.leaves);
+        self.prepare((off + bytes.len()).div_ceil(PAGE) - off / PAGE);
         for s in segments(off as u64, bytes.len() as u64, PAGE_BYTES) {
-            let (stored, new) = (&mut table[s.idx], &bytes[s.pos..s.pos + s.take]);
-            if s.take == stored.len() {
-                *stored = Leaf::from(new);
+            let new = &bytes[s.pos..s.pos + s.take];
+            if s.take == self.base[s.idx].len() {
+                self.replace(s.idx, Leaf::from(new));
             } else {
-                stored.bytes_mut()[s.within..s.within + s.take].copy_from_slice(new);
+                self.slot(s.idx).bytes_mut()[s.within..s.within + s.take].copy_from_slice(new);
             }
         }
     }
@@ -402,11 +460,11 @@ impl ChunkBuf {
     /// chunk and the writer share it, sum and all, from here on — a
     /// partial one is copied into a private copy of the leaf it falls in.
     pub fn write_run(&mut self, (off, pieces): PageRun<'_>, limit: usize) {
-        self.land(off, pieces, limit, |stored, within, piece, take| {
-            if take == stored.len() {
-                *stored = piece.clone();
+        self.land(off, pieces, limit, |buf, idx, within, piece, take| {
+            if take == buf.base[idx].len() {
+                buf.replace(idx, piece.clone());
             } else {
-                stored.bytes_mut()[within..within + take].copy_from_slice(&piece[..take]);
+                buf.slot(idx).bytes_mut()[within..within + take].copy_from_slice(&piece[..take]);
             }
         });
     }
@@ -414,7 +472,8 @@ impl ChunkBuf {
     /// XOR the first `limit` bytes of a run into the chunk. A standing sum
     /// survives a whole-leaf XOR by linearity: `sum ^= sum(piece)`.
     pub fn xor_run(&mut self, (off, pieces): PageRun<'_>, limit: usize) {
-        self.land(off, pieces, limit, |stored, within, piece, take| {
+        self.land(off, pieces, limit, |buf, idx, within, piece, take| {
+            let stored = buf.slot(idx);
             let kept = stored.standing().filter(|_| take == stored.len());
             // · 1: a plain XOR, at the kernel's width.
             gf_mul_acc(
@@ -429,28 +488,29 @@ impl ChunkBuf {
     }
 
     /// Walk a run's pieces over the leaves they fall in, up to `limit`
-    /// bytes: `put(stored leaf, offset within it, piece, bytes to land)`.
+    /// bytes: `put(chunk, leaf index, offset within it, piece, bytes to
+    /// land)`.
     fn land(
         &mut self,
         off: u64,
         pieces: &[Leaf],
         limit: usize,
-        mut put: impl FnMut(&mut Leaf, usize, &Leaf, usize),
+        mut put: impl FnMut(&mut ChunkBuf, usize, usize, &Leaf, usize),
     ) {
-        let table = Rc::make_mut(&mut self.leaves);
+        self.prepare(pieces.len());
         let (mut pos, mut left) = (off as usize, limit);
         for piece in pieces {
             if left == 0 {
                 break;
             }
             assert!(pos + piece.len() <= self.len, "run outside chunk");
-            let (stored, within) = (&mut table[pos / PAGE], pos % PAGE);
+            let (idx, within) = (pos / PAGE, pos % PAGE);
             assert!(
-                within + piece.len() <= stored.len(),
+                within + piece.len() <= self.base[idx].len(),
                 "run piece straddles a page boundary"
             );
             let take = piece.len().min(left);
-            put(stored, within, piece, take);
+            put(self, idx, within, piece, take);
             pos += piece.len();
             left -= take;
         }
@@ -458,20 +518,91 @@ impl ChunkBuf {
 
     /// Flip the byte at `at` (XOR 0xFF): bit rot.
     pub fn flip(&mut self, at: usize) {
-        let leaf = &mut Rc::make_mut(&mut self.leaves)[at / PAGE];
-        leaf.bytes_mut()[at % PAGE] ^= 0xFF;
+        self.prepare(1);
+        self.slot(at / PAGE).bytes_mut()[at % PAGE] ^= 0xFF;
     }
 
     /// Zero every byte from `at` on: the tail a torn fresh write never
     /// persisted. Leaves wholly past `at` become the shared zero leaf.
     pub fn zero_from(&mut self, at: usize) {
-        let table = Rc::make_mut(&mut self.leaves);
+        self.prepare(self.base.len() - at / PAGE);
         for s in segments(at as u64, (self.len - at) as u64, PAGE_BYTES) {
-            let stored = &mut table[s.idx];
-            if s.take == stored.len() {
-                *stored = zero_leaf(s.take);
+            if s.take == self.base[s.idx].len() {
+                self.replace(s.idx, zero_leaf(s.take));
             } else {
-                stored.bytes_mut()[s.within..].fill(0);
+                self.slot(s.idx).bytes_mut()[s.within..].fill(0);
+            }
+        }
+    }
+
+    /// Is the base this payload's alone? (No `Weak` handle is ever made.)
+    fn holds_base_alone(&self) -> bool {
+        Rc::strong_count(&self.base) == 1
+    }
+
+    /// Hold a table of this payload's own, owning no leaf over it: the
+    /// written leaves folded back into the base if nobody else holds it,
+    /// else into a copy of it (one count bump per leaf not owned). What a
+    /// write-back that keeps its cache entry runs first, so the
+    /// benefactor's copy it shared the base with lands in place.
+    pub fn own_table(&mut self) {
+        if let Some(table) = Rc::get_mut(&mut self.base) {
+            for (at, leaf) in self.at.drain(..).zip(self.owned.drain(..)) {
+                table[at as usize] = leaf;
+            }
+            return;
+        }
+        let mut owned = self.at.drain(..).zip(self.owned.drain(..)).peekable();
+        let mut leaf = |(i, base): (usize, &Leaf)| match owned.next_if(|&(at, _)| at as usize == i)
+        {
+            Some((_, leaf)) => leaf,
+            None => base.clone(),
+        };
+        let table: Rc<[Leaf]> = self.base.iter().enumerate().map(&mut leaf).collect();
+        self.base = table;
+    }
+
+    /// Ready the payload for a mutator that touches up to `touched`
+    /// leaves: a base held alone takes the written leaves back; a shared
+    /// one that this payload would own more than its share of is traded
+    /// for a table of its own.
+    fn prepare(&mut self, touched: usize) {
+        if self.holds_base_alone() || self.owned.len() + touched > self.base.len() / OWNED_SHARE {
+            self.own_table();
+        }
+    }
+
+    /// Leaf `idx` for a partial write, once [`Self::prepare`] has run: the
+    /// base's handle if the base is this payload's alone, else an owned
+    /// one — on first touch a second handle on the base's leaf, which
+    /// `Leaf::bytes_mut` then copies.
+    fn slot(&mut self, idx: usize) -> &mut Leaf {
+        if self.holds_base_alone() {
+            return &mut Rc::get_mut(&mut self.base).expect("held alone")[idx];
+        }
+        let k = match self.at.binary_search(&(idx as u32)) {
+            Ok(k) => k,
+            Err(k) => {
+                self.at.insert(k, idx as u32);
+                self.owned.insert(k, self.base[idx].clone());
+                k
+            }
+        };
+        &mut self.owned[k]
+    }
+
+    /// Put `leaf` at `idx`, once [`Self::prepare`] has run, without
+    /// touching the leaf it replaces.
+    fn replace(&mut self, idx: usize, leaf: Leaf) {
+        if self.holds_base_alone() {
+            Rc::get_mut(&mut self.base).expect("held alone")[idx] = leaf;
+            return;
+        }
+        match self.at.binary_search(&(idx as u32)) {
+            Ok(k) => self.owned[k] = leaf,
+            Err(k) => {
+                self.at.insert(k, idx as u32);
+                self.owned.insert(k, leaf);
             }
         }
     }
@@ -485,7 +616,7 @@ impl fmt::Debug for ChunkBuf {
             self.len,
             PAGE,
             self.standing_sums(),
-            self.leaves.len()
+            self.base.len()
         )
     }
 }
@@ -494,7 +625,7 @@ impl Index<usize> for ChunkBuf {
     type Output = u8;
 
     fn index(&self, at: usize) -> &u8 {
-        &self.leaves[at / PAGE][at % PAGE]
+        &self.leaf(at / PAGE)[at % PAGE]
     }
 }
 
@@ -502,7 +633,8 @@ impl PartialEq<[u8]> for ChunkBuf {
     fn eq(&self, bytes: &[u8]) -> bool {
         self.len == bytes.len()
             && segments(0, self.len as u64, PAGE_BYTES)
-                .all(|s| self.leaves[s.idx][..] == bytes[s.pos..s.pos + s.take])
+                .zip(self.leaves())
+                .all(|(s, leaf)| leaf[..] == bytes[s.pos..s.pos + s.take])
     }
 }
 
@@ -512,8 +644,7 @@ impl PartialEq for ChunkBuf {
     fn eq(&self, other: &ChunkBuf) -> bool {
         self.len == other.len
             && self
-                .leaves
-                .iter()
+                .leaves()
                 .zip(other.leaves())
                 .all(|(a, b)| a[..] == b[..])
     }
@@ -542,13 +673,13 @@ mod tests {
     fn zero_chunk_is_one_shared_leaf_per_length() {
         let z = zero_chunk(10_000);
         assert_eq!(z.leaves().len(), 3);
-        assert!(Leaf::ptr_eq(&z.leaves()[0], &z.leaves()[1]));
-        assert_eq!(z.leaves()[2].len(), 10_000 - 2 * 4096);
+        assert!(Leaf::ptr_eq(z.leaf(0), z.leaf(1)));
+        assert_eq!(z.leaf(2).len(), 10_000 - 2 * 4096);
         assert!(z == vec![0u8; 10_000][..]);
         // A second handle, and a chunk of another length, reuse the leaf.
         let other = zero_chunk(256 * 1024);
-        assert!(Leaf::ptr_eq(&z.leaves()[0], &other.leaves()[63]));
-        assert!(Rc::ptr_eq(&z.leaves, &zero_chunk(10_000).leaves));
+        assert!(Leaf::ptr_eq(z.leaf(0), other.leaf(63)));
+        assert!(Rc::ptr_eq(&z.base, &zero_chunk(10_000).base));
         // A chunk smaller than a page is one leaf.
         assert_eq!(zero_chunk(256).leaves().len(), 1);
         // Zeros are born digested: a hole's digest reads nothing.
@@ -562,10 +693,70 @@ mod tests {
         let mut w = base.clone();
         w.write(4096, &[1u8; 4096]); // all of leaf 1
         w.write(8192 + 5, &[2u8; 3]); // inside leaf 2
-        let shared = |i: usize| Leaf::ptr_eq(&base.leaves()[i], &w.leaves()[i]);
+        let shared = |i: usize| Leaf::ptr_eq(base.leaf(i), w.leaf(i));
         assert!(shared(0) && !shared(1) && !shared(2));
         assert!(base == [7u8; 3 * 4096][..], "the snapshot kept its bytes");
         assert_eq!((w[4095], w[4096], w[8192 + 4], w[8192 + 5]), (7, 1, 7, 2));
+    }
+
+    #[test]
+    fn an_8_byte_write_into_a_clone_owns_one_leaf_and_bumps_no_other_count() {
+        let bytes = fill(64 * 4096, 0x11);
+        let source = ChunkBuf::from_bytes(&bytes);
+        let mut clone = source.clone();
+        clone.write(5 * 4096 + 100, &[0xAB; 8]);
+        assert_eq!((clone.owned_leaves(), source.owned_leaves()), (1, 0));
+        assert_eq!(clone.shared_leaves(&source), 63);
+        assert!(source == bytes[..], "the source kept its bytes");
+        assert_eq!(source.digest(), crc64(&bytes));
+        assert_eq!(
+            (clone[5 * 4096 + 99], clone[5 * 4096 + 100]),
+            (bytes[5 * 4096 + 99], 0xAB)
+        );
+        // The two share one table, and each of its leaves is held by that
+        // table alone: the write moved no count but the copied leaf's.
+        assert!(Rc::ptr_eq(&source.base, &clone.base));
+        assert!(source
+            .leaves()
+            .all(|leaf| Rc::strong_count(&leaf.block) == 1));
+        // Once the source goes, the next write folds the owned leaf back
+        // and lands in place.
+        drop(source);
+        clone.write(7 * 4096, &[0xCD; 8]);
+        assert_eq!(clone.owned_leaves(), 0);
+        assert_eq!((clone[5 * 4096 + 100], clone[7 * 4096]), (0xAB, 0xCD));
+    }
+
+    #[test]
+    fn a_clone_that_would_own_over_a_quarter_takes_a_table_of_its_own() {
+        let bytes = fill(64 * 4096, 0x22);
+        let source = ChunkBuf::from_bytes(&bytes);
+        let mut clone = source.clone();
+        for page in 0..16 {
+            clone.write(page * 4096 + 1, &[1]);
+        }
+        assert_eq!(clone.owned_leaves(), 16);
+        clone.write(16 * 4096 + 1, &[1]);
+        assert_eq!(clone.owned_leaves(), 0, "the 17th leaf un-shared the table");
+        assert!(!Rc::ptr_eq(&source.base, &clone.base));
+        assert_eq!(clone.shared_leaves(&source), 64 - 17);
+        assert!(source == bytes[..]);
+    }
+
+    #[test]
+    fn leaves_of_borrows_a_run_that_is_all_owned_or_all_base() {
+        let source = ChunkBuf::from_bytes(&fill(8 * 4096, 0x33));
+        let mut buf = source.clone();
+        buf.write(2 * 4096, &[9u8; 2 * 4096]); // leaves 2 and 3, owned
+        let borrowed = |run: &Cow<'_, [Leaf]>| matches!(run, Cow::Borrowed(_));
+        let owned = buf.leaves_of(2 * 4096, 2 * 4096);
+        assert!(borrowed(&owned) && Leaf::ptr_eq(&owned[1], buf.leaf(3)));
+        let base = buf.leaves_of(4 * 4096, 4 * 4096);
+        assert!(borrowed(&base) && Leaf::ptr_eq(&base[0], source.leaf(4)));
+        // Part owned, part base: a copy of the handles, in chunk order.
+        let mixed = buf.leaves_of(4096, 2 * 4096);
+        assert!(!borrowed(&mixed));
+        assert!(Leaf::ptr_eq(&mixed[0], source.leaf(1)) && Leaf::ptr_eq(&mixed[1], buf.leaf(2)));
     }
 
     #[test]
@@ -573,14 +764,14 @@ mod tests {
         let run = cut_runs(&[(4096, &[9u8; 8192][..])]);
         let mut stored = zero_chunk(4 * 4096);
         stored.write_run((4096, &run[0].1), usize::MAX);
-        assert!(Leaf::ptr_eq(&stored.leaves()[1], &run[0].1[0]));
-        assert!(Leaf::ptr_eq(&stored.leaves()[2], &run[0].1[1]));
+        assert!(Leaf::ptr_eq(stored.leaf(1), &run[0].1[0]));
+        assert!(Leaf::ptr_eq(stored.leaf(2), &run[0].1[1]));
         // Torn at a byte count inside the second piece: the first is
         // still handed over, the straddled one lands by copy.
         let mut torn = zero_chunk(4 * 4096);
         torn.write_run((4096, &run[0].1), 4096 + 100);
-        assert!(Leaf::ptr_eq(&torn.leaves()[1], &run[0].1[0]));
-        assert!(!Leaf::ptr_eq(&torn.leaves()[2], &run[0].1[1]));
+        assert!(Leaf::ptr_eq(torn.leaf(1), &run[0].1[0]));
+        assert!(!Leaf::ptr_eq(torn.leaf(2), &run[0].1[1]));
         assert_eq!((torn[8192 + 99], torn[8192 + 100]), (9, 0));
     }
 
@@ -661,7 +852,7 @@ mod tests {
     /// Which leaves of `buf` have a sum standing.
     fn standing(buf: &ChunkBuf) -> Vec<bool> {
         let standing = |leaf: &Leaf| leaf.standing().is_some();
-        buf.leaves().iter().map(standing).collect()
+        buf.leaves().map(standing).collect()
     }
 
     /// Every standing sum of `buf` is what a recompute gives.
@@ -670,7 +861,7 @@ mod tests {
             leaf.standing()
                 .is_none_or(|sum| sum == crc64_absorb_raw(0, leaf))
         };
-        buf.leaves().iter().all(ok)
+        buf.leaves().all(ok)
     }
 
     #[test]
@@ -771,11 +962,13 @@ mod tests {
         /// after every step — with whatever sums the previous step's
         /// digest left standing — on the mutated handle and on every
         /// earlier clone, which still reads what it read when it was
-        /// taken.
+        /// taken. Dropping the oldest clone runs every mutator over a base
+        /// that has just become the handle's alone: after a mutator, such a
+        /// base shadows no leaf, and a shared one at most a quarter.
         #[test]
         fn mutators_match_a_flat_model_and_clones_are_snapshots(
             len in prop_oneof![Just(256usize), Just(4096usize), Just(10_000usize), Just(256 * 1024usize)],
-            ops in proptest::collection::vec((0u8..7, any::<u32>(), any::<u32>(), any::<u8>()), 1..14),
+            ops in proptest::collection::vec((0u8..8, any::<u32>(), any::<u32>(), any::<u8>()), 1..14),
         ) {
             const PAGE: usize = super::PAGE;
             let mut flat = fill(len, 0x3C);
@@ -811,21 +1004,32 @@ mod tests {
                         let n = (len - page).min(PAGE);
                         let leaf = Leaf::from(&fill(n, tag)[..]);
                         buf.write_run((page as u64, std::slice::from_ref(&leaf)), n);
-                        prop_assert!(Leaf::ptr_eq(&buf.leaves()[page / PAGE], &leaf));
+                        prop_assert!(Leaf::ptr_eq(buf.leaf(page / PAGE), &leaf));
                         flat[page..page + n].copy_from_slice(&leaf);
                     }
                     5 => {
                         buf.flip(off);
                         flat[off] ^= 0xFF;
                     }
-                    _ => {
+                    6 => {
                         if tag % 4 == 0 {
                             buf.zero_from(off);
                             flat[off..].fill(0);
                         }
                         snapshots.push((buf.clone(), flat.clone()));
                     }
+                    _ => {
+                        // The oldest snapshot goes: the next mutator may
+                        // find the base its own and fold.
+                        if !snapshots.is_empty() {
+                            snapshots.remove(0);
+                        }
+                    }
                 }
+                if op != 7 && Rc::strong_count(&buf.base) == 1 {
+                    prop_assert_eq!(buf.owned_leaves(), 0, "a leaf shadowed in a base held alone");
+                }
+                prop_assert!(buf.owned_leaves() <= buf.leaves().len() / OWNED_SHARE);
                 prop_assert!(buf == flat[..], "bytes diverged after op {}", op);
                 prop_assert!(sums_are_true(&buf), "a sum outlived its bytes after op {}", op);
                 prop_assert_eq!(buf.digest(), crc64(&flat));

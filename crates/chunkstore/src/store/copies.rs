@@ -216,10 +216,10 @@ pub(super) fn decode_member(
         .decode_rows(&members, &[want])
         .pop()
         .expect("one wanted member");
-    let leaves = zeros.leaves().iter().enumerate().map(|(i, zero)| {
+    let leaves = zeros.leaves().enumerate().map(|(i, zero)| {
         leaf_with(zero.len(), |out| {
             for ((_, survivor), &c) in gathered.iter().zip(&coefs) {
-                gf_mul_acc(out, &survivor.leaves()[i], c);
+                gf_mul_acc(out, survivor.leaf(i), c);
             }
         })
     });
@@ -293,8 +293,9 @@ pub(super) fn install_rebuilt(
     }
     let written = match landing {
         Landing::InPlace { chunk, home } => {
-            let whole = [(0u64, content.leaves())];
-            mgr.benefactor_mut(home).update_chunk(now, chunk, &whole)
+            let leaves = content.leaves_of(0, chunk_size);
+            mgr.benefactor_mut(home)
+                .update_chunk(now, chunk, &[(0, &leaves)])
         }
         Landing::Rehome { chunk, dest } => {
             let dead: Vec<BenefactorId> = mgr.chunk_homes(chunk).expect("chunk listed").to_vec();

@@ -132,8 +132,9 @@ fn digest_of_runs(chunk_len: u64, runs: &[PageRun<'_>]) -> u64 {
     splice_runs(crc::crc64_zeros(chunk_len), chunk_len, runs)
 }
 
-/// A zero chunk with `runs` applied: the shared zero table un-shared, the
-/// written leaves replaced — an unwritten page stays the one zero leaf.
+/// A zero chunk with `runs` applied: the written leaves owned over the
+/// shared zero table (a table of its own past a quarter of the chunk) —
+/// an unwritten page stays the one zero leaf.
 fn fresh_chunk(chunk_len: u64, runs: &[PageRun<'_>]) -> ChunkBuf {
     let mut chunk = zero_chunk(chunk_len);
     for &run in runs {

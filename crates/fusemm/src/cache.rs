@@ -29,16 +29,17 @@
 //! [`ChunkCache::clear_dirty`].
 
 use crate::dirty::DirtyPages;
-use chunkstore::{ChunkBuf, FileId};
+use chunkstore::{ChunkBuf, FileId, IdMap};
 use simcore::VTime;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 /// One cached chunk.
 #[derive(Debug)]
 pub struct CacheEntry {
-    /// The chunk as fetched, sharing its leaves with wherever it came
-    /// from (a benefactor's stored copy, the zero chunk): a write copies
-    /// the pages it dirties, and a write-back hands those pages on.
+    /// The chunk as fetched, its base table shared with wherever it came
+    /// from (a benefactor's stored copy, the zero chunk, a read view): a
+    /// write copies the one leaf per page it dirties, not the table, and
+    /// a write-back hands those leaves on.
     pub data: ChunkBuf,
     pub dirty: DirtyPages,
     /// LRU tick of the last touch.
@@ -63,7 +64,7 @@ const CLEAN_SCAN_DEPTH: usize = 16;
 /// LRU chunk cache (plain or segmented).
 #[derive(Debug)]
 pub struct ChunkCache {
-    entries: HashMap<ChunkKey, CacheEntry>,
+    entries: IdMap<ChunkKey, CacheEntry>,
     capacity: usize,
     tick: u64,
     pages_per_chunk: usize,
@@ -113,7 +114,7 @@ impl ChunkCache {
     ) -> Self {
         assert!(capacity_chunks > 0, "cache needs at least one chunk");
         ChunkCache {
-            entries: HashMap::with_capacity(capacity_chunks),
+            entries: IdMap::with_capacity_and_hasher(capacity_chunks, Default::default()),
             capacity: capacity_chunks,
             tick: 0,
             pages_per_chunk,
@@ -148,12 +149,6 @@ impl ChunkCache {
         self.entries.contains_key(key)
     }
 
-    /// Is the entry in the protected segment? (false when missing or
-    /// unsegmented.)
-    pub fn is_protected(&self, key: &ChunkKey) -> bool {
-        self.entries.get(key).map(|e| e.protected).unwrap_or(false)
-    }
-
     /// Entries currently in the protected segment.
     pub fn protected_len(&self) -> usize {
         self.protected_len
@@ -175,11 +170,20 @@ impl ChunkCache {
         self.victim_scan_steps
     }
 
-    /// Touch and return an entry (LRU update; segmented mode promotes a
-    /// probationary entry to the protected segment).
-    pub fn get_mut(&mut self, key: &ChunkKey) -> Option<&mut CacheEntry> {
+    /// Touch an entry (LRU update; segmented mode promotes a probationary
+    /// entry to the protected segment) and return it, with whether it was
+    /// protected before the touch: one lookup of `key`, and a second only
+    /// when a promotion has to demote first.
+    pub fn get_mut(&mut self, key: &ChunkKey) -> Option<(&mut CacheEntry, bool)> {
         self.tick += 1;
         let tick = self.tick;
+        // Promoting into a full protected segment demotes its LRU entry
+        // (never `key`, which is on probation), stamped one tick after
+        // `key`'s touch.
+        let full = self.protected_cap > 0 && self.protected_len == self.protected_cap;
+        if full && self.entries.get(key).is_some_and(|e| !e.protected) {
+            self.demote_protected_lru();
+        }
         let entry = self.entries.get_mut(key)?;
         let was_protected = entry.protected;
         let promote = !was_protected && self.protected_cap > 0;
@@ -197,11 +201,8 @@ impl ChunkCache {
         }
         if promote {
             self.protected_len += 1;
-            if self.protected_len > self.protected_cap {
-                self.demote_protected_lru();
-            }
         }
-        self.entries.get_mut(key)
+        Some((entry, was_protected))
     }
 
     /// The protected segment overflowed: its LRU entry moves back to the
@@ -478,10 +479,14 @@ mod tests {
             c.get_mut(&key(i));
         }
         assert_eq!(c.protected_len(), 4);
-        assert!(!c.is_protected(&key(0)), "LRU demoted on overflow");
+        let protected = |c: &ChunkCache, k| c.peek(&k).is_some_and(|e| e.protected);
+        assert!(!protected(&c, key(0)), "LRU demoted on overflow");
         for i in 1..5 {
-            assert!(c.is_protected(&key(i)));
+            assert!(protected(&c, key(i)));
         }
+        // The demoted entry is stamped after the touch that demoted it.
+        let tick = |k| c.peek(&k).expect("cached").last_use;
+        assert!(tick(key(0)) > tick(key(4)));
     }
 
     #[test]

@@ -40,13 +40,13 @@
 
 use crate::cache::{CacheEntry, ChunkCache, ChunkKey};
 use chunkstore::{
-    segments, AggregateStore, BatchRuns, ChunkBuf, ChunkPayload, FileId, LocationCache,
-    PlacementPolicy, Result, Segment, StripeSpec, PAGE_BYTES,
+    segments, AggregateStore, BatchRuns, ChunkBuf, ChunkPayload, FileId, IdMap, Leaf,
+    LocationCache, PlacementPolicy, Result, Segment, StripeSpec, PAGE_BYTES,
 };
 use obs::{Layer, TraceRecorder};
 use simcore::{Counter, StatsRegistry, VTime};
+use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 use std::rc::Rc;
 
 /// Push-updated gauge cells for the metrics sampler (DESIGN.md §14.3).
@@ -143,13 +143,25 @@ struct MountState {
     /// streams (read-ahead detector); newest cursor last. The streak
     /// counts consecutive continuations and drives the adaptive
     /// read-ahead ramp in pipelined mode.
-    seq: HashMap<FileId, Vec<(u64, u32)>>,
+    seq: IdMap<FileId, Vec<(u64, u32)>>,
     /// When the background flusher's in-flight batch completes; the
     /// daemon is idle (can take a new batch) at any `t >=` this.
     flusher_busy_until: VTime,
 }
 
 impl MountState {
+    /// Before a write-back that keeps `keys` cached, give each entry a
+    /// table of its own: the benefactor's copy, which has shared an
+    /// entry's base since the fetch, then holds it alone and takes the
+    /// pages in place. (An evicted victim is dropped before its pages
+    /// ship instead.) Once per flush of a written chunk, never per write.
+    fn own_tables(&mut self, keys: &[ChunkKey]) {
+        for key in keys {
+            let entry = self.cache.peek_mut(key).expect("flushed key cached");
+            entry.data.own_table();
+        }
+    }
+
     /// Record a read `[offset, end)`; returns the stream's streak length:
     /// 0 for a fresh cursor, `n ≥ 1` after `n` consecutive continuations.
     fn note_read(&mut self, file: FileId, offset: u64, end: u64) -> u32 {
@@ -214,9 +226,10 @@ enum SpanIo<'a> {
 /// chunks a span covers, each held by a handle on its payload — a count
 /// bump, no byte copied — with the bytes of it the span takes. A
 /// snapshot: a write that reaches the cache while the view is held
-/// un-shares the chunk it lands in and leaves the view's handle as it
-/// was. The application walks the bytes where they sit, leaf by leaf, as
-/// a load through the paper's mapping reads the page cache.
+/// copies the one leaf it lands in, not the chunk's table, and leaves
+/// the view's handle as it was. The application walks the bytes where
+/// they sit, leaf by leaf, as a load through the paper's mapping reads
+/// the page cache.
 #[derive(Debug, Default)]
 pub struct ReadView {
     /// `(payload, offset within it, bytes taken)`, in span order.
@@ -297,8 +310,41 @@ impl<'a> Iterator for Pieces<'a> {
 /// the store hands those leaves to the benefactors, so the dirty bytes
 /// move from cache to media without being copied.
 struct Writeback<'a> {
-    entries: Vec<BatchRuns<'a>>,
+    chunks: Vec<(ChunkKey, Vec<LeafRun<'a>>)>,
     bytes: u64,
+}
+
+/// One run of a write-back: its offset within the chunk and its leaves.
+type LeafRun<'a> = (u64, Cow<'a, [Leaf]>);
+
+impl Writeback<'_> {
+    /// The runs as the entries of one store call.
+    fn entries(&self) -> Vec<BatchRuns<'_>> {
+        let chunks = self.chunks.iter();
+        chunks
+            .map(|((file, idx), runs)| BatchRuns {
+                file: *file,
+                idx: *idx,
+                updates: runs
+                    .iter()
+                    .map(|(off, leaves)| (*off, &leaves[..]))
+                    .collect(),
+            })
+            .collect()
+    }
+
+    /// The same runs holding handles of their own on the leaves — a count
+    /// bump per dirty page — so the entries they came from can go first.
+    fn detached(self) -> Writeback<'static> {
+        let own = |(off, leaves): LeafRun<'_>| (off, Cow::Owned(leaves.into_owned()));
+        let chunks = self.chunks.into_iter();
+        Writeback {
+            chunks: chunks
+                .map(|(key, runs)| (key, runs.into_iter().map(own).collect()))
+                .collect(),
+            bytes: self.bytes,
+        }
+    }
 }
 
 /// A node's view of the aggregate store. Shared by all processes on the
@@ -366,7 +412,7 @@ impl Mount {
             capacity,
             state: Rc::new(RefCell::new(MountState {
                 cache,
-                seq: HashMap::new(),
+                seq: IdMap::default(),
                 flusher_busy_until: VTime::ZERO,
             })),
             // Built either way: its counters are part of every mount's
@@ -716,6 +762,7 @@ impl Mount {
         for window in dirty.chunks(self.path.window) {
             {
                 let mut st = self.state.borrow_mut();
+                st.own_tables(window);
                 let wb = self.writeback(window.iter().map(|k| {
                     let e = st.cache.peek(k).expect("collected above");
                     (*k, e)
@@ -723,7 +770,7 @@ impl Mount {
                 self.writeback_bytes.add(wb.bytes);
                 let sp = self.trace.span(Layer::Fuse, "fuse.writeback", t);
                 sp.arg("bytes", wb.bytes).arg("chunks", window.len() as u64);
-                t = self.ship(t, &wb.entries)?;
+                t = self.ship(t, &wb.entries())?;
                 sp.finish(t);
                 for key in window {
                     st.cache.clear_dirty(key);
@@ -744,8 +791,8 @@ impl Mount {
         entries: impl Iterator<Item = (ChunkKey, &'a CacheEntry)>,
     ) -> Writeback<'a> {
         let mut bytes = 0;
-        let entries = entries
-            .map(|((file, idx), e)| {
+        let chunks = entries
+            .map(|(key, e)| {
                 let runs = if self.cfg.dirty_page_writeback {
                     e.dirty.runs()
                 } else {
@@ -755,11 +802,10 @@ impl Mount {
                 let runs = runs
                     .into_iter()
                     .map(|(off, len)| (off, e.data.leaves_of(off, len)));
-                let updates = runs.collect();
-                BatchRuns { file, idx, updates }
+                (key, runs.collect())
             })
             .collect();
-        Writeback { entries, bytes }
+        Writeback { chunks, bytes }
     }
 
     /// Hand `entries` to the store from `t` as one `write_runs_batch` — one
@@ -826,12 +872,17 @@ impl Mount {
             self.state.borrow().cache.keys_of_file(file).is_empty(),
             "direct write under cached chunks"
         );
+        let leaves: Vec<_> = chunks
+            .iter()
+            .map(|(_, data)| data.leaves_of(0, data.len() as u64))
+            .collect();
         let whole: Vec<BatchRuns<'_>> = chunks
             .iter()
-            .map(|&(idx, ref data)| BatchRuns {
+            .zip(&leaves)
+            .map(|(&(idx, _), leaves)| BatchRuns {
                 file,
                 idx,
-                updates: vec![(0, data.leaves())],
+                updates: vec![(0, &leaves[..])],
             })
             .collect();
         self.ship(t, &whole)
@@ -886,6 +937,7 @@ impl Mount {
         }
         let take = dirty.len().saturating_sub(low).max(1).min(dirty.len());
         let batch = &dirty[..take];
+        st.own_tables(batch);
         let wb = self.writeback(batch.iter().map(|key| {
             let e = st.cache.peek(key).expect("dirty key cached");
             (*key, e)
@@ -898,7 +950,7 @@ impl Mount {
         let bytes = wb.bytes;
         let sp = self.trace.span(Layer::Fuse, "fuse.bg_flush", start);
         sp.arg("chunks", batch.len() as u64).arg("bytes", bytes);
-        let end = self.ship(start, &wb.entries)?;
+        let end = self.ship(start, &wb.entries())?;
         for key in batch {
             st.cache.clear_dirty(key);
         }
@@ -1028,10 +1080,10 @@ impl Mount {
             let mut st = self.state.borrow_mut();
             let mut last = None;
             for idx in idxs.clone().filter(|&i| last.replace(i) != Some(i)) {
-                if st.cache.is_protected(&(file, idx)) {
-                    self.scan_protected_hits.inc();
-                }
-                if let Some(entry) = st.cache.get_mut(&(file, idx)) {
+                if let Some((entry, was_protected)) = st.cache.get_mut(&(file, idx)) {
+                    if was_protected {
+                        self.scan_protected_hits.inc();
+                    }
                     self.hits.inc();
                     ready = ready.max(entry.ready_at);
                 } else {
@@ -1106,24 +1158,31 @@ impl Mount {
         if dirty.is_empty() {
             return Ok(t);
         }
-        let wb = self.writeback(dirty.iter().map(|(key, e)| (*key, e)));
+        // The victims go before their pages ship: a benefactor's copy,
+        // whose table a victim has shared since the fetch, then holds it
+        // alone again and takes the pages in place.
+        let wb = self
+            .writeback(dirty.iter().map(|(key, e)| (*key, e)))
+            .detached();
+        // The write-back can only start once the victims' own data has
+        // arrived (a dirty chunk may itself still be in flight).
+        let start = dirty.iter().fold(t, |s, (_, e)| s.max(e.ready_at));
+        let victims = dirty.len();
+        drop(dirty);
         self.writeback_bytes.add(wb.bytes);
         if !self.path.async_evict {
             let sp = self.trace.span(Layer::Fuse, "fuse.evict", t);
             sp.arg("bytes", wb.bytes);
-            let end = self.ship(t, &wb.entries)?;
+            let end = self.ship(t, &wb.entries())?;
             sp.finish(end);
             return Ok(end);
         }
-        // The write-back can only start once the victims' own data has
-        // arrived (a dirty chunk may itself still be in flight).
-        let start = dirty.iter().fold(t, |s, (_, e)| s.max(e.ready_at));
-        self.async_writebacks.add(dirty.len() as u64);
+        self.async_writebacks.add(victims as u64);
         let sp = self.trace.span(Layer::Fuse, "fuse.async_writeback", start);
-        sp.arg("bytes", wb.bytes).arg("chunks", dirty.len() as u64);
+        sp.arg("bytes", wb.bytes).arg("chunks", victims as u64);
         // The completion time is dropped (asynchronous write-back); the
         // span still records when the background writes land.
-        let done = self.ship(start, &wb.entries)?;
+        let done = self.ship(start, &wb.entries())?;
         sp.finish(done);
         Ok(t)
     }

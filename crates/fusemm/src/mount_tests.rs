@@ -2,7 +2,7 @@
 
 use crate::mount::{FuseConfig, Mount, OP_OVERHEAD};
 use chunkstore::{
-    AggregateStore, Benefactor, ChunkBuf, FileId, PlacementPolicy, StoreConfig, StoreError,
+    AggregateStore, Benefactor, ChunkBuf, FileId, Leaf, PlacementPolicy, StoreConfig, StoreError,
     StripeSpec,
 };
 use devices::{Ssd, INTEL_X25E};
@@ -308,15 +308,70 @@ fn write_back_hands_dirty_pages_over_without_copying_them() {
     assert_eq!(shared(0), 62);
     // Eviction moves the dirty page from cache to benefactor: the
     // benefactor ends up holding the very leaf the cache entry held.
-    let dirty_leaf = m.cached(f, 0).unwrap().leaves()[5].clone();
+    let dirty_leaf = m.cached(f, 0).unwrap().leaf(5).clone();
     let mut buf = [0u8; 8];
     let t = m.read(t, f, CHUNK, &mut buf).unwrap();
     m.read(t, f, 2 * CHUNK, &mut buf).unwrap();
     assert!(m.cached(f, 0).is_none(), "chunk 0 was evicted");
     assert!(chunkstore::Leaf::ptr_eq(
-        &stored(&m, f, 0).leaves()[5],
+        stored(&m, f, 0).leaf(5),
         &dirty_leaf
     ));
+}
+
+#[test]
+fn a_set_to_a_fetched_chunk_copies_one_page_and_its_eviction_lands_in_place() {
+    let (m, stats) = world(small_cache());
+    let f = mk_file(&m, "/v", 4 * CHUNK);
+    let t = m
+        .write(VTime::ZERO, f, 0, &vec![7u8; CHUNK as usize])
+        .unwrap();
+    let t = m.flush_all(t).unwrap();
+    // A cold mount fetches chunk 0 and sets 8 bytes of page 5: the cache
+    // copies that page and shares the other 63 with the benefactor's copy.
+    let cold = Mount::new(m.store().clone(), 2, small_cache(), &stats);
+    let held: Vec<Leaf> = stored(&m, f, 0).leaves().cloned().collect();
+    let t = cold.write(t, f, 5 * 4096 + 16, &[0xAB; 8]).unwrap();
+    let written = {
+        let cached = cold.cached(f, 0).unwrap();
+        assert_eq!(cached.shared_leaves(&stored(&m, f, 0)), 63);
+        assert_eq!(cached.owned_leaves(), 1);
+        cached.leaf(5).clone()
+    };
+    // Two more chunks evict it: the benefactor's copy takes the very leaf
+    // the cache wrote and keeps the 63 allocations it held before the set.
+    let mut buf = [0u8; 8];
+    let t = cold.read(t, f, CHUNK, &mut buf).unwrap();
+    cold.read(t, f, 2 * CHUNK, &mut buf).unwrap();
+    assert!(cold.cached(f, 0).is_none(), "chunk 0 was evicted");
+    let on_media = stored(&m, f, 0);
+    assert_eq!(on_media[5 * 4096 + 16], 0xAB);
+    assert!(Leaf::ptr_eq(on_media.leaf(5), &written));
+    for (i, (now, was)) in on_media.leaves().zip(&held).enumerate() {
+        assert_eq!(Leaf::ptr_eq(now, was), i != 5, "leaf {i}");
+    }
+    // The victim went before its page shipped, so the copy held its table
+    // alone and took the page in place: it owns no leaf over a shared base.
+    assert_eq!(on_media.owned_leaves(), 0);
+}
+
+#[test]
+fn a_flush_that_keeps_its_entry_still_lands_in_place() {
+    let (m, stats) = world(small_cache());
+    let f = mk_file(&m, "/v", CHUNK);
+    let t = m
+        .write(VTime::ZERO, f, 0, &vec![7u8; CHUNK as usize])
+        .unwrap();
+    let t = m.flush_all(t).unwrap();
+    let cold = Mount::new(m.store().clone(), 2, small_cache(), &stats);
+    let t = cold.write(t, f, 5 * 4096 + 16, &[0xAB; 8]).unwrap();
+    cold.flush_all(t).unwrap();
+    // The entry took a table of its own before the flush, so the
+    // benefactor's copy held its base alone and took the page in place.
+    let (cached, on_media) = (cold.cached(f, 0).unwrap(), stored(&m, f, 0));
+    assert_eq!((cached.owned_leaves(), on_media.owned_leaves()), (0, 0));
+    assert_eq!(cached.shared_leaves(&on_media), 64);
+    assert_eq!(on_media[5 * 4096 + 16], 0xAB);
 }
 
 #[test]

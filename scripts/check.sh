@@ -91,6 +91,18 @@ stack_pool='^crates/simcore/src/engine/stack\.rs:[0-9]+:(use parking_lot::Mutex;
 # the thread that made it, so nothing in obs is keyed by a host thread.
 ! grep -rnE 'ThreadId|thread::current|bind_lane' crates/obs/src || exit 1
 
+echo "==> every map a data-path operation looks an id up in hashes with chunkstore's IdHasher"
+# A HashMap or HashSet under chunkstore or fusemm is an IdMap (chunkstore/
+# src/ids.rs, DESIGN.md §13 "One hash per id"): SipHash's keyed rounds on
+# ChunkId / FileId keys cost more than the lookups they serve. The one map
+# left on the default hasher is the manager's by_name, keyed by path
+# strings. Imports, comments and test code may still name the std types.
+! awk 'FNR == 1 { test = 0 } /^mod tests \{/ { test = 1 }
+      !test && /Hash(Map|Set)/ && !/^[[:space:]]*(\/\/|use )/ && !/BuildHasherDefault<IdHasher>/ &&
+      !/^[[:space:]]*by_name: HashMap(<String, FileId>,|::new\(\),)$/ { print FILENAME ":" FNR ": " $0 }' \
+    $(find crates/chunkstore/src crates/fusemm/src -name '*.rs' ! -name tests.rs ! -name '*_tests.rs') |
+    grep . || exit 1
+
 echo "==> nvmalloc waits for its turn in one place, and the write-back daemon's off value is a value"
 # Every store call nvmalloc makes is a step of its one stepper,
 # crates/nvmalloc/src/steps.rs (DESIGN.md §4b): a yield or a clock advance
