@@ -6,9 +6,9 @@
 #   scripts/check.sh          # fmt + clippy + full workspace test suite
 #   scripts/check.sh --quick  # skip clippy (fmt + tests only)
 #
-# A PR that claims "no behaviour change" additionally runs
-# scripts/vt_identity.sh [base-ref]: the two-clock benchmark at a base
-# commit vs the working tree, minutes long, so not part of this gate.
+# "No behaviour change" is the ledger step below: scripts/ledger.sh diffs
+# the virtual rows of every bench target and of the frozen benchmark's
+# five workloads against the committed BENCH_* files.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -18,8 +18,8 @@ quick=0
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
-echo "==> scripts parse"
-for script in pairs.sh base_tree.sh vt_identity.sh; do bash -n "scripts/$script"; done
+echo "==> pairs.sh parses (this gate runs ledger.sh)"
+bash -n scripts/pairs.sh
 
 echo "==> fusemm and nvmalloc reach the store's data plane only through fetch_chunks / write_runs_batch"
 # The per-chunk and byte-slice entry points are wrappers for benches, tests
@@ -134,15 +134,12 @@ cargo test -q --workspace
 echo "==> cargo build --benches"
 cargo build --benches -q --workspace
 
-echo "==> perf ledger (every committed BENCH_*.json must be re-emitted byte for byte, every shape check true)"
+echo "==> perf ledger (every committed BENCH_* file re-emitted byte for byte, the five benchmark workloads correct, every shape check true)"
 scripts/ledger.sh
 
 echo "==> exported trace must satisfy the Chrome trace-event schema (with causal flows + counter tracks)"
 cargo run -q --release --example validate_trace -- --require-flows --require-counters \
     target/ledger/trace_smoke.json
-
-echo "==> the frozen benchmark package must build and run against the workspace (all five workloads correct)"
-cargo run --release --quiet --manifest-path examples/benchmark/Cargo.toml -- --smoke
 
 echo "==> micro host-speed floors (simulated bytes, engine hand-offs, stream writes, fetches, the two payload kernels, the two small-write shapes of the mount, the two verified RS shapes, network transfers, resident reads in place and MM tile multiply-adds per host second)"
 # On one CPU, like examples/benchmark: every rate here is host time, and

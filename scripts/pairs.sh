@@ -15,10 +15,9 @@
 # PAIRS_ARGS replaces the benchmark options (default: the held-out seed
 # and the driver's run length, "--seed 2013 --seconds 15"); pass --reps N
 # to compare fault counts, which otherwise scale with how many repetitions
-# fit in the run. The base is checked out as scripts/vt_identity.sh checks
-# it out (scripts/base_tree.sh: a git worktree, or a shared clone where
-# that is not available) under target/pairs/, removed on exit; every run's
-# result file stays there.
+# fit in the run. The base is checked out under target/pairs/ as a git
+# worktree, or as a shared clone where `git worktree add` is not
+# available, and removed on exit; every run's result file stays there.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -31,8 +30,17 @@ workload="$2"
 pairs="${3:-10}"
 read -r -a bench_args <<<"${PAIRS_ARGS:---seed 2013 --seconds 15}"
 root="$(pwd)/target/pairs"
-. scripts/base_tree.sh
-checkout_base "$root" "$base"
+tree="$root/base-tree"
+git worktree remove --force "$tree" 2>/dev/null || true
+rm -rf "$root"
+mkdir -p "$root"
+if git worktree add --quiet --detach "$tree" "$base" 2>/dev/null; then
+    trap 'git worktree remove --force "$tree"' EXIT
+else
+    git clone --quiet --shared . "$tree"
+    git -C "$tree" checkout --quiet --detach "$(git rev-parse "$base")"
+    trap 'rm -rf "$tree"' EXIT
+fi
 
 build() { # <checkout> -> path of its benchmark binary
     (cd "$1" && cargo build --release --quiet --manifest-path examples/benchmark/Cargo.toml)
