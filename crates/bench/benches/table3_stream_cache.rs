@@ -9,9 +9,7 @@
 
 use bench::{header, stream_fuse, JsonReport, Table, SCALE};
 use cluster::{Calibration, Cluster, ClusterSpec, JobConfig};
-use workloads::stream::{
-    run_stream, run_stream_raw_ssd, ArrayPlace, RawMmapConfig, StreamConfig, StreamKernel,
-};
+use workloads::stream::{run_stream, run_stream_raw_ssd, ArrayPlace, StreamConfig, StreamKernel};
 
 fn main() {
     header(
@@ -53,14 +51,7 @@ fn main() {
             &raw_cfg.benefactor_nodes(),
             stream_fuse(SCALE, 8),
         );
-        let raw = run_stream_raw_ssd(
-            &raw_cluster,
-            &raw_cfg,
-            calib,
-            &scfg,
-            kernel,
-            RawMmapConfig::default(),
-        );
+        let raw = run_stream_raw_ssd(&raw_cluster, &raw_cfg, calib, &scfg, kernel);
 
         let gain = with.bandwidth_mb_s / raw.bandwidth_mb_s;
         all_gain &= gain > 1.0;

@@ -2,7 +2,9 @@
 //!
 //! One `harness = false` bench target per table and figure of the paper's
 //! evaluation (run them all with `cargo bench`), plus the host-speed
-//! workload of the stack itself (`--bench micro`).
+//! workload of the stack itself (`--bench micro`). The matrix-multiply
+//! figures (Figs. 3–6, Table IV) share one target, `mm_paper`, over the
+//! run table of [`mm`].
 //!
 //! Common policy: every experiment runs on the HAL cluster preset scaled
 //! by [`SCALE`] (capacities ÷ 64, bandwidths/latencies unchanged) with the
@@ -16,6 +18,10 @@ use cluster::{Cluster, ClusterSpec, JobConfig};
 use fusemm::FuseConfig;
 use obs::{CritPath, GaugeSeries, ObsFooter};
 use simcore::VTime;
+use std::cell::Cell;
+use std::collections::BTreeMap;
+
+pub mod mm;
 
 /// Capacity divisor for all experiments (except the sort, which needs a
 /// deeper scale to fit 200 GB of list data in host memory).
@@ -207,8 +213,12 @@ pub fn store_health(label: &str, cluster: &Cluster) {
     if cluster.store.wear_reports().is_empty() {
         return; // DRAM-only configuration: no store to report on
     }
+    print_health(label, &health(cluster));
+}
+
+fn print_health(label: &str, health: &[(String, Json)]) {
     let mut line = String::new();
-    for (key, value) in &health(cluster) {
+    for (key, value) in health {
         if key == SHARD_ROW || HEALTH_COUNTERS.iter().skip(1).any(|row| row[0] == key) {
             println!("  [health {label}]{line}");
             line.clear();
@@ -217,6 +227,36 @@ pub fn store_health(label: &str, cluster: &Cluster) {
         line.push_str(&format!(" {name}={}", health_text(name, value)));
     }
     println!("  [health {label}]{line}");
+}
+
+/// What a report reads of a finished cluster: its counters and its
+/// [`health`] report, taken when the run ends so the cluster itself can go.
+pub struct Finished {
+    counters: BTreeMap<String, u64>,
+    health: Vec<(String, Json)>,
+    has_store: bool,
+}
+
+impl Finished {
+    pub fn of(cluster: &Cluster) -> Self {
+        Finished {
+            counters: cluster.stats.snapshot().values,
+            health: health(cluster),
+            has_store: !cluster.store.wear_reports().is_empty(),
+        }
+    }
+
+    /// The network payload the run moved, for a report's host footer.
+    pub fn net_bytes(&self) -> u64 {
+        self.counters.get("net.bytes").copied().unwrap_or(0)
+    }
+
+    /// [`store_health`] of the cluster this was taken from.
+    pub fn print_health(&self, label: &str) {
+        if self.has_store {
+            print_health(label, &self.health);
+        }
+    }
 }
 
 /// Simple fixed-width table printer.
@@ -403,7 +443,8 @@ impl From<VTime> for Json {
 
 /// Wall-clock throughput instrumentation (ISSUE 7): how many simulated
 /// bytes and events the simulator itself pushes per *host* second. Every
-/// [`JsonReport`] carries one from construction to `emit()`, so each
+/// [`JsonReport`] takes one at `emit()`, over the wall clock since the
+/// process's previous report (or its start), so each
 /// `BENCH_<name>.json` gets a `host` footer; `bench micro` runs a
 /// dedicated workload over a known simulated volume and check.sh gates
 /// its rates against committed floors.
@@ -425,6 +466,11 @@ fn process_epoch() -> std::time::Instant {
     *EPOCH.get_or_init(std::time::Instant::now)
 }
 
+thread_local! {
+    /// When this process last emitted a [`JsonReport`].
+    static LAST_REPORT: Cell<Option<std::time::Instant>> = const { Cell::new(None) };
+}
+
 impl HostSpeed {
     /// Measure from this call (scoped workloads, e.g. `micro`).
     pub fn start() -> Self {
@@ -435,10 +481,12 @@ impl HostSpeed {
         }
     }
 
-    /// Measure from the process epoch (whole-bench wall clock).
-    pub fn since_process_start() -> Self {
+    /// Measure from where this process emitted its previous report, or
+    /// from the process epoch for its first: a target that emits several
+    /// reports gives each the wall clock of its own work.
+    fn since_last_report() -> Self {
         HostSpeed {
-            started: process_epoch(),
+            started: LAST_REPORT.get().unwrap_or_else(process_epoch),
             sim_bytes: 0,
             sim_events: 0,
         }
@@ -485,7 +533,10 @@ impl HostSpeed {
 /// footer.
 pub struct JsonReport {
     name: String,
-    host: HostSpeed,
+    /// Simulated volume for the `host` footer; its wall-clock window is
+    /// taken at [`Self::emit`].
+    sim_bytes: u64,
+    sim_events: u64,
     config: Json,
     times: Json,
     counters: Json,
@@ -500,7 +551,8 @@ impl JsonReport {
     pub fn new(name: &str) -> Self {
         JsonReport {
             name: name.to_string(),
-            host: HostSpeed::since_process_start(),
+            sim_bytes: 0,
+            sim_events: 0,
             config: Json::obj(),
             times: Json::obj(),
             counters: Json::obj(),
@@ -515,13 +567,13 @@ impl JsonReport {
     /// Account simulated bytes toward the host-speed footer (for targets
     /// that never call [`Self::health_from`]).
     pub fn host_bytes(&mut self, bytes: u64) -> &mut Self {
-        self.host.add_bytes(bytes);
+        self.sim_bytes += bytes;
         self
     }
 
     /// Account simulated events toward the host-speed footer.
     pub fn host_events(&mut self, n: u64) -> &mut Self {
-        self.host.add_events(n);
+        self.sim_events += n;
         self
     }
 
@@ -551,10 +603,22 @@ impl JsonReport {
 
     /// Record every counter currently in the cluster's registry.
     pub fn counters_from(&mut self, cluster: &Cluster) -> &mut Self {
-        for (k, v) in cluster.stats.snapshot().values {
-            self.counters.set(&k, v);
+        self.counters_of(&cluster.stats.snapshot().values)
+    }
+
+    fn counters_of(&mut self, values: &BTreeMap<String, u64>) -> &mut Self {
+        for (k, v) in values {
+            self.counters.set(k, *v);
         }
         self
+    }
+
+    /// The counters and the health footer of a cluster that is already
+    /// gone. Unlike [`Self::health_from`] it accounts no simulated bytes:
+    /// the run may have been simulated inside another report's window.
+    pub fn finished(&mut self, run: &Finished) -> &mut Self {
+        self.health = Json::Obj(run.health.clone());
+        self.counters_of(&run.counters)
     }
 
     /// A shape assertion: printed like [`check`] AND recorded in the
@@ -570,7 +634,7 @@ impl JsonReport {
         // Approximate simulated volume for the host footer: total network
         // payload this cluster moved (accumulates across clusters for
         // multi-run ablations).
-        self.host.add_bytes(cluster.stats.get("net.bytes"));
+        self.sim_bytes += cluster.stats.get("net.bytes");
         self.health = Json::Obj(health(cluster));
         self
     }
@@ -720,7 +784,10 @@ impl JsonReport {
         // Host wall-clock footer right after the experiment key, as a
         // flat block, so the ledger diff can strip exactly these lines
         // (scripts/strip_host.awk).
-        root.set("host", self.host.footer());
+        let mut host = HostSpeed::since_last_report();
+        host.add_bytes(self.sim_bytes);
+        host.add_events(self.sim_events);
+        root.set("host", host.footer());
         root.set("config", self.config.clone());
         root.set("times", self.times.clone());
         root.set("counters", self.counters.clone());
@@ -736,6 +803,7 @@ impl JsonReport {
             }
         }
         emit_json(&self.name, &root);
+        LAST_REPORT.set(Some(std::time::Instant::now()));
     }
 }
 

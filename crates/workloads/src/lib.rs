@@ -27,8 +27,7 @@ pub use matmul::{
 pub use qsort::{run_sort_dram_two_pass, run_sort_hybrid, SortConfig, SortReport};
 pub use randwrite::{run_randwrite, RandWriteConfig, RandWriteReport};
 pub use stream::{
-    run_stream, run_stream_raw_ssd, ArrayPlace, RawMmapConfig, StreamConfig, StreamKernel,
-    StreamReport,
+    run_stream, run_stream_raw_ssd, ArrayPlace, StreamConfig, StreamKernel, StreamReport,
 };
 
 /// An input a kernel reads in place: a borrowed DRAM slice, or a view of

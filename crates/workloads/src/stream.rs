@@ -322,32 +322,20 @@ pub(crate) fn lockstep<'a>(
     }
 }
 
-/// Raw-mmap baseline for Table III: array C lives on the node-local SSD
-/// accessed through plain `mmap` with the kernel's 128 KiB readahead but
-/// *without* NVMalloc's chunk cache.
-#[derive(Clone, Copy, Debug)]
-pub struct RawMmapConfig {
-    /// Kernel readahead window (Linux-era default: 128 KiB).
-    pub readahead_bytes: u64,
-}
+/// The kernel readahead window of Table III's raw-mmap baseline
+/// (Linux-era default: 128 KiB).
+pub const RAW_READAHEAD_BYTES: u64 = 128 * 1024;
 
-impl Default for RawMmapConfig {
-    fn default() -> Self {
-        RawMmapConfig {
-            readahead_bytes: 128 * 1024,
-        }
-    }
-}
-
-/// STREAM with array C on a raw local SSD (no NVMalloc): every
-/// `readahead_bytes` window of sequential faults costs one device access.
+/// STREAM with array C on a raw local SSD (no NVMalloc): C is accessed
+/// through plain `mmap` with the kernel's readahead but *without*
+/// NVMalloc's chunk cache, so every [`RAW_READAHEAD_BYTES`] window of
+/// sequential faults costs one device access (Table III's baseline).
 pub fn run_stream_raw_ssd(
     cluster: &Cluster,
     cfg: &JobConfig,
     calib: Calibration,
     scfg: &StreamConfig,
     kernel: StreamKernel,
-    raw: RawMmapConfig,
 ) -> StreamReport {
     let threads = cfg.ranks();
     assert_eq!(scfg.elems % threads, 0);
@@ -385,11 +373,11 @@ pub fn run_stream_raw_ssd(
                 }
                 // C: sequential mmap faults against the raw SSD, one
                 // device access per readahead window.
-                let windows = bytes.div_ceil(raw.readahead_bytes);
+                let windows = bytes.div_ceil(RAW_READAHEAD_BYTES);
                 ctx.yield_until_min();
                 let mut t = ctx.now();
                 for _ in 0..windows {
-                    let g = ssd.read_at(t, raw.readahead_bytes.min(bytes));
+                    let g = ssd.read_at(t, RAW_READAHEAD_BYTES.min(bytes));
                     t = g.end;
                 }
                 ctx.advance_to(t);

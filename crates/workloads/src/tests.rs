@@ -5,7 +5,7 @@ use crate::matmul::{run_mm, AccessOrder, BPlacement, MmConfig};
 use crate::qsort::{run_sort_dram_two_pass, run_sort_hybrid, SortConfig};
 use crate::randwrite::{run_randwrite, RandWriteConfig};
 use crate::stream::{
-    lockstep, run_stream, run_stream_raw_ssd, ArrayPlace, RawMmapConfig, StreamConfig, StreamKernel,
+    lockstep, run_stream, run_stream_raw_ssd, ArrayPlace, StreamConfig, StreamKernel,
 };
 use cluster::{Calibration, Cluster, ClusterSpec, JobConfig};
 use fusemm::FuseConfig;
@@ -152,7 +152,6 @@ fn stream_raw_ssd_slower_than_nvmalloc() {
         Calibration::default(),
         &scfg,
         StreamKernel::Triad,
-        RawMmapConfig::default(),
     );
     assert!(with_nvmalloc.verified && raw.verified);
     assert!(

@@ -117,6 +117,12 @@ echo "==> nvmalloc waits for its turn in one place, and the write-back daemon's 
 ! grep -rnE 'writeback_daemon_on|ssdmalloc_shared_opts|MeteredResource|METRICS_LANE' \
     crates src tests examples/*.rs || exit 1
 
+echo "==> the paper's MM figures have one producer"
+# Figs. 3-6 and Table IV are rows of one run table (crates/bench/src/mm.rs)
+# emitted by the one mm_paper target: a per-figure target would simulate a
+# run two figures share twice. None comes back.
+! { ls crates/bench/benches; cat crates/bench/Cargo.toml; } | grep -E 'fig[3-6]_mm_|table4_mm_' || exit 1
+
 echo "==> nvmalloc casts bytes to elements in one place"
 # A view hands the application the cache's own pages as &[T]; the one
 # byte-to-element cast (and the two element-to-byte ones) live in pod.rs,

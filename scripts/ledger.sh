@@ -31,8 +31,9 @@ mkdir -p "$out/raw"
 
 # The one list: "<bench target> [args]". The six extension benches run at
 # --smoke scale (7 files); the ten paper targets that finish in < 10 s
-# run at their published scale. The five MM targets (fig3-fig6, table4:
-# ~8 min together) have no smoke size yet and are not in the ledger.
+# run at their published scale. mm_paper (the five MM reports, fig3-fig6
+# and table4: ~3 min at published scale) has no smoke size yet and is not
+# in the ledger.
 # pipeline_overlap also exports its Chrome trace for check.sh to validate.
 targets="
 pipeline_overlap --smoke --trace $out/trace_smoke.json
