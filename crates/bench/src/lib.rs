@@ -449,6 +449,11 @@ impl From<VTime> for Json {
 /// dedicated workload over a known simulated volume and check.sh gates
 /// its rates against committed floors.
 ///
+/// A report's simulated bytes are what its clusters moved: network
+/// payload plus every SSD's read and written bytes
+/// ([`JsonReport::health_from`]), so a node-local run, which never
+/// touches the network, still reports its volume.
+///
 /// Host wall-clock is inherently nondeterministic, so the footer is
 /// emitted as a self-contained block that scripts/ledger.sh strips
 /// (`strip_host.awk`) before comparing.
@@ -492,7 +497,7 @@ impl HostSpeed {
         }
     }
 
-    /// Account simulated payload bytes moved (network-level).
+    /// Account simulated payload bytes moved.
     pub fn add_bytes(&mut self, bytes: u64) {
         self.sim_bytes += bytes;
     }
@@ -525,6 +530,18 @@ impl HostSpeed {
         );
         h
     }
+}
+
+/// The simulated bytes a cluster moved, for the host footer: its network
+/// payload plus every SSD's (`*.ssd` device's) read and written bytes — a
+/// node-local run moves its bytes without touching the network.
+fn sim_bytes_of(cluster: &Cluster) -> u64 {
+    let snap = cluster.stats.snapshot().values;
+    let ssd = snap
+        .iter()
+        .filter(|(k, _)| k.ends_with(".ssd.read_bytes") || k.ends_with(".ssd.written_bytes"))
+        .map(|(_, v)| v);
+    snap.get("net.bytes").copied().unwrap_or(0) + ssd.sum::<u64>()
 }
 
 /// The standard machine-readable report every bench target emits next to
@@ -631,10 +648,10 @@ impl JsonReport {
 
     /// The health footer: the [`health`] report of `cluster`.
     pub fn health_from(&mut self, cluster: &Cluster) -> &mut Self {
-        // Approximate simulated volume for the host footer: total network
-        // payload this cluster moved (accumulates across clusters for
-        // multi-run ablations).
-        self.sim_bytes += cluster.stats.get("net.bytes");
+        // Approximate simulated volume for the host footer: the payload
+        // this cluster's network and SSDs moved (accumulates across
+        // clusters for multi-run ablations).
+        self.sim_bytes += sim_bytes_of(cluster);
         self.health = Json::Obj(health(cluster));
         self
     }
@@ -897,5 +914,33 @@ mod tests {
             health_keys(knobs_on, StripeSpec::all().with_parity(2, 1)),
             [always, sections].concat()
         );
+    }
+
+    /// A node-local run moves its bytes through the node's own SSD and
+    /// none over the network; the host footer still counts them.
+    #[test]
+    fn a_node_local_run_reports_its_simulated_bytes() {
+        let cfg = JobConfig::local(1, 1, 1);
+        let cluster = Cluster::with_configs(
+            ClusterSpec::hal().scaled(SCALE),
+            &cfg.benefactor_nodes(),
+            scaled_fuse(SCALE),
+            StoreConfig::default(),
+        );
+        let store = &cluster.store;
+        let chunk = store.config().chunk_size;
+        let (t, f) = store.create_file(VTime::ZERO, 0, "/local").unwrap();
+        let rr = PlacementPolicy::RoundRobin;
+        let t = store
+            .fallocate(t, 0, f, chunk, StripeSpec::all(), rr)
+            .unwrap();
+        let page = vec![7u8; 4096];
+        let t = store.write_pages(t, 0, f, 0, &[(0, &page)]).unwrap();
+        store.fetch_chunk(t, 0, f, 0).unwrap();
+        assert_eq!(cluster.stats.get("net.bytes"), 0, "the run is node-local");
+        let mut report = JsonReport::new("local");
+        report.health_from(&cluster);
+        let bytes = report.sim_bytes;
+        assert!(bytes >= 4096 + chunk, "{bytes} simulated bytes");
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! Each placement-manager rank keeps its chunk metadata recoverable: a
 //! CRC-64-protected **superblock** plus an append-only **journal** of
-//! self-checksummed, length-prefixed records describing every placement
-//! mutation (chunk placed, chunk freed, placement-epoch bump,
-//! parity-group membership). The format follows the SPDK BlobStore
+//! self-checksummed, length-prefixed records of every home and group
+//! change (chunk placed, chunk freed, parity-group membership) and
+//! placement-epoch bump. The format follows the SPDK BlobStore
 //! discipline the design doc cites: metadata is explicitly synced in
 //! record-sized units, and load-time recovery *scans and repairs* — a
 //! torn tail (a record cut short by the crash, or whose checksum no
@@ -15,17 +15,18 @@
 //! state always serializes to the same bytes, so journal images can be
 //! diffed across runs like every other artifact in this codebase.
 //!
-//! Replay rebuilds a [`ShardMeta`]: the chunk → (benefactor, slot) home
-//! map, per-benefactor leaf slot bitmaps (turned back into live
-//! allocators through [`BitAlloc::from_leaf`], the crash-recovery path
-//! DESIGN.md §13 reserved for exactly this), the placement epoch, and
-//! parity-group membership. The standby rank promotes by replaying its
-//! shard's lane and verifying the result against the fleet
+//! Replay folds a lane into a [`ShardMeta`]: a [`Placement`] (homes with
+//! their slots, and group membership) built by the [`Placement::apply`]
+//! that `Manager::commit` writes the live table with, per-benefactor leaf
+//! slot bitmaps (live allocators again through [`BitAlloc::from_leaf`],
+//! DESIGN.md §13's crash-recovery path) and the placement epoch. A standby
+//! promotes once its lane's replay equals the live table of its keyspace
 //! (`AggregateStore::failover_manager`).
 
 use crate::bitalloc::BitAlloc;
 use crate::crc::crc64;
-use crate::ids::ChunkId;
+use crate::ids::{BenefactorId, ChunkId, FileId, IdMap};
+use crate::manager::GroupRef;
 use simcore::Counter;
 use std::collections::BTreeMap;
 
@@ -183,77 +184,50 @@ impl Record {
     }
 
     /// Decode one payload. `None` on unknown tag or malformed fields —
-    /// the scanner treats that exactly like a checksum mismatch.
+    /// the scanner treats that exactly like a checksum mismatch. A payload
+    /// is well-formed only if it is exactly the encoding of what it
+    /// decodes to: no missing field, no trailing byte.
     pub fn decode_payload(buf: &[u8]) -> Option<Record> {
-        let tag = *buf.first()?;
-        let rec = match tag {
-            TAG_PLACE | TAG_FREE => {
-                let chunk = ChunkId(get_u64(buf, 1)?);
-                let benefactor = get_u32(buf, 9)? as usize;
-                let slot = get_u32(buf, 13)? as usize;
-                if buf.len() != 17 {
-                    return None;
-                }
-                if tag == TAG_PLACE {
-                    Record::Place {
-                        chunk,
-                        benefactor,
-                        slot,
-                    }
-                } else {
-                    Record::Free {
-                        chunk,
-                        benefactor,
-                        slot,
-                    }
-                }
-            }
-            TAG_EPOCH_BUMP => {
-                if buf.len() != 9 {
-                    return None;
-                }
-                Record::EpochBump {
-                    epoch: get_u64(buf, 1)?,
-                }
-            }
-            TAG_GROUP_LINK => {
-                if buf.len() != 25 {
-                    return None;
-                }
-                Record::GroupLink {
-                    chunk: ChunkId(get_u64(buf, 1)?),
-                    file: get_u64(buf, 9)?,
-                    group: get_u32(buf, 17)?,
-                    member: get_u32(buf, 21)?,
-                }
-            }
-            TAG_GROUP_UNLINK => {
-                if buf.len() != 9 {
-                    return None;
-                }
-                Record::GroupUnlink {
-                    chunk: ChunkId(get_u64(buf, 1)?),
-                }
-            }
+        let u32_at = |at| get_u32(buf, at).map(|v| v as usize);
+        let u64_at = |at| get_u64(buf, at);
+        let rec = match *buf.first()? {
+            TAG_PLACE => Record::Place {
+                chunk: ChunkId(u64_at(1)?),
+                benefactor: u32_at(9)?,
+                slot: u32_at(13)?,
+            },
+            TAG_FREE => Record::Free {
+                chunk: ChunkId(u64_at(1)?),
+                benefactor: u32_at(9)?,
+                slot: u32_at(13)?,
+            },
+            TAG_EPOCH_BUMP => Record::EpochBump { epoch: u64_at(1)? },
+            TAG_GROUP_LINK => Record::GroupLink {
+                chunk: ChunkId(u64_at(1)?),
+                file: u64_at(9)?,
+                group: get_u32(buf, 17)?,
+                member: get_u32(buf, 21)?,
+            },
+            TAG_GROUP_UNLINK => Record::GroupUnlink {
+                chunk: ChunkId(u64_at(1)?),
+            },
             TAG_LEAF_CHECKPOINT => {
-                let benefactor = get_u32(buf, 1)? as usize;
-                let len = get_u64(buf, 5)? as usize;
-                let words = get_u32(buf, 13)? as usize;
-                if buf.len() != 17 + words * 8 {
+                // Sized first: a rotted count must not allocate.
+                let words = u32_at(13)?;
+                if buf.len() != 17 + words * 8 || buf.len() > MAX_RECORD_BYTES {
                     return None;
                 }
-                let leaf = (0..words)
-                    .map(|i| get_u64(buf, 17 + i * 8))
-                    .collect::<Option<Vec<u64>>>()?;
                 Record::LeafCheckpoint {
-                    benefactor,
-                    len,
-                    leaf,
+                    benefactor: u32_at(1)?,
+                    len: u64_at(5)? as usize,
+                    leaf: (0..words)
+                        .map(|i| u64_at(17 + i * 8))
+                        .collect::<Option<_>>()?,
                 }
             }
             _ => return None,
         };
-        Some(rec)
+        (rec.encode_payload() == buf).then_some(rec)
     }
 }
 
@@ -444,67 +418,144 @@ fn low_bits(n: usize) -> u64 {
     }
 }
 
-/// Metadata state rebuilt by replaying one shard's journal.
+/// One chunk's authoritative copies, primary first, with their slots.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ShardMeta {
-    /// chunk → authoritative (benefactor, slot) copies, in place order.
-    pub homes: BTreeMap<ChunkId, Vec<(usize, usize)>>,
-    /// benefactor → journaled leaf bitmap. Grows as records mention
-    /// higher slots.
-    leaf: BTreeMap<usize, LaneLeaf>,
-    /// Highest placement epoch seen in an `EpochBump` record.
-    pub epoch: u64,
-    /// chunk → (file, group, member) parity membership.
-    pub groups: BTreeMap<ChunkId, (u64, u32, u32)>,
+struct Homes {
+    ids: Vec<BenefactorId>,
+    slots: Vec<usize>,
 }
 
-impl ShardMeta {
-    pub fn replay(records: impl Iterator<Item = Record>) -> ShardMeta {
-        let mut meta = ShardMeta::default();
-        for r in records {
-            meta.apply(&r);
-        }
-        meta
-    }
+/// Every chunk's homes and parity group: the manager's live table, and
+/// what replaying a lane gives back for its rank's keyspace — both built
+/// by [`Placement::apply`], the one writer.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Placement {
+    homes: IdMap<ChunkId, Homes>,
+    groups: IdMap<ChunkId, GroupRef>,
+}
 
+impl Placement {
+    /// Apply one record (`EpochBump` and `LeafCheckpoint` change nothing).
     pub fn apply(&mut self, r: &Record) {
-        match r {
+        match *r {
             Record::Place {
                 chunk,
                 benefactor,
                 slot,
             } => {
-                self.set_bit(*benefactor, *slot, true);
-                let homes = self.homes.entry(*chunk).or_default();
-                if !homes.contains(&(*benefactor, *slot)) {
-                    homes.push((*benefactor, *slot));
-                }
+                let h = self.homes.entry(chunk).or_default();
+                h.ids.push(BenefactorId(benefactor));
+                h.slots.push(slot);
             }
             Record::Free {
                 chunk,
                 benefactor,
                 slot,
             } => {
-                self.set_bit(*benefactor, *slot, false);
-                if let Some(homes) = self.homes.get_mut(chunk) {
-                    homes.retain(|&h| h != (*benefactor, *slot));
-                    if homes.is_empty() {
-                        self.homes.remove(chunk);
-                    }
+                let Some(h) = self.homes.get_mut(&chunk) else {
+                    return;
+                };
+                let home = (BenefactorId(benefactor), slot);
+                if let Some(at) = (0..h.ids.len()).find(|&i| (h.ids[i], h.slots[i]) == home) {
+                    h.ids.remove(at);
+                    h.slots.remove(at);
+                }
+                if h.ids.is_empty() {
+                    self.homes.remove(&chunk);
                 }
             }
-            Record::EpochBump { epoch } => self.epoch = self.epoch.max(*epoch),
             Record::GroupLink {
                 chunk,
                 file,
                 group,
                 member,
             } => {
-                self.groups.insert(*chunk, (*file, *group, *member));
+                let (file, group, member) = (FileId(file), group as usize, member as usize);
+                self.groups.insert(
+                    chunk,
+                    GroupRef {
+                        file,
+                        group,
+                        member,
+                    },
+                );
             }
             Record::GroupUnlink { chunk } => {
-                self.groups.remove(chunk);
+                self.groups.remove(&chunk);
             }
+            Record::EpochBump { .. } | Record::LeafCheckpoint { .. } => {}
+        }
+    }
+
+    /// Every benefactor holding an authoritative copy of `c`, primary first.
+    pub fn homes(&self, c: ChunkId) -> Option<&[BenefactorId]> {
+        self.homes.get(&c).map(|h| h.ids.as_slice())
+    }
+
+    /// The slot `c`'s copy on `home` is stored in, if `home` is listed.
+    pub fn slot_on(&self, c: ChunkId, home: BenefactorId) -> Option<usize> {
+        let h = self.homes.get(&c)?;
+        h.ids.iter().position(|&b| b == home).map(|at| h.slots[at])
+    }
+
+    /// The parity group `c` is a member of, if any.
+    pub fn group(&self, c: ChunkId) -> Option<GroupRef> {
+        self.groups.get(&c).copied()
+    }
+
+    /// Every chunk with a home, with its homes' benefactors and slots.
+    pub fn chunks(&self) -> impl Iterator<Item = (ChunkId, &[BenefactorId], &[usize])> {
+        self.homes
+            .iter()
+            .map(|(&c, h)| (c, h.ids.as_slice(), h.slots.as_slice()))
+    }
+
+    /// Every grouped chunk, with its group.
+    pub fn groups(&self) -> impl Iterator<Item = (ChunkId, GroupRef)> + '_ {
+        self.groups.iter().map(|(&c, &g)| (c, g))
+    }
+
+    /// The part of the table whose chunks `keep` selects (a rank's keyspace).
+    pub fn restricted(&self, keep: impl Fn(ChunkId) -> bool) -> Placement {
+        let homes = self.homes.iter().filter(|(&c, _)| keep(c));
+        let groups = self.groups.iter().filter(|(&c, _)| keep(c));
+        Placement {
+            homes: homes.map(|(&c, h)| (c, h.clone())).collect(),
+            groups: groups.map(|(&c, &g)| (c, g)).collect(),
+        }
+    }
+}
+
+/// Metadata state rebuilt by replaying one shard's journal: its
+/// [`Placement`], plus what only replay needs — the slot bitmaps the
+/// records imply and the highest epoch.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct ShardMeta {
+    /// Homes and group membership, folded by [`Placement::apply`].
+    pub placement: Placement,
+    /// benefactor → journaled leaf bitmap. Grows as records mention
+    /// higher slots.
+    leaf: BTreeMap<usize, LaneLeaf>,
+    /// Highest placement epoch seen in an `EpochBump` record.
+    pub epoch: u64,
+}
+
+impl ShardMeta {
+    pub fn replay(records: impl Iterator<Item = Record>) -> ShardMeta {
+        let mut meta = ShardMeta::default();
+        records.for_each(|r| meta.apply(&r));
+        meta
+    }
+
+    pub fn apply(&mut self, r: &Record) {
+        match r {
+            Record::Place {
+                benefactor, slot, ..
+            } => self.set_bit(*benefactor, *slot, true),
+            Record::Free {
+                benefactor, slot, ..
+            } => self.set_bit(*benefactor, *slot, false),
+            Record::EpochBump { epoch } => self.epoch = self.epoch.max(*epoch),
             Record::LeafCheckpoint {
                 benefactor,
                 len,
@@ -519,7 +570,9 @@ impl ShardMeta {
                     },
                 );
             }
+            Record::GroupLink { .. } | Record::GroupUnlink { .. } => {}
         }
+        self.placement.apply(r);
     }
 
     fn set_bit(&mut self, benefactor: usize, slot: usize, on: bool) {
@@ -533,11 +586,6 @@ impl ShardMeta {
         } else {
             l.words[slot / 64] &= !(1 << (slot % 64));
         }
-    }
-
-    /// Benefactors with journaled slot state, ascending.
-    pub fn benefactors(&self) -> impl Iterator<Item = usize> + '_ {
-        self.leaf.keys().copied()
     }
 
     /// Rebuild a live allocator for `benefactor` from the journaled leaf
@@ -591,8 +639,8 @@ impl ShardMeta {
     /// subset direction holds.)
     pub fn assert_consistent(&self) {
         let mut per_benefactor: BTreeMap<usize, usize> = BTreeMap::new();
-        for (chunk, homes) in &self.homes {
-            for &(b, s) in homes {
+        for (chunk, ids, slots) in self.placement.chunks() {
+            for (b, &s) in ids.iter().map(|b| b.0).zip(slots) {
                 let l = self.leaf.get(&b).expect("home without bitmap");
                 assert!(s < l.len, "{chunk} home slot {s} beyond the bitmap");
                 assert!(
@@ -815,8 +863,10 @@ mod tests {
         let (sb2, meta, stats) = load_image(&image).expect("clean image loads");
         assert_eq!(sb2, sb);
         assert!(!stats.torn);
-        assert_eq!(meta.homes.get(&ChunkId(2)), Some(&vec![(1usize, 0usize)]));
-        assert!(!meta.homes.contains_key(&ChunkId(1)), "freed chunk gone");
+        let b1 = BenefactorId(1);
+        assert_eq!(meta.placement.homes(ChunkId(2)), Some(&[b1][..]));
+        assert_eq!(meta.placement.slot_on(ChunkId(2), b1), Some(0));
+        assert_eq!(meta.placement.homes(ChunkId(1)), None, "freed chunk gone");
         meta.assert_consistent();
         // Tear the image mid-journal: the superblock still loads, the
         // tail truncates, and the replayed state is the shorter prefix.
@@ -824,7 +874,10 @@ mod tests {
         let (_, meta2, stats2) = load_image(&image).expect("torn image still loads");
         assert!(stats2.torn);
         assert_eq!(stats2.records, 2);
-        assert!(meta2.homes.contains_key(&ChunkId(1)), "free was torn off");
+        assert!(
+            meta2.placement.homes(ChunkId(1)).is_some(),
+            "free was torn off"
+        );
         meta2.assert_consistent();
     }
 

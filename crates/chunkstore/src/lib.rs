@@ -56,7 +56,7 @@ pub use bitalloc::BitAlloc;
 pub use crc::crc64;
 pub use error::{Result, StoreError};
 pub use ids::{BenefactorId, ChunkId, FileId, IdMap};
-pub use journal::{Journal, JournalSet, Record, RepairStats, ShardMeta, Superblock};
+pub use journal::{Journal, JournalSet, Placement, Record, RepairStats, ShardMeta, Superblock};
 pub use loc_cache::LocationCache;
 pub use manager::{
     ChunkMeta, FileMeta, GroupRef, Manager, PlacementPolicy, Slot, StripeSpec, StripeWidth,

@@ -4,15 +4,12 @@
 use super::Manager;
 use crate::ids::{BenefactorId, ChunkId};
 
-/// Manager-side record of one materialized chunk's placement.
+/// Manager-side record of one materialized chunk. Its homes, in the
+/// placement table, are non-empty and distinct from `set_slot` on; a
+/// write that finds a dead home drops it, and the stale bytes left there
+/// are reclaimed by `reconcile_recovered`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ChunkMeta {
-    /// Benefactors currently holding an identical, authoritative copy.
-    /// The first entry is the primary (preferred read source). Invariant:
-    /// non-empty, entries distinct. A write that finds a dead home drops
-    /// it from this list — the bytes left on the dead benefactor are
-    /// stale and get reclaimed by `reconcile_recovered`.
-    pub homes: Vec<BenefactorId>,
     /// Replica degree the chunk should have (its file's `replicas`).
     pub target: usize,
     /// CRC-64/XZ digest of the chunk's intended full content, recorded at
@@ -31,9 +28,9 @@ impl Manager {
         *refs -= 1;
         if *refs == 0 {
             self.chunk_refs.remove(&c);
-            let meta = self.chunk_meta.remove(&c).expect("chunk without home");
-            for home in meta.homes {
-                self.journal_home(c, home, false);
+            self.chunk_meta.remove(&c).expect("chunk without meta");
+            while let Some(&home) = self.placement.homes(c).and_then(|h| h.first()) {
+                self.free_home(c, home);
                 self.benefactors[home.0].drop_chunk(c);
             }
             self.bump_placement_epoch();
@@ -46,12 +43,12 @@ impl Manager {
 
     /// The chunk's primary home (first live-listed copy).
     pub fn chunk_home(&self, c: ChunkId) -> Option<BenefactorId> {
-        self.chunk_meta.get(&c).map(|m| m.homes[0])
+        self.placement.homes(c).map(|h| h[0])
     }
 
     /// Every benefactor holding an authoritative copy of `c`.
     pub fn chunk_homes(&self, c: ChunkId) -> Option<&[BenefactorId]> {
-        self.chunk_meta.get(&c).map(|m| m.homes.as_slice())
+        self.placement.homes(c)
     }
 
     /// The chunk's intended replica degree.
@@ -59,17 +56,13 @@ impl Manager {
         self.chunk_meta.get(&c).map(|m| m.target)
     }
 
-    pub(crate) fn new_chunk_id(
-        &mut self,
-        homes: Vec<BenefactorId>,
-        target: usize,
-        crc: u64,
-    ) -> ChunkId {
-        assert!(!homes.is_empty(), "chunk needs at least one home");
+    /// A new chunk with one reference. Its homes enter the placement
+    /// table when `set_slot` installs it, after its copies are stored.
+    pub(crate) fn new_chunk_id(&mut self, target: usize, crc: u64) -> ChunkId {
         let id = ChunkId(self.next_chunk);
         self.next_chunk += 1;
         self.chunk_refs.insert(id, 1);
-        self.chunk_meta.insert(id, ChunkMeta { homes, target, crc });
+        self.chunk_meta.insert(id, ChunkMeta { target, crc });
         self.bump_placement_epoch();
         id
     }
@@ -94,20 +87,17 @@ impl Manager {
     /// Drop `home` from `c`'s authoritative copy list (the copy there is
     /// dead or stale). The chunk must keep at least one home.
     pub(crate) fn remove_chunk_home(&mut self, c: ChunkId, home: BenefactorId) {
-        self.journal_home(c, home, false);
-        let meta = self.chunk_meta.get_mut(&c).expect("unknown chunk");
-        meta.homes.retain(|&h| h != home);
-        assert!(!meta.homes.is_empty(), "chunk {c} lost its last home");
+        self.free_home(c, home);
+        assert!(self.chunk_home(c).is_some(), "{c} lost every home");
         self.bump_placement_epoch();
     }
 
-    /// Record a freshly repaired copy of `c` on `home`.
+    /// Record a freshly repaired copy of `c`, stored on `home`.
     pub(crate) fn add_chunk_home(&mut self, c: ChunkId, home: BenefactorId) {
-        let meta = self.chunk_meta.get_mut(&c).expect("unknown chunk");
-        debug_assert!(!meta.homes.contains(&home), "duplicate home");
-        meta.homes.push(home);
+        let homes = self.placement.homes(c).expect("unknown chunk");
+        debug_assert!(!homes.contains(&home), "duplicate home");
+        self.place_home(c, home);
         self.bump_placement_epoch();
-        self.journal_home(c, home, true);
     }
 
     /// Chunks whose live copy count is below target, with at least one
@@ -117,11 +107,8 @@ impl Manager {
             .chunk_meta
             .iter()
             .filter_map(|(&c, m)| {
-                let live = m
-                    .homes
-                    .iter()
-                    .filter(|h| self.benefactors[h.0].is_alive())
-                    .count();
+                let homes = self.placement.homes(c)?.iter();
+                let live = homes.filter(|h| self.benefactors[h.0].is_alive()).count();
                 (live > 0 && live < m.target).then(|| (c, m.target - live))
             })
             .collect();
@@ -139,7 +126,7 @@ impl Manager {
         let stale: Vec<ChunkId> = self.benefactors[b.0]
             .chunk_ids()
             .into_iter()
-            .filter(|c| self.chunk_meta.get(c).is_none_or(|m| !m.homes.contains(&b)))
+            .filter(|&c| self.placement.homes(c).is_none_or(|h| !h.contains(&b)))
             .collect();
         for &c in &stale {
             self.benefactors[b.0].drop_chunk(c);
@@ -147,20 +134,15 @@ impl Manager {
         let over: Vec<ChunkId> = self.benefactors[b.0]
             .chunk_ids()
             .into_iter()
-            .filter(|c| {
-                self.chunk_meta.get(c).is_some_and(|m| {
-                    m.homes.contains(&b)
-                        && m.homes
-                            .iter()
-                            .filter(|h| self.benefactors[h.0].is_alive())
-                            .count()
-                            > m.target
-                })
+            .filter(|&c| {
+                let Some(homes) = self.placement.homes(c) else {
+                    return false;
+                };
+                let live = homes.iter().filter(|h| self.benefactors[h.0].is_alive());
+                homes.contains(&b) && live.count() > self.chunk_meta[&c].target
             })
             .collect();
         for &c in &over {
-            // Metadata first: `remove_chunk_home` journals the free by
-            // reading the slot off the still-present physical copy.
             self.remove_chunk_home(c, b);
             self.benefactors[b.0].drop_chunk(c);
         }

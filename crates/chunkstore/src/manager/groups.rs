@@ -1,9 +1,9 @@
 //! Parity-group membership (DESIGN.md §15): [`Manager::set_slot`], the one
-//! member setter, and [`Manager::leave_group`] are the only writers of the
-//! chunk → group map and of its `GroupLink` / `GroupUnlink` records.
+//! member setter, and [`Manager::leave_group`] are the only places a
+//! `GroupLink` / `GroupUnlink` is committed.
 
 use super::{Manager, Member, Slot};
-use crate::ids::{ChunkId, FileId};
+use crate::ids::{BenefactorId, ChunkId, FileId};
 use crate::journal::Record;
 
 /// Reverse-map entry: which parity group a materialized chunk belongs
@@ -17,15 +17,21 @@ pub struct GroupRef {
 }
 
 impl Manager {
-    /// Record that member `at` of file `id` — a data slot index, or a
-    /// [`Member::Parity`] — now holds `slot` (the caller set up the
-    /// refcount). A member of one of the file's parity groups hands its
-    /// group over: the chunk it held leaves, the chunk it now holds joins;
-    /// a parity member that receives content also stops being stale.
-    pub(crate) fn set_slot(&mut self, id: FileId, at: impl Into<Member>, slot: Slot) {
+    /// Install new chunk `c` (refcount set up, copies stored on `homes`)
+    /// in member `at` of file `id` — a data slot index, or a
+    /// [`Member::Parity`]. A member of one of the file's parity groups
+    /// hands its group over: the chunk it held leaves, `c` joins; a
+    /// parity member that receives content also stops being stale.
+    pub(crate) fn set_slot(
+        &mut self,
+        id: FileId,
+        at: impl Into<Member>,
+        c: ChunkId,
+        homes: &[BenefactorId],
+    ) {
         let at = at.into();
         let meta = self.files.get_mut(&id).expect("set_slot on a missing file");
-        let old = std::mem::replace(meta.slot_mut(at), slot);
+        let old = std::mem::replace(meta.slot_mut(at), Slot::Chunk(c));
         let grouped = match at {
             Member::Data(idx) => meta.group_member(idx),
             Member::Parity(g, p) => {
@@ -35,24 +41,18 @@ impl Manager {
         };
         if let Some((group, member)) = grouped {
             if let Slot::Chunk(old) = old {
-                self.regroup(old, None);
+                self.commit(Record::GroupUnlink { chunk: old });
             }
-            if let Slot::Chunk(c) = slot {
-                self.regroup(
-                    c,
-                    Some(GroupRef {
-                        file: id,
-                        group,
-                        member,
-                    }),
-                );
-            }
+            let (file, group, member) = (id.0, group as u32, member as u32);
+            self.commit(Record::GroupLink {
+                chunk: c,
+                file,
+                group,
+                member,
+            });
         }
-        if let (Slot::Chunk(c), true) = (slot, self.journal.is_some()) {
-            // Every home was stored before the slot record lands.
-            for home in self.chunk_meta[&c].homes.clone() {
-                self.journal_home(c, home, true);
-            }
+        for &home in homes {
+            self.place_home(c, home);
         }
         self.bump_placement_epoch();
     }
@@ -63,30 +63,9 @@ impl Manager {
     /// through it. Linked references may outlive the owner, but they are
     /// no longer reconstructible.
     pub(super) fn leave_group(&mut self, id: FileId, c: ChunkId) {
-        if self.group_of.get(&c).is_some_and(|g| g.file == id) {
-            self.regroup(c, None);
+        if self.placement.group(c).is_some_and(|g| g.file == id) {
+            self.commit(Record::GroupUnlink { chunk: c });
         }
-    }
-
-    /// `c` joins `gref`, or leaves its group — journaled.
-    fn regroup(&mut self, c: ChunkId, gref: Option<GroupRef>) {
-        let record = match gref {
-            Some(g) => {
-                self.group_of.insert(c, g);
-                let (file, group, member) = (g.file.0, g.group as u32, g.member as u32);
-                Record::GroupLink {
-                    chunk: c,
-                    file,
-                    group,
-                    member,
-                }
-            }
-            None => {
-                self.group_of.remove(&c);
-                Record::GroupUnlink { chunk: c }
-            }
-        };
-        self.journal_to(|r| r.ring().owner_of_chunk(c), record);
     }
 
     /// Flag (or clear) parity member `p` of group `g` as stale.
@@ -98,7 +77,7 @@ impl Manager {
 
     /// The parity group `c` is a member of, if any.
     pub fn group_of_chunk(&self, c: ChunkId) -> Option<GroupRef> {
-        self.group_of.get(&c).copied()
+        self.placement.group(c)
     }
 
     /// Erasure-coded files, ascending id — the repair sweep's walk order.

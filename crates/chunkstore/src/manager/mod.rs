@@ -23,7 +23,7 @@ pub use layout::{FileMeta, PlacementPolicy, Slot, StripeSpec, StripeWidth};
 
 use crate::benefactor::Benefactor;
 use crate::ids::{BenefactorId, ChunkId, FileId, IdMap};
-use crate::journal::{JournalSet, Record, ShardMeta, Superblock};
+use crate::journal::{JournalSet, Placement, Record, Superblock};
 use crate::shardmgr::{HashRing, ShardSet, DEFAULT_RING_SEED, DEFAULT_VNODES};
 use simcore::Counter;
 use std::collections::HashMap;
@@ -54,12 +54,11 @@ pub struct Manager {
     /// epoch against this to decide whether a cached chunk → home mapping
     /// is still authoritative (see `crate::loc_cache::LocationCache`).
     placement_epoch: u64,
-    /// chunk → parity-group membership for erasure-coded files, so the
-    /// verified-read retry loop and the scrub daemon (which hold only a
-    /// `ChunkId`) can find the survivors to reconstruct from. Written only
-    /// in `groups`; a linked checkpoint reference never joins (the group
-    /// belongs to the source file).
-    group_of: IdMap<ChunkId, GroupRef>,
+    /// chunk → homes (with slots) and parity group, so the verified-read
+    /// retry loop and the scrub daemon (which hold only a `ChunkId`) can
+    /// find the survivors to reconstruct from; a linked checkpoint
+    /// reference never joins the group. Written only by `commit`.
+    placement: Placement,
     /// The manager's ranks (DESIGN.md §12, §16): per rank its node,
     /// standby, metadata CPU and crash state, and the ring that splits the
     /// keyspace among them. The paper's manager is one rank on node 0
@@ -67,8 +66,8 @@ pub struct Manager {
     /// against this record.
     ranks: ShardSet,
     /// Crash-consistent metadata journal (DESIGN.md §16): one append-only
-    /// lane per rank, recording every placement mutation so a standby
-    /// can replay its rank's keyspace on takeover. `None` (the default)
+    /// lane per rank, holding every record `commit` applied to its
+    /// keyspace so a standby can replay it on takeover. `None` (the default)
     /// journals nothing and the manager behaves exactly as without one.
     journal: Option<JournalSet>,
 }
@@ -90,7 +89,7 @@ impl Manager {
             placeable: Vec::new(),
             quarantined: 0,
             placement_epoch: 0,
-            group_of: IdMap::default(),
+            placement: Placement::default(),
             ranks: ShardSet::new(
                 HashRing::new(1, DEFAULT_VNODES, DEFAULT_RING_SEED),
                 &[0],
@@ -179,66 +178,58 @@ impl Manager {
         Some(crate::journal::encode_image(&sb, &snap))
     }
 
-    /// Cross-check a journal-replayed [`ShardMeta`] against the live
-    /// fleet: every journaled (benefactor, slot) home must be a live
-    /// allocation actually holding that chunk. One-sided by design — the
-    /// journal does not see reservations (and physical cleanup of stale
-    /// copies can lag the metadata), so the live state may hold more.
-    /// The standby's post-replay sanity gate.
-    pub fn verify_replayed(&self, meta: &ShardMeta) {
-        meta.assert_consistent();
-        for (chunk, homes) in &meta.homes {
-            for &(b, s) in homes {
-                let bene = &self.benefactors[b];
-                assert!(
-                    bene.slot_allocator().is_allocated(s),
-                    "journal places {chunk} in a free slot ({b}, {s})"
-                );
-                assert_eq!(
-                    bene.slot_of(*chunk),
-                    Some(s),
-                    "journal home ({b}, {s}) disagrees with the fleet for {chunk}"
-                );
-            }
-        }
+    /// The live placement table: every chunk's homes and group.
+    pub fn placement(&self) -> &Placement {
+        &self.placement
     }
 
-    /// The one journal append: `record` into the lane of the rank `lane`
-    /// picks — a chunk-keyed record's owner in the ranks' ring. No-op when
-    /// journaling is off.
-    fn journal_to(&mut self, lane: impl FnOnce(&ShardSet) -> usize, record: Record) {
+    /// The part of the live table rank `rank` owns: its lane's replay.
+    pub fn rank_placement(&self, rank: usize) -> Placement {
+        let ring = self.ranks.ring();
+        self.placement
+            .restricted(|c| ring.owner_of_chunk(c) == rank)
+    }
+
+    /// The one writer of homes and group membership: apply `record` to
+    /// the live table through [`Placement::apply`], as replay does, and
+    /// append it to the lane of the chunk's owner when journaling is on
+    /// (without a journal nothing is encoded or allocated).
+    pub(crate) fn commit(&mut self, record: Record) {
+        let (Record::Place { chunk, .. }
+        | Record::Free { chunk, .. }
+        | Record::GroupLink { chunk, .. }
+        | Record::GroupUnlink { chunk }) = record
+        else {
+            unreachable!("only home and group records are committed")
+        };
+        self.placement.apply(&record);
         if let Some(j) = &mut self.journal {
-            j.append(lane(&self.ranks), &record);
+            j.append(self.ranks.ring().owner_of_chunk(chunk), &record);
         }
     }
 
-    /// Journal `c`'s copy on `home` as placed (`Place`) or no longer
-    /// authoritative (`Free`), with its physical slot. Must run while the
-    /// copy is on the benefactor, so the slot can be read back: a copy is
-    /// stored before the metadata records it, and metadata mutations
-    /// precede physical drops everywhere in this crate.
-    fn journal_home(&mut self, c: ChunkId, home: BenefactorId, placed: bool) {
-        if self.journal.is_none() {
-            return;
-        }
+    /// Commit `c`'s stored copy on `home` as placed, in its slot.
+    fn place_home(&mut self, c: ChunkId, home: BenefactorId) {
         let slot = self.benefactors[home.0]
             .slot_of(c)
-            .expect("journaling a copy that is not stored");
-        let (chunk, benefactor) = (c, home.0);
-        let record = if placed {
-            Record::Place {
-                chunk,
-                benefactor,
-                slot,
-            }
-        } else {
-            Record::Free {
-                chunk,
-                benefactor,
-                slot,
-            }
-        };
-        self.journal_to(|r| r.ring().owner_of_chunk(c), record);
+            .expect("a placed copy is stored");
+        let benefactor = home.0;
+        self.commit(Record::Place {
+            chunk: c,
+            benefactor,
+            slot,
+        });
+    }
+
+    /// Commit `c`'s listed copy on `home` as no longer authoritative.
+    fn free_home(&mut self, c: ChunkId, home: BenefactorId) {
+        let slot = self.placement.slot_on(c, home).expect("a listed home");
+        let benefactor = home.0;
+        self.commit(Record::Free {
+            chunk: c,
+            benefactor,
+            slot,
+        });
     }
 
     /// A cold (re)start of manager rank `rank`: bump the placement epoch
@@ -247,7 +238,9 @@ impl Manager {
     pub(crate) fn revoke_epoch(&mut self, rank: usize) {
         self.bump_placement_epoch();
         let epoch = self.placement_epoch;
-        self.journal_to(|_| rank, Record::EpochBump { epoch });
+        if let Some(j) = &mut self.journal {
+            j.append(rank, &Record::EpochBump { epoch });
+        }
     }
 
     // ----- benefactor fleet -------------------------------------------------

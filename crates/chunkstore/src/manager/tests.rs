@@ -18,10 +18,10 @@ fn mgr(benefactors: usize, cap_chunks: u64) -> Manager {
 fn materialize(m: &mut Manager, f: FileId, idx: usize) -> ChunkId {
     let home = m.file(f).unwrap().home_of_slot(idx);
     let data = crate::payload::zero_chunk(CHUNK);
-    let c = m.new_chunk_id(vec![home], 1, data.digest());
+    let c = m.new_chunk_id(1, data.digest());
     m.benefactor_mut(home)
         .store_chunk(VTime::ZERO, c, data, CHUNK, true);
-    m.set_slot(f, idx, Slot::Chunk(c));
+    m.set_slot(f, idx, c, &[home]);
     c
 }
 
@@ -400,11 +400,16 @@ fn journal_unload_load_round_trip_survives_churn() {
     let (sb, meta, repair) = crate::journal::load_image(&image).unwrap();
     assert_eq!(sb.epoch, m.placement_epoch());
     assert!(!repair.torn, "clean image loads without repair");
-    m.verify_replayed(&meta);
-    assert!(meta.homes.contains_key(&c0));
-    assert!(meta.homes.contains_key(&c1));
+    meta.assert_consistent();
+    assert_eq!(
+        meta.placement,
+        m.rank_placement(0),
+        "replay is the live table"
+    );
+    assert!(meta.placement.homes(c0).is_some());
+    assert!(meta.placement.homes(c1).is_some());
     // The deleted file's chunk was freed out of the replayed state.
-    assert_eq!(meta.homes.len(), 2);
+    assert_eq!(meta.placement.chunks().count(), 2);
     // Rebuilt allocators agree with the fleet's free space.
     for (bi, _) in [(0usize, ()), (1, ())] {
         let live = m.benefactor(BenefactorId(bi)).slot_allocator();

@@ -317,11 +317,11 @@ pub(super) fn install_rebuilt(
                 // quarantined benefactor; give it back.
                 mgr.benefactor_mut(reserve).release_slots(1);
             }
-            let c = mgr.new_chunk_id(vec![dest], 1, crc);
+            let c = mgr.new_chunk_id(1, crc);
             let g = mgr
                 .benefactor_mut(dest)
                 .store_chunk(now, c, content, chunk_size, consumes);
-            mgr.set_slot(gref.file, Member::Parity(gref.group, p), Slot::Chunk(c));
+            mgr.set_slot(gref.file, Member::Parity(gref.group, p), c, &[dest]);
             g
         }
     };

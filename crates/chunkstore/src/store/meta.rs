@@ -292,14 +292,11 @@ impl AggregateStore {
     /// Standby takeover at `at` of manager rank `rank`, crashed at
     /// `crashed_at` (DESIGN.md §16): unload the rank's journal lane as a
     /// superblock + log image, scan-and-repair and replay it (rebuilding
-    /// slot bitmaps through `BitAlloc::from_leaf`), verify the replayed
-    /// metadata against the live fleet, promote the standby to serving
+    /// slot bitmaps through `BitAlloc::from_leaf`), assert it equals the
+    /// live table of the rank's keyspace, promote the standby to serving
     /// rank, and bump the placement epoch so no `LocationCache` can serve
     /// a pre-crash placement.
     fn failover_manager(&self, mgr: &mut Manager, rank: usize, crashed_at: VTime, at: VTime) {
-        // The real recovery path, not a shortcut: serialize the lane,
-        // decode it back through scan-and-repair, replay, and verify the
-        // replayed metadata one-sided against the live fleet.
         let image = mgr
             .unload_journal(rank)
             .expect("HA standby requires journaling");
@@ -307,7 +304,9 @@ impl AggregateStore {
             crate::journal::load_image(&image).expect("self-written image decodes");
         assert!(!repair.torn, "a just-unloaded image has no torn tail");
         assert_eq!(sb.records, repair.records, "superblock counts its log");
-        mgr.verify_replayed(&meta);
+        meta.assert_consistent();
+        let live = mgr.rank_placement(rank);
+        assert_eq!(meta.placement, live, "lane {rank} vs the live table");
         self.stats.counter("store.journal_replays").inc();
         self.stats.counter("store.mgr_failovers").inc();
         self.stats

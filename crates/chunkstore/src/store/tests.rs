@@ -2,7 +2,7 @@ use super::*;
 use crate::ids::ChunkId;
 use crate::journal::Record;
 use crate::loc_cache::LocationCache;
-use crate::manager::Slot;
+use crate::manager::{GroupRef, Slot};
 use crate::rs::RsCode;
 use ::faults;
 use devices::{Ssd, INTEL_X25E};
@@ -1614,14 +1614,24 @@ fn deleting_a_checkpoint_journals_no_unlink_of_the_live_files_groups() {
     let mgr = store.manager();
     let image = mgr.unload_journal(0).expect("journaling is on");
     let (_, replayed, _) = crate::journal::load_image(&image).expect("image decodes");
-    mgr.verify_replayed(&replayed);
+    replayed.assert_consistent();
+    assert_eq!(
+        replayed.placement,
+        mgr.rank_placement(0),
+        "replay is the live table"
+    );
     for (member, idx) in [0usize, 1].into_iter().enumerate() {
         let Slot::Chunk(c) = mgr.file(f).unwrap().slots[idx] else {
             panic!("slot {idx} not materialized");
         };
+        let group = 0;
         assert_eq!(
-            replayed.groups.get(&c),
-            Some(&(f.0, 0, member as u32)),
+            replayed.placement.group(c),
+            Some(GroupRef {
+                file: f,
+                group,
+                member
+            }),
             "member {member} lost its group in the journal"
         );
         assert!(mgr.group_of_chunk(c).is_some());

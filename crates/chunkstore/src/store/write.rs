@@ -563,7 +563,7 @@ impl AggregateStore {
                 let consumes_reservation = matches!(slot, Slot::Unmaterialized);
                 let mut handles =
                     std::iter::repeat_n(fresh_chunk(chunk_len, updates), live_homes.len());
-                let c = mgr.new_chunk_id(live_homes.clone(), target, new_crc);
+                let c = mgr.new_chunk_id(target, new_crc);
                 let ship = |b: &mut Benefactor, at| {
                     let data = handles.next().expect("one handle per home");
                     b.store_chunk(at, c, data, dirty_bytes, consumes_reservation)
@@ -571,21 +571,21 @@ impl AggregateStore {
                 };
                 let end =
                     self.ship_to_homes(&mut mgr, t, client_node, &live_homes, dirty_bytes, ship);
-                mgr.set_slot(file, idx, Slot::Chunk(c));
+                mgr.set_slot(file, idx, c, &live_homes);
                 end
             }
             Slot::Chunk(c) if mgr.chunk_refcount(c) > 1 => {
                 // COW: clone on each live copy's benefactor, then land the
                 // updates on the clones.
                 self.cow_clones.inc();
-                let c_new = mgr.new_chunk_id(live_homes.clone(), target, new_crc);
+                let c_new = mgr.new_chunk_id(target, new_crc);
                 let ship = |b: &mut Benefactor, at| {
                     let cloned = b.clone_chunk(at, c, c_new);
                     b.update_chunk(cloned.end, c_new, updates).end
                 };
                 let end =
                     self.ship_to_homes(&mut mgr, t, client_node, &live_homes, dirty_bytes, ship);
-                mgr.set_slot(file, idx, Slot::Chunk(c_new));
+                mgr.set_slot(file, idx, c_new, &live_homes);
                 mgr.decref_chunk(c);
                 end
             }
@@ -659,13 +659,13 @@ impl AggregateStore {
                 // First delta materializes the member: old content is
                 // zeros, so the delta is the content.
                 let mut data = Some(fresh_chunk(chunk_len, runs));
-                let c = mgr.new_chunk_id(vec![home], 1, digest_of_runs(chunk_len, runs));
+                let c = mgr.new_chunk_id(1, digest_of_runs(chunk_len, runs));
                 let ship = |b: &mut Benefactor, at| {
                     let data = data.take().expect("one home");
                     b.store_chunk(at, c, data, dirty, true).end
                 };
                 let stored = self.ship_to_homes(mgr, t, client_node, &[home], dirty, ship);
-                mgr.set_slot(file, Member::Parity(group, p), Slot::Chunk(c));
+                mgr.set_slot(file, Member::Parity(group, p), c, &[home]);
                 stored
             };
             end = end.max(shipped);

@@ -13,10 +13,11 @@
 //!    of what remains (torn tail / bit rot). Scan-and-repair must
 //!    recover exactly some prefix of the appended records, the replayed
 //!    [`ShardMeta`] must pass its own `assert_consistent` sweep, and its
-//!    home map, per-benefactor populations and rebuilt-allocator free
+//!    whole [`Placement`] (homes with their slots, and parity-group
+//!    membership), per-benefactor populations and rebuilt-allocator free
 //!    counts must agree with an independent set model of that prefix.
 
-use chunkstore::{ChunkId, Journal, Record, ShardMeta};
+use chunkstore::{ChunkId, Journal, Placement, Record, ShardMeta};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -192,6 +193,30 @@ fn records_of(ops: &[Op]) -> Vec<Record> {
     out
 }
 
+/// A placement table as the model keeps one: chunk → (benefactor, slot)
+/// homes in place order, and chunk → (file, group, member).
+type ModelPlacement = (
+    BTreeMap<u64, Vec<(usize, usize)>>,
+    BTreeMap<u64, (u64, u32, u32)>,
+);
+
+fn model_view(p: &Placement) -> ModelPlacement {
+    let homes = p
+        .chunks()
+        .map(|(c, ids, slots)| {
+            (
+                c.0,
+                ids.iter().map(|b| b.0).zip(slots.iter().copied()).collect(),
+            )
+        })
+        .collect();
+    let groups = p
+        .groups()
+        .map(|(c, g)| (c.0, (g.file.0, g.group as u32, g.member as u32)))
+        .collect();
+    (homes, groups)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -236,6 +261,7 @@ proptest! {
         meta.assert_consistent();
         // And agrees with an independent set model of the same prefix.
         let mut homes: BTreeMap<u64, Vec<(usize, usize)>> = BTreeMap::new();
+        let mut groups: BTreeMap<u64, (u64, u32, u32)> = BTreeMap::new();
         let mut alloc: Vec<BTreeSet<usize>> =
             (0..BENEFACTORS).map(|_| BTreeSet::new()).collect();
         let mut epoch = 0u64;
@@ -263,18 +289,22 @@ proptest! {
                     }
                 }
                 Record::EpochBump { epoch: e } => epoch = epoch.max(*e),
-                _ => {}
+                Record::GroupLink {
+                    chunk,
+                    file,
+                    group,
+                    member,
+                } => {
+                    groups.insert(chunk.0, (*file, *group, *member));
+                }
+                Record::GroupUnlink { chunk } => {
+                    groups.remove(&chunk.0);
+                }
+                Record::LeafCheckpoint { .. } => {}
             }
         }
         prop_assert_eq!(meta.epoch, epoch);
-        prop_assert_eq!(meta.homes.len(), homes.len());
-        for (chunk, h) in &homes {
-            prop_assert_eq!(
-                meta.homes.get(&ChunkId(*chunk)),
-                Some(h),
-                "home map diverged for chunk {}", chunk
-            );
-        }
+        prop_assert_eq!(model_view(&meta.placement), (homes, groups), "placement diverged");
         for (b, set) in alloc.iter().enumerate() {
             prop_assert_eq!(
                 meta.allocated_on(b),

@@ -16,6 +16,10 @@
 //! * both repair sweeps while it is down, then its recovery and reconcile;
 //! * `expire_files`.
 //!
+//! Every op ends by replaying each lane's `unload_journal` image: lane
+//! *k*'s `Placement` must equal the live table restricted to rank *k*'s
+//! keyspace, and the lanes together the whole live table.
+//!
 //! At two points — after the checkpoints, and at the end — it pins an
 //! FNV-1a hash of every journal lane's `unload_journal` image, the
 //! placement epoch, and a sorted dump of every file's slots, parity slots
@@ -26,9 +30,10 @@
 //! values. The script never links onto an encoded file: which slots of
 //! such a file are group members is a rule of its own (DESIGN.md §15).
 
+use chunkstore::journal::load_image;
 use chunkstore::{
-    AggregateStore, Benefactor, BenefactorId, FileId, PlacementPolicy, Slot, StoreConfig,
-    StripeSpec,
+    AggregateStore, Benefactor, BenefactorId, FileId, PlacementPolicy, ShardMeta, Slot,
+    StoreConfig, StripeSpec,
 };
 use devices::{Ssd, INTEL_X25E};
 use netsim::Network;
@@ -144,6 +149,7 @@ impl Rig {
     fn create(&mut self, t: VTime, name: &'static str) -> (VTime, FileId) {
         let (t, f) = self.store.create_file(t, self.client, name).unwrap();
         self.files.push((name, f));
+        self.replay_matches_live();
         (t, f)
     }
 
@@ -160,6 +166,7 @@ impl Rig {
             .store
             .fallocate(t, self.client, f, chunks * CHUNK, spec, placement)
             .unwrap();
+        self.replay_matches_live();
         (t, f)
     }
 
@@ -168,25 +175,56 @@ impl Rig {
         let data: Vec<u8> = (0..CHUNK as usize)
             .map(|i| (i as u8).wrapping_mul(31) ^ tag ^ (idx as u8).wrapping_mul(17))
             .collect();
-        self.store
+        let t = self
+            .store
             .write_pages(t, self.client, f, idx, &[(0, &data)])
-            .unwrap()
+            .unwrap();
+        self.replay_matches_live();
+        t
     }
 
     /// A one-page write at page `page` of slot `idx`.
     fn poke(&self, t: VTime, f: FileId, idx: usize, page: u64, tag: u8) -> VTime {
         let data: Vec<u8> = (0..4096).map(|i| (i as u8).wrapping_mul(7) ^ tag).collect();
-        self.store
+        let t = self
+            .store
             .write_pages(t, self.client, f, idx, &[(page * 4096, &data)])
-            .unwrap()
+            .unwrap();
+        self.replay_matches_live();
+        t
     }
 
     fn delete(&self, t: VTime, f: FileId) -> VTime {
-        self.store.delete(t, self.client, f).unwrap()
+        let t = self.store.delete(t, self.client, f).unwrap();
+        self.replay_matches_live();
+        t
     }
 
     fn link(&self, t: VTime, dst: FileId, src: FileId) -> VTime {
-        self.store.link_file(t, self.client, dst, src).unwrap()
+        let t = self.store.link_file(t, self.client, dst, src).unwrap();
+        self.replay_matches_live();
+        t
+    }
+
+    /// Replay every lane and hold it to the live placement table: lane
+    /// `k` is the table restricted to rank `k`'s keyspace, and the lanes
+    /// together are the whole table.
+    fn replay_matches_live(&self) {
+        let mgr = self.store.manager();
+        for k in 0..LANES {
+            let image = mgr.unload_journal(k).expect("journaling is on");
+            let (_, lane, repair) = load_image(&image).expect("image decodes");
+            assert!(!repair.torn, "a just-unloaded image has no torn tail");
+            lane.assert_consistent();
+            assert_eq!(
+                lane.placement,
+                mgr.rank_placement(k),
+                "lane {k} vs rank {k}"
+            );
+        }
+        let j = mgr.journal().expect("journaling is on");
+        let lanes = ShardMeta::replay((0..LANES).flat_map(|k| j.lane(k).iter()));
+        assert_eq!(lanes.placement, *mgr.placement(), "the lanes vs the table");
     }
 
     /// What the golden pins, as of now.
@@ -324,6 +362,7 @@ fn manager_metadata_and_journal_are_pinned() {
 
     // ----- a crash, writes that route around it, both sweeps, recovery --
     rig.store.set_benefactor_alive(victim, false);
+    rig.replay_matches_live();
     t = rig.poke(t, rep, 0, 2, 0x22); // drops the dead copy
     t = rig.poke(t, rs, 2, 6, 0x34); // group 1's parity goes stale
     {
@@ -333,9 +372,12 @@ fn manager_metadata_and_journal_are_pinned() {
     }
     let (t2, report) = rig.store.repair_under_replicated(t);
     assert!(report.chunks_repaired > 0);
+    rig.replay_matches_live();
     let (t2, report) = rig.store.repair_parity_groups(t2);
     assert!(report.chunks_repaired > 0);
-    rig.store.set_benefactor_alive(victim, true);
+    rig.replay_matches_live();
+    rig.store.set_benefactor_alive(victim, true); // reconciles
+    rig.replay_matches_live();
     t = t2;
 
     // ----- lifetimes ---------------------------------------------------
@@ -346,6 +388,7 @@ fn manager_metadata_and_journal_are_pinned() {
             .unwrap();
         assert_eq!(mgr.expire_files(t), 1);
     }
+    rig.replay_matches_live();
     check("at the end", &AT_END, rig.observe());
 }
 

@@ -40,6 +40,22 @@ echo "==> one member setter, one layout walk and one manager-rank liveness"
 ! grep -rnE 'ShardCrash|ShardRecover|ShardDown|set_shard_alive|shard_alive\(|revoke_shard_leases|fn set_parity_slot|fn stripe_pos' \
     crates src tests examples/*.rs || exit 1
 
+echo "==> one placement log: homes and the group map change only through Placement::apply"
+# Manager::commit(record) applies every home and group change through the
+# apply that replay folds a journal lane with, and appends it to the lane
+# when journaling is on (DESIGN.md §16). A hand-built record, a second lane
+# append, a direct write to the live table or a one-sided replay check
+# would make the journal a shadow of the manager again. None comes back.
+! grep -rnE 'journal_home|journal_to|verify_replayed' crates src tests examples/*.rs || exit 1
+! awk 'FNR == 1 { impl = ""; apply = 0; test = 0 } /^mod tests \{/ { test = 1 }
+      /^impl / { impl = $2 } impl == "Placement" && /^    pub fn apply\(/ { apply = 1 }
+      !test && !apply && !/^[[:space:]]*\/\// &&
+      /(^|[^A-Za-z_])(group_of|groups|homes|ids)\.(insert|remove|push|retain|entry|get_mut|swap_remove|clear|extend|truncate|drain)\(/ {
+          print FILENAME ":" FNR ": " $0 }
+      apply && /^    }$/ { apply = 0 }' \
+    crates/chunkstore/src/journal.rs $(find crates/chunkstore/src/manager -name '*.rs' ! -name tests.rs) |
+    grep . || exit 1
+
 echo "==> one validity rule for a cached placement (the placement epoch) and a network of two constants"
 # A lease table beside the epoch, or a network config type beside
 # netsim::LINK_BW / netsim::LATENCY, would each bring back a second rule.
