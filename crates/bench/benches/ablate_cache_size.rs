@@ -54,6 +54,7 @@ fn main() {
             r.stages.computing,
         );
         bench::store_health(&format!("cache {}K", cache_kib), &cluster);
+        report.ran(&cluster);
         last_cluster = Some(cluster);
     }
     println!();

@@ -89,6 +89,7 @@ fn main() {
         bench::store_health(&format!("chunk {}K seq", chunk_kib), &cluster);
         bench::store_health(&format!("chunk {}K rw", chunk_kib), &rw_cluster);
         assert!(s.verified && r.verified);
+        report.ran(&cluster).ran(&rw_cluster);
         last_cluster = Some(cluster);
     }
     println!();

@@ -82,6 +82,7 @@ fn main() {
             .value(&format!("write_flush_s_{name}"), time)
             .value(&format!("ssd_busy_skew_{name}"), max_busy / mean_busy);
         bench::store_health(name, &cluster);
+        report.ran(&cluster);
         last_cluster = Some(cluster);
     }
     println!();

@@ -245,5 +245,9 @@ fn main() {
         "copy-on-write keeps the frozen image intact",
         rows[3].1 == 1.0,
     );
-    report.counters_from(&cluster).health_from(&cluster).emit();
+    report
+        .ran(&cluster)
+        .counters_from(&cluster)
+        .health_from(&cluster)
+        .emit();
 }

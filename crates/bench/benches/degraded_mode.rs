@@ -677,7 +677,7 @@ fn main() {
 
     demonstrate_k1_failure(&mut report);
     m0_identity(&mut report, ec_size);
-    report.counters_from(&cf).health_from(&cf).emit();
+    report.ran(&cf).counters_from(&cf).health_from(&cf).emit();
 }
 
 fn measure_repair(report: &mut JsonReport) {

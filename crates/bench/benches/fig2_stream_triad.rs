@@ -59,7 +59,8 @@ fn main() {
         .config("scale", SCALE)
         .config("elems_per_array", elems)
         .value("dram_mb_s", dram.bandwidth_mb_s)
-        .host_events(dram.handoffs);
+        .host_events(dram.handoffs)
+        .ran(&dram_cluster);
     let mut worst_local = f64::MAX;
     let mut worst_remote = f64::MAX;
     let mut last_cluster = None;
@@ -98,7 +99,9 @@ fn main() {
         report
             .value(&format!("local_mb_s_{label}"), local.bandwidth_mb_s)
             .value(&format!("remote_mb_s_{label}"), remote.bandwidth_mb_s)
-            .host_events(local.handoffs + remote.handoffs);
+            .host_events(local.handoffs + remote.handoffs)
+            .ran(&lcluster)
+            .ran(&rcluster);
         bench::store_health(&format!("L {label}"), &lcluster);
         bench::store_health(&format!("R {label}"), &rcluster);
         last_cluster = Some(rcluster);

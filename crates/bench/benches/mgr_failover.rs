@@ -292,6 +292,7 @@ fn main() {
     }
 
     report
+        .ran(&c.cluster)
         .counters_from(&c.cluster)
         .health_from(&c.cluster)
         .emit();

@@ -492,6 +492,7 @@ fn main() {
 
     report.obs_from(&traced.cluster.trace.footer(10));
     report
+        .ran(&rotted_scrubbed.cluster)
         .counters_from(&rotted_scrubbed.cluster)
         .health_from(&rotted_scrubbed.cluster)
         .emit();

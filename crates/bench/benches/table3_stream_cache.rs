@@ -66,7 +66,9 @@ fn main() {
         report
             .value(&format!("with_mb_s_{}", kernel.name()), with.bandwidth_mb_s)
             .value(&format!("raw_mb_s_{}", kernel.name()), raw.bandwidth_mb_s)
-            .host_events(with.handoffs + raw.handoffs);
+            .host_events(with.handoffs + raw.handoffs)
+            .ran(&cluster)
+            .ran(&raw_cluster);
         last_cluster = Some(cluster);
     }
     println!();

@@ -47,7 +47,9 @@ fn main() {
             .unwrap();
             comp[slot] = r.stages.computing.as_secs_f64();
             bench::store_health(&format!("tile {tile} {order:?}"), &cluster);
-            report.value(&format!("computing_s_tile{tile}_{order:?}"), comp[slot]);
+            report
+                .value(&format!("computing_s_tile{tile}_{order:?}"), comp[slot])
+                .ran(&cluster);
             last_cluster = Some(cluster);
         }
         t.row(&[

@@ -30,11 +30,8 @@ fn main() {
     ]);
 
     let dram_cfg = JobConfig::dram_only(8, 16);
-    let dram = run_sort_dram_two_pass(
-        &hal_cluster_scaled(&dram_cfg, SORT_SCALE),
-        &dram_cfg,
-        &SortConfig::new(total),
-    );
+    let dram_cluster = hal_cluster_scaled(&dram_cfg, SORT_SCALE);
+    let dram = run_sort_dram_two_pass(&dram_cluster, &dram_cfg, &SortConfig::new(total));
     t.row(&[
         dram.label.clone(),
         format!("{:.3}", dram.time.as_secs_f64()),
@@ -107,6 +104,9 @@ fn main() {
         r.time > l.time && r.time < dram.time,
     );
     report
+        .ran(&dram_cluster)
+        .ran(&l_cluster)
+        .ran(&r_cluster)
         .counters_from(&r_cluster)
         .health_from(&r_cluster)
         .emit();

@@ -45,7 +45,7 @@ fn main() {
         (r, cluster)
     };
 
-    let (opt, _opt_cluster) = run(true);
+    let (opt, opt_cluster) = run(true);
     let (unopt, unopt_cluster) = run(false);
 
     let t = Table::new(&[
@@ -95,6 +95,8 @@ fn main() {
     report.check("optimization also cuts runtime", opt.time < unopt.time);
     report.check("both runs verified", opt.verified && unopt.verified);
     report
+        .ran(&opt_cluster)
+        .ran(&unopt_cluster)
         .counters_from(&unopt_cluster)
         .health_from(&unopt_cluster)
         .emit();

@@ -450,9 +450,9 @@ impl From<VTime> for Json {
 /// its rates against committed floors.
 ///
 /// A report's simulated bytes are what its clusters moved: network
-/// payload plus every SSD's read and written bytes
-/// ([`JsonReport::health_from`]), so a node-local run, which never
-/// touches the network, still reports its volume.
+/// payload plus every SSD's read and written bytes, accounted once per
+/// cluster a target ran ([`JsonReport::ran`]), so a node-local run, which
+/// never touches the network, still reports its volume.
 ///
 /// Host wall-clock is inherently nondeterministic, so the footer is
 /// emitted as a self-contained block that scripts/ledger.sh strips
@@ -582,7 +582,7 @@ impl JsonReport {
     }
 
     /// Account simulated bytes toward the host-speed footer (for targets
-    /// that never call [`Self::health_from`]).
+    /// that run no [`Cluster`]).
     pub fn host_bytes(&mut self, bytes: u64) -> &mut Self {
         self.sim_bytes += bytes;
         self
@@ -631,7 +631,7 @@ impl JsonReport {
     }
 
     /// The counters and the health footer of a cluster that is already
-    /// gone. Unlike [`Self::health_from`] it accounts no simulated bytes:
+    /// gone. Like [`Self::health_from`] it accounts no simulated bytes:
     /// the run may have been simulated inside another report's window.
     pub fn finished(&mut self, run: &Finished) -> &mut Self {
         self.health = Json::Obj(run.health.clone());
@@ -646,12 +646,17 @@ impl JsonReport {
         self
     }
 
-    /// The health footer: the [`health`] report of `cluster`.
-    pub fn health_from(&mut self, cluster: &Cluster) -> &mut Self {
-        // Approximate simulated volume for the host footer: the payload
-        // this cluster's network and SSDs moved (accumulates across
-        // clusters for multi-run ablations).
+    /// Account one run toward the host footer: the payload `cluster`'s
+    /// network and SSDs moved. A target calls it once for every cluster
+    /// it ran, whichever one its health footer shows.
+    pub fn ran(&mut self, cluster: &Cluster) -> &mut Self {
         self.sim_bytes += sim_bytes_of(cluster);
+        self
+    }
+
+    /// The health footer: the [`health`] report of `cluster`. It accounts
+    /// no simulated bytes; [`Self::ran`] does.
+    pub fn health_from(&mut self, cluster: &Cluster) -> &mut Self {
         self.health = Json::Obj(health(cluster));
         self
     }
@@ -916,10 +921,9 @@ mod tests {
         );
     }
 
-    /// A node-local run moves its bytes through the node's own SSD and
-    /// none over the network; the host footer still counts them.
-    #[test]
-    fn a_node_local_run_reports_its_simulated_bytes() {
+    /// A node-local run: one small write and one fetch, through the
+    /// node's own SSD only.
+    fn local_run() -> Cluster {
         let cfg = JobConfig::local(1, 1, 1);
         let cluster = Cluster::with_configs(
             ClusterSpec::hal().scaled(SCALE),
@@ -937,10 +941,31 @@ mod tests {
         let page = vec![7u8; 4096];
         let t = store.write_pages(t, 0, f, 0, &[(0, &page)]).unwrap();
         store.fetch_chunk(t, 0, f, 0).unwrap();
+        cluster
+    }
+
+    /// A node-local run moves its bytes through the node's own SSD and
+    /// none over the network; the host footer still counts them.
+    #[test]
+    fn a_node_local_run_reports_its_simulated_bytes() {
+        let cluster = local_run();
         assert_eq!(cluster.stats.get("net.bytes"), 0, "the run is node-local");
         let mut report = JsonReport::new("local");
-        report.health_from(&cluster);
+        report.ran(&cluster).health_from(&cluster);
         let bytes = report.sim_bytes;
+        let chunk = cluster.store.config().chunk_size;
         assert!(bytes >= 4096 + chunk, "{bytes} simulated bytes");
+    }
+
+    /// A target that runs two clusters accounts both, once each — not
+    /// only the one its health footer shows.
+    #[test]
+    fn a_report_fed_two_clusters_counts_both() {
+        let (a, b) = (local_run(), local_run());
+        let one = sim_bytes_of(&a);
+        assert!(one > 0 && sim_bytes_of(&b) == one);
+        let mut report = JsonReport::new("two");
+        report.ran(&a).ran(&b).health_from(&b);
+        assert_eq!(report.sim_bytes, 2 * one);
     }
 }

@@ -52,6 +52,10 @@ pub enum StoreError {
         have: usize,
         need: usize,
     },
+    /// A metadata change built from outside input — a file name, an
+    /// explicit stripe list — would need a journal record over the frame
+    /// cap (DESIGN.md §16); it is refused before anything changes.
+    RecordTooLarge { bytes: usize, max: usize },
 }
 
 impl fmt::Display for StoreError {
@@ -99,6 +103,10 @@ impl fmt::Display for StoreError {
                 f,
                 "{file} parity group#{group}: only {have} of the {need} \
                  members needed for reconstruction survive"
+            ),
+            StoreError::RecordTooLarge { bytes, max } => write!(
+                f,
+                "metadata record of {bytes} bytes exceeds the {max}-byte journal frame"
             ),
         }
     }

@@ -1,34 +1,35 @@
-//! # journal — crash-consistent manager-shard metadata (DESIGN.md §16)
+//! # journal — the manager's metadata as a log (DESIGN.md §16)
 //!
-//! Each placement-manager rank keeps its chunk metadata recoverable: a
-//! CRC-64-protected **superblock** plus an append-only **journal** of
-//! self-checksummed, length-prefixed records of every home and group
-//! change (chunk placed, chunk freed, parity-group membership) and
-//! placement-epoch bump. The format follows the SPDK BlobStore
-//! discipline the design doc cites: metadata is explicitly synced in
-//! record-sized units, and load-time recovery *scans and repairs* — a
-//! torn tail (a record cut short by the crash, or whose checksum no
-//! longer matches) is detected and truncated, never replayed.
+//! Every manager-rank lane is a CRC-64-protected **superblock** plus an
+//! append-only **journal** of self-checksummed, length-prefixed records:
+//! one per change of the manager's metadata — files, their geometry,
+//! slots, links, lifetimes and stale-parity flags; chunk births, digests,
+//! homes and parity-group membership; placement-epoch bumps. The format
+//! follows the SPDK BlobStore discipline the design doc cites: metadata
+//! is explicitly synced in record-sized units, and load-time recovery
+//! *scans and repairs* — a torn tail (a record cut short by the crash, or
+//! whose checksum no longer matches) is detected and truncated, never
+//! replayed.
 //!
 //! The codec is deliberately tiny and deterministic: fixed-width
 //! little-endian fields, no serde, no host-dependent layout — the same
 //! state always serializes to the same bytes, so journal images can be
 //! diffed across runs like every other artifact in this codebase.
 //!
-//! Replay folds a lane into a [`ShardMeta`]: a [`Placement`] (homes with
-//! their slots, and group membership) built by the [`Placement::apply`]
-//! that `Manager::commit` writes the live table with, per-benefactor leaf
-//! slot bitmaps (live allocators again through [`BitAlloc::from_leaf`],
-//! DESIGN.md §13's crash-recovery path) and the placement epoch. A standby
-//! promotes once its lane's replay equals the live table of its keyspace
+//! [`MetaState::apply`] is the one writer of the manager's metadata:
+//! `Manager::commit` writes the live state with it, and replay folds a
+//! lane into a [`ShardMeta`] with it — a [`MetaState`] of the lane's
+//! keyspace, plus per-benefactor leaf slot bitmaps (live allocators again
+//! through [`BitAlloc::from_leaf`], DESIGN.md §13's crash-recovery path)
+//! and the placement epoch. A standby takeover installs that replay
 //! (`AggregateStore::failover_manager`).
 
 use crate::bitalloc::BitAlloc;
 use crate::crc::crc64;
 use crate::ids::{BenefactorId, ChunkId, FileId, IdMap};
-use crate::manager::GroupRef;
-use simcore::Counter;
-use std::collections::BTreeMap;
+use crate::manager::{ChunkMeta, FileMeta, GroupRef, Member, PlacementPolicy, Slot};
+use simcore::{Counter, VTime};
+use std::collections::{BTreeMap, HashMap};
 
 /// Superblock magic: "NVMJRNL1" as little-endian bytes.
 pub const JOURNAL_MAGIC: u64 = u64::from_le_bytes(*b"NVMJRNL1");
@@ -49,7 +50,9 @@ const FRAME_HEADER: usize = 4 + 8;
 ///
 /// Placement is journaled at (chunk, benefactor, slot) granularity — the
 /// exact unit the benefactor's slot allocator hands out — so replay can
-/// rebuild both the home map and the slot bitmaps.
+/// rebuild both the home map and the slot bitmaps. Chunk-keyed records
+/// ([`Record::chunk`]) sit in the lane of the chunk's owner; the rest —
+/// the namespace — in lane 0.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Record {
     /// `chunk` gained an authoritative copy in `slot` on `benefactor`.
@@ -59,7 +62,8 @@ pub enum Record {
         slot: usize,
     },
     /// The copy of `chunk` in `slot` on `benefactor` is no longer
-    /// authoritative (freed, re-homed away, or its file deleted).
+    /// authoritative (freed, re-homed away, or its file deleted). A chunk
+    /// whose last home is freed is gone.
     Free {
         chunk: ChunkId,
         benefactor: usize,
@@ -88,6 +92,53 @@ pub enum Record {
         len: usize,
         leaf: Vec<u64>,
     },
+    /// File `file` was created as `name`.
+    FileCreate { file: FileId, name: String },
+    /// `fallocate` sized `file` and picked its stripe; `cursor` is the
+    /// stripe cursor the pick left.
+    Fallocate {
+        file: FileId,
+        size: u64,
+        stripe: Vec<BenefactorId>,
+        placement: PlacementPolicy,
+        replicas: usize,
+        group_data: usize,
+        parity: usize,
+        cursor: usize,
+    },
+    /// `file` and its name are gone; each chunk it held loses a reference.
+    FileDelete { file: FileId },
+    /// Every slot of `src` was appended to `dst` (the checkpoint link of
+    /// §III-E): chunks by reference, unwritten slots as holes.
+    Link { dst: FileId, src: FileId },
+    /// `file`'s lifetime was set or cleared.
+    Lifetime {
+        file: FileId,
+        expires_at: Option<VTime>,
+    },
+    /// Member `member` of `file` now holds `chunk`; a parity member that
+    /// receives content is no longer stale.
+    SlotSet {
+        file: FileId,
+        member: Member,
+        chunk: ChunkId,
+    },
+    /// Parity member `parity` of group `group` of `file` was flagged (or
+    /// cleared) stale.
+    ParityStale {
+        file: FileId,
+        group: usize,
+        parity: usize,
+        stale: bool,
+    },
+    /// `chunk` was born with replica target `target` and digest `crc`.
+    ChunkBirth {
+        chunk: ChunkId,
+        target: usize,
+        crc: u64,
+    },
+    /// `chunk`'s recorded digest is now `crc`.
+    Digest { chunk: ChunkId, crc: u64 },
 }
 
 // Record tags. Explicit (not derived from enum order) because they are
@@ -98,6 +149,15 @@ const TAG_EPOCH_BUMP: u8 = 3;
 const TAG_GROUP_LINK: u8 = 4;
 const TAG_GROUP_UNLINK: u8 = 5;
 const TAG_LEAF_CHECKPOINT: u8 = 6;
+const TAG_FILE_CREATE: u8 = 7;
+const TAG_FALLOCATE: u8 = 8;
+const TAG_FILE_DELETE: u8 = 9;
+const TAG_LINK: u8 = 10;
+const TAG_LIFETIME: u8 = 11;
+const TAG_SLOT_SET: u8 = 12;
+const TAG_PARITY_STALE: u8 = 13;
+const TAG_CHUNK_BIRTH: u8 = 14;
+const TAG_DIGEST: u8 = 15;
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
@@ -115,10 +175,58 @@ fn get_u64(buf: &[u8], at: usize) -> Option<u64> {
     Some(u64::from_le_bytes(buf.get(at..at + 8)?.try_into().ok()?))
 }
 
+/// Reads a payload's fields front to back.
+struct Fields<'a>(&'a [u8]);
+
+impl<'a> Fields<'a> {
+    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        let (head, rest) = self.0.split_at_checked(n)?;
+        self.0 = rest;
+        Some(head)
+    }
+
+    fn u8(&mut self) -> Option<u8> {
+        Some(self.take(1)?[0])
+    }
+
+    fn u32(&mut self) -> Option<usize> {
+        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?) as usize)
+    }
+
+    fn u64(&mut self) -> Option<u64> {
+        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
+    }
+
+    /// `n` items of `width` bytes that end the payload — sized before
+    /// anything is allocated, so a rotted count cannot allocate.
+    fn tail<T>(&mut self, width: usize, item: impl Fn(&mut Self) -> Option<T>) -> Option<Vec<T>> {
+        let n = self.u32()?;
+        (self.0.len() == n * width).then_some(())?;
+        (0..n).map(|_| item(self)).collect()
+    }
+}
+
 impl Record {
-    /// Serialize the payload (tag + fields, little-endian, no framing).
-    pub fn encode_payload(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(32);
+    /// The chunk a chunk-keyed record is about; `None` for the namespace,
+    /// an epoch bump and a leaf checkpoint.
+    pub fn chunk(&self) -> Option<ChunkId> {
+        match *self {
+            Record::Place { chunk, .. }
+            | Record::Free { chunk, .. }
+            | Record::GroupLink { chunk, .. }
+            | Record::GroupUnlink { chunk }
+            | Record::ChunkBirth { chunk, .. }
+            | Record::Digest { chunk, .. } => Some(chunk),
+            _ => None,
+        }
+    }
+
+    /// Serialize the payload (tag + fields, little-endian, no framing)
+    /// onto `out` and return its length — or, for a payload over
+    /// [`MAX_RECORD_BYTES`], leave `out` as it was and return the length
+    /// as `Err`: the one place the cap is checked.
+    pub fn encode_into(&self, out: &mut Vec<u8>) -> Result<usize, usize> {
+        let at = out.len();
         match self {
             Record::Place {
                 chunk,
@@ -126,9 +234,9 @@ impl Record {
                 slot,
             } => {
                 out.push(TAG_PLACE);
-                put_u64(&mut out, chunk.0);
-                put_u32(&mut out, *benefactor as u32);
-                put_u32(&mut out, *slot as u32);
+                put_u64(out, chunk.0);
+                put_u32(out, *benefactor as u32);
+                put_u32(out, *slot as u32);
             }
             Record::Free {
                 chunk,
@@ -136,13 +244,13 @@ impl Record {
                 slot,
             } => {
                 out.push(TAG_FREE);
-                put_u64(&mut out, chunk.0);
-                put_u32(&mut out, *benefactor as u32);
-                put_u32(&mut out, *slot as u32);
+                put_u64(out, chunk.0);
+                put_u32(out, *benefactor as u32);
+                put_u32(out, *slot as u32);
             }
             Record::EpochBump { epoch } => {
                 out.push(TAG_EPOCH_BUMP);
-                put_u64(&mut out, *epoch);
+                put_u64(out, *epoch);
             }
             Record::GroupLink {
                 chunk,
@@ -151,14 +259,14 @@ impl Record {
                 member,
             } => {
                 out.push(TAG_GROUP_LINK);
-                put_u64(&mut out, chunk.0);
-                put_u64(&mut out, *file);
-                put_u32(&mut out, *group);
-                put_u32(&mut out, *member);
+                put_u64(out, chunk.0);
+                put_u64(out, *file);
+                put_u32(out, *group);
+                put_u32(out, *member);
             }
             Record::GroupUnlink { chunk } => {
                 out.push(TAG_GROUP_UNLINK);
-                put_u64(&mut out, chunk.0);
+                put_u64(out, chunk.0);
             }
             Record::LeafCheckpoint {
                 benefactor,
@@ -166,68 +274,212 @@ impl Record {
                 leaf,
             } => {
                 out.push(TAG_LEAF_CHECKPOINT);
-                put_u32(&mut out, *benefactor as u32);
-                put_u64(&mut out, *len as u64);
-                put_u32(&mut out, leaf.len() as u32);
+                put_u32(out, *benefactor as u32);
+                put_u64(out, *len as u64);
+                put_u32(out, leaf.len() as u32);
                 for w in leaf {
-                    put_u64(&mut out, *w);
+                    put_u64(out, *w);
                 }
             }
+            Record::FileCreate { file, name } => {
+                out.push(TAG_FILE_CREATE);
+                put_u64(out, file.0);
+                put_u32(out, name.len() as u32);
+                out.extend_from_slice(name.as_bytes());
+            }
+            Record::Fallocate {
+                file,
+                size,
+                stripe,
+                placement,
+                replicas,
+                group_data,
+                parity,
+                cursor,
+            } => {
+                out.push(TAG_FALLOCATE);
+                put_u64(out, file.0);
+                put_u64(out, *size);
+                match placement {
+                    PlacementPolicy::RoundRobin => out.extend_from_slice(&[0; 9]),
+                    PlacementPolicy::RandomPermutation { seed } => {
+                        out.push(1);
+                        put_u64(out, *seed);
+                    }
+                }
+                for v in [replicas, group_data, parity] {
+                    put_u32(out, *v as u32);
+                }
+                put_u64(out, *cursor as u64);
+                put_u32(out, stripe.len() as u32);
+                for b in stripe {
+                    put_u32(out, b.0 as u32);
+                }
+            }
+            Record::FileDelete { file } => {
+                out.push(TAG_FILE_DELETE);
+                put_u64(out, file.0);
+            }
+            Record::Link { dst, src } => {
+                out.push(TAG_LINK);
+                put_u64(out, dst.0);
+                put_u64(out, src.0);
+            }
+            Record::Lifetime { file, expires_at } => {
+                out.push(TAG_LIFETIME);
+                put_u64(out, file.0);
+                out.push(expires_at.is_some() as u8);
+                put_u64(out, expires_at.map_or(0, VTime::as_nanos));
+            }
+            Record::SlotSet {
+                file,
+                member,
+                chunk,
+            } => {
+                out.push(TAG_SLOT_SET);
+                put_u64(out, file.0);
+                let (kind, a, b) = match *member {
+                    Member::Data(idx) => (0, idx, 0),
+                    Member::Parity(g, p) => (1, g, p),
+                };
+                out.push(kind);
+                put_u32(out, a as u32);
+                put_u32(out, b as u32);
+                put_u64(out, chunk.0);
+            }
+            Record::ParityStale {
+                file,
+                group,
+                parity,
+                stale,
+            } => {
+                out.push(TAG_PARITY_STALE);
+                put_u64(out, file.0);
+                put_u32(out, *group as u32);
+                put_u32(out, *parity as u32);
+                out.push(*stale as u8);
+            }
+            Record::ChunkBirth { chunk, target, crc } => {
+                out.push(TAG_CHUNK_BIRTH);
+                put_u64(out, chunk.0);
+                put_u32(out, *target as u32);
+                put_u64(out, *crc);
+            }
+            Record::Digest { chunk, crc } => {
+                out.push(TAG_DIGEST);
+                put_u64(out, chunk.0);
+                put_u64(out, *crc);
+            }
         }
-        assert!(
-            out.len() <= MAX_RECORD_BYTES,
-            "record payload {} exceeds the {} cap",
-            out.len(),
-            MAX_RECORD_BYTES
-        );
+        let len = out.len() - at;
+        if len > MAX_RECORD_BYTES {
+            out.truncate(at);
+            return Err(len);
+        }
+        Ok(len)
+    }
+
+    /// The payload of a record that fits its frame.
+    pub fn encode_payload(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(32);
+        self.encode_into(&mut out)
+            .expect("record payload over the cap");
         out
     }
 
     /// Decode one payload. `None` on unknown tag or malformed fields —
     /// the scanner treats that exactly like a checksum mismatch. A payload
     /// is well-formed only if it is exactly the encoding of what it
-    /// decodes to: no missing field, no trailing byte.
+    /// decodes to: no missing field, no trailing byte, no name that is
+    /// not UTF-8.
     pub fn decode_payload(buf: &[u8]) -> Option<Record> {
-        let u32_at = |at| get_u32(buf, at).map(|v| v as usize);
-        let u64_at = |at| get_u64(buf, at);
-        let rec = match *buf.first()? {
+        let mut f = Fields(buf);
+        let rec = match f.u8()? {
             TAG_PLACE => Record::Place {
-                chunk: ChunkId(u64_at(1)?),
-                benefactor: u32_at(9)?,
-                slot: u32_at(13)?,
+                chunk: ChunkId(f.u64()?),
+                benefactor: f.u32()?,
+                slot: f.u32()?,
             },
             TAG_FREE => Record::Free {
-                chunk: ChunkId(u64_at(1)?),
-                benefactor: u32_at(9)?,
-                slot: u32_at(13)?,
+                chunk: ChunkId(f.u64()?),
+                benefactor: f.u32()?,
+                slot: f.u32()?,
             },
-            TAG_EPOCH_BUMP => Record::EpochBump { epoch: u64_at(1)? },
+            TAG_EPOCH_BUMP => Record::EpochBump { epoch: f.u64()? },
             TAG_GROUP_LINK => Record::GroupLink {
-                chunk: ChunkId(u64_at(1)?),
-                file: u64_at(9)?,
-                group: get_u32(buf, 17)?,
-                member: get_u32(buf, 21)?,
+                chunk: ChunkId(f.u64()?),
+                file: f.u64()?,
+                group: f.u32()? as u32,
+                member: f.u32()? as u32,
             },
             TAG_GROUP_UNLINK => Record::GroupUnlink {
-                chunk: ChunkId(u64_at(1)?),
+                chunk: ChunkId(f.u64()?),
             },
-            TAG_LEAF_CHECKPOINT => {
-                // Sized first: a rotted count must not allocate.
-                let words = u32_at(13)?;
-                if buf.len() != 17 + words * 8 || buf.len() > MAX_RECORD_BYTES {
-                    return None;
-                }
-                Record::LeafCheckpoint {
-                    benefactor: u32_at(1)?,
-                    len: u64_at(5)? as usize,
-                    leaf: (0..words)
-                        .map(|i| u64_at(17 + i * 8))
-                        .collect::<Option<_>>()?,
-                }
+            TAG_LEAF_CHECKPOINT => Record::LeafCheckpoint {
+                benefactor: f.u32()?,
+                len: f.u64()? as usize,
+                leaf: f.tail(8, Fields::u64)?,
+            },
+            TAG_FILE_CREATE => {
+                let file = FileId(f.u64()?);
+                let len = f.u32()?;
+                let name = String::from_utf8(f.take(len)?.to_vec()).ok()?;
+                Record::FileCreate { file, name }
             }
+            TAG_FALLOCATE => Record::Fallocate {
+                file: FileId(f.u64()?),
+                size: f.u64()?,
+                placement: match (f.u8()?, f.u64()?) {
+                    (0, _) => PlacementPolicy::RoundRobin,
+                    (_, seed) => PlacementPolicy::RandomPermutation { seed },
+                },
+                replicas: f.u32()?,
+                group_data: f.u32()?,
+                parity: f.u32()?,
+                cursor: f.u64()? as usize,
+                stripe: f.tail(4, |f| f.u32().map(BenefactorId))?,
+            },
+            TAG_FILE_DELETE => Record::FileDelete {
+                file: FileId(f.u64()?),
+            },
+            TAG_LINK => Record::Link {
+                dst: FileId(f.u64()?),
+                src: FileId(f.u64()?),
+            },
+            TAG_LIFETIME => Record::Lifetime {
+                file: FileId(f.u64()?),
+                expires_at: match (f.u8()?, f.u64()?) {
+                    (0, _) => None,
+                    (_, ns) => Some(VTime::from_nanos(ns)),
+                },
+            },
+            TAG_SLOT_SET => Record::SlotSet {
+                file: FileId(f.u64()?),
+                member: match (f.u8()?, f.u32()?, f.u32()?) {
+                    (0, idx, _) => Member::Data(idx),
+                    (_, g, p) => Member::Parity(g, p),
+                },
+                chunk: ChunkId(f.u64()?),
+            },
+            TAG_PARITY_STALE => Record::ParityStale {
+                file: FileId(f.u64()?),
+                group: f.u32()?,
+                parity: f.u32()?,
+                stale: f.u8()? != 0,
+            },
+            TAG_CHUNK_BIRTH => Record::ChunkBirth {
+                chunk: ChunkId(f.u64()?),
+                target: f.u32()?,
+                crc: f.u64()?,
+            },
+            TAG_DIGEST => Record::Digest {
+                chunk: ChunkId(f.u64()?),
+                crc: f.u64()?,
+            },
             _ => return None,
         };
-        (rec.encode_payload() == buf).then_some(rec)
+        let mut back = Vec::with_capacity(buf.len());
+        (rec.encode_into(&mut back) == Ok(buf.len()) && back == buf).then_some(rec)
     }
 }
 
@@ -256,12 +508,17 @@ impl Journal {
         Journal::default()
     }
 
-    /// Append one record: `[len: u32][crc64(payload): u64][payload]`.
+    /// Append one record: `[len: u32][crc64(payload): u64][payload]`,
+    /// encoded straight into the log.
     pub fn append(&mut self, r: &Record) {
-        let payload = r.encode_payload();
-        put_u32(&mut self.buf, payload.len() as u32);
-        put_u64(&mut self.buf, crc64(&payload));
-        self.buf.extend_from_slice(&payload);
+        let at = self.buf.len();
+        self.buf.extend_from_slice(&[0; FRAME_HEADER]);
+        let len = r
+            .encode_into(&mut self.buf)
+            .expect("record payload over the cap") as u32;
+        let crc = crc64(&self.buf[at + FRAME_HEADER..]);
+        self.buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
+        self.buf[at + 4..at + FRAME_HEADER].copy_from_slice(&crc.to_le_bytes());
         self.records += 1;
     }
 
@@ -389,11 +646,12 @@ pub fn encode_image(sb: &Superblock, journal: &Journal) -> Vec<u8> {
 
 /// The `load` path: decode the superblock (rejecting an untrusted
 /// header outright), scan-and-repair the journal region, and replay it
-/// into a [`ShardMeta`]. `None` only when the superblock itself is bad.
-pub fn load_image(image: &[u8]) -> Option<(Superblock, ShardMeta, RepairStats)> {
+/// into a [`ShardMeta`] of a store of `chunk_size` chunks. `None` only
+/// when the superblock itself is bad.
+pub fn load_image(image: &[u8], chunk_size: u64) -> Option<(Superblock, ShardMeta, RepairStats)> {
     let sb = Superblock::decode(image)?;
     let (journal, stats) = Journal::scan_and_repair(&image[SUPERBLOCK_BYTES..]);
-    let meta = ShardMeta::replay(journal.iter());
+    let meta = ShardMeta::replay(chunk_size, journal.iter());
     Some((sb, meta, stats))
 }
 
@@ -420,48 +678,78 @@ fn low_bits(n: usize) -> u64 {
 
 /// One chunk's authoritative copies, primary first, with their slots.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-struct Homes {
-    ids: Vec<BenefactorId>,
-    slots: Vec<usize>,
+pub struct Homes {
+    pub ids: Vec<BenefactorId>,
+    pub slots: Vec<usize>,
 }
 
-/// Every chunk's homes and parity group: the manager's live table, and
-/// what replaying a lane gives back for its rank's keyspace — both built
-/// by [`Placement::apply`], the one writer.
+/// The namespace — rank 0's keyspace: files and their names, the
+/// reference counts their slots imply, and the id and stripe cursors.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Placement {
-    homes: IdMap<ChunkId, Homes>,
-    groups: IdMap<ChunkId, GroupRef>,
+pub struct Namespace {
+    pub files: IdMap<FileId, FileMeta>,
+    pub by_name: HashMap<String, FileId>,
+    /// Derived: how many slots, in every file, hold each chunk.
+    pub refs: IdMap<ChunkId, u32>,
+    pub next_file: u64,
+    /// Advanced by the slot that installs a chunk: a chunk is born (in
+    /// its owner's lane) right before its first slot takes it.
+    pub next_chunk: u64,
+    pub stripe_cursor: usize,
 }
 
-impl Placement {
+/// The manager's metadata: the namespace, and every chunk's birth record
+/// (target, digest), homes with their slots, and parity group. The
+/// manager's live state and a lane's replay alike. Its tables are read in
+/// place; [`MetaState::apply`] is their one writer (the manager hands out
+/// only `&MetaState`).
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct MetaState {
+    pub chunk_size: u64,
+    pub ns: Namespace,
+    pub chunks: IdMap<ChunkId, ChunkMeta>,
+    pub homes: IdMap<ChunkId, Homes>,
+    pub groups: IdMap<ChunkId, GroupRef>,
+}
+
+impl MetaState {
+    pub fn new(chunk_size: u64) -> Self {
+        MetaState {
+            chunk_size,
+            ..MetaState::default()
+        }
+    }
+
     /// Apply one record (`EpochBump` and `LeafCheckpoint` change nothing).
+    /// A record naming what the state does not hold changes nothing.
     pub fn apply(&mut self, r: &Record) {
-        match *r {
+        let ns = &mut self.ns;
+        match r {
             Record::Place {
                 chunk,
                 benefactor,
                 slot,
             } => {
-                let h = self.homes.entry(chunk).or_default();
-                h.ids.push(BenefactorId(benefactor));
-                h.slots.push(slot);
+                let h = self.homes.entry(*chunk).or_default();
+                h.ids.push(BenefactorId(*benefactor));
+                h.slots.push(*slot);
             }
             Record::Free {
                 chunk,
                 benefactor,
                 slot,
             } => {
-                let Some(h) = self.homes.get_mut(&chunk) else {
+                let Some(h) = self.homes.get_mut(chunk) else {
                     return;
                 };
-                let home = (BenefactorId(benefactor), slot);
+                let home = (BenefactorId(*benefactor), *slot);
                 if let Some(at) = (0..h.ids.len()).find(|&i| (h.ids[i], h.slots[i]) == home) {
                     h.ids.remove(at);
                     h.slots.remove(at);
                 }
                 if h.ids.is_empty() {
-                    self.homes.remove(&chunk);
+                    self.homes.remove(chunk);
+                    self.chunks.remove(chunk);
                 }
             }
             Record::GroupLink {
@@ -470,69 +758,170 @@ impl Placement {
                 group,
                 member,
             } => {
-                let (file, group, member) = (FileId(file), group as usize, member as usize);
-                self.groups.insert(
-                    chunk,
-                    GroupRef {
-                        file,
-                        group,
-                        member,
-                    },
-                );
+                let (file, group, member) = (FileId(*file), *group as usize, *member as usize);
+                let group_ref = GroupRef {
+                    file,
+                    group,
+                    member,
+                };
+                self.groups.insert(*chunk, group_ref);
             }
             Record::GroupUnlink { chunk } => {
-                self.groups.remove(&chunk);
+                self.groups.remove(chunk);
             }
             Record::EpochBump { .. } | Record::LeafCheckpoint { .. } => {}
+            Record::FileCreate { file, name } => {
+                ns.by_name.insert(name.clone(), *file);
+                let (name, rr) = (name.clone(), PlacementPolicy::RoundRobin);
+                let created = FileMeta::sized(0, 1, &[], rr, (1, 1, 0));
+                ns.files.insert(*file, FileMeta { name, ..created });
+                ns.next_file = ns.next_file.max(file.0 + 1);
+            }
+            Record::Fallocate {
+                file,
+                size,
+                stripe,
+                placement,
+                replicas,
+                group_data,
+                parity,
+                cursor,
+            } => {
+                ns.stripe_cursor = *cursor;
+                let Some(meta) = ns.files.get_mut(file) else {
+                    return;
+                };
+                let geometry = (*replicas, *group_data, *parity);
+                let sized = FileMeta::sized(*size, self.chunk_size, stripe, *placement, geometry);
+                *meta = FileMeta {
+                    name: std::mem::take(&mut meta.name),
+                    expires_at: meta.expires_at,
+                    ..sized
+                };
+            }
+            Record::FileDelete { file } => {
+                let Some(meta) = ns.files.remove(file) else {
+                    return;
+                };
+                ns.by_name.remove(&meta.name);
+                for (_, slot) in meta.members() {
+                    Self::unref(&mut ns.refs, slot);
+                }
+            }
+            Record::Link { dst, src } => {
+                let (Some(src), true) = (ns.files.get(src), ns.files.contains_key(dst)) else {
+                    return;
+                };
+                let (appended, src_size) = (src.slots.clone(), src.size);
+                let dst = ns.files.get_mut(dst).expect("checked above");
+                // A linked region is sized in whole chunks.
+                dst.size = dst.slots.len() as u64 * self.chunk_size + src_size;
+                for slot in appended {
+                    dst.slots.push(match slot {
+                        Slot::Chunk(c) => {
+                            *ns.refs.entry(c).or_default() += 1;
+                            slot
+                        }
+                        Slot::Unmaterialized | Slot::Hole => Slot::Hole,
+                    });
+                }
+            }
+            Record::Lifetime { file, expires_at } => {
+                if let Some(meta) = ns.files.get_mut(file) {
+                    meta.expires_at = *expires_at;
+                }
+            }
+            Record::SlotSet {
+                file,
+                member,
+                chunk,
+            } => {
+                let Some(meta) = ns.files.get_mut(file) else {
+                    return;
+                };
+                let slot = match *member {
+                    Member::Data(idx) => meta.slots.get_mut(idx),
+                    Member::Parity(g, p) => {
+                        let at = g * meta.parity + p;
+                        if let Some(stale) = meta.parity_stale.get_mut(at) {
+                            *stale = false;
+                        }
+                        meta.parity_slots.get_mut(at)
+                    }
+                };
+                let Some(slot) = slot else {
+                    return;
+                };
+                let old = std::mem::replace(slot, Slot::Chunk(*chunk));
+                Self::unref(&mut ns.refs, old);
+                *ns.refs.entry(*chunk).or_default() += 1;
+                ns.next_chunk = ns.next_chunk.max(chunk.0 + 1);
+            }
+            Record::ParityStale {
+                file,
+                group,
+                parity,
+                stale,
+            } => {
+                let meta = ns.files.get_mut(file);
+                let at = meta.and_then(|m| m.parity_stale.get_mut(group * m.parity + parity));
+                if let Some(flag) = at {
+                    *flag = *stale;
+                }
+            }
+            Record::ChunkBirth { chunk, target, crc } => {
+                let (target, crc) = (*target, *crc);
+                self.chunks.insert(*chunk, ChunkMeta { target, crc });
+            }
+            Record::Digest { chunk, crc } => {
+                if let Some(meta) = self.chunks.get_mut(chunk) {
+                    meta.crc = *crc;
+                }
+            }
         }
     }
 
-    /// Every benefactor holding an authoritative copy of `c`, primary first.
-    pub fn homes(&self, c: ChunkId) -> Option<&[BenefactorId]> {
-        self.homes.get(&c).map(|h| h.ids.as_slice())
+    /// One reference fewer to what `slot` held.
+    fn unref(refs: &mut IdMap<ChunkId, u32>, slot: Slot) {
+        let Slot::Chunk(c) = slot else {
+            return;
+        };
+        if let Some(n) = refs.get_mut(&c) {
+            *n -= 1;
+            if *n == 0 {
+                refs.remove(&c);
+            }
+        }
     }
 
-    /// The slot `c`'s copy on `home` is stored in, if `home` is listed.
-    pub fn slot_on(&self, c: ChunkId, home: BenefactorId) -> Option<usize> {
-        let h = self.homes.get(&c)?;
-        h.ids.iter().position(|&b| b == home).map(|at| h.slots[at])
-    }
-
-    /// The parity group `c` is a member of, if any.
-    pub fn group(&self, c: ChunkId) -> Option<GroupRef> {
-        self.groups.get(&c).copied()
-    }
-
-    /// Every chunk with a home, with its homes' benefactors and slots.
-    pub fn chunks(&self) -> impl Iterator<Item = (ChunkId, &[BenefactorId], &[usize])> {
-        self.homes
-            .iter()
-            .map(|(&c, h)| (c, h.ids.as_slice(), h.slots.as_slice()))
-    }
-
-    /// Every grouped chunk, with its group.
-    pub fn groups(&self) -> impl Iterator<Item = (ChunkId, GroupRef)> + '_ {
-        self.groups.iter().map(|(&c, &g)| (c, g))
-    }
-
-    /// The part of the table whose chunks `keep` selects (a rank's keyspace).
-    pub fn restricted(&self, keep: impl Fn(ChunkId) -> bool) -> Placement {
-        let homes = self.homes.iter().filter(|(&c, _)| keep(c));
-        let groups = self.groups.iter().filter(|(&c, _)| keep(c));
-        Placement {
-            homes: homes.map(|(&c, h)| (c, h.clone())).collect(),
-            groups: groups.map(|(&c, &g)| (c, g)).collect(),
+    /// A standby takeover: replace the keyspace `lane` was replayed from
+    /// — the chunks `owns` selects, and the namespace when `namespace` —
+    /// with the replay, dropping what this state held there.
+    pub(crate) fn install(
+        &mut self,
+        lane: MetaState,
+        owns: impl Fn(ChunkId) -> bool,
+        namespace: bool,
+    ) {
+        self.chunks.retain(|&c, _| !owns(c));
+        self.chunks.extend(lane.chunks);
+        self.homes.retain(|&c, _| !owns(c));
+        self.homes.extend(lane.homes);
+        self.groups.retain(|&c, _| !owns(c));
+        self.groups.extend(lane.groups);
+        if namespace {
+            self.ns = lane.ns;
         }
     }
 }
 
 /// Metadata state rebuilt by replaying one shard's journal: its
-/// [`Placement`], plus what only replay needs — the slot bitmaps the
+/// [`MetaState`], plus what only replay needs — the slot bitmaps the
 /// records imply and the highest epoch.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ShardMeta {
-    /// Homes and group membership, folded by [`Placement::apply`].
-    pub placement: Placement,
+    /// The lane's keyspace, folded by [`MetaState::apply`].
+    pub state: MetaState,
     /// benefactor → journaled leaf bitmap. Grows as records mention
     /// higher slots.
     leaf: BTreeMap<usize, LaneLeaf>,
@@ -541,8 +930,12 @@ pub struct ShardMeta {
 }
 
 impl ShardMeta {
-    pub fn replay(records: impl Iterator<Item = Record>) -> ShardMeta {
-        let mut meta = ShardMeta::default();
+    pub fn replay(chunk_size: u64, records: impl Iterator<Item = Record>) -> ShardMeta {
+        let state = MetaState::new(chunk_size);
+        let mut meta = ShardMeta {
+            state,
+            ..ShardMeta::default()
+        };
         records.for_each(|r| meta.apply(&r));
         meta
     }
@@ -570,9 +963,9 @@ impl ShardMeta {
                     },
                 );
             }
-            Record::GroupLink { .. } | Record::GroupUnlink { .. } => {}
+            _ => {}
         }
-        self.placement.apply(r);
+        self.state.apply(r);
     }
 
     fn set_bit(&mut self, benefactor: usize, slot: usize, on: bool) {
@@ -639,8 +1032,8 @@ impl ShardMeta {
     /// subset direction holds.)
     pub fn assert_consistent(&self) {
         let mut per_benefactor: BTreeMap<usize, usize> = BTreeMap::new();
-        for (chunk, ids, slots) in self.placement.chunks() {
-            for (b, &s) in ids.iter().map(|b| b.0).zip(slots) {
+        for (chunk, h) in &self.state.homes {
+            for (b, &s) in h.ids.iter().map(|b| b.0).zip(&h.slots) {
                 let l = self.leaf.get(&b).expect("home without bitmap");
                 assert!(s < l.len, "{chunk} home slot {s} beyond the bitmap");
                 assert!(
@@ -666,12 +1059,13 @@ impl ShardMeta {
     }
 }
 
-/// The per-rank journal fleet a journaling manager owns: one lane per
+/// The per-rank journal fleet the manager always writes: one lane per
 /// manager rank, each holding its rank's keyspace — a chunk-keyed record
-/// lands in the lane of the chunk's owner in the manager's rank ring (one
-/// lane, trivially, for the paper's manager). Appends bump the shared
-/// `store.journal_records` counter — registered lazily with the rest of
-/// the HA set, so knobs-off stat snapshots never see it.
+/// lands in the lane of the chunk's owner in the manager's rank ring, the
+/// namespace in lane 0 (one lane, trivially, for the paper's manager).
+/// Appends bump the `store.journal_records` counter — registered lazily
+/// with the rest of the HA set, and an unregistered one otherwise, so
+/// knobs-off stat snapshots never see it.
 #[derive(Debug)]
 pub struct JournalSet {
     lanes: Vec<Journal>,
@@ -689,6 +1083,12 @@ impl JournalSet {
 
     pub fn lanes(&self) -> usize {
         self.lanes.len()
+    }
+
+    /// One lane per rank of a new rank set, before anything is written.
+    pub fn relane(&mut self, lanes: usize) {
+        assert!(self.total_records() == 0, "ranks come before records");
+        *self = JournalSet::new(lanes, self.records.clone());
     }
 
     pub fn lane(&self, k: usize) -> &Journal {
@@ -742,6 +1142,58 @@ mod tests {
                 len: 0,
                 leaf: vec![],
             },
+            Record::FileCreate {
+                file: FileId(4),
+                name: "/ck/é".to_string(),
+            },
+            Record::Fallocate {
+                file: FileId(4),
+                size: 5 * 4096 + 1,
+                stripe: vec![BenefactorId(2), BenefactorId(0), BenefactorId(1)],
+                placement: PlacementPolicy::RandomPermutation { seed: 99 },
+                replicas: 1,
+                group_data: 2,
+                parity: 1,
+                cursor: 7,
+            },
+            Record::Link {
+                dst: FileId(5),
+                src: FileId(4),
+            },
+            Record::Lifetime {
+                file: FileId(5),
+                expires_at: Some(VTime::from_nanos(123)),
+            },
+            Record::Lifetime {
+                file: FileId(5),
+                expires_at: None,
+            },
+            Record::ChunkBirth {
+                chunk: ChunkId(11),
+                target: 2,
+                crc: 0xDEAD_BEEF,
+            },
+            Record::SlotSet {
+                file: FileId(4),
+                member: Member::Data(3),
+                chunk: ChunkId(11),
+            },
+            Record::SlotSet {
+                file: FileId(4),
+                member: Member::Parity(1, 0),
+                chunk: ChunkId(12),
+            },
+            Record::ParityStale {
+                file: FileId(4),
+                group: 1,
+                parity: 0,
+                stale: true,
+            },
+            Record::Digest {
+                chunk: ChunkId(11),
+                crc: 7,
+            },
+            Record::FileDelete { file: FileId(5) },
         ]
     }
 
@@ -751,6 +1203,29 @@ mod tests {
             let bytes = r.encode_payload();
             assert_eq!(Record::decode_payload(&bytes), Some(r));
         }
+    }
+
+    /// A name enters the log as bytes; only UTF-8 decodes, so a rotted
+    /// name is a torn record, not a file no one can name.
+    #[test]
+    fn a_name_that_is_not_utf8_does_not_decode() {
+        let file = FileId(1);
+        let good = Record::FileCreate {
+            file,
+            name: "ab".to_string(),
+        };
+        let mut bytes = good.encode_payload();
+        assert_eq!(Record::decode_payload(&bytes), Some(good));
+        let last = bytes.len() - 1;
+        bytes[last] = 0xFF;
+        assert_eq!(Record::decode_payload(&bytes), None);
+        // Framed with a checksum that matches, the scan still stops there.
+        let mut raw = Vec::new();
+        put_u32(&mut raw, bytes.len() as u32);
+        put_u64(&mut raw, crc64(&bytes));
+        raw.extend_from_slice(&bytes);
+        let (back, stats) = Journal::scan_and_repair(&raw);
+        assert_eq!((back.records(), stats.torn), (0, true));
     }
 
     #[test]
@@ -860,22 +1335,22 @@ mod tests {
             journal_bytes: j.byte_len() as u64,
         };
         let mut image = encode_image(&sb, &j);
-        let (sb2, meta, stats) = load_image(&image).expect("clean image loads");
+        let (sb2, meta, stats) = load_image(&image, 4096).expect("clean image loads");
         assert_eq!(sb2, sb);
         assert!(!stats.torn);
-        let b1 = BenefactorId(1);
-        assert_eq!(meta.placement.homes(ChunkId(2)), Some(&[b1][..]));
-        assert_eq!(meta.placement.slot_on(ChunkId(2), b1), Some(0));
-        assert_eq!(meta.placement.homes(ChunkId(1)), None, "freed chunk gone");
+        let homes = &meta.state.homes;
+        assert_eq!(homes[&ChunkId(2)].ids, [BenefactorId(1)]);
+        assert_eq!(homes[&ChunkId(2)].slots, [0]);
+        assert!(!homes.contains_key(&ChunkId(1)), "freed chunk gone");
         meta.assert_consistent();
         // Tear the image mid-journal: the superblock still loads, the
         // tail truncates, and the replayed state is the shorter prefix.
         image.truncate(image.len() - 5);
-        let (_, meta2, stats2) = load_image(&image).expect("torn image still loads");
+        let (_, meta2, stats2) = load_image(&image, 4096).expect("torn image still loads");
         assert!(stats2.torn);
         assert_eq!(stats2.records, 2);
         assert!(
-            meta2.placement.homes(ChunkId(1)).is_some(),
+            meta2.state.homes.contains_key(&ChunkId(1)),
             "free was torn off"
         );
         meta2.assert_consistent();
@@ -883,19 +1358,18 @@ mod tests {
 
     #[test]
     fn replay_rebuilds_allocator_via_from_leaf() {
-        let mut meta = ShardMeta::default();
-        for s in [0usize, 3, 64, 130] {
-            meta.apply(&Record::Place {
-                chunk: ChunkId(s as u64),
-                benefactor: 1,
-                slot: s,
-            });
-        }
-        meta.apply(&Record::Free {
+        let place = |s: usize| Record::Place {
+            chunk: ChunkId(s as u64),
+            benefactor: 1,
+            slot: s,
+        };
+        let free = Record::Free {
             chunk: ChunkId(3),
             benefactor: 1,
             slot: 3,
-        });
+        };
+        let records = [0, 3, 64, 130].map(place).into_iter().chain([free]);
+        let meta = ShardMeta::replay(4096, records);
         let alloc = meta.rebuild_alloc(1, 256);
         alloc.assert_consistent();
         assert_eq!(alloc.len(), 256);

@@ -56,10 +56,10 @@ pub use bitalloc::BitAlloc;
 pub use crc::crc64;
 pub use error::{Result, StoreError};
 pub use ids::{BenefactorId, ChunkId, FileId, IdMap};
-pub use journal::{Journal, JournalSet, Placement, Record, RepairStats, ShardMeta, Superblock};
+pub use journal::{Journal, JournalSet, MetaState, Record, RepairStats, ShardMeta, Superblock};
 pub use loc_cache::LocationCache;
 pub use manager::{
-    ChunkMeta, FileMeta, GroupRef, Manager, PlacementPolicy, Slot, StripeSpec, StripeWidth,
+    ChunkMeta, FileMeta, GroupRef, Manager, Member, PlacementPolicy, Slot, StripeSpec, StripeWidth,
 };
 pub use payload::{zero_chunk, ChunkBuf, Leaf, PageRun};
 pub use rs::RsCode;

@@ -1,13 +1,14 @@
-//! Materialized chunks: reference counts, authoritative homes, recorded
+//! Materialized chunks: births, freeing, authoritative homes, recorded
 //! digests, and reconciling a benefactor that comes back.
 
 use super::Manager;
 use crate::ids::{BenefactorId, ChunkId};
+use crate::journal::Record;
 
-/// Manager-side record of one materialized chunk. Its homes, in the
-/// placement table, are non-empty and distinct from `set_slot` on; a
-/// write that finds a dead home drops it, and the stale bytes left there
-/// are reclaimed by `reconcile_recovered`.
+/// Manager-side record of one materialized chunk, from its `ChunkBirth`
+/// until its last home is freed. Its homes are non-empty and distinct
+/// from `set_slot` on; a write that finds a dead home drops it, and the
+/// stale bytes left there are reclaimed by `reconcile_recovered`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ChunkMeta {
     /// Replica degree the chunk should have (its file's `replicas`).
@@ -19,67 +20,65 @@ pub struct ChunkMeta {
 }
 
 impl Manager {
-    pub(crate) fn incref_chunk(&mut self, c: ChunkId) {
-        *self.chunk_refs.get_mut(&c).expect("incref unknown chunk") += 1;
-    }
-
-    pub(crate) fn decref_chunk(&mut self, c: ChunkId) {
-        let refs = self.chunk_refs.get_mut(&c).expect("decref unknown chunk");
-        *refs -= 1;
-        if *refs == 0 {
-            self.chunk_refs.remove(&c);
-            self.chunk_meta.remove(&c).expect("chunk without meta");
-            while let Some(&home) = self.placement.homes(c).and_then(|h| h.first()) {
-                self.free_home(c, home);
-                self.benefactors[home.0].drop_chunk(c);
-            }
-            self.bump_placement_epoch();
+    /// Free `c` once no slot holds it: every home leaves the state (the
+    /// last `Free` ends the chunk) and the fleet drops its copies.
+    pub(crate) fn free_if_unreferenced(&mut self, c: ChunkId) {
+        if self.chunk_refcount(c) > 0 || self.chunk_homes(c).is_none() {
+            return;
         }
+        while let Some(home) = self.chunk_home(c) {
+            self.free_home(c, home);
+            self.benefactors[home.0].drop_chunk(c);
+        }
+        self.bump_placement_epoch();
     }
 
+    /// How many slots, in every file, hold `c`.
     pub fn chunk_refcount(&self, c: ChunkId) -> u32 {
-        self.chunk_refs.get(&c).copied().unwrap_or(0)
+        self.state.ns.refs.get(&c).copied().unwrap_or(0)
     }
 
     /// The chunk's primary home (first live-listed copy).
     pub fn chunk_home(&self, c: ChunkId) -> Option<BenefactorId> {
-        self.placement.homes(c).map(|h| h[0])
+        self.chunk_homes(c).map(|h| h[0])
     }
 
     /// Every benefactor holding an authoritative copy of `c`.
     pub fn chunk_homes(&self, c: ChunkId) -> Option<&[BenefactorId]> {
-        self.placement.homes(c)
+        self.state.homes.get(&c).map(|h| h.ids.as_slice())
     }
 
     /// The chunk's intended replica degree.
     pub fn chunk_target(&self, c: ChunkId) -> Option<usize> {
-        self.chunk_meta.get(&c).map(|m| m.target)
+        self.state.chunks.get(&c).map(|m| m.target)
     }
 
-    /// A new chunk with one reference. Its homes enter the placement
-    /// table when `set_slot` installs it, after its copies are stored.
+    /// A new chunk. Its first slot and its homes enter the state when
+    /// `set_slot` installs it, after its copies are stored.
     pub(crate) fn new_chunk_id(&mut self, target: usize, crc: u64) -> ChunkId {
-        let id = ChunkId(self.next_chunk);
-        self.next_chunk += 1;
-        self.chunk_refs.insert(id, 1);
-        self.chunk_meta.insert(id, ChunkMeta { target, crc });
+        let chunk = ChunkId(self.state.ns.next_chunk);
+        assert!(
+            !self.state.chunks.contains_key(&chunk),
+            "{chunk} is born twice: a birth is installed before the next"
+        );
+        self.commit(Record::ChunkBirth { chunk, target, crc });
         self.bump_placement_epoch();
-        id
+        chunk
     }
 
     /// The digest every authoritative copy of `c` must match.
     pub fn chunk_crc(&self, c: ChunkId) -> Option<u64> {
-        self.chunk_meta.get(&c).map(|m| m.crc)
+        self.state.chunks.get(&c).map(|m| m.crc)
     }
 
     /// Re-record `c`'s digest after an in-place page update.
     pub(crate) fn set_chunk_crc(&mut self, c: ChunkId, crc: u64) {
-        self.chunk_meta.get_mut(&c).expect("unknown chunk").crc = crc;
+        self.commit(Record::Digest { chunk: c, crc });
     }
 
     /// Every materialized chunk id, sorted — the scrub daemon's walk order.
     pub fn chunk_ids_sorted(&self) -> Vec<ChunkId> {
-        let mut ids: Vec<ChunkId> = self.chunk_meta.keys().copied().collect();
+        let mut ids: Vec<ChunkId> = self.state.chunks.keys().copied().collect();
         ids.sort_unstable_by_key(|c| c.0);
         ids
     }
@@ -94,7 +93,7 @@ impl Manager {
 
     /// Record a freshly repaired copy of `c`, stored on `home`.
     pub(crate) fn add_chunk_home(&mut self, c: ChunkId, home: BenefactorId) {
-        let homes = self.placement.homes(c).expect("unknown chunk");
+        let homes = self.chunk_homes(c).expect("unknown chunk");
         debug_assert!(!homes.contains(&home), "duplicate home");
         self.place_home(c, home);
         self.bump_placement_epoch();
@@ -103,11 +102,9 @@ impl Manager {
     /// Chunks whose live copy count is below target, with at least one
     /// live copy to repair from. Returns `(chunk, missing_copies)` pairs.
     pub fn under_replicated(&self) -> Vec<(ChunkId, usize)> {
-        let mut out: Vec<(ChunkId, usize)> = self
-            .chunk_meta
-            .iter()
+        let mut out: Vec<(ChunkId, usize)> = (self.state.chunks.iter())
             .filter_map(|(&c, m)| {
-                let homes = self.placement.homes(c)?.iter();
+                let homes = self.chunk_homes(c)?.iter();
                 let live = homes.filter(|h| self.benefactors[h.0].is_alive()).count();
                 (live > 0 && live < m.target).then(|| (c, m.target - live))
             })
@@ -126,7 +123,7 @@ impl Manager {
         let stale: Vec<ChunkId> = self.benefactors[b.0]
             .chunk_ids()
             .into_iter()
-            .filter(|&c| self.placement.homes(c).is_none_or(|h| !h.contains(&b)))
+            .filter(|&c| self.chunk_homes(c).is_none_or(|h| !h.contains(&b)))
             .collect();
         for &c in &stale {
             self.benefactors[b.0].drop_chunk(c);
@@ -135,11 +132,11 @@ impl Manager {
             .chunk_ids()
             .into_iter()
             .filter(|&c| {
-                let Some(homes) = self.placement.homes(c) else {
+                let Some(homes) = self.chunk_homes(c) else {
                     return false;
                 };
                 let live = homes.iter().filter(|h| self.benefactors[h.0].is_alive());
-                homes.contains(&b) && live.count() > self.chunk_meta[&c].target
+                homes.contains(&b) && Some(live.count()) > self.chunk_target(c)
             })
             .collect();
         for &c in &over {
@@ -152,6 +149,6 @@ impl Manager {
 
     /// Total bytes of distinct materialized chunks (deduplicated storage).
     pub fn physical_bytes(&self) -> u64 {
-        self.chunk_refs.len() as u64 * self.chunk_size
+        self.state.ns.refs.len() as u64 * self.chunk_size()
     }
 }

@@ -4,45 +4,29 @@
 use super::{FileMeta, Manager, PlacementPolicy, Slot, StripeSpec, StripeWidth};
 use crate::error::{Result, StoreError};
 use crate::ids::{BenefactorId, FileId};
+use crate::journal::Record;
 
 impl Manager {
+    /// Create `name`. A name whose record no journal frame can hold is
+    /// refused ([`StoreError::RecordTooLarge`]).
     pub fn create_file(&mut self, name: &str) -> Result<FileId> {
-        if self.by_name.contains_key(name) {
+        if self.lookup(name).is_some() {
             return Err(StoreError::FileExists(name.to_string()));
         }
-        let id = FileId(self.next_file);
-        self.next_file += 1;
-        self.files.insert(
-            id,
-            FileMeta {
-                name: name.to_string(),
-                size: 0,
-                stripe: Vec::new(),
-                slots: Vec::new(),
-                placement: PlacementPolicy::RoundRobin,
-                replicas: 1,
-                expires_at: None,
-                group_data: 1,
-                parity: 0,
-                encoded_slots: 0,
-                parity_slots: Vec::new(),
-                parity_stale: Vec::new(),
-            },
-        );
-        self.by_name.insert(name.to_string(), id);
-        Ok(id)
+        let file = FileId(self.state.ns.next_file);
+        let name = name.to_string();
+        let record = Record::FileCreate { file, name };
+        Self::refuse_oversized(&record)?;
+        self.commit(record);
+        Ok(file)
     }
 
     pub fn lookup(&self, name: &str) -> Option<FileId> {
-        self.by_name.get(name).copied()
+        self.state.ns.by_name.get(name).copied()
     }
 
     pub fn file(&self, id: FileId) -> Result<&FileMeta> {
-        self.files.get(&id).ok_or(StoreError::NoSuchFile)
-    }
-
-    fn file_mut(&mut self, id: FileId) -> Result<&mut FileMeta> {
-        self.files.get_mut(&id).ok_or(StoreError::NoSuchFile)
+        self.state.ns.files.get(&id).ok_or(StoreError::NoSuchFile)
     }
 
     /// `posix_fallocate`: fix the file size, pick the stripe and reserve
@@ -57,14 +41,13 @@ impl Manager {
         spec: StripeSpec,
         placement: PlacementPolicy,
     ) -> Result<()> {
-        let chunk_size = self.chunk_size;
-        let n_slots = size.div_ceil(chunk_size) as usize;
+        let chunk_size = self.chunk_size();
         let replicas = spec.replicas;
         let (k, m) = match spec.parity {
             0 => (1, 0),
             m => (spec.group_data, m),
         };
-        let stripe = self.resolve_stripe(spec)?;
+        let (stripe, cursor) = self.resolve_stripe(spec)?;
         if m > 0 {
             assert_eq!(replicas, 1, "replication and parity groups do not compose");
             assert!(
@@ -91,23 +74,20 @@ impl Manager {
         // Reservation counts per benefactor, allocated before the metadata:
         // `mm_fanout`'s peak RSS (`examples/benchmark`) moves with the order.
         let mut per_bene = vec![0u64; self.benefactors.len()];
-        let parity_slots = n_slots.div_ceil(k) * m;
-        let meta = FileMeta {
+        let meta = FileMeta::sized(size, chunk_size, &stripe, placement, (replicas, k, m));
+        let record = Record::Fallocate {
+            file: id,
             size,
             stripe,
-            slots: vec![Slot::Unmaterialized; n_slots],
             placement,
             replicas,
             group_data: k,
             parity: m,
-            encoded_slots: n_slots,
-            parity_slots: vec![Slot::Unmaterialized; parity_slots],
-            parity_stale: vec![false; parity_slots],
-            name: String::new(),
-            expires_at: old.expires_at,
+            cursor,
         };
+        Self::refuse_oversized(&record)?;
         // Count what the metadata about to be committed reserves, then check
-        // space before mutating anything. Checked in ascending benefactor
+        // space before committing anything. Checked in ascending benefactor
         // id, so which violation reports first is deterministic.
         for (member, _) in meta.members() {
             for home in meta.homes_of(member) {
@@ -129,16 +109,12 @@ impl Manager {
                 });
             }
         }
+        self.commit(record);
         for (bi, &slots) in per_bene.iter().enumerate() {
             if slots > 0 {
                 self.benefactors[bi].reserve_slots(slots);
             }
         }
-        let file = self.file_mut(id)?;
-        *file = FileMeta {
-            name: std::mem::take(&mut file.name),
-            ..meta
-        };
         Ok(())
     }
 
@@ -153,12 +129,15 @@ impl Manager {
     ///   the caller's perspective, so both report the same way);
     /// * `Count(n)` with `n` zero or above the alive population →
     ///   [`StoreError::NotEnoughBenefactors`].
-    fn resolve_stripe(&mut self, spec: StripeSpec) -> Result<Vec<BenefactorId>> {
+    ///
+    /// The stripe cursor the pick leaves comes back with the list: the
+    /// `Fallocate` record that commits the stripe carries it.
+    fn resolve_stripe(&self, spec: StripeSpec) -> Result<(Vec<BenefactorId>, usize)> {
         // All/Count pick from the placeable set so quarantined benefactors
         // stop receiving new files; Explicit lists are honored as long as
         // the named benefactors are alive (the caller pinned them). Both
         // pools are the incrementally maintained sorted sets — borrowed,
-        // not rebuilt, so the cursor advances after the borrow ends.
+        // not rebuilt.
         let pool: &[BenefactorId] = match spec.width {
             StripeWidth::Explicit(_) => &self.alive,
             _ => &self.placeable,
@@ -166,7 +145,7 @@ impl Manager {
         if pool.is_empty() {
             return Err(StoreError::NoBenefactors);
         }
-        let cursor = self.stripe_cursor;
+        let cursor = self.state.ns.stripe_cursor;
         let (stripe, advance) = match spec.width {
             StripeWidth::All => {
                 // Rotate the list per file so concurrent writers of
@@ -201,16 +180,15 @@ impl Manager {
                 (list, 0)
             }
         };
-        self.stripe_cursor = cursor.wrapping_add(advance);
-        Ok(stripe)
+        Ok((stripe, cursor.wrapping_add(advance)))
     }
 
-    /// Delete a file: one walk over its members — data slots, then parity
-    /// — releasing the reservations of unwritten ones and the references
-    /// of materialized ones.
+    /// Delete a file: commit its deletion, then one walk over its members
+    /// — data slots, then parity — releasing the reservations of unwritten
+    /// ones and freeing the materialized ones no other slot holds.
     pub fn delete_file(&mut self, id: FileId) -> Result<()> {
-        let meta = self.files.remove(&id).ok_or(StoreError::NoSuchFile)?;
-        self.by_name.remove(&meta.name);
+        let meta = self.file(id)?.clone();
+        self.commit(Record::FileDelete { file: id });
         self.bump_placement_epoch();
         for (member, slot) in meta.members() {
             match slot {
@@ -222,7 +200,7 @@ impl Manager {
                 Slot::Hole => {}
                 Slot::Chunk(c) => {
                     self.leave_group(id, c);
-                    self.decref_chunk(c);
+                    self.free_if_unreferenced(c);
                 }
             }
         }
@@ -230,33 +208,24 @@ impl Manager {
     }
 
     /// Link every slot of `src` to the end of `dst` — the zero-copy
-    /// checkpoint merge of §III-E. Materialized chunks are shared by
-    /// reference (incref) and keep their own file's parity group; unwritten
-    /// regions freeze as holes.
+    /// checkpoint merge of §III-E, one record: materialized chunks are
+    /// shared by reference and keep their own file's parity group;
+    /// unwritten regions freeze as holes.
     pub fn link_file(&mut self, dst: FileId, src: FileId) -> Result<()> {
-        let src_meta = self.file(src)?.clone();
-        let mut appended = Vec::with_capacity(src_meta.slots.len());
-        for slot in &src_meta.slots {
-            match slot {
-                Slot::Unmaterialized | Slot::Hole => appended.push(Slot::Hole),
-                Slot::Chunk(c) => {
-                    self.incref_chunk(*c);
-                    appended.push(Slot::Chunk(*c));
-                }
-            }
-        }
-        let chunk_size = self.chunk_size;
-        let dst_meta = self.file_mut(dst)?;
-        // A linked region is sized in whole chunks.
-        dst_meta.size = dst_meta.slots.len() as u64 * chunk_size + src_meta.size;
-        dst_meta.slots.extend(appended);
+        self.file(src)?;
+        self.file(dst)?;
+        self.commit(Record::Link { dst, src });
         self.bump_placement_epoch();
         Ok(())
     }
 
     /// Set (or clear) a file's lifetime.
     pub fn set_lifetime(&mut self, id: FileId, expires_at: Option<simcore::VTime>) -> Result<()> {
-        self.file_mut(id)?.expires_at = expires_at;
+        self.file(id)?;
+        self.commit(Record::Lifetime {
+            file: id,
+            expires_at,
+        });
         Ok(())
     }
 
@@ -265,9 +234,7 @@ impl Manager {
     /// records do not depend on the file map's hash order. The manager's
     /// periodic housekeeping sweep.
     pub fn expire_files(&mut self, now: simcore::VTime) -> usize {
-        let mut expired: Vec<FileId> = self
-            .files
-            .iter()
+        let mut expired: Vec<FileId> = (self.state.ns.files.iter())
             .filter(|(_, m)| m.expires_at.is_some_and(|t| t <= now))
             .map(|(&id, _)| id)
             .collect();

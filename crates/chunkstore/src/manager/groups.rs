@@ -1,6 +1,7 @@
-//! Parity-group membership (DESIGN.md §15): [`Manager::set_slot`], the one
-//! member setter, and [`Manager::leave_group`] are the only places a
-//! `GroupLink` / `GroupUnlink` is committed.
+//! Slots and parity-group membership (DESIGN.md §15): [`Manager::set_slot`],
+//! the one member setter, commits every `SlotSet`, and with
+//! [`Manager::leave_group`] is the only place a `GroupLink` /
+//! `GroupUnlink` is committed.
 
 use super::{Manager, Member, Slot};
 use crate::ids::{BenefactorId, ChunkId, FileId};
@@ -17,11 +18,12 @@ pub struct GroupRef {
 }
 
 impl Manager {
-    /// Install new chunk `c` (refcount set up, copies stored on `homes`)
-    /// in member `at` of file `id` — a data slot index, or a
-    /// [`Member::Parity`]. A member of one of the file's parity groups
-    /// hands its group over: the chunk it held leaves, `c` joins; a
-    /// parity member that receives content also stops being stale.
+    /// Install new chunk `c` (born, copies stored on `homes`) in member
+    /// `at` of file `id` — a data slot index, or a [`Member::Parity`]. A
+    /// member of one of the file's parity groups hands its group over: the
+    /// chunk it held leaves, `c` joins; a parity member that receives
+    /// content also stops being stale. The chunk the member held is freed
+    /// if no other slot holds it.
     pub(crate) fn set_slot(
         &mut self,
         id: FileId,
@@ -30,15 +32,17 @@ impl Manager {
         homes: &[BenefactorId],
     ) {
         let at = at.into();
-        let meta = self.files.get_mut(&id).expect("set_slot on a missing file");
-        let old = std::mem::replace(meta.slot_mut(at), Slot::Chunk(c));
+        let meta = self.file(id).expect("set_slot on a missing file");
+        let old = meta.slot(at);
         let grouped = match at {
             Member::Data(idx) => meta.group_member(idx),
-            Member::Parity(g, p) => {
-                meta.parity_stale[g * meta.parity + p] = false;
-                Some((g, meta.group_data + p))
-            }
+            Member::Parity(g, p) => Some((g, meta.group_data + p)),
         };
+        self.commit(Record::SlotSet {
+            file: id,
+            member: at,
+            chunk: c,
+        });
         if let Some((group, member)) = grouped {
             if let Slot::Chunk(old) = old {
                 self.commit(Record::GroupUnlink { chunk: old });
@@ -54,6 +58,9 @@ impl Manager {
         for &home in homes {
             self.place_home(c, home);
         }
+        if let Slot::Chunk(old) = old {
+            self.free_if_unreferenced(old);
+        }
         self.bump_placement_epoch();
     }
 
@@ -63,28 +70,29 @@ impl Manager {
     /// through it. Linked references may outlive the owner, but they are
     /// no longer reconstructible.
     pub(super) fn leave_group(&mut self, id: FileId, c: ChunkId) {
-        if self.placement.group(c).is_some_and(|g| g.file == id) {
+        if self.group_of_chunk(c).is_some_and(|g| g.file == id) {
             self.commit(Record::GroupUnlink { chunk: c });
         }
     }
 
     /// Flag (or clear) parity member `p` of group `g` as stale.
     pub(crate) fn set_parity_stale(&mut self, id: FileId, g: usize, p: usize, stale: bool) {
-        let meta = self.files.get_mut(&id).expect("missing file");
-        let m = meta.parity;
-        meta.parity_stale[g * m + p] = stale;
+        self.commit(Record::ParityStale {
+            file: id,
+            group: g,
+            parity: p,
+            stale,
+        });
     }
 
     /// The parity group `c` is a member of, if any.
     pub fn group_of_chunk(&self, c: ChunkId) -> Option<GroupRef> {
-        self.placement.group(c)
+        self.state.groups.get(&c).copied()
     }
 
     /// Erasure-coded files, ascending id — the repair sweep's walk order.
     pub fn parity_files_sorted(&self) -> Vec<FileId> {
-        let mut ids: Vec<FileId> = self
-            .files
-            .iter()
+        let mut ids: Vec<FileId> = (self.state.ns.files.iter())
             .filter(|(_, m)| m.parity > 0)
             .map(|(&id, _)| id)
             .collect();

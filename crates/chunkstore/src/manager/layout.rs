@@ -122,7 +122,7 @@ pub enum Slot {
 /// Where in a file a slot sits: data slot `idx`, or parity member `p` of
 /// group `g`. Walked data first, then parity ([`FileMeta::members`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Member {
+pub enum Member {
     Data(usize),
     Parity(usize, usize),
 }
@@ -134,7 +134,7 @@ impl From<usize> for Member {
 }
 
 /// Per-file metadata.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FileMeta {
     pub name: String,
     pub size: u64,
@@ -172,6 +172,35 @@ pub struct FileMeta {
 }
 
 impl FileMeta {
+    /// The unnamed geometry `fallocate` gives a file of `size` bytes in
+    /// `chunk_size` chunks over `stripe`: every slot and parity member
+    /// unmaterialized, `(replicas, k, m)` copies and groups. A created
+    /// file is the empty one.
+    pub(crate) fn sized(
+        size: u64,
+        chunk_size: u64,
+        stripe: &[BenefactorId],
+        placement: PlacementPolicy,
+        (replicas, k, m): (usize, usize, usize),
+    ) -> FileMeta {
+        let n_slots = size.div_ceil(chunk_size) as usize;
+        let parity_slots = n_slots.div_ceil(k) * m;
+        FileMeta {
+            name: String::new(),
+            size,
+            stripe: stripe.to_vec(),
+            slots: vec![Slot::Unmaterialized; n_slots],
+            placement,
+            replicas,
+            expires_at: None,
+            group_data: k,
+            parity: m,
+            encoded_slots: n_slots,
+            parity_slots: vec![Slot::Unmaterialized; parity_slots],
+            parity_stale: vec![false; parity_slots],
+        }
+    }
+
     /// Index into the stripe list of slot `idx`'s primary copy.
     fn primary_pos(&self, idx: usize) -> usize {
         let len = self.stripe.len();
@@ -214,10 +243,10 @@ impl FileMeta {
     }
 
     /// The slot a member holds.
-    pub(crate) fn slot_mut(&mut self, member: Member) -> &mut Slot {
+    pub(crate) fn slot(&self, member: Member) -> Slot {
         match member {
-            Member::Data(idx) => &mut self.slots[idx],
-            Member::Parity(g, p) => &mut self.parity_slots[g * self.parity + p],
+            Member::Data(idx) => self.slots[idx],
+            Member::Parity(g, p) => self.parity_slot(g, p),
         }
     }
 

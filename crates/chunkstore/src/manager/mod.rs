@@ -6,10 +6,14 @@
 //! here are untimed; [`crate::store::AggregateStore`] charges manager-RPC
 //! and data-path costs around them.
 //!
-//! One `impl Manager`, split by decision (DESIGN.md "manager module
-//! map"): the state, the fleet, the ranks and the journal here; file
-//! geometry in `layout`; the namespace in `files`; chunks in `chunks`;
-//! parity-group membership in `groups`.
+//! The manager is its log (DESIGN.md "manager module map", §16): every
+//! change of its metadata is a [`Record`] that [`Manager::commit`] applies
+//! to the live [`MetaState`] through [`MetaState::apply`] — the function
+//! replay folds a journal lane with — and appends to the owner's lane.
+//! Each mutator decides, builds its record and commits it, then acts on
+//! the benefactor fleet: the state, the fleet, the ranks and the journal
+//! here; file geometry in `layout`; the namespace in `files`; chunks in
+//! `chunks`; slots and parity-group membership in `groups`.
 
 mod chunks;
 mod files;
@@ -18,28 +22,19 @@ mod layout;
 
 pub use chunks::ChunkMeta;
 pub use groups::GroupRef;
-pub(crate) use layout::Member;
-pub use layout::{FileMeta, PlacementPolicy, Slot, StripeSpec, StripeWidth};
+pub use layout::{FileMeta, Member, PlacementPolicy, Slot, StripeSpec, StripeWidth};
 
 use crate::benefactor::Benefactor;
-use crate::ids::{BenefactorId, ChunkId, FileId, IdMap};
-use crate::journal::{JournalSet, Placement, Record, Superblock};
+use crate::error::{Result, StoreError};
+use crate::ids::{BenefactorId, ChunkId};
+use crate::journal::{JournalSet, MetaState, Record, Superblock, MAX_RECORD_BYTES};
 use crate::shardmgr::{HashRing, ShardSet, DEFAULT_RING_SEED, DEFAULT_VNODES};
 use simcore::Counter;
-use std::collections::HashMap;
 
 /// The manager's whole state, including the benefactor fleet.
 #[derive(Debug)]
 pub struct Manager {
-    chunk_size: u64,
     benefactors: Vec<Benefactor>,
-    files: IdMap<FileId, FileMeta>,
-    by_name: HashMap<String, FileId>,
-    chunk_refs: IdMap<ChunkId, u32>,
-    chunk_meta: IdMap<ChunkId, ChunkMeta>,
-    next_file: u64,
-    next_chunk: u64,
-    stripe_cursor: usize,
     /// Alive benefactors, ascending id — maintained incrementally by
     /// `register_benefactor`/`set_alive` so status sweeps never rescan
     /// the fleet.
@@ -54,53 +49,45 @@ pub struct Manager {
     /// epoch against this to decide whether a cached chunk → home mapping
     /// is still authoritative (see `crate::loc_cache::LocationCache`).
     placement_epoch: u64,
-    /// chunk → homes (with slots) and parity group, so the verified-read
-    /// retry loop and the scrub daemon (which hold only a `ChunkId`) can
-    /// find the survivors to reconstruct from; a linked checkpoint
-    /// reference never joins the group. Written only by `commit`.
-    placement: Placement,
+    /// Files, names, slots, reference counts, chunk targets and digests,
+    /// homes and parity groups — what the journal's records build, and
+    /// written only by `commit`.
+    state: MetaState,
     /// The manager's ranks (DESIGN.md §12, §16): per rank its node,
     /// standby, metadata CPU and crash state, and the ring that splits the
     /// keyspace among them. The paper's manager is one rank on node 0
     /// until the store places it; the timed store charges every RPC
     /// against this record.
     ranks: ShardSet,
-    /// Crash-consistent metadata journal (DESIGN.md §16): one append-only
-    /// lane per rank, holding every record `commit` applied to its
-    /// keyspace so a standby can replay it on takeover. `None` (the default)
-    /// journals nothing and the manager behaves exactly as without one.
-    journal: Option<JournalSet>,
+    /// The metadata journal (DESIGN.md §16): one append-only lane per
+    /// rank, holding every record `commit` applied to its keyspace, so a
+    /// standby can replay it on takeover.
+    journal: JournalSet,
 }
 
 impl Manager {
-    pub fn new(chunk_size: u64) -> Self {
+    /// A manager of `chunk_size` chunks whose journal appends bump
+    /// `journal_records`.
+    pub fn new(chunk_size: u64, journal_records: Counter) -> Self {
         assert!(chunk_size > 0 && chunk_size.is_power_of_two());
         Manager {
-            chunk_size,
             benefactors: Vec::new(),
-            files: IdMap::default(),
-            by_name: HashMap::new(),
-            chunk_refs: IdMap::default(),
-            chunk_meta: IdMap::default(),
-            next_file: 0,
-            next_chunk: 0,
-            stripe_cursor: 0,
             alive: Vec::new(),
             placeable: Vec::new(),
             quarantined: 0,
             placement_epoch: 0,
-            placement: Placement::default(),
+            state: MetaState::new(chunk_size),
             ranks: ShardSet::new(
                 HashRing::new(1, DEFAULT_VNODES, DEFAULT_RING_SEED),
                 &[0],
                 Vec::new(),
             ),
-            journal: None,
+            journal: JournalSet::new(1, journal_records),
         }
     }
 
     pub fn chunk_size(&self) -> u64 {
-        self.chunk_size
+        self.state.chunk_size
     }
 
     /// Current placement epoch (see the field doc).
@@ -125,31 +112,17 @@ impl Manager {
     }
 
     /// Replace the ranks (the store keeps their count) before anything
-    /// is journaled: a record sits in the lane the ring in place routed
-    /// it to.
+    /// is journaled, with one journal lane each: a record sits in the lane
+    /// the ring in place routed it to.
     pub(crate) fn install_ranks(&mut self, ranks: ShardSet) {
-        assert!(
-            self.journal.as_ref().is_none_or(|j| j.total_records() == 0),
-            "ranks are placed before any journaling"
-        );
+        self.journal.relane(ranks.len());
         self.ranks = ranks;
     }
 
-    // ----- crash-consistent metadata journal (DESIGN.md §16) ----------------
+    // ----- the log (DESIGN.md §16) ------------------------------------------
 
-    /// Turn on metadata journaling: one append-only lane per rank, each
-    /// chunk-keyed record in the lane of the chunk's owner in the ranks'
-    /// ring. Appends bump `records` — the lazily registered
-    /// `store.journal_records` counter, so knobs-off stat snapshots never
-    /// see it. Journaling is pure host-side bookkeeping: it charges no
-    /// virtual time.
-    pub fn enable_journal(&mut self, records: Counter) {
-        assert!(self.journal.is_none(), "journal already enabled");
-        self.journal = Some(JournalSet::new(self.ranks.len(), records));
-    }
-
-    pub fn journal(&self) -> Option<&JournalSet> {
-        self.journal.as_ref()
+    pub fn journal(&self) -> &JournalSet {
+        &self.journal
     }
 
     /// Serialize lane `lane` as a persisted image: superblock + journal,
@@ -157,10 +130,9 @@ impl Manager {
     /// slot bitmap appended *to a copy* (the live lane is untouched and
     /// the shared record counter does not move), so the loader can
     /// rebuild allocators that also cover reservations. The `unload`
-    /// half of DESIGN.md §16; `None` when journaling is off.
-    pub fn unload_journal(&self, lane: usize) -> Option<Vec<u8>> {
-        let j = self.journal.as_ref()?;
-        let mut snap = j.lane(lane).clone();
+    /// half of DESIGN.md §16.
+    pub fn unload_journal(&self, lane: usize) -> Vec<u8> {
+        let mut snap = self.journal.lane(lane).clone();
         for (bi, b) in self.benefactors.iter().enumerate() {
             let a = b.slot_allocator();
             snap.append(&Record::LeafCheckpoint {
@@ -175,36 +147,40 @@ impl Manager {
             records: snap.records(),
             journal_bytes: snap.byte_len() as u64,
         };
-        Some(crate::journal::encode_image(&sb, &snap))
+        crate::journal::encode_image(&sb, &snap)
     }
 
-    /// The live placement table: every chunk's homes and group.
-    pub fn placement(&self) -> &Placement {
-        &self.placement
+    /// The live metadata: what every lane's records build together.
+    pub fn state(&self) -> &MetaState {
+        &self.state
     }
 
-    /// The part of the live table rank `rank` owns: its lane's replay.
-    pub fn rank_placement(&self, rank: usize) -> Placement {
+    /// A standby takeover of rank `rank`: its keyspace of the live state
+    /// becomes `replayed`, its lane's replay.
+    pub(crate) fn install_replay(&mut self, rank: usize, replayed: MetaState) {
         let ring = self.ranks.ring();
-        self.placement
-            .restricted(|c| ring.owner_of_chunk(c) == rank)
+        self.state
+            .install(replayed, |c| ring.owner_of_chunk(c) == rank, rank == 0);
     }
 
-    /// The one writer of homes and group membership: apply `record` to
-    /// the live table through [`Placement::apply`], as replay does, and
-    /// append it to the lane of the chunk's owner when journaling is on
-    /// (without a journal nothing is encoded or allocated).
+    /// The one writer of the manager's metadata: apply `record` to the
+    /// live state through [`MetaState::apply`], as replay does, and append
+    /// it to its lane — the chunk owner's, or lane 0 for the namespace.
     pub(crate) fn commit(&mut self, record: Record) {
-        let (Record::Place { chunk, .. }
-        | Record::Free { chunk, .. }
-        | Record::GroupLink { chunk, .. }
-        | Record::GroupUnlink { chunk }) = record
-        else {
-            unreachable!("only home and group records are committed")
-        };
-        self.placement.apply(&record);
-        if let Some(j) = &mut self.journal {
-            j.append(self.ranks.ring().owner_of_chunk(chunk), &record);
+        let lane = record
+            .chunk()
+            .map_or(0, |c| self.ranks.ring().owner_of_chunk(c));
+        self.state.apply(&record);
+        self.journal.append(lane, &record);
+    }
+
+    /// Refuse a record built from outside input that no frame can hold,
+    /// before anything is committed.
+    fn refuse_oversized(record: &Record) -> Result<()> {
+        let max = MAX_RECORD_BYTES;
+        match record.encode_into(&mut Vec::new()) {
+            Err(bytes) => Err(StoreError::RecordTooLarge { bytes, max }),
+            Ok(_) => Ok(()),
         }
     }
 
@@ -223,8 +199,13 @@ impl Manager {
 
     /// Commit `c`'s listed copy on `home` as no longer authoritative.
     fn free_home(&mut self, c: ChunkId, home: BenefactorId) {
-        let slot = self.placement.slot_on(c, home).expect("a listed home");
-        let benefactor = home.0;
+        let h = &self.state.homes[&c];
+        let at = h
+            .ids
+            .iter()
+            .position(|&b| b == home)
+            .expect("a listed home");
+        let (benefactor, slot) = (home.0, h.slots[at]);
         self.commit(Record::Free {
             chunk: c,
             benefactor,
@@ -238,9 +219,7 @@ impl Manager {
     pub(crate) fn revoke_epoch(&mut self, rank: usize) {
         self.bump_placement_epoch();
         let epoch = self.placement_epoch;
-        if let Some(j) = &mut self.journal {
-            j.append(rank, &Record::EpochBump { epoch });
-        }
+        self.journal.append(rank, &Record::EpochBump { epoch });
     }
 
     // ----- benefactor fleet -------------------------------------------------

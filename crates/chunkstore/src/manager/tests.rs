@@ -1,5 +1,6 @@
 use super::*;
 use crate::error::StoreError;
+use crate::ids::FileId;
 use devices::{Ssd, INTEL_X25E};
 use simcore::{StatsRegistry, VTime};
 
@@ -7,7 +8,7 @@ const CHUNK: u64 = 256 * 1024;
 
 fn mgr(benefactors: usize, cap_chunks: u64) -> Manager {
     let stats = StatsRegistry::new();
-    let mut m = Manager::new(CHUNK);
+    let mut m = Manager::new(CHUNK, simcore::Counter::new("store.journal_records"));
     for i in 0..benefactors {
         let ssd = Ssd::new(&format!("b{i}.ssd"), INTEL_X25E, &stats);
         m.register_benefactor(Benefactor::new(i, ssd, cap_chunks * CHUNK, CHUNK));
@@ -381,9 +382,7 @@ fn chunk_crc_recorded_and_updatable() {
 
 #[test]
 fn journal_unload_load_round_trip_survives_churn() {
-    let stats = StatsRegistry::new();
     let mut m = mgr(2, 16);
-    m.enable_journal(stats.counter("store.journal_records"));
     let f = m.create_file("/x").unwrap();
     m.fallocate(f, 4 * CHUNK, StripeSpec::all(), PlacementPolicy::RoundRobin)
         .unwrap();
@@ -396,26 +395,57 @@ fn journal_unload_load_round_trip_survives_churn() {
     materialize(&mut m, y, 0);
     m.delete_file(y).unwrap();
 
-    let image = m.unload_journal(0).unwrap();
-    let (sb, meta, repair) = crate::journal::load_image(&image).unwrap();
+    let image = m.unload_journal(0);
+    let (sb, meta, repair) = crate::journal::load_image(&image, CHUNK).unwrap();
     assert_eq!(sb.epoch, m.placement_epoch());
     assert!(!repair.torn, "clean image loads without repair");
     meta.assert_consistent();
-    assert_eq!(
-        meta.placement,
-        m.rank_placement(0),
-        "replay is the live table"
-    );
-    assert!(meta.placement.homes(c0).is_some());
-    assert!(meta.placement.homes(c1).is_some());
+    assert_eq!(meta.state, *m.state(), "replay is the live state");
+    assert!(meta.state.homes.contains_key(&c0));
+    assert!(meta.state.homes.contains_key(&c1));
     // The deleted file's chunk was freed out of the replayed state.
-    assert_eq!(meta.placement.chunks().count(), 2);
+    assert_eq!(meta.state.homes.len(), 2);
+    assert_eq!(meta.state.chunks.len(), 2);
     // Rebuilt allocators agree with the fleet's free space.
     for (bi, _) in [(0usize, ()), (1, ())] {
         let live = m.benefactor(BenefactorId(bi)).slot_allocator();
         let rebuilt = meta.rebuild_alloc(bi, live.len());
         assert_eq!(rebuilt.free_count(), live.free_count());
     }
+}
+
+/// A file name is outside input that enters a journal record: one no
+/// frame can hold is refused with a declared error, before any change.
+#[test]
+fn create_file_refuses_a_name_over_the_record_cap() {
+    let mut m = mgr(2, 16);
+    let name = "n".repeat(crate::journal::MAX_RECORD_BYTES);
+    let err = m.create_file(&name).unwrap_err();
+    assert!(matches!(err, StoreError::RecordTooLarge { bytes, max }
+        if bytes > max && max == crate::journal::MAX_RECORD_BYTES));
+    assert_eq!(m.lookup(&name), None);
+    assert_eq!(m.journal().total_records(), 0, "nothing committed");
+    // The longest name a frame holds is a file like any other.
+    let longest = "n".repeat(crate::journal::MAX_RECORD_BYTES - 13);
+    assert_eq!(m.create_file(&longest), Ok(FileId(0)));
+    assert_eq!(m.lookup(&longest), Some(FileId(0)));
+}
+
+/// So is an explicit stripe list: repeating a benefactor past what a
+/// `Fallocate` record holds is refused, nothing reserved.
+#[test]
+fn fallocate_refuses_a_stripe_over_the_record_cap() {
+    let mut m = mgr(2, 16);
+    let f = m.create_file("/x").unwrap();
+    let list = vec![BenefactorId(0); crate::journal::MAX_RECORD_BYTES / 4];
+    let spec = StripeSpec::explicit(list);
+    let err = m.fallocate(f, CHUNK, spec, PlacementPolicy::RoundRobin);
+    assert!(
+        matches!(err, Err(StoreError::RecordTooLarge { .. })),
+        "{err:?}"
+    );
+    assert_eq!(m.file(f).unwrap().size, 0);
+    assert_eq!(m.space().1, 32 * CHUNK, "nothing reserved");
 }
 
 #[test]

@@ -259,7 +259,7 @@ impl AggregateStore {
             }
         } else if mgr.ranks().crashed(rank).is_none() {
             let takeover_at = self.cfg.ha_standby.then(|| {
-                let records = mgr.journal().map_or(0, |j| j.lane(rank).records());
+                let records = mgr.journal().lane(rank).records();
                 at + FAILOVER_TIMEOUT + VTime::from_nanos(REPLAY_RECORD_CPU.as_nanos() * records)
             });
             mgr.ranks_mut()
@@ -291,22 +291,19 @@ impl AggregateStore {
 
     /// Standby takeover at `at` of manager rank `rank`, crashed at
     /// `crashed_at` (DESIGN.md §16): unload the rank's journal lane as a
-    /// superblock + log image, scan-and-repair and replay it (rebuilding
-    /// slot bitmaps through `BitAlloc::from_leaf`), assert it equals the
-    /// live table of the rank's keyspace, promote the standby to serving
-    /// rank, and bump the placement epoch so no `LocationCache` can serve
-    /// a pre-crash placement.
+    /// superblock + log image, scan-and-repair and replay it, install the
+    /// replay as the rank's keyspace of the manager's state — dropping
+    /// what the crashed rank held in memory — promote the standby to
+    /// serving rank, and bump the placement epoch so no `LocationCache`
+    /// can serve a pre-crash placement.
     fn failover_manager(&self, mgr: &mut Manager, rank: usize, crashed_at: VTime, at: VTime) {
-        let image = mgr
-            .unload_journal(rank)
-            .expect("HA standby requires journaling");
-        let (sb, meta, repair) =
-            crate::journal::load_image(&image).expect("self-written image decodes");
+        let image = mgr.unload_journal(rank);
+        let (sb, meta, repair) = crate::journal::load_image(&image, mgr.chunk_size())
+            .expect("self-written image decodes");
         assert!(!repair.torn, "a just-unloaded image has no torn tail");
         assert_eq!(sb.records, repair.records, "superblock counts its log");
         meta.assert_consistent();
-        let live = mgr.rank_placement(rank);
-        assert_eq!(meta.placement, live, "lane {rank} vs the live table");
+        mgr.install_replay(rank, meta.state);
         self.stats.counter("store.journal_replays").inc();
         self.stats.counter("store.mgr_failovers").inc();
         self.stats

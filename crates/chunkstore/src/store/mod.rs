@@ -267,8 +267,14 @@ const HA_COUNTERS: &[&str] = &[
 impl AggregateStore {
     pub fn new(cfg: StoreConfig, net: Network, stats: &StatsRegistry) -> Self {
         assert_eq!(cfg.page_size, PAGE_BYTES, "the page is a model constant");
+        // The journal is always written; its record count is a stat only
+        // with the rest of the HA set.
+        let journal_records = match cfg.ha_standby {
+            true => stats.counter("store.journal_records"),
+            false => Counter::new("store.journal_records"),
+        };
         let store = AggregateStore {
-            mgr: Rc::new(RefCell::new(Manager::new(cfg.chunk_size))),
+            mgr: Rc::new(RefCell::new(Manager::new(cfg.chunk_size, journal_records))),
             net,
             cfg,
             faults: Rc::new(RefCell::new(None)),
@@ -301,10 +307,6 @@ impl AggregateStore {
         store.install_shards(&vec![0; cfg.manager_shards.max(1)], DEFAULT_RING_SEED);
         if store.cfg.ha_standby {
             store.register_counters(HA_COUNTERS);
-            store
-                .mgr
-                .borrow_mut()
-                .enable_journal(store.stats.counter("store.journal_records"));
         }
         store
     }

@@ -1,6 +1,5 @@
 use super::*;
 use crate::ids::ChunkId;
-use crate::journal::Record;
 use crate::loc_cache::LocationCache;
 use crate::manager::{GroupRef, Slot};
 use crate::rs::RsCode;
@@ -1612,21 +1611,17 @@ fn deleting_a_checkpoint_journals_no_unlink_of_the_live_files_groups() {
     store.add_benefactor(Benefactor::new(3, ssd, mib(64), CHUNK));
     let (_, f) = deleted_checkpoint_of_an_rs_file(&store, 3);
     let mgr = store.manager();
-    let image = mgr.unload_journal(0).expect("journaling is on");
-    let (_, replayed, _) = crate::journal::load_image(&image).expect("image decodes");
+    let image = mgr.unload_journal(0);
+    let (_, replayed, _) = crate::journal::load_image(&image, CHUNK).expect("image decodes");
     replayed.assert_consistent();
-    assert_eq!(
-        replayed.placement,
-        mgr.rank_placement(0),
-        "replay is the live table"
-    );
+    assert_eq!(replayed.state, *mgr.state(), "replay is the live state");
     for (member, idx) in [0usize, 1].into_iter().enumerate() {
         let Slot::Chunk(c) = mgr.file(f).unwrap().slots[idx] else {
             panic!("slot {idx} not materialized");
         };
         let group = 0;
         assert_eq!(
-            replayed.placement.group(c),
+            replayed.state.groups.get(&c).copied(),
             Some(GroupRef {
                 file: f,
                 group,
@@ -2187,16 +2182,13 @@ fn journal_lanes_follow_the_installed_ring() {
     }
     let ring = crate::shardmgr::HashRing::new(2, crate::shardmgr::DEFAULT_VNODES, 77);
     let mgr = store.manager();
-    let journal = mgr.journal().expect("ha_standby journals");
+    let journal = mgr.journal();
     let mut checked = 0;
     for k in 0..journal.lanes() {
         for r in journal.lane(k).iter() {
-            let chunk = match r {
-                Record::Place { chunk, .. }
-                | Record::Free { chunk, .. }
-                | Record::GroupLink { chunk, .. }
-                | Record::GroupUnlink { chunk } => chunk,
-                Record::EpochBump { .. } | Record::LeafCheckpoint { .. } => continue,
+            let Some(chunk) = r.chunk() else {
+                assert_eq!(k, 0, "{r:?}: the namespace is lane 0's");
+                continue;
             };
             assert_eq!(
                 ring.owner_of_chunk(chunk),

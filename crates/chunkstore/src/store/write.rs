@@ -586,7 +586,6 @@ impl AggregateStore {
                 let end =
                     self.ship_to_homes(&mut mgr, t, client_node, &live_homes, dirty_bytes, ship);
                 mgr.set_slot(file, idx, c_new, &live_homes);
-                mgr.decref_chunk(c);
                 end
             }
             Slot::Chunk(c) => {

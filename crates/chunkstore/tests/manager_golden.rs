@@ -17,8 +17,9 @@
 //! * `expire_files`.
 //!
 //! Every op ends by replaying each lane's `unload_journal` image: lane
-//! *k*'s `Placement` must equal the live table restricted to rank *k*'s
-//! keyspace, and the lanes together the whole live table.
+//! *k*'s `MetaState` must equal the live state restricted to rank *k*'s
+//! keyspace (its chunks, and the namespace for rank 0), and the lanes
+//! together the whole live state.
 //!
 //! At two points — after the checkpoints, and at the end — it pins an
 //! FNV-1a hash of every journal lane's `unload_journal` image, the
@@ -31,9 +32,10 @@
 //! such a file are group members is a rule of its own (DESIGN.md §15).
 
 use chunkstore::journal::load_image;
+use chunkstore::shardmgr::DEFAULT_VNODES;
 use chunkstore::{
-    AggregateStore, Benefactor, BenefactorId, FileId, PlacementPolicy, ShardMeta, Slot,
-    StoreConfig, StripeSpec,
+    AggregateStore, Benefactor, BenefactorId, ChunkId, FileId, HashRing, MetaState,
+    PlacementPolicy, ShardMeta, Slot, StoreConfig, StripeSpec, DEFAULT_RING_SEED,
 };
 use devices::{Ssd, INTEL_X25E};
 use netsim::Network;
@@ -52,7 +54,7 @@ struct Golden {
 }
 
 const AFTER_CHECKPOINTS: Golden = Golden {
-    lane_hashes: [0xF90CBC3215821167, 0x89759211E6D9FF3B],
+    lane_hashes: [0x5078335D83430D49, 0x3C68706DF8A848F3],
     epoch: 42,
     dump: "\
 /plain: size=1048576 slots=[16 1 u 2] parity=[] stale=[]\n\
@@ -85,7 +87,7 @@ c18: homes=[3] target=1 refs=1 crc=0af313b0afe6d44a group=2/1/1\n",
 };
 
 const AT_END: Golden = Golden {
-    lane_hashes: [0xC120E76FF472A148, 0x6201298CD5259485],
+    lane_hashes: [0x72E4D6D095E6BC8E, 0x3ED36ED38E29378F],
     epoch: 64,
     dump: "\
 /plain: size=1048576 slots=[16 1 u 2] parity=[] stale=[]\n\
@@ -109,6 +111,21 @@ c17: homes=[0] target=1 refs=1 crc=15d5d1810fdae294 group=2/0/0\n\
 c18: homes=[3] target=1 refs=1 crc=0af313b0afe6d44a group=2/1/1\n\
 c19: homes=[2] target=1 refs=1 crc=4809c62fcd82421b group=2/1/0\n",
 };
+
+/// Rank `k`'s keyspace of `state` — what its lane replays to: the
+/// chunks the store's ring gives it, and the namespace for rank 0.
+fn keyspace(state: &MetaState, k: usize) -> MetaState {
+    let ring = HashRing::new(LANES, DEFAULT_VNODES, DEFAULT_RING_SEED);
+    let owns = |c: &ChunkId| ring.owner_of_chunk(*c) == k;
+    let mut part = state.clone();
+    part.chunks.retain(|c, _| owns(c));
+    part.homes.retain(|c, _| owns(c));
+    part.groups.retain(|c, _| owns(c));
+    if k != 0 {
+        part.ns = Default::default();
+    }
+    part
+}
 
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
@@ -206,32 +223,29 @@ impl Rig {
         t
     }
 
-    /// Replay every lane and hold it to the live placement table: lane
-    /// `k` is the table restricted to rank `k`'s keyspace, and the lanes
-    /// together are the whole table.
+    /// Replay every lane and hold it to the manager's whole live state
+    /// (files, names, slots, references, chunks, homes and groups): lane
+    /// `k` is the state restricted to rank `k`'s keyspace, and the lanes
+    /// together are the whole state.
     fn replay_matches_live(&self) {
         let mgr = self.store.manager();
         for k in 0..LANES {
-            let image = mgr.unload_journal(k).expect("journaling is on");
-            let (_, lane, repair) = load_image(&image).expect("image decodes");
+            let image = mgr.unload_journal(k);
+            let (_, lane, repair) = load_image(&image, CHUNK).expect("image decodes");
             assert!(!repair.torn, "a just-unloaded image has no torn tail");
             lane.assert_consistent();
-            assert_eq!(
-                lane.placement,
-                mgr.rank_placement(k),
-                "lane {k} vs rank {k}"
-            );
+            assert_eq!(lane.state, keyspace(mgr.state(), k), "lane {k} vs rank {k}");
         }
-        let j = mgr.journal().expect("journaling is on");
-        let lanes = ShardMeta::replay((0..LANES).flat_map(|k| j.lane(k).iter()));
-        assert_eq!(lanes.placement, *mgr.placement(), "the lanes vs the table");
+        let j = mgr.journal();
+        let lanes = ShardMeta::replay(CHUNK, (0..LANES).flat_map(|k| j.lane(k).iter()));
+        assert_eq!(lanes.state, *mgr.state(), "the lanes vs the state");
     }
 
     /// What the golden pins, as of now.
     fn observe(&self) -> (Vec<u64>, u64, String) {
         let mgr = self.store.manager();
         let lanes = (0..LANES)
-            .map(|lane| fnv1a(&mgr.unload_journal(lane).expect("journaling is on")))
+            .map(|lane| fnv1a(&mgr.unload_journal(lane)))
             .collect();
         let slot = |s: &Slot| match s {
             Slot::Unmaterialized => "u".to_string(),

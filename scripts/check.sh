@@ -40,19 +40,27 @@ echo "==> one member setter, one layout walk and one manager-rank liveness"
 ! grep -rnE 'ShardCrash|ShardRecover|ShardDown|set_shard_alive|shard_alive\(|revoke_shard_leases|fn set_parity_slot|fn stripe_pos' \
     crates src tests examples/*.rs || exit 1
 
-echo "==> one placement log: homes and the group map change only through Placement::apply"
-# Manager::commit(record) applies every home and group change through the
-# apply that replay folds a journal lane with, and appends it to the lane
-# when journaling is on (DESIGN.md §16). A hand-built record, a second lane
-# append, a direct write to the live table or a one-sided replay check
-# would make the journal a shadow of the manager again. None comes back.
-! grep -rnE 'journal_home|journal_to|verify_replayed' crates src tests examples/*.rs || exit 1
-! awk 'FNR == 1 { impl = ""; apply = 0; test = 0 } /^mod tests \{/ { test = 1 }
-      /^impl / { impl = $2 } impl == "Placement" && /^    pub fn apply\(/ { apply = 1 }
-      !test && !apply && !/^[[:space:]]*\/\// &&
-      /(^|[^A-Za-z_])(group_of|groups|homes|ids)\.(insert|remove|push|retain|entry|get_mut|swap_remove|clear|extend|truncate|drain)\(/ {
+echo "==> one manager log: the manager's metadata changes only through MetaState::apply"
+# Manager::commit(record) applies every change of files, names, slots,
+# links, lifetimes, stale flags, chunk births, digests, homes and groups
+# through the apply that replay folds a journal lane with, and appends it
+# to its lane; reference counts are what apply derives from the slots, and
+# a standby takeover installs an apply-built replay (DESIGN.md §16). A
+# write to one of those tables outside apply (or install, and apply's
+# unref), a slot setter, an incref beside the derived counts, an optional
+# journal or a one-sided replay check would make the journal a shadow of
+# the manager again. None comes back.
+! grep -rnE 'journal_home|journal_to|verify_replayed|chunk_refs|incref_chunk|enable_journal|Option<JournalSet>|\.slot_mut\(' \
+    crates src tests examples/*.rs || exit 1
+! awk 'FNR == 1 { impl = ""; allowed = 0; test = 0 } /^mod tests \{/ { test = 1 }
+      /^impl / { impl = $2 }
+      impl == "MetaState" && /^    (pub(\(crate\))? )?fn (apply|install|unref)\(/ { allowed = 1 }
+      !test && !allowed && !/^[[:space:]]*\/\// &&
+      (/(^|[^A-Za-z_])(files|by_name|refs|chunks|homes|groups|ids|slots|parity_slots|parity_stale)\.(insert|remove|push|retain|entry|get_mut|swap_remove|clear|extend|truncate|drain|iter_mut|resize)\(/ ||
+       /parity_stale\[[^]]*\] *=([^=>]|$)/ ||
+       /\.(size|stripe|expires_at|encoded_slots|crc|target|next_file|next_chunk|stripe_cursor) *[-+]?=([^=>]|$)/) {
           print FILENAME ":" FNR ": " $0 }
-      apply && /^    }$/ { apply = 0 }' \
+      allowed && /^    }$/ { allowed = 0 }' \
     crates/chunkstore/src/journal.rs $(find crates/chunkstore/src/manager -name '*.rs' ! -name tests.rs) |
     grep . || exit 1
 
@@ -111,11 +119,11 @@ echo "==> every map a data-path operation looks an id up in hashes with chunksto
 # A HashMap or HashSet under chunkstore or fusemm is an IdMap (chunkstore/
 # src/ids.rs, DESIGN.md §13 "One hash per id"): SipHash's keyed rounds on
 # ChunkId / FileId keys cost more than the lookups they serve. The one map
-# left on the default hasher is the manager's by_name, keyed by path
+# left on the default hasher is the namespace's by_name, keyed by path
 # strings. Imports, comments and test code may still name the std types.
 ! awk 'FNR == 1 { test = 0 } /^mod tests \{/ { test = 1 }
       !test && /Hash(Map|Set)/ && !/^[[:space:]]*(\/\/|use )/ && !/BuildHasherDefault<IdHasher>/ &&
-      !/^[[:space:]]*by_name: HashMap(<String, FileId>,|::new\(\),)$/ { print FILENAME ":" FNR ": " $0 }' \
+      !/^[[:space:]]*(pub )?by_name: HashMap(<String, FileId>,|::new\(\),)$/ { print FILENAME ":" FNR ": " $0 }' \
     $(find crates/chunkstore/src crates/fusemm/src -name '*.rs' ! -name tests.rs ! -name '*_tests.rs') |
     grep . || exit 1
 

@@ -42,6 +42,15 @@
 //! Re-recorded once more, by span stream only, when the recorder became
 //! single-mode (every traced run records the detached `shardmgr.cpu`
 //! spans): `HA_SHARDED`'s hash, its only scenario with manager shards.
+//!
+//! Re-recorded once more when the journal became the manager's whole
+//! metadata (DESIGN.md §16): files, slots, links and digests are records
+//! too, so `HA_SHARDED` and `HA_SERIAL` journal 31 records, not 10, and
+//! the crashed rank's lane is 12 and 14 records longer. The takeover
+//! deadline moves by `REPLAY_RECORD_CPU` per added record: `mgr_failover_us`
+//! 25 004 -> 25 016 and 25 006 -> 25 020, and the `store.mgr_failover`
+//! instant it stamps moves both span hashes. No returned time moved: the
+//! first probe past the deadline is still the one 30 ms after the crash.
 
 use chunkstore::{
     AggregateStore, BatchWrite, Benefactor, BenefactorId, ChunkPayload, FileId, LocationCache,
@@ -976,7 +985,7 @@ const HA_SHARDED: Golden = Golden {
         269_899_036,
     ],
     reports: &[],
-    span_hash: 0x6999CB2D55EE23B7,
+    span_hash: 0x80121F3EB96A9E8C,
     counters: "\
 b0.ssd.read_bytes=4718592
 b0.ssd.reads=18
@@ -1002,12 +1011,12 @@ store.chunk_fetches=56
 store.cow_clones=0
 store.degraded_reads=0
 store.failovers=0
-store.journal_records=10
+store.journal_records=31
 store.journal_replays=1
 store.loc_cache_hits=16
 store.loc_cache_invalidations=2
 store.loc_cache_misses=24
-store.mgr_failover_us=25004
+store.mgr_failover_us=25016
 store.mgr_failovers=1
 store.mgr_rpc_fetch=22
 store.mgr_rpc_place=3
@@ -1095,7 +1104,7 @@ const HA_SERIAL: Golden = Golden {
         269_899_036,
     ],
     reports: &[],
-    span_hash: 0x55F08FE6D0D06B87,
+    span_hash: 0xBE0F928BB83808B4,
     counters: "\
 b0.ssd.read_bytes=4718592
 b0.ssd.reads=18
@@ -1121,12 +1130,12 @@ store.chunk_fetches=56
 store.cow_clones=0
 store.degraded_reads=0
 store.failovers=0
-store.journal_records=10
+store.journal_records=31
 store.journal_replays=1
 store.loc_cache_hits=16
 store.loc_cache_invalidations=2
 store.loc_cache_misses=24
-store.mgr_failover_us=25006
+store.mgr_failover_us=25020
 store.mgr_failovers=1
 store.mgr_rpc_fetch=19
 store.mgr_rpc_place=3
