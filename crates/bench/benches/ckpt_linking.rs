@@ -31,7 +31,8 @@ struct RestartCell {
 
 /// R-SSD(4:1:8): every rank checkpoints an 8 MiB variable; after a barrier
 /// the first `restorers` ranks `restore_var` theirs at the same instant.
-fn restart_cell(pipelined: bool, restorers: usize) -> RestartCell {
+/// The cell's cluster is accounted to `report`.
+fn restart_cell(report: &mut JsonReport, pipelined: bool, restorers: usize) -> RestartCell {
     const VAR_BYTES: usize = 8 << 20;
     let cfg = JobConfig::remote(4, 1, 8);
     let cluster = Cluster::with_fuse(
@@ -69,6 +70,7 @@ fn restart_cell(pipelined: bool, restorers: usize) -> RestartCell {
     });
     let before = result.outputs[0].1;
     let after = restart_counters();
+    report.ran(&cluster);
     RestartCell {
         restore: result.outputs.iter().map(|o| o.0).max().unwrap(),
         store_bytes: after.0 - before.0,
@@ -193,8 +195,8 @@ fn main() {
     ]);
     let mut overlapped = true;
     for (path, pipelined) in [("paper", false), ("pipelined", true)] {
-        let alone = restart_cell(pipelined, 1);
-        let together = restart_cell(pipelined, 4);
+        let alone = restart_cell(&mut report, pipelined, 1);
+        let together = restart_cell(&mut report, pipelined, 4);
         overlapped &= together.restore.as_nanos() * 2 <= alone.restore.as_nanos() * 5;
         for (ranks, cell) in [(1, &alone), (4, &together)] {
             t.row(&[

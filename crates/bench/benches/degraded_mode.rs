@@ -112,6 +112,7 @@ fn demonstrate_k1_failure(report: &mut JsonReport) {
     };
     store.set_benefactor_alive(home, false);
     let err = store.fetch_chunk(t, 0, f, 0).unwrap_err();
+    report.ran(&cluster);
     println!("  k=1 after crash of {home:?}: read fails with `{err:?}` (no silent data loss)");
     report.check(
         "k=1 reports BenefactorDown for the lost copy",
@@ -316,6 +317,9 @@ fn measure_ec_ablation(report: &mut JsonReport, size: u64) {
         ]);
     }
     store_health("RS(4,2) dataset", &rs.cluster);
+    for run in [&plain, &rep, &rs] {
+        report.ran(&run.cluster);
+    }
 
     report
         .value("ec_storage_ratio_plain", plain.storage_ratio)
@@ -445,7 +449,7 @@ fn demonstrate_rs_crash_sweep(report: &mut JsonReport, size: u64) {
     };
     // A clean sweep first, to learn the fault-free duration; the crash is
     // seeded halfway through the re-run.
-    let (clean_end, clean_wrong, _) = sweep(None);
+    let (clean_end, clean_wrong, clean) = sweep(None);
     let crash_at = clean_end / 2;
     let (end, wrong, cluster) = sweep(Some(crash_at));
     let reconstructs = cluster.stats.get("store.degraded_reconstructs");
@@ -461,6 +465,9 @@ fn demonstrate_rs_crash_sweep(report: &mut JsonReport, size: u64) {
     );
     store_health("RS sweep faulted", &cluster);
     report
+        .ran(&clean)
+        .ran(&cluster)
+        .ran(&cluster2)
         .value("rs_sweep_clean_s", clean_end)
         .value("rs_sweep_faulted_s", end)
         .counter("rs_sweep_reconstructs", reconstructs);
@@ -483,7 +490,7 @@ fn demonstrate_rs_crash_sweep(report: &mut JsonReport, size: u64) {
 /// m=0 must be byte-for-byte plain striping: identical virtual times and
 /// no parity counters ever registered.
 fn m0_identity(report: &mut JsonReport, size: u64) {
-    let run = |spec: StripeSpec| -> (VTime, bool) {
+    let mut run = |spec: StripeSpec| -> (VTime, bool) {
         let cluster = mm_cluster(&JobConfig::local(8, 8, 8));
         let store = &cluster.store;
         let (t, f) = store.create_file(VTime::ZERO, 0, "/m0").unwrap();
@@ -511,6 +518,7 @@ fn m0_identity(report: &mut JsonReport, size: u64) {
             .snapshot()
             .values
             .contains_key("store.parity_encodes");
+        report.ran(&cluster);
         (now, has_parity_keys)
     };
     let (t_plain, keys_plain) = run(StripeSpec::all());
@@ -677,6 +685,9 @@ fn main() {
 
     demonstrate_k1_failure(&mut report);
     m0_identity(&mut report, ec_size);
+    for c in [&c1, &c2, &crs, &cs1, &cs2, &cf2, &csf] {
+        report.ran(c);
+    }
     report.ran(&cf).counters_from(&cf).health_from(&cf).emit();
 }
 
@@ -717,6 +728,7 @@ fn measure_repair(report: &mut JsonReport) {
     );
     store_health("after repair", &cluster);
     report
+        .ran(&cluster)
         .value("repair_sweep_s", t_done - t)
         .counter("repair_chunks", repair.chunks_repaired);
     report.check(

@@ -288,9 +288,13 @@ fn main() {
                 r.cluster.stats.get("store.mgr_failover_us") as f64,
             );
             assert_eq!(r.wrong, 0, "lost acked writes at {shards} shards");
+            report.ran(&r.cluster);
         }
     }
 
+    for run in [&a, &b, &c2, &d] {
+        report.ran(&run.cluster);
+    }
     report
         .ran(&c.cluster)
         .counters_from(&c.cluster)

@@ -110,7 +110,7 @@ fn stream_once(
 /// k=1 has no intact replica to fail over to: show the documented
 /// deterministic refusal instead of a wrong-data read.
 fn demonstrate_k1_corruption(report: &mut JsonReport) {
-    let run = || {
+    let mut run = || {
         let cfg = JobConfig::remote(8, 1, 2);
         let cluster = Cluster::with_configs(
             ClusterSpec::hal().scaled(SCALE),
@@ -157,6 +157,7 @@ fn demonstrate_k1_corruption(report: &mut JsonReport) {
         let err = store
             .fetch_chunk(t + VTime::from_micros(1), 0, f, idx)
             .unwrap_err();
+        report.ran(&cluster);
         (err, cluster.stats.get("store.crc_mismatches"))
     };
     let (err, mismatches) = run();
@@ -239,6 +240,7 @@ fn measure_scrub_repair(report: &mut JsonReport) {
     );
     store_health("after scrub", &cluster);
     report
+        .ran(&cluster)
         .value("scrub_dataset_bytes", size as f64)
         .value("scrub_rotted_copies", corrupt0 as f64)
         .value("scrub_time_to_repair_s", now - t)
@@ -325,6 +327,7 @@ fn demonstrate_quarantine(report: &mut JsonReport) {
         .stripe
         .contains(&BenefactorId(ROT));
     report
+        .ran(&cluster)
         .counter("quarantined", cluster.stats.get("store.quarantined"))
         .check(
             "scrub quarantines a persistently corrupting benefactor",
@@ -491,6 +494,18 @@ fn main() {
     demonstrate_k1_corruption(&mut report);
 
     report.obs_from(&traced.cluster.trace.footer(10));
+    let runs = [
+        &base_k1,
+        &base_k2,
+        &verif_k2,
+        &scrubbed_k2,
+        &rotted,
+        &rotted2,
+        &traced,
+    ];
+    for run in runs {
+        report.ran(&run.cluster);
+    }
     report
         .ran(&rotted_scrubbed.cluster)
         .counters_from(&rotted_scrubbed.cluster)

@@ -3,18 +3,21 @@
 //! Every manager-rank lane is a CRC-64-protected **superblock** plus an
 //! append-only **journal** of self-checksummed, length-prefixed records:
 //! one per change of the manager's metadata — files, their geometry,
-//! slots, links, lifetimes and stale-parity flags; chunk births, digests,
-//! homes and parity-group membership; placement-epoch bumps. The format
-//! follows the SPDK BlobStore discipline the design doc cites: metadata
-//! is explicitly synced in record-sized units, and load-time recovery
-//! *scans and repairs* — a torn tail (a record cut short by the crash, or
-//! whose checksum no longer matches) is detected and truncated, never
-//! replayed.
+//! slots, links, lifetimes and stale-parity flags; chunk births, digests
+//! and homes; placement-epoch bumps. The format follows the SPDK
+//! BlobStore discipline the design doc cites: metadata is explicitly
+//! synced in record-sized units, and load-time recovery *scans and
+//! repairs* — a torn tail (a record cut short by the crash, or whose
+//! checksum no longer matches) is detected and truncated, never replayed.
 //!
 //! The codec is deliberately tiny and deterministic: fixed-width
 //! little-endian fields, no serde, no host-dependent layout — the same
 //! state always serializes to the same bytes, so journal images can be
-//! diffed across runs like every other artifact in this codebase.
+//! diffed across runs like every other artifact in this codebase. Each
+//! record is declared once, in the `records!` table: its tag, its fields
+//! in wire order and the width each `usize` travels as; [`Record`],
+//! [`Record::encode_into`] and [`Record::decode_payload`] are generated
+//! from it, and each field type's layout is one `Field` put/get pair.
 //!
 //! [`MetaState::apply`] is the one writer of the manager's metadata:
 //! `Manager::commit` writes the live state with it, and replay folds a
@@ -31,10 +34,11 @@ use crate::manager::{ChunkMeta, FileMeta, GroupRef, Member, PlacementPolicy, Slo
 use simcore::{Counter, VTime};
 use std::collections::{BTreeMap, HashMap};
 
-/// Superblock magic: "NVMJRNL1" as little-endian bytes.
-pub const JOURNAL_MAGIC: u64 = u64::from_le_bytes(*b"NVMJRNL1");
-/// On-media format version.
-pub const JOURNAL_VERSION: u32 = 1;
+/// Superblock magic: "NVMJRNL1" read as a little-endian u64.
+pub const JOURNAL_MAGIC: u64 = 0x314C_4E52_4A4D_564E;
+/// On-media format version: 2 since parity-group membership is derived
+/// from the slots rather than journaled.
+pub const JOURNAL_VERSION: u32 = 2;
 /// Hard cap on one record's payload. A length prefix above this is
 /// garbage by definition (torn or rotted), so the scanner truncates
 /// there instead of trusting an absurd length.
@@ -46,163 +50,314 @@ pub const SUPERBLOCK_BYTES: usize = 8 + 4 + 4 + 8 + 8 + 8 + 8;
 /// Frame header per record: payload length (u32) + payload CRC-64.
 const FRAME_HEADER: usize = 4 + 8;
 
-/// One journaled metadata mutation.
-///
-/// Placement is journaled at (chunk, benefactor, slot) granularity — the
-/// exact unit the benefactor's slot allocator hands out — so replay can
-/// rebuild both the home map and the slot bitmaps. Chunk-keyed records
-/// ([`Record::chunk`]) sit in the lane of the chunk's owner; the rest —
-/// the namespace — in lane 0.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Record {
-    /// `chunk` gained an authoritative copy in `slot` on `benefactor`.
-    Place {
-        chunk: ChunkId,
-        benefactor: usize,
-        slot: usize,
-    },
-    /// The copy of `chunk` in `slot` on `benefactor` is no longer
-    /// authoritative (freed, re-homed away, or its file deleted). A chunk
-    /// whose last home is freed is gone.
-    Free {
-        chunk: ChunkId,
-        benefactor: usize,
-        slot: usize,
-    },
-    /// The placement epoch was bumped to `epoch` by a cold restart of
-    /// this rank (reboot or standby takeover).
-    EpochBump { epoch: u64 },
-    /// `chunk` joined a parity group: member `member` of group `group`
-    /// of file `file` (DESIGN.md §15 reverse map).
-    GroupLink {
-        chunk: ChunkId,
-        file: u64,
-        group: u32,
-        member: u32,
-    },
-    /// `chunk` left its parity group (overwritten or deleted).
-    GroupUnlink { chunk: ChunkId },
-    /// Compacted checkpoint of one benefactor's leaf slot bitmap, as
-    /// written by `unload`: `len` slots in `leaf` words. Replay feeds
-    /// this straight to [`BitAlloc::from_leaf`]. The word vector may be
-    /// empty (a benefactor with zero capacity slots) — the codec's
-    /// zero-length edge case.
-    LeafCheckpoint {
-        benefactor: usize,
-        len: usize,
-        leaf: Vec<u64>,
-    },
-    /// File `file` was created as `name`.
-    FileCreate { file: FileId, name: String },
-    /// `fallocate` sized `file` and picked its stripe; `cursor` is the
-    /// stripe cursor the pick left.
-    Fallocate {
-        file: FileId,
-        size: u64,
-        stripe: Vec<BenefactorId>,
-        placement: PlacementPolicy,
-        replicas: usize,
-        group_data: usize,
-        parity: usize,
-        cursor: usize,
-    },
-    /// `file` and its name are gone; each chunk it held loses a reference.
-    FileDelete { file: FileId },
-    /// Every slot of `src` was appended to `dst` (the checkpoint link of
-    /// §III-E): chunks by reference, unwritten slots as holes.
-    Link { dst: FileId, src: FileId },
-    /// `file`'s lifetime was set or cleared.
-    Lifetime {
-        file: FileId,
-        expires_at: Option<VTime>,
-    },
-    /// Member `member` of `file` now holds `chunk`; a parity member that
-    /// receives content is no longer stale.
-    SlotSet {
-        file: FileId,
-        member: Member,
-        chunk: ChunkId,
-    },
-    /// Parity member `parity` of group `group` of `file` was flagged (or
-    /// cleared) stale.
-    ParityStale {
-        file: FileId,
-        group: usize,
-        parity: usize,
-        stale: bool,
-    },
-    /// `chunk` was born with replica target `target` and digest `crc`.
-    ChunkBirth {
-        chunk: ChunkId,
-        target: usize,
-        crc: u64,
-    },
-    /// `chunk`'s recorded digest is now `crc`.
-    Digest { chunk: ChunkId, crc: u64 },
-}
+/// Reads an encoding's fields front to back.
+struct Reader<'a>(&'a [u8]);
 
-// Record tags. Explicit (not derived from enum order) because they are
-// an on-media format.
-const TAG_PLACE: u8 = 1;
-const TAG_FREE: u8 = 2;
-const TAG_EPOCH_BUMP: u8 = 3;
-const TAG_GROUP_LINK: u8 = 4;
-const TAG_GROUP_UNLINK: u8 = 5;
-const TAG_LEAF_CHECKPOINT: u8 = 6;
-const TAG_FILE_CREATE: u8 = 7;
-const TAG_FALLOCATE: u8 = 8;
-const TAG_FILE_DELETE: u8 = 9;
-const TAG_LINK: u8 = 10;
-const TAG_LIFETIME: u8 = 11;
-const TAG_SLOT_SET: u8 = 12;
-const TAG_PARITY_STALE: u8 = 13;
-const TAG_CHUNK_BIRTH: u8 = 14;
-const TAG_DIGEST: u8 = 15;
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn get_u32(buf: &[u8], at: usize) -> Option<u32> {
-    Some(u32::from_le_bytes(buf.get(at..at + 4)?.try_into().ok()?))
-}
-
-fn get_u64(buf: &[u8], at: usize) -> Option<u64> {
-    Some(u64::from_le_bytes(buf.get(at..at + 8)?.try_into().ok()?))
-}
-
-/// Reads a payload's fields front to back.
-struct Fields<'a>(&'a [u8]);
-
-impl<'a> Fields<'a> {
+impl<'a> Reader<'a> {
     fn take(&mut self, n: usize) -> Option<&'a [u8]> {
         let (head, rest) = self.0.split_at_checked(n)?;
         self.0 = rest;
         Some(head)
     }
+}
 
-    fn u8(&mut self) -> Option<u8> {
-        Some(self.take(1)?[0])
+/// One field type's wire layout, written once: `put` appends it, `get`
+/// reads it back off the front (`None` when it is short or malformed).
+trait Field: Sized {
+    fn put(&self, out: &mut Vec<u8>);
+    fn get(r: &mut Reader<'_>) -> Option<Self>;
+}
+
+/// A field of one width: a tail vector of it is sized before anything is
+/// allocated.
+trait Fixed: Field {
+    const WIDTH: usize;
+}
+
+/// Fixed-width little-endian integers: the log's only byte-order code.
+macro_rules! int_field {
+    ($($t:ty),+) => {$(
+        impl Field for $t {
+            fn put(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
+            fn get(r: &mut Reader<'_>) -> Option<Self> {
+                Some(<$t>::from_le_bytes(r.take(size_of::<$t>())?.try_into().ok()?))
+            }
+        }
+        impl Fixed for $t {
+            const WIDTH: usize = size_of::<$t>();
+        }
+    )+};
+}
+int_field!(u8, u32, u64);
+
+/// Fields back to back.
+macro_rules! tuple_field {
+    ($($n:tt $T:ident),+) => {
+        impl<$($T: Field),+> Field for ($($T,)+) {
+            fn put(&self, out: &mut Vec<u8>) {
+                $(self.$n.put(out);)+
+            }
+            fn get(r: &mut Reader<'_>) -> Option<Self> {
+                Some(($(<$T as Field>::get(r)?,)+))
+            }
+        }
+    };
+}
+tuple_field!(0 A, 1 B);
+tuple_field!(0 A, 1 B, 2 C);
+
+/// Chunk and file ids travel as their 8-byte numbers.
+macro_rules! id_field {
+    ($($id:ident),+) => {$(
+        impl Field for $id {
+            fn put(&self, out: &mut Vec<u8>) {
+                self.0.put(out);
+            }
+            fn get(r: &mut Reader<'_>) -> Option<Self> {
+                u64::get(r).map($id)
+            }
+        }
+    )+};
+}
+id_field!(ChunkId, FileId);
+
+/// A benefactor id travels as 4 bytes.
+impl Field for BenefactorId {
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.0 as u32).put(out);
     }
-
-    fn u32(&mut self) -> Option<usize> {
-        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?) as usize)
+    fn get(r: &mut Reader<'_>) -> Option<Self> {
+        u32::get(r).map(|b| BenefactorId(b as usize))
     }
+}
 
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
+impl Fixed for BenefactorId {
+    const WIDTH: usize = 4;
+}
+
+impl Field for bool {
+    fn put(&self, out: &mut Vec<u8>) {
+        (*self as u8).put(out);
     }
+    fn get(r: &mut Reader<'_>) -> Option<Self> {
+        u8::get(r).map(|b| b != 0)
+    }
+}
 
-    /// `n` items of `width` bytes that end the payload — sized before
-    /// anything is allocated, so a rotted count cannot allocate.
-    fn tail<T>(&mut self, width: usize, item: impl Fn(&mut Self) -> Option<T>) -> Option<Vec<T>> {
-        let n = self.u32()?;
-        (self.0.len() == n * width).then_some(())?;
-        (0..n).map(|_| item(self)).collect()
+/// 9 bytes: 0 and a zero word for round-robin, 1 and the seed for a
+/// seeded permutation.
+impl Field for PlacementPolicy {
+    fn put(&self, out: &mut Vec<u8>) {
+        match *self {
+            PlacementPolicy::RoundRobin => (0u8, 0u64),
+            PlacementPolicy::RandomPermutation { seed } => (1, seed),
+        }
+        .put(out);
+    }
+    fn get(r: &mut Reader<'_>) -> Option<Self> {
+        Some(match <(u8, u64)>::get(r)? {
+            (0, _) => PlacementPolicy::RoundRobin,
+            (_, seed) => PlacementPolicy::RandomPermutation { seed },
+        })
+    }
+}
+
+/// 9 bytes: 0 and slot `idx` for a data slot, 1, `g` and `p` for parity
+/// member `p` of group `g`.
+impl Field for Member {
+    fn put(&self, out: &mut Vec<u8>) {
+        match *self {
+            Member::Data(idx) => (0u8, idx as u32, 0u32),
+            Member::Parity(g, p) => (1, g as u32, p as u32),
+        }
+        .put(out);
+    }
+    fn get(r: &mut Reader<'_>) -> Option<Self> {
+        Some(match <(u8, u32, u32)>::get(r)? {
+            (0, idx, _) => Member::Data(idx as usize),
+            (_, g, p) => Member::Parity(g as usize, p as usize),
+        })
+    }
+}
+
+/// 9 bytes: 0 and a zero word for none, 1 and the nanoseconds for a time.
+impl Field for Option<VTime> {
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.is_some() as u8, self.map_or(0, VTime::as_nanos)).put(out);
+    }
+    fn get(r: &mut Reader<'_>) -> Option<Self> {
+        Some(match <(u8, u64)>::get(r)? {
+            (0, _) => None,
+            (_, ns) => Some(VTime::from_nanos(ns)),
+        })
+    }
+}
+
+/// A u32 byte count, then the bytes; only UTF-8 decodes.
+impl Field for String {
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.len() as u32).put(out);
+        out.extend_from_slice(self.as_bytes());
+    }
+    fn get(r: &mut Reader<'_>) -> Option<Self> {
+        let n = u32::get(r)? as usize;
+        String::from_utf8(r.take(n)?.to_vec()).ok()
+    }
+}
+
+/// A u32 count, then the items, ending the payload: the count must match
+/// the bytes left before anything is allocated, so a rotted count cannot
+/// allocate.
+impl<T: Fixed> Field for Vec<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.len() as u32).put(out);
+        self.iter().for_each(|x| x.put(out));
+    }
+    fn get(r: &mut Reader<'_>) -> Option<Self> {
+        let n = u32::get(r)? as usize;
+        (r.0.len() == n * T::WIDTH).then_some(())?;
+        (0..n).map(|_| T::get(r)).collect()
+    }
+}
+
+/// A field's put or get, through the wire type a `usize` travels as.
+macro_rules! wire {
+    (put $out:ident, $v:ident as $w:ty) => {
+        Field::put(&(*$v as $w), $out)
+    };
+    (put $out:ident, $v:ident) => {
+        Field::put($v, $out)
+    };
+    (get $r:ident, $t:ty as $w:ty) => {
+        <$w as Field>::get($r)? as $t
+    };
+    (get $r:ident, $t:ty) => {
+        <$t as Field>::get($r)?
+    };
+}
+
+/// Declares [`Record`] and generates its codec from one table: each
+/// variant is `Name = tag { field: Type, .. }` with its fields in wire
+/// order after the tag byte.
+macro_rules! records {
+    (
+        $(#[$attr:meta])*
+        pub enum Record {$(
+            $(#[$doc:meta])*
+            $name:ident = $tag:literal { $($field:ident: $ty:ty $(as $wire:ty)?),+ $(,)? }
+        ),+ $(,)?}
+    ) => {
+        $(#[$attr])*
+        pub enum Record {$(
+            $(#[$doc])*
+            $name { $($field: $ty),+ },
+        )+}
+
+        impl Record {
+            /// Serialize the payload (tag + fields, little-endian, no
+            /// framing) onto `out` and return its length — or, for a
+            /// payload over [`MAX_RECORD_BYTES`], leave `out` as it was
+            /// and return the length as `Err`: the one place the cap is
+            /// checked.
+            pub fn encode_into(&self, out: &mut Vec<u8>) -> Result<usize, usize> {
+                let at = out.len();
+                match self {$(
+                    Record::$name { $($field),+ } => {
+                        out.push($tag);
+                        $(wire!(put out, $field $(as $wire)?);)+
+                    }
+                )+}
+                let len = out.len() - at;
+                if len > MAX_RECORD_BYTES {
+                    out.truncate(at);
+                    return Err(len);
+                }
+                Ok(len)
+            }
+
+            /// Decode one payload. `None` on unknown tag or malformed
+            /// fields — the scanner treats that exactly like a checksum
+            /// mismatch. A payload is well-formed only if it is exactly
+            /// the encoding of what it decodes to: no missing field, no
+            /// trailing byte, no flag or kind byte but the one encoded,
+            /// no name that is not UTF-8.
+            pub fn decode_payload(buf: &[u8]) -> Option<Record> {
+                let r = &mut Reader(buf);
+                let rec = match u8::get(r)? {
+                    $($tag => Record::$name { $($field: wire!(get r, $ty $(as $wire)?)),+ },)+
+                    _ => return None,
+                };
+                let mut back = Vec::with_capacity(buf.len());
+                (rec.encode_into(&mut back) == Ok(buf.len()) && back == buf).then_some(rec)
+            }
+        }
+    };
+}
+
+records! {
+    /// One journaled metadata mutation.
+    ///
+    /// Placement is journaled at (chunk, benefactor, slot) granularity —
+    /// the exact unit the benefactor's slot allocator hands out — so
+    /// replay can rebuild both the home map and the slot bitmaps.
+    /// Chunk-keyed records ([`Record::chunk`]) sit in the lane of the
+    /// chunk's owner; the rest — the namespace — in lane 0. Tags are
+    /// explicit (not derived from the order) because they are an
+    /// on-media format. Tags 4 and 5, the parity-group link and unlink
+    /// records of version 1, are retired and never reused: group
+    /// membership is derived from the slots.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    pub enum Record {
+        /// `chunk` gained an authoritative copy in `slot` on `benefactor`.
+        Place = 1 { chunk: ChunkId, benefactor: usize as u32, slot: usize as u32 },
+        /// The copy of `chunk` in `slot` on `benefactor` is no longer
+        /// authoritative (freed, re-homed away, or its file deleted). A
+        /// chunk whose last home is freed is gone.
+        Free = 2 { chunk: ChunkId, benefactor: usize as u32, slot: usize as u32 },
+        /// The placement epoch was bumped to `epoch` by a cold restart of
+        /// this rank (reboot or standby takeover).
+        EpochBump = 3 { epoch: u64 },
+        /// Compacted checkpoint of one benefactor's leaf slot bitmap, as
+        /// written by `unload`: `len` slots in `leaf` words. Replay feeds
+        /// this straight to [`BitAlloc::from_leaf`]. The word vector may
+        /// be empty (a benefactor with zero capacity slots) — the codec's
+        /// zero-length edge case.
+        LeafCheckpoint = 6 { benefactor: usize as u32, len: usize as u64, leaf: Vec<u64> },
+        /// File `file` was created as `name`.
+        FileCreate = 7 { file: FileId, name: String },
+        /// `fallocate` sized `file` and picked its stripe; `cursor` is the
+        /// stripe cursor the pick left.
+        Fallocate = 8 {
+            file: FileId,
+            size: u64,
+            placement: PlacementPolicy,
+            replicas: usize as u32,
+            group_data: usize as u32,
+            parity: usize as u32,
+            cursor: usize as u64,
+            stripe: Vec<BenefactorId>,
+        },
+        /// `file` and its name are gone; each chunk it held loses a
+        /// reference, and the parity groups it owns go.
+        FileDelete = 9 { file: FileId },
+        /// Every slot of `src` was appended to `dst` (the checkpoint link
+        /// of §III-E): chunks by reference, unwritten slots as holes.
+        Link = 10 { dst: FileId, src: FileId },
+        /// `file`'s lifetime was set or cleared.
+        Lifetime = 11 { file: FileId, expires_at: Option<VTime> },
+        /// Member `member` of `file` now holds `chunk`: in a member of a
+        /// parity group `chunk` takes the group over from the chunk it
+        /// replaces, and a parity member is no longer stale.
+        SlotSet = 12 { file: FileId, member: Member, chunk: ChunkId },
+        /// Parity member `parity` of group `group` of `file` was flagged
+        /// (or cleared) stale.
+        ParityStale = 13 { file: FileId, group: usize as u32, parity: usize as u32, stale: bool },
+        /// `chunk` was born with replica target `target` and digest `crc`.
+        ChunkBirth = 14 { chunk: ChunkId, target: usize as u32, crc: u64 },
+        /// `chunk`'s recorded digest is now `crc`.
+        Digest = 15 { chunk: ChunkId, crc: u64 },
     }
 }
 
@@ -213,273 +368,10 @@ impl Record {
         match *self {
             Record::Place { chunk, .. }
             | Record::Free { chunk, .. }
-            | Record::GroupLink { chunk, .. }
-            | Record::GroupUnlink { chunk }
             | Record::ChunkBirth { chunk, .. }
             | Record::Digest { chunk, .. } => Some(chunk),
             _ => None,
         }
-    }
-
-    /// Serialize the payload (tag + fields, little-endian, no framing)
-    /// onto `out` and return its length — or, for a payload over
-    /// [`MAX_RECORD_BYTES`], leave `out` as it was and return the length
-    /// as `Err`: the one place the cap is checked.
-    pub fn encode_into(&self, out: &mut Vec<u8>) -> Result<usize, usize> {
-        let at = out.len();
-        match self {
-            Record::Place {
-                chunk,
-                benefactor,
-                slot,
-            } => {
-                out.push(TAG_PLACE);
-                put_u64(out, chunk.0);
-                put_u32(out, *benefactor as u32);
-                put_u32(out, *slot as u32);
-            }
-            Record::Free {
-                chunk,
-                benefactor,
-                slot,
-            } => {
-                out.push(TAG_FREE);
-                put_u64(out, chunk.0);
-                put_u32(out, *benefactor as u32);
-                put_u32(out, *slot as u32);
-            }
-            Record::EpochBump { epoch } => {
-                out.push(TAG_EPOCH_BUMP);
-                put_u64(out, *epoch);
-            }
-            Record::GroupLink {
-                chunk,
-                file,
-                group,
-                member,
-            } => {
-                out.push(TAG_GROUP_LINK);
-                put_u64(out, chunk.0);
-                put_u64(out, *file);
-                put_u32(out, *group);
-                put_u32(out, *member);
-            }
-            Record::GroupUnlink { chunk } => {
-                out.push(TAG_GROUP_UNLINK);
-                put_u64(out, chunk.0);
-            }
-            Record::LeafCheckpoint {
-                benefactor,
-                len,
-                leaf,
-            } => {
-                out.push(TAG_LEAF_CHECKPOINT);
-                put_u32(out, *benefactor as u32);
-                put_u64(out, *len as u64);
-                put_u32(out, leaf.len() as u32);
-                for w in leaf {
-                    put_u64(out, *w);
-                }
-            }
-            Record::FileCreate { file, name } => {
-                out.push(TAG_FILE_CREATE);
-                put_u64(out, file.0);
-                put_u32(out, name.len() as u32);
-                out.extend_from_slice(name.as_bytes());
-            }
-            Record::Fallocate {
-                file,
-                size,
-                stripe,
-                placement,
-                replicas,
-                group_data,
-                parity,
-                cursor,
-            } => {
-                out.push(TAG_FALLOCATE);
-                put_u64(out, file.0);
-                put_u64(out, *size);
-                match placement {
-                    PlacementPolicy::RoundRobin => out.extend_from_slice(&[0; 9]),
-                    PlacementPolicy::RandomPermutation { seed } => {
-                        out.push(1);
-                        put_u64(out, *seed);
-                    }
-                }
-                for v in [replicas, group_data, parity] {
-                    put_u32(out, *v as u32);
-                }
-                put_u64(out, *cursor as u64);
-                put_u32(out, stripe.len() as u32);
-                for b in stripe {
-                    put_u32(out, b.0 as u32);
-                }
-            }
-            Record::FileDelete { file } => {
-                out.push(TAG_FILE_DELETE);
-                put_u64(out, file.0);
-            }
-            Record::Link { dst, src } => {
-                out.push(TAG_LINK);
-                put_u64(out, dst.0);
-                put_u64(out, src.0);
-            }
-            Record::Lifetime { file, expires_at } => {
-                out.push(TAG_LIFETIME);
-                put_u64(out, file.0);
-                out.push(expires_at.is_some() as u8);
-                put_u64(out, expires_at.map_or(0, VTime::as_nanos));
-            }
-            Record::SlotSet {
-                file,
-                member,
-                chunk,
-            } => {
-                out.push(TAG_SLOT_SET);
-                put_u64(out, file.0);
-                let (kind, a, b) = match *member {
-                    Member::Data(idx) => (0, idx, 0),
-                    Member::Parity(g, p) => (1, g, p),
-                };
-                out.push(kind);
-                put_u32(out, a as u32);
-                put_u32(out, b as u32);
-                put_u64(out, chunk.0);
-            }
-            Record::ParityStale {
-                file,
-                group,
-                parity,
-                stale,
-            } => {
-                out.push(TAG_PARITY_STALE);
-                put_u64(out, file.0);
-                put_u32(out, *group as u32);
-                put_u32(out, *parity as u32);
-                out.push(*stale as u8);
-            }
-            Record::ChunkBirth { chunk, target, crc } => {
-                out.push(TAG_CHUNK_BIRTH);
-                put_u64(out, chunk.0);
-                put_u32(out, *target as u32);
-                put_u64(out, *crc);
-            }
-            Record::Digest { chunk, crc } => {
-                out.push(TAG_DIGEST);
-                put_u64(out, chunk.0);
-                put_u64(out, *crc);
-            }
-        }
-        let len = out.len() - at;
-        if len > MAX_RECORD_BYTES {
-            out.truncate(at);
-            return Err(len);
-        }
-        Ok(len)
-    }
-
-    /// The payload of a record that fits its frame.
-    pub fn encode_payload(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(32);
-        self.encode_into(&mut out)
-            .expect("record payload over the cap");
-        out
-    }
-
-    /// Decode one payload. `None` on unknown tag or malformed fields —
-    /// the scanner treats that exactly like a checksum mismatch. A payload
-    /// is well-formed only if it is exactly the encoding of what it
-    /// decodes to: no missing field, no trailing byte, no name that is
-    /// not UTF-8.
-    pub fn decode_payload(buf: &[u8]) -> Option<Record> {
-        let mut f = Fields(buf);
-        let rec = match f.u8()? {
-            TAG_PLACE => Record::Place {
-                chunk: ChunkId(f.u64()?),
-                benefactor: f.u32()?,
-                slot: f.u32()?,
-            },
-            TAG_FREE => Record::Free {
-                chunk: ChunkId(f.u64()?),
-                benefactor: f.u32()?,
-                slot: f.u32()?,
-            },
-            TAG_EPOCH_BUMP => Record::EpochBump { epoch: f.u64()? },
-            TAG_GROUP_LINK => Record::GroupLink {
-                chunk: ChunkId(f.u64()?),
-                file: f.u64()?,
-                group: f.u32()? as u32,
-                member: f.u32()? as u32,
-            },
-            TAG_GROUP_UNLINK => Record::GroupUnlink {
-                chunk: ChunkId(f.u64()?),
-            },
-            TAG_LEAF_CHECKPOINT => Record::LeafCheckpoint {
-                benefactor: f.u32()?,
-                len: f.u64()? as usize,
-                leaf: f.tail(8, Fields::u64)?,
-            },
-            TAG_FILE_CREATE => {
-                let file = FileId(f.u64()?);
-                let len = f.u32()?;
-                let name = String::from_utf8(f.take(len)?.to_vec()).ok()?;
-                Record::FileCreate { file, name }
-            }
-            TAG_FALLOCATE => Record::Fallocate {
-                file: FileId(f.u64()?),
-                size: f.u64()?,
-                placement: match (f.u8()?, f.u64()?) {
-                    (0, _) => PlacementPolicy::RoundRobin,
-                    (_, seed) => PlacementPolicy::RandomPermutation { seed },
-                },
-                replicas: f.u32()?,
-                group_data: f.u32()?,
-                parity: f.u32()?,
-                cursor: f.u64()? as usize,
-                stripe: f.tail(4, |f| f.u32().map(BenefactorId))?,
-            },
-            TAG_FILE_DELETE => Record::FileDelete {
-                file: FileId(f.u64()?),
-            },
-            TAG_LINK => Record::Link {
-                dst: FileId(f.u64()?),
-                src: FileId(f.u64()?),
-            },
-            TAG_LIFETIME => Record::Lifetime {
-                file: FileId(f.u64()?),
-                expires_at: match (f.u8()?, f.u64()?) {
-                    (0, _) => None,
-                    (_, ns) => Some(VTime::from_nanos(ns)),
-                },
-            },
-            TAG_SLOT_SET => Record::SlotSet {
-                file: FileId(f.u64()?),
-                member: match (f.u8()?, f.u32()?, f.u32()?) {
-                    (0, idx, _) => Member::Data(idx),
-                    (_, g, p) => Member::Parity(g, p),
-                },
-                chunk: ChunkId(f.u64()?),
-            },
-            TAG_PARITY_STALE => Record::ParityStale {
-                file: FileId(f.u64()?),
-                group: f.u32()?,
-                parity: f.u32()?,
-                stale: f.u8()? != 0,
-            },
-            TAG_CHUNK_BIRTH => Record::ChunkBirth {
-                chunk: ChunkId(f.u64()?),
-                target: f.u32()?,
-                crc: f.u64()?,
-            },
-            TAG_DIGEST => Record::Digest {
-                chunk: ChunkId(f.u64()?),
-                crc: f.u64()?,
-            },
-            _ => return None,
-        };
-        let mut back = Vec::with_capacity(buf.len());
-        (rec.encode_into(&mut back) == Ok(buf.len()) && back == buf).then_some(rec)
     }
 }
 
@@ -512,13 +404,13 @@ impl Journal {
     /// encoded straight into the log.
     pub fn append(&mut self, r: &Record) {
         let at = self.buf.len();
-        self.buf.extend_from_slice(&[0; FRAME_HEADER]);
         let len = r
             .encode_into(&mut self.buf)
-            .expect("record payload over the cap") as u32;
-        let crc = crc64(&self.buf[at + FRAME_HEADER..]);
-        self.buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
-        self.buf[at + 4..at + FRAME_HEADER].copy_from_slice(&crc.to_le_bytes());
+            .expect("record payload over the cap");
+        let crc = crc64(&self.buf[at..]);
+        (len as u32, crc).put(&mut self.buf);
+        // The header goes in front of the payload it describes.
+        self.buf[at..].rotate_right(FRAME_HEADER);
         self.records += 1;
     }
 
@@ -541,23 +433,13 @@ impl Journal {
     /// truncated, not replayed. Returns the clean journal plus what the
     /// repair found.
     pub fn scan_and_repair(raw: &[u8]) -> (Journal, RepairStats) {
-        let mut at = 0usize;
-        let mut records = 0u64;
-        while let Some(len) = get_u32(raw, at) {
-            let len = len as usize;
-            if len > MAX_RECORD_BYTES {
+        let r = &mut Reader(raw);
+        let (mut at, mut records) = (0usize, 0u64);
+        while let Some((crc, payload)) = frame(r) {
+            if crc64(payload) != crc || Record::decode_payload(payload).is_none() {
                 break;
             }
-            let Some(want) = get_u64(raw, at + 4) else {
-                break;
-            };
-            let Some(payload) = raw.get(at + FRAME_HEADER..at + FRAME_HEADER + len) else {
-                break;
-            };
-            if crc64(payload) != want || Record::decode_payload(payload).is_none() {
-                break;
-            }
-            at += FRAME_HEADER + len;
+            at = raw.len() - r.0.len();
             records += 1;
         }
         let journal = Journal {
@@ -574,14 +456,17 @@ impl Journal {
 
     /// Iterate the (already clean) records front to back.
     pub fn iter(&self) -> impl Iterator<Item = Record> + '_ {
-        let mut at = 0usize;
-        std::iter::from_fn(move || {
-            let len = get_u32(&self.buf, at)? as usize;
-            let payload = &self.buf[at + FRAME_HEADER..at + FRAME_HEADER + len];
-            at += FRAME_HEADER + len;
-            Record::decode_payload(payload)
-        })
+        let mut r = Reader(&self.buf);
+        std::iter::from_fn(move || Record::decode_payload(frame(&mut r)?.1))
     }
+}
+
+/// The next frame off `r`: the checksum its header holds and its payload,
+/// or `None` for a frame that is short or over the cap.
+fn frame<'a>(r: &mut Reader<'a>) -> Option<(u64, &'a [u8])> {
+    let (len, crc) = <(u32, u64)>::get(r)?;
+    let len = (len as usize <= MAX_RECORD_BYTES).then_some(len as usize)?;
+    Some((crc, r.take(len)?))
 }
 
 /// The CRC-64-protected header in front of a persisted journal image.
@@ -598,17 +483,16 @@ pub struct Superblock {
     pub journal_bytes: u64,
 }
 
+/// A superblock's fields before its CRC: magic, version and shard, then
+/// epoch, records and journal bytes.
+type SuperblockBody = ((u64, u32, u32), (u64, u64, u64));
+
 impl Superblock {
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(SUPERBLOCK_BYTES);
-        put_u64(&mut out, JOURNAL_MAGIC);
-        put_u32(&mut out, JOURNAL_VERSION);
-        put_u32(&mut out, self.shard);
-        put_u64(&mut out, self.epoch);
-        put_u64(&mut out, self.records);
-        put_u64(&mut out, self.journal_bytes);
-        let crc = crc64(&out);
-        put_u64(&mut out, crc);
+        let head = (JOURNAL_MAGIC, JOURNAL_VERSION, self.shard);
+        (head, (self.epoch, self.records, self.journal_bytes)).put(&mut out);
+        crc64(&out).put(&mut out);
         debug_assert_eq!(out.len(), SUPERBLOCK_BYTES);
         out
     }
@@ -617,22 +501,17 @@ impl Superblock {
     /// superblock that cannot be trusted protects nothing, so the whole
     /// image is rejected rather than scan-repaired.
     pub fn decode(buf: &[u8]) -> Option<Superblock> {
-        if buf.len() < SUPERBLOCK_BYTES {
-            return None;
-        }
-        let body = &buf[..SUPERBLOCK_BYTES - 8];
-        if get_u64(buf, SUPERBLOCK_BYTES - 8)? != crc64(body) {
-            return None;
-        }
-        if get_u64(buf, 0)? != JOURNAL_MAGIC || get_u32(buf, 8)? != JOURNAL_VERSION {
-            return None;
-        }
-        Some(Superblock {
-            shard: get_u32(buf, 12)?,
-            epoch: get_u64(buf, 16)?,
-            records: get_u64(buf, 24)?,
-            journal_bytes: get_u64(buf, 32)?,
-        })
+        let (body, crc) = buf.get(..SUPERBLOCK_BYTES)?.split_at(SUPERBLOCK_BYTES - 8);
+        (u64::get(&mut Reader(crc))? == crc64(body)).then_some(())?;
+        let ((magic, version, shard), (epoch, records, journal_bytes)) =
+            SuperblockBody::get(&mut Reader(body))?;
+        let sb = Superblock {
+            shard,
+            epoch,
+            records,
+            journal_bytes,
+        };
+        (magic == JOURNAL_MAGIC && version == JOURNAL_VERSION).then_some(sb)
     }
 }
 
@@ -684,13 +563,18 @@ pub struct Homes {
 }
 
 /// The namespace — rank 0's keyspace: files and their names, the
-/// reference counts their slots imply, and the id and stripe cursors.
+/// reference counts and parity groups their slots imply, and the id and
+/// stripe cursors.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Namespace {
     pub files: IdMap<FileId, FileMeta>,
     pub by_name: HashMap<String, FileId>,
     /// Derived: how many slots, in every file, hold each chunk.
     pub refs: IdMap<ChunkId, u32>,
+    /// Derived: the parity group of each chunk a grouped member took
+    /// (DESIGN.md §15 reverse map), until a later chunk replaces it there
+    /// or the group's file is deleted.
+    pub groups: IdMap<ChunkId, GroupRef>,
     pub next_file: u64,
     /// Advanced by the slot that installs a chunk: a chunk is born (in
     /// its owner's lane) right before its first slot takes it.
@@ -699,7 +583,7 @@ pub struct Namespace {
 }
 
 /// The manager's metadata: the namespace, and every chunk's birth record
-/// (target, digest), homes with their slots, and parity group. The
+/// (target, digest) and homes with their slots. The
 /// manager's live state and a lane's replay alike. Its tables are read in
 /// place; [`MetaState::apply`] is their one writer (the manager hands out
 /// only `&MetaState`).
@@ -709,7 +593,6 @@ pub struct MetaState {
     pub ns: Namespace,
     pub chunks: IdMap<ChunkId, ChunkMeta>,
     pub homes: IdMap<ChunkId, Homes>,
-    pub groups: IdMap<ChunkId, GroupRef>,
 }
 
 impl MetaState {
@@ -752,23 +635,6 @@ impl MetaState {
                     self.chunks.remove(chunk);
                 }
             }
-            Record::GroupLink {
-                chunk,
-                file,
-                group,
-                member,
-            } => {
-                let (file, group, member) = (FileId(*file), *group as usize, *member as usize);
-                let group_ref = GroupRef {
-                    file,
-                    group,
-                    member,
-                };
-                self.groups.insert(*chunk, group_ref);
-            }
-            Record::GroupUnlink { chunk } => {
-                self.groups.remove(chunk);
-            }
             Record::EpochBump { .. } | Record::LeafCheckpoint { .. } => {}
             Record::FileCreate { file, name } => {
                 ns.by_name.insert(name.clone(), *file);
@@ -807,6 +673,9 @@ impl MetaState {
                 for (_, slot) in meta.members() {
                     Self::unref(&mut ns.refs, slot);
                 }
+                // A group dies with the file that owns it, not with a
+                // checkpoint that links its chunks.
+                ns.groups.retain(|_, g| g.file != *file);
             }
             Record::Link { dst, src } => {
                 let (Some(src), true) = (ns.files.get(src), ns.files.contains_key(dst)) else {
@@ -839,20 +708,34 @@ impl MetaState {
                 let Some(meta) = ns.files.get_mut(file) else {
                     return;
                 };
-                let slot = match *member {
-                    Member::Data(idx) => meta.slots.get_mut(idx),
+                let (grouped, slot) = match *member {
+                    Member::Data(idx) => (meta.group_member(idx), meta.slots.get_mut(idx)),
                     Member::Parity(g, p) => {
                         let at = g * meta.parity + p;
                         if let Some(stale) = meta.parity_stale.get_mut(at) {
                             *stale = false;
                         }
-                        meta.parity_slots.get_mut(at)
+                        let grouped = Some((g, meta.group_data + p));
+                        (grouped, meta.parity_slots.get_mut(at))
                     }
                 };
                 let Some(slot) = slot else {
                     return;
                 };
                 let old = std::mem::replace(slot, Slot::Chunk(*chunk));
+                // A grouped member hands its group over: the chunk it held
+                // leaves, the new one joins.
+                if let Some((group, at)) = grouped {
+                    if let Slot::Chunk(old) = old {
+                        ns.groups.remove(&old);
+                    }
+                    let joined = GroupRef {
+                        file: *file,
+                        group,
+                        member: at,
+                    };
+                    ns.groups.insert(*chunk, joined);
+                }
                 Self::unref(&mut ns.refs, old);
                 *ns.refs.entry(*chunk).or_default() += 1;
                 ns.next_chunk = ns.next_chunk.max(chunk.0 + 1);
@@ -907,8 +790,6 @@ impl MetaState {
         self.chunks.extend(lane.chunks);
         self.homes.retain(|&c, _| !owns(c));
         self.homes.extend(lane.homes);
-        self.groups.retain(|&c, _| !owns(c));
-        self.groups.extend(lane.groups);
         if namespace {
             self.ns = lane.ns;
         }
@@ -1112,6 +993,12 @@ mod tests {
     use super::*;
     use crate::shardmgr::HashRing;
 
+    fn payload(r: &Record) -> Vec<u8> {
+        let mut out = Vec::new();
+        r.encode_into(&mut out).expect("under the cap");
+        out
+    }
+
     fn all_variants() -> Vec<Record> {
         vec![
             Record::Place {
@@ -1125,13 +1012,6 @@ mod tests {
                 slot: 513,
             },
             Record::EpochBump { epoch: 42 },
-            Record::GroupLink {
-                chunk: ChunkId(9),
-                file: 3,
-                group: 1,
-                member: 5,
-            },
-            Record::GroupUnlink { chunk: ChunkId(9) },
             Record::LeafCheckpoint {
                 benefactor: 0,
                 len: 130,
@@ -1200,7 +1080,7 @@ mod tests {
     #[test]
     fn codec_round_trips_every_variant() {
         for r in all_variants() {
-            let bytes = r.encode_payload();
+            let bytes = payload(&r);
             assert_eq!(Record::decode_payload(&bytes), Some(r));
         }
     }
@@ -1214,15 +1094,14 @@ mod tests {
             file,
             name: "ab".to_string(),
         };
-        let mut bytes = good.encode_payload();
+        let mut bytes = payload(&good);
         assert_eq!(Record::decode_payload(&bytes), Some(good));
         let last = bytes.len() - 1;
         bytes[last] = 0xFF;
         assert_eq!(Record::decode_payload(&bytes), None);
         // Framed with a checksum that matches, the scan still stops there.
         let mut raw = Vec::new();
-        put_u32(&mut raw, bytes.len() as u32);
-        put_u64(&mut raw, crc64(&bytes));
+        (bytes.len() as u32, crc64(&bytes)).put(&mut raw);
         raw.extend_from_slice(&bytes);
         let (back, stats) = Journal::scan_and_repair(&raw);
         assert_eq!((back.records(), stats.torn), (0, true));
@@ -1282,12 +1161,16 @@ mod tests {
         let mut j = Journal::new();
         j.append(&Record::EpochBump { epoch: 1 });
         let mut raw = j.bytes().to_vec();
-        put_u32(&mut raw, (MAX_RECORD_BYTES + 1) as u32);
-        put_u64(&mut raw, 0);
+        ((MAX_RECORD_BYTES + 1) as u32, 0u64).put(&mut raw);
         let (back, stats) = Journal::scan_and_repair(&raw);
         assert_eq!(back.records(), 1);
         assert!(stats.torn);
         assert_eq!(stats.truncated_bytes, 12);
+    }
+
+    #[test]
+    fn the_magic_reads_nvmjrnl1() {
+        assert_eq!(JOURNAL_MAGIC.to_le_bytes(), *b"NVMJRNL1");
     }
 
     #[test]

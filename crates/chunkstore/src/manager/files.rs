@@ -198,10 +198,7 @@ impl Manager {
                     }
                 }
                 Slot::Hole => {}
-                Slot::Chunk(c) => {
-                    self.leave_group(id, c);
-                    self.free_if_unreferenced(c);
-                }
+                Slot::Chunk(c) => self.free_if_unreferenced(c),
             }
         }
         Ok(())

@@ -66,12 +66,13 @@ pub struct StoreConfig {
     /// whose CPU does not queue; cluster builds place the ranks with
     /// [`AggregateStore::install_shards`], one node per rank.
     pub manager_shards: usize,
-    /// Manager high availability (DESIGN.md §16): journal every metadata
-    /// mutation to the rank's crash-consistent log and keep a standby
-    /// rank per shard that replays the journal and takes over on
-    /// `faults::FaultEvent::ManagerCrash`. Off by default: with this
-    /// unset nothing is journaled, no HA counters register, and every
-    /// run is bit-identical to a build without the subsystem.
+    /// Manager high availability (DESIGN.md §16): keep a standby rank per
+    /// shard that replays the rank's journal lane and takes over on
+    /// `faults::FaultEvent::ManagerCrash`. The journal itself is always
+    /// written, and charges no virtual time. Off by default: with this
+    /// unset no takeover is scheduled and no HA counter registers (the
+    /// journal's record counter is an unregistered one), so every run is
+    /// bit-identical to a build without the standby.
     pub ha_standby: bool,
 }
 

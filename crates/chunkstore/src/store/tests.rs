@@ -1621,7 +1621,7 @@ fn deleting_a_checkpoint_journals_no_unlink_of_the_live_files_groups() {
         };
         let group = 0;
         assert_eq!(
-            replayed.state.groups.get(&c).copied(),
+            replayed.state.ns.groups.get(&c).copied(),
             Some(GroupRef {
                 file: f,
                 group,
@@ -1671,6 +1671,39 @@ fn linked_slots_are_not_members_of_the_files_parity_groups() {
             panic!("slot {idx} is linked");
         };
         assert_eq!(mgr.group_of_chunk(c).map(|g| g.file), Some(var));
+    }
+    drop(mgr);
+
+    // A group dies with the file that owns it, in either delete order.
+    // The image first: the linked chunks stay in `/var`'s group.
+    let (store, _) = store_verify(4);
+    let (t, image, var) = restart_file_linked_onto_an_rs_image(&store);
+    let linked: Vec<ChunkId> = (1..5).map(|idx| chunk_of(&store, image, idx)).collect();
+    store.delete(t, 5, image).unwrap();
+    for (at, &c) in linked.iter().enumerate() {
+        let (group, member) = (at / 2, at % 2);
+        let want = GroupRef {
+            file: var,
+            group,
+            member,
+        };
+        assert_eq!(
+            store.manager().group_of_chunk(c),
+            Some(want),
+            "var slot {at}"
+        );
+    }
+    // `/var` first, while `/image` still links its chunks: their groups
+    // go with `/var`, and the chunks stay readable through `/image`.
+    let (store, _) = store_verify(4);
+    let (t, image, var) = restart_file_linked_onto_an_rs_image(&store);
+    let mut t = store.delete(t, 5, var).unwrap();
+    for idx in 1..5 {
+        let c = chunk_of(&store, image, idx);
+        assert_eq!(store.manager().group_of_chunk(c), None, "image slot {idx}");
+        let (done, payload) = store.fetch_chunk(t, 5, image, idx).unwrap();
+        assert!(payload.into_buf(store.config()) == pattern(0x1F + idx as u8)[..]);
+        t = done;
     }
 }
 

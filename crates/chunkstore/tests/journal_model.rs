@@ -23,7 +23,9 @@
 //!    lifetimes and stale flags, names, reference counts, cursors, chunk
 //!    targets and digests, homes with their slots, and parity groups —
 //!    plus per-benefactor populations and rebuilt-allocator free counts
-//!    must agree with an independent model of that prefix.
+//!    must agree with an independent model of that prefix. The model
+//!    counts references and reads groups off the slots its fold leaves
+//!    (`apply` derives both record by record).
 
 use chunkstore::{
     BenefactorId, ChunkId, FileId, FileMeta, Journal, Member, MetaState, PlacementPolicy, Record,
@@ -75,15 +77,6 @@ fn record_strategy() -> impl Strategy<Value = Record> {
             slot: s,
         }),
         2 => any::<u64>().prop_map(|epoch| Record::EpochBump { epoch }),
-        2 => (any::<u64>(), any::<u64>(), any::<u32>(), any::<u32>()).prop_map(
-            |(c, file, group, member)| Record::GroupLink {
-                chunk: ChunkId(c),
-                file,
-                group,
-                member,
-            }
-        ),
-        2 => any::<u64>().prop_map(|c| Record::GroupUnlink { chunk: ChunkId(c) }),
         3 => (0usize..64, proptest::collection::vec(any::<u64>(), 0..80)).prop_map(
             |(b, leaf)| Record::LeafCheckpoint {
                 benefactor: b,
@@ -192,7 +185,8 @@ proptest! {
     ) {
         let mut j = Journal::new();
         for r in &recs {
-            let bytes = r.encode_payload();
+            let mut bytes = Vec::new();
+            r.encode_into(&mut bytes).expect("under the cap");
             let decoded = Record::decode_payload(&bytes);
             prop_assert_eq!(decoded.as_ref(), Some(r));
             j.append(r);
@@ -280,10 +274,6 @@ enum Op {
     /// Free the `index % homes`-th home of any chunk — a dead copy
     /// dropped, a redundant one reconciled away, or the last one.
     Free { index: usize },
-    /// Link `chunk` into a parity group.
-    GroupLink { chunk: u64, file: u64, member: u32 },
-    /// Unlink the `index % linked`-th group-linked chunk.
-    GroupUnlink { index: usize },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -319,12 +309,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
             Op::Place { chunk, held, pick }
         }),
         3 => any::<usize>().prop_map(|index| Op::Free { index }),
-        1 => (0u64..64, 0u64..8, 0u32..6).prop_map(|(chunk, file, member)| Op::GroupLink {
-            chunk,
-            file,
-            member,
-        }),
-        1 => any::<usize>().prop_map(|index| Op::GroupUnlink { index }),
     ]
 }
 
@@ -358,7 +342,6 @@ struct History {
     /// Every chunk's homes, (benefactor, slot) in place order.
     homes: BTreeMap<u64, Vec<(usize, usize)>>,
     refs: BTreeMap<u64, u32>,
-    group_linked: Vec<u64>,
     epoch: u64,
     out: Vec<Record>,
 }
@@ -531,29 +514,6 @@ impl History {
                 };
                 self.free_home(chunk, home);
             }
-            Op::GroupLink {
-                chunk,
-                file,
-                member,
-            } => {
-                self.group_linked.push(chunk);
-                self.out.push(Record::GroupLink {
-                    chunk: ChunkId(chunk),
-                    file,
-                    group: 0,
-                    member,
-                });
-            }
-            Op::GroupUnlink { index } => {
-                if self.group_linked.is_empty() {
-                    return;
-                }
-                let at = index % self.group_linked.len();
-                let chunk = self.group_linked.swap_remove(at);
-                self.out.push(Record::GroupUnlink {
-                    chunk: ChunkId(chunk),
-                });
-            }
         }
     }
 
@@ -672,7 +632,7 @@ struct Model {
     cursors: (u64, u64, usize),
     chunks: BTreeMap<u64, (usize, u64)>,
     homes: BTreeMap<u64, Vec<(usize, usize)>>,
-    groups: BTreeMap<u64, (u64, u32, u32)>,
+    groups: BTreeMap<u64, (u64, usize, usize)>,
 }
 
 impl Model {
@@ -683,10 +643,23 @@ impl Model {
             m.apply(rec);
         }
         // References are counted, not folded: every slot of every file.
-        for f in m.files.values() {
+        // So are groups: a chunk in a data slot of a file's encoded extent
+        // or in one of its parity slots is that member of that group.
+        for (&id, f) in &m.files {
             for s in f.slots.iter().chain(&f.parity) {
                 if let Slot::Chunk(c) = s {
                     *m.refs.entry(c.0).or_default() += 1;
+                }
+            }
+            if f.m == 0 {
+                continue;
+            }
+            let data =
+                (f.slots.iter().enumerate().take(f.encoded)).map(|(i, s)| (s, i / f.k, i % f.k));
+            let parity = (f.parity.iter().enumerate()).map(|(i, s)| (s, i / f.m, f.k + i % f.m));
+            for (s, group, member) in data.chain(parity) {
+                if let Slot::Chunk(c) = s {
+                    m.groups.insert(c.0, (id, group, member));
                 }
             }
         }
@@ -716,17 +689,6 @@ impl Model {
                         self.chunks.remove(&chunk.0);
                     }
                 }
-            }
-            Record::GroupLink {
-                chunk,
-                file,
-                group,
-                member,
-            } => {
-                self.groups.insert(chunk.0, (*file, *group, *member));
-            }
-            Record::GroupUnlink { chunk } => {
-                self.groups.remove(&chunk.0);
             }
             Record::EpochBump { .. } | Record::LeafCheckpoint { .. } => {}
             Record::FileCreate { file, name } => {
@@ -853,8 +815,8 @@ impl Model {
                     (c.0, ids.zip(h.slots.iter().copied()).collect())
                 })
                 .collect(),
-            groups: (s.groups.iter())
-                .map(|(c, g)| (c.0, (g.file.0, g.group as u32, g.member as u32)))
+            groups: (ns.groups.iter())
+                .map(|(c, g)| (c.0, (g.file.0, g.group, g.member)))
                 .collect(),
         }
     }

@@ -13,10 +13,16 @@
 //! * the ops after the outage allocate the same file and chunk ids, at the
 //!   same virtual times, and leave the same metadata as a run without the
 //!   crash, whose manager kept its live tables.
+//!
+//! An RS(2,1) script does the same for the parity groups, which the
+//! namespace's slots imply: after a first write, a checkpoint link and a
+//! copy-on-write of a grouped member, manager rank 0 crashes; the groups
+//! the replay installs are the ones a run without the crash serves, and a
+//! read whose home is dead reconstructs through them.
 
 use chunkstore::{
-    AggregateStore, Benefactor, ChunkBuf, ChunkPayload, FileId, MetaState, PlacementPolicy,
-    ShardMeta, Slot, StoreConfig, StripeSpec,
+    AggregateStore, Benefactor, ChunkBuf, ChunkPayload, FileId, GroupRef, MetaState,
+    PlacementPolicy, ShardMeta, Slot, StoreConfig, StripeSpec,
 };
 use devices::{Ssd, INTEL_X25E};
 use netsim::Network;
@@ -205,4 +211,76 @@ fn the_papers_manager_takeover_serves_the_replayed_log() {
 fn a_shard_takeover_serves_the_replayed_log() {
     let kept = run(2, None);
     assert_eq!(run(2, Some(1)), kept);
+}
+
+/// The RS(2,1) script, an outage of manager rank `crash` (or none), and a
+/// read of data slot 1 with its home dead. Returns the group of every
+/// chunk `/rs` and its checkpoint hold, as the manager serves it after
+/// the outage.
+fn run_rs(shards: usize, crash: Option<usize>) -> Vec<Option<GroupRef>> {
+    let (store, stats) = store(shards);
+    let rr = PlacementPolicy::RoundRobin;
+    let spec = StripeSpec::all().with_parity(2, 1);
+    let (t, v) = store.create_file(VTime::ZERO, CLIENT, "/rs").unwrap();
+    let mut t = store.fallocate(t, CLIENT, v, 4 * CHUNK, spec, rr).unwrap();
+    let mut oracle: Oracle = vec![vec![0; CHUNK as usize]; 4];
+    for idx in 0..4 {
+        let data = bytes(0x60 + idx as u8, CHUNK as usize);
+        t = write(&store, t, v, &mut oracle, (idx, 0), &data);
+    }
+    // The checkpoint keeps slot 0's chunk, so its next write is a COW of
+    // a grouped member: the new chunk takes the group over.
+    let (t2, ck) = store.create_file(t, CLIENT, "/ck").unwrap();
+    t = store.link_file(t2, CLIENT, ck, v).unwrap();
+    t = write(&store, t, v, &mut oracle, (0, 4096), &bytes(0x66, 4096));
+
+    let down = t + VTime::from_micros(1);
+    if let Some(rank) = crash {
+        store.attach_faults(
+            faults::FaultPlanBuilder::new(5)
+                .mgr_crash(down, rank)
+                .build(),
+        );
+    }
+    let t = read_all(&store, down, v, &oracle);
+    assert_eq!(stats.get("store.mgr_failovers"), crash.is_some() as u64);
+    let (groups, home) = {
+        let mgr = store.manager();
+        let (rs, ck) = (mgr.file(v).unwrap(), mgr.file(ck).unwrap());
+        let slots = rs.slots.iter().chain(&rs.parity_slots).chain(&ck.slots);
+        let groups: Vec<Option<GroupRef>> = (slots.clone())
+            .map(|s| match *s {
+                Slot::Chunk(c) => mgr.group_of_chunk(c),
+                _ => panic!("every slot is written"),
+            })
+            .collect();
+        let Slot::Chunk(c1) = rs.slots[1] else {
+            unreachable!()
+        };
+        (groups, mgr.chunk_home(c1).unwrap())
+    };
+    // `/rs`'s four data and two parity members are grouped; the chunk the
+    // checkpoint kept from slot 0 no longer is.
+    assert!(groups[..6].iter().all(Option::is_some));
+    assert_eq!(groups[6], None);
+    assert!(groups[7..].iter().all(Option::is_some));
+
+    store.set_benefactor_alive(home, false);
+    let (_, payload) = store.fetch_chunk(t, CLIENT, v, 1).unwrap();
+    assert_eq!(
+        payload,
+        ChunkPayload::Data(ChunkBuf::from_bytes(&oracle[1]))
+    );
+    assert_eq!(stats.get("store.degraded_reconstructs"), 1);
+    groups
+}
+
+#[test]
+fn the_papers_manager_takeover_installs_an_rs_files_groups() {
+    assert_eq!(run_rs(0, Some(0)), run_rs(0, None));
+}
+
+#[test]
+fn a_namespace_shard_takeover_installs_an_rs_files_groups() {
+    assert_eq!(run_rs(2, Some(0)), run_rs(2, None));
 }

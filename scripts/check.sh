@@ -49,8 +49,9 @@ echo "==> one manager log: the manager's metadata changes only through MetaState
 # write to one of those tables outside apply (or install, and apply's
 # unref), a slot setter, an incref beside the derived counts, an optional
 # journal or a one-sided replay check would make the journal a shadow of
-# the manager again. None comes back.
-! grep -rnE 'journal_home|journal_to|verify_replayed|chunk_refs|incref_chunk|enable_journal|Option<JournalSet>|\.slot_mut\(' \
+# the manager again. So would a group record or a group setter beside the
+# groups apply derives from the slots. None comes back.
+! grep -rnE 'journal_home|journal_to|verify_replayed|chunk_refs|incref_chunk|enable_journal|Option<JournalSet>|\.slot_mut\(|GroupLink|GroupUnlink|leave_group' \
     crates src tests examples/*.rs || exit 1
 ! awk 'FNR == 1 { impl = ""; allowed = 0; test = 0 } /^mod tests \{/ { test = 1 }
       /^impl / { impl = $2 }
@@ -63,6 +64,17 @@ echo "==> one manager log: the manager's metadata changes only through MetaState
       allowed && /^    }$/ { allowed = 0 }' \
     crates/chunkstore/src/journal.rs $(find crates/chunkstore/src/manager -name '*.rs' ! -name tests.rs) |
     grep . || exit 1
+
+echo "==> one record codec: each layout is written once, and byte order only in the integer fields"
+# Every record is declared once in journal.rs's records! table, and every
+# field type's layout is one Field put/get pair (DESIGN.md §16). A
+# hand-written encode or decode arm would spell out bytes again: outside
+# the int_field! macro no non-test line of journal.rs converts to or from
+# little-endian bytes.
+! awk 'FNR == 1 { test = 0; ints = 0 } /^mod tests \{/ { test = 1 }
+      /^macro_rules! int_field/ { ints = 1 }
+      !test && !ints && /(to|from)_le_bytes/ { print FILENAME ":" FNR ": " $0 }
+      ints && /^}$/ { ints = 0 }' crates/chunkstore/src/journal.rs | grep . || exit 1
 
 echo "==> one validity rule for a cached placement (the placement epoch) and a network of two constants"
 # A lease table beside the epoch, or a network config type beside
